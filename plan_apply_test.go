@@ -3,6 +3,9 @@ package e9patch
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -70,19 +73,54 @@ func planCorpus(t *testing.T) []struct {
 // two-phase pipeline must reproduce the legacy single-pass rewrite
 // exactly — output bytes, statistics, per-location outcomes, warnings
 // and counters — and the plan encoding must not depend on the width.
+//
+// Every cell is also anchored to testdata/rewrite_golden.json: the
+// SHA-256 of Result.Output must be reproduced by the reference, by
+// Apply(Plan) at every width and by a Stream session fed the same
+// locations in address chunks. Regenerate with `go test -run
+// TestPlanApplyEquivalence -update .` only for an intentional output
+// change.
 func TestPlanApplyEquivalence(t *testing.T) {
+	ctx := context.Background()
+	goldenPath := filepath.Join("testdata", "rewrite_golden.json")
+	golden := map[string]string{}
+	if !*updateGolden {
+		data, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if err := json.Unmarshal(data, &golden); err != nil {
+			t.Fatalf("%s: %v", goldenPath, err)
+		}
+	}
+	cells := 0
 	for _, be := range planCorpus(t) {
 		for _, tc := range parallelCorpusConfigs {
+			cells++
+			cell := be.name + "/" + tc.name
 			cfg := tc.cfg
 			cfg.ReserveVA = append(cfg.ReserveVA, workload.ReserveVA()...)
 			cfg.Parallelism = 1
-			legacy, err := rewriteLegacy(context.Background(), be.bin, cfg)
+			legacy, err := rewriteLegacy(ctx, be.bin, cfg)
 			if err != nil {
-				t.Fatalf("%s/%s: legacy: %v", be.name, tc.name, err)
+				t.Fatalf("%s: legacy: %v", cell, err)
 			}
+			if *updateGolden {
+				sum := sha256.Sum256(legacy.Output)
+				golden[cell] = hex.EncodeToString(sum[:])
+			}
+			checkGolden := func(label string, res *Result) {
+				t.Helper()
+				sum := sha256.Sum256(res.Output)
+				if got, want := hex.EncodeToString(sum[:]), golden[cell]; got != want {
+					t.Errorf("%s: output hash %s, golden %q (regenerate with -update if intentional)", label, got, want)
+				}
+			}
+			checkGolden(cell+"/reference", legacy)
+
 			var firstEnc []byte
 			for _, par := range []int{1, 2, 8} {
-				label := fmt.Sprintf("%s/%s/p=%d", be.name, tc.name, par)
+				label := fmt.Sprintf("%s/p=%d", cell, par)
 				cfg.Parallelism = par
 				p, err := Plan(be.bin, cfg)
 				if err != nil {
@@ -102,12 +140,49 @@ func TestPlanApplyEquivalence(t *testing.T) {
 					t.Fatalf("%s: apply: %v", label, err)
 				}
 				assertSameParallelResult(t, legacy, res, label)
+				checkGolden(label, res)
 				if res.Trampolines != p.TrampolineCount() {
 					t.Errorf("%s: plan counts %d trampolines, result %d",
 						label, p.TrampolineCount(), res.Trampolines)
 				}
 			}
+
+			// Chunked session: no selector, the reference's locations
+			// arrive as address batches.
+			scfg := cfg
+			scfg.Select = nil
+			s, err := NewStream(ctx, be.bin, scfg)
+			if err != nil {
+				t.Fatalf("%s: stream: %v", cell, err)
+			}
+			addrs := make([]uint64, len(legacy.Locations))
+			for i, loc := range legacy.Locations {
+				addrs[i] = loc.Addr
+			}
+			const chunk = 509
+			for lo := 0; lo < len(addrs); lo += chunk {
+				if _, err := s.SelectAddrs(addrs[lo:min(lo+chunk, len(addrs))]...); err != nil {
+					t.Fatalf("%s: select addrs: %v", cell, err)
+				}
+			}
+			sres, err := s.Finish(ctx)
+			if err != nil {
+				t.Fatalf("%s: stream finish: %v", cell, err)
+			}
+			assertSameParallelResult(t, legacy, sres, cell+"/stream")
+			checkGolden(cell+"/stream", sres)
 		}
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if len(golden) != cells {
+		t.Errorf("%s holds %d hashes for a %d-cell matrix (regenerate with -update)", goldenPath, len(golden), cells)
 	}
 }
 
