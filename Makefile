@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race difftest enginecheck plancheck speccheck rpccheck disasmcheck bench bench-json bench-parallel bench-plancache bench-match bench-stream bench-disasm bench-cluster servertest clustercheck fuzzshort fuzzhostile ci
+.PHONY: all build fmt vet test race difftest enginecheck plancheck speccheck rpccheck disasmcheck bench bench-json bench-parallel bench-plancache bench-match bench-disasm bench-cluster servertest clustercheck fuzzshort fuzzhostile ci
 
 all: build test
 
@@ -44,12 +44,15 @@ enginecheck:
 	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s .
 
 # plancheck verifies the plan/apply split: plan determinism, golden
-# JSON schema, serialization round trips, and Plan+Apply byte-identity
-# with the legacy monolithic rewrite over the difftest corpus (every
-# binary x tactic config x parallelism width), plus the plan IR unit
-# tests and the server's plan-cache rematerialization path.
+# JSON schema, serialization round trips, and byte-identity of Rewrite,
+# Apply(Plan) at every parallelism width and a chunked Stream with each
+# other and with the output hashes in testdata/rewrite_golden.json over
+# the difftest corpus (every binary x tactic config), plus the plan IR
+# unit tests and the server's plan-cache rematerialization path.
+# Re-record the output hashes, only for an intentional output change:
+#   go test -run TestPlanApplyEquivalence -update .
 plancheck:
-	$(GO) test -run 'TestPlan|TestApplyValidation|TestRewriteInputImmutable' .
+	$(GO) test -run 'TestPlanApplyEquivalence|TestPlan|TestApplyValidation|TestRewriteInputImmutable' .
 	$(GO) test ./internal/plan/
 	$(GO) test -run TestPlanCacheRematerialize ./internal/server/
 
@@ -70,9 +73,10 @@ bench:
 
 # bench-json regenerates every machine-readable BENCH_*.json artefact
 # (the perf trajectory): engine throughput, parallel scaling, the
-# plan-cache speedup, the spec-matcher cost, the streaming memory
-# bound, and the per-disassembly-mode recovery sweep.
-bench-json: bench-parallel bench-plancache bench-match bench-stream bench-disasm bench-cluster
+# plan-cache speedup, the spec-matcher cost and the
+# per-disassembly-mode recovery sweep. (Wall clock and peak RSS on the
+# 120 MB profile are the cli-120mb workload of `go run ./bench`.)
+bench-json: bench-parallel bench-plancache bench-match bench-disasm bench-cluster
 	$(GO) run ./cmd/e9bench -enginespeed -json BENCH_engines.json
 
 # bench-parallel records the rewrite-phase scaling curve (widths 1..8)
@@ -91,14 +95,6 @@ bench-plancache:
 # checked before timing; a divergence fails the run).
 bench-match:
 	$(GO) run ./cmd/e9bench -matchlang -json BENCH_match.json
-
-# bench-stream proves the zero-copy streaming memory claim on a
-# browser-class (120 MB) workload: each input path runs in its own
-# child process, peak RSS comes from the kernel (getrusage), outputs
-# must be byte-identical, and the streaming peak must stay under the
-# buffered peak minus half the input — the run fails otherwise.
-bench-stream:
-	$(GO) run ./cmd/e9bench -stream -json BENCH_stream.json
 
 # rpccheck verifies the JSON-RPC backend protocol end to end: the
 # golden transcripts in testdata/rpc replayed against the built

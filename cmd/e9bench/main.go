@@ -15,7 +15,6 @@
 //	e9bench -parallelism=8     # rewrite-phase scaling curve, widths 1..8
 //	e9bench -plancache         # plan-cache-hit rematerialization speedup
 //	e9bench -matchlang         # spec-language matcher cost vs hardcoded selectors
-//	e9bench -stream            # zero-copy streaming vs buffered rewrite, 100MB+ binary
 //	e9bench -disasm            # per-mode recovery counts, prune ratio, rewrite throughput
 //	e9bench -cluster           # peer plan-fetch speedup + plan-delta egress ratio
 //	e9bench -all               # everything
@@ -55,7 +54,6 @@ type jsonReport struct {
 	Parallel    *parallelJSON    `json:"rewriteScaling,omitempty"`
 	PlanCache   *planCacheJSON   `json:"planCache,omitempty"`
 	MatchLang   *matchLangJSON   `json:"matchLang,omitempty"`
-	Stream      *streamJSON      `json:"stream,omitempty"`
 	Disasm      *disasmJSON      `json:"disasmModes,omitempty"`
 	Cluster     *clusterJSON     `json:"cluster,omitempty"`
 }
@@ -102,25 +100,6 @@ type disasmModeJSON struct {
 	Patched    int     `json:"patched"`
 	Seconds    float64 `json:"seconds"`
 	MBPerSec   float64 `json:"mbPerSec"`
-}
-
-// streamJSON mirrors eval.StreamBench for the -stream run.
-type streamJSON struct {
-	TargetMB          int     `json:"targetMB"`
-	TextMB            int     `json:"textMB"`
-	InputBytes        int     `json:"inputBytes"`
-	Insts             int     `json:"insts"`
-	Locations         int     `json:"locations"`
-	Mmapped           bool    `json:"mmapped"`
-	BufferedPeakBytes uint64  `json:"bufferedPeakRssBytes"`
-	StreamPeakBytes   uint64  `json:"streamPeakRssBytes"`
-	BufferedAllocs    uint64  `json:"bufferedAllocs"`
-	StreamAllocs      uint64  `json:"streamAllocs"`
-	BufferedSec       float64 `json:"bufferedSeconds"`
-	StreamSec         float64 `json:"streamSeconds"`
-	BudgetBytes       uint64  `json:"budgetBytes"`
-	UnderBudget       bool    `json:"underBudget"`
-	Identical         bool    `json:"byteIdentical"`
 }
 
 // matchLangJSON mirrors eval.MatchLangBench for the -matchlang run.
@@ -192,7 +171,6 @@ type emulationJSON struct {
 }
 
 func main() {
-	eval.MaybeStreamChild()
 	var (
 		table1  = flag.Bool("table1", false, "regenerate Table 1")
 		fig4    = flag.Bool("fig4", false, "regenerate Figure 4")
@@ -206,12 +184,9 @@ func main() {
 		parMax  = flag.Int("parallelism", 0, "measure rewrite-phase scaling up to this worker count")
 		planCch = flag.Bool("plancache", false, "measure plan-cache-hit rematerialization speedup")
 		mtchLng = flag.Bool("matchlang", false, "measure spec-language matcher cost vs hardcoded selectors")
-		strm    = flag.Bool("stream", false, "measure zero-copy streaming vs buffered rewrite on a browser-class binary")
 		disasmB = flag.Bool("disasm", false, "measure recovery counts, prune ratio and throughput per disassembly mode")
 		clstr   = flag.Bool("cluster", false, "measure peer plan-fetch speedup and plan-delta egress ratio")
 		clstrMB = flag.Int("cluster-mb", 120, "-cluster: egress workload size in MB")
-		strmMB  = flag.Int("stream-mb", 120, "-stream: total workload size in MB")
-		strmTxt = flag.Int("stream-text-mb", 16, "-stream: text section size in MB")
 		all     = flag.Bool("all", false, "run every experiment")
 		scale   = flag.Float64("scale", 0.25, "binary size scale vs the paper")
 		full    = flag.Bool("full", false, "shorthand for -scale 1")
@@ -464,48 +439,6 @@ func main() {
 		}
 		fmt.Println()
 		report.MatchLang = mj
-	}
-
-	if *strm || *all {
-		ran = true
-		fmt.Printf("== Zero-copy streaming vs buffered rewrite (%d MB workload, %d MB text, A1) ==\n", *strmMB, *strmTxt)
-		sb, err := eval.MeasureStream(*strmMB, *strmTxt, prog)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("%d input bytes, %d insts, %d locations, mmap: %v, byte-identical: %v\n",
-			sb.InputBytes, sb.Insts, sb.Locations, sb.Mmapped, sb.Identical)
-		fmt.Printf("  buffered: peak RSS %7.1f MB  %9d allocs  %7.2fs\n",
-			float64(sb.BufferedPeakBytes)/1e6, sb.BufferedAllocs, sb.BufferedSec)
-		fmt.Printf("  stream:   peak RSS %7.1f MB  %9d allocs  %7.2fs\n",
-			float64(sb.StreamPeakBytes)/1e6, sb.StreamAllocs, sb.StreamSec)
-		fmt.Printf("  saved %.1f MB of peak RSS (budget %.1f MB, under budget: %v)\n",
-			float64(sb.BufferedPeakBytes-sb.StreamPeakBytes)/1e6, float64(sb.BudgetBytes)/1e6, sb.UnderBudget)
-		if !sb.Identical {
-			fail(fmt.Errorf("streamed output diverged from buffered rewrite"))
-		}
-		if !sb.UnderBudget {
-			fail(fmt.Errorf("stream peak RSS %d bytes exceeds the %d-byte budget (buffered peak %d minus half the input)",
-				sb.StreamPeakBytes, sb.BudgetBytes, sb.BufferedPeakBytes))
-		}
-		fmt.Println()
-		report.Stream = &streamJSON{
-			TargetMB:          sb.TargetMB,
-			TextMB:            sb.TextMB,
-			InputBytes:        sb.InputBytes,
-			Insts:             sb.Insts,
-			Locations:         sb.Locations,
-			Mmapped:           sb.Mmapped,
-			BufferedPeakBytes: sb.BufferedPeakBytes,
-			StreamPeakBytes:   sb.StreamPeakBytes,
-			BufferedAllocs:    sb.BufferedAllocs,
-			StreamAllocs:      sb.StreamAllocs,
-			BufferedSec:       sb.BufferedSec,
-			StreamSec:         sb.StreamSec,
-			BudgetBytes:       sb.BudgetBytes,
-			UnderBudget:       sb.UnderBudget,
-			Identical:         sb.Identical,
-		}
 	}
 
 	if *disasmB || *all {

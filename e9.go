@@ -245,9 +245,9 @@ type Result struct {
 	// ("linear", "superset" or "superset-cet").
 	Disasm string
 	// Recovery carries the superset frontend's decode/prune statistics.
-	// It is nil for linear mode and whenever recovery did not run
-	// in-process (the trusted apply step inside Rewrite replays the
-	// plan's decisions without re-disassembling).
+	// It is nil for linear mode and whenever this call did not run
+	// recovery (ApplyTrusted, and Apply of a plan without a universe
+	// digest, replay decisions without re-disassembling).
 	Recovery *DisasmStats
 	// Bias is the load bias used during patching (PIEBase for PIE).
 	Bias uint64
@@ -288,10 +288,10 @@ func DecodePlan(data []byte) (*PatchPlan, error) { return plan.Decode(data) }
 // Rewrite statically rewrites the binary according to cfg. The input
 // slice is not modified.
 //
-// Rewrite is Plan followed by Apply: every decision is first recorded
-// into a PatchPlan, then a decision-free materializer replays the plan
-// onto the input. Callers that want the intermediate artefact (to
-// cache, audit or ship it) use the two phases directly.
+// Rewrite decides and materializes in one pass — a Stream session whose
+// whole selection is cfg.Select, finished at once — with no plan in
+// between. Callers that want the intermediate artefact (to cache, audit
+// or ship it) use Plan and Apply, which reproduce the same bytes.
 func Rewrite(input []byte, cfg Config) (*Result, error) {
 	return RewriteContext(context.Background(), input, cfg)
 }
@@ -315,28 +315,29 @@ func phaseDeadline(ctx context.Context, d time.Duration) (context.Context, conte
 	return context.WithTimeout(ctx, d)
 }
 
+// oneShot opens the session behind Rewrite and Plan: NewStream, plus
+// their precondition that the configuration selects something.
+func oneShot(ctx context.Context, input []byte, cfg Config) (*Stream, error) {
+	if cfg.Select == nil {
+		return nil, e9err.Unsupported("match", "e9patch: Config.Select is required")
+	}
+	return NewStream(ctx, input, cfg)
+}
+
 // RewriteContext is Rewrite with cancellation: the pipeline checks ctx
 // at every phase boundary (parse → disasm → match → patch →
 // trampoline/group → emit) and inside the patching loop, so a rewrite
 // whose caller has gone away stops early instead of emitting an output
 // nobody will read. The returned error wraps ctx.Err() when aborted.
-func RewriteContext(ctx context.Context, input []byte, cfg Config) (_ *Result, err error) {
-	p, st, err := planContext(ctx, input, cfg)
+// Like every session operation it is a recovery boundary: a panic
+// escaping the pipeline — a rewriter bug tripped by unforeseen input —
+// is contained and returned as ErrInternal with the stack attached.
+func RewriteContext(ctx context.Context, input []byte, cfg Config) (*Result, error) {
+	s, err := oneShot(ctx, input, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The plan was produced in-process an instant ago from this very
-	// input: its universe digest is trusted rather than re-derived, so
-	// Rewrite pays for instruction recovery exactly once.
-	defer e9err.Recover("apply", &err)
-	res, err := applyContext(ctx, input, p, false)
-	if err != nil {
-		return nil, err
-	}
-	// The trusted apply skipped re-recovery; surface the planning
-	// phase's recovery statistics on the one-shot result.
-	res.Recovery = st.sstats
-	return res, nil
+	return s.Finish(ctx)
 }
 
 // Plan runs the decision phase only: disassemble, match, run the S1
@@ -350,41 +351,14 @@ func Plan(input []byte, cfg Config) (*PatchPlan, error) {
 	return PlanContext(context.Background(), input, cfg)
 }
 
-// PlanContext is Plan with cancellation (see RewriteContext). It is a
-// recovery boundary: a panic escaping the pipeline — a rewriter bug
-// tripped by unforeseen input — is contained and returned as
-// ErrInternal with the stack attached, never propagated to the caller.
+// PlanContext is Plan with cancellation and the same recovery boundary
+// (see RewriteContext).
 func PlanContext(ctx context.Context, input []byte, cfg Config) (*PatchPlan, error) {
-	p, _, err := planContext(ctx, input, cfg)
-	return p, err
-}
-
-// planContext is PlanContext returning the pipeline state alongside
-// the plan, so in-process callers (RewriteContext) can surface
-// planning-phase statistics without re-running recovery.
-func planContext(ctx context.Context, input []byte, cfg Config) (_ *PatchPlan, _ *planPipeline, err error) {
-	defer e9err.Recover("plan", &err)
-	st, err := runPlanPipeline(ctx, input, cfg, false)
+	s, err := oneShot(ctx, input, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	p := &plan.PatchPlan{
-		Version:      plan.Version,
-		Bias:         st.bias,
-		TextAddr:     st.textAddr + st.bias,
-		TextLen:      st.textLen,
-		Granularity:  st.gran,
-		SkipPrefix:   cfg.SkipPrefix,
-		Disasm:       string(st.mode),
-		DisasmDigest: st.digest,
-		Insts:        st.insts,
-		BadBytes:     st.badBytes,
-		Warnings:     st.warnings,
-		Injections:   st.inject,
-		Sites:        st.rw.Sites(),
-	}
-	p.BindInput(input)
-	return p, st, nil
+	return s.plan(ctx)
 }
 
 // Apply materializes a plan onto input: replay the recorded byte
@@ -417,8 +391,9 @@ func ApplyTrusted(input []byte, p *PatchPlan) (*Result, error) {
 }
 
 // ApplyTrustedContext materializes a plan from a trusted producer —
-// this process, or a cluster peer running the same build — without
-// re-deriving the disassembly-universe digest that ApplyContext checks.
+// this process's own Plan (a plan cache), or a cluster peer running the
+// same build — without re-deriving the disassembly-universe digest that
+// ApplyContext checks.
 //
 // It only accepts input-bound plans (non-empty InputSHA256, still
 // verified against input): for a bound plan the recorded universe is a
@@ -439,8 +414,8 @@ func ApplyTrustedContext(ctx context.Context, input []byte, p *PatchPlan) (_ *Re
 }
 
 // applyContext materializes a plan. verifyUniverse selects whether the
-// recorded disassembly digest is re-derived and checked (the public
-// Apply surface) or trusted (the in-process Rewrite fast path).
+// recorded disassembly digest is re-derived and checked (Apply) or
+// trusted on the strength of the input binding (ApplyTrusted).
 func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUniverse bool) (*Result, error) {
 	if p == nil {
 		return nil, e9err.Malformed("apply", "e9patch: nil plan")
@@ -458,9 +433,8 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 		return nil, err
 	}
 
-	// Parse the input read-only: the compose path below never writes to
-	// the parsed image, so no private copy is needed — input may be a
-	// read-only mmap view.
+	// Parse the input read-only: the emit tail never writes to the
+	// parsed image — input may be a read-only mmap view.
 	f, err := elf64.Parse(input)
 	if err != nil {
 		return nil, err
@@ -566,32 +540,19 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	out, gres, err := materializeCompose(input, f, bias, textOff, code, trs, sig, p.Granularity, p.Injections)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Output:        out,
-		Stats:         stats,
-		Group:         gres.Stats,
-		Mappings:      gres.Stats.Mappings,
-		InputSize:     len(input),
-		OutputSize:    len(out),
-		Insts:         p.Insts,
-		BadBytes:      p.BadBytes,
-		Disasm:        string(mode),
-		Recovery:      sstats,
-		Bias:          bias,
-		Trampolines:   len(trs),
-		InjectedBytes: injectedBytes(p.Injections),
-		Locations:     locs,
-		Warnings:      p.Warnings,
-	}, nil
+	return emit(emitInput{
+		input: input, f: f, bias: bias, textOff: textOff,
+		code: code, trs: trs, sig: sig,
+		gran: p.Granularity, inject: p.Injections,
+		stats: stats, locs: locs,
+		insts: p.Insts, badBytes: p.BadBytes, mode: mode, recovery: sstats,
+		warnings: p.Warnings,
+	})
 }
 
-// pipelineState is the parse+disassembly outcome shared by the
-// one-shot pipeline and the streaming session: the decision phases that
-// follow (selection, injections, patching) all run against it.
+// pipelineState is the parse+disassembly outcome a session holds: the
+// decision phases that follow (selection, injections, patching) all run
+// against it.
 type pipelineState struct {
 	f        *elf64.File
 	bias     uint64
@@ -605,20 +566,12 @@ type pipelineState struct {
 	sstats   *disasm.SupersetStats // nil for linear mode
 }
 
-// universeDigest fingerprints the recovered instruction universe for
-// plan binding.
-func (st *pipelineState) universeDigest() string {
-	return disasm.UniverseDigest(st.mode, disasm.Result{Insts: st.insts, BadBytes: st.badBytes})
-}
-
 // openPipeline runs the front half of the decision pipeline: normalize
 // the configuration, enforce the input-side limits, parse the ELF and
 // disassemble .text. cfg is normalized in place (template and
-// granularity defaults). When private is set the binary is copied first
-// so a later in-place materialization (rewriteLegacy) cannot touch the
-// caller's bytes; the zero-copy paths pass private=false and are
-// guaranteed read-only access to input — it may be an mmap view.
-func openPipeline(ctx context.Context, input []byte, cfg *Config, private bool) (*pipelineState, error) {
+// granularity defaults). input is only ever read — it may be an mmap
+// view.
+func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineState, error) {
 	if cfg.Template == nil {
 		cfg.Template = trampoline.Empty{}
 	}
@@ -643,12 +596,7 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config, private bool) 
 		return nil, err
 	}
 
-	data := input
-	if private {
-		data = make([]byte, len(input))
-		copy(data, input)
-	}
-	f, err := elf64.Parse(data)
+	f, err := elf64.Parse(input)
 	if err != nil {
 		return nil, err
 	}
@@ -667,7 +615,7 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config, private bool) 
 			"e9patch: .text is %d bytes, limit is %d", len(text), lim.MaxTextBytes)
 	}
 	if cfg.SkipPrefix > uint64(len(text)) {
-		return nil, fmt.Errorf("e9patch: SkipPrefix %d exceeds .text size %d", cfg.SkipPrefix, len(text))
+		return nil, e9err.Unsupported("parse", "e9patch: SkipPrefix %d exceeds .text size %d", cfg.SkipPrefix, len(text))
 	}
 	width := cfg.Parallelism
 	if width <= 0 {
@@ -715,10 +663,10 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config, private bool) 
 // finishPlanPhase runs the decision phases that follow selection:
 // injection preparation and validation, address-space reservation, and
 // the S1 reverse-order patch loop with trampoline allocation. selected
-// holds instruction indices in ascending order. skipPlan drops the
-// per-location plan record for consumers that materialize straight
-// from the live rewriter (the streaming session).
-func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, selected []int, skipPlan bool) (*patch.Rewriter, []plan.Injection, error) {
+// holds instruction indices in ascending order. recordPlan keeps the
+// rewriter's per-location plan record (the plan terminal); Finish
+// materializes straight from the live rewriter and drops it.
+func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, selected []int, recordPlan bool) (*patch.Rewriter, []plan.Injection, error) {
 	lim := cfg.Limits
 
 	// Injection phase: copy the configured injections, give Preparer
@@ -783,7 +731,6 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 	popts := cfg.Patch
 	popts.Template = cfg.Template
 	popts.Workers = st.width
-	popts.SkipPlan = skipPlan
 	if cfg.Pool != nil {
 		popts.Pool = cfg.Pool
 	}
@@ -793,6 +740,9 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 	pctx, pcancel := phaseDeadline(ctx, lim.PhaseTimeout)
 	popts.Cancel = pctx.Done()
 	rw := patch.New(st.text, st.textAddr+st.bias, st.insts, space, poolHint, popts)
+	if !recordPlan {
+		rw.DiscardPlan()
+	}
 	rw.PatchAll(selected)
 	deadlined := errors.Is(pctx.Err(), context.DeadlineExceeded)
 	pcancel()
@@ -810,76 +760,10 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 	return rw, inject, nil
 }
 
-// planPipeline is the state the decision phase hands to its consumers
-// (PlanContext, and rewriteLegacy for the differential reference).
-type planPipeline struct {
-	f        *elf64.File
-	bias     uint64
-	textAddr uint64 // link-time .text address
-	textLen  int
-	rw       *patch.Rewriter
-	insts    int
-	badBytes int
-	warnings []string
-	gran     int // normalized granularity (negative: naive emission)
-	inject   []plan.Injection
-	mode     disasm.Mode
-	digest   string                // universe digest of the recovered set
-	sstats   *disasm.SupersetStats // nil for linear mode
-}
-
-// runPlanPipeline executes the decision phases: parse → sharded
-// disassembly → match → S1 reverse-order patching with trampoline
-// allocation. The input slice is never written; private selects whether
-// the parsed file gets its own copy of the bytes (required only when
-// the caller will materialize in place afterwards, i.e. rewriteLegacy —
-// the plan-only path reads the input and nothing else).
-func runPlanPipeline(ctx context.Context, input []byte, cfg Config, private bool) (*planPipeline, error) {
-	if cfg.Select == nil {
-		return nil, errors.New("e9patch: Config.Select is required")
-	}
-	st, err := openPipeline(ctx, input, &cfg, private)
-	if err != nil {
-		return nil, err
-	}
-
-	// Match phase: run the selector over the disassembly, sharded when
-	// the selector is registered as per-instruction pure.
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	selected := parallelSelect(cfg.Select, st.insts, st.width, cfg.Pool)
-	if lim := cfg.Limits; lim.MaxPatchSites > 0 && len(selected) > lim.MaxPatchSites {
-		return nil, e9err.Limit("match", e9err.ReasonTooManySites,
-			"e9patch: selector chose %d patch sites, limit is %d", len(selected), lim.MaxPatchSites)
-	}
-	warnings := diagnoseSelection(cfg.Select, st.insts, selected, st.bias)
-
-	rw, inject, err := finishPlanPhase(ctx, st, &cfg, selected, false)
-	if err != nil {
-		return nil, err
-	}
-	return &planPipeline{
-		f:        st.f,
-		bias:     st.bias,
-		textAddr: st.textAddr,
-		textLen:  len(st.text),
-		rw:       rw,
-		insts:    len(st.insts),
-		badBytes: st.badBytes,
-		warnings: warnings,
-		gran:     cfg.Granularity,
-		inject:   inject,
-		mode:     st.mode,
-		digest:   st.universeDigest(),
-		sstats:   st.sstats,
-	}, nil
-}
-
-// buildBlob is the emit core shared by every materialization path:
-// group trampolines and injections into merged physical blocks
-// (addresses stored link-relative so the loader can apply any bias) and
-// encode the loader blob. entry is the output binary's entry point.
+// buildBlob groups trampolines and injections into merged physical
+// blocks (addresses stored link-relative so the loader can apply any
+// bias) and encodes the loader blob. entry is the output binary's entry
+// point.
 func buildBlob(entry, bias uint64, trs []patch.Trampoline, sig map[uint64]uint64, gran int, inject []plan.Injection) ([]byte, *group.Result, error) {
 	chunks := make([]group.Chunk, len(trs), len(trs)+len(inject))
 	for i, tr := range trs {
@@ -912,80 +796,58 @@ func buildBlob(entry, bias uint64, trs []patch.Trampoline, sig map[uint64]uint64
 	return loader.Encode(gres, gran, shifted, entry), gres, nil
 }
 
-// materialize is the in-place emit tail: write the patched text into
-// the (privately copied) file image, then append the loader blob
-// without moving a byte of the original.
-func materialize(f *elf64.File, bias, textAddr uint64, code []byte, trs []patch.Trampoline, sig map[uint64]uint64, gran int, inject []plan.Injection) ([]byte, *group.Result, error) {
-	if err := f.PatchBytes(textAddr, code); err != nil {
-		return nil, nil, err
-	}
-	blob, gres, err := buildBlob(f.Header.Entry, bias, trs, sig, gran, inject)
-	if err != nil {
-		return nil, nil, err
-	}
-	return elf64.Append(f.Data, blob), gres, nil
+// emitInput is what a decided rewrite hands to the emit tail, from the
+// live rewriter (Finish) or a replayed plan (Apply): what to compose,
+// then the decision-side facts the Result reports unchanged.
+type emitInput struct {
+	input   []byte // exactly the bytes f was parsed from
+	f       *elf64.File
+	bias    uint64
+	textOff uint64 // code overlays input here, as validated by TextRange
+	code    []byte
+	trs     []patch.Trampoline
+	sig     map[uint64]uint64
+	gran    int
+	inject  []plan.Injection
+
+	stats           patch.Stats
+	locs            []patch.LocResult
+	insts, badBytes int
+	mode            disasm.Mode
+	recovery        *disasm.SupersetStats
+	warnings        []string
 }
 
-// materializeCompose is the zero-copy emit tail: it never writes to the
-// parsed file, instead composing the output in a single allocation from
-// the original bytes, the patched text image and the loader blob —
-// byte-identical to materialize. input must be the exact bytes f was
-// parsed from (it may be a read-only mmap view), and code overlays
-// .text at textOff as validated by TextRange.
-func materializeCompose(input []byte, f *elf64.File, bias, textOff uint64, code []byte, trs []patch.Trampoline, sig map[uint64]uint64, gran int, inject []plan.Injection) ([]byte, *group.Result, error) {
-	blob, gres, err := buildBlob(f.Header.Entry, bias, trs, sig, gran, inject)
-	if err != nil {
-		return nil, nil, err
-	}
-	return elf64.Compose(input, textOff, code, blob), gres, nil
-}
-
-// rewriteLegacy is the pre-split monolithic pipeline: decide and
-// materialize in one pass, straight from the rewriter's own state with
-// no plan in between. It is retained as the reference implementation
-// the Plan/Apply differential tests (make plancheck) compare against,
-// with the same recovery boundary as the split phases.
-func rewriteLegacy(ctx context.Context, input []byte, cfg Config) (_ *Result, err error) {
-	defer e9err.Recover("rewrite", &err)
-	st, err := runPlanPipeline(ctx, input, cfg, true)
+// emit is the one emit tail: encode the loader blob, compose the output
+// in a single allocation from the original bytes, the patched text and
+// the blob — never writing to the input — and assemble the Result.
+func emit(in emitInput) (*Result, error) {
+	blob, gres, err := buildBlob(in.f.Header.Entry, in.bias, in.trs, in.sig, in.gran, in.inject)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	rw := st.rw
-	trs := rw.Trampolines()
-	out, gres, err := materialize(st.f, st.bias, st.textAddr, rw.Code(), trs, rw.SigTab(), st.gran, st.inject)
-	if err != nil {
-		return nil, err
+	out := elf64.Compose(in.input, in.textOff, in.code, blob)
+	injected := 0
+	for _, inj := range in.inject {
+		injected += len(inj.Data)
 	}
 	return &Result{
 		Output:        out,
-		Stats:         rw.Stats(),
+		Stats:         in.stats,
 		Group:         gres.Stats,
 		Mappings:      gres.Stats.Mappings,
-		InputSize:     len(input),
+		InputSize:     len(in.input),
 		OutputSize:    len(out),
-		Insts:         st.insts,
-		BadBytes:      st.badBytes,
-		Disasm:        string(st.mode),
-		Recovery:      st.sstats,
-		Bias:          st.bias,
-		Trampolines:   len(trs),
-		InjectedBytes: injectedBytes(st.inject),
-		Locations:     rw.Results(),
-		Warnings:      st.warnings,
+		Insts:         in.insts,
+		BadBytes:      in.badBytes,
+		Disasm:        string(in.mode),
+		Recovery:      in.recovery,
+		Bias:          in.bias,
+		Trampolines:   len(in.trs),
+		InjectedBytes: injected,
+		Locations:     in.locs,
+		Warnings:      in.warnings,
 	}, nil
-}
-
-// injectedBytes sums the injected image sizes.
-func injectedBytes(inject []plan.Injection) int {
-	n := 0
-	for _, inj := range inject {
-		n += len(inj.Data)
-	}
-	return n
 }
 
 // injectionTop returns the page-aligned address just past the highest
@@ -1083,16 +945,17 @@ func parallelSelect(sel Selector, insts []x86.Inst, width int, pool *work.Pool) 
 	return out
 }
 
-// diagnoseSelection explains an empty selection caused by the most
-// common address-coordinate mix-up: an address-based selector
-// (SelectAddresses or an addr= matcher) fed addresses in the wrong
-// coordinate system. PIE instructions carry runtime addresses (file
-// address + PIEBase), non-PIE instructions carry link-time addresses.
+// diagnoseSelection explains a selection the caller found empty when
+// the cause is the most common address-coordinate mix-up: an
+// address-based selector (SelectAddresses or an addr= matcher) fed
+// addresses in the wrong coordinate system. PIE instructions carry
+// runtime addresses (file address + PIEBase), non-PIE instructions
+// carry link-time addresses.
 // The check is selector-agnostic: re-run the selector over a view of
 // the disassembly shifted into the other coordinate system; if it now
 // matches, the input addresses were in the wrong one.
-func diagnoseSelection(sel Selector, insts []x86.Inst, selected []int, bias uint64) []string {
-	if len(selected) != 0 || len(insts) == 0 {
+func diagnoseSelection(sel Selector, insts []x86.Inst, bias uint64) []string {
+	if len(insts) == 0 {
 		return nil
 	}
 	shifted := make([]x86.Inst, len(insts))

@@ -13,10 +13,10 @@ import "e9patch/internal/plan"
 
 // beginSite opens the plan record for one patch location; endSite
 // seals it with the tactic outcome. Everything committed in between is
-// attributed to this site. With Options.SkipPlan no record is opened,
-// and every recording site below already guards on r.cur.
+// attributed to this site. After DiscardPlan no record is opened, and
+// every recording site below already guards on r.cur.
 func (r *Rewriter) beginSite(addr uint64) {
-	if r.opts.SkipPlan {
+	if r.noPlan {
 		return
 	}
 	r.cur = &plan.Site{Addr: addr}

@@ -170,6 +170,7 @@ func (r *Rewriter) child(space *va.Space, ar *arena, hint uint64, speculating bo
 		locked:      r.locked,
 		space:       space,
 		opts:        r.opts,
+		noPlan:      r.noPlan,
 		sigTab:      make(map[uint64]uint64),
 		hint:        hint,
 		arena:       ar,

@@ -117,12 +117,6 @@ type Options struct {
 	// resource-limit error instead of letting a hostile selection
 	// allocate without bound.
 	TrampolineBudget int64
-	// SkipPlan disables the per-location plan record (Sites returns
-	// nil). Consumers that materialize directly from the live rewriter —
-	// the streaming session — never read the record, and on
-	// browser-class inputs the duplicated write and trampoline bytes it
-	// holds are a significant fraction of peak memory.
-	SkipPlan bool
 }
 
 // Trampoline is one emitted trampoline.
@@ -192,9 +186,11 @@ type Rewriter struct {
 
 	// sites is the plan record: one entry per patch location, holding
 	// every committed effect (emit.go). cur is the entry being built
-	// for the location currently inside patchOne.
-	sites []plan.Site
-	cur   *plan.Site
+	// for the location currently inside patchOne. noPlan (DiscardPlan)
+	// turns the record off.
+	sites  []plan.Site
+	cur    *plan.Site
+	noPlan bool
 
 	// hint is the bump cursor for unconstrained allocations.
 	hint uint64
@@ -258,6 +254,13 @@ func (r *Rewriter) SigTab() map[uint64]uint64 { return r.sigTab }
 // Sites returns the recorded per-location plan entries in patch order;
 // flattened, their trampolines equal Trampolines() exactly.
 func (r *Rewriter) Sites() []plan.Site { return r.sites }
+
+// DiscardPlan turns the per-location plan record off (Sites then
+// returns nil); call it before PatchAll. Consumers that materialize
+// straight from the live rewriter never read the record, and on
+// browser-class inputs the duplicated write and trampoline bytes it
+// holds are a significant fraction of peak memory.
+func (r *Rewriter) DiscardPlan() { r.noPlan = true }
 
 // Stats returns aggregate patching statistics.
 func (r *Rewriter) Stats() Stats { return r.stats }

@@ -19,9 +19,10 @@ import (
 
 // Differential suite for the plan/apply split (make plancheck): for
 // every corpus binary × tactic config × parallelism width,
-// Apply(Plan(input)) must be byte-identical to the legacy monolithic
-// rewrite, the plan encoding must be deterministic (and independent of
-// the worker count), and a plan must survive a JSON round trip intact.
+// Apply(Plan(input)) must be byte-identical to the one-pass Rewrite and
+// to the committed output hashes, the plan encoding must be
+// deterministic (and independent of the worker count), and a plan must
+// survive a JSON round trip intact.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
@@ -70,14 +71,17 @@ func planCorpus(t *testing.T) []struct {
 
 // TestPlanApplyEquivalence is the tentpole differential: across the
 // full corpus × tactic-config matrix at parallelism 1, 2 and 8, the
-// two-phase pipeline must reproduce the legacy single-pass rewrite
-// exactly — output bytes, statistics, per-location outcomes, warnings
-// and counters — and the plan encoding must not depend on the width.
+// two-phase pipeline must reproduce Rewrite — decide and materialize in
+// one pass, no plan in between — exactly: output bytes, statistics,
+// per-location outcomes, warnings and counters; and the plan encoding
+// must not depend on the width.
 //
 // Every cell is also anchored to testdata/rewrite_golden.json: the
-// SHA-256 of Result.Output must be reproduced by the reference, by
+// SHA-256 of Result.Output must be reproduced by Rewrite, by
 // Apply(Plan) at every width and by a Stream session fed the same
-// locations in address chunks. Regenerate with `go test -run
+// locations in address chunks. The committed hashes were recorded from
+// the pre-split monolithic reference pipeline in the commit
+// before it was deleted; regenerate with `go test -run
 // TestPlanApplyEquivalence -update .` only for an intentional output
 // change.
 func TestPlanApplyEquivalence(t *testing.T) {
@@ -101,12 +105,12 @@ func TestPlanApplyEquivalence(t *testing.T) {
 			cfg := tc.cfg
 			cfg.ReserveVA = append(cfg.ReserveVA, workload.ReserveVA()...)
 			cfg.Parallelism = 1
-			legacy, err := rewriteLegacy(ctx, be.bin, cfg)
+			ref, err := Rewrite(be.bin, cfg)
 			if err != nil {
-				t.Fatalf("%s: legacy: %v", cell, err)
+				t.Fatalf("%s: rewrite: %v", cell, err)
 			}
 			if *updateGolden {
-				sum := sha256.Sum256(legacy.Output)
+				sum := sha256.Sum256(ref.Output)
 				golden[cell] = hex.EncodeToString(sum[:])
 			}
 			checkGolden := func(label string, res *Result) {
@@ -116,7 +120,7 @@ func TestPlanApplyEquivalence(t *testing.T) {
 					t.Errorf("%s: output hash %s, golden %q (regenerate with -update if intentional)", label, got, want)
 				}
 			}
-			checkGolden(cell+"/reference", legacy)
+			checkGolden(cell+"/rewrite", ref)
 
 			var firstEnc []byte
 			for _, par := range []int{1, 2, 8} {
@@ -139,7 +143,7 @@ func TestPlanApplyEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: apply: %v", label, err)
 				}
-				assertSameParallelResult(t, legacy, res, label)
+				assertSameParallelResult(t, ref, res, label)
 				checkGolden(label, res)
 				if res.Trampolines != p.TrampolineCount() {
 					t.Errorf("%s: plan counts %d trampolines, result %d",
@@ -155,8 +159,8 @@ func TestPlanApplyEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: stream: %v", cell, err)
 			}
-			addrs := make([]uint64, len(legacy.Locations))
-			for i, loc := range legacy.Locations {
+			addrs := make([]uint64, len(ref.Locations))
+			for i, loc := range ref.Locations {
 				addrs[i] = loc.Addr
 			}
 			const chunk = 509
@@ -169,7 +173,7 @@ func TestPlanApplyEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: stream finish: %v", cell, err)
 			}
-			assertSameParallelResult(t, legacy, sres, cell+"/stream")
+			assertSameParallelResult(t, ref, sres, cell+"/stream")
 			checkGolden(cell+"/stream", sres)
 		}
 	}

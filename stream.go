@@ -2,18 +2,23 @@ package e9patch
 
 import (
 	"context"
+	"math/bits"
 	"sort"
 
+	"e9patch/internal/disasm"
 	"e9patch/internal/e9err"
+	"e9patch/internal/patch"
+	"e9patch/internal/plan"
 	"e9patch/internal/x86"
 )
 
-// Stream is an incremental rewrite session: the binary is parsed and
-// disassembled once, patch selections arrive progressively — the
-// JSON-RPC backend feeds one Select or SelectAddrs call per protocol
-// message — and Finish runs the decision and emit phases over the
-// accumulated union. The output is byte-identical to a single-shot
-// Rewrite whose selector matches the same locations.
+// Stream is an incremental rewrite session, and the one owner of the
+// open → select → decide phases: the binary is parsed and disassembled
+// once, patch selections arrive progressively — the JSON-RPC backend
+// feeds one Select or SelectAddrs call per protocol message — and
+// Finish runs the decision and emit phases over the accumulated union.
+// Rewrite is NewStream + Finish and Plan is NewStream + plan, so equal
+// selections give byte-identical results by construction.
 //
 // The input slice is never written: callers may hand a Stream the
 // read-only mmap view from elf64.OpenInput, so a browser-class binary
@@ -26,10 +31,13 @@ type Stream struct {
 	st       *pipelineState
 	insts    int // cached count: st is released during Finish
 	badBytes int
-	seen     map[int]struct{}
-	selected []int
-	diag     []Selector // replayed for coordinate diagnostics when nothing matched
-	closed   bool
+	// sel is the selection, a bitset over instruction indices (nsel its
+	// population count): dedup is one bit test per index even when
+	// SelectAll adds every instruction, and a scan yields sorted sites.
+	sel    []uint64
+	nsel   int
+	diag   []Selector // replayed for coordinate diagnostics when nothing matched
+	closed bool
 }
 
 // NewStream opens an incremental session over input. Unlike Rewrite,
@@ -39,16 +47,20 @@ type Stream struct {
 // cap are enforced here too.
 func NewStream(ctx context.Context, input []byte, cfg Config) (_ *Stream, err error) {
 	defer e9err.Recover("stream", &err)
-	st, err := openPipeline(ctx, input, &cfg, false)
+	st, err := openPipeline(ctx, input, &cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Stream{
 		cfg: cfg, input: input, st: st,
 		insts: len(st.insts), badBytes: st.badBytes,
-		seen: make(map[int]struct{}),
+		sel: make([]uint64, (len(st.insts)+63)/64),
 	}
 	if cfg.Select != nil {
+		// Match phase boundary: the selector sweeps every instruction.
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		if _, err := s.Select(cfg.Select); err != nil {
 			return nil, err
 		}
@@ -65,7 +77,7 @@ func (s *Stream) BadBytes() int { return s.badBytes }
 
 // Selected returns the number of distinct patch locations accumulated
 // so far.
-func (s *Stream) Selected() int { return len(s.selected) }
+func (s *Stream) Selected() int { return s.nsel }
 
 // guard rejects use after Finish.
 func (s *Stream) guard() error {
@@ -82,18 +94,24 @@ func (s *Stream) guard() error {
 func (s *Stream) add(idxs []int) (int, error) {
 	added := 0
 	for _, i := range idxs {
-		if _, dup := s.seen[i]; dup {
-			continue
+		if bit := uint64(1) << (i & 63); s.sel[i>>6]&bit == 0 {
+			s.sel[i>>6] |= bit
+			added++
 		}
-		s.seen[i] = struct{}{}
-		s.selected = append(s.selected, i)
-		added++
 	}
-	if lim := s.cfg.Limits; lim.MaxPatchSites > 0 && len(s.selected) > lim.MaxPatchSites {
-		return added, e9err.Limit("match", e9err.ReasonTooManySites,
-			"e9patch: stream selected %d patch sites, limit is %d", len(s.selected), lim.MaxPatchSites)
+	s.nsel += added
+	return added, s.siteLimit()
+}
+
+// siteLimit enforces Limits.MaxPatchSites. An over-limit selection
+// stays in the session, so decide checks again: a caller that ignores
+// the failed message cannot Finish past the cap.
+func (s *Stream) siteLimit() error {
+	if limit := s.cfg.Limits.MaxPatchSites; limit > 0 && s.nsel > limit {
+		return e9err.Limit("match", e9err.ReasonTooManySites,
+			"e9patch: selected %d patch sites, limit is %d", s.nsel, limit)
 	}
-	return added, nil
+	return nil
 }
 
 // Select runs a selector over the disassembly and merges its matches
@@ -121,30 +139,27 @@ func (s *Stream) SelectAddrs(addrs ...uint64) (int, error) {
 	if err := s.guard(); err != nil {
 		return 0, err
 	}
-	insts := s.st.insts
-	idxs := make([]int, 0, len(addrs))
-	for _, a := range addrs {
-		i := sort.Search(len(insts), func(i int) bool { return insts[i].Addr >= a })
-		if i < len(insts) && insts[i].Addr == a {
-			idxs = append(idxs, i)
-		}
-	}
+	idxs := indicesAt(s.st.insts, addrs)
 	if len(idxs) < len(addrs) {
 		// Remember the misses so Finish can diagnose the classic
 		// coordinate mix-up if the whole session matched nothing.
 		missed := append([]uint64(nil), addrs...)
-		s.diag = append(s.diag, func(insts []x86.Inst) []int {
-			var out []int
-			for _, a := range missed {
-				i := sort.Search(len(insts), func(i int) bool { return insts[i].Addr >= a })
-				if i < len(insts) && insts[i].Addr == a {
-					out = append(out, i)
-				}
-			}
-			return out
-		})
+		s.diag = append(s.diag, func(insts []x86.Inst) []int { return indicesAt(insts, missed) })
 	}
 	return s.add(idxs)
+}
+
+// indicesAt returns the indices of the instructions that start exactly
+// at addrs, by binary search over the address-ascending disassembly.
+func indicesAt(insts []x86.Inst, addrs []uint64) []int {
+	out := make([]int, 0, len(addrs))
+	for _, a := range addrs {
+		i := sort.Search(len(insts), func(i int) bool { return insts[i].Addr >= a })
+		if i < len(insts) && insts[i].Addr == a {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // Reserve adds [lo, hi) to the virtual-address ranges trampolines must
@@ -161,69 +176,90 @@ func (s *Stream) Reserve(lo, hi uint64) error {
 	return nil
 }
 
+// decide closes the session and runs everything between selection and
+// emission, for both terminals: the site cap, the empty-selection
+// diagnostics, then finishPlanPhase.
+func (s *Stream) decide(ctx context.Context, recordPlan bool) (*patch.Rewriter, []plan.Injection, []string, error) {
+	if err := s.guard(); err != nil {
+		return nil, nil, nil, err
+	}
+	s.closed = true
+	if err := s.siteLimit(); err != nil {
+		return nil, nil, nil, err
+	}
+	var warnings []string
+	if s.nsel == 0 {
+		for _, sel := range s.diag {
+			warnings = append(warnings, diagnoseSelection(sel, s.st.insts, s.st.bias)...)
+		}
+	}
+	selected := make([]int, 0, s.nsel) // ascending, straight off the bitset
+	for w, word := range s.sel {
+		for ; word != 0; word &= word - 1 {
+			selected = append(selected, w<<6+bits.TrailingZeros64(word))
+		}
+	}
+	rw, inject, err := finishPlanPhase(ctx, s.st, &s.cfg, selected, recordPlan)
+	return rw, inject, warnings, err
+}
+
 // Finish runs the remaining decision phases (injection preparation,
 // address-space reservation, S1 patching) over the accumulated
 // selection and emits the rewritten binary via the single-allocation
 // compose path. The session cannot be used afterwards.
 //
-// Unlike the plan/apply pipeline, a session has no artifact to keep:
-// once patching has decided everything, the disassembly, the selection
-// bookkeeping and the rewriter's decision state are released before the
-// output is materialized (SkipPlan above means there is no per-location
-// record either), so the emit-phase peak holds only the patched text,
-// the trampolines and the output image. On browser-class inputs that —
-// plus the mmap'd input staying off the heap — is what keeps the
-// streaming session's peak memory well under the one-shot rewrite's.
+// Finish materializes straight from the live rewriter: no per-location
+// record is kept, and once patching has decided everything the
+// disassembly, the selection and the rewriter's decision state are
+// released before the output is composed, so the emit-phase peak holds
+// only the patched text, the trampolines and the output image. On
+// browser-class inputs that — plus an mmap'd input staying off the
+// heap — is what bounds a rewrite's peak memory.
 func (s *Stream) Finish(ctx context.Context) (_ *Result, err error) {
 	defer e9err.Recover("stream", &err)
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	s.closed = true
-	sort.Ints(s.selected)
-
-	var warnings []string
-	if len(s.selected) == 0 {
-		for _, sel := range s.diag {
-			warnings = append(warnings, diagnoseSelection(sel, s.st.insts, nil, s.st.bias)...)
-		}
-	}
-
-	rw, inject, err := finishPlanPhase(ctx, s.st, &s.cfg, s.selected, true)
+	rw, inject, warnings, err := s.decide(ctx, false)
 	if err != nil {
 		return nil, err
 	}
+	st := s.st
+	in := emitInput{
+		input: s.input, f: st.f, bias: st.bias, textOff: st.textOff,
+		code: rw.Code(), trs: rw.Trampolines(), sig: rw.SigTab(),
+		gran: s.cfg.Granularity, inject: inject,
+		stats: rw.Stats(), locs: rw.Results(),
+		insts: s.insts, badBytes: s.badBytes, mode: st.mode, recovery: st.sstats,
+		warnings: warnings,
+	}
+	// Everything the emit tail needs is in hand: drop the instruction
+	// array, the selection and the rewriter's working copies.
+	s.st, s.sel, s.diag = nil, nil, nil
+	return emit(in)
+}
 
-	// Pull everything the emit phase and the Result need out of the
-	// session state, then drop the rest — most importantly the
-	// instruction array and the rewriter's working copies.
-	f, bias, textOff := s.st.f, s.st.bias, s.st.textOff
-	mode, sstats := s.st.mode, s.st.sstats
-	code, trs, sigTab := rw.Code(), rw.Trampolines(), rw.SigTab()
-	stats, locs := rw.Stats(), rw.Results()
-	s.st, s.seen, s.selected, s.diag = nil, nil, nil, nil
-	rw = nil
-
-	out, gres, err := materializeCompose(s.input, f, bias, textOff,
-		code, trs, sigTab, s.cfg.Granularity, inject)
+// plan is the other terminal: the same decide step with per-site
+// records on, assembled into a PatchPlan bound to the input.
+func (s *Stream) plan(ctx context.Context) (_ *PatchPlan, err error) {
+	defer e9err.Recover("plan", &err)
+	rw, inject, warnings, err := s.decide(ctx, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Output:        out,
-		Stats:         stats,
-		Group:         gres.Stats,
-		Mappings:      gres.Stats.Mappings,
-		InputSize:     len(s.input),
-		OutputSize:    len(out),
-		Insts:         s.insts,
-		BadBytes:      s.badBytes,
-		Disasm:        string(mode),
-		Recovery:      sstats,
-		Bias:          bias,
-		Trampolines:   len(trs),
-		InjectedBytes: injectedBytes(inject),
-		Locations:     locs,
-		Warnings:      warnings,
-	}, nil
+	st := s.st
+	p := &plan.PatchPlan{
+		Version:      plan.Version,
+		Bias:         st.bias,
+		TextAddr:     st.textAddr + st.bias,
+		TextLen:      len(st.text),
+		Granularity:  s.cfg.Granularity,
+		SkipPrefix:   s.cfg.SkipPrefix,
+		Disasm:       string(st.mode),
+		DisasmDigest: disasm.UniverseDigest(st.mode, disasm.Result{Insts: st.insts, BadBytes: st.badBytes}),
+		Insts:        s.insts,
+		BadBytes:     s.badBytes,
+		Warnings:     warnings,
+		Injections:   inject,
+		Sites:        rw.Sites(),
+	}
+	p.BindInput(s.input)
+	return p, nil
 }

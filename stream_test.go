@@ -3,6 +3,7 @@ package e9patch
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -10,9 +11,10 @@ import (
 )
 
 // TestStreamMatchesRewrite is the streaming differential: a session fed
-// the whole selection at once, or split across many Select/SelectAddrs
-// messages (with overlap), must reproduce the single-shot Rewrite
-// byte-for-byte for the paper applications A1 and A2 across the corpus.
+// the selection split across many SelectAddrs messages (with overlap)
+// must reproduce the single-shot Rewrite byte-for-byte for the paper
+// applications A1 and A2 across the corpus. (A session handed the
+// selector in its config IS Rewrite, so that leg has nothing to compare.)
 func TestStreamMatchesRewrite(t *testing.T) {
 	ctx := context.Background()
 	for _, be := range planCorpus(t) {
@@ -25,22 +27,6 @@ func TestStreamMatchesRewrite(t *testing.T) {
 			want, err := Rewrite(be.bin, cfg)
 			if err != nil {
 				t.Fatalf("%s: rewrite: %v", label, err)
-			}
-
-			// One-shot session: selector in the config.
-			s, err := NewStream(ctx, be.bin, cfg)
-			if err != nil {
-				t.Fatalf("%s: stream: %v", label, err)
-			}
-			got, err := s.Finish(ctx)
-			if err != nil {
-				t.Fatalf("%s: finish: %v", label, err)
-			}
-			if !bytes.Equal(want.Output, got.Output) {
-				t.Errorf("%s: one-shot stream output differs from Rewrite", label)
-			}
-			if want.Stats != got.Stats {
-				t.Errorf("%s: stats differ: %+v vs %+v", label, want.Stats, got.Stats)
 			}
 
 			// Chunked session: the same locations drip in as address
@@ -77,6 +63,9 @@ func TestStreamMatchesRewrite(t *testing.T) {
 			}
 			if !bytes.Equal(want.Output, got2.Output) {
 				t.Errorf("%s: chunked stream output differs from Rewrite", label)
+			}
+			if want.Stats != got2.Stats {
+				t.Errorf("%s: stats differ: %+v vs %+v", label, want.Stats, got2.Stats)
 			}
 		}
 	}
@@ -124,8 +113,10 @@ func TestStreamSessionGuards(t *testing.T) {
 	}
 }
 
-// TestStreamSiteLimit checks the incremental patch-site cap: the
-// message that crosses the limit fails, not the emit at the end.
+// TestStreamSiteLimit checks the patch-site cap: the message that
+// crosses the limit fails early, and — the over-limit selection stays
+// in the session — so does a Finish that ignores that failure, instead
+// of patching every selected site.
 func TestStreamSiteLimit(t *testing.T) {
 	ctx := context.Background()
 	bin := planCorpus(t)[0].bin
@@ -135,7 +126,39 @@ func TestStreamSiteLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Select(SelectAll); err == nil {
-		t.Fatal("selection beyond MaxPatchSites: want error")
+	if _, err := s.Select(SelectAll); !errors.Is(err, ErrResourceLimit) {
+		t.Fatalf("selection beyond MaxPatchSites: want ErrResourceLimit, got %v", err)
+	}
+	if res, err := s.Finish(ctx); !errors.Is(err, ErrResourceLimit) {
+		t.Fatalf("Finish after an over-limit Select: want ErrResourceLimit, got %v (result %v)", err, res != nil)
+	}
+}
+
+// TestConfigErrorsClassified pins the class of the two configuration
+// mistakes the pipeline itself rejects: a missing selector (Rewrite and
+// Plan only — a session may start empty) and a SkipPrefix beyond .text.
+func TestConfigErrorsClassified(t *testing.T) {
+	ctx := context.Background()
+	bin := planCorpus(t)[0].bin
+
+	if _, err := Rewrite(bin, Config{}); !errors.Is(err, ErrUnsupportedBinary) {
+		t.Errorf("Rewrite without Select: want ErrUnsupportedBinary, got %v", err)
+	}
+	if _, err := Plan(bin, Config{}); !errors.Is(err, ErrUnsupportedBinary) {
+		t.Errorf("Plan without Select: want ErrUnsupportedBinary, got %v", err)
+	}
+	if _, err := NewStream(ctx, bin, Config{}); err != nil {
+		t.Errorf("NewStream without Select: %v", err)
+	}
+
+	far := Config{Select: SelectJumps, SkipPrefix: uint64(len(bin))}
+	if _, err := Rewrite(bin, far); !errors.Is(err, ErrUnsupportedBinary) {
+		t.Errorf("Rewrite with SkipPrefix past .text: want ErrUnsupportedBinary, got %v", err)
+	}
+	if _, err := Plan(bin, far); !errors.Is(err, ErrUnsupportedBinary) {
+		t.Errorf("Plan with SkipPrefix past .text: want ErrUnsupportedBinary, got %v", err)
+	}
+	if _, err := NewStream(ctx, bin, far); !errors.Is(err, ErrUnsupportedBinary) {
+		t.Errorf("NewStream with SkipPrefix past .text: want ErrUnsupportedBinary, got %v", err)
 	}
 }
