@@ -20,10 +20,7 @@ package e9patch
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"runtime"
-	"time"
 
 	"e9patch/internal/disasm"
 	"e9patch/internal/e9err"
@@ -35,7 +32,6 @@ import (
 	"e9patch/internal/patch"
 	"e9patch/internal/plan"
 	"e9patch/internal/trampoline"
-	"e9patch/internal/va"
 	"e9patch/internal/work"
 	"e9patch/internal/x86"
 )
@@ -161,12 +157,6 @@ type Template = trampoline.Template
 // segments (page-rounded) or each other, and reserves their pages so
 // no trampoline lands inside them.
 type Injection = plan.Injection
-
-// injectDefaultBase is where pipeline-allocated injections (the call
-// template's argument tables) go when the configuration injects
-// nothing of its own. It sits far above both link bases and PIEBase,
-// and below the stack region.
-const injectDefaultBase uint64 = 0xA_0000_0000
 
 // RawTemplate adapts a code-emitting callback into a trampoline
 // template, for arbitrary binary patches (the paper's Example 3.1).
@@ -294,25 +284,6 @@ func DecodePlan(data []byte) (*PatchPlan, error) { return plan.Decode(data) }
 // or ship it) use Plan and Apply, which reproduce the same bytes.
 func Rewrite(input []byte, cfg Config) (*Result, error) {
 	return RewriteContext(context.Background(), input, cfg)
-}
-
-// ctxErr converts a context cancellation into the rewrite error
-// returned at phase boundaries.
-func ctxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("e9patch: rewrite aborted: %w", err)
-	}
-	return nil
-}
-
-// phaseDeadline derives a per-phase context when Limits.PhaseTimeout is
-// set; with no timeout the parent context is returned unchanged with a
-// no-op cancel, so callers can treat both shapes uniformly.
-func phaseDeadline(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, d)
 }
 
 // oneShot opens the session behind Rewrite and Plan: NewStream, plus
@@ -548,485 +519,6 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 		insts: p.Insts, badBytes: p.BadBytes, mode: mode, recovery: sstats,
 		warnings: p.Warnings,
 	})
-}
-
-// pipelineState is the parse+disassembly outcome a session holds: the
-// decision phases that follow (selection, injections, patching) all run
-// against it.
-type pipelineState struct {
-	f        *elf64.File
-	bias     uint64
-	textOff  uint64 // file offset of .text
-	textAddr uint64 // link-time .text address
-	text     []byte
-	insts    []x86.Inst
-	badBytes int
-	width    int
-	mode     disasm.Mode
-	sstats   *disasm.SupersetStats // nil for linear mode
-}
-
-// openPipeline runs the front half of the decision pipeline: normalize
-// the configuration, enforce the input-side limits, parse the ELF and
-// disassemble .text. cfg is normalized in place (template and
-// granularity defaults). input is only ever read — it may be an mmap
-// view.
-func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineState, error) {
-	if cfg.Template == nil {
-		cfg.Template = trampoline.Empty{}
-	}
-	if cfg.Granularity == 0 {
-		cfg.Granularity = 1
-	}
-	if cfg.Granularity > MaxGranularity {
-		return nil, e9err.Unsupported("plan", "e9patch: granularity %d exceeds the maximum %d", cfg.Granularity, MaxGranularity)
-	}
-	mode, err := disasm.ParseMode(string(cfg.Disasm))
-	if err != nil {
-		return nil, e9err.Unsupported("plan", "e9patch: %v", err)
-	}
-	cfg.Disasm = mode
-	lim := cfg.Limits
-	if lim.MaxInputBytes > 0 && int64(len(input)) > lim.MaxInputBytes {
-		return nil, e9err.Limit("parse", e9err.ReasonInputTooLarge,
-			"e9patch: input is %d bytes, limit is %d", len(input), lim.MaxInputBytes)
-	}
-
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-
-	f, err := elf64.Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	var bias uint64
-	if f.IsPIE() {
-		bias = PIEBase
-	}
-
-	textOff, textAddr, textSize, err := f.TextRange()
-	if err != nil {
-		return nil, err
-	}
-	text := f.Data[textOff : textOff+textSize]
-	if lim.MaxTextBytes > 0 && int64(len(text)) > lim.MaxTextBytes {
-		return nil, e9err.Limit("parse", e9err.ReasonTextTooLarge,
-			"e9patch: .text is %d bytes, limit is %d", len(text), lim.MaxTextBytes)
-	}
-	if cfg.SkipPrefix > uint64(len(text)) {
-		return nil, e9err.Unsupported("parse", "e9patch: SkipPrefix %d exceeds .text size %d", cfg.SkipPrefix, len(text))
-	}
-	width := cfg.Parallelism
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
-
-	// The frontend: sharded instruction recovery under the configured
-	// mode, locations and sizes only. Linear's sharded sweep provably
-	// equals the sequential one (seam repair, see disasm.Parallel) and
-	// the superset decode is per-offset independent, so shard geometry
-	// is free to follow width in every mode.
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	dctx, dcancel := phaseDeadline(ctx, lim.PhaseTimeout)
-	dres, sstats, dok := disasm.RecoverCancel(mode, text[cfg.SkipPrefix:], textAddr+bias+cfg.SkipPrefix, width, cfg.Pool, dctx.Done())
-	if !dok {
-		deadlined := errors.Is(dctx.Err(), context.DeadlineExceeded)
-		dcancel()
-		if deadlined {
-			return nil, e9err.Limit("disasm", e9err.ReasonPhaseDeadline,
-				"e9patch: disassembly exceeded the phase deadline %s", lim.PhaseTimeout)
-		}
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		return nil, e9err.Internal("disasm", "e9patch: disassembly aborted without a cancellation cause")
-	}
-	dcancel()
-
-	return &pipelineState{
-		f:        f,
-		bias:     bias,
-		textOff:  textOff,
-		textAddr: textAddr,
-		text:     text,
-		insts:    dres.Insts,
-		badBytes: dres.BadBytes,
-		width:    width,
-		mode:     mode,
-		sstats:   sstats,
-	}, nil
-}
-
-// finishPlanPhase runs the decision phases that follow selection:
-// injection preparation and validation, address-space reservation, and
-// the S1 reverse-order patch loop with trampoline allocation. selected
-// holds instruction indices in ascending order. recordPlan keeps the
-// rewriter's per-location plan record (the plan terminal); Finish
-// materializes straight from the live rewriter and drops it.
-func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, selected []int, recordPlan bool) (*patch.Rewriter, []plan.Injection, error) {
-	lim := cfg.Limits
-
-	// Injection phase: copy the configured injections, give Preparer
-	// templates (the call trampoline's argument tables) their
-	// whole-selection pass with an allocator that appends further
-	// injections, then validate the lot against the binary's segments.
-	inject := make([]plan.Injection, 0, len(cfg.Inject))
-	for _, inj := range cfg.Inject {
-		d := make(plan.Bytes, len(inj.Data))
-		copy(d, inj.Data)
-		inject = append(inject, plan.Injection{Addr: inj.Addr, Data: d})
-	}
-	if prep, ok := cfg.Template.(trampoline.Preparer); ok {
-		alloc := func(data []byte) (uint64, error) {
-			base := injectionTop(inject)
-			d := make(plan.Bytes, len(data))
-			copy(d, data)
-			inject = append(inject, plan.Injection{Addr: base, Data: d})
-			return base, nil
-		}
-		if err := prep.Prepare(st.insts, selected, alloc); err != nil {
-			return nil, nil, e9err.Wrap(e9err.ErrUnsupported, "plan", err)
-		}
-	}
-	if err := validateInjections(inject, st.f, st.bias, "plan"); err != nil {
-		return nil, nil, err
-	}
-
-	// Address-space model: all loaded segments are off limits
-	// (page-rounded, since the loader maps whole pages), as are any
-	// caller-reserved ranges.
-	space := va.NewDefault()
-	for _, p := range st.f.Progs {
-		if p.Type != elf64.PTLoad || p.Memsz == 0 {
-			continue
-		}
-		lo := (p.Vaddr + st.bias) &^ (elf64.PageSize - 1)
-		hi := (p.Vaddr + st.bias + p.Memsz + elf64.PageSize - 1) &^ (elf64.PageSize - 1)
-		if err := reserveMerged(space, lo, hi); err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, iv := range cfg.ReserveVA {
-		if err := reserveMerged(space, iv[0], iv[1]); err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, inj := range inject {
-		lo := inj.Addr &^ (elf64.PageSize - 1)
-		hi := (inj.Addr + uint64(len(inj.Data)) + elf64.PageSize - 1) &^ (elf64.PageSize - 1)
-		if err := reserveMerged(space, lo, hi); err != nil {
-			return nil, nil, err
-		}
-	}
-	_, loadHi := st.f.LoadBounds()
-	poolHint := (loadHi + st.bias + 2*elf64.PageSize) &^ (elf64.PageSize - 1)
-
-	// Patch phase: the heavy loop also polls ctx between locations.
-	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
-	}
-	popts := cfg.Patch
-	popts.Template = cfg.Template
-	popts.Workers = st.width
-	if cfg.Pool != nil {
-		popts.Pool = cfg.Pool
-	}
-	if lim.MaxTrampolineBytes > 0 {
-		popts.TrampolineBudget = lim.MaxTrampolineBytes
-	}
-	pctx, pcancel := phaseDeadline(ctx, lim.PhaseTimeout)
-	popts.Cancel = pctx.Done()
-	rw := patch.New(st.text, st.textAddr+st.bias, st.insts, space, poolHint, popts)
-	if !recordPlan {
-		rw.DiscardPlan()
-	}
-	rw.PatchAll(selected)
-	deadlined := errors.Is(pctx.Err(), context.DeadlineExceeded)
-	pcancel()
-	if deadlined {
-		return nil, nil, e9err.Limit("patch", e9err.ReasonPhaseDeadline,
-			"e9patch: patching exceeded the phase deadline %s", lim.PhaseTimeout)
-	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
-	}
-	if rw.LimitExceeded() {
-		return nil, nil, e9err.Limit("patch", e9err.ReasonTrampolineBudget,
-			"e9patch: emitted trampoline code exceeds the %d-byte budget", lim.MaxTrampolineBytes)
-	}
-	return rw, inject, nil
-}
-
-// buildBlob groups trampolines and injections into merged physical
-// blocks (addresses stored link-relative so the loader can apply any
-// bias) and encodes the loader blob. entry is the output binary's entry
-// point.
-func buildBlob(entry, bias uint64, trs []patch.Trampoline, sig map[uint64]uint64, gran int, inject []plan.Injection) ([]byte, *group.Result, error) {
-	chunks := make([]group.Chunk, len(trs), len(trs)+len(inject))
-	for i, tr := range trs {
-		chunks[i] = group.Chunk{Addr: tr.Addr - bias, Data: tr.Code}
-	}
-	// Injections ride the same blob: addresses are stored link-relative
-	// like trampoline chunks (the subtraction may wrap for a PIE bias —
-	// the loader's bias addition wraps back to the absolute address).
-	for _, inj := range inject {
-		chunks = append(chunks, group.Chunk{Addr: inj.Addr - bias, Data: inj.Data})
-	}
-	naive := false
-	if gran < 0 {
-		gran, naive = 1, true
-	}
-	gres, err := group.Build(chunks, gran)
-	if err != nil {
-		// Grouping rejects overlapping or inconsistent trampoline
-		// layouts; the plan pipeline never produces them, so reaching
-		// this from Apply means the plan itself was bad.
-		return nil, nil, e9err.Wrap(e9err.ErrMalformed, "emit", err)
-	}
-	if naive {
-		gres = ungroup(gres)
-	}
-	shifted := make(map[uint64]uint64, len(sig))
-	for k, v := range sig {
-		shifted[k-bias] = v - bias
-	}
-	return loader.Encode(gres, gran, shifted, entry), gres, nil
-}
-
-// emitInput is what a decided rewrite hands to the emit tail, from the
-// live rewriter (Finish) or a replayed plan (Apply): what to compose,
-// then the decision-side facts the Result reports unchanged.
-type emitInput struct {
-	input   []byte // exactly the bytes f was parsed from
-	f       *elf64.File
-	bias    uint64
-	textOff uint64 // code overlays input here, as validated by TextRange
-	code    []byte
-	trs     []patch.Trampoline
-	sig     map[uint64]uint64
-	gran    int
-	inject  []plan.Injection
-
-	stats           patch.Stats
-	locs            []patch.LocResult
-	insts, badBytes int
-	mode            disasm.Mode
-	recovery        *disasm.SupersetStats
-	warnings        []string
-}
-
-// emit is the one emit tail: encode the loader blob, compose the output
-// in a single allocation from the original bytes, the patched text and
-// the blob — never writing to the input — and assemble the Result.
-func emit(in emitInput) (*Result, error) {
-	blob, gres, err := buildBlob(in.f.Header.Entry, in.bias, in.trs, in.sig, in.gran, in.inject)
-	if err != nil {
-		return nil, err
-	}
-	out := elf64.Compose(in.input, in.textOff, in.code, blob)
-	injected := 0
-	for _, inj := range in.inject {
-		injected += len(inj.Data)
-	}
-	return &Result{
-		Output:        out,
-		Stats:         in.stats,
-		Group:         gres.Stats,
-		Mappings:      gres.Stats.Mappings,
-		InputSize:     len(in.input),
-		OutputSize:    len(out),
-		Insts:         in.insts,
-		BadBytes:      in.badBytes,
-		Disasm:        string(in.mode),
-		Recovery:      in.recovery,
-		Bias:          in.bias,
-		Trampolines:   len(in.trs),
-		InjectedBytes: injected,
-		Locations:     in.locs,
-		Warnings:      in.warnings,
-	}, nil
-}
-
-// injectionTop returns the page-aligned address just past the highest
-// existing injection, where the pipeline allocates its own tables —
-// right above the payload so the whole injected region stays compact.
-// With no injections configured it falls back to injectDefaultBase.
-func injectionTop(inject []plan.Injection) uint64 {
-	top := injectDefaultBase
-	for _, inj := range inject {
-		if end := (inj.Addr + uint64(len(inj.Data)) + elf64.PageSize - 1) &^ (elf64.PageSize - 1); end > top {
-			top = end
-		}
-	}
-	return top
-}
-
-// validateInjections rejects injection lists that could corrupt the
-// output: empty or address-wrapping images, images overlapping each
-// other, and images overlapping the binary's own loaded segments
-// (page-rounded — the loader maps whole pages, and injected pages are
-// mapped before the input's segments). phase is "plan" (a
-// configuration mistake, ErrUnsupported) or "apply" (a hostile plan,
-// ErrMalformed).
-func validateInjections(inject []plan.Injection, f *elf64.File, bias uint64, phase string) error {
-	if len(inject) == 0 {
-		return nil
-	}
-	fail := func(format string, args ...any) error {
-		if phase == "apply" {
-			return e9err.Malformed(phase, format, args...)
-		}
-		return e9err.Unsupported(phase, format, args...)
-	}
-	type span struct{ lo, hi uint64 }
-	spans := make([]span, 0, len(inject))
-	for _, inj := range inject {
-		if len(inj.Data) == 0 {
-			return fail("e9patch: empty injection at %#x", inj.Addr)
-		}
-		end := inj.Addr + uint64(len(inj.Data))
-		if end < inj.Addr {
-			return fail("e9patch: injection at %#x wraps the address space", inj.Addr)
-		}
-		lo := inj.Addr &^ (elf64.PageSize - 1)
-		hi := (end + elf64.PageSize - 1) &^ (elf64.PageSize - 1)
-		for _, p := range f.Progs {
-			if p.Type != elf64.PTLoad || p.Memsz == 0 {
-				continue
-			}
-			slo := (p.Vaddr + bias) &^ (elf64.PageSize - 1)
-			shi := (p.Vaddr + bias + p.Memsz + elf64.PageSize - 1) &^ (elf64.PageSize - 1)
-			if lo < shi && slo < hi {
-				return fail("e9patch: injection [%#x,%#x) overlaps loaded segment [%#x,%#x)",
-					inj.Addr, end, p.Vaddr+bias, p.Vaddr+bias+p.Memsz)
-			}
-		}
-		for _, s := range spans {
-			if inj.Addr < s.hi && s.lo < end {
-				return fail("e9patch: injection [%#x,%#x) overlaps another injection", inj.Addr, end)
-			}
-		}
-		spans = append(spans, span{lo: inj.Addr, hi: end})
-	}
-	return nil
-}
-
-// parallelSelect evaluates the selector, sharding the instruction
-// slice across workers when the selector is registered as
-// per-instruction pure (match.Shardable); shard results are index-
-// offset and concatenated, which equals the sequential evaluation
-// exactly. Unregistered selectors always run sequentially.
-func parallelSelect(sel Selector, insts []x86.Inst, width int, pool *work.Pool) []int {
-	const minShardInsts = 4096
-	nsh := len(insts) / minShardInsts
-	if most := width * 4; nsh > most {
-		nsh = most
-	}
-	if width <= 1 || nsh <= 1 || !match.Shardable(sel) {
-		return sel(insts)
-	}
-	parts := make([][]int, nsh)
-	work.ForEach(pool, width, nsh, func(i int) {
-		lo := i * len(insts) / nsh
-		hi := (i + 1) * len(insts) / nsh
-		part := sel(insts[lo:hi])
-		for j := range part {
-			part[j] += lo
-		}
-		parts[i] = part
-	})
-	var out []int
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// diagnoseSelection explains a selection the caller found empty when
-// the cause is the most common address-coordinate mix-up: an
-// address-based selector (SelectAddresses or an addr= matcher) fed
-// addresses in the wrong coordinate system. PIE instructions carry
-// runtime addresses (file address + PIEBase), non-PIE instructions
-// carry link-time addresses.
-// The check is selector-agnostic: re-run the selector over a view of
-// the disassembly shifted into the other coordinate system; if it now
-// matches, the input addresses were in the wrong one.
-func diagnoseSelection(sel Selector, insts []x86.Inst, bias uint64) []string {
-	if len(insts) == 0 {
-		return nil
-	}
-	shifted := make([]x86.Inst, len(insts))
-	copy(shifted, insts)
-	if bias != 0 {
-		for i := range shifted {
-			shifted[i].Addr -= bias
-		}
-		if n := len(sel(shifted)); n != 0 {
-			return []string{fmt.Sprintf(
-				"0 locations selected, but %d would match without the PIE load bias: "+
-					"input addresses looked file-relative (< PIEBase); pass runtime "+
-					"addresses (file address + e9patch.PIEBase) for PIE binaries", n)}
-		}
-		return nil
-	}
-	// Non-PIE: the converse mistake — runtime-style (PIEBase-shifted)
-	// addresses fed to a binary loaded at its link address.
-	for i := range shifted {
-		shifted[i].Addr += PIEBase
-	}
-	if n := len(sel(shifted)); n != 0 {
-		return []string{fmt.Sprintf(
-			"0 locations selected, but %d would match with the PIE load bias "+
-				"added: input addresses looked PIE-runtime-relative (>= PIEBase), "+
-				"but this binary is not PIE; pass link-time addresses", n)}
-	}
-	return nil
-}
-
-// reserveMerged reserves [lo, hi), tolerating overlap with existing
-// reservations (segments may share page-rounded boundaries; broad
-// exclusion zones may span already-reserved runtime regions).
-func reserveMerged(s *va.Space, lo, hi uint64) error {
-	if lo < s.Min() {
-		lo = s.Min()
-	}
-	if hi > s.Max() {
-		hi = s.Max()
-	}
-	cursor := lo
-	for cursor < hi {
-		// Skip any occupied interval covering the cursor.
-		if iv, ok := s.Floor(cursor); ok && iv.Hi > cursor {
-			cursor = iv.Hi
-			continue
-		}
-		gapEnd := hi
-		if next, ok := s.Ceiling(cursor); ok && next.Lo < hi {
-			gapEnd = next.Lo
-		}
-		if gapEnd > cursor {
-			if err := s.Reserve(cursor, gapEnd); err != nil {
-				return err
-			}
-		}
-		cursor = gapEnd
-	}
-	return nil
-}
-
-// ungroup expands a grouped result into the naïve one-to-one physical
-// mapping (grouping disabled, for the §6.1 file-size ablation).
-func ungroup(g *group.Result) *group.Result {
-	out := &group.Result{Stats: g.Stats}
-	for _, mp := range g.Mappings {
-		out.Blocks = append(out.Blocks, g.Blocks[mp.Phys])
-		out.Mappings = append(out.Mappings, group.Mapping{Vaddr: mp.Vaddr, Phys: len(out.Blocks) - 1})
-	}
-	out.Stats.PhysBlocks = len(out.Blocks)
-	return out
 }
 
 // Load builds an executable image from an original or rewritten binary

@@ -1,0 +1,113 @@
+package e9patch
+
+import (
+	"e9patch/internal/disasm"
+	"e9patch/internal/e9err"
+	"e9patch/internal/elf64"
+	"e9patch/internal/group"
+	"e9patch/internal/loader"
+	"e9patch/internal/patch"
+	"e9patch/internal/plan"
+)
+
+// buildBlob groups trampolines and injections into merged physical
+// blocks (addresses stored link-relative so the loader can apply any
+// bias) and encodes the loader blob. entry is the output binary's entry
+// point.
+func buildBlob(entry, bias uint64, trs []patch.Trampoline, sig map[uint64]uint64, gran int, inject []plan.Injection) ([]byte, *group.Result, error) {
+	chunks := make([]group.Chunk, len(trs), len(trs)+len(inject))
+	for i, tr := range trs {
+		chunks[i] = group.Chunk{Addr: tr.Addr - bias, Data: tr.Code}
+	}
+	// Injections ride the same blob: addresses are stored link-relative
+	// like trampoline chunks (the subtraction may wrap for a PIE bias —
+	// the loader's bias addition wraps back to the absolute address).
+	for _, inj := range inject {
+		chunks = append(chunks, group.Chunk{Addr: inj.Addr - bias, Data: inj.Data})
+	}
+	naive := false
+	if gran < 0 {
+		gran, naive = 1, true
+	}
+	gres, err := group.Build(chunks, gran)
+	if err != nil {
+		// Grouping rejects overlapping or inconsistent trampoline
+		// layouts; the plan pipeline never produces them, so reaching
+		// this from Apply means the plan itself was bad.
+		return nil, nil, e9err.Wrap(e9err.ErrMalformed, "emit", err)
+	}
+	if naive {
+		gres = ungroup(gres)
+	}
+	shifted := make(map[uint64]uint64, len(sig))
+	for k, v := range sig {
+		shifted[k-bias] = v - bias
+	}
+	return loader.Encode(gres, gran, shifted, entry), gres, nil
+}
+
+// emitInput is what a decided rewrite hands to the emit tail, from the
+// live rewriter (Finish) or a replayed plan (Apply): what to compose,
+// then the decision-side facts the Result reports unchanged.
+type emitInput struct {
+	input   []byte // exactly the bytes f was parsed from
+	f       *elf64.File
+	bias    uint64
+	textOff uint64 // code overlays input here, as validated by TextRange
+	code    []byte
+	trs     []patch.Trampoline
+	sig     map[uint64]uint64
+	gran    int
+	inject  []plan.Injection
+
+	stats           patch.Stats
+	locs            []patch.LocResult
+	insts, badBytes int
+	mode            disasm.Mode
+	recovery        *disasm.SupersetStats
+	warnings        []string
+}
+
+// emit is the one emit tail: encode the loader blob, compose the output
+// in a single allocation from the original bytes, the patched text and
+// the blob — never writing to the input — and assemble the Result.
+func emit(in emitInput) (*Result, error) {
+	blob, gres, err := buildBlob(in.f.Header.Entry, in.bias, in.trs, in.sig, in.gran, in.inject)
+	if err != nil {
+		return nil, err
+	}
+	out := elf64.Compose(in.input, in.textOff, in.code, blob)
+	injected := 0
+	for _, inj := range in.inject {
+		injected += len(inj.Data)
+	}
+	return &Result{
+		Output:        out,
+		Stats:         in.stats,
+		Group:         gres.Stats,
+		Mappings:      gres.Stats.Mappings,
+		InputSize:     len(in.input),
+		OutputSize:    len(out),
+		Insts:         in.insts,
+		BadBytes:      in.badBytes,
+		Disasm:        string(in.mode),
+		Recovery:      in.recovery,
+		Bias:          in.bias,
+		Trampolines:   len(in.trs),
+		InjectedBytes: injected,
+		Locations:     in.locs,
+		Warnings:      in.warnings,
+	}, nil
+}
+
+// ungroup expands a grouped result into the naïve one-to-one physical
+// mapping (grouping disabled, for the §6.1 file-size ablation).
+func ungroup(g *group.Result) *group.Result {
+	out := &group.Result{Stats: g.Stats}
+	for _, mp := range g.Mappings {
+		out.Blocks = append(out.Blocks, g.Blocks[mp.Phys])
+		out.Mappings = append(out.Mappings, group.Mapping{Vaddr: mp.Vaddr, Phys: len(out.Blocks) - 1})
+	}
+	out.Stats.PhysBlocks = len(out.Blocks)
+	return out
+}
