@@ -49,10 +49,11 @@ enginecheck:
 # other and with the output hashes in testdata/rewrite_golden.json over
 # the difftest corpus (every binary x tactic config), plus the plan IR
 # unit tests and the server's plan-cache rematerialization path.
-# Re-record the output hashes, only for an intentional output change:
+# TestPlanApplyEquivalence is the golden-hash test; re-record the
+# hashes, only for an intentional output change, with:
 #   go test -run TestPlanApplyEquivalence -update .
 plancheck:
-	$(GO) test -run 'TestPlanApplyEquivalence|TestPlan|TestApplyValidation|TestRewriteInputImmutable' .
+	$(GO) test -run 'TestPlan|TestApplyValidation|TestRewriteInputImmutable' .
 	$(GO) test ./internal/plan/
 	$(GO) test -run TestPlanCacheRematerialize ./internal/server/
 
@@ -73,9 +74,9 @@ bench:
 
 # bench-json regenerates every machine-readable BENCH_*.json artefact
 # (the perf trajectory): engine throughput, parallel scaling, the
-# plan-cache speedup, the spec-matcher cost and the
-# per-disassembly-mode recovery sweep. (Wall clock and peak RSS on the
-# 120 MB profile are the cli-120mb workload of `go run ./bench`.)
+# plan-cache speedup, the spec-matcher cost and the per-disassembly-mode
+# recovery sweep. (Wall clock and peak RSS on the 120 MB profile are the
+# cli-120mb workload of `go run ./bench`.)
 bench-json: bench-parallel bench-plancache bench-match bench-disasm bench-cluster
 	$(GO) run ./cmd/e9bench -enginespeed -json BENCH_engines.json
 

@@ -12,7 +12,7 @@ import (
 
 // PlanCacheBench is the plan-cache-hit rematerialization measurement
 // recorded in BENCH_*.json: how much of a full rewrite a cached plan
-// skips. Rewrite times the monolithic pipeline, Plan the decision
+// skips. Rewrite times the one-pass pipeline, Plan the decision
 // phase alone, Apply the decision-free replay — the work a plan-cache
 // hit actually performs. Speedup is Rewrite/Apply; Identical reports
 // whether Apply reproduced the full rewrite byte-for-byte (a false

@@ -109,14 +109,16 @@ func TestPlanApplyEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: rewrite: %v", cell, err)
 			}
+			outputHash := func(res *Result) string {
+				sum := sha256.Sum256(res.Output)
+				return hex.EncodeToString(sum[:])
+			}
 			if *updateGolden {
-				sum := sha256.Sum256(ref.Output)
-				golden[cell] = hex.EncodeToString(sum[:])
+				golden[cell] = outputHash(ref)
 			}
 			checkGolden := func(label string, res *Result) {
 				t.Helper()
-				sum := sha256.Sum256(res.Output)
-				if got, want := hex.EncodeToString(sum[:]), golden[cell]; got != want {
+				if got, want := outputHash(res), golden[cell]; got != want {
 					t.Errorf("%s: output hash %s, golden %q (regenerate with -update if intentional)", label, got, want)
 				}
 			}
