@@ -8,19 +8,79 @@ import (
 // Decoding errors.
 var (
 	// ErrTruncated reports that the byte stream ended inside an
-	// instruction.
+	// instruction. Decode returns it bare.
 	ErrTruncated = errors.New("x86: truncated instruction")
 	// ErrInvalid reports an opcode that is invalid in 64-bit mode or
-	// outside the supported subset.
+	// outside the supported subset. Decode returns it wrapped with the
+	// detail; match it with errors.Is.
 	ErrInvalid = errors.New("x86: invalid opcode")
 )
 
 const maxInstLen = 15
 
+// maxWalk bounds the offset Decode's walk can reach before the length
+// check rejects it: 14 prefix bytes, a two-byte opcode, ModRM, SIB, a
+// disp32, every immediate flag at once (1+2+4+8+8) and a rel32.
+const maxWalk = 14 + 2 + 1 + 1 + 4 + 23 + 4
+
+// invalidError is ErrInvalid plus the detail of what was rejected. A
+// superset sweep fails to decode about a third of all offsets, so the
+// values are static and the message is formatted only when printed:
+// a failed Decode allocates nothing.
+type invalidError struct {
+	why     uint8 // badOpcode, badPrefixRun or badLength
+	op      byte  // badOpcode: the opcode byte…
+	twoByte bool  // …and whether it followed the 0x0F escape
+	n       int   // badLength: the decoded length
+}
+
+const (
+	badOpcode = iota
+	badPrefixRun
+	badLength
+)
+
+var (
+	invalidOpcode [2][256]invalidError
+	invalidLength [maxWalk + 1]invalidError
+	invalidPrefix = invalidError{why: badPrefixRun}
+)
+
+func init() {
+	for op := range invalidOpcode[0] {
+		invalidOpcode[0][op] = invalidError{why: badOpcode, op: byte(op)}
+		invalidOpcode[1][op] = invalidError{why: badOpcode, op: byte(op), twoByte: true}
+	}
+	for n := range invalidLength {
+		invalidLength[n] = invalidError{why: badLength, n: n}
+	}
+}
+
+func (e *invalidError) Error() string {
+	switch e.why {
+	case badPrefixRun:
+		return fmt.Sprintf("%v: prefix run too long", ErrInvalid)
+	case badLength:
+		return fmt.Sprintf("%v: length %d exceeds 15", ErrInvalid, e.n)
+	}
+	return fmt.Sprintf("%v: %#02x (two-byte=%v)", ErrInvalid, e.op, e.twoByte)
+}
+
+func (e *invalidError) Unwrap() error { return ErrInvalid }
+
 // Decode decodes the instruction starting at code[0], assumed to be
 // loaded at virtual address addr. The returned Inst aliases code.
 func Decode(code []byte, addr uint64) (Inst, error) {
-	inst := Inst{
+	var inst Inst
+	err := DecodeInto(&inst, code, addr)
+	return inst, err
+}
+
+// DecodeInto is Decode writing its result in place: a caller filling a
+// slice, or sweeping offsets for lengths alone, saves the copy of the
+// returned Inst. On error *inst is partially filled.
+func DecodeInto(inst *Inst, code []byte, addr uint64) error {
+	*inst = Inst{
 		Addr:     addr,
 		MemBase:  NoReg,
 		MemIndex: NoReg,
@@ -33,10 +93,10 @@ func Decode(code []byte, addr uint64) (Inst, error) {
 	opSize := false
 	for {
 		if pos >= len(code) {
-			return inst, ErrTruncated
+			return ErrTruncated
 		}
 		if pos >= maxInstLen {
-			return inst, fmt.Errorf("%w: prefix run too long", ErrInvalid)
+			return &invalidPrefix
 		}
 		b := code[pos]
 		k := prefixKind(b)
@@ -61,7 +121,7 @@ func Decode(code []byte, addr uint64) (Inst, error) {
 	var attrs Attr
 	if op == 0x0F {
 		if pos >= len(code) {
-			return inst, ErrTruncated
+			return ErrTruncated
 		}
 		inst.TwoByte = true
 		op = code[pos]
@@ -72,13 +132,16 @@ func Decode(code []byte, addr uint64) (Inst, error) {
 	}
 	inst.Opcode = op
 	if attrs&AttrInvalid != 0 {
-		return inst, fmt.Errorf("%w: %#02x (two-byte=%v)", ErrInvalid, op, inst.TwoByte)
+		if inst.TwoByte {
+			return &invalidOpcode[1][op]
+		}
+		return &invalidOpcode[0][op]
 	}
 
 	// ModRM, SIB and displacement.
 	if attrs&AttrModRM != 0 {
 		if pos >= len(code) {
-			return inst, ErrTruncated
+			return ErrTruncated
 		}
 		modrm := code[pos]
 		pos++
@@ -99,7 +162,7 @@ func Decode(code []byte, addr uint64) (Inst, error) {
 			if rm == 4 {
 				// SIB byte.
 				if pos >= len(code) {
-					return inst, ErrTruncated
+					return ErrTruncated
 				}
 				sib := code[pos]
 				pos++
@@ -126,7 +189,7 @@ func Decode(code []byte, addr uint64) (Inst, error) {
 		}
 		if dispSize > 0 {
 			if pos+dispSize > len(code) {
-				return inst, ErrTruncated
+				return ErrTruncated
 			}
 			inst.DispOff = pos
 			inst.DispSize = dispSize
@@ -170,7 +233,7 @@ func Decode(code []byte, addr uint64) (Inst, error) {
 	}
 	if immSize > 0 {
 		if pos+immSize > len(code) {
-			return inst, ErrTruncated
+			return ErrTruncated
 		}
 		inst.ImmOff = pos
 		inst.ImmSize = immSize
@@ -181,14 +244,14 @@ func Decode(code []byte, addr uint64) (Inst, error) {
 	switch {
 	case attrs&AttrRel8 != 0:
 		if pos >= len(code) {
-			return inst, ErrTruncated
+			return ErrTruncated
 		}
 		inst.RelOff = pos
 		inst.RelSize = 1
 		pos++
 	case attrs&AttrRel32 != 0:
 		if pos+4 > len(code) {
-			return inst, ErrTruncated
+			return ErrTruncated
 		}
 		inst.RelOff = pos
 		inst.RelSize = 4
@@ -196,12 +259,12 @@ func Decode(code []byte, addr uint64) (Inst, error) {
 	}
 
 	if pos > maxInstLen {
-		return inst, fmt.Errorf("%w: length %d exceeds 15", ErrInvalid, pos)
+		return &invalidLength[pos]
 	}
 	inst.Len = pos
 	inst.Bytes = code[:pos]
 	inst.Attrs = attrs
-	return inst, nil
+	return nil
 }
 
 // rexBit extracts REX bit n (0=B, 1=X, 2=R, 3=W) as 0 or 1.

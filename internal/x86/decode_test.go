@@ -2,6 +2,7 @@ package x86
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -188,6 +189,40 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := Decode([]byte{0x48, 0x89}, 0); err == nil {
 		t.Error("missing modrm should fail")
+	}
+}
+
+// TestDecodeFailuresAllocFree pins the cost of a failed decode: every
+// failure class classifies under its sentinel, prints the detail it
+// always printed, and allocates nothing (a superset sweep fails at
+// about a third of all offsets).
+func TestDecodeFailuresAllocFree(t *testing.T) {
+	tooLong := append(bytes.Repeat([]byte{0x66}, 9), 0x48, 0xB8, 1, 2, 3, 4, 5, 6, 7, 8)
+	for _, tc := range []struct {
+		name string
+		code []byte
+		want error
+		msg  string
+	}{
+		{"invalid opcode", []byte{0x06, 0x90}, ErrInvalid, "x86: invalid opcode: 0x06 (two-byte=false)"},
+		{"invalid two-byte opcode", []byte{0x0F, 0x04, 0x90}, ErrInvalid, "x86: invalid opcode: 0x04 (two-byte=true)"},
+		{"prefix run", bytes.Repeat([]byte{0x66}, 20), ErrInvalid, "x86: invalid opcode: prefix run too long"},
+		{"length", tooLong, ErrInvalid, "x86: invalid opcode: length 19 exceeds 15"},
+		{"truncated tail", []byte{0x48, 0x89}, ErrTruncated, "x86: truncated instruction"},
+		{"truncated rel32", []byte{0xE9, 0x01, 0x02}, ErrTruncated, "x86: truncated instruction"},
+	} {
+		_, err := Decode(tc.code, 0x401000)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
+			continue
+		}
+		if err.Error() != tc.msg {
+			t.Errorf("%s: message %q, want %q", tc.name, err, tc.msg)
+		}
+		code := tc.code
+		if n := testing.AllocsPerRun(100, func() { _, _ = Decode(code, 0x401000) }); n != 0 {
+			t.Errorf("%s: %v allocations per failed Decode, want 0", tc.name, n)
+		}
 	}
 }
 
