@@ -97,15 +97,14 @@ func main() {
 	} else {
 		sup := disasm.Superset(text[*skip:], addr+*skip)
 		decoded, valid := sup.Count()
-		var kept []bool
-		if mode == disasm.ModeSupersetCET {
-			var anchors int
-			kept, anchors = sup.CETPrune()
-			res.Insts = sup.KeptInsts(kept)
+		cet := mode == disasm.ModeSupersetCET
+		if cet {
+			anchors, _ := sup.CETPrune(nil)
+			res.Insts, _ = sup.Insts(true, nil)
 			fmt.Printf("superset:          %d decoded, %d valid, %d kept from %d anchors (%.1f%% pruned)\n",
 				decoded, valid, len(res.Insts), anchors, pct(decoded-len(res.Insts), decoded))
 		} else {
-			res.Insts = sup.ValidInsts()
+			res.Insts, _ = sup.Insts(false, nil)
 			fmt.Printf("superset:          %d decoded, %d valid (%.1f%% pruned)\n",
 				decoded, valid, pct(decoded-valid, decoded))
 		}
@@ -115,7 +114,7 @@ func main() {
 			// text byte. Zero-occupancy bytes are classified data or
 			// padding; depth >1 marks overlapping candidates that the
 			// patcher's locked-byte discipline arbitrates at patch time.
-			occ := sup.Occupancy(kept)
+			occ := sup.Occupancy(cet)
 			var zero, one, multi, depth int
 			for _, c := range occ {
 				switch {

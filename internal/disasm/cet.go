@@ -1,9 +1,5 @@
 package disasm
 
-import (
-	"e9patch/internal/x86"
-)
-
 // CET-anchored superset pruning (after arXiv:2506.09426): on binaries
 // compiled with control-flow enforcement, every indirect branch target
 // starts with an endbr64 landing pad. Those pads are unforgeable code
@@ -17,85 +13,52 @@ import (
 // the local successor relation the superset sweep already knows.
 
 // CETPrune computes the anchor-reachable subset of the refined
-// superset. The returned mask is over r.Insts: kept[i] reports that
-// Insts[i] is (a) valid under the closure refinement and (b) reachable
-// from an endbr64 anchor or the section start by following fall-through
-// and direct branch/call targets through valid instructions. anchors is
-// the number of seed instructions used.
+// superset and records it in the table (KeptAt): an instruction is
+// kept if it is (a) valid under the closure refinement and (b)
+// reachable from an endbr64 anchor or the section start by following
+// fall-through and direct branch/call targets through valid
+// instructions. anchors is the number of seed instructions used; ok is
+// false when cancel closed first.
 //
 // The kept set is a subset of the refined valid set by construction;
 // bytes it never covers (alignment padding, inter-function junk, data)
 // are classified unreachable and excluded from patching.
-func (r *SupersetResult) CETPrune() (kept []bool, anchors int) {
-	n := len(r.Insts)
-	kept = make([]bool, n)
-	if n == 0 {
-		return kept, 0
+func (r *SupersetResult) CETPrune(cancel <-chan struct{}) (anchors int, ok bool) {
+	var work []int
+	keep := func(off int) {
+		if off >= 0 && r.ValidAt(off) && !r.KeptAt(off) {
+			r.flags[off] |= flagKept
+			work = append(work, off)
+		}
 	}
 
-	// Seeds: every valid endbr64, plus the instruction at the lowest
-	// decodable offset (the section start — ELF entry or the first
-	// byte of .text, a genuine boundary in either case).
-	var queue []int
-	seed := func(i int) {
-		if i >= 0 && r.Valid[i] && !kept[i] {
-			kept[i] = true
-			queue = append(queue, i)
-			anchors++
+	// Seeds: every valid endbr64, plus the instruction at the section
+	// start (ELF entry or the first byte of .text, a genuine boundary
+	// in either case).
+	for off := range r.flags {
+		r.flags[off] &^= flagKept
+		if r.flags[off]&flagEndbr != 0 {
+			keep(off)
 		}
 	}
-	for i := range r.Insts {
-		if r.Insts[i].IsEndbr64() {
-			seed(i)
-		}
+	if len(r.flags) > 0 {
+		keep(0)
 	}
-	if len(r.ByOffset) > 0 {
-		seed(r.ByOffset[0])
-	}
+	anchors = len(work)
 
 	// Forward closure over fall-through and direct-branch successors,
 	// traversing valid instructions only: a chain that runs through a
 	// refinement-invalid decode is junk even if an anchor points at it.
-	lo, hi := r.addr, r.addr+uint64(len(r.ByOffset))
-	visit := func(a uint64) int {
-		if a < lo || a >= hi {
-			return -1
+	for steps := 0; len(work) > 0; steps++ {
+		if steps&(cancelStride-1) == 0 && stopped(cancel) {
+			return 0, false
 		}
-		return r.ByOffset[a-lo]
-	}
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		in := &r.Insts[i]
-		var succ [2]int
-		ns := 0
-		if in.Attrs&x86.AttrStop == 0 {
-			succ[ns] = visit(in.Addr + uint64(in.Len))
-			ns++
-		}
-		if in.IsDirectBranch() {
-			succ[ns] = visit(in.Target())
-			ns++
-		}
-		for k := 0; k < ns; k++ {
-			j := succ[k]
-			if j >= 0 && r.Valid[j] && !kept[j] {
-				kept[j] = true
-				queue = append(queue, j)
-			}
+		off := work[len(work)-1]
+		work = work[:len(work)-1]
+		keep(r.fallsTo(off))
+		if r.flags[off]&flagDirect != 0 {
+			keep(r.jumpsTo(off))
 		}
 	}
-	return kept, anchors
-}
-
-// KeptInsts returns the instructions selected by a mask (CETPrune's
-// kept set), in address order.
-func (r *SupersetResult) KeptInsts(kept []bool) []x86.Inst {
-	var out []x86.Inst
-	for i := range r.Insts {
-		if kept[i] {
-			out = append(out, r.Insts[i])
-		}
-	}
-	return out
+	return anchors, true
 }

@@ -36,20 +36,21 @@ func TestCETPruneClosure(t *testing.T) {
 	code := a.MustFinish()
 
 	sup := Superset(code, 0x401000)
-	kept, anchors := sup.CETPrune()
+	anchors, _ := sup.CETPrune(nil)
 	if anchors < 2 {
 		t.Fatalf("anchors = %d, want >= 2", anchors)
 	}
 	// kept ⊆ valid by construction.
-	for i := range kept {
-		if kept[i] && !sup.Valid[i] {
-			t.Fatalf("kept[%d] but not valid", i)
+	n := 0
+	for off := range code {
+		if sup.KeptAt(off) {
+			n++
+			if !sup.ValidAt(off) {
+				t.Fatalf("offset %d kept but not valid", off)
+			}
 		}
 	}
-	keptAt := func(off int) bool {
-		idx := sup.ByOffset[off]
-		return idx != -1 && kept[idx]
-	}
+	keptAt := sup.KeptAt
 	// Both function bodies survive: walk the linear decode and check
 	// every genuine instruction is kept (all are anchor-reachable here).
 	lin := Linear(code, 0x401000)
@@ -69,20 +70,14 @@ func TestCETPruneClosure(t *testing.T) {
 		t.Error("anchored second function pruned")
 	}
 
-	// KeptInsts is in address order and matches the mask cardinality.
-	insts := sup.KeptInsts(kept)
-	n := 0
-	for _, k := range kept {
-		if k {
-			n++
-		}
-	}
+	// Insts is in address order and matches the table's cardinality.
+	insts, _ := sup.Insts(true, nil)
 	if len(insts) != n {
-		t.Fatalf("KeptInsts returned %d, mask has %d", len(insts), n)
+		t.Fatalf("Insts returned %d, the table keeps %d", len(insts), n)
 	}
 	for i := 1; i < len(insts); i++ {
 		if insts[i].Addr <= insts[i-1].Addr {
-			t.Fatal("KeptInsts not in address order")
+			t.Fatal("Insts not in address order")
 		}
 	}
 }
@@ -97,11 +92,11 @@ func TestCETPruneSectionStartSeed(t *testing.T) {
 	a.Ret()
 	code := a.MustFinish()
 	sup := Superset(code, 0x401000)
-	kept, anchors := sup.CETPrune()
+	anchors, _ := sup.CETPrune(nil)
 	if anchors != 1 {
 		t.Fatalf("anchors = %d, want exactly the section start", anchors)
 	}
-	insts := sup.KeptInsts(kept)
+	insts, _ := sup.Insts(true, nil)
 	if len(insts) != 3 {
 		t.Fatalf("kept %d insts, want the 3-instruction spine", len(insts))
 	}
@@ -132,17 +127,12 @@ func TestCETPruneOnCETProfile(t *testing.T) {
 		t.Fatal("CET profile has no endbr64 landing pads")
 	}
 	sup := Superset(code, addr)
-	kept, anchors := sup.CETPrune()
+	anchors, _ := sup.CETPrune(nil)
 	if anchors < pads {
 		t.Errorf("anchors %d < %d endbr64 pads", anchors, pads)
 	}
-	nKept := 0
-	for i, k := range kept {
-		if !k {
-			continue
-		}
-		nKept++
-		if !sup.Valid[i] {
+	for off := range code {
+		if sup.KeptAt(off) && !sup.ValidAt(off) {
 			t.Fatal("kept instruction not valid")
 		}
 	}
@@ -153,7 +143,7 @@ func TestCETPruneOnCETProfile(t *testing.T) {
 	lin := Linear(code, addr)
 	reached := 0
 	for _, in := range lin.Insts {
-		if idx := sup.ByOffset[in.Addr-addr]; idx != -1 && kept[idx] {
+		if sup.KeptAt(int(in.Addr - addr)) {
 			reached++
 		}
 	}
@@ -163,5 +153,4 @@ func TestCETPruneOnCETProfile(t *testing.T) {
 	if reached == len(lin.Insts) {
 		t.Error("closure reached everything: the padding should have been pruned")
 	}
-	_ = nKept
 }

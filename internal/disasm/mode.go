@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"e9patch/internal/work"
-	"e9patch/internal/x86"
 )
 
 // Mode selects the instruction-recovery policy the rewriter runs its
@@ -98,13 +97,15 @@ func RecoverCancel(mode Mode, code []byte, addr uint64, width int, pool *work.Po
 		}
 		stats := &SupersetStats{}
 		stats.Decoded, stats.Valid = sup.Count()
-		var insts []x86.Inst
-		if mode == ModeSupersetCET {
-			kept, anchors := sup.CETPrune()
-			stats.Anchors = anchors
-			insts = sup.KeptInsts(kept)
-		} else {
-			insts = sup.ValidInsts()
+		cet := mode == ModeSupersetCET
+		if cet {
+			if stats.Anchors, ok = sup.CETPrune(cancel); !ok {
+				return Result{}, nil, false
+			}
+		}
+		insts, ok := sup.Insts(cet, cancel)
+		if !ok {
+			return Result{}, nil, false
 		}
 		stats.Kept = len(insts)
 		return Result{Insts: insts, BadBytes: sup.BadOffsets()}, stats, true

@@ -1,6 +1,7 @@
 package disasm
 
 import (
+	"bytes"
 	"testing"
 
 	"e9patch/internal/x86"
@@ -26,19 +27,13 @@ func TestRefineTruncatedTail(t *testing.T) {
 	if !sup.TruncatedAt(len(full)) || !sup.TruncatedAt(len(full)+1) {
 		t.Fatal("tail offsets not marked truncated")
 	}
-	if sup.ByOffset[len(full)] != -1 {
+	if sup.LenAt(len(full)) != 0 {
 		t.Fatal("truncated tail decoded")
 	}
 	// Every linear instruction survives — in particular the final nop,
 	// whose only fall-through successor is the truncated tail.
-	validAt := map[uint64]bool{}
-	for i := range sup.Insts {
-		if sup.Valid[i] {
-			validAt[sup.Insts[i].Addr] = true
-		}
-	}
 	for _, in := range lin.Insts {
-		if !validAt[in.Addr] {
+		if !sup.ValidAt(int(in.Addr - 0x401000)) {
 			t.Errorf("linear instruction at %#x invalidated by the truncated tail", in.Addr)
 		}
 	}
@@ -62,21 +57,21 @@ func TestRefineHardInvalidStillPoisons(t *testing.T) {
 		0x90, 0xC3, // 2: nop; ret
 	}
 	sup := Superset(code, 0x401000)
-	if sup.ByOffset[1] != -1 || sup.TruncatedAt(1) {
+	if sup.LenAt(1) != 0 || sup.TruncatedAt(1) {
 		t.Fatal("0x06 should be a hard invalid, not truncated")
 	}
-	idx := sup.ByOffset[0]
-	if idx == -1 || sup.Valid[idx] {
-		// The nop at 0 must be pruned: its fall-through is invalid.
-		if idx != -1 && sup.Valid[idx] {
-			t.Fatal("nop falling into a hard-invalid byte survived refinement")
-		}
+	// The nop at 0 must be pruned: its fall-through is invalid.
+	if sup.LenAt(0) != 1 || sup.ValidAt(0) {
+		t.Fatal("nop falling into a hard-invalid byte survived refinement")
+	}
+	if !sup.ValidAt(2) || !sup.ValidAt(3) {
+		t.Fatal("the clean nop; ret past the invalid byte was pruned")
 	}
 }
 
 // TestValidInstsOverlap covers overlapping and boundary-crossing
 // decodes: instructions starting inside another's immediate survive
-// when their own chains are clean, ValidInsts returns them all in
+// when their own chains are clean, Insts returns them all in
 // address order, and Occupancy reports the overlap depth.
 func TestValidInstsOverlap(t *testing.T) {
 	code := []byte{
@@ -84,26 +79,26 @@ func TestValidInstsOverlap(t *testing.T) {
 		0xC3, // 5: ret
 	}
 	sup := Superset(code, 0x401000)
-	insts := sup.ValidInsts()
+	insts, _ := sup.Insts(false, nil)
 	// The misaligned decodes at offsets 1..4 are all nops falling
 	// through to the ret — every offset survives.
 	wantOffsets := []int{0, 1, 2, 3, 4, 5}
 	if len(insts) != len(wantOffsets) {
-		t.Fatalf("ValidInsts returned %d instructions, want %d", len(insts), len(wantOffsets))
+		t.Fatalf("Insts returned %d instructions, want %d", len(insts), len(wantOffsets))
 	}
 	for i, off := range wantOffsets {
 		if got := int(insts[i].Addr - 0x401000); got != off {
-			t.Fatalf("ValidInsts[%d] at offset %d, want %d", i, got, off)
+			t.Fatalf("Insts[%d] at offset %d, want %d", i, got, off)
 		}
 	}
 	for i := 1; i < len(insts); i++ {
 		if insts[i].Addr <= insts[i-1].Addr {
-			t.Fatal("ValidInsts not strictly address ordered")
+			t.Fatal("Insts not strictly address ordered")
 		}
 	}
 	// The mov covers bytes 0..4; the nop at 1 overlaps it, crossing
 	// nothing; occupancy over the immediate bytes is 2 (mov + nop).
-	occ := sup.Occupancy(nil)
+	occ := sup.Occupancy(false)
 	if occ[0] != 1 {
 		t.Errorf("occ[0] = %d, want 1 (only the mov)", occ[0])
 	}
@@ -114,6 +109,15 @@ func TestValidInstsOverlap(t *testing.T) {
 	}
 	if occ[5] != 1 {
 		t.Errorf("occ[5] = %d, want 1 (ret)", occ[5])
+	}
+	// Only the mov and the ret are reachable from the section start.
+	if anchors, _ := sup.CETPrune(nil); anchors != 1 {
+		t.Fatalf("anchors = %d, want the section start alone", anchors)
+	}
+	for b, c := range sup.Occupancy(true) {
+		if c != 1 {
+			t.Errorf("kept occ[%d] = %d, want 1 (mov, then ret)", b, c)
+		}
 	}
 }
 
@@ -127,17 +131,13 @@ func TestValidInstsCrossBoundary(t *testing.T) {
 	// Offset 2 decodes 48 89 03 = mov [rbx], rax (3 bytes), crossing
 	// the mov's boundary at 5 exactly onto the ret.
 	sup := Superset(code, 0x401000)
-	idx := sup.ByOffset[2]
-	if idx == -1 {
-		t.Fatal("cross-boundary decode at offset 2 missing")
+	if sup.LenAt(2) != 3 {
+		t.Fatalf("decode at offset 2 has length %d, want 3", sup.LenAt(2))
 	}
-	if sup.Insts[idx].Len != 3 {
-		t.Fatalf("decode at offset 2 has length %d, want 3", sup.Insts[idx].Len)
-	}
-	if !sup.Valid[idx] {
+	if !sup.ValidAt(2) {
 		t.Fatal("cross-boundary decode chaining onto the ret was pruned")
 	}
-	if i0 := sup.ByOffset[0]; i0 == -1 || !sup.Valid[i0] {
+	if !sup.ValidAt(0) {
 		t.Fatal("the genuine mov was pruned")
 	}
 }
@@ -154,6 +154,8 @@ func FuzzSupersetPrune(f *testing.F) {
 	f.Add([]byte{0x48, 0x89, 0x03, 0xEB, 0x05, 0x06, 0x06, 0x06, 0x06, 0x06, 0xC3})
 	f.Add([]byte{0xF3, 0x0F, 0x1E, 0xFA, 0x55, 0xC3, 0x90, 0xF3, 0x0F, 0x1E, 0xFA, 0xC3})
 	f.Add([]byte{0x48, 0x89})
+	f.Add(nopSled(4096))
+	f.Add(backwardLadder(4096))
 	f.Fuzz(func(t *testing.T, code []byte) {
 		if len(code) > 4096 {
 			code = code[:4096]
@@ -168,45 +170,59 @@ func FuzzSupersetPrune(f *testing.F) {
 		if !ok {
 			t.Fatal("wide sweep cancelled")
 		}
-		if len(wide.Insts) != len(sup.Insts) {
-			t.Fatalf("width changed decode count: %d vs %d", len(wide.Insts), len(sup.Insts))
-		}
-		for i := range sup.Insts {
-			if sup.Insts[i].Addr != wide.Insts[i].Addr || sup.Insts[i].Len != wide.Insts[i].Len ||
-				sup.Valid[i] != wide.Valid[i] {
-				t.Fatalf("width changed decode %d", i)
-			}
+		if !bytes.Equal(wide.lens, sup.lens) || !bytes.Equal(wide.flags, sup.flags) {
+			t.Fatal("width changed the table")
 		}
 
 		decoded, valid := sup.Count()
-		if valid > decoded || decoded != len(sup.Insts) {
-			t.Fatalf("counts inconsistent: %d valid of %d decoded", valid, decoded)
-		}
-		kept, _ := sup.CETPrune()
-		nKept := 0
-		for i, k := range kept {
-			if k {
-				nKept++
-				if !sup.Valid[i] {
-					t.Fatal("kept ⊄ valid")
-				}
+		nDecoded, nValid := 0, 0
+		for off := range code {
+			if sup.LenAt(off) != 0 {
+				nDecoded++
+			}
+			if sup.ValidAt(off) {
+				nValid++
 			}
 		}
-		if insts := sup.KeptInsts(kept); len(insts) != nKept {
-			t.Fatalf("KeptInsts %d != mask %d", len(insts), nKept)
+		if valid > decoded || decoded != nDecoded || valid != nValid || sup.BadOffsets() != len(code)-decoded {
+			t.Fatalf("counts inconsistent: %d valid of %d decoded, table holds %d of %d", valid, decoded, nValid, nDecoded)
 		}
-		vi := sup.ValidInsts()
+		if _, ok := sup.CETPrune(nil); !ok {
+			t.Fatal("closure cancelled without cancel")
+		}
+		nKept, wantTotal := 0, 0
+		for off := range code {
+			if !sup.KeptAt(off) {
+				continue
+			}
+			nKept++
+			if !sup.ValidAt(off) {
+				t.Fatal("kept ⊄ valid")
+			}
+			n := sup.LenAt(off)
+			if end := off + n; end > len(code) {
+				n -= end - len(code)
+			}
+			wantTotal += n
+		}
+		if insts, _ := sup.Insts(true, nil); len(insts) != nKept {
+			t.Fatalf("Insts(kept) %d != table %d", len(insts), nKept)
+		}
+		vi, _ := sup.Insts(false, nil)
 		if len(vi) != valid {
-			t.Fatalf("ValidInsts %d != valid %d", len(vi), valid)
+			t.Fatalf("Insts(valid) %d != valid %d", len(vi), valid)
 		}
-		for i := 1; i < len(vi); i++ {
-			if vi[i].Addr <= vi[i-1].Addr {
-				t.Fatal("ValidInsts out of order")
+		for i := range vi {
+			if i > 0 && vi[i].Addr <= vi[i-1].Addr {
+				t.Fatal("Insts out of order")
+			}
+			if off := int(vi[i].Addr - addr); vi[i].Len != sup.LenAt(off) || !sup.ValidAt(off) {
+				t.Fatalf("Insts[%d] disagrees with the table at offset %d", i, off)
 			}
 		}
 		// Occupancy never exceeds the per-byte decode count and is zero
 		// exactly where nothing kept covers.
-		occ := sup.Occupancy(kept)
+		occ := sup.Occupancy(true)
 		if len(occ) != len(code) {
 			t.Fatalf("occupancy length %d != code %d", len(occ), len(code))
 		}
@@ -216,17 +232,6 @@ func FuzzSupersetPrune(f *testing.F) {
 				t.Fatal("negative occupancy")
 			}
 			total += c
-		}
-		wantTotal := 0
-		for i := range sup.Insts {
-			if !kept[i] {
-				continue
-			}
-			n := sup.Insts[i].Len
-			if end := int(sup.Insts[i].Addr-addr) + n; end > len(code) {
-				n -= end - len(code)
-			}
-			wantTotal += n
 		}
 		if total != wantTotal {
 			t.Fatalf("occupancy mass %d != kept instruction bytes %d", total, wantTotal)

@@ -1,7 +1,7 @@
 package disasm
 
 import (
-	"errors"
+	"encoding/binary"
 	"sync/atomic"
 
 	"e9patch/internal/work"
@@ -20,28 +20,45 @@ import (
 // successors never reaches an invalid decode inside the section. That
 // prunes most of the byte-misaligned junk while keeping every true
 // instruction (a superset of the real disassembly by construction).
+//
+// The patcher needs locations and sizes only, so the universe is a
+// per-offset table — one length byte and one flag byte per section
+// byte — and not an x86.Inst per decodable offset: the refinement and
+// the CET closure (cet.go) run over the two arrays, and full
+// instructions are decoded again only at the offsets that survive.
 
-// SupersetResult is the outcome of superset disassembly.
+// Per-offset flags. The first six describe the decode and are written
+// by the sweep; the last two are the results of the refinement and of
+// the CET closure.
+const (
+	flagStop      uint8 = 1 << iota // never falls through
+	flagRel8                        // ends in a 1-byte branch displacement
+	flagRel32                       // ends in a 4-byte branch displacement
+	flagDirect                      // direct jmp/jcc/call (x86.Inst.IsDirectBranch)
+	flagEndbr                       // endbr64
+	flagTruncated                   // no decode, but only because the section ended
+	flagInvalid                     // refinement: must reach an invalid decode
+	flagKept                        // CET closure: reachable from an anchor
+)
+
+// SupersetResult is the outcome of superset disassembly: the
+// per-offset table and what the refinement concluded about it.
 type SupersetResult struct {
-	// Insts holds one entry per section offset that decodes; index by
-	// offset via ByOffset.
-	Insts []x86.Inst
-	// ByOffset maps section offsets to indices into Insts (-1: the
-	// offset does not decode).
-	ByOffset []int
-	// Valid[i] reports whether Insts[i] survives the closure
-	// refinement (never reaches an invalid decode).
-	Valid []bool
-
-	// truncated marks offsets whose decode failed only because the
-	// section ended mid-instruction (x86.ErrTruncated, not ErrInvalid).
-	// The refinement treats such successors as unknown-but-acceptable —
-	// the same way Linear simply skips the trailing bytes — so a
-	// truncated final instruction never poisons the genuine chain
-	// leading up to it.
-	truncated []bool
+	code []byte
 	// addr is the section load address the sweep ran at.
 	addr uint64
+	// lens[off] is the length of the instruction that decodes at
+	// section offset off, 0 when nothing does.
+	lens []uint8
+	// flags[off] holds the flag* bits of offset off. A span-end
+	// truncated offset (flagTruncated) is treated by the refinement as
+	// unknown-but-acceptable — the same way Linear simply skips the
+	// trailing bytes — so a truncated final instruction never poisons
+	// the genuine chain leading up to it.
+	flags []uint8
+	// decoded and valid count the offsets that decode and those that
+	// also survive the refinement.
+	decoded, valid int
 }
 
 // Superset decodes at every offset of code (loaded at addr).
@@ -50,22 +67,30 @@ func Superset(code []byte, addr uint64) *SupersetResult {
 	return res
 }
 
+// stopped reports whether cancel is closed; a nil cancel never is.
+func stopped(cancel <-chan struct{}) bool {
+	select {
+	case <-cancel:
+		return true
+	default:
+		return false
+	}
+}
+
 // SupersetCancel is Superset with a sharded decode sweep and
 // cooperative cancellation. Decoding at every offset is memoryless —
 // each offset is independent — so shards simply split the offset range
-// and the merge is a deterministic concatenation: the result is
+// and write their own part of the table in place: the result is
 // identical for every width and pool state. Once cancel is closed the
-// sweep stops within a few thousand offsets and reports ok=false with
-// a partial result the caller must discard. The refinement fixpoint
-// runs sequentially after the merge.
+// sweep or the refinement stops within a few thousand steps and
+// reports ok=false with no result. The refinement runs sequentially
+// after the sweep.
 func SupersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel <-chan struct{}) (*SupersetResult, bool) {
 	res := &SupersetResult{
-		ByOffset:  make([]int, len(code)),
-		truncated: make([]bool, len(code)),
-		addr:      addr,
-	}
-	for off := range code {
-		res.ByOffset[off] = -1
+		code:  code,
+		addr:  addr,
+		lens:  make([]uint8, len(code)),
+		flags: make([]uint8, len(code)),
 	}
 
 	nsh := len(code) / minShardBytes
@@ -78,196 +103,252 @@ func SupersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel
 		nsh = 1
 	}
 	shardLo := func(i int) int { return i * len(code) / nsh }
-	shards := make([][]x86.Inst, nsh)
 	var aborted int32
 	work.ForEach(pool, width, nsh, func(i int) {
 		lo, hi := shardLo(i), shardLo(i+1)
-		var insts []x86.Inst
-		steps := 0
+		var inst x86.Inst
 		for off := lo; off < hi; off++ {
-			if cancel != nil && steps&(cancelStride-1) == 0 {
-				select {
-				case <-cancel:
-					atomic.StoreInt32(&aborted, 1)
-					return
-				default:
-				}
+			if (off-lo)&(cancelStride-1) == 0 && stopped(cancel) {
+				atomic.StoreInt32(&aborted, 1)
+				return
 			}
-			steps++
-			inst, err := x86.Decode(code[off:], addr+uint64(off))
-			if err != nil {
-				// Disjoint offset ranges: no write races on truncated.
-				res.truncated[off] = errors.Is(err, x86.ErrTruncated)
+			// Disjoint offset ranges: no write races on the table.
+			if err := x86.DecodeInto(&inst, code[off:], addr+uint64(off)); err != nil {
+				if err == x86.ErrTruncated {
+					res.flags[off] = flagTruncated
+				}
 				continue
 			}
-			insts = append(insts, inst)
+			res.lens[off] = uint8(inst.Len)
+			res.flags[off] = shapeFlags(&inst)
 		}
-		shards[i] = insts
 	})
-	if atomic.LoadInt32(&aborted) != 0 {
+	if atomic.LoadInt32(&aborted) != 0 || !res.refine(cancel) {
 		return nil, false
 	}
-
-	total := 0
-	for _, sh := range shards {
-		total += len(sh)
-	}
-	res.Insts = make([]x86.Inst, 0, total)
-	for _, sh := range shards {
-		for j := range sh {
-			res.ByOffset[sh[j].Addr-addr] = len(res.Insts)
-			res.Insts = append(res.Insts, sh[j])
-		}
-	}
-	res.refine(code, addr)
 	return res, true
+}
+
+// shapeFlags condenses a decoded instruction to the facts the
+// refinement and the closure use.
+func shapeFlags(in *x86.Inst) uint8 {
+	var f uint8
+	if in.Attrs&x86.AttrStop != 0 {
+		f |= flagStop
+	}
+	switch in.RelSize {
+	case 1:
+		f |= flagRel8
+	case 4:
+		f |= flagRel32
+	}
+	if in.IsDirectBranch() {
+		f |= flagDirect
+	}
+	if in.IsEndbr64() {
+		f |= flagEndbr
+	}
+	return f
+}
+
+// at maps an address to its section offset, -1 when it lies outside
+// the section. Falling off the section end and branching out of it
+// (PLT, other sections) are unknown-but-acceptable, never evidence of
+// invalidity.
+func (r *SupersetResult) at(a uint64) int {
+	if a >= r.addr && a < r.addr+uint64(len(r.lens)) {
+		return int(a - r.addr)
+	}
+	return -1
+}
+
+// fallsTo returns the section offset the instruction at off falls
+// through to, -1 when it never falls through or runs off the section.
+func (r *SupersetResult) fallsTo(off int) int {
+	if r.flags[off]&flagStop != 0 {
+		return -1
+	}
+	return r.at(r.addr + uint64(off) + uint64(r.lens[off]))
+}
+
+// jumpsTo returns the section offset the branch displacement of the
+// instruction at off points to, -1 when it has none or points outside
+// the section. The displacement is always the final field, so it is
+// read from the text and not stored.
+func (r *SupersetResult) jumpsTo(off int) int {
+	end := off + int(r.lens[off])
+	var rel int64
+	switch f := r.flags[off]; {
+	case f&flagRel8 != 0:
+		rel = int64(int8(r.code[end-1]))
+	case f&flagRel32 != 0:
+		rel = int64(int32(binary.LittleEndian.Uint32(r.code[end-4:])))
+	default:
+		return -1
+	}
+	return r.at(r.addr + uint64(end) + uint64(rel))
+}
+
+// hardInvalid reports a successor offset that does not decode for a
+// reason other than the section ending mid-instruction.
+func (r *SupersetResult) hardInvalid(off int) bool {
+	return off >= 0 && r.lens[off] == 0 && r.flags[off]&flagTruncated == 0
 }
 
 // refine computes the valid set: an instruction is invalid if its
 // fall-through (or a direct branch target inside the section) lands on
-// an offset that does not decode and is inside the section. Offsets
-// that fail to decode only because the section ends mid-instruction
-// are treated like falling off the section end — unknown but
-// acceptable, matching Linear's skip behavior for a truncated tail.
-// The computation is a reverse fixpoint over the successor graph.
-func (r *SupersetResult) refine(code []byte, addr uint64) {
-	n := len(r.Insts)
-	r.Valid = make([]bool, n)
-	// state: 0 = unknown, 1 = valid, 2 = invalid.
-	state := make([]uint8, n)
-
-	inSection := func(a uint64) bool {
-		return a >= addr && a < addr+uint64(len(code))
-	}
-	// succs returns the instruction's decodable successor offsets
-	// within the section, and whether any successor is a hard invalid.
-	succs := func(i int) (out []int, bad bool) {
-		in := &r.Insts[i]
-		// Fall-through (unless the instruction never falls through).
-		if in.Attrs&x86.AttrStop == 0 {
-			ft := in.Addr + uint64(in.Len)
-			if inSection(ft) {
-				out = append(out, int(ft-addr))
-			}
-			// Falling off the end of the section is treated as
-			// unknown-but-acceptable (the section may continue into
-			// another).
-		}
-		// Direct branch target.
-		if in.RelSize != 0 {
-			t := in.Target()
-			if inSection(t) {
-				out = append(out, int(t-addr))
-			} else if in.Attrs&(x86.AttrJump|x86.AttrCondJump) != 0 {
-				// Branch to outside the section: acceptable
-				// (PLT/other sections) — not evidence of invalidity.
-				_ = t
-			}
-		}
-		kept := out[:0]
-		for _, o := range out {
-			if r.ByOffset[o] == -1 {
-				if r.truncated[o] {
-					// Span-end truncation: no instruction to chain to,
-					// but no evidence of invalidity either.
-					continue
-				}
-				return nil, true
-			}
-			kept = append(kept, o)
-		}
-		return kept, false
+// an offset that does not decode and is inside the section, or on an
+// invalid instruction. Offsets that fail to decode only because the
+// section ends mid-instruction are treated like falling off the
+// section end, matching Linear's skip behavior for a truncated tail.
+//
+// Invalidity flows against the edges, so the computation is a worklist
+// over reverse edges, O(offsets + edges) whatever direction the edges
+// point: the fall-through predecessors of an offset are the at most 15
+// preceding offsets whose length lands on it, and the branch
+// predecessors come from a counting-sort CSR over the targets. It
+// reports false when cancel closed first.
+func (r *SupersetResult) refine(cancel <-chan struct{}) bool {
+	n := len(r.lens)
+	var work []int
+	poison := func(off int) {
+		r.flags[off] |= flagInvalid
+		work = append(work, off)
+		r.valid--
 	}
 
-	// Iterate to fixpoint: mark invalid anything that must reach an
-	// invalid decode.
-	changed := true
-	for changed {
-		changed = false
-		for i := 0; i < n; i++ {
-			if state[i] == 2 {
-				continue
+	// Seed with everything one step from a hard invalid, and count the
+	// branch edges into each decodable target t at start[t+2].
+	start := make([]int, n+2)
+	for off := 0; off < n; off++ {
+		if off&(cancelStride-1) == 0 && stopped(cancel) {
+			return false
+		}
+		if r.lens[off] == 0 {
+			continue
+		}
+		r.decoded++
+		r.valid++
+		jt := r.jumpsTo(off)
+		if r.hardInvalid(r.fallsTo(off)) || r.hardInvalid(jt) {
+			poison(off)
+		} else if jt >= 0 && r.lens[jt] != 0 {
+			start[jt+2]++
+		}
+	}
+	for t := 1; t < len(start); t++ {
+		start[t] += start[t-1]
+	}
+	// start[t+1] is now where t's sources begin; filling advances it to
+	// where they end, so that afterwards the offsets that branch to t
+	// are src[start[t]:start[t+1]].
+	src := make([]int, start[n+1])
+	for off := 0; off < n; off++ {
+		if off&(cancelStride-1) == 0 && stopped(cancel) {
+			return false
+		}
+		if r.lens[off] == 0 || r.flags[off]&flagInvalid != 0 {
+			continue
+		}
+		if jt := r.jumpsTo(off); jt >= 0 && r.lens[jt] != 0 {
+			src[start[jt+1]] = off
+			start[jt+1]++
+		}
+	}
+
+	// A seed exists only if some address mapped into the section, so
+	// from here on the section end does not wrap and a predecessor at
+	// off-k with length k does fall through to off.
+	for steps := 0; len(work) > 0; steps++ {
+		if steps&(cancelStride-1) == 0 && stopped(cancel) {
+			return false
+		}
+		off := work[len(work)-1]
+		work = work[:len(work)-1]
+		for k := 1; k <= 15 && k <= off; k++ {
+			if p := off - k; int(r.lens[p]) == k && r.flags[p]&(flagStop|flagInvalid) == 0 {
+				poison(p)
 			}
-			ss, bad := succs(i)
-			if bad {
-				if state[i] != 2 {
-					state[i] = 2
-					changed = true
-				}
-				continue
-			}
-			for _, o := range ss {
-				if state[r.ByOffset[o]] == 2 {
-					state[i] = 2
-					changed = true
-					break
-				}
+		}
+		for _, p := range src[start[off]:start[off+1]] {
+			if r.flags[p]&flagInvalid == 0 {
+				poison(p)
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		r.Valid[i] = state[i] != 2
-	}
+	return true
 }
+
+// LenAt returns the length of the instruction that decodes at section
+// offset off, 0 when nothing decodes there.
+func (r *SupersetResult) LenAt(off int) int { return int(r.lens[off]) }
 
 // TruncatedAt reports whether the decode at the given section offset
 // failed only because the section ended mid-instruction.
-func (r *SupersetResult) TruncatedAt(off int) bool {
-	return off >= 0 && off < len(r.truncated) && r.truncated[off]
+func (r *SupersetResult) TruncatedAt(off int) bool { return r.flags[off]&flagTruncated != 0 }
+
+// ValidAt reports whether an instruction decodes at section offset off
+// and survives the closure refinement.
+func (r *SupersetResult) ValidAt(off int) bool {
+	return r.lens[off] != 0 && r.flags[off]&flagInvalid == 0
 }
 
-// ValidInsts returns the surviving instructions in address order.
-func (r *SupersetResult) ValidInsts() []x86.Inst {
-	var out []x86.Inst
-	for i := range r.Insts {
-		if r.Valid[i] {
-			out = append(out, r.Insts[i])
-		}
+// KeptAt reports whether CETPrune kept the instruction at off.
+func (r *SupersetResult) KeptAt(off int) bool { return r.flags[off]&flagKept != 0 }
+
+// in reports membership of off in the chosen survivor set: CETPrune's
+// kept set, or the refinement's valid set.
+func (r *SupersetResult) in(off int, kept bool) bool {
+	if kept {
+		return r.KeptAt(off)
 	}
-	return out
+	return r.ValidAt(off)
 }
 
 // Count returns (decoded, surviving) instruction counts.
-func (r *SupersetResult) Count() (decoded, valid int) {
-	decoded = len(r.Insts)
-	for _, v := range r.Valid {
-		if v {
-			valid++
-		}
-	}
-	return
-}
+func (r *SupersetResult) Count() (decoded, valid int) { return r.decoded, r.valid }
 
 // BadOffsets counts section offsets where no instruction decodes at
 // all (the superset analogue of Linear's BadBytes).
-func (r *SupersetResult) BadOffsets() int {
+func (r *SupersetResult) BadOffsets() int { return len(r.lens) - r.decoded }
+
+// Insts decodes the surviving instructions — CETPrune's kept set, or
+// with kept=false the refinement's valid set — in address order, into
+// one exactly sized slice. It reports false when cancel closed first.
+func (r *SupersetResult) Insts(kept bool, cancel <-chan struct{}) ([]x86.Inst, bool) {
 	n := 0
-	for _, idx := range r.ByOffset {
-		if idx == -1 {
+	for off := range r.lens {
+		if r.in(off, kept) {
 			n++
 		}
 	}
-	return n
+	out := make([]x86.Inst, n)
+	i := 0
+	for off := range r.lens {
+		if off&(cancelStride-1) == 0 && stopped(cancel) {
+			return nil, false
+		}
+		if r.in(off, kept) {
+			// The sweep decoded these very bytes: it cannot fail.
+			_ = x86.DecodeInto(&out[i], r.code[off:], r.addr+uint64(off))
+			i++
+		}
+	}
+	return out, true
 }
 
-// Occupancy returns, for every section byte, how many of the kept
-// instructions cover it. kept selects the instruction subset (nil: the
-// refinement's valid set) — e9dump uses this to make prune decisions
-// inspectable: bytes at occupancy 0 are classified data/padding, >1
-// means overlapping candidate instructions survived.
-func (r *SupersetResult) Occupancy(kept []bool) []int {
-	if kept == nil {
-		kept = r.Valid
-	}
-	occ := make([]int, len(r.ByOffset))
-	for i := range r.Insts {
-		if !kept[i] {
+// Occupancy returns, for every section byte, how many of the surviving
+// instructions cover it (kept as for Insts) — e9dump uses this to make
+// prune decisions inspectable: bytes at occupancy 0 are classified
+// data/padding, >1 means overlapping candidate instructions survived.
+func (r *SupersetResult) Occupancy(kept bool) []int {
+	occ := make([]int, len(r.lens))
+	for off := range r.lens {
+		if !r.in(off, kept) {
 			continue
 		}
-		in := &r.Insts[i]
-		off := int(in.Addr - r.addr)
-		for b := 0; b < in.Len && off+b < len(occ); b++ {
-			occ[off+b]++
+		for b := off; b < off+int(r.lens[off]) && b < len(occ); b++ {
+			occ[b]++
 		}
 	}
 	return occ

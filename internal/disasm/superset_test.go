@@ -8,7 +8,7 @@ import (
 	"e9patch/internal/x86"
 )
 
-func textOf(t *testing.T, bin []byte) ([]byte, uint64) {
+func textOf(t testing.TB, bin []byte) ([]byte, uint64) {
 	t.Helper()
 	f, err := elf64.Parse(bin)
 	if err != nil {
@@ -38,14 +38,8 @@ func TestSupersetContainsLinear(t *testing.T) {
 	lin := Linear(code, 0x401000)
 	sup := Superset(code, 0x401000)
 
-	validAt := map[uint64]bool{}
-	for i := range sup.Insts {
-		if sup.Valid[i] {
-			validAt[sup.Insts[i].Addr] = true
-		}
-	}
 	for _, in := range lin.Insts {
-		if !validAt[in.Addr] {
+		if off := int(in.Addr - 0x401000); !sup.ValidAt(off) || sup.LenAt(off) != in.Len {
 			t.Errorf("linear instruction at %#x pruned by superset refinement", in.Addr)
 		}
 	}
@@ -75,23 +69,21 @@ func TestSupersetPrunesJunk(t *testing.T) {
 	}
 	// The real instructions survive.
 	for _, off := range []int{0, 1, 4, 11} {
-		idx := sup.ByOffset[off]
-		if idx == -1 || !sup.Valid[idx] {
+		if !sup.ValidAt(off) {
 			t.Errorf("true instruction at offset %d did not survive", off)
 		}
 	}
 	// Data offsets must be undecodable.
-	if idx := sup.ByOffset[6]; idx != -1 {
-		t.Errorf("data offset decoded (idx %d)", idx)
+	if n := sup.LenAt(6); n != 0 {
+		t.Errorf("data offset decoded (length %d)", n)
 	}
 	// An instruction that falls through into the data (e.g. a decode
 	// starting at offset 3, consuming the jmp bytes differently) must
 	// be pruned when it reaches an invalid decode.
 	prunedSomething := false
-	for i, v := range sup.Valid {
-		if !v {
+	for off := range code {
+		if sup.LenAt(off) != 0 && !sup.ValidAt(off) {
 			prunedSomething = true
-			_ = i
 		}
 	}
 	if !prunedSomething {
@@ -119,15 +111,9 @@ func TestSupersetOnGeneratedProfile(t *testing.T) {
 		t.Errorf("superset (%d valid of %d decoded) not larger than linear (%d)",
 			valid, decoded, len(lin.Insts))
 	}
-	validAt := map[uint64]bool{}
-	for i := range sup.Insts {
-		if sup.Valid[i] {
-			validAt[sup.Insts[i].Addr] = true
-		}
-	}
 	missed := 0
 	for _, in := range lin.Insts {
-		if !validAt[in.Addr] {
+		if !sup.ValidAt(int(in.Addr - addr)) {
 			missed++
 		}
 	}
