@@ -115,10 +115,19 @@ rpccheck:
 # suites, end-to-end superset-cet rewrites of CET and DSO binaries
 # verified under the emulator, plan↔mode digest binding, the .so
 # builder/parser geometry, the modern workload rows, and a short
-# exploration of the superset-prune fuzzer.
+# exploration of the superset-prune fuzzer. By name: the superset
+# golden digests and rewrite hashes (testdata/disasm_golden.json), the
+# hostile-shape complexity tests at the table and at the library
+# boundary, and the allocation-free decode failure test. Re-record the
+# golden file, only for an intentional change of the recovered
+# universe, with (one after the other: both rewrite the one file):
+#   go test ./internal/disasm/ -run TestDisasmGolden -update
+#   go test . -run TestDisasmGoldenRewrite -update
 disasmcheck:
 	$(GO) test ./internal/disasm/
-	$(GO) test -run 'TestDisasm|TestSupersetCETRewriteEquivalent|TestDSORewriteEquivalent|TestPlanModeBinding|TestSupersetRewriteReportsStats' .
+	$(GO) test -run 'TestDisasmGolden|TestSupersetHostileShapesLinear|TestSupersetPhasesPollCancel' -count 1 ./internal/disasm/
+	$(GO) test -run 'TestDecodeFailuresAllocFree' -count 1 ./internal/x86/
+	$(GO) test -run 'TestDisasm|TestHostileSupersetShapes|TestSupersetCETRewriteEquivalent|TestDSORewriteEquivalent|TestPlanModeBinding|TestSupersetRewriteReportsStats' .
 	$(GO) test -run 'TestSharedBuildRoundTrip|TestInitSegmentSpans|TestTextRange|TestExecSpans|TestBuildBackCompat' ./internal/elf64/
 	$(GO) test -run 'TestModernProfiles|TestPaperSharedRowsUnchanged' ./internal/workload/
 	$(GO) test -run 'TestSpecDisasm' ./internal/server/

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,15 +85,72 @@ func hostileCorpus(t testing.TB) map[string][]byte {
 	return corpus
 }
 
-// TestHostileCorpus rewrites every corpus file: the valid control must
-// succeed and every hostile variant must come back with a classified
-// error — no panic escapes, no ErrInternal.
+// TestHostileCorpus rewrites every corpus file under every disassembly
+// mode: the valid control and the hostile-text variants (well-formed
+// containers whose .text is built to make recovery slow) must succeed
+// and every other variant must come back with a classified error — no
+// panic escapes, no ErrInternal.
 func TestHostileCorpus(t *testing.T) {
 	for name, data := range hostileCorpus(t) {
-		_, err := Rewrite(data, Config{Select: SelectJumps})
-		requireContained(t, name, err)
-		if name == "valid.bin" && err != nil {
-			t.Errorf("valid.bin: control binary failed to rewrite: %v", err)
+		for _, mode := range []DisasmMode{DisasmLinear, DisasmSuperset, DisasmSupersetCET} {
+			_, err := Rewrite(data, Config{Select: SelectJumps, Disasm: mode})
+			requireContained(t, name+"/"+string(mode), err)
+			if (name == "valid.bin" || strings.HasPrefix(name, "recover-")) && err != nil {
+				t.Errorf("%s/%s: well-formed binary failed to rewrite: %v", name, mode, err)
+			}
+		}
+	}
+}
+
+// TestHostileSupersetShapes bounds superset recovery on texts built to
+// make it slow: a 1 MB nop sled into an invalid byte, a 1 MB backward
+// jump ladder off an invalid byte and a forward jump chain each rewrite
+// in under 2 s in both superset modes (the pass-until-stable refinement
+// the table replaced took 19 s on a 32 KB sled), and a phase deadline
+// ends the recovery with a classified error wherever it expires.
+func TestHostileSupersetShapes(t *testing.T) {
+	for _, shape := range []struct {
+		name string
+		text []byte
+	}{
+		{"sled", workload.NopSled(1 << 20)},
+		{"ladder", workload.BackwardLadder(1 << 20)},
+		// Everything in the chain is valid, so it is kept smaller: the
+		// rewriter holds an x86.Inst for every survivor.
+		{"chain", workload.ForwardChain(256<<10, false)},
+	} {
+		bin, err := elf64.Build(elf64.BuildSpec{Text: shape.text, Data: make([]byte, 32), BSSSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []DisasmMode{DisasmSuperset, DisasmSupersetCET} {
+			label := shape.name + "/" + string(mode)
+			// No jump in these texts is a heap write: recovery is the op.
+			cfg := Config{Select: SelectHeapWrites, Disasm: mode}
+			start := time.Now()
+			if _, err := Rewrite(bin, cfg); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
+			if d := time.Since(start); d > 2*time.Second {
+				t.Errorf("%s: rewrite took %v, want < 2s", label, d)
+			}
+			// 1 ns expires in the sweep; 50 ms, on a slow enough machine,
+			// in the refinement or the closure. Finishing first is fine.
+			for _, timeout := range []time.Duration{time.Nanosecond, 50 * time.Millisecond} {
+				cfg.Limits = Limits{PhaseTimeout: timeout}
+				start := time.Now()
+				_, err := Rewrite(bin, cfg)
+				if d := time.Since(start); d > 2*time.Second {
+					t.Errorf("%s: rewrite under PhaseTimeout %v took %v", label, timeout, d)
+				}
+				var ee *Error
+				if err == nil && timeout > time.Nanosecond {
+					continue
+				}
+				if !errors.As(err, &ee) || ee.Reason != e9err.ReasonPhaseDeadline {
+					t.Errorf("%s: PhaseTimeout %v: error %v, want reason %q", label, timeout, err, e9err.ReasonPhaseDeadline)
+				}
+			}
 		}
 	}
 }

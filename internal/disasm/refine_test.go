@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"e9patch/internal/workload"
 	"e9patch/internal/x86"
 )
 
@@ -154,8 +155,8 @@ func FuzzSupersetPrune(f *testing.F) {
 	f.Add([]byte{0x48, 0x89, 0x03, 0xEB, 0x05, 0x06, 0x06, 0x06, 0x06, 0x06, 0xC3})
 	f.Add([]byte{0xF3, 0x0F, 0x1E, 0xFA, 0x55, 0xC3, 0x90, 0xF3, 0x0F, 0x1E, 0xFA, 0xC3})
 	f.Add([]byte{0x48, 0x89})
-	f.Add(nopSled(4096))
-	f.Add(backwardLadder(4096))
+	f.Add(workload.NopSled(256))
+	f.Add(workload.BackwardLadder(256))
 	f.Fuzz(func(t *testing.T, code []byte) {
 		if len(code) > 4096 {
 			code = code[:4096]

@@ -56,9 +56,9 @@ type SupersetResult struct {
 	// trailing bytes — so a truncated final instruction never poisons
 	// the genuine chain leading up to it.
 	flags []uint8
-	// decoded and valid count the offsets that decode and those that
-	// also survive the refinement.
-	decoded, valid int
+	// decoded, valid and kept count the offsets that decode, those that
+	// also survive the refinement, and those CETPrune kept.
+	decoded, valid, kept int
 }
 
 // Superset decodes at every offset of code (loaded at addr).
@@ -316,11 +316,9 @@ func (r *SupersetResult) BadOffsets() int { return len(r.lens) - r.decoded }
 // with kept=false the refinement's valid set — in address order, into
 // one exactly sized slice. It reports false when cancel closed first.
 func (r *SupersetResult) Insts(kept bool, cancel <-chan struct{}) ([]x86.Inst, bool) {
-	n := 0
-	for off := range r.lens {
-		if r.in(off, kept) {
-			n++
-		}
+	n := r.valid
+	if kept {
+		n = r.kept
 	}
 	out := make([]x86.Inst, n)
 	i := 0

@@ -11,35 +11,6 @@ import (
 	"e9patch/internal/x86"
 )
 
-// The hostile shapes: texts on which a pass-until-stable refinement is
-// quadratic, because every instruction's fate hangs on one byte at the
-// far end of a chain as long as the text.
-
-// nopSled is n-1 nops falling through into one invalid byte.
-func nopSled(n int) []byte {
-	code := bytes.Repeat([]byte{0x90}, n)
-	code[n-1] = 0x06
-	return code
-}
-
-// backwardLadder is `nop; (invalid)` followed by `jmp -4` repeated,
-// each jump landing on the previous one and the first on the nop.
-func backwardLadder(n int) []byte {
-	code := bytes.Repeat([]byte{0xEB, 0xFC}, n/2)
-	code[0], code[1] = 0x90, 0x06
-	return code
-}
-
-// forwardChain is `jmp +0` repeated, each jump landing on the next one;
-// poisoned, the last one lands on two invalid bytes instead.
-func forwardChain(n int, poisoned bool) []byte {
-	code := bytes.Repeat([]byte{0xEB, 0x00}, n/2)
-	if poisoned {
-		code[len(code)-2], code[len(code)-1] = 0x06, 0x06
-	}
-	return code
-}
-
 // TestSupersetHostileShapesLinear bounds the worst case: 1 MB of each
 // shape goes through sweep, refinement and CET closure in well under
 // 2 s, with the outcome each shape is built to have. (The reference
@@ -51,15 +22,15 @@ func TestSupersetHostileShapesLinear(t *testing.T) {
 		code                 []byte
 		decoded, valid, kept int
 	}{
-		{"sled", nopSled(n), n - 1, 0, 0},
+		{"sled", workload.NopSled(n), n - 1, 0, 0},
 		// Only the final cld (the ladder's last FC read alone) survives:
 		// it falls off the section end.
-		{"ladder", backwardLadder(n), n - 1, 1, 0},
+		{"ladder", workload.BackwardLadder(n), n - 1, 1, 0},
 		// Even offsets jump to the next jump, odd ones decode 00 EB as
 		// an add and chain among themselves up to a truncated last byte;
 		// only the jumps are reachable from the section start.
-		{"chain", forwardChain(n, false), n - 1, n - 1, n / 2},
-		{"poisoned chain", forwardChain(n, true), n - 2, 0, 0},
+		{"chain", workload.ForwardChain(n, false), n - 1, n - 1, n / 2},
+		{"poisoned chain", workload.ForwardChain(n, true), n - 2, 0, 0},
 	} {
 		start := time.Now()
 		sup, ok := SupersetCancel(tc.code, 0x401000, 2, nil, nil)
@@ -92,7 +63,7 @@ func TestSupersetHostileShapesLinear(t *testing.T) {
 func TestSupersetPhasesPollCancel(t *testing.T) {
 	closed := make(chan struct{})
 	close(closed)
-	code := forwardChain(1<<16, false)
+	code := workload.ForwardChain(1<<16, false)
 	if sup, ok := SupersetCancel(code, 0x401000, 1, nil, closed); ok || sup != nil {
 		t.Fatal("sweep ignored a closed cancel")
 	}
@@ -295,7 +266,7 @@ func TestSupersetTableWidthDeterminism(t *testing.T) {
 		}
 		got.CETPrune(nil)
 		if !bytes.Equal(got.lens, want.lens) || !bytes.Equal(got.flags, want.flags) ||
-			got.decoded != want.decoded || got.valid != want.valid {
+			got.decoded != want.decoded || got.valid != want.valid || got.kept != want.kept {
 			t.Fatalf("width %d: table differs from the sequential sweep", width)
 		}
 	}

@@ -6,7 +6,11 @@
 // arithmetic, segment tables that overrun the file, degenerate or
 // unloaded .text, and plain garbage. The rewriter must answer every
 // one with a classified error (malformed / unsupported / resource
-// limit) — never a panic, never ErrInternal. The corpus is checked in;
+// limit) — never a panic, never ErrInternal. Two variants are
+// well-formed ELFs whose .text is hostile to instruction recovery
+// instead (workload.NopSled, workload.BackwardLadder): they must
+// rewrite, in every disassembly mode, in time linear in their size.
+// The corpus is checked in;
 // rerun this only when the layout of the seed binary changes:
 //
 //	go run ./testdata/hostile/gen
@@ -21,6 +25,7 @@ import (
 	"path/filepath"
 
 	"e9patch/internal/elf64"
+	"e9patch/internal/workload"
 )
 
 var le = binary.LittleEndian
@@ -47,6 +52,10 @@ const (
 	shSize   = 32 // sh_size, 8 bytes
 )
 
+// hostileTextBytes sizes the hostile-text variants: at 32 KB the
+// pass-until-stable superset refinement took 19 s on the sled.
+const hostileTextBytes = 32 << 10
+
 // seedText is a small counting loop with a conditional branch, so the
 // valid control binary gives the jcc selector something to patch:
 //
@@ -67,15 +76,7 @@ func main() {
 	dir := flag.String("o", "testdata/hostile", "output directory")
 	flag.Parse()
 
-	valid, err := elf64.Build(elf64.BuildSpec{
-		Text:     seedText,
-		EntryOff: 0,
-		Data:     make([]byte, 32),
-		BSSSize:  64,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	valid := withText(seedText)
 	shOff := le.Uint64(valid[eShOff:])
 	// Section table: [0] SHT_NULL, [1] .text, [4] .shstrtab.
 	textShdr := shOff + 1*shdrSize
@@ -124,6 +125,10 @@ func main() {
 		{"memsz-lt-filesz.bin", put64(valid, phdr0+pMemsz, 1)},
 		{"segment-off-overflow.bin", put64(valid, phdr0+pOffset, 0xFFFFFFFFFFFFFFF0)},
 		{"text-not-loaded.bin", put32(valid, phdr0+pType, 0)}, // PT_LOAD → PT_NULL
+
+		// Valid containers, recovery-hostile text.
+		{"recover-nop-sled.bin", withText(workload.NopSled(hostileTextBytes))},
+		{"recover-backward-ladder.bin", withText(workload.BackwardLadder(hostileTextBytes))},
 	}
 
 	for _, v := range variants {
@@ -133,6 +138,15 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", path, len(v.data))
 	}
+}
+
+// withText builds the seed binary's layout around another .text.
+func withText(text []byte) []byte {
+	bin, err := elf64.Build(elf64.BuildSpec{Text: text, Data: make([]byte, 32), BSSSize: 64})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return bin
 }
 
 // put64/put32/put16 return a copy of b with a little-endian value
