@@ -106,7 +106,7 @@ func TestHostileCorpus(t *testing.T) {
 // make it slow: a 1 MB nop sled into an invalid byte, a 1 MB backward
 // jump ladder off an invalid byte and a forward jump chain each rewrite
 // in under 2 s in both superset modes (the pass-until-stable refinement
-// the table replaced took 19 s on a 32 KB sled), and a phase deadline
+// the table replaced took 20 s on a 32 KB sled), and a phase deadline
 // ends the recovery with a classified error wherever it expires.
 func TestHostileSupersetShapes(t *testing.T) {
 	for _, shape := range []struct {
@@ -143,10 +143,10 @@ func TestHostileSupersetShapes(t *testing.T) {
 				if d := time.Since(start); d > 2*time.Second {
 					t.Errorf("%s: rewrite under PhaseTimeout %v took %v", label, timeout, d)
 				}
-				var ee *Error
 				if err == nil && timeout > time.Nanosecond {
 					continue
 				}
+				var ee *Error
 				if !errors.As(err, &ee) || ee.Reason != e9err.ReasonPhaseDeadline {
 					t.Errorf("%s: PhaseTimeout %v: error %v, want reason %q", label, timeout, err, e9err.ReasonPhaseDeadline)
 				}

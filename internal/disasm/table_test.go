@@ -14,7 +14,7 @@ import (
 // TestSupersetHostileShapesLinear bounds the worst case: 1 MB of each
 // shape goes through sweep, refinement and CET closure in well under
 // 2 s, with the outcome each shape is built to have. (The reference
-// fixpoint the table replaced took 19 s on a 32 KB sled.)
+// fixpoint the table replaced took 20 s on a 32 KB sled.)
 func TestSupersetHostileShapesLinear(t *testing.T) {
 	const n = 1 << 20
 	for _, tc := range []struct {

@@ -53,7 +53,7 @@ const (
 )
 
 // hostileTextBytes sizes the hostile-text variants: at 32 KB the
-// pass-until-stable superset refinement took 19 s on the sled.
+// pass-until-stable superset refinement took 20 s on the sled.
 const hostileTextBytes = 32 << 10
 
 // seedText is a small counting loop with a conditional branch, so the
