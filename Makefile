@@ -118,14 +118,20 @@ rpccheck:
 # exploration of the superset-prune fuzzer. By name: the superset
 # golden digests and rewrite hashes (testdata/disasm_golden.json), the
 # hostile-shape complexity tests at the table and at the library
-# boundary, and the allocation-free decode failure test. Re-record the
+# boundary, the allocation-free decode failure test, linear recovery in
+# the per-offset table against a naive sweep (seam shapes, every profile,
+# widths 1/2/3/8, and 5 s of FuzzLinearParallel), the selectors over the
+# compact universe against a full decode, and the allocation budget of a
+# rewrite. Re-record the
 # golden file, only for an intentional change of the recovered
 # universe, with (one after the other: both rewrite the one file):
 #   go test ./internal/disasm/ -run TestDisasmGolden -update
 #   go test . -run TestDisasmGoldenRewrite -update
 disasmcheck:
 	$(GO) test ./internal/disasm/
-	$(GO) test -run 'TestDisasmGolden|TestSupersetHostileShapesLinear|TestSupersetPhasesPollCancel' -count 1 ./internal/disasm/
+	$(GO) test -run 'TestDisasmGolden|TestSupersetHostileShapesLinear|TestSupersetPhasesPollCancel|TestLinearTableMatchesSequential|TestLinearPhasesPollCancel' -count 1 ./internal/disasm/
+	$(GO) test -run 'TestSelectorsMatchFullDecode' -count 1 ./internal/lang/
+	$(GO) test -run 'TestRewriteMemoryGate|TestSelectorIndexOutOfRange' -count 1 .
 	$(GO) test -run 'TestDecodeFailuresAllocFree' -count 1 ./internal/x86/
 	$(GO) test -run 'TestDisasm|TestHostileSupersetShapes|TestSupersetCETRewriteEquivalent|TestDSORewriteEquivalent|TestPlanModeBinding|TestSupersetRewriteReportsStats' .
 	$(GO) test -run 'TestSharedBuildRoundTrip|TestInitSegmentSpans|TestTextRange|TestExecSpans|TestBuildBackCompat' ./internal/elf64/
@@ -133,6 +139,7 @@ disasmcheck:
 	$(GO) test -run 'TestSpecDisasm' ./internal/server/
 	$(GO) test -run 'TestSessionDisasmOption' ./internal/rpc/
 	$(GO) test -run '^FuzzSupersetPrune$$' -fuzz '^FuzzSupersetPrune$$' -fuzztime 5s ./internal/disasm/
+	$(GO) test -run '^FuzzLinearParallel$$' -fuzz '^FuzzLinearParallel$$' -fuzztime 5s ./internal/disasm/
 
 # bench-disasm records the per-mode recovery benchmark: instruction
 # counts (decoded/valid/kept), the CET prune ratio, plan sites and

@@ -297,7 +297,9 @@ func TestCallArgumentMarshalling(t *testing.T) {
 	byAddr := make(map[uint64]*x86.Inst)
 	insts := disasm.Linear(tx, taddr).Insts
 	for i := range insts {
-		byAddr[insts[i].Addr] = &insts[i]
+		in := new(x86.Inst)
+		insts[i].DecodeInto(in)
+		byAddr[in.Addr] = in
 	}
 
 	orig := runBinary(t, prog.ELF, nil)

@@ -18,6 +18,7 @@ import (
 	"e9patch/internal/elf64"
 	"e9patch/internal/lang"
 	"e9patch/internal/loader"
+	"e9patch/internal/x86"
 )
 
 func main() {
@@ -163,8 +164,9 @@ func main() {
 		fmt.Printf("  sigtab entries:  %d (B0 int3 handlers)\n", len(b.SigTab))
 	}
 
+	var in x86.Inst
 	for i := 0; i < *n && i < len(res.Insts); i++ {
-		in := &res.Insts[i]
+		res.Insts[i].DecodeInto(&in)
 		fmt.Printf("%#10x: %-24x %s\n", in.Addr, in.Bytes, in.String())
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"strings"
 
 	"e9patch"
+	"e9patch/internal/elf64"
 	"e9patch/internal/lang"
 	"e9patch/internal/lowfat"
 	"e9patch/internal/patch"
@@ -153,10 +154,16 @@ func main() {
 		return
 	}
 
-	input, err := os.ReadFile(flag.Arg(0))
+	// The input is a read-only mapping where the platform has one: the
+	// pipeline only ever reads it, so a browser-class binary is paged in
+	// by the kernel and never copied onto the Go heap. The output is
+	// composed in its own buffer, so writing over the input file is safe.
+	in, err := elf64.OpenInput(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
+	defer in.Close()
+	input := in.Data
 
 	if *applyPlan != "" {
 		data, err := os.ReadFile(*applyPlan)

@@ -79,8 +79,12 @@ func ParseDisasmMode(s string) (DisasmMode, error) { return disasm.ParseMode(s) 
 // see disasm.SupersetStats.
 type DisasmStats = disasm.SupersetStats
 
-// Selector chooses patch locations among the disassembled instructions.
-type Selector func(insts []x86.Inst) []int
+// Selector chooses patch locations among the recovered instructions and
+// returns their indices. insts holds one compact record per instruction
+// (address, length, class attributes, bytes: see x86.Loc); a selector
+// that needs an operand decodes the instruction it is looking at with
+// insts[i].DecodeInto.
+type Selector func(insts []x86.Loc) []int
 
 // ParallelSafe marks a custom selector as safe for sharded matching
 // and returns it. A selector is shard-safe when its decision for
@@ -103,14 +107,14 @@ func init() {
 }
 
 // SelectJumps is the paper's application A1: instrument all jmp/jcc.
-func SelectJumps(insts []x86.Inst) []int { return disasm.SelectJumps(insts) }
+func SelectJumps(insts []x86.Loc) []int { return disasm.SelectJumps(insts) }
 
 // SelectHeapWrites is the paper's application A2: instrument all
 // instructions that may write through heap pointers.
-func SelectHeapWrites(insts []x86.Inst) []int { return disasm.SelectHeapWrites(insts) }
+func SelectHeapWrites(insts []x86.Loc) []int { return disasm.SelectHeapWrites(insts) }
 
 // SelectAll selects every instruction (stress-tests limitation L3).
-func SelectAll(insts []x86.Inst) []int { return disasm.SelectAll(insts) }
+func SelectAll(insts []x86.Loc) []int { return disasm.SelectAll(insts) }
 
 // SelectAddresses selects the instructions starting at exactly the
 // given virtual addresses (runtime coordinates, i.e. including PIEBase
@@ -121,7 +125,7 @@ func SelectAddresses(addrs ...uint64) Selector {
 	for _, a := range addrs {
 		want[a] = true
 	}
-	sel := func(insts []x86.Inst) []int {
+	sel := func(insts []x86.Loc) []int {
 		var out []int
 		for i := range insts {
 			if want[insts[i].Addr] {

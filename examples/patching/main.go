@@ -121,7 +121,7 @@ func main() {
 	// The binary patch: at the patch point, run the displaced
 	// instruction plus the developer fix `rar->start_new_table = 1`.
 	res, err := e9patch.Rewrite(bin, e9patch.Config{
-		Select: func(insts []x86.Inst) []int {
+		Select: func(insts []x86.Loc) []int {
 			for i := range insts {
 				if insts[i].Addr == patchAddr {
 					return []int{i}

@@ -29,14 +29,12 @@ func (r *SupersetResult) CETPrune(cancel <-chan struct{}) (anchors int, ok bool)
 		if off >= 0 && r.ValidAt(off) && !r.KeptAt(off) {
 			r.flags[off] |= flagKept
 			work = append(work, off)
-			r.kept++
 		}
 	}
 
 	// Seeds: every valid endbr64, plus the instruction at the section
 	// start (ELF entry or the first byte of .text, a genuine boundary
 	// in either case).
-	r.kept = 0
 	for off := range r.flags {
 		r.flags[off] &^= flagKept
 		if r.flags[off]&flagEndbr != 0 {

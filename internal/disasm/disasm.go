@@ -1,5 +1,5 @@
 // Package disasm is the "basic wrapper frontend" from the paper: it
-// applies linear disassembly to a code section and selects patch
+// recovers the instructions of a code section and selects patch
 // locations for the evaluation applications (A1: jump instructions,
 // A2: heap-write instructions).
 //
@@ -11,97 +11,24 @@ import (
 	"e9patch/internal/x86"
 )
 
-// Result is the outcome of linear disassembly.
+// Result is the outcome of instruction recovery.
 type Result struct {
-	// Insts are the decoded instructions in address order.
-	Insts []x86.Inst
+	// Insts are the recovered instructions in address order: their
+	// locations, sizes and classes (see x86.Loc).
+	Insts []x86.Loc
 	// BadBytes counts bytes that did not decode (embedded data,
 	// unsupported encodings); each is skipped individually, exactly
 	// like a linear sweep over a .text section containing data.
 	BadBytes int
 }
 
-// Linear decodes code (loaded at addr) from the start, instruction by
-// instruction, skipping undecodable bytes one at a time.
-func Linear(code []byte, addr uint64) Result {
-	res, _ := LinearCancel(code, addr, nil)
-	return res
-}
-
-// cancelStride is how many decode steps pass between cancellation
-// polls; a power of two so the check is a mask.
-const cancelStride = 1 << 12
-
-// LinearCancel is Linear with cooperative cancellation: once cancel is
-// closed the sweep stops within a few thousand instructions and
-// reports ok=false with a partial (possibly empty) result the caller
-// must discard. A nil cancel never stops early. Decoder stalls (a
-// decoded instruction of non-positive length) are treated as
-// undecodable bytes so a hostile input can never pin the sweep in
-// place.
-//
-// The sweep runs twice: a counting pass sizes the result exactly, then
-// a fill pass decodes into the single allocation. Growing a
-// browser-class instruction array by append instead costs several
-// times the final size in regrowth copies — the x86.Inst element is
-// large enough that those transients dominated the whole rewrite's
-// allocation profile — while the second decode pass is pure cache-hot
-// CPU. The count is taken from the input itself, so a hostile section
-// (all padding, all data) can never bait an oversized allocation the
-// way a capacity heuristic could.
-func LinearCancel(code []byte, addr uint64, cancel <-chan struct{}) (res Result, ok bool) {
-	steps := 0
-	n := 0
-	for off := 0; off < len(code); {
-		if cancel != nil && steps&(cancelStride-1) == 0 {
-			select {
-			case <-cancel:
-				return res, false
-			default:
-			}
-		}
-		steps++
-		inst, err := x86.Decode(code[off:], addr+uint64(off))
-		if err != nil || inst.Len <= 0 {
-			res.BadBytes++
-			off++
-			continue
-		}
-		n++
-		off += inst.Len
-	}
-	if n == 0 {
-		return res, true
-	}
-	res.Insts = make([]x86.Inst, 0, n)
-	for off := 0; off < len(code); {
-		if cancel != nil && steps&(cancelStride-1) == 0 {
-			select {
-			case <-cancel:
-				return res, false
-			default:
-			}
-		}
-		steps++
-		inst, err := x86.Decode(code[off:], addr+uint64(off))
-		if err != nil || inst.Len <= 0 {
-			off++
-			continue
-		}
-		res.Insts = append(res.Insts, inst)
-		off += inst.Len
-	}
-	return res, true
-}
-
 // SelectJumps returns the indices of all jmp/jcc instructions: the
 // paper's application A1 (a control-flow-free analogue of basic-block
 // counting).
-func SelectJumps(insts []x86.Inst) []int {
+func SelectJumps(insts []x86.Loc) []int {
 	var out []int
 	for i := range insts {
-		in := &insts[i]
-		if in.IsJmp() || in.IsJcc() {
+		if in := &insts[i]; in.IsJmp() || in.IsJcc() {
 			out = append(out, i)
 		}
 	}
@@ -110,11 +37,16 @@ func SelectJumps(insts []x86.Inst) []int {
 
 // SelectHeapWrites returns the indices of all instructions that may
 // write through a heap pointer (memory-destination operands excluding
-// %rsp-based and %rip-relative): the paper's application A2.
-func SelectHeapWrites(insts []x86.Inst) []int {
+// %rsp-based and %rip-relative): the paper's application A2. Only the
+// instructions whose opcode writes its operand at all are decoded.
+func SelectHeapWrites(insts []x86.Loc) []int {
 	var out []int
+	var inst x86.Inst
 	for i := range insts {
-		if insts[i].IsHeapWrite() {
+		if !insts[i].MayWriteMem() {
+			continue
+		}
+		if insts[i].DecodeInto(&inst); inst.IsHeapWrite() {
 			out = append(out, i)
 		}
 	}
@@ -123,7 +55,7 @@ func SelectHeapWrites(insts []x86.Inst) []int {
 
 // SelectAll returns every instruction index (the stress case for the
 // paper's limitation L3).
-func SelectAll(insts []x86.Inst) []int {
+func SelectAll(insts []x86.Loc) []int {
 	out := make([]int, len(insts))
 	for i := range out {
 		out[i] = i

@@ -79,16 +79,17 @@ func Recover(mode Mode, code []byte, addr uint64) (Result, *SupersetStats) {
 }
 
 // RecoverCancel is Recover with sharding and cooperative cancellation,
-// the pipeline's single entry point for instruction recovery. For
-// ModeLinear it is exactly disasm.ParallelCancel — byte-identical to
-// the sequential sweep at every width. For the superset modes the
-// Result carries the pruned survivor set in address order, and
-// BadBytes counts offsets where nothing decodes at all. ok=false
-// reports a cancelled sweep whose partial result must be discarded.
+// the pipeline's single entry point for instruction recovery. Every
+// mode fills the per-offset table (table.go) and emits its universe in
+// address order with one walk over it, identical at every width. For
+// ModeLinear that is the sequential sweep's output; for the superset
+// modes it is the pruned survivor set, and BadBytes counts offsets
+// where nothing decodes at all. ok=false reports a cancelled recovery,
+// which has no result.
 func RecoverCancel(mode Mode, code []byte, addr uint64, width int, pool *work.Pool, cancel <-chan struct{}) (Result, *SupersetStats, bool) {
 	switch mode {
 	case "", ModeLinear:
-		res, ok := ParallelCancel(code, addr, width, pool, cancel)
+		res, ok := recoverLinear(code, addr, width, pool, cancel)
 		return res, nil, ok
 	case ModeSuperset, ModeSupersetCET:
 		sup, ok := SupersetCancel(code, addr, width, pool, cancel)
@@ -103,7 +104,7 @@ func RecoverCancel(mode Mode, code []byte, addr uint64, width int, pool *work.Po
 				return Result{}, nil, false
 			}
 		}
-		insts, ok := sup.Insts(cet, cancel)
+		insts, ok := sup.survivors(cet, width, pool, cancel)
 		if !ok {
 			return Result{}, nil, false
 		}

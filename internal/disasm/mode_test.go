@@ -192,7 +192,7 @@ func TestSupersetContainsLinearAllProfiles(t *testing.T) {
 			code, addr = code[skip:], addr+skip
 			lin := Linear(code, addr)
 			sup, _, _ := RecoverCancel(ModeSuperset, code, addr, 4, nil, nil)
-			lenAt := make(map[uint64]int, len(sup.Insts))
+			lenAt := make(map[uint64]uint8, len(sup.Insts))
 			for i := range sup.Insts {
 				lenAt[sup.Insts[i].Addr] = sup.Insts[i].Len
 			}

@@ -217,7 +217,7 @@ func FuzzSupersetPrune(f *testing.F) {
 			if i > 0 && vi[i].Addr <= vi[i-1].Addr {
 				t.Fatal("Insts out of order")
 			}
-			if off := int(vi[i].Addr - addr); vi[i].Len != sup.LenAt(off) || !sup.ValidAt(off) {
+			if off := int(vi[i].Addr - addr); int(vi[i].Len) != sup.LenAt(off) || !sup.ValidAt(off) {
 				t.Fatalf("Insts[%d] disagrees with the table at offset %d", i, off)
 			}
 		}

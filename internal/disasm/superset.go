@@ -21,11 +21,10 @@ import (
 // prunes most of the byte-misaligned junk while keeping every true
 // instruction (a superset of the real disassembly by construction).
 //
-// The patcher needs locations and sizes only, so the universe is a
-// per-offset table — one length byte and one flag byte per section
-// byte — and not an x86.Inst per decodable offset: the refinement and
-// the CET closure (cet.go) run over the two arrays, and full
-// instructions are decoded again only at the offsets that survive.
+// The sweep fills the per-offset table (table.go) and one flag byte per
+// section byte beside it: the refinement and the CET closure (cet.go)
+// run over the two arrays, and the offsets that survive become the
+// universe.
 
 // Per-offset flags. The first six describe the decode and are written
 // by the sweep; the last two are the results of the refinement and of
@@ -44,37 +43,24 @@ const (
 // SupersetResult is the outcome of superset disassembly: the
 // per-offset table and what the refinement concluded about it.
 type SupersetResult struct {
-	code []byte
-	// addr is the section load address the sweep ran at.
-	addr uint64
-	// lens[off] is the length of the instruction that decodes at
+	// table.lens[off] is the length of the instruction that decodes at
 	// section offset off, 0 when nothing does.
-	lens []uint8
+	table
 	// flags[off] holds the flag* bits of offset off. A span-end
 	// truncated offset (flagTruncated) is treated by the refinement as
 	// unknown-but-acceptable — the same way Linear simply skips the
 	// trailing bytes — so a truncated final instruction never poisons
 	// the genuine chain leading up to it.
 	flags []uint8
-	// decoded, valid and kept count the offsets that decode, those that
-	// also survive the refinement, and those CETPrune kept.
-	decoded, valid, kept int
+	// decoded and valid count the offsets that decode and those that
+	// also survive the refinement.
+	decoded, valid int
 }
 
 // Superset decodes at every offset of code (loaded at addr).
 func Superset(code []byte, addr uint64) *SupersetResult {
 	res, _ := SupersetCancel(code, addr, 1, nil, nil)
 	return res
-}
-
-// stopped reports whether cancel is closed; a nil cancel never is.
-func stopped(cancel <-chan struct{}) bool {
-	select {
-	case <-cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 // SupersetCancel is Superset with a sharded decode sweep and
@@ -87,29 +73,18 @@ func stopped(cancel <-chan struct{}) bool {
 // after the sweep.
 func SupersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel <-chan struct{}) (*SupersetResult, bool) {
 	res := &SupersetResult{
-		code:  code,
-		addr:  addr,
-		lens:  make([]uint8, len(code)),
+		table: table{code: code, addr: addr, lens: make([]uint8, len(code))},
 		flags: make([]uint8, len(code)),
 	}
 
-	nsh := len(code) / minShardBytes
-	if nsh > width {
-		if most := width * 4; nsh > most {
-			nsh = most
-		}
-	}
-	if width <= 1 || nsh <= 1 {
-		nsh = 1
-	}
-	shardLo := func(i int) int { return i * len(code) / nsh }
-	var aborted int32
-	work.ForEach(pool, width, nsh, func(i int) {
-		lo, hi := shardLo(i), shardLo(i+1)
+	sh := shardsFor(len(code), width)
+	var aborted atomic.Bool
+	work.ForEach(pool, width, sh.count, func(i int) {
+		lo, hi := sh.lo(i), sh.lo(i+1)
 		var inst x86.Inst
 		for off := lo; off < hi; off++ {
 			if (off-lo)&(cancelStride-1) == 0 && stopped(cancel) {
-				atomic.StoreInt32(&aborted, 1)
+				aborted.Store(true)
 				return
 			}
 			// Disjoint offset ranges: no write races on the table.
@@ -123,7 +98,7 @@ func SupersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel
 			res.flags[off] = shapeFlags(&inst)
 		}
 	})
-	if atomic.LoadInt32(&aborted) != 0 || !res.refine(cancel) {
+	if aborted.Load() || !res.refine(cancel) {
 		return nil, false
 	}
 	return res, true
@@ -312,27 +287,23 @@ func (r *SupersetResult) Count() (decoded, valid int) { return r.decoded, r.vali
 // all (the superset analogue of Linear's BadBytes).
 func (r *SupersetResult) BadOffsets() int { return len(r.lens) - r.decoded }
 
-// Insts decodes the surviving instructions — CETPrune's kept set, or
-// with kept=false the refinement's valid set — in address order, into
-// one exactly sized slice. It reports false when cancel closed first.
-func (r *SupersetResult) Insts(kept bool, cancel <-chan struct{}) ([]x86.Inst, bool) {
-	n := r.valid
+// Insts returns the surviving instructions — CETPrune's kept set, or
+// with kept=false the refinement's valid set — in address order. It
+// reports false when cancel closed first.
+func (r *SupersetResult) Insts(kept bool, cancel <-chan struct{}) ([]x86.Loc, bool) {
+	return r.survivors(kept, 1, nil, cancel)
+}
+
+// survivors is Insts sharded over width workers.
+func (r *SupersetResult) survivors(kept bool, width int, pool *work.Pool, cancel <-chan struct{}) ([]x86.Loc, bool) {
+	// A kept offset is valid and a valid offset decodes, so one flag
+	// test picks either set.
+	mask, want := flagInvalid, uint8(0)
 	if kept {
-		n = r.kept
+		mask, want = flagKept, flagKept
 	}
-	out := make([]x86.Inst, n)
-	i := 0
-	for off := range r.lens {
-		if off&(cancelStride-1) == 0 && stopped(cancel) {
-			return nil, false
-		}
-		if r.in(off, kept) {
-			// The sweep decoded these very bytes: it cannot fail.
-			_ = x86.DecodeInto(&out[i], r.code[off:], r.addr+uint64(off))
-			i++
-		}
-	}
-	return out, true
+	locs, _, ok := r.universe(r.flags, mask, want, width, pool, cancel)
+	return locs, ok
 }
 
 // Occupancy returns, for every section byte, how many of the surviving

@@ -39,7 +39,7 @@ func TestSupersetContainsLinear(t *testing.T) {
 	sup := Superset(code, 0x401000)
 
 	for _, in := range lin.Insts {
-		if off := int(in.Addr - 0x401000); !sup.ValidAt(off) || sup.LenAt(off) != in.Len {
+		if off := int(in.Addr - 0x401000); !sup.ValidAt(off) || sup.LenAt(off) != int(in.Len) {
 			t.Errorf("linear instruction at %#x pruned by superset refinement", in.Addr)
 		}
 	}

@@ -68,7 +68,7 @@ func TestSupersetPhasesPollCancel(t *testing.T) {
 		t.Fatal("sweep ignored a closed cancel")
 	}
 	sup := Superset(code, 0x401000)
-	fresh := &SupersetResult{code: code, addr: 0x401000, lens: sup.lens, flags: append([]uint8(nil), sup.flags...)}
+	fresh := &SupersetResult{table: sup.table, flags: append([]uint8(nil), sup.flags...)}
 	if fresh.refine(closed) {
 		t.Error("refinement ignored a closed cancel")
 	}
@@ -266,7 +266,7 @@ func TestSupersetTableWidthDeterminism(t *testing.T) {
 		}
 		got.CETPrune(nil)
 		if !bytes.Equal(got.lens, want.lens) || !bytes.Equal(got.flags, want.flags) ||
-			got.decoded != want.decoded || got.valid != want.valid || got.kept != want.kept {
+			got.decoded != want.decoded || got.valid != want.valid {
 			t.Fatalf("width %d: table differs from the sequential sweep", width)
 		}
 	}

@@ -46,7 +46,7 @@ type MatchLangBench struct {
 // have no hand-written counterpart).
 var matchLangCases = []struct {
 	name, expr string
-	hard       func([]x86.Inst) []int
+	hard       func([]x86.Loc) []int
 }{
 	{"A1", "jump | jcc", e9patch.SelectJumps},
 	{"A1-sugar", "branch", e9patch.SelectJumps},
@@ -82,7 +82,7 @@ func MeasureMatchLang(opt Options, progress io.Writer) (*MatchLangBench, error) 
 	}
 
 	const reps = 3
-	bestNs := func(sel func([]x86.Inst) []int) float64 {
+	bestNs := func(sel func([]x86.Loc) []int) float64 {
 		best := 0.0
 		for i := 0; i < reps; i++ {
 			start := time.Now()

@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strings"
 
+	"e9patch/internal/match"
 	"e9patch/internal/x86"
 )
 
@@ -56,7 +57,7 @@ type Term struct {
 	At   Pos
 	Name string
 
-	fn func(*x86.Inst) bool // bound by the typechecker
+	fn func(*match.View) bool // bound by the typechecker
 }
 
 // Rel is an attribute comparison ("addr>=0x1000", `asm="mov.*"`).
@@ -68,9 +69,9 @@ type Rel struct {
 
 	// Typechecker annotations: exactly one accessor is set, matching
 	// the attribute's kind.
-	intFn func(*x86.Inst) uint64
-	strFn func(*x86.Inst) string
-	regFn func(*x86.Inst) x86.Reg
+	intFn func(*match.View) uint64
+	strFn func(*match.View) string
+	regFn func(*match.View) x86.Reg
 	re    *regexp.Regexp // compiled anchored regex for asm=
 	reg   x86.Reg        // resolved register for base=/index=
 }

@@ -17,7 +17,7 @@ import (
 // The caller copies these into an e9patch.Config.
 type BuildResult struct {
 	// Select is the compiled, shardable patch-location selector.
-	Select func(insts []x86.Inst) []int
+	Select func(insts []x86.Loc) []int
 	// Template is the trampoline template for the patch directive.
 	Template trampoline.Template
 	// Inject are the payload ELF's loadable segments, in runtime

@@ -6,57 +6,66 @@ import (
 	"strings"
 
 	"e9patch/internal/e9err"
+	"e9patch/internal/match"
 	"e9patch/internal/x86"
 )
 
 // Attribute tables. Every accessor is a pure function of the single
 // instruction it is handed — the property that makes compiled
-// selectors shard-safe (see compile.go).
+// selectors shard-safe (see compile.go). An accessor over the class,
+// the length or the address reads the universe record; one over the
+// opcode or an operand goes through full, which decodes the
+// instruction the first time the view is asked.
 
-var boolTerms = map[string]func(*x86.Inst) bool{
-	"true":      func(*x86.Inst) bool { return true },
-	"false":     func(*x86.Inst) bool { return false },
-	"jump":      (*x86.Inst).IsJmp,
-	"jcc":       (*x86.Inst).IsJcc,
-	"branch":    func(i *x86.Inst) bool { return i.IsJmp() || i.IsJcc() },
-	"call":      (*x86.Inst).IsCall,
-	"ret":       (*x86.Inst).IsRet,
-	"indirect":  func(i *x86.Inst) bool { return (i.IsJmp() || i.IsCall()) && i.RelSize == 0 },
-	"direct":    func(i *x86.Inst) bool { return i.RelSize != 0 },
-	"memwrite":  (*x86.Inst).WritesMem,
-	"heapwrite": (*x86.Inst).IsHeapWrite,
-	"riprel":    func(i *x86.Inst) bool { return i.RIPRel },
-	"mem":       (*x86.Inst).HasMem,
-	"short":     func(i *x86.Inst) bool { return i.Len < 5 },
-	"twobyte":   func(i *x86.Inst) bool { return i.TwoByte },
+// full lifts an accessor over the decoded instruction to the view.
+func full[T any](fn func(*x86.Inst) T) func(*match.View) T {
+	return func(v *match.View) T { return fn(v.Inst()) }
 }
 
-var intAttrs = map[string]func(*x86.Inst) uint64{
-	"addr": func(i *x86.Inst) uint64 { return i.Addr },
-	"len":  func(i *x86.Inst) uint64 { return uint64(i.Len) },
-	"size": func(i *x86.Inst) uint64 { return uint64(i.Len) },
-	"op":   func(i *x86.Inst) uint64 { return uint64(i.Opcode) },
-	"target": func(i *x86.Inst) uint64 {
-		if i.RelSize == 0 {
+var boolTerms = map[string]func(*match.View) bool{
+	"true":      func(*match.View) bool { return true },
+	"false":     func(*match.View) bool { return false },
+	"jump":      func(v *match.View) bool { return v.IsJmp() },
+	"jcc":       func(v *match.View) bool { return v.IsJcc() },
+	"branch":    func(v *match.View) bool { return v.IsJmp() || v.IsJcc() },
+	"call":      func(v *match.View) bool { return v.IsCall() },
+	"ret":       func(v *match.View) bool { return v.IsRet() },
+	"indirect":  func(v *match.View) bool { return (v.IsJmp() || v.IsCall()) && v.RelSize() == 0 },
+	"direct":    func(v *match.View) bool { return v.RelSize() != 0 },
+	"memwrite":  func(v *match.View) bool { return v.MayWriteMem() && v.Inst().WritesMem() },
+	"heapwrite": func(v *match.View) bool { return v.MayWriteMem() && v.Inst().IsHeapWrite() },
+	"riprel":    full(func(i *x86.Inst) bool { return i.RIPRel }),
+	"mem":       full((*x86.Inst).HasMem),
+	"short":     func(v *match.View) bool { return v.Len < 5 },
+	"twobyte":   full(func(i *x86.Inst) bool { return i.TwoByte }),
+}
+
+var intAttrs = map[string]func(*match.View) uint64{
+	"addr": func(v *match.View) uint64 { return v.Addr },
+	"len":  func(v *match.View) uint64 { return uint64(v.Len) },
+	"size": func(v *match.View) uint64 { return uint64(v.Len) },
+	"op":   full(func(i *x86.Inst) uint64 { return uint64(i.Opcode) }),
+	"target": func(v *match.View) uint64 {
+		if v.RelSize() == 0 {
 			return 0
 		}
-		return i.Target()
+		return v.Inst().Target()
 	},
 	// imm and disp compare as the unsigned two's-complement image of
 	// the sign-extended operand.
-	"imm":   func(i *x86.Inst) uint64 { return uint64(i.Imm()) },
-	"disp":  func(i *x86.Inst) uint64 { return uint64(i.Disp()) },
-	"width": func(i *x86.Inst) uint64 { return uint64(i.OpWidth()) },
+	"imm":   full(func(i *x86.Inst) uint64 { return uint64(i.Imm()) }),
+	"disp":  full(func(i *x86.Inst) uint64 { return uint64(i.Disp()) }),
+	"width": full(func(i *x86.Inst) uint64 { return uint64(i.OpWidth()) }),
 }
 
-var strAttrs = map[string]func(*x86.Inst) string{
-	"mnemonic": (*x86.Inst).Mnemonic,
-	"asm":      (*x86.Inst).String,
+var strAttrs = map[string]func(*match.View) string{
+	"mnemonic": full((*x86.Inst).Mnemonic),
+	"asm":      full((*x86.Inst).String),
 }
 
-var regAttrs = map[string]func(*x86.Inst) x86.Reg{
-	"base":  func(i *x86.Inst) x86.Reg { return i.MemBase },
-	"index": func(i *x86.Inst) x86.Reg { return i.MemIndex },
+var regAttrs = map[string]func(*match.View) x86.Reg{
+	"base":  full(func(i *x86.Inst) x86.Reg { return i.MemBase }),
+	"index": full(func(i *x86.Inst) x86.Reg { return i.MemIndex }),
 }
 
 var regByName = func() map[string]x86.Reg {

@@ -25,7 +25,7 @@ type opInfo struct {
 // Program is a compiled match expression.
 type Program struct {
 	src  string
-	eval func(*x86.Inst) bool
+	eval func(*match.View) bool
 	ops  []opInfo
 }
 
@@ -33,7 +33,11 @@ type Program struct {
 func (p *Program) Src() string { return p.src }
 
 // Eval tests one instruction.
-func (p *Program) Eval(i *x86.Inst) bool { return p.eval(i) }
+func (p *Program) Eval(l *x86.Loc) bool {
+	var v match.View
+	v.Reset(l)
+	return p.eval(&v)
+}
 
 // Predicate adapts the program to the match package's predicate type.
 func (p *Program) Predicate() match.Predicate { return p.eval }
@@ -41,7 +45,7 @@ func (p *Program) Predicate() match.Predicate { return p.eval }
 // Selector compiles the program into a patch-location selector
 // registered as match.Shardable (every op is pure, audited by
 // ShardSafe).
-func (p *Program) Selector() func(insts []x86.Inst) []int {
+func (p *Program) Selector() func(insts []x86.Loc) []int {
 	return match.Select(p.Predicate())
 }
 
@@ -76,7 +80,7 @@ func (p *Program) Disasm() string {
 }
 
 // lower compiles one checked node, appending its postfix ops.
-func lower(n Node, ops *[]opInfo) func(*x86.Inst) bool {
+func lower(n Node, ops *[]opInfo) func(*match.View) bool {
 	switch n := n.(type) {
 	case *Term:
 		fn := n.fn
@@ -94,71 +98,71 @@ func lower(n Node, ops *[]opInfo) func(*x86.Inst) bool {
 	case *Not:
 		x := lower(n.X, ops)
 		*ops = append(*ops, opInfo{name: "not", pure: true})
-		return func(i *x86.Inst) bool { return !x(i) }
+		return func(i *match.View) bool { return !x(i) }
 
 	case *And:
 		x := lower(n.X, ops)
 		y := lower(n.Y, ops)
 		*ops = append(*ops, opInfo{name: "and", pure: true})
-		return func(i *x86.Inst) bool { return x(i) && y(i) }
+		return func(i *match.View) bool { return x(i) && y(i) }
 
 	case *Or:
 		x := lower(n.X, ops)
 		y := lower(n.Y, ops)
 		*ops = append(*ops, opInfo{name: "or", pure: true})
-		return func(i *x86.Inst) bool { return x(i) || y(i) }
+		return func(i *match.View) bool { return x(i) || y(i) }
 	}
 	panic("lang: lower: unchecked node")
 }
 
-func lowerRel(n *Rel) func(*x86.Inst) bool {
+func lowerRel(n *Rel) func(*match.View) bool {
 	switch {
 	case n.intFn != nil:
 		fn := n.intFn
 		if n.Val.Kind == ValRange {
 			lo, hi := n.Val.Int, n.Val.Hi
-			in := func(i *x86.Inst) bool { v := fn(i); return lo <= v && v < hi }
+			in := func(i *match.View) bool { v := fn(i); return lo <= v && v < hi }
 			if n.Op == "!=" {
-				return func(i *x86.Inst) bool { return !in(i) }
+				return func(i *match.View) bool { return !in(i) }
 			}
 			return in
 		}
 		v := n.Val.Int
 		switch n.Op {
 		case "=":
-			return func(i *x86.Inst) bool { return fn(i) == v }
+			return func(i *match.View) bool { return fn(i) == v }
 		case "!=":
-			return func(i *x86.Inst) bool { return fn(i) != v }
+			return func(i *match.View) bool { return fn(i) != v }
 		case "<":
-			return func(i *x86.Inst) bool { return fn(i) < v }
+			return func(i *match.View) bool { return fn(i) < v }
 		case ">":
-			return func(i *x86.Inst) bool { return fn(i) > v }
+			return func(i *match.View) bool { return fn(i) > v }
 		case "<=":
-			return func(i *x86.Inst) bool { return fn(i) <= v }
+			return func(i *match.View) bool { return fn(i) <= v }
 		case ">=":
-			return func(i *x86.Inst) bool { return fn(i) >= v }
+			return func(i *match.View) bool { return fn(i) >= v }
 		}
 
 	case n.re != nil:
 		fn, re := n.strFn, n.re
 		if n.Op == "!=" {
-			return func(i *x86.Inst) bool { return !re.MatchString(fn(i)) }
+			return func(i *match.View) bool { return !re.MatchString(fn(i)) }
 		}
-		return func(i *x86.Inst) bool { return re.MatchString(fn(i)) }
+		return func(i *match.View) bool { return re.MatchString(fn(i)) }
 
 	case n.strFn != nil:
 		fn, s := n.strFn, n.Val.Str
 		if n.Op == "!=" {
-			return func(i *x86.Inst) bool { return fn(i) != s }
+			return func(i *match.View) bool { return fn(i) != s }
 		}
-		return func(i *x86.Inst) bool { return fn(i) == s }
+		return func(i *match.View) bool { return fn(i) == s }
 
 	case n.regFn != nil:
 		fn, r := n.regFn, n.reg
 		if n.Op == "!=" {
-			return func(i *x86.Inst) bool { return fn(i) != r }
+			return func(i *match.View) bool { return fn(i) != r }
 		}
-		return func(i *x86.Inst) bool { return fn(i) == r }
+		return func(i *match.View) bool { return fn(i) == r }
 	}
 	panic("lang: lowerRel: unchecked comparison")
 }
@@ -191,7 +195,7 @@ func compose(m *Program, excludes []*Program) *Program {
 	src := m.src
 	for _, ex := range excludes {
 		me, xe := eval, ex.eval
-		eval = func(i *x86.Inst) bool { return me(i) && !xe(i) }
+		eval = func(i *match.View) bool { return me(i) && !xe(i) }
 		ops = append(ops, ex.ops...)
 		ops = append(ops, opInfo{name: "not", pure: true}, opInfo{name: "and", pure: true})
 		src = fmt.Sprintf("(%s) & !(%s)", src, ex.src)

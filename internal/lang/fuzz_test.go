@@ -47,10 +47,11 @@ func FuzzMatchExpr(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	inst, err := x86.Decode(code, 0x1000)
+	full, err := x86.Decode(code, 0x1000)
 	if err != nil {
 		f.Fatal(err)
 	}
+	inst := full.Loc()
 
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := CompileExpr(src)

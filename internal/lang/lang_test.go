@@ -22,7 +22,7 @@ import (
 //	4  jmp r11                  indirect jump
 //	5  call 0x1000              direct call
 //	6  ret
-func testInsts(t *testing.T) []x86.Inst {
+func testInsts(t *testing.T) []x86.Loc {
 	t.Helper()
 	a := x86.NewAsm(0x1000)
 	top := a.NewLabel()
@@ -46,6 +46,14 @@ func testInsts(t *testing.T) []x86.Inst {
 		t.Fatalf("test program decoded to %d instructions, want 7", len(res.Insts))
 	}
 	return res.Insts
+}
+
+// decoded is the full decode of one of testInsts' records: what the
+// hand-written reference predicates and the failure messages read.
+func decoded(l *x86.Loc) *x86.Inst {
+	in := new(x86.Inst)
+	l.DecodeInto(in)
+	return in
 }
 
 // TestEvalAgainstHandPredicates compiles expressions and checks them
@@ -101,9 +109,9 @@ func TestEvalAgainstHandPredicates(t *testing.T) {
 		}
 		got := 0
 		for i := range insts {
-			ev, want := p.Eval(&insts[i]), c.fn(&insts[i])
+			ev, want := p.Eval(&insts[i]), c.fn(decoded(&insts[i]))
 			if ev != want {
-				t.Errorf("%q on %s: eval=%t hand=%t", c.expr, insts[i].String(), ev, want)
+				t.Errorf("%q on %s: eval=%t hand=%t", c.expr, decoded(&insts[i]), ev, want)
 			}
 			if ev {
 				got++
@@ -222,7 +230,7 @@ func TestSpecExcludeComposition(t *testing.T) {
 	for i := range insts {
 		if sp.Program().Eval(&insts[i]) {
 			if !insts[i].IsJmp() || insts[i].IsJcc() {
-				t.Errorf("effective program matched %s", insts[i].String())
+				t.Errorf("effective program matched %s", decoded(&insts[i]))
 			}
 			got++
 		}
@@ -241,7 +249,7 @@ func TestSpecExcludeComposition(t *testing.T) {
 	}
 	for i := range insts {
 		if sp2.Program().Eval(&insts[i]) {
-			t.Errorf("doubly excluded program matched %s", insts[i].String())
+			t.Errorf("doubly excluded program matched %s", decoded(&insts[i]))
 		}
 	}
 }

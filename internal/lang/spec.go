@@ -166,7 +166,7 @@ func (s *Spec) Program() *Program { return s.prog }
 
 // Selector returns a patch-location selector for the effective
 // program, registered match.Shardable.
-func (s *Spec) Selector() func(insts []x86.Inst) []int { return s.prog.Selector() }
+func (s *Spec) Selector() func(insts []x86.Loc) []int { return s.prog.Selector() }
 
 // Dump renders the whole spec: per-directive typed ASTs plus the
 // compiled selector's shardability — the e9dump -spec output.

@@ -42,8 +42,32 @@ import (
 	"e9patch/internal/x86"
 )
 
-// Predicate tests one decoded instruction.
-type Predicate func(inst *x86.Inst) bool
+// View is the instruction a predicate is testing: its universe record,
+// and the full decode the first time a term asks for one. Terms over
+// the class, the length and the address (jump, call, short, len>=5,
+// addr=…) read the record and never decode; terms over the opcode or
+// an operand (heapwrite, riprel, op=, mnemonic=) decode that one
+// instruction.
+type View struct {
+	x86.Loc
+	inst    x86.Inst
+	decoded bool
+}
+
+// Reset points the view at another instruction.
+func (v *View) Reset(l *x86.Loc) { v.Loc, v.decoded = *l, false }
+
+// Inst returns the full decode of the instruction under test.
+func (v *View) Inst() *x86.Inst {
+	if !v.decoded {
+		v.Loc.DecodeInto(&v.inst)
+		v.decoded = true
+	}
+	return &v.inst
+}
+
+// Predicate tests one instruction.
+type Predicate func(v *View) bool
 
 // Compile parses a matcher expression.
 func Compile(expr string) (Predicate, error) {
@@ -64,11 +88,12 @@ func Compile(expr string) (Predicate, error) {
 // shard-safe for parallel matching (predicates compiled from matcher
 // expressions are pure by construction; callers passing hand-written
 // predicates must keep them stateless too).
-func Select(pred Predicate) func(insts []x86.Inst) []int {
-	sel := func(insts []x86.Inst) []int {
+func Select(pred Predicate) func(insts []x86.Loc) []int {
+	sel := func(insts []x86.Loc) []int {
 		var out []int
+		var v View
 		for i := range insts {
-			if pred(&insts[i]) {
+			if v.Reset(&insts[i]); pred(&v) {
 				out = append(out, i)
 			}
 		}
@@ -143,7 +168,7 @@ func (p *parser) parseOr() (Predicate, error) {
 			return nil, err
 		}
 		l, r := left, right
-		left = func(in *x86.Inst) bool { return l(in) || r(in) }
+		left = func(v *View) bool { return l(v) || r(v) }
 	}
 	return left, nil
 }
@@ -164,7 +189,7 @@ func (p *parser) parseAnd() (Predicate, error) {
 			return nil, err
 		}
 		l, r := left, right
-		left = func(in *x86.Inst) bool { return l(in) && r(in) }
+		left = func(v *View) bool { return l(v) && r(v) }
 	}
 }
 
@@ -176,7 +201,7 @@ func (p *parser) parseUnary() (Predicate, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(in *x86.Inst) bool { return !inner(in) }, nil
+		return func(v *View) bool { return !inner(v) }, nil
 	case tokLParen:
 		p.next()
 		inner, err := p.parseOr()
@@ -205,48 +230,48 @@ func compileTerm(lit string) (Predicate, error) {
 	}
 	switch lit {
 	case "true":
-		return func(*x86.Inst) bool { return true }, nil
+		return func(*View) bool { return true }, nil
 	case "false":
-		return func(*x86.Inst) bool { return false }, nil
+		return func(*View) bool { return false }, nil
 	case "jump":
-		return func(in *x86.Inst) bool { return in.IsJmp() }, nil
+		return func(v *View) bool { return v.IsJmp() }, nil
 	case "jcc":
-		return func(in *x86.Inst) bool { return in.IsJcc() }, nil
+		return func(v *View) bool { return v.IsJcc() }, nil
 	case "branch":
-		return func(in *x86.Inst) bool { return in.IsJmp() || in.IsJcc() }, nil
+		return func(v *View) bool { return v.IsJmp() || v.IsJcc() }, nil
 	case "call":
-		return func(in *x86.Inst) bool { return in.IsCall() }, nil
+		return func(v *View) bool { return v.IsCall() }, nil
 	case "ret":
-		return func(in *x86.Inst) bool { return in.IsRet() }, nil
+		return func(v *View) bool { return v.IsRet() }, nil
 	case "indirect":
-		return func(in *x86.Inst) bool {
-			return (in.IsJmp() || in.IsCall()) && in.RelSize == 0
+		return func(v *View) bool {
+			return (v.IsJmp() || v.IsCall()) && v.RelSize() == 0
 		}, nil
 	case "memwrite":
-		return func(in *x86.Inst) bool { return in.WritesMem() }, nil
+		return func(v *View) bool { return v.MayWriteMem() && v.Inst().WritesMem() }, nil
 	case "heapwrite":
-		return func(in *x86.Inst) bool { return in.IsHeapWrite() }, nil
+		return func(v *View) bool { return v.MayWriteMem() && v.Inst().IsHeapWrite() }, nil
 	case "riprel":
-		return func(in *x86.Inst) bool { return in.RIPRel }, nil
+		return func(v *View) bool { return v.Inst().RIPRel }, nil
 	case "short":
-		return func(in *x86.Inst) bool { return in.Len < 5 }, nil
+		return func(v *View) bool { return v.Len < 5 }, nil
 	}
 	return nil, fmt.Errorf("match: unknown term %q", lit)
 }
 
 func compileRel(name, op, val string) (Predicate, error) {
-	cmpU := func(get func(*x86.Inst) uint64, want uint64) Predicate {
+	cmpU := func(get func(*View) uint64, want uint64) Predicate {
 		switch op {
 		case "=":
-			return func(in *x86.Inst) bool { return get(in) == want }
+			return func(v *View) bool { return get(v) == want }
 		case "<":
-			return func(in *x86.Inst) bool { return get(in) < want }
+			return func(v *View) bool { return get(v) < want }
 		case ">":
-			return func(in *x86.Inst) bool { return get(in) > want }
+			return func(v *View) bool { return get(v) > want }
 		case "<=":
-			return func(in *x86.Inst) bool { return get(in) <= want }
+			return func(v *View) bool { return get(v) <= want }
 		default: // ">="
-			return func(in *x86.Inst) bool { return get(in) >= want }
+			return func(v *View) bool { return get(v) >= want }
 		}
 	}
 	switch name {
@@ -255,13 +280,13 @@ func compileRel(name, op, val string) (Predicate, error) {
 		if err != nil {
 			return nil, fmt.Errorf("match: bad length %q", val)
 		}
-		return cmpU(func(in *x86.Inst) uint64 { return uint64(in.Len) }, n), nil
+		return cmpU(func(v *View) uint64 { return uint64(v.Len) }, n), nil
 	case "addr":
 		n, err := strconv.ParseUint(val, 0, 64)
 		if err != nil {
 			return nil, fmt.Errorf("match: bad address %q", val)
 		}
-		return cmpU(func(in *x86.Inst) uint64 { return in.Addr }, n), nil
+		return cmpU(func(v *View) uint64 { return v.Addr }, n), nil
 	case "op":
 		n, err := strconv.ParseUint(val, 0, 8)
 		if err != nil {
@@ -270,12 +295,12 @@ func compileRel(name, op, val string) (Predicate, error) {
 		if op != "=" {
 			return nil, fmt.Errorf("match: op only supports '='")
 		}
-		return func(in *x86.Inst) bool { return !in.TwoByte && uint64(in.Opcode) == n }, nil
+		return func(v *View) bool { in := v.Inst(); return !in.TwoByte && uint64(in.Opcode) == n }, nil
 	case "mnemonic":
 		if op != "=" {
 			return nil, fmt.Errorf("match: mnemonic only supports '='")
 		}
-		return func(in *x86.Inst) bool { return in.Mnemonic() == val }, nil
+		return func(v *View) bool { return v.Inst().Mnemonic() == val }, nil
 	}
 	return nil, fmt.Errorf("match: unknown field %q", name)
 }

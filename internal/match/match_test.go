@@ -7,7 +7,7 @@ import (
 	"e9patch/internal/x86"
 )
 
-func program(t *testing.T) []x86.Inst {
+func program(t *testing.T) []x86.Loc {
 	t.Helper()
 	a := x86.NewAsm(0x401000)
 	top := a.NewLabel()
@@ -29,7 +29,7 @@ func program(t *testing.T) []x86.Inst {
 	return disasm.Linear(code, 0x401000).Insts
 }
 
-func count(t *testing.T, insts []x86.Inst, expr string) int {
+func count(t *testing.T, insts []x86.Loc, expr string) int {
 	t.Helper()
 	pred, err := Compile(expr)
 	if err != nil {

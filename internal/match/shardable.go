@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Shardable-selector registry. A selector over []x86.Inst can be
+// Shardable-selector registry. A selector over []x86.Loc can be
 // evaluated shard-by-shard (each worker running it on a subslice and
 // offsetting the returned indices) only if its decision for
 // instruction i depends on insts[i] alone — no neighbour inspection,

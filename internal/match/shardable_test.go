@@ -22,7 +22,7 @@ func TestSelectClosuresAreShardable(t *testing.T) {
 }
 
 func TestUnknownSelectorNotShardable(t *testing.T) {
-	stateful := func(insts []x86.Inst) []int { return nil }
+	stateful := func(insts []x86.Loc) []int { return nil }
 	if Shardable(stateful) {
 		t.Error("unregistered selector reported shardable")
 	}

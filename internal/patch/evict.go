@@ -20,10 +20,11 @@ func (r *Rewriter) trySuccessorEviction(inst *x86.Inst) bool {
 	if !ok {
 		return false
 	}
-	succ := &r.insts[sIdx]
-	if !r.inText(succ.Addr, succ.Len) || r.anyLocked(succ.Addr, succ.Len) {
+	if s := &r.insts[sIdx]; !r.inText(s.Addr, int(s.Len)) || r.anyLocked(s.Addr, int(s.Len)) {
 		return false
 	}
+	succ := &r.victim
+	r.insts[sIdx].DecodeInto(succ)
 	evSize, err := r.opts.EvictionTemplate.Size(succ)
 	if err != nil {
 		return false
@@ -178,10 +179,11 @@ func (r *Rewriter) tryNeighbourEviction(inst *x86.Inst) bool {
 				continue
 			}
 			j := int(jPatchAddr - v.Addr)
-			if j < 1 || j > v.Len-1 || v.Addr < inst.Addr+2 {
+			if j < 1 || j > int(v.Len)-1 || v.Addr < inst.Addr+2 {
 				return false
 			}
-			return r.tryT3Victim(inst, v, j, patchSize, true)
+			v.DecodeInto(&r.victim)
+			return r.tryT3Victim(inst, &r.victim, j, patchSize, true)
 		}
 		return false
 	}
@@ -194,16 +196,17 @@ func (r *Rewriter) tryNeighbourEviction(inst *x86.Inst) bool {
 		if v.Addr+1 > maxAddr {
 			break
 		}
-		if v.Len < 2 || !r.inText(v.Addr, v.Len) || r.anyLocked(v.Addr, v.Len) {
+		if v.Len < 2 || !r.inText(v.Addr, int(v.Len)) || r.anyLocked(v.Addr, int(v.Len)) {
 			continue
 		}
-		for j := v.Len - 1; j >= 1; j-- {
+		v.DecodeInto(&r.victim)
+		for j := int(v.Len) - 1; j >= 1; j-- {
 			jPatchAddr := v.Addr + uint64(j)
 			rel := int64(jPatchAddr) - int64(inst.Addr) - 2
 			if rel < 1 || rel > 127 {
 				continue
 			}
-			if r.tryT3Victim(inst, v, j, patchSize, false) {
+			if r.tryT3Victim(inst, &r.victim, j, patchSize, false) {
 				return true
 			}
 		}

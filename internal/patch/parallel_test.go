@@ -52,7 +52,7 @@ func clusteredProgram(nblocks, sled int) func(a *x86.Asm) {
 
 // descending returns sel sorted by address high-to-low, the order
 // decompose expects.
-func descending(insts []x86.Inst, sel []int) []int {
+func descending(insts []x86.Loc, sel []int) []int {
 	order := append([]int(nil), sel...)
 	sort.Slice(order, func(a, b int) bool {
 		return insts[order[a]].Addr > insts[order[b]].Addr

@@ -174,10 +174,16 @@ func (s *Stats) SuccPercent() float64 { return s.Percent(s.Patched()) }
 type Rewriter struct {
 	code     []byte
 	textAddr uint64
-	insts    []x86.Inst
+	insts    []x86.Loc
 	locked   []bool
 	space    *va.Space
 	opts     Options
+
+	// site and victim are the full decodes of the location inside
+	// patchOne and of the T2/T3 victim it is currently trying to evict:
+	// the only instructions the patcher ever decodes, and only for the
+	// templates. The neighbour scans read the universe records.
+	site, victim x86.Inst
 
 	trampolines []Trampoline
 	results     []LocResult
@@ -215,7 +221,7 @@ type Rewriter struct {
 // (and anything else trampolines may not overlap). poolHint seeds the
 // preferred region for unconstrained trampoline allocation (typically
 // just above the binary's highest loaded address).
-func New(code []byte, textAddr uint64, insts []x86.Inst, space *va.Space, poolHint uint64, opts Options) *Rewriter {
+func New(code []byte, textAddr uint64, insts []x86.Loc, space *va.Space, poolHint uint64, opts Options) *Rewriter {
 	if opts.Template == nil {
 		opts.Template = trampoline.Empty{}
 	}
@@ -257,9 +263,8 @@ func (r *Rewriter) Sites() []plan.Site { return r.sites }
 
 // DiscardPlan turns the per-location plan record off (Sites then
 // returns nil); call it before PatchAll. Consumers that materialize
-// straight from the live rewriter never read the record, and on
-// browser-class inputs the duplicated write and trampoline bytes it
-// holds are a significant fraction of peak memory.
+// straight from the live rewriter never read the record, which holds a
+// second copy of every write and every trampoline's bytes.
 func (r *Rewriter) DiscardPlan() { r.noPlan = true }
 
 // Stats returns aggregate patching statistics.
@@ -274,10 +279,8 @@ func (r *Rewriter) LimitExceeded() bool { return r.limited }
 func (r *Rewriter) off(addr uint64) int { return int(addr - r.textAddr) }
 
 // instAt returns the index of the instruction starting exactly at addr.
-// The linear disassembly is address-ascending, so a binary search
-// serves exact-address lookups without the map[uint64]int it replaced —
-// on browser-class inputs that map cost ~40 bytes of heap per
-// instruction (a gigabyte at 25M instructions) for two lookup sites.
+// The universe is address-ascending, so a binary search serves the two
+// exact-address lookup sites with no index beside it.
 func (r *Rewriter) instAt(addr uint64) (int, bool) {
 	i := sort.Search(len(r.insts), func(i int) bool { return r.insts[i].Addr >= addr })
 	if i < len(r.insts) && r.insts[i].Addr == addr {
@@ -338,7 +341,8 @@ func (r *Rewriter) PatchAll(indices []int) Stats {
 // tactic functions decide; their committed effects are recorded into
 // the site's plan entry by the emit half (emit.go).
 func (r *Rewriter) patchOne(idx int) {
-	inst := &r.insts[idx]
+	inst := &r.site
+	r.insts[idx].DecodeInto(inst)
 	r.stats.Total++
 	r.beginSite(inst.Addr)
 

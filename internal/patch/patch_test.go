@@ -13,7 +13,7 @@ const testTextAddr = 0x401000
 
 // newTestRewriter assembles code at testTextAddr, reserves a non-PIE
 // style layout, and returns a rewriter plus the decoded instructions.
-func newTestRewriter(t *testing.T, build func(a *x86.Asm), opts Options) (*Rewriter, []x86.Inst) {
+func newTestRewriter(t *testing.T, build func(a *x86.Asm), opts Options) (*Rewriter, []x86.Loc) {
 	t.Helper()
 	a := x86.NewAsm(testTextAddr)
 	build(a)
@@ -84,7 +84,9 @@ func TestB1DirectJump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tin.IsJcc() || tin.Target() != insts[0].Target() {
+	var orig x86.Inst
+	insts[0].DecodeInto(&orig)
+	if !tin.IsJcc() || tin.Target() != orig.Target() {
 		t.Error("trampoline does not emulate the displaced jcc")
 	}
 }
@@ -129,7 +131,7 @@ func TestFigure1T1PaddedJump(t *testing.T) {
 		t.Errorf("jump target %#x != trampoline %#x", in.Target(), tr.Addr)
 	}
 	// Ins2..Ins4 bytes beyond the 7-byte jump are unchanged.
-	if !bytes.Equal(r.code[7:], insts[1].Bytes[3:]) {
+	if !bytes.Equal(r.code[7:], insts[1].Bytes()[3:]) {
 		// insts[1] is 4 bytes starting at offset 3; jump covers 0..6.
 	}
 	if r.code[7] != 0x48 || r.code[8] != 0x31 {
@@ -194,7 +196,7 @@ func TestT2SuccessorEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(tin.Bytes, succ.Bytes) {
+	if !bytes.Equal(tin.Bytes, succ.Bytes()) {
 		t.Error("evictee trampoline does not start with the victim")
 	}
 	// And the patch site reaches its own trampoline.
@@ -253,7 +255,7 @@ func TestT3NeighbourEviction(t *testing.T) {
 	var victimLen int
 	for _, in := range insts {
 		if in.Addr == victimAddr {
-			victimLen = in.Len
+			victimLen = int(in.Len)
 		}
 	}
 	if victimLen == 0 {
@@ -322,7 +324,7 @@ func TestFailedLocationUnchanged(t *testing.T) {
 	if stats.Failed != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if !bytes.Equal(r.code[:3], insts[0].Bytes) {
+	if !bytes.Equal(r.code[:3], insts[0].Bytes()) {
 		t.Error("failed location was modified")
 	}
 	if len(r.Trampolines()) != 0 {

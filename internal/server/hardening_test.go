@@ -76,7 +76,7 @@ func TestPanickingSelectorContained(t *testing.T) {
 	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, error) {
 		sel := e9patch.SelectJumps
 		if calls.Add(1) == 1 {
-			sel = func(insts []x86.Inst) []int { panic("selector boom") }
+			sel = func(insts []x86.Loc) []int { panic("selector boom") }
 		}
 		return e9patch.RewriteContext(ctx, bin, e9patch.Config{Select: sel})
 	}

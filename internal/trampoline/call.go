@@ -108,14 +108,14 @@ var ArgRegs = []x86.Reg{x86.RDI, x86.RSI, x86.RDX, x86.RCX, x86.R8, x86.R9}
 // and an allocator that injects extra data into the output binary's
 // address space (returning its load address).
 type Preparer interface {
-	Prepare(insts []x86.Inst, selected []int, alloc func(data []byte) (uint64, error)) error
+	Prepare(insts []x86.Loc, selected []int, alloc func(data []byte) (uint64, error)) error
 }
 
 // Prepare implements Preparer: when any argument is ArgAsm it builds
 // a deduplicated NUL-terminated string table of the selected
 // instructions' renderings, injects it, and records each site's
 // string address. Without ArgAsm arguments it is a no-op.
-func (c *Call) Prepare(insts []x86.Inst, selected []int, alloc func(data []byte) (uint64, error)) error {
+func (c *Call) Prepare(insts []x86.Loc, selected []int, alloc func(data []byte) (uint64, error)) error {
 	needAsm := false
 	for _, a := range c.Args {
 		if a.Kind == ArgAsm {
@@ -129,11 +129,12 @@ func (c *Call) Prepare(insts []x86.Inst, selected []int, alloc func(data []byte)
 	var blob []byte
 	strOff := make(map[string]uint64)
 	tab := make(map[uint64]uint64, len(selected))
+	var in x86.Inst
 	for _, idx := range selected {
 		if idx < 0 || idx >= len(insts) {
 			return fmt.Errorf("trampoline: call prepare: selected index %d out of range", idx)
 		}
-		in := &insts[idx]
+		insts[idx].DecodeInto(&in)
 		s := in.String()
 		off, ok := strOff[s]
 		if !ok {

@@ -47,7 +47,7 @@ type pipelineState struct {
 	textOff  uint64 // file offset of .text
 	textAddr uint64 // link-time .text address
 	text     []byte
-	insts    []x86.Inst
+	insts    []x86.Loc
 	badBytes int
 	width    int
 	mode     disasm.Mode
@@ -112,7 +112,7 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineStat
 
 	// The frontend: sharded instruction recovery under the configured
 	// mode, locations and sizes only. Linear's sharded sweep provably
-	// equals the sequential one (seam repair, see disasm.Parallel) and
+	// equals the sequential one (the stitch, see disasm/linear.go) and
 	// the superset decode is per-offset independent, so shard geometry
 	// is free to follow width in every mode.
 	if err := ctxErr(ctx); err != nil {
@@ -253,7 +253,7 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 // per-instruction pure (match.Shardable); shard results are index-
 // offset and concatenated, which equals the sequential evaluation
 // exactly. Unregistered selectors always run sequentially.
-func parallelSelect(sel Selector, insts []x86.Inst, width int, pool *work.Pool) []int {
+func parallelSelect(sel Selector, insts []x86.Loc, width int, pool *work.Pool) []int {
 	const minShardInsts = 4096
 	nsh := len(insts) / minShardInsts
 	if most := width * 4; nsh > most {
@@ -288,11 +288,11 @@ func parallelSelect(sel Selector, insts []x86.Inst, width int, pool *work.Pool) 
 // The check is selector-agnostic: re-run the selector over a view of
 // the disassembly shifted into the other coordinate system; if it now
 // matches, the input addresses were in the wrong one.
-func diagnoseSelection(sel Selector, insts []x86.Inst, bias uint64) []string {
+func diagnoseSelection(sel Selector, insts []x86.Loc, bias uint64) []string {
 	if len(insts) == 0 {
 		return nil
 	}
-	shifted := make([]x86.Inst, len(insts))
+	shifted := make([]x86.Loc, len(insts))
 	copy(shifted, insts)
 	if bias != 0 {
 		for i := range shifted {

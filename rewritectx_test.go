@@ -40,7 +40,7 @@ func TestRewriteContextCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	sel := func(insts []x86.Inst) []int {
+	sel := func(insts []x86.Loc) []int {
 		cancel() // cancel mid-pipeline, after disasm but before patch
 		return SelectJumps(insts)
 	}
@@ -61,7 +61,7 @@ func TestRewriteContextCancelled(t *testing.T) {
 func TestRewriteContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sel := func(insts []x86.Inst) []int {
+	sel := func(insts []x86.Loc) []int {
 		t.Fatal("selector ran under a pre-cancelled context")
 		return nil
 	}

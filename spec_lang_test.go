@@ -78,7 +78,7 @@ func TestRecipeFilesInSync(t *testing.T) {
 func TestSpecSelectorEquivalence(t *testing.T) {
 	selCases := []struct {
 		name, expr string
-		sel        func([]x86.Inst) []int
+		sel        func([]x86.Loc) []int
 	}{
 		{"a1_jumps", "branch", SelectJumps},
 		{"a2_heapwrites", "heapwrite", SelectHeapWrites},

@@ -88,10 +88,17 @@ func (s *Stream) guard() error {
 }
 
 // add merges newly selected instruction indices into the session,
-// returning how many were new. The patch-site limit is enforced
-// incrementally so a hostile stream fails at the message that crosses
-// the cap instead of after buffering an unbounded selection.
+// returning how many were new. An index outside the universe is the
+// selector's mistake, reported as such with the session unchanged. The
+// patch-site limit is enforced incrementally so a hostile stream fails
+// at the message that crosses the cap instead of after buffering an
+// unbounded selection.
 func (s *Stream) add(idxs []int) (int, error) {
+	for _, i := range idxs {
+		if i < 0 || i >= s.insts {
+			return 0, e9err.Malformed("match", "e9patch: selector returned index %d outside [0, %d)", i, s.insts)
+		}
+	}
 	added := 0
 	for _, i := range idxs {
 		if bit := uint64(1) << (i & 63); s.sel[i>>6]&bit == 0 {
@@ -135,7 +142,8 @@ func (s *Stream) Select(sel Selector) (_ int, err error) {
 // cost is O(k log n) rather than a full instruction sweep; addresses
 // that hit no instruction boundary are silently unmatched, surfacing
 // only through the return count and the empty-selection diagnostics.
-func (s *Stream) SelectAddrs(addrs ...uint64) (int, error) {
+func (s *Stream) SelectAddrs(addrs ...uint64) (_ int, err error) {
+	defer e9err.Recover("stream", &err)
 	if err := s.guard(); err != nil {
 		return 0, err
 	}
@@ -144,14 +152,14 @@ func (s *Stream) SelectAddrs(addrs ...uint64) (int, error) {
 		// Remember the misses so Finish can diagnose the classic
 		// coordinate mix-up if the whole session matched nothing.
 		missed := append([]uint64(nil), addrs...)
-		s.diag = append(s.diag, func(insts []x86.Inst) []int { return indicesAt(insts, missed) })
+		s.diag = append(s.diag, func(insts []x86.Loc) []int { return indicesAt(insts, missed) })
 	}
 	return s.add(idxs)
 }
 
 // indicesAt returns the indices of the instructions that start exactly
 // at addrs, by binary search over the address-ascending disassembly.
-func indicesAt(insts []x86.Inst, addrs []uint64) []int {
+func indicesAt(insts []x86.Loc, addrs []uint64) []int {
 	out := make([]int, 0, len(addrs))
 	for _, a := range addrs {
 		i := sort.Search(len(insts), func(i int) bool { return insts[i].Addr >= a })
@@ -210,11 +218,12 @@ func (s *Stream) decide(ctx context.Context, recordPlan bool) (*patch.Rewriter, 
 //
 // Finish materializes straight from the live rewriter: no per-location
 // record is kept, and once patching has decided everything the
-// disassembly, the selection and the rewriter's decision state are
+// universe, the selection and the rewriter's decision state are
 // released before the output is composed, so the emit-phase peak holds
-// only the patched text, the trampolines and the output image. On
-// browser-class inputs that — plus an mmap'd input staying off the
-// heap — is what bounds a rewrite's peak memory.
+// only the patched text, the trampolines and the output image. The
+// universe is a 24-byte record per instruction and an mmap'd input
+// stays off the heap, so on browser-class inputs the output image is
+// the largest thing a rewrite ever holds.
 func (s *Stream) Finish(ctx context.Context) (_ *Result, err error) {
 	defer e9err.Recover("stream", &err)
 	rw, inject, warnings, err := s.decide(ctx, false)
@@ -230,8 +239,8 @@ func (s *Stream) Finish(ctx context.Context) (_ *Result, err error) {
 		insts: s.insts, badBytes: s.badBytes, mode: st.mode, recovery: st.sstats,
 		warnings: warnings,
 	}
-	// Everything the emit tail needs is in hand: drop the instruction
-	// array, the selection and the rewriter's working copies.
+	// Everything the emit tail needs is in hand: drop the universe, the
+	// selection and the rewriter's working copies.
 	s.st, s.sel, s.diag = nil, nil, nil
 	return emit(in)
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"e9patch/internal/workload"
+	"e9patch/internal/x86"
 )
 
 // TestStreamMatchesRewrite is the streaming differential: a session fed
@@ -160,5 +162,44 @@ func TestConfigErrorsClassified(t *testing.T) {
 	}
 	if _, err := NewStream(ctx, bin, far); !errors.Is(err, ErrUnsupportedBinary) {
 		t.Errorf("NewStream with SkipPrefix past .text: want ErrUnsupportedBinary, got %v", err)
+	}
+}
+
+// TestSelectorIndexOutOfRange: a selector that returns an index outside
+// the universe is the caller's mistake and is reported as one — a
+// classified error naming the index, not a recovered panic — through
+// every way a selector reaches the session, which stays usable.
+func TestSelectorIndexOutOfRange(t *testing.T) {
+	ctx := context.Background()
+	bin := planCorpus(t)[0].bin
+	s, err := NewStream(ctx, bin, Config{ReserveVA: workload.ReserveVA()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{-1, s.Insts(), s.Insts() + 64, 1 << 40} {
+		sel := func([]x86.Loc) []int { return []int{0, idx} }
+		check := func(via string, err error) {
+			t.Helper()
+			var ee *Error
+			if !errors.As(err, &ee) || !errors.Is(err, ErrMalformedBinary) || ee.Recovered() ||
+				!strings.Contains(err.Error(), fmt.Sprintf("index %d outside [0, %d)", idx, s.Insts())) {
+				t.Errorf("%s, index %d: error %v, want a malformed-selection error naming the index", via, idx, err)
+			}
+		}
+		_, err := Rewrite(bin, Config{Select: sel, ReserveVA: workload.ReserveVA()})
+		check("Rewrite", err)
+		_, err = Plan(bin, Config{Select: sel, ReserveVA: workload.ReserveVA()})
+		check("Plan", err)
+		_, err = s.Select(sel)
+		check("Stream.Select", err)
+		if s.Selected() != 0 {
+			t.Fatalf("a rejected selection left %d sites in the session", s.Selected())
+		}
+	}
+	if n, err := s.Select(SelectJumps); err != nil || n == 0 {
+		t.Fatalf("Select after rejected selections: %d, %v", n, err)
+	}
+	if _, err := s.Finish(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
