@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race difftest enginecheck plancheck speccheck rpccheck disasmcheck bench bench-json bench-parallel bench-plancache bench-match bench-disasm bench-cluster servertest clustercheck fuzzshort fuzzhostile ci
+.PHONY: all build fmt vet test race difftest enginecheck plancheck speccheck rpccheck disasmcheck bench benchcheck servertest clustercheck fuzzshort fuzzhostile ci
 
 all: build test
 
@@ -72,30 +72,15 @@ speccheck:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# bench-json regenerates every machine-readable BENCH_*.json artefact
-# (the perf trajectory): engine throughput, parallel scaling, the
-# plan-cache speedup, the spec-matcher cost and the per-disassembly-mode
-# recovery sweep. (Wall clock and peak RSS on the 120 MB profile are the
-# cli-120mb workload of `go run ./bench`.)
-bench-json: bench-parallel bench-plancache bench-match bench-disasm bench-cluster
-	$(GO) run ./cmd/e9bench -enginespeed -json BENCH_engines.json
-
-# bench-parallel records the rewrite-phase scaling curve (widths 1..8)
-# with the byte-identity check; on a single-core runner the curve is
-# honestly flat and the identity bit is the load-bearing result.
-bench-parallel:
-	$(GO) run ./cmd/e9bench -parallelism 8 -json BENCH_parallel.json
-
-# bench-plancache records how much of a full rewrite a plan-cache hit
-# skips (plan once, apply = rematerialize), with byte-identity checked.
-bench-plancache:
-	$(GO) run ./cmd/e9bench -plancache -json BENCH_plancache.json
-
-# bench-match records the spec-language matcher's per-instruction cost
-# against the hardcoded selectors it subsumes (selection identity is
-# checked before timing; a divergence fails the run).
-bench-match:
-	$(GO) run ./cmd/e9bench -matchlang -json BENCH_match.json
+# benchcheck is the regression gate over the repository's benchmark
+# (`go run ./bench`, BENCHMARK.json): PAIRS alternating runs of every
+# workload on a build of the parent commit and a build of this tree,
+# judged per workload and end-to-end metric against the declared bounds.
+# It takes minutes, so it is not part of ci; a PR that touches a layer
+# carries its table.
+PAIRS ?= 3
+benchcheck:
+	$(GO) run ./cmd/benchcheck $(PAIRS)
 
 # rpccheck verifies the JSON-RPC backend protocol end to end: the
 # golden transcripts in testdata/rpc replayed against the built
@@ -141,13 +126,6 @@ disasmcheck:
 	$(GO) test -run '^FuzzSupersetPrune$$' -fuzz '^FuzzSupersetPrune$$' -fuzztime 5s ./internal/disasm/
 	$(GO) test -run '^FuzzLinearParallel$$' -fuzz '^FuzzLinearParallel$$' -fuzztime 5s ./internal/disasm/
 
-# bench-disasm records the per-mode recovery benchmark: instruction
-# counts (decoded/valid/kept), the CET prune ratio, plan sites and
-# rewrite throughput for each disassembly mode over a paper-era row
-# plus the CET and DSO profiles.
-bench-disasm:
-	$(GO) run ./cmd/e9bench -disasm -json BENCH_disasm.json
-
 # servertest is the e9served smoke test: build the real binary, start
 # it on an ephemeral port, POST a corpus binary, and check the output
 # is byte-identical to a direct e9patch.Rewrite.
@@ -157,7 +135,8 @@ servertest:
 # clustercheck gates the distributed e9served surfaces on an in-process
 # 3-node cluster: consistent-hash forwarding, peer plan-fetch
 # byte-identity, owner-down local fallback, the internal plan endpoint,
-# plan-delta responses (identity and gzip wire coding), /v1/batch
+# plan-delta responses (identity and gzip wire coding, and the egress
+# gate: a gzipped plan is <= 10 % of the full response), /v1/batch
 # validation/quotas/streaming, the chaos batch (one node killed
 # mid-batch over the hostile corpus must finish with zero 5xx), and the
 # trusted-apply contract backing peer rematerialization.
@@ -165,13 +144,6 @@ clustercheck:
 	$(GO) test -run 'TestCluster|TestBatch|TestPlanFetch|TestPlanDelta|TestLastWaiterCancelDuringPeerFetch' -count 1 ./internal/server/
 	$(GO) test -run 'TestApplyTrusted' -count 1 .
 	$(GO) test ./internal/cluster/
-
-# bench-cluster records the distributed wins with their acceptance
-# gates enforced in-run: peer plan-fetch must be >=5x cheaper than a
-# replan (whole-request, byte-identity checked) and plan-delta egress
-# must stay <=10% of the full-binary response on the 120 MB profile.
-bench-cluster:
-	$(GO) run ./cmd/e9bench -cluster -json BENCH_cluster.json
 
 # fuzzshort actually explores the differential fuzzers for a few
 # seconds each (plain `go test` only replays the seed corpus).

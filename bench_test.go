@@ -14,7 +14,9 @@
 package e9patch_test
 
 import (
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"e9patch"
@@ -260,22 +262,34 @@ func BenchmarkLinearDisasm(b *testing.B) {
 	}
 }
 
-// BenchmarkRewrite measures end-to-end rewriting throughput (A2).
+// BenchmarkRewrite measures end-to-end rewriting throughput (A2) at
+// Config.Parallelism 1 and GOMAXPROCS: the two lines are the scaling of
+// the sharded phases on this machine (one sub-benchmark where
+// GOMAXPROCS is 1). TestParallelRewrite holds the bytes identical at
+// every width.
 func BenchmarkRewrite(b *testing.B) {
 	bin := buildBenchBinary(b)
-	b.SetBytes(int64(len(bin)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e9patch.Rewrite(bin, e9patch.Config{
-			Select:    e9patch.SelectHeapWrites,
-			ReserveVA: workload.ReserveVA(),
+	widths := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		widths = append(widths, n)
+	}
+	for _, width := range widths {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			b.SetBytes(int64(len(bin)))
+			for i := 0; i < b.N; i++ {
+				res, err := e9patch.Rewrite(bin, e9patch.Config{
+					Select:      e9patch.SelectHeapWrites,
+					ReserveVA:   workload.ReserveVA(),
+					Parallelism: width,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Stats.Total == 0 {
+					b.Fatal("no patch points")
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Stats.Total == 0 {
-			b.Fatal("no patch points")
-		}
 	}
 }
 
@@ -300,10 +314,12 @@ func BenchmarkPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyPlan measures rematerialization from a cached plan —
-// the plan-cache-hit path of e9served: the plan is made once outside
-// the timer, and each iteration replays it onto the input. Compare
-// with BenchmarkRewrite for the decision-search cost a plan hit skips.
+// BenchmarkApplyPlan measures rematerialization from a plan made once
+// outside the timer. ApplyTrusted is the plan-cache-hit path of
+// e9served (the plan is its own, or a peer's running the same build);
+// Apply is the path for a plan from anywhere else, which first
+// re-derives the instruction universe to check the plan against it.
+// Compare with BenchmarkRewrite for what a plan hit skips.
 func BenchmarkApplyPlan(b *testing.B) {
 	bin := buildBenchBinary(b)
 	p, err := e9patch.Plan(bin, e9patch.Config{
@@ -313,16 +329,25 @@ func BenchmarkApplyPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(bin)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e9patch.Apply(bin, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Stats.Patched() == 0 {
-			b.Fatal("nothing patched")
-		}
+	for _, tc := range []struct {
+		name  string
+		apply func([]byte, *e9patch.PatchPlan) (*e9patch.Result, error)
+	}{
+		{"Apply", e9patch.Apply},
+		{"ApplyTrusted", e9patch.ApplyTrusted},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bin)))
+			for i := 0; i < b.N; i++ {
+				res, err := tc.apply(bin, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Stats.Patched() == 0 {
+					b.Fatal("nothing patched")
+				}
+			}
+		})
 	}
 }
 

@@ -1,0 +1,62 @@
+package main
+
+import (
+	"bytes"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestCommandLine drives the built e9bench at its flag surface: two
+// cheap paper artefacts run and print their sections, no mode flag is a
+// usage error, and the performance modes that moved to `go run ./bench`
+// are unknown flags rather than silent no-ops.
+func TestCommandLine(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "e9bench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build e9bench: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args   []string
+		exit   int
+		stdout []string // substrings of standard output
+		stderr string   // substring of standard error
+	}{
+		{[]string{"-motivation", "-ablation-b0"}, 0, []string{"== Motivation (§1)", "== Ablation: B0 int3/SIGTRAP"}, ""},
+		{nil, 2, nil, "Usage of"},
+		{[]string{"-engine", "nosuch", "-motivation"}, 2, nil, "nosuch"},
+		{[]string{"-enginespeed"}, 2, nil, "flag provided but not defined: -enginespeed"},
+		{[]string{"-parallelism=2"}, 2, nil, "flag provided but not defined: -parallelism"},
+		{[]string{"-plancache"}, 2, nil, "flag provided but not defined: -plancache"},
+		{[]string{"-matchlang"}, 2, nil, "flag provided but not defined: -matchlang"},
+		{[]string{"-disasm"}, 2, nil, "flag provided but not defined: -disasm"},
+		{[]string{"-cluster"}, 2, nil, "flag provided but not defined: -cluster"},
+		{[]string{"-json", "x"}, 2, nil, "flag provided but not defined: -json"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			cmd := exec.Command(bin, tc.args...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			exit := 0
+			if err := cmd.Run(); err != nil {
+				ee, ok := err.(*exec.ExitError)
+				if !ok {
+					t.Fatal(err)
+				}
+				exit = ee.ExitCode()
+			}
+			if exit != tc.exit {
+				t.Fatalf("exit %d, want %d\nstderr: %s", exit, tc.exit, stderr.String())
+			}
+			for _, want := range tc.stdout {
+				if !strings.Contains(stdout.String(), want) {
+					t.Errorf("standard output lacks %q:\n%s", want, stdout.String())
+				}
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Errorf("standard error lacks %q:\n%s", tc.stderr, stderr.String())
+			}
+		})
+	}
+}

@@ -70,6 +70,8 @@ func main() {
 		phaseTimeout = flag.Duration("phase-timeout", 0, "per-phase (disassembly, patching) deadline (0: unlimited)")
 	)
 	flag.Parse()
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	planOnly := *dryRun || *emitPlan != ""
 	usageErr := func(msg string) {
 		fmt.Fprintln(os.Stderr, "e9tool: "+msg)
@@ -92,19 +94,22 @@ func main() {
 		if planOnly {
 			usageErr("-apply-plan is exclusive with -dry-run/-emit-plan")
 		}
-		if fullCov {
-			usageErr("-apply-plan replays the plan's recorded selection; -coverage is not applicable")
-		}
-		if *disasmF != "" {
-			usageErr("-apply-plan replays the plan's recorded disassembly mode; -disasm is not applicable")
+		// A plan records its recovery mode, selection, patches and layout;
+		// a flag that would choose them again is a mistake, not a no-op.
+		for _, name := range []string{"M", "P", "spec", "payload", "match", "action", "coverage", "disasm", "skip", "granularity", "b0-fallback"} {
+			if given[name] {
+				usageErr("-apply-plan replays what the plan recorded; -" + name + " is not applicable (pass it to -emit-plan)")
+			}
 		}
 		if *out == "" {
 			usageErr("-apply-plan needs -o")
 		}
-	case *specFile != "" && (*exprM != "" || *patchP != "" || *expr != "" || *action != "empty"):
+	case *specFile != "" && (*exprM != "" || *patchP != "" || *expr != "" || given["action"]):
 		usageErr("-spec is exclusive with -M/-P/-match/-action")
-	case useLang && (*expr != "" || (*action != "empty" && *patchP != "")):
+	case useLang && *expr != "":
 		usageErr("-M/-P are exclusive with -match/-action")
+	case useLang && given["action"]:
+		usageErr("-action pairs with the legacy -match only; with -M give the patch as -P")
 	case !useLang && *expr == "" && !fullCov:
 		usageErr("-M (or a -spec file, legacy -match, or -coverage=full) is required")
 	case *out == "" && !planOnly:

@@ -152,9 +152,10 @@ func TestConstantFolding(t *testing.T) {
 }
 
 // TestIRSpeedup is the performance gate for the lifting engine: at
-// least 4x the interpreter on the memstream kernel. (The BENCH target
+// least 4x the interpreter on the memstream kernel. (The design target
 // is 10x; the conservative test bound keeps CI robust on loaded
-// machines — see BENCH_engines.json for recorded numbers.)
+// machines. The measured figure is emu-kernels/emu.minst_s.ir over
+// emu.minst_s.interp in `go run ./bench`.)
 func TestIRSpeedup(t *testing.T) {
 	saved := workload.KernelIters
 	workload.KernelIters = 150_000

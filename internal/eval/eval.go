@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"e9patch"
 	"e9patch/internal/emu"
@@ -112,11 +111,9 @@ func run(bin []byte, prep func(m *emu.Machine)) (*emu.Machine, error) {
 		return nil, err
 	}
 	m.RIP = f
-	start := time.Now()
 	if err := m.Run(2_000_000_000); err != nil {
 		return nil, err
 	}
-	noteEmulation(m.Counters.Instructions, time.Since(start))
 	return m, nil
 }
 

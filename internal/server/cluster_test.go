@@ -19,6 +19,7 @@ import (
 
 	"e9patch"
 	"e9patch/internal/cluster"
+	"e9patch/internal/workload"
 )
 
 // swapHandler lets an httptest server start (fixing its URL) before the
@@ -348,58 +349,90 @@ func TestPlanDeltaResponse(t *testing.T) {
 // TestPlanDeltaGzip pins the wire compression of plan-delta responses:
 // a client that negotiates gzip gets a Content-Encoding: gzip body
 // that is smaller than the identity encoding and gunzips to the same
-// plan.
+// plan. It is also the egress gate: the gzipped plan is at most 10 % of
+// the full response (the 8 MB streaming input, branch-dense under
+// `jcc & short`, is the one that comes close), and applying it on the
+// client reproduces that response byte for byte.
 func TestPlanDeltaGzip(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueLen: 8})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	bin := kernelELF(t)
-	fetch := func(gz bool) (*http.Response, []byte) {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/rewrite?"+clusterQuery, bytes.NewReader(bin))
-		req.Header.Set("Accept", cluster.PlanContentType)
-		if gz {
-			// Setting Accept-Encoding by hand disables the transport's
-			// transparent decompression: the body read here is wire bytes.
-			req.Header.Set("Accept-Encoding", "gzip")
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("plan-delta (gzip=%v): %d %s", gz, resp.StatusCode, body)
-		}
-		return resp, body
-	}
-
-	plainResp, plain := fetch(false)
-	if enc := plainResp.Header.Get("Content-Encoding"); enc != "" {
-		t.Fatalf("identity response carries Content-Encoding %q", enc)
-	}
-	zResp, wire := fetch(true)
-	if enc := zResp.Header.Get("Content-Encoding"); enc != "gzip" {
-		t.Fatalf("gzip-negotiated response carries Content-Encoding %q", enc)
-	}
-	if len(wire) >= len(plain) {
-		t.Fatalf("gzip wire body is not smaller (%d >= %d)", len(wire), len(plain))
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(wire))
-	if err != nil {
-		t.Fatalf("wire body is not gzip: %v", err)
-	}
-	raw, err := io.ReadAll(zr)
+	stream, err := workload.BuildStream(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, plain) {
-		t.Fatal("gzip body does not decompress to the identity body")
-	}
-	if _, err := e9patch.DecodePlan(raw); err != nil {
-		t.Fatalf("decompressed plan does not decode: %v", err)
+	for _, in := range []struct {
+		name string
+		bin  []byte
+	}{
+		{"kernel", kernelELF(t)},
+		{"stream-8mb", stream.ELF},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			srv := New(Config{Workers: 2, QueueLen: 8})
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			fetch := func(accept string, gz bool) (*http.Response, []byte) {
+				req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/rewrite?"+clusterQuery, bytes.NewReader(in.bin))
+				if accept != "" {
+					req.Header.Set("Accept", accept)
+				}
+				if gz {
+					// Setting Accept-Encoding by hand disables the transport's
+					// transparent decompression: the body read here is wire bytes.
+					req.Header.Set("Accept-Encoding", "gzip")
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("accept=%q gzip=%v: %d %.200s", accept, gz, resp.StatusCode, body)
+				}
+				return resp, body
+			}
+
+			plainResp, plain := fetch(cluster.PlanContentType, false)
+			if enc := plainResp.Header.Get("Content-Encoding"); enc != "" {
+				t.Fatalf("identity response carries Content-Encoding %q", enc)
+			}
+			zResp, wire := fetch(cluster.PlanContentType, true)
+			if enc := zResp.Header.Get("Content-Encoding"); enc != "gzip" {
+				t.Fatalf("gzip-negotiated response carries Content-Encoding %q", enc)
+			}
+			if len(wire) >= len(plain) {
+				t.Fatalf("gzip wire body is not smaller (%d >= %d)", len(wire), len(plain))
+			}
+			zr, err := gzip.NewReader(bytes.NewReader(wire))
+			if err != nil {
+				t.Fatalf("wire body is not gzip: %v", err)
+			}
+			raw, err := io.ReadAll(zr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(raw, plain) {
+				t.Fatal("gzip body does not decompress to the identity body")
+			}
+			pl, err := e9patch.DecodePlan(raw)
+			if err != nil {
+				t.Fatalf("decompressed plan does not decode: %v", err)
+			}
+			_, full := fetch("", false)
+			ratio := float64(len(wire)) / float64(len(full))
+			t.Logf("plan-delta egress: %d of %d bytes (%.1f%%)", len(wire), len(full), 100*ratio)
+			if ratio > 0.10 {
+				t.Fatal("plan-delta egress is over the 10% ceiling")
+			}
+			applied, err := e9patch.Apply(in.bin, pl)
+			if err != nil {
+				t.Fatalf("client-side apply: %v", err)
+			}
+			if !bytes.Equal(applied.Output, full) {
+				t.Fatal("client-side apply of the plan differs from the full response")
+			}
+		})
 	}
 }
 
