@@ -22,25 +22,25 @@ race:
 	$(GO) test -race ./...
 
 # difftest runs the differential suites: rewriter (original vs patched),
-# engines (interp vs tbc vs ir, including the FuzzEngines seed corpus),
-# the per-engine stats/speedup tests, and the parallel-vs-sequential
-# corpus (byte-identity at every worker count, under the race detector).
+# engines (interp vs ir, including the FuzzEngines seed corpus), the
+# block/invalidation seam and the engine's stats/speedup tests, and the
+# parallel-vs-sequential corpus (byte-identity at every worker count,
+# under the race detector).
 difftest:
 	$(GO) test -run 'TestDifferentialFuzz|TestFuzzSelectAllCoverage' .
 	$(GO) test -run FuzzEngines .
-	$(GO) test ./internal/emu/...
+	$(GO) test ./internal/emu/enginetest/ ./internal/emu/ ./internal/emu/ir/
 	$(GO) test -race -run 'TestParallelRewrite|TestParallelEmulatorEquivalence|FuzzParallelRewrite' .
 	$(GO) test -race -run 'TestParallel|TestRegionConflictRedo|TestBeltFallback|TestShardable|Shardable' ./internal/patch/ ./internal/disasm/ ./internal/match/
 
-# enginecheck is the cross-engine correctness gate: the shared
-# conformance suite and golden per-instruction traces over every
-# registered engine (interp, tbc, ir), the engine-specific
-# optimization/speedup tests, and a short three-way differential fuzz.
+# enginecheck is the cross-engine correctness gate, interp vs ir: the
+# shared conformance suite and golden per-instruction traces over every
+# registered engine, the memory/block/tracker unit tests, the engine's
+# optimization/speedup tests, and a short differential fuzz.
 # Re-record goldens with:
 #   go test ./internal/emu/enginetest/ -run TestEngineGoldenTraces -update-golden
 enginecheck:
-	$(GO) test ./internal/emu/enginetest/
-	$(GO) test ./internal/emu/tbc/ ./internal/emu/ir/
+	$(GO) test ./internal/emu/enginetest/ ./internal/emu/ ./internal/emu/ir/
 	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s .
 
 # plancheck verifies the plan/apply split: plan determinism, golden
@@ -70,7 +70,7 @@ speccheck:
 	$(GO) test -run 'TestSpec|TestBadSpecMaps422' ./internal/server/
 
 bench:
-	$(GO) test -run xxx -bench . -benchtime 1x .
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
 
 # benchcheck is the regression gate over the repository's benchmark
 # (`go run ./bench`, BENCHMARK.json): PAIRS alternating runs of every

@@ -24,7 +24,6 @@ import (
 	"e9patch/internal/elf64"
 	"e9patch/internal/emu"
 	"e9patch/internal/eval"
-	"e9patch/internal/loader"
 	"e9patch/internal/lowfat"
 	"e9patch/internal/workload"
 )
@@ -352,46 +351,75 @@ func BenchmarkApplyPlan(b *testing.B) {
 }
 
 // BenchmarkEmulator measures emulated instruction throughput under the
-// default engine (the tbc translation cache).
+// default engine over the five kernel archetypes, original and rewritten
+// (the pairing of the emu-kernels workload: A2 heap writes for the two
+// store-heavy kernels, A1 jumps for the rest).
 func BenchmarkEmulator(b *testing.B) {
 	benchEmulator(b, workload.Engine)
 }
 
-// BenchmarkEmulatorInterp pins the decode-per-step interpreter.
+// BenchmarkEmulatorInterp pins the decode-per-step interpreter, the
+// oracle; compare with BenchmarkEmulator for the engine speedup.
 func BenchmarkEmulatorInterp(b *testing.B) {
 	benchEmulator(b, "interp")
 }
 
-// BenchmarkEmulatorTBC pins the translation cache; compare with
-// BenchmarkEmulatorInterp for the engine speedup.
-func BenchmarkEmulatorTBC(b *testing.B) {
-	benchEmulator(b, "tbc")
-}
-
 func benchEmulator(b *testing.B, engine string) {
-	saved := workload.Engine
-	workload.Engine = engine
-	defer func() { workload.Engine = saved }()
-	workload.KernelIters = 20000
-	prog, err := workload.BuildKernel("memstream", false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var instr uint64
-	for i := 0; i < b.N; i++ {
-		m := workload.NewMachine(nil)
-		entry, err := loader.BuildImage(m, prog.ELF, loader.Options{})
+	savedEngine, savedIters := workload.Engine, workload.KernelIters
+	workload.Engine, workload.KernelIters = engine, 20000
+	defer func() { workload.Engine, workload.KernelIters = savedEngine, savedIters }()
+	for _, k := range []struct {
+		arch, app string
+		sel       e9patch.Selector
+	}{
+		{"branchy", "A1", e9patch.SelectJumps},
+		{"memstream", "A2", e9patch.SelectHeapWrites},
+		{"matrix", "A2", e9patch.SelectHeapWrites},
+		{"pointer", "A1", e9patch.SelectJumps},
+		{"callheavy", "A1", e9patch.SelectJumps},
+	} {
+		prog, err := workload.BuildKernel(k.arch, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.RIP = entry
-		if err := m.Run(1_000_000_000); err != nil {
+		res, err := e9patch.Rewrite(prog.ELF, e9patch.Config{Select: k.sel, ReserveVA: workload.ReserveVA()})
+		if err != nil {
 			b.Fatal(err)
 		}
-		instr = m.Counters.Instructions
+		for _, img := range []struct {
+			name string
+			bin  []byte
+		}{{"orig", prog.ELF}, {k.app, res.Output}} {
+			b.Run(k.arch+"/"+img.name, func(b *testing.B) {
+				var instr uint64
+				for i := 0; i < b.N; i++ {
+					m := workload.NewMachine(nil)
+					entry, err := e9patch.Load(m, img.bin)
+					if err != nil {
+						b.Fatal(err)
+					}
+					m.RIP = entry
+					if err := m.Run(1_000_000_000); err != nil {
+						b.Fatal(err)
+					}
+					instr += m.Counters.Instructions
+				}
+				b.ReportMetric(float64(instr)/1e6/b.Elapsed().Seconds(), "Minst/s")
+			})
+		}
 	}
-	b.ReportMetric(float64(instr), "instr/run")
+}
+
+// BenchmarkNewMachine is the fixed cost every emulated run pays first:
+// bindings, engine and a reserved (not allocated) stack. Read it with
+// -benchmem; TestNewMachineAllocGate holds the allocation side in tier-1.
+func BenchmarkNewMachine(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if workload.NewMachine(nil).Engine == nil {
+			b.Fatal("no engine installed")
+		}
+	}
 }
 
 // BenchmarkLoader measures image reconstruction from a patched binary.

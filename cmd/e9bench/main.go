@@ -15,9 +15,8 @@
 //
 // -scale shrinks the synthetic binaries relative to the paper's sizes
 // (default 0.25); -full is shorthand for -scale 1. -engine selects the
-// execution engine by registry name (tbc translation cache by default;
-// ir for the IR-lifting engine; interp to fall back to the
-// decode-per-step interpreter).
+// execution engine by registry name (ir, the block-lifting engine, by
+// default; interp for the decode-per-step interpreter it is held to).
 //
 // Performance of the rewriter, the service and the engines is not
 // measured here: that is `go run ./bench` (bench/README.md).
@@ -48,7 +47,7 @@ func main() {
 		full    = flag.Bool("full", false, "shorthand for -scale 1")
 		iters   = flag.Int("iters", 0, "kernel iterations (0 = default)")
 		spec    = flag.Bool("spec-only", false, "Table 1: SPEC rows only")
-		engine  = flag.String("engine", "tbc", "execution engine: tbc (translation cache), ir (IR lifting), or interp (fallback)")
+		engine  = flag.String("engine", "ir", "execution engine: ir (block lifting) or interp (the oracle)")
 		verbose = flag.Bool("v", false, "progress output")
 	)
 	flag.Parse()

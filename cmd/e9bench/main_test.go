@@ -26,6 +26,7 @@ func TestCommandLine(t *testing.T) {
 		{[]string{"-motivation", "-ablation-b0"}, 0, []string{"== Motivation (§1)", "== Ablation: B0 int3/SIGTRAP"}, ""},
 		{nil, 2, nil, "Usage of"},
 		{[]string{"-engine", "nosuch", "-motivation"}, 2, nil, "nosuch"},
+		{[]string{"-engine", "tbc", "-motivation"}, 2, nil, `unknown engine "tbc" (registered: [interp ir])`},
 		{[]string{"-enginespeed"}, 2, nil, "flag provided but not defined: -enginespeed"},
 		{[]string{"-parallelism=2"}, 2, nil, "flag provided but not defined: -parallelism"},
 		{[]string{"-plancache"}, 2, nil, "flag provided but not defined: -plancache"},

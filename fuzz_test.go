@@ -259,8 +259,8 @@ func TestDifferentialFuzz(t *testing.T) {
 
 // FuzzEngines is the engine-differential target: every random program
 // must behave identically under every registered engine — the
-// decode-per-step interpreter (the reference), the tbc translation
-// cache, and the IR-lifting engine — same ExitCode, final registers,
+// decode-per-step interpreter (the reference) and the block-lifting ir
+// engine — same ExitCode, final registers,
 // flags, output stream, memory image, and byte-identical Counters.
 // The generator includes dedicated flag-stress material (adc/sbb
 // chains, setcc after shifts, cmc/clc/stc, pushfq/popfq) aimed at the

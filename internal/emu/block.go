@@ -1,17 +1,25 @@
-package tbc
+package emu
 
 import (
 	"fmt"
 
-	"e9patch/internal/emu"
 	"e9patch/internal/x86"
 )
 
-// This file is the block-discovery and invalidation seam shared by the
-// translation-cache engines: tbc itself and the IR-lifting engine
-// (internal/emu/ir) reuse exactly this code, so "what is a block" and
-// "when do cached decodes die" have a single definition (DESIGN.md §6,
-// §13).
+// This file is the block-discovery and invalidation seam for engines
+// that cache decoded code (internal/emu/ir): "what is a block" and
+// "when do cached decodes die" are defined here, once, next to the
+// interpreter they must agree with (DESIGN.md §6).
+
+// MaxBlockInsts caps the instruction count of one translated block. It
+// bounds translation latency for pathological straight-line runs and
+// keeps the abort-on-flush granularity small.
+const MaxBlockInsts = 64
+
+// TermAttrs marks instructions that may not fall through to the next
+// sequential address: they terminate a block.
+const TermAttrs = x86.AttrJump | x86.AttrCondJump | x86.AttrCall |
+	x86.AttrRet | x86.AttrStop | x86.AttrInt3
 
 // DecodeBlock decodes the straight-line run starting at pc: up to
 // MaxBlockInsts instructions, ending after the first control transfer
@@ -21,7 +29,7 @@ import (
 // early, so the error — if execution ever falls through to it — is
 // raised lazily at the address the interpreter would raise it. end is
 // the address one past the final decoded instruction.
-func DecodeBlock(m *emu.Machine, pc uint64) (insts []x86.Inst, end uint64, err error) {
+func DecodeBlock(m *Machine, pc uint64) (insts []x86.Inst, end uint64, err error) {
 	for {
 		raw, _ := m.Mem.ReadBytes(pc, 15)
 		inst, derr := x86.Decode(raw, pc)
@@ -70,7 +78,7 @@ func NewCodeTracker(fn func()) *CodeTracker {
 
 // Track marks [start, end) as translated code.
 func (t *CodeTracker) Track(start, end uint64) {
-	for p := start / emu.PageSize; p <= (end-1)/emu.PageSize; p++ {
+	for p := start / PageSize; p <= (end-1)/PageSize; p++ {
 		t.pages[p] = struct{}{}
 	}
 }
@@ -84,7 +92,7 @@ func (t *CodeTracker) Invalidate(addr, size uint64) {
 	if len(t.pages) == 0 || size == 0 {
 		return
 	}
-	for p := addr / emu.PageSize; p <= (addr+size-1)/emu.PageSize; p++ {
+	for p := addr / PageSize; p <= (addr+size-1)/PageSize; p++ {
 		if _, ok := t.pages[p]; ok {
 			t.Flush()
 			return

@@ -24,7 +24,7 @@ func (m *Machine) Step() error {
 // StepSpecial services the two magic classes of RIP values — the exit
 // sentinel and runtime-call addresses — without touching code bytes.
 // It reports whether RIP was special. Step performs it before every
-// fetch; alternative engines (internal/emu/tbc) perform it at block
+// fetch; block engines (internal/emu/ir) perform it at block
 // boundaries, which is equivalent because special addresses are never
 // mapped and so can only be reached by a control transfer.
 func (m *Machine) StepSpecial() (bool, error) {
@@ -54,7 +54,7 @@ func (m *Machine) StepSpecial() (bool, error) {
 // ExecDecoded executes one already-decoded instruction: trace callback,
 // counters, dispatch and the RIP update, exactly as the fetch-decode
 // path of Step. The caller must guarantee inst.Addr == RIP; engines
-// that cache decoded instructions (internal/emu/tbc) satisfy this
+// that cache decoded instructions (internal/emu/ir) satisfy this
 // because straight-line execution leaves RIP at the next cached Addr.
 func (m *Machine) ExecDecoded(inst *x86.Inst) error {
 	if m.Trace != nil {

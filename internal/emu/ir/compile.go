@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"e9patch/internal/emu"
-	"e9patch/internal/emu/tbc"
 	"e9patch/internal/x86"
 )
 
@@ -392,7 +391,7 @@ func shiftCalc(sub byte, v, count uint64, w int) (res, cf uint64, ok bool) {
 
 // compile lifts the block at pc into threaded code and caches it.
 func (e *Engine) compile(m *emu.Machine, pc uint64) (*block, error) {
-	insts, end, err := tbc.DecodeBlock(m, pc)
+	insts, end, err := emu.DecodeBlock(m, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +407,7 @@ func (e *Engine) compile(m *emu.Machine, pc uint64) (*block, error) {
 	for i := range insts {
 		b.ops = append(b.ops, c.emit(i))
 	}
-	if insts[len(insts)-1].Attrs&tbc.TermAttrs == 0 {
+	if insts[len(insts)-1].Attrs&emu.TermAttrs == 0 {
 		// The block falls off its end (size cap or decode failure
 		// ahead): an epilogue op materializes the fallthrough RIP.
 		b.ops = append(b.ops, func(s *state) int {

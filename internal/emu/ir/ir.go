@@ -1,10 +1,12 @@
-// Package ir is an IR-lifting execution engine for the emulator: each
-// basic block is lifted once — through the same DecodeBlock seam the
-// tbc engine uses — into a linear sequence of micro-ops (Go closures),
+// Package ir is the emulator's fast execution engine: each basic
+// block is lifted once — through emu.DecodeBlock, the shared definition
+// of a block — into a linear sequence of micro-ops (Go closures),
 // optimized per block, and then dispatched by threaded code with no
-// per-instruction decode or switch.
+// per-instruction decode or switch. Blocks are chained across direct
+// branches so hot paths skip the cache lookup entirely.
 //
-// Three block-local optimizations carry the speedup beyond tbc:
+// Three block-local optimizations carry the speedup beyond caching the
+// decode:
 //
 //   - Lazy EFLAGS (lazy.go): ALU micro-ops record only the operation
 //     that last defined the flags; consumers (jcc, setcc, cmov,
@@ -20,14 +22,15 @@
 //     a constant) fold into memory-operand address computations at
 //     compile time; RIP-relative operands always fold.
 //
-// The engine is observationally identical to the interpreter and tbc:
-// same Counters and cycle model, same Trace behaviour (tracing falls
-// back to the careful per-instruction path), same runtime-call / exit
-// / SIGTRAP dispatch, the same errors at the same addresses with
-// machine state positioned identically, and the same self-modifying
-// code semantics via the shared CodeTracker write barrier (a store
-// into translated code flushes the cache and aborts the in-flight
-// block). See DESIGN.md §13.
+// The engine is observationally identical to the interpreter: same
+// Counters and cycle model, same Trace behaviour (tracing falls back
+// to the careful per-instruction path), same runtime-call / exit /
+// SIGTRAP dispatch, the same errors at the same addresses with machine
+// state positioned identically, and the same self-modifying code
+// semantics via the emu.CodeTracker write barrier (a store into
+// translated code flushes the cache and aborts the in-flight block).
+// Rewritten binaries patch .text, so invalidation is
+// correctness-critical, not optional. See DESIGN.md §6.
 package ir
 
 import (
@@ -35,7 +38,6 @@ import (
 	"fmt"
 
 	"e9patch/internal/emu"
-	"e9patch/internal/emu/tbc"
 	"e9patch/internal/x86"
 )
 
@@ -57,8 +59,9 @@ type block struct {
 	// extra trailing epilogue op materializes the fallthrough RIP.
 	ops []uop
 
-	// succAddr/succ chain blocks across direct control transfers,
-	// exactly as in tbc.
+	// succAddr are the block's static successor addresses (fallthrough
+	// and, for direct branches, the target); succ memoizes their lifted
+	// blocks so chained transitions skip the cache map.
 	succAddr [2]uint64
 	succ     [2]*block
 }
@@ -66,7 +69,7 @@ type block struct {
 // state is the per-engine execution state threaded through micro-ops.
 type state struct {
 	m   *emu.Machine
-	trk *tbc.CodeTracker
+	trk *emu.CodeTracker
 
 	// fl is the deferred flag record (lazy.go).
 	fl flagRec
@@ -112,7 +115,7 @@ type Stats struct {
 // machine (workload.NewMachine does).
 type Engine struct {
 	blocks map[uint64]*block
-	trk    *tbc.CodeTracker
+	trk    *emu.CodeTracker
 	mem    *emu.Memory
 	st     state
 
@@ -123,7 +126,7 @@ type Engine struct {
 // New returns an empty IR engine.
 func New() *Engine {
 	e := &Engine{blocks: make(map[uint64]*block)}
-	e.trk = tbc.NewCodeTracker(func() {
+	e.trk = emu.NewCodeTracker(func() {
 		clear(e.blocks)
 		e.Stats.Flushes++
 	})
@@ -232,7 +235,7 @@ func (e *Engine) Run(m *emu.Machine, maxInst uint64) error {
 			// Careful path: a tracer is installed or the budget could
 			// expire mid-block. Execute per instruction through
 			// ExecDecoded, which yields tracer-mutation and budget
-			// parity with tbc/interp by construction.
+			// parity with interp by construction.
 			e.Stats.CarefulBlocks++
 			st.materialize()
 			if err := e.runCareful(m, b, maxInst); err != nil {
@@ -244,8 +247,8 @@ func (e *Engine) Run(m *emu.Machine, maxInst uint64) error {
 	return nil
 }
 
-// runCareful executes b one instruction at a time, mirroring the tbc
-// inner loop exactly. On a mid-block SMC flush it returns with
+// runCareful executes b one instruction at a time through the
+// interpreter's own ExecDecoded. On a mid-block SMC flush it returns with
 // trk.Flushed still set; the dispatch loop clears it and drops the
 // chain seed.
 func (e *Engine) runCareful(m *emu.Machine, b *block, maxInst uint64) error {
@@ -255,8 +258,9 @@ func (e *Engine) runCareful(m *emu.Machine, b *block, maxInst uint64) error {
 		}
 		inst := &b.insts[i]
 		if m.Trace != nil {
-			// Private copy so a mutating tracer cannot poison the
-			// cached decode (same contract as tbc).
+			// The interpreter hands the tracer the same fresh decode
+			// it then executes; give out a private copy so a mutating
+			// tracer cannot poison the cached one.
 			c := *inst
 			c.Bytes = append([]byte(nil), inst.Bytes...)
 			inst = &c

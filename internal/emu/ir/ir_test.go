@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -13,10 +14,10 @@ import (
 )
 
 // The cross-engine conformance lattice lives in internal/emu/enginetest
-// and covers ir alongside interp and tbc. This file tests what is
-// specific to the IR engine: that its optimizations actually fire
-// (flag elision, constant folding, threaded fast path) and that the
-// lifting pays off in speed.
+// and holds ir to interp. This file tests what is specific to the IR
+// engine: that its cache behaves like a cache (chaining, SMC flushes),
+// that its optimizations actually fire (flag elision, constant folding,
+// threaded fast path) and that the lifting pays off in speed.
 
 func runKernel(t *testing.T, kernel string, eng emu.Engine) *emu.Machine {
 	t.Helper()
@@ -64,9 +65,100 @@ func TestKernelsAgreeWithInterp(t *testing.T) {
 	}
 }
 
+// TestChainingStats checks that the cache actually behaves like a
+// cache on a hot loop: few translations, many transitions, most of
+// them resolved through chain pointers rather than map lookups.
+func TestChainingStats(t *testing.T) {
+	saved := workload.KernelIters
+	workload.KernelIters = 5000
+	defer func() { workload.KernelIters = saved }()
+
+	eng := ir.New()
+	runKernel(t, "memstream", eng)
+	s := eng.Stats
+	if s.Translations == 0 || s.Lookups == 0 {
+		t.Fatalf("no cache activity: %+v", s)
+	}
+	if s.Translations > 200 {
+		t.Errorf("lifted %d blocks for a tiny kernel (cache not reused?)", s.Translations)
+	}
+	if s.Lookups < 1000 {
+		t.Errorf("only %d block transitions; kernel loop should dominate", s.Lookups)
+	}
+	if s.Chained*2 < s.Lookups {
+		t.Errorf("chaining resolved %d of %d transitions; expected a majority", s.Chained, s.Lookups)
+	}
+	if s.Flushes != 0 {
+		t.Errorf("%d spurious flushes on non-self-modifying code", s.Flushes)
+	}
+}
+
+// TestSMCFlushStats: behavioural parity on self-modifying code is
+// checked in enginetest; here we assert the mechanism — a store into
+// translated code flushes the cache exactly once per event, whether it
+// lands in another block's bytes or aborts the block that issued it.
+func TestSMCFlushStats(t *testing.T) {
+	const base = 0x401000
+	run := func(text []byte, wantExit uint64) ir.Stats {
+		t.Helper()
+		eng := ir.New()
+		m := emu.NewMachine()
+		m.Engine = eng
+		m.Mem.WriteBytes(base, text)
+		m.SetupStack(workload.StackTop, workload.StackSize)
+		m.RIP = base
+		if err := m.Run(10_000); err != nil {
+			t.Fatal(err)
+		}
+		if m.ExitCode != wantExit {
+			t.Errorf("exit = %d, want %d", m.ExitCode, wantExit)
+		}
+		return eng.Stats
+	}
+
+	// Three iterations each patch the immediate of the loop's first
+	// instruction: three stores into translated code, three flushes.
+	a := x86.NewAsm(base)
+	a.XorRegReg32(x86.RAX, x86.RAX)
+	a.XorRegReg32(x86.RCX, x86.RCX)
+	top := a.NewLabel()
+	a.Bind(top)
+	site := a.Addr()
+	a.AddRegImm64(x86.RAX, 1) // imm low byte at site+3, patched below
+	a.MovRegImm64(x86.RBX, site+3)
+	a.MovMemImm8(x86.M(x86.RBX, 0), 5)
+	a.AddRegImm64(x86.RCX, 1)
+	a.CmpRegImm64(x86.RCX, 3)
+	a.Jcc(x86.CondL, top)
+	a.Ret()
+	if s := run(a.MustFinish(), 11); s.Flushes != 3 { // 1 + 5 + 5
+		t.Errorf("patch loop: %d flushes for 3 stores into translated code, want 3", s.Flushes)
+	}
+
+	// One store over the next instruction of the running block: one
+	// flush, and the block is abandoned so the new hlt executes.
+	a = x86.NewAsm(base)
+	a.MovRegImm32(x86.RAX, 7)
+	movOff := a.Len()
+	a.MovRegImm64(x86.RBX, 0) // imm patched to siteAddr after assembly
+	a.MovMemImm8(x86.M(x86.RBX, 0), 0xF4)
+	siteAddr := a.Addr()
+	a.Nop() // becomes hlt before it executes
+	a.MovRegImm32(x86.RAX, 99)
+	a.Ret()
+	text := a.MustFinish()
+	binary.LittleEndian.PutUint64(text[movOff+2:], siteAddr)
+	s := run(text, 7)
+	if s.Flushes != 1 {
+		t.Errorf("mid-block abort: %d flushes for one store, want 1", s.Flushes)
+	}
+	if s.Translations != 2 {
+		t.Errorf("mid-block abort: %d blocks lifted, want 2 (the block, then its patched tail)", s.Translations)
+	}
+}
+
 // TestOptimizationStats checks the lift-time optimizations fire on a
-// hot loop: blocks are lifted once and re-dispatched via chaining, the
-// fast path carries essentially all executions, and dead-flag
+// hot loop: the fast path carries every block execution and dead-flag
 // elimination removes a nonzero share of flag computations.
 func TestOptimizationStats(t *testing.T) {
 	saved := workload.KernelIters
@@ -76,15 +168,6 @@ func TestOptimizationStats(t *testing.T) {
 	eng := ir.New()
 	runKernel(t, "memstream", eng)
 	s := eng.Stats
-	if s.Translations == 0 || s.Lookups == 0 {
-		t.Fatalf("no lift activity: %+v", s)
-	}
-	if s.Translations > 200 {
-		t.Errorf("lifted %d blocks for a tiny kernel (cache not reused?)", s.Translations)
-	}
-	if s.Chained*2 < s.Lookups {
-		t.Errorf("chaining resolved %d of %d transitions; expected a majority", s.Chained, s.Lookups)
-	}
 	if s.FastBlocks == 0 {
 		t.Error("no block ran on the threaded fast path")
 	}
@@ -93,9 +176,6 @@ func TestOptimizationStats(t *testing.T) {
 	}
 	if s.ElidedFlags == 0 {
 		t.Error("dead-flag elimination removed nothing on the memstream loop")
-	}
-	if s.Flushes != 0 {
-		t.Errorf("%d spurious flushes on non-self-modifying code", s.Flushes)
 	}
 }
 

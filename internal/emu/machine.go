@@ -195,8 +195,8 @@ type Counters struct {
 }
 
 // Engine is a pluggable execution strategy for Run. A nil Engine is
-// the decode-per-step interpreter; internal/emu/tbc provides a cached
-// basic-block translation engine. Engines must be observationally
+// the decode-per-step interpreter; internal/emu/ir provides the
+// block-lifting engine. Engines must be observationally
 // identical to the interpreter: same Counters, Trace callbacks,
 // runtime-call, SIGTRAP and error behaviour.
 type Engine interface {

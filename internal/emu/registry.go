@@ -11,7 +11,7 @@ import (
 type EngineFactory func() Engine
 
 // engineFactories is the registry of named execution engines. Engine
-// packages self-register from init (internal/emu/tbc, internal/emu/ir)
+// packages self-register from init (internal/emu/ir)
 // so that tooling — workload.NewMachine, cmd/e9bench -engine, the
 // enginetest conformance suite — can enumerate and instantiate every
 // engine without emu importing them (which would cycle).

@@ -19,8 +19,7 @@ import (
 
 	"e9patch/internal/elf64"
 	"e9patch/internal/emu"
-	_ "e9patch/internal/emu/ir"  // register the "ir" engine
-	_ "e9patch/internal/emu/tbc" // register the "tbc" engine
+	_ "e9patch/internal/emu/ir" // register the "ir" engine
 	"e9patch/internal/x86"
 )
 
@@ -95,12 +94,12 @@ func BindStandard(m *emu.Machine) {
 }
 
 // Engine selects the execution engine NewMachine installs, by registry
-// name (emu.EngineNames): "tbc" (decode-once translation cache, the
-// default), "ir" (IR-lifting engine with lazy flags), or "interp" (the
-// decode-per-step interpreter). All engines are observationally
-// identical — they only differ in speed — so every measurement is
-// engine-invariant; cmd/e9bench's -engine flag sets this.
-var Engine = "tbc"
+// name (emu.EngineNames): "ir" (the block-lifting engine, the default)
+// or "interp" (the decode-per-step interpreter, the oracle ir is held
+// to). The engines are observationally identical — they only differ in
+// speed — so every measurement is engine-invariant; cmd/e9bench's
+// -engine flag sets this.
+var Engine = "ir"
 
 // NewMachine prepares a machine with the standard runtime bindings and
 // stack. The caller loads a binary and sets RIP.

@@ -173,12 +173,8 @@ func TestParallelRewriteProfiles(t *testing.T) {
 // TestParallelEmulatorEquivalence closes the loop behaviourally: the
 // output of a parallel rewrite must not just match the sequential
 // bytes, it must run — same output stream and exit code as the
-// original binary under the tbc translation-cache engine.
+// original binary under the default engine.
 func TestParallelEmulatorEquivalence(t *testing.T) {
-	saved := workload.Engine
-	workload.Engine = "tbc"
-	defer func() { workload.Engine = saved }()
-
 	for _, arch := range []string{"branchy", "memstream", "callheavy"} {
 		prog, err := workload.BuildKernel(arch, false)
 		if err != nil {
