@@ -29,8 +29,17 @@ const TermAttrs = x86.AttrJump | x86.AttrCondJump | x86.AttrCall |
 // early, so the error — if execution ever falls through to it — is
 // raised lazily at the address the interpreter would raise it. end is
 // the address one past the final decoded instruction.
+//
+// A block also ends before any instruction after the first whose
+// address is special (the exit sentinel or a bound runtime address):
+// the interpreter services such an address before every fetch, block
+// engines probe only at block boundaries, so the boundary has to be
+// there. Nothing stops an image from mapping bytes over one.
 func DecodeBlock(m *Machine, pc uint64) (insts []x86.Inst, end uint64, err error) {
 	for {
+		if _, bound := m.Runtime[pc]; len(insts) > 0 && (bound || pc == m.ExitAddr) {
+			break
+		}
 		raw, _ := m.Mem.ReadBytes(pc, 15)
 		inst, derr := x86.Decode(raw, pc)
 		if derr != nil {
@@ -56,14 +65,19 @@ func DecodeBlock(m *Machine, pc uint64) (insts []x86.Inst, end uint64, err error
 // interpreter's per-step fetch would observe the new bytes.
 type CodeTracker struct {
 	pages map[uint64]struct{}
+	// lo and hi are the inclusive range of tracked page indices
+	// (lo > hi when nothing is tracked). Code sits in a few pages and
+	// data stores land elsewhere, so Invalidate rejects almost every
+	// store on this compare without touching the map.
+	lo, hi uint64
 
 	// Flushed is set by Invalidate (or Flush) when tracked code dies.
 	// Engines clear it after dropping chain state / aborting a block.
 	Flushed bool
 
-	// Flushes counts whole-cache invalidations across the tracker's
-	// lifetime.
-	Flushes uint64
+	// Probes counts the times Invalidate consulted the page map: the
+	// stores the range compare could not reject.
+	Probes uint64
 
 	// onFlush, when non-nil, runs at each flush so the owning engine
 	// can drop its block cache in the same event.
@@ -73,12 +87,14 @@ type CodeTracker struct {
 // NewCodeTracker returns an empty tracker. fn (may be nil) runs at
 // every flush, before Flushed is observable by the engine loop.
 func NewCodeTracker(fn func()) *CodeTracker {
-	return &CodeTracker{pages: make(map[uint64]struct{}), onFlush: fn}
+	return &CodeTracker{pages: make(map[uint64]struct{}), lo: ^uint64(0), onFlush: fn}
 }
 
 // Track marks [start, end) as translated code.
 func (t *CodeTracker) Track(start, end uint64) {
-	for p := start / PageSize; p <= (end-1)/PageSize; p++ {
+	first, last := start/PageSize, (end-1)/PageSize
+	t.lo, t.hi = min(t.lo, first), max(t.hi, last)
+	for p := first; p <= last; p++ {
 		t.pages[p] = struct{}{}
 	}
 }
@@ -89,10 +105,12 @@ func (t *CodeTracker) Track(start, end uint64) {
 // is rare, so O(cache) per flush beats per-block bookkeeping on every
 // store.
 func (t *CodeTracker) Invalidate(addr, size uint64) {
-	if len(t.pages) == 0 || size == 0 {
+	first, last := addr/PageSize, (addr+size-1)/PageSize
+	if last < t.lo || first > t.hi || size == 0 {
 		return
 	}
-	for p := addr / PageSize; p <= (addr+size-1)/PageSize; p++ {
+	for p := first; p <= last; p++ {
+		t.Probes++
 		if _, ok := t.pages[p]; ok {
 			t.Flush()
 			return
@@ -104,8 +122,8 @@ func (t *CodeTracker) Invalidate(addr, size uint64) {
 // notifies the owning engine.
 func (t *CodeTracker) Flush() {
 	clear(t.pages)
+	t.lo, t.hi = ^uint64(0), 0
 	t.Flushed = true
-	t.Flushes++
 	if t.onFlush != nil {
 		t.onFlush()
 	}

@@ -102,6 +102,7 @@ func Run(t *testing.T, engine string) {
 	t.Run("mutating-tracer", func(t *testing.T) { testMutatingTracer(t, engine) })
 	t.Run("budget-parity", func(t *testing.T) { testBudgetParity(t, engine) })
 	t.Run("flag-stress", func(t *testing.T) { testFlagStress(t, engine) })
+	t.Run("special-mid-block", func(t *testing.T) { testSpecialMidBlock(t, engine) })
 }
 
 // testProfiles is the acceptance gate: for every Table 1 profile, the
@@ -225,6 +226,66 @@ func testSMCSameBlock(t *testing.T, engine string) {
 		t.Errorf("interp exit = %d, want 7", interp.ExitCode)
 	}
 	diffStates(t, "same-block", engine, stateOf(interp), stateOf(under))
+}
+
+// testSpecialMidBlock maps code over special addresses, which nothing
+// forbids (a hostile ELF can place a segment anywhere). The interpreter
+// services a special address before every fetch, so straight-line
+// execution that reaches one makes the runtime call instead of running
+// the bytes; a block engine has to end its blocks there. The second
+// program binds the address from inside a runtime call, after the block
+// that runs over it has been cached.
+func testSpecialMidBlock(t *testing.T, engine string) {
+	const base = 0x400000
+	const rt = 0x2_0000_0000
+	run := func(name string, text []byte, bind func(m *emu.Machine)) {
+		t.Helper()
+		var ms [2]*emu.Machine
+		for i, eng := range []emu.Engine{nil, newEngine(t, engine)} {
+			m := rawMachine(eng, base, text)
+			bind(m)
+			if err := m.Run(10_000); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ms[i] = m
+		}
+		diffStates(t, name, engine, stateOf(ms[0]), stateOf(ms[1]))
+		if got := ms[0].Counters.RuntimeCalls; got == 0 {
+			t.Errorf("%s: interp made no runtime call", name)
+		}
+	}
+
+	// nop; nop; hlt with the second nop's address bound: one
+	// instruction retires, the call returns through the stack's exit
+	// sentinel, and the hlt is never reached.
+	run("bound-at-start", []byte{0x90, 0x90, 0xF4}, func(m *emu.Machine) {
+		emu.BindOutput(m, base+1)
+	})
+
+	// Two trips through a call to rt and a straight-line tail; the
+	// second call binds an address inside the tail.
+	a := x86.NewAsm(base)
+	a.XorRegReg32(x86.RCX, x86.RCX)
+	top := a.NewLabel()
+	a.Bind(top)
+	a.MovRegImm64(x86.RAX, rt)
+	a.CallReg(x86.RAX)
+	a.Nop()
+	site := a.Addr()
+	a.Nop()
+	a.AddRegImm64(x86.RCX, 1)
+	a.CmpRegImm64(x86.RCX, 3)
+	a.Jcc(x86.CondL, top)
+	a.Ret()
+	run("bound-mid-run", a.MustFinish(), func(m *emu.Machine) {
+		calls := 0
+		m.Runtime[rt] = func(m *emu.Machine) error {
+			if calls++; calls == 2 {
+				emu.BindOutput(m, site)
+			}
+			return nil
+		}
+	})
 }
 
 // testMutatingTracer drives the engine with a tracer that corrupts the

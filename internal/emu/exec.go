@@ -25,8 +25,9 @@ func (m *Machine) Step() error {
 // sentinel and runtime-call addresses — without touching code bytes.
 // It reports whether RIP was special. Step performs it before every
 // fetch; block engines (internal/emu/ir) perform it at block
-// boundaries, which is equivalent because special addresses are never
-// mapped and so can only be reached by a control transfer.
+// boundaries, which is equivalent because DecodeBlock puts a boundary
+// in front of every special address. A runtime binding is the only
+// code that may change m.Runtime during a run.
 func (m *Machine) StepSpecial() (bool, error) {
 	if m.RIP == m.ExitAddr {
 		m.halted = true
@@ -49,6 +50,17 @@ func (m *Machine) StepSpecial() (bool, error) {
 		return true, nil
 	}
 	return false, nil
+}
+
+// RuntimeBounds returns the number of bound runtime addresses and the
+// lowest and highest of them (lo > hi when there are none), so an
+// engine can rule a RIP out with two compares and leave the map alone.
+func (m *Machine) RuntimeBounds() (n int, lo, hi uint64) {
+	lo = ^uint64(0)
+	for addr := range m.Runtime {
+		lo, hi = min(lo, addr), max(hi, addr)
+	}
+	return len(m.Runtime), lo, hi
 }
 
 // ExecDecoded executes one already-decoded instruction: trace callback,

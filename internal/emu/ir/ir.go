@@ -77,13 +77,21 @@ type state struct {
 	// err, when set by a micro-op returning done, aborts Run.
 	err error
 
-	// One-entry load/store TLBs: last-touched page per direction.
-	// Page arrays are never recycled by Memory, so caching the slice
-	// is sound; the caches are reset when the engine rebinds memory.
-	ldIdx  uint64
-	ldPage []byte
-	stIdx  uint64
-	stPage []byte
+	// Direct-mapped load/store TLBs, indexed by the low bits of the
+	// page index: a kernel's stack, buffers and tables stay resident
+	// together, so the steady path never asks Memory's page map. Page
+	// arrays are never recycled by Memory, so caching the slice is
+	// sound; the caches are reset when the engine rebinds memory.
+	ld, st [tlbSize]tlbEntry
+}
+
+// tlbSize is the entry count of each TLB (a power of two).
+const tlbSize = 16
+
+// tlbEntry caches one page's backing array; page is nil while empty.
+type tlbEntry struct {
+	idx  uint64
+	page []byte
 }
 
 // Stats counts translation and optimization events, for tests and
@@ -97,6 +105,12 @@ type Stats struct {
 	Chained uint64
 	// Flushes is the number of whole-cache invalidations.
 	Flushes uint64
+	// SpecialProbes counts the block transitions that consulted the
+	// machine's Runtime map: RIP fell inside the bound-address range.
+	SpecialProbes uint64
+	// BarrierProbes counts the stores that consulted the tracker's
+	// page map: they touched the tracked page range.
+	BarrierProbes uint64
 	// FastBlocks counts block executions on the threaded-code path.
 	FastBlocks uint64
 	// CarefulBlocks counts block executions on the per-instruction
@@ -119,6 +133,12 @@ type Engine struct {
 	mem    *emu.Memory
 	st     state
 
+	// rtN, rtLo and rtHi are the machine's runtime bindings as last
+	// read (emu.Machine.RuntimeBounds): the count, and the address
+	// range outside which a RIP cannot be a runtime call.
+	rtN        int
+	rtLo, rtHi uint64
+
 	// Stats accumulates lift/dispatch events across Run calls.
 	Stats Stats
 }
@@ -138,6 +158,20 @@ func init() {
 	emu.RegisterEngine("ir", func() emu.Engine { return New() })
 }
 
+// refreshRuntime re-reads the machine's runtime bindings. Blocks were
+// cut at the addresses bound when they were lifted (emu.DecodeBlock),
+// so a changed set drops them.
+func (e *Engine) refreshRuntime(m *emu.Machine) {
+	n, lo, hi := m.RuntimeBounds()
+	if n == e.rtN && lo == e.rtLo && hi == e.rtHi {
+		return
+	}
+	e.rtN, e.rtLo, e.rtHi = n, lo, hi
+	if len(e.blocks) > 0 {
+		e.trk.Flush()
+	}
+}
+
 // Run implements emu.Engine: execute until halt or budget exhaustion,
 // observationally identical to the interpreter loop.
 func (e *Engine) Run(m *emu.Machine, maxInst uint64) error {
@@ -147,33 +181,49 @@ func (e *Engine) Run(m *emu.Machine, maxInst uint64) error {
 		}
 		e.mem = m.Mem
 		m.Mem.SetWriteBarrier(e.trk.Invalidate)
-		e.st.ldPage, e.st.stPage = nil, nil
+		e.st.ld, e.st.st = [tlbSize]tlbEntry{}, [tlbSize]tlbEntry{}
 	}
+	e.refreshRuntime(m)
 	e.trk.Flushed = false
+	defer func() { e.Stats.BarrierProbes = e.trk.Probes }()
 
 	st := &e.st
 	st.m = m
 	st.err = nil
 	st.fl.kind = kEager // Machine.Flags is authoritative on entry
 
+	budgetErr := func() error {
+		st.materialize()
+		return fmt.Errorf("%w (%d at rip=%#x)", emu.ErrMaxInstructions, maxInst, m.RIP)
+	}
+
 	var prev *block // block whose terminator brought us here, for chaining
 	for !m.Halted() {
-		if m.Counters.Instructions >= maxInst {
-			st.materialize()
-			return fmt.Errorf("%w (%d at rip=%#x)", emu.ErrMaxInstructions, maxInst, m.RIP)
+		// Special addresses (exit sentinel, runtime calls) are block
+		// boundaries by construction (emu.DecodeBlock), so probing here
+		// is probing before every fetch. The steady path pays two
+		// compares: the Runtime map is consulted only for a RIP inside
+		// the range of bound addresses, and the flags stay lazy across
+		// ordinary transitions because StepSpecial runs only when it
+		// will act.
+		pc := m.RIP
+		special := pc == m.ExitAddr
+		if !special && pc >= e.rtLo && pc <= e.rtHi {
+			e.Stats.SpecialProbes++
+			_, special = m.Runtime[pc]
 		}
-		// Special addresses (exit sentinel, runtime calls) are never
-		// mapped, so they are only reachable at block boundaries. The
-		// cheap inline probe keeps the flags lazy across ordinary
-		// block transitions; StepSpecial runs only when it will act.
-		if m.RIP == m.ExitAddr || m.Runtime[m.RIP] != nil {
-			st.materialize()
-			if handled, err := m.StepSpecial(); err != nil {
-				return err
-			} else if handled {
-				prev = nil
-				continue
+		if special {
+			if m.Counters.Instructions >= maxInst {
+				return budgetErr()
 			}
+			st.materialize()
+			if _, err := m.StepSpecial(); err != nil {
+				return err
+			}
+			// A binding is the one place the bindings can change.
+			e.refreshRuntime(m)
+			prev = nil
+			continue
 		}
 		if e.trk.Flushed {
 			// A flush raised by the previous block (mid-block SMC
@@ -184,7 +234,6 @@ func (e *Engine) Run(m *emu.Machine, maxInst uint64) error {
 			prev = nil
 		}
 
-		pc := m.RIP
 		e.Stats.Lookups++
 		var b *block
 		if prev != nil {
@@ -197,6 +246,12 @@ func (e *Engine) Run(m *emu.Machine, maxInst uint64) error {
 			}
 		}
 		if b == nil {
+			// The budget outranks a decode error, as in the
+			// interpreter's loop; on a chained transition the fast-path
+			// condition below is the budget check.
+			if m.Counters.Instructions >= maxInst {
+				return budgetErr()
+			}
 			b = e.blocks[pc]
 			if b == nil {
 				var err error
@@ -215,7 +270,7 @@ func (e *Engine) Run(m *emu.Machine, maxInst uint64) error {
 		}
 		prev = b
 
-		if m.Trace == nil && maxInst-m.Counters.Instructions >= uint64(len(b.insts)) {
+		if m.Trace == nil && m.Counters.Instructions+uint64(len(b.insts)) <= maxInst {
 			// Fast path: the whole block fits in the remaining budget
 			// and nobody observes per-instruction state. Threaded
 			// dispatch with lazy flags.
@@ -233,7 +288,8 @@ func (e *Engine) Run(m *emu.Machine, maxInst uint64) error {
 			}
 		} else {
 			// Careful path: a tracer is installed or the budget could
-			// expire mid-block. Execute per instruction through
+			// expire mid-block (or already has: runCareful checks it
+			// before each instruction). Execute per instruction through
 			// ExecDecoded, which yields tracer-mutation and budget
 			// parity with interp by construction.
 			e.Stats.CarefulBlocks++
@@ -290,13 +346,14 @@ func (s *state) load(addr uint64, n int) (uint64, error) {
 	off := addr % emu.PageSize
 	if off+uint64(n) <= emu.PageSize {
 		idx := addr / emu.PageSize
-		pg := s.ldPage
-		if pg == nil || idx != s.ldIdx {
+		e := &s.ld[idx%tlbSize]
+		pg := e.page
+		if pg == nil || idx != e.idx {
 			pg = s.m.Mem.PageSlice(addr, false)
 			if pg == nil {
 				return 0, fmt.Errorf("emu: read fault at %#x", addr)
 			}
-			s.ldIdx, s.ldPage = idx, pg
+			e.idx, e.page = idx, pg
 		}
 		switch n {
 		case 8:
@@ -323,10 +380,11 @@ func (s *state) store(addr uint64, v uint64, n int) {
 	}
 	s.m.Mem.FireBarrier(addr, n)
 	idx := addr / emu.PageSize
-	pg := s.stPage
-	if pg == nil || idx != s.stIdx {
+	e := &s.st[idx%tlbSize]
+	pg := e.page
+	if pg == nil || idx != e.idx {
 		pg = s.m.Mem.PageSlice(addr, true)
-		s.stIdx, s.stPage = idx, pg
+		e.idx, e.page = idx, pg
 	}
 	switch n {
 	case 8:

@@ -93,6 +93,34 @@ func TestChainingStats(t *testing.T) {
 	}
 }
 
+// TestSteadyPathProbesNoMap is the probe-free transition as an exact
+// count rather than a timing: over the memstream kernel the Runtime map
+// is consulted only by the transitions that are runtime calls (its code
+// lies outside the range of bound addresses, so no ordinary or chained
+// transition reaches the map), and the tracker's page map by no store
+// at all (its buffers and stack lie outside the tracked code pages).
+// Both counts hold at any iteration count.
+func TestSteadyPathProbesNoMap(t *testing.T) {
+	saved := workload.KernelIters
+	defer func() { workload.KernelIters = saved }()
+	for _, iters := range []int{500, 5000} {
+		workload.KernelIters = iters
+		eng := ir.New()
+		m := runKernel(t, "memstream", eng)
+		s := eng.Stats
+		if s.Chained < uint64(iters) {
+			t.Fatalf("%d iterations: only %d chained transitions", iters, s.Chained)
+		}
+		if s.SpecialProbes != m.Counters.RuntimeCalls {
+			t.Errorf("%d iterations: %d Runtime-map probes for %d runtime calls over %d transitions",
+				iters, s.SpecialProbes, m.Counters.RuntimeCalls, s.Lookups)
+		}
+		if s.BarrierProbes != 0 {
+			t.Errorf("%d iterations: %d tracker-map probes from data stores", iters, s.BarrierProbes)
+		}
+	}
+}
+
 // TestSMCFlushStats: behavioural parity on self-modifying code is
 // checked in enginetest; here we assert the mechanism — a store into
 // translated code flushes the cache exactly once per event, whether it

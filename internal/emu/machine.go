@@ -13,6 +13,8 @@ package emu
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"e9patch/internal/x86"
 )
@@ -78,9 +80,17 @@ const PageSize = 0x1000
 
 type page [PageSize]byte
 
+// pageRange is an inclusive range of page indices.
+type pageRange struct{ lo, hi uint64 }
+
 // Memory is a sparse paged address space.
 type Memory struct {
 	pages map[uint64]*page
+	// resv are the zero-fill reservations Map recorded: sorted,
+	// disjoint and non-adjacent. A reserved page is mapped — it reads
+	// as zero and does not fault — but gets its backing array only at
+	// first touch, so a stack or a .bss costs what the program uses.
+	resv []pageRange
 	// barrier, when non-nil, runs before any byte in [addr, addr+size)
 	// is modified. Translation caches hook it to invalidate blocks
 	// decoded from pages that are written (self-modifying code).
@@ -90,26 +100,46 @@ type Memory struct {
 // NewMemory returns an empty address space.
 func NewMemory() *Memory { return &Memory{pages: make(map[uint64]*page)} }
 
+// reserved reports whether Map covered page idx.
+func (m *Memory) reserved(idx uint64) bool {
+	i := sort.Search(len(m.resv), func(k int) bool { return m.resv[k].hi >= idx })
+	return i < len(m.resv) && m.resv[i].lo <= idx
+}
+
+// pageFor returns the page holding addr, materialising it when it is
+// reserved or create is set; nil means unmapped.
 func (m *Memory) pageFor(addr uint64, create bool) *page {
 	idx := addr / PageSize
 	p := m.pages[idx]
-	if p == nil && create {
+	if p == nil && (create || m.reserved(idx)) {
 		p = new(page)
 		m.pages[idx] = p
 	}
 	return p
 }
 
-// Mapped reports whether the page containing addr exists.
-func (m *Memory) Mapped(addr uint64) bool { return m.pageFor(addr, false) != nil }
+// Mapped reports whether the page containing addr exists or is
+// reserved.
+func (m *Memory) Mapped(addr uint64) bool {
+	return m.pages[addr/PageSize] != nil || m.reserved(addr/PageSize)
+}
 
-// Map ensures pages covering [addr, addr+size) exist.
+// Map reserves the pages covering [addr, addr+size) as zero-fill
+// memory. Reservations that overlap or touch coalesce, so a bump
+// allocator's per-call Map extends one range.
 func (m *Memory) Map(addr, size uint64) {
-	for a := addr / PageSize; a <= (addr+size-1)/PageSize; a++ {
-		if m.pages[a] == nil {
-			m.pages[a] = new(page)
-		}
+	lo, hi := addr/PageSize, (addr+size-1)/PageSize
+	if size == 0 || hi < lo {
+		return
 	}
+	// r[i:j] are the ranges [lo, hi] overlaps or touches.
+	r := m.resv
+	i := sort.Search(len(r), func(k int) bool { return r[k].hi+1 >= lo })
+	j := i
+	for ; j < len(r) && r[j].lo <= hi+1; j++ {
+		lo, hi = min(lo, r[j].lo), max(hi, r[j].hi)
+	}
+	m.resv = slices.Replace(r, i, j, pageRange{lo, hi})
 }
 
 // SetWriteBarrier installs fn to run before every store (nil removes

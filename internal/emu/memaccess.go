@@ -18,7 +18,7 @@ import (
 func (m *Memory) ReadInt(addr uint64, n int) (uint64, error) {
 	off := addr % PageSize
 	if off+uint64(n) <= PageSize {
-		p := m.pages[addr/PageSize]
+		p := m.pageFor(addr, false)
 		if p == nil {
 			return 0, fmt.Errorf("emu: read fault at %#x", addr)
 		}
@@ -62,22 +62,12 @@ func (m *Memory) FireBarrier(addr uint64, n int) {
 	}
 }
 
-// PageIndices returns the sorted indices of all mapped pages (the page
-// at index i covers [i*PageSize, (i+1)*PageSize)).
-func (m *Memory) PageIndices() []uint64 {
-	idx := make([]uint64, 0, len(m.pages))
-	for i := range m.pages {
-		idx = append(idx, i)
-	}
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-	return idx
-}
-
 // DiffMemory compares two address spaces byte for byte and returns the
 // address of the first differing byte. Unmapped pages read as zero, so
-// a mapped all-zero page equals an unmapped one: engines that merely
-// materialise pages differently do not spuriously diverge. The second
-// result is false when the spaces are identical.
+// a mapped all-zero page equals an unmapped one, and a reserved page
+// nobody touched equals both: engines that merely materialise pages
+// differently do not spuriously diverge. The second result is false
+// when the spaces are identical.
 func DiffMemory(a, b *Memory) (uint64, bool) {
 	seen := make(map[uint64]struct{}, len(a.pages)+len(b.pages))
 	idx := make([]uint64, 0, len(a.pages)+len(b.pages))

@@ -2,6 +2,8 @@ package emu
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -72,7 +74,7 @@ func TestMemoryScalarCrossPage(t *testing.T) {
 
 // TestWriteBarrier checks the invalidation hook fires for every store
 // path with the exact address/size written, and that Map (which only
-// creates zero pages) never fires it.
+// reserves zero pages) never fires it.
 func TestWriteBarrier(t *testing.T) {
 	mem := NewMemory()
 	type ev struct{ addr, size uint64 }
@@ -128,5 +130,118 @@ func TestBarrierRunsBeforeStore(t *testing.T) {
 	b, _ := mem.ReadBytes(0x1000, 1)
 	if b[0] != 0x22 {
 		t.Fatalf("store lost: memory = %#x", b[0])
+	}
+}
+
+// TestMapReservesInvisibly: Map records a reservation and nothing
+// else; no reader, fault or comparison can tell a reserved page from
+// the eagerly allocated zero page it replaces.
+func TestMapReservesInvisibly(t *testing.T) {
+	mem := NewMemory()
+	const lo, size = 0x10_0000, 3*PageSize + 100 // ends mid-page 0x103
+	mem.Map(lo, size)
+	if len(mem.pages) != 0 {
+		t.Fatalf("Map allocated %d pages", len(mem.pages))
+	}
+	end := uint64(lo + 4*PageSize) // one past the last reserved page
+
+	for _, addr := range []uint64{lo, lo + PageSize + 7, end - 1} {
+		if !mem.Mapped(addr) {
+			t.Errorf("Mapped(%#x) = false inside the reservation", addr)
+		}
+	}
+	for _, addr := range []uint64{lo - 1, end} {
+		if mem.Mapped(addr) {
+			t.Errorf("Mapped(%#x) = true outside the reservation", addr)
+		}
+	}
+	if len(mem.pages) != 0 {
+		t.Error("Mapped materialised a page")
+	}
+
+	// A reserved, never-written byte reads as zero through every reader.
+	if v, err := mem.ReadInt(lo+PageSize, 8); err != nil || v != 0 {
+		t.Errorf("ReadInt in the reservation = %#x, %v", v, err)
+	}
+	if v, err := mem.read(end-4, 4); err != nil || v != 0 {
+		t.Errorf("read at the reservation's tail = %#x, %v", v, err)
+	}
+	if b, ok := mem.ReadBytes(lo+2*PageSize-8, 16); !ok || !bytes.Equal(b, make([]byte, 16)) {
+		t.Errorf("ReadBytes across reserved pages = % x, ok=%v", b, ok)
+	}
+	if mem.PageSlice(lo+3*PageSize, false) == nil {
+		t.Error("PageSlice of a reserved page is nil")
+	}
+
+	// One byte past it faults, and the error names that byte.
+	for _, read := range []func(uint64, int) (uint64, error){mem.ReadInt, mem.read} {
+		_, err := read(end-3, 4)
+		if want := fmt.Sprintf("emu: read fault at %#x", end); err == nil || err.Error() != want {
+			t.Errorf("read past the reservation: %v, want %q", err, want)
+		}
+	}
+	if _, err := mem.ReadInt(lo-1, 1); err == nil {
+		t.Error("read one byte below the reservation did not fault")
+	}
+
+	// Touching a reserved page leaves no trace a comparison can see.
+	touched, untouched := NewMachine(), NewMachine()
+	for _, m := range []*Machine{touched, untouched} {
+		m.Mem.Map(lo, size)
+		m.Mem.WriteBytes(0x5000, []byte{1, 2, 3})
+	}
+	if _, err := touched.Mem.ReadInt(lo+8, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := touched.Mem.write(lo+PageSize, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	if addr, diff := DiffMemory(touched.Mem, untouched.Mem); diff {
+		t.Errorf("DiffMemory reports %#x between a touched and an untouched reservation", addr)
+	}
+	if addr, diff := DiffMemory(untouched.Mem, touched.Mem); diff {
+		t.Errorf("DiffMemory (swapped) reports %#x", addr)
+	}
+}
+
+// TestMapCoalesces: a bump allocator calls Map once per allocation;
+// the reservations must stay one range so a lookup stays a binary
+// search over a handful of entries. Overlapping, contained, bridging
+// and out-of-order calls merge too; a gap of one page does not.
+func TestMapCoalesces(t *testing.T) {
+	mem := NewMemory()
+	heap := NewBumpAllocator(0x4_0000_0000, 1<<30)
+	m := &Machine{Mem: mem}
+	for i := 0; i < 10_000; i++ {
+		if _, err := heap.Alloc(m, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(mem.resv) != 1 {
+		t.Fatalf("10 000 adjacent 64-byte Map calls left %d ranges, want 1", len(mem.resv))
+	}
+	if want := (pageRange{0x4_0000_0000 / PageSize, (0x4_0000_0000 + 640_000 - 1) / PageSize}); mem.resv[0] != want {
+		t.Errorf("range = %+v, want %+v", mem.resv[0], want)
+	}
+
+	mem = NewMemory()
+	mem.Map(10*PageSize, PageSize)   // [10]
+	mem.Map(14*PageSize, 2*PageSize) // [10] [14,15]
+	mem.Map(12*PageSize, 1)          // [10] [12] [14,15]: one-page gaps stay
+	if len(mem.resv) != 3 {
+		t.Fatalf("ranges = %+v, want three", mem.resv)
+	}
+	mem.Map(14*PageSize+5, 10)     // contained: no change
+	mem.Map(11*PageSize, PageSize) // bridges [10] and [12]
+	mem.Map(0, 0)                  // empty: no change
+	if want := []pageRange{{10, 12}, {14, 15}}; !slices.Equal(mem.resv, want) {
+		t.Fatalf("ranges = %+v, want %+v", mem.resv, want)
+	}
+	mem.Map(9*PageSize+1, 8*PageSize) // swallows everything, both ends extended
+	if want := []pageRange{{9, 17}}; !slices.Equal(mem.resv, want) {
+		t.Fatalf("ranges = %+v, want %+v", mem.resv, want)
+	}
+	if mem.Mapped(8*PageSize) || !mem.Mapped(17*PageSize) || mem.Mapped(18*PageSize) {
+		t.Error("Mapped disagrees with the merged range")
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"e9patch/internal/disasm"
@@ -174,5 +175,26 @@ func TestWriteDensityOrdering(t *testing.T) {
 	mo, _ := BuildDromaeo(DromaeoSuite{Name: "m", WritePct: 85}, false, 0)
 	if bytes.Equal(q.ELF, mo.ELF) {
 		t.Fatal("suites with different write density built identical binaries")
+	}
+}
+
+// TestNewMachineAllocGate holds what a machine costs before it runs
+// anything: the 4 MB stack is a reservation, so setting one up is a few
+// small allocations (maps, bindings, the engine and the one stack page
+// the exit sentinel is written to), not a thousand zeroed pages.
+// BenchmarkNewMachine in the root package reads the same figures.
+func TestNewMachineAllocGate(t *testing.T) {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { NewMachine(nil) })
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	t.Logf("NewMachine: %.0f allocations, %d bytes", allocs, perRun)
+	if allocs > 32 {
+		t.Errorf("NewMachine makes %.0f allocations, want <= 32", allocs)
+	}
+	if perRun > 64<<10 {
+		t.Errorf("NewMachine allocates %d bytes, want <= 64 KB", perRun)
 	}
 }
