@@ -4,7 +4,7 @@
 // interpreter as the reference semantics. An engine is correct iff it
 // is observationally identical to the interpreter — same registers,
 // flags, RIP, exit code, counters, output, memory image, trace stream
-// and errors — on every program here (DESIGN.md §13).
+// and errors — on every program here (DESIGN.md §6).
 //
 // Engine packages keep their engine-specific tests (chaining stats,
 // flag-elision stats, speedup gates) next to the engine; everything
@@ -157,13 +157,12 @@ func testDromaeo(t *testing.T, engine string) {
 	}
 }
 
-// testSMCPatchLoop overwrites an instruction's immediate from a later
-// iteration's perspective: iteration 0 executes `add rax, 1`, then the
-// loop body patches the immediate byte to 5, so iterations 1 and 2
-// must add 5. Every engine has to observe the new bytes; caching
-// engines must flush translated code.
-func testSMCPatchLoop(t *testing.T, engine string) {
-	const base = 0x401000
+// SMCPatchLoop assembles a loop that overwrites an instruction's
+// immediate from a later iteration's perspective: iteration 0 executes
+// `add rax, 1`, then the loop body patches the immediate byte to 5, so
+// iterations 1 and 2 must add 5 and the program exits 11. Each of the
+// three stores lands in code an engine has already cached.
+func SMCPatchLoop(base uint64) []byte {
 	a := x86.NewAsm(base)
 	a.XorRegReg32(x86.RAX, x86.RAX)
 	a.XorRegReg32(x86.RCX, x86.RCX)
@@ -177,30 +176,15 @@ func testSMCPatchLoop(t *testing.T, engine string) {
 	a.CmpRegImm64(x86.RCX, 3)
 	a.Jcc(x86.CondL, top)
 	a.Ret()
-	text := a.MustFinish()
-
-	interp := rawMachine(nil, base, text)
-	if err := interp.Run(10_000); err != nil {
-		t.Fatal(err)
-	}
-	under := rawMachine(newEngine(t, engine), base, text)
-	if err := under.Run(10_000); err != nil {
-		t.Fatal(err)
-	}
-
-	if interp.ExitCode != 11 { // 1 + 5 + 5
-		t.Errorf("interp exit = %d, want 11", interp.ExitCode)
-	}
-	diffStates(t, "patch-loop", engine, stateOf(interp), stateOf(under))
+	return a.MustFinish()
 }
 
-// testSMCSameBlock stores a hlt opcode over the very next instruction
-// in the same straight-line run. The interpreter's per-step fetch sees
+// SMCSameBlock assembles a straight-line run that stores a hlt opcode
+// over its own next instruction. The interpreter's per-step fetch sees
 // the new byte immediately; caching engines must abort the current
 // block mid-flight and re-translate, or they would run the stale tail
 // (`mov rax, 99`) and exit 99 instead of 7.
-func testSMCSameBlock(t *testing.T, engine string) {
-	const base = 0x401000
+func SMCSameBlock(base uint64) []byte {
 	a := x86.NewAsm(base)
 	a.MovRegImm32(x86.RAX, 7)
 	movOff := a.Len()
@@ -212,7 +196,14 @@ func testSMCSameBlock(t *testing.T, engine string) {
 	a.Ret()
 	text := a.MustFinish()
 	binary.LittleEndian.PutUint64(text[movOff+2:], siteAddr)
+	return text
+}
 
+// testSMC runs one self-modifying program under the interpreter and
+// the engine: every engine has to observe the new bytes.
+func testSMC(t *testing.T, engine, name string, build func(base uint64) []byte, wantExit uint64) {
+	const base = 0x401000
+	text := build(base)
 	interp := rawMachine(nil, base, text)
 	if err := interp.Run(10_000); err != nil {
 		t.Fatal(err)
@@ -221,11 +212,18 @@ func testSMCSameBlock(t *testing.T, engine string) {
 	if err := under.Run(10_000); err != nil {
 		t.Fatal(err)
 	}
-
-	if interp.ExitCode != 7 {
-		t.Errorf("interp exit = %d, want 7", interp.ExitCode)
+	if interp.ExitCode != wantExit {
+		t.Errorf("interp exit = %d, want %d", interp.ExitCode, wantExit)
 	}
-	diffStates(t, "same-block", engine, stateOf(interp), stateOf(under))
+	diffStates(t, name, engine, stateOf(interp), stateOf(under))
+}
+
+func testSMCPatchLoop(t *testing.T, engine string) {
+	testSMC(t, engine, "patch-loop", SMCPatchLoop, 11) // 1 + 5 + 5
+}
+
+func testSMCSameBlock(t *testing.T, engine string) {
+	testSMC(t, engine, "same-block", SMCSameBlock, 7)
 }
 
 // testSpecialMidBlock maps code over special addresses, which nothing

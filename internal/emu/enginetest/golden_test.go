@@ -54,21 +54,7 @@ func goldenPrograms(t *testing.T) []goldenProg {
 		})
 	}
 
-	// Self-modifying patch loop (same shape as testSMCPatchLoop).
-	a := x86.NewAsm(base)
-	a.XorRegReg32(x86.RAX, x86.RAX)
-	a.XorRegReg32(x86.RCX, x86.RCX)
-	top := a.NewLabel()
-	a.Bind(top)
-	site := a.Addr()
-	a.AddRegImm64(x86.RAX, 1)
-	a.MovRegImm64(x86.RBX, site+3)
-	a.MovMemImm8(x86.M(x86.RBX, 0), 5)
-	a.AddRegImm64(x86.RCX, 1)
-	a.CmpRegImm64(x86.RCX, 3)
-	a.Jcc(x86.CondL, top)
-	a.Ret()
-	smc := a.MustFinish()
+	smc := SMCPatchLoop(base)
 	progs = append(progs, goldenProg{
 		name:   "smc-patch-loop",
 		setup:  func(eng emu.Engine) *emu.Machine { return rawMachine(eng, base, smc) },

@@ -1,12 +1,12 @@
 package ir_test
 
 import (
-	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
 
 	"e9patch/internal/emu"
+	"e9patch/internal/emu/enginetest"
 	"e9patch/internal/emu/ir"
 	"e9patch/internal/loader"
 	"e9patch/internal/workload"
@@ -146,37 +146,13 @@ func TestSMCFlushStats(t *testing.T) {
 
 	// Three iterations each patch the immediate of the loop's first
 	// instruction: three stores into translated code, three flushes.
-	a := x86.NewAsm(base)
-	a.XorRegReg32(x86.RAX, x86.RAX)
-	a.XorRegReg32(x86.RCX, x86.RCX)
-	top := a.NewLabel()
-	a.Bind(top)
-	site := a.Addr()
-	a.AddRegImm64(x86.RAX, 1) // imm low byte at site+3, patched below
-	a.MovRegImm64(x86.RBX, site+3)
-	a.MovMemImm8(x86.M(x86.RBX, 0), 5)
-	a.AddRegImm64(x86.RCX, 1)
-	a.CmpRegImm64(x86.RCX, 3)
-	a.Jcc(x86.CondL, top)
-	a.Ret()
-	if s := run(a.MustFinish(), 11); s.Flushes != 3 { // 1 + 5 + 5
+	if s := run(enginetest.SMCPatchLoop(base), 11); s.Flushes != 3 {
 		t.Errorf("patch loop: %d flushes for 3 stores into translated code, want 3", s.Flushes)
 	}
 
 	// One store over the next instruction of the running block: one
 	// flush, and the block is abandoned so the new hlt executes.
-	a = x86.NewAsm(base)
-	a.MovRegImm32(x86.RAX, 7)
-	movOff := a.Len()
-	a.MovRegImm64(x86.RBX, 0) // imm patched to siteAddr after assembly
-	a.MovMemImm8(x86.M(x86.RBX, 0), 0xF4)
-	siteAddr := a.Addr()
-	a.Nop() // becomes hlt before it executes
-	a.MovRegImm32(x86.RAX, 99)
-	a.Ret()
-	text := a.MustFinish()
-	binary.LittleEndian.PutUint64(text[movOff+2:], siteAddr)
-	s := run(text, 7)
+	s := run(enginetest.SMCSameBlock(base), 7)
 	if s.Flushes != 1 {
 		t.Errorf("mid-block abort: %d flushes for one store, want 1", s.Flushes)
 	}
