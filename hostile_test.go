@@ -10,6 +10,7 @@ import (
 
 	"e9patch/internal/e9err"
 	"e9patch/internal/elf64"
+	"e9patch/internal/patch"
 	"e9patch/internal/workload"
 )
 
@@ -152,6 +153,30 @@ func TestHostileSupersetShapes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHostileForceB0Sled bounds the B0 dispatch table on the input that
+// makes it largest: a 128 KB nop sled with every instruction forced to
+// int3 is 131 071 entries, which loader.Encode used to order with an
+// exchange sort (26.6 s for this rewrite; 95 ms with a real sort).
+func TestHostileForceB0Sled(t *testing.T) {
+	bin, err := elf64.Build(elf64.BuildSpec{Text: workload.NopSled(128 << 10), Data: make([]byte, 32), BSSSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Select: SelectAll}
+	cfg.Patch.ForceB0 = true
+	start := time.Now()
+	res, err := Rewrite(bin, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("rewrite took %v, want < 2s", d)
+	}
+	if res.Stats.Total < 128<<10-1 || res.Stats.ByTactic[patch.TacticB0] != res.Stats.Total {
+		t.Errorf("B0 patched %d of %d sites, want all of the sled", res.Stats.ByTactic[patch.TacticB0], res.Stats.Total)
 	}
 }
 

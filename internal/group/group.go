@@ -11,10 +11,7 @@
 // vm.max_map_count limit).
 package group
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PageSize is the virtual page size.
 const PageSize = 0x1000
@@ -71,21 +68,76 @@ type Result struct {
 // reasonable results for reasonable performance.
 const maxProbe = 128
 
-// piece is one chunk fragment that landed in a virtual block: an
-// offset plus a view into the caller's chunk data. Blocks stay sparse —
-// a browser-class rewrite occupies hundreds of thousands of virtual
-// blocks, and materializing a full blockSize image per virtual block
-// (rather than only per merged physical block, below) used to dominate
-// the emit phase's memory.
-type piece struct {
-	off  uint64
-	data []byte
+// wordMask is the part of one 64-byte-offset word of a block's
+// occupancy that the block's pieces cover.
+type wordMask struct {
+	word int
+	bits uint64
 }
 
-type vblock struct {
-	vaddr  uint64 // block-aligned
-	bitmap []uint64
-	pieces []piece
+// appendMasks adds the occupancy of [off, off+n) to masks, which is in
+// ascending word order; a piece that shares its first word with the
+// previous piece's last is merged into it.
+func appendMasks(masks []wordMask, off, n uint64) []wordMask {
+	last := off + n - 1
+	for w := off / 64; w <= last/64; w++ {
+		bits := ^uint64(0)
+		if w == off/64 {
+			bits &= ^uint64(0) << (off % 64)
+		}
+		if w == last/64 {
+			bits &= ^uint64(0) >> (63 - last%64)
+		}
+		if k := len(masks) - 1; k >= 0 && masks[k].word == int(w) {
+			masks[k].bits |= bits
+		} else {
+			masks = append(masks, wordMask{int(w), bits})
+		}
+	}
+	return masks
+}
+
+// sortByAddr returns the pieces in ascending address order: a
+// byte-wise radix sort, least significant byte first, of pointer-free
+// (address, index) keys, then one gather. Trampoline addresses share
+// their high bytes, and a byte all keys share is skipped, so this is
+// four or five linear passes; a comparison sort of the same keys
+// through a comparator function measured three times the cost.
+func sortByAddr(pieces []Chunk) []Chunk {
+	type key struct {
+		addr uint64
+		idx  int
+	}
+	keys, tmp := make([]key, len(pieces)), make([]key, len(pieces))
+	var counts [8][256]int
+	for i := range pieces {
+		a := pieces[i].Addr
+		keys[i] = key{a, i}
+		for b := range counts {
+			counts[b][byte(a>>(8*b))]++
+		}
+	}
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(keys[0].addr>>(8*b))] == len(keys) {
+			continue
+		}
+		sum := 0
+		for d, n := range c {
+			c[d], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			d := byte(k.addr >> (8 * b))
+			tmp[c[d]] = k
+			c[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	out := make([]Chunk, len(pieces))
+	for i, k := range keys {
+		out[i] = pieces[k.idx]
+	}
+	return out
 }
 
 // Build groups the chunks with the given granularity (pages per
@@ -96,120 +148,113 @@ func Build(chunks []Chunk, granularity int) (*Result, error) {
 	}
 	blockSize := uint64(granularity) * PageSize
 
-	// Slice chunks into per-block pieces; images are deferred to the
-	// merged physical blocks.
-	blocks := make(map[uint64]*vblock)
+	// Cut the chunks at block boundaries into pieces, each a view into
+	// the caller's data that lies inside one virtual block, all in one
+	// array. Blocks stay sparse: a browser-class rewrite occupies
+	// hundreds of thousands of virtual blocks, and only the merged
+	// physical blocks below get a blockSize image. An address may wrap
+	// past the top of the 64-bit space (link-relative addresses under a
+	// PIE bias do); the piece after the wrap starts at 0 like any other.
+	pieces := make([]Chunk, 0, len(chunks)+len(chunks)/8+8)
 	var payload uint64
+	ordered := true
 	for _, c := range chunks {
 		payload += uint64(len(c.Data))
-		addr := c.Addr
-		data := c.Data
+		addr, data := c.Addr, c.Data
 		for len(data) > 0 {
-			blockAddr := addr / blockSize * blockSize
-			off := addr - blockAddr
-			n := blockSize - off
-			if n > uint64(len(data)) {
-				n = uint64(len(data))
+			n := min(blockSize-addr%blockSize, uint64(len(data)))
+			if k := len(pieces); k > 0 && addr < pieces[k-1].Addr {
+				ordered = false
 			}
-			b := blocks[blockAddr]
-			if b == nil {
-				b = &vblock{
-					vaddr:  blockAddr,
-					bitmap: make([]uint64, (blockSize+63)/64),
-				}
-				blocks[blockAddr] = b
-			}
-			for i := uint64(0); i < n; i++ {
-				w := (off + i) / 64
-				bit := (off + i) % 64
-				if b.bitmap[w]&(1<<bit) != 0 {
-					return nil, fmt.Errorf("group: overlapping chunks at %#x", addr+i)
-				}
-				b.bitmap[w] |= 1 << bit
-			}
-			b.pieces = append(b.pieces, piece{off: off, data: data[:n]})
+			pieces = append(pieces, Chunk{Addr: addr, Data: data[:n]})
 			data = data[n:]
 			addr += n
 		}
 	}
-
-	// Deterministic order: by virtual address.
-	ordered := make([]*vblock, 0, len(blocks))
-	for _, b := range blocks {
-		ordered = append(ordered, b)
+	// Order the pieces by address, once. Then a block is a run of
+	// neighbours, blocks come out in mapping order, and two pieces
+	// overlap exactly when some piece reaches its successor. The
+	// distance is taken by subtraction: Addr+len wraps to 0 for a piece
+	// that ends at the top of the address space.
+	if !ordered {
+		pieces = sortByAddr(pieces)
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].vaddr < ordered[j].vaddr })
+	virtBlocks := min(len(pieces), 1)
+	for i := 1; i < len(pieces); i++ {
+		if pieces[i].Addr-pieces[i-1].Addr < uint64(len(pieces[i-1].Data)) {
+			return nil, fmt.Errorf("group: overlapping chunks at %#x", pieces[i].Addr)
+		}
+		if pieces[i].Addr/blockSize != pieces[i-1].Addr/blockSize {
+			virtBlocks++
+		}
+	}
 
 	// Greedy partitioning: place each block into the first compatible
 	// group (bounded probing). Only groups — the merged physical blocks —
-	// carry a materialized image; virtual blocks write their pieces into
-	// it on placement.
+	// carry an occupancy bitmap and a materialized image; a virtual
+	// block is tested against one by masking the few words its pieces
+	// touch, and writes its pieces into it on placement.
 	type grp struct {
-		bitmap  []uint64
-		data    []byte
-		members []uint64 // vaddrs
+		bitmap []uint64
+		data   []byte
 	}
-	place := func(g *grp, b *vblock) {
-		for _, p := range b.pieces {
-			copy(g.data[p.off:], p.data)
-		}
-		for i, w := range b.bitmap {
-			g.bitmap[i] |= w
-		}
-		g.members = append(g.members, b.vaddr)
+	var groups []grp
+	res := &Result{}
+	if virtBlocks > 0 {
+		res.Mappings = make([]Mapping, 0, virtBlocks)
 	}
-	// Probe the most recently opened groups: older groups fill up, so
-	// scanning from the front would degenerate into one group per
-	// block once the probe budget's worth of groups saturates.
-	var groups []*grp
-	for _, b := range ordered {
-		placed := false
-		lo := len(groups) - maxProbe
-		if lo < 0 {
-			lo = 0
+	var masks []wordMask
+	for i := 0; i < len(pieces); {
+		vaddr := pieces[i].Addr / blockSize * blockSize
+		j := i
+		masks = masks[:0]
+		for ; j < len(pieces) && pieces[j].Addr-vaddr < blockSize; j++ {
+			masks = appendMasks(masks, pieces[j].Addr-vaddr, uint64(len(pieces[j].Data)))
 		}
-		for gi := len(groups) - 1; gi >= lo; gi-- {
-			g := groups[gi]
-			conflict := false
-			for i, w := range b.bitmap {
-				if w&g.bitmap[i] != 0 {
-					conflict = true
-					break
+		// Probe the most recently opened groups: older groups fill up, so
+		// scanning from the front would degenerate into one group per
+		// block once the probe budget's worth of groups saturates.
+		gi, lo := len(groups)-1, max(len(groups)-maxProbe, 0)
+	probe:
+		for ; gi >= lo; gi-- {
+			bitmap := groups[gi].bitmap
+			for _, m := range masks {
+				if bitmap[m.word]&m.bits != 0 {
+					continue probe
 				}
 			}
-			if conflict {
-				continue
-			}
-			place(g, b)
-			placed = true
 			break
 		}
-		if !placed {
-			g := &grp{
-				bitmap:  make([]uint64, len(b.bitmap)),
-				data:    make([]byte, blockSize),
-				members: make([]uint64, 0, 1),
-			}
-			place(g, b)
-			groups = append(groups, g)
+		if gi < lo {
+			gi = len(groups)
+			groups = append(groups, grp{
+				bitmap: make([]uint64, (blockSize+63)/64),
+				data:   make([]byte, blockSize),
+			})
 		}
+		g := &groups[gi]
+		for _, m := range masks {
+			g.bitmap[m.word] |= m.bits
+		}
+		for _, p := range pieces[i:j] {
+			copy(g.data[p.Addr-vaddr:], p.Data)
+		}
+		res.Mappings = append(res.Mappings, Mapping{Vaddr: vaddr, Phys: gi})
+		i = j
 	}
 
-	res := &Result{
-		Stats: Stats{
-			TrampolineBytes: payload,
-			VirtBlocks:      len(ordered),
-			PhysBlocks:      len(groups),
-			BlockSize:       blockSize,
-			Mappings:        len(ordered),
-		},
+	if len(groups) > 0 {
+		res.Blocks = make([][]byte, len(groups))
 	}
-	for gi, g := range groups {
-		res.Blocks = append(res.Blocks, g.data)
-		for _, v := range g.members {
-			res.Mappings = append(res.Mappings, Mapping{Vaddr: v, Phys: gi})
-		}
+	for i, g := range groups {
+		res.Blocks[i] = g.data
 	}
-	sort.Slice(res.Mappings, func(i, j int) bool { return res.Mappings[i].Vaddr < res.Mappings[j].Vaddr })
+	res.Stats = Stats{
+		TrampolineBytes: payload,
+		VirtBlocks:      virtBlocks,
+		PhysBlocks:      len(groups),
+		BlockSize:       blockSize,
+		Mappings:        virtBlocks,
+	}
 	return res, nil
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"e9patch/internal/elf64"
 	"e9patch/internal/emu"
@@ -42,7 +43,11 @@ type Blob struct {
 
 // Encode serialises a grouping result plus metadata into blob bytes.
 func Encode(res *group.Result, granularity int, sigTab map[uint64]uint64, entry uint64) []byte {
-	var buf []byte
+	size := 4 + 4 + 8 + 8 + 4 + 12*len(res.Mappings) + 4 + 4 + 16*len(sigTab)
+	for _, b := range res.Blocks {
+		size += len(b)
+	}
+	buf := make([]byte, 0, size)
 	le := binary.LittleEndian
 	u32 := func(v uint32) { buf = le.AppendUint32(buf, v) }
 	u64 := func(v uint64) { buf = le.AppendUint64(buf, v) }
@@ -66,13 +71,7 @@ func Encode(res *group.Result, granularity int, sigTab map[uint64]uint64, entry 
 	for k := range sigTab {
 		keys = append(keys, k)
 	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
+	slices.Sort(keys)
 	for _, k := range keys {
 		u64(k)
 		u64(sigTab[k])

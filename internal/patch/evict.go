@@ -1,6 +1,10 @@
 package patch
 
-import "e9patch/internal/x86"
+import (
+	"slices"
+
+	"e9patch/internal/x86"
+)
 
 // Tactics T2 (successor eviction) and T3 (neighbour eviction). Both
 // replace a victim instruction with a jump to an evictee trampoline
@@ -25,22 +29,19 @@ func (r *Rewriter) trySuccessorEviction(inst *x86.Inst) bool {
 	}
 	succ := &r.victim
 	r.insts[sIdx].DecodeInto(succ)
-	evSize, err := r.opts.EvictionTemplate.Size(succ)
-	if err != nil {
-		return false
-	}
-	patchSize, err := r.opts.Template.Size(inst)
-	if err != nil {
+	evSize, ok := r.sizeOf(r.evictT, succ)
+	if !ok {
 		return false
 	}
 
+	var cands [t2Candidates]uint64
 	for padS := 0; padS <= succ.Len-1; padS++ {
 		wS, ok := r.computeWindow(r.code, succ.Addr, succ.Len, padS)
 		if !ok {
 			continue
 		}
-		for _, tS := range r.placementCandidates(uint64(evSize), wS) {
-			if r.evictAndRepun(inst, succ, wS, tS, evSize, patchSize) {
+		for _, tS := range r.placementCandidates(cands[:0], uint64(evSize), wS) {
+			if r.evictAndRepun(inst, succ, wS, tS, evSize) {
 				return true
 			}
 		}
@@ -51,49 +52,46 @@ func (r *Rewriter) trySuccessorEviction(inst *x86.Inst) bool {
 // evictAndRepun tries one candidate evictee placement tS for the
 // successor: it overlays S's hypothetical jump bytes, re-puns the patch
 // instruction against them, and commits both on success.
-func (r *Rewriter) evictAndRepun(inst, succ *x86.Inst, wS punWindow, tS uint64, evSize, patchSize int) bool {
+func (r *Rewriter) evictAndRepun(inst, succ *x86.Inst, wS punWindow, tS uint64, evSize int) bool {
 	oS := r.off(succ.Addr)
 	jS := jumpBytes(r.code, oS, succ.Addr, succ.Len, wS, tS)
 
 	// Temporarily overlay S's new bytes so window computation for the
-	// patch instruction sees the post-eviction image.
-	writeLen := minI(succ.Len, wS.jumpLen)
-	saved := make([]byte, writeLen)
-	copy(saved, r.code[oS:oS+writeLen])
-	copy(r.code[oS:oS+writeLen], jS[:writeLen])
-	restore := func() { copy(r.code[oS:oS+writeLen], saved) }
+	// patch instruction sees the post-eviction image; every return that
+	// commits nothing puts the saved bytes back.
+	overlay := r.code[oS : oS+minI(succ.Len, wS.jumpLen)]
+	var saved jumpBuf
+	copy(saved[:], overlay)
+	copy(overlay, jS[:])
 
 	for padI := 0; padI <= inst.Len-1; padI++ {
 		wI, ok := r.computeWindow(r.code, inst.Addr, inst.Len, padI)
 		if !ok {
 			continue
 		}
-		tP, pCode, fromArena, ok := r.allocTrampoline(r.opts.Template, inst, patchSize, wI)
+		patchSize, ok := r.patchSize()
+		if !ok {
+			break
+		}
+		tP, pCode, fromArena, ok := r.allocTrampoline(r.patchT, inst, patchSize, wI)
 		if !ok {
 			continue
 		}
 		// The patch trampoline may have claimed the candidate slot.
-		if r.space.Occupied(tS, tS+uint64(evSize)) {
-			r.undoTrampoline(tP, patchSize, fromArena)
-			restore()
-			return false
+		var evCode []byte
+		ok = !r.space.Occupied(tS, tS+uint64(evSize))
+		if ok {
+			evCode, ok = r.emit(r.evictT, succ, tS, evSize)
 		}
-		evCode, err := r.opts.EvictionTemplate.Emit(succ, tS)
-		if err != nil || len(evCode) != evSize {
-			r.undoTrampoline(tP, patchSize, fromArena)
-			restore()
-			return false
-		}
-		if err := r.reserveVA(tS, tS+uint64(evSize)); err != nil {
-			r.undoTrampoline(tP, patchSize, fromArena)
-			restore()
-			return false
+		if !ok || r.reserveVA(tS, tS+uint64(evSize)) != nil {
+			r.undoTrampoline(tP, pCode, fromArena)
+			break
 		}
 
 		// Commit: S's eviction jump, then the re-punned patch jump.
-		r.commitJump(succ.Addr, succ.Len, wS, jS)
+		r.commitJump(succ.Addr, succ.Len, wS, jS[:])
 		jI := jumpBytes(r.code, r.off(inst.Addr), inst.Addr, inst.Len, wI, tP)
-		r.commitJump(inst.Addr, inst.Len, wI, jI)
+		r.commitJump(inst.Addr, inst.Len, wI, jI[:])
 		r.notePad(wI.pad)
 		r.addTrampoline(
 			Trampoline{Addr: tS, Code: evCode, ForAddr: succ.Addr, Evictee: true},
@@ -101,21 +99,35 @@ func (r *Rewriter) evictAndRepun(inst, succ *x86.Inst, wS punWindow, tS uint64, 
 		)
 		return true
 	}
-	restore()
+	copy(overlay, saved[:])
 	return false
 }
 
-// placementCandidates returns up to T2Candidates starting addresses for
-// an allocation of the given size inside the window, spread across the
+// t2Candidates bounds the evictee placements probed by guided successor
+// eviction.
+const t2Candidates = 6
+
+// placementCandidates appends to out (empty, with room for
+// t2Candidates) up to that many distinct starting addresses for an
+// allocation of the given size inside the window, spread across the
 // window so that the low-order address bytes vary (those bytes are what
 // the dependent pun will be constrained by).
-func (r *Rewriter) placementCandidates(size uint64, w punWindow) []uint64 {
-	n := r.opts.T2Candidates
-	out := r.space.Gaps(size, w.winLo, w.winHi, n/3+1)
+func (r *Rewriter) placementCandidates(out []uint64, size uint64, w punWindow) []uint64 {
+	const n = t2Candidates
+	found := 0 // duplicates count towards the bound
+	add := func(c uint64) {
+		found++
+		if !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
+	for _, c := range r.space.Gaps(size, w.winLo, w.winHi, n/3+1) {
+		add(c)
+	}
 	if w.winHi > w.winLo {
 		span := w.winHi - w.winLo
 		stride := span/uint64(n) + 1
-		for i := 0; i < n && len(out) < n; i++ {
+		for i := 0; i < n && found < n; i++ {
 			lo := w.winLo + stride*uint64(i) + uint64(i*37)
 			if lo > w.winHi {
 				break
@@ -125,23 +137,11 @@ func (r *Rewriter) placementCandidates(size uint64, w punWindow) []uint64 {
 				hi = w.winHi
 			}
 			if c, ok := r.space.FindFree(size, lo, hi); ok {
-				out = append(out, c)
+				add(c)
 			}
 		}
 	}
-	// Deduplicate while preserving order.
-	seen := make(map[uint64]bool, len(out))
-	uniq := out[:0]
-	for _, c := range out {
-		if !seen[c] {
-			seen[c] = true
-			uniq = append(uniq, c)
-		}
-	}
-	if len(uniq) > n {
-		uniq = uniq[:n]
-	}
-	return uniq
+	return out
 }
 
 // tryNeighbourEviction implements T3. A victim within forward
@@ -150,10 +150,6 @@ func (r *Rewriter) placementCandidates(size uint64, w punWindow) []uint64 {
 // patch trampoline); the patch instruction becomes a short jump to
 // J_patch (§3.3, Figure 2).
 func (r *Rewriter) tryNeighbourEviction(inst *x86.Inst) bool {
-	patchSize, err := r.opts.Template.Size(inst)
-	if err != nil {
-		return false
-	}
 	if !r.inText(inst.Addr, 2) || r.anyLocked(inst.Addr, minI(inst.Len, 2)) {
 		return false
 	}
@@ -183,7 +179,8 @@ func (r *Rewriter) tryNeighbourEviction(inst *x86.Inst) bool {
 				return false
 			}
 			v.DecodeInto(&r.victim)
-			return r.tryT3Victim(inst, &r.victim, j, patchSize, true)
+			evSize, ok := r.sizeOf(r.evictT, &r.victim)
+			return ok && r.tryT3Victim(inst, &r.victim, j, evSize, true)
 		}
 		return false
 	}
@@ -199,14 +196,20 @@ func (r *Rewriter) tryNeighbourEviction(inst *x86.Inst) bool {
 		if v.Len < 2 || !r.inText(v.Addr, int(v.Len)) || r.anyLocked(v.Addr, int(v.Len)) {
 			continue
 		}
+		// The victim is sized once for all its J_patch offsets (the
+		// first of them, j = 1, is always in range).
 		v.DecodeInto(&r.victim)
+		evSize, ok := r.sizeOf(r.evictT, &r.victim)
+		if !ok {
+			continue
+		}
 		for j := int(v.Len) - 1; j >= 1; j-- {
 			jPatchAddr := v.Addr + uint64(j)
 			rel := int64(jPatchAddr) - int64(inst.Addr) - 2
 			if rel < 1 || rel > 127 {
 				continue
 			}
-			if r.tryT3Victim(inst, &r.victim, j, patchSize, false) {
+			if r.tryT3Victim(inst, &r.victim, j, evSize, false) {
 				return true
 			}
 		}
@@ -216,12 +219,8 @@ func (r *Rewriter) tryNeighbourEviction(inst *x86.Inst) bool {
 
 // tryT3Victim attempts neighbour eviction with a specific victim v and
 // J_patch offset j within it.
-func (r *Rewriter) tryT3Victim(inst, v *x86.Inst, j, patchSize int, punnedRel8 bool) bool {
+func (r *Rewriter) tryT3Victim(inst, v *x86.Inst, j, evSize int, punnedRel8 bool) bool {
 	if r.anyLocked(v.Addr, v.Len) {
-		return false
-	}
-	evSize, err := r.opts.EvictionTemplate.Size(v)
-	if err != nil {
 		return false
 	}
 	jPatchAddr := v.Addr + uint64(j)
@@ -233,18 +232,22 @@ func (r *Rewriter) tryT3Victim(inst, v *x86.Inst, j, patchSize int, punnedRel8 b
 	if !ok {
 		return false
 	}
-	tP, pCode, fromArena, ok := r.allocTrampoline(r.opts.Template, inst, patchSize, wP)
+	patchSize, ok := r.patchSize()
 	if !ok {
 		return false
 	}
-	jP := jumpBytes(r.code, r.off(jPatchAddr), jPatchAddr, v.Len-j, wP, tP)
+	tP, pCode, fromArena, ok := r.allocTrampoline(r.patchT, inst, patchSize, wP)
+	if !ok {
+		return false
+	}
+	oP := r.off(jPatchAddr)
+	jP := jumpBytes(r.code, oP, jPatchAddr, v.Len-j, wP, tP)
 
 	// Overlay J_patch so J_victim's window sees its bytes.
-	oP := r.off(jPatchAddr)
-	writeLenP := minI(v.Len-j, wP.jumpLen)
-	saved := make([]byte, writeLenP)
-	copy(saved, r.code[oP:oP+writeLenP])
-	copy(r.code[oP:oP+writeLenP], jP[:writeLenP])
+	overlay := r.code[oP : oP+minI(v.Len-j, wP.jumpLen)]
+	var saved jumpBuf
+	copy(saved[:], overlay)
+	copy(overlay, jP[:])
 
 	// Step (c): J_victim — a punned jump at the victim's first byte;
 	// its modifiable region is [0, j) (J_patch bytes are now fixed).
@@ -252,18 +255,18 @@ func (r *Rewriter) tryT3Victim(inst, v *x86.Inst, j, patchSize int, punnedRel8 b
 	var tV uint64
 	var evCode []byte
 	if okV {
-		tV, evCode, _, okV = r.allocTrampoline(r.opts.EvictionTemplate, v, evSize, wV)
+		tV, evCode, _, okV = r.allocTrampoline(r.evictT, v, evSize, wV)
 	}
 	if !okV {
-		copy(r.code[oP:oP+writeLenP], saved)
-		r.undoTrampoline(tP, patchSize, fromArena)
+		copy(overlay, saved[:])
+		r.undoTrampoline(tP, pCode, fromArena)
 		return false
 	}
 
 	// Commit all three jumps.
-	r.commitJump(jPatchAddr, v.Len-j, wP, jP)
+	r.commitJump(jPatchAddr, v.Len-j, wP, jP[:])
 	jV := jumpBytes(r.code, r.off(v.Addr), v.Addr, j, wV, tV)
-	r.commitJump(v.Addr, j, wV, jV)
+	r.commitJump(v.Addr, j, wV, jV[:])
 
 	// Step (b): the short jump replacing the patch instruction.
 	if punnedRel8 {

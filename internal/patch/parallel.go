@@ -1,6 +1,8 @@
 package patch
 
 import (
+	"slices"
+
 	"e9patch/internal/va"
 	"e9patch/internal/work"
 )
@@ -104,15 +106,17 @@ func (r *Rewriter) mustRelease(lo, hi uint64) {
 }
 
 // undoTrampoline backs out an uncommitted allocTrampoline result.
-func (r *Rewriter) undoTrampoline(t uint64, size int, fromArena bool) {
+func (r *Rewriter) undoTrampoline(t uint64, code []byte, fromArena bool) {
+	r.unemit(code)
+	end := t + uint64(len(code))
 	if fromArena {
-		if r.arena == nil || r.arena.ptr != t+uint64(size) {
+		if r.arena == nil || r.arena.ptr != end {
 			panic("patch: arena undo out of order")
 		}
 		r.arena.ptr = t
 		return
 	}
-	r.mustRelease(t, t+uint64(size))
+	r.mustRelease(t, end)
 }
 
 // decompose splits the descending patch order into independently
@@ -170,6 +174,8 @@ func (r *Rewriter) child(space *va.Space, ar *arena, hint uint64, speculating bo
 		locked:      r.locked,
 		space:       space,
 		opts:        r.opts,
+		patchT:      r.patchT,
+		evictT:      r.evictT,
 		noPlan:      r.noPlan,
 		sigTab:      make(map[uint64]uint64),
 		hint:        hint,
@@ -181,6 +187,9 @@ func (r *Rewriter) child(space *va.Space, ar *arena, hint uint64, speculating bo
 // runRegion patches one region's locations in descending order,
 // polling for cancellation like the sequential path.
 func (r *Rewriter) runRegion(order []int) {
+	// T2 and T3 emit a second trampoline; a quarter more covers the
+	// densest profiles, and past it append grows as usual.
+	r.presize(len(order), len(order)+len(order)/4)
 	for i, idx := range order {
 		if r.limited {
 			return // trampoline budget exhausted; result is discarded
@@ -194,6 +203,18 @@ func (r *Rewriter) runRegion(order []int) {
 		}
 		r.patchOne(idx)
 	}
+}
+
+// presize makes room for the outcome of sites more locations and
+// trampolines more trampolines, so the output slices are allocated once
+// from the selection instead of doubling their way up.
+func (r *Rewriter) presize(sites, trampolines int) {
+	r.results = slices.Grow(r.results, sites)
+	r.trampolines = slices.Grow(r.trampolines, trampolines)
+	if !r.noPlan {
+		r.sites = slices.Grow(r.sites, sites)
+	}
+	r.slabChunk = min(sites*slabBytesPerSite, maxSlabChunk)
 }
 
 // resetSpan restores a region's byte and lock state from the pristine
@@ -303,6 +324,12 @@ func (r *Rewriter) patchRegions(regions [][]int) {
 	// Merge region outputs — trampolines, per-location results and
 	// plan fragments alike — in patch (descending) order, so the
 	// recorded plan is identical to a sequential run's.
+	var nSites, nTramps int
+	for _, sub := range subs {
+		nSites += len(sub.results)
+		nTramps += len(sub.trampolines)
+	}
+	r.presize(nSites, nTramps)
 	for _, sub := range subs {
 		r.trampBytes += sub.trampBytes
 		if sub.limited || (r.opts.TrampolineBudget > 0 && r.trampBytes > r.opts.TrampolineBudget) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"e9patch/internal/disasm"
+	"e9patch/internal/trampoline"
 	"e9patch/internal/va"
 	"e9patch/internal/x86"
 )
@@ -24,6 +25,17 @@ func (f fatTemplate) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
 		out[i] = byte(at + uint64(i))
 	}
 	return out, nil
+}
+
+// fatSlab is fatTemplate with the built-in templates' AppendCode, so
+// its code goes into each rewriter's slab.
+type fatSlab struct{ fatTemplate }
+
+func (f fatSlab) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
+	for i := 0; i < f.size; i++ {
+		dst = append(dst, byte(at+uint64(i)))
+	}
+	return dst, nil
 }
 
 // clusteredProgram assembles nblocks jump-heavy blocks separated by
@@ -155,9 +167,9 @@ func TestRegionConflictRedo(t *testing.T) {
 		}
 		figure1(a)
 	}
-	run := func(workers int) *Rewriter {
+	run := func(tmpl trampoline.Template, workers int) *Rewriter {
 		opts := Options{
-			Template:      fatTemplate{size: 300},
+			Template:      tmpl,
 			MinRegionSize: 1,
 			Workers:       workers,
 			DisableT2:     true,
@@ -176,12 +188,22 @@ func TestRegionConflictRedo(t *testing.T) {
 		r.PatchAll(sel)
 		return r
 	}
-	seq := run(1)
-	par := run(4)
+	seq := run(fatTemplate{size: 300}, 1)
+	par := run(fatTemplate{size: 300}, 4)
 	if seq.redone != 1 || par.redone != 1 {
 		t.Fatalf("redone = %d (seq) / %d (par), want 1 — conflict not exercised", seq.redone, par.redone)
 	}
 	assertSameRewrite(t, seq, par, "conflict redo")
+	// The same through the slab: the redone region's child emits into a
+	// slab of its own, and what the discarded speculation left in its
+	// slab reaches nobody.
+	for _, workers := range []int{1, 4} {
+		slab := run(fatSlab{fatTemplate{size: 300}}, workers)
+		if slab.redone != 1 {
+			t.Fatalf("slab run: redone = %d, want 1", slab.redone)
+		}
+		assertSameRewrite(t, seq, slab, "conflict redo through the slab")
+	}
 	// The higher site won the overlapping window; the lower site's T1
 	// must have failed on the redo (everything else is disabled).
 	st := seq.Stats()
@@ -248,7 +270,7 @@ func TestArenaUndoRestoresBump(t *testing.T) {
 	}
 	ar.ptr = at + 0x40
 	r := &Rewriter{arena: ar}
-	r.undoTrampoline(at, 0x40, true)
+	r.undoTrampoline(at, make([]byte, 0x40), true)
 	if ar.ptr != 0x1000 {
 		t.Fatalf("undo left ptr at %#x", ar.ptr)
 	}

@@ -12,7 +12,9 @@
 package patch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"e9patch/internal/plan"
@@ -85,13 +87,6 @@ type Options struct {
 	// ForceB0 patches every location with int3 (the §2.1.1 baseline),
 	// bypassing all jump-based tactics.
 	ForceB0 bool
-	// T2Candidates bounds the evictee placements probed by guided
-	// successor eviction (default 6).
-	T2Candidates int
-	// TrampolineAlign aligns trampoline starts (default 1; punned
-	// windows cannot afford alignment, so this applies only to
-	// unconstrained allocations).
-	TrampolineAlign uint64
 	// Cancel, when non-nil, makes PatchAll stop between locations once
 	// the channel is closed (typically a context's Done channel).
 	// Remaining locations are left unpatched; the caller is expected
@@ -185,6 +180,19 @@ type Rewriter struct {
 	// templates. The neighbour scans read the universe records.
 	site, victim x86.Inst
 
+	// patchT and evictT are the two templates with their emission route
+	// (slab.go). siteSize caches patchT's size for the location inside
+	// patchOne: a template is sized once per site, by the first tactic
+	// that has a window to place it in, and every later pad, T2
+	// candidate and T3 victim reuses the answer (a failure included).
+	patchT, evictT emitter
+	siteSize       int
+	siteSized      sizeState
+	// slab receives the code of every trampoline a built-in template
+	// assembles; region children own their own.
+	slab      []byte
+	slabChunk int
+
 	trampolines []Trampoline
 	results     []LocResult
 	sigTab      map[uint64]uint64 // B0: int3 address -> trampoline
@@ -228,9 +236,6 @@ func New(code []byte, textAddr uint64, insts []x86.Loc, space *va.Space, poolHin
 	if opts.EvictionTemplate == nil {
 		opts.EvictionTemplate = trampoline.Empty{}
 	}
-	if opts.T2Candidates == 0 {
-		opts.T2Candidates = 6
-	}
 	mutable := make([]byte, len(code))
 	copy(mutable, code)
 	return &Rewriter{
@@ -240,6 +245,8 @@ func New(code []byte, textAddr uint64, insts []x86.Loc, space *va.Space, poolHin
 		locked:   make([]bool, len(code)),
 		space:    space,
 		opts:     opts,
+		patchT:   newEmitter(opts.Template),
+		evictT:   newEmitter(opts.EvictionTemplate),
 		sigTab:   make(map[uint64]uint64),
 		hint:     poolHint,
 	}
@@ -324,11 +331,14 @@ func (r *Rewriter) lock(addr uint64, n int) {
 // never on Options.Workers, so output bytes are identical for every
 // worker count.
 func (r *Rewriter) PatchAll(indices []int) Stats {
-	order := make([]int, len(indices))
-	copy(order, indices)
-	sort.Slice(order, func(a, b int) bool {
-		return r.insts[order[a]].Addr > r.insts[order[b]].Addr
-	})
+	// A selection arrives in ascending order, so reversing it is
+	// usually the whole sort.
+	order := slices.Clone(indices)
+	slices.Reverse(order)
+	descending := func(a, b int) int { return cmp.Compare(r.insts[b].Addr, r.insts[a].Addr) }
+	if !slices.IsSortedFunc(order, descending) {
+		slices.SortFunc(order, descending)
+	}
 	if regions := r.decompose(order); len(regions) > 1 {
 		r.patchRegions(regions)
 		return r.stats
@@ -344,6 +354,7 @@ func (r *Rewriter) patchOne(idx int) {
 	inst := &r.site
 	r.insts[idx].DecodeInto(inst)
 	r.stats.Total++
+	r.siteSized = unsized
 	r.beginSite(inst.Addr)
 
 	tactic := TacticNone

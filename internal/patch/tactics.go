@@ -1,9 +1,6 @@
 package patch
 
-import (
-	"e9patch/internal/trampoline"
-	"e9patch/internal/x86"
-)
+import "e9patch/internal/x86"
 
 // padPrefix returns the i-th redundant jump prefix byte. Index 0 is a
 // REX prefix (ignored by jmp rel32); later indices cycle through the
@@ -104,12 +101,20 @@ func maxI(a, b int) int {
 	return b
 }
 
+// maxJumpLen is the longest jump a tactic writes: a 15-byte
+// instruction (the architectural limit) admits 14 pad bytes before the
+// 5-byte jump.
+const maxJumpLen = 14 + 5
+
+// jumpBuf holds one encoded jump; its first punWindow.jumpLen bytes are
+// meaningful. It is a value so that encoding a jump allocates nothing.
+type jumpBuf [maxJumpLen]byte
+
 // jumpBytes encodes the (possibly padded, possibly punned) jump placed
 // at addr targeting target. Only the first min(instLen, jumpLen) bytes
 // are written by the caller; the tail must already hold the punned
 // values, which this function asserts.
-func jumpBytes(view []byte, off int, addr uint64, instLen int, w punWindow, target uint64) []byte {
-	out := make([]byte, w.jumpLen)
+func jumpBytes(view []byte, off int, addr uint64, instLen int, w punWindow, target uint64) (out jumpBuf) {
 	for i := 0; i < w.pad; i++ {
 		out[i] = padPrefix(i)
 	}
@@ -138,13 +143,13 @@ func jumpBytes(view []byte, off int, addr uint64, instLen int, w punWindow, targ
 // unconstrained allocations come from the region's pre-reserved arena
 // when possible (no address-space traffic at all); the reported
 // fromArena lets failure paths undo the bump instead of releasing.
-func (r *Rewriter) allocTrampoline(tmpl trampoline.Template, inst *x86.Inst, size int, w punWindow) (t uint64, code []byte, fromArena, ok bool) {
+func (r *Rewriter) allocTrampoline(e emitter, inst *x86.Inst, size int, w punWindow) (t uint64, code []byte, fromArena, ok bool) {
 	usize := uint64(size)
 	unconstrained := w.freeBytes == 4
 	if unconstrained && r.arena != nil {
 		if at, aok := r.arena.peek(usize, w.winLo, w.winHi); aok {
-			code, err := tmpl.Emit(inst, at)
-			if err != nil || len(code) != size {
+			code, ok := r.emit(e, inst, at, size)
+			if !ok {
 				return 0, nil, false, false
 			}
 			r.arena.ptr = at + usize
@@ -169,17 +174,19 @@ func (r *Rewriter) allocTrampoline(tmpl trampoline.Template, inst *x86.Inst, siz
 	if !ok {
 		return 0, nil, false, false
 	}
-	emitted, err := tmpl.Emit(inst, t)
-	if err != nil || len(emitted) != size {
+	if code, ok = r.emit(e, inst, t, size); !ok {
 		return 0, nil, false, false
 	}
+	// FindFree left the space's finger at this gap, so the reservation
+	// of the range it found does not search for the position again.
 	if err := r.reserveVA(t, t+usize); err != nil {
+		r.unemit(code)
 		return 0, nil, false, false
 	}
 	if unconstrained {
 		r.hint = t + usize
 	}
-	return t, emitted, false, true
+	return t, code, false, true
 }
 
 // mix64 is a splitmix64-style hash for deterministic placement jitter.
@@ -191,33 +198,33 @@ func mix64(x uint64) uint64 {
 }
 
 // tryJumpPad attempts a single pun placement (one padding value) for
-// the patch instruction, allocating its trampoline on success.
-func (r *Rewriter) tryJumpPad(inst *x86.Inst, pad int, tmpl trampoline.Template, evictee bool) bool {
-	size, err := tmpl.Size(inst)
-	if err != nil {
-		return false
-	}
+// the patch instruction, allocating its trampoline on success. The
+// window comes first: the template is sized only once some window
+// admits a placement at all.
+func (r *Rewriter) tryJumpPad(inst *x86.Inst, pad int) bool {
 	w, ok := r.computeWindow(r.code, inst.Addr, inst.Len, pad)
 	if !ok {
 		return false
 	}
-	t, code, _, ok := r.allocTrampoline(tmpl, inst, size, w)
+	size, ok := r.patchSize()
+	if !ok {
+		return false
+	}
+	t, code, _, ok := r.allocTrampoline(r.patchT, inst, size, w)
 	if !ok {
 		return false
 	}
 	jmp := jumpBytes(r.code, r.off(inst.Addr), inst.Addr, inst.Len, w, t)
-	r.commitJump(inst.Addr, inst.Len, w, jmp)
+	r.commitJump(inst.Addr, inst.Len, w, jmp[:])
 	r.notePad(w.pad)
-	r.addTrampoline(Trampoline{
-		Addr: t, Code: code, ForAddr: inst.Addr, Evictee: evictee,
-	})
+	r.addTrampoline(Trampoline{Addr: t, Code: code, ForAddr: inst.Addr})
 	return true
 }
 
 // tryPunnedJump implements B1 (instLen >= 5: unconstrained) and B2
 // (punned, no padding).
 func (r *Rewriter) tryPunnedJump(inst *x86.Inst) bool {
-	return r.tryJumpPad(inst, 0, r.opts.Template, false)
+	return r.tryJumpPad(inst, 0)
 }
 
 // tryPaddedJump implements T1: one extra attempt per padding byte.
@@ -228,7 +235,7 @@ func (r *Rewriter) tryPaddedJump(inst *x86.Inst) bool {
 		return false
 	}
 	for pad := 1; pad <= inst.Len-1; pad++ {
-		if r.tryJumpPad(inst, pad, r.opts.Template, false) {
+		if r.tryJumpPad(inst, pad) {
 			return true
 		}
 	}
@@ -241,20 +248,18 @@ func (r *Rewriter) tryInt3(inst *x86.Inst) bool {
 	if r.anyLocked(inst.Addr, 1) {
 		return false
 	}
-	size, err := r.opts.Template.Size(inst)
-	if err != nil {
+	size, ok := r.patchSize()
+	if !ok {
 		return false
 	}
 	w := punWindow{freeBytes: 4, winLo: r.space.Min(), winHi: r.space.Max() - 1}
-	t, code, _, ok := r.allocTrampoline(r.opts.Template, inst, size, w)
+	t, code, _, ok := r.allocTrampoline(r.patchT, inst, size, w)
 	if !ok {
 		return false
 	}
 	r.writeCode(inst.Addr, []byte{0xCC})
 	r.lock(inst.Addr, 1)
 	r.addSigTab(inst.Addr, t)
-	r.addTrampoline(Trampoline{
-		Addr: t, Code: code, ForAddr: inst.Addr,
-	})
+	r.addTrampoline(Trampoline{Addr: t, Code: code, ForAddr: inst.Addr})
 	return true
 }

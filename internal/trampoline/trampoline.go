@@ -26,18 +26,27 @@ type Template interface {
 	Emit(inst *x86.Inst, at uint64) ([]byte, error)
 }
 
+// The templates defined here (Empty, Counter, ContextCall) also have an
+// AppendCode method: Emit appending to the caller's buffer through a
+// stack assembler, with no allocation of its own. The patcher assembles
+// and measures them in its code slab. A template with only the two
+// methods above is sized through Size and emitted through Emit.
+
 // Empty is the paper's "empty" instrumentation: the trampoline merely
 // executes/emulates the displaced instruction and jumps back. It is
 // also the evictee-trampoline shape used by tactics T2 and T3.
 type Empty struct{}
 
 // Size implements Template.
-func (Empty) Size(inst *x86.Inst) (int, error) { return sizeOf(Empty{}, inst) }
+func (e Empty) Size(inst *x86.Inst) (int, error) { return sizeOf(e, inst) }
 
 // Emit implements Template.
-func (Empty) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
-	a := x86.NewAsm(at)
-	if err := emitDisplaced(a, inst); err != nil {
+func (e Empty) Emit(inst *x86.Inst, at uint64) ([]byte, error) { return e.AppendCode(nil, inst, at) }
+
+// AppendCode is Emit appending to dst.
+func (Empty) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
+	a := x86.AppendAsm(dst, at)
+	if err := emitDisplaced(&a, inst); err != nil {
 		return nil, err
 	}
 	return a.Finish()
@@ -58,7 +67,10 @@ type Counter struct {
 func (c Counter) Size(inst *x86.Inst) (int, error) { return sizeOf(c, inst) }
 
 // Emit implements Template.
-func (c Counter) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
+func (c Counter) Emit(inst *x86.Inst, at uint64) ([]byte, error) { return c.AppendCode(nil, inst, at) }
+
+// AppendCode is Emit appending to dst.
+func (c Counter) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
 	s := c.Scratch
 	if s == x86.NoReg || s == 0 {
 		regs, ok := pickScratch(inst, 1)
@@ -67,14 +79,14 @@ func (c Counter) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
 		}
 		s = regs[0]
 	}
-	a := x86.NewAsm(at)
+	a := x86.AppendAsm(dst, at)
 	a.PushReg(s)
 	a.Pushfq()
 	a.MovRegImm64(s, c.Addr)
 	a.AddMemImm8x64(x86.M(s, 0), 1)
 	a.Popfq()
 	a.PopReg(s)
-	if err := emitDisplaced(a, inst); err != nil {
+	if err := emitDisplaced(&a, inst); err != nil {
 		return nil, err
 	}
 	return a.Finish()
@@ -104,7 +116,12 @@ func (c ContextCall) Size(inst *x86.Inst) (int, error) { return sizeOf(c, inst) 
 
 // Emit implements Template.
 func (c ContextCall) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
-	a := x86.NewAsm(at)
+	return c.AppendCode(nil, inst, at)
+}
+
+// AppendCode is Emit appending to dst.
+func (c ContextCall) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
+	a := x86.AppendAsm(dst, at)
 	for _, r := range contextRegs {
 		a.PushReg(r)
 	}
@@ -116,7 +133,7 @@ func (c ContextCall) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
 	for i := len(contextRegs) - 1; i >= 0; i-- {
 		a.PopReg(contextRegs[i])
 	}
-	if err := emitDisplaced(a, inst); err != nil {
+	if err := emitDisplaced(&a, inst); err != nil {
 		return nil, err
 	}
 	return a.Finish()
@@ -210,11 +227,7 @@ func emitDisplaced(a *x86.Asm, inst *x86.Inst) error {
 		return emitIndirectAsJmp(a, inst)
 
 	case inst.IsJmp(): // indirect jmp (FF /4)
-		b, err := x86.RelocateSimple(inst, a.Addr())
-		if err != nil {
-			return err
-		}
-		a.Raw(b...)
+		a.Relocate(inst)
 		return a.Err()
 
 	case inst.IsRet() || inst.Attrs&x86.AttrStop != 0:
@@ -227,11 +240,7 @@ func emitDisplaced(a *x86.Asm, inst *x86.Inst) error {
 		return a.Err()
 
 	default:
-		b, err := x86.RelocateSimple(inst, a.Addr())
-		if err != nil {
-			return err
-		}
-		a.Raw(b...)
+		a.Relocate(inst)
 		a.JmpRel32(resume)
 		return a.Err()
 	}
@@ -258,28 +267,27 @@ func emitPush64(a *x86.Asm, v uint64) {
 // corresponding indirect jmp (FF /4) at the current position,
 // relocating a RIP-relative operand if present.
 func emitIndirectAsJmp(a *x86.Asm, inst *x86.Inst) error {
-	b, err := x86.RelocateSimple(inst, a.Addr())
-	if err != nil {
-		return err
-	}
-	// Locate the ModRM byte: prefixes, opcode, then ModRM.
+	// Locate the ModRM byte: prefixes, opcode, then ModRM. Relocation
+	// changes a displacement at most, so the original bytes tell.
 	mi := inst.NPrefix + 1
 	if inst.TwoByte {
 		mi++
 	}
-	if mi >= len(b) || b[inst.NPrefix] != 0xFF {
+	if mi >= inst.Len || inst.Bytes[inst.NPrefix] != 0xFF {
 		return fmt.Errorf("trampoline: unexpected indirect call encoding % x", inst.Bytes)
 	}
-	modrm := b[mi]
+	modrm := inst.Bytes[mi]
 	if (modrm>>3)&7 != 2 {
 		return fmt.Errorf("trampoline: not an FF /2 call: % x", inst.Bytes)
 	}
-	b[mi] = modrm&^(7<<3) | 4<<3 // /2 -> /4
-	a.Raw(b...)
-
-	// RIP-relative operands were relocated against the *call*'s
+	// RIP-relative operands are relocated against the *call*'s
 	// placement; the jmp occupies the same bytes at the same spot, so
 	// no further adjustment is needed (identical length).
+	at := a.Len()
+	a.Relocate(inst)
+	if a.Err() == nil {
+		a.Patch(at+mi, modrm&^(7<<3)|4<<3) // /2 -> /4
+	}
 	return a.Err()
 }
 

@@ -9,14 +9,18 @@
 // [lo, hi]. Allocation reduces to first-fit search for a free gap of
 // the requested size inside such an interval.
 //
-// The interval set is a treap (randomized balanced BST) keyed by
-// interval start, with touching intervals merged eagerly so that
-// densely packed trampoline runs collapse into single nodes.
+// The interval set is one ordered sequence held in fixed-capacity
+// leaves (a two-level sorted array): a binary search over the leaves'
+// first keys, another inside one 1 KB leaf, and every neighbour is the
+// adjacent element. Touching intervals are merged eagerly, so densely
+// packed trampoline runs collapse into single entries and extending one
+// is a store, not an insertion.
 package va
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Interval is a half-open address range [Lo, Hi).
@@ -37,19 +41,36 @@ func (iv Interval) Overlaps(other Interval) bool {
 
 func (iv Interval) String() string { return fmt.Sprintf("[%#x,%#x)", iv.Lo, iv.Hi) }
 
-type node struct {
-	iv          Interval
-	prio        uint64
-	left, right *node
-}
+// leafCap is the number of intervals a leaf holds: 1 KB, so an insertion
+// moves at most that much and a lookup ends in a few cache lines.
+const leafCap = 64
+
+// pos addresses one interval: leaves[leaf][idx]. The position before
+// the first interval is pos{0, -1}, whose successor is the first.
+type pos struct{ leaf, idx int }
 
 // Space is an occupied-interval set over a bounded address range.
+//
+// A Space is not safe for concurrent mutation. Clone and the pure
+// queries (Floor, Ceiling, Occupied, Gaps, Intervals) only read, so
+// they may run concurrently with each other; FindFree, Reserve and
+// Release move the finger and count as mutation.
 type Space struct {
-	root *node
+	// leaves partition the ordered intervals; none is empty, and
+	// first[i] == leaves[i][0].Lo so the top-level search reads one
+	// contiguous array.
+	leaves [][]Interval
+	first  []uint64
+	// finger is where the last FindFree, Reserve or Release ended. A
+	// lookup tries it before searching and uses it only when it
+	// verifies as the answer (a stale or zero finger simply does not),
+	// so it changes the cost of a query and never its result:
+	// FindFree's position serves the Reserve of the range it found, and
+	// a bump allocation finds the interval it extended last time.
+	finger pos
 	// Min and Max bound allocatable addresses: allocations and
 	// reservations must satisfy Min <= lo && hi <= Max.
 	min, max uint64
-	rng      uint64
 	count    int
 	occupied uint64
 }
@@ -67,7 +88,7 @@ func New(min, max uint64) *Space {
 	if min >= max {
 		panic("va: min >= max")
 	}
-	return &Space{min: min, max: max, rng: 0x9E3779B97F4A7C15}
+	return &Space{min: min, max: max}
 }
 
 // NewDefault returns a Space over the standard user address range.
@@ -85,18 +106,143 @@ func (s *Space) Count() int { return s.count }
 // OccupiedBytes returns the total size of all occupied intervals.
 func (s *Space) OccupiedBytes() uint64 { return s.occupied }
 
-func (s *Space) nextPrio() uint64 {
-	// xorshift64*; determinism matters for reproducible benchmarks.
-	x := s.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	s.rng = x
-	return x * 0x2545F4914F6CDD1D
+func (s *Space) at(p pos) *Interval { return &s.leaves[p.leaf][p.idx] }
+
+// next returns the position after p in address order.
+func (s *Space) next(p pos) (pos, bool) {
+	if p.leaf >= len(s.leaves) {
+		return p, false
+	}
+	if p.idx+1 < len(s.leaves[p.leaf]) {
+		return pos{p.leaf, p.idx + 1}, true
+	}
+	if p.leaf+1 < len(s.leaves) {
+		return pos{p.leaf + 1, 0}, true
+	}
+	return p, false
+}
+
+// locate returns the position of the interval with the greatest
+// Lo <= addr: the one descent every operation makes. Its successor is
+// next(p), so predecessor and successor come together. ok is false when
+// no interval starts at or below addr; p is then the position before
+// the first interval.
+func (s *Space) locate(addr uint64) (p pos, ok bool) {
+	if f := s.finger; f.idx >= 0 && f.leaf < len(s.leaves) && f.idx < len(s.leaves[f.leaf]) && s.at(f).Lo <= addr {
+		if n, more := s.next(f); !more || s.at(n).Lo > addr {
+			return f, true
+		}
+	}
+	lo, hi := 0, len(s.first)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.first[m] <= addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == 0 {
+		return pos{0, -1}, false
+	}
+	leaf := s.leaves[lo-1]
+	i, j := 1, len(leaf) // leaf[0].Lo is first[lo-1] <= addr
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if leaf[m].Lo <= addr {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return pos{lo - 1, i - 1}, true
+}
+
+// insertLeaf makes leaf the k-th leaf.
+func (s *Space) insertLeaf(k int, leaf []Interval) {
+	s.leaves = slices.Insert(s.leaves, k, leaf)
+	s.first = slices.Insert(s.first, k, leaf[0].Lo)
+}
+
+// newLeaf returns a leaf holding ivs.
+func newLeaf(ivs ...Interval) []Interval {
+	return append(make([]Interval, 0, leafCap), ivs...)
+}
+
+// insertAfter stores iv, which touches nothing, directly after p and
+// returns its position. Only here is memory allocated, and only when a
+// leaf is full: an insertion at the edge of a full leaf goes to the
+// neighbouring leaf or opens a new one (so ascending and descending
+// runs fill their leaves), one in the middle splits the leaf in half.
+func (s *Space) insertAfter(p pos, iv Interval) pos {
+	s.count++
+	if len(s.leaves) == 0 {
+		s.insertLeaf(0, newLeaf(iv))
+		return pos{0, 0}
+	}
+	li, i := p.leaf, p.idx+1
+	leaf := s.leaves[li]
+	if len(leaf) == leafCap {
+		switch {
+		case i == leafCap:
+			if li+1 < len(s.leaves) && len(s.leaves[li+1]) < leafCap {
+				li, i = li+1, 0
+			} else {
+				s.insertLeaf(li+1, newLeaf(iv))
+				return pos{li + 1, 0}
+			}
+		case i == 0:
+			if li > 0 && len(s.leaves[li-1]) < leafCap {
+				li, i = li-1, len(s.leaves[li-1])
+			} else {
+				s.insertLeaf(li, newLeaf(iv))
+				return pos{li, 0}
+			}
+		default:
+			s.insertLeaf(li+1, newLeaf(leaf[leafCap/2:]...))
+			s.leaves[li] = leaf[:leafCap/2]
+			if i > leafCap/2 {
+				li, i = li+1, i-leafCap/2
+			}
+		}
+	}
+	s.leaves[li] = slices.Insert(s.leaves[li], i, iv)
+	if i == 0 {
+		s.first[li] = iv.Lo
+	}
+	return pos{li, i}
+}
+
+// removeAt deletes the interval at p.
+func (s *Space) removeAt(p pos) {
+	s.count--
+	leaf := slices.Delete(s.leaves[p.leaf], p.idx, p.idx+1)
+	if len(leaf) == 0 {
+		s.leaves = slices.Delete(s.leaves, p.leaf, p.leaf+1)
+		s.first = slices.Delete(s.first, p.leaf, p.leaf+1)
+		return
+	}
+	s.leaves[p.leaf] = leaf
+	if p.idx == 0 {
+		s.first[p.leaf] = leaf[0].Lo
+	}
+}
+
+// setLo moves the start of the interval at p.
+func (s *Space) setLo(p pos, lo uint64) {
+	s.at(p).Lo = lo
+	if p.idx == 0 {
+		s.first[p.leaf] = lo
+	}
 }
 
 // Reserve marks [lo, hi) as occupied. It fails if the range is empty,
 // escapes the space bounds, or overlaps an existing reservation.
+//
+// One descent finds the predecessor and, beside it, the successor; the
+// range is checked against both and a touching neighbour is extended in
+// place. Only a range that touches nothing inserts an element, and only
+// one that bridges two removes one.
 func (s *Space) Reserve(lo, hi uint64) error {
 	if lo >= hi {
 		return fmt.Errorf("va: empty reservation [%#x,%#x)", lo, hi)
@@ -104,177 +250,62 @@ func (s *Space) Reserve(lo, hi uint64) error {
 	if lo < s.min || hi > s.max {
 		return fmt.Errorf("va: reservation [%#x,%#x) outside bounds [%#x,%#x)", lo, hi, s.min, s.max)
 	}
-	if ov, ok := s.overlap(Interval{lo, hi}); ok {
-		return fmt.Errorf("va: reservation [%#x,%#x) overlaps %v", lo, hi, ov)
+	p, left := s.locate(lo)
+	if left && s.at(p).Hi > lo {
+		return fmt.Errorf("va: reservation [%#x,%#x) overlaps %v", lo, hi, *s.at(p))
 	}
-	s.insertMerged(Interval{lo, hi})
+	n, right := s.next(p)
+	if right && s.at(n).Lo < hi {
+		return fmt.Errorf("va: reservation [%#x,%#x) overlaps %v", lo, hi, *s.at(n))
+	}
+	left = left && s.at(p).Hi == lo
+	right = right && s.at(n).Lo == hi
+	switch {
+	case left && right:
+		s.at(p).Hi = s.at(n).Hi
+		s.removeAt(n)
+	case left:
+		s.at(p).Hi = hi
+	case right:
+		s.setLo(n, lo)
+		p = n
+	default:
+		p = s.insertAfter(p, Interval{lo, hi})
+	}
+	s.occupied += hi - lo
+	s.finger = p
 	return nil
-}
-
-// overlap returns an occupied interval overlapping iv, if any.
-func (s *Space) overlap(iv Interval) (Interval, bool) {
-	n := s.root
-	for n != nil {
-		if n.iv.Overlaps(iv) {
-			return n.iv, true
-		}
-		if iv.Lo < n.iv.Lo {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return Interval{}, false
 }
 
 // Occupied reports whether any byte of [lo, hi) is occupied.
 func (s *Space) Occupied(lo, hi uint64) bool {
-	_, ok := s.overlap(Interval{lo, hi})
-	return ok
-}
-
-// insertMerged inserts iv, merging with touching or adjacent intervals.
-func (s *Space) insertMerged(iv Interval) {
-	// Absorb any neighbours that touch [iv.Lo-1, iv.Hi+1).
-	for {
-		pred, ok := s.floor(iv.Lo)
-		if ok && pred.Hi >= iv.Lo {
-			s.remove(pred)
-			if pred.Lo < iv.Lo {
-				iv.Lo = pred.Lo
-			}
-			if pred.Hi > iv.Hi {
-				iv.Hi = pred.Hi
-			}
-			continue
-		}
-		succ, ok := s.ceiling(iv.Lo)
-		if ok && succ.Lo <= iv.Hi {
-			s.remove(succ)
-			if succ.Hi > iv.Hi {
-				iv.Hi = succ.Hi
-			}
-			continue
-		}
-		break
+	if lo >= hi {
+		return false
 	}
-	s.root = s.insertNode(s.root, &node{iv: iv, prio: s.nextPrio()})
-	s.count++
-	s.occupied += iv.Size()
-}
-
-func (s *Space) insertNode(n, ins *node) *node {
-	if n == nil {
-		return ins
-	}
-	if ins.prio > n.prio {
-		l, r := split(n, ins.iv.Lo)
-		ins.left, ins.right = l, r
-		return ins
-	}
-	if ins.iv.Lo < n.iv.Lo {
-		n.left = s.insertNode(n.left, ins)
-	} else {
-		n.right = s.insertNode(n.right, ins)
-	}
-	return n
-}
-
-// split partitions the treap into (<key, >=key) by interval start.
-func split(n *node, key uint64) (l, r *node) {
-	if n == nil {
-		return nil, nil
-	}
-	if n.iv.Lo < key {
-		n.right, r = split(n.right, key)
-		return n, r
-	}
-	l, n.left = split(n.left, key)
-	return l, n
-}
-
-func merge(l, r *node) *node {
-	switch {
-	case l == nil:
-		return r
-	case r == nil:
-		return l
-	case l.prio > r.prio:
-		l.right = merge(l.right, r)
-		return l
-	default:
-		r.left = merge(l, r.left)
-		return r
-	}
-}
-
-// remove deletes the interval whose Lo equals iv.Lo.
-func (s *Space) remove(iv Interval) {
-	var rec func(n *node) *node
-	removed := false
-	rec = func(n *node) *node {
-		if n == nil {
-			return nil
-		}
-		switch {
-		case iv.Lo < n.iv.Lo:
-			n.left = rec(n.left)
-		case iv.Lo > n.iv.Lo:
-			n.right = rec(n.right)
-		default:
-			removed = true
-			s.occupied -= n.iv.Size()
-			return merge(n.left, n.right)
-		}
-		return n
-	}
-	s.root = rec(s.root)
-	if removed {
-		s.count--
-	}
-}
-
-// floor returns the occupied interval with the greatest Lo <= addr.
-func (s *Space) floor(addr uint64) (Interval, bool) {
-	var best *node
-	n := s.root
-	for n != nil {
-		if n.iv.Lo <= addr {
-			best = n
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	if best == nil {
-		return Interval{}, false
-	}
-	return best.iv, true
-}
-
-// ceiling returns the occupied interval with the smallest Lo >= addr.
-func (s *Space) ceiling(addr uint64) (Interval, bool) {
-	var best *node
-	n := s.root
-	for n != nil {
-		if n.iv.Lo >= addr {
-			best = n
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if best == nil {
-		return Interval{}, false
-	}
-	return best.iv, true
+	p, ok := s.locate(hi - 1)
+	return ok && s.at(p).Hi > lo
 }
 
 // Floor returns the occupied interval with the greatest start <= addr.
-func (s *Space) Floor(addr uint64) (Interval, bool) { return s.floor(addr) }
+func (s *Space) Floor(addr uint64) (Interval, bool) {
+	p, ok := s.locate(addr)
+	if !ok {
+		return Interval{}, false
+	}
+	return *s.at(p), true
+}
 
 // Ceiling returns the occupied interval with the smallest start >= addr.
-func (s *Space) Ceiling(addr uint64) (Interval, bool) { return s.ceiling(addr) }
+func (s *Space) Ceiling(addr uint64) (Interval, bool) {
+	p, ok := s.locate(addr)
+	if ok && s.at(p).Lo == addr {
+		return *s.at(p), true
+	}
+	if p, ok = s.next(p); !ok {
+		return Interval{}, false
+	}
+	return *s.at(p), true
+}
 
 // Alloc finds and reserves a free range of the given size whose first
 // byte lies in the window [lo, hi] (inclusive), using first-fit. It
@@ -282,94 +313,75 @@ func (s *Space) Ceiling(addr uint64) (Interval, bool) { return s.ceiling(addr) }
 // suitable gap.
 func (s *Space) Alloc(size uint64, lo, hi uint64) (uint64, bool) {
 	addr, ok := s.FindFree(size, lo, hi)
-	if !ok {
+	if !ok || s.Reserve(addr, addr+size) != nil {
 		return 0, false
 	}
-	s.insertMerged(Interval{addr, addr + size})
 	return addr, true
 }
 
-// FindFree is Alloc without the reservation.
-func (s *Space) FindFree(size uint64, lo, hi uint64) (uint64, bool) {
-	if size == 0 || lo > hi {
-		return 0, false
+// clampWindow narrows the window [lo, hi] of start addresses to those
+// at which size bytes fit inside the space.
+func (s *Space) clampWindow(size, lo, hi uint64) (uint64, uint64, bool) {
+	if size == 0 || lo > hi || s.max-s.min < size {
+		return 0, 0, false
 	}
-	if lo < s.min {
-		lo = s.min
-	}
-	// The whole allocation must fit below s.max.
-	if hi > s.max-size {
-		if s.max < size {
-			return 0, false
-		}
-		hi = s.max - size
-	}
-	if lo > hi {
-		return 0, false
-	}
+	lo = max(lo, s.min)
+	hi = min(hi, s.max-size)
+	return lo, hi, lo <= hi
+}
 
+// walkGaps calls visit with the start of every free gap of at least
+// size bytes whose start lies in [lo, hi], in ascending order, and the
+// position of the interval below it, until visit returns false.
+func (s *Space) walkGaps(size, lo, hi uint64, visit func(addr uint64, below pos) bool) {
+	lo, hi, ok := s.clampWindow(size, lo, hi)
+	if !ok {
+		return
+	}
 	cursor := lo
-	// Back up to the interval covering the cursor, if any.
-	if pred, ok := s.floor(cursor); ok && pred.Hi > cursor {
-		cursor = pred.Hi
+	p, ok := s.locate(cursor)
+	if ok && s.at(p).Hi > cursor {
+		cursor = s.at(p).Hi
 	}
 	for cursor <= hi {
-		next, ok := s.ceiling(cursor)
-		// ceiling is keyed on Lo and cursor is never inside an
-		// interval here, so next.Lo >= cursor.
+		n, more := s.next(p)
 		gapEnd := s.max
-		if ok {
-			gapEnd = next.Lo
+		if more {
+			gapEnd = s.at(n).Lo
 		}
-		if gapEnd >= cursor+size {
-			return cursor, true
+		if gapEnd-cursor >= size && !visit(cursor, p) {
+			return
 		}
-		if !ok {
-			return 0, false
+		if !more {
+			return
 		}
-		cursor = next.Hi
+		cursor, p = s.at(n).Hi, n
 	}
-	return 0, false
+}
+
+// FindFree is Alloc without the reservation: the lowest address in
+// [lo, hi] at which size bytes are free. The answer depends on the
+// interval set alone.
+func (s *Space) FindFree(size uint64, lo, hi uint64) (addr uint64, ok bool) {
+	s.walkGaps(size, lo, hi, func(a uint64, below pos) bool {
+		addr, ok, s.finger = a, true, below
+		return false
+	})
+	return addr, ok
 }
 
 // Gaps returns up to max free gaps of at least size bytes whose start
 // lies within [lo, hi]. It is used by tactics that probe several
 // candidate placements (guided successor eviction).
 func (s *Space) Gaps(size uint64, lo, hi uint64, max int) []uint64 {
-	var out []uint64
-	if size == 0 || lo > hi || max <= 0 {
+	if max <= 0 {
 		return nil
 	}
-	if lo < s.min {
-		lo = s.min
-	}
-	if hi > s.max-size {
-		if s.max < size {
-			return nil
-		}
-		hi = s.max - size
-	}
-	cursor := lo
-	if pred, ok := s.floor(cursor); ok && pred.Hi > cursor {
-		cursor = pred.Hi
-	}
-	for cursor <= hi && len(out) < max {
-		next, ok := s.ceiling(cursor)
-		gapEnd := s.max
-		if ok {
-			gapEnd = next.Lo
-		}
-		if gapEnd >= cursor+size {
-			out = append(out, cursor)
-		}
-		if !ok {
-			break
-		}
-		if next.Hi <= cursor {
-			break
-		}
-		cursor = next.Hi
-	}
+	var out []uint64
+	s.walkGaps(size, lo, hi, func(a uint64, _ pos) bool {
+		out = append(out, a)
+		return len(out) < max
+	})
 	return out
 }
 
@@ -381,34 +393,44 @@ func (s *Space) Release(lo, hi uint64) error {
 	if lo >= hi {
 		return fmt.Errorf("va: empty release [%#x,%#x)", lo, hi)
 	}
-	iv, ok := s.floor(lo)
-	if !ok || iv.Hi < hi || iv.Lo > lo {
+	p, ok := s.locate(lo)
+	if !ok || s.at(p).Hi < hi {
 		return fmt.Errorf("va: release [%#x,%#x) not fully reserved", lo, hi)
 	}
-	s.remove(iv)
-	if iv.Lo < lo {
-		s.root = s.insertNode(s.root, &node{iv: Interval{iv.Lo, lo}, prio: s.nextPrio()})
-		s.count++
-		s.occupied += lo - iv.Lo
+	switch iv := s.at(p); {
+	case iv.Lo == lo && iv.Hi == hi:
+		s.removeAt(p)
+	case iv.Lo == lo:
+		s.setLo(p, hi)
+	case iv.Hi == hi:
+		iv.Hi = lo
+	default:
+		rest := Interval{hi, iv.Hi}
+		iv.Hi = lo
+		s.insertAfter(p, rest)
 	}
-	if hi < iv.Hi {
-		s.root = s.insertNode(s.root, &node{iv: Interval{hi, iv.Hi}, prio: s.nextPrio()})
-		s.count++
-		s.occupied += iv.Hi - hi
-	}
+	s.occupied -= hi - lo
+	s.finger = p
 	return nil
 }
 
 // Clone returns an independent copy of the space: same bounds, same
-// occupied intervals, no shared structure. Treap shape and priorities
-// may differ, but every query (FindFree, Gaps, Floor, Ceiling,
-// Occupied) depends only on the interval set, so a clone answers all
-// queries identically to the original — the property the parallel
-// patcher's speculative regions rely on.
+// occupied intervals, no shared structure. The leaves are copied as
+// they stand, into one allocation. Every query (FindFree, Gaps, Floor,
+// Ceiling, Occupied) depends only on the interval set, so a clone
+// answers all queries identically to the original — the property the
+// parallel patcher's speculative regions rely on.
 func (s *Space) Clone() *Space {
-	c := New(s.min, s.max)
-	for _, iv := range s.Intervals() {
-		c.insertMerged(iv)
+	c := &Space{
+		leaves: make([][]Interval, len(s.leaves)),
+		first:  slices.Clone(s.first),
+		min:    s.min, max: s.max,
+		count: s.count, occupied: s.occupied,
+	}
+	slab := make([]Interval, len(s.leaves)*leafCap)
+	for i, leaf := range s.leaves {
+		c.leaves[i] = slab[:copy(slab, leaf):leafCap]
+		slab = slab[leafCap:]
 	}
 	return c
 }
@@ -416,36 +438,10 @@ func (s *Space) Clone() *Space {
 // Intervals returns all occupied intervals in ascending order.
 func (s *Space) Intervals() []Interval {
 	out := make([]Interval, 0, s.count)
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
-		out = append(out, n.iv)
-		walk(n.right)
+	for _, leaf := range s.leaves {
+		out = append(out, leaf...)
 	}
-	walk(s.root)
 	return out
-}
-
-// Depth returns the height of the underlying treap (diagnostics).
-func (s *Space) Depth() int {
-	var depth func(n *node) int
-	depth = func(n *node) int {
-		if n == nil {
-			return 0
-		}
-		return 1 + maxInt(depth(n.left), depth(n.right))
-	}
-	return depth(s.root)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PageCount returns the number of distinct pages of the given size
@@ -456,10 +452,10 @@ func (s *Space) PageCount(pageSize uint64) uint64 {
 	}
 	shift := uint(bits.TrailingZeros64(pageSize))
 	var total uint64
-	for _, iv := range s.Intervals() {
-		first := iv.Lo >> shift
-		last := (iv.Hi - 1) >> shift
-		total += last - first + 1
+	for _, leaf := range s.leaves {
+		for _, iv := range leaf {
+			total += (iv.Hi-1)>>shift - iv.Lo>>shift + 1
+		}
 	}
 	return total
 }

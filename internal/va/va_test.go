@@ -216,7 +216,7 @@ func TestSpaceInvariants(t *testing.T) {
 			}
 		}
 
-		// The treap's merged intervals must exactly cover the model.
+		// The merged intervals must exactly cover the model.
 		ivs := s.Intervals()
 		for i := 1; i < len(ivs); i++ {
 			if ivs[i-1].Hi >= ivs[i].Lo {
@@ -247,31 +247,59 @@ func TestSpaceInvariants(t *testing.T) {
 	}
 }
 
-// TestTreapBalance guards against degenerate treap behaviour on
-// sequential (merge-friendly) and strided (non-merging) insertions.
-func TestTreapBalance(t *testing.T) {
+// TestLeafFill bounds the structure on the two insertion patterns the
+// patcher produces: strided reservations that never merge must fill
+// their leaves (an ascending run opens a new leaf instead of splitting a
+// full one, so no leaf is left half empty), and sequential allocations
+// must collapse into one interval.
+func TestLeafFill(t *testing.T) {
+	const n = 50000
+	for _, dir := range []string{"ascending", "descending"} {
+		s := NewDefault()
+		for i := 0; i < n; i++ {
+			k := i
+			if dir == "descending" {
+				k = n - 1 - i
+			}
+			lo := 0x10000000 + uint64(k)*0x2000 // strided: never merges
+			if err := s.Reserve(lo, lo+0x100); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Count() != n {
+			t.Fatalf("%s: count = %d", dir, s.Count())
+		}
+		if want := (n + leafCap - 1) / leafCap; len(s.leaves) != want {
+			t.Errorf("%s: %d leaves for %d intervals, want %d (full leaves)", dir, len(s.leaves), n, want)
+		}
+	}
+	// Random insertion splits leaves in half: at worst every leaf is
+	// half full.
 	s := NewDefault()
-	for i := 0; i < 50000; i++ {
-		lo := 0x10000000 + uint64(i)*0x2000 // strided: never merges
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range rng.Perm(n) {
+		lo := 0x10000000 + uint64(k)*0x2000
 		if err := s.Reserve(lo, lo+0x100); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.Count() != 50000 {
-		t.Fatalf("count = %d", s.Count())
+	if most := 2*n/leafCap + 1; len(s.leaves) > most {
+		t.Errorf("random: %d leaves for %d intervals, want <= %d", len(s.leaves), n, most)
 	}
-	if d := s.Depth(); d > 80 {
-		t.Errorf("treap depth %d too large for 50k nodes", d)
+	for i, leaf := range s.leaves {
+		if len(leaf) == 0 || len(leaf) > leafCap || s.first[i] != leaf[0].Lo {
+			t.Fatalf("leaf %d: len %d, first %#x", i, len(leaf), s.first[i])
+		}
 	}
-	// Sequential allocations merge to one node.
+	// Sequential allocations merge to one interval.
 	s2 := NewDefault()
 	for i := 0; i < 10000; i++ {
 		if _, ok := s2.Alloc(0x20, 0x10000000, 0x7fffffff); !ok {
 			t.Fatal("alloc failed")
 		}
 	}
-	if s2.Count() != 1 {
-		t.Errorf("sequential allocs not merged: count=%d", s2.Count())
+	if s2.Count() != 1 || len(s2.leaves) != 1 {
+		t.Errorf("sequential allocs not merged: count=%d leaves=%d", s2.Count(), len(s2.leaves))
 	}
 }
 
@@ -284,5 +312,39 @@ func BenchmarkAllocScattered(b *testing.B) {
 		if _, ok := s.Alloc(64, lo, lo+0xffff); !ok {
 			b.Fatal("alloc failed")
 		}
+	}
+}
+
+// BenchmarkReserveTouching is the dense case: among 4096 scattered
+// runs, every reservation extends the run it touches, which must cost
+// one descent and no allocation.
+func BenchmarkReserveTouching(b *testing.B) {
+	const runs = 4096
+	s := NewDefault()
+	end := make([]uint64, runs)
+	for i := range end {
+		end[i] = 0x10000000 + uint64(i)<<24
+		if err := s.Reserve(end[i], end[i]+16); err != nil {
+			b.Fatal(err)
+		}
+		end[i] += 16
+	}
+	rng := rand.New(rand.NewSource(42))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := rng.Intn(runs)
+		if end[k]&(1<<24-1) > 1<<23 {
+			b.StopTimer() // the run is about to reach its neighbour: start it over
+			if err := s.Release(end[k]&^(1<<24-1), end[k]); err != nil {
+				b.Fatal(err)
+			}
+			end[k] &^= 1<<24 - 1
+			b.StartTimer()
+		}
+		if err := s.Reserve(end[k], end[k]+16); err != nil {
+			b.Fatal(err)
+		}
+		end[k] += 16
 	}
 }

@@ -74,7 +74,8 @@ type fixup struct {
 
 // Asm assembles x86-64 machine code at a fixed base address.
 type Asm struct {
-	base   uint64
+	base   uint64 // address of buf[0]
+	start  int    // offset in buf of the first emitted byte
 	buf    []byte
 	labels []*Label
 	err    error
@@ -83,19 +84,28 @@ type Asm struct {
 // NewAsm returns an assembler whose first emitted byte lands at base.
 func NewAsm(base uint64) *Asm { return &Asm{base: base} }
 
+// AppendAsm returns an assembler that appends to dst, its first emitted
+// byte landing at base; Finish returns dst extended by the code. It is
+// a value so that a caller assembling one short sequence into a buffer
+// it owns keeps the assembler on its stack.
+func AppendAsm(dst []byte, base uint64) Asm {
+	return Asm{base: base - uint64(len(dst)), start: len(dst), buf: dst}
+}
+
 // Base returns the assembler's base address.
-func (a *Asm) Base() uint64 { return a.base }
+func (a *Asm) Base() uint64 { return a.base + uint64(a.start) }
 
 // Addr returns the address of the next emitted byte.
 func (a *Asm) Addr() uint64 { return a.base + uint64(len(a.buf)) }
 
 // Len returns the number of bytes emitted so far.
-func (a *Asm) Len() int { return len(a.buf) }
+func (a *Asm) Len() int { return len(a.buf) - a.start }
 
 // Err returns the first assembly error, if any.
 func (a *Asm) Err() error { return a.err }
 
-// Finish resolves all label fixups and returns the machine code.
+// Finish resolves all label fixups and returns the machine code (after
+// the bytes AppendAsm was given, if any).
 func (a *Asm) Finish() ([]byte, error) {
 	for _, l := range a.labels {
 		if !l.bound {
@@ -179,6 +189,20 @@ func (a *Asm) emitRel(l *Label, size int) {
 
 // Raw emits literal bytes.
 func (a *Asm) Raw(bs ...byte) { a.buf = append(a.buf, bs...) }
+
+// Relocate emits the non-branch instruction i re-encoded for the
+// current position (AppendRelocated). An out-of-range displacement
+// becomes the assembler's error.
+func (a *Asm) Relocate(i *Inst) {
+	out, err := AppendRelocated(a.buf, i, a.Addr())
+	if err != nil && a.err == nil {
+		a.err = err
+	}
+	a.buf = out
+}
+
+// Patch overwrites one already emitted byte, off bytes into the code.
+func (a *Asm) Patch(off int, b byte) { a.buf[a.start+off] = b }
 
 // Imm32 emits a little-endian 32-bit immediate.
 func (a *Asm) Imm32(v int32) {

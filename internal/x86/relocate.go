@@ -12,18 +12,29 @@ var ErrRelocRange = fmt.Errorf("x86: relocated displacement out of rel32 range")
 // Direct branches must be handled by the caller (the trampoline
 // compiler emits explicit branch sequences for them).
 func RelocateSimple(i *Inst, newAddr uint64) ([]byte, error) {
-	out := make([]byte, i.Len)
-	copy(out, i.Bytes)
+	out, err := AppendRelocated(make([]byte, 0, i.Len), i, newAddr)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AppendRelocated is RelocateSimple appending to dst: the instruction
+// is re-encoded in place, with no temporary. On error dst is returned
+// unchanged.
+func AppendRelocated(dst []byte, i *Inst, newAddr uint64) ([]byte, error) {
 	if !i.RIPRel {
-		return out, nil
+		return append(dst, i.Bytes[:i.Len]...), nil
 	}
 	// target = oldAddr + len + disp = newAddr + len + newDisp.
 	newDisp := i.Disp() + int64(i.Addr) - int64(newAddr)
 	if newDisp < -1<<31 || newDisp > 1<<31-1 {
-		return nil, fmt.Errorf("%w: %#x -> %#x disp %d", ErrRelocRange, i.Addr, newAddr, newDisp)
+		return dst, fmt.Errorf("%w: %#x -> %#x disp %d", ErrRelocRange, i.Addr, newAddr, newDisp)
 	}
-	put32(out[i.DispOff:], uint32(int32(newDisp)))
-	return out, nil
+	n := len(dst)
+	dst = append(dst, i.Bytes[:i.Len]...)
+	put32(dst[n+i.DispOff:], uint32(int32(newDisp)))
+	return dst, nil
 }
 
 // RelocateBranch re-encodes a direct branch (jmp rel8/rel32, jcc
