@@ -25,13 +25,14 @@ race:
 # engines (interp vs ir, including the FuzzEngines seed corpus), the
 # block/invalidation seam and the engine's stats/speedup tests, and the
 # parallel-vs-sequential corpus (byte-identity at every worker count,
-# under the race detector).
+# under the race detector; the patcher's lock bitmap, whose words no two
+# concurrently patched regions may share, is checked on the same line).
 difftest:
 	$(GO) test -run 'TestDifferentialFuzz|TestFuzzSelectAllCoverage' .
 	$(GO) test -run FuzzEngines .
 	$(GO) test ./internal/emu/enginetest/ ./internal/emu/ ./internal/emu/ir/
 	$(GO) test -race -run 'TestParallelRewrite|TestParallelEmulatorEquivalence|FuzzParallelRewrite' .
-	$(GO) test -race -run 'TestParallel|TestRegionConflictRedo|TestBeltFallback|TestShardable|Shardable' ./internal/patch/ ./internal/disasm/ ./internal/match/
+	$(GO) test -race -run 'TestParallel|TestRegionConflictRedo|TestBeltFallback|TestDecompose|TestLockStateInvariant|TestPatchAllOnce|TestShardable|Shardable' ./internal/patch/ ./internal/disasm/ ./internal/match/
 
 # enginecheck is the cross-engine correctness gate, interp vs ir: the
 # shared conformance suite and golden per-instruction traces over every
@@ -47,13 +48,17 @@ enginecheck:
 # JSON schema, serialization round trips, and byte-identity of Rewrite,
 # Apply(Plan) at every parallelism width and a chunked Stream with each
 # other and with the output hashes in testdata/rewrite_golden.json over
-# the difftest corpus (every binary x tactic config), plus the plan IR
-# unit tests and the server's plan-cache rematerialization path.
+# the difftest corpus (every binary x tactic config), the same bytes
+# written by RewriteTo and FinishTo and the contract of a writer that
+# fails in each output segment, the output layout pinned against an
+# in-place patch, plus the plan IR unit tests and the server's plan-cache
+# rematerialization path.
 # TestPlanApplyEquivalence is the golden-hash test; re-record the
 # hashes, only for an intentional output change, with:
 #   go test -run TestPlanApplyEquivalence -update .
 plancheck:
-	$(GO) test -run 'TestPlan|TestApplyValidation|TestRewriteInputImmutable' .
+	$(GO) test -run 'TestPlan|TestApplyValidation|TestRewriteInputImmutable|TestRewriteToWriteFailure' .
+	$(GO) test -run 'TestComposeMatchesPatchPlusAppend|TestWriteOutput' ./internal/elf64/
 	$(GO) test ./internal/plan/
 	$(GO) test -run TestPlanCacheRematerialize ./internal/server/
 
@@ -86,11 +91,12 @@ benchcheck:
 # golden transcripts in testdata/rpc replayed against the built
 # cmd/e9patch binary (outputs hash-compared with the library path),
 # the usage/abuse paths of the backend binary, the e9tool -backend
-# subprocess pipeline, the in-library session grammar/abuse suite with
+# subprocess pipeline and e9tool's own streamed output (to a new file,
+# over its input, and failing), the in-library session grammar/abuse suite with
 # its fuzz seed corpus, and the served /v2/rewrite streaming endpoint.
 rpccheck:
 	$(GO) test -run 'TestRPCGolden|TestUsageOnTerminalStdin|TestBackendReportsStreamErrors' -count 1 ./cmd/e9patch/
-	$(GO) test -run TestBackendPipeline -count 1 ./cmd/e9tool/
+	$(GO) test -run 'TestBackendPipeline|TestStreamedOutput' -count 1 ./cmd/e9tool/
 	$(GO) test ./internal/rpc/
 	$(GO) test -run 'TestStreamEndpoint' -count 1 ./internal/server/
 

@@ -27,6 +27,7 @@ import (
 	"os"
 
 	"e9patch"
+	"e9patch/internal/elf64"
 	"e9patch/internal/patch"
 	"e9patch/internal/rpc"
 	"e9patch/internal/trampoline"
@@ -104,7 +105,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := os.WriteFile(*out, res.Output, 0o755); err != nil {
+	if err := elf64.WriteOutputBytes(*out, res.Output); err != nil {
 		fatal(err)
 	}
 

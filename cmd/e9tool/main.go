@@ -26,8 +26,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -162,7 +164,8 @@ func main() {
 	// The input is a read-only mapping where the platform has one: the
 	// pipeline only ever reads it, so a browser-class binary is paged in
 	// by the kernel and never copied onto the Go heap. The output is
-	// composed in its own buffer, so writing over the input file is safe.
+	// written from that mapping into a temporary file that is renamed
+	// into place (elf64.WriteOutput), so -o may name the input file.
 	in, err := elf64.OpenInput(flag.Arg(0))
 	if err != nil {
 		fatal(err)
@@ -183,7 +186,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(*out, res.Output, 0o755); err != nil {
+		if err := elf64.WriteOutputBytes(*out, res.Output); err != nil {
 			fatal(err)
 		}
 		report(res)
@@ -305,11 +308,13 @@ func main() {
 		return
 	}
 
-	res, err := e9patch.Rewrite(input, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*out, res.Output, 0o755); err != nil {
+	// The rewrite streams: head and tail of the output come straight from
+	// the mapping, so no image of the output is ever built in this process.
+	var res *e9patch.Result
+	if err := elf64.WriteOutput(*out, func(w io.Writer) (err error) {
+		res, err = e9patch.RewriteTo(context.Background(), w, input, cfg)
+		return err
+	}); err != nil {
 		fatal(err)
 	}
 	report(res)

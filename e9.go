@@ -20,6 +20,7 @@ package e9patch
 
 import (
 	"context"
+	"io"
 	"runtime"
 
 	"e9patch/internal/disasm"
@@ -308,11 +309,24 @@ func oneShot(ctx context.Context, input []byte, cfg Config) (*Stream, error) {
 // escaping the pipeline — a rewriter bug tripped by unforeseen input —
 // is contained and returned as ErrInternal with the stack attached.
 func RewriteContext(ctx context.Context, input []byte, cfg Config) (*Result, error) {
+	return RewriteTo(ctx, nil, input, cfg)
+}
+
+// RewriteTo is RewriteContext with the output written to w instead of
+// returned: Result.Output is nil, Result.OutputSize the bytes written,
+// and the bytes are those Rewrite would have returned. The output is
+// the input with its text patched in place plus an appendix, so it is
+// written from the input slice, the patched text and the blob as they
+// are and is never assembled in memory; with input a read-only mapping
+// (elf64.OpenInput) most of it never enters this process's heap at all.
+// w must not be the file input is mapped from. See Stream.FinishTo for
+// the error contract.
+func RewriteTo(ctx context.Context, w io.Writer, input []byte, cfg Config) (*Result, error) {
 	s, err := oneShot(ctx, input, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.Finish(ctx)
+	return s.FinishTo(ctx, w)
 }
 
 // Plan runs the decision phase only: disassemble, match, run the S1
@@ -522,7 +536,7 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 		stats: stats, locs: locs,
 		insts: p.Insts, badBytes: p.BadBytes, mode: mode, recovery: sstats,
 		warnings: p.Warnings,
-	})
+	}, nil)
 }
 
 // Load builds an executable image from an original or rewritten binary

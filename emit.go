@@ -1,6 +1,8 @@
 package e9patch
 
 import (
+	"io"
+
 	"e9patch/internal/disasm"
 	"e9patch/internal/e9err"
 	"e9patch/internal/elf64"
@@ -47,7 +49,7 @@ func buildBlob(entry, bias uint64, trs []patch.Trampoline, sig map[uint64]uint64
 }
 
 // emitInput is what a decided rewrite hands to the emit tail, from the
-// live rewriter (Finish) or a replayed plan (Apply): what to compose,
+// live rewriter (Finish) or a replayed plan (Apply): what to lay out,
 // then the decision-side facts the Result reports unchanged.
 type emitInput struct {
 	input   []byte // exactly the bytes f was parsed from
@@ -68,15 +70,32 @@ type emitInput struct {
 	warnings        []string
 }
 
-// emit is the one emit tail: encode the loader blob, compose the output
-// in a single allocation from the original bytes, the patched text and
-// the blob — never writing to the input — and assemble the Result.
-func emit(in emitInput) (*Result, error) {
+// emit is the one emit tail: encode the loader blob, lay the output out
+// as its segments — the original bytes around the patched text, then
+// the blob — send them to w, never writing to the input, and assemble
+// the Result. A nil w is the in-memory form: the segments concatenated
+// in one allocation of exactly the output's size, as Result.Output.
+func emit(in emitInput, w io.Writer) (*Result, error) {
 	blob, gres, err := buildBlob(in.f.Header.Entry, in.bias, in.trs, in.sig, in.gran, in.inject)
 	if err != nil {
 		return nil, err
 	}
-	out := elf64.Compose(in.input, in.textOff, in.code, blob)
+	// Either way the output is elf64.Layout's segment list: concatenated
+	// by Compose, or written one after the other.
+	var out []byte
+	size := 0
+	if w == nil {
+		out = elf64.Compose(in.input, in.textOff, in.code, blob)
+		size = len(out)
+	} else {
+		n, err := elf64.Layout(in.input, in.textOff, in.code, blob).WriteTo(w)
+		if err != nil {
+			// The sink's failure, not the rewrite's: the caller finds its
+			// own writer's error under the class.
+			return nil, &e9err.Error{Class: e9err.ErrOutput, Phase: "emit", Err: err}
+		}
+		size = int(n)
+	}
 	injected := 0
 	for _, inj := range in.inject {
 		injected += len(inj.Data)
@@ -87,7 +106,7 @@ func emit(in emitInput) (*Result, error) {
 		Group:         gres.Stats,
 		Mappings:      gres.Stats.Mappings,
 		InputSize:     len(in.input),
-		OutputSize:    len(out),
+		OutputSize:    size,
 		Insts:         in.insts,
 		BadBytes:      in.badBytes,
 		Disasm:        string(in.mode),

@@ -1,8 +1,8 @@
 // Package e9err defines the rewriter's structured error taxonomy.
 //
 // Every error the pipeline can return on hostile or degenerate input
-// belongs to exactly one of four classes, each a sentinel matchable
-// with errors.Is:
+// belongs to exactly one class, each a sentinel matchable with
+// errors.Is:
 //
 //   - ErrMalformed: the input (binary, plan, spec) is structurally
 //     broken — truncated headers, overflowing offsets, inconsistent
@@ -20,6 +20,10 @@
 //     language) failed to parse or typecheck. The error carries the
 //     line/column of the offending token so recipe authors can fix the
 //     spec; e9served maps it to HTTP 422.
+//   - ErrOutput: the rewrite was decided but its bytes could not be
+//     delivered: the caller's io.Writer or the output file returned an
+//     error, which the *Error wraps. Neither the input's fault nor a
+//     rewriter bug; the same call may succeed once the sink does.
 //
 // The concrete *Error type adds phase, offset and machine-readable
 // reason context on top of the class. The package is a leaf (standard
@@ -34,13 +38,14 @@ import (
 	"strings"
 )
 
-// The four error classes. See the package comment for their contract.
+// The error classes. See the package comment for their contract.
 var (
 	ErrMalformed     = errors.New("malformed input")
 	ErrUnsupported   = errors.New("unsupported input")
 	ErrResourceLimit = errors.New("resource limit exceeded")
 	ErrInternal      = errors.New("internal error")
 	ErrBadSpec       = errors.New("bad spec")
+	ErrOutput        = errors.New("output not written")
 )
 
 // Machine-readable rejection reasons carried by ErrResourceLimit
@@ -64,7 +69,7 @@ const (
 )
 
 // Error is a classified pipeline error. Class is always one of the
-// four sentinels; errors.Is(err, ErrMalformed) etc. match through it,
+// sentinels; errors.Is(err, ErrMalformed) etc. match through it,
 // and errors.As(err, &e) recovers the context fields.
 type Error struct {
 	// Class is the taxonomy sentinel this error belongs to.

@@ -3,6 +3,7 @@ package elf64
 import (
 	"errors"
 	"fmt"
+	"io"
 )
 
 // BuildSpec describes a synthetic executable or shared object to build.
@@ -253,41 +254,74 @@ func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
 // the appended region.
 const trailerMagic = "E9PGLD64"
 
-// Append returns file extended with blob at a page-aligned offset,
-// followed by a locating trailer. The original bytes are unchanged.
-func Append(file, blob []byte) []byte {
+// Segments is a rewritten file as the ordered pieces it is written
+// from: the input up to the text, the patched text, the input after it,
+// zeros up to the next page boundary, the loader blob and the locating
+// trailer. Only the trailer is new memory; the rest alias the caller's
+// slices, so the input may be a read-only mmap view and nothing the
+// size of the file is built in order to write it.
+type Segments [6][]byte
+
+// zeroPage backs the page-pad segment; never written.
+var zeroPage [PageSize]byte
+
+// Layout is the one place that lays a rewritten file out. code overlays
+// file at textOff; the caller guarantees textOff+len(code) lies inside
+// the file (the parser's TextRange already validated it). The blob goes
+// at the next page boundary past the file, followed by the trailer.
+func Layout(file []byte, textOff uint64, code, blob []byte) Segments {
 	off := alignUp(uint64(len(file)), PageSize)
-	out := make([]byte, off+uint64(len(blob))+24)
-	copy(out, file)
-	copy(out[off:], blob)
-	tr := out[off+uint64(len(blob)):]
+	tr := make([]byte, 24)
 	copy(tr, trailerMagic)
 	le.PutUint64(tr[8:], off)
 	le.PutUint64(tr[16:], uint64(len(blob)))
-	return out
+	return Segments{
+		file[:textOff],
+		code,
+		file[textOff+uint64(len(code)):],
+		zeroPage[:off-uint64(len(file))],
+		blob,
+		tr,
+	}
 }
 
-// Compose is Append for the zero-copy paths: it produces the same
-// bytes as mutating file's text section in place (PatchBytes) and then
-// appending blob, but in a single output allocation and without ever
-// writing to file — so file may be a read-only mmap view shared with
-// the kernel page cache. code overlays the file at textOff; the caller
-// guarantees textOff+len(code) lies inside the file (the parser's
-// TextRange already validated it).
+// Size is the length of the file the segments make up.
+func (s Segments) Size() int {
+	n := 0
+	for _, seg := range s {
+		n += len(seg)
+	}
+	return n
+}
+
+// WriteTo writes the segments in order, stopping at the first error.
+func (s Segments) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for _, seg := range s {
+		m, err := w.Write(seg)
+		n += int64(m)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// Compose is the in-memory form of Layout: the segments concatenated in
+// a single allocation of exactly the output's size. It produces the
+// same bytes as mutating file's text section in place (PatchBytes) and
+// then appending blob, without ever writing to file. With textOff 0 and
+// no code it only appends the blob.
 func Compose(file []byte, textOff uint64, code, blob []byte) []byte {
-	off := alignUp(uint64(len(file)), PageSize)
-	out := make([]byte, off+uint64(len(blob))+24)
-	copy(out, file)
-	copy(out[textOff:], code)
-	copy(out[off:], blob)
-	tr := out[off+uint64(len(blob)):]
-	copy(tr, trailerMagic)
-	le.PutUint64(tr[8:], off)
-	le.PutUint64(tr[16:], uint64(len(blob)))
+	s := Layout(file, textOff, code, blob)
+	out := make([]byte, 0, s.Size())
+	for _, seg := range s {
+		out = append(out, seg...)
+	}
 	return out
 }
 
-// AppendedBlob extracts the blob attached by Append, if present.
+// AppendedBlob extracts the blob Layout attached, if present.
 func AppendedBlob(file []byte) ([]byte, bool) {
 	if len(file) < 24 {
 		return nil, false

@@ -141,7 +141,7 @@ func TestVaddrToOff(t *testing.T) {
 func TestAppendRoundTrip(t *testing.T) {
 	raw := buildSample(t, false, 0)
 	blob := []byte("trampoline pages and mmap table")
-	out := Append(raw, blob)
+	out := Compose(raw, 0, nil, blob) // the blob-only case
 
 	// The original prefix is untouched.
 	if !bytes.Equal(out[:len(raw)], raw) {
@@ -169,7 +169,7 @@ func TestAppendProperty(t *testing.T) {
 		base := buildSample(t, false, 0)
 		// Vary the base length so alignment paths are exercised.
 		base = append(base, bytes.Repeat([]byte{0xAA}, int(pad))...)
-		out := Append(base, blob)
+		out := Compose(base, 0, nil, blob)
 		got, ok := AppendedBlob(out)
 		return ok && bytes.Equal(got, blob) && bytes.Equal(out[:len(base)], base)
 	}

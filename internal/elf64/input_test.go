@@ -72,8 +72,10 @@ func TestOpenInputEmptyAndMissing(t *testing.T) {
 	}
 }
 
-// TestComposeMatchesPatchPlusAppend proves the single-allocation
-// compose path is byte-identical to the mutate-then-append reference.
+// TestComposeMatchesPatchPlusAppend pins the output layout: the segment
+// list, concatenated by Compose or sent to a writer, is byte-identical
+// to mutating the text in place and appending pad, blob and trailer by
+// hand.
 func TestComposeMatchesPatchPlusAppend(t *testing.T) {
 	text := bytes.Repeat([]byte{0x90}, 600)
 	raw, err := Build(BuildSpec{Text: text, Data: []byte("data"), BSSSize: 64})
@@ -98,13 +100,27 @@ func TestComposeMatchesPatchPlusAppend(t *testing.T) {
 	if err := f.PatchBytes(addr, code); err != nil {
 		t.Fatal(err)
 	}
-	want := Append(f.Data, blob)
+	blobOff := (len(raw) + PageSize - 1) / PageSize * PageSize
+	want := append(append([]byte(nil), f.Data...), make([]byte, blobOff-len(raw))...)
+	want = append(want, blob...)
+	want = append(want, trailerMagic...)
+	want = le.AppendUint64(want, uint64(blobOff))
+	want = le.AppendUint64(want, uint64(len(blob)))
 
 	got := Compose(raw, off, code, blob)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("Compose diverges from PatchBytes+Append (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("Compose diverges from PatchBytes plus append (%d vs %d bytes)", len(got), len(want))
 	}
-	// Compose must not have touched the original file bytes.
+	segs := Layout(raw, off, code, blob)
+	var buf bytes.Buffer
+	n, err := segs.WriteTo(&buf)
+	if err != nil || n != int64(len(want)) || segs.Size() != len(want) {
+		t.Fatalf("WriteTo = %d, %v and Size = %d, want %d bytes", n, err, segs.Size(), len(want))
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("the written segments diverge from PatchBytes plus append")
+	}
+	// Neither form may have touched the original file bytes.
 	if !bytes.Equal(raw[off:off+size], text) {
 		t.Fatal("Compose mutated its input")
 	}

@@ -76,7 +76,7 @@ func TestBuildImage(t *testing.T) {
 	}
 	res := buildGrouped(t)
 	sig := map[uint64]uint64{0x401001: 0x700100}
-	out := elf64.Append(bin, Encode(res, 1, sig, 0x401000))
+	out := elf64.Compose(bin, 0, nil, Encode(res, 1, sig, 0x401000))
 
 	m := emu.NewMachine()
 	entry, err := BuildImage(m, out, Options{})
@@ -120,7 +120,7 @@ func TestBuildImageBias(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := buildGrouped(t)
-	out := elf64.Append(bin, Encode(res, 1, nil, elf64.TextVaddrOff))
+	out := elf64.Compose(bin, 0, nil, Encode(res, 1, nil, elf64.TextVaddrOff))
 	m := emu.NewMachine()
 	const bias = 0x5555_5555_4000
 	entry, err := BuildImage(m, out, Options{Bias: bias})
@@ -146,7 +146,7 @@ func TestMapCountLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	bin, _ := elf64.Build(elf64.BuildSpec{Text: []byte{0xC3}, Data: []byte("x")})
-	out := elf64.Append(bin, Encode(res, 1, nil, 0))
+	out := elf64.Compose(bin, 0, nil, Encode(res, 1, nil, 0))
 	m := emu.NewMachine()
 	if _, err := BuildImage(m, out, Options{MaxMapCount: 4}); err == nil {
 		t.Fatal("mapping limit not enforced")

@@ -119,13 +119,13 @@ func TestLockStateInvariant(t *testing.T) {
 		}
 		// Patched locations: first byte locked and changed to a jump
 		// or prefix byte.
-		if !r.locked[o] {
+		if !r.anyLocked(lr.Addr, 1) {
 			t.Errorf("patched location %#x first byte not locked", lr.Addr)
 		}
 	}
 	// Every modified byte must be locked.
 	for i := range r.code {
-		if r.code[i] != orig[i] && !r.locked[i] {
+		if r.code[i] != orig[i] && !r.anyLocked(testTextAddr+uint64(i), 1) {
 			t.Errorf("modified byte at +%#x not locked", i)
 		}
 	}

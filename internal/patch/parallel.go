@@ -18,6 +18,13 @@ import (
 // code bytes, no locks and no window inputs, and can be patched
 // concurrently.
 //
+// The lock state is a bitmap, so two regions must not share a 64-bit
+// lock word either. They cannot: the bytes a region touches end less
+// than effectReach past its highest selected address, and the next
+// region up begins at least guardBand above that address, so between
+// the touched bytes of two regions lie at least guardBand-effectReach =
+// 96 untouched ones, more than the 64 a word covers.
+//
 // Determinism is the hard constraint: the output must be byte-for-byte
 // identical for every worker count. Two rules deliver it:
 //
@@ -35,9 +42,10 @@ import (
 //     in the shared space is exactly what a sequential run would have
 //     chosen (adding reservations can only push first-fit results
 //     upward, and the range itself being free pins it). A conflict —
-//     another region got there first — resets the region's bytes and
-//     locks and redoes it sequentially against the shared space, which
-//     is equally deterministic.
+//     another region got there first — restores the region's bytes
+//     from the original text, clears its locks and redoes it
+//     sequentially against the shared space, which is equally
+//     deterministic.
 const (
 	// guardBand is the minimum gap between selected addresses of
 	// adjacent regions; it strictly exceeds effectReach.
@@ -168,10 +176,11 @@ func (r *Rewriter) decompose(order []int) [][]int {
 // and outputs.
 func (r *Rewriter) child(space *va.Space, ar *arena, hint uint64, speculating bool) *Rewriter {
 	return &Rewriter{
+		orig:        r.orig,
 		code:        r.code,
 		textAddr:    r.textAddr,
 		insts:       r.insts,
-		locked:      r.locked,
+		locks:       r.locks,
 		space:       space,
 		opts:        r.opts,
 		patchT:      r.patchT,
@@ -217,19 +226,18 @@ func (r *Rewriter) presize(sites, trampolines int) {
 	r.slabChunk = min(sites*slabBytesPerSite, maxSlabChunk)
 }
 
-// resetSpan restores a region's byte and lock state from the pristine
-// pre-patch copies; the span covers every address the region's
-// patching can have touched.
-func (r *Rewriter) resetSpan(order []int, origCode []byte, origLocked []bool) {
+// resetSpan puts a region's bytes and locks back as they were before it
+// was patched: the text the rewriter was built over, and unlocked, since
+// a rewriter patches once and nothing outside PatchAll locks. The span
+// covers every address the region's patching can have touched, and the
+// lock words it overlaps hold no other region's bits (see above).
+func (r *Rewriter) resetSpan(order []int) {
 	lo := r.insts[order[len(order)-1]].Addr // order is descending
 	hi := r.insts[order[0]].Addr + effectReach
 	o1 := r.off(lo)
-	o2 := r.off(hi)
-	if o2 > len(r.code) {
-		o2 = len(r.code)
-	}
-	copy(r.code[o1:o2], origCode[o1:o2])
-	copy(r.locked[o1:o2], origLocked[o1:o2])
+	o2 := min(r.off(hi), len(r.code))
+	copy(r.code[o1:o2], r.orig[o1:o2])
+	clear(r.locks[o1>>6 : (o2+63)>>6])
 }
 
 // applyJournal replays one region's speculative space operations
@@ -292,11 +300,6 @@ func (r *Rewriter) patchRegions(regions [][]int) {
 	}
 	beltEnd := cursor
 
-	origCode := make([]byte, len(r.code))
-	copy(origCode, r.code)
-	origLocked := make([]bool, len(r.locked))
-	copy(origLocked, r.locked)
-
 	// Speculate: regions are byte-disjoint (guard band) and space-
 	// disjoint (private clones and arenas), so they run in parallel
 	// with no synchronisation beyond completion.
@@ -314,7 +317,7 @@ func (r *Rewriter) patchRegions(regions [][]int) {
 			continue
 		}
 		r.redone++
-		r.resetSpan(regions[i], origCode, origLocked)
+		r.resetSpan(regions[i])
 		arenas[i].ptr = arenas[i].base
 		redo := r.child(r.space, arenas[i], beltEnd, false)
 		redo.runRegion(regions[i])

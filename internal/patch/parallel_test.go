@@ -99,6 +99,15 @@ func TestDecomposeGuardBandClusters(t *testing.T) {
 		if loPrev-hiNext < guardBand {
 			t.Fatalf("region %d..%d gap %d < guard band", i-1, i, loPrev-hiNext)
 		}
+		// No 64-bit lock word holds bits of both regions: the lower
+		// region's effects end before hiNext+effectReach, and the word of
+		// the upper region's first byte begins above that.
+		if firstWord, lastTouched := r.off(loPrev)&^63, r.off(hiNext+effectReach)-1; lastTouched >= firstWord {
+			t.Fatalf("regions %d and %d share a lock word: offset %d reaches word at %d", i-1, i, lastTouched, firstWord)
+		}
+	}
+	if guardBand-effectReach <= 64 {
+		t.Fatalf("guardBand-effectReach = %d: concurrently patched regions could share a lock word", guardBand-effectReach)
 	}
 	// The decomposition ignores Workers entirely.
 	r.opts.Workers = 7
@@ -138,6 +147,9 @@ func assertSameRewrite(t *testing.T, want, got *Rewriter, label string) {
 	}
 	if want.Stats() != got.Stats() {
 		t.Errorf("%s: stats differ: %+v vs %+v", label, want.Stats(), got.Stats())
+	}
+	if !reflect.DeepEqual(want.locks, got.locks) {
+		t.Errorf("%s: lock bitmaps differ", label)
 	}
 	if !reflect.DeepEqual(want.SigTab(), got.SigTab()) {
 		t.Errorf("%s: sigtab differs", label)
@@ -210,6 +222,29 @@ func TestRegionConflictRedo(t *testing.T) {
 	if st.ByTactic[TacticT1] != 1 || st.Failed != 1 {
 		t.Fatalf("stats = %+v, want exactly one T1 success and one failure", st)
 	}
+	// The redo took the speculation's bytes and locks back from the lower
+	// site and left the higher site's alone.
+	for _, r := range []*Rewriter{seq, par} {
+		if !bytes.Equal(r.code[:effectReach], r.orig[:effectReach]) || r.anyLocked(testTextAddr, effectReach) {
+			t.Fatal("the failed lower site kept bytes or locks of its discarded speculation")
+		}
+		if !r.anyLocked(testTextAddr+295, 1) {
+			t.Fatal("the redo cleared the higher site's lock")
+		}
+	}
+}
+
+// TestPatchAllOnce: the lock state and the space carry one PatchAll's
+// decisions, so a second call is refused, not run over them.
+func TestPatchAllOnce(t *testing.T) {
+	r, _ := newTestRewriter(t, figure1, Options{})
+	r.PatchAll([]int{0})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second PatchAll did not panic")
+		}
+	}()
+	r.PatchAll([]int{0})
 }
 
 func TestApplyJournalConflictUnwinds(t *testing.T) {

@@ -4,7 +4,7 @@
 // jumps), T2 (successor eviction) and T3 (neighbour eviction), and the
 // reverse-order patching strategy S1 with its per-byte lock state.
 //
-// The rewriter mutates a copy of the text section strictly in place;
+// The rewriter mutates one copy of the text section strictly in place;
 // trampolines are allocated in the binary's virtual address space and
 // their code is emitted by trampoline templates. No control-flow
 // information is consumed: every decision depends only on instruction
@@ -167,10 +167,15 @@ func (s *Stats) SuccPercent() float64 { return s.Percent(s.Patched()) }
 
 // Rewriter patches one text section.
 type Rewriter struct {
+	// orig is the text the rewriter was built over, never written: a
+	// region redo restores its bytes from here. code is the one mutable
+	// copy, and locks the S1 lock state, one bit per text byte.
+	orig     []byte
 	code     []byte
 	textAddr uint64
 	insts    []x86.Loc
-	locked   []bool
+	locks    []uint64
+	patched  bool // PatchAll has run
 	space    *va.Space
 	opts     Options
 
@@ -224,7 +229,9 @@ type Rewriter struct {
 	redone      int
 }
 
-// New creates a rewriter over a mutable copy of code. The space must
+// New creates a rewriter over a mutable copy of code, which it keeps
+// and reads again when a region is redone: the caller must not write to
+// code while the rewriter is in use. The space must
 // already contain reservations for every loaded segment of the binary
 // (and anything else trampolines may not overlap). poolHint seeds the
 // preferred region for unconstrained trampoline allocation (typically
@@ -239,10 +246,11 @@ func New(code []byte, textAddr uint64, insts []x86.Loc, space *va.Space, poolHin
 	mutable := make([]byte, len(code))
 	copy(mutable, code)
 	return &Rewriter{
+		orig:     code,
 		code:     mutable,
 		textAddr: textAddr,
 		insts:    insts,
-		locked:   make([]bool, len(code)),
+		locks:    make([]uint64, (len(code)+63)/64),
 		space:    space,
 		opts:     opts,
 		patchT:   newEmitter(opts.Template),
@@ -302,22 +310,32 @@ func (r *Rewriter) inText(addr uint64, n int) bool {
 	return o >= 0 && o+int64(n) <= int64(len(r.code))
 }
 
+// lockSpan returns the lock word and bit mask covering the first k bytes
+// of the text offsets [o, o+n): as many as fall into one word.
+func lockSpan(o, n int) (w int, mask uint64, k int) {
+	bit := o & 63
+	k = min(n, 64-bit)
+	return o >> 6, (^uint64(0) >> uint(64-k)) << uint(bit), k
+}
+
 // anyLocked reports whether any byte of [addr, addr+n) is locked.
 func (r *Rewriter) anyLocked(addr uint64, n int) bool {
-	o := r.off(addr)
-	for i := 0; i < n; i++ {
-		if r.locked[o+i] {
+	for o := r.off(addr); n > 0; {
+		w, mask, k := lockSpan(o, n)
+		if r.locks[w]&mask != 0 {
 			return true
 		}
+		o, n = o+k, n-k
 	}
 	return false
 }
 
 // lock marks [addr, addr+n) locked (modified or punned bytes).
 func (r *Rewriter) lock(addr uint64, n int) {
-	o := r.off(addr)
-	for i := 0; i < n; i++ {
-		r.locked[o+i] = true
+	for o := r.off(addr); n > 0; {
+		w, mask, k := lockSpan(o, n)
+		r.locks[w] |= mask
+		o, n = o+k, n-k
 	}
 }
 
@@ -330,7 +348,14 @@ func (r *Rewriter) lock(addr uint64, n int) {
 // sequential path runs. The path taken depends only on the workload,
 // never on Options.Workers, so output bytes are identical for every
 // worker count.
+//
+// A Rewriter patches once: the lock state and the address space carry
+// the first call's decisions, so a second call is a caller's bug.
 func (r *Rewriter) PatchAll(indices []int) Stats {
+	if r.patched {
+		panic("patch: PatchAll called twice on one Rewriter")
+	}
+	r.patched = true
 	// A selection arrives in ascending order, so reversing it is
 	// usually the whole sort.
 	order := slices.Clone(indices)

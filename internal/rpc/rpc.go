@@ -136,6 +136,7 @@ const (
 	CodeResourceLimit  = -32002
 	CodeInternal       = -32003
 	CodeBadSpec        = -32004
+	CodeOutput         = -32005
 )
 
 // reasonUnknownMethod tags unknown-method errors so CodeFor can map
@@ -157,6 +158,8 @@ func CodeFor(err error) int {
 		return CodeBadSpec
 	case errors.Is(err, e9err.ErrMalformed):
 		return CodeMalformed
+	case errors.Is(err, e9err.ErrOutput):
+		return CodeOutput
 	default:
 		return CodeInternal
 	}

@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"encoding/json"
-	"os"
 	"strings"
 
 	"e9patch"
@@ -378,8 +377,10 @@ func (s *Session) handleEmit(ctx context.Context, msg *Message) (any, error) {
 	s.res = res
 	s.state = stateDone
 	if p.Output != "" {
-		if err := os.WriteFile(p.Output, res.Output, 0o755); err != nil {
-			return nil, e9err.Wrap(e9err.ErrInternal, "rpc", err)
+		// An unwritable path is the environment's failure (ErrOutput), not
+		// a broken invariant.
+		if err := elf64.WriteOutputBytes(p.Output, res.Output); err != nil {
+			return nil, err
 		}
 	}
 	return map[string]any{

@@ -145,6 +145,8 @@ func TestSessionAbuse(t *testing.T) {
 		{"unknown-option", `{"method":"option","params":{"granlarity":2}}`, Options{}, e9err.ErrMalformed},
 		{"path-denied", `{"method":"binary","params":{"filename":"/etc/hostname"}}`, Options{}, e9err.ErrUnsupported},
 		{"output-path-denied", binMsg + "\n" + `{"method":"emit","params":{"output":"/tmp/x"}}`, Options{}, e9err.ErrUnsupported},
+		{"output-unwritable", binMsg + "\n" + fmt.Sprintf(`{"method":"emit","params":{"output":%q}}`, filepath.Join(t.TempDir(), "no", "such", "out")),
+			Options{AllowPath: true}, e9err.ErrOutput},
 		{"binary-no-source", `{"method":"binary","params":{}}`, Options{}, e9err.ErrMalformed},
 		{"binary-two-sources", fmt.Sprintf(`{"method":"binary","params":{"data":%q,"size":4}}`, b64), Options{}, e9err.ErrMalformed},
 		{"patch-no-source", binMsg + "\n" + `{"method":"patch","params":{}}`, Options{}, e9err.ErrMalformed},

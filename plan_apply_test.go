@@ -79,7 +79,8 @@ func planCorpus(t *testing.T) []struct {
 // Every cell is also anchored to testdata/rewrite_golden.json: the
 // SHA-256 of Result.Output must be reproduced by Rewrite, by
 // Apply(Plan) at every width and by a Stream session fed the same
-// locations in address chunks. The committed hashes were recorded from
+// locations in address chunks; RewriteTo and the session's FinishTo
+// must have written those same bytes to their writer. The committed hashes were recorded from
 // the pre-split monolithic reference pipeline in the commit
 // before it was deleted; regenerate with `go test -run
 // TestPlanApplyEquivalence -update .` only for an intentional output
@@ -124,6 +125,23 @@ func TestPlanApplyEquivalence(t *testing.T) {
 			}
 			checkGolden(cell+"/rewrite", ref)
 
+			// written completes a streamed result for comparison: the bytes
+			// its writer received stand in for the Output it did not build.
+			written := func(label string, res *Result, buf *bytes.Buffer) *Result {
+				t.Helper()
+				if res.Output != nil || res.OutputSize != buf.Len() {
+					t.Errorf("%s: Output set (%d bytes) or OutputSize %d for %d written", label, len(res.Output), res.OutputSize, buf.Len())
+				}
+				res.Output = buf.Bytes()
+				return res
+			}
+			var buf bytes.Buffer
+			wres, err := RewriteTo(ctx, &buf, be.bin, cfg)
+			if err != nil {
+				t.Fatalf("%s: rewrite to: %v", cell, err)
+			}
+			assertSameParallelResult(t, ref, written(cell+"/rewriteto", wres, &buf), cell+"/rewriteto")
+
 			var firstEnc []byte
 			for _, par := range []int{1, 2, 8} {
 				label := fmt.Sprintf("%s/p=%d", cell, par)
@@ -154,29 +172,43 @@ func TestPlanApplyEquivalence(t *testing.T) {
 			}
 
 			// Chunked session: no selector, the reference's locations
-			// arrive as address batches.
+			// arrive as address batches; finished in memory and to a writer.
 			scfg := cfg
 			scfg.Select = nil
-			s, err := NewStream(ctx, be.bin, scfg)
-			if err != nil {
-				t.Fatalf("%s: stream: %v", cell, err)
-			}
 			addrs := make([]uint64, len(ref.Locations))
 			for i, loc := range ref.Locations {
 				addrs[i] = loc.Addr
 			}
-			const chunk = 509
-			for lo := 0; lo < len(addrs); lo += chunk {
-				if _, err := s.SelectAddrs(addrs[lo:min(lo+chunk, len(addrs))]...); err != nil {
-					t.Fatalf("%s: select addrs: %v", cell, err)
+			for _, toWriter := range []bool{false, true} {
+				label := cell + "/stream"
+				if toWriter {
+					label += "to"
 				}
+				s, err := NewStream(ctx, be.bin, scfg)
+				if err != nil {
+					t.Fatalf("%s: stream: %v", label, err)
+				}
+				const chunk = 509
+				for lo := 0; lo < len(addrs); lo += chunk {
+					if _, err := s.SelectAddrs(addrs[lo:min(lo+chunk, len(addrs))]...); err != nil {
+						t.Fatalf("%s: select addrs: %v", label, err)
+					}
+				}
+				var sres *Result
+				if toWriter {
+					var buf bytes.Buffer
+					if sres, err = s.FinishTo(ctx, &buf); err == nil {
+						sres = written(label, sres, &buf)
+					}
+				} else {
+					sres, err = s.Finish(ctx)
+				}
+				if err != nil {
+					t.Fatalf("%s: finish: %v", label, err)
+				}
+				assertSameParallelResult(t, ref, sres, label)
+				checkGolden(label, sres)
 			}
-			sres, err := s.Finish(ctx)
-			if err != nil {
-				t.Fatalf("%s: stream finish: %v", cell, err)
-			}
-			assertSameParallelResult(t, ref, sres, cell+"/stream")
-			checkGolden(cell+"/stream", sres)
 		}
 	}
 	if *updateGolden {

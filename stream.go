@@ -2,6 +2,7 @@ package e9patch
 
 import (
 	"context"
+	"io"
 	"math/bits"
 	"sort"
 
@@ -16,7 +17,8 @@ import (
 // open → select → decide phases: the binary is parsed and disassembled
 // once, patch selections arrive progressively — the JSON-RPC backend
 // feeds one Select or SelectAddrs call per protocol message — and
-// Finish runs the decision and emit phases over the accumulated union.
+// Finish (or FinishTo) runs the decision and emit phases over the
+// accumulated union.
 // Rewrite is NewStream + Finish and Plan is NewStream + plan, so equal
 // selections give byte-identical results by construction.
 //
@@ -213,18 +215,31 @@ func (s *Stream) decide(ctx context.Context, recordPlan bool) (*patch.Rewriter, 
 
 // Finish runs the remaining decision phases (injection preparation,
 // address-space reservation, S1 patching) over the accumulated
-// selection and emits the rewritten binary via the single-allocation
-// compose path. The session cannot be used afterwards.
+// selection and emits the rewritten binary into Result.Output, a single
+// allocation of exactly the output's size. The session cannot be used
+// afterwards.
 //
 // Finish materializes straight from the live rewriter: no per-location
 // record is kept, and once patching has decided everything the
 // universe, the selection and the rewriter's decision state are
-// released before the output is composed, so the emit-phase peak holds
+// released before the output is written, so the emit-phase peak holds
 // only the patched text, the trampolines and the output image. The
 // universe is a 24-byte record per instruction and an mmap'd input
-// stays off the heap, so on browser-class inputs the output image is
-// the largest thing a rewrite ever holds.
-func (s *Stream) Finish(ctx context.Context) (_ *Result, err error) {
+// stays off the heap, so on browser-class inputs Output is the largest
+// thing Finish holds; a caller that only wants the bytes somewhere else
+// uses FinishTo, which never builds it.
+func (s *Stream) Finish(ctx context.Context) (*Result, error) {
+	return s.FinishTo(ctx, nil)
+}
+
+// FinishTo is Finish with the output written to w instead of built in
+// memory: the input around the text, the patched text and the appended
+// blob go to w as they are, in file order, so nothing the size of the
+// output is ever allocated. Result.Output is nil and Result.OutputSize
+// the number of bytes written. An error from w ends the rewrite as an
+// ErrOutput that wraps it; what w received until then is a prefix of
+// the output and should be discarded. A nil w is Finish.
+func (s *Stream) FinishTo(ctx context.Context, w io.Writer) (_ *Result, err error) {
 	defer e9err.Recover("stream", &err)
 	rw, inject, warnings, err := s.decide(ctx, false)
 	if err != nil {
@@ -242,7 +257,7 @@ func (s *Stream) Finish(ctx context.Context) (_ *Result, err error) {
 	// Everything the emit tail needs is in hand: drop the universe, the
 	// selection and the rewriter's working copies.
 	s.st, s.sel, s.diag = nil, nil, nil
-	return emit(in)
+	return emit(in, w)
 }
 
 // plan is the other terminal: the same decide step with per-site

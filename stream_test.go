@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"e9patch/internal/elf64"
 	"e9patch/internal/workload"
 	"e9patch/internal/x86"
 )
@@ -201,5 +202,101 @@ func TestSelectorIndexOutOfRange(t *testing.T) {
 	}
 	if _, err := s.Finish(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// failingWriter accepts limit bytes in all, keeping them, and fails the
+// write that would pass it.
+type failingWriter struct {
+	limit int
+	got   []byte
+	err   error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if room := w.limit - len(w.got); len(p) > room {
+		w.got = append(w.got, p[:room]...)
+		return room, w.err
+	}
+	w.got = append(w.got, p...)
+	return len(p), nil
+}
+
+// TestRewriteToWriteFailure is the write-failure contract: a writer that
+// fails inside any of the six output segments ends RewriteTo and
+// FinishTo with an ErrOutput of phase emit that wraps the writer's own
+// error — not ErrInternal, not a recovered panic — having received the
+// output's prefix up to there and nothing else.
+func TestRewriteToWriteFailure(t *testing.T) {
+	ctx := context.Background()
+	bin := planCorpus(t)[0].bin
+	cfg := Config{Select: SelectJumps, ReserveVA: workload.ReserveVA()}
+	ref, err := Rewrite(bin, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := elf64.Parse(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	textOff, _, textSize, err := f.TextRange()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, ok := elf64.AppendedBlob(ref.Output)
+	if !ok {
+		t.Fatal("reference output has no blob")
+	}
+	// Segment ends, in file order.
+	ends := []struct {
+		name string
+		end  int
+	}{
+		{"head", int(textOff)},
+		{"text", int(textOff + textSize)},
+		{"tail", len(bin)},
+		{"pad", len(ref.Output) - 24 - len(blob)},
+		{"blob", len(ref.Output) - 24},
+		{"trailer", len(ref.Output)},
+	}
+	sinkErr := errors.New("sink full")
+	start := 0
+	for _, seg := range ends {
+		if seg.end <= start {
+			t.Fatalf("segment %s is empty: the table would not fail inside it", seg.name)
+		}
+		// The segment's first byte and its last: the failure offsets that
+		// border its neighbours.
+		for _, limit := range []int{start, seg.end - 1} {
+			for _, via := range []string{"RewriteTo", "FinishTo"} {
+				label := fmt.Sprintf("%s in %s at %d", via, seg.name, limit)
+				w := &failingWriter{limit: limit, err: sinkErr}
+				var res *Result
+				var err error
+				if via == "RewriteTo" {
+					res, err = RewriteTo(ctx, w, bin, cfg)
+				} else {
+					s, serr := NewStream(ctx, bin, cfg)
+					if serr != nil {
+						t.Fatal(serr)
+					}
+					res, err = s.FinishTo(ctx, w)
+				}
+				var e *Error
+				if res != nil || !errors.As(err, &e) {
+					t.Fatalf("%s: result %v, error %v: want a classified error only", label, res, err)
+				}
+				if e.Phase != "emit" || e.Recovered() || !errors.Is(err, ErrOutput) || errors.Is(err, ErrInternal) {
+					t.Errorf("%s: error %v (phase %q, recovered %v) is not an emit-phase ErrOutput", label, err, e.Phase, e.Recovered())
+				}
+				if !errors.Is(err, sinkErr) {
+					t.Errorf("%s: error %v does not wrap the writer's", label, err)
+				}
+				if !bytes.Equal(w.got, ref.Output[:limit]) {
+					t.Errorf("%s: the writer received %d bytes that are not the output's first %d", label, len(w.got), limit)
+				}
+			}
+		}
+		start = seg.end
 	}
 }
