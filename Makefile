@@ -44,22 +44,27 @@ enginecheck:
 	$(GO) test ./internal/emu/enginetest/ ./internal/emu/ ./internal/emu/ir/
 	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s .
 
-# plancheck verifies the plan/apply split: plan determinism, golden
-# JSON schema, serialization round trips, and byte-identity of Rewrite,
-# Apply(Plan) at every parallelism width and a chunked Stream with each
-# other and with the output hashes in testdata/rewrite_golden.json over
-# the difftest corpus (every binary x tactic config), the same bytes
-# written by RewriteTo and FinishTo and the contract of a writer that
-# fails in each output segment, the output layout pinned against an
-# in-place patch, plus the plan IR unit tests and the server's plan-cache
-# rematerialization path.
+# plancheck verifies the plan/apply split: plan determinism, byte-
+# identity of Rewrite, Apply(DecodePlan(Encode(Plan))) at every
+# parallelism width and a chunked Stream with each other and with the
+# output hashes in testdata/rewrite_golden.json over the difftest corpus
+# (every binary x tactic config), the same bytes written by RewriteTo
+# and FinishTo and the contract of a writer that fails in each output
+# segment, the output layout pinned against an in-place patch; the
+# serialized plan: both golden files (the binary form and its JSON
+# rendering), the tamper sweep through DecodePlan and Apply, the codec's
+# own unit, tamper and allocation-bound tests, `e9dump -plan` against
+# the golden rendering; and the server's plan-cache rematerialization.
 # TestPlanApplyEquivalence is the golden-hash test; re-record the
 # hashes, only for an intentional output change, with:
 #   go test -run TestPlanApplyEquivalence -update .
+# and the plan goldens, only with a plan.Version change, with:
+#   go test -run TestPlanGoldenJSON -update .
 plancheck:
 	$(GO) test -run 'TestPlan|TestApplyValidation|TestRewriteInputImmutable|TestRewriteToWriteFailure' .
 	$(GO) test -run 'TestComposeMatchesPatchPlusAppend|TestWriteOutput' ./internal/elf64/
 	$(GO) test ./internal/plan/
+	$(GO) test -run TestDumpPlanGolden -count 1 ./cmd/e9dump/
 	$(GO) test -run TestPlanCacheRematerialize ./internal/server/
 
 # speccheck verifies the match/patch spec language end to end: the
@@ -142,7 +147,8 @@ servertest:
 # 3-node cluster: consistent-hash forwarding, peer plan-fetch
 # byte-identity, owner-down local fallback, the internal plan endpoint,
 # plan-delta responses (identity and gzip wire coding, and the egress
-# gate: a gzipped plan is <= 10 % of the full response), /v1/batch
+# gate of TestPlanDeltaGzip: a gzipped plan is <= 10 % of the full
+# response and no larger than the JSON plan gzipped to), /v1/batch
 # validation/quotas/streaming, the chaos batch (one node killed
 # mid-batch over the hostile corpus must finish with zero 5xx), and the
 # trusted-apply contract backing peer rematerialization.
@@ -151,11 +157,13 @@ clustercheck:
 	$(GO) test -run 'TestApplyTrusted' -count 1 .
 	$(GO) test ./internal/cluster/
 
-# fuzzshort actually explores the differential fuzzers for a few
-# seconds each (plain `go test` only replays the seed corpus).
+# fuzzshort actually explores the differential fuzzers and the
+# serialized-plan decoder for a few seconds each (plain `go test` only
+# replays the seed corpus).
 fuzzshort:
 	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s .
 	$(GO) test -run '^FuzzParallelRewrite$$' -fuzz '^FuzzParallelRewrite$$' -fuzztime 5s .
+	$(GO) test -run '^FuzzPlanDecode$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 5s .
 
 # fuzzhostile explores the malformed-ELF input space (seeded from the
 # checked-in testdata/hostile corpus) plus the hostile deterministic

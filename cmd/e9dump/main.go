@@ -7,6 +7,10 @@
 // With -spec it instead inspects a spec-language file (internal/lang):
 // the typed AST of each match/exclude expression, the patch directive,
 // and the compiled selector's operation count and shardability.
+//
+// With -plan it prints a serialized patch plan (e9tool -emit-plan, a
+// plan-delta response, a peer's plan endpoint) as indented JSON: the
+// one way to read what the binary form holds.
 package main
 
 import (
@@ -14,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"e9patch"
 	"e9patch/internal/disasm"
 	"e9patch/internal/elf64"
 	"e9patch/internal/lang"
@@ -28,8 +33,29 @@ func main() {
 		disasmF = flag.String("disasm", "", "instruction recovery mode: linear (default) | superset | superset-cet")
 		occup   = flag.Bool("occupancy", false, "print the per-byte occupancy summary (superset modes only)")
 		spec    = flag.String("spec", "", "dump the typed AST and shardability of a spec file instead of a binary")
+		planF   = flag.String("plan", "", "print a serialized patch plan as JSON instead of inspecting a binary")
 	)
 	flag.Parse()
+	if *planF != "" {
+		if flag.NArg() != 0 || *spec != "" {
+			fmt.Fprintln(os.Stderr, "usage: e9dump -plan FILE")
+			os.Exit(2)
+		}
+		data, err := os.ReadFile(*planF)
+		if err != nil {
+			fatal(err)
+		}
+		p, err := e9patch.DecodePlan(data)
+		if err != nil {
+			fatal(err)
+		}
+		j, err := p.JSON()
+		if err != nil {
+			fatal(err)
+		}
+		os.Stdout.Write(j)
+		return
+	}
 	if *spec != "" {
 		if flag.NArg() != 0 {
 			fmt.Fprintln(os.Stderr, "usage: e9dump -spec FILE")

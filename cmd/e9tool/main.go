@@ -21,8 +21,11 @@
 // -action. The two rewrite phases can also be driven separately:
 //
 //	e9tool -M 'jcc' -dry-run input.bin                        # plan, report, write nothing
-//	e9tool -M 'jcc' -emit-plan plan.json input.bin            # plan only, save the decisions
-//	e9tool -apply-plan plan.json -o out.bin input.bin         # replay a saved plan
+//	e9tool -M 'jcc' -emit-plan plan.e9plan input.bin          # plan only, save the decisions
+//	e9tool -apply-plan plan.e9plan -o out.bin input.bin       # replay a saved plan
+//
+// A saved plan is the compact binary serialization (PatchPlan.Encode);
+// `e9dump -plan plan.e9plan` prints it as JSON.
 package main
 
 import (
@@ -59,8 +62,8 @@ func main() {
 		disasmF   = flag.String("disasm", "", "instruction recovery mode: linear (default) | superset | superset-cet")
 		coverage  = flag.String("coverage", "", "\"full\" patches every recovered instruction (no match expression; pairs with -disasm superset modes)")
 		dryRun    = flag.Bool("dry-run", false, "plan only: report tactics and footprint, write nothing")
-		emitPlan  = flag.String("emit-plan", "", "plan only: write the patch plan JSON to FILE")
-		applyPlan = flag.String("apply-plan", "", "skip planning: replay the patch plan JSON from FILE")
+		emitPlan  = flag.String("emit-plan", "", "plan only: write the serialized patch plan (binary; e9dump -plan prints it) to FILE")
+		applyPlan = flag.String("apply-plan", "", "skip planning: replay the serialized patch plan in FILE (as written by -emit-plan)")
 		backend   = flag.String("backend", "", "drive the e9patch backend at PATH over JSON-RPC instead of rewriting in-process (legacy -match path only)")
 
 		// Hostile-input hardening: resource limits for rewriting

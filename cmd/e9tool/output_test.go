@@ -60,9 +60,21 @@ func TestStreamedOutput(t *testing.T) {
 		err := cmd.Run()
 		return stderr.String(), err
 	}
-	plan := filepath.Join(dir, "plan.json")
+	plan := filepath.Join(dir, "plan.e9plan")
 	if stderr, err := run("-M", "jump", "-emit-plan", plan, input("in")); err != nil {
 		t.Fatalf("-emit-plan: %v\n%s", err, stderr)
+	}
+	// The file between the two is the binary serialization; a JSON plan
+	// of the old schema is refused with the way out, before any output.
+	if data, err := os.ReadFile(plan); err != nil || !bytes.HasPrefix(data, []byte("E9PL")) {
+		t.Fatalf("-emit-plan did not write a binary plan (%v, %.8q)", err, data)
+	}
+	v1 := filepath.Join(dir, "v1.json")
+	if err := os.WriteFile(v1, []byte("{\n  \"version\": 1,\n  \"sites\": []\n}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if stderr, err := run("-apply-plan", v1, "-o", filepath.Join(work, "never"), input("in")); err == nil || !strings.Contains(stderr, "re-emit the plan") {
+		t.Errorf("-apply-plan on a version 1 plan: %v, stderr %q; want a failure saying to re-emit the plan", err, stderr)
 	}
 
 	for _, tc := range []struct {

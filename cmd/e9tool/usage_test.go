@@ -33,7 +33,7 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "out.bin")
-	plan := filepath.Join(dir, "plan.json")
+	plan := filepath.Join(dir, "plan.e9plan")
 
 	// Order matters: the plan the -apply-plan rows replay is emitted first.
 	for _, tc := range []struct {

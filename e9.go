@@ -272,12 +272,16 @@ func (r *Result) SizePercent() float64 {
 // PatchPlan is the serializable decision record produced by Plan and
 // consumed by Apply: one entry per patch location carrying the chosen
 // tactic, the committed byte edits, the trampoline layout (eviction
-// chains included) and any B0 dispatch bindings. See internal/plan for
-// the JSON schema and DESIGN.md §9 for the architecture.
+// chains included) and any B0 dispatch bindings. PatchPlan.Encode
+// serializes it in the compact binary form of internal/plan (DESIGN.md
+// §9 has the grammar); PatchPlan.JSON renders it for reading.
 type PatchPlan = plan.PatchPlan
 
-// DecodePlan parses a plan previously rendered with PatchPlan.Encode,
-// rejecting unknown schema versions.
+// DecodePlan parses a plan serialized with PatchPlan.Encode. Data that
+// is not a plan is ErrMalformedBinary; a plan of another schema version
+// (the JSON plans of version 1 included) is ErrUnsupportedBinary and
+// has to be emitted again. The plan's byte fields are views into data,
+// which the caller must not modify while the plan is in use.
 func DecodePlan(data []byte) (*PatchPlan, error) { return plan.Decode(data) }
 
 // Rewrite statically rewrites the binary according to cfg. The input

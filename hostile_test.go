@@ -211,13 +211,23 @@ func TestHostileHeaderBitFlips(t *testing.T) {
 
 // TestHostilePlans covers the second untrusted input surface: patch
 // plans. Garbage, version skew and out-of-text writes must all come
-// back classified from Decode/Apply.
+// back classified from Decode/Apply (TestPlanTamperSweep and
+// FuzzPlanDecode take the serialized form apart byte by byte).
 func TestHostilePlans(t *testing.T) {
-	if _, err := DecodePlan([]byte("{not json")); !errors.Is(err, ErrMalformedBinary) {
-		t.Errorf("garbage plan JSON: %v, want ErrMalformedBinary", err)
+	if _, err := DecodePlan([]byte("not a plan")); !errors.Is(err, ErrMalformedBinary) {
+		t.Errorf("garbage plan: %v, want ErrMalformedBinary", err)
 	}
-	if _, err := DecodePlan([]byte(`{"version": 9999}`)); !errors.Is(err, ErrUnsupportedBinary) {
+	future, err := (&PatchPlan{Version: 9999}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodePlan(future); !errors.Is(err, ErrUnsupportedBinary) {
 		t.Errorf("future plan version: %v, want ErrUnsupportedBinary", err)
+	}
+	// A version 1 plan was JSON. It is a plan, of a schema this build no
+	// longer reads: unsupported, with the way out in the message.
+	if _, err := DecodePlan([]byte(`{"version": 1, "sites": []}`)); !errors.Is(err, ErrUnsupportedBinary) || !strings.Contains(err.Error(), "re-emit the plan") {
+		t.Errorf("version 1 (JSON) plan: %v, want ErrUnsupportedBinary saying to re-emit the plan", err)
 	}
 
 	bin := branchyELF(t)

@@ -146,6 +146,41 @@ func NewClient(cfg Config, health *Health, maxPlanBytes int64) *Client {
 	}
 }
 
+// ReadReserve is the most ReadSized reserves before any byte has
+// arrived, whatever length the sender declared.
+const ReadReserve = 1 << 20
+
+// ReadSized reads r to EOF like io.ReadAll, into a buffer sized from
+// hint: the length the sender declared (a Content-Length), already
+// clamped by the caller to what it accepts, or negative when unknown.
+// A declared length is a hint, not a reservation: at most ReadReserve
+// is allocated up front, and the buffer then doubles only as bytes
+// really arrive, stopping at the hint so a truthful sender costs one
+// exactly sized buffer. Bounding what may be read stays with r
+// (http.MaxBytesReader, io.LimitReader). On error the bytes read so far
+// are returned with it.
+func ReadSized(r io.Reader, hint int64) ([]byte, error) {
+	// One byte past the hint: the read that finds EOF needs room to run.
+	buf := make([]byte, 0, max(min(hint, ReadReserve), 511)+1)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			next := 2 * int64(cap(buf))
+			if int64(len(buf)) <= hint {
+				next = min(next, hint+1)
+			}
+			buf = append(make([]byte, 0, next), buf...)
+		}
+	}
+}
+
 // FetchPlan asks peer for the encoded plan of key. It returns the plan
 // bytes on 200, ErrNoPlan on 404 (peer alive, plan absent), and a
 // transport error otherwise — after marking the peer down so the next
@@ -165,7 +200,7 @@ func (c *Client) FetchPlan(ctx context.Context, peer, key string) ([]byte, error
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxPlan+1))
+		data, err := ReadSized(io.LimitReader(resp.Body, c.maxPlan+1), min(resp.ContentLength, c.maxPlan+1))
 		if err != nil {
 			c.health.MarkDown(peer)
 			return nil, err

@@ -48,7 +48,10 @@ const (
 	numTactics
 )
 
-var tacticNames = [...]string{"none", "B1", "B2", "T1", "T2", "T3", "B0"}
+// tacticNames is the plan IR's table: a Tactic is its index, which is
+// also the code a serialized plan stores (the array type keeps the two
+// the same length).
+var tacticNames [numTactics]string = plan.TacticNames
 
 func (t Tactic) String() string {
 	if int(t) < len(tacticNames) {

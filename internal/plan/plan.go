@@ -8,9 +8,11 @@
 // A PatchPlan is a pure function of the input binary and the rewrite
 // configuration: planning the same binary twice yields byte-identical
 // encodings. That makes plans content-addressable artefacts — a few
-// kilobytes that can be cached, diffed, audited, or shipped to another
-// machine and applied there, instead of the megabyte-scale output
-// binary they describe.
+// dozen bytes per patch site (codec.go) that can be cached, audited, or
+// shipped to another machine and applied there, instead of the
+// megabyte-scale output binary they describe. JSON is how a plan is
+// shown to a person (PatchPlan.JSON, e9dump -plan), never how one is
+// stored or read back.
 //
 // The package is a leaf: it depends only on the standard library, so
 // every layer (patch core, public API, server, tools) can share the IR
@@ -29,29 +31,21 @@ import (
 // Version is the plan schema version understood by this build. Decode
 // rejects any other value: a plan is an exact replay script, so there
 // is no forward- or backward-compatible interpretation of a mismatch.
-const Version = 1
+// Version 1 was the JSON serialization; 2 is the binary codec.
+const Version = 2
 
-// Bytes is a byte slice that serializes as a lowercase hex string, so
-// machine code stays greppable in the JSON form.
+// TacticNames are the tactic names a Site may carry, indexed by the
+// code the binary codec stores (and by patch.Tactic, which is defined
+// over this table).
+var TacticNames = [...]string{"none", "B1", "B2", "T1", "T2", "T3", "B0"}
+
+// Bytes is a byte slice that renders as a lowercase hex string, so
+// machine code stays greppable in the JSON rendering.
 type Bytes []byte
 
 // MarshalJSON implements json.Marshaler.
 func (b Bytes) MarshalJSON() ([]byte, error) {
 	return json.Marshal(hex.EncodeToString(b))
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (b *Bytes) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return err
-	}
-	*b = raw
-	return nil
 }
 
 // Write is one committed byte edit inside the text section, in runtime
@@ -151,29 +145,15 @@ type PatchPlan struct {
 	Sites []Site `json:"sites"`
 }
 
-// Encode renders the plan as deterministic, indented JSON (struct
-// field order is fixed and no maps are involved, so identical plans
-// encode to identical bytes).
-func (p *PatchPlan) Encode() ([]byte, error) {
+// JSON renders the plan for reading: deterministic, indented, byte
+// fields as hex (struct field order is fixed and no maps are involved).
+// Nothing parses it back; Encode is the serialized form.
+func (p *PatchPlan) JSON() ([]byte, error) {
 	j, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("plan: encode: %w", err)
+		return nil, fmt.Errorf("plan: render: %w", err)
 	}
 	return append(j, '\n'), nil
-}
-
-// Decode parses an encoded plan and checks the schema version. A
-// syntactically broken plan is a malformed input; a well-formed plan
-// with the wrong schema version is an unsupported one.
-func Decode(data []byte) (*PatchPlan, error) {
-	var p PatchPlan
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, e9err.Wrap(e9err.ErrMalformed, "plan", fmt.Errorf("plan: decode: %w", err))
-	}
-	if p.Version != Version {
-		return nil, e9err.Unsupported("plan", fmt.Sprintf("plan: unsupported version %d (this build understands %d)", p.Version, Version))
-	}
-	return &p, nil
 }
 
 // InputDigest returns the hex SHA-256 a plan uses to bind its input.

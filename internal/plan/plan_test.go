@@ -2,10 +2,15 @@ package plan
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"e9patch/internal/e9err"
 )
 
+// TestBytesHexRoundTrip: machine code is hex in the rendering and the
+// same bytes after the codec.
 func TestBytesHexRoundTrip(t *testing.T) {
 	p := &PatchPlan{
 		Version: Version,
@@ -15,12 +20,16 @@ func TestBytesHexRoundTrip(t *testing.T) {
 			Writes: []Write{{Addr: 0x401000, Data: Bytes{0xE9, 0x00, 0xAB, 0xCD, 0xEF}}},
 		}},
 	}
-	enc, err := p.Encode()
+	j, err := p.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(enc, []byte(`"e900abcdef"`)) {
-		t.Errorf("machine code not hex-encoded:\n%s", enc)
+	if !bytes.Contains(j, []byte(`"e900abcdef"`)) {
+		t.Errorf("machine code not hex in the rendering:\n%s", j)
+	}
+	enc, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
 	q, err := Decode(enc)
 	if err != nil {
@@ -31,27 +40,23 @@ func TestBytesHexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsBadHex(t *testing.T) {
-	var b Bytes
-	if err := b.UnmarshalJSON([]byte(`"zz"`)); err == nil {
-		t.Error("bad hex: want error")
-	}
-	if err := b.UnmarshalJSON([]byte(`42`)); err == nil {
-		t.Error("non-string: want error")
-	}
-}
-
 func TestDecodeRejectsVersionMismatch(t *testing.T) {
 	p := &PatchPlan{Version: Version + 1}
 	enc, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("want version error, got %v", err)
+	if _, err := Decode(enc); !errors.Is(err, e9err.ErrUnsupported) || !strings.Contains(err.Error(), "version") {
+		t.Errorf("want an unsupported-version error, got %v", err)
 	}
-	if _, err := Decode([]byte("{not json")); err == nil {
-		t.Error("malformed JSON: want error")
+	// A version 1 plan was JSON: unsupported, and the message says what to do.
+	if _, err := Decode([]byte(`{"version": 1, "sites": []}`)); !errors.Is(err, e9err.ErrUnsupported) || !strings.Contains(err.Error(), "re-emit the plan") {
+		t.Errorf("JSON plan: want unsupported with a re-emit hint, got %v", err)
+	}
+	for _, garbage := range [][]byte{nil, []byte("E9"), []byte("not a plan at all"), bytes.Repeat([]byte{0xFF}, 200)} {
+		if _, err := Decode(garbage); !errors.Is(err, e9err.ErrMalformed) {
+			t.Errorf("garbage %.8q: want malformed, got %v", garbage, err)
+		}
 	}
 }
 
@@ -95,25 +100,24 @@ func TestAggregates(t *testing.T) {
 }
 
 // TestEncodeDeterminism pins that two structurally equal plans encode
-// to identical bytes (structs only, fixed field order, no maps).
+// to identical bytes, and that a decoded plan encodes to its input.
 func TestEncodeDeterminism(t *testing.T) {
-	mk := func() *PatchPlan {
-		return &PatchPlan{
-			Version: Version, Bias: 0x1000, TextAddr: 0x401000, TextLen: 64,
-			Granularity: 1, Insts: 9, Warnings: []string{"w"},
-			Sites: []Site{{Addr: 0x401000, Tactic: "B0",
-				SigTab: []SigEntry{{Int3: 0x401000, Trampoline: 0x500000}}}},
-		}
-	}
-	a, err := mk().Encode()
+	a, err := richPlan().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mk().Encode()
+	b, err := richPlan().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Error("equal plans encoded differently")
+	}
+	q, err := Decode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := q.Encode(); err != nil || !bytes.Equal(a, c) {
+		t.Errorf("Decode → Encode changed the bytes (err %v)", err)
 	}
 }

@@ -268,7 +268,7 @@ func (s *Server) resolveEntry(ctx context.Context, key string, body []byte, spec
 		func(jobCtx context.Context, finish func(*cacheEntry, error)) error {
 			s.metrics.IncRewrite()
 			start := time.Now()
-			res, rerr := s.runRewrite(jobCtx, body, spec)
+			res, rerr := s.runRewrite(jobCtx, key, body, spec)
 			s.observeRewrite(time.Since(start))
 			if rerr != nil {
 				finish(nil, rerr)

@@ -17,11 +17,12 @@ type cacheEntry struct {
 // size is the entry's byte charge against the cache budget.
 func (e *cacheEntry) size() int64 { return int64(len(e.out) + len(e.statsJSON)) }
 
-// planEntry is one cached patch plan in its encoded (JSON) form — the
-// second, cheaper cache tier: a plan is a few kilobytes of decisions
-// where the result entry is the whole output binary, so the plan tier
-// retains far more history per byte and rematerializes evicted results
-// without redoing any tactic search.
+// planEntry is one cached patch plan in its serialized form
+// (PatchPlan.Encode) — the second, cheaper cache tier: a plan is a few
+// dozen bytes per patch site where the result entry is the whole output
+// binary, so the plan tier retains far more history per byte and
+// rematerializes evicted results without redoing any tactic search.
+// data is immutable once stored: plans decoded from it alias it.
 type planEntry struct {
 	data []byte
 }

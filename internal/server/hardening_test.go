@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"e9patch"
+	"e9patch/internal/cluster"
 	"e9patch/internal/x86"
 )
 
@@ -38,7 +41,7 @@ func TestWorkerSurvivesPanickingRewrite(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 8, Logf: t.Logf})
 	defer srv.Close()
 	var calls atomic.Int32
-	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
 		if calls.Add(1) == 1 {
 			panic("deliberate test panic: " + spec.Match)
 		}
@@ -73,7 +76,7 @@ func TestPanickingSelectorContained(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 8, Logf: t.Logf})
 	defer srv.Close()
 	var calls atomic.Int32
-	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
 		sel := e9patch.SelectJumps
 		if calls.Add(1) == 1 {
 			sel = func(insts []x86.Loc) []int { panic("selector boom") }
@@ -176,4 +179,36 @@ func TestRetryAfterFromQueueDepth(t *testing.T) {
 	if got := srv.retryAfter(); got != "30" {
 		t.Fatalf("huge mean: Retry-After %q, want \"30\"", got)
 	}
+}
+
+// TestStalledUploadReservesLittle is the hostile read: a client declares
+// a 1 GB body, sends ten bytes and stalls. The declared length sizes the
+// body buffer only as a hint, so while the handler waits the heap has
+// grown by about cluster.ReadReserve, not by MaxBodyBytes; when the
+// client goes away the request is a 499 like any abandoned upload.
+func TestStalledUploadReservesLittle(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueLen: 1, MaxBodyBytes: 256 << 20})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var before, stalled runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/rewrite?match=jcc HTTP/1.1\r\nHost: e9\r\nContent-Length: 1000000000\r\n\r\n0123456789"); err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, srv.Handler(), "e9served_inflight", 1)
+	time.Sleep(20 * time.Millisecond) // inflight is counted just before the read starts
+	runtime.ReadMemStats(&stalled)
+	if grown := int64(stalled.HeapAlloc) - int64(before.HeapAlloc); grown > 4*cluster.ReadReserve {
+		t.Errorf("heap grew by %d bytes while a 10-byte upload stalled, want about %d", grown, cluster.ReadReserve)
+	}
+	conn.Close()
+	waitMetric(t, srv.Handler(), `e9served_requests_total{code="499"}`, 1)
 }

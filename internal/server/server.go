@@ -122,8 +122,10 @@ func (c Config) withDefaults() Config {
 }
 
 // RewriteFunc executes one rewrite; tests substitute it to gate and
-// count executions.
-type RewriteFunc func(ctx context.Context, binary []byte, spec *Spec) (*e9patch.Result, error)
+// count executions. key is the request's cache key, which the handler
+// has already derived from binary and spec: the default implementation
+// banks the plan under it.
+type RewriteFunc func(ctx context.Context, key string, binary []byte, spec *Spec) (*e9patch.Result, error)
 
 // Server is the rewrite service. Create with New, mount Handler, and
 // Close after the HTTP server has drained.
@@ -196,7 +198,7 @@ func New(cfg Config) *Server {
 		s.metrics.IncPanicRecovered()
 		s.cfg.Logf("e9served: recovered worker panic: %v", v)
 	}
-	s.rewrite = func(ctx context.Context, binary []byte, spec *Spec) (*e9patch.Result, error) {
+	s.rewrite = func(ctx context.Context, key string, binary []byte, spec *Spec) (*e9patch.Result, error) {
 		rcfg, err := spec.Config()
 		if err != nil {
 			return nil, err
@@ -207,15 +209,16 @@ func New(cfg Config) *Server {
 		rcfg.Pool = s.shards
 		rcfg.Limits = s.cfg.Limits
 		// Plan, bank the plan in the second cache tier, then apply. The
-		// plan costs kilobytes where the result costs the whole output
-		// binary, so it survives long after the result entry is evicted
-		// and turns a future repeat into a decision-free rematerialize.
+		// plan costs a few dozen bytes per site where the result costs the
+		// whole output binary, so it survives long after the result entry
+		// is evicted and turns a future repeat into a decision-free
+		// rematerialize.
 		p, err := e9patch.PlanContext(ctx, binary, rcfg)
 		if err != nil {
 			return nil, err
 		}
 		if enc, err := p.Encode(); err == nil {
-			s.plans.put(cacheKey(binary, spec), &planEntry{data: enc})
+			s.plans.put(key, &planEntry{data: enc})
 		}
 		// The plan was produced by this very call against these very
 		// bytes, so the trusted apply path (no universe re-derivation)
@@ -354,7 +357,8 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, msg, status)
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := cluster.ReadSized(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes),
+		min(r.ContentLength, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -471,7 +475,7 @@ func (s *Server) rewriteFlight(ctx context.Context, key string, body []byte, spe
 				}
 				s.metrics.IncRewrite()
 				jobStart := time.Now()
-				res, err := s.runRewrite(jobCtx, body, spec)
+				res, err := s.runRewrite(jobCtx, key, body, spec)
 				s.observeRewrite(time.Since(jobStart))
 				if err != nil {
 					finish(nil, err)
@@ -581,7 +585,7 @@ func (s *Server) failClassified(err error, fail func(int, string), gone func()) 
 // Panics already contained by the library surface here as classified
 // errors with a recorded stack; both shapes count toward
 // panic_recovered_total.
-func (s *Server) runRewrite(ctx context.Context, body []byte, spec *Spec) (res *e9patch.Result, err error) {
+func (s *Server) runRewrite(ctx context.Context, key string, body []byte, spec *Spec) (res *e9patch.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = e9err.FromPanic("server", v)
@@ -592,7 +596,7 @@ func (s *Server) runRewrite(ctx context.Context, body []byte, spec *Spec) (res *
 			s.cfg.Logf("e9served: panic contained during rewrite: %v\n%s", ee, ee.Stack)
 		}
 	}()
-	return s.rewrite(ctx, body, spec)
+	return s.rewrite(ctx, key, body, spec)
 }
 
 // observeRewrite feeds one rewrite's wall time into the rolling mean

@@ -135,10 +135,10 @@ func TestSingleflightCollapse(t *testing.T) {
 	real := srv.rewrite
 	started := make(chan struct{}, 64)
 	release := make(chan struct{})
-	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
 		started <- struct{}{}
 		<-release
-		return real(ctx, bin, spec)
+		return real(ctx, key, bin, spec)
 	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -214,7 +214,7 @@ func TestQueueOverflow(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 1})
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -284,7 +284,7 @@ func TestClientCancelAbortsJob(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 4})
 	started := make(chan struct{})
 	jobErr := make(chan error, 1)
-	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
 		close(started)
 		<-ctx.Done() // simulate a long rewrite interrupted mid-pipeline
 		jobErr <- ctx.Err()
@@ -329,7 +329,7 @@ func TestClientCancelAbortsJob(t *testing.T) {
 // TestRequestTimeout verifies the per-request budget maps to 504.
 func TestRequestTimeout(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 4, Timeout: 30 * time.Millisecond})
-	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}

@@ -43,7 +43,7 @@ func assertSameParallelResult(t *testing.T, want, got *Result, label string) {
 // hostileELF assembles the T2/T3 scenario from the patch tests as a
 // standalone binary: a 3-byte heap write whose successor bytes force
 // negative rel32 windows, so only eviction tactics can patch it.
-func hostileELF(t *testing.T) []byte {
+func hostileELF(t testing.TB) []byte {
 	t.Helper()
 	a := x86.NewAsm(elf64.DefaultBase + elf64.TextVaddrOff)
 	a.MovMemReg64(x86.M(x86.RBX, 0), x86.RAX)

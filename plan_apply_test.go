@@ -21,15 +21,15 @@ import (
 // every corpus binary × tactic config × parallelism width,
 // Apply(Plan(input)) must be byte-identical to the one-pass Rewrite and
 // to the committed output hashes, the plan encoding must be
-// deterministic (and independent of the worker count), and a plan must
-// survive a JSON round trip intact.
+// deterministic (and independent of the worker count), and every plan
+// that is applied has first been through Encode and DecodePlan.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // planCorpus returns the same binaries the parallel differential suite
 // uses: the five kernel archetypes, the eviction-hostile synthetic,
 // and two multi-region SPEC profiles that genuinely decompose.
-func planCorpus(t *testing.T) []struct {
+func planCorpus(t testing.TB) []struct {
 	name string
 	bin  []byte
 } {
@@ -73,8 +73,10 @@ func planCorpus(t *testing.T) []struct {
 // full corpus × tactic-config matrix at parallelism 1, 2 and 8, the
 // two-phase pipeline must reproduce Rewrite — decide and materialize in
 // one pass, no plan in between — exactly: output bytes, statistics,
-// per-location outcomes, warnings and counters; and the plan encoding
-// must not depend on the width.
+// per-location outcomes, warnings and counters. The plan that is applied
+// is the one DecodePlan read back from Encode's bytes, never the one in
+// memory; that encoding must not depend on the width, and the decoded
+// plan must encode to the same bytes again.
 //
 // Every cell is also anchored to testdata/rewrite_golden.json: the
 // SHA-256 of Result.Output must be reproduced by Rewrite, by
@@ -158,6 +160,12 @@ func TestPlanApplyEquivalence(t *testing.T) {
 					firstEnc = enc
 				} else if !bytes.Equal(firstEnc, enc) {
 					t.Errorf("%s: plan encoding depends on the worker count", label)
+				}
+				if p, err = DecodePlan(enc); err != nil {
+					t.Fatalf("%s: decode: %v", label, err)
+				}
+				if reenc, err := p.Encode(); err != nil || !bytes.Equal(enc, reenc) {
+					t.Errorf("%s: plan changed across Encode → DecodePlan → Encode (err %v)", label, err)
 				}
 				res, err := Apply(be.bin, p)
 				if err != nil {
@@ -254,11 +262,11 @@ func TestPlanRoundTripApply(t *testing.T) {
 	if !bytes.Equal(enc, reenc) {
 		t.Error("plan changed across Encode → Decode → Encode")
 	}
-	viaJSON, err := Apply(bin, p2)
+	decoded, err := Apply(bin, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(direct.Output, viaJSON.Output) {
+	if !bytes.Equal(direct.Output, decoded.Output) {
 		t.Error("round-tripped plan materializes different bytes")
 	}
 }
@@ -285,12 +293,20 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 }
 
-// TestPlanGoldenJSON pins the serialized schema against a committed
-// golden file (regenerate with `go test -run TestPlanGoldenJSON
-// -update .` after an intentional schema change).
+// TestPlanGoldenJSON pins both forms of one plan against committed
+// files: the JSON rendering (testdata/plan_golden.json, which is also
+// what `e9dump -plan` must print) and the serialized bytes
+// (testdata/plan_golden.e9plan, compared whole and reported by SHA-256).
+// Regenerate with `go test -run TestPlanGoldenJSON -update .` after an
+// intentional change of the schema or the wire format, and raise
+// plan.Version with it.
 func TestPlanGoldenJSON(t *testing.T) {
 	bin := hostileELF(t)
 	p, err := Plan(bin, Config{Select: SelectHeapWrites, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered, err := p.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,33 +314,37 @@ func TestPlanGoldenJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "plan_golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+	for _, g := range []struct {
+		file string
+		got  []byte
+	}{
+		{filepath.Join("testdata", "plan_golden.json"), rendered},
+		{filepath.Join("testdata", "plan_golden.e9plan"), enc},
+	} {
+		if *updateGolden {
+			if err := os.WriteFile(g.file, g.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(golden, enc, 0o644); err != nil {
-			t.Fatal(err)
+		want, err := os.ReadFile(g.file)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if !bytes.Equal(want, g.got) {
+			t.Errorf("plan deviates from %s: sha256 %x, golden %x (regenerate with -update if the change is intentional)",
+				g.file, sha256.Sum256(g.got), sha256.Sum256(want))
 		}
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(want, enc) {
-		t.Errorf("plan JSON deviates from %s (regenerate with -update if the schema change is intentional)", golden)
-	}
-	// The golden plan must decode and re-encode unchanged.
-	p2, err := DecodePlan(want)
+	// The golden bytes decode to the golden rendering and encode back.
+	p2, err := DecodePlan(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reenc, err := p2.Encode()
-	if err != nil {
-		t.Fatal(err)
+	if j, err := p2.JSON(); err != nil || !bytes.Equal(j, rendered) {
+		t.Errorf("decoded golden plan renders differently (err %v)", err)
 	}
-	if !bytes.Equal(want, reenc) {
-		t.Error("golden plan changed across Decode → Encode")
+	if reenc, err := p2.Encode(); err != nil || !bytes.Equal(enc, reenc) {
+		t.Errorf("golden plan changed across Decode → Encode (err %v)", err)
 	}
 }
 
