@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race difftest enginecheck plancheck speccheck rpccheck disasmcheck bench benchcheck servertest clustercheck fuzzshort fuzzhostile ci
+.PHONY: all build fmt vet test race difftest enginecheck plancheck speccheck rpccheck disasmcheck realcheck bench benchcheck servertest clustercheck fuzzshort fuzzhostile ci
 
 all: build test
 
@@ -114,7 +114,9 @@ rpccheck:
 # exploration of the superset-prune fuzzer. By name: the superset
 # golden digests and rewrite hashes (testdata/disasm_golden.json), the
 # hostile-shape complexity tests at the table and at the library
-# boundary, the allocation-free decode failure test, linear recovery in
+# boundary, the length kernel against the decoder it replaced (the
+# exhaustive differential and 5 s of FuzzShape), the allocation-free
+# decode failure test through both entry points, linear recovery in
 # the per-offset table against a naive sweep (seam shapes, every profile,
 # widths 1/2/3/8, and 5 s of FuzzLinearParallel), the selectors over the
 # compact universe against a full decode, and the allocation budget of a
@@ -128,7 +130,7 @@ disasmcheck:
 	$(GO) test -run 'TestDisasmGolden|TestSupersetHostileShapesLinear|TestSupersetPhasesPollCancel|TestLinearTableMatchesSequential|TestLinearPhasesPollCancel' -count 1 ./internal/disasm/
 	$(GO) test -run 'TestSelectorsMatchFullDecode' -count 1 ./internal/lang/
 	$(GO) test -run 'TestRewriteMemoryGate|TestSelectorIndexOutOfRange' -count 1 .
-	$(GO) test -run 'TestDecodeFailuresAllocFree' -count 1 ./internal/x86/
+	$(GO) test -run 'TestKernelMatchesReference|TestShapeTables|TestDecodeFailuresAllocFree' -count 1 ./internal/x86/
 	$(GO) test -run 'TestDisasm|TestHostileSupersetShapes|TestSupersetCETRewriteEquivalent|TestDSORewriteEquivalent|TestPlanModeBinding|TestSupersetRewriteReportsStats' .
 	$(GO) test -run 'TestSharedBuildRoundTrip|TestInitSegmentSpans|TestTextRange|TestExecSpans|TestBuildBackCompat' ./internal/elf64/
 	$(GO) test -run 'TestModernProfiles|TestPaperSharedRowsUnchanged' ./internal/workload/
@@ -136,6 +138,16 @@ disasmcheck:
 	$(GO) test -run 'TestSessionDisasmOption' ./internal/rpc/
 	$(GO) test -run '^FuzzSupersetPrune$$' -fuzz '^FuzzSupersetPrune$$' -fuzztime 5s ./internal/disasm/
 	$(GO) test -run '^FuzzLinearParallel$$' -fuzz '^FuzzLinearParallel$$' -fuzztime 5s ./internal/disasm/
+	$(GO) test -run '^FuzzShape$$' -fuzz '^FuzzShape$$' -fuzztime 5s ./internal/x86/
+
+# realcheck holds recovery to an outside opinion on compiler output: it
+# builds ./cmd/e9dump, disassembles it with `go tool objdump` and
+# compares instruction boundaries with the linear sweep (agreement floor
+# and named exception list in internal/disasm/real_test.go). It needs
+# nothing but the Go toolchain and skips with a reason where that cannot
+# build or disassemble; the same test runs in `make test`.
+realcheck:
+	$(GO) test -run 'TestObjdumpAgreement' -count 1 -v ./internal/disasm/
 
 # servertest is the e9served smoke test: build the real binary, start
 # it on an ephemeral port, POST a corpus binary, and check the output

@@ -104,17 +104,17 @@ func (t *table) stitch(sh shards, ends []int, cancel <-chan struct{}) bool {
 // decoded instruction of non-positive length), so a hostile input can
 // never pin the sweep in place. ok is false when cancel closed first.
 func (t *table) sweep(off, hi int, cancel <-chan struct{}) (end int, ok bool) {
-	var inst x86.Inst
 	for steps := 0; off < hi; steps++ {
 		if steps&(cancelStride-1) == 0 && stopped(cancel) {
 			return off, false
 		}
-		if err := x86.DecodeInto(&inst, t.code[off:], t.addr+uint64(off)); err != nil || inst.Len <= 0 {
+		n, _, err := x86.Shape(t.code[off:])
+		if err != nil || n <= 0 {
 			off++
 			continue
 		}
-		t.lens[off] = uint8(inst.Len)
-		off += inst.Len
+		t.lens[off] = uint8(n)
+		off += n
 	}
 	return off, true
 }

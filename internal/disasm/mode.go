@@ -126,13 +126,23 @@ func RecoverCancel(mode Mode, code []byte, addr uint64, width int, pool *work.Po
 func UniverseDigest(mode Mode, res Result) string {
 	h := sha256.New()
 	h.Write([]byte(mode))
-	var buf [12]byte
+	// One Write per 4 KiB block, not per 12-byte record: the universe
+	// of a browser-class binary is millions of instructions.
+	const record = 12
+	var block [4096 / record * record]byte
+	n := 0
 	for i := range res.Insts {
-		binary.LittleEndian.PutUint64(buf[0:], res.Insts[i].Addr)
-		binary.LittleEndian.PutUint32(buf[8:], uint32(res.Insts[i].Len))
-		h.Write(buf[:])
+		if n == len(block) {
+			h.Write(block[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(block[n:], res.Insts[i].Addr)
+		binary.LittleEndian.PutUint32(block[n+8:], uint32(res.Insts[i].Len))
+		n += record
 	}
-	binary.LittleEndian.PutUint64(buf[0:], uint64(res.BadBytes))
-	h.Write(buf[:8])
+	h.Write(block[:n])
+	var bad [8]byte
+	binary.LittleEndian.PutUint64(bad[:], uint64(res.BadBytes))
+	h.Write(bad[:])
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -81,21 +81,21 @@ func SupersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel
 	var aborted atomic.Bool
 	work.ForEach(pool, width, sh.count, func(i int) {
 		lo, hi := sh.lo(i), sh.lo(i+1)
-		var inst x86.Inst
 		for off := lo; off < hi; off++ {
 			if (off-lo)&(cancelStride-1) == 0 && stopped(cancel) {
 				aborted.Store(true)
 				return
 			}
 			// Disjoint offset ranges: no write races on the table.
-			if err := x86.DecodeInto(&inst, code[off:], addr+uint64(off)); err != nil {
+			n, attrs, err := x86.Shape(code[off:])
+			if err != nil {
 				if err == x86.ErrTruncated {
 					res.flags[off] = flagTruncated
 				}
 				continue
 			}
-			res.lens[off] = uint8(inst.Len)
-			res.flags[off] = shapeFlags(&inst)
+			res.lens[off] = uint8(n)
+			res.flags[off] = shapeFlags(code[off:off+n], attrs)
 		}
 	})
 	if aborted.Load() || !res.refine(cancel) {
@@ -104,27 +104,33 @@ func SupersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel
 	return res, true
 }
 
-// shapeFlags condenses a decoded instruction to the facts the
-// refinement and the closure use.
-func shapeFlags(in *x86.Inst) uint8 {
+// shapeFlags condenses an instruction's bytes and attributes to the
+// facts the refinement and the closure use.
+func shapeFlags(inst []byte, attrs x86.Attr) uint8 {
 	var f uint8
-	if in.Attrs&x86.AttrStop != 0 {
+	if attrs&x86.AttrStop != 0 {
 		f |= flagStop
 	}
-	switch in.RelSize {
-	case 1:
+	switch {
+	case attrs&x86.AttrRel8 != 0:
 		f |= flagRel8
-	case 4:
+	case attrs&x86.AttrRel32 != 0:
 		f |= flagRel32
 	}
-	if in.IsDirectBranch() {
+	// A direct branch is one with an encoded displacement
+	// (x86.Inst.IsDirectBranch).
+	if f&(flagRel8|flagRel32) != 0 && attrs&(x86.AttrJump|x86.AttrCondJump|x86.AttrCall) != 0 {
 		f |= flagDirect
 	}
-	if in.IsEndbr64() {
+	if len(inst) == 4 && binary.LittleEndian.Uint32(inst) == endbr64 {
 		f |= flagEndbr
 	}
 	return f
 }
+
+// endbr64 is F3 0F 1E FA read as a little-endian word
+// (x86.Inst.IsEndbr64).
+const endbr64 = 0xFA1E0FF3
 
 // at maps an address to its section offset, -1 when it lies outside
 // the section. Falling off the section end and branching out of it

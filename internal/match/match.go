@@ -49,13 +49,14 @@ import (
 // an operand (heapwrite, riprel, op=, mnemonic=) decode that one
 // instruction.
 type View struct {
-	x86.Loc
+	*x86.Loc
 	inst    x86.Inst
 	decoded bool
 }
 
-// Reset points the view at another instruction.
-func (v *View) Reset(l *x86.Loc) { v.Loc, v.decoded = *l, false }
+// Reset points the view at another instruction, which must stay
+// unchanged while the view is on it.
+func (v *View) Reset(l *x86.Loc) { v.Loc, v.decoded = l, false }
 
 // Inst returns the full decode of the instruction under test.
 func (v *View) Inst() *x86.Inst {

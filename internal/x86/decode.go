@@ -18,7 +18,7 @@ var (
 
 const maxInstLen = 15
 
-// maxWalk bounds the offset Decode's walk can reach before the length
+// maxWalk bounds the offset Shape's walk can reach before the length
 // check rejects it: 14 prefix bytes, a two-byte opcode, ModRM, SIB, a
 // disp32, every immediate flag at once (1+2+4+8+8) and a rel32.
 const maxWalk = 14 + 2 + 1 + 1 + 4 + 23 + 4
@@ -68,6 +68,108 @@ func (e *invalidError) Error() string {
 
 func (e *invalidError) Unwrap() error { return ErrInvalid }
 
+// Shape is the length decoder, the whole of what the paper's frontend
+// contract asks of a disassembler: the length and the attribute flags
+// of the instruction starting at code[0], equal to the Len and Attrs
+// DecodeInto reports and failing with the same error values. Every
+// recovery mode sweeps with it. The walk is table lookups (table.go):
+// the prefix run, one opcode map entry, the ModRM byte's tail, the
+// immediate size; a failure allocates nothing.
+func Shape(code []byte) (n int, attrs Attr, err error) {
+	// Legacy and REX prefixes. REX is only effective when it is the
+	// final prefix; compilers always emit it last, and for length
+	// decoding earlier REX bytes are harmless.
+	pos := 0
+	var mode uint8
+	for {
+		if pos >= len(code) {
+			return 0, 0, ErrTruncated
+		}
+		if pos >= maxInstLen {
+			return 0, 0, &invalidPrefix
+		}
+		k := prefixTab[code[pos]]
+		if k == 0 {
+			break
+		}
+		mode = mode&pfxOpSize | k&pfxImmMode
+		pos++
+	}
+
+	op := code[pos]
+	pos++
+	two := op == 0x0F
+	if two {
+		if pos >= len(code) {
+			return 0, 0, ErrTruncated
+		}
+		op = code[pos]
+		pos++
+		attrs = twoByte[op]
+	} else {
+		attrs = oneByte[op]
+	}
+	if attrs&AttrInvalid != 0 {
+		if two {
+			return 0, 0, &invalidOpcode[1][op]
+		}
+		return 0, 0, &invalidOpcode[0][op]
+	}
+
+	if attrs&AttrModRM != 0 {
+		if pos >= len(code) {
+			return 0, 0, ErrTruncated
+		}
+		modrm := code[pos]
+		pos++
+		t := modrmTab[modrm]
+		if t&modSIB0 != 0 {
+			if pos >= len(code) {
+				return 0, 0, ErrTruncated
+			}
+			if code[pos]&7 == 5 {
+				pos += 4 // disp32, no base
+			}
+		}
+		pos += int(t & modTail)
+		attrs = modrmAttrs(op, two, modrm, attrs)
+	}
+
+	// Immediates, then the branch displacement (always the final field).
+	pos += int(immTab[mode<<4|uint8(attrs&immBits>>immShift)])
+	pos += int(attrs>>rel8Shift&1 | attrs>>rel32Shift&1<<2 | attrs>>moffsShift&1<<3)
+
+	if pos > len(code) {
+		return 0, 0, ErrTruncated
+	}
+	if pos > maxInstLen {
+		return 0, 0, &invalidLength[pos]
+	}
+	return pos, attrs, nil
+}
+
+// AttrsOf returns the attribute flags of the instruction code holds,
+// for a caller that already knows it decodes and how long it is (the
+// recovery table keeps a length per offset): the prefix run is skipped,
+// the opcode looked up and refined by its ModRM byte, nothing past that
+// is read. Equal to what Shape and DecodeInto report for the same bytes.
+func AttrsOf(code []byte) Attr {
+	pos := prefixRun(code)
+	op, attrs := code[pos], Attr(0)
+	two := op == 0x0F
+	if two {
+		pos++
+		op = code[pos]
+		attrs = twoByte[op]
+	} else {
+		attrs = oneByte[op]
+	}
+	if attrs&AttrModRM != 0 {
+		attrs = modrmAttrs(op, two, code[pos+1], attrs)
+	}
+	return attrs
+}
+
 // Decode decodes the instruction starting at code[0], assumed to be
 // loaded at virtual address addr. The returned Inst aliases code.
 func Decode(code []byte, addr uint64) (Inst, error) {
@@ -76,195 +178,99 @@ func Decode(code []byte, addr uint64) (Inst, error) {
 	return inst, err
 }
 
-// DecodeInto is Decode writing its result in place: a caller filling a
-// slice, or sweeping offsets for lengths alone, saves the copy of the
-// returned Inst. On error *inst is partially filled.
+// DecodeInto is Decode writing its result in place. It is Shape plus
+// the operand fields: where the prefixes end, which registers the
+// memory operand names, and where the displacement, the immediate and
+// the branch displacement lie inside the length Shape found. On error
+// *inst holds addr and nothing else.
 func DecodeInto(inst *Inst, code []byte, addr uint64) error {
 	*inst = Inst{
 		Addr:     addr,
 		MemBase:  NoReg,
 		MemIndex: NoReg,
 	}
-	pos := 0
-
-	// Legacy and REX prefixes. REX is only effective when it is the
-	// final prefix; compilers always emit it last, and for length
-	// decoding earlier REX bytes are harmless.
-	opSize := false
-	for {
-		if pos >= len(code) {
-			return ErrTruncated
-		}
-		if pos >= maxInstLen {
-			return &invalidPrefix
-		}
-		b := code[pos]
-		k := prefixKind(b)
-		if k == prefNone {
-			break
-		}
-		if k == prefRex {
-			inst.Rex = b
-		} else {
-			inst.Rex = 0 // REX must immediately precede the opcode
-		}
-		if k == prefOpSize {
-			opSize = true
-		}
-		pos++
+	n, attrs, err := Shape(code)
+	if err != nil {
+		return err
 	}
+	inst.Len = n
+	inst.Bytes = code[:n]
+	inst.Attrs = attrs
+
+	// Shape walked these n bytes, so nothing below can run off them.
+	pos := prefixRun(code)
 	inst.NPrefix = pos
-
-	// Opcode.
-	op := code[pos]
-	pos++
-	var attrs Attr
-	if op == 0x0F {
-		if pos >= len(code) {
-			return ErrTruncated
-		}
+	if pos > 0 && prefixTab[code[pos-1]]&pfxRex != 0 {
+		inst.Rex = code[pos-1] // REX must immediately precede the opcode
+	}
+	if code[pos] == 0x0F {
 		inst.TwoByte = true
-		op = code[pos]
 		pos++
-		attrs = twoByte[op]
-	} else {
-		attrs = oneByte[op]
 	}
-	inst.Opcode = op
-	if attrs&AttrInvalid != 0 {
-		if inst.TwoByte {
-			return &invalidOpcode[1][op]
-		}
-		return &invalidOpcode[0][op]
-	}
+	inst.Opcode = code[pos]
+	pos++
 
-	// ModRM, SIB and displacement.
 	if attrs&AttrModRM != 0 {
-		if pos >= len(code) {
-			return ErrTruncated
-		}
 		modrm := code[pos]
 		pos++
 		inst.ModRM = modrm
-		mod := modrm >> 6
-		rm := modrm & 7
-
-		dispSize := 0
-		if mod == 3 {
-			// Register operand: no memory access.
-		} else {
-			switch mod {
-			case 1:
-				dispSize = 1
-			case 2:
-				dispSize = 4
-			}
-			if rm == 4 {
-				// SIB byte.
-				if pos >= len(code) {
-					return ErrTruncated
-				}
-				sib := code[pos]
-				pos++
-				base := sib & 7
-				index := (sib >> 3) & 7
-				scaledIndex := Reg(index) | Reg(rexBit(inst.Rex, 1))<<3
-				if scaledIndex != RSP { // index=100b means "no index"
-					inst.MemIndex = scaledIndex
-					inst.MemScale = 1 << (sib >> 6)
-				}
-				if base == 5 && mod == 0 {
-					dispSize = 4 // disp32, no base
-				} else {
-					inst.MemBase = Reg(base) | Reg(rexBit(inst.Rex, 0))<<3
-				}
-			} else if rm == 5 && mod == 0 {
-				// RIP-relative in 64-bit mode.
-				dispSize = 4
-				inst.RIPRel = true
-				inst.MemBase = RIP
-			} else {
-				inst.MemBase = Reg(rm) | Reg(rexBit(inst.Rex, 0))<<3
-			}
-		}
-		if dispSize > 0 {
-			if pos+dispSize > len(code) {
-				return ErrTruncated
-			}
-			inst.DispOff = pos
-			inst.DispSize = dispSize
-			pos += dispSize
-		}
-
-		attrs = refineGroups(op, inst.TwoByte, modrm, attrs)
-		// Register-form instructions never write memory.
-		if mod == 3 {
-			attrs &^= AttrMemDst
-		}
-	}
-
-	// Immediates.
-	immSize := 0
-	if attrs&AttrImm8 != 0 {
-		immSize += 1
-	}
-	if attrs&AttrImm16 != 0 {
-		immSize += 2
-	}
-	if attrs&AttrImmZ != 0 {
-		if opSize {
-			immSize += 2
-		} else {
-			immSize += 4
-		}
-	}
-	if attrs&AttrImmV != 0 {
+		t := modrmTab[modrm]
+		disp := int(t & modTail)
 		switch {
-		case inst.Rex&0x08 != 0:
-			immSize += 8
-		case opSize:
-			immSize += 2
-		default:
-			immSize += 4
+		case t&modSIB != 0:
+			sib := code[pos]
+			pos++
+			disp--
+			base := sib & 7
+			scaledIndex := Reg(sib>>3&7) | Reg(rexBit(inst.Rex, 1))<<3
+			if scaledIndex != RSP { // index=100b means "no index"
+				inst.MemIndex = scaledIndex
+				inst.MemScale = 1 << (sib >> 6)
+			}
+			if t&modSIB0 != 0 && base == 5 {
+				disp = 4 // disp32, no base
+			} else {
+				inst.MemBase = Reg(base) | Reg(rexBit(inst.Rex, 0))<<3
+			}
+		case modrm&0xC7 == 0x05:
+			// RIP-relative in 64-bit mode.
+			inst.RIPRel = true
+			inst.MemBase = RIP
+		case modrm < 0xC0:
+			inst.MemBase = Reg(modrm&7) | Reg(rexBit(inst.Rex, 0))<<3
 		}
-	}
-	if attrs&AttrMoffs != 0 {
-		immSize += 8
-	}
-	if immSize > 0 {
-		if pos+immSize > len(code) {
-			return ErrTruncated
+		if disp > 0 {
+			inst.DispOff = pos
+			inst.DispSize = disp
+			pos += disp
 		}
-		inst.ImmOff = pos
-		inst.ImmSize = immSize
-		pos += immSize
 	}
 
-	// Branch displacement (always the final field).
+	// What is left is the immediate and then the branch displacement.
 	switch {
 	case attrs&AttrRel8 != 0:
-		if pos >= len(code) {
-			return ErrTruncated
-		}
-		inst.RelOff = pos
 		inst.RelSize = 1
-		pos++
 	case attrs&AttrRel32 != 0:
-		if pos+4 > len(code) {
-			return ErrTruncated
-		}
-		inst.RelOff = pos
 		inst.RelSize = 4
-		pos += 4
 	}
-
-	if pos > maxInstLen {
-		return &invalidLength[pos]
+	if inst.RelSize > 0 {
+		inst.RelOff = n - inst.RelSize
 	}
-	inst.Len = pos
-	inst.Bytes = code[:pos]
-	inst.Attrs = attrs
+	if imm := n - inst.RelSize - pos; imm > 0 {
+		inst.ImmOff = pos
+		inst.ImmSize = imm
+	}
 	return nil
+}
+
+// prefixRun is the length of the prefix run that opens an instruction
+// Shape has accepted (so an opcode ends it).
+func prefixRun(code []byte) int {
+	n := 0
+	for prefixTab[code[n]] != 0 {
+		n++
+	}
+	return n
 }
 
 // rexBit extracts REX bit n (0=B, 1=X, 2=R, 3=W) as 0 or 1.
@@ -272,13 +278,27 @@ func rexBit(rex byte, n uint) byte {
 	return (rex >> n) & 1
 }
 
-// refineGroups adjusts attributes for opcodes whose semantics depend on
-// the ModRM reg field (the x86 "group" encodings).
-func refineGroups(op byte, twoByteOp bool, modrm byte, attrs Attr) Attr {
-	reg := (modrm >> 3) & 7
-	if twoByteOp {
-		return attrs
+// modrmAttrs finishes the attributes of an opcode that takes a ModRM
+// byte: the group encodings depend on its reg field, and a register
+// operand (mod == 3) is never a memory destination.
+func modrmAttrs(op byte, twoByteOp bool, modrm byte, attrs Attr) Attr {
+	if !twoByteOp && op >= 0xF6 {
+		attrs = refineGroups(op, modrm, attrs)
 	}
+	if modrm >= 0xC0 {
+		attrs &^= AttrMemDst
+	}
+	return attrs
+}
+
+// refineGroups adjusts attributes for the one-byte opcodes whose
+// semantics depend on the ModRM reg field (the x86 "group" encodings).
+// Four opcodes reach it: kept out of line, it leaves modrmAttrs small
+// enough to inline into the walk.
+//
+//go:noinline
+func refineGroups(op byte, modrm byte, attrs Attr) Attr {
+	reg := (modrm >> 3) & 7
 	switch op {
 	case 0xF6, 0xF7: // group 3
 		attrs &^= AttrGroup3

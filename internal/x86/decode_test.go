@@ -192,10 +192,11 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestDecodeFailuresAllocFree pins the cost of a failed decode: every
-// failure class classifies under its sentinel, prints the detail it
-// always printed, and allocates nothing (a superset sweep fails at
-// about a third of all offsets).
+// TestDecodeFailuresAllocFree pins the cost of a failed decode through
+// both entry points, Decode and Shape: every failure class classifies
+// under its sentinel, prints the detail it always printed, and
+// allocates nothing (a superset sweep fails at about a third of all
+// offsets).
 func TestDecodeFailuresAllocFree(t *testing.T) {
 	tooLong := append(bytes.Repeat([]byte{0x66}, 9), 0x48, 0xB8, 1, 2, 3, 4, 5, 6, 7, 8)
 	for _, tc := range []struct {
@@ -222,6 +223,12 @@ func TestDecodeFailuresAllocFree(t *testing.T) {
 		code := tc.code
 		if n := testing.AllocsPerRun(100, func() { _, _ = Decode(code, 0x401000) }); n != 0 {
 			t.Errorf("%s: %v allocations per failed Decode, want 0", tc.name, n)
+		}
+		if _, _, shapeErr := Shape(tc.code); shapeErr != err {
+			t.Errorf("%s: Shape fails with %v, Decode with %v", tc.name, shapeErr, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _, _ = Shape(code) }); n != 0 {
+			t.Errorf("%s: %v allocations per failed Shape, want 0", tc.name, n)
 		}
 	}
 }

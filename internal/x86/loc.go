@@ -29,6 +29,13 @@ func (i *Inst) Loc() Loc {
 	return Loc{Addr: i.Addr, text: &i.Bytes[0], Attrs: i.Attrs, Len: uint8(i.Len)}
 }
 
+// LocAt is the universe record of the n-byte instruction at code[0],
+// loaded at addr, for a caller that knows the length already: the
+// attributes come from AttrsOf and nothing is decoded twice.
+func LocAt(code []byte, addr uint64, n uint8) Loc {
+	return Loc{Addr: addr, text: &code[0], Attrs: AttrsOf(code), Len: n}
+}
+
 // Bytes returns the instruction's machine code, aliasing the text it
 // was recovered from.
 func (l *Loc) Bytes() []byte { return unsafe.Slice(l.text, int(l.Len)) }

@@ -1,38 +1,133 @@
 package x86
 
-// Opcode attribute tables for 64-bit mode. The tables cover the
-// complete one-byte map and the portion of the two-byte (0x0F) map
+// The decoder's tables, for 64-bit mode. Two opcode attribute maps cover
+// the complete one-byte map and the portion of the two-byte (0x0F) map
 // emitted by mainstream compilers; unknown two-byte opcodes decode as
 // AttrInvalid so that linear disassembly can skip them explicitly
-// rather than mis-sizing silently.
+// rather than mis-sizing silently. Three small tables (576 bytes) turn
+// the rest of the length walk (decode.go) into lookups:
+//
+//   - prefixTab classifies a byte as a prefix and carries the two facts
+//     a prefix contributes to the length: 0x66 anywhere in the run, and
+//     REX.W on the final prefix.
+//   - modrmTab gives, per ModRM byte, the bytes that follow it before
+//     any immediate: the SIB byte and the displacement. It is the one
+//     statement of that rule.
+//   - immTab gives the immediate size for each combination of the four
+//     Imm* attribute bits under each of those prefix facts. It is the
+//     one statement of the ImmZ/ImmV size rule.
+//
+// A branch displacement and a moffs operand have fixed sizes and are
+// added from their attribute bits directly.
 
-// prefix kinds recognised before the opcode.
+// prefixTab[b] is 0 when b is not a prefix, else its pfx* bits. The low
+// two bits index immTab.
+var prefixTab [256]uint8
+
 const (
-	prefNone = iota
-	prefLegacy
-	prefRex
-	prefOpSize  // 0x66
-	prefAdSize  // 0x67
-	prefSeg     // segment overrides
-	prefLockRep // 0xF0, 0xF2, 0xF3
+	pfxOpSize uint8 = 1 << iota // 0x66: ImmZ and ImmV shrink to 2 bytes
+	pfxRexW                     // REX with W set: ImmV grows to 8 bytes
+	pfxRex                      // any REX byte
+	pfxOther                    // 0x67, segment overrides, lock/rep
+
+	pfxImmMode = pfxOpSize | pfxRexW
 )
 
-// prefixKind classifies a byte as an instruction prefix (64-bit mode).
-func prefixKind(b byte) int {
-	switch b {
-	case 0x66:
-		return prefOpSize
-	case 0x67:
-		return prefAdSize
-	case 0x2E, 0x36, 0x3E, 0x26, 0x64, 0x65:
-		return prefSeg
-	case 0xF0, 0xF2, 0xF3:
-		return prefLockRep
+// modrmTab[m] describes what follows ModRM byte m: the low bits count
+// the SIB and displacement bytes, the flags say which of them are there.
+var modrmTab [256]uint8
+
+const (
+	modTail uint8 = 0x07 // SIB + displacement bytes after the ModRM byte
+	modSIB  uint8 = 0x08 // a SIB byte follows
+	// modSIB0: SIB present and mod == 0, where a SIB base of 101b means
+	// "disp32, no base" and adds 4 bytes modTail does not count.
+	modSIB0 uint8 = 0x10
+)
+
+// immTab[mode<<4|bits] is the immediate size under prefix facts mode
+// (pfxImmMode) for Imm* attribute bits bits (immBits >> immShift).
+var immTab [64]uint8
+
+const (
+	immBits  = AttrImm8 | AttrImm16 | AttrImmZ | AttrImmV
+	immShift = 1
+	// The fixed-size tail fields, as shifts of their attribute bits.
+	rel8Shift, rel32Shift, moffsShift = 5, 6, 7
+)
+
+// The walk reads these attribute bits by position.
+const (
+	_ = -uint(immBits>>immShift ^ 15)
+	_ = -uint(AttrRel8>>rel8Shift ^ 1)
+	_ = -uint(AttrRel32>>rel32Shift ^ 1)
+	_ = -uint(AttrMoffs>>moffsShift ^ 1)
+)
+
+func initShapeTables() {
+	for _, b := range []int{0x67, 0x2E, 0x36, 0x3E, 0x26, 0x64, 0x65, 0xF0, 0xF2, 0xF3} {
+		prefixTab[b] = pfxOther
 	}
-	if b >= 0x40 && b <= 0x4F {
-		return prefRex
+	prefixTab[0x66] = pfxOpSize
+	for b := 0x40; b <= 0x4F; b++ {
+		prefixTab[b] = pfxRex
+		if b&0x08 != 0 {
+			prefixTab[b] |= pfxRexW
+		}
 	}
-	return prefNone
+
+	for m := range modrmTab {
+		mod, rm := m>>6, m&7
+		if mod == 3 {
+			continue // register operand: nothing follows
+		}
+		var t uint8
+		switch mod {
+		case 1:
+			t = 1 // disp8
+		case 2:
+			t = 4 // disp32
+		}
+		switch {
+		case rm == 4:
+			t += 1 | modSIB
+			if mod == 0 {
+				t |= modSIB0
+			}
+		case rm == 5 && mod == 0:
+			t = 4 // RIP-relative disp32
+		}
+		modrmTab[m] = t
+	}
+
+	for i := range immTab {
+		mode, bits := uint8(i>>4), Attr(i&15)<<immShift
+		var n uint8
+		if bits&AttrImm8 != 0 {
+			n += 1
+		}
+		if bits&AttrImm16 != 0 {
+			n += 2
+		}
+		if bits&AttrImmZ != 0 {
+			if mode&pfxOpSize != 0 {
+				n += 2
+			} else {
+				n += 4
+			}
+		}
+		if bits&AttrImmV != 0 {
+			switch {
+			case mode&pfxRexW != 0:
+				n += 8
+			case mode&pfxOpSize != 0:
+				n += 2
+			default:
+				n += 4
+			}
+		}
+		immTab[i] = n
+	}
 }
 
 // oneByte is the one-byte opcode attribute map.
@@ -50,6 +145,7 @@ func setRange(tab *[256]Attr, lo, hi int, a Attr) {
 func init() {
 	initOneByte()
 	initTwoByte()
+	initShapeTables()
 }
 
 func initOneByte() {
@@ -74,7 +170,7 @@ func initOneByte() {
 		t[base+6] = AttrInvalid
 		t[base+7] = AttrInvalid
 	}
-	// Prefix bytes inside the block are classified by prefixKind and
+	// Prefix bytes inside the block are classified by prefixTab and
 	// never reach the opcode table, but mark them invalid-as-opcode.
 	for _, p := range []int{0x26, 0x2E, 0x36, 0x3E} {
 		t[p] = AttrInvalid

@@ -7,7 +7,15 @@
 // The decoder is deliberately a *length and shape* decoder in the style
 // the paper requires: E9Patch itself never needs full semantics, only
 // instruction boundaries, byte values, branch displacements and
-// RIP-relative displacement locations.
+// RIP-relative displacement locations. Shape is that length decoder:
+// one table-driven walk (table.go) from the bytes at an offset to the
+// instruction's length and attribute flags, which is all that recovery
+// asks at every offset it visits. DecodeInto is the same walk plus the
+// operand fields (where the displacement, the immediate and the branch
+// displacement lie, which registers address memory) for the few
+// instructions a selector or the patcher looks into; AttrsOf is its
+// attribute half alone, for an instruction whose length is already
+// known.
 package x86
 
 import "fmt"
