@@ -68,16 +68,20 @@ plancheck:
 	$(GO) test -run TestPlanCacheRematerialize ./internal/server/
 
 # speccheck verifies the match/patch spec language end to end: the
-# lang unit suite (typed diagnostics, hostile-input caps, fuzz seed
-# corpus), the golden spec corpus, the A1/A2 spec-vs-hardcoded
-# byte-identity gate at every parallelism width, the call-trampoline
-# recipes executed under the emulator (argument marshalling asserted),
-# and the served spec/payload transport with its 422 mapping.
+# lang unit suite (typed diagnostics, hostile-input caps, the retired
+# internal/match grammar's cases, fuzz seed corpus), the golden spec
+# corpus, the A1/A2 spec-vs-hardcoded byte-identity gate at every
+# parallelism width, the call-trampoline recipes executed under the
+# emulator (argument marshalling asserted), the served spec/payload
+# transport with its 422 mapping (match/action and spec= alike), and
+# hostile match expressions refused before any rewrite on every network
+# path (/v1/rewrite, /v1/batch, the RPC patch message).
 speccheck:
 	$(GO) test ./internal/lang/
-	$(GO) test -run 'TestSpecGoldenCorpus|TestRecipeFilesInSync|TestSpecSelectorEquivalence' .
+	$(GO) test -run 'TestSpecGoldenCorpus|TestRecipeFilesInSync|TestSpecSelectorEquivalence|TestSelectMatchDifferential' .
 	$(GO) test -run 'TestSyscallTraceRecipe|TestBranchCoverageRecipe|TestCallArgumentMarshalling|TestApplyRejectsHostileInjections' .
-	$(GO) test -run 'TestSpec|TestBadSpecMaps422' ./internal/server/
+	$(GO) test -run 'TestSpec|TestBadSpecMaps422|TestBadRequests|TestMatchActionCallPatch|TestHostileMatchRejected|TestBatchValidation' ./internal/server/
+	$(GO) test -run 'TestSessionHostileMatch|TestSessionAbuse' ./internal/rpc/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .

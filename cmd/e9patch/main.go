@@ -16,7 +16,7 @@
 // -backend drives the rewrite over the pipe, and the backend performs
 // no analysis of its own:
 //
-//	e9tool -backend e9patch -match 'jcc' -o out.bin input.bin
+//	e9tool -backend e9patch -M 'jcc' -o out.bin input.bin
 //	e9patch < session.rpc
 package main
 

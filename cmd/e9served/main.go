@@ -10,8 +10,11 @@
 //
 // API:
 //
-//	POST /v1/rewrite?match=EXPR[&action=ACT&...]   body = ELF bytes
+//	POST /v1/rewrite?match=EXPR[&action=PATCH&...]  body = ELF bytes
+//	    match and action are e9tool's -M and -P (internal/lang), or
+//	    spec=PROGRAM a whole spec file
 //	    → 200 rewritten binary; X-E9-Stats (JSON), X-E9-Cache headers
+//	    → 422 with line:column for a malformed match/action/spec
 //	    → 429 + Retry-After under overload; 504 past the time budget
 //	POST /v2/rewrite                                body = JSON-RPC session
 //	    line-delimited option* binary (patch|reserve)* emit stream

@@ -12,7 +12,7 @@ import (
 
 // backendClient drives an e9patch backend subprocess over its stdin /
 // stdout pipe using the line-delimited JSON-RPC protocol (internal/rpc,
-// DESIGN.md §12). e9tool keeps the analysis side — parsing the matcher,
+// DESIGN.md §12). e9tool keeps the analysis side — checking -M and -P,
 // choosing options — and ships only protocol messages to the backend,
 // mirroring the E9Tool/E9Patch process split.
 type backendClient struct {
@@ -87,10 +87,10 @@ func (c *backendClient) close() error {
 	return c.cmd.Wait()
 }
 
-// backendOptions is what e9tool can express over the wire; the spec
-// language lowers to in-process closures and cannot cross a pipe, so
-// -backend is restricted to the legacy -match path with the empty or
-// counter templates.
+// backendOptions is what e9tool can express over the wire: the -M
+// expression, which the backend compiles itself, and the empty or
+// counter templates. Spec files, call payloads and the other templates
+// lower to in-process state and cannot cross a pipe.
 type backendOptions struct {
 	match       string
 	output      string

@@ -17,7 +17,7 @@ import (
 // TestBackendPipeline builds the real e9tool and e9patch binaries and
 // drives a rewrite through the frontend/backend process split:
 //
-//	e9tool -backend e9patch -match EXPR -o OUT INPUT
+//	e9tool -backend e9patch -M EXPR [-P empty|counter=ADDR] -o OUT INPUT
 //
 // The file the backend emits must be byte-identical to an in-process
 // Rewrite with the same configuration — the pipe must not change a
@@ -50,10 +50,10 @@ func TestBackendPipeline(t *testing.T) {
 		cfg  e9patch.Config
 	}{
 		"match": {
-			args: []string{"-match", "jcc & short"},
+			args: []string{"-M", "jcc & short"},
 		},
 		"counter-b0": {
-			args: []string{"-match", "heapwrite", "-action", "counter=0x404000",
+			args: []string{"-M", "heapwrite", "-P", "counter=0x404000",
 				"-b0-fallback", "-granularity", "2"},
 			cfg: e9patch.Config{
 				Template:    trampoline.Counter{Addr: 0x404000},
@@ -99,16 +99,16 @@ func TestBackendPipeline(t *testing.T) {
 		})
 	}
 
-	// The spec language cannot cross the pipe: -backend with -M must be
-	// a usage error, not a silent in-process fallback.
-	cmd := exec.Command(e9toolBin, "-backend", e9patchBin, "-M", "jcc", "-o", filepath.Join(dir, "x"), inPath)
+	// A patch the protocol cannot carry must be a usage error naming -P,
+	// not a silent in-process fallback.
+	cmd := exec.Command(e9toolBin, "-backend", e9patchBin, "-M", "jcc", "-P", "lowfat", "-o", filepath.Join(dir, "x"), inPath)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err = cmd.Run()
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("expected usage error for -backend with -M, got %v (stderr: %s)", err, stderr.String())
+		t.Fatalf("expected usage error for -backend with -P lowfat, got %v (stderr: %s)", err, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "legacy -match") {
+	if !strings.Contains(stderr.String(), "-P empty or counter=ADDR") {
 		t.Fatalf("usage error does not explain the restriction:\n%s", stderr.String())
 	}
 }

@@ -1,9 +1,7 @@
 // Command e9tool is the high-level front-end to the rewriter, in the
 // spirit of the E9Tool companion of E9Patch: patch points are selected
-// with a matcher expression and the action is chosen by name.
-//
-// The primary interface is the spec language (internal/lang,
-// DESIGN.md §11), E9Tool-style:
+// with a match expression and patched as a patch directive says, both
+// in the spec language (internal/lang, DESIGN.md §11), E9Tool-style:
 //
 //	e9tool -M 'jcc & short' -P empty -o out.bin input.bin
 //	e9tool -M 'call & indirect' -P 'call trace(addr)@trace_payload.elf' -o traced.bin input.bin
@@ -15,17 +13,19 @@
 // call FN(args)[@PAYLOAD]); -spec a spec file combining match/exclude/
 // patch/payload directives. Payload ELFs for call patches resolve
 // relative to the spec file (or the working directory for -P), or
-// explicitly via -payload.
+// explicitly via -payload. -coverage=full patches every recovered
+// instruction instead.
 //
-// The legacy flags remain: -match (internal/match grammar) and
-// -action. The two rewrite phases can also be driven separately:
+// The two rewrite phases can also be driven separately:
 //
 //	e9tool -M 'jcc' -dry-run input.bin                        # plan, report, write nothing
 //	e9tool -M 'jcc' -emit-plan plan.e9plan input.bin          # plan only, save the decisions
 //	e9tool -apply-plan plan.e9plan -o out.bin input.bin       # replay a saved plan
 //
 // A saved plan is the compact binary serialization (PatchPlan.Encode);
-// `e9dump -plan plan.e9plan` prints it as JSON.
+// `e9dump -plan plan.e9plan` prints it as JSON. -backend PATH hands the
+// rewrite to an e9patch backend over JSON-RPC (-M with -P empty or
+// counter=ADDR, which is what the protocol carries).
 package main
 
 import (
@@ -36,25 +36,20 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"e9patch"
 	"e9patch/internal/elf64"
 	"e9patch/internal/lang"
-	"e9patch/internal/lowfat"
 	"e9patch/internal/patch"
-	"e9patch/internal/trampoline"
 )
 
 func main() {
 	var (
 		exprM     = flag.String("M", "", "spec-language match expression (e.g. 'call & indirect', 'asm=\"mov.*\"')")
 		patchP    = flag.String("P", "", "spec-language patch: empty | counter=ADDR | contextcall=ADDR | lowfat | lowfat-trap | 'call FN(args)[@PAYLOAD]'")
-		specFile  = flag.String("spec", "", "spec file with match/exclude/patch/payload directives (exclusive with -M/-P/-match/-action)")
+		specFile  = flag.String("spec", "", "spec file with match/exclude/patch/payload directives (exclusive with -M/-P)")
 		payloadF  = flag.String("payload", "", "payload ELF for call patches (overrides the spec's @reference)")
-		expr      = flag.String("match", "", "legacy matcher expression (internal/match grammar)")
-		action    = flag.String("action", "empty", "legacy action: empty | counter=ADDR | contextcall=ADDR | lowfat | lowfat-trap")
 		out       = flag.String("o", "", "output file (required unless -dry-run or -emit-plan)")
 		gran      = flag.Int("granularity", 1, "page grouping granularity (-1 disables)")
 		b0        = flag.Bool("b0-fallback", false, "int3 fallback for unpatchable locations")
@@ -64,7 +59,7 @@ func main() {
 		dryRun    = flag.Bool("dry-run", false, "plan only: report tactics and footprint, write nothing")
 		emitPlan  = flag.String("emit-plan", "", "plan only: write the serialized patch plan (binary; e9dump -plan prints it) to FILE")
 		applyPlan = flag.String("apply-plan", "", "skip planning: replay the serialized patch plan in FILE (as written by -emit-plan)")
-		backend   = flag.String("backend", "", "drive the e9patch backend at PATH over JSON-RPC instead of rewriting in-process (legacy -match path only)")
+		backend   = flag.String("backend", "", "drive the e9patch backend at PATH over JSON-RPC instead of rewriting in-process (-M with -P empty or counter=ADDR)")
 
 		// Hostile-input hardening: resource limits for rewriting
 		// untrusted binaries (0 disables a bound).
@@ -86,22 +81,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	useLang := *specFile != "" || *exprM != "" || *patchP != ""
 	fullCov := *coverage == "full"
 	switch {
 	case flag.NArg() != 1:
 		usageErr("exactly one input binary expected")
 	case *coverage != "" && *coverage != "full":
 		usageErr("-coverage takes only \"full\"")
-	case fullCov && (useLang || *expr != ""):
-		usageErr("-coverage=full selects every recovered instruction; it is exclusive with -M/-P/-spec/-match")
+	case fullCov && (*specFile != "" || *exprM != "" || *patchP != ""):
+		usageErr("-coverage=full selects every recovered instruction; it is exclusive with -M/-P/-spec")
 	case *applyPlan != "":
 		if planOnly {
 			usageErr("-apply-plan is exclusive with -dry-run/-emit-plan")
 		}
 		// A plan records its recovery mode, selection, patches and layout;
 		// a flag that would choose them again is a mistake, not a no-op.
-		for _, name := range []string{"M", "P", "spec", "payload", "match", "action", "coverage", "disasm", "skip", "granularity", "b0-fallback"} {
+		for _, name := range []string{"M", "P", "spec", "payload", "coverage", "disasm", "skip", "granularity", "b0-fallback"} {
 			if given[name] {
 				usageErr("-apply-plan replays what the plan recorded; -" + name + " is not applicable (pass it to -emit-plan)")
 			}
@@ -109,14 +103,10 @@ func main() {
 		if *out == "" {
 			usageErr("-apply-plan needs -o")
 		}
-	case *specFile != "" && (*exprM != "" || *patchP != "" || *expr != "" || given["action"]):
-		usageErr("-spec is exclusive with -M/-P/-match/-action")
-	case useLang && *expr != "":
-		usageErr("-M/-P are exclusive with -match/-action")
-	case useLang && given["action"]:
-		usageErr("-action pairs with the legacy -match only; with -M give the patch as -P")
-	case !useLang && *expr == "" && !fullCov:
-		usageErr("-M (or a -spec file, legacy -match, or -coverage=full) is required")
+	case *specFile != "" && (*exprM != "" || *patchP != ""):
+		usageErr("-spec is exclusive with -M/-P")
+	case *specFile == "" && *exprM == "" && !fullCov:
+		usageErr("-M (or a -spec file, or -coverage=full) is required")
 	case *out == "" && !planOnly:
 		usageErr("-o is required (or use -dry-run/-emit-plan)")
 	}
@@ -125,33 +115,34 @@ func main() {
 	}
 
 	if *backend != "" {
-		// The spec language and the plan phases lower to in-process
-		// closures that cannot cross a pipe; the backend split carries
-		// exactly what the protocol can express.
+		// The backend split carries exactly what the protocol can
+		// express: a match expression, which the backend compiles, and the
+		// counter option. Spec files, payloads and the plan phases lower
+		// to in-process state that cannot cross a pipe.
 		switch {
-		case useLang:
-			usageErr("-backend supports the legacy -match path only (not -M/-P/-spec)")
+		case *specFile != "":
+			usageErr("-backend takes -M and -P, not -spec")
 		case fullCov:
-			usageErr("-backend selects via a -match expression; -coverage=full is not supported over the wire")
+			usageErr("-backend selects via -M; -coverage=full is not supported over the wire")
 		case planOnly || *applyPlan != "":
 			usageErr("-backend is exclusive with -dry-run/-emit-plan/-apply-plan")
 		case *maxInputMB != 0 || *maxTextMB != 0 || *maxSites != 0 || *maxTrampMB != 0 || *phaseTimeout != 0:
 			usageErr("resource limits apply to the backend process, not the frontend; set them on the backend side")
 		}
+		sp, err := lang.FromParts(*exprM, *patchP)
+		if err != nil {
+			fatal(err)
+		}
 		counter := uint64(0)
-		switch {
-		case *action == "empty":
-		case strings.HasPrefix(*action, "counter="):
-			addr, err := strconv.ParseUint((*action)[len("counter="):], 0, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad counter address: %w", err))
-			}
-			counter = addr
+		switch sp.Patch.Kind {
+		case lang.PatchEmpty:
+		case lang.PatchCounter:
+			counter = sp.Patch.Addr
 		default:
-			usageErr("-backend supports -action empty or counter=ADDR only")
+			usageErr("-backend carries -P empty or counter=ADDR only, not -P " + sp.Patch.String())
 		}
 		if err := runBackend(*backend, flag.Arg(0), backendOptions{
-			match:       *expr,
+			match:       *exprM,
 			output:      *out,
 			granularity: *gran,
 			skipPrefix:  *skip,
@@ -209,9 +200,16 @@ func main() {
 			PhaseTimeout:       *phaseTimeout,
 		},
 	}
-	if useLang {
-		// Spec-language path: parse (file or -M/-P), resolve the
-		// payload reference, and lower to pipeline configuration.
+	if fullCov {
+		// Full-coverage rewriting: patch every instruction the recovery
+		// frontend produced. With the superset modes this is the
+		// "instrument everything plausible" experiment; overlapping
+		// candidates that contend for the same bytes simply fail to
+		// TacticNone and are reported, never corrupted.
+		cfg.Select = e9patch.SelectAll
+	} else {
+		// Spec-language path: parse (file or -M/-P), resolve the payload
+		// reference, and lower to pipeline configuration.
 		var sp *lang.Spec
 		payloadDir := "."
 		if *specFile != "" {
@@ -224,12 +222,8 @@ func main() {
 			}
 			payloadDir = filepath.Dir(*specFile)
 		} else {
-			m := *exprM
-			if m == "" {
-				usageErr("-P needs a match expression (-M)")
-			}
 			var err error
-			if sp, err = lang.FromParts(m, *patchP); err != nil {
+			if sp, err = lang.FromParts(*exprM, *patchP); err != nil {
 				fatal(err)
 			}
 		}
@@ -252,45 +246,6 @@ func main() {
 		cfg.Template = br.Template
 		cfg.Inject = br.Inject
 		cfg.ReserveVA = append(cfg.ReserveVA, br.ReserveVA...)
-	} else {
-		if fullCov {
-			// Full-coverage rewriting: patch every instruction the
-			// recovery frontend produced. With the superset modes this is
-			// the "instrument everything plausible" experiment; overlapping
-			// candidates that contend for the same bytes simply fail to
-			// TacticNone and are reported, never corrupted.
-			cfg.Select = e9patch.SelectAll
-		} else {
-			sel, err := e9patch.SelectMatch(*expr)
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Select = sel
-		}
-		switch {
-		case *action == "empty":
-			// default template
-		case strings.HasPrefix(*action, "counter="):
-			addr, err := strconv.ParseUint((*action)[len("counter="):], 0, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad counter address: %w", err))
-			}
-			cfg.Template = trampoline.Counter{Addr: addr}
-		case strings.HasPrefix(*action, "contextcall="):
-			addr, err := strconv.ParseUint((*action)[len("contextcall="):], 0, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad contextcall address: %w", err))
-			}
-			cfg.Template = trampoline.ContextCall{Fn: addr}
-		case *action == "lowfat":
-			cfg.Template = lowfat.CheckTemplate{}
-			cfg.ReserveVA = append(cfg.ReserveVA, lowfat.ReserveVA()...)
-		case *action == "lowfat-trap":
-			cfg.Template = lowfat.CheckTemplate{Trap: true}
-			cfg.ReserveVA = append(cfg.ReserveVA, lowfat.ReserveVA()...)
-		default:
-			fatal(fmt.Errorf("unknown action %q", *action))
-		}
 	}
 
 	if planOnly {

@@ -44,18 +44,22 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 	}{
 		{"cli-120mb op", []string{"-M", "jump", "-skip", "64", "-o", out}, 0, ""},
 		{"M with P", []string{"-M", "jcc", "-P", "counter=0x700000", "-o", out}, 0, ""},
-		{"legacy match with action", []string{"-match", "heapwrite", "-action", "lowfat", "-o", out}, 0, ""},
+		{"M heapwrite with P lowfat", []string{"-M", "heapwrite", "-P", "lowfat", "-o", out}, 0, ""},
 		{"emit-plan", []string{"-M", "jcc", "-granularity", "2", "-emit-plan", plan}, 0, ""},
 		{"apply-plan", []string{"-apply-plan", plan, "-o", out}, 0, ""},
 
-		{"M with action", []string{"-M", "jcc", "-action", "counter=0x700000", "-o", out}, 2, "-P"},
+		// -match and -action are gone: -M and -P are the one spelling.
+		{"match is an unknown flag", []string{"-match", "jcc", "-o", out}, 2, "-match"},
+		{"M with action", []string{"-M", "jcc", "-action", "counter=0x700000", "-o", out}, 2, "-action"},
 		{"M with unknown action", []string{"-M", "jcc", "-action", "bogus", "-o", out}, 2, "-action"},
 		{"P with action", []string{"-M", "jcc", "-P", "empty", "-action", "lowfat", "-o", out}, 2, "-action"},
+		{"backend with P lowfat", []string{"-backend", "e9patch", "-M", "heapwrite", "-P", "lowfat", "-o", out}, 2, "-P"},
+		{"backend with spec", []string{"-backend", "e9patch", "-spec", "x.e9spec", "-o", out}, 2, "-spec"},
 		{"apply-plan with M", []string{"-apply-plan", plan, "-M", "jcc", "-o", out}, 2, "-M "},
 		{"apply-plan with P", []string{"-apply-plan", plan, "-P", "empty", "-o", out}, 2, "-P "},
 		{"apply-plan with spec", []string{"-apply-plan", plan, "-spec", "x.e9spec", "-o", out}, 2, "-spec "},
-		{"apply-plan with match", []string{"-apply-plan", plan, "-match", "jcc", "-o", out}, 2, "-match "},
-		{"apply-plan with action", []string{"-apply-plan", plan, "-action", "lowfat", "-o", out}, 2, "-action "},
+		{"apply-plan with match", []string{"-apply-plan", plan, "-match", "jcc", "-o", out}, 2, "-match"},
+		{"apply-plan with action", []string{"-apply-plan", plan, "-action", "lowfat", "-o", out}, 2, "-action"},
 		{"apply-plan with disasm", []string{"-apply-plan", plan, "-disasm", "superset", "-o", out}, 2, "-disasm "},
 		{"apply-plan with coverage", []string{"-apply-plan", plan, "-coverage", "full", "-o", out}, 2, "-coverage "},
 		{"apply-plan with skip", []string{"-apply-plan", plan, "-skip", "64", "-o", out}, 2, "-skip "},

@@ -28,6 +28,7 @@ import (
 	"e9patch/internal/elf64"
 	"e9patch/internal/emu"
 	"e9patch/internal/group"
+	"e9patch/internal/lang"
 	"e9patch/internal/loader"
 	"e9patch/internal/match"
 	"e9patch/internal/patch"
@@ -139,15 +140,17 @@ func SelectAddresses(addrs ...uint64) Selector {
 	return sel
 }
 
-// SelectMatch compiles an E9Tool-style matcher expression into a
+// SelectMatch compiles an E9Tool-style match expression into a
 // selector, e.g. "jcc & short", "heapwrite | call",
-// "mnemonic=mov & !memwrite". See the match package for the grammar.
+// "mnemonic=mov & !memwrite". The grammar is the spec language's
+// (internal/lang, DESIGN.md §11); a malformed expression is ErrBadSpec
+// with its line:column.
 func SelectMatch(expr string) (Selector, error) {
-	pred, err := match.Compile(expr)
+	p, err := lang.CompileExpr(expr)
 	if err != nil {
 		return nil, err
 	}
-	return match.Select(pred), nil
+	return p.Selector(), nil
 }
 
 // Template builds trampoline code for displaced instructions; see the

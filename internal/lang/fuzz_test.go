@@ -31,6 +31,23 @@ func FuzzMatchExpr(f *testing.F) {
 		"\"unterminated",
 		"addr=0x2..0x1",
 		"# only a comment\n",
+		// The retired internal/match grammar's test strings.
+		"jcc short",
+		"(jump | jcc) & short",
+		"mnemonic=mov & !memwrite",
+		"addr>=0x401000 & addr<0x401004",
+		"op=0xC3",
+		"heapwrite | ret",
+		"len>=5",
+		"!true",
+		"bogus",
+		"(jcc",
+		"jcc)",
+		"len=x",
+		"addr>=",
+		"op<0x10",
+		"mnemonic<mov",
+		"!",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"errors"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -48,6 +49,50 @@ func testInsts(t *testing.T) []x86.Loc {
 	return res.Insts
 }
 
+// legacyInsts is the program internal/match's tests run on:
+// heap, stack and RIP-relative writes, short and near jcc, direct and
+// indirect jmp.
+//
+//	0  mov [rbx], rax           addr 0x401000, heapwrite
+//	1  mov [rsp+8], rax         stack write
+//	2  mov rcx, rax
+//	3  add rax, 1000
+//	4  je 0x401000              short
+//	5  jne .+6                  near, len 6
+//	6  jmp 0x401000
+//	7  jmp rax                  indirect
+//	8  call 0x401000
+//	9  mov [rip+0x100], eax     RIP-relative write
+//	10 ret                      len 1
+func legacyInsts(t *testing.T) []x86.Loc {
+	t.Helper()
+	a := x86.NewAsm(0x401000)
+	top := a.NewLabel()
+	a.Bind(top)
+	a.MovMemReg64(x86.M(x86.RBX, 0), x86.RAX)
+	a.MovMemReg64(x86.M(x86.RSP, 8), x86.RAX)
+	a.MovRegReg64(x86.RCX, x86.RAX)
+	a.AddRegImm64(x86.RAX, 1000)
+	a.JccShort(x86.CondE, top)
+	l := a.NewLabel()
+	a.Jcc(x86.CondNE, l)
+	a.Bind(l)
+	a.Jmp(top)
+	a.JmpReg(x86.RAX)
+	a.CallRel32(0x401000)
+	a.MovMemReg32(x86.MRIP(0x100), x86.RAX)
+	a.Ret()
+	code, err := a.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := disasm.Linear(code, 0x401000)
+	if res.BadBytes != 0 || len(res.Insts) != 11 {
+		t.Fatalf("legacy program: %d instructions, %d undecodable bytes; want 11, 0", len(res.Insts), res.BadBytes)
+	}
+	return res.Insts
+}
+
 // decoded is the full decode of one of testInsts' records: what the
 // hand-written reference predicates and the failure messages read.
 func decoded(l *x86.Loc) *x86.Inst {
@@ -57,75 +102,152 @@ func decoded(l *x86.Loc) *x86.Inst {
 }
 
 // TestEvalAgainstHandPredicates compiles expressions and checks them
-// instruction by instruction against hand-written predicates; want is
-// the expected match count so no case passes vacuously.
+// instruction by instruction against hand-written predicates, on both
+// fixtures; want is the expected match count so no case passes
+// vacuously. The legacyInsts rows are internal/match's TestTerms
+// table, counts unchanged.
 func TestEvalAgainstHandPredicates(t *testing.T) {
-	insts := testInsts(t)
 	asmRe := regexp.MustCompile(`^(?:j.*)$`)
-	cases := []struct {
+	branch := func(i *x86.Inst) bool { return i.IsJmp() || i.IsJcc() }
+	short := func(i *x86.Inst) bool { return i.Len < 5 }
+	isMov := func(i *x86.Inst) bool { return i.Mnemonic() == "mov" }
+	type evalCase struct {
 		expr string
 		want int
 		fn   func(i *x86.Inst) bool
-	}{
-		{"true", 7, func(i *x86.Inst) bool { return true }},
-		{"false", 0, func(i *x86.Inst) bool { return false }},
-		{"jcc", 1, (*x86.Inst).IsJcc},
-		{"jump", 1, (*x86.Inst).IsJmp},
-		{"branch", 2, func(i *x86.Inst) bool { return i.IsJmp() || i.IsJcc() }},
-		{"call", 1, (*x86.Inst).IsCall},
-		{"ret", 1, (*x86.Inst).IsRet},
-		{"indirect", 1, func(i *x86.Inst) bool { return (i.IsJmp() || i.IsCall()) && i.RelSize == 0 }},
-		{"call & indirect", 0, func(i *x86.Inst) bool { return i.IsCall() && i.RelSize == 0 }},
-		{"direct", 2, func(i *x86.Inst) bool { return i.RelSize != 0 }},
-		{"memwrite", 1, (*x86.Inst).WritesMem},
-		{"mem", 1, (*x86.Inst).HasMem},
-		{"short", 5, func(i *x86.Inst) bool { return i.Len < 5 }},
-		{"addr=0x1000", 1, func(i *x86.Inst) bool { return i.Addr == 0x1000 }},
-		{"addr!=0x1000", 6, func(i *x86.Inst) bool { return i.Addr != 0x1000 }},
-		{"addr=0x1000..0x100b", 2, func(i *x86.Inst) bool { return i.Addr >= 0x1000 && i.Addr < 0x100b }},
-		{"addr!=0x1000..0x100b", 5, func(i *x86.Inst) bool { return i.Addr < 0x1000 || i.Addr >= 0x100b }},
-		{"len>5", 1, func(i *x86.Inst) bool { return i.Len > 5 }},
-		{"size<=2", 3, func(i *x86.Inst) bool { return i.Len <= 2 }},
-		{"target=0x1000", 2, func(i *x86.Inst) bool { return i.RelSize != 0 && i.Target() == 0x1000 }},
-		{"imm=0x42", 1, func(i *x86.Inst) bool { return uint64(i.Imm()) == 0x42 }},
-		{"base=rdi", 1, func(i *x86.Inst) bool { return i.MemBase == x86.RDI }},
-		{"base!=none", 1, func(i *x86.Inst) bool { return i.MemBase != x86.NoReg }},
-		{"index=none", 7, func(i *x86.Inst) bool { return i.MemIndex == x86.NoReg }},
-		{`asm="j.*"`, 2, func(i *x86.Inst) bool { return asmRe.MatchString(i.String()) }},
-		{"mnemonic=ret", 1, func(i *x86.Inst) bool { return i.Mnemonic() == "ret" }},
-		{"not branch", 5, func(i *x86.Inst) bool { return !(i.IsJmp() || i.IsJcc()) }},
-		{"jcc | ret", 2, func(i *x86.Inst) bool { return i.IsJcc() || i.IsRet() }},
-		// Implied and: adjacency binds like '&'.
-		{"branch short", 2, func(i *x86.Inst) bool { return (i.IsJmp() || i.IsJcc()) && i.Len < 5 }},
-		// Precedence: or is weaker than and.
-		{"ret | call direct", 2, func(i *x86.Inst) bool { return i.IsRet() || (i.IsCall() && i.RelSize != 0) }},
-		{"(ret | call) direct", 1, func(i *x86.Inst) bool { return (i.IsRet() || i.IsCall()) && i.RelSize != 0 }},
 	}
-	for _, c := range cases {
-		p, err := CompileExpr(c.expr)
+	for _, fx := range []struct {
+		name  string
+		insts []x86.Loc
+		cases []evalCase
+	}{
+		{"testInsts", testInsts(t), []evalCase{
+			{"true", 7, func(i *x86.Inst) bool { return true }},
+			{"false", 0, func(i *x86.Inst) bool { return false }},
+			{"jcc", 1, (*x86.Inst).IsJcc},
+			{"jump", 1, (*x86.Inst).IsJmp},
+			{"branch", 2, branch},
+			{"call", 1, (*x86.Inst).IsCall},
+			{"ret", 1, (*x86.Inst).IsRet},
+			{"indirect", 1, func(i *x86.Inst) bool { return (i.IsJmp() || i.IsCall()) && i.RelSize == 0 }},
+			{"call & indirect", 0, func(i *x86.Inst) bool { return i.IsCall() && i.RelSize == 0 }},
+			{"direct", 2, func(i *x86.Inst) bool { return i.RelSize != 0 }},
+			{"memwrite", 1, (*x86.Inst).WritesMem},
+			{"mem", 1, (*x86.Inst).HasMem},
+			{"short", 5, short},
+			{"addr=0x1000", 1, func(i *x86.Inst) bool { return i.Addr == 0x1000 }},
+			{"addr!=0x1000", 6, func(i *x86.Inst) bool { return i.Addr != 0x1000 }},
+			{"addr=0x1000..0x100b", 2, func(i *x86.Inst) bool { return i.Addr >= 0x1000 && i.Addr < 0x100b }},
+			{"addr!=0x1000..0x100b", 5, func(i *x86.Inst) bool { return i.Addr < 0x1000 || i.Addr >= 0x100b }},
+			{"len>5", 1, func(i *x86.Inst) bool { return i.Len > 5 }},
+			{"size<=2", 3, func(i *x86.Inst) bool { return i.Len <= 2 }},
+			{"target=0x1000", 2, func(i *x86.Inst) bool { return i.RelSize != 0 && i.Target() == 0x1000 }},
+			{"imm=0x42", 1, func(i *x86.Inst) bool { return uint64(i.Imm()) == 0x42 }},
+			{"base=rdi", 1, func(i *x86.Inst) bool { return i.MemBase == x86.RDI }},
+			{"base!=none", 1, func(i *x86.Inst) bool { return i.MemBase != x86.NoReg }},
+			{"index=none", 7, func(i *x86.Inst) bool { return i.MemIndex == x86.NoReg }},
+			{`asm="j.*"`, 2, func(i *x86.Inst) bool { return asmRe.MatchString(i.String()) }},
+			{"mnemonic=ret", 1, func(i *x86.Inst) bool { return i.Mnemonic() == "ret" }},
+			{"not branch", 5, func(i *x86.Inst) bool { return !branch(i) }},
+			{"jcc | ret", 2, func(i *x86.Inst) bool { return i.IsJcc() || i.IsRet() }},
+			// Implied and: adjacency binds like '&'.
+			{"branch short", 2, func(i *x86.Inst) bool { return branch(i) && short(i) }},
+			// Precedence: or is weaker than and.
+			{"ret | call direct", 2, func(i *x86.Inst) bool { return i.IsRet() || (i.IsCall() && i.RelSize != 0) }},
+			{"(ret | call) direct", 1, func(i *x86.Inst) bool { return (i.IsRet() || i.IsCall()) && i.RelSize != 0 }},
+		}},
+		{"legacyInsts", legacyInsts(t), []evalCase{
+			{"true", 11, func(i *x86.Inst) bool { return true }},
+			{"false", 0, func(i *x86.Inst) bool { return false }},
+			{"jump", 2, (*x86.Inst).IsJmp}, // jmp rel32 + jmp *rax
+			{"jcc", 2, (*x86.Inst).IsJcc},  // short + near
+			{"branch", 4, branch},
+			{"call", 1, (*x86.Inst).IsCall},
+			{"ret", 1, (*x86.Inst).IsRet},
+			{"indirect", 1, func(i *x86.Inst) bool { return (i.IsJmp() || i.IsCall()) && i.RelSize == 0 }},
+			{"heapwrite", 1, (*x86.Inst).IsHeapWrite}, // rsp and riprel excluded
+			{"memwrite", 3, (*x86.Inst).WritesMem},    // heap + stack + riprel
+			{"riprel", 1, func(i *x86.Inst) bool { return i.RIPRel }},
+			{"jcc & short", 1, func(i *x86.Inst) bool { return i.IsJcc() && short(i) }},
+			{"jcc short", 1, func(i *x86.Inst) bool { return i.IsJcc() && short(i) }}, // whitespace conjunction
+			{"jcc & !short", 1, func(i *x86.Inst) bool { return i.IsJcc() && !short(i) }},
+			{"jump | jcc", 4, branch},
+			{"(jump | jcc) & short", 2, func(i *x86.Inst) bool { return branch(i) && short(i) }}, // short jcc + 2-byte indirect jmp
+			{"mnemonic=mov & !memwrite", 1, func(i *x86.Inst) bool { return isMov(i) && !i.WritesMem() }},
+			{"mnemonic=mov", 4, isMov},
+			{"len=1", 1, func(i *x86.Inst) bool { return i.Len == 1 }}, // ret
+			{"len>=5", 6, func(i *x86.Inst) bool { return i.Len >= 5 }},
+			{"addr=0x401000", 1, func(i *x86.Inst) bool { return i.Addr == 0x401000 }},
+			{"addr>=0x401000 & addr<0x401004", 2, func(i *x86.Inst) bool { return i.Addr >= 0x401000 && i.Addr < 0x401004 }},
+			// op= reads the primary opcode byte in either map; the retired
+			// grammar's one-byte-map-only op= is op=N & !twobyte.
+			{"op=0xC3", 1, func(i *x86.Inst) bool { return i.Opcode == 0xC3 }},
+			{"op=0xC3 & !twobyte", 1, func(i *x86.Inst) bool { return !i.TwoByte && i.Opcode == 0xC3 }},
+			{"heapwrite | ret", 2, func(i *x86.Inst) bool { return i.IsHeapWrite() || i.IsRet() }},
+			{"!true", 0, func(i *x86.Inst) bool { return false }},
+		}},
+	} {
+		for _, c := range fx.cases {
+			p, err := CompileExpr(c.expr)
+			if err != nil {
+				t.Errorf("%s: compile %q: %v", fx.name, c.expr, err)
+				continue
+			}
+			got := 0
+			for i := range fx.insts {
+				ev, want := p.Eval(&fx.insts[i]), c.fn(decoded(&fx.insts[i]))
+				if ev != want {
+					t.Errorf("%s: %q on %s: eval=%t hand=%t", fx.name, c.expr, decoded(&fx.insts[i]), ev, want)
+				}
+				if ev {
+					got++
+				}
+			}
+			if got != c.want {
+				t.Errorf("%s: %q matched %d instructions, want %d", fx.name, c.expr, got, c.want)
+			}
+			if !p.ShardSafe() {
+				t.Errorf("%q not shard-safe", c.expr)
+			}
+			if !match.Shardable(p.Selector()) {
+				t.Errorf("%q selector not registered shardable", c.expr)
+			}
+		}
+	}
+}
+
+// TestMatchEquivalence: the built-in A1 and A2 selectors are
+// expressible in the language, index for index.
+func TestMatchEquivalence(t *testing.T) {
+	insts := legacyInsts(t)
+	for expr, builtin := range map[string]func([]x86.Loc) []int{
+		"jump | jcc": disasm.SelectJumps,
+		"heapwrite":  disasm.SelectHeapWrites,
+	} {
+		p, err := CompileExpr(expr)
 		if err != nil {
-			t.Errorf("compile %q: %v", c.expr, err)
-			continue
+			t.Fatal(err)
 		}
-		got := 0
-		for i := range insts {
-			ev, want := p.Eval(&insts[i]), c.fn(decoded(&insts[i]))
-			if ev != want {
-				t.Errorf("%q on %s: eval=%t hand=%t", c.expr, decoded(&insts[i]), ev, want)
-			}
-			if ev {
-				got++
-			}
+		if got, want := p.Selector()(insts), builtin(insts); !reflect.DeepEqual(got, want) {
+			t.Errorf("%q selects %v, the built-in %v", expr, got, want)
 		}
-		if got != c.want {
-			t.Errorf("%q matched %d instructions, want %d", c.expr, got, c.want)
+	}
+}
+
+// TestCompileErrors: what the retired internal/match grammar rejected
+// is rejected here too, as ErrBadSpec. The exception is op<0x10, which
+// it refused because its op= was equality only; here op is an integer
+// attribute like len and takes every comparison, by design.
+func TestCompileErrors(t *testing.T) {
+	for _, expr := range []string{
+		"", "bogus", "jcc &", "(jcc", "jcc)", "len=x", "addr>=", "mnemonic<mov", "!",
+	} {
+		if _, err := CompileExpr(expr); !errors.Is(err, e9err.ErrBadSpec) {
+			t.Errorf("expression %q: %v, want ErrBadSpec", expr, err)
 		}
-		if !p.ShardSafe() {
-			t.Errorf("%q not shard-safe", c.expr)
-		}
-		if !match.Shardable(p.Selector()) {
-			t.Errorf("%q selector not registered shardable", c.expr)
-		}
+	}
+	if _, err := CompileExpr("op<0x10"); err != nil {
+		t.Errorf("op<0x10: %v", err)
 	}
 }
 

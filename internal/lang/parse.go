@@ -109,8 +109,8 @@ func (p *parser) parseOr() (Node, error) {
 }
 
 // startsUnary reports whether the current token can begin a unary
-// operand — the legacy match grammar treats adjacency as conjunction
-// ("jcc short"), which this grammar keeps for spec-file brevity.
+// operand: adjacency is conjunction ("jcc short" ≡ "jcc & short"), for
+// spec-file brevity.
 func (p *parser) startsUnary() bool {
 	switch p.tok.kind {
 	case tNot, tLParen, tIdent:

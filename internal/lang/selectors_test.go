@@ -8,7 +8,6 @@ import (
 
 	"e9patch/internal/disasm"
 	"e9patch/internal/elf64"
-	"e9patch/internal/match"
 	"e9patch/internal/workload"
 	"e9patch/internal/x86"
 )
@@ -68,10 +67,10 @@ type selectorCase struct {
 	ref  func(*x86.Inst) bool
 }
 
-// selectorCases lists every internal/match term, every atom of this
-// package's tables (each in an expression whose constant comes from the
-// instruction at the middle of the universe, so that it selects
-// something) and the three built-in selectors.
+// selectorCases lists every atom of this package's tables (each in an
+// expression whose constant comes from the instruction at the middle of
+// the universe, so that it selects something), the comparisons the
+// retired internal/match grammar had, and the three built-in selectors.
 func selectorCases(t *testing.T, mid *x86.Inst) []selectorCase {
 	t.Helper()
 	for name, have := range map[string]int{"bool": len(refBool) - len(boolTerms), "int": len(refInt) - len(intAttrs),
@@ -91,13 +90,6 @@ func selectorCases(t *testing.T, mid *x86.Inst) []selectorCase {
 			t.Fatalf("lang %q: %v", expr, err)
 		}
 		cases = append(cases, selectorCase{"lang " + expr, p.Selector(), ref})
-	}
-	matchCase := func(expr string, ref func(*x86.Inst) bool) {
-		pred, err := match.Compile(expr)
-		if err != nil {
-			t.Fatalf("match %q: %v", expr, err)
-		}
-		cases = append(cases, selectorCase{"match " + expr, match.Select(pred), ref})
 	}
 
 	for name, ref := range refBool {
@@ -127,10 +119,6 @@ func selectorCases(t *testing.T, mid *x86.Inst) []selectorCase {
 		return i.IsJcc() && i.Len < 5 || i.WritesMem() && i.MemBase != x86.RSP
 	})
 
-	for _, term := range []string{"true", "false", "jump", "jcc", "branch", "call", "ret",
-		"indirect", "memwrite", "heapwrite", "riprel", "short"} {
-		matchCase(term, refBool[term])
-	}
 	n := uint64(mid.Len)
 	for op, cmp := range map[string]func(a, b uint64) bool{
 		"=":  func(a, b uint64) bool { return a == b },
@@ -140,12 +128,13 @@ func selectorCases(t *testing.T, mid *x86.Inst) []selectorCase {
 		">=": func(a, b uint64) bool { return a >= b },
 	} {
 		cmp := cmp
-		matchCase(fmt.Sprintf("len%s%d", op, n), func(i *x86.Inst) bool { return cmp(uint64(i.Len), n) })
-		matchCase(fmt.Sprintf("addr%s%#x", op, mid.Addr), func(i *x86.Inst) bool { return cmp(i.Addr, mid.Addr) })
+		langCase(fmt.Sprintf("len%s%d", op, n), func(i *x86.Inst) bool { return cmp(uint64(i.Len), n) })
+		langCase(fmt.Sprintf("addr%s%#x", op, mid.Addr), func(i *x86.Inst) bool { return cmp(i.Addr, mid.Addr) })
 	}
-	matchCase(fmt.Sprintf("op=%#x", mid.Opcode), func(i *x86.Inst) bool { return !i.TwoByte && i.Opcode == mid.Opcode })
-	matchCase("mnemonic=mov", func(i *x86.Inst) bool { return i.Mnemonic() == "mov" })
-	matchCase("mnemonic=mov & !memwrite", func(i *x86.Inst) bool { return i.Mnemonic() == "mov" && !i.WritesMem() })
+	// The retired grammar's op= read the one-byte map only.
+	langCase(fmt.Sprintf("op=%#x & !twobyte", mid.Opcode), func(i *x86.Inst) bool { return !i.TwoByte && i.Opcode == mid.Opcode })
+	langCase("mnemonic=mov", func(i *x86.Inst) bool { return i.Mnemonic() == "mov" })
+	langCase("mnemonic=mov & !memwrite", func(i *x86.Inst) bool { return i.Mnemonic() == "mov" && !i.WritesMem() })
 	return cases
 }
 

@@ -1,9 +1,11 @@
-package match
+package match_test
 
 import (
 	"testing"
 
 	"e9patch/internal/disasm"
+	"e9patch/internal/lang"
+	"e9patch/internal/match"
 	"e9patch/internal/x86"
 )
 
@@ -29,13 +31,15 @@ func program(t *testing.T) []x86.Loc {
 	return disasm.Linear(code, 0x401000).Insts
 }
 
+// count compiles expr with internal/lang, the grammar that replaced
+// this package's own, and runs its predicate through match.Select.
 func count(t *testing.T, insts []x86.Loc, expr string) int {
 	t.Helper()
-	pred, err := Compile(expr)
+	p, err := lang.CompileExpr(expr)
 	if err != nil {
 		t.Fatalf("compile %q: %v", expr, err)
 	}
-	return len(Select(pred)(insts))
+	return len(match.Select(p.Predicate())(insts))
 }
 
 func TestTerms(t *testing.T) {
@@ -72,28 +76,6 @@ func TestTerms(t *testing.T) {
 	for _, tc := range cases {
 		if got := count(t, insts, tc.expr); got != tc.want {
 			t.Errorf("%q: got %d, want %d", tc.expr, got, tc.want)
-		}
-	}
-}
-
-func TestMatchEquivalence(t *testing.T) {
-	// The built-in selectors must be expressible in the language.
-	insts := program(t)
-	if got, want := count(t, insts, "jump | jcc"), len(disasm.SelectJumps(insts)); got != want {
-		t.Errorf("A1 equivalence: %d vs %d", got, want)
-	}
-	if got, want := count(t, insts, "heapwrite"), len(disasm.SelectHeapWrites(insts)); got != want {
-		t.Errorf("A2 equivalence: %d vs %d", got, want)
-	}
-}
-
-func TestCompileErrors(t *testing.T) {
-	for _, expr := range []string{
-		"", "bogus", "jcc &", "(jcc", "jcc)", "len=x", "addr>=", "op<0x10",
-		"mnemonic<mov", "!",
-	} {
-		if _, err := Compile(expr); err == nil {
-			t.Errorf("expression %q compiled without error", expr)
 		}
 	}
 }

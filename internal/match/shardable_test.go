@@ -7,15 +7,12 @@ import (
 )
 
 func TestSelectClosuresAreShardable(t *testing.T) {
-	pred, err := Compile("jcc & short")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := func(v *View) bool { return v.IsJcc() && v.Len < 5 }
 	if !Shardable(Select(pred)) {
 		t.Error("Select-derived selector not shardable")
 	}
 	// Two distinct predicates share Select's closure code.
-	pred2, _ := Compile("heapwrite")
+	pred2 := func(v *View) bool { return v.MayWriteMem() && v.Inst().IsHeapWrite() }
 	if !Shardable(Select(pred2)) {
 		t.Error("second Select instance not shardable")
 	}

@@ -290,7 +290,7 @@ type patchParams struct {
 }
 
 // handlePatch merges one batch of patch locations into the stream:
-// explicit runtime addresses, an E9Tool matcher expression, or a named
+// explicit runtime addresses, an E9Tool match expression, or a named
 // paper application. Sites accumulate as a union across messages; the
 // per-site resource limit is enforced incrementally, so a hostile
 // stream fails at the message that crosses it.
@@ -322,9 +322,11 @@ func (s *Session) handlePatch(msg *Message) (any, error) {
 		}
 		added, err = s.stream.SelectAddrs(addrs...)
 	case p.Match != "":
+		// A malformed or oversized expression is ErrBadSpec from the
+		// spec-language front end, before anything is selected.
 		sel, cerr := e9patch.SelectMatch(p.Match)
 		if cerr != nil {
-			return nil, e9err.Wrap(e9err.ErrBadSpec, "rpc", cerr)
+			return nil, cerr
 		}
 		added, err = s.stream.Select(sel)
 	default:

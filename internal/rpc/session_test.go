@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"e9patch"
 	"e9patch/internal/e9err"
@@ -190,6 +191,41 @@ func TestSessionAbuse(t *testing.T) {
 			}
 			if resp.Error.Code != CodeFor(err) {
 				t.Fatalf("wire code %d, CodeFor says %d", resp.Error.Code, CodeFor(err))
+			}
+		})
+	}
+}
+
+// TestSessionHostileMatch sends patch messages whose match expression is
+// past the spec language's caps: 100 000 '!' (over 64 KiB) and 300
+// nested parentheses (over depth 200). Each must end the session as
+// ErrBadSpec, -32004 on the wire, within a second, having selected
+// nothing.
+func TestSessionHostileMatch(t *testing.T) {
+	binMsg := fmt.Sprintf(`{"method":"binary","params":{"data":%q}}`, base64.StdEncoding.EncodeToString(testBin(t)))
+	for name, expr := range map[string]string{
+		"size":  strings.Repeat("!", 100_000) + "jcc",
+		"depth": strings.Repeat("(", 300) + "jcc" + strings.Repeat(")", 300),
+	} {
+		t.Run(name, func(t *testing.T) {
+			patch, err := json.Marshal(map[string]any{"method": "patch", "params": map[string]string{"match": expr}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			transcript, err := serveString(t, binMsg+"\n"+string(patch)+"\n", Options{})
+			if took := time.Since(start); took > time.Second {
+				t.Errorf("rejection took %v, want under a second", took)
+			}
+			if !errors.Is(err, e9err.ErrBadSpec) {
+				t.Fatalf("want ErrBadSpec, got %v", err)
+			}
+			lines := strings.Split(strings.TrimSpace(transcript), "\n")
+			var resp struct {
+				Error *Error `json:"error"`
+			}
+			if jerr := json.Unmarshal([]byte(lines[len(lines)-1]), &resp); jerr != nil || resp.Error == nil || resp.Error.Code != CodeBadSpec {
+				t.Fatalf("last line %q: want error code %d", lines[len(lines)-1], CodeBadSpec)
 			}
 		})
 	}

@@ -622,6 +622,25 @@ func TestBatchValidation(t *testing.T) {
 	if resp := post(`{"id":"x","query":"match=jcc"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing binary: %d, want 400", resp.StatusCode)
 	}
+	// A hostile match fails the whole batch as a bad spec, in under a
+	// second, before any item is queued.
+	bin := kernelELF(t)
+	for name, expr := range hostileMatches {
+		line, err := json.Marshal(batchItem{ID: "x", Query: url.Values{"match": {expr}}.Encode(), Binary: bin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if resp := post(string(line)); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("hostile match %s: %d, want 422", name, resp.StatusCode)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("hostile match %s: rejection took %v, want under a second", name, took)
+		}
+	}
+	if got := metricValue(t, srv.Handler(), "e9served_rewrites_total"); got != 0 {
+		t.Errorf("rewrites_total = %g, want 0", got)
+	}
 }
 
 // TestBatchTenantQuota pins the per-tenant fan-out bound: with a

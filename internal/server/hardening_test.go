@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -152,6 +153,40 @@ func TestGranularityClamped(t *testing.T) {
 	status, _ := postBin(t, ts.URL+"/v1/rewrite?match=jcc&granularity=-1", kernelELF(t))
 	if status != http.StatusOK {
 		t.Errorf("granularity=-1 (grouping disabled): status %d, want 200", status)
+	}
+}
+
+// hostileMatches are match expressions past the spec language's caps:
+// 64 KiB of input and nesting depth 200.
+var hostileMatches = map[string]string{
+	"size":  strings.Repeat("!", 100_000) + "jcc",
+	"depth": strings.Repeat("(", 300) + "jcc" + strings.Repeat(")", 300),
+}
+
+// TestHostileMatchRejected: a hostile match is a bad spec, rejected
+// before any rewrite is queued — 422 in under a second, bad-spec
+// counted, e9served_rewrites_total unchanged.
+func TestHostileMatchRejected(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueLen: 8, Logf: t.Logf})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	bin := kernelELF(t)
+	for name, expr := range hostileMatches {
+		start := time.Now()
+		status, body := postBin(t, ts.URL+"/v1/rewrite?"+url.Values{"match": {expr}}.Encode(), bin)
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s: rejection took %v, want under a second", name, took)
+		}
+		if status != http.StatusUnprocessableEntity || !strings.Contains(body, "line 1:") {
+			t.Errorf("%s: status %d (body %.80q), want 422 with a position", name, status, body)
+		}
+	}
+	if got := metricValue(t, srv.Handler(), `e9served_rejected_total{reason="bad-spec"}`); got != float64(len(hostileMatches)) {
+		t.Errorf("rejected_total{bad-spec} = %g, want %d", got, len(hostileMatches))
+	}
+	if got := metricValue(t, srv.Handler(), "e9served_rewrites_total"); got != 0 {
+		t.Errorf("rewrites_total = %g, want 0", got)
 	}
 }
 

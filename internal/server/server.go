@@ -199,10 +199,7 @@ func New(cfg Config) *Server {
 		s.cfg.Logf("e9served: recovered worker panic: %v", v)
 	}
 	s.rewrite = func(ctx context.Context, key string, binary []byte, spec *Spec) (*e9patch.Result, error) {
-		rcfg, err := spec.Config()
-		if err != nil {
-			return nil, err
-		}
+		rcfg := spec.Config()
 		if rcfg.Parallelism <= 0 || rcfg.Parallelism > s.cfg.Workers {
 			rcfg.Parallelism = s.cfg.Workers
 		}

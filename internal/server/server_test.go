@@ -358,8 +358,6 @@ func TestBadRequests(t *testing.T) {
 		name, target, body string
 	}{
 		{"missing match", "/v1/rewrite", "x"},
-		{"bad matcher", "/v1/rewrite?match=no-such-term%3D", "x"},
-		{"bad action", "/v1/rewrite?match=jcc&action=bogus", "x"},
 		{"bad bool", "/v1/rewrite?match=jcc&disable-t1=maybe", "x"},
 		{"bad reserve", "/v1/rewrite?match=jcc&reserve=12", "x"},
 		{"empty body", "/v1/rewrite?match=jcc", ""},
@@ -368,6 +366,19 @@ func TestBadRequests(t *testing.T) {
 		h.ServeHTTP(rr, httptest.NewRequest("POST", tc.target, strings.NewReader(tc.body)))
 		if rr.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, rr.Code)
+		}
+	}
+
+	// A malformed match or action is a bad spec, like a malformed spec=
+	// program: 422 with the line:column of the offending token.
+	for _, tc := range []struct{ name, target, pos string }{
+		{"bad matcher", "/v1/rewrite?match=no-such-term%3D", "line 1:14"},
+		{"bad action", "/v1/rewrite?match=jcc&action=bogus", "line 1:1"},
+	} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", tc.target, strings.NewReader("x")))
+		if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), tc.pos) {
+			t.Errorf("%s: status %d (%q), want 422 at %s", tc.name, rr.Code, rr.Body.String(), tc.pos)
 		}
 	}
 
@@ -446,11 +457,7 @@ func TestSpecCanonical(t *testing.T) {
 	}
 
 	// Config materialises.
-	cfg, err := f.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.Patch.DisableT2 || cfg.Select == nil {
+	if cfg := f.Config(); !cfg.Patch.DisableT2 || cfg.Select == nil {
 		t.Fatal("spec.Config dropped fields")
 	}
 }

@@ -11,9 +11,7 @@ import (
 
 	"e9patch"
 	"e9patch/internal/lang"
-	"e9patch/internal/lowfat"
 	"e9patch/internal/patch"
-	"e9patch/internal/trampoline"
 )
 
 // Spec is the rewrite configuration of one request, normalised so that
@@ -21,9 +19,11 @@ import (
 // are read from query values or X-E9-* headers (header wins), mirroring
 // cmd/e9tool's flags:
 //
-//	match       matcher expression, e.g. "jcc & short" (required
-//	            unless a spec program is supplied)
-//	action      empty | counter=ADDR | contextcall=ADDR | lowfat | lowfat-trap
+//	match       match expression, e.g. "jcc & short" (required unless a
+//	            spec program is supplied): e9tool's -M
+//	action      patch directive (default empty): e9tool's -P, so empty |
+//	            counter=ADDR | contextcall=ADDR | lowfat | lowfat-trap |
+//	            call FN(args); match and action are lang.FromParts
 //	spec        spec-language program (internal/lang): match/exclude/
 //	            patch/payload directives. The query value carries the
 //	            raw text; the X-E9-Spec header carries it base64
@@ -56,8 +56,9 @@ type Spec struct {
 	Reserve     [][2]uint64
 	Parallelism int
 
-	// built is the eagerly lowered spec program when SpecText is set,
-	// so bad specs fail at parse time (422) and Config never re-parses.
+	// built is the eagerly lowered program (SpecText, or Match and
+	// Action), so bad specs fail at parse time (422) and Config never
+	// re-parses.
 	built *lang.BuildResult
 }
 
@@ -199,31 +200,27 @@ func parseSpec(r *http.Request) (*Spec, error) {
 		return s.Reserve[a][1] < s.Reserve[b][1]
 	})
 
-	// Validate eagerly so bad requests fail before queueing: spec
-	// programs that fail to parse or typecheck surface as ErrBadSpec
-	// (mapped to 422 with the line:column position), everything else
-	// as 400.
+	// Lower eagerly so bad requests fail before queueing: match/action
+	// and spec= are one program (lang.FromParts is e9tool's -M/-P), so a
+	// malformed one is ErrBadSpec (422 with the line:column) whichever
+	// way it came, and everything else is a 400.
+	var sp *lang.Spec
 	if s.SpecText != "" {
-		sp, err := lang.ParseSpec(s.SpecText)
-		if err != nil {
-			return nil, err
-		}
-		if s.built, err = sp.Build(s.Payload); err != nil {
-			return nil, err
-		}
+		sp, err = lang.ParseSpec(s.SpecText)
 	} else {
-		if _, err := e9patch.SelectMatch(s.Match); err != nil {
-			return nil, err
-		}
-		if _, err := s.template(); err != nil {
-			return nil, err
-		}
+		sp, err = lang.FromParts(s.Match, s.Action)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if s.built, err = sp.Build(s.Payload); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // Canonical renders the spec as a stable string: fixed field order,
-// normalised defaults, sorted reserve ranges. Note the matcher
+// normalised defaults, sorted reserve ranges. Note the match
 // expression itself is embedded verbatim — "jcc&short" and
 // "jcc & short" are distinct keys even though they compile to the same
 // predicate; canonicalisation covers parameters, not expression
@@ -240,47 +237,30 @@ func (s *Spec) Canonical() string {
 	for _, r := range s.Reserve {
 		fmt.Fprintf(&b, "|reserve=%#x-%#x", r[0], r[1])
 	}
-	// Spec programs and their payloads fold into the key as content
-	// hashes (the program can be kilobytes, the payload megabytes);
-	// both cache tiers inherit the distinction automatically.
-	if s.SpecText != "" {
+	// Spec programs and payloads fold into the key as content hashes
+	// (the program can be kilobytes, the payload megabytes); both cache
+	// tiers inherit the distinction automatically. A match/action
+	// request without a payload adds nothing, so its key is the
+	// parameter string alone.
+	switch {
+	case s.SpecText != "":
 		hs := sha256.Sum256([]byte(s.SpecText))
 		hp := sha256.Sum256(s.Payload)
 		fmt.Fprintf(&b, "|spec=%x|payload=%x", hs, hp)
+	case len(s.Payload) > 0:
+		fmt.Fprintf(&b, "|payload=%x", sha256.Sum256(s.Payload))
 	}
 	return b.String()
 }
 
-// template resolves the action string to a trampoline template and any
-// extra reserved ranges it needs.
-func (s *Spec) template() (e9patch.Template, error) {
-	switch {
-	case s.Action == "empty":
-		return trampoline.Empty{}, nil
-	case strings.HasPrefix(s.Action, "counter="):
-		addr, err := strconv.ParseUint(s.Action[len("counter="):], 0, 64)
-		if err != nil {
-			return nil, fmt.Errorf("action counter: %w", err)
-		}
-		return trampoline.Counter{Addr: addr}, nil
-	case strings.HasPrefix(s.Action, "contextcall="):
-		addr, err := strconv.ParseUint(s.Action[len("contextcall="):], 0, 64)
-		if err != nil {
-			return nil, fmt.Errorf("action contextcall: %w", err)
-		}
-		return trampoline.ContextCall{Fn: addr}, nil
-	case s.Action == "lowfat":
-		return lowfat.CheckTemplate{}, nil
-	case s.Action == "lowfat-trap":
-		return lowfat.CheckTemplate{Trap: true}, nil
-	default:
-		return nil, fmt.Errorf("unknown action %q", s.Action)
-	}
-}
-
-// Config builds the e9patch.Config the spec describes.
-func (s *Spec) Config() (e9patch.Config, error) {
-	cfg := e9patch.Config{
+// Config builds the e9patch.Config the spec describes; s must come from
+// parseSpec, which lowered its program.
+func (s *Spec) Config() e9patch.Config {
+	return e9patch.Config{
+		Select:      s.built.Select,
+		Template:    s.built.Template,
+		Inject:      s.built.Inject,
+		ReserveVA:   append(append([][2]uint64(nil), s.Reserve...), s.built.ReserveVA...),
 		Granularity: s.Granularity,
 		SkipPrefix:  s.SkipPrefix,
 		Disasm:      s.Disasm,
@@ -293,28 +273,4 @@ func (s *Spec) Config() (e9patch.Config, error) {
 			ForceB0:    s.ForceB0,
 		},
 	}
-	for _, r := range s.Reserve {
-		cfg.ReserveVA = append(cfg.ReserveVA, r)
-	}
-	if s.built != nil {
-		cfg.Select = s.built.Select
-		cfg.Template = s.built.Template
-		cfg.Inject = s.built.Inject
-		cfg.ReserveVA = append(cfg.ReserveVA, s.built.ReserveVA...)
-		return cfg, nil
-	}
-	sel, err := e9patch.SelectMatch(s.Match)
-	if err != nil {
-		return e9patch.Config{}, err
-	}
-	tmpl, err := s.template()
-	if err != nil {
-		return e9patch.Config{}, err
-	}
-	cfg.Select = sel
-	cfg.Template = tmpl
-	if strings.HasPrefix(s.Action, "lowfat") {
-		cfg.ReserveVA = append(cfg.ReserveVA, lowfat.ReserveVA()...)
-	}
-	return cfg, nil
 }

@@ -63,11 +63,7 @@ func TestSpecDisasm(t *testing.T) {
 	}
 
 	// The mode reaches the rewrite configuration.
-	cfg, err := d.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Disasm != e9patch.DisasmSupersetCET {
+	if cfg := d.Config(); cfg.Disasm != e9patch.DisasmSupersetCET {
 		t.Fatalf("cfg.Disasm = %q", cfg.Disasm)
 	}
 }

@@ -42,7 +42,7 @@ func postSpec(t *testing.T, ts *httptest.Server, bin []byte, query url.Values, h
 // TestSpecParamEndToEnd drives the spec-language request path: the
 // served output must be byte-identical to a direct library rewrite of
 // the same spec, and the spec must key the cache separately from an
-// equivalent legacy match expression.
+// equivalent match request.
 func TestSpecParamEndToEnd(t *testing.T) {
 	srv := New(Config{Workers: 2, QueueLen: 8})
 	defer srv.Close()
@@ -82,14 +82,14 @@ func TestSpecParamEndToEnd(t *testing.T) {
 		t.Errorf("repeat cache status %q, want hit", got)
 	}
 
-	// A legacy request computing the same selection still keys
+	// A match request computing the same selection still keys
 	// separately (spec hash folds into the cache key).
 	resp, _ = postSpec(t, ts, bin, url.Values{"match": {"jcc & short"}}, nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy request status %d", resp.StatusCode)
+		t.Fatalf("match request status %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get("X-E9-Cache"); got != "miss" {
-		t.Errorf("legacy request cache status %q, want miss", got)
+		t.Errorf("match request cache status %q, want miss", got)
 	}
 	if n := metricValue(t, srv.Handler(), "e9served_rewrites_total"); n != 2 {
 		t.Errorf("rewrites_total = %g, want 2", n)
@@ -221,8 +221,75 @@ func TestSpecCanonicalKeys(t *testing.T) {
 	if a.Canonical() != mk("match jcc\n", nil).Canonical() {
 		t.Error("identical requests canonicalise differently")
 	}
-	legacy := &Spec{Match: "jcc", Action: "empty", Granularity: 1}
-	if strings.Contains(legacy.Canonical(), "|spec=") {
-		t.Error("legacy requests must not carry a spec hash")
+	plain := &Spec{Match: "jcc", Action: "empty", Granularity: 1}
+	if strings.Contains(plain.Canonical(), "|spec=") {
+		t.Error("match requests must not carry a spec hash")
+	}
+
+	// match/action fold the payload's hash whenever one was sent, and
+	// without one keep the key they always had.
+	call := func(payload []byte) *Spec {
+		return &Spec{Match: "jcc", Action: "call cover(addr)", Payload: payload, Granularity: 1}
+	}
+	if call([]byte{1}).Canonical() == call([]byte{2}).Canonical() {
+		t.Error("match/action with different payloads share a canonical form")
+	}
+	if call([]byte{1}).Canonical() == call(nil).Canonical() {
+		t.Error("match/action with and without a payload share a canonical form")
+	}
+	req := httptest.NewRequest("POST", "/v1/rewrite?match=jcc", nil)
+	s, err := parseSpec(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const today = "match=jcc|action=empty|M=1|skip=0|disasm=linear|t1=true|t2=true|t3=true|b0=false|forceb0=false"
+	if got := s.Canonical(); got != today {
+		t.Errorf("payload-less match key changed:\n got %s\nwant %s", got, today)
+	}
+}
+
+// TestMatchActionCallPatch: action takes any patch directive, as e9tool's
+// -P does, so a call patch sent as match/action with its payload in
+// X-E9-Payload is served byte-identical to the library rewrite of
+// lang.FromParts(match, action). Without the payload the call cannot be
+// built: 400, as for spec=.
+func TestMatchActionCallPatch(t *testing.T) {
+	srv := New(Config{Workers: 2, QueueLen: 8})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	bin := kernelELF(t)
+
+	payload, err := workload.BuildCoveragePayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := lang.FromParts("jcc", "call cover(addr)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := sp.Build(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e9patch.Rewrite(bin, e9patch.Config{
+		Select: br.Select, Template: br.Template, Inject: br.Inject,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	q := url.Values{"match": {"jcc"}, "action": {"call cover(addr)"}}
+	resp, out := postSpec(t, ts, bin, q, map[string]string{
+		"X-E9-Payload": base64.StdEncoding.EncodeToString(payload),
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, out)
+	}
+	if !bytes.Equal(out, want.Output) {
+		t.Fatal("served output differs from direct library rewrite")
+	}
+	if resp, body := postSpec(t, ts, bin, q, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("payload-less call action: status %d (%s), want 400", resp.StatusCode, body)
 	}
 }
