@@ -312,6 +312,33 @@ func TestReverseOrderAdjacentPatches(t *testing.T) {
 	}
 }
 
+// TestFarBranchTargetRejectsPlacement: a jcc whose target sits at the
+// bottom edge of its own rel32 range reaches it only from at or below the
+// jcc. Its trampoline goes above the text, where the target is beyond
+// ±2 GiB, so the placement must be rejected and the site left as it was,
+// never committed with a displacement that wraps 4 GiB away.
+func TestFarBranchTargetRejectsPlacement(t *testing.T) {
+	const text = 0x1_0000_0000
+	const target = text + 6 - 1<<31 // jcc rel32 = -2^31
+	a := x86.NewAsm(text)
+	a.JccRel32(x86.CondE, target)
+	a.Ret()
+	code := a.MustFinish()
+	res := disasm.Linear(code, text)
+	space := va.NewDefault()
+	if err := space.Reserve(text, text+0x1000); err != nil {
+		t.Fatal(err)
+	}
+	r := New(code, text, res.Insts, space, text+0x1000, Options{})
+	stats := r.PatchAll([]int{0})
+	if stats.Failed != 1 || len(r.Trampolines()) != 0 {
+		t.Fatalf("want the site to fail with no trampoline, stats = %+v, %d trampolines", stats, len(r.Trampolines()))
+	}
+	if !bytes.Equal(r.Code(), code) {
+		t.Error("a failed site was modified")
+	}
+}
+
 func TestFailedLocationUnchanged(t *testing.T) {
 	// With everything disabled and hostile bytes, patching fails and
 	// the bytes must be untouched.

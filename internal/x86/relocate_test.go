@@ -115,6 +115,51 @@ func TestRelocateBranchOutOfRange(t *testing.T) {
 	}
 }
 
+// TestRel32EmittersRejectOutOfRange: jmp, jcc and call rel32 to an
+// absolute target reach it exactly up to the edge of the ±2 GiB window
+// and record ErrRelocRange one byte past it, instead of emitting a
+// displacement that wraps to an address 4 GiB away.
+func TestRel32EmittersRejectOutOfRange(t *testing.T) {
+	const at = 0x1_0000_0000
+	emitters := []struct {
+		name string
+		n    uint64 // encoded length
+		emit func(a *Asm, target uint64)
+	}{
+		{"jmp", 5, func(a *Asm, target uint64) { a.JmpRel32(target) }},
+		{"jcc", 6, func(a *Asm, target uint64) { a.JccRel32(CondNE, target) }},
+		{"call", 5, func(a *Asm, target uint64) { a.CallRel32(target) }},
+	}
+	for _, e := range emitters {
+		end := at + e.n
+		for _, tc := range []struct {
+			target uint64
+			ok     bool
+		}{
+			{end + 1<<31 - 1, true},
+			{end - 1<<31, true},
+			{end + 1<<31, false},
+			{end - 1<<31 - 1, false},
+		} {
+			a := NewAsm(at)
+			e.emit(a, tc.target)
+			code, err := a.Finish()
+			if !tc.ok {
+				if !errors.Is(err, ErrRelocRange) {
+					t.Errorf("%s to %#x: want ErrRelocRange, got %v", e.name, tc.target, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s to %#x: %v", e.name, tc.target, err)
+			}
+			if i := decodeAt(t, code, at); i.Target() != tc.target {
+				t.Errorf("%s to %#x reaches %#x", e.name, tc.target, i.Target())
+			}
+		}
+	}
+}
+
 func TestRelocateBranchRejectsLoopAndIndirect(t *testing.T) {
 	// loop rel8 cannot be widened: no rel32 form exists.
 	loop := decodeAt(t, []byte{0xE2, 0xFB}, 0x1000)
