@@ -82,15 +82,22 @@ func planCorpus(t testing.TB) []struct {
 // SHA-256 of Result.Output must be reproduced by Rewrite, by
 // Apply(Plan) at every width and by a Stream session fed the same
 // locations in address chunks; RewriteTo and the session's FinishTo
-// must have written those same bytes to their writer. The committed hashes were recorded from
-// the pre-split monolithic reference pipeline in the commit
-// before it was deleted; regenerate with `go test -run
+// must have written those same bytes to their writer. Beside each hash
+// the file pins Result.OutputSize and Group.PhysBlocks, which a change
+// of trampoline code alone (epilogues) leaves as they are. The hashes
+// were first recorded from the pre-split monolithic reference pipeline
+// in the commit before it was deleted; regenerate with `go test -run
 // TestPlanApplyEquivalence -update .` only for an intentional output
 // change.
 func TestPlanApplyEquivalence(t *testing.T) {
 	ctx := context.Background()
 	goldenPath := filepath.Join("testdata", "rewrite_golden.json")
-	golden := map[string]string{}
+	type goldenCell struct {
+		SHA256     string `json:"sha256"`
+		OutputSize int    `json:"outputSize"`
+		PhysBlocks int    `json:"physBlocks"`
+	}
+	golden := map[string]goldenCell{}
 	if !*updateGolden {
 		data, err := os.ReadFile(goldenPath)
 		if err != nil {
@@ -117,12 +124,17 @@ func TestPlanApplyEquivalence(t *testing.T) {
 				return hex.EncodeToString(sum[:])
 			}
 			if *updateGolden {
-				golden[cell] = outputHash(ref)
+				golden[cell] = goldenCell{outputHash(ref), ref.OutputSize, ref.Group.PhysBlocks}
 			}
 			checkGolden := func(label string, res *Result) {
 				t.Helper()
-				if got, want := outputHash(res), golden[cell]; got != want {
-					t.Errorf("%s: output hash %s, golden %q (regenerate with -update if intentional)", label, got, want)
+				want := golden[cell]
+				if got := outputHash(res); got != want.SHA256 {
+					t.Errorf("%s: output hash %s, golden %q (regenerate with -update if intentional)", label, got, want.SHA256)
+				}
+				if res.OutputSize != want.OutputSize || res.Group.PhysBlocks != want.PhysBlocks {
+					t.Errorf("%s: output size %d with %d physical blocks, golden %d with %d",
+						label, res.OutputSize, res.Group.PhysBlocks, want.OutputSize, want.PhysBlocks)
 				}
 			}
 			checkGolden(cell+"/rewrite", ref)
