@@ -22,13 +22,16 @@ race:
 	$(GO) test -race ./...
 
 # difftest runs the differential suites: rewriter (original vs patched),
-# engines (interp vs ir, including the FuzzEngines seed corpus), the
+# the per-site instrumentation counts against the original run's, the
+# exit check (every trampoline's epilogue against the original text, by
+# code independent of the patcher, and its seeded mutations), engines
+# (interp vs ir, including the FuzzEngines seed corpus), the
 # block/invalidation seam and the engine's stats/speedup tests, and the
 # parallel-vs-sequential corpus (byte-identity at every worker count,
 # under the race detector; the patcher's lock bitmap, whose words no two
 # concurrently patched regions may share, is checked on the same line).
 difftest:
-	$(GO) test -run 'TestDifferentialFuzz|TestFuzzSelectAllCoverage' .
+	$(GO) test -run 'TestDifferentialFuzz|TestFuzzSelectAllCoverage|TestContextCallInstrumentation|TestTrampolineExits' .
 	$(GO) test -run FuzzEngines .
 	$(GO) test ./internal/emu/enginetest/ ./internal/emu/ ./internal/emu/ir/
 	$(GO) test -race -run 'TestParallelRewrite|TestParallelEmulatorEquivalence|FuzzParallelRewrite' .

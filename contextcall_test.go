@@ -1,6 +1,8 @@
 package e9patch
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"e9patch/internal/emu"
@@ -10,63 +12,98 @@ import (
 )
 
 // TestContextCallInstrumentation verifies the general instrumentation
-// template: every executed patch site invokes the bound routine with
-// its own address, the full register context survives, and behaviour is
-// unchanged.
+// template on the five kernels under A1 and A2 and on one random PIE
+// program: behaviour is unchanged, the full register context survives,
+// and every patched site invokes the bound routine, with its own
+// address, exactly as often as the original run executed that address
+// (counted instruction by instruction with emu.Machine.Trace). An
+// epilogue that copied a patched site, or skipped a trampoline, changes
+// a count.
 func TestContextCallInstrumentation(t *testing.T) {
 	const fnAddr = 0x3_0000_0000
-	prog, err := workload.BuildKernel("branchy", false)
+	type trial struct {
+		name string
+		bin  []byte
+		sel  Selector
+	}
+	var trials []trial
+	for _, arch := range []string{"branchy", "memstream", "matrix", "pointer", "callheavy"} {
+		prog, err := workload.BuildKernel(arch, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trials = append(trials, trial{arch + "/A1", prog.ELF, SelectJumps}, trial{arch + "/A2", prog.ELF, SelectHeapWrites})
+	}
+	bin, err := genProgram(rand.New(rand.NewSource(1003)), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Rewrite(prog.ELF, Config{
-		Select:   SelectHeapWrites,
-		Template: trampoline.ContextCall{Fn: fnAddr},
-		ReserveVA: append(workload.ReserveVA(),
-			[2]uint64{fnAddr &^ 0xFFF, fnAddr + 0x1000}),
-	})
-	if err != nil {
-		t.Fatal(err)
+	trials = append(trials, trial{"genProgram/pie/A2", bin, SelectHeapWrites})
+
+	run := func(bin []byte, prep func(m *emu.Machine)) (*emu.Machine, error) {
+		m := workload.NewMachine(nil)
+		prep(m)
+		entry, err := Load(m, bin)
+		if err != nil {
+			return nil, err
+		}
+		m.RIP = entry
+		return m, m.Run(500_000_000)
 	}
-	if res.Stats.Patched() == 0 {
-		t.Fatal("nothing patched")
-	}
-	patchedAddrs := map[uint64]bool{}
-	for _, lr := range res.Locations {
-		if lr.Tactic != 0 {
-			patchedAddrs[lr.Addr] = true
+	for _, tc := range trials {
+		res, err := Rewrite(tc.bin, Config{
+			Select:   tc.sel,
+			Template: trampoline.ContextCall{Fn: fnAddr},
+			ReserveVA: append(workload.ReserveVA(),
+				[2]uint64{fnAddr &^ 0xFFF, fnAddr + 0x1000}),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Stats.Patched() == 0 {
+			t.Fatalf("%s: nothing patched", tc.name)
+		}
+
+		executed := map[uint64]uint64{}
+		orig, err := run(tc.bin, func(m *emu.Machine) {
+			m.Trace = func(in *x86.Inst) { executed[in.Addr]++ }
+		})
+		if err != nil {
+			t.Fatalf("%s: original run: %v", tc.name, err)
+		}
+		hits := map[uint64]uint64{}
+		m, err := run(res.Output, func(m *emu.Machine) {
+			m.Runtime[fnAddr] = func(m *emu.Machine) error {
+				hits[m.Regs[x86.RDI]]++
+				return nil
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: rewritten run: %v", tc.name, err)
+		}
+		if fmt.Sprint(m.Output) != fmt.Sprint(orig.Output) || m.ExitCode != orig.ExitCode {
+			t.Fatalf("%s: behaviour diverged: output %v exit %#x, original %v exit %#x",
+				tc.name, m.Output, m.ExitCode, orig.Output, orig.ExitCode)
+		}
+		patched := map[uint64]bool{}
+		var total uint64
+		for _, lr := range res.Locations {
+			if lr.Tactic == 0 {
+				continue
+			}
+			patched[lr.Addr] = true
+			total += executed[lr.Addr]
+			if hits[lr.Addr] != executed[lr.Addr] {
+				t.Errorf("%s: site %#x (%v) instrumented %d times, executed %d times", tc.name, lr.Addr, lr.Tactic, hits[lr.Addr], executed[lr.Addr])
+			}
+		}
+		for addr := range hits {
+			if !patched[addr] {
+				t.Errorf("%s: instrumentation fired for unpatched address %#x", tc.name, addr)
+			}
+		}
+		if total == 0 {
+			t.Errorf("%s: no patched site was executed", tc.name)
 		}
 	}
-
-	orig := runBinary(t, prog.ELF, nil)
-
-	hits := map[uint64]uint64{}
-	m := workload.NewMachine(nil)
-	m.Runtime[fnAddr] = func(m *emu.Machine) error {
-		hits[m.Regs[x86.RDI]]++
-		return nil
-	}
-	entry, err := Load(m, res.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.RIP = entry
-	if err := m.Run(500_000_000); err != nil {
-		t.Fatal(err)
-	}
-
-	if m.Output[0] != orig.Output[0] {
-		t.Fatalf("behaviour diverged: %#x vs %#x", m.Output[0], orig.Output[0])
-	}
-	if len(hits) == 0 {
-		t.Fatal("instrumentation routine never called")
-	}
-	var total uint64
-	for addr, n := range hits {
-		total += n
-		if !patchedAddrs[addr] {
-			t.Errorf("instrumentation fired for unpatched address %#x", addr)
-		}
-	}
-	t.Logf("instrumentation: %d sites, %d dynamic hits", len(hits), total)
 }

@@ -56,11 +56,21 @@ func (r *Rewriter) writeCode(addr uint64, b []byte) {
 // addTrampoline appends emitted trampolines to the rewriter's output
 // and to the current site's record, in the same order — the flattened
 // plan preserves the exact trampoline sequence the grouping phase
-// consumes.
+// consumes. Each one's epilogue starts here, with the instruction it
+// displaces: the site, or the victim being evicted.
 func (r *Rewriter) addTrampoline(ts ...Trampoline) {
-	r.trampolines = append(r.trampolines, ts...)
 	for i := range ts {
-		r.trampBytes += int64(len(ts[i].Code))
+		t := &ts[i]
+		r.trampBytes += int64(len(t.Code))
+		in := &r.site
+		if t.Evictee {
+			in = &r.victim
+		}
+		r.noteExit(t, in, i)
+		r.trampolines = append(r.trampolines, *t)
+		if !t.Evictee {
+			r.last = siteRef{t.ForAddr, t.Addr}
+		}
 	}
 	if r.opts.TrampolineBudget > 0 && r.trampBytes > r.opts.TrampolineBudget {
 		r.limited = true

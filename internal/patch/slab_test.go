@@ -2,6 +2,7 @@ package patch
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"e9patch/internal/disasm"
@@ -56,7 +57,7 @@ func hostileRewriter(t *testing.T, opts Options) *Rewriter {
 // answer is the same rewrite the slab route produces.
 func TestTemplateSizedOncePerSite(t *testing.T) {
 	patchT := countingTemplate{sized: map[uint64]int{}}
-	r := hostileRewriter(t, Options{Template: emitOnly{patchT}, EvictionTemplate: emitOnly{trampoline.Empty{}}})
+	r := hostileRewriter(t, Options{Template: emitOnly{patchT}})
 	st := r.Stats()
 	if st.ByTactic[TacticT1] == 0 || st.ByTactic[TacticT2] == 0 || st.ByTactic[TacticT3] == 0 {
 		t.Fatalf("the escalation was not exercised: %+v", st)
@@ -70,18 +71,43 @@ func TestTemplateSizedOncePerSite(t *testing.T) {
 	if len(patchT.sized) > st.Total {
 		t.Errorf("Size asked about %d instructions, %d sites", len(patchT.sized), st.Total)
 	}
-	if r.slab != nil {
-		t.Error("a template without AppendCode was emitted into the slab")
+	// Its trampolines are what Emit returned: no epilogue rewrites an
+	// exit the patcher does not know.
+	var in x86.Inst
+	for _, tr := range r.Trampolines() {
+		if tr.Evictee {
+			continue
+		}
+		if err := x86.DecodeInto(&in, r.orig[r.off(tr.ForAddr):], tr.ForAddr); err != nil {
+			t.Fatal(err)
+		}
+		if want, err := patchT.Emit(&in, tr.Addr); err != nil || !bytes.Equal(tr.Code, want) {
+			t.Errorf("trampoline for %#x is not as emitted (err %v)", tr.ForAddr, err)
+		}
 	}
 
 	// The built-in route — measured and assembled in the slab — makes
-	// the same decisions and the same bytes, undone T2/T3 attempts and
-	// all.
+	// the same decisions, undone T2/T3 attempts and all, and the same
+	// trampolines up to their return jumps, which only it rewrites.
 	slab := hostileRewriter(t, Options{})
 	if slab.slab == nil {
 		t.Fatal("the built-in template did not use the slab")
 	}
-	assertSameRewrite(t, r, slab, "slab vs Emit")
+	if !bytes.Equal(r.Code(), slab.Code()) || !reflect.DeepEqual(r.Results(), slab.Results()) ||
+		!reflect.DeepEqual(r.locks, slab.locks) || !reflect.DeepEqual(r.SigTab(), slab.SigTab()) {
+		t.Error("slab vs Emit: different decisions")
+	}
+	trs, strs := r.Trampolines(), slab.Trampolines()
+	if len(trs) != len(strs) {
+		t.Fatalf("slab vs Emit: %d vs %d trampolines", len(trs), len(strs))
+	}
+	for i, tr := range trs {
+		s := strs[i]
+		head := tr.Code[:max(len(tr.Code)-jmpLen, 0)]
+		if tr.Addr != s.Addr || tr.ForAddr != s.ForAddr || tr.Evictee != s.Evictee || !bytes.HasPrefix(s.Code, head) {
+			t.Errorf("slab vs Emit: trampoline %d differs", i)
+		}
+	}
 }
 
 // TestTrampolineCodeIsClipped: every Code slice is clipped to its

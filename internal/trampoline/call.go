@@ -216,7 +216,7 @@ func (c *Call) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
 	for i := len(contextRegs) - 1; i >= 0; i-- {
 		a.PopReg(contextRegs[i])
 	}
-	if err := emitDisplaced(a, inst); err != nil {
+	if err := EmitDisplaced(a, inst); err != nil {
 		return nil, err
 	}
 	return a.Finish()

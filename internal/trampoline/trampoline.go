@@ -34,7 +34,8 @@ type Template interface {
 
 // Empty is the paper's "empty" instrumentation: the trampoline merely
 // executes/emulates the displaced instruction and jumps back. It is
-// also the evictee-trampoline shape used by tactics T2 and T3.
+// also the evictee trampoline of tactics T2 and T3, always: running an
+// evictee trampoline is running its victim, nothing more.
 type Empty struct{}
 
 // Size implements Template.
@@ -46,7 +47,7 @@ func (e Empty) Emit(inst *x86.Inst, at uint64) ([]byte, error) { return e.Append
 // AppendCode is Emit appending to dst.
 func (Empty) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
 	a := x86.AppendAsm(dst, at)
-	if err := emitDisplaced(&a, inst); err != nil {
+	if err := EmitDisplaced(&a, inst); err != nil {
 		return nil, err
 	}
 	return a.Finish()
@@ -86,7 +87,7 @@ func (c Counter) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, erro
 	a.AddMemImm8x64(x86.M(s, 0), 1)
 	a.Popfq()
 	a.PopReg(s)
-	if err := emitDisplaced(&a, inst); err != nil {
+	if err := EmitDisplaced(&a, inst); err != nil {
 		return nil, err
 	}
 	return a.Finish()
@@ -133,7 +134,7 @@ func (c ContextCall) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, 
 	for i := len(contextRegs) - 1; i >= 0; i-- {
 		a.PopReg(contextRegs[i])
 	}
-	if err := emitDisplaced(&a, inst); err != nil {
+	if err := EmitDisplaced(&a, inst); err != nil {
 		return nil, err
 	}
 	return a.Finish()
@@ -193,12 +194,13 @@ func pickScratch(inst *x86.Inst, n int) ([]x86.Reg, bool) {
 	return nil, false
 }
 
-// emitDisplaced appends code that performs the displaced instruction's
+// EmitDisplaced appends code that performs the displaced instruction's
 // exact semantics at the trampoline location and continues at the
 // instruction's original successor. Non-branch instructions are
 // relocated and followed by a return jump; branches are emulated with
-// explicit jump sequences (§2.1.2 of the paper).
-func emitDisplaced(a *x86.Asm, inst *x86.Inst) error {
+// explicit jump sequences (§2.1.2 of the paper). The patcher's
+// epilogues end a trampoline on a copied control transfer with it.
+func EmitDisplaced(a *x86.Asm, inst *x86.Inst) error {
 	resume := inst.Addr + uint64(inst.Len)
 	switch {
 	case inst.IsJmp() && inst.RelSize != 0:

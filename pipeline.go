@@ -231,6 +231,9 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 	if !recordPlan {
 		rw.DiscardPlan()
 	}
+	for _, inj := range inject {
+		rw.Injected(inj.Addr, len(inj.Data))
+	}
 	rw.PatchAll(selected)
 	deadlined := errors.Is(pctx.Err(), context.DeadlineExceeded)
 	pcancel()
