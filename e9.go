@@ -154,8 +154,8 @@ func SelectMatch(expr string) (Selector, error) {
 }
 
 // Template builds trampoline code for displaced instructions; see the
-// trampoline package for the built-in templates (Empty, Counter, Raw,
-// Call) and the lowfat package for the hardening check.
+// trampoline package for the built-in templates (Empty, Counter,
+// ContextCall, Raw, Call) and the lowfat package for the hardening check.
 type Template = trampoline.Template
 
 // Injection is one extra memory image mapped into the rewritten
@@ -169,7 +169,8 @@ type Injection = plan.Injection
 // RawTemplate adapts a code-emitting callback into a trampoline
 // template, for arbitrary binary patches (the paper's Example 3.1).
 // The callback receives the displaced instruction and the resume
-// address (its original successor) and emits the full patch body.
+// address (its original successor) and emits the full patch body, which
+// the patcher leaves exactly as emitted.
 func RawTemplate(code func(a *x86.Asm, inst *x86.Inst, resume uint64) error) Template {
 	return trampoline.Raw{Code: code}
 }

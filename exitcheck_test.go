@@ -7,18 +7,23 @@ import (
 	"testing"
 
 	"e9patch/internal/elf64"
+	"e9patch/internal/lowfat"
 	"e9patch/internal/plan"
+	"e9patch/internal/trampoline"
 	"e9patch/internal/workload"
 	"e9patch/internal/x86"
 )
 
-// The exit check: every trampoline of a plan made with the empty
-// template, held against the original text by code that shares nothing
-// with the patcher (no patch, group or va; the decoder and the plan's
-// own records only). A trampoline is the displaced instruction D's
-// emulation, then, when D falls through or is a jcc, a tail standing for
-// the original code at D's successor. Reading the tail from there, each
-// instruction is one of
+// The exit check: every trampoline of a plan, held against the original
+// text by code that shares nothing with the patcher (no patch, group or
+// va; the decoder, the plan's own records and the template only). A
+// trampoline of the empty template, or an evictee's, is the displaced
+// instruction D's emulation, then, when D falls through or is a jcc, a
+// tail standing for the original code at D's successor. Any other
+// template's is that template's own code for D at the trampoline's
+// address, up to its final jmp rel32 when D falls through or is a jcc,
+// and then such a tail. Reading the tail from there, each instruction is
+// one of
 //
 //   - a copy of the original instruction, equal up to the RIP-relative
 //     displacement and reaching the same address through it; no copy
@@ -31,14 +36,18 @@ import (
 // and whatever follows the end is int3 padding. That also holds every
 // rel32 branch in a trampoline to its intended absolute target.
 
-// exitChecker knows the original text and the patched sites of a plan.
+// exitChecker knows the original text and the patched sites of a plan,
+// and the plan's patch template (nil for the empty one). rewritten
+// counts the template's trampolines that do not end as it emits them.
 type exitChecker struct {
-	text     []byte
-	textAddr uint64
-	sites    map[uint64]uint64 // patched site -> its patch trampoline
+	text      []byte
+	textAddr  uint64
+	sites     map[uint64]uint64 // patched site -> its patch trampoline
+	tmpl      Template
+	rewritten int
 }
 
-func newExitChecker(input []byte, p *plan.PatchPlan) (*exitChecker, error) {
+func newExitChecker(input []byte, p *plan.PatchPlan, tmpl Template) (*exitChecker, error) {
 	f, err := elf64.Parse(input)
 	if err != nil {
 		return nil, err
@@ -47,7 +56,7 @@ func newExitChecker(input []byte, p *plan.PatchPlan) (*exitChecker, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &exitChecker{text: input[off : off+size], textAddr: p.TextAddr, sites: map[uint64]uint64{}}
+	c := &exitChecker{text: input[off : off+size], textAddr: p.TextAddr, sites: map[uint64]uint64{}, tmpl: tmpl}
 	for _, s := range p.Sites {
 		if s.Tactic == plan.TacticNames[0] {
 			continue
@@ -61,20 +70,22 @@ func newExitChecker(input []byte, p *plan.PatchPlan) (*exitChecker, error) {
 	return c, nil
 }
 
-// checkExits runs the exit check over every trampoline of p.
-func checkExits(input []byte, p *plan.PatchPlan) error {
-	c, err := newExitChecker(input, p)
+// checkExits runs the exit check over every trampoline of p, made with
+// tmpl (nil for the empty template). It returns how many of tmpl's
+// trampolines an epilogue rewrote.
+func checkExits(input []byte, p *plan.PatchPlan, tmpl Template) (int, error) {
+	c, err := newExitChecker(input, p, tmpl)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for _, s := range p.Sites {
 		for _, t := range s.Trampolines {
 			if err := c.trampoline(t); err != nil {
-				return fmt.Errorf("trampoline at %#x for %#x: %w", t.Addr, t.For, err)
+				return 0, fmt.Errorf("trampoline at %#x for %#x: %w", t.Addr, t.For, err)
 			}
 		}
 	}
-	return nil
+	return c.rewritten, nil
 }
 
 // orig decodes the original instruction at addr.
@@ -97,6 +108,9 @@ func (c *exitChecker) trampoline(t plan.Trampoline) error {
 		return err
 	}
 	code, at := []byte(t.Code), t.Addr
+	if c.tmpl != nil && !t.Evictee {
+		return c.templated(code, at, &d)
+	}
 	switch {
 	case !transfer(&d):
 		n, err := same(code, at, &d)
@@ -116,6 +130,28 @@ func (c *exitChecker) trampoline(t plan.Trampoline) error {
 		return fmt.Errorf("displaced instruction: %w", err)
 	}
 	return padding(code[n:])
+}
+
+// templated checks code at address at, the trampoline of c.tmpl for d.
+func (c *exitChecker) templated(code []byte, at uint64, d *x86.Inst) error {
+	want, err := c.tmpl.AppendCode(nil, d, at)
+	if err != nil {
+		return err
+	}
+	if transfer(d) && !(d.IsJcc() && d.RelSize != 0) {
+		if !bytes.Equal(code, want) {
+			return fmt.Errorf("% x is not the template's % x", code, want)
+		}
+		return nil
+	}
+	head := want[:len(want)-5]
+	if !bytes.HasPrefix(code, head) {
+		return fmt.Errorf("% x does not start with the template's % x", code, head)
+	}
+	if !bytes.Equal(code, want) {
+		c.rewritten++
+	}
+	return c.tail(code[len(head):], at+uint64(len(head)), d.Addr+uint64(d.Len))
 }
 
 // tail checks code at address at against the original code from o.
@@ -282,10 +318,11 @@ type exitCase struct {
 	cfg   Config
 }
 
-// exitCheckCases are the golden corpus under every tactic configuration,
-// and a superset-mode rewrite of a CET shared object (sparse heap
-// writes, as the recover-cet benchmark class that once committed a
-// branch 4 GiB off its target).
+// exitCheckCases are the golden corpus under every tactic configuration;
+// a superset-mode rewrite of a CET shared object (sparse heap writes, as
+// the recover-cet benchmark class that once committed a branch 4 GiB off
+// its target); and the five kernels with lowfat's check under A2 and a
+// call trampoline under A1 and A2.
 func exitCheckCases(t *testing.T) []exitCase {
 	var cases []exitCase
 	for _, be := range planCorpus(t) {
@@ -304,20 +341,47 @@ func exitCheckCases(t *testing.T) []exitCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(cases, exitCase{"libcrypto-cet.so/superset", prog.ELF, Config{Select: SelectHeapWrites,
+	cases = append(cases, exitCase{"libcrypto-cet.so/superset", prog.ELF, Config{Select: SelectHeapWrites,
 		Disasm: DisasmSuperset, ReserveVA: append(workload.ReserveVA(), [2]uint64{0x10000, PIEBase})}})
+
+	const fnAddr = 0x3_0000_0000
+	call := &trampoline.Call{Fn: fnAddr, Args: []trampoline.Arg{{Kind: trampoline.ArgAddr}}}
+	callVA := append(workload.ReserveVA(), [2]uint64{fnAddr &^ 0xFFF, fnAddr + 0x1000})
+	for _, arch := range []string{"branchy", "memstream", "matrix", "pointer", "callheavy"} {
+		prog, err := workload.BuildKernel(arch, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases,
+			exitCase{arch + "/lowfat/A2", prog.ELF, Config{Select: SelectHeapWrites, Template: lowfat.CheckTemplate{},
+				ReserveVA: append(workload.ReserveVA(), lowfat.ReserveVA()...)}},
+			exitCase{arch + "/call/A1", prog.ELF, Config{Select: SelectJumps, Template: call, ReserveVA: callVA}},
+			exitCase{arch + "/call/A2", prog.ELF, Config{Select: SelectHeapWrites, Template: call, ReserveVA: callVA}})
+	}
+	return cases
 }
 
+// noEpilogue names the template cases where no exit can be rewritten.
+// callheavy's A1 selection has one trampoline that resumes, a jcc's: the
+// code it returns to needs 21 bytes of epilogue, and the next trampoline
+// abuts it (as with the empty template).
+var noEpilogue = map[string]bool{"callheavy/call/A1": true}
+
 // TestTrampolineExits runs the exit check on every trampoline of every
-// case's plan.
+// case's plan. A case with a template has an exit rewritten unless
+// noEpilogue names it, so that a pass that skipped the template's
+// trampolines shows.
 func TestTrampolineExits(t *testing.T) {
 	for _, c := range exitCheckCases(t) {
 		p, err := Plan(c.input, c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if err := checkExits(c.input, p); err != nil {
+		n, err := checkExits(c.input, p, c.cfg.Template)
+		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
+		} else if c.cfg.Template != nil && (n == 0) != noEpilogue[c.name] {
+			t.Errorf("%s: %d exits of the template's trampolines rewritten (noEpilogue %v)", c.name, n, noEpilogue[c.name])
 		}
 	}
 }
@@ -335,10 +399,10 @@ func TestTrampolineExitsMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkExits(input, p); err != nil {
+	if _, err := checkExits(input, p, nil); err != nil {
 		t.Fatal(err)
 	}
-	c, err := newExitChecker(input, p)
+	c, err := newExitChecker(input, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +417,7 @@ func TestTrampolineExitsMutation(t *testing.T) {
 				saved := tr.Code
 				tr.Code = bytes.Clone(saved)
 				edit(tr.Code, &d)
-				err = checkExits(input, p)
+				_, err = checkExits(input, p, nil)
 				tr.Code = saved
 				return err
 			}

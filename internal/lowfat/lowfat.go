@@ -156,26 +156,17 @@ type CheckTemplate struct {
 
 var _ trampoline.Template = CheckTemplate{}
 
-// Size implements trampoline.Template.
-func (c CheckTemplate) Size(inst *x86.Inst) (int, error) {
-	b, err := c.Emit(inst, inst.Addr)
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
-}
-
-// Emit implements trampoline.Template.
-func (c CheckTemplate) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
+// AppendCode implements trampoline.Template.
+func (c CheckTemplate) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
 	mem, ok := inst.MemOperand()
 	if !ok {
 		return nil, fmt.Errorf("lowfat: instruction at %#x has no memory operand", inst.Addr)
 	}
-	s, ok := scratch3(inst)
+	s, ok := trampoline.PickScratch(inst, 2)
 	if !ok {
 		return nil, fmt.Errorf("lowfat: no scratch registers free for % x", inst.Bytes)
 	}
-	a := x86.NewAsm(at)
+	a := x86.AppendAsm(dst, at)
 	a.PushReg(s[0])
 	a.PushReg(s[1])
 	a.Pushfq()
@@ -207,41 +198,10 @@ func (c CheckTemplate) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
 	a.Popfq()
 	a.PopReg(s[1])
 	a.PopReg(s[0])
-	if err := appendDisplaced(a, inst); err != nil {
+	if err := trampoline.EmitDisplaced(&a, inst); err != nil {
 		return nil, err
 	}
 	return a.Finish()
-}
-
-// appendDisplaced reuses the Empty template's displaced-instruction
-// logic by emitting it as a continuation at the current position.
-func appendDisplaced(a *x86.Asm, inst *x86.Inst) error {
-	tail, err := trampoline.Empty{}.Emit(inst, a.Addr())
-	if err != nil {
-		return err
-	}
-	a.Raw(tail...)
-	return a.Err()
-}
-
-// scratch3 picks three registers not used by the memory operand; ok is
-// false when the pool cannot supply three, which the template turns
-// into an emit error (the tactic fails for that one location).
-func scratch3(inst *x86.Inst) ([3]x86.Reg, bool) {
-	pool := []x86.Reg{x86.RAX, x86.RCX, x86.RDX, x86.RSI, x86.RDI, x86.R8, x86.R9, x86.R10, x86.R11}
-	var out [3]x86.Reg
-	n := 0
-	for _, r := range pool {
-		if r == inst.MemBase || r == inst.MemIndex {
-			continue
-		}
-		out[n] = r
-		n++
-		if n == 3 {
-			return out, true
-		}
-	}
-	return out, false
 }
 
 // ReserveVA returns the extra ranges a hardened rewrite must keep free.

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"e9patch/internal/emu"
+	"e9patch/internal/trampoline"
 	"e9patch/internal/x86"
 )
 
@@ -100,13 +101,13 @@ func runCheck(t *testing.T, p uint64, trap bool) (uint64, error) {
 	}
 
 	tmpl := CheckTemplate{Trap: trap}
-	code, err := tmpl.Emit(&inst, 0xA100000)
+	code, err := tmpl.AppendCode(nil, &inst, 0xA100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size, err := tmpl.Size(&inst)
-	if err != nil || size != len(code) {
-		t.Fatalf("size mismatch: %d vs %d (%v)", size, len(code), err)
+	sized, err := tmpl.AppendCode(nil, &inst, inst.Addr)
+	if err != nil || len(sized) != len(code) {
+		t.Fatalf("size mismatch: %d vs %d (%v)", len(sized), len(code), err)
 	}
 
 	m := emu.NewMachine()
@@ -192,9 +193,9 @@ func TestCheckScratchAvoidsOperands(t *testing.T) {
 	a.MovMemReg64(x86.MIdx(x86.RAX, x86.RCX, 8, 0), x86.RDX)
 	code := a.MustFinish()
 	inst, _ := x86.Decode(code, 0)
-	s, ok := scratch3(&inst)
+	s, ok := trampoline.PickScratch(&inst, 2)
 	if !ok {
-		t.Fatal("scratch3 failed on a two-register operand")
+		t.Fatal("PickScratch failed on a two-register operand")
 	}
 	for _, r := range s {
 		if r == x86.RAX || r == x86.RCX {

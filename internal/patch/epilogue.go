@@ -41,11 +41,11 @@ import (
 // disjointness test page grouping makes comes out as before: placement,
 // physical blocks, mappings and file size do not move.
 //
-// Only exits the patcher knows are rewritten: evictee trampolines and
-// the built-in templates' (those with AppendCode), whose last
-// instruction is EmitDisplaced's return jump. A Raw or Size/Emit-only
-// template's trampoline is left as emitted, and so is the trampoline of
-// a jmp, call or ret, which does not return to R.
+// Only exits the patcher knows are rewritten: those of trampolines whose
+// last instruction is EmitDisplaced's return jump, which is every
+// trampoline but a Raw template's (trampoline.Template). A Raw
+// trampoline is left as emitted, and so is the trampoline of a jmp, call
+// or ret, which does not return to R.
 //
 // The pass stays cheap where it can do little, as on a dense selection
 // that leaves no page offset to grow into: what an exit needs from the
@@ -126,13 +126,13 @@ type exitRef struct {
 // current site, about to be appended to trampolines; in is the
 // instruction it displaces. It runs while the text at the exit was just
 // read. Only a return jump the patcher knows is taken: t is an evictee
-// trampoline or a built-in template's, and in falls through or is a jcc,
+// trampoline or not a Raw template's, and in falls through or is a jcc,
 // so that EmitDisplaced ends t with a jmp rel32 to in's successor. An
 // exit onto the site patched last is retargeted to that site's
 // trampoline at once; any other waits for the last pass.
 func (r *Rewriter) noteExit(t *Trampoline, in *x86.Inst, slot int) {
 	c := t.Code
-	if !t.Evictee && r.patchT.ap == nil || in.Attrs&transfers != 0 && !in.IsJcc() ||
+	if !t.Evictee && !r.patchResumes || in.Attrs&transfers != 0 && !in.IsJcc() ||
 		len(c) < jmpLen || c[len(c)-jmpLen] != 0xE9 {
 		return
 	}

@@ -176,20 +176,21 @@ func (r *Rewriter) decompose(order []int) [][]int {
 // and outputs.
 func (r *Rewriter) child(space *va.Space, ar *arena, hint uint64, speculating bool) *Rewriter {
 	return &Rewriter{
-		orig:        r.orig,
-		code:        r.code,
-		textAddr:    r.textAddr,
-		insts:       r.insts,
-		locks:       r.locks,
-		space:       space,
-		opts:        r.opts,
-		patchT:      r.patchT,
-		evictT:      r.evictT,
-		noPlan:      r.noPlan,
-		sigTab:      make(map[uint64]uint64),
-		hint:        hint,
-		arena:       ar,
-		speculating: speculating,
+		orig:         r.orig,
+		code:         r.code,
+		textAddr:     r.textAddr,
+		insts:        r.insts,
+		locks:        r.locks,
+		space:        space,
+		opts:         r.opts,
+		patchT:       r.patchT,
+		evictT:       r.evictT,
+		patchResumes: r.patchResumes,
+		noPlan:       r.noPlan,
+		sigTab:       make(map[uint64]uint64),
+		hint:         hint,
+		arena:        ar,
+		speculating:  speculating,
 	}
 }
 

@@ -15,27 +15,14 @@ import (
 // fatTemplate emits size deterministic filler bytes; big trampolines
 // make independently chosen placements collide, which is exactly what
 // the conflict tests need.
-type fatTemplate struct{ size int }
-
-func (f fatTemplate) Size(*x86.Inst) (int, error) { return f.size, nil }
-
-func (f fatTemplate) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
-	out := make([]byte, f.size)
-	for i := range out {
-		out[i] = byte(at + uint64(i))
-	}
-	return out, nil
-}
-
-// fatSlab is fatTemplate with the built-in templates' AppendCode, so
-// its code goes into each rewriter's slab.
-type fatSlab struct{ fatTemplate }
-
-func (f fatSlab) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
-	for i := 0; i < f.size; i++ {
-		dst = append(dst, byte(at+uint64(i)))
-	}
-	return dst, nil
+func fatTemplate(size int) trampoline.Raw {
+	return trampoline.Raw{Code: func(a *x86.Asm, _ *x86.Inst, _ uint64) error {
+		at := a.Addr()
+		for i := 0; i < size; i++ {
+			a.Raw(byte(at + uint64(i)))
+		}
+		return nil
+	}}
 }
 
 // clusteredProgram assembles nblocks jump-heavy blocks separated by
@@ -200,22 +187,14 @@ func TestRegionConflictRedo(t *testing.T) {
 		r.PatchAll(sel)
 		return r
 	}
-	seq := run(fatTemplate{size: 300}, 1)
-	par := run(fatTemplate{size: 300}, 4)
+	// The redone region's child emits into a slab of its own, and what
+	// the discarded speculation left in its slab reaches nobody.
+	seq := run(fatTemplate(300), 1)
+	par := run(fatTemplate(300), 4)
 	if seq.redone != 1 || par.redone != 1 {
 		t.Fatalf("redone = %d (seq) / %d (par), want 1 — conflict not exercised", seq.redone, par.redone)
 	}
 	assertSameRewrite(t, seq, par, "conflict redo")
-	// The same through the slab: the redone region's child emits into a
-	// slab of its own, and what the discarded speculation left in its
-	// slab reaches nobody.
-	for _, workers := range []int{1, 4} {
-		slab := run(fatSlab{fatTemplate{size: 300}}, workers)
-		if slab.redone != 1 {
-			t.Fatalf("slab run: redone = %d, want 1", slab.redone)
-		}
-		assertSameRewrite(t, seq, slab, "conflict redo through the slab")
-	}
 	// The higher site won the overlapping window; the lower site's T1
 	// must have failed on the redo (everything else is disabled).
 	st := seq.Stats()

@@ -185,16 +185,19 @@ type Rewriter struct {
 	// templates. The neighbour scans read the universe records.
 	site, victim x86.Inst
 
-	// patchT and evictT are the two templates with their emission route
-	// (slab.go). siteSize caches patchT's size for the location inside
-	// patchOne: a template is sized once per site, by the first tactic
-	// that has a window to place it in, and every later pad, T2
-	// candidate and T3 victim reuses the answer (a failure included).
-	patchT, evictT emitter
+	// patchT and evictT are the patch and evictee templates. siteSize
+	// caches patchT's size for the location inside patchOne: a template
+	// is sized once per site, by the first tactic that has a window to
+	// place it in, and every later pad, T2 candidate and T3 victim reuses
+	// the answer (a failure included). patchResumes says that patchT ends
+	// in EmitDisplaced's return jump, which epilogues replace: every
+	// template does but trampoline.Raw.
+	patchT, evictT trampoline.Template
 	siteSize       int
 	siteSized      sizeState
-	// slab receives the code of every trampoline a built-in template
-	// assembles; region children own their own.
+	patchResumes   bool
+	// slab receives the code of every trampoline; region children own
+	// their own.
 	slab      []byte
 	slabChunk int
 
@@ -250,6 +253,7 @@ func New(code []byte, textAddr uint64, insts []x86.Loc, space *va.Space, poolHin
 	if opts.Template == nil {
 		opts.Template = trampoline.Empty{}
 	}
+	_, raw := opts.Template.(trampoline.Raw)
 	mutable := make([]byte, len(code))
 	copy(mutable, code)
 	return &Rewriter{
@@ -260,11 +264,13 @@ func New(code []byte, textAddr uint64, insts []x86.Loc, space *va.Space, poolHin
 		locks:    make([]uint64, (len(code)+63)/64),
 		space:    space,
 		opts:     opts,
-		patchT:   newEmitter(opts.Template),
-		evictT:   newEmitter(trampoline.Empty{}),
+		patchT:   opts.Template,
+		evictT:   trampoline.Empty{},
 		sigTab:   make(map[uint64]uint64),
 		hint:     poolHint,
 		last:     nowhere,
+
+		patchResumes: !raw,
 	}
 }
 

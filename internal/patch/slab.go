@@ -5,34 +5,14 @@ import (
 	"e9patch/internal/x86"
 )
 
-// Trampoline code lives in a slab: the built-in templates assemble
-// straight into the rewriter's buffer, so a trampoline costs no object
-// of its own, and the returned Code is clipped to its length so that an
-// append by a consumer copies instead of running into the neighbour.
-// A template that only has Size and Emit (any third-party one) keeps
-// allocating its own code through Emit.
-
-// appender is what the built-in templates add to trampoline.Template:
-// Emit appending to the caller's buffer.
-type appender interface {
-	AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error)
-}
-
-// emitter is a template with its emission route: ap is non-nil when the
-// template can assemble into the slab.
-type emitter struct {
-	trampoline.Template
-	ap appender
-}
-
-func newEmitter(t trampoline.Template) emitter {
-	ap, _ := t.(appender)
-	return emitter{Template: t, ap: ap}
-}
+// Trampoline code lives in a slab: every template assembles straight
+// into the rewriter's buffer, so a trampoline costs no object of its
+// own, and the returned Code is clipped to its length so that an append
+// by a consumer copies instead of running into the neighbour.
 
 const (
 	// slabHeadroom is kept free before a measurement so that no
-	// built-in trampoline of ordinary size reallocates while measured.
+	// trampoline of ordinary size reallocates while measured.
 	slabHeadroom = 256
 	// slabBytesPerSite sizes a slab chunk from the selection (an empty
 	// trampoline is the displaced instruction plus a 5-byte jump);
@@ -50,17 +30,13 @@ func (r *Rewriter) reserveSlab(n int) {
 	}
 }
 
-// sizeOf returns the size of e's trampoline for inst. A slab template
-// is measured by assembling it at the instruction's own address (always
-// within relocation range) into the slab's free tail, which is then
-// simply not kept.
-func (r *Rewriter) sizeOf(e emitter, inst *x86.Inst) (int, bool) {
-	if e.ap == nil {
-		n, err := e.Size(inst)
-		return n, err == nil
-	}
+// sizeOf returns the size of t's trampoline for inst. It is measured by
+// assembling it at the instruction's own address (always within
+// relocation range) into the slab's free tail, which is then simply not
+// kept.
+func (r *Rewriter) sizeOf(t trampoline.Template, inst *x86.Inst) (int, bool) {
 	r.reserveSlab(slabHeadroom)
-	code, err := e.ap.AppendCode(r.slab, inst, inst.Addr)
+	code, err := t.AppendCode(r.slab, inst, inst.Addr)
 	return len(code) - len(r.slab), err == nil
 }
 
@@ -87,16 +63,12 @@ func (r *Rewriter) patchSize() (int, bool) {
 	return r.siteSize, r.siteSized == sized
 }
 
-// emit assembles e's trampoline for inst at address at. It fails when
+// emit assembles t's trampoline for inst at address at. It fails when
 // the template does, or when the code is not size bytes long.
-func (r *Rewriter) emit(e emitter, inst *x86.Inst, at uint64, size int) ([]byte, bool) {
-	if e.ap == nil {
-		code, err := e.Emit(inst, at)
-		return code, err == nil && len(code) == size
-	}
+func (r *Rewriter) emit(t trampoline.Template, inst *x86.Inst, at uint64, size int) ([]byte, bool) {
 	r.reserveSlab(size)
 	n := len(r.slab)
-	out, err := e.ap.AppendCode(r.slab, inst, at)
+	out, err := t.AppendCode(r.slab, inst, at)
 	if err != nil || len(out)-n != size {
 		return nil, false
 	}

@@ -1,6 +1,9 @@
 package patch
 
-import "e9patch/internal/x86"
+import (
+	"e9patch/internal/trampoline"
+	"e9patch/internal/x86"
+)
 
 // padPrefix returns the i-th redundant jump prefix byte. Index 0 is a
 // REX prefix (ignored by jmp rel32); later indices cycle through the
@@ -143,12 +146,12 @@ func jumpBytes(view []byte, off int, addr uint64, instLen int, w punWindow, targ
 // unconstrained allocations come from the region's pre-reserved arena
 // when possible (no address-space traffic at all); the reported
 // fromArena lets failure paths undo the bump instead of releasing.
-func (r *Rewriter) allocTrampoline(e emitter, inst *x86.Inst, size int, w punWindow) (t uint64, code []byte, fromArena, ok bool) {
+func (r *Rewriter) allocTrampoline(tmpl trampoline.Template, inst *x86.Inst, size int, w punWindow) (t uint64, code []byte, fromArena, ok bool) {
 	usize := uint64(size)
 	unconstrained := w.freeBytes == 4
 	if unconstrained && r.arena != nil {
 		if at, aok := r.arena.peek(usize, w.winLo, w.winHi); aok {
-			code, ok := r.emit(e, inst, at, size)
+			code, ok := r.emit(tmpl, inst, at, size)
 			if !ok {
 				return 0, nil, false, false
 			}
@@ -174,7 +177,7 @@ func (r *Rewriter) allocTrampoline(e emitter, inst *x86.Inst, size int, w punWin
 	if !ok {
 		return 0, nil, false, false
 	}
-	if code, ok = r.emit(e, inst, t, size); !ok {
+	if code, ok = r.emit(tmpl, inst, t, size); !ok {
 		return 0, nil, false, false
 	}
 	// FindFree left the space's finger at this gap, so the reservation

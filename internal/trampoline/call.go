@@ -189,16 +189,13 @@ func (c *Call) argValue(inst *x86.Inst, a Arg) (uint64, error) {
 	return 0, fmt.Errorf("trampoline: call: unknown argument kind %d", int(a.Kind))
 }
 
-// Size implements Template. Argument marshalling uses fixed-width
-// movabs encodings, so the size is placement-independent.
-func (c *Call) Size(inst *x86.Inst) (int, error) { return sizeOf(c, inst) }
-
-// Emit implements Template.
-func (c *Call) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
+// AppendCode implements Template. Argument marshalling uses
+// fixed-width movabs encodings, so the size is placement-independent.
+func (c *Call) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
 	if len(c.Args) > len(ArgRegs) {
 		return nil, fmt.Errorf("trampoline: call: %d arguments (at most %d)", len(c.Args), len(ArgRegs))
 	}
-	a := x86.NewAsm(at)
+	a := x86.AppendAsm(dst, at)
 	for _, r := range contextRegs {
 		a.PushReg(r)
 	}
@@ -216,7 +213,7 @@ func (c *Call) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
 	for i := len(contextRegs) - 1; i >= 0; i-- {
 		a.PopReg(contextRegs[i])
 	}
-	if err := EmitDisplaced(a, inst); err != nil {
+	if err := EmitDisplaced(&a, inst); err != nil {
 		return nil, err
 	}
 	return a.Finish()

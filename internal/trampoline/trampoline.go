@@ -17,20 +17,19 @@ import (
 
 // Template produces trampoline code for a displaced instruction.
 //
-// Size must equal the length of the code Emit produces for the same
-// instruction, independent of the placement address.
+// AppendCode appends the trampoline for inst, placed at address at, to
+// dst and returns the extended slice. Its length must not depend on at:
+// the patcher assembles every trampoline into its code slab and sizes a
+// template by assembling it at inst's own address.
+//
+// Every template but Raw ends its code with EmitDisplaced for inst, so
+// the trampoline of an instruction that falls through or is a jcc ends
+// in a jmp rel32 to inst's successor. The patcher replaces that jump
+// with an epilogue; a Raw trampoline, whose body is the caller's code,
+// is left as emitted.
 type Template interface {
-	// Size returns the trampoline size in bytes for inst.
-	Size(inst *x86.Inst) (int, error)
-	// Emit assembles the trampoline for inst at address at.
-	Emit(inst *x86.Inst, at uint64) ([]byte, error)
+	AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error)
 }
-
-// The templates defined here (Empty, Counter, ContextCall) also have an
-// AppendCode method: Emit appending to the caller's buffer through a
-// stack assembler, with no allocation of its own. The patcher assembles
-// and measures them in its code slab. A template with only the two
-// methods above is sized through Size and emitted through Emit.
 
 // Empty is the paper's "empty" instrumentation: the trampoline merely
 // executes/emulates the displaced instruction and jumps back. It is
@@ -38,13 +37,7 @@ type Template interface {
 // evictee trampoline is running its victim, nothing more.
 type Empty struct{}
 
-// Size implements Template.
-func (e Empty) Size(inst *x86.Inst) (int, error) { return sizeOf(e, inst) }
-
-// Emit implements Template.
-func (e Empty) Emit(inst *x86.Inst, at uint64) ([]byte, error) { return e.AppendCode(nil, inst, at) }
-
-// AppendCode is Emit appending to dst.
+// AppendCode implements Template.
 func (Empty) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
 	a := x86.AppendAsm(dst, at)
 	if err := EmitDisplaced(&a, inst); err != nil {
@@ -64,17 +57,11 @@ type Counter struct {
 	Scratch x86.Reg
 }
 
-// Size implements Template.
-func (c Counter) Size(inst *x86.Inst) (int, error) { return sizeOf(c, inst) }
-
-// Emit implements Template.
-func (c Counter) Emit(inst *x86.Inst, at uint64) ([]byte, error) { return c.AppendCode(nil, inst, at) }
-
-// AppendCode is Emit appending to dst.
+// AppendCode implements Template.
 func (c Counter) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
 	s := c.Scratch
 	if s == x86.NoReg || s == 0 {
-		regs, ok := pickScratch(inst, 1)
+		regs, ok := PickScratch(inst, 1)
 		if !ok {
 			return nil, fmt.Errorf("trampoline: no scratch register free for % x", inst.Bytes)
 		}
@@ -112,32 +99,14 @@ var contextRegs = []x86.Reg{
 	x86.R8, x86.R9, x86.R10, x86.R11, x86.R12, x86.R13, x86.R14, x86.R15,
 }
 
-// Size implements Template.
-func (c ContextCall) Size(inst *x86.Inst) (int, error) { return sizeOf(c, inst) }
+// addrArg is ContextCall's one argument.
+var addrArg = []Arg{{Kind: ArgAddr}}
 
-// Emit implements Template.
-func (c ContextCall) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
-	return c.AppendCode(nil, inst, at)
-}
-
-// AppendCode is Emit appending to dst.
+// AppendCode implements Template: the code is Call's, of Fn with the
+// instruction's address.
 func (c ContextCall) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
-	a := x86.AppendAsm(dst, at)
-	for _, r := range contextRegs {
-		a.PushReg(r)
-	}
-	a.Pushfq()
-	a.MovRegImm64(x86.RDI, inst.Addr)
-	a.MovRegImm64(x86.RAX, c.Fn)
-	a.CallReg(x86.RAX)
-	a.Popfq()
-	for i := len(contextRegs) - 1; i >= 0; i-- {
-		a.PopReg(contextRegs[i])
-	}
-	if err := EmitDisplaced(&a, inst); err != nil {
-		return nil, err
-	}
-	return a.Finish()
+	call := Call{Fn: c.Fn, Args: addrArg}
+	return call.AppendCode(dst, inst, at)
 }
 
 // Raw emits fixed code followed by a jump to an explicit continuation
@@ -150,36 +119,23 @@ type Raw struct {
 	Code func(a *x86.Asm, inst *x86.Inst, resume uint64) error
 }
 
-// Size implements Template.
-func (r Raw) Size(inst *x86.Inst) (int, error) { return sizeOf(r, inst) }
-
-// Emit implements Template.
-func (r Raw) Emit(inst *x86.Inst, at uint64) ([]byte, error) {
-	a := x86.NewAsm(at)
-	if err := r.Code(a, inst, inst.Addr+uint64(inst.Len)); err != nil {
+// AppendCode implements Template.
+func (r Raw) AppendCode(dst []byte, inst *x86.Inst, at uint64) ([]byte, error) {
+	a := x86.AppendAsm(dst, at)
+	if err := r.Code(&a, inst, inst.Addr+uint64(inst.Len)); err != nil {
 		return nil, err
 	}
 	return a.Finish()
 }
 
-// sizeOf measures a template by emitting at the displaced instruction's
-// own address (always within relocation range).
-func sizeOf(t Template, inst *x86.Inst) (int, error) {
-	b, err := t.Emit(inst, inst.Addr)
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
-}
-
-// pickScratch returns n distinct general-purpose registers that do not
+// PickScratch returns n distinct general-purpose registers that do not
 // appear in inst's memory operand (so a lea of the operand computed in
 // them is safe before the displaced instruction reads its own
 // registers — the scratch registers are restored first). ok is false
 // when the pool cannot supply n registers; templates turn that into an
 // emit error so the tactic simply fails for that location instead of
 // crashing the rewrite.
-func pickScratch(inst *x86.Inst, n int) ([]x86.Reg, bool) {
+func PickScratch(inst *x86.Inst, n int) ([]x86.Reg, bool) {
 	pool := []x86.Reg{x86.RAX, x86.RCX, x86.RDX, x86.RSI, x86.RDI, x86.R8, x86.R9, x86.R10, x86.R11}
 	out := make([]x86.Reg, 0, n)
 	for _, r := range pool {

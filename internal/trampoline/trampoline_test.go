@@ -32,16 +32,16 @@ func TestEmptySimpleInstruction(t *testing.T) {
 	a.MovMemReg64(x86.M(x86.RBX, 0), x86.RAX)
 	inst := decodeAt(t, a.MustFinish(), 0x400000)
 
-	size, err := Empty{}.Size(&inst)
+	sized, err := Empty{}.AppendCode(nil, &inst, inst.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := Empty{}.Emit(&inst, 0x700000)
+	code, err := Empty{}.AppendCode(nil, &inst, 0x700000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(code) != size {
-		t.Fatalf("size %d != emitted %d", size, len(code))
+	if len(code) != len(sized) {
+		t.Fatalf("size %d != emitted %d", len(sized), len(code))
 	}
 	seq := decodeSeq(t, code, 0x700000)
 	if len(seq) != 2 {
@@ -58,7 +58,7 @@ func TestEmptySimpleInstruction(t *testing.T) {
 func TestEmptyJcc(t *testing.T) {
 	// je +0x27 (short) displaced.
 	inst := decodeAt(t, []byte{0x74, 0x27}, 0x422ad5)
-	code, err := Empty{}.Emit(&inst, 0x744513d0)
+	code, err := Empty{}.AppendCode(nil, &inst, 0x744513d0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestEmptyJcc(t *testing.T) {
 
 func TestEmptyDirectJmp(t *testing.T) {
 	inst := decodeAt(t, []byte{0xEB, 0x10}, 0x400000)
-	code, err := Empty{}.Emit(&inst, 0x500000)
+	code, err := Empty{}.AppendCode(nil, &inst, 0x500000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestEmptyDirectCall(t *testing.T) {
 	a := x86.NewAsm(0x400100)
 	a.CallRel32(0x400500)
 	inst := decodeAt(t, a.MustFinish(), 0x400100)
-	code, err := Empty{}.Emit(&inst, 0x600000)
+	code, err := Empty{}.AppendCode(nil, &inst, 0x600000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestEmptyHighAddressCall(t *testing.T) {
 	a := x86.NewAsm(0x5555_5555_4100)
 	a.CallRel32(0x5555_5555_9000)
 	inst := decodeAt(t, a.MustFinish(), 0x5555_5555_4100)
-	code, err := Empty{}.Emit(&inst, 0x5555_4444_0000)
+	code, err := Empty{}.AppendCode(nil, &inst, 0x5555_4444_0000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestEmptyHighAddressCall(t *testing.T) {
 
 func TestEmptyIndirectCall(t *testing.T) {
 	inst := decodeAt(t, []byte{0xFF, 0xD0}, 0x400000) // call *%rax
-	code, err := Empty{}.Emit(&inst, 0x500000)
+	code, err := Empty{}.AppendCode(nil, &inst, 0x500000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestEmptyIndirectCall(t *testing.T) {
 
 func TestEmptyIndirectCallRIPRel(t *testing.T) {
 	inst := decodeAt(t, []byte{0xFF, 0x15, 0x6F, 0x2A, 0x2A, 0x00}, 0x422a5b)
-	code, err := Empty{}.Emit(&inst, 0x500000)
+	code, err := Empty{}.AppendCode(nil, &inst, 0x500000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestEmptyIndirectCallRIPRel(t *testing.T) {
 
 func TestEmptyRet(t *testing.T) {
 	inst := decodeAt(t, []byte{0xC3}, 0x400000)
-	code, err := Empty{}.Emit(&inst, 0x500000)
+	code, err := Empty{}.AppendCode(nil, &inst, 0x500000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestEmptyRet(t *testing.T) {
 func TestEmptyRIPRelStore(t *testing.T) {
 	// mov %eax,0x100(%rip)
 	inst := decodeAt(t, []byte{0x89, 0x05, 0x00, 0x01, 0x00, 0x00}, 0x400000)
-	code, err := Empty{}.Emit(&inst, 0x500000)
+	code, err := Empty{}.AppendCode(nil, &inst, 0x500000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,16 +198,16 @@ func TestCounterTemplate(t *testing.T) {
 	inst := decodeAt(t, a.MustFinish(), 0x400000)
 
 	c := Counter{Addr: 0x601000}
-	size, err := c.Size(&inst)
+	sized, err := c.AppendCode(nil, &inst, inst.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := c.Emit(&inst, 0x700000)
+	code, err := c.AppendCode(nil, &inst, 0x700000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(code) != size {
-		t.Fatalf("size mismatch %d != %d", size, len(code))
+	if len(code) != len(sized) {
+		t.Fatalf("size mismatch %d != %d", len(sized), len(code))
 	}
 	seq := decodeSeq(t, code, 0x700000)
 	// push, pushfq, movabs, addq, popfq, pop, displaced, jmp = 8.
@@ -227,7 +227,7 @@ func TestRawTemplate(t *testing.T) {
 		a.JmpRel32(0x422a63)                   // back to the jmpq
 		return a.Err()
 	}}
-	code, err := r.Emit(&inst, 0x49699eda)
+	code, err := r.AppendCode(nil, &inst, 0x49699eda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +241,9 @@ func TestPickScratchAvoidsOperands(t *testing.T) {
 	a := x86.NewAsm(0)
 	a.MovMemReg64(x86.MIdx(x86.RAX, x86.RCX, 8, 0), x86.RDX)
 	inst := decodeAt(t, a.MustFinish(), 0)
-	regs, ok := pickScratch(&inst, 3)
+	regs, ok := PickScratch(&inst, 3)
 	if !ok {
-		t.Fatal("pickScratch failed on a two-register operand")
+		t.Fatal("PickScratch failed on a two-register operand")
 	}
 	for _, r := range regs {
 		if r == x86.RAX || r == x86.RCX {
