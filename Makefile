@@ -40,7 +40,11 @@ difftest:
 # enginecheck is the cross-engine correctness gate, interp vs ir: the
 # shared conformance suite and golden per-instruction traces over every
 # registered engine, the memory/block/tracker unit tests, the engine's
-# optimization/speedup tests, and a short differential fuzz.
+# optimization/speedup tests, the fallback-consistency sweep
+# (TestFallbackImpliesUnsafe: every instruction lifted to the interpreter
+# fallback is unsafe for flag liveness), the hot-set test
+# (TestHotSetHasNoFallbacks: the emu-kernels classes lift without one
+# fallback), and a short differential fuzz.
 # Re-record goldens with:
 #   go test ./internal/emu/enginetest/ -run TestEngineGoldenTraces -update-golden
 enginecheck:

@@ -379,6 +379,9 @@ func testBudgetParity(t *testing.T, engine string) {
 // machinery: every one ends with architectural flags (and registers
 // derived from flags) that depend on correctly materializing partial
 // flag state across adc/sbb/inc/shift/cmc/setcc/pushfq boundaries.
+// Under ir, inc, neg, cmc/clc/stc and setcc run on the interpreter
+// fallback, so these programs also check the seam between lifted ops
+// and the fallback.
 func flagStressPrograms(base uint64) map[string][]byte {
 	progs := map[string][]byte{}
 

@@ -9,10 +9,10 @@
 // decode:
 //
 //   - Lazy EFLAGS (lazy.go): ALU micro-ops record only the operation
-//     that last defined the flags; consumers (jcc, setcc, cmov,
-//     adc/sbb, pushfq) derive exactly the bits they read, and full
-//     materialization happens only at block-exit seams that demand
-//     architectural flags (runtime calls, faults, the careful path).
+//     that last defined the flags; consumers (jcc, adc/sbb, pushfq)
+//     derive exactly the bits they read, and full materialization
+//     happens only at seams that demand architectural flags (runtime
+//     calls, faults, the careful path, an interpreter fallback).
 //   - Dead-flag elimination (compile.go): a backward liveness scan over
 //     the six arithmetic flags drops even the recording store when a
 //     later instruction in the same block overwrites the flags before
@@ -122,6 +122,9 @@ type Stats struct {
 	// FoldedEAs counts memory operands whose effective address was
 	// resolved to a constant at lift time.
 	FoldedEAs uint64
+	// Fallbacks counts instructions lifted to the interpreter-fallback
+	// micro-op: those outside the lift set.
+	Fallbacks uint64
 }
 
 // Engine is the IR-lifting execution engine. An Engine binds to a

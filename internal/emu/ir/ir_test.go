@@ -5,10 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"e9patch"
 	"e9patch/internal/emu"
 	"e9patch/internal/emu/enginetest"
 	"e9patch/internal/emu/ir"
 	"e9patch/internal/loader"
+	"e9patch/internal/lowfat"
 	"e9patch/internal/workload"
 	"e9patch/internal/x86"
 )
@@ -17,7 +19,8 @@ import (
 // and holds ir to interp. This file tests what is specific to the IR
 // engine: that its cache behaves like a cache (chaining, SMC flushes),
 // that its optimizations actually fire (flag elision, constant folding,
-// threaded fast path) and that the lifting pays off in speed.
+// threaded fast path), that the measured hot set lifts without a
+// fallback and that the lifting pays off in speed.
 
 func runKernel(t *testing.T, kernel string, eng emu.Engine) *emu.Machine {
 	t.Helper()
@@ -196,9 +199,12 @@ func TestConstantFolding(t *testing.T) {
 		// known constant), so [rbx+rax*8] folds too.
 		a.MovRegImm64(x86.RBX, buf)
 		a.XorRegReg32(x86.RAX, x86.RAX)
-		a.MovMemImm8(x86.M(x86.RBX, 0), 0x11)
-		a.MovMemImm8(x86.M(x86.RBX, 1), 0x22)
-		a.MovMemImm8(x86.MIdx(x86.RBX, x86.RAX, 8, 2), 0x33)
+		a.MovRegImm32(x86.RCX, 0x11)
+		a.MovMemReg8(x86.M(x86.RBX, 0), x86.RCX)
+		a.MovRegImm32(x86.RCX, 0x22)
+		a.MovMemReg8(x86.M(x86.RBX, 1), x86.RCX)
+		a.MovRegImm32(x86.RCX, 0x33)
+		a.MovMemReg8(x86.MIdx(x86.RBX, x86.RAX, 8, 2), x86.RCX)
 		a.Ret()
 		return a.MustFinish()
 	}
@@ -232,6 +238,78 @@ func TestConstantFolding(t *testing.T) {
 	}
 	if eng.Stats.FoldedEAs < 3 {
 		t.Errorf("folded %d effective addresses, want >= 3", eng.Stats.FoldedEAs)
+	}
+}
+
+// TestHotSetHasNoFallbacks pins the lift set to the measured hot set:
+// the five emu-kernels classes (archetype, Table 1 row and selector as
+// the benchmark builds them), original and rewritten under the empty
+// template, and memstream rewritten under the LowFat check template,
+// run to completion without lifting one instruction to the interpreter
+// fallback.
+func TestHotSetHasNoFallbacks(t *testing.T) {
+	saved := workload.KernelIters
+	workload.KernelIters = 2000
+	defer func() { workload.KernelIters = saved }()
+
+	run := func(name string, bin []byte, prep ...func(*emu.Machine)) {
+		t.Helper()
+		eng := ir.New()
+		m := workload.NewMachine(nil)
+		m.Engine = eng
+		for _, p := range prep {
+			p(m)
+		}
+		entry, err := e9patch.Load(m, bin)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m.RIP = entry
+		if err := m.Run(2_000_000_000); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if eng.Stats.Fallbacks != 0 {
+			t.Errorf("%s: %d instructions lifted to the interpreter fallback", name, eng.Stats.Fallbacks)
+		}
+	}
+	for _, k := range []struct {
+		arch, row string
+		sel       e9patch.Selector
+	}{
+		{"branchy", "gcc", e9patch.SelectJumps},
+		{"memstream", "h264ref", e9patch.SelectHeapWrites},
+		{"matrix", "tonto", e9patch.SelectHeapWrites},
+		{"pointer", "omnetpp", e9patch.SelectJumps},
+		{"callheavy", "xalancbmk", e9patch.SelectJumps},
+	} {
+		row, err := workload.ProfileByName(k.row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := workload.BuildKernelTuned(k.arch, false, workload.TuningFor(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e9patch.Rewrite(prog.ELF, e9patch.Config{Select: k.sel, ReserveVA: workload.ReserveVA()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(k.arch, prog.ELF)
+		run(k.arch+"/empty", res.Output)
+		if k.arch != "memstream" {
+			continue
+		}
+		lf, err := e9patch.Rewrite(prog.ELF, e9patch.Config{
+			Select:    e9patch.SelectHeapWrites,
+			Template:  lowfat.CheckTemplate{},
+			ReserveVA: append(workload.ReserveVA(), lowfat.ReserveVA()...),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(k.arch+"/lowfat", lf.Output, func(m *emu.Machine) {
+			lowfat.Install(m, workload.RTMalloc, workload.RTFree)
+		})
 	}
 }
 

@@ -27,14 +27,10 @@ const (
 	kEager = iota
 	// kAdd: a + b + cin (add/adc); full flag set.
 	kAdd
-	// kSub: a - b - cin (sub/sbb/cmp/neg); full flag set.
+	// kSub: a - b - cin (sub/sbb/cmp); full flag set.
 	kSub
 	// kLogic: and/or/xor/test; ZF/SF/PF from res, CF=OF=AF=0.
 	kLogic
-	// kInc: a + 1 with CF preserved from before (aux bit 0).
-	kInc
-	// kDec: a - 1 with CF preserved from before (aux bit 0).
-	kDec
 	// kShift: shl/shr/sar/rol/ror with count >= 1; ZF/SF/PF from res,
 	// CF in aux bit 0, OF modelled as 0, AF preserved (aux bit 1).
 	kShift
@@ -47,8 +43,8 @@ const (
 type flagRec struct {
 	kind uint8
 	w    uint8 // operand width in bytes
-	aux  uint8 // kInc/kDec: bit0 = preserved CF; kShift: bit0 = CF,
-	// bit1 = preserved AF; kImul: bit0 = CF=OF, bit1 = preserved AF
+	aux  uint8 // kShift: bit0 = CF, bit1 = preserved AF;
+	// kImul: bit0 = CF=OF, bit1 = preserved AF
 	a, b, cin uint64 // operands (pre-masked); cin is 0 or 1
 	res       uint64 // result for kinds that don't recompute it
 }
@@ -61,10 +57,6 @@ func (f *flagRec) result() uint64 {
 		return (f.a + f.b + f.cin) & mask
 	case kSub:
 		return (f.a - f.b - f.cin) & mask
-	case kInc:
-		return (f.a + 1) & mask
-	case kDec:
-		return (f.a - 1) & mask
 	default:
 		return f.res
 	}
@@ -87,12 +79,6 @@ func (s *state) materialize() {
 		m.SubWithFlags(f.a, f.b, f.cin, w)
 	case kLogic:
 		m.LogicFlags(f.res, w)
-	case kInc:
-		m.AddWithFlags(f.a, 1, 0, w)
-		m.SetFlagTo(emu.FlagCF, f.aux&1 != 0)
-	case kDec:
-		m.SubWithFlags(f.a, 1, 0, w)
-		m.SetFlagTo(emu.FlagCF, f.aux&1 != 0)
 	case kShift:
 		m.ResultFlags(f.res, w)
 		m.SetFlagTo(emu.FlagCF, f.aux&1 != 0)
@@ -133,7 +119,7 @@ func (s *state) lazyCF() uint64 {
 		return 0
 	case kLogic:
 		return 0
-	default: // kInc, kDec, kShift, kImul
+	default: // kShift, kImul
 		return uint64(f.aux & 1)
 	}
 }
@@ -146,8 +132,6 @@ func (s *state) lazyAF() uint64 {
 		return s.m.FlagBitOf(emu.FlagAF)
 	case kAdd, kSub:
 		return ((f.a ^ f.b ^ f.result()) >> 4) & 1
-	case kInc, kDec:
-		return ((f.a ^ 1 ^ f.result()) >> 4) & 1
 	case kLogic:
 		return 0
 	default: // kShift, kImul
@@ -190,12 +174,6 @@ func (s *state) lazyOF() uint64 {
 	case kSub:
 		res := f.result()
 		return ((f.a ^ f.b) & (f.a ^ res)) >> (8*uint(f.w) - 1) & 1
-	case kInc:
-		res := f.result()
-		return ((f.a ^ res) & (1 ^ res)) >> (8*uint(f.w) - 1) & 1
-	case kDec:
-		res := f.result()
-		return ((f.a ^ 1) & (f.a ^ res)) >> (8*uint(f.w) - 1) & 1
 	case kImul:
 		return uint64(f.aux & 1)
 	default: // kLogic, kShift
