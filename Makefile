@@ -173,10 +173,13 @@ servertest:
 # gate of TestPlanDeltaGzip: a gzipped plan is <= 10 % of the full
 # response and no larger than the JSON plan gzipped to), /v1/batch
 # validation/quotas/streaming, the chaos batch (one node killed
-# mid-batch over the hostile corpus must finish with zero 5xx), and the
-# trusted-apply contract backing peer rematerialization.
+# mid-batch over the hostile corpus must finish with zero 5xx), the
+# goroutine-leak check (one request of every kind, an abandoned batch
+# among them, then shutdown back to the baseline goroutine count), and
+# the trusted-apply contract backing peer rematerialization. The server
+# tests run under -race.
 clustercheck:
-	$(GO) test -run 'TestCluster|TestBatch|TestPlanFetch|TestPlanDelta|TestLastWaiterCancelDuringPeerFetch' -count 1 ./internal/server/
+	$(GO) test -race -run 'TestCluster|TestBatch|TestPlanFetch|TestPlanDelta|TestLastWaiterCancelDuringPeerFetch|TestServerNoGoroutineLeak' -count 1 ./internal/server/
 	$(GO) test -run 'TestApplyTrusted' -count 1 .
 	$(GO) test ./internal/cluster/
 

@@ -9,10 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
-	"time"
 
-	"e9patch"
-	"e9patch/internal/e9err"
 	"e9patch/internal/work"
 )
 
@@ -63,31 +60,14 @@ type batchResult struct {
 // tries a peer plan-fetch first, so only kilobytes cross the wire, and
 // a dead owner degrades to a local rewrite (the chaos gate in
 // clustercheck asserts a mid-batch node kill completes with zero 5xx).
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.metrics.AddInflight(1)
-	code := "200"
-	defer func() {
-		s.metrics.AddInflight(-1)
-		s.metrics.IncRequest(code)
-		s.metrics.Observe(time.Since(start).Seconds())
-	}()
-	fail := func(status int, msg string) {
-		code = fmt.Sprint(status)
-		http.Error(w, msg, status)
-	}
-
+func (s *Server) handleBatch(x *exchange, r *http.Request) {
 	tenant := r.Header.Get("X-E9-Tenant")
 
 	// Parse and validate every item before doing any work: a malformed
 	// batch is a 4xx, not a half-executed job.
-	type parsed struct {
-		item batchItem
-		spec *Spec
-		key  string
-	}
-	var items []parsed
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
+	var ids []string
+	var items []ask
+	dec := json.NewDecoder(http.MaxBytesReader(x.w, r.Body, s.cfg.MaxBatchBytes))
 	for {
 		var it batchItem
 		if err := dec.Decode(&it); err == io.EOF {
@@ -95,57 +75,53 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		} else if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				fail(http.StatusRequestEntityTooLarge,
+				x.fail(http.StatusRequestEntityTooLarge,
 					fmt.Sprintf("batch exceeds %d bytes", s.cfg.MaxBatchBytes))
 				return
 			}
-			fail(http.StatusBadRequest, fmt.Sprintf("batch item %d: %v", len(items), err))
+			x.fail(http.StatusBadRequest, fmt.Sprintf("batch item %d: %v", len(items), err))
 			return
 		}
 		if len(items) >= s.cfg.MaxBatchItems {
-			fail(http.StatusRequestEntityTooLarge,
+			x.fail(http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("batch exceeds %d items", s.cfg.MaxBatchItems))
 			return
 		}
 		if len(it.Binary) == 0 {
-			fail(http.StatusBadRequest, fmt.Sprintf("batch item %q: empty binary", it.ID))
+			x.fail(http.StatusBadRequest, fmt.Sprintf("batch item %q: empty binary", it.ID))
 			return
 		}
 		if int64(len(it.Binary)) > s.cfg.MaxBodyBytes {
-			fail(http.StatusRequestEntityTooLarge,
+			x.fail(http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("batch item %q: binary exceeds %d bytes", it.ID, s.cfg.MaxBodyBytes))
 			return
 		}
 		switch it.Want {
 		case "", "binary", "plan":
 		default:
-			fail(http.StatusBadRequest, fmt.Sprintf("batch item %q: want must be binary or plan, got %q", it.ID, it.Want))
+			x.fail(http.StatusBadRequest, fmt.Sprintf("batch item %q: want must be binary or plan, got %q", it.ID, it.Want))
 			return
 		}
 		spec, err := batchSpec(it.Query)
 		if err != nil {
-			// Spec-language programs keep their 422 classification; any
-			// other parameter problem is a malformed item.
-			if errors.Is(err, e9patch.ErrBadSpec) {
-				s.metrics.IncRejected(e9err.ReasonBadSpec)
-				fail(http.StatusUnprocessableEntity, fmt.Sprintf("batch item %q: %v", it.ID, err))
-				return
-			}
-			fail(http.StatusBadRequest, fmt.Sprintf("batch item %q: %v", it.ID, err))
+			status, msg := s.classifySpec(err)
+			x.fail(status, fmt.Sprintf("batch item %q: %s", it.ID, msg))
 			return
 		}
-		items = append(items, parsed{item: it, spec: spec, key: cacheKey(it.Binary, spec)})
+		ids = append(ids, it.ID)
+		items = append(items, ask{key: cacheKey(it.Binary, spec), body: it.Binary, spec: spec,
+			plan: it.Want == "plan", cold: inline})
 	}
 	if len(items) == 0 {
-		fail(http.StatusBadRequest, "empty batch: POST NDJSON items {id, query, binary}")
+		x.fail(http.StatusBadRequest, "empty batch: POST NDJSON items {id, query, binary}")
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	x.w.Header().Set("Content-Type", "application/x-ndjson")
+	x.w.WriteHeader(http.StatusOK)
+	flusher, _ := x.w.(http.Flusher)
 	var outMu sync.Mutex
-	enc := json.NewEncoder(w)
+	enc := json.NewEncoder(x.w)
 	emit := func(res batchResult) {
 		outMu.Lock()
 		defer outMu.Unlock()
@@ -158,8 +134,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	width := min(s.cfg.Workers, len(items))
 	work.ForEach(s.shards, width, len(items), func(i int) {
-		it := items[i]
-		res := s.runBatchItem(ctx, tenant, it.item, it.spec, it.key)
+		res := s.runBatchItem(ctx, tenant, ids[i], items[i])
 		outcome := "ok"
 		if res.Status != http.StatusOK {
 			outcome = "error"
@@ -181,135 +156,28 @@ func batchSpec(query string) (*Spec, error) {
 	return parseSpec(&http.Request{URL: u, Header: http.Header{}})
 }
 
-// runBatchItem resolves one batch item under the tenant quota and maps
-// the outcome onto a result line carrying /v1/rewrite's status codes.
-func (s *Server) runBatchItem(ctx context.Context, tenant string, it batchItem, spec *Spec, key string) batchResult {
-	out := batchResult{ID: it.ID}
+// runBatchItem resolves one batch item under the tenant quota through
+// the tier ladder and carries /v1/rewrite's status codes into the
+// result line.
+func (s *Server) runBatchItem(ctx context.Context, tenant, id string, a ask) batchResult {
+	out := batchResult{ID: id}
 	if err := s.tenants.acquire(ctx, tenant); err != nil {
-		out.Status = 499
+		out.Status = statusClientGone
 		out.Error = "batch abandoned before the item ran"
 		return out
 	}
 	defer s.tenants.release(tenant)
 
-	if it.Want == "plan" {
-		data, status, err := s.resolvePlan(ctx, key, it.Binary, spec)
-		if err != nil {
-			return batchFailure(out, err)
-		}
-		out.Status = http.StatusOK
-		out.Cache = status
-		out.Plan = data
+	ans, err := s.resolve(ctx, a)
+	if err != nil {
+		out.Status, out.Error = s.classify(err)
 		return out
 	}
-
-	e, status, err := s.resolveEntry(ctx, key, it.Binary, spec)
-	if err != nil {
-		return batchFailure(out, err)
+	out.Status, out.Cache, out.Plan = http.StatusOK, ans.cache, ans.plan
+	if ans.entry != nil {
+		out.Stats, out.Output = json.RawMessage(ans.entry.statsJSON), ans.entry.out
 	}
-	out.Status = http.StatusOK
-	out.Cache = status
-	out.Stats = json.RawMessage(e.statsJSON)
-	out.Output = e.out
 	return out
-}
-
-// batchFailure maps a classified pipeline failure onto an item result,
-// mirroring failClassified's status mapping for the HTTP endpoints.
-func batchFailure(out batchResult, err error) batchResult {
-	status := http.StatusUnprocessableEntity
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		status = 499
-	case errors.Is(err, e9patch.ErrResourceLimit):
-		var ee *e9patch.Error
-		if errors.As(err, &ee) {
-			switch ee.Reason {
-			case e9err.ReasonInputTooLarge, e9err.ReasonTextTooLarge, e9err.ReasonMessageTooLarge:
-				status = http.StatusRequestEntityTooLarge
-			case e9err.ReasonPhaseDeadline:
-				status = http.StatusGatewayTimeout
-			}
-		}
-	case errors.Is(err, e9patch.ErrInternal):
-		status = http.StatusInternalServerError
-	}
-	out.Status = status
-	out.Error = err.Error()
-	return out
-}
-
-// resolveEntry obtains the rewrite result for one key through the full
-// tier ladder — result cache, local plan cache, peer plan-fetch,
-// singleflight full rewrite — running the rewrite inline on the
-// calling goroutine (batch items already hold a bounded fan-out slot;
-// queueing them through the pool again could deadlock a full queue
-// against its own items).
-func (s *Server) resolveEntry(ctx context.Context, key string, body []byte, spec *Spec) (*cacheEntry, string, error) {
-	if e, ok := s.cache.get(key); ok {
-		s.metrics.IncHit()
-		return e, "hit", nil
-	}
-	s.metrics.IncMiss()
-	if pe, ok := s.plans.get(key); ok {
-		if e, err := s.rematerialize(ctx, body, pe); err == nil {
-			s.metrics.IncPlanHit()
-			s.cache.put(key, e)
-			return e, "plan", nil
-		}
-	}
-	s.metrics.IncPlanMiss()
-	if e, ok := s.peerRematerialize(ctx, key, body); ok {
-		return e, "peer-plan", nil
-	}
-	e, shared, err := s.flights.do(ctx, key, s.cfg.Timeout,
-		func(jobCtx context.Context, finish func(*cacheEntry, error)) error {
-			s.metrics.IncRewrite()
-			start := time.Now()
-			res, rerr := s.runRewrite(jobCtx, key, body, spec)
-			s.observeRewrite(time.Since(start))
-			if rerr != nil {
-				finish(nil, rerr)
-				return nil
-			}
-			ce := entryFromResult(res)
-			s.cache.put(key, ce)
-			finish(ce, nil)
-			return nil
-		})
-	status := "miss"
-	if shared {
-		s.metrics.IncCoalesced()
-		status = "coalesced"
-	}
-	return e, status, err
-}
-
-// resolvePlan is resolveEntry's plan-delta sibling: it returns the
-// encoded plan for one key, fetching from the owner or planning
-// locally as needed.
-func (s *Server) resolvePlan(ctx context.Context, key string, body []byte, spec *Spec) ([]byte, string, error) {
-	if pe, ok := s.plans.get(key); ok {
-		s.metrics.IncPlanHit()
-		return pe.data, "plan", nil
-	}
-	s.metrics.IncPlanMiss()
-	if data, _, ok := s.peerPlan(ctx, key); ok {
-		s.metrics.IncPeerPlanHit()
-		s.plans.put(key, &planEntry{data: data})
-		return data, "peer-plan", nil
-	}
-	_, status, err := s.resolveEntry(ctx, key, body, spec)
-	if err != nil {
-		return nil, "", err
-	}
-	pe, ok := s.plans.get(key)
-	if !ok {
-		return nil, "", e9err.Internal("server", "no plan banked for key after rewrite")
-	}
-	return pe.data, status, nil
 }
 
 // tenantLimiter caps concurrent batch items per tenant. Slots are

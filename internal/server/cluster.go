@@ -86,23 +86,22 @@ func (s *Server) KeyOwner(body []byte, query string) (string, error) {
 }
 
 // tryForward routes a request for a key owned by another node to that
-// node, relaying its response verbatim. It returns (handled, status)
-// when the response was relayed; handled false means the caller must
-// serve the request locally — either this node owns the key, the
-// request was already routed once, or the owner is down (the local
-// fallback that keeps a dead peer from taking its key range's
-// availability with it).
+// node, relaying its response verbatim and its status into x. False
+// means the caller must serve the request locally — either this node
+// owns the key, the request was already routed once, or the owner is
+// down (the local fallback that keeps a dead peer from taking its key
+// range's availability with it).
 //
 // The owner's response is buffered before anything is written to our
 // client, so an owner dying mid-response still falls back to a clean
 // local rewrite instead of a truncated body.
-func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, body []byte, key string) (bool, string) {
+func (s *Server) tryForward(x *exchange, r *http.Request, body []byte, key string) bool {
 	if !s.clustered() || r.Header.Get(routedHeader) != "" {
-		return false, ""
+		return false
 	}
 	owner, local := s.owner(key)
 	if local || !s.health.Up(owner) {
-		return false, ""
+		return false
 	}
 
 	ctx := r.Context()
@@ -116,7 +115,7 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, body []byte,
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		owner+r.URL.Path+"?"+r.URL.RawQuery, bytes.NewReader(body))
 	if err != nil {
-		return false, ""
+		return false
 	}
 	req.Header = r.Header.Clone()
 	req.Header.Set(routedHeader, "1")
@@ -126,19 +125,19 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, body []byte,
 	if err != nil {
 		s.health.MarkDown(owner)
 		s.metrics.IncForwardFallback()
-		return false, ""
+		return false
 	}
 	defer resp.Body.Close()
 	relayed, err := cluster.ReadSized(resp.Body, resp.ContentLength)
 	if err != nil {
 		s.health.MarkDown(owner)
 		s.metrics.IncForwardFallback()
-		return false, ""
+		return false
 	}
 	s.health.MarkUp(owner)
 	s.metrics.IncForwarded()
 
-	h := w.Header()
+	h := x.w.Header()
 	for _, name := range []string{"Content-Type", "X-E9-Stats", "X-E9-Cache", "X-E9-Disasm", "Retry-After"} {
 		if v := resp.Header.Get(name); v != "" {
 			h.Set(name, v)
@@ -146,35 +145,10 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, body []byte,
 	}
 	h.Set("X-E9-Node", owner)
 	h.Set("Content-Length", fmt.Sprint(len(relayed)))
-	w.WriteHeader(resp.StatusCode)
-	w.Write(relayed)
-	return true, fmt.Sprint(resp.StatusCode)
-}
-
-// peerRematerialize asks the key's owner for its PatchPlan and replays
-// it onto body, yielding the same entry a full local rewrite would
-// have produced at a fraction of the cost (Apply is decision-free).
-// False means no usable plan was available — not the owner, owner
-// down, no plan banked, or the plan failed to apply — and the caller
-// proceeds to a full rewrite. Hit/miss outcomes are counted; a node
-// that owns its key locally counts neither (there is no peer to ask).
-func (s *Server) peerRematerialize(ctx context.Context, key string, body []byte) (*cacheEntry, bool) {
-	data, p, ok := s.peerPlan(ctx, key)
-	if !ok {
-		return nil, false
-	}
-	e, err := s.applyPlan(ctx, body, p)
-	if err != nil {
-		// The owner's plan does not fit this body (tampered upload or a
-		// peer running different code). Count the miss; the full pipeline
-		// replaces the bad plan with a fresh one.
-		s.metrics.IncPeerPlanMiss()
-		return nil, false
-	}
-	s.metrics.IncPeerPlanHit()
-	s.plans.put(key, &planEntry{data: data})
-	s.cache.put(key, e)
-	return e, true
+	x.code = resp.StatusCode
+	x.w.WriteHeader(resp.StatusCode)
+	x.w.Write(relayed)
+	return true
 }
 
 // peerPlan fetches the encoded plan for key from its owner, when that

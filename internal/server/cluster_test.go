@@ -585,6 +585,46 @@ func TestBatchWantPlan(t *testing.T) {
 	}
 }
 
+// TestBatchWantPlanAfterPlanEviction: once the plan tier has evicted a
+// key the result tier still holds, a want=plan item must replan (one
+// plan miss, no result-tier detour) and answer 200 with a plan that
+// reproduces the batch binary, as /v1/rewrite's plan-delta does.
+func TestBatchWantPlanAfterPlanEviction(t *testing.T) {
+	srv := New(Config{Workers: 2, QueueLen: 8})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	bin := kernelELF(t)
+	_, results := batchLines(t, ts.URL, []batchItem{{ID: "bin", Query: clusterQuery, Binary: bin}}, "")
+	if len(results) != 1 || results[0].Status != http.StatusOK {
+		t.Fatalf("banking item: %+v", results)
+	}
+	batchBin := results[0].Output
+	srv.plans = newLRUCache[*planEntry](srv.cfg.PlanCacheBytes)
+	misses := metricValue(t, srv.Handler(), "e9served_plan_cache_misses_total")
+
+	_, results = batchLines(t, ts.URL, []batchItem{{ID: "plan", Query: clusterQuery, Binary: bin, Want: "plan"}}, "")
+	pr := results[0]
+	if pr.Status != http.StatusOK {
+		t.Fatalf("plan item after plan eviction: status %d (%s)", pr.Status, pr.Error)
+	}
+	p, err := e9patch.DecodePlan(pr.Plan)
+	if err != nil {
+		t.Fatalf("batch plan does not decode: %v", err)
+	}
+	applied, err := e9patch.ApplyContext(context.Background(), bin, p)
+	if err != nil {
+		t.Fatalf("client-side apply: %v", err)
+	}
+	if !bytes.Equal(applied.Output, batchBin) {
+		t.Fatal("applied batch plan differs from the batch binary result")
+	}
+	if got := metricValue(t, srv.Handler(), "e9served_plan_cache_misses_total") - misses; got != 1 {
+		t.Fatalf("plan_cache_misses_total rose by %g, want 1", got)
+	}
+}
+
 // TestBatchValidation covers the request-shape rejections: item count
 // and body caps, unknown artifacts, empty batches, bad specs.
 func TestBatchValidation(t *testing.T) {

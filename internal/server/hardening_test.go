@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -37,13 +40,14 @@ func postBin(t *testing.T, url string, bin []byte) (int, string) {
 // TestWorkerSurvivesPanickingRewrite kills a job with a deliberate
 // panic and verifies the containment contract: the request answers 500
 // with a generic body (no panic detail leaked), panic_recovered_total
-// increments, and the same worker then serves the next request.
+// increments, and the same worker then serves the next request. A
+// batch item whose rewrite panics is held to the same contract.
 func TestWorkerSurvivesPanickingRewrite(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 8, Logf: t.Logf})
 	defer srv.Close()
 	var calls atomic.Int32
 	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
-		if calls.Add(1) == 1 {
+		if calls.Add(1)%2 == 1 {
 			panic("deliberate test panic: " + spec.Match)
 		}
 		return &e9patch.Result{Output: []byte("patched")}, nil
@@ -66,6 +70,14 @@ func TestWorkerSurvivesPanickingRewrite(t *testing.T) {
 	status, body = postBin(t, url, []byte("bin"))
 	if status != http.StatusOK || body != "patched" {
 		t.Fatalf("request after panic: status %d body %q, want 200 %q", status, body, "patched")
+	}
+
+	_, results := batchLines(t, ts.URL, []batchItem{{ID: "p", Query: "match=jcc", Binary: []byte("batch-bin")}}, "")
+	if r := results[0]; r.Status != http.StatusInternalServerError || strings.Contains(r.Error, "deliberate test panic") {
+		t.Fatalf("panicking batch item: status %d error %q, want 500 without the panic text", r.Status, r.Error)
+	}
+	if got := metricValue(t, srv.Handler(), "e9served_panic_recovered_total"); got != 2 {
+		t.Fatalf("panic_recovered_total = %g after the batch item, want 2", got)
 	}
 }
 
@@ -121,6 +133,21 @@ func TestLimitRejections(t *testing.T) {
 	}
 	if got := metricValue(t, srv.Handler(), `e9served_rejected_total{reason="text-too-large"}`); got != 1 {
 		t.Fatalf("rejected_total{text-too-large} = %g, want 1", got)
+	}
+
+	// A batch item over the same limit answers the same status and is
+	// counted the same way.
+	srvB := New(Config{Workers: 1, QueueLen: 8, Logf: t.Logf,
+		Limits: e9patch.Limits{MaxTextBytes: 16}})
+	defer srvB.Close()
+	tsB := httptest.NewServer(srvB.Handler())
+	defer tsB.Close()
+	_, results := batchLines(t, tsB.URL, []batchItem{{ID: "big", Query: "match=jcc", Binary: bin}}, "")
+	if r := results[0]; r.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch item text over limit: status %d (%s), want 413", r.Status, r.Error)
+	}
+	if got := metricValue(t, srvB.Handler(), `e9served_rejected_total{reason="text-too-large"}`); got != 1 {
+		t.Fatalf("batch: rejected_total{text-too-large} = %g, want 1", got)
 	}
 
 	srv2 := New(Config{Workers: 1, QueueLen: 8, Logf: t.Logf,
@@ -246,4 +273,93 @@ func TestStalledUploadReservesLittle(t *testing.T) {
 	}
 	conn.Close()
 	waitMetric(t, srv.Handler(), `e9served_requests_total{code="499"}`, 1)
+}
+
+// TestServerNoGoroutineLeak drives one request of every kind — a
+// /v1/rewrite binary, a plan-delta, a batch, a /v2/rewrite stream and a
+// batch whose client hangs up mid-stream — then shuts both servers down
+// and requires the goroutine count back at its baseline within 2 s.
+func TestServerNoGoroutineLeak(t *testing.T) {
+	bin := kernelELF(t)
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	base := runtime.NumGoroutine()
+
+	srv := New(Config{Workers: 1, QueueLen: 8, Logf: t.Logf})
+	// Rewrites at a granularity above 1 wait for the gate, so the
+	// abandoned batch below is still running when its client hangs up.
+	gate := make(chan struct{})
+	rewrite := srv.rewrite
+	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+		if spec.Granularity > 1 {
+			<-gate
+		}
+		return rewrite(ctx, key, bin, spec)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	ndjson := func(items ...batchItem) []byte {
+		var buf bytes.Buffer
+		for _, it := range items {
+			if err := json.NewEncoder(&buf).Encode(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	send := func(ctx context.Context, path string, body []byte, accept string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", accept)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		return resp
+	}
+	for _, c := range []struct {
+		path   string
+		body   []byte
+		accept string
+	}{
+		{"/v1/rewrite?match=jcc", bin, ""},
+		{"/v1/rewrite?match=call", bin, cluster.PlanContentType},
+		{"/v1/batch", ndjson(batchItem{ID: "a", Query: "match=jcc+%26+short", Binary: bin}), ""},
+		{"/v2/rewrite", v2Session(bin, nil, []string{`{"method":"patch","params":{"match":"jcc"}}`}), ""},
+	} {
+		resp := send(context.Background(), c.path, c.body, c.accept)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+
+	// The abandoned batch: a result hit streams the first line, the
+	// gated items are still running when the client hangs up.
+	items := []batchItem{{ID: "hit", Query: "match=jcc", Binary: bin}}
+	for g := 2; g <= 5; g++ {
+		items = append(items, batchItem{ID: fmt.Sprint(g), Query: fmt.Sprintf("match=jcc&granularity=%d", g), Binary: bin})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	resp := send(ctx, "/v1/batch", ndjson(items...), "")
+	if _, err := bufio.NewReader(resp.Body).ReadBytes('\n'); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	resp.Body.Close()
+	close(gate)
+
+	ts.Close()
+	srv.Close()
+	tr.CloseIdleConnections()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 2 s after shutdown, baseline %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
 }

@@ -13,7 +13,7 @@
 //   - singleflight coalescing: N concurrent identical requests trigger
 //     exactly one rewrite;
 //   - per-request timeouts and real cancellation, threaded through the
-//     rewrite pipeline via e9patch.RewriteContext;
+//     rewrite pipeline (e9patch.PlanContext + ApplyTrustedContext);
 //   - hand-rolled Prometheus text metrics (the module stays
 //     dependency-free).
 package server
@@ -35,7 +35,6 @@ import (
 
 	"e9patch"
 	"e9patch/internal/cluster"
-	"e9patch/internal/e9err"
 	"e9patch/internal/patch"
 )
 
@@ -191,7 +190,7 @@ func New(cfg Config) *Server {
 		s.fwd = &http.Client{}
 	}
 	// Last-resort containment: a panic that escapes a job closure (i.e.
-	// server code outside the per-job recovery below) must not take the
+	// server code outside runRewrite's per-job recovery) must not take the
 	// worker down. Coalesced waiters of such a job time out rather than
 	// hang forever; the per-job boundary exists so this path stays cold.
 	s.pool.onPanic = func(v any) {
@@ -223,9 +222,9 @@ func New(cfg Config) *Server {
 		return e9patch.ApplyTrustedContext(ctx, binary, p)
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/rewrite", s.handleRewrite)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v2/rewrite", s.handleRewriteV2)
+	s.mux.HandleFunc("POST /v1/rewrite", s.accounted(s.handleRewrite))
+	s.mux.HandleFunc("POST /v1/batch", s.accounted(s.handleBatch))
+	s.mux.HandleFunc("POST /v2/rewrite", s.accounted(s.handleRewriteV2))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET "+cluster.PlanPath+"{key}", s.handlePlanFetch)
@@ -290,30 +289,6 @@ type rewriteStats struct {
 	Warnings    []string `json:"warnings,omitempty"`
 }
 
-// rematerialize replays a cached plan onto the request body, yielding
-// the same entry a full rewrite would have produced.
-func (s *Server) rematerialize(ctx context.Context, body []byte, pe *planEntry) (*cacheEntry, error) {
-	p, err := e9patch.DecodePlan(pe.data)
-	if err != nil {
-		return nil, err
-	}
-	return s.applyPlan(ctx, body, p)
-}
-
-// applyPlan replays an already-decoded plan onto body via the trusted
-// apply path. Every plan reaching here is either self-produced (banked
-// by s.rewrite) or peer-produced and decode-validated; both are
-// input-bound, which ApplyTrusted verifies, so skipping the
-// disassembly-universe re-derivation costs no safety and most of the
-// rematerialization time on large binaries.
-func (s *Server) applyPlan(ctx context.Context, body []byte, p *e9patch.PatchPlan) (*cacheEntry, error) {
-	res, err := e9patch.ApplyTrustedContext(ctx, body, p)
-	if err != nil {
-		return nil, err
-	}
-	return entryFromResult(res), nil
-}
-
 // entryFromResult freezes a rewrite result into a cache entry.
 func entryFromResult(res *e9patch.Result) *cacheEntry {
 	st := rewriteStats{
@@ -340,260 +315,48 @@ func entryFromResult(res *e9patch.Result) *cacheEntry {
 	return &cacheEntry{out: res.Output, statsJSON: j}
 }
 
-func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.metrics.AddInflight(1)
-	code := "200"
-	defer func() {
-		s.metrics.AddInflight(-1)
-		s.metrics.IncRequest(code)
-		s.metrics.Observe(time.Since(start).Seconds())
-	}()
-	fail := func(status int, msg string) {
-		code = fmt.Sprint(status)
-		http.Error(w, msg, status)
-	}
-
-	body, err := cluster.ReadSized(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes),
+// handleRewrite serves POST /v1/rewrite: the rewritten binary, or with
+// Accept: application/x-e9-plan the serialized PatchPlan (a plan-delta,
+// applied client-side, so the response is ~plan-size instead of
+// ~binary-size). A cold rewrite queues on the bounded pool.
+func (s *Server) handleRewrite(x *exchange, r *http.Request) {
+	body, err := cluster.ReadSized(http.MaxBytesReader(x.w, r.Body, s.cfg.MaxBodyBytes),
 		min(r.ContentLength, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			fail(http.StatusRequestEntityTooLarge,
+			x.fail(http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes))
 			return
 		}
-		code = "499" // client went away mid-upload
+		x.fail(statusClientGone, "") // client went away mid-upload
 		return
 	}
 	if len(body) == 0 {
-		fail(http.StatusBadRequest, "empty body: POST the ELF binary to rewrite")
+		x.fail(http.StatusBadRequest, "empty body: POST the ELF binary to rewrite")
 		return
 	}
 	spec, err := parseSpec(r)
 	if err != nil {
-		// A spec-language program that fails to parse or typecheck is
-		// semantically invalid rather than a malformed request: 422,
-		// with the 1-based line:column in the body. The metric label is
-		// the bare class constant — the position-bearing reason would
-		// explode cardinality.
-		if errors.Is(err, e9patch.ErrBadSpec) {
-			s.metrics.IncRejected(e9err.ReasonBadSpec)
-			fail(http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		fail(http.StatusBadRequest, err.Error())
+		x.fail(s.classifySpec(err))
 		return
 	}
 
-	key := cacheKey(body, spec)
-	wantPlan := acceptsPlan(r)
-
-	// Local result hit: serve straight away, owned key or not — a hot
-	// local entry beats a network hop. (Plan-delta requests want the
-	// plan bytes, which live in the other tier; fall through for those.)
-	if !wantPlan {
-		if e, ok := s.cache.get(key); ok {
-			s.metrics.IncHit()
-			s.serve(w, e, "hit")
-			return
-		}
-	}
-
-	// Front-door routing: a key owned by a peer is the peer's to serve,
-	// so cache shards stay disjoint across the fleet. Falls through to
-	// local handling when the owner is down (availability beats shard
-	// discipline) or when this request was already routed once.
-	if handled, upstream := s.tryForward(w, r, body, key); handled {
-		code = upstream
-		return
-	}
-
-	if wantPlan {
-		s.handlePlanDelta(w, r, body, spec, key, fail, func() { code = "499" })
-		return
-	}
-	s.metrics.IncMiss()
-
-	// Second tier: a banked plan rematerializes the result without any
-	// tactic search. Apply is pure replay — a small fraction of a full
-	// rewrite — so it runs on the handler goroutine rather than queueing
-	// behind planning-heavy jobs in the worker pool.
-	if pe, ok := s.plans.get(key); ok {
-		if e, err := s.rematerialize(r.Context(), body, pe); err == nil {
-			s.metrics.IncPlanHit()
-			s.cache.put(key, e)
-			s.serve(w, e, "plan")
-			return
-		}
-		// A plan that no longer applies (corrupt or stale) is treated as
-		// a miss; the full pipeline below replaces it.
-	}
-	s.metrics.IncPlanMiss()
-
-	// Third tier, cluster only: this node is handling a key it does not
-	// own (routed here, or the owner was down when the front door looked).
-	// The owner may still hold the plan — one small GET plus a
-	// decision-free Apply beats redoing the whole tactic search.
-	if e, ok := s.peerRematerialize(r.Context(), key, body); ok {
-		s.serve(w, e, "peer-plan")
-		return
-	}
-
-	entry, shared, err := s.rewriteFlight(r.Context(), key, body, spec)
-	if shared {
-		s.metrics.IncCoalesced()
-	}
+	a := ask{key: cacheKey(body, spec), body: body, spec: spec, plan: acceptsPlan(r), cold: s.queued}
+	a.forward = func() bool { return s.tryForward(x, r, body, a.key) }
+	ans, err := s.resolve(r.Context(), a)
 	switch {
-	case err == nil:
-		status := "miss"
-		if shared {
-			status = "coalesced"
+	case err != nil:
+		if errors.Is(err, errQueueFull) {
+			x.w.Header().Set("Retry-After", s.retryAfter())
 		}
-		s.serve(w, entry, status)
-	case errors.Is(err, errQueueFull):
-		w.Header().Set("Retry-After", s.retryAfter())
-		fail(http.StatusTooManyRequests, "work queue full; retry later")
+		x.fail(s.classify(err))
+	case ans.cache == "": // the owner's answer was relayed
+	case a.plan:
+		s.servePlan(x.w, r, ans.plan, ans.cache)
 	default:
-		s.failClassified(err, fail, func() { code = "499" })
+		s.serve(x.w, ans.entry, ans.cache)
 	}
-}
-
-// rewriteFlight runs the full rewrite for key through singleflight
-// coalescing and the bounded worker pool: the backpressured slow path
-// shared by /v1/rewrite's binary and plan-delta flows.
-func (s *Server) rewriteFlight(ctx context.Context, key string, body []byte, spec *Spec) (*cacheEntry, bool, error) {
-	return s.flights.do(ctx, key, s.cfg.Timeout,
-		func(jobCtx context.Context, finish func(*cacheEntry, error)) error {
-			submitErr := s.pool.trySubmit(func() {
-				if err := jobCtx.Err(); err != nil {
-					finish(nil, err) // every waiter left while queued
-					return
-				}
-				s.metrics.IncRewrite()
-				jobStart := time.Now()
-				res, err := s.runRewrite(jobCtx, key, body, spec)
-				s.observeRewrite(time.Since(jobStart))
-				if err != nil {
-					finish(nil, err)
-					return
-				}
-				e := entryFromResult(res)
-				s.cache.put(key, e)
-				finish(e, nil)
-			})
-			if submitErr != nil {
-				s.metrics.IncQueueFull()
-			}
-			return submitErr
-		})
-}
-
-// handlePlanDelta serves the plan-delta flow of /v1/rewrite (Accept:
-// application/x-e9-plan): the client gets the serialized PatchPlan and
-// applies it locally, so the response is ~plan-size instead of
-// ~binary-size. Tiering mirrors the binary flow — local plan cache,
-// then the key's owner, then a full (pool-bounded, coalesced) rewrite
-// whose planning phase banks the plan this response serves.
-func (s *Server) handlePlanDelta(w http.ResponseWriter, r *http.Request, body []byte, spec *Spec,
-	key string, fail func(int, string), gone func()) {
-
-	if pe, ok := s.plans.get(key); ok {
-		s.metrics.IncPlanHit()
-		s.servePlan(w, r, pe.data, "plan")
-		return
-	}
-	s.metrics.IncPlanMiss()
-	if data, _, ok := s.peerPlan(r.Context(), key); ok {
-		s.metrics.IncPeerPlanHit()
-		s.plans.put(key, &planEntry{data: data})
-		s.servePlan(w, r, data, "peer-plan")
-		return
-	}
-	_, shared, err := s.rewriteFlight(r.Context(), key, body, spec)
-	if shared {
-		s.metrics.IncCoalesced()
-	}
-	switch {
-	case err == nil:
-		pe, ok := s.plans.get(key)
-		if !ok {
-			// The rewrite succeeded but no plan was banked (encode failure
-			// — effectively unreachable — or a test stub rewrite path).
-			fail(http.StatusInternalServerError, "plan unavailable for this rewrite")
-			return
-		}
-		status := "miss"
-		if shared {
-			status = "coalesced"
-		}
-		s.servePlan(w, r, pe.data, status)
-	case errors.Is(err, errQueueFull):
-		w.Header().Set("Retry-After", s.retryAfter())
-		fail(http.StatusTooManyRequests, "work queue full; retry later")
-	default:
-		s.failClassified(err, fail, gone)
-	}
-}
-
-// failClassified maps a classified pipeline failure onto an HTTP status;
-// shared by the v1 and v2 rewrite handlers. gone fires instead of a
-// response when our own client abandoned the request.
-func (s *Server) failClassified(err error, fail func(int, string), gone func()) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		fail(http.StatusGatewayTimeout,
-			fmt.Sprintf("rewrite exceeded the %s budget", s.cfg.Timeout))
-	case errors.Is(err, context.Canceled):
-		gone() // client went away; nothing to write
-	case errors.Is(err, e9patch.ErrResourceLimit):
-		reason := "unknown"
-		var ee *e9patch.Error
-		if errors.As(err, &ee) && ee.Reason != "" {
-			reason = ee.Reason
-		}
-		s.metrics.IncRejected(reason)
-		switch reason {
-		case e9err.ReasonInputTooLarge, e9err.ReasonTextTooLarge, e9err.ReasonMessageTooLarge:
-			fail(http.StatusRequestEntityTooLarge, err.Error())
-		case e9err.ReasonPhaseDeadline:
-			fail(http.StatusGatewayTimeout, err.Error())
-		default:
-			fail(http.StatusUnprocessableEntity, err.Error())
-		}
-	case errors.Is(err, e9patch.ErrInternal):
-		// Our bug, not the client's: keep the stack and detail in the
-		// log, out of the response body.
-		s.cfg.Logf("e9served: internal rewrite failure: %v", err)
-		fail(http.StatusInternalServerError, "internal error")
-	default:
-		// Everything else the pipeline classifies as the client's input:
-		// malformed or unsupported binaries, plans, specs and protocol
-		// streams.
-		fail(http.StatusUnprocessableEntity, err.Error())
-	}
-}
-
-// runRewrite executes the configured rewrite function behind the
-// per-job recovery boundary: a panic in the rewrite path (including
-// test-injected RewriteFuncs that bypass the library's own boundaries)
-// becomes an ErrInternal result that is routed to finish like any other
-// failure, so coalesced waiters are released instead of timing out.
-// Panics already contained by the library surface here as classified
-// errors with a recorded stack; both shapes count toward
-// panic_recovered_total.
-func (s *Server) runRewrite(ctx context.Context, key string, body []byte, spec *Spec) (res *e9patch.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = e9err.FromPanic("server", v)
-		}
-		var ee *e9patch.Error
-		if errors.As(err, &ee) && ee.Recovered() {
-			s.metrics.IncPanicRecovered()
-			s.cfg.Logf("e9served: panic contained during rewrite: %v\n%s", ee, ee.Stack)
-		}
-	}()
-	return s.rewrite(ctx, key, body, spec)
 }
 
 // observeRewrite feeds one rewrite's wall time into the rolling mean

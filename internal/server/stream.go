@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"e9patch"
 	"e9patch/internal/rpc"
@@ -25,20 +24,7 @@ import (
 // stays bounded by MaxBodyBytes (one copy of the framed binary, no
 // input copies in the pipeline, single-allocation output) and shard
 // helpers still draw from the server-wide worker budget.
-func (s *Server) handleRewriteV2(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.metrics.AddInflight(1)
-	code := "200"
-	defer func() {
-		s.metrics.AddInflight(-1)
-		s.metrics.IncRequest(code)
-		s.metrics.Observe(time.Since(start).Seconds())
-	}()
-	fail := func(status int, msg string) {
-		code = fmt.Sprint(status)
-		http.Error(w, msg, status)
-	}
-
+func (s *Server) handleRewriteV2(x *exchange, r *http.Request) {
 	ctx := r.Context()
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -49,7 +35,7 @@ func (s *Server) handleRewriteV2(w http.ResponseWriter, r *http.Request) {
 	// One cap bounds the whole stream — messages and framed payload
 	// alike — so a session can never hold more than one body's worth of
 	// client bytes. Filesystem paths stay off this transport entirely.
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(x.w, r.Body, s.cfg.MaxBodyBytes)
 	opts := rpc.Options{
 		MaxBinaryBytes: s.cfg.MaxBodyBytes,
 		Base: e9patch.Config{
@@ -65,7 +51,7 @@ func (s *Server) handleRewriteV2(w http.ResponseWriter, r *http.Request) {
 	mapErr := func(err error) {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			fail(http.StatusRequestEntityTooLarge,
+			x.fail(http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("stream exceeds %d bytes", s.cfg.MaxBodyBytes))
 			return
 		}
@@ -74,16 +60,16 @@ func (s *Server) handleRewriteV2(w http.ResponseWriter, r *http.Request) {
 			// Protocol-level breakage — bad JSON, out-of-order messages,
 			// unknown methods — is a malformed request, not a semantic
 			// rejection of the binary.
-			fail(http.StatusBadRequest, err.Error())
+			x.fail(http.StatusBadRequest, err.Error())
 			return
 		}
-		s.failClassified(err, fail, func() { code = "499" })
+		x.fail(s.classify(err))
 	}
 
 	for !sess.Done() {
 		msg, err := d.Next()
 		if err == io.EOF {
-			fail(http.StatusBadRequest, "stream ended before emit")
+			x.fail(http.StatusBadRequest, "stream ended before emit")
 			return
 		}
 		if err != nil {
@@ -98,5 +84,5 @@ func (s *Server) handleRewriteV2(w http.ResponseWriter, r *http.Request) {
 
 	s.metrics.IncStream()
 	s.metrics.IncRewrite()
-	s.serve(w, entryFromResult(sess.Result()), "stream")
+	s.serve(x.w, entryFromResult(sess.Result()), "stream")
 }
