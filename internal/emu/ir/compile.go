@@ -123,8 +123,8 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 			return fCF, fAll, mem
 		}
 		return 0, fAll, mem
-	case op >= 0x50 && op <= 0x5F: // push/pop r: the store may raise an
-		// SMC flush, the load may fault
+	case op >= 0x50 && op <= 0x5F, op == 0x68: // push/pop r, push imm32: the
+		// store may raise an SMC flush, the load may fault
 		return 0, 0, true
 	case op == 0x69 || op == 0x6B: // imul r, r/m, imm
 		return fAF, fAll &^ fAF, mem
@@ -472,14 +472,19 @@ func (c *comp) emit(i int) uop {
 	case op == 0xA8 || op == 0xA9: // test al/eax, imm
 		return c.emitALU(i, 4, false, rax, imm)
 
-	case op >= 0x50 && op <= 0x57: // push r
-		r := x86.Reg(op&7 | (inst.Rex&1)<<3)
+	case op >= 0x50 && op <= 0x57, op == 0x68: // push r, push imm32 (an
+		// epilogue's copy of a call pushes the return address)
+		r, imm := x86.Reg(op&7|(inst.Rex&1)<<3), uint64(inst.Imm())
 		c.kill(x86.RSP)
 		return func(s *state) int {
 			m := s.m
 			m.Counters.Instructions++
 			m.Counters.Cycles += m.Cost.ALU
-			s.push(m.Regs[r])
+			if op == 0x68 {
+				s.push(imm)
+			} else {
+				s.push(m.Regs[r])
+			}
 			if s.trk.Flushed {
 				m.RIP = nextAddr
 				return done

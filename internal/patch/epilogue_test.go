@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"e9patch/internal/emu"
 	"e9patch/internal/x86"
 )
 
@@ -145,5 +146,129 @@ func TestOffsetSet(t *testing.T) {
 	s.add(0x5000_0123, 2*pageSize)
 	if !s.full() {
 		t.Error("a two-page image leaves an offset free")
+	}
+}
+
+// emulate runs text at testTextAddr, with r's trampolines mapped when r
+// is not nil, until its ret, and returns the machine and the number of
+// times control went from trampoline code into the text.
+func emulate(t *testing.T, text []byte, r *Rewriter) (*emu.Machine, int) {
+	t.Helper()
+	m := emu.NewMachine()
+	m.Mem.WriteBytes(testTextAddr, text)
+	if r != nil {
+		for _, tr := range r.Trampolines() {
+			m.Mem.WriteBytes(tr.Addr, tr.Code)
+		}
+	}
+	m.SetupStack(0x7FFF_0000_0000, 0x10000)
+	m.RIP = testTextAddr
+	inText := func(a uint64) bool { return a-testTextAddr < uint64(len(text)) }
+	entries, prev := 0, uint64(testTextAddr)
+	m.Trace = func(in *x86.Inst) {
+		if inText(in.Addr) && !inText(prev) {
+			entries++
+		}
+		prev = in.Addr
+	}
+	if err := m.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	return m, entries
+}
+
+// blockFor returns the epilogue block a branch in trampoline code sends
+// to target x: the trampoline at its target, which stands for x.
+func blockFor(t *testing.T, r *Rewriter, br x86.Inst, x uint64) *Trampoline {
+	t.Helper()
+	for i := range r.trampolines {
+		if b := &r.trampolines[i]; b.Addr == br.Target() && b.ForAddr == x && !b.Evictee {
+			if b.Addr&^(pageSize-1) != (br.Addr+uint64(br.Len)-1)&^(pageSize-1) {
+				t.Errorf("the block for %#x is not in the page of its branch", x)
+			}
+			return b
+		}
+	}
+	t.Fatalf("the branch at %#x goes to %#x, not to a block for %#x", br.Addr, br.Target(), x)
+	return nil
+}
+
+// TestTakenEdgeEpilogue: a loop whose back edge is a patched jcc. The
+// trampoline's taken edge goes to a block in its page that copies the
+// loop body up to the jcc's own site, so the loop runs without coming
+// back to the text.
+func TestTakenEdgeEpilogue(t *testing.T) {
+	var top *x86.Label
+	r, insts := newTestRewriter(t, func(a *x86.Asm) {
+		a.XorRegReg32(x86.RCX, x86.RCX)
+		a.XorRegReg32(x86.RAX, x86.RAX)
+		top = a.NewLabel()
+		a.Bind(top)
+		a.AddRegReg64(x86.RAX, x86.RCX)
+		a.AddRegImm64(x86.RCX, 1)
+		a.CmpRegImm64(x86.RCX, 100)
+		a.Jcc(x86.CondL, top)
+		a.Ret()
+	}, Options{})
+	jl := len(insts) - 2
+	if st := r.PatchAll([]int{jl}); st.Patched() != 1 {
+		t.Fatalf("patched %d", st.Patched())
+	}
+	tr := trampFor(t, r, insts[jl].Addr, false)
+	br, err := x86.Decode(tr.Code, tr.Addr)
+	if err != nil || !br.IsJcc() {
+		t.Fatalf("the trampoline does not start with the jcc (%v)", err)
+	}
+	blockFor(t, r, br, insts[2].Addr)
+	want, _ := emulate(t, r.orig, nil)
+	got, entries := emulate(t, r.code, r)
+	if got.Regs[x86.RAX] != want.Regs[x86.RAX] || want.Regs[x86.RAX] != 4950 {
+		t.Errorf("rax %d, original %d", got.Regs[x86.RAX], want.Regs[x86.RAX])
+	}
+	if entries != 0 {
+		t.Errorf("trampoline code went back to the text %d times", entries)
+	}
+}
+
+// TestEpilogueLoopTerminates: a taken edge into a loop with no patched
+// site. Its block ends in the loop's jcc, whose taken edge is an exit to
+// the block's own address: the memo sends it to the block itself, and
+// the pass ends.
+func TestEpilogueLoopTerminates(t *testing.T) {
+	var loop *x86.Label
+	r, insts := newTestRewriter(t, func(a *x86.Asm) {
+		a.XorRegReg32(x86.RCX, x86.RCX)
+		a.XorRegReg32(x86.RAX, x86.RAX)
+		a.TestRegReg64(x86.RCX, x86.RCX)
+		loop = a.NewLabel()
+		a.Jcc(x86.CondE, loop)
+		a.AddRegImm64(x86.RAX, 1000)
+		a.Bind(loop)
+		a.AddRegImm64(x86.RAX, 2)
+		a.AddRegImm64(x86.RCX, 1)
+		a.CmpRegImm64(x86.RCX, 50)
+		a.JccShort(x86.CondL, loop)
+		a.Ret()
+	}, Options{})
+	if st := r.PatchAll([]int{3}); st.Patched() != 1 {
+		t.Fatalf("patched %d", st.Patched())
+	}
+	tr := trampFor(t, r, insts[3].Addr, false)
+	br, err := x86.Decode(tr.Code, tr.Addr)
+	if err != nil || !br.IsJcc() {
+		t.Fatalf("the trampoline does not start with the jcc (%v)", err)
+	}
+	b := blockFor(t, r, br, insts[5].Addr)
+	back, err := x86.Decode(b.Code[len(b.Code)-jmpLen-jccLen:], b.Addr+uint64(len(b.Code)-jmpLen-jccLen))
+	if err != nil || !back.IsJcc() || back.Target() != b.Addr {
+		t.Errorf("the block's jcc does not branch to the block itself (%v)", err)
+	}
+	want, _ := emulate(t, r.orig, nil)
+	got, entries := emulate(t, r.code, r)
+	if got.Regs[x86.RAX] != want.Regs[x86.RAX] || want.Regs[x86.RAX] != 100 {
+		t.Errorf("rax %d, original %d", got.Regs[x86.RAX], want.Regs[x86.RAX])
+	}
+	if entries != 0 {
+		t.Errorf("trampoline code went back to the text %d times", entries)
 	}
 }

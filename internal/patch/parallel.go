@@ -335,18 +335,10 @@ func (r *Rewriter) patchRegions(regions [][]int) {
 		if sub.limited || (r.opts.TrampolineBudget > 0 && r.trampBytes > r.opts.TrampolineBudget) {
 			r.limited = true
 		}
-		for _, e := range sub.exits {
-			if e.next == (siteRef{}) { // the region's first site: next is above it
-				e.next = r.last
-			}
-			e.tramp += len(r.trampolines)
-			e.result += len(r.results)
-			r.exits = append(r.exits, e)
+		for _, t := range sub.trampolines {
+			t.site += int32(len(r.results))
+			r.trampolines = append(r.trampolines, t)
 		}
-		if sub.last != (siteRef{}) {
-			r.last = sub.last
-		}
-		r.trampolines = append(r.trampolines, sub.trampolines...)
 		r.results = append(r.results, sub.results...)
 		r.sites = append(r.sites, sub.sites...)
 		r.stats.Total += sub.stats.Total
