@@ -32,8 +32,8 @@ race:
 # (interp vs ir, including the FuzzEngines seed corpus), the
 # block/invalidation seam and the engine's stats/speedup tests, and the
 # parallel-vs-sequential corpus (byte-identity at every worker count,
-# under the race detector; the patcher's lock bitmap, whose words no two
-# concurrently patched regions may share, is checked on the same line).
+# under the race detector, with the sharded recovery and matching tests
+# and the patcher's lock-state invariant on the same line).
 difftest:
 	$(GO) test -count 1 -run 'TestLockStep' . -args -lockstep.full
 	$(GO) test -run 'TestTakenEdgeEpilogue|TestEpilogueLoopTerminates' ./internal/patch/
@@ -41,7 +41,7 @@ difftest:
 	$(GO) test -run FuzzEngines .
 	$(GO) test ./internal/emu/enginetest/ ./internal/emu/ ./internal/emu/ir/
 	$(GO) test -race -run 'TestParallelRewrite|TestParallelEmulatorEquivalence|FuzzParallelRewrite' .
-	$(GO) test -race -run 'TestParallel|TestRegionConflictRedo|TestBeltFallback|TestDecompose|TestLockStateInvariant|TestPatchAllOnce|TestShardable|Shardable' ./internal/patch/ ./internal/disasm/ ./internal/match/
+	$(GO) test -race -run 'TestParallel|TestLockStateInvariant|TestPatchAllOnce|Shardable' ./internal/patch/ ./internal/disasm/ ./internal/match/
 
 # enginecheck is the cross-engine correctness gate, interp vs ir: the
 # shared conformance suite and golden per-instruction traces over every

@@ -208,10 +208,10 @@ type Config struct {
 	// plan replayed under a different universe.
 	Disasm DisasmMode
 	// Parallelism bounds the worker goroutines used by the sharded
-	// disassembly, matching and region-parallel patching phases
-	// (default: GOMAXPROCS; 1 runs everything sequentially). The output
-	// is byte-identical for every value — parallelism only changes
-	// scheduling, never placement decisions.
+	// disassembly and matching phases (default: GOMAXPROCS; 1 runs
+	// everything sequentially). Patching is one sequential S1 pass at
+	// every value. The output is byte-identical for every value —
+	// parallelism only changes scheduling, never placement decisions.
 	Parallelism int
 	// Pool, when non-nil, is a shared bounded worker pool: concurrent
 	// rewrites handed the same pool never exceed its size in total

@@ -88,6 +88,20 @@ func TestSharedObjectGeometry(t *testing.T) {
 	}
 }
 
+// TestGamessA1NoFailedSites: gamess is the huge-.bss row (limitation
+// L1), where every pun window near the text matters. Under A1 at scale
+// 0.05 all of its sites patch, so no reservation the patcher makes for
+// itself may take a window away from a site.
+func TestGamessA1NoFailedSites(t *testing.T) {
+	res, err := RewriteProfile(mustProfile(t, "gamess"), A1, 0.05, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.Total < 5000 || st.Failed != 0 {
+		t.Errorf("%d of %d sites failed, want none of at least 5000", st.Failed, st.Total)
+	}
+}
+
 func mustProfile(t *testing.T, name string) workload.Profile {
 	t.Helper()
 	p, err := workload.ProfileByName(name)

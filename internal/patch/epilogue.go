@@ -325,7 +325,7 @@ func (r *Rewriter) epilogue(p *epiloguePass, e exitRef, hint int) {
 	room := p.longest
 	if room > 0 {
 		if iv, ok := r.space.Floor(page); ok && iv.Hi >= page+pageSize {
-			room = 0 // the page is reserved whole, as a region's arena is
+			room = 0 // the page is reserved whole: no byte of it is free
 		}
 	}
 	if jmp {

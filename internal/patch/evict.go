@@ -73,7 +73,7 @@ func (r *Rewriter) evictAndRepun(inst, succ *x86.Inst, wS punWindow, tS uint64, 
 		if !ok {
 			break
 		}
-		tP, pCode, fromArena, ok := r.allocTrampoline(r.patchT, inst, patchSize, wI)
+		tP, pCode, ok := r.allocTrampoline(r.patchT, inst, patchSize, wI)
 		if !ok {
 			continue
 		}
@@ -83,8 +83,8 @@ func (r *Rewriter) evictAndRepun(inst, succ *x86.Inst, wS punWindow, tS uint64, 
 		if ok {
 			evCode, ok = r.emit(r.evictT, succ, tS, evSize)
 		}
-		if !ok || r.reserveVA(tS, tS+uint64(evSize)) != nil {
-			r.undoTrampoline(tP, pCode, fromArena)
+		if !ok || r.space.Reserve(tS, tS+uint64(evSize)) != nil {
+			r.undoTrampoline(tP, pCode)
 			break
 		}
 
@@ -236,7 +236,7 @@ func (r *Rewriter) tryT3Victim(inst, v *x86.Inst, j, evSize int, punnedRel8 bool
 	if !ok {
 		return false
 	}
-	tP, pCode, fromArena, ok := r.allocTrampoline(r.patchT, inst, patchSize, wP)
+	tP, pCode, ok := r.allocTrampoline(r.patchT, inst, patchSize, wP)
 	if !ok {
 		return false
 	}
@@ -255,11 +255,11 @@ func (r *Rewriter) tryT3Victim(inst, v *x86.Inst, j, evSize int, punnedRel8 bool
 	var tV uint64
 	var evCode []byte
 	if okV {
-		tV, evCode, _, okV = r.allocTrampoline(r.evictT, v, evSize, wV)
+		tV, evCode, okV = r.allocTrampoline(r.evictT, v, evSize, wV)
 	}
 	if !okV {
 		copy(overlay, saved[:])
-		r.undoTrampoline(tP, pCode, fromArena)
+		r.undoTrampoline(tP, pCode)
 		return false
 	}
 

@@ -20,7 +20,6 @@ import (
 	"e9patch/internal/plan"
 	"e9patch/internal/trampoline"
 	"e9patch/internal/va"
-	"e9patch/internal/work"
 	"e9patch/internal/x86"
 )
 
@@ -92,20 +91,9 @@ type Options struct {
 	// Remaining locations are left unpatched; the caller is expected
 	// to notice the cancellation and discard the partial result.
 	Cancel <-chan struct{}
-	// Workers is the maximum number of regions patched concurrently
-	// (<=1: sequential). The patched output is byte-identical for every
-	// value — see parallel.go; Workers only changes scheduling.
+	// Workers is not read: PatchAll is one sequential S1 pass. The field
+	// stays only because bench/replay.go still sets it.
 	Workers int
-	// Pool, when non-nil, bounds helper goroutines globally so that
-	// concurrent rewrites sharing the pool cannot oversubscribe the
-	// machine. Without a pool each PatchAll may use up to Workers
-	// goroutines of its own.
-	Pool *work.Pool
-	// MinRegionSize is the minimum number of patch locations per
-	// parallel region (default 64). It shapes the deterministic region
-	// decomposition, so changing it changes the output; Workers does
-	// not.
-	MinRegionSize int
 	// TrampolineBudget, when > 0, bounds the total bytes of emitted
 	// trampoline code. Once exceeded the rewriter stops patching and
 	// reports LimitExceeded; the caller fails the rewrite with a typed
@@ -172,9 +160,9 @@ func (s *Stats) SuccPercent() float64 { return s.Percent(s.Patched()) }
 
 // Rewriter patches one text section.
 type Rewriter struct {
-	// orig is the text the rewriter was built over, never written: a
-	// region redo restores its bytes from here. code is the one mutable
-	// copy, and locks the S1 lock state, one bit per text byte.
+	// orig is the text the rewriter was built over, never written: the
+	// epilogue pass copies original code from here. code is the one
+	// mutable copy, and locks the S1 lock state, one bit per text byte.
 	orig     []byte
 	code     []byte
 	textAddr uint64
@@ -201,8 +189,7 @@ type Rewriter struct {
 	siteSize       int
 	siteSized      sizeState
 	patchResumes   bool
-	// slab receives the code of every trampoline; region children own
-	// their own.
+	// slab receives the code of every trampoline.
 	slab      []byte
 	slabChunk int
 
@@ -231,19 +218,10 @@ type Rewriter struct {
 	// trampolines (Injected) and, from the epilogue pass on, of every
 	// trampoline byte the patching emitted.
 	offsets offsetSet
-
-	// Region-parallel state (parallel.go). arena, when non-nil, serves
-	// unconstrained allocations from a pre-reserved range; speculating
-	// journals space operations for deterministic replay; redone counts
-	// regions that conflicted at commit and were re-patched.
-	arena       *arena
-	speculating bool
-	journal     []spaceOp
-	redone      int
 }
 
 // New creates a rewriter over a mutable copy of code, which it keeps
-// and reads again when a region is redone: the caller must not write to
+// and reads again in the epilogue pass: the caller must not write to
 // code while the rewriter is in use. The space must
 // already contain reservations for every loaded segment of the binary
 // (and anything else trampolines may not overlap). poolHint seeds the
@@ -364,15 +342,10 @@ func (r *Rewriter) lock(addr uint64, n int) {
 }
 
 // PatchAll applies the reverse-order strategy S1: locations are patched
-// from highest to lowest address so that puns only ever depend on bytes
-// that are already final. A last pass rewrites the trampolines' branches
-// into the text into epilogues (epilogue.go).
-// When the order decomposes into more than one guard-band-separated
-// region, the regions are patched speculatively in parallel and
-// committed deterministically (parallel.go); otherwise the classic
-// sequential path runs. The path taken depends only on the workload,
-// never on Options.Workers, so output bytes are identical for every
-// worker count.
+// from highest to lowest address, in one pass under one lock state, so
+// that puns only ever depend on bytes that are already final. A last
+// pass rewrites the trampolines' branches into the text into epilogues
+// (epilogue.go). It polls Options.Cancel every 256 locations.
 //
 // A Rewriter patches once: the lock state and the address space carry
 // the first call's decisions, so a second call is a caller's bug.
@@ -389,13 +362,32 @@ func (r *Rewriter) PatchAll(indices []int) Stats {
 	if !slices.IsSortedFunc(order, descending) {
 		slices.SortFunc(order, descending)
 	}
-	if regions := r.decompose(order); len(regions) > 1 {
-		r.patchRegions(regions)
-	} else {
-		r.runRegion(order)
+	// T2 and T3 emit a second trampoline; a quarter more covers the
+	// densest profiles, and past it append grows as usual.
+	r.presize(len(order), len(order)+len(order)/4)
+	for i, idx := range order {
+		if r.limited {
+			break // trampoline budget exhausted; result is discarded
+		}
+		if i&0xFF == 0 && r.cancelled() {
+			break
+		}
+		r.patchOne(idx)
 	}
 	r.epilogues()
 	return r.stats
+}
+
+// presize makes room for the outcome of sites locations and trampolines
+// trampolines, so the output slices are allocated once from the
+// selection instead of doubling their way up.
+func (r *Rewriter) presize(sites, trampolines int) {
+	r.results = slices.Grow(r.results, sites)
+	r.trampolines = slices.Grow(r.trampolines, trampolines)
+	if !r.noPlan {
+		r.sites = slices.Grow(r.sites, sites)
+	}
+	r.slabChunk = min(sites*slabBytesPerSite, maxSlabChunk)
 }
 
 // patchOne escalates through the tactics for a single location. The

@@ -59,6 +59,19 @@ func trampFor(t *testing.T, r *Rewriter, forAddr uint64, evictee bool) *Trampoli
 	return nil
 }
 
+// TestPatchAllOnce: the lock state and the space carry one PatchAll's
+// decisions, so a second call is refused, not run over them.
+func TestPatchAllOnce(t *testing.T) {
+	r, _ := newTestRewriter(t, figure1, Options{})
+	r.PatchAll([]int{0})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second PatchAll did not panic")
+		}
+	}()
+	r.PatchAll([]int{0})
+}
+
 func TestB1DirectJump(t *testing.T) {
 	// A 6-byte jcc rel32 is patched with a plain jump (B1).
 	r, insts := newTestRewriter(t, func(a *x86.Asm) {

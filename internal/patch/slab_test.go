@@ -130,18 +130,19 @@ func TestUndoAfterSlabEmission(t *testing.T) {
 	}
 	want := bytes.Clone(kept)
 
-	ar := &arena{base: 0xA00000, end: 0xB00000, ptr: 0xA00000}
-	r.arena = ar
-	code, ok := r.emit(r.patchT, &in, ar.ptr, size)
+	const at = 0xA00000
+	code, ok := r.emit(r.patchT, &in, at, size)
 	if !ok {
 		t.Fatal("emit failed")
 	}
-	ar.ptr += uint64(size)
-	r.undoTrampoline(0xA00000, code, true)
-	if ar.ptr != 0xA00000 || len(r.slab) != size {
-		t.Fatalf("after undo: arena ptr %#x, slab holds %d bytes, want %#x and %d", ar.ptr, len(r.slab), 0xA00000, size)
+	if err := r.space.Reserve(at, at+uint64(size)); err != nil {
+		t.Fatal(err)
 	}
-	again, _ := r.emit(r.patchT, &in, 0xA00000, size)
+	r.undoTrampoline(at, code)
+	if len(r.slab) != size || r.space.Occupied(at, at+uint64(size)) {
+		t.Fatalf("after undo: slab holds %d bytes, want %d, and the range must be free", len(r.slab), size)
+	}
+	again, _ := r.emit(r.patchT, &in, at, size)
 	if &again[0] != &code[0] {
 		t.Error("the undone bytes were not reused")
 	}
@@ -153,7 +154,7 @@ func TestUndoAfterSlabEmission(t *testing.T) {
 	if err := r.space.Reserve(0x900000, 0x900000+uint64(size)); err != nil {
 		t.Fatal(err)
 	}
-	r.undoTrampoline(0x900000, kept, false)
+	r.undoTrampoline(0x900000, kept)
 	if len(r.slab) != 2*size || r.space.Occupied(0x900000, 0x900000+uint64(size)) {
 		t.Errorf("undo of an inner trampoline: slab holds %d bytes, want %d", len(r.slab), 2*size)
 	}

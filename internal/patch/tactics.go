@@ -141,26 +141,9 @@ func jumpBytes(view []byte, off int, addr uint64, instLen int, w punWindow, targ
 // windows use a deterministic jitter so trampolines spread across
 // page offsets — without it every pun lands at its window's lowest
 // address and physical page grouping cannot merge anything (§4).
-//
-// When the rewriter patches one region of a parallel decomposition,
-// unconstrained allocations come from the region's pre-reserved arena
-// when possible (no address-space traffic at all); the reported
-// fromArena lets failure paths undo the bump instead of releasing.
-func (r *Rewriter) allocTrampoline(tmpl trampoline.Template, inst *x86.Inst, size int, w punWindow) (t uint64, code []byte, fromArena, ok bool) {
+func (r *Rewriter) allocTrampoline(tmpl trampoline.Template, inst *x86.Inst, size int, w punWindow) (t uint64, code []byte, ok bool) {
 	usize := uint64(size)
 	unconstrained := w.freeBytes == 4
-	if unconstrained && r.arena != nil {
-		if at, aok := r.arena.peek(usize, w.winLo, w.winHi); aok {
-			code, ok := r.emit(tmpl, inst, at, size)
-			if !ok {
-				return 0, nil, false, false
-			}
-			r.arena.ptr = at + usize
-			return at, code, true, true
-		}
-		// Arena exhausted or outside this window: fall through to the
-		// journaled shared-space path.
-	}
 	switch {
 	case unconstrained:
 		if r.hint >= w.winLo && r.hint <= w.winHi {
@@ -175,21 +158,30 @@ func (r *Rewriter) allocTrampoline(tmpl trampoline.Template, inst *x86.Inst, siz
 		t, ok = r.space.FindFree(usize, w.winLo, w.winHi)
 	}
 	if !ok {
-		return 0, nil, false, false
+		return 0, nil, false
 	}
 	if code, ok = r.emit(tmpl, inst, t, size); !ok {
-		return 0, nil, false, false
+		return 0, nil, false
 	}
 	// FindFree left the space's finger at this gap, so the reservation
 	// of the range it found does not search for the position again.
-	if err := r.reserveVA(t, t+usize); err != nil {
+	if err := r.space.Reserve(t, t+usize); err != nil {
 		r.unemit(code)
-		return 0, nil, false, false
+		return 0, nil, false
 	}
 	if unconstrained {
 		r.hint = t + usize
 	}
-	return t, code, false, true
+	return t, code, true
+}
+
+// undoTrampoline backs out an uncommitted allocTrampoline result; a
+// failed release is a state-tracking bug.
+func (r *Rewriter) undoTrampoline(t uint64, code []byte) {
+	r.unemit(code)
+	if err := r.space.Release(t, t+uint64(len(code))); err != nil {
+		panic("patch: inconsistent release: " + err.Error())
+	}
 }
 
 // mix64 is a splitmix64-style hash for deterministic placement jitter.
@@ -213,7 +205,7 @@ func (r *Rewriter) tryJumpPad(inst *x86.Inst, pad int) bool {
 	if !ok {
 		return false
 	}
-	t, code, _, ok := r.allocTrampoline(r.patchT, inst, size, w)
+	t, code, ok := r.allocTrampoline(r.patchT, inst, size, w)
 	if !ok {
 		return false
 	}
@@ -256,7 +248,7 @@ func (r *Rewriter) tryInt3(inst *x86.Inst) bool {
 		return false
 	}
 	w := punWindow{freeBytes: 4, winLo: r.space.Min(), winHi: r.space.Max() - 1}
-	t, code, _, ok := r.allocTrampoline(r.patchT, inst, size, w)
+	t, code, ok := r.allocTrampoline(r.patchT, inst, size, w)
 	if !ok {
 		return false
 	}

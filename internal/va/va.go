@@ -414,27 +414,6 @@ func (s *Space) Release(lo, hi uint64) error {
 	return nil
 }
 
-// Clone returns an independent copy of the space: same bounds, same
-// occupied intervals, no shared structure. The leaves are copied as
-// they stand, into one allocation. Every query (FindFree, Gaps, Floor,
-// Ceiling, Occupied) depends only on the interval set, so a clone
-// answers all queries identically to the original — the property the
-// parallel patcher's speculative regions rely on.
-func (s *Space) Clone() *Space {
-	c := &Space{
-		leaves: make([][]Interval, len(s.leaves)),
-		first:  slices.Clone(s.first),
-		min:    s.min, max: s.max,
-		count: s.count, occupied: s.occupied,
-	}
-	slab := make([]Interval, len(s.leaves)*leafCap)
-	for i, leaf := range s.leaves {
-		c.leaves[i] = slab[:copy(slab, leaf):leafCap]
-		slab = slab[leafCap:]
-	}
-	return c
-}
-
 // Intervals returns all occupied intervals in ascending order.
 func (s *Space) Intervals() []Interval {
 	out := make([]Interval, 0, s.count)

@@ -126,10 +126,9 @@ func TestParallelRewriteCorpusKernels(t *testing.T) {
 	}
 }
 
-// TestParallelRewriteProfiles drives the multi-region patching path at
-// DEFAULT thresholds: the synthetic SPEC profile binaries have
-// hundreds of guard-band-separated clusters (gcc A2: ~500), so their
-// patch phase genuinely decomposes, speculates and replays.
+// TestParallelRewriteProfiles drives the sharded disassembly and
+// matching phases over SPEC profile binaries large enough to split
+// into several shards at every width.
 func TestParallelRewriteProfiles(t *testing.T) {
 	cases := []struct {
 		profile string
@@ -156,7 +155,7 @@ func TestParallelRewriteProfiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		if seq.Stats.Total < 1000 {
-			t.Fatalf("%s: only %d locations — not a multi-region workload", tc.profile, seq.Stats.Total)
+			t.Fatalf("%s: only %d locations — not a multi-shard workload", tc.profile, seq.Stats.Total)
 		}
 		for _, par := range []int{2, 8} {
 			cfg.Parallelism = par
@@ -278,9 +277,8 @@ func TestDiagnoseSelectionCoordinates(t *testing.T) {
 }
 
 // FuzzParallelRewrite cross-checks random programs under random
-// parallelism and region granularity against the sequential rewrite,
-// then runs the parallel output to confirm it still behaves like the
-// original program.
+// parallelism against the sequential rewrite, then runs the parallel
+// output to confirm it still behaves like the original program.
 func FuzzParallelRewrite(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed, uint8(seed*5+1))
@@ -291,13 +289,12 @@ func FuzzParallelRewrite(f *testing.F) {
 		if err != nil {
 			t.Skip() // assembler rejected the combination; not a rewrite bug
 		}
-		width := int(knobs%8) + 2     // 2..9 workers
-		minRegion := 1 << (knobs % 5) // region granularity 1..16
+		width := int(knobs%8) + 2 // 2..9 workers
 		mk := func(par int) Config {
 			return Config{
 				Select:      SelectJumps,
 				Parallelism: par,
-				Patch:       patch.Options{MinRegionSize: minRegion, B0Fallback: knobs%2 == 0},
+				Patch:       patch.Options{B0Fallback: knobs%2 == 0},
 			}
 		}
 		seq, err := Rewrite(bin, mk(1))
@@ -309,7 +306,7 @@ func FuzzParallelRewrite(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertSameParallelResult(t, seq, par,
-			fmt.Sprintf("seed=%d width=%d minRegion=%d", seed, width, minRegion))
+			fmt.Sprintf("seed=%d width=%d", seed, width))
 
 		om := fuzzRun(t, bin)
 		pm := fuzzRun(t, par.Output)

@@ -218,10 +218,6 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 	}
 	popts := cfg.Patch
 	popts.Template = cfg.Template
-	popts.Workers = st.width
-	if cfg.Pool != nil {
-		popts.Pool = cfg.Pool
-	}
 	if lim.MaxTrampolineBytes > 0 {
 		popts.TrampolineBudget = lim.MaxTrampolineBytes
 	}

@@ -28,7 +28,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // planCorpus returns the same binaries the parallel differential suite
 // uses: the five kernel archetypes, the eviction-hostile synthetic,
-// and two multi-region SPEC profiles that genuinely decompose.
+// and two SPEC profiles with thousands of sites.
 func planCorpus(t testing.TB) []struct {
 	name string
 	bin  []byte
