@@ -362,9 +362,17 @@ func (r *Rewriter) PatchAll(indices []int) Stats {
 	if !slices.IsSortedFunc(order, descending) {
 		slices.SortFunc(order, descending)
 	}
-	// T2 and T3 emit a second trampoline; a quarter more covers the
-	// densest profiles, and past it append grows as usual.
-	r.presize(len(order), len(order)+len(order)/4)
+	// The output slices are allocated once from the selection instead of
+	// doubling their way up. T2 and T3 emit a second trampoline; a
+	// quarter more covers the densest profiles, and past it append grows
+	// as usual.
+	n := len(order)
+	r.results = slices.Grow(r.results, n)
+	r.trampolines = slices.Grow(r.trampolines, n+n/4)
+	if !r.noPlan {
+		r.sites = slices.Grow(r.sites, n)
+	}
+	r.slabChunk = min(n*slabBytesPerSite, maxSlabChunk)
 	for i, idx := range order {
 		if r.limited {
 			break // trampoline budget exhausted; result is discarded
@@ -376,18 +384,6 @@ func (r *Rewriter) PatchAll(indices []int) Stats {
 	}
 	r.epilogues()
 	return r.stats
-}
-
-// presize makes room for the outcome of sites locations and trampolines
-// trampolines, so the output slices are allocated once from the
-// selection instead of doubling their way up.
-func (r *Rewriter) presize(sites, trampolines int) {
-	r.results = slices.Grow(r.results, sites)
-	r.trampolines = slices.Grow(r.trampolines, trampolines)
-	if !r.noPlan {
-		r.sites = slices.Grow(r.sites, sites)
-	}
-	r.slabChunk = min(sites*slabBytesPerSite, maxSlabChunk)
 }
 
 // patchOne escalates through the tactics for a single location. The
