@@ -111,13 +111,14 @@ benchcheck:
 
 # rpccheck verifies the JSON-RPC backend protocol end to end: the
 # golden transcripts in testdata/rpc replayed against the built
-# cmd/e9patch binary (outputs hash-compared with the library path),
-# the usage/abuse paths of the backend binary, the e9tool -backend
+# cmd/e9patch binary (the backend alone: it takes no arguments and
+# refuses any, and its outputs are hash-compared with the library
+# path), the usage/abuse paths of the backend binary, the e9tool -backend
 # subprocess pipeline and e9tool's own streamed output (to a new file,
 # over its input, and failing), the in-library session grammar/abuse suite with
 # its fuzz seed corpus, and the served /v2/rewrite streaming endpoint.
 rpccheck:
-	$(GO) test -run 'TestRPCGolden|TestUsageOnTerminalStdin|TestBackendReportsStreamErrors' -count 1 ./cmd/e9patch/
+	$(GO) test -run 'TestRPCGolden|TestUsageOnTerminalStdin|TestBackendReportsStreamErrors|TestNoFrontendFlags' -count 1 ./cmd/e9patch/
 	$(GO) test -run 'TestBackendPipeline|TestStreamedOutput' -count 1 ./cmd/e9tool/
 	$(GO) test ./internal/rpc/
 	$(GO) test -run 'TestStreamEndpoint' -count 1 ./internal/server/

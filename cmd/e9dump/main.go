@@ -5,8 +5,8 @@
 // for rewritten binaries — the appended trampoline blob.
 //
 // With -spec it instead inspects a spec-language file (internal/lang):
-// the typed AST of each match/exclude expression, the patch directive,
-// and the compiled selector's operation count and shardability.
+// the typed AST of each match/exclude expression and the patch
+// directive.
 //
 // With -plan it prints a serialized patch plan (e9tool -emit-plan, a
 // plan-delta response, a peer's plan endpoint) as indented JSON: the
@@ -32,7 +32,7 @@ func main() {
 		skip    = flag.Uint64("skip", 0, "skip the first N bytes of .text")
 		disasmF = flag.String("disasm", "", "instruction recovery mode: linear (default) | superset | superset-cet")
 		occup   = flag.Bool("occupancy", false, "print the per-byte occupancy summary (superset modes only)")
-		spec    = flag.String("spec", "", "dump the typed AST and shardability of a spec file instead of a binary")
+		spec    = flag.String("spec", "", "dump the typed AST of a spec file instead of a binary")
 		planF   = flag.String("plan", "", "print a serialized patch plan as JSON instead of inspecting a binary")
 	)
 	flag.Parse()

@@ -184,3 +184,41 @@ func TestBackendReportsStreamErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestNoFrontendFlags: e9patch is the backend and nothing else. The
+// one-shot rewriter (-app) and the session flags are gone — selection
+// belongs to a frontend and settings to the option message — so any
+// argument, even with a stream on stdin, exits 2 with usage and writes
+// nothing.
+func TestNoFrontendFlags(t *testing.T) {
+	bin := buildE9Patch(t)
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "input.bin")
+	if err := os.WriteFile(inPath, testProg(t), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	outPath := filepath.Join(dir, "out.bin")
+	for name, args := range map[string][]string{
+		"app":     {"-app", "jumps", "-o", outPath, inPath},
+		"backend": {"-backend"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cmd := exec.Command(bin, args...)
+			cmd.Stdin = strings.NewReader(`{"method":"emit"}` + "\n")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout = &stdout
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 2 {
+				t.Fatalf("expected exit 2, got %v\nstdout: %s\nstderr: %s", err, stdout.String(), stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "usage:") {
+				t.Fatalf("no usage on stderr:\n%s", stderr.String())
+			}
+			if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+				t.Fatalf("%s was written (stat: %v)", outPath, err)
+			}
+		})
+	}
+}

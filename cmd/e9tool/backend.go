@@ -31,7 +31,7 @@ type backendResponse struct {
 }
 
 func startBackend(path string) (*backendClient, error) {
-	cmd := exec.Command(path, "-backend")
+	cmd := exec.Command(path)
 	cmd.Stderr = os.Stderr
 	in, err := cmd.StdinPipe()
 	if err != nil {

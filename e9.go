@@ -88,18 +88,9 @@ type DisasmStats = disasm.SupersetStats
 // insts[i].DecodeInto.
 type Selector func(insts []x86.Loc) []int
 
-// ParallelSafe marks a custom selector as safe for sharded matching
-// and returns it. A selector is shard-safe when its decision for
-// instruction i depends on insts[i] alone — no neighbour inspection,
-// no internal state, no dependence on slice positions. Selectors not
-// marked safe are simply evaluated sequentially.
-func ParallelSafe(sel Selector) Selector {
-	match.RegisterShardable(sel)
-	return sel
-}
-
 func init() {
-	// The built-in selectors are all per-instruction predicates.
+	// The built-in selectors are all per-instruction predicates, so
+	// matching shards them; a custom Selector is one sequential call.
 	match.RegisterShardable(SelectJumps)
 	match.RegisterShardable(SelectHeapWrites)
 	match.RegisterShardable(SelectAll)

@@ -25,13 +25,6 @@ func ModRMRM(inst *x86.Inst) x86.Reg { return modrmRM(inst) }
 // RMIsReg reports whether the r/m operand is a register.
 func RMIsReg(inst *x86.Inst) bool { return rmIsReg(inst) }
 
-// RegRead returns the low w bytes of a register.
-func (m *Machine) RegRead(r x86.Reg, w int) uint64 { return m.regRead(r, w) }
-
-// RegWrite stores v into a register with x86-64 merge semantics
-// (32-bit writes zero-extend; 8/16-bit writes merge).
-func (m *Machine) RegWrite(r x86.Reg, v uint64, w int) { m.regWrite(r, v, w) }
-
 // AddWithFlags computes a+b+cin updating all arithmetic flags,
 // returning the masked result.
 func (m *Machine) AddWithFlags(a, b, cin uint64, w int) uint64 { return m.addFlags(a, b, cin, w) }

@@ -51,9 +51,6 @@ type Stats struct {
 // PhysBytes returns the grouped physical payload size.
 func (s Stats) PhysBytes() uint64 { return uint64(s.PhysBlocks) * s.BlockSize }
 
-// NaiveBytes returns the physical payload size without grouping.
-func (s Stats) NaiveBytes() uint64 { return uint64(s.VirtBlocks) * s.BlockSize }
-
 // Result is the grouped physical image.
 type Result struct {
 	// Blocks holds the merged physical blocks, each BlockSize bytes.

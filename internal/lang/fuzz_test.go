@@ -75,9 +75,6 @@ func FuzzMatchExpr(f *testing.F) {
 		classified(t, err, "CompileExpr", src)
 		if err == nil {
 			p.Eval(&inst)
-			if !p.ShardSafe() {
-				t.Errorf("CompileExpr(%q): compiled program not shard-safe", src)
-			}
 		}
 		_, err = ParsePatch(src)
 		classified(t, err, "ParsePatch", src)

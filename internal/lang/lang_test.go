@@ -206,9 +206,6 @@ func TestEvalAgainstHandPredicates(t *testing.T) {
 			if got != c.want {
 				t.Errorf("%s: %q matched %d instructions, want %d", fx.name, c.expr, got, c.want)
 			}
-			if !p.ShardSafe() {
-				t.Errorf("%q not shard-safe", c.expr)
-			}
 			if !match.Shardable(p.Selector()) {
 				t.Errorf("%q selector not registered shardable", c.expr)
 			}
@@ -509,7 +506,6 @@ func TestDump(t *testing.T) {
 		"cmp addr = ",
 		"exclude short",
 		"patch counter=0x300000000",
-		"shardable (registered via match.Select; all ops pure)",
 	} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump missing %q:\n%s", want, dump)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"e9patch/internal/e9err"
-	"e9patch/internal/match"
 	"e9patch/internal/x86"
 )
 
@@ -168,8 +167,8 @@ func (s *Spec) Program() *Program { return s.prog }
 // program, registered match.Shardable.
 func (s *Spec) Selector() func(insts []x86.Loc) []int { return s.prog.Selector() }
 
-// Dump renders the whole spec: per-directive typed ASTs plus the
-// compiled selector's shardability — the e9dump -spec output.
+// Dump renders the whole spec as per-directive typed ASTs — the
+// e9dump -spec output.
 func (s *Spec) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "match %s\n", s.MatchSrc)
@@ -182,11 +181,6 @@ func (s *Spec) Dump() string {
 	if s.PayloadRef != "" {
 		fmt.Fprintf(&b, "payload %s\n", s.PayloadRef)
 	}
-	shard := "not shardable"
-	if s.prog.ShardSafe() && match.Shardable(s.Selector()) {
-		shard = "shardable (registered via match.Select; all ops pure)"
-	}
-	fmt.Fprintf(&b, "selector: %d ops, %s\n", len(s.prog.Ops()), shard)
 	return b.String()
 }
 

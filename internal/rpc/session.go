@@ -122,7 +122,6 @@ type optionParams struct {
 	Granularity *int    `json:"granularity"`
 	SkipPrefix  *Uint64 `json:"skipPrefix"`
 	Disasm      *string `json:"disasm"`
-	Parallelism *int    `json:"parallelism"`
 	DisableT1   *bool   `json:"disableT1"`
 	DisableT2   *bool   `json:"disableT2"`
 	DisableT3   *bool   `json:"disableT3"`
@@ -154,9 +153,6 @@ func (s *Session) handleOption(msg *Message) (any, error) {
 			return nil, e9err.Malformed("rpc", "rpc: %v", err)
 		}
 		s.cfg.Disasm = mode
-	}
-	if p.Parallelism != nil {
-		s.cfg.Parallelism = *p.Parallelism
 	}
 	if p.DisableT1 != nil {
 		s.cfg.Patch.DisableT1 = *p.DisableT1

@@ -231,6 +231,19 @@ func TestSessionHostileMatch(t *testing.T) {
 	}
 }
 
+// TestSessionRejectsParallelism: worker count is the serving process's
+// decision, not the stream's, so an option message naming parallelism
+// is an unknown field like any misspelling.
+func TestSessionRejectsParallelism(t *testing.T) {
+	_, err := serveString(t, `{"method":"option","params":{"parallelism":2}}`+"\n", Options{})
+	if !errors.Is(err, e9err.ErrMalformed) {
+		t.Fatalf("want ErrMalformed, got %v", err)
+	}
+	if !strings.Contains(err.Error(), `unknown field "parallelism"`) {
+		t.Fatalf("want the unknown-field error, got %v", err)
+	}
+}
+
 // TestSessionOptions checks option plumbing end to end: forceB0 must
 // change every patched site's tactic to B0.
 func TestSessionOptions(t *testing.T) {

@@ -199,9 +199,7 @@ func New(cfg Config) *Server {
 	}
 	s.rewrite = func(ctx context.Context, key string, binary []byte, spec *Spec) (*e9patch.Result, error) {
 		rcfg := spec.Config()
-		if rcfg.Parallelism <= 0 || rcfg.Parallelism > s.cfg.Workers {
-			rcfg.Parallelism = s.cfg.Workers
-		}
+		rcfg.Parallelism = s.cfg.Workers
 		rcfg.Pool = s.shards
 		rcfg.Limits = s.cfg.Limits
 		// Plan, bank the plan in the second cache tier, then apply. The

@@ -502,56 +502,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestParallelismSharesCacheEntry verifies the parallelism request
-// parameter: it never changes the output bytes, so it is excluded from
-// the cache key — requests differing only in parallelism coalesce onto
-// one cached entry — and invalid values are rejected up front.
-func TestParallelismSharesCacheEntry(t *testing.T) {
-	srv := New(Config{Workers: 4, QueueLen: 8})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	bin := kernelELF(t)
-	post := func(par string) (*http.Response, []byte) {
-		url := ts.URL + "/v1/rewrite?match=branch&parallelism=" + par
-		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(bin))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, out
-	}
-
-	resp1, out1 := post("1")
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("parallelism=1 status %d: %s", resp1.StatusCode, out1)
-	}
-	resp8, out8 := post("8")
-	if resp8.StatusCode != http.StatusOK {
-		t.Fatalf("parallelism=8 status %d: %s", resp8.StatusCode, out8)
-	}
-	if resp8.Header.Get("X-E9-Cache") != "hit" {
-		t.Fatalf("parallelism=8 cache status %q, want hit (parallelism must not key the cache)",
-			resp8.Header.Get("X-E9-Cache"))
-	}
-	if !bytes.Equal(out1, out8) {
-		t.Fatal("output bytes differ across parallelism values")
-	}
-	if got := metricValue(t, srv.Handler(), "e9served_rewrites_total"); got != 1 {
-		t.Fatalf("rewrites_total = %g, want 1", got)
-	}
-
-	resp0, body := post("0")
-	if resp0.StatusCode != http.StatusBadRequest {
-		t.Fatalf("parallelism=0 status %d (%s), want 400", resp0.StatusCode, body)
-	}
-}
-
 // TestPlanCacheRematerialize pins the second cache tier: with a result
 // cache too small to hold anything, a repeat request must be answered
 // by rematerializing the banked plan — identical body, no second

@@ -38,8 +38,9 @@ import (
 //	b0-fallback / force-b0                 int3 tactics
 //	reserve     extra reserved VA ranges, "0xLO-0xHI", repeatable or
 //	            comma-separated
-//	parallelism worker goroutines for this rewrite, clamped to the
-//	            server's pool size (default: the pool size)
+//
+// Every rewrite runs at the server's Workers width; the output is
+// byte-identical at every width, so no request chooses it.
 type Spec struct {
 	Match       string
 	Action      string
@@ -54,7 +55,6 @@ type Spec struct {
 	B0Fallback  bool
 	ForceB0     bool
 	Reserve     [][2]uint64
-	Parallelism int
 
 	// built is the eagerly lowered program (SpecText, or Match and
 	// Action), so bad specs fail at parse time (422) and Config never
@@ -154,16 +154,6 @@ func parseSpec(r *http.Request) (*Spec, error) {
 	if s.ForceB0, err = getBool("force-b0"); err != nil {
 		return nil, err
 	}
-	if v := get("parallelism"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, fmt.Errorf("parameter parallelism: %w", err)
-		}
-		if p < 1 {
-			return nil, fmt.Errorf("parameter parallelism: must be >= 1, got %d", p)
-		}
-		s.Parallelism = p
-	}
 
 	ranges := q["reserve"]
 	if h := r.Header.Get("X-E9-Reserve"); h != "" {
@@ -225,10 +215,6 @@ func parseSpec(r *http.Request) (*Spec, error) {
 // "jcc & short" are distinct keys even though they compile to the same
 // predicate; canonicalisation covers parameters, not expression
 // algebra.
-//
-// Parallelism is deliberately excluded: the rewrite output is
-// byte-identical at every worker count, so requests differing only in
-// parallelism share one cache entry.
 func (s *Spec) Canonical() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "match=%s|action=%s|M=%d|skip=%d|disasm=%s|t1=%t|t2=%t|t3=%t|b0=%t|forceb0=%t",
@@ -264,7 +250,6 @@ func (s *Spec) Config() e9patch.Config {
 		Granularity: s.Granularity,
 		SkipPrefix:  s.SkipPrefix,
 		Disasm:      s.Disasm,
-		Parallelism: s.Parallelism,
 		Patch: patch.Options{
 			DisableT1:  s.DisableT1,
 			DisableT2:  s.DisableT2,

@@ -248,7 +248,3 @@ func emitIndirectAsJmp(a *x86.Asm, inst *x86.Inst) error {
 	}
 	return a.Err()
 }
-
-// EmitPush64 exposes the 64-bit push idiom for other packages (the
-// emulator tests exercise it directly).
-func EmitPush64(a *x86.Asm, v uint64) { emitPush64(a, v) }

@@ -34,11 +34,6 @@ func (iv Interval) Size() uint64 { return iv.Hi - iv.Lo }
 // Contains reports whether addr lies inside the interval.
 func (iv Interval) Contains(addr uint64) bool { return addr >= iv.Lo && addr < iv.Hi }
 
-// Overlaps reports whether two intervals intersect.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lo < other.Hi && other.Lo < iv.Hi
-}
-
 func (iv Interval) String() string { return fmt.Sprintf("[%#x,%#x)", iv.Lo, iv.Hi) }
 
 // leafCap is the number of intervals a leaf holds: 1 KB, so an insertion
@@ -51,9 +46,9 @@ type pos struct{ leaf, idx int }
 
 // Space is an occupied-interval set over a bounded address range.
 //
-// A Space is not safe for concurrent mutation. Clone and the pure
-// queries (Floor, Ceiling, Occupied, Gaps, Intervals) only read, so
-// they may run concurrently with each other; FindFree, Reserve and
+// A Space is not safe for concurrent mutation. The pure queries
+// (Floor, Ceiling, Occupied, Gaps, Intervals) only read, so they may
+// run concurrently with each other; FindFree, Reserve and
 // Release move the finger and count as mutation.
 type Space struct {
 	// leaves partition the ordered intervals; none is empty, and

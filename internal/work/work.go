@@ -1,6 +1,6 @@
 // Package work provides the bounded parallelism primitive shared by
-// the rewrite pipeline's sharded phases (disassembly, matching, region
-// patching) and, in e9served, by all concurrent requests.
+// the rewrite pipeline's sharded phases (disassembly and matching)
+// and, in e9served, by all concurrent requests.
 //
 // The design goal is composability without oversubscription: a Pool
 // holds a fixed number of worker leases, and ForEach runs a parallel

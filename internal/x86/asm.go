@@ -56,9 +56,6 @@ var condNames = [...]string{
 
 func (c Cond) String() string { return condNames[c&0xF] }
 
-// Invert returns the negated condition.
-func (c Cond) Invert() Cond { return c ^ 1 }
-
 // Label marks a position in assembled code for branch targets.
 type Label struct {
 	addr   uint64
