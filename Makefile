@@ -115,13 +115,12 @@ benchcheck:
 # refuses any, and its outputs are hash-compared with the library
 # path), the usage/abuse paths of the backend binary, the e9tool -backend
 # subprocess pipeline and e9tool's own streamed output (to a new file,
-# over its input, and failing), the in-library session grammar/abuse suite with
-# its fuzz seed corpus, and the served /v2/rewrite streaming endpoint.
+# over its input, and failing), and the in-library session grammar/abuse
+# suite with its fuzz seed corpus.
 rpccheck:
 	$(GO) test -run 'TestRPCGolden|TestUsageOnTerminalStdin|TestBackendReportsStreamErrors|TestNoFrontendFlags' -count 1 ./cmd/e9patch/
 	$(GO) test -run 'TestBackendPipeline|TestStreamedOutput' -count 1 ./cmd/e9tool/
 	$(GO) test ./internal/rpc/
-	$(GO) test -run 'TestStreamEndpoint' -count 1 ./internal/server/
 
 # disasmcheck gates the pluggable recovery frontends: linear
 # byte-identity at every width, the superset ⊇ linear differential over

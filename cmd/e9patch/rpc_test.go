@@ -157,7 +157,9 @@ func TestUsageOnTerminalStdin(t *testing.T) {
 
 // TestBackendReportsStreamErrors checks the hostile-stream contract at
 // the process level: a broken session ends with a JSON error object on
-// stdout and a non-zero exit, never a hang or a panic.
+// stdout and a non-zero exit, never a hang, a panic or a fatal
+// allocation. A binary message declaring a terabyte-sized raw payload
+// is an unknown field, not a terabyte allocation.
 func TestBackendReportsStreamErrors(t *testing.T) {
 	bin := buildE9Patch(t)
 	for name, stream := range map[string]string{
@@ -166,6 +168,7 @@ func TestBackendReportsStreamErrors(t *testing.T) {
 		"not-json":     "hello\n",
 		"no-emit":      `{"method":"option","params":{"granularity":2},"id":1}` + "\n",
 		"bad-filename": `{"method":"binary","params":{"filename":"/nonexistent/x"},"id":1}` + "\n",
+		"size-framed":  `{"method":"binary","params":{"size":1099511627776},"id":1}` + "\nabc",
 	} {
 		t.Run(name, func(t *testing.T) {
 			cmd := exec.Command(bin)

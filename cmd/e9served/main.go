@@ -16,10 +16,6 @@
 //	    → 200 rewritten binary; X-E9-Stats (JSON), X-E9-Cache headers
 //	    → 422 with line:column for a malformed match/action/spec
 //	    → 429 + Retry-After under overload; 504 past the time budget
-//	POST /v2/rewrite                                body = JSON-RPC session
-//	    line-delimited option* binary (patch|reserve)* emit stream
-//	    (internal/rpc, DESIGN.md §12), chunked transfer welcome;
-//	    → 200 rewritten binary; X-E9-Stats header; 400 broken streams
 //	POST /v1/batch                                  body = NDJSON items
 //	    {"id":..,"query":"match=..","binary":"<base64>","want":"binary|plan"}
 //	    → 200 NDJSON results streamed in completion order
@@ -38,12 +34,9 @@
 //	    'localhost:8233/v1/rewrite?match=jcc+%26+short&action=empty' \
 //	    -o patched.bin -D -
 //
-//	{ printf '{"method":"binary","params":{"size":%s}}\n' "$(stat -c%s input.bin)"
-//	  cat input.bin; echo
-//	  echo '{"method":"patch","params":{"match":"jcc"}}'
-//	  echo '{"method":"emit"}'
-//	} | curl -s -X POST -H 'Transfer-Encoding: chunked' --data-binary @- \
-//	    localhost:8233/v2/rewrite -o patched.bin
+//	curl -s --data-binary @input.bin \
+//	    'localhost:8233/v1/rewrite?match=addr=0x401005|addr=0x40100e&granularity=2' \
+//	    -o patched.bin
 //
 // SIGINT/SIGTERM starts a graceful drain: /healthz flips to 503, open
 // requests get -drain time to finish, then the process exits.

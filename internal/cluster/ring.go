@@ -34,7 +34,6 @@ const DefaultReplicas = 64
 // invalidating every other node's cache shard.
 type Ring struct {
 	points []ringPoint // sorted by hash
-	nodes  []string
 }
 
 type ringPoint struct {
@@ -57,7 +56,6 @@ func NewRing(peers []string, replicas int) *Ring {
 			continue
 		}
 		seen[p] = true
-		r.nodes = append(r.nodes, p)
 		for i := 0; i < replicas; i++ {
 			r.points = append(r.points, ringPoint{hash: pointHash(p, i), node: p})
 		}
@@ -73,9 +71,6 @@ func NewRing(peers []string, replicas int) *Ring {
 	return r
 }
 
-// Nodes returns the distinct peers on the ring, in insertion order.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Owner returns the peer that owns key, or "" on an empty ring.
 func (r *Ring) Owner(key string) string {
 	if len(r.points) == 0 {
@@ -87,30 +82,6 @@ func (r *Ring) Owner(key string) string {
 		i = 0 // wrap: the ring is a circle
 	}
 	return r.points[i].node
-}
-
-// Owners returns up to n distinct peers in ownership order for key:
-// the owner first, then the successors a caller may try when the owner
-// is down. n larger than the peer count returns every peer.
-func (r *Ring) Owners(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	h := keyHash(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for k := 0; k < len(r.points) && len(out) < n; k++ {
-		p := r.points[(i+k)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
 }
 
 // pointHash places virtual node i of peer on the ring. The peer name

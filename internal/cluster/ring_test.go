@@ -68,36 +68,14 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 }
 
-// TestRingOwners: the successor list starts at the owner, holds
-// distinct peers, and caps at the cluster size.
-func TestRingOwners(t *testing.T) {
-	r := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 0)
-	for _, k := range keys(100) {
-		owners := r.Owners(k, 5)
-		if len(owners) != 3 {
-			t.Fatalf("Owners(%s, 5) = %v, want all 3 distinct peers", k, owners)
-		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("Owners(%s)[0] = %q, Owner = %q", k, owners[0], r.Owner(k))
-		}
-		seen := map[string]bool{}
-		for _, o := range owners {
-			if seen[o] {
-				t.Fatalf("Owners(%s) repeats %q: %v", k, o, owners)
-			}
-			seen[o] = true
-		}
-	}
-}
-
 // TestRingDegenerate: empty and single-node rings behave sanely.
 func TestRingDegenerate(t *testing.T) {
 	if o := NewRing(nil, 0).Owner("k"); o != "" {
 		t.Fatalf("empty ring owner = %q, want \"\"", o)
 	}
 	one := NewRing([]string{"http://solo", "", "http://solo"}, 0)
-	if got := len(one.Nodes()); got != 1 {
-		t.Fatalf("dedup failed: %d nodes", got)
+	if got := len(one.points); got != DefaultReplicas {
+		t.Fatalf("dedup failed: %d points, want one node's %d", got, DefaultReplicas)
 	}
 	for _, k := range keys(10) {
 		if o := one.Owner(k); o != "http://solo" {

@@ -27,7 +27,7 @@ func TestSessionDisasmOption(t *testing.T) {
 		if err != nil {
 			break
 		}
-		if _, err := s.Handle(ctx, msg, d); err != nil {
+		if _, err := s.Handle(ctx, msg); err != nil {
 			t.Fatalf("%s: %v", msg.Method, err)
 		}
 	}
@@ -50,7 +50,7 @@ func TestSessionDisasmOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Handle(ctx, msg, d2); err == nil {
+	if _, err := s2.Handle(ctx, msg); err == nil {
 		t.Fatal("bogus disasm mode accepted")
 	}
 }

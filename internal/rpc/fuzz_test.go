@@ -16,9 +16,9 @@ import (
 // session under tight resource caps. The invariant is the backend
 // contract: any stream either completes or returns a classified error —
 // never a panic, never an unbounded allocation, and file paths stay
-// rejected. Seeds cover the golden grammar (inline, framed, options,
-// reserves) plus each abuse shape so the mutator starts near the
-// interesting surface.
+// rejected. Seeds cover the golden grammar (inline data, options,
+// reserves, explicit addresses) plus each abuse shape so the mutator
+// starts near the interesting surface.
 func FuzzRPCSession(f *testing.F) {
 	bin := testBin(f)
 	b64 := base64.StdEncoding.EncodeToString(bin)
@@ -27,18 +27,16 @@ func FuzzRPCSession(f *testing.F) {
 {"jsonrpc":"2.0","method":"patch","params":{"app":"jumps"},"id":2}
 {"jsonrpc":"2.0","method":"emit","id":3}
 `, b64)))
-	var framed bytes.Buffer
-	fmt.Fprintf(&framed, `{"method":"option","params":{"forceB0":true}}`+"\n")
-	fmt.Fprintf(&framed, `{"method":"reserve","params":{"ranges":[{"lo":"0x700000000000","hi":"0x700000001000"}]}}`+"\n")
-	fmt.Fprintf(&framed, `{"method":"binary","params":{"size":%d}}`+"\n", len(bin))
-	framed.Write(bin)
-	framed.WriteByte('\n')
-	fmt.Fprintf(&framed, `{"method":"patch","params":{"addrs":["0x401005",4198406]},"id":1}`+"\n")
-	fmt.Fprintf(&framed, `{"method":"emit","id":2}`+"\n")
-	f.Add(framed.Bytes())
+	f.Add([]byte(fmt.Sprintf(`{"method":"option","params":{"forceB0":true}}
+{"method":"reserve","params":{"ranges":[{"lo":"0x700000000000","hi":"0x700000001000"}]}}
+{"method":"binary","params":{"data":%q}}
+{"method":"patch","params":{"addrs":["0x401005",4198406]},"id":1}
+{"method":"emit","id":2}
+`, b64)))
 	f.Add([]byte(`{"method":"patch","params":{"app":"jumps"}}`))
 	f.Add([]byte(`{"method":"emit"}` + "\n" + `{"method":"emit"}`))
-	f.Add([]byte(`{"method":"binary","params":{"size":999999}}` + "\nxx"))
+	f.Add([]byte(`{"method":"binary","params":{"data":"aGVsbG8="}}`))
+	f.Add([]byte(`{"method":"binary","params":{"size":1099511627776}}` + "\nabc"))
 	f.Add([]byte(`{"method":"binary","params":{"filename":"/etc/passwd"}}`))
 	f.Add([]byte(`{"method":"option","params":{"granularity":-1}}`))
 	f.Add([]byte("\n\n\n{\"method\":"))
@@ -51,10 +49,7 @@ func FuzzRPCSession(f *testing.F) {
 	f.Add([]byte(`{"method":"option","params":{"counter":"0x1_000"}}`))
 	f.Add([]byte(`{"method":"reserve","params":{"ranges":[["0x0000000000000000f","0x700000010000"]]}}`))
 
-	opts := Options{
-		MaxMessageBytes: 1 << 16,
-		MaxBinaryBytes:  1 << 20,
-	}
+	opts := Options{MaxMessageBytes: 1 << 16}
 	opts.Base.Limits.MaxInputBytes = 1 << 20
 	opts.Base.Limits.MaxPatchSites = 1 << 12
 

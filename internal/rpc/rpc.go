@@ -2,10 +2,9 @@
 // protocol: a line-delimited stream of messages that opens a binary,
 // accumulates patch selections and options incrementally, and emits
 // the rewritten output. The protocol is how frontends in any language
-// drive the backend — cmd/e9patch reads it from stdin, and e9served's
-// /v2/rewrite endpoint reads the same stream from a chunked request
-// body — while the backend itself does minimal parsing and no analysis,
-// exactly the E9Patch frontend/backend split.
+// drive the backend — cmd/e9patch reads it from stdin and writes the
+// replies to stdout — while the backend itself does minimal parsing
+// and no analysis, exactly the E9Patch frontend/backend split.
 //
 // A session is the message sequence
 //
@@ -18,10 +17,11 @@
 // "address": 4245300 and "address": "0x40c734" are equivalent, and the
 // string form represents the full 64-bit range losslessly.
 //
-// The decoder enforces hostile-input caps (message length, binary
-// payload size) before any parsing, and every failure is a classified
-// e9err error — malformed streams and out-of-order messages can end a
-// session but never panic the process.
+// The decoder enforces the message-length cap before any parsing (an
+// inline binary rides inside one message, so the cap bounds it too),
+// and every failure is a classified e9err error — malformed streams
+// and out-of-order messages can end a session but never panic the
+// process.
 package rpc
 
 import (
@@ -124,13 +124,12 @@ type Error struct {
 	Message string `json:"message"`
 }
 
-// JSON-RPC 2.0 error codes, plus implementation-defined codes (the
-// -320xx range) mapping the e9err taxonomy onto the wire.
+// The JSON-RPC 2.0 method-not-found code, plus implementation-defined
+// codes (the -320xx range) mapping the e9err taxonomy onto the wire. A
+// bad line, an unknown field or an out-of-order message is malformed
+// input like any other.
 const (
-	CodeParse          = -32700
-	CodeInvalidRequest = -32600
 	CodeMethodNotFound = -32601
-	CodeInvalidParams  = -32602
 	CodeMalformed      = -32000
 	CodeUnsupported    = -32001
 	CodeResourceLimit  = -32002
@@ -174,8 +173,7 @@ type response struct {
 }
 
 // Decoder reads the line-delimited message stream, enforcing the
-// message-size cap before any JSON parsing, and hands out the raw
-// binary payload that follows a size-framed binary message.
+// message-size cap before any JSON parsing.
 type Decoder struct {
 	r   *bufio.Reader
 	max int
@@ -245,23 +243,6 @@ func (d *Decoder) Next() (*Message, error) {
 		}
 		return &m, nil
 	}
-}
-
-// ReadBinary consumes exactly n raw bytes — the payload following a
-// size-framed binary message — plus the single newline that terminates
-// the frame. A stream ending inside the payload is a malformed one.
-func (d *Decoder) ReadBinary(n int64) ([]byte, error) {
-	buf := make([]byte, n)
-	if got, err := io.ReadFull(d.r, buf); err != nil {
-		return nil, e9err.Malformed("rpc", "rpc: binary payload truncated at %d of %d bytes", got, n)
-	}
-	// The frame's trailing newline keeps the next message on its own
-	// line; accept a bare EOF too so `binary` can be the last frame of
-	// a probe stream.
-	if b, err := d.r.ReadByte(); err == nil && b != '\n' {
-		return nil, e9err.Malformed("rpc", "rpc: binary payload not newline-terminated (got %#x)", b)
-	}
-	return buf, nil
 }
 
 // WriteResult writes a success response for msg to w.

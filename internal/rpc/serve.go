@@ -32,7 +32,7 @@ func Serve(ctx context.Context, r io.Reader, w io.Writer, opts Options) error {
 			WriteError(w, nil, err)
 			return err
 		}
-		res, err := s.Handle(ctx, msg, d)
+		res, err := s.Handle(ctx, msg)
 		if err != nil {
 			WriteError(w, msg, err)
 			return err

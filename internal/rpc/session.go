@@ -19,9 +19,6 @@ type Options struct {
 	AllowPath bool
 	// MaxMessageBytes caps one protocol line (0: DefaultMaxMessageBytes).
 	MaxMessageBytes int
-	// MaxBinaryBytes caps an inline or size-framed binary payload
-	// (0: only the pipeline's own Limits.MaxInputBytes applies).
-	MaxBinaryBytes int64
 	// Base is the rewrite configuration the session starts from; option
 	// messages refine it before the binary opens. Its Select field is
 	// ignored — selections arrive as patch messages.
@@ -40,7 +37,7 @@ const (
 
 // Session is the protocol state machine. It owns at most one input
 // binary (possibly an mmap view) and one incremental rewrite stream,
-// and is driven one message at a time by Serve or by the HTTP layer.
+// and is driven one message at a time by Serve.
 // A Session is not safe for concurrent use.
 type Session struct {
 	opts   Options
@@ -91,11 +88,9 @@ func decodeParams(msg *Message, dst any) error {
 }
 
 // Handle processes one message and returns the result object for its
-// response. d supplies the raw payload for size-framed binary messages
-// and may be nil when the transport cannot carry one. All failures are
-// classified e9err errors; a panic in the layers below is contained
-// here and surfaces as ErrInternal.
-func (s *Session) Handle(ctx context.Context, msg *Message, d *Decoder) (_ any, err error) {
+// response. All failures are classified e9err errors; a panic in the
+// layers below is contained here and surfaces as ErrInternal.
+func (s *Session) Handle(ctx context.Context, msg *Message) (_ any, err error) {
 	defer e9err.Recover("rpc", &err)
 	if s.state == stateDone {
 		return nil, e9err.Malformed("rpc", "rpc: %q after emit: session is finished", msg.Method)
@@ -104,7 +99,7 @@ func (s *Session) Handle(ctx context.Context, msg *Message, d *Decoder) (_ any, 
 	case "option":
 		return s.handleOption(msg)
 	case "binary":
-		return s.handleBinary(ctx, msg, d)
+		return s.handleBinary(ctx, msg)
 	case "reserve":
 		return s.handleReserve(msg)
 	case "patch":
@@ -176,16 +171,15 @@ func (s *Session) handleOption(msg *Message) (any, error) {
 }
 
 type binaryParams struct {
-	Filename string  `json:"filename"`
-	Data     []byte  `json:"data"`
-	Size     *Uint64 `json:"size"`
+	Filename string `json:"filename"`
+	Data     []byte `json:"data"`
 }
 
 // handleBinary opens the input binary — by path (mmap-backed, CLI
-// only), inline as base64, or as a size-framed raw payload following
-// the message line — and starts the incremental rewrite stream:
-// parsing and disassembly happen now, selections stream in afterwards.
-func (s *Session) handleBinary(ctx context.Context, msg *Message, d *Decoder) (any, error) {
+// only) or inline as base64 — and starts the incremental rewrite
+// stream: parsing and disassembly happen now, selections stream in
+// afterwards.
+func (s *Session) handleBinary(ctx context.Context, msg *Message) (any, error) {
 	if s.state != stateStart {
 		return nil, e9err.Malformed("rpc", "rpc: duplicate binary message")
 	}
@@ -193,19 +187,12 @@ func (s *Session) handleBinary(ctx context.Context, msg *Message, d *Decoder) (a
 	if err := decodeParams(msg, &p); err != nil {
 		return nil, err
 	}
-	sources := 0
-	for _, have := range []bool{p.Filename != "", p.Data != nil, p.Size != nil} {
-		if have {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return nil, e9err.Malformed("rpc", "rpc: binary needs exactly one of filename, data, size")
+	if (p.Filename != "") == (p.Data != nil) {
+		return nil, e9err.Malformed("rpc", "rpc: binary needs exactly one of filename, data")
 	}
 
-	var data []byte
-	switch {
-	case p.Filename != "":
+	data := p.Data
+	if p.Filename != "" {
 		if !s.opts.AllowPath {
 			return nil, e9err.Unsupported("rpc", "rpc: filesystem paths are not allowed on this transport")
 		}
@@ -215,25 +202,6 @@ func (s *Session) handleBinary(ctx context.Context, msg *Message, d *Decoder) (a
 		}
 		s.input = in
 		data = in.Data
-	case p.Data != nil:
-		if s.opts.MaxBinaryBytes > 0 && int64(len(p.Data)) > s.opts.MaxBinaryBytes {
-			return nil, e9err.Limit("rpc", e9err.ReasonInputTooLarge,
-				"rpc: inline binary is %d bytes, limit is %d", len(p.Data), s.opts.MaxBinaryBytes)
-		}
-		data = p.Data
-	default:
-		n := int64(*p.Size)
-		if s.opts.MaxBinaryBytes > 0 && n > s.opts.MaxBinaryBytes {
-			return nil, e9err.Limit("rpc", e9err.ReasonInputTooLarge,
-				"rpc: framed binary is %d bytes, limit is %d", n, s.opts.MaxBinaryBytes)
-		}
-		if d == nil {
-			return nil, e9err.Unsupported("rpc", "rpc: size-framed binary payloads are not supported on this transport")
-		}
-		var err error
-		if data, err = d.ReadBinary(n); err != nil {
-			return nil, err
-		}
 	}
 
 	stream, err := e9patch.NewStream(ctx, data, s.cfg)

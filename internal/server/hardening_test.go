@@ -276,8 +276,8 @@ func TestStalledUploadReservesLittle(t *testing.T) {
 }
 
 // TestServerNoGoroutineLeak drives one request of every kind — a
-// /v1/rewrite binary, a plan-delta, a batch, a /v2/rewrite stream and a
-// batch whose client hangs up mid-stream — then shuts both servers down
+// /v1/rewrite binary, a plan-delta, a batch and a batch whose client
+// hangs up mid-stream — then shuts both servers down
 // and requires the goroutine count back at its baseline within 2 s.
 func TestServerNoGoroutineLeak(t *testing.T) {
 	bin := kernelELF(t)
@@ -330,7 +330,6 @@ func TestServerNoGoroutineLeak(t *testing.T) {
 		{"/v1/rewrite?match=jcc", bin, ""},
 		{"/v1/rewrite?match=call", bin, cluster.PlanContentType},
 		{"/v1/batch", ndjson(batchItem{ID: "a", Query: "match=jcc+%26+short", Binary: bin}), ""},
-		{"/v2/rewrite", v2Session(bin, nil, []string{`{"method":"patch","params":{"match":"jcc"}}`}), ""},
 	} {
 		resp := send(context.Background(), c.path, c.body, c.accept)
 		io.Copy(io.Discard, resp.Body)

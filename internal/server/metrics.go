@@ -21,7 +21,6 @@ type Metrics struct {
 	misses    uint64            // result-cache misses
 	planHits  uint64            // plan-cache hits (result rematerialized)
 	planMiss  uint64            // plan-cache misses
-	streams   uint64            // completed v2 streaming sessions
 	coalesced uint64            // requests that shared another request's flight
 	queueFull uint64            // submissions rejected by backpressure
 	panics    uint64            // panics contained by a recovery boundary
@@ -71,9 +70,6 @@ func (m *Metrics) IncMiss() { m.inc(&m.misses) }
 func (m *Metrics) IncPlanHit()   { m.inc(&m.planHits) }
 func (m *Metrics) IncPlanMiss()  { m.inc(&m.planMiss) }
 func (m *Metrics) IncCoalesced() { m.inc(&m.coalesced) }
-
-// IncStream counts one v2 streaming session that reached a clean emit.
-func (m *Metrics) IncStream()    { m.inc(&m.streams) }
 func (m *Metrics) IncQueueFull() { m.inc(&m.queueFull) }
 
 // IncPanicRecovered counts one panic contained by a recovery boundary
@@ -180,7 +176,6 @@ func (m *Metrics) WriteText(w io.Writer, g Gauges) {
 	counter("e9served_plan_cache_misses_total", "Plan-cache misses.", m.planMiss)
 	counter("e9served_plan_cache_evictions_total", "Plan-cache evictions.", g.PlanCacheEvictions)
 	counter("e9served_coalesced_total", "Requests coalesced onto another request's rewrite.", m.coalesced)
-	counter("e9served_streams_total", "v2 streaming sessions completed.", m.streams)
 	counter("e9served_queue_full_total", "Requests rejected because the work queue was full.", m.queueFull)
 	counter("e9served_panic_recovered_total", "Panics contained by a recovery boundary.", m.panics)
 	counter("e9served_peer_plan_hits_total", "Results rematerialized from a peer-fetched plan.", m.peerPlanHits)

@@ -222,7 +222,6 @@ func New(cfg Config) *Server {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/rewrite", s.accounted(s.handleRewrite))
 	s.mux.HandleFunc("POST /v1/batch", s.accounted(s.handleBatch))
-	s.mux.HandleFunc("POST /v2/rewrite", s.accounted(s.handleRewriteV2))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET "+cluster.PlanPath+"{key}", s.handlePlanFetch)

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"e9patch"
+	"e9patch/internal/rpc"
 	"e9patch/internal/workload"
 )
 
@@ -127,6 +130,70 @@ func TestRewriteEndToEnd(t *testing.T) {
 	}
 }
 
+// TestV1CoversSessionMessages: every setting a JSON-RPC session can
+// carry has a /v1/rewrite parameter. A session with options, a
+// reserve and two patch messages (explicit addresses and a match)
+// emits the same bytes as one /v1 request whose match is an addr=
+// disjunction joined with the session's match expression.
+func TestV1CoversSessionMessages(t *testing.T) {
+	srv := New(Config{Workers: 2, QueueLen: 8})
+	defer srv.Close()
+	h := srv.Handler()
+	bin := kernelELF(t)
+
+	jcc, err := e9patch.SelectMatch("jcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e9patch.Rewrite(bin, e9patch.Config{Select: jcc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs, terms []string
+	for _, loc := range res.Locations[:3] {
+		addrs = append(addrs, fmt.Sprintf("%q", fmt.Sprintf("%#x", loc.Addr)))
+		terms = append(terms, fmt.Sprintf("addr=%#x", loc.Addr))
+	}
+
+	session := fmt.Sprintf(`{"method":"option","params":{"granularity":2,"b0Fallback":true,"disasm":"superset","counter":"0x404000"}}
+{"method":"reserve","params":{"ranges":[{"lo":"0x700000000000","hi":"0x700000010000"}]}}
+{"method":"binary","params":{"data":%q}}
+{"method":"patch","params":{"addrs":[%s]}}
+{"method":"patch","params":{"match":"call"}}
+{"method":"emit"}
+`, base64.StdEncoding.EncodeToString(bin), strings.Join(addrs, ","))
+	sess := rpc.NewSession(rpc.Options{})
+	defer sess.Close()
+	d := rpc.NewDecoder(strings.NewReader(session), 0)
+	for !sess.Done() {
+		msg, err := d.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Handle(context.Background(), msg); err != nil {
+			t.Fatalf("%s: %v", msg.Method, err)
+		}
+	}
+
+	q := url.Values{
+		"match":       {strings.Join(append(terms, "call"), " | ")},
+		"action":      {"counter=0x404000"},
+		"granularity": {"2"},
+		"b0-fallback": {"true"},
+		"disasm":      {"superset"},
+		"reserve":     {"0x700000000000-0x700000010000"},
+	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/rewrite?"+q.Encode(), bytes.NewReader(bin)))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+	}
+	if !bytes.Equal(rr.Body.Bytes(), sess.Result().Output) {
+		t.Fatalf("/v1 output (%d bytes) differs from the session's (%d bytes)",
+			rr.Body.Len(), len(sess.Result().Output))
+	}
+}
+
 // TestSingleflightCollapse is the load test from the acceptance
 // criteria: 64 concurrent identical requests complete successfully
 // with exactly one underlying rewrite, verified via /metrics.
@@ -172,9 +239,25 @@ func TestSingleflightCollapse(t *testing.T) {
 		}()
 	}
 
-	// Hold the one real rewrite until every request is in flight, so
-	// all 64 demonstrably overlap.
-	waitMetric(t, srv.Handler(), "e9served_inflight", n)
+	// Hold the one real rewrite until every request has joined its
+	// flight, so all 64 demonstrably overlap. The inflight gauge is not
+	// enough: it counts a request from the handler's first line, and
+	// one still short of the flight when the gate opens finds the
+	// banked result or plan instead of coalescing.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.flights.mu.Lock()
+		waiters := 0
+		for _, f := range srv.flights.m {
+			waiters += f.waiters
+		}
+		srv.flights.mu.Unlock()
+		if waiters == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests joined the flight", waiters, n)
+		}
+	}
 	if got := len(started); got != 1 {
 		t.Fatalf("%d rewrites started while gated, want 1", got)
 	}
@@ -387,6 +470,19 @@ func TestBadRequests(t *testing.T) {
 	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/rewrite?match=jcc", strings.NewReader("not an elf")))
 	if rr.Code != http.StatusUnprocessableEntity {
 		t.Errorf("non-ELF body: status %d, want 422", rr.Code)
+	}
+
+	// /v1/rewrite is the one rewrite protocol: the JSON-RPC session
+	// endpoint is gone, and so is its counter.
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v2/rewrite", strings.NewReader(`{"method":"emit"}`)))
+	if rr.Code != http.StatusNotFound {
+		t.Errorf("POST /v2/rewrite: status %d, want 404", rr.Code)
+	}
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	if strings.Contains(rr.Body.String(), "e9served_streams_total") {
+		t.Error("/metrics still exports e9served_streams_total")
 	}
 }
 

@@ -203,14 +203,7 @@ func MixFor(p Profile) Mix {
 // scale (1.0 = the paper's full size). The output is deterministic in
 // (profile name, scale).
 func BuildStatic(p Profile, scale float64) (*Program, error) {
-	return BuildStaticAs(p, scale, p.Kind)
-}
-
-// BuildStaticAs builds a profile's binary with its native instruction
-// mix but the given ELF kind — the §6.1 "recompiled in PIE mode"
-// experiment (gamess/zeusmp reach 100% coverage as PIE).
-func BuildStaticAs(p Profile, scale float64, kind Kind) (*Program, error) {
-	return BuildStaticMix(p, scale, kind, MixFor(p))
+	return BuildStaticMix(p, scale, p.Kind, MixFor(p))
 }
 
 // BuildStaticMix builds with explicit encoding fractions.
