@@ -174,11 +174,14 @@ type Config struct {
 	// instrumentation that re-executes the displaced instruction).
 	Template trampoline.Template
 	// Patch carries tactic switches (DisableT1/T2/T3, B0Fallback, …).
-	// Its Template fields are overridden by Template above.
+	// Its Template field is overridden by Template above, and its
+	// Cancel and TrampolineBudget fields by the rewrite's context and
+	// Limits.MaxTrampolineBytes: Limits is the one trampoline budget.
 	Patch patch.Options
 	// Granularity is the physical-page-grouping block size in pages
-	// (default 1 = most aggressive; <0 disables grouping entirely,
-	// emitting a naïve one-to-one physical image).
+	// (default 1 = most aggressive; -1 disables grouping entirely,
+	// emitting a naïve one-to-one physical image). Values below -1 or
+	// above MaxGranularity are rejected as ErrUnsupportedBinary.
 	Granularity int
 	// ReserveVA lists extra [lo, hi) ranges trampolines must avoid
 	// (e.g. runtime-call addresses).
@@ -413,6 +416,9 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 	}
 	if p.Granularity > MaxGranularity {
 		return nil, e9err.Unsupported("apply", "e9patch: plan granularity %d exceeds the maximum %d", p.Granularity, MaxGranularity)
+	}
+	if p.Granularity < -1 {
+		return nil, e9err.Unsupported("apply", "e9patch: plan granularity %d is below -1", p.Granularity)
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err

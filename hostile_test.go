@@ -1,6 +1,7 @@
 package e9patch
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -297,6 +298,25 @@ func TestLibraryLimits(t *testing.T) {
 	// The same limits left at zero must not reject anything.
 	if _, err := Rewrite(valid, Config{Select: SelectJumps}); err != nil {
 		t.Errorf("no limits: %v, want success", err)
+	}
+
+	// Limits is the one trampoline budget: Patch.TrampolineBudget does
+	// not reach the patcher, and the budget an error names is the one
+	// that tripped.
+	free, err := Rewrite(bin, Config{Select: SelectJumps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Rewrite(bin, Config{Select: SelectJumps, Patch: patch.Options{TrampolineBudget: 1}})
+	if err != nil {
+		t.Fatalf("Patch.TrampolineBudget without Limits: %v, want the unlimited rewrite", err)
+	}
+	if !bytes.Equal(res.Output, free.Output) {
+		t.Error("Patch.TrampolineBudget without Limits changed the output")
+	}
+	_, err = Rewrite(bin, Config{Select: SelectJumps, Limits: Limits{MaxTrampolineBytes: 1}})
+	if !errors.Is(err, ErrResourceLimit) || !strings.Contains(err.Error(), "the 1-byte budget") {
+		t.Errorf("Limits.MaxTrampolineBytes 1: %v, want a limit error naming the 1-byte budget", err)
 	}
 }
 

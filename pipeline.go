@@ -69,6 +69,9 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineStat
 	if cfg.Granularity > MaxGranularity {
 		return nil, e9err.Unsupported("plan", "e9patch: granularity %d exceeds the maximum %d", cfg.Granularity, MaxGranularity)
 	}
+	if cfg.Granularity < -1 {
+		return nil, e9err.Unsupported("plan", "e9patch: granularity %d is below -1", cfg.Granularity)
+	}
 	mode, err := disasm.ParseMode(string(cfg.Disasm))
 	if err != nil {
 		return nil, e9err.Unsupported("plan", "e9patch: %v", err)
@@ -218,9 +221,7 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 	}
 	popts := cfg.Patch
 	popts.Template = cfg.Template
-	if lim.MaxTrampolineBytes > 0 {
-		popts.TrampolineBudget = lim.MaxTrampolineBytes
-	}
+	popts.TrampolineBudget = lim.MaxTrampolineBytes
 	pctx, pcancel := phaseDeadline(ctx, lim.PhaseTimeout)
 	popts.Cancel = pctx.Done()
 	rw := patch.New(st.text, st.textAddr+st.bias, st.insts, space, poolHint, popts)

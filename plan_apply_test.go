@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -385,6 +386,12 @@ func TestApplyValidation(t *testing.T) {
 	bad.Version = plan.Version + 1
 	if _, err := Apply(bin, &bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("bad version: want version error, got %v", err)
+	}
+
+	bad = *p
+	bad.Granularity = -5
+	if _, err := Apply(bin, &bad); !errors.Is(err, ErrUnsupportedBinary) {
+		t.Errorf("granularity -5: want ErrUnsupportedBinary, got %v", err)
 	}
 
 	// Unbound plan with an out-of-text write: caught structurally.

@@ -164,6 +164,18 @@ func TestConfigErrorsClassified(t *testing.T) {
 	if _, err := NewStream(ctx, bin, far); !errors.Is(err, ErrUnsupportedBinary) {
 		t.Errorf("NewStream with SkipPrefix past .text: want ErrUnsupportedBinary, got %v", err)
 	}
+
+	// -1 disables grouping; anything below it is not an alias of -1.
+	low := Config{Select: SelectJumps, Granularity: -5}
+	if _, err := Rewrite(bin, low); !errors.Is(err, ErrUnsupportedBinary) {
+		t.Errorf("Rewrite with granularity -5: want ErrUnsupportedBinary, got %v", err)
+	}
+	if _, err := Plan(bin, low); !errors.Is(err, ErrUnsupportedBinary) {
+		t.Errorf("Plan with granularity -5: want ErrUnsupportedBinary, got %v", err)
+	}
+	if _, err := NewStream(ctx, bin, low); !errors.Is(err, ErrUnsupportedBinary) {
+		t.Errorf("NewStream with granularity -5: want ErrUnsupportedBinary, got %v", err)
+	}
 }
 
 // TestSelectorIndexOutOfRange: a selector that returns an index outside
