@@ -23,10 +23,10 @@ race:
 
 # difftest runs the differential suites: the lock-step check at full
 # size (original and rewritten image on two interpreters, state compared
-# wherever the rewritten run executes original code, and its seeded
-# mutations), the epilogue pass's taken-edge and loop-termination runs,
-# rewriter (original vs patched),
-# the per-site instrumentation counts against the original run's, the
+# wherever the rewritten run executes an original instruction, the
+# rewrite re-run under the default engine, its seeded mutations and the
+# FuzzLockStep seed corpus), the epilogue pass's taken-edge and
+# loop-termination runs, the per-site instrumentation counts against the original run's, the
 # exit check (every trampoline's epilogue against the original text, by
 # code independent of the patcher, and its seeded mutations), engines
 # (interp vs ir, including the FuzzEngines seed corpus), the
@@ -35,12 +35,12 @@ race:
 # under the race detector, with the sharded recovery and matching tests
 # and the patcher's lock-state invariant on the same line).
 difftest:
-	$(GO) test -count 1 -run 'TestLockStep' . -args -lockstep.full
+	$(GO) test -count 1 -run 'TestLockStep|FuzzLockStep' . -args -lockstep.full
 	$(GO) test -run 'TestTakenEdgeEpilogue|TestEpilogueLoopTerminates' ./internal/patch/
-	$(GO) test -run 'TestDifferentialFuzz|TestFuzzSelectAllCoverage|TestContextCallInstrumentation|TestTrampolineExits' .
+	$(GO) test -run 'TestContextCallInstrumentation|TestTrampolineExits' .
 	$(GO) test -run FuzzEngines .
 	$(GO) test ./internal/emu/enginetest/ ./internal/emu/ ./internal/emu/ir/
-	$(GO) test -race -run 'TestParallelRewrite|TestParallelEmulatorEquivalence|FuzzParallelRewrite' .
+	$(GO) test -race -run 'TestParallelRewrite|FuzzParallelRewrite' .
 	$(GO) test -race -run 'TestParallel|TestLockStateInvariant|TestPatchAllOnce|Shardable' ./internal/patch/ ./internal/disasm/ ./internal/match/
 
 # enginecheck is the cross-engine correctness gate, interp vs ir: the
@@ -84,14 +84,16 @@ plancheck:
 # lang unit suite (typed diagnostics, hostile-input caps, the retired
 # internal/match grammar's cases, fuzz seed corpus), the golden spec
 # corpus, the A1/A2 spec-vs-hardcoded byte-identity gate at every
-# parallelism width, the call-trampoline recipes executed under the
-# emulator (argument marshalling asserted), the served spec/payload
+# parallelism width, the lock-step cells of the six match expressions
+# and the syscall_trace recipe, the call-trampoline recipes executed
+# under the emulator (argument marshalling asserted), the served spec/payload
 # transport with its 422 mapping (match/action and spec= alike), and
 # hostile match expressions refused before any rewrite on every network
 # path (/v1/rewrite, /v1/batch, the RPC patch message).
 speccheck:
 	$(GO) test ./internal/lang/
-	$(GO) test -run 'TestSpecGoldenCorpus|TestRecipeFilesInSync|TestSpecSelectorEquivalence|TestSelectMatchDifferential' .
+	$(GO) test -run 'TestSpecGoldenCorpus|TestRecipeFilesInSync|TestSpecSelectorEquivalence' .
+	$(GO) test -run 'TestLockStep/^branchy$$/^(match=|syscall_trace)' .
 	$(GO) test -run 'TestSyscallTraceRecipe|TestBranchCoverageRecipe|TestCallArgumentMarshalling|TestApplyRejectsHostileInjections' .
 	$(GO) test -run 'TestSpec|TestBadSpecMaps422|TestBadRequests|TestMatchActionCallPatch|TestHostileMatchRejected|TestBatchValidation' ./internal/server/
 	$(GO) test -run 'TestSessionHostileMatch|TestSessionAbuse' ./internal/rpc/
@@ -126,7 +128,7 @@ rpccheck:
 # byte-identity at every width, the superset ⊇ linear differential over
 # every workload profile, the CET anchor-closure unit and profile
 # suites, end-to-end superset-cet rewrites of CET and DSO binaries
-# verified under the emulator, plan↔mode digest binding, the .so
+# run in lock step with the originals, plan↔mode digest binding, the .so
 # builder/parser geometry, the modern workload rows, and a short
 # exploration of the superset-prune fuzzer. By name: the superset
 # golden digests and rewrite hashes (testdata/disasm_golden.json), the
@@ -148,7 +150,8 @@ disasmcheck:
 	$(GO) test -run 'TestSelectorsMatchFullDecode' -count 1 ./internal/lang/
 	$(GO) test -run 'TestRewriteMemoryGate|TestSelectorIndexOutOfRange' -count 1 .
 	$(GO) test -run 'TestKernelMatchesReference|TestShapeTables|TestDecodeFailuresAllocFree' -count 1 ./internal/x86/
-	$(GO) test -run 'TestDisasm|TestHostileSupersetShapes|TestSupersetCETRewriteEquivalent|TestDSORewriteEquivalent|TestPlanModeBinding|TestSupersetRewriteReportsStats' .
+	$(GO) test -run 'TestDisasm|TestHostileSupersetShapes|TestPlanModeBinding|TestSupersetRewriteReportsStats' .
+	$(GO) test -run 'TestLockStep/^(cet|dso)$$' .
 	$(GO) test -run 'TestSharedBuildRoundTrip|TestInitSegmentSpans|TestTextRange|TestExecSpans|TestBuildBackCompat' ./internal/elf64/
 	$(GO) test -run 'TestModernProfiles|TestPaperSharedRowsUnchanged' ./internal/workload/
 	$(GO) test -run 'TestSpecDisasm' ./internal/server/
@@ -194,6 +197,7 @@ clustercheck:
 # replays the seed corpus).
 fuzzshort:
 	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s .
+	$(GO) test -run '^FuzzLockStep$$' -fuzz '^FuzzLockStep$$' -fuzztime 5s .
 	$(GO) test -run '^FuzzParallelRewrite$$' -fuzz '^FuzzParallelRewrite$$' -fuzztime 5s .
 	$(GO) test -run '^FuzzPlanDecode$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 5s .
 

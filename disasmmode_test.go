@@ -101,109 +101,6 @@ func smallCETProgram(t *testing.T, shared bool) []byte {
 	return raw
 }
 
-// TestSupersetCETRewriteEquivalent rewrites a CET program under the
-// superset-cet frontend and verifies behavioral equivalence under the
-// emulator: the anchor closure recovers exactly the genuine reachable
-// instructions, so patching them preserves execution.
-func TestSupersetCETRewriteEquivalent(t *testing.T) {
-	prog := smallCETProgram(t, false)
-	for _, sel := range []struct {
-		name string
-		s    Selector
-	}{{"jumps", SelectJumps}, {"heapwrites", SelectHeapWrites}, {"all", SelectAll}} {
-		t.Run(sel.name, func(t *testing.T) {
-			res, err := Rewrite(prog, Config{
-				Select:    sel.s,
-				Disasm:    DisasmSupersetCET,
-				ReserveVA: workload.ReserveVA(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Disasm != string(DisasmSupersetCET) {
-				t.Errorf("Result.Disasm = %q", res.Disasm)
-			}
-			if res.Stats.Patched() == 0 {
-				t.Fatal("nothing patched under superset-cet")
-			}
-			orig := runBinary(t, prog, nil)
-			patched := runBinary(t, res.Output, nil)
-			if !bytes.Equal(u64bytes(orig.Output), u64bytes(patched.Output)) {
-				t.Fatalf("superset-cet rewrite changed behavior: %v vs %v", orig.Output, patched.Output)
-			}
-			if orig.ExitCode != patched.ExitCode {
-				t.Fatalf("exit codes differ: %#x vs %#x", orig.ExitCode, patched.ExitCode)
-			}
-		})
-	}
-}
-
-// TestDSORewriteEquivalent: a plain shared object (ET_DYN, no entry
-// point) is a first-class input — rewritten under superset-cet and
-// executed at PIEBase by pointing RIP at its text section, behavior is
-// preserved.
-func TestDSORewriteEquivalent(t *testing.T) {
-	dso := smallCETProgram(t, true)
-	f, err := elf64.Parse(dso)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.IsDSO() {
-		t.Fatal("test binary is not a DSO")
-	}
-	_, textAddr, err := f.Text()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := Rewrite(dso, Config{
-		Select:    SelectHeapWrites,
-		Disasm:    DisasmSupersetCET,
-		ReserveVA: workload.ReserveVA(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Patched() == 0 {
-		t.Fatal("nothing patched in the DSO")
-	}
-	if res.Bias != PIEBase {
-		t.Errorf("DSO bias = %#x, want PIEBase", res.Bias)
-	}
-
-	// A DSO has no entry point: load it and call into its text start,
-	// the way a dynamic loader would call an exported function.
-	run := func(bin []byte) []uint64 {
-		t.Helper()
-		m := workload.NewMachine(nil)
-		if _, err := Load(m, bin); err != nil {
-			t.Fatal(err)
-		}
-		m.RIP = PIEBase + textAddr
-		if err := m.Run(50_000_000); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return m.Output
-	}
-	orig := run(dso)
-	patched := run(res.Output)
-	if !bytes.Equal(u64bytes(orig), u64bytes(patched)) {
-		t.Fatalf("DSO rewrite changed behavior: %v vs %v", orig, patched)
-	}
-	if len(orig) == 0 || orig[0] != 60 {
-		t.Fatalf("degenerate DSO run: %v", orig)
-	}
-}
-
-func u64bytes(v []uint64) []byte {
-	out := make([]byte, 0, 8*len(v))
-	for _, x := range v {
-		out = append(out, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-			byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-	}
-	return out
-}
-
 // TestPlanModeBinding: a plan records its recovery mode and universe
 // digest; Apply re-derives the universe and rejects a plan replayed
 // under a different mode or against a tampered digest.

@@ -1,24 +1,18 @@
 package e9patch
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"e9patch/internal/elf64"
 	"e9patch/internal/emu"
-	"e9patch/internal/patch"
-	"e9patch/internal/trampoline"
 	"e9patch/internal/workload"
 	"e9patch/internal/x86"
 )
 
-// Differential fuzzing: structured random programs are rewritten under
-// every application (A1, A2, and the patch-everything L3 stress) and
-// executed before/after; outputs, exit codes and cycle ordering must
-// agree. This directly tests the paper's correctness claim — all
-// jump targets preserved, every displaced instruction operationally
-// equivalent — over a far larger space than the hand-written tests.
+// Structured random programs: FuzzEngines runs them under every
+// engine, and FuzzLockStep (lockstep_corpus_test.go) rewrites them under
+// random selections and tactic switches and runs them in lock step.
 
 // genProgram emits a random but always-terminating program. It returns
 // the ELF image. The program allocates a buffer, runs `loops` passes of
@@ -189,74 +183,6 @@ func fuzzRun(t *testing.T, bin []byte) *emu.Machine {
 	return m
 }
 
-// TestDifferentialFuzz is the main property test: for many random
-// programs and several rewriting configurations, patched behaviour
-// must equal original behaviour.
-func TestDifferentialFuzz(t *testing.T) {
-	trials := 40
-	if testing.Short() {
-		trials = 8
-	}
-	const counterAddr = 0x3_0000_0000
-	configs := []struct {
-		name string
-		cfg  Config
-		prep func(m *emu.Machine)
-	}{
-		{name: "A1-empty", cfg: Config{Select: SelectJumps}},
-		{name: "A2-empty", cfg: Config{Select: SelectHeapWrites}},
-		{name: "A1-noT3", cfg: Config{Select: SelectJumps, Patch: patch.Options{DisableT3: true}}},
-		{name: "all-b0fallback", cfg: Config{
-			Select: SelectAll,
-			Patch:  patch.Options{B0Fallback: true},
-		}},
-		{name: "A2-counter", cfg: Config{
-			Select:   SelectHeapWrites,
-			Template: trampoline.Counter{Addr: counterAddr},
-		}, prep: func(m *emu.Machine) { m.Mem.Map(counterAddr, 8) }},
-	}
-
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		pie := trial%3 == 0
-		bin, err := genProgram(rng, pie)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		origM := fuzzRun(t, bin)
-
-		for _, c := range configs {
-			cfg := c.cfg
-			cfg.ReserveVA = append([][2]uint64{{counterAddr &^ 0xFFF, counterAddr + 0x1000}},
-				workload.ReserveVA()...)
-			res, err := Rewrite(bin, cfg)
-			if err != nil {
-				t.Fatalf("trial %d %s: rewrite: %v", trial, c.name, err)
-			}
-			pm := workload.NewMachine(nil)
-			if c.prep != nil {
-				c.prep(pm)
-			}
-			entry, err := Load(pm, res.Output)
-			if err != nil {
-				t.Fatalf("trial %d %s: load: %v", trial, c.name, err)
-			}
-			pm.RIP = entry
-			if err := pm.Run(200_000_000); err != nil {
-				t.Fatalf("trial %d (pie=%v) %s: patched run: %v\n%s",
-					trial, pie, c.name, err, describe(res))
-			}
-			if len(pm.Output) != len(origM.Output) || pm.Output[0] != origM.Output[0] {
-				t.Fatalf("trial %d (pie=%v) %s: output %v != %v\n%s",
-					trial, pie, c.name, pm.Output, origM.Output, describe(res))
-			}
-			if pm.ExitCode != origM.ExitCode {
-				t.Fatalf("trial %d %s: exit %#x != %#x", trial, c.name, pm.ExitCode, origM.ExitCode)
-			}
-		}
-	}
-}
-
 // FuzzEngines is the engine-differential target: every random program
 // must behave identically under every registered engine — the
 // decode-per-step interpreter (the reference) and the block-lifting ir
@@ -311,33 +237,4 @@ func FuzzEngines(f *testing.F) {
 			}
 		}
 	})
-}
-
-func describe(res *Result) string {
-	s := res.Stats
-	return fmt.Sprintf("stats: total=%d B1=%d B2=%d T1=%d T2=%d T3=%d B0=%d failed=%d",
-		s.Total, s.ByTactic[patch.TacticB1], s.ByTactic[patch.TacticB2],
-		s.ByTactic[patch.TacticT1], s.ByTactic[patch.TacticT2],
-		s.ByTactic[patch.TacticT3], s.ByTactic[patch.TacticB0], s.Failed)
-}
-
-// TestFuzzSelectAllCoverage sanity-checks the L3 stress: patching every
-// instruction still succeeds for a large majority of locations.
-func TestFuzzSelectAllCoverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	bin, err := genProgram(rng, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Rewrite(bin, Config{
-		Select:    SelectAll,
-		Patch:     patch.Options{B0Fallback: true},
-		ReserveVA: workload.ReserveVA(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.SuccPercent() < 80 {
-		t.Errorf("patch-everything coverage %.1f%% (%s)", res.Stats.SuccPercent(), describe(res))
-	}
 }

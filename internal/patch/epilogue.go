@@ -278,7 +278,7 @@ func (r *Rewriter) epilogues() {
 		}
 		// A B0 site is reached at its int3: were its trampoline entered
 		// directly, a selection of B0 sites would dispatch no signal once
-		// every taken edge is an exit (TestDifferentialB0Fallback).
+		// every taken edge is an exit (TestLockStep's B0 cell).
 		tramp := t.Addr
 		if _, b0 := r.sigTab[t.ForAddr]; b0 {
 			tramp = t.ForAddr

@@ -14,10 +14,12 @@ import (
 // the rewritten program executes original code its state must equal the
 // original program's at the same instruction, not only at exit. The
 // helper runs the original and the rewritten image on two interpreter
-// machines. It steps the rewritten one until it is about to execute
-// original bytes in .text: an instruction of the original text that the
-// rewrite left alone. That is a sync point. It then steps the original
-// machine until it reaches the same address (see sync), and compares
+// machines. It steps the rewritten one until it is about to execute an
+// original instruction in .text: one the rewrite left alone, or a
+// patched one, a site or an evicted neighbour, whose address the
+// original run executes, before its jump or int3 leaves for a
+// trampoline. That is a sync point. It then steps the original machine
+// until it reaches the same address (see sync), and compares
 //
 //   - the general-purpose registers,
 //   - the status flags (CF, PF, AF, ZF, SF, OF),
@@ -53,6 +55,19 @@ type lockEnv struct {
 	exclude [][2]uint64
 	// stackLo is the lowest stack address: [stackLo, RSP) is scratch.
 	stackLo uint64
+	// entry, when not 0, is where both runs start instead of the
+	// image's entry point: a DSO is entered at its text.
+	entry uint64
+}
+
+// boot loads bin into m and points RIP at the run's start.
+func (env lockEnv) boot(m *emu.Machine, bin []byte) error {
+	entry, err := Load(m, bin)
+	if env.entry != 0 {
+		entry = env.entry
+	}
+	m.RIP = entry
+	return err
 }
 
 // lockSide is one machine of the pair and the byte ranges it wrote
@@ -67,6 +82,8 @@ type lockStep struct {
 	orig, rew   *lockSide
 	text, rtext []byte
 	textAddr    uint64
+	// ran are the addresses the original run executes.
+	ran map[uint64]bool
 	// kind caches, per text offset, whether it is a sync point (1) or
 	// not (-1).
 	kind []int8
@@ -75,29 +92,32 @@ type lockStep struct {
 	syncs             int
 }
 
-// runLockStep runs input and output, its rewrite, in lock step and
-// returns the number of sync points.
-func runLockStep(input, output []byte, env lockEnv) (int, error) {
+// runLockStep runs input and output, its rewrite, in lock step. The
+// returned state holds the two machines and the number of sync points,
+// also when the runs diverge; it is nil when an image does not load.
+func runLockStep(input, output []byte, env lockEnv) (*lockStep, error) {
 	ls := &lockStep{env: env}
 	var err error
 	if ls.text, ls.textAddr, err = loadedText(input); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if ls.rtext, _, err = loadedText(output); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if len(ls.rtext) != len(ls.text) {
-		return 0, fmt.Errorf("the rewrite's text is %d bytes, the original's %d", len(ls.rtext), len(ls.text))
+		return nil, fmt.Errorf("the rewrite's text is %d bytes, the original's %d", len(ls.rtext), len(ls.text))
 	}
 	ls.kind = make([]int8, len(ls.text))
+	if ls.ran, err = executedBy(input, env); err != nil {
+		return nil, fmt.Errorf("original: %w", err)
+	}
 	if ls.orig, ls.origLoad, err = ls.load(input, false); err != nil {
-		return 0, fmt.Errorf("original: %w", err)
+		return nil, fmt.Errorf("original: %w", err)
 	}
 	if ls.rew, ls.rewLoad, err = ls.load(output, true); err != nil {
-		return 0, fmt.Errorf("rewritten: %w", err)
+		return nil, fmt.Errorf("rewritten: %w", err)
 	}
-	err = ls.run()
-	return ls.syncs, err
+	return ls, ls.run()
 }
 
 // loadedText returns the text of an image and its loaded address.
@@ -116,6 +136,19 @@ func loadedText(bin []byte) ([]byte, uint64, error) {
 	return bin[off : off+size], addr, nil
 }
 
+// executedBy returns the addresses of the instructions that the run of
+// input executes.
+func executedBy(input []byte, env lockEnv) (map[uint64]bool, error) {
+	ran := map[uint64]bool{}
+	m := env.machine(false)
+	m.Engine = nil
+	m.Trace = func(in *x86.Inst) { ran[in.Addr] = true }
+	if err := env.boot(m, input); err != nil {
+		return nil, err
+	}
+	return ran, m.Run(lockBudget)
+}
+
 // load builds the machine for bin, noting what its loader writes, and
 // then tracks the writes of the run.
 func (ls *lockStep) load(bin []byte, rewritten bool) (*lockSide, [][2]uint64, error) {
@@ -123,11 +156,9 @@ func (ls *lockStep) load(bin []byte, rewritten bool) (*lockSide, [][2]uint64, er
 	s.m.Engine = nil
 	var loaded [][2]uint64
 	s.m.Mem.SetWriteBarrier(func(addr, n uint64) { loaded = append(loaded, [2]uint64{addr, addr + n}) })
-	entry, err := Load(s.m, bin)
-	if err != nil {
+	if err := ls.env.boot(s.m, bin); err != nil {
 		return nil, nil, err
 	}
-	s.m.RIP = entry
 	s.m.Mem.SetWriteBarrier(func(addr, n uint64) { s.dirty = append(s.dirty, [2]uint64{addr, addr + n}) })
 	return s, loaded, nil
 }
@@ -150,8 +181,8 @@ func (ls *lockStep) excluded(a, rsp uint64) bool {
 		inRanges(ls.rewLoad, a) && !inRanges(ls.origLoad, a)
 }
 
-// syncPoint reports whether rip starts an original instruction whose
-// bytes the rewrite left alone.
+// syncPoint reports whether rip starts an original instruction that
+// the original run executes or whose bytes the rewrite left alone.
 func (ls *lockStep) syncPoint(rip uint64) bool {
 	o := rip - ls.textAddr
 	if o >= uint64(len(ls.text)) {
@@ -161,7 +192,7 @@ func (ls *lockStep) syncPoint(rip uint64) bool {
 		return k > 0
 	}
 	in, err := x86.Decode(ls.text[o:], rip)
-	ok := err == nil && bytes.Equal(ls.text[o:o+uint64(in.Len)], ls.rtext[o:o+uint64(in.Len)])
+	ok := ls.ran[rip] || err == nil && bytes.Equal(ls.text[o:o+uint64(in.Len)], ls.rtext[o:o+uint64(in.Len)])
 	ls.kind[o] = -1
 	if ok {
 		ls.kind[o] = 1

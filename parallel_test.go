@@ -169,38 +169,6 @@ func TestParallelRewriteProfiles(t *testing.T) {
 	}
 }
 
-// TestParallelEmulatorEquivalence closes the loop behaviourally: the
-// output of a parallel rewrite must not just match the sequential
-// bytes, it must run — same output stream and exit code as the
-// original binary under the default engine.
-func TestParallelEmulatorEquivalence(t *testing.T) {
-	for _, arch := range []string{"branchy", "memstream", "callheavy"} {
-		prog, err := workload.BuildKernel(arch, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Rewrite(prog.ELF, Config{
-			Select:      SelectJumps,
-			ReserveVA:   workload.ReserveVA(),
-			Parallelism: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig := runBinary(t, prog.ELF, nil)
-		patched := runBinary(t, res.Output, nil)
-		if !reflect.DeepEqual(orig.Output, patched.Output) {
-			t.Errorf("%s: output stream diverged after parallel rewrite", arch)
-		}
-		if orig.ExitCode != patched.ExitCode {
-			t.Errorf("%s: exit %#x != %#x", arch, patched.ExitCode, orig.ExitCode)
-		}
-		if patched.Counters.Cycles < orig.Counters.Cycles {
-			t.Errorf("%s: patched ran faster than original?", arch)
-		}
-	}
-}
-
 // TestDiagnoseSelectionCoordinates covers both directions of the
 // address-coordinate diagnostic — including the non-PIE direction,
 // which previously produced no warning at all.
