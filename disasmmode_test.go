@@ -145,19 +145,16 @@ func TestPlanModeBinding(t *testing.T) {
 		t.Fatalf("tampered digest: err = %v, want ErrMalformedBinary", err)
 	}
 
-	// Legacy plans (no digest recorded) still apply: the check is
-	// opt-out for pre-mode plans, not a schema break.
-	legacy := *p
-	legacy.Disasm = ""
-	legacy.DisasmDigest = ""
-	if _, err := Apply(prog, &legacy); err != nil {
-		// A superset plan replayed without its mode annotation patches
-		// against the linear universe; sites outside it are rejected as
-		// malformed, which is also acceptable — what must not happen is
-		// a digest complaint.
-		if !errors.Is(err, ErrMalformedBinary) {
-			t.Fatalf("legacy apply: unexpected error class: %v", err)
-		}
+	// A plan without its mode and digest is not bound to a universe:
+	// both entry points refuse it rather than replay it under another.
+	unbound := *p
+	unbound.Disasm = ""
+	unbound.DisasmDigest = ""
+	if _, err := Apply(prog, &unbound); !errors.Is(err, ErrMalformedBinary) {
+		t.Fatalf("apply without mode and digest: err = %v, want ErrMalformedBinary", err)
+	}
+	if _, err := ApplyTrusted(prog, &unbound); !errors.Is(err, ErrMalformedBinary) {
+		t.Fatalf("trusted apply without mode and digest: err = %v, want ErrMalformedBinary", err)
 	}
 
 	// A linear plan round-trips with its digest too.

@@ -60,8 +60,7 @@ type DisasmMode = disasm.Mode
 // The available recovery frontends.
 const (
 	// DisasmLinear is the classic linear sweep (the default; the zero
-	// value of Config.Disasm selects it). Byte-identical to releases
-	// that predate pluggable modes, at every parallelism width.
+	// value of Config.Disasm selects it).
 	DisasmLinear = disasm.ModeLinear
 	// DisasmSuperset decodes at every byte offset and keeps the
 	// refined superset — for binaries whose instruction boundaries are
@@ -238,9 +237,8 @@ type Result struct {
 	// ("linear", "superset" or "superset-cet").
 	Disasm string
 	// Recovery carries the superset frontend's decode/prune statistics.
-	// It is nil for linear mode and whenever this call did not run
-	// recovery (ApplyTrusted, and Apply of a plan without a universe
-	// digest, replay decisions without re-disassembling).
+	// It is nil for linear mode and for ApplyTrusted, which replays
+	// decisions without re-disassembling.
 	Recovery *DisasmStats
 	// Bias is the load bias used during patching (PIEBase for PIE).
 	Bias uint64
@@ -276,10 +274,12 @@ func (r *Result) SizePercent() float64 {
 type PatchPlan = plan.PatchPlan
 
 // DecodePlan parses a plan serialized with PatchPlan.Encode. Data that
-// is not a plan is ErrMalformedBinary; a plan of another schema version
-// (the JSON plans of version 1 included) is ErrUnsupportedBinary and
-// has to be emitted again. The plan's byte fields are views into data,
-// which the caller must not modify while the plan is in use.
+// is not a plan, a plan not bound to its input and its instruction
+// universe included, is ErrMalformedBinary; a plan of another schema
+// version (the JSON plans of version 1 included) is
+// ErrUnsupportedBinary and has to be emitted again. The plan's byte
+// fields are views into data, which the caller must not modify while
+// the plan is in use.
 func DecodePlan(data []byte) (*PatchPlan, error) { return plan.Decode(data) }
 
 // Rewrite statically rewrites the binary according to cfg. The input
@@ -366,11 +366,11 @@ func Apply(input []byte, p *PatchPlan) (*Result, error) {
 // recovery boundary: hostile plans are validated up front, and any
 // residual panic is contained and returned as ErrInternal.
 //
-// When the plan carries a disassembly-universe digest, ApplyContext
-// re-runs instruction recovery under the plan's recorded mode and
-// requires the digests to match: a plan emitted under one mode (or
-// against a different binary revision) is rejected instead of silently
-// replaying byte edits into a universe the planner never saw.
+// ApplyContext re-runs instruction recovery under the plan's recorded
+// mode and requires the disassembly-universe digests to match: a plan
+// emitted under one mode (or against a different binary revision) is
+// rejected instead of silently replaying byte edits into a universe
+// the planner never saw.
 func ApplyContext(ctx context.Context, input []byte, p *PatchPlan) (_ *Result, err error) {
 	defer e9err.Recover("apply", &err)
 	return applyContext(ctx, input, p, true)
@@ -386,21 +386,18 @@ func ApplyTrusted(input []byte, p *PatchPlan) (*Result, error) {
 // same build — without re-deriving the disassembly-universe digest that
 // ApplyContext checks.
 //
-// It only accepts input-bound plans (non-empty InputSHA256, still
-// verified against input): for a bound plan the recorded universe is a
-// deterministic function of the mode and text bytes the hash already
-// pins, so re-derivation can only re-prove what the binding
-// established — at full instruction-recovery cost, which dominates
-// Apply on large binaries. Every structural validation (text geometry,
-// write bounds, injection ranges, tactic names) still runs; what is
-// skipped is purely the redundant recovery pass. Plans from untrusted
-// sources should keep going through ApplyContext, whose digest check
-// rejects a plan that lies about its recovery mode.
+// The input binding is still verified against input, and the recorded
+// universe is a deterministic function of the mode and text bytes the
+// hash already pins, so re-derivation can only re-prove what the
+// binding established — at full instruction-recovery cost, which
+// dominates Apply on large binaries. Every structural validation (text
+// geometry, write bounds, trampoline and injection ranges, tactic
+// names) still runs; what is skipped is purely the redundant recovery
+// pass. Plans from untrusted sources should keep going through
+// ApplyContext, whose digest check rejects a plan that lies about its
+// recovery mode.
 func ApplyTrustedContext(ctx context.Context, input []byte, p *PatchPlan) (_ *Result, err error) {
 	defer e9err.Recover("apply", &err)
-	if p != nil && p.InputSHA256 == "" {
-		return nil, e9err.Malformed("apply", "e9patch: ApplyTrusted requires an input-bound plan (empty inputSha256): use Apply")
-	}
 	return applyContext(ctx, input, p, false)
 }
 
@@ -413,6 +410,9 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 	}
 	if p.Version != plan.Version {
 		return nil, e9err.Unsupported("apply", "e9patch: unsupported plan version %d (this build understands %d)", p.Version, plan.Version)
+	}
+	if p.InputSHA256 == "" || p.Disasm == "" || p.DisasmDigest == "" {
+		return nil, e9err.Malformed("apply", "e9patch: plan is not bound to its input and its instruction universe (inputSha256, disasm and disasmDigest are required)")
 	}
 	if p.Granularity > MaxGranularity {
 		return nil, e9err.Unsupported("apply", "e9patch: plan granularity %d exceeds the maximum %d", p.Granularity, MaxGranularity)
@@ -454,7 +454,7 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 		return nil, e9err.Unsupported("apply", "e9patch: plan %v", err)
 	}
 	var sstats *disasm.SupersetStats
-	if verifyUniverse && p.DisasmDigest != "" {
+	if verifyUniverse {
 		// Re-derive the instruction universe under the plan's recorded
 		// mode and bind it to the recorded digest: replaying under a
 		// different mode (or a drifted binary) is a mismatch, not a
@@ -524,6 +524,16 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 			copy(code[o:], wr.Data)
 		}
 		for _, tr := range s.Trampolines {
+			// A trampoline in a segment's pages would be shadowed by the
+			// segment, or, under a MAP_FIXED loader, mapped over it.
+			end := tr.Addr + uint64(len(tr.Code))
+			if end < tr.Addr {
+				return nil, e9err.MalformedAt("apply", tr.Addr, "e9patch: plan trampoline wraps the address space")
+			}
+			if seg, ok := segmentAt(f, bias, tr.Addr, end); ok {
+				return nil, e9err.MalformedAt("apply", tr.Addr, "e9patch: plan trampoline [%#x,%#x) overlaps loaded segment [%#x,%#x)",
+					tr.Addr, end, seg.Vaddr+bias, seg.Vaddr+bias+seg.Memsz)
+			}
 			trs = append(trs, patch.Trampoline{Addr: tr.Addr, Code: tr.Code, ForAddr: tr.For, Evictee: tr.Evictee})
 		}
 		for _, se := range s.SigTab {

@@ -218,7 +218,8 @@ func TestHostilePlans(t *testing.T) {
 	if _, err := DecodePlan([]byte("not a plan")); !errors.Is(err, ErrMalformedBinary) {
 		t.Errorf("garbage plan: %v, want ErrMalformedBinary", err)
 	}
-	future, err := (&PatchPlan{Version: 9999}).Encode()
+	digest := strings.Repeat("0", 64)
+	future, err := (&PatchPlan{Version: 9999, InputSHA256: digest, DisasmDigest: digest}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

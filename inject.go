@@ -53,18 +53,9 @@ func validateInjections(inject []plan.Injection, f *elf64.File, bias uint64, pha
 		if end < inj.Addr {
 			return fail("e9patch: injection at %#x wraps the address space", inj.Addr)
 		}
-		lo := inj.Addr &^ (elf64.PageSize - 1)
-		hi := (end + elf64.PageSize - 1) &^ (elf64.PageSize - 1)
-		for _, p := range f.Progs {
-			if p.Type != elf64.PTLoad || p.Memsz == 0 {
-				continue
-			}
-			slo := (p.Vaddr + bias) &^ (elf64.PageSize - 1)
-			shi := (p.Vaddr + bias + p.Memsz + elf64.PageSize - 1) &^ (elf64.PageSize - 1)
-			if lo < shi && slo < hi {
-				return fail("e9patch: injection [%#x,%#x) overlaps loaded segment [%#x,%#x)",
-					inj.Addr, end, p.Vaddr+bias, p.Vaddr+bias+p.Memsz)
-			}
+		if p, ok := segmentAt(f, bias, inj.Addr, end); ok {
+			return fail("e9patch: injection [%#x,%#x) overlaps loaded segment [%#x,%#x)",
+				inj.Addr, end, p.Vaddr+bias, p.Vaddr+bias+p.Memsz)
 		}
 		for _, s := range spans {
 			if inj.Addr < s.hi && s.lo < end {
@@ -74,4 +65,21 @@ func validateInjections(inject []plan.Injection, f *elf64.File, bias uint64, pha
 		spans = append(spans, span{lo: inj.Addr, hi: end})
 	}
 	return nil
+}
+
+// segmentAt returns the loaded segment whose pages the non-empty range
+// [lo, hi) overlaps, if any. Segments are page-rounded: the loader maps
+// whole pages, so nothing else may share a page with one.
+func segmentAt(f *elf64.File, bias, lo, hi uint64) (elf64.Prog, bool) {
+	for _, p := range f.Progs {
+		if p.Type != elf64.PTLoad || p.Memsz == 0 {
+			continue
+		}
+		slo := (p.Vaddr + bias) &^ (elf64.PageSize - 1)
+		shi := (p.Vaddr + bias + p.Memsz + elf64.PageSize - 1) &^ (elf64.PageSize - 1)
+		if lo < shi && slo < hi {
+			return p, true
+		}
+	}
+	return elf64.Prog{}, false
 }

@@ -39,9 +39,9 @@ import (
 // uv is an unsigned LEB128 varint in its shortest form and zz a
 // zig-zag-coded signed difference taken modulo 2^64, so every address
 // survives whatever it is. One plan has one encoding: Decode refuses
-// anything Encode would not have written (a padded varint, an unknown
-// flag, a digest behind a clear flag, trailing bytes), which is what
-// lets a plan be cached and compared by its bytes.
+// anything Encode would not have written (a padded varint, a flags word
+// other than both bits, trailing bytes), which is what lets a plan be
+// cached and compared by its bytes.
 const (
 	magic      = "E9PL"
 	headerSize = 152
@@ -81,20 +81,10 @@ func digestBytes(dst []byte, field, s string) error {
 	return nil
 }
 
-// digestString is the way back: the hex form of a digest whose flag is
-// set, and for a clear flag only whether the bytes are zero as they
-// must be.
-func digestString(raw []byte, set bool) (string, bool) {
-	if set {
-		return hex.EncodeToString(raw), true
-	}
-	return "", [32]byte(raw) == [32]byte{}
-}
-
 // Encode serializes the plan. Identical plans encode to identical
 // bytes; a plan the format cannot represent (an unknown tactic name, a
-// pad above 31, a digest that is not a SHA-256, a negative size) is an
-// error. The result shares no memory with the plan.
+// pad above 31, a digest that is missing or not a SHA-256, a negative
+// size) is an error. The result shares no memory with the plan.
 func (p *PatchPlan) Encode() ([]byte, error) {
 	var nW, nT, nS, nBytes int
 	for i := range p.Sites {
@@ -147,20 +137,13 @@ func (p *PatchPlan) Encode() ([]byte, error) {
 	for i, n := range counts {
 		le.PutUint32(out[offCounts+4*i:], uint32(n))
 	}
-	var flags uint32
-	if p.InputSHA256 != "" {
-		flags |= flagInputBound
-		if err := digestBytes(out[offInputSHA:offInputSHA+32], "inputSha256", p.InputSHA256); err != nil {
-			return nil, err
-		}
+	le.PutUint32(out[8:], flagInputBound|flagUniverse)
+	if err := digestBytes(out[offInputSHA:offInputSHA+32], "inputSha256", p.InputSHA256); err != nil {
+		return nil, err
 	}
-	if p.DisasmDigest != "" {
-		flags |= flagUniverse
-		if err := digestBytes(out[offUniverseDigest:headerSize], "disasmDigest", p.DisasmDigest); err != nil {
-			return nil, err
-		}
+	if err := digestBytes(out[offUniverseDigest:headerSize], "disasmDigest", p.DisasmDigest); err != nil {
+		return nil, err
 	}
-	le.PutUint32(out[8:], flags)
 
 	str := func(s string) {
 		out = binary.AppendUvarint(out, uint64(len(s)))
@@ -309,9 +292,11 @@ func Decode(data []byte) (*PatchPlan, error) {
 	if len(data) < headerSize {
 		return nil, e9err.Malformed("plan", "plan: decode: header truncated at %d of %d bytes", len(data), headerSize)
 	}
-	flags := le.Uint32(data[8:])
+	if flags := le.Uint32(data[8:]); flags != flagInputBound|flagUniverse {
+		return nil, e9err.Malformed("plan", "plan: decode: flags %#x, want %#x: a plan is bound to its input and its instruction universe", flags, flagInputBound|flagUniverse)
+	}
 	textLen, insts, badBytes := le.Uint64(data[32:]), le.Uint64(data[48:]), le.Uint64(data[56:])
-	if flags&^(flagInputBound|flagUniverse) != 0 || textLen > math.MaxInt64 || insts > math.MaxInt64 || badBytes > math.MaxInt64 {
+	if textLen > math.MaxInt64 || insts > math.MaxInt64 || badBytes > math.MaxInt64 {
 		return nil, e9err.Malformed("plan", "plan: decode: header field out of range")
 	}
 	var n [6]int // warnings, injections, sites, writes, trampolines, sigtab
@@ -325,20 +310,16 @@ func Decode(data []byte) (*PatchPlan, error) {
 		return nil, e9err.Malformed("plan", "plan: decode: header counts need %d bytes, %d follow", need, len(data)-headerSize)
 	}
 	p := &PatchPlan{
-		Version:     Version,
-		Bias:        le.Uint64(data[16:]),
-		TextAddr:    le.Uint64(data[24:]),
-		TextLen:     int(textLen),
-		Granularity: int(int32(le.Uint32(data[12:]))),
-		SkipPrefix:  le.Uint64(data[40:]),
-		Insts:       int(insts),
-		BadBytes:    int(badBytes),
-	}
-	var okIn, okUni bool
-	p.InputSHA256, okIn = digestString(data[offInputSHA:offInputSHA+32], flags&flagInputBound != 0)
-	p.DisasmDigest, okUni = digestString(data[offUniverseDigest:headerSize], flags&flagUniverse != 0)
-	if !okIn || !okUni {
-		return nil, e9err.Malformed("plan", "plan: decode: digest bytes behind a clear flag")
+		Version:      Version,
+		Bias:         le.Uint64(data[16:]),
+		TextAddr:     le.Uint64(data[24:]),
+		TextLen:      int(textLen),
+		Granularity:  int(int32(le.Uint32(data[12:]))),
+		SkipPrefix:   le.Uint64(data[40:]),
+		Insts:        int(insts),
+		BadBytes:     int(badBytes),
+		InputSHA256:  hex.EncodeToString(data[offInputSHA : offInputSHA+32]),
+		DisasmDigest: hex.EncodeToString(data[offUniverseDigest:headerSize]),
 	}
 
 	r := &reader{data: data, off: headerSize}

@@ -12,6 +12,10 @@ import (
 	"e9patch/internal/e9err"
 )
 
+// digest is a well-formed SHA-256 for plans that need one and nothing
+// more.
+var digest = strings.Repeat("cd", 32)
+
 // richPlan uses every field the format has: both digests, warnings, an
 // injection, a failed site, an eviction chain, a B0 binding, counts on
 // and past each shape field's saturation point, site addresses that go
@@ -53,7 +57,11 @@ func richPlan() *PatchPlan {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	for _, p := range []*PatchPlan{richPlan(), {Version: Version}, {Version: Version, Sites: []Site{{Tactic: "none"}}}} {
+	for _, p := range []*PatchPlan{
+		richPlan(),
+		{Version: Version, InputSHA256: digest, DisasmDigest: digest},
+		{Version: Version, InputSHA256: digest, DisasmDigest: digest, Sites: []Site{{Tactic: "none"}}},
+	} {
 		enc, err := p.Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -97,14 +105,16 @@ func TestDecodeAliasesInput(t *testing.T) {
 
 func TestEncodeRejectsUnrepresentable(t *testing.T) {
 	for name, mut := range map[string]func(*PatchPlan){
-		"unknown tactic": func(p *PatchPlan) { p.Sites[0].Tactic = "B9" },
-		"pad too large":  func(p *PatchPlan) { p.Sites[0].Pad = maxPad + 1 },
-		"negative pad":   func(p *PatchPlan) { p.Sites[0].Pad = -1 },
-		"short digest":   func(p *PatchPlan) { p.InputSHA256 = "abcd" },
-		"upper-case hex": func(p *PatchPlan) { p.DisasmDigest = strings.Repeat("AB", 32) },
-		"not hex":        func(p *PatchPlan) { p.InputSHA256 = strings.Repeat("zz", 32) },
-		"negative size":  func(p *PatchPlan) { p.TextLen = -1 },
-		"granularity":    func(p *PatchPlan) { p.Granularity = 1 << 40 },
+		"unknown tactic":  func(p *PatchPlan) { p.Sites[0].Tactic = "B9" },
+		"pad too large":   func(p *PatchPlan) { p.Sites[0].Pad = maxPad + 1 },
+		"negative pad":    func(p *PatchPlan) { p.Sites[0].Pad = -1 },
+		"short digest":    func(p *PatchPlan) { p.InputSHA256 = "abcd" },
+		"no input digest": func(p *PatchPlan) { p.InputSHA256 = "" },
+		"no universe":     func(p *PatchPlan) { p.DisasmDigest = "" },
+		"upper-case hex":  func(p *PatchPlan) { p.DisasmDigest = strings.Repeat("AB", 32) },
+		"not hex":         func(p *PatchPlan) { p.InputSHA256 = strings.Repeat("zz", 32) },
+		"negative size":   func(p *PatchPlan) { p.TextLen = -1 },
+		"granularity":     func(p *PatchPlan) { p.Granularity = 1 << 40 },
 	} {
 		p := richPlan()
 		mut(p)
@@ -162,6 +172,22 @@ func TestDecodeTamperSweep(t *testing.T) {
 	try("version 3", mutated(func(d []byte) { le.PutUint32(d[4:], 3) }), true)
 	try("unknown flag", mutated(func(d []byte) { d[8] |= 4 }), true)
 	try("flag cleared over a digest", mutated(func(d []byte) { d[8] &^= flagInputBound }), true)
+	// Flags 0, 1 and 2 with the unflagged digests zeroed: a plan not
+	// bound to its input or its universe is no plan.
+	for flags := uint32(0); flags < flagInputBound|flagUniverse; flags++ {
+		d := mutated(func(d []byte) {
+			le.PutUint32(d[8:], flags)
+			if flags&flagInputBound == 0 {
+				clear(d[offInputSHA:offUniverseDigest])
+			}
+			if flags&flagUniverse == 0 {
+				clear(d[offUniverseDigest:headerSize])
+			}
+		})
+		if _, err := Decode(d); !errors.Is(err, e9err.ErrMalformed) {
+			t.Errorf("flags %d over zeroed digests: %v, want malformed", flags, err)
+		}
+	}
 	try("text length beyond int", mutated(func(d []byte) { le.PutUint64(d[32:], 1<<63) }), true)
 	try("instructions beyond int", mutated(func(d []byte) { le.PutUint64(d[48:], 1<<63) }), true)
 	try("bad bytes beyond int", mutated(func(d []byte) { le.PutUint64(d[56:], 1<<63) }), true)

@@ -110,7 +110,7 @@ type PatchPlan struct {
 	// Version is the schema version (see Version).
 	Version int `json:"version"`
 	// InputSHA256 binds the plan to its input binary; Apply refuses
-	// any other input. Empty means unbound (hand-authored plans).
+	// any other input, and any plan without it.
 	InputSHA256 string `json:"inputSha256,omitempty"`
 	// Bias is the load bias used while planning (PIEBase for PIE).
 	Bias uint64 `json:"bias"`
@@ -121,15 +121,16 @@ type PatchPlan struct {
 	// Granularity is the physical-page-grouping block size in pages
 	// (negative: grouping disabled, naïve one-to-one emission).
 	Granularity int `json:"granularity"`
-	// SkipPrefix mirrors Config.SkipPrefix, for audit only.
+	// SkipPrefix mirrors Config.SkipPrefix: Apply re-derives the
+	// instruction universe from the text past it.
 	SkipPrefix uint64 `json:"skipPrefix,omitempty"`
 	// Disasm names the instruction-recovery mode the plan was made
-	// under ("linear", "superset", "superset-cet"; empty means linear,
-	// for plans predating pluggable modes). DisasmDigest fingerprints
-	// the recovered instruction universe (see disasm.UniverseDigest):
-	// Apply re-derives it under the same mode and refuses a plan whose
-	// universe differs — a plan emitted under one mode cannot be
-	// replayed under another.
+	// under ("linear", "superset", "superset-cet"). DisasmDigest
+	// fingerprints the recovered instruction universe (see
+	// disasm.UniverseDigest): Apply re-derives it under the same mode
+	// and refuses a plan whose universe differs — a plan emitted under
+	// one mode cannot be replayed under another. Apply refuses a plan
+	// without either.
 	Disasm       string `json:"disasm,omitempty"`
 	DisasmDigest string `json:"disasmDigest,omitempty"`
 	// Insts and BadBytes record the disassembly outcome the decisions
@@ -166,12 +167,8 @@ func InputDigest(input []byte) string {
 // for.
 func (p *PatchPlan) BindInput(input []byte) { p.InputSHA256 = InputDigest(input) }
 
-// CheckInput verifies input matches the bound digest. Unbound plans
-// (empty InputSHA256) pass vacuously.
+// CheckInput verifies input matches the bound digest.
 func (p *PatchPlan) CheckInput(input []byte) error {
-	if p.InputSHA256 == "" {
-		return nil
-	}
 	if got := InputDigest(input); got != p.InputSHA256 {
 		return e9err.Malformed("apply", fmt.Sprintf("plan: input mismatch: plan bound to sha256 %s, input is %s", p.InputSHA256, got))
 	}

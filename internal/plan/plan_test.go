@@ -13,7 +13,9 @@ import (
 // same bytes after the codec.
 func TestBytesHexRoundTrip(t *testing.T) {
 	p := &PatchPlan{
-		Version: Version,
+		Version:      Version,
+		InputSHA256:  digest,
+		DisasmDigest: digest,
 		Sites: []Site{{
 			Addr:   0x401000,
 			Tactic: "B2",
@@ -41,7 +43,7 @@ func TestBytesHexRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsVersionMismatch(t *testing.T) {
-	p := &PatchPlan{Version: Version + 1}
+	p := &PatchPlan{Version: Version + 1, InputSHA256: digest, DisasmDigest: digest}
 	enc, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +65,8 @@ func TestDecodeRejectsVersionMismatch(t *testing.T) {
 func TestInputBinding(t *testing.T) {
 	in := []byte{1, 2, 3}
 	p := &PatchPlan{Version: Version}
-	if err := p.CheckInput(in); err != nil {
-		t.Errorf("unbound plan should accept any input: %v", err)
+	if err := p.CheckInput(in); !errors.Is(err, e9err.ErrMalformed) {
+		t.Errorf("unbound plan: %v, want malformed", err)
 	}
 	p.BindInput(in)
 	if err := p.CheckInput(in); err != nil {

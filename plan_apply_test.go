@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -394,15 +395,32 @@ func TestApplyValidation(t *testing.T) {
 		t.Errorf("granularity -5: want ErrUnsupportedBinary, got %v", err)
 	}
 
-	// Unbound plan with an out-of-text write: caught structurally.
+	// An out-of-text write: caught structurally.
 	oob := &PatchPlan{
 		Version: plan.Version, Bias: p.Bias, TextAddr: p.TextAddr, TextLen: p.TextLen,
+		InputSHA256: p.InputSHA256, Disasm: p.Disasm, DisasmDigest: p.DisasmDigest,
 		Sites: []plan.Site{{Addr: p.TextAddr, Tactic: "B1", Writes: []plan.Write{
 			{Addr: p.TextAddr + uint64(p.TextLen), Data: plan.Bytes{0x90}},
 		}}},
 	}
 	if _, err := Apply(bin, oob); err == nil || !strings.Contains(err.Error(), "outside .text") {
 		t.Errorf("out-of-range write: want range error, got %v", err)
+	}
+
+	// A trampoline moved into the text segment's pages would be mapped
+	// over the code: both entry points refuse it.
+	moved := *p
+	moved.Sites = slices.Clone(p.Sites)
+	i := slices.IndexFunc(moved.Sites, func(s plan.Site) bool { return len(s.Trampolines) > 0 })
+	if i < 0 {
+		t.Fatal("the plan places no trampoline")
+	}
+	moved.Sites[i].Trampolines = slices.Clone(moved.Sites[i].Trampolines)
+	moved.Sites[i].Trampolines[0].Addr = p.TextAddr
+	for entry, apply := range map[string]func([]byte, *PatchPlan) (*Result, error){"Apply": Apply, "ApplyTrusted": ApplyTrusted} {
+		if _, err := apply(bin, &moved); !errors.Is(err, ErrMalformedBinary) || !strings.Contains(err.Error(), "overlaps loaded segment") {
+			t.Errorf("%s of a trampoline in the text segment: %v, want ErrMalformedBinary naming the segment", entry, err)
+		}
 	}
 }
 
@@ -443,9 +461,10 @@ func TestSizePercentZeroInput(t *testing.T) {
 }
 
 // TestApplyTrusted pins the trusted apply path's contract: identical
-// bytes to the verifying Apply, refusal of input-unbound plans (an
-// unbound plan has no hash pinning the universe, so skipping the
-// digest check would be unchecked trust), refusal of the wrong input,
+// bytes to the verifying Apply, refusal by both entry points of a plan
+// missing its input or universe binding (an unbound plan has no hash
+// pinning the universe, so skipping the digest check would be unchecked
+// trust), refusal of the wrong input,
 // and — the reason the path exists — no universe re-derivation, pinned
 // by accepting a plan whose digest was tampered but whose input
 // binding still matches.
@@ -472,15 +491,18 @@ func TestApplyTrusted(t *testing.T) {
 		t.Error("ApplyTrusted materializes different bytes than Apply")
 	}
 
-	unbound := *p
-	unbound.InputSHA256 = ""
-	if _, err := ApplyTrusted(bin, &unbound); err == nil {
-		t.Error("ApplyTrusted accepted an input-unbound plan")
-	} else if !strings.Contains(err.Error(), "input-bound") {
-		t.Errorf("unbound-plan refusal does not explain itself: %v", err)
-	}
-	if _, err := Apply(bin, &unbound); err != nil {
-		t.Errorf("Apply must still accept unbound plans (hand-authored): %v", err)
+	for name, unbind := range map[string]func(*PatchPlan){
+		"inputSha256":  func(q *PatchPlan) { q.InputSHA256 = "" },
+		"disasm":       func(q *PatchPlan) { q.Disasm = "" },
+		"disasmDigest": func(q *PatchPlan) { q.DisasmDigest = "" },
+	} {
+		unbound := *p
+		unbind(&unbound)
+		for entry, apply := range map[string]func([]byte, *PatchPlan) (*Result, error){"Apply": Apply, "ApplyTrusted": ApplyTrusted} {
+			if _, err := apply(bin, &unbound); !errors.Is(err, ErrMalformedBinary) || !strings.Contains(err.Error(), "not bound") {
+				t.Errorf("%s of a plan without %s: %v, want ErrMalformedBinary saying it is not bound", entry, name, err)
+			}
+		}
 	}
 
 	other := append([]byte(nil), bin...)

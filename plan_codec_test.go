@@ -74,6 +74,19 @@ func TestPlanTamperSweep(t *testing.T) {
 	rejected("magic", mutated(func(d []byte) { d[0] ^= 1 }), ErrMalformedBinary)
 	rejected("version", mutated(func(d []byte) { d[4]++ }), ErrUnsupportedBinary)
 	rejected("input digest", mutated(func(d []byte) { d[planCountsOff+24] ^= 1 }), ErrMalformedBinary)
+	// A plan is bound to its input and its universe: a flags word with
+	// either bit clear, over a zeroed digest, is not a plan.
+	for flags := uint32(0); flags < 3; flags++ {
+		rejected("unbound", mutated(func(d []byte) {
+			binary.LittleEndian.PutUint32(d[8:], flags)
+			if flags&1 == 0 {
+				clear(d[planCountsOff+24 : planCountsOff+56])
+			}
+			if flags&2 == 0 {
+				clear(d[planCountsOff+56 : planHeaderSize])
+			}
+		}), ErrMalformedBinary)
+	}
 	rejected("text length", mutated(func(d []byte) { d[32]++ }), ErrMalformedBinary)
 	for i := 0; i < 6; i++ {
 		off := planCountsOff + 4*i
