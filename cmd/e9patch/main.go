@@ -1,9 +1,9 @@
 // Command e9patch is the E9Patch backend: it reads a line-delimited
 // JSON-RPC message stream from stdin (option* binary (patch|reserve)*
 // emit — see internal/rpc and DESIGN.md §12) and writes one response
-// per message to stdout. It performs no analysis of its own and takes
-// no arguments; a frontend such as e9tool drives the rewrite over the
-// pipe and chooses every setting with the stream's messages:
+// per message to stdout. It takes no arguments: the stream carries every
+// setting, names the files to read and write, and says what to patch,
+// so a frontend such as e9tool drives the whole rewrite over the pipe:
 //
 //	e9tool -backend e9patch -M 'jcc' -o out.bin input.bin
 //	e9patch < session.rpc
@@ -31,7 +31,7 @@ writing one response per message to stdout. See DESIGN.md §12 for the
 message grammar; e9tool -backend PATH is a frontend that drives it.`)
 		os.Exit(2)
 	}
-	if err := rpc.Serve(context.Background(), os.Stdin, os.Stdout, rpc.Options{AllowPath: true}); err != nil {
+	if err := rpc.Serve(context.Background(), os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "e9patch: %v\n", err)
 		os.Exit(1)
 	}

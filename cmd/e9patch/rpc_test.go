@@ -164,7 +164,7 @@ func TestBackendReportsStreamErrors(t *testing.T) {
 	bin := buildE9Patch(t)
 	for name, stream := range map[string]string{
 		"empty":        "",
-		"patch-first":  `{"method":"patch","params":{"app":"jumps"},"id":1}` + "\n",
+		"patch-first":  `{"method":"patch","params":{"match":"branch"},"id":1}` + "\n",
 		"not-json":     "hello\n",
 		"no-emit":      `{"method":"option","params":{"granularity":2},"id":1}` + "\n",
 		"bad-filename": `{"method":"binary","params":{"filename":"/nonexistent/x"},"id":1}` + "\n",

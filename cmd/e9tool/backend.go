@@ -159,7 +159,7 @@ func runBackend(path, input string, o backendOptions) error {
 	if err := json.Unmarshal(patchRes, &sel); err != nil {
 		return fmt.Errorf("backend patch: bad result: %w", err)
 	}
-	emitRes, err := c.call("emit", map[string]any{"output": absOut, "format": "binary"})
+	emitRes, err := c.call("emit", map[string]any{"output": absOut})
 	if err != nil {
 		return err
 	}

@@ -15,12 +15,12 @@ func TestSessionDisasmOption(t *testing.T) {
 	bin := testBin(t)
 	stream := fmt.Sprintf(`{"method":"option","params":{"disasm":"superset-cet"}}
 {"method":"binary","params":{"data":%q}}
-{"method":"patch","params":{"app":"jumps"},"id":1}
+{"method":"patch","params":{"match":"branch"},"id":1}
 {"method":"emit","id":2}
 `, base64.StdEncoding.EncodeToString(bin))
-	s := NewSession(Options{})
+	s := NewSession()
 	defer s.Close()
-	d := NewDecoder(strings.NewReader(stream), 0)
+	d := NewDecoder(strings.NewReader(stream))
 	ctx := context.Background()
 	for {
 		msg, err := d.Next()
@@ -43,9 +43,9 @@ func TestSessionDisasmOption(t *testing.T) {
 	}
 
 	// An unknown mode is rejected at the option message.
-	s2 := NewSession(Options{})
+	s2 := NewSession()
 	defer s2.Close()
-	d2 := NewDecoder(strings.NewReader(`{"method":"option","params":{"disasm":"bogus"},"id":1}`+"\n"), 0)
+	d2 := NewDecoder(strings.NewReader(`{"method":"option","params":{"disasm":"bogus"},"id":1}` + "\n"))
 	msg, err := d2.Next()
 	if err != nil {
 		t.Fatal(err)

@@ -36,10 +36,10 @@ import (
 	"e9patch/internal/e9err"
 )
 
-// DefaultMaxMessageBytes caps one protocol line when Options leaves
-// MaxMessageBytes zero. Patch messages batch at most a few thousand
-// addresses in practice; 4 MiB leaves two orders of magnitude of slack.
-const DefaultMaxMessageBytes = 4 << 20
+// maxLineBytes caps one protocol line. Patch messages batch at most a
+// few thousand addresses in practice; 4 MiB leaves two orders of
+// magnitude of slack.
+const maxLineBytes = 4 << 20
 
 // Uint64 is a uint64 that accepts the protocol's number extension:
 // either a JSON number or a 0x-prefixed hexadecimal string, so
@@ -175,16 +175,12 @@ type response struct {
 // Decoder reads the line-delimited message stream, enforcing the
 // message-size cap before any JSON parsing.
 type Decoder struct {
-	r   *bufio.Reader
-	max int
+	r *bufio.Reader
 }
 
-// NewDecoder wraps r; maxMessage <= 0 selects DefaultMaxMessageBytes.
-func NewDecoder(r io.Reader, maxMessage int) *Decoder {
-	if maxMessage <= 0 {
-		maxMessage = DefaultMaxMessageBytes
-	}
-	return &Decoder{r: bufio.NewReaderSize(r, 64<<10), max: maxMessage}
+// NewDecoder wraps r.
+func NewDecoder(r io.Reader) *Decoder {
+	return &Decoder{r: bufio.NewReaderSize(r, 64<<10)}
 }
 
 // readLine accumulates one line up to the cap. It returns io.EOF only
@@ -194,9 +190,9 @@ func (d *Decoder) readLine() ([]byte, error) {
 	var line []byte
 	for {
 		chunk, err := d.r.ReadSlice('\n')
-		if len(line)+len(chunk) > d.max {
+		if len(line)+len(chunk) > maxLineBytes {
 			return nil, e9err.Limit("rpc", e9err.ReasonMessageTooLarge,
-				"rpc: message exceeds the %d-byte cap", d.max)
+				"rpc: message exceeds the %d-byte cap", maxLineBytes)
 		}
 		line = append(line, chunk...)
 		switch err {

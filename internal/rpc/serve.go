@@ -14,9 +14,9 @@ import (
 // grammar, or trips a resource cap returns the classified error after
 // reporting it on the wire — the backend contract is that hostile
 // input ends the session, never the process.
-func Serve(ctx context.Context, r io.Reader, w io.Writer, opts Options) error {
-	d := NewDecoder(r, opts.MaxMessageBytes)
-	s := NewSession(opts)
+func Serve(ctx context.Context, r io.Reader, w io.Writer) error {
+	d := NewDecoder(r)
+	s := NewSession()
 	defer s.Close()
 	for {
 		msg, err := d.Next()

@@ -11,20 +11,6 @@ import (
 	"e9patch/internal/trampoline"
 )
 
-// Options configures a protocol session.
-type Options struct {
-	// AllowPath permits messages that name filesystem paths (binary
-	// {"filename"} and emit {"output"}). The CLI backend sets it; the
-	// network server must not.
-	AllowPath bool
-	// MaxMessageBytes caps one protocol line (0: DefaultMaxMessageBytes).
-	MaxMessageBytes int
-	// Base is the rewrite configuration the session starts from; option
-	// messages refine it before the binary opens. Its Select field is
-	// ignored — selections arrive as patch messages.
-	Base e9patch.Config
-}
-
 // state is the session position in the option* binary (patch|reserve)*
 // emit grammar.
 type state int
@@ -37,10 +23,11 @@ const (
 
 // Session is the protocol state machine. It owns at most one input
 // binary (possibly an mmap view) and one incremental rewrite stream,
-// and is driven one message at a time by Serve.
+// and is driven one message at a time by Serve. Its rewrite
+// configuration starts from the zero Config and is refined by the
+// stream's option and reserve messages alone.
 // A Session is not safe for concurrent use.
 type Session struct {
-	opts   Options
 	cfg    e9patch.Config
 	state  state
 	input  *elf64.Input // owned mmap/file input, when opened by path
@@ -49,11 +36,7 @@ type Session struct {
 }
 
 // NewSession starts a session in the initial state.
-func NewSession(opts Options) *Session {
-	cfg := opts.Base
-	cfg.Select = nil
-	return &Session{opts: opts, cfg: cfg}
-}
+func NewSession() *Session { return &Session{} }
 
 // Done reports whether the session has emitted.
 func (s *Session) Done() bool { return s.state == stateDone }
@@ -175,10 +158,9 @@ type binaryParams struct {
 	Data     []byte `json:"data"`
 }
 
-// handleBinary opens the input binary — by path (mmap-backed, CLI
-// only) or inline as base64 — and starts the incremental rewrite
-// stream: parsing and disassembly happen now, selections stream in
-// afterwards.
+// handleBinary opens the input binary — by path (mmap-backed) or
+// inline as base64 — and starts the incremental rewrite stream:
+// parsing and disassembly happen now, selections stream in afterwards.
 func (s *Session) handleBinary(ctx context.Context, msg *Message) (any, error) {
 	if s.state != stateStart {
 		return nil, e9err.Malformed("rpc", "rpc: duplicate binary message")
@@ -193,9 +175,6 @@ func (s *Session) handleBinary(ctx context.Context, msg *Message) (any, error) {
 
 	data := p.Data
 	if p.Filename != "" {
-		if !s.opts.AllowPath {
-			return nil, e9err.Unsupported("rpc", "rpc: filesystem paths are not allowed on this transport")
-		}
 		in, err := elf64.OpenInput(p.Filename)
 		if err != nil {
 			return nil, err
@@ -250,14 +229,14 @@ func (s *Session) handleReserve(msg *Message) (any, error) {
 type patchParams struct {
 	Addrs []Uint64 `json:"addrs"`
 	Match string   `json:"match"`
-	App   string   `json:"app"`
 }
 
 // handlePatch merges one batch of patch locations into the stream:
-// explicit runtime addresses, an E9Tool match expression, or a named
-// paper application. Sites accumulate as a union across messages; the
-// per-site resource limit is enforced incrementally, so a hostile
-// stream fails at the message that crosses it.
+// explicit runtime addresses or an E9Tool match expression (the paper's
+// applications are "branch" and "heapwrite"). Sites accumulate as a
+// union across messages; the per-site resource limit is enforced
+// incrementally, so a hostile stream fails at the message that crosses
+// it.
 func (s *Session) handlePatch(msg *Message) (any, error) {
 	if s.state != stateOpen {
 		return nil, e9err.Malformed("rpc", "rpc: patch before binary")
@@ -266,44 +245,24 @@ func (s *Session) handlePatch(msg *Message) (any, error) {
 	if err := decodeParams(msg, &p); err != nil {
 		return nil, err
 	}
-	sources := 0
-	for _, have := range []bool{len(p.Addrs) > 0, p.Match != "", p.App != ""} {
-		if have {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return nil, e9err.Malformed("rpc", "rpc: patch needs exactly one of addrs, match, app")
+	if (len(p.Addrs) > 0) == (p.Match != "") {
+		return nil, e9err.Malformed("rpc", "rpc: patch needs exactly one of addrs, match")
 	}
 
 	var added int
 	var err error
-	switch {
-	case len(p.Addrs) > 0:
+	if len(p.Addrs) > 0 {
 		addrs := make([]uint64, len(p.Addrs))
 		for i, a := range p.Addrs {
 			addrs[i] = uint64(a)
 		}
 		added, err = s.stream.SelectAddrs(addrs...)
-	case p.Match != "":
+	} else {
 		// A malformed or oversized expression is ErrBadSpec from the
 		// spec-language front end, before anything is selected.
 		sel, cerr := e9patch.SelectMatch(p.Match)
 		if cerr != nil {
 			return nil, cerr
-		}
-		added, err = s.stream.Select(sel)
-	default:
-		var sel e9patch.Selector
-		switch p.App {
-		case "jumps":
-			sel = e9patch.SelectJumps
-		case "heapwrites":
-			sel = e9patch.SelectHeapWrites
-		case "all":
-			sel = e9patch.SelectAll
-		default:
-			return nil, e9err.Unsupported("rpc", "rpc: unknown app %q (want jumps, heapwrites or all)", p.App)
 		}
 		added, err = s.stream.Select(sel)
 	}
@@ -315,13 +274,11 @@ func (s *Session) handlePatch(msg *Message) (any, error) {
 
 type emitParams struct {
 	Output string `json:"output"`
-	Format string `json:"format"`
 }
 
 // handleEmit runs the decision and emit phases over the accumulated
-// selection. With an output path (CLI only) the binary is written to
-// disk; either way the Result stays available for the transport layer
-// (the HTTP server streams Result().Output as the response body).
+// selection. With an output path the binary is written to disk; either
+// way the Result stays available through Session.Result.
 func (s *Session) handleEmit(ctx context.Context, msg *Message) (any, error) {
 	if s.state != stateOpen {
 		return nil, e9err.Malformed("rpc", "rpc: emit before binary")
@@ -329,12 +286,6 @@ func (s *Session) handleEmit(ctx context.Context, msg *Message) (any, error) {
 	var p emitParams
 	if err := decodeParams(msg, &p); err != nil {
 		return nil, err
-	}
-	if p.Format != "" && p.Format != "binary" {
-		return nil, e9err.Unsupported("rpc", "rpc: unknown emit format %q", p.Format)
-	}
-	if p.Output != "" && !s.opts.AllowPath {
-		return nil, e9err.Unsupported("rpc", "rpc: filesystem paths are not allowed on this transport")
 	}
 	res, err := s.stream.Finish(ctx)
 	if err != nil {

@@ -30,10 +30,10 @@ func testBin(t testing.TB) []byte {
 
 // serveString runs one session over a literal stream and returns the
 // response transcript and the session error.
-func serveString(t testing.TB, stream string, opts Options) (string, error) {
+func serveString(t testing.TB, stream string) (string, error) {
 	t.Helper()
 	var out bytes.Buffer
-	err := Serve(context.Background(), strings.NewReader(stream), &out, opts)
+	err := Serve(context.Background(), strings.NewReader(stream), &out)
 	return out.String(), err
 }
 
@@ -50,11 +50,11 @@ func TestSessionEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "out.bin")
 	stream := fmt.Sprintf(`{"jsonrpc":"2.0","method":"binary","params":{"data":%q},"id":1}
-{"jsonrpc":"2.0","method":"patch","params":{"app":"jumps"},"id":2}
+{"jsonrpc":"2.0","method":"patch","params":{"match":"branch"},"id":2}
 {"jsonrpc":"2.0","method":"emit","params":{"output":%q},"id":3}
 `, base64.StdEncoding.EncodeToString(bin), outPath)
 
-	transcript, err := serveString(t, stream, Options{AllowPath: true})
+	transcript, err := serveString(t, stream)
 	if err != nil {
 		t.Fatalf("serve: %v\ntranscript: %s", err, transcript)
 	}
@@ -92,7 +92,7 @@ func TestSessionFramedBinary(t *testing.T) {
 	tail := fmt.Sprintf(`{"method":"patch","params":{"addrs":[%s]},"id":2}`+"\n"+`{"method":"emit","id":3}`+"\n", strings.Join(addrs, ","))
 
 	framed := fmt.Sprintf(`{"method":"binary","params":{"size":%d},"id":1}`+"\n%s\n%s", len(bin), bin, tail)
-	transcript, err := serveString(t, framed, Options{})
+	transcript, err := serveString(t, framed)
 	if !errors.Is(err, e9err.ErrMalformed) {
 		t.Fatalf("framed binary: want ErrMalformed, got %v\ntranscript: %s", err, transcript)
 	}
@@ -101,9 +101,9 @@ func TestSessionFramedBinary(t *testing.T) {
 	}
 
 	inline := fmt.Sprintf(`{"method":"binary","params":{"data":%q},"id":1}`+"\n%s", base64.StdEncoding.EncodeToString(bin), tail)
-	s := NewSession(Options{})
+	s := NewSession()
 	defer s.Close()
-	d := NewDecoder(strings.NewReader(inline), 0)
+	d := NewDecoder(strings.NewReader(inline))
 	ctx := context.Background()
 	for {
 		msg, err := d.Next()
@@ -124,70 +124,65 @@ func TestSessionFramedBinary(t *testing.T) {
 
 // TestSessionAbuse sweeps the hostile streams: truncation, grammar
 // violations, oversized messages, bad numbers. Every case must yield a
-// classified e9err error of the right class — and never a panic. Rows
-// run with paths off and under resource limits unless they say
-// otherwise.
+// classified e9err error of the right class — and never a panic.
 func TestSessionAbuse(t *testing.T) {
 	bin := testBin(t)
 	b64 := base64.StdEncoding.EncodeToString(bin)
 	binMsg := fmt.Sprintf(`{"method":"binary","params":{"data":%q}}`, b64)
-	limits := e9patch.Limits{MaxInputBytes: 1 << 20, MaxPatchSites: 1 << 12}
 
 	cases := []struct {
 		name   string
 		stream string
-		opts   Options
 		class  error
 	}{
-		{"patch-before-binary", `{"method":"patch","params":{"app":"jumps"}}`, Options{}, e9err.ErrMalformed},
-		{"emit-before-binary", `{"method":"emit"}`, Options{}, e9err.ErrMalformed},
-		{"double-binary", binMsg + "\n" + binMsg, Options{}, e9err.ErrMalformed},
-		{"double-emit", binMsg + "\n" + `{"method":"emit"}` + "\n" + `{"method":"emit"}`, Options{}, e9err.ErrMalformed},
-		{"option-after-binary", binMsg + "\n" + `{"method":"option","params":{"forceB0":true}}`, Options{}, e9err.ErrMalformed},
-		{"truncated-stream", binMsg + "\n" + `{"method":"patch","params":{"app":"jumps"}}`, Options{}, e9err.ErrMalformed},
-		{"empty-stream", "", Options{}, e9err.ErrMalformed},
-		{"bad-json", `{"method":`, Options{}, e9err.ErrMalformed},
-		{"trailing-garbage", `{"method":"emit"} {"x":1}`, Options{}, e9err.ErrMalformed},
-		{"no-method", `{"id":1}`, Options{}, e9err.ErrMalformed},
-		{"bad-version", `{"jsonrpc":"1.0","method":"emit"}`, Options{}, e9err.ErrUnsupported},
-		{"unknown-method", `{"method":"trampoline"}`, Options{}, e9err.ErrUnsupported},
-		{"unknown-option", `{"method":"option","params":{"granlarity":2}}`, Options{}, e9err.ErrMalformed},
-		{"path-denied", `{"method":"binary","params":{"filename":"/etc/hostname"}}`, Options{}, e9err.ErrUnsupported},
-		{"output-path-denied", binMsg + "\n" + `{"method":"emit","params":{"output":"/tmp/x"}}`, Options{}, e9err.ErrUnsupported},
-		{"output-unwritable", binMsg + "\n" + fmt.Sprintf(`{"method":"emit","params":{"output":%q}}`, filepath.Join(t.TempDir(), "no", "such", "out")),
-			Options{AllowPath: true}, e9err.ErrOutput},
-		{"binary-no-source", `{"method":"binary","params":{}}`, Options{}, e9err.ErrMalformed},
-		{"binary-two-sources", fmt.Sprintf(`{"method":"binary","params":{"data":%q,"filename":"/etc/hostname"}}`, b64), Options{}, e9err.ErrMalformed},
+		{"patch-before-binary", `{"method":"patch","params":{"match":"branch"}}`, e9err.ErrMalformed},
+		{"emit-before-binary", `{"method":"emit"}`, e9err.ErrMalformed},
+		{"double-binary", binMsg + "\n" + binMsg, e9err.ErrMalformed},
+		{"double-emit", binMsg + "\n" + `{"method":"emit"}` + "\n" + `{"method":"emit"}`, e9err.ErrMalformed},
+		{"option-after-binary", binMsg + "\n" + `{"method":"option","params":{"forceB0":true}}`, e9err.ErrMalformed},
+		{"truncated-stream", binMsg + "\n" + `{"method":"patch","params":{"match":"branch"}}`, e9err.ErrMalformed},
+		{"empty-stream", "", e9err.ErrMalformed},
+		{"bad-json", `{"method":`, e9err.ErrMalformed},
+		{"trailing-garbage", `{"method":"emit"} {"x":1}`, e9err.ErrMalformed},
+		{"no-method", `{"id":1}`, e9err.ErrMalformed},
+		{"bad-version", `{"jsonrpc":"1.0","method":"emit"}`, e9err.ErrUnsupported},
+		{"unknown-method", `{"method":"trampoline"}`, e9err.ErrUnsupported},
+		{"unknown-option", `{"method":"option","params":{"granlarity":2}}`, e9err.ErrMalformed},
+		{"output-unwritable", binMsg + "\n" + fmt.Sprintf(`{"method":"emit","params":{"output":%q}}`, filepath.Join(t.TempDir(), "no", "such", "out")), e9err.ErrOutput},
+		{"binary-no-source", `{"method":"binary","params":{}}`, e9err.ErrMalformed},
+		{"binary-two-sources", fmt.Sprintf(`{"method":"binary","params":{"data":%q,"filename":"/etc/hostname"}}`, b64), e9err.ErrMalformed},
 		// A binary travels by path or inline; a size-framed payload is
 		// not part of the protocol, so size is a misspelling like any
 		// other, whatever it declares, and the raw bytes after it are
 		// never read.
-		{"negative-size", `{"method":"binary","params":{"size":-1}}`, Options{}, e9err.ErrMalformed},
-		{"framed-too-large", `{"method":"binary","params":{"size":1099511627776}}` + "\nabc", Options{}, e9err.ErrMalformed},
-		{"framed-truncated", `{"method":"binary","params":{"size":1024}}` + "\nshort", Options{}, e9err.ErrMalformed},
-		{"patch-no-source", binMsg + "\n" + `{"method":"patch","params":{}}`, Options{}, e9err.ErrMalformed},
-		{"patch-two-sources", binMsg + "\n" + `{"method":"patch","params":{"app":"jumps","match":"jcc"}}`, Options{}, e9err.ErrMalformed},
-		{"unknown-app", binMsg + "\n" + `{"method":"patch","params":{"app":"everything"}}`, Options{}, e9err.ErrUnsupported},
-		{"bad-match-expr", binMsg + "\n" + `{"method":"patch","params":{"match":"jcc &&& x"}}`, Options{}, e9err.ErrBadSpec},
-		{"bad-emit-format", binMsg + "\n" + `{"method":"emit","params":{"format":"elf128"}}`, Options{}, e9err.ErrUnsupported},
-		{"bad-number", binMsg + "\n" + `{"method":"patch","params":{"addrs":["0xZZ"]}}`, Options{}, e9err.ErrMalformed},
-		{"empty-reserve", `{"method":"reserve","params":{"ranges":[{"lo":"0x2000","hi":"0x1000"}]}}`, Options{}, e9err.ErrMalformed},
-		{"oversized-message", `{"method":"option","params":{"` + strings.Repeat("a", 300) + `":1}}`,
-			Options{MaxMessageBytes: 128}, e9err.ErrResourceLimit},
-		{"inline-too-large", binMsg, Options{Base: e9patch.Config{Limits: e9patch.Limits{MaxInputBytes: 16}}}, e9err.ErrResourceLimit},
-		{"not-an-elf", `{"method":"binary","params":{"data":"aGVsbG8="}}`, Options{}, e9err.ErrMalformed},
+		{"negative-size", `{"method":"binary","params":{"size":-1}}`, e9err.ErrMalformed},
+		{"framed-too-large", `{"method":"binary","params":{"size":1099511627776}}` + "\nabc", e9err.ErrMalformed},
+		{"framed-truncated", `{"method":"binary","params":{"size":1024}}` + "\nshort", e9err.ErrMalformed},
+		{"patch-no-source", binMsg + "\n" + `{"method":"patch","params":{}}`, e9err.ErrMalformed},
+		{"patch-two-sources", binMsg + "\n" + `{"method":"patch","params":{"addrs":["0x401000"],"match":"jcc"}}`, e9err.ErrMalformed},
+		// match names the paper's applications, and an emit writes one
+		// format: app and format are misspellings too.
+		{"patch-app", binMsg + "\n" + `{"method":"patch","params":{"app":"jumps"}}`, e9err.ErrMalformed},
+		{"emit-format", binMsg + "\n" + `{"method":"emit","params":{"format":"binary"}}`, e9err.ErrMalformed},
+		{"bad-match-expr", binMsg + "\n" + `{"method":"patch","params":{"match":"jcc &&& x"}}`, e9err.ErrBadSpec},
+		{"bad-number", binMsg + "\n" + `{"method":"patch","params":{"addrs":["0xZZ"]}}`, e9err.ErrMalformed},
+		{"empty-reserve", `{"method":"reserve","params":{"ranges":[{"lo":"0x2000","hi":"0x1000"}]}}`, e9err.ErrMalformed},
+		{"oversized-message", `{"method":"option","params":{"` + strings.Repeat("a", maxLineBytes) + `":1}}`, e9err.ErrResourceLimit},
+		{"inline-too-large", `{"method":"binary","params":{"data":"` + strings.Repeat("A", maxLineBytes) + `"}}`, e9err.ErrResourceLimit},
+		{"not-an-elf", `{"method":"binary","params":{"data":"aGVsbG8="}}`, e9err.ErrMalformed},
 	}
+	unknownField := map[string]string{"patch-app": "app", "emit-format": "format"}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.opts.Base.Limits == (e9patch.Limits{}) {
-				tc.opts.Base.Limits = limits
-			}
-			transcript, err := serveString(t, tc.stream, tc.opts)
+			transcript, err := serveString(t, tc.stream)
 			if err == nil {
 				t.Fatalf("want %v, got success\ntranscript: %s", tc.class, transcript)
 			}
 			if !errors.Is(err, tc.class) {
 				t.Fatalf("want class %v, got %v", tc.class, err)
+			}
+			if f, ok := unknownField[tc.name]; ok && !strings.Contains(err.Error(), fmt.Sprintf("unknown field %q", f)) {
+				t.Fatalf("want the unknown-field error for %q, got %v", f, err)
 			}
 			var e *e9err.Error
 			if !errors.As(err, &e) {
@@ -227,7 +222,7 @@ func TestSessionHostileMatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			start := time.Now()
-			transcript, err := serveString(t, binMsg+"\n"+string(patch)+"\n", Options{})
+			transcript, err := serveString(t, binMsg+"\n"+string(patch)+"\n")
 			if took := time.Since(start); took > time.Second {
 				t.Errorf("rejection took %v, want under a second", took)
 			}
@@ -249,7 +244,7 @@ func TestSessionHostileMatch(t *testing.T) {
 // decision, not the stream's, so an option message naming parallelism
 // is an unknown field like any misspelling.
 func TestSessionRejectsParallelism(t *testing.T) {
-	_, err := serveString(t, `{"method":"option","params":{"parallelism":2}}`+"\n", Options{})
+	_, err := serveString(t, `{"method":"option","params":{"parallelism":2}}`+"\n")
 	if !errors.Is(err, e9err.ErrMalformed) {
 		t.Fatalf("want ErrMalformed, got %v", err)
 	}
@@ -264,13 +259,13 @@ func TestSessionOptions(t *testing.T) {
 	bin := testBin(t)
 	stream := fmt.Sprintf(`{"method":"option","params":{"forceB0":true,"granularity":2}}
 {"method":"binary","params":{"data":%q}}
-{"method":"patch","params":{"app":"jumps"},"id":1}
+{"method":"patch","params":{"match":"branch"},"id":1}
 {"method":"emit","id":2}
 `, base64.StdEncoding.EncodeToString(bin))
 	var out bytes.Buffer
-	s := NewSession(Options{})
+	s := NewSession()
 	defer s.Close()
-	d := NewDecoder(strings.NewReader(stream), 0)
+	d := NewDecoder(strings.NewReader(stream))
 	ctx := context.Background()
 	for {
 		msg, err := d.Next()

@@ -162,9 +162,9 @@ func TestV1CoversSessionMessages(t *testing.T) {
 {"method":"patch","params":{"match":"call"}}
 {"method":"emit"}
 `, base64.StdEncoding.EncodeToString(bin), strings.Join(addrs, ","))
-	sess := rpc.NewSession(rpc.Options{})
+	sess := rpc.NewSession()
 	defer sess.Close()
-	d := rpc.NewDecoder(strings.NewReader(session), 0)
+	d := rpc.NewDecoder(strings.NewReader(session))
 	for !sess.Done() {
 		msg, err := d.Next()
 		if err != nil {
