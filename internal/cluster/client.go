@@ -35,8 +35,6 @@ type Config struct {
 	// Peers lists every node's advertised base URL, including Self.
 	// A list of one (or none) disables clustering.
 	Peers []string
-	// Replicas is the virtual-node count per peer (0: DefaultReplicas).
-	Replicas int
 	// FetchTimeout bounds one peer plan fetch or forwarded request
 	// probe (0: 2s). Peer fetches sit on the client's latency path, so
 	// the bound is short: a slow peer is treated as a down peer.

@@ -21,8 +21,8 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the virtual-node count per peer when Config leaves
-// Replicas zero. 64 points per node keeps the maximum ownership skew of
+// DefaultReplicas is the virtual-node count per peer of a cluster's
+// ring. 64 points per node keeps the maximum ownership skew of
 // small (3–10 node) clusters within a few percent while the ring stays
 // tiny (a sorted slice scanned by binary search).
 const DefaultReplicas = 64

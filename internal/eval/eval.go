@@ -17,7 +17,6 @@ import (
 
 	"e9patch"
 	"e9patch/internal/emu"
-	"e9patch/internal/loader"
 	"e9patch/internal/lowfat"
 	"e9patch/internal/patch"
 	"e9patch/internal/va"
@@ -308,6 +307,3 @@ func GeoMean(vals []float64) float64 {
 	}
 	return math.Exp(sum / float64(len(vals)))
 }
-
-// loaderMaxMapCheck re-exposes the loader's limit for experiment E5.
-const MaxMapCount = loader.DefaultMaxMapCount

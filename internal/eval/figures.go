@@ -7,6 +7,7 @@ import (
 
 	"e9patch"
 	"e9patch/internal/emu"
+	"e9patch/internal/loader"
 	"e9patch/internal/lowfat"
 	"e9patch/internal/patch"
 	"e9patch/internal/workload"
@@ -255,7 +256,7 @@ func AblationGranularity(opt Options, progress io.Writer) ([]GranularityPoint, e
 			Mappings:          res.Mappings,
 			MappingsFullScale: full,
 			PhysMB:            float64(res.Group.PhysBytes()) / 1e6,
-			UnderLimit:        full <= MaxMapCount,
+			UnderLimit:        full <= loader.MapCountLimit,
 		})
 	}
 	return out, nil

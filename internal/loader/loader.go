@@ -20,8 +20,9 @@ import (
 	"e9patch/internal/group"
 )
 
-// DefaultMaxMapCount mirrors the Linux vm.max_map_count default (§4).
-const DefaultMaxMapCount = 65536
+// MapCountLimit mirrors the Linux vm.max_map_count default (§4): the
+// most trampoline mappings BuildImage replays.
+const MapCountLimit = 65536
 
 const blobMagic = 0xE9B10B64
 
@@ -174,9 +175,6 @@ type Options struct {
 	// Bias is added to every file virtual address (PIE load base;
 	// zero for ET_EXEC).
 	Bias uint64
-	// MaxMapCount bounds the number of trampoline mappings (0 means
-	// DefaultMaxMapCount).
-	MaxMapCount int
 }
 
 // BuildImage loads a (possibly rewritten) ELF binary plus its appended
@@ -187,26 +185,23 @@ func BuildImage(m *emu.Machine, file []byte, opts Options) (entry uint64, err er
 	if err != nil {
 		return 0, err
 	}
-	limit := opts.MaxMapCount
-	if limit == 0 {
-		limit = DefaultMaxMapCount
-	}
 	entry = f.Header.Entry + opts.Bias
 
 	// Replay the trampoline mmap table first. Blocks are whole
 	// granules: any zero-filled portion that overlaps a loaded segment
 	// is shadowed when the segments are copied afterwards (trampolines
-	// themselves are never allocated inside segment pages, so the
-	// ordering is equivalent to the real loader's page-granular
-	// MAP_FIXED calls over non-segment pages only).
+	// themselves are never allocated inside segment pages, and Apply
+	// refuses a plan that puts one there, so the ordering is equivalent
+	// to the real loader's page-granular MAP_FIXED calls over
+	// non-segment pages only).
 	if blob, ok := elf64.AppendedBlob(file); ok {
 		b, err := Decode(blob)
 		if err != nil {
 			return 0, err
 		}
-		if len(b.Mappings) > limit {
+		if len(b.Mappings) > MapCountLimit {
 			return 0, fmt.Errorf("loader: %d mappings exceed vm.max_map_count=%d (use a coarser granularity)",
-				len(b.Mappings), limit)
+				len(b.Mappings), MapCountLimit)
 		}
 		for _, mp := range b.Mappings {
 			m.Mem.WriteBytes(mp.Vaddr+opts.Bias, b.Blocks[mp.Phys])

@@ -136,23 +136,28 @@ func TestBuildImageBias(t *testing.T) {
 }
 
 func TestMapCountLimit(t *testing.T) {
-	// 5 mappings with a limit of 4 must be refused.
-	var chunks []group.Chunk
-	for i := 0; i < 5; i++ {
-		chunks = append(chunks, group.Chunk{Addr: 0x700000 + uint64(i)*0x1000 + uint64(i), Data: []byte{1}})
+	// One mapping over vm.max_map_count must be refused; five pass.
+	image := func(n int) []byte {
+		chunks := make([]group.Chunk, n)
+		for i := range chunks {
+			chunks[i] = group.Chunk{Addr: 0x700000 + uint64(i)*0x1000 + uint64(i%0x1000), Data: []byte{1}}
+		}
+		res, err := group.Build(chunks, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Mappings) != n {
+			t.Fatalf("%d chunks on distinct pages gave %d mappings", n, len(res.Mappings))
+		}
+		bin, _ := elf64.Build(elf64.BuildSpec{Text: []byte{0xC3}, Data: []byte("x")})
+		return elf64.Compose(bin, 0, nil, Encode(res, 1, nil, 0))
 	}
-	res, err := group.Build(chunks, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin, _ := elf64.Build(elf64.BuildSpec{Text: []byte{0xC3}, Data: []byte("x")})
-	out := elf64.Compose(bin, 0, nil, Encode(res, 1, nil, 0))
 	m := emu.NewMachine()
-	if _, err := BuildImage(m, out, Options{MaxMapCount: 4}); err == nil {
+	if _, err := BuildImage(m, image(MapCountLimit+1), Options{}); err == nil {
 		t.Fatal("mapping limit not enforced")
 	}
-	if _, err := BuildImage(m, out, Options{MaxMapCount: 5}); err != nil {
-		t.Fatalf("limit 5 should pass: %v", err)
+	if _, err := BuildImage(m, image(5), Options{}); err != nil {
+		t.Fatalf("5 mappings should pass: %v", err)
 	}
 }
 

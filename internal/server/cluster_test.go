@@ -628,7 +628,7 @@ func TestBatchWantPlanAfterPlanEviction(t *testing.T) {
 // TestBatchValidation covers the request-shape rejections: item count
 // and body caps, unknown artifacts, empty batches, bad specs.
 func TestBatchValidation(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueLen: 4, MaxBatchItems: 2, MaxBodyBytes: 1 << 20})
+	srv := New(Config{Workers: 1, QueueLen: 4, MaxBodyBytes: 1 << 20})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -647,7 +647,7 @@ func TestBatchValidation(t *testing.T) {
 	if resp := post(""); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: %d, want 400", resp.StatusCode)
 	}
-	if resp := post(strings.Repeat(item+"\n", 3)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	if resp := post(strings.Repeat(item+"\n", maxBatchItems+1)); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("too many items: %d, want 413", resp.StatusCode)
 	}
 	if resp := post(`{"id":"x","query":"match=jcc","binary":"AAAA","want":"carrier-pigeon"}`); resp.StatusCode != http.StatusBadRequest {
@@ -683,11 +683,11 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestBatchTenantQuota pins the per-tenant fan-out bound: with a
-// 1-slot quota, a tenant's items run strictly one at a time even when
+// TestBatchTenantQuota pins the per-tenant fan-out bound: with two
+// workers, a tenant's quota is one slot, so its items run strictly one at a time even when
 // the pool has room, while a second tenant proceeds in parallel.
 func TestBatchTenantQuota(t *testing.T) {
-	srv := New(Config{Workers: 4, QueueLen: 16, BatchTenantConcurrency: 1})
+	srv := New(Config{Workers: 2, QueueLen: 16})
 	var (
 		mu      sync.Mutex
 		cur     = map[string]int{}

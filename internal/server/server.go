@@ -70,15 +70,6 @@ type Config struct {
 	// non-owned keys try a peer plan-fetch before replanning, and
 	// GET /internal/v1/plan/{key} serves this node's plan shard.
 	Cluster cluster.Config
-	// MaxBatchBytes bounds one /v1/batch request body (default 4x
-	// MaxBodyBytes); MaxBatchItems bounds the items in it (default 256).
-	MaxBatchBytes int64
-	MaxBatchItems int
-	// BatchTenantConcurrency caps how many batch items one tenant (the
-	// X-E9-Tenant header) may have in flight on this node at once
-	// (default: half the workers, min 1) — one tenant's fleet-wide
-	// batch cannot starve the others.
-	BatchTenantConcurrency int
 	// Logf, when non-nil, receives internal-failure details that are
 	// deliberately kept out of 500 response bodies (default: the
 	// standard library logger).
@@ -103,15 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 4 * c.MaxBodyBytes
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 256
-	}
-	if c.BatchTenantConcurrency <= 0 {
-		c.BatchTenantConcurrency = max(1, c.Workers/2)
 	}
 	c.Cluster = c.Cluster.WithDefaults()
 	if c.Logf == nil {
@@ -181,10 +163,10 @@ func New(cfg Config) *Server {
 		flights: newFlightGroup(),
 		metrics: NewMetrics(),
 		shards:  e9patch.NewPool(cfg.Workers),
-		tenants: newTenantLimiter(cfg.BatchTenantConcurrency),
+		tenants: newTenantLimiter(cfg.Workers / 2),
 	}
 	if cfg.Cluster.Enabled() {
-		s.ring = cluster.NewRing(cfg.Cluster.Peers, cfg.Cluster.Replicas)
+		s.ring = cluster.NewRing(cfg.Cluster.Peers, cluster.DefaultReplicas)
 		s.health = cluster.NewHealth(cfg.Cluster.Cooldown)
 		s.peers = cluster.NewClient(cfg.Cluster, s.health, cfg.PlanCacheBytes)
 		s.fwd = &http.Client{}

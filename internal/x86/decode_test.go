@@ -233,11 +233,11 @@ func TestDecodeFailuresAllocFree(t *testing.T) {
 	}
 }
 
-func TestRelocateSimple(t *testing.T) {
+func TestAppendRelocated(t *testing.T) {
 	// mov 0x100(%rip),%eax at 0x400000 -> absolute target 0x400106.
 	code := []byte{0x8B, 0x05, 0x00, 0x01, 0x00, 0x00}
 	inst := decodeOne(t, code)
-	out, err := RelocateSimple(&inst, 0x500000)
+	out, err := AppendRelocated(nil, &inst, 0x500000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestRelocateSimple(t *testing.T) {
 
 	// Non-rip instructions are copied verbatim.
 	plain := decodeOne(t, []byte{0x48, 0x89, 0x03})
-	out2, err := RelocateSimple(&plain, 0x99999999)
+	out2, err := AppendRelocated(nil, &plain, 0x99999999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRelocateSimple(t *testing.T) {
 	}
 
 	// Out-of-range relocation must fail.
-	if _, err := RelocateSimple(&inst, 0x40000000000); err == nil {
+	if _, err := AppendRelocated(nil, &inst, 0x40000000000); err == nil {
 		t.Error("expected range error")
 	}
 }

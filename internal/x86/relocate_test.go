@@ -19,10 +19,10 @@ func decodeAt(t *testing.T, code []byte, addr uint64) Inst {
 	return i
 }
 
-func TestRelocateSimpleNonRIP(t *testing.T) {
+func TestAppendRelocatedNonRIP(t *testing.T) {
 	// mov [rbx], rax — no RIP-relative operand: byte copy at any delta.
 	i := decodeAt(t, []byte{0x48, 0x89, 0x03}, 0x1000)
-	out, err := RelocateSimple(&i, 0x9_0000_0000)
+	out, err := AppendRelocated(nil, &i, 0x9_0000_0000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRelocateSimpleNonRIP(t *testing.T) {
 	}
 }
 
-func TestRelocateSimpleRIPRelative(t *testing.T) {
+func TestAppendRelocatedRIPRelative(t *testing.T) {
 	// mov rax, [rip+0x100] at 0x40_0000: target 0x40_0107.
 	src := []byte{0x48, 0x8B, 0x05, 0x00, 0x01, 0x00, 0x00}
 	const oldAddr = 0x40_0000
@@ -45,7 +45,7 @@ func TestRelocateSimpleRIPRelative(t *testing.T) {
 		{"negative delta (moved down)", oldAddr - 0x3_0000},
 		{"positive delta (moved up)", oldAddr + 0x7FF_0000},
 	} {
-		out, err := RelocateSimple(&i, tc.newAddr)
+		out, err := AppendRelocated(nil, &i, tc.newAddr)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -64,53 +64,11 @@ func TestRelocateSimpleRIPRelative(t *testing.T) {
 	}
 }
 
-func TestRelocateSimpleOutOfRange(t *testing.T) {
+func TestAppendRelocatedOutOfRange(t *testing.T) {
 	src := []byte{0x48, 0x8B, 0x05, 0x00, 0x01, 0x00, 0x00}
 	i := decodeAt(t, src, 0x40_0000)
 	// Moving up by 4GiB pushes the displacement far below INT32_MIN.
-	if _, err := RelocateSimple(&i, 0x1_0040_0000); !errors.Is(err, ErrRelocRange) {
-		t.Fatalf("want ErrRelocRange, got %v", err)
-	}
-}
-
-func TestRelocateBranchWidening(t *testing.T) {
-	const oldAddr = 0x1000
-	for _, tc := range []struct {
-		name   string
-		code   []byte
-		opcode byte // expected widened opcode (second byte for jcc)
-	}{
-		{"jmp rel8 -> jmp rel32", []byte{0xEB, 0x10}, 0xE9},
-		{"je rel8 -> je rel32", []byte{0x74, 0x27}, 0x84},
-		{"jne rel8 -> jne rel32", []byte{0x75, 0xF0}, 0x85},
-		{"jmp rel32 stays rel32", []byte{0xE9, 0x00, 0x10, 0x00, 0x00}, 0xE9},
-		{"jl rel32 stays rel32", []byte{0x0F, 0x8C, 0x00, 0x10, 0x00, 0x00}, 0x8C},
-		{"call rel32", []byte{0xE8, 0x44, 0x33, 0x22, 0x00}, 0xE8},
-	} {
-		i := decodeAt(t, tc.code, oldAddr)
-		target := i.Target()
-		for _, newAddr := range []uint64{oldAddr + 0x40_0000, oldAddr + 0x10 /* overlapping */, 0x10 /* below */} {
-			out, err := RelocateBranch(&i, newAddr)
-			if err != nil {
-				t.Fatalf("%s @%#x: %v", tc.name, newAddr, err)
-			}
-			ri := decodeAt(t, out, newAddr)
-			if ri.RelSize != 4 {
-				t.Fatalf("%s @%#x: RelSize %d, want 4", tc.name, newAddr, ri.RelSize)
-			}
-			if ri.Opcode != tc.opcode {
-				t.Fatalf("%s @%#x: opcode %#02x, want %#02x", tc.name, newAddr, ri.Opcode, tc.opcode)
-			}
-			if ri.Target() != target {
-				t.Fatalf("%s @%#x: target %#x, want %#x", tc.name, newAddr, ri.Target(), target)
-			}
-		}
-	}
-}
-
-func TestRelocateBranchOutOfRange(t *testing.T) {
-	i := decodeAt(t, []byte{0xEB, 0x10}, 0x1000)
-	if _, err := RelocateBranch(&i, 0x2_0000_0000); !errors.Is(err, ErrRelocRange) {
+	if _, err := AppendRelocated(nil, &i, 0x1_0040_0000); !errors.Is(err, ErrRelocRange) {
 		t.Fatalf("want ErrRelocRange, got %v", err)
 	}
 }
@@ -157,18 +115,5 @@ func TestRel32EmittersRejectOutOfRange(t *testing.T) {
 				t.Errorf("%s to %#x reaches %#x", e.name, tc.target, i.Target())
 			}
 		}
-	}
-}
-
-func TestRelocateBranchRejectsLoopAndIndirect(t *testing.T) {
-	// loop rel8 cannot be widened: no rel32 form exists.
-	loop := decodeAt(t, []byte{0xE2, 0xFB}, 0x1000)
-	if _, err := RelocateBranch(&loop, 0x2000); err == nil {
-		t.Fatal("loop rel8: expected error, got success")
-	}
-	// jmp [rax] (FF /4) is not a direct branch.
-	ind := decodeAt(t, []byte{0xFF, 0x20}, 0x1000)
-	if _, err := RelocateBranch(&ind, 0x2000); err == nil {
-		t.Fatal("indirect jmp: expected error, got success")
 	}
 }

@@ -245,8 +245,9 @@ func TestDiagnoseSelectionCoordinates(t *testing.T) {
 }
 
 // FuzzParallelRewrite cross-checks random programs under random
-// parallelism against the sequential rewrite, then runs the parallel
-// output to confirm it still behaves like the original program.
+// parallelism against the sequential rewrite. What the sequential
+// rewrite does when it runs is FuzzLockStep's and the genProgram
+// lock-step cells' to check.
 func FuzzParallelRewrite(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed, uint8(seed*5+1))
@@ -275,14 +276,5 @@ func FuzzParallelRewrite(f *testing.F) {
 		}
 		assertSameParallelResult(t, seq, par,
 			fmt.Sprintf("seed=%d width=%d", seed, width))
-
-		om := fuzzRun(t, bin)
-		pm := fuzzRun(t, par.Output)
-		if om.ExitCode != pm.ExitCode {
-			t.Fatalf("exit: original %#x, parallel-rewritten %#x", om.ExitCode, pm.ExitCode)
-		}
-		if !reflect.DeepEqual(om.Output, pm.Output) {
-			t.Fatal("output stream diverged after parallel rewrite")
-		}
 	})
 }
