@@ -183,8 +183,11 @@ servertest:
 # response and no larger than the JSON plan gzipped to), /v1/batch
 # validation/quotas/streaming, the chaos batch (one node killed
 # mid-batch over the hostile corpus must finish with zero 5xx), the
-# goroutine-leak check (one request of every kind, an abandoned batch
-# among them, then shutdown back to the baseline goroutine count), and
+# one lease budget (batch items and /v1/rewrite jobs never run more
+# than Workers rewrites at once, and a batch item meets the same 429),
+# the goroutine-leak check (one request of every kind, an abandoned
+# batch among them, then shutdown back to the baseline goroutine count
+# and every worker lease returned), and
 # the trusted-apply contract backing peer rematerialization. The server
 # tests run under -race.
 clustercheck:

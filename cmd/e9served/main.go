@@ -1,5 +1,5 @@
 // Command e9served serves binary rewrites over HTTP: a concurrent
-// front to the e9patch library with a bounded worker pool,
+// front to the e9patch library with one bounded budget of worker leases,
 // content-addressed result caching, singleflight coalescing and
 // backpressure (see internal/server and DESIGN.md §7).
 //
@@ -18,7 +18,8 @@
 //	    → 429 + Retry-After under overload; 504 past the time budget
 //	POST /v1/batch                                  body = NDJSON items
 //	    {"id":..,"query":"match=..","binary":"<base64>","want":"binary|plan"}
-//	    → 200 NDJSON results streamed in completion order
+//	    → 200 NDJSON results streamed in completion order, each
+//	      with the status /v1/rewrite would answer (429 included)
 //	GET  /healthz                                   liveness/drain
 //	GET  /metrics                                   Prometheus text
 //
@@ -64,11 +65,11 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8233", "listen address")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size")
-		queue     = flag.Int("queue", 64, "bounded queue length (backpressure beyond this)")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker leases: the most goroutines rewriting at once, jobs and their shard helpers together")
+		queue     = flag.Int("queue", 64, "rewrite jobs that may wait for a worker lease (429 beyond this)")
 		cacheMB   = flag.Int("cache-mb", 256, "result cache budget in MiB")
 		planMB    = flag.Int("plan-cache-mb", 64, "plan cache budget in MiB (evicted results rematerialize from cached plans)")
-		timeout   = flag.Duration("timeout", 60*time.Second, "per-rewrite time budget (queue wait included)")
+		timeout   = flag.Duration("timeout", 60*time.Second, "per-rewrite time budget (lease wait included)")
 		maxBodyMB = flag.Int("max-body-mb", 64, "maximum request body in MiB")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown budget on SIGTERM")
 

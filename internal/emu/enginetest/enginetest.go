@@ -72,7 +72,7 @@ func runProgram(t *testing.T, elf []byte, eng emu.Engine) *emu.Machine {
 	m := workload.NewMachine(nil)
 	workload.BindJit(m)
 	m.Engine = eng
-	entry, err := loader.BuildImage(m, elf, loader.Options{})
+	entry, err := loader.BuildImage(m, elf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func testMutatingTracer(t *testing.T, engine string) {
 	run := func(eng emu.Engine) (*emu.Machine, []uint64) {
 		m := workload.NewMachine(nil)
 		m.Engine = eng
-		entry, err := loader.BuildImage(m, prog.ELF, loader.Options{})
+		entry, err := loader.BuildImage(m, prog.ELF)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func testBudgetParity(t *testing.T, engine string) {
 		run := func(eng emu.Engine) (*emu.Machine, error) {
 			m := workload.NewMachine(nil)
 			m.Engine = eng
-			entry, err := loader.BuildImage(m, prog.ELF, loader.Options{})
+			entry, err := loader.BuildImage(m, prog.ELF)
 			if err != nil {
 				t.Fatal(err)
 			}

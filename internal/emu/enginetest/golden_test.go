@@ -75,7 +75,7 @@ func goldenPrograms(t *testing.T) []goldenProg {
 		setup: func(eng emu.Engine) *emu.Machine {
 			m := workload.NewMachine(nil)
 			m.Engine = eng
-			entry, err := loader.BuildImage(m, kernel.ELF, loader.Options{})
+			entry, err := loader.BuildImage(m, kernel.ELF)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,7 +30,7 @@ func runKernel(t *testing.T, kernel string, eng emu.Engine) *emu.Machine {
 	}
 	m := workload.NewMachine(nil)
 	m.Engine = eng
-	entry, err := loader.BuildImage(m, prog.ELF, loader.Options{})
+	entry, err := loader.BuildImage(m, prog.ELF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestIRSpeedup(t *testing.T) {
 		for trial := 0; trial < 2; trial++ {
 			m := workload.NewMachine(nil)
 			m.Engine = mk()
-			entry, err := loader.BuildImage(m, prog.ELF, loader.Options{})
+			entry, err := loader.BuildImage(m, prog.ELF)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -170,22 +170,30 @@ func Decode(data []byte) (*Blob, error) {
 	return b, nil
 }
 
-// Options controls image construction.
-type Options struct {
-	// Bias is added to every file virtual address (PIE load base;
-	// zero for ET_EXEC).
-	Bias uint64
+// PIEBase is the deterministic load bias applied to ET_DYN binaries
+// (the address the Linux loader picks for PIE executables when ASLR is
+// disabled; our simulated loader is deterministic by design).
+const PIEBase uint64 = 0x5555_5555_4000
+
+// Bias is the load bias of f: PIEBase for ET_DYN, zero for ET_EXEC.
+// It is added to every file virtual address.
+func Bias(f *elf64.File) uint64 {
+	if f.IsPIE() {
+		return PIEBase
+	}
+	return 0
 }
 
 // BuildImage loads a (possibly rewritten) ELF binary plus its appended
-// blob into an emulated address space, replaying the mmap table. It
-// returns the entry point and installs the B0 dispatch table.
-func BuildImage(m *emu.Machine, file []byte, opts Options) (entry uint64, err error) {
+// blob into an emulated address space at its Bias, replaying the mmap
+// table. It returns the entry point and installs the B0 dispatch table.
+func BuildImage(m *emu.Machine, file []byte) (entry uint64, err error) {
 	f, err := elf64.Parse(file)
 	if err != nil {
 		return 0, err
 	}
-	entry = f.Header.Entry + opts.Bias
+	bias := Bias(f)
+	entry = f.Header.Entry + bias
 
 	// Replay the trampoline mmap table first. Blocks are whole
 	// granules: any zero-filled portion that overlaps a loaded segment
@@ -204,10 +212,10 @@ func BuildImage(m *emu.Machine, file []byte, opts Options) (entry uint64, err er
 				len(b.Mappings), MapCountLimit)
 		}
 		for _, mp := range b.Mappings {
-			m.Mem.WriteBytes(mp.Vaddr+opts.Bias, b.Blocks[mp.Phys])
+			m.Mem.WriteBytes(mp.Vaddr+bias, b.Blocks[mp.Phys])
 		}
 		for addr, tramp := range b.SigTab {
-			m.SigTab[addr+opts.Bias] = tramp + opts.Bias
+			m.SigTab[addr+bias] = tramp + bias
 		}
 	}
 
@@ -219,7 +227,7 @@ func BuildImage(m *emu.Machine, file []byte, opts Options) (entry uint64, err er
 		if p.Off+p.Filesz > uint64(len(file)) {
 			return 0, fmt.Errorf("loader: segment beyond file end")
 		}
-		vaddr := p.Vaddr + opts.Bias
+		vaddr := p.Vaddr + bias
 		m.Mem.WriteBytes(vaddr, file[p.Off:p.Off+p.Filesz])
 		if p.Memsz > p.Filesz {
 			m.Mem.Map(vaddr+p.Filesz, p.Memsz-p.Filesz)

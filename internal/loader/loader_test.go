@@ -79,7 +79,7 @@ func TestBuildImage(t *testing.T) {
 	out := elf64.Compose(bin, 0, nil, Encode(res, 1, sig, 0x401000))
 
 	m := emu.NewMachine()
-	entry, err := BuildImage(m, out, Options{})
+	entry, err := BuildImage(m, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,8 @@ func TestBuildImageBias(t *testing.T) {
 	res := buildGrouped(t)
 	out := elf64.Compose(bin, 0, nil, Encode(res, 1, nil, elf64.TextVaddrOff))
 	m := emu.NewMachine()
-	const bias = 0x5555_5555_4000
-	entry, err := BuildImage(m, out, Options{Bias: bias})
+	const bias = PIEBase // ET_DYN loads at PIEBase
+	entry, err := BuildImage(m, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,10 @@ func TestMapCountLimit(t *testing.T) {
 		return elf64.Compose(bin, 0, nil, Encode(res, 1, nil, 0))
 	}
 	m := emu.NewMachine()
-	if _, err := BuildImage(m, image(MapCountLimit+1), Options{}); err == nil {
+	if _, err := BuildImage(m, image(MapCountLimit+1)); err == nil {
 		t.Fatal("mapping limit not enforced")
 	}
-	if _, err := BuildImage(m, image(5), Options{}); err != nil {
+	if _, err := BuildImage(m, image(5)); err != nil {
 		t.Fatalf("5 mappings should pass: %v", err)
 	}
 }
@@ -164,7 +164,7 @@ func TestMapCountLimit(t *testing.T) {
 func TestUnpatchedBinaryLoads(t *testing.T) {
 	bin, _ := elf64.Build(elf64.BuildSpec{Text: []byte{0xC3}, Data: []byte("x")})
 	m := emu.NewMachine()
-	if _, err := BuildImage(m, bin, Options{}); err != nil {
+	if _, err := BuildImage(m, bin); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.SigTab) != 0 {

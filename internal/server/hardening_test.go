@@ -40,7 +40,7 @@ func postBin(t *testing.T, url string, bin []byte) (int, string) {
 // TestWorkerSurvivesPanickingRewrite kills a job with a deliberate
 // panic and verifies the containment contract: the request answers 500
 // with a generic body (no panic detail leaked), panic_recovered_total
-// increments, and the same worker then serves the next request. A
+// increments, and the one lease comes back to serve the next request. A
 // batch item whose rewrite panics is held to the same contract.
 func TestWorkerSurvivesPanickingRewrite(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 8, Logf: t.Logf})
@@ -277,8 +277,10 @@ func TestStalledUploadReservesLittle(t *testing.T) {
 
 // TestServerNoGoroutineLeak drives one request of every kind — a
 // /v1/rewrite binary, a plan-delta, a batch and a batch whose client
-// hangs up mid-stream — then shuts both servers down
-// and requires the goroutine count back at its baseline within 2 s.
+// hangs up mid-stream — then shuts both servers down, requires the
+// goroutine count back at its baseline within 2 s, and every one of the
+// Workers leases back in the pool: a job path that forgets Release
+// leaves one short.
 func TestServerNoGoroutineLeak(t *testing.T) {
 	bin := kernelELF(t)
 	tr := &http.Transport{}
@@ -359,6 +361,13 @@ func TestServerNoGoroutineLeak(t *testing.T) {
 			buf := make([]byte, 1<<20)
 			t.Fatalf("%d goroutines 2 s after shutdown, baseline %d:\n%s",
 				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	leaseCtx, leaseCancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer leaseCancel()
+	for i := 0; i < srv.cfg.Workers; i++ {
+		if err := srv.shards.Acquire(leaseCtx); err != nil {
+			t.Fatalf("lease %d of %d not returned after shutdown: %v", i+1, srv.cfg.Workers, err)
 		}
 	}
 }

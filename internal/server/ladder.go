@@ -59,9 +59,6 @@ type ask struct {
 	// forward, when non-nil, is the front door: it relays the request to
 	// the key's owner and reports whether the owner's answer was relayed.
 	forward func() bool
-	// cold runs the job of a flight this request leads: queued on the
-	// bounded pool (a full queue fails the flight) or inline.
-	cold func(job func()) error
 }
 
 // answer is what the ladder resolved a request to: the rewritten binary
@@ -81,7 +78,7 @@ type answer struct {
 //	front door    when a.forward is set    relayed
 //	local plan                             "plan"
 //	peer plan     clustered, non-owned key "peer-plan"
-//	rewrite       singleflight, a.cold     "miss" or "coalesced"
+//	rewrite       singleflight, admitted   "miss" or "coalesced"
 //
 // A local result hit beats the network hop, so the result tier comes
 // before the front door; a plan request wants bytes that live in the
@@ -125,7 +122,7 @@ func (s *Server) resolve(ctx context.Context, a ask) (answer, error) {
 
 	e, shared, err := s.flights.do(ctx, a.key, s.cfg.Timeout,
 		func(jobCtx context.Context, finish func(*cacheEntry, error)) error {
-			return a.cold(func() { finish(s.runRewrite(jobCtx, a)) })
+			return s.admit(jobCtx, a, finish)
 		})
 	if shared {
 		s.metrics.IncCoalesced()
@@ -178,22 +175,59 @@ func (s *Server) fromPlan(ctx context.Context, a ask, data []byte, p *e9patch.Pa
 	return answer{entry: e, cache: cache}, true
 }
 
-// queued runs a flight's job on the bounded worker pool, the cold path
-// of /v1/rewrite: a full queue fails the flight with errQueueFull.
-func (s *Server) queued(job func()) error {
-	err := s.pool.trySubmit(job)
-	if err != nil {
+// errQueueFull fails a flight that admit turned away; classify maps it
+// to 429, and /v1/rewrite adds Retry-After.
+var errQueueFull = errors.New("server: work queue full")
+
+// admit starts the job of a flight this request leads, /v1/rewrite and
+// batch item alike. With QueueLen jobs already waiting for a lease, or
+// the server closed, it fails the flight with errQueueFull. Otherwise
+// the job runs on its own goroutine, which waits for one lease of
+// s.shards and holds it for the whole rewrite, so running jobs and
+// their shard helpers share one budget of Workers. A job whose context
+// ends before a lease frees still finishes its flight, with the
+// context's error.
+func (s *Server) admit(ctx context.Context, a ask, finish func(*cacheEntry, error)) error {
+	s.admitMu.Lock()
+	if s.closed || s.waiting >= s.cfg.QueueLen {
+		s.admitMu.Unlock()
 		s.metrics.IncQueueFull()
+		return errQueueFull
 	}
-	return err
+	s.waiting++
+	s.jobs.Add(1)
+	s.admitMu.Unlock()
+	go func() {
+		defer s.jobs.Done()
+		// Last-resort containment: a panic that escapes runRewrite's
+		// per-job recovery (server code around it) must not take the
+		// process down. Coalesced waiters of such a job time out rather
+		// than hang forever; the per-job boundary keeps this path cold.
+		defer func() {
+			if v := recover(); v != nil {
+				s.metrics.IncPanicRecovered()
+				s.cfg.Logf("e9served: recovered job panic: %v", v)
+			}
+		}()
+		err := s.shards.Acquire(ctx)
+		s.admitMu.Lock()
+		s.waiting--
+		s.admitMu.Unlock()
+		if err != nil {
+			finish(nil, err)
+			return
+		}
+		defer s.shards.Release()
+		finish(s.runRewrite(ctx, a))
+	}()
+	return nil
 }
 
-// inline runs a flight's job on the calling goroutine, the cold path of
-// a batch item: the item already holds a fan-out lease, and queueing it
-// on the pool as well could deadlock a full queue against its own items.
-func inline(job func()) error {
-	job()
-	return nil
+// queueDepth reports the jobs admitted but still waiting for a lease.
+func (s *Server) queueDepth() int {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	return s.waiting
 }
 
 // runRewrite is a flight's job: the full rewrite of a.body, banked in
@@ -206,7 +240,7 @@ func inline(job func()) error {
 // shapes count toward panic_recovered_total.
 func (s *Server) runRewrite(ctx context.Context, a ask) (e *cacheEntry, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err // every waiter left while the job was queued
+		return nil, err // every waiter left while the job waited
 	}
 	s.metrics.IncRewrite()
 	start := time.Now()

@@ -73,7 +73,7 @@ func (m *Metrics) IncCoalesced() { m.inc(&m.coalesced) }
 func (m *Metrics) IncQueueFull() { m.inc(&m.queueFull) }
 
 // IncPanicRecovered counts one panic contained by a recovery boundary
-// (worker-pool job or library pipeline) instead of killing the process.
+// (rewrite job or library pipeline) instead of killing the process.
 func (m *Metrics) IncPanicRecovered() { m.inc(&m.panics) }
 
 // IncPeerPlanHit / IncPeerPlanMiss count peer plan-fetch outcomes: a
@@ -211,8 +211,8 @@ func (m *Metrics) WriteText(w io.Writer, g Gauges) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 	gauge("e9served_inflight", "Requests currently being handled.", m.inflight)
-	gauge("e9served_queue_depth", "Jobs queued but not yet started.", int64(g.QueueDepth))
-	gauge("e9served_workers", "Worker pool size.", int64(g.Workers))
+	gauge("e9served_queue_depth", "Rewrite jobs waiting for a worker lease.", int64(g.QueueDepth))
+	gauge("e9served_workers", "Worker lease budget.", int64(g.Workers))
 	gauge("e9served_cache_entries", "Result-cache entry count.", int64(g.CacheEntries))
 	gauge("e9served_cache_bytes", "Result-cache bytes in use.", g.CacheBytes)
 	gauge("e9served_plan_cache_entries", "Plan-cache entry count.", int64(g.PlanCacheEntries))

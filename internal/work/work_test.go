@@ -1,9 +1,11 @@
 package work
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -74,5 +76,27 @@ func TestNilPoolSize(t *testing.T) {
 func TestNewPoolDefault(t *testing.T) {
 	if NewPool(0).Size() < 1 {
 		t.Fatal("default pool empty")
+	}
+}
+
+func TestAcquireBlocksUntilRelease(t *testing.T) {
+	p := NewPool(1)
+	if err := p.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := p.Acquire(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("Acquire on a full pool = %v, want the context's error", err)
+	}
+	got := make(chan error)
+	go func() { got <- p.Acquire(context.Background()) }()
+	p.Release()
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	p.Release()
+	if !p.tryAcquire() {
+		t.Fatal("lease not returned by Release")
 	}
 }

@@ -112,7 +112,7 @@ func runKernel(t *testing.T, arch string) *emu.Machine {
 		t.Fatal(err)
 	}
 	m := NewMachine(nil)
-	entry, err := loader.BuildImage(m, prog.ELF, loader.Options{})
+	entry, err := loader.BuildImage(m, prog.ELF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestDromaeoSuitesRun(t *testing.T) {
 		}
 		m := NewMachine(nil)
 		BindJit(m)
-		entry, err := loader.BuildImage(m, prog.ELF, loader.Options{Bias: 0x5555_5555_4000})
+		entry, err := loader.BuildImage(m, prog.ELF)
 		if err != nil {
 			t.Fatal(err)
 		}

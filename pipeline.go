@@ -10,6 +10,7 @@ import (
 	"e9patch/internal/disasm"
 	"e9patch/internal/e9err"
 	"e9patch/internal/elf64"
+	"e9patch/internal/loader"
 	"e9patch/internal/match"
 	"e9patch/internal/patch"
 	"e9patch/internal/plan"
@@ -91,10 +92,7 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineStat
 	if err != nil {
 		return nil, err
 	}
-	var bias uint64
-	if f.IsPIE() {
-		bias = PIEBase
-	}
+	bias := loader.Bias(f)
 
 	textOff, textAddr, textSize, err := f.TextRange()
 	if err != nil {
