@@ -29,8 +29,8 @@ race:
 # loop-termination runs, the per-site instrumentation counts against the original run's, the
 # exit check (every trampoline's epilogue against the original text, by
 # code independent of the patcher, and its seeded mutations), engines
-# (interp vs ir, including the FuzzEngines seed corpus), the
-# block/invalidation seam and the engine's stats/speedup tests, and the
+# (interp vs ir, including the FuzzEngines seed corpus), internal/emu's
+# own tests (block/invalidation, ir stats and speedup), and the
 # parallel-vs-sequential corpus (byte-identity at every worker count,
 # under the race detector, with the sharded recovery and matching tests
 # and the patcher's lock-state invariant on the same line).
@@ -39,14 +39,14 @@ difftest:
 	$(GO) test -run 'TestTakenEdgeEpilogue|TestEpilogueLoopTerminates' ./internal/patch/
 	$(GO) test -run 'TestContextCallInstrumentation|TestTrampolineExits' .
 	$(GO) test -run FuzzEngines .
-	$(GO) test ./internal/emu/enginetest/ ./internal/emu/ ./internal/emu/ir/
+	$(GO) test ./internal/emu/enginetest/ ./internal/emu/
 	$(GO) test -race -run 'TestParallelRewrite|FuzzParallelRewrite' .
 	$(GO) test -race -run 'TestParallel|TestLockStateInvariant|TestPatchAllOnce|Shardable' ./internal/patch/ ./internal/disasm/ ./internal/match/
 
 # enginecheck is the cross-engine correctness gate, interp vs ir: the
 # shared conformance suite and golden per-instruction traces over every
-# registered engine, the memory/block/tracker unit tests, the engine's
-# optimization/speedup tests, the fallback-consistency sweep
+# engine, and internal/emu's own tests: the memory/block/tracker units,
+# the ir engine's optimization/speedup tests, the fallback-consistency sweep
 # (TestFallbackImpliesUnsafe: every instruction lifted to the interpreter
 # fallback is unsafe for flag liveness), the hot-set test
 # (TestHotSetHasNoFallbacks: the emu-kernels classes lift without one
@@ -54,7 +54,7 @@ difftest:
 # Re-record goldens with:
 #   go test ./internal/emu/enginetest/ -run TestEngineGoldenTraces -update-golden
 enginecheck:
-	$(GO) test ./internal/emu/enginetest/ ./internal/emu/ ./internal/emu/ir/
+	$(GO) test ./internal/emu/enginetest/ ./internal/emu/
 	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s .
 
 # plancheck verifies the plan/apply split: plan determinism, byte-

@@ -184,7 +184,7 @@ func fuzzRun(t *testing.T, bin []byte) *emu.Machine {
 }
 
 // FuzzEngines is the engine-differential target: every random program
-// must behave identically under every registered engine — the
+// must behave identically under both engines — the
 // decode-per-step interpreter (the reference) and the block-lifting ir
 // engine — same ExitCode, final registers,
 // flags, output stream, memory image, and byte-identical Counters.

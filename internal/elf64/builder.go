@@ -309,7 +309,7 @@ func (s Segments) WriteTo(w io.Writer) (int64, error) {
 
 // Compose is the in-memory form of Layout: the segments concatenated in
 // a single allocation of exactly the output's size. It produces the
-// same bytes as mutating file's text section in place (PatchBytes) and
+// same bytes as mutating file's text section in place (patchBytes) and
 // then appending blob, without ever writing to file. With textOff 0 and
 // no code it only appends the blob.
 func Compose(file []byte, textOff uint64, code, blob []byte) []byte {

@@ -368,9 +368,9 @@ func (f *File) VaddrToOff(vaddr uint64) (uint64, bool) {
 	return 0, false
 }
 
-// PatchBytes overwrites len(b) bytes at the given virtual address,
+// patchBytes overwrites len(b) bytes at the given virtual address,
 // strictly in place. It fails if the address is not file-backed.
-func (f *File) PatchBytes(vaddr uint64, b []byte) error {
+func (f *File) patchBytes(vaddr uint64, b []byte) error {
 	off, ok := f.VaddrToOff(vaddr)
 	if !ok {
 		return e9err.MalformedAt("emit", vaddr, "elf64: vaddr not mapped from file")

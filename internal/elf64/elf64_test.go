@@ -108,7 +108,7 @@ func TestPatchBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, addr, _ := f.Text()
-	if err := f.PatchBytes(addr+10, []byte{0xE9, 1, 2, 3, 4}); err != nil {
+	if err := f.patchBytes(addr+10, []byte{0xE9, 1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	text, _, _ := f.Text()
@@ -118,7 +118,7 @@ func TestPatchBytes(t *testing.T) {
 	// Patching .bss (not file-backed) must fail.
 	bss, _ := f.SectionByName(".bss")
 	_ = bss
-	if err := f.PatchBytes(0xdeadbeef000, []byte{1}); err == nil {
+	if err := f.patchBytes(0xdeadbeef000, []byte{1}); err == nil {
 		t.Error("unmapped patch accepted")
 	}
 }

@@ -97,7 +97,7 @@ func TestComposeMatchesPatchPlusAppend(t *testing.T) {
 	blob := []byte("loader blob payload")
 
 	// Reference: mutate a private copy in place, then append.
-	if err := f.PatchBytes(addr, code); err != nil {
+	if err := f.patchBytes(addr, code); err != nil {
 		t.Fatal(err)
 	}
 	blobOff := (len(raw) + PageSize - 1) / PageSize * PageSize
@@ -109,7 +109,7 @@ func TestComposeMatchesPatchPlusAppend(t *testing.T) {
 
 	got := Compose(raw, off, code, blob)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("Compose diverges from PatchBytes plus append (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("Compose diverges from patchBytes plus append (%d vs %d bytes)", len(got), len(want))
 	}
 	segs := Layout(raw, off, code, blob)
 	var buf bytes.Buffer
@@ -118,7 +118,7 @@ func TestComposeMatchesPatchPlusAppend(t *testing.T) {
 		t.Fatalf("WriteTo = %d, %v and Size = %d, want %d bytes", n, err, segs.Size(), len(want))
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("the written segments diverge from PatchBytes plus append")
+		t.Fatal("the written segments diverge from patchBytes plus append")
 	}
 	// Neither form may have touched the original file bytes.
 	if !bytes.Equal(raw[off:off+size], text) {

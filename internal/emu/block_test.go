@@ -7,11 +7,11 @@ import "testing"
 // an untracked page still flushes, and a flush starts the range afresh.
 func TestCodeTrackerRange(t *testing.T) {
 	flushes := 0
-	trk := NewCodeTracker(func() { flushes++ })
+	trk := newCodeTracker(func() { flushes++ })
 	store := func(addr, size uint64) (probed, flushed bool) {
-		p, f := trk.Probes, flushes
-		trk.Invalidate(addr, size)
-		return trk.Probes != p, flushes != f
+		p, f := trk.probes, flushes
+		trk.invalidate(addr, size)
+		return trk.probes != p, flushes != f
 	}
 
 	// Nothing tracked: every store is rejected on the compare.
@@ -20,8 +20,8 @@ func TestCodeTrackerRange(t *testing.T) {
 	}
 
 	// Code in pages 4 and 6; page 5 is inside the range but untracked.
-	trk.Track(4*PageSize+10, 4*PageSize+20)
-	trk.Track(6*PageSize, 6*PageSize+1)
+	trk.track(4*PageSize+10, 4*PageSize+20)
+	trk.track(6*PageSize, 6*PageSize+1)
 	for _, tc := range []struct {
 		name           string
 		addr, size     uint64
@@ -50,21 +50,21 @@ func TestCodeTrackerRange(t *testing.T) {
 		{"spanning untracked page 3 and tracked page 4", 4*PageSize - 4, 8},
 		{"spanning tracked page 6 and untracked page 7", 7*PageSize - 4, 8},
 	} {
-		if _, flushed := store(tc.addr, tc.size); !flushed || !trk.Flushed {
+		if _, flushed := store(tc.addr, tc.size); !flushed || !trk.flushed {
 			t.Errorf("%s: no flush", tc.name)
 		}
-		trk.Flushed = false
-		// Flush reset the range: the old pages no longer probe.
+		trk.flushed = false
+		// flush reset the range: the old pages no longer probe.
 		if probed, _ := store(5*PageSize, 8); probed {
 			t.Errorf("%s: range survived the flush", tc.name)
 		}
-		trk.Track(4*PageSize+10, 4*PageSize+20)
-		trk.Track(6*PageSize, 6*PageSize+1)
+		trk.track(4*PageSize+10, 4*PageSize+20)
+		trk.track(6*PageSize, 6*PageSize+1)
 	}
 
-	// Track after Flush starts a fresh range, not the union with the old.
-	trk.Flush()
-	trk.Track(20*PageSize, 20*PageSize+5)
+	// track after flush starts a fresh range, not the union with the old.
+	trk.flush()
+	trk.track(20*PageSize, 20*PageSize+5)
 	if probed, _ := store(6*PageSize, 8); probed {
 		t.Error("a page tracked before the flush is still inside the range")
 	}
@@ -80,7 +80,7 @@ func TestDecodeBlockEndsAtSpecial(t *testing.T) {
 	const base = 0x400000
 	m := NewMachine()
 	m.Mem.WriteBytes(base, []byte{0x90, 0x90, 0x90, 0x90, 0xF4})
-	if insts, end, _ := DecodeBlock(m, base); len(insts) != 5 || end != base+5 {
+	if insts, end, _ := decodeBlock(m, base); len(insts) != 5 || end != base+5 {
 		t.Fatalf("plain block: %d instructions to %#x, want 5 to %#x", len(insts), end, base+5)
 	}
 	BindNop(m, base+2)
@@ -90,7 +90,7 @@ func TestDecodeBlockEndsAtSpecial(t *testing.T) {
 		n   int
 		end uint64
 	}{{base, 2, base + 2}, {base + 2, 1, base + 3}, {base + 3, 2, base + 5}} {
-		insts, end, err := DecodeBlock(m, tc.pc)
+		insts, end, err := decodeBlock(m, tc.pc)
 		if err != nil || len(insts) != tc.n || end != tc.end {
 			t.Errorf("block at %#x: %d instructions to %#x (%v), want %d to %#x", tc.pc, len(insts), end, err, tc.n, tc.end)
 		}

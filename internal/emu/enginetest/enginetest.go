@@ -1,15 +1,15 @@
 // Package enginetest is the cross-engine conformance suite: one set of
-// behavioural tests run against every registered execution engine
+// behavioural tests run against every execution engine
 // (emu.EngineNames), always comparing to the decode-per-step
 // interpreter as the reference semantics. An engine is correct iff it
 // is observationally identical to the interpreter — same registers,
 // flags, RIP, exit code, counters, output, memory image, trace stream
 // and errors — on every program here (DESIGN.md §6).
 //
-// Engine packages keep their engine-specific tests (chaining stats,
-// flag-elision stats, speedup gates) next to the engine; everything
-// that must hold for *all* engines lives here, so a new engine gets
-// the full lattice by registering itself.
+// Engine-specific tests (chaining stats, flag-elision stats, speedup
+// gates) live next to the engine in internal/emu; everything that must
+// hold for *all* engines lives here, so a new engine gets the full
+// lattice once emu.NewEngineByName and emu.EngineNames name it.
 package enginetest
 
 import (
@@ -138,7 +138,7 @@ func testProfiles(t *testing.T, engine string) {
 }
 
 // testDromaeo covers the runtime-call-heavy Figure 4 programs (JIT
-// episodes exercise StepSpecial between blocks).
+// episodes exercise stepSpecial between blocks).
 func testDromaeo(t *testing.T, engine string) {
 	saved := workload.KernelIters
 	workload.KernelIters = 1500

@@ -61,7 +61,7 @@ func goldenPrograms(t *testing.T) []goldenProg {
 		budget: 10_000,
 	})
 
-	// A call-heavy kernel: covers call/ret blocks and the StepSpecial
+	// A call-heavy kernel: covers call/ret blocks and the stepSpecial
 	// runtime-call boundary inside a golden trace.
 	saved := workload.KernelIters
 	workload.KernelIters = 2
@@ -137,7 +137,7 @@ func loadGolden(t *testing.T, name string) []string {
 }
 
 // TestEngineGoldenTraces replays the committed per-instruction
-// register+flag snapshots against every registered engine. Unlike the
+// register+flag snapshots against every engine. Unlike the
 // final-state parity tests, a regression here names the first
 // diverging instruction. -update-golden re-records the corpus from the
 // interpreter.

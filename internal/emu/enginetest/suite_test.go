@@ -7,9 +7,8 @@ import (
 	"e9patch/internal/emu/enginetest"
 )
 
-// TestEngineConformance runs the shared suite over every registered
-// engine (the registry is populated by the workload package's blank
-// imports). "interp" runs too: comparing the interpreter against a
+// TestEngineConformance runs the shared suite over every engine
+// emu.EngineNames lists. "interp" runs too: comparing the interpreter against a
 // second interpreter run proves the reference itself is deterministic.
 func TestEngineConformance(t *testing.T) {
 	for _, name := range emu.EngineNames() {

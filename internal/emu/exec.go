@@ -10,7 +10,7 @@ import (
 // Step fetches, decodes and executes one instruction (or services a
 // runtime-call / exit-sentinel address).
 func (m *Machine) Step() error {
-	if handled, err := m.StepSpecial(); handled || err != nil {
+	if handled, err := m.stepSpecial(); handled || err != nil {
 		return err
 	}
 	raw, _ := m.Mem.ReadBytes(m.RIP, 15)
@@ -18,17 +18,17 @@ func (m *Machine) Step() error {
 	if err != nil {
 		return fmt.Errorf("emu: at %#x: %w", m.RIP, err)
 	}
-	return m.ExecDecoded(&inst)
+	return m.execDecoded(&inst)
 }
 
-// StepSpecial services the two magic classes of RIP values — the exit
+// stepSpecial services the two magic classes of RIP values — the exit
 // sentinel and runtime-call addresses — without touching code bytes.
 // It reports whether RIP was special. Step performs it before every
-// fetch; block engines (internal/emu/ir) perform it at block
-// boundaries, which is equivalent because DecodeBlock puts a boundary
+// fetch; the ir engine performs it at block
+// boundaries, which is equivalent because decodeBlock puts a boundary
 // in front of every special address. A runtime binding is the only
 // code that may change m.Runtime during a run.
-func (m *Machine) StepSpecial() (bool, error) {
+func (m *Machine) stepSpecial() (bool, error) {
 	if m.RIP == m.ExitAddr {
 		m.halted = true
 		m.ExitCode = m.Regs[x86.RAX]
@@ -52,10 +52,10 @@ func (m *Machine) StepSpecial() (bool, error) {
 	return false, nil
 }
 
-// RuntimeBounds returns the number of bound runtime addresses and the
-// lowest and highest of them (lo > hi when there are none), so an
+// runtimeBounds returns the number of bound runtime addresses and the
+// lowest and highest of them (lo > hi when there are none), so the ir
 // engine can rule a RIP out with two compares and leave the map alone.
-func (m *Machine) RuntimeBounds() (n int, lo, hi uint64) {
+func (m *Machine) runtimeBounds() (n int, lo, hi uint64) {
 	lo = ^uint64(0)
 	for addr := range m.Runtime {
 		lo, hi = min(lo, addr), max(hi, addr)
@@ -63,24 +63,24 @@ func (m *Machine) RuntimeBounds() (n int, lo, hi uint64) {
 	return len(m.Runtime), lo, hi
 }
 
-// ExecDecoded executes one already-decoded instruction: trace callback,
+// execDecoded executes one already-decoded instruction: trace callback,
 // counters, dispatch and the RIP update, exactly as the fetch-decode
-// path of Step. The caller must guarantee inst.Addr == RIP; engines
-// that cache decoded instructions (internal/emu/ir) satisfy this
-// because straight-line execution leaves RIP at the next cached Addr.
-func (m *Machine) ExecDecoded(inst *x86.Inst) error {
+// path of Step. The caller must guarantee inst.Addr == RIP; the ir
+// engine satisfies this because straight-line execution leaves RIP at
+// the next cached Addr.
+func (m *Machine) execDecoded(inst *x86.Inst) error {
 	if m.Trace != nil {
 		m.Trace(inst)
 	}
-	return m.ExecDecodedQuiet(inst)
+	return m.execDecodedQuiet(inst)
 }
 
-// ExecDecodedQuiet is ExecDecoded without the Trace callback: counters,
-// dispatch, error wrapping and the RIP update. Engines that issue the
-// Trace call themselves (or have already established it is nil) use it
-// as the single-instruction fallback path so the callback never fires
-// twice for one retired instruction.
-func (m *Machine) ExecDecodedQuiet(inst *x86.Inst) error {
+// execDecodedQuiet is execDecoded without the Trace callback: counters,
+// dispatch, error wrapping and the RIP update. The ir engine, which
+// issues the Trace call itself (or has already established it is nil),
+// uses it as the single-instruction fallback path so the callback never
+// fires twice for one retired instruction.
+func (m *Machine) execDecodedQuiet(inst *x86.Inst) error {
 	m.Counters.Instructions++
 	m.Counters.Cycles += m.Cost.ALU
 	next := inst.Addr + uint64(inst.Len)
@@ -364,7 +364,7 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.Flags = v | FlagsAlways
+		m.Flags = v | flagsAlways
 		return next, nil
 
 	case op == 0xA8 || op == 0xA9: // test al/eax, imm
@@ -680,31 +680,11 @@ func (m *Machine) execShift(inst *x86.Inst) error {
 	if count == 0 {
 		return m.rmWrite(inst, v, w)
 	}
-	bitsW := uint(8 * w)
-	var res uint64
-	var cf uint64
-	switch (inst.ModRM >> 3) & 7 {
-	case 4, 6: // shl/sal
-		res = v << count
-		cf = (v >> (bitsW - uint(count))) & 1
-	case 5: // shr
-		res = v >> count
-		cf = (v >> (uint(count) - 1)) & 1
-	case 7: // sar
-		shift := uint(64 - bitsW)
-		sv := int64(v<<shift) >> shift
-		res = uint64(sv >> count)
-		cf = uint64(sv>>(count-1)) & 1
-	case 0: // rol
-		res = bits.RotateLeft64(v<<(64-bitsW), int(count)) >> (64 - bitsW)
-		cf = res & 1
-	case 1: // ror
-		res = bits.RotateLeft64(v<<(64-bitsW), -int(count)) >> (64 - bitsW)
-		cf = (res >> (bitsW - 1)) & 1
-	default:
-		return fmt.Errorf("unimplemented shift /%d", (inst.ModRM>>3)&7)
+	sub := (inst.ModRM >> 3) & 7
+	if sub == 2 || sub == 3 {
+		return fmt.Errorf("unimplemented shift /%d", sub)
 	}
-	res &= maskFor(w)
+	res, cf := shiftCalc(sub, v, count, w)
 	m.setResultFlags(res, w)
 	m.setFlag(FlagCF, cf != 0)
 	m.setFlag(FlagOF, false)

@@ -5,6 +5,13 @@
 // executing original and patched programs on identical inputs under a
 // documented cycle model.
 //
+// Two engines run a Machine. The decode-per-step interpreter (exec.go)
+// is the reference semantics; the ir engine (ir.go, compile.go,
+// lazy.go) lifts each basic block once into threaded micro-ops and is
+// held to the interpreter by internal/emu/enginetest. The lifted code
+// calls the interpreter's own register-write, branch-accounting, flag
+// and memory helpers rather than copies of them.
+//
 // The emulator also models the B0 baseline: executing int3 dispatches
 // through a SIGTRAP table at a large fixed cost, reproducing the
 // "orders of magnitude" slowdown of signal-based patching (§2.1.1).
@@ -29,9 +36,8 @@ const (
 	FlagDF uint64 = 1 << 10
 	FlagOF uint64 = 1 << 11
 
-	// FlagsAlways is the always-set reserved bit 1 plus IF. Exported
-	// for engines that reconstruct RFLAGS (popfq, flag materialization).
-	FlagsAlways uint64 = 1<<1 | 1<<9
+	// flagsAlways is the always-set reserved bit 1 plus IF.
+	flagsAlways uint64 = 1<<1 | 1<<9
 )
 
 // CostModel assigns cycle weights to dynamic events. The defaults are
@@ -92,8 +98,8 @@ type Memory struct {
 	// first touch, so a stack or a .bss costs what the program uses.
 	resv []pageRange
 	// barrier, when non-nil, runs before any byte in [addr, addr+size)
-	// is modified. Translation caches hook it to invalidate blocks
-	// decoded from pages that are written (self-modifying code).
+	// is modified. The ir engine hooks it to invalidate blocks decoded
+	// from pages that are written (self-modifying code).
 	barrier func(addr, size uint64)
 }
 
@@ -204,6 +210,37 @@ func (m *Memory) write(addr uint64, v uint64, n int) error {
 	return nil
 }
 
+// DiffMemory compares two address spaces byte for byte and returns the
+// address of the first differing byte. Unmapped pages read as zero, so
+// a mapped all-zero page equals an unmapped one, and a reserved page
+// nobody touched equals both: engines that merely materialise pages
+// differently do not spuriously diverge. The second result is false
+// when the spaces are identical.
+func DiffMemory(a, b *Memory) (uint64, bool) {
+	seen := make(map[uint64]struct{}, len(a.pages)+len(b.pages))
+	idx := make([]uint64, 0, len(a.pages)+len(b.pages))
+	for i := range a.pages {
+		seen[i] = struct{}{}
+		idx = append(idx, i)
+	}
+	for i := range b.pages {
+		if _, ok := seen[i]; !ok {
+			idx = append(idx, i)
+		}
+	}
+	sort.Slice(idx, func(x, y int) bool { return idx[x] < idx[y] })
+	for _, i := range idx {
+		pa, _ := a.ReadBytes(i*PageSize, PageSize)
+		pb, _ := b.ReadBytes(i*PageSize, PageSize)
+		for off := 0; off < PageSize; off++ {
+			if pa[off] != pb[off] {
+				return i*PageSize + uint64(off), true
+			}
+		}
+	}
+	return 0, false
+}
+
 // RuntimeFn is a native runtime-call implementation. Arguments follow
 // the SysV convention (rdi, rsi, rdx, rcx); the result goes to rax.
 type RuntimeFn func(m *Machine) error
@@ -225,10 +262,10 @@ type Counters struct {
 }
 
 // Engine is a pluggable execution strategy for Run. A nil Engine is
-// the decode-per-step interpreter; internal/emu/ir provides the
-// block-lifting engine. Engines must be observationally
-// identical to the interpreter: same Counters, Trace callbacks,
-// runtime-call, SIGTRAP and error behaviour.
+// the decode-per-step interpreter; "ir" (NewEngineByName, ir.go) is
+// the block-lifting engine. Engines must be observationally identical
+// to the interpreter: same Counters, Trace callbacks, runtime-call,
+// SIGTRAP and error behaviour.
 type Engine interface {
 	// Run executes until halt or until the machine's dynamic
 	// instruction count reaches maxInst, mirroring Machine.Run.
@@ -286,7 +323,7 @@ func NewMachine() *Machine {
 	return &Machine{
 		Mem:      NewMemory(),
 		Cost:     DefaultCost(),
-		Flags:    FlagsAlways,
+		Flags:    flagsAlways,
 		Runtime:  make(map[uint64]RuntimeFn),
 		SigTab:   make(map[uint64]uint64),
 		ExitAddr: ExitSentinel,
@@ -307,9 +344,6 @@ func (m *Machine) SetupStack(top uint64, size uint64) {
 
 // Reg returns a register value.
 func (m *Machine) Reg(r x86.Reg) uint64 { return m.Regs[r] }
-
-// SetReg sets a register value.
-func (m *Machine) SetReg(r x86.Reg, v uint64) { m.Regs[r] = v }
 
 // Run executes until halt or until maxInst instructions have retired.
 func (m *Machine) Run(maxInst uint64) error {

@@ -160,8 +160,8 @@ func TestMapReservesInvisibly(t *testing.T) {
 	}
 
 	// A reserved, never-written byte reads as zero through every reader.
-	if v, err := mem.ReadInt(lo+PageSize, 8); err != nil || v != 0 {
-		t.Errorf("ReadInt in the reservation = %#x, %v", v, err)
+	if v, err := mem.read(lo+PageSize, 8); err != nil || v != 0 {
+		t.Errorf("read in the reservation = %#x, %v", v, err)
 	}
 	if v, err := mem.read(end-4, 4); err != nil || v != 0 {
 		t.Errorf("read at the reservation's tail = %#x, %v", v, err)
@@ -169,18 +169,16 @@ func TestMapReservesInvisibly(t *testing.T) {
 	if b, ok := mem.ReadBytes(lo+2*PageSize-8, 16); !ok || !bytes.Equal(b, make([]byte, 16)) {
 		t.Errorf("ReadBytes across reserved pages = % x, ok=%v", b, ok)
 	}
-	if mem.PageSlice(lo+3*PageSize, false) == nil {
-		t.Error("PageSlice of a reserved page is nil")
+	if mem.pageFor(lo+3*PageSize, false) == nil {
+		t.Error("pageFor of a reserved page is nil")
 	}
 
 	// One byte past it faults, and the error names that byte.
-	for _, read := range []func(uint64, int) (uint64, error){mem.ReadInt, mem.read} {
-		_, err := read(end-3, 4)
-		if want := fmt.Sprintf("emu: read fault at %#x", end); err == nil || err.Error() != want {
-			t.Errorf("read past the reservation: %v, want %q", err, want)
-		}
+	_, err := mem.read(end-3, 4)
+	if want := fmt.Sprintf("emu: read fault at %#x", end); err == nil || err.Error() != want {
+		t.Errorf("read past the reservation: %v, want %q", err, want)
 	}
-	if _, err := mem.ReadInt(lo-1, 1); err == nil {
+	if _, err := mem.read(lo-1, 1); err == nil {
 		t.Error("read one byte below the reservation did not fault")
 	}
 
@@ -190,7 +188,7 @@ func TestMapReservesInvisibly(t *testing.T) {
 		m.Mem.Map(lo, size)
 		m.Mem.WriteBytes(0x5000, []byte{1, 2, 3})
 	}
-	if _, err := touched.Mem.ReadInt(lo+8, 8); err != nil {
+	if _, err := touched.Mem.read(lo+8, 8); err != nil {
 		t.Fatal(err)
 	}
 	if err := touched.Mem.write(lo+PageSize, 0, 8); err != nil {

@@ -23,8 +23,8 @@ type Program struct {
 // Src returns the source text the program was compiled from.
 func (p *Program) Src() string { return p.src }
 
-// Eval tests one instruction.
-func (p *Program) Eval(l *x86.Loc) bool {
+// evalLoc tests one instruction.
+func (p *Program) evalLoc(l *x86.Loc) bool {
 	var v match.View
 	v.Reset(l)
 	return p.eval(&v)

@@ -74,14 +74,14 @@ func FuzzMatchExpr(f *testing.F) {
 		p, err := CompileExpr(src)
 		classified(t, err, "CompileExpr", src)
 		if err == nil {
-			p.Eval(&inst)
+			p.evalLoc(&inst)
 		}
 		_, err = ParsePatch(src)
 		classified(t, err, "ParsePatch", src)
 		sp, err := ParseSpec(src)
 		classified(t, err, "ParseSpec", src)
 		if err == nil {
-			sp.Program().Eval(&inst)
+			sp.Program().evalLoc(&inst)
 			sp.Dump()
 		}
 	})

@@ -195,7 +195,7 @@ func TestEvalAgainstHandPredicates(t *testing.T) {
 			}
 			got := 0
 			for i := range fx.insts {
-				ev, want := p.Eval(&fx.insts[i]), c.fn(decoded(&fx.insts[i]))
+				ev, want := p.evalLoc(&fx.insts[i]), c.fn(decoded(&fx.insts[i]))
 				if ev != want {
 					t.Errorf("%s: %q on %s: eval=%t hand=%t", fx.name, c.expr, decoded(&fx.insts[i]), ev, want)
 				}
@@ -347,7 +347,7 @@ func TestSpecExcludeComposition(t *testing.T) {
 	}
 	got := 0
 	for i := range insts {
-		if sp.Program().Eval(&insts[i]) {
+		if sp.Program().evalLoc(&insts[i]) {
 			if !insts[i].IsJmp() || insts[i].IsJcc() {
 				t.Errorf("effective program matched %s", decoded(&insts[i]))
 			}
@@ -367,7 +367,7 @@ func TestSpecExcludeComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range insts {
-		if sp2.Program().Eval(&insts[i]) {
+		if sp2.Program().evalLoc(&insts[i]) {
 			t.Errorf("doubly excluded program matched %s", decoded(&insts[i]))
 		}
 	}

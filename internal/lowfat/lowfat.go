@@ -70,8 +70,8 @@ func Base(p uint64) uint64 {
 	return p &^ (ClassSize(int(idx-FirstRegion)) - 1)
 }
 
-// IsLowFat reports whether p lies in a low-fat region.
-func IsLowFat(p uint64) bool {
+// isLowFat reports whether p lies in a low-fat region.
+func isLowFat(p uint64) bool {
 	idx := p >> RegionShift
 	return idx >= FirstRegion && idx < FirstRegion+NumClasses
 }

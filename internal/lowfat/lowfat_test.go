@@ -47,7 +47,7 @@ func TestAllocatorGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsLowFat(p1) || !IsLowFat(p2) {
+	if !isLowFat(p1) || !isLowFat(p2) {
 		t.Fatal("allocations not in low-fat regions")
 	}
 	if p1-Base(p1) != Redzone || p2-Base(p2) != Redzone {
@@ -74,14 +74,14 @@ func TestBaseProperty(t *testing.T) {
 		slot := uint64(slotRaw) % (1 << 10)
 		off := uint64(offRaw) % cs
 		p := RegionBase(c) + slot*cs + off
-		return Base(p) == RegionBase(c)+slot*cs && IsLowFat(p)
+		return Base(p) == RegionBase(c)+slot*cs && isLowFat(p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Non-low-fat pointers are their own base.
 	for _, p := range []uint64{0x400000, 0x7FFF_FFEF_0000, 0x2_0000_0000} {
-		if Base(p) != p || IsLowFat(p) {
+		if Base(p) != p || isLowFat(p) {
 			t.Errorf("pointer %#x misclassified", p)
 		}
 	}
@@ -117,8 +117,8 @@ func runCheck(t *testing.T, p uint64, trap bool) (uint64, error) {
 	m.Mem.WriteBytes(0x401003, []byte{0xF4})
 	m.Mem.Map(p&^0xFFF, 0x2000)
 	m.SetupStack(0x7ff000, 0x4000)
-	m.SetReg(x86.RBX, p)
-	m.SetReg(x86.RAX, 0xDEAD)
+	m.Regs[x86.RBX] = p
+	m.Regs[x86.RAX] = 0xDEAD
 	m.RIP = 0xA100000
 	runErr := m.Run(1000)
 	return Violations(m), runErr

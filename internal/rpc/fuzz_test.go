@@ -26,7 +26,7 @@ func FuzzRPCSession(f *testing.F) {
 {"jsonrpc":"2.0","method":"patch","params":{"match":"branch"},"id":2}
 {"jsonrpc":"2.0","method":"emit","id":3}
 `, b64)))
-	f.Add([]byte(fmt.Sprintf(`{"method":"option","params":{"forceB0":true}}
+	f.Add([]byte(fmt.Sprintf(`{"method":"option","params":{"b0Fallback":true}}
 {"method":"reserve","params":{"ranges":[{"lo":"0x700000000000","hi":"0x700000001000"}]}}
 {"method":"binary","params":{"data":%q}}
 {"method":"patch","params":{"addrs":["0x401005",4198406]},"id":1}

@@ -100,11 +100,7 @@ type optionParams struct {
 	Granularity *int    `json:"granularity"`
 	SkipPrefix  *Uint64 `json:"skipPrefix"`
 	Disasm      *string `json:"disasm"`
-	DisableT1   *bool   `json:"disableT1"`
-	DisableT2   *bool   `json:"disableT2"`
-	DisableT3   *bool   `json:"disableT3"`
 	B0Fallback  *bool   `json:"b0Fallback"`
-	ForceB0     *bool   `json:"forceB0"`
 	Counter     *Uint64 `json:"counter"`
 }
 
@@ -132,20 +128,8 @@ func (s *Session) handleOption(msg *Message) (any, error) {
 		}
 		s.cfg.Disasm = mode
 	}
-	if p.DisableT1 != nil {
-		s.cfg.Patch.DisableT1 = *p.DisableT1
-	}
-	if p.DisableT2 != nil {
-		s.cfg.Patch.DisableT2 = *p.DisableT2
-	}
-	if p.DisableT3 != nil {
-		s.cfg.Patch.DisableT3 = *p.DisableT3
-	}
 	if p.B0Fallback != nil {
 		s.cfg.Patch.B0Fallback = *p.B0Fallback
-	}
-	if p.ForceB0 != nil {
-		s.cfg.Patch.ForceB0 = *p.ForceB0
 	}
 	if p.Counter != nil {
 		s.cfg.Template = trampoline.Counter{Addr: uint64(*p.Counter)}

@@ -15,6 +15,7 @@ import (
 
 	"e9patch"
 	"e9patch/internal/e9err"
+	"e9patch/internal/patch"
 	"e9patch/internal/workload"
 )
 
@@ -139,7 +140,7 @@ func TestSessionAbuse(t *testing.T) {
 		{"emit-before-binary", `{"method":"emit"}`, e9err.ErrMalformed},
 		{"double-binary", binMsg + "\n" + binMsg, e9err.ErrMalformed},
 		{"double-emit", binMsg + "\n" + `{"method":"emit"}` + "\n" + `{"method":"emit"}`, e9err.ErrMalformed},
-		{"option-after-binary", binMsg + "\n" + `{"method":"option","params":{"forceB0":true}}`, e9err.ErrMalformed},
+		{"option-after-binary", binMsg + "\n" + `{"method":"option","params":{"b0Fallback":true}}`, e9err.ErrMalformed},
 		{"truncated-stream", binMsg + "\n" + `{"method":"patch","params":{"match":"branch"}}`, e9err.ErrMalformed},
 		{"empty-stream", "", e9err.ErrMalformed},
 		{"bad-json", `{"method":`, e9err.ErrMalformed},
@@ -148,6 +149,7 @@ func TestSessionAbuse(t *testing.T) {
 		{"bad-version", `{"jsonrpc":"1.0","method":"emit"}`, e9err.ErrUnsupported},
 		{"unknown-method", `{"method":"trampoline"}`, e9err.ErrUnsupported},
 		{"unknown-option", `{"method":"option","params":{"granlarity":2}}`, e9err.ErrMalformed},
+		{"removed-option", `{"method":"option","params":{"forceB0":true}}`, e9err.ErrMalformed},
 		{"output-unwritable", binMsg + "\n" + fmt.Sprintf(`{"method":"emit","params":{"output":%q}}`, filepath.Join(t.TempDir(), "no", "such", "out")), e9err.ErrOutput},
 		{"binary-no-source", `{"method":"binary","params":{}}`, e9err.ErrMalformed},
 		{"binary-two-sources", fmt.Sprintf(`{"method":"binary","params":{"data":%q,"filename":"/etc/hostname"}}`, b64), e9err.ErrMalformed},
@@ -253,16 +255,24 @@ func TestSessionRejectsParallelism(t *testing.T) {
 	}
 }
 
-// TestSessionOptions checks option plumbing end to end: forceB0 must
-// change every patched site's tactic to B0.
+// TestSessionOptions checks option plumbing end to end: b0Fallback and
+// granularity reach the session's configuration, and the emitted bytes
+// are the library's single-shot Rewrite under the same options.
 func TestSessionOptions(t *testing.T) {
 	bin := testBin(t)
-	stream := fmt.Sprintf(`{"method":"option","params":{"forceB0":true,"granularity":2}}
+	want, err := e9patch.Rewrite(bin, e9patch.Config{
+		Select:      e9patch.SelectJumps,
+		Granularity: 2,
+		Patch:       patch.Options{B0Fallback: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := fmt.Sprintf(`{"method":"option","params":{"b0Fallback":true,"granularity":2}}
 {"method":"binary","params":{"data":%q}}
 {"method":"patch","params":{"match":"branch"},"id":1}
 {"method":"emit","id":2}
 `, base64.StdEncoding.EncodeToString(bin))
-	var out bytes.Buffer
 	s := NewSession()
 	defer s.Close()
 	d := NewDecoder(strings.NewReader(stream))
@@ -276,6 +286,9 @@ func TestSessionOptions(t *testing.T) {
 			t.Fatalf("%s: %v", msg.Method, err)
 		}
 	}
+	if !s.cfg.Patch.B0Fallback || s.cfg.Granularity != 2 {
+		t.Fatalf("options not applied: b0Fallback %v, granularity %d", s.cfg.Patch.B0Fallback, s.cfg.Granularity)
+	}
 	res := s.Result()
 	if res == nil {
 		t.Fatal("no result after emit")
@@ -283,12 +296,9 @@ func TestSessionOptions(t *testing.T) {
 	if res.Stats.Patched() == 0 {
 		t.Fatal("nothing patched")
 	}
-	for _, loc := range res.Locations {
-		if loc.Tactic.String() != "B0" {
-			t.Fatalf("forceB0 ignored: %#x patched via %s", loc.Addr, loc.Tactic)
-		}
+	if !bytes.Equal(want.Output, res.Output) {
+		t.Fatal("session output under the options differs from single-shot Rewrite")
 	}
-	_ = out
 }
 
 // TestUint64Forms checks the number extension round trip.

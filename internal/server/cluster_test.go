@@ -799,7 +799,7 @@ func TestClusterChaosBatch(t *testing.T) {
 		id := fmt.Sprintf("valid-%d", i)
 		items = append(items, batchItem{
 			ID:     id,
-			Query:  fmt.Sprintf("match=jcc+%%26+short&action=empty&M=%d", i+1),
+			Query:  fmt.Sprintf("match=jcc+%%26+short&action=empty&granularity=%d", i+1),
 			Binary: bin,
 		})
 		valid[id] = true

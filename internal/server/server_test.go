@@ -585,7 +585,7 @@ func TestBadRequests(t *testing.T) {
 		name, target, body string
 	}{
 		{"missing match", "/v1/rewrite", "x"},
-		{"bad bool", "/v1/rewrite?match=jcc&disable-t1=maybe", "x"},
+		{"bad bool", "/v1/rewrite?match=jcc&b0-fallback=maybe", "x"},
 		{"bad reserve", "/v1/rewrite?match=jcc&reserve=12", "x"},
 		{"empty body", "/v1/rewrite?match=jcc", ""},
 	} {
@@ -630,6 +630,39 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnknownParameters: a query parameter parseSpec does not read is a
+// 400 naming it, on /v1/rewrite and in a batch item alike. A misspelt
+// one would otherwise answer a rewrite with the default, and so would
+// one that has been removed (disable-t1).
+func TestUnknownParameters(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueLen: 4})
+	defer srv.Close()
+	h := srv.Handler()
+	bin := kernelELF(t)
+
+	for _, param := range []string{"granularty=2", "disable-t1=true"} {
+		name, _, _ := strings.Cut(param, "=")
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/rewrite?match=jcc&"+param, bytes.NewReader(bin)))
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), name) {
+			t.Errorf("/v1/rewrite with %s: status %d (%.120q), want 400 naming %s", param, rr.Code, rr.Body.String(), name)
+		}
+
+		line, err := json.Marshal(batchItem{ID: "x", Query: "match=jcc&" + param, Binary: bin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr = httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(line)))
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), name) {
+			t.Errorf("batch item with %s: status %d (%.120q), want 400 naming %s", param, rr.Code, rr.Body.String(), name)
+		}
+	}
+	if got := metricValue(t, h, "e9served_rewrites_total"); got != 0 {
+		t.Errorf("rewrites_total = %g, want 0", got)
+	}
+}
+
 // TestHealthzDrain verifies the drain flip for load balancers.
 func TestHealthzDrain(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 1})
@@ -666,7 +699,7 @@ func TestSpecCanonical(t *testing.T) {
 
 	// Defaults spelled out == defaults omitted.
 	a := spec("/v1/rewrite?match=jcc", nil)
-	b := spec("/v1/rewrite?match=jcc&action=empty&granularity=1&skip=0&disable-t1=false&b0-fallback=0", nil)
+	b := spec("/v1/rewrite?match=jcc&action=empty&granularity=1&skip=0&b0-fallback=0", nil)
 	if a.Canonical() != b.Canonical() {
 		t.Fatalf("equivalent specs canonicalise differently:\n%s\n%s", a.Canonical(), b.Canonical())
 	}
@@ -690,14 +723,14 @@ func TestSpecCanonical(t *testing.T) {
 		t.Fatal("reserve ordering changed the canonical key")
 	}
 
-	// Tactic toggles are keyed.
-	f := spec("/v1/rewrite?match=jcc&disable-t2=true", nil)
+	// The tactic toggle is keyed.
+	f := spec("/v1/rewrite?match=jcc&b0-fallback=true", nil)
 	if f.Canonical() == a.Canonical() {
-		t.Fatal("disable-t2 did not change the canonical key")
+		t.Fatal("b0-fallback did not change the canonical key")
 	}
 
 	// Config materialises.
-	if cfg := f.Config(); !cfg.Patch.DisableT2 || cfg.Select == nil {
+	if cfg := f.Config(); !cfg.Patch.B0Fallback || cfg.Select == nil {
 		t.Fatal("spec.Config dropped fields")
 	}
 }

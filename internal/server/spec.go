@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,10 +35,12 @@ import (
 //	skip        skip first N bytes of .text
 //	disasm      instruction recovery mode: linear (default) | superset |
 //	            superset-cet
-//	disable-t1 / disable-t2 / disable-t3   tactic ablations
-//	b0-fallback / force-b0                 int3 tactics
+//	b0-fallback int3 for sites every other tactic fails
 //	reserve     extra reserved VA ranges, "0xLO-0xHI", repeatable or
 //	            comma-separated
+//
+// Any other query parameter is a 400 naming it, so a misspelt one
+// cannot silently fall back to a default.
 //
 // Every rewrite runs at the server's Workers width; the output is
 // byte-identical at every width, so no request chooses it.
@@ -49,11 +52,7 @@ type Spec struct {
 	Granularity int
 	SkipPrefix  uint64
 	Disasm      e9patch.DisasmMode
-	DisableT1   bool
-	DisableT2   bool
-	DisableT3   bool
 	B0Fallback  bool
-	ForceB0     bool
 	Reserve     [][2]uint64
 
 	// built is the eagerly lowered program (SpecText, or Match and
@@ -62,25 +61,22 @@ type Spec struct {
 	built *lang.BuildResult
 }
 
+// specParams are the query parameters parseSpec reads.
+var specParams = []string{"match", "action", "spec", "payload", "granularity", "skip", "disasm", "b0-fallback", "reserve"}
+
 // parseSpec extracts and validates the Spec of a rewrite request.
 func parseSpec(r *http.Request) (*Spec, error) {
 	q := r.URL.Query()
+	for name := range q {
+		if !slices.Contains(specParams, name) {
+			return nil, fmt.Errorf("unknown parameter %q", name)
+		}
+	}
 	get := func(name string) string {
 		if v := r.Header.Get("X-E9-" + name); v != "" {
 			return v
 		}
 		return q.Get(name)
-	}
-	getBool := func(name string) (bool, error) {
-		v := get(name)
-		if v == "" {
-			return false, nil
-		}
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return false, fmt.Errorf("parameter %s: %w", name, err)
-		}
-		return b, nil
 	}
 
 	s := &Spec{Match: get("match"), Action: get("action"), Granularity: 1}
@@ -139,20 +135,10 @@ func parseSpec(r *http.Request) (*Spec, error) {
 		return nil, fmt.Errorf("parameter disasm: %w", err)
 	}
 	s.Disasm = mode
-	if s.DisableT1, err = getBool("disable-t1"); err != nil {
-		return nil, err
-	}
-	if s.DisableT2, err = getBool("disable-t2"); err != nil {
-		return nil, err
-	}
-	if s.DisableT3, err = getBool("disable-t3"); err != nil {
-		return nil, err
-	}
-	if s.B0Fallback, err = getBool("b0-fallback"); err != nil {
-		return nil, err
-	}
-	if s.ForceB0, err = getBool("force-b0"); err != nil {
-		return nil, err
+	if v := get("b0-fallback"); v != "" {
+		if s.B0Fallback, err = strconv.ParseBool(v); err != nil {
+			return nil, fmt.Errorf("parameter b0-fallback: %w", err)
+		}
 	}
 
 	ranges := q["reserve"]
@@ -217,9 +203,8 @@ func parseSpec(r *http.Request) (*Spec, error) {
 // algebra.
 func (s *Spec) Canonical() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "match=%s|action=%s|M=%d|skip=%d|disasm=%s|t1=%t|t2=%t|t3=%t|b0=%t|forceb0=%t",
-		s.Match, s.Action, s.Granularity, s.SkipPrefix, s.Disasm,
-		!s.DisableT1, !s.DisableT2, !s.DisableT3, s.B0Fallback, s.ForceB0)
+	fmt.Fprintf(&b, "match=%s|action=%s|M=%d|skip=%d|disasm=%s|b0=%t",
+		s.Match, s.Action, s.Granularity, s.SkipPrefix, s.Disasm, s.B0Fallback)
 	for _, r := range s.Reserve {
 		fmt.Fprintf(&b, "|reserve=%#x-%#x", r[0], r[1])
 	}
@@ -250,12 +235,6 @@ func (s *Spec) Config() e9patch.Config {
 		Granularity: s.Granularity,
 		SkipPrefix:  s.SkipPrefix,
 		Disasm:      s.Disasm,
-		Patch: patch.Options{
-			DisableT1:  s.DisableT1,
-			DisableT2:  s.DisableT2,
-			DisableT3:  s.DisableT3,
-			B0Fallback: s.B0Fallback,
-			ForceB0:    s.ForceB0,
-		},
+		Patch:       patch.Options{B0Fallback: s.B0Fallback},
 	}
 }

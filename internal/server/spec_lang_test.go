@@ -227,7 +227,7 @@ func TestSpecCanonicalKeys(t *testing.T) {
 	}
 
 	// match/action fold the payload's hash whenever one was sent, and
-	// without one keep the key they always had.
+	// without one the key is the parameter string alone.
 	call := func(payload []byte) *Spec {
 		return &Spec{Match: "jcc", Action: "call cover(addr)", Payload: payload, Granularity: 1}
 	}
@@ -242,7 +242,7 @@ func TestSpecCanonicalKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const today = "match=jcc|action=empty|M=1|skip=0|disasm=linear|t1=true|t2=true|t3=true|b0=false|forceb0=false"
+	const today = "match=jcc|action=empty|M=1|skip=0|disasm=linear|b0=false"
 	if got := s.Canonical(); got != today {
 		t.Errorf("payload-less match key changed:\n got %s\nwant %s", got, today)
 	}

@@ -114,15 +114,15 @@ func (m *byteModel) gaps(size, lo, hi uint64, max int) []uint64 {
 func checkAgainst(t *testing.T, s *Space, m *byteModel, rng *rand.Rand, probes int) {
 	t.Helper()
 	ivs := m.intervals()
-	if got := s.Intervals(); !reflect.DeepEqual(got, ivs) {
+	if got := s.intervals(); !reflect.DeepEqual(got, ivs) {
 		t.Fatalf("Intervals = %v, model %v", got, ivs)
 	}
 	var bytes uint64
 	for _, iv := range ivs {
 		bytes += iv.Size()
 	}
-	if s.Count() != len(ivs) || s.OccupiedBytes() != bytes {
-		t.Fatalf("Count %d OccupiedBytes %d, model %d / %d", s.Count(), s.OccupiedBytes(), len(ivs), bytes)
+	if s.Count() != len(ivs) || s.occupiedBytes() != bytes {
+		t.Fatalf("Count %d occupiedBytes %d, model %d / %d", s.Count(), s.occupiedBytes(), len(ivs), bytes)
 	}
 	span := int(m.max - m.min)
 	for i := 0; i < probes; i++ {
@@ -272,16 +272,16 @@ func TestReserveTouching(t *testing.T) {
 	mustReserve(t, s, 0x500100, 0x500200)
 	mustReserve(t, s, 0x500200, 0x500280) // touches on the left
 	mustReserve(t, s, 0x500080, 0x500100) // touches on the right
-	if got := s.Intervals(); !reflect.DeepEqual(got, []Interval{{0x500080, 0x500280}}) {
+	if got := s.intervals(); !reflect.DeepEqual(got, []Interval{{0x500080, 0x500280}}) {
 		t.Fatalf("after left and right touch: %v", got)
 	}
 	mustReserve(t, s, 0x500300, 0x500400)
 	mustReserve(t, s, 0x500280, 0x500300) // bridges both
-	if got := s.Intervals(); !reflect.DeepEqual(got, []Interval{{0x500080, 0x500400}}) {
+	if got := s.intervals(); !reflect.DeepEqual(got, []Interval{{0x500080, 0x500400}}) {
 		t.Fatalf("after bridge: %v", got)
 	}
-	if s.Count() != 1 || s.OccupiedBytes() != 0x380 {
-		t.Errorf("count %d, occupied %#x", s.Count(), s.OccupiedBytes())
+	if s.Count() != 1 || s.occupiedBytes() != 0x380 {
+		t.Errorf("count %d, occupied %#x", s.Count(), s.occupiedBytes())
 	}
 
 	// Fill two leaves exactly, then bridge the pair that straddles the

@@ -98,8 +98,8 @@ func (s *Space) Max() uint64 { return s.max }
 // Count returns the number of stored (merged) intervals.
 func (s *Space) Count() int { return s.count }
 
-// OccupiedBytes returns the total size of all occupied intervals.
-func (s *Space) OccupiedBytes() uint64 { return s.occupied }
+// occupiedBytes returns the total size of all occupied intervals.
+func (s *Space) occupiedBytes() uint64 { return s.occupied }
 
 func (s *Space) at(p pos) *Interval { return &s.leaves[p.leaf][p.idx] }
 
@@ -409,8 +409,8 @@ func (s *Space) Release(lo, hi uint64) error {
 	return nil
 }
 
-// Intervals returns all occupied intervals in ascending order.
-func (s *Space) Intervals() []Interval {
+// intervals returns all occupied intervals in ascending order.
+func (s *Space) intervals() []Interval {
 	out := make([]Interval, 0, s.count)
 	for _, leaf := range s.leaves {
 		out = append(out, leaf...)
@@ -418,9 +418,9 @@ func (s *Space) Intervals() []Interval {
 	return out
 }
 
-// PageCount returns the number of distinct pages of the given size
+// pageCount returns the number of distinct pages of the given size
 // (must be a power of two) touched by occupied intervals.
-func (s *Space) PageCount(pageSize uint64) uint64 {
+func (s *Space) pageCount(pageSize uint64) uint64 {
 	if pageSize == 0 || pageSize&(pageSize-1) != 0 {
 		panic("va: page size must be a power of two")
 	}

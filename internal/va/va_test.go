@@ -125,8 +125,8 @@ func TestRelease(t *testing.T) {
 	if !s.Occupied(0x500000, 0x500400) || !s.Occupied(0x500800, 0x501000) {
 		t.Error("split remnants lost")
 	}
-	if s.OccupiedBytes() != 0x1000-0x400 {
-		t.Errorf("occupied bytes = %#x", s.OccupiedBytes())
+	if s.occupiedBytes() != 0x1000-0x400 {
+		t.Errorf("occupied bytes = %#x", s.occupiedBytes())
 	}
 	// Releasing a free range fails.
 	if err := s.Release(0x500400, 0x500800); err == nil {
@@ -151,8 +151,8 @@ func TestPageCount(t *testing.T) {
 	s := NewDefault()
 	mustReserve(t, s, 0x400000, 0x400001) // 1 page
 	mustReserve(t, s, 0x401fff, 0x403001) // 3 pages (crosses two boundaries)
-	if got := s.PageCount(0x1000); got != 4 {
-		t.Errorf("PageCount = %d, want 4", got)
+	if got := s.pageCount(0x1000); got != 4 {
+		t.Errorf("pageCount = %d, want 4", got)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestSpaceInvariants(t *testing.T) {
 		}
 
 		// The merged intervals must exactly cover the model.
-		ivs := s.Intervals()
+		ivs := s.intervals()
 		for i := 1; i < len(ivs); i++ {
 			if ivs[i-1].Hi >= ivs[i].Lo {
 				t.Logf("seed %d: unmerged or out-of-order intervals %v %v", seed, ivs[i-1], ivs[i])
@@ -228,8 +228,8 @@ func TestSpaceInvariants(t *testing.T) {
 		for _, m := range model {
 			want += m.hi - m.lo
 		}
-		if s.OccupiedBytes() != want {
-			t.Logf("seed %d: occupied=%d want %d", seed, s.OccupiedBytes(), want)
+		if s.occupiedBytes() != want {
+			t.Logf("seed %d: occupied=%d want %d", seed, s.occupiedBytes(), want)
 			return false
 		}
 		// Every model byte is occupied.

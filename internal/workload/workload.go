@@ -19,7 +19,6 @@ import (
 
 	"e9patch/internal/elf64"
 	"e9patch/internal/emu"
-	_ "e9patch/internal/emu/ir" // register the "ir" engine
 	"e9patch/internal/x86"
 )
 
@@ -93,7 +92,7 @@ func BindStandard(m *emu.Machine) {
 	emu.BindNop(m, RTFree)
 }
 
-// Engine selects the execution engine NewMachine installs, by registry
+// Engine selects the execution engine NewMachine installs, by
 // name (emu.EngineNames): "ir" (the block-lifting engine, the default)
 // or "interp" (the decode-per-step interpreter, the oracle ir is held
 // to). The engines are observationally identical — they only differ in
