@@ -67,18 +67,25 @@ enginecheck:
 # serialized plan: both golden files (the binary form and its JSON
 # rendering), the tamper sweep through DecodePlan and Apply, the codec's
 # own unit, tamper and allocation-bound tests, `e9dump -plan` against
-# the golden rendering; and the server's plan-cache rematerialization.
+# the golden rendering; the server's plan-cache rematerialization; the
+# patcher's two readings of its one record (patch.Replay over Sites
+# rebuilds the live image, results and statistics); and the Table 1
+# golden, the paper numbers the patcher's decisions produce.
 # TestPlanApplyEquivalence is the golden-hash test; re-record the
 # hashes, only for an intentional output change, with:
 #   go test -run TestPlanApplyEquivalence -update .
-# and the plan goldens, only with a plan.Version change, with:
+# the plan goldens, only with a plan.Version change, with:
 #   go test -run TestPlanGoldenJSON -update .
+# and the Table 1 golden, only for an intentional change, with:
+#   go test ./cmd/e9bench/ -run TestTable1Golden -update
 plancheck:
 	$(GO) test -run 'TestPlan|TestApplyValidation|TestRewriteInputImmutable|TestRewriteToWriteFailure' .
 	$(GO) test -run 'TestComposeMatchesPatchPlusAppend|TestWriteOutput' ./internal/elf64/
 	$(GO) test ./internal/plan/
 	$(GO) test -run TestDumpPlanGolden -count 1 ./cmd/e9dump/
 	$(GO) test -run TestPlanCacheRematerialize ./internal/server/
+	$(GO) test -run TestReplayInvertsSites ./internal/patch/
+	$(GO) test -run TestTable1Golden -count 1 ./cmd/e9bench/
 
 # speccheck verifies the match/patch spec language end to end: the
 # lang unit suite (typed diagnostics, hostile-input caps, the retired

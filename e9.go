@@ -479,61 +479,19 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 		return nil, err
 	}
 
-	// Replay the decision stream: byte edits into a fresh text image,
-	// trampolines and dispatch entries into the emit inputs, tactics
-	// into the statistics. The accumulators are sized from the plan up
-	// front — replay is decision-free, so the counts are exact.
-	code := make([]byte, len(text))
-	copy(code, text)
-	nsig := 0
-	for i := range p.Sites {
-		nsig += len(p.Sites[i].SigTab)
+	// Replay the decision stream into a rewriter's record, then check
+	// what only the ELF file can tell: a trampoline in a segment's pages
+	// would be shadowed by the segment, or, under a MAP_FIXED loader,
+	// mapped over it.
+	rw, err := patch.Replay(text, p.TextAddr, p.Sites)
+	if err != nil {
+		return nil, err
 	}
-	var trs []patch.Trampoline
-	var locs []patch.LocResult
-	if n := p.TrampolineCount(); n > 0 {
-		trs = make([]patch.Trampoline, 0, n)
-	}
-	if len(p.Sites) > 0 {
-		locs = make([]patch.LocResult, 0, len(p.Sites))
-	}
-	sig := make(map[uint64]uint64, nsig)
-	var stats patch.Stats
-	for i := range p.Sites {
-		s := &p.Sites[i]
-		tac, ok := patch.TacticFromName(s.Tactic)
-		if !ok {
-			return nil, e9err.MalformedAt("apply", s.Addr, "e9patch: plan site: unknown tactic %q", s.Tactic)
-		}
-		stats.Total++
-		if tac == patch.TacticNone {
-			stats.Failed++
-		} else {
-			stats.ByTactic[tac]++
-		}
-		locs = append(locs, patch.LocResult{Addr: s.Addr, Tactic: tac})
-		for _, wr := range s.Writes {
-			o := int64(wr.Addr) - int64(p.TextAddr)
-			if o < 0 || o+int64(len(wr.Data)) > int64(len(code)) {
-				return nil, e9err.MalformedAt("apply", wr.Addr, "e9patch: plan write of %d bytes outside .text", len(wr.Data))
-			}
-			copy(code[o:], wr.Data)
-		}
-		for _, tr := range s.Trampolines {
-			// A trampoline in a segment's pages would be shadowed by the
-			// segment, or, under a MAP_FIXED loader, mapped over it.
-			end := tr.Addr + uint64(len(tr.Code))
-			if end < tr.Addr {
-				return nil, e9err.MalformedAt("apply", tr.Addr, "e9patch: plan trampoline wraps the address space")
-			}
-			if seg, ok := segmentAt(f, bias, tr.Addr, end); ok {
-				return nil, e9err.MalformedAt("apply", tr.Addr, "e9patch: plan trampoline [%#x,%#x) overlaps loaded segment [%#x,%#x)",
-					tr.Addr, end, seg.Vaddr+bias, seg.Vaddr+bias+seg.Memsz)
-			}
-			trs = append(trs, patch.Trampoline{Addr: tr.Addr, Code: tr.Code, ForAddr: tr.For, Evictee: tr.Evictee})
-		}
-		for _, se := range s.SigTab {
-			sig[se.Int3] = se.Trampoline
+	for _, tr := range rw.Trampolines() {
+		end := tr.Addr + uint64(len(tr.Code))
+		if seg, ok := segmentAt(f, bias, tr.Addr, end); ok {
+			return nil, e9err.MalformedAt("apply", tr.Addr, "e9patch: plan trampoline [%#x,%#x) overlaps loaded segment [%#x,%#x)",
+				tr.Addr, end, seg.Vaddr+bias, seg.Vaddr+bias+seg.Memsz)
 		}
 	}
 
@@ -542,12 +500,10 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 	}
 	return emit(emitInput{
 		input: input, f: f, bias: bias, textOff: textOff,
-		code: code, trs: trs, sig: sig,
 		gran: p.Granularity, inject: p.Injections,
-		stats: stats, locs: locs,
 		insts: p.Insts, badBytes: p.BadBytes, mode: mode, recovery: sstats,
 		warnings: p.Warnings,
-	}, nil)
+	}.of(rw), nil)
 }
 
 // Load builds an executable image from an original or rewritten binary

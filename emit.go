@@ -70,6 +70,13 @@ type emitInput struct {
 	warnings        []string
 }
 
+// of fills in what the emit tail reads of rw, so that in does not hold
+// the rewriter.
+func (in emitInput) of(rw *patch.Rewriter) emitInput {
+	in.code, in.trs, in.sig, in.stats, in.locs = rw.Code(), rw.Trampolines(), rw.SigTab(), rw.Stats(), rw.Results()
+	return in
+}
+
 // emit is the one emit tail: encode the loader blob, lay the output out
 // as its segments — the original bytes around the patched text, then
 // the blob — send them to w, never writing to the input, and assemble

@@ -25,10 +25,10 @@ func TestRefineTruncatedTail(t *testing.T) {
 	lin := Linear(code, 0x401000)
 	sup := Superset(code, 0x401000)
 
-	if !sup.TruncatedAt(len(full)) || !sup.TruncatedAt(len(full)+1) {
+	if !sup.truncatedAt(len(full)) || !sup.truncatedAt(len(full)+1) {
 		t.Fatal("tail offsets not marked truncated")
 	}
-	if sup.LenAt(len(full)) != 0 {
+	if sup.lenAt(len(full)) != 0 {
 		t.Fatal("truncated tail decoded")
 	}
 	// Every linear instruction survives — in particular the final nop,
@@ -58,11 +58,11 @@ func TestRefineHardInvalidStillPoisons(t *testing.T) {
 		0x90, 0xC3, // 2: nop; ret
 	}
 	sup := Superset(code, 0x401000)
-	if sup.LenAt(1) != 0 || sup.TruncatedAt(1) {
+	if sup.lenAt(1) != 0 || sup.truncatedAt(1) {
 		t.Fatal("0x06 should be a hard invalid, not truncated")
 	}
 	// The nop at 0 must be pruned: its fall-through is invalid.
-	if sup.LenAt(0) != 1 || sup.ValidAt(0) {
+	if sup.lenAt(0) != 1 || sup.ValidAt(0) {
 		t.Fatal("nop falling into a hard-invalid byte survived refinement")
 	}
 	if !sup.ValidAt(2) || !sup.ValidAt(3) {
@@ -132,8 +132,8 @@ func TestValidInstsCrossBoundary(t *testing.T) {
 	// Offset 2 decodes 48 89 03 = mov [rbx], rax (3 bytes), crossing
 	// the mov's boundary at 5 exactly onto the ret.
 	sup := Superset(code, 0x401000)
-	if sup.LenAt(2) != 3 {
-		t.Fatalf("decode at offset 2 has length %d, want 3", sup.LenAt(2))
+	if sup.lenAt(2) != 3 {
+		t.Fatalf("decode at offset 2 has length %d, want 3", sup.lenAt(2))
 	}
 	if !sup.ValidAt(2) {
 		t.Fatal("cross-boundary decode chaining onto the ret was pruned")
@@ -178,7 +178,7 @@ func FuzzSupersetPrune(f *testing.F) {
 		decoded, valid := sup.Count()
 		nDecoded, nValid := 0, 0
 		for off := range code {
-			if sup.LenAt(off) != 0 {
+			if sup.lenAt(off) != 0 {
 				nDecoded++
 			}
 			if sup.ValidAt(off) {
@@ -200,7 +200,7 @@ func FuzzSupersetPrune(f *testing.F) {
 			if !sup.ValidAt(off) {
 				t.Fatal("kept ⊄ valid")
 			}
-			n := sup.LenAt(off)
+			n := sup.lenAt(off)
 			if end := off + n; end > len(code) {
 				n -= end - len(code)
 			}
@@ -217,7 +217,7 @@ func FuzzSupersetPrune(f *testing.F) {
 			if i > 0 && vi[i].Addr <= vi[i-1].Addr {
 				t.Fatal("Insts out of order")
 			}
-			if off := int(vi[i].Addr - addr); int(vi[i].Len) != sup.LenAt(off) || !sup.ValidAt(off) {
+			if off := int(vi[i].Addr - addr); int(vi[i].Len) != sup.lenAt(off) || !sup.ValidAt(off) {
 				t.Fatalf("Insts[%d] disagrees with the table at offset %d", i, off)
 			}
 		}

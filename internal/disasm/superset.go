@@ -260,13 +260,13 @@ func (r *SupersetResult) refine(cancel <-chan struct{}) bool {
 	return true
 }
 
-// LenAt returns the length of the instruction that decodes at section
+// lenAt returns the length of the instruction that decodes at section
 // offset off, 0 when nothing decodes there.
-func (r *SupersetResult) LenAt(off int) int { return int(r.lens[off]) }
+func (r *SupersetResult) lenAt(off int) int { return int(r.lens[off]) }
 
-// TruncatedAt reports whether the decode at the given section offset
+// truncatedAt reports whether the decode at the given section offset
 // failed only because the section ended mid-instruction.
-func (r *SupersetResult) TruncatedAt(off int) bool { return r.flags[off]&flagTruncated != 0 }
+func (r *SupersetResult) truncatedAt(off int) bool { return r.flags[off]&flagTruncated != 0 }
 
 // ValidAt reports whether an instruction decodes at section offset off
 // and survives the closure refinement.

@@ -39,7 +39,7 @@ func TestSupersetContainsLinear(t *testing.T) {
 	sup := Superset(code, 0x401000)
 
 	for _, in := range lin.Insts {
-		if off := int(in.Addr - 0x401000); !sup.ValidAt(off) || sup.LenAt(off) != int(in.Len) {
+		if off := int(in.Addr - 0x401000); !sup.ValidAt(off) || sup.lenAt(off) != int(in.Len) {
 			t.Errorf("linear instruction at %#x pruned by superset refinement", in.Addr)
 		}
 	}
@@ -74,7 +74,7 @@ func TestSupersetPrunesJunk(t *testing.T) {
 		}
 	}
 	// Data offsets must be undecodable.
-	if n := sup.LenAt(6); n != 0 {
+	if n := sup.lenAt(6); n != 0 {
 		t.Errorf("data offset decoded (length %d)", n)
 	}
 	// An instruction that falls through into the data (e.g. a decode
@@ -82,7 +82,7 @@ func TestSupersetPrunesJunk(t *testing.T) {
 	// be pruned when it reaches an invalid decode.
 	prunedSomething := false
 	for off := range code {
-		if sup.LenAt(off) != 0 && !sup.ValidAt(off) {
+		if sup.lenAt(off) != 0 && !sup.ValidAt(off) {
 			prunedSomething = true
 		}
 	}

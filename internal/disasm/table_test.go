@@ -105,7 +105,7 @@ func TestSupersetBranchTargetSeams(t *testing.T) {
 		{"section end wraps the address space", ^uint64(0) - 2, []byte{0xEB, 0x00, 0x06}, true},
 	} {
 		sup := Superset(tc.code, tc.addr)
-		if sup.LenAt(0) == 0 {
+		if sup.lenAt(0) == 0 {
 			t.Fatalf("%s: branch did not decode", tc.name)
 		}
 		if sup.ValidAt(0) != tc.valid {
@@ -124,7 +124,7 @@ func TestSupersetTruncatedSuccessor(t *testing.T) {
 		0x48, // 3: a lone REX prefix: truncated
 	}
 	sup := Superset(code, 0x401000)
-	if !sup.TruncatedAt(3) || sup.LenAt(3) != 0 {
+	if !sup.truncatedAt(3) || sup.lenAt(3) != 0 {
 		t.Fatal("tail not marked truncated")
 	}
 	if !sup.ValidAt(0) || !sup.ValidAt(2) {
@@ -240,7 +240,7 @@ func TestSupersetMatchesReference(t *testing.T) {
 				t.Fatalf("round %d, code % x: offset %d valid=%t kept=%t, reference valid=%t kept=%t",
 					round, code, off, sup.ValidAt(off), sup.KeptAt(off), valid[off], kept[off])
 			}
-			if sup.KeptAt(off) && !sup.ValidAt(off) || sup.ValidAt(off) && sup.LenAt(off) == 0 {
+			if sup.KeptAt(off) && !sup.ValidAt(off) || sup.ValidAt(off) && sup.lenAt(off) == 0 {
 				t.Fatalf("round %d: kept ⊆ valid ⊆ decoded broken at offset %d", round, off)
 			}
 		}

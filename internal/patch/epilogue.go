@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"e9patch/internal/plan"
 	"e9patch/internal/trampoline"
 	"e9patch/internal/x86"
 )
@@ -262,8 +261,8 @@ func (r *Rewriter) push(p *epiloguePass, tramp, end int, n, hops uint8) {
 
 // epilogues is the last pass of PatchAll. The trampolines' exits get
 // their epilogues in the order of the sites' addresses, each
-// trampoline's followed by those of the copies they made; new code goes
-// into the plan record.
+// trampoline's followed by those of the copies they made. A block is
+// recorded as a trampoline of its exit's site.
 func (r *Rewriter) epilogues() {
 	if r.limited || r.cancelled() {
 		return
@@ -280,7 +279,7 @@ func (r *Rewriter) epilogues() {
 		// directly, a selection of B0 sites would dispatch no signal once
 		// every taken edge is an exit (TestLockStep's B0 cell).
 		tramp := t.Addr
-		if _, b0 := r.sigTab[t.ForAddr]; b0 {
+		if r.results[t.site].Tactic == TacticB0 {
 			tramp = t.ForAddr
 		}
 		p.sites = append(p.sites, siteRef{t.ForAddr, tramp})
@@ -373,29 +372,19 @@ func (r *Rewriter) block(p *epiloguePass, e exitRef, page uint64, next siteRef, 
 	}
 	tr := &r.trampolines[e.tramp]
 	retarget(tr.Code[e.at:e.at+branchLen(tr.Code[e.at:])], tr.Addr+uint64(e.at), b)
-	t := Trampoline{Addr: b, ForAddr: e.x, site: tr.site}
-	if !r.noPlan {
-		s := &r.sites[tr.site]
-		t.slot = int32(len(s.Trampolines))
-		s.Trampolines = append(s.Trampolines, plan.Trampoline{Addr: b, For: e.x})
-	}
-	r.trampolines = append(r.trampolines, t)
+	r.trampolines = append(r.trampolines, Trampoline{Addr: b, ForAddr: e.x, site: tr.site})
 	p.blocks[[2]uint64{page, e.x}] = b
 	r.keep(p, len(r.trampolines)-1, nil, code, term, e.hops+1)
 }
 
-// keep makes head and tail, in the slab, the code of trampoline i and of
-// its plan record, and adds the exits of term, the code's terminal, to
-// the work.
+// keep makes head and tail, in the slab, the code of trampoline i, and
+// adds the exits of term, the code's terminal, to the work.
 func (r *Rewriter) keep(p *epiloguePass, i int, head, tail []byte, term *x86.Inst, hops uint8) {
 	r.reserveSlab(len(head) + len(tail))
 	k := len(r.slab)
 	r.slab = append(append(r.slab, head...), tail...)
 	t := &r.trampolines[i]
 	t.Code = r.slab[k:len(r.slab):len(r.slab)]
-	if !r.noPlan {
-		r.sites[t.site].Trampolines[t.slot].Code = plan.Bytes(t.Code)
-	}
 	r.push(p, i, len(t.Code), branches(term), hops)
 }
 

@@ -59,7 +59,7 @@ func (r *Rewriter) evictAndRepun(inst, succ *x86.Inst, wS punWindow, tS uint64, 
 	// Temporarily overlay S's new bytes so window computation for the
 	// patch instruction sees the post-eviction image; every return that
 	// commits nothing puts the saved bytes back.
-	overlay := r.code[oS : oS+minI(succ.Len, wS.jumpLen)]
+	overlay := r.code[oS : oS+min(succ.Len, wS.jumpLen)]
 	var saved jumpBuf
 	copy(saved[:], overlay)
 	copy(overlay, jS[:])
@@ -150,7 +150,7 @@ func (r *Rewriter) placementCandidates(out []uint64, size uint64, w punWindow) [
 // patch trampoline); the patch instruction becomes a short jump to
 // J_patch (§3.3, Figure 2).
 func (r *Rewriter) tryNeighbourEviction(inst *x86.Inst) bool {
-	if !r.inText(inst.Addr, 2) || r.anyLocked(inst.Addr, minI(inst.Len, 2)) {
+	if !r.inText(inst.Addr, 2) || r.anyLocked(inst.Addr, min(inst.Len, 2)) {
 		return false
 	}
 	idx, ok := r.instAt(inst.Addr)
@@ -244,7 +244,7 @@ func (r *Rewriter) tryT3Victim(inst, v *x86.Inst, j, evSize int, punnedRel8 bool
 	jP := jumpBytes(r.code, oP, jPatchAddr, v.Len-j, wP, tP)
 
 	// Overlay J_patch so J_victim's window sees its bytes.
-	overlay := r.code[oP : oP+minI(v.Len-j, wP.jumpLen)]
+	overlay := r.code[oP : oP+min(v.Len-j, wP.jumpLen)]
 	var saved jumpBuf
 	copy(saved[:], overlay)
 	copy(overlay, jP[:])

@@ -9,9 +9,14 @@
 // their code is emitted by trampoline templates. No control-flow
 // information is consumed: every decision depends only on instruction
 // locations/sizes, raw byte values and address-space geometry.
+//
+// A Rewriter keeps one record of what it committed (emit.go), which
+// reads as the patched image (Code, Trampolines, SigTab) or as plan
+// sites (Sites); Replay is the inverse of Sites.
 package patch
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -59,9 +64,9 @@ func (t Tactic) String() string {
 	return fmt.Sprintf("tactic(%d)", uint8(t))
 }
 
-// TacticFromName is the inverse of Tactic.String, used when replaying
-// a serialized plan.
-func TacticFromName(name string) (Tactic, bool) {
+// tacticFromName is the inverse of Tactic.String, used when replaying
+// a plan.
+func tacticFromName(name string) (Tactic, bool) {
 	for i, n := range tacticNames {
 		if n == name {
 			return Tactic(i), true
@@ -113,11 +118,10 @@ type Trampoline struct {
 	// Evictee reports whether this trampoline replaces an evicted
 	// victim rather than implementing a patch.
 	Evictee bool
-	// exits is how many branches into the text the code ends with, site
-	// the index of its site in the results, and slot its place among the
-	// site's plan records (epilogue.go).
-	exits      uint8
-	site, slot int32
+	// exits is how many branches into the text the code ends with
+	// (epilogue.go), and site the index of its site in the results.
+	exits uint8
+	site  int32
 }
 
 // LocResult records the outcome for one patch location.
@@ -193,18 +197,17 @@ type Rewriter struct {
 	slab      []byte
 	slabChunk int
 
-	trampolines []Trampoline
+	// The record of every committed effect (emit.go). results holds each
+	// location's outcome in patch order, and ends the same location's pad
+	// and the end of its writes, a run of spans over code. Trampolines
+	// and B0 bindings name their location's index in results. pad is the
+	// pad of the location inside patchOne.
 	results     []LocResult
-	sigTab      map[uint64]uint64 // B0: int3 address -> trampoline
-	stats       Stats
-
-	// sites is the plan record: one entry per patch location, holding
-	// every committed effect (emit.go). cur is the entry being built
-	// for the location currently inside patchOne. noPlan (DiscardPlan)
-	// turns the record off.
-	sites  []plan.Site
-	cur    *plan.Site
-	noPlan bool
+	ends        []siteEnd
+	writes      []span
+	trampolines []Trampoline
+	bindings    []binding
+	pad         int32
 
 	// hint is the bump cursor for unconstrained allocations.
 	hint uint64
@@ -231,12 +234,11 @@ func New(code []byte, textAddr uint64, insts []x86.Loc, space *va.Space, poolHin
 	if opts.Template == nil {
 		opts.Template = trampoline.Empty{}
 	}
+	checkTextSize(code)
 	_, raw := opts.Template.(trampoline.Raw)
-	mutable := make([]byte, len(code))
-	copy(mutable, code)
 	return &Rewriter{
 		orig:     code,
-		code:     mutable,
+		code:     bytes.Clone(code),
 		textAddr: textAddr,
 		insts:    insts,
 		locks:    make([]uint64, (len(code)+63)/64),
@@ -244,7 +246,6 @@ func New(code []byte, textAddr uint64, insts []x86.Loc, space *va.Space, poolHin
 		opts:     opts,
 		patchT:   opts.Template,
 		evictT:   trampoline.Empty{},
-		sigTab:   make(map[uint64]uint64),
 		hint:     poolHint,
 
 		patchResumes: !raw,
@@ -261,21 +262,23 @@ func (r *Rewriter) Trampolines() []Trampoline { return r.trampolines }
 func (r *Rewriter) Results() []LocResult { return r.results }
 
 // SigTab returns the B0 dispatch table (int3 address -> trampoline).
-func (r *Rewriter) SigTab() map[uint64]uint64 { return r.sigTab }
-
-// Sites returns the recorded per-location plan entries in patch order;
-// flattened, their trampolines are Trampolines(), which lists the
-// epilogue pass's blocks last rather than beside their sites.
-func (r *Rewriter) Sites() []plan.Site { return r.sites }
-
-// DiscardPlan turns the per-location plan record off (Sites then
-// returns nil); call it before PatchAll. Consumers that materialize
-// straight from the live rewriter never read the record, which holds a
-// second copy of every write and every trampoline's bytes.
-func (r *Rewriter) DiscardPlan() { r.noPlan = true }
+func (r *Rewriter) SigTab() map[uint64]uint64 {
+	tab := make(map[uint64]uint64, len(r.bindings))
+	for _, b := range r.bindings {
+		tab[b.int3] = b.tramp
+	}
+	return tab
+}
 
 // Stats returns aggregate patching statistics.
-func (r *Rewriter) Stats() Stats { return r.stats }
+func (r *Rewriter) Stats() Stats {
+	s := Stats{Total: len(r.results)}
+	for _, l := range r.results {
+		s.ByTactic[l.Tactic]++
+	}
+	s.Failed, s.ByTactic[TacticNone] = s.ByTactic[TacticNone], 0
+	return s
+}
 
 // LimitExceeded reports whether patching stopped because the
 // trampoline byte budget ran out; the partial result must be
@@ -348,10 +351,11 @@ func (r *Rewriter) lock(addr uint64, n int) {
 // (epilogue.go). It polls Options.Cancel every 256 locations.
 //
 // A Rewriter patches once: the lock state and the address space carry
-// the first call's decisions, so a second call is a caller's bug.
+// the first call's decisions, so a second call is a caller's bug, as is
+// a call on a replayed Rewriter (Replay).
 func (r *Rewriter) PatchAll(indices []int) Stats {
 	if r.patched {
-		panic("patch: PatchAll called twice on one Rewriter")
+		panic("patch: PatchAll called on a Rewriter that has patched or was replayed")
 	}
 	r.patched = true
 	// A selection arrives in ascending order, so reversing it is
@@ -368,10 +372,9 @@ func (r *Rewriter) PatchAll(indices []int) Stats {
 	// as usual.
 	n := len(order)
 	r.results = slices.Grow(r.results, n)
+	r.ends = slices.Grow(r.ends, n)
+	r.writes = slices.Grow(r.writes, n+n/4)
 	r.trampolines = slices.Grow(r.trampolines, n+n/4)
-	if !r.noPlan {
-		r.sites = slices.Grow(r.sites, n)
-	}
 	r.slabChunk = min(n*slabBytesPerSite, maxSlabChunk)
 	for i, idx := range order {
 		if r.limited {
@@ -383,18 +386,17 @@ func (r *Rewriter) PatchAll(indices []int) Stats {
 		r.patchOne(idx)
 	}
 	r.epilogues()
-	return r.stats
+	return r.Stats()
 }
 
 // patchOne escalates through the tactics for a single location. The
-// tactic functions decide; their committed effects are recorded into
-// the site's plan entry by the emit half (emit.go).
+// tactic functions decide; the emit half commits and records their
+// effects (emit.go).
 func (r *Rewriter) patchOne(idx int) {
 	inst := &r.site
 	r.insts[idx].DecodeInto(inst)
-	r.stats.Total++
 	r.siteSized = unsized
-	r.beginSite(inst.Addr)
+	r.pad = 0
 
 	tactic := TacticNone
 	switch {
@@ -417,12 +419,5 @@ func (r *Rewriter) patchOne(idx int) {
 	case r.opts.B0Fallback && r.tryInt3(inst):
 		tactic = TacticB0
 	}
-
-	if tactic == TacticNone {
-		r.stats.Failed++
-	} else {
-		r.stats.ByTactic[tactic]++
-	}
-	r.endSite(tactic)
-	r.results = append(r.results, LocResult{Addr: inst.Addr, Tactic: tactic})
+	r.endSite(inst.Addr, tactic)
 }

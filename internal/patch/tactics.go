@@ -38,19 +38,16 @@ func (r *Rewriter) computeWindow(view []byte, addr uint64, instLen, pad int) (pu
 	if pad < 0 || pad > instLen-1 {
 		return w, false
 	}
-	w.freeBytes = instLen - pad - 1
-	if w.freeBytes > 4 {
-		w.freeBytes = 4
-	}
+	w.freeBytes = min(instLen-pad-1, 4)
 	// The jump must fit inside the text image (its punned tail reads
 	// successor bytes).
-	if !r.inText(addr, maxI(w.jumpLen, instLen)) {
+	if !r.inText(addr, max(w.jumpLen, instLen)) {
 		return w, false
 	}
 	// Modified bytes [addr, addr+min(instLen, jumpLen)) must be
 	// unlocked. (Punned bytes beyond the instruction may be locked:
 	// their values are final, which is exactly what a pun needs.)
-	if r.anyLocked(addr, minI(instLen, w.jumpLen)) {
+	if r.anyLocked(addr, min(instLen, w.jumpLen)) {
 		return w, false
 	}
 
@@ -63,10 +60,7 @@ func (r *Rewriter) computeWindow(view []byte, addr uint64, instLen, pad int) (pu
 		if hi < 0 {
 			return w, false
 		}
-		if lo < 0 {
-			lo = 0
-		}
-		w.winLo, w.winHi = uint64(lo), uint64(hi)
+		w.winLo, w.winHi = uint64(max(lo, 0)), uint64(hi)
 		return w, true
 	}
 
@@ -83,25 +77,8 @@ func (r *Rewriter) computeWindow(view []byte, addr uint64, instLen, pad int) (pu
 	if hi < 0 {
 		return w, false // entirely below address zero
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	w.winLo, w.winHi = uint64(lo), uint64(hi)
+	w.winLo, w.winHi = uint64(max(lo, 0)), uint64(hi)
 	return w, true
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // maxJumpLen is the longest jump a tactic writes: a 15-byte
@@ -254,7 +231,7 @@ func (r *Rewriter) tryInt3(inst *x86.Inst) bool {
 	}
 	r.writeCode(inst.Addr, []byte{0xCC})
 	r.lock(inst.Addr, 1)
-	r.addSigTab(inst.Addr, t)
+	r.bind(inst.Addr, t)
 	r.addTrampoline(Trampoline{Addr: t, Code: code, ForAddr: inst.Addr})
 	return true
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"strings"
 
 	"e9patch"
@@ -41,7 +42,8 @@ func NewSession() *Session { return &Session{} }
 // Done reports whether the session has emitted.
 func (s *Session) Done() bool { return s.state == stateDone }
 
-// Result returns the rewrite outcome after a successful emit.
+// Result returns the rewrite outcome after a successful emit; its Output
+// is nil when the emit named an output path, which the output went to.
 func (s *Session) Result() *e9patch.Result { return s.res }
 
 // Close releases the session's input mapping, if any. Safe to call at
@@ -261,8 +263,10 @@ type emitParams struct {
 }
 
 // handleEmit runs the decision and emit phases over the accumulated
-// selection. With an output path the binary is written to disk; either
-// way the Result stays available through Session.Result.
+// selection. With an output path the binary is streamed to disk as
+// e9tool writes it, so the backend never holds an output-sized buffer,
+// and Session.Result().Output is nil; without one the Result carries the
+// output. Either way the Result stays available through Session.Result.
 func (s *Session) handleEmit(ctx context.Context, msg *Message) (any, error) {
 	if s.state != stateOpen {
 		return nil, e9err.Malformed("rpc", "rpc: emit before binary")
@@ -271,25 +275,30 @@ func (s *Session) handleEmit(ctx context.Context, msg *Message) (any, error) {
 	if err := decodeParams(msg, &p); err != nil {
 		return nil, err
 	}
-	res, err := s.stream.Finish(ctx)
+	finish := func(w io.Writer) (err error) {
+		s.res, err = s.stream.FinishTo(ctx, w)
+		return err
+	}
+	// An unwritable path is the environment's failure (ErrOutput), not a
+	// broken invariant.
+	var err error
+	if p.Output == "" {
+		err = finish(nil)
+	} else {
+		err = elf64.WriteOutput(p.Output, finish)
+	}
+	if s.res != nil {
+		s.state = stateDone
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.res = res
-	s.state = stateDone
-	if p.Output != "" {
-		// An unwritable path is the environment's failure (ErrOutput), not
-		// a broken invariant.
-		if err := elf64.WriteOutputBytes(p.Output, res.Output); err != nil {
-			return nil, err
-		}
-	}
 	return map[string]any{
-		"outputSize":  res.OutputSize,
-		"trampolines": res.Trampolines,
-		"patched":     res.Stats.Patched(),
-		"failed":      res.Stats.Failed,
-		"mappings":    res.Mappings,
-		"warnings":    res.Warnings,
+		"outputSize":  s.res.OutputSize,
+		"trampolines": s.res.Trampolines,
+		"patched":     s.res.Stats.Patched(),
+		"failed":      s.res.Stats.Failed,
+		"mappings":    s.res.Mappings,
+		"warnings":    s.res.Warnings,
 	}, nil
 }

@@ -75,6 +75,48 @@ func TestSessionEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSessionEmitStreamsOutput checks an emit with an output path: the
+// file holds the single-shot Rewrite's bytes, and the session's Result
+// carries none, because the output was streamed rather than built.
+func TestSessionEmitStreamsOutput(t *testing.T) {
+	bin := testBin(t)
+	want, err := e9patch.Rewrite(bin, e9patch.Config{Select: e9patch.SelectJumps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outPath := filepath.Join(t.TempDir(), "out.bin")
+	stream := fmt.Sprintf(`{"method":"binary","params":{"data":%q},"id":1}
+{"method":"patch","params":{"match":"branch"},"id":2}
+{"method":"emit","params":{"output":%q},"id":3}
+`, base64.StdEncoding.EncodeToString(bin), outPath)
+	s := NewSession()
+	defer s.Close()
+	d := NewDecoder(strings.NewReader(stream))
+	for {
+		msg, err := d.Next()
+		if err != nil {
+			break
+		}
+		if _, err := s.Handle(context.Background(), msg); err != nil {
+			t.Fatalf("%s: %v", msg.Method, err)
+		}
+	}
+	got, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Output, got) {
+		t.Error("the streamed output differs from single-shot Rewrite")
+	}
+	res := s.Result()
+	if res == nil {
+		t.Fatal("no result after emit")
+	}
+	if res.Output != nil || res.OutputSize != len(got) {
+		t.Errorf("Result after a streamed emit: Output of %d bytes, OutputSize %d; want none and %d", len(res.Output), res.OutputSize, len(got))
+	}
+}
+
 // TestSessionFramedBinary sends the size-framed form of binary (a size,
 // then the raw bytes) that the protocol does not accept: the session
 // must end at the binary message as malformed, with nothing loaded. The

@@ -503,13 +503,6 @@ func (a *Asm) AddMemReg64(m Mem, src Reg) {
 	a.modRMMem(src.lowBits(), m)
 }
 
-// AddMemReg32 emits add [m], src32.
-func (a *Asm) AddMemReg32(m Mem, src Reg) {
-	a.rex(false, src, m.Index, m.Base)
-	a.Raw(0x01)
-	a.modRMMem(src.lowBits(), m)
-}
-
 // AddRegMem64 emits add dst, [m].
 func (a *Asm) AddRegMem64(dst Reg, m Mem) {
 	a.rex(true, dst, m.Index, m.Base)

@@ -179,7 +179,6 @@ func TestAsmDecodeRoundTrip(t *testing.T) {
 		func(a *Asm) { a.Clc() },
 		func(a *Asm) { a.Stc() },
 		func(a *Asm) { a.AddMemReg64(anyMem(), anyReg()) },
-		func(a *Asm) { a.AddMemReg32(anyMem(), anyReg()) },
 		func(a *Asm) { a.AddRegMem64(anyReg(), anyMem()) },
 		func(a *Asm) { a.CmpMemImm8(anyMem(), int8(rng.Intn(256)-128)) },
 		func(a *Asm) { a.TestMemImm8(anyMem(), uint8(rng.Intn(256))) },

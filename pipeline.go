@@ -1,6 +1,7 @@
 package e9patch
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -152,10 +153,8 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineStat
 // finishPlanPhase runs the decision phases that follow selection:
 // injection preparation and validation, address-space reservation, and
 // the S1 reverse-order patch loop with trampoline allocation. selected
-// holds instruction indices in ascending order. recordPlan keeps the
-// rewriter's per-location plan record (the plan terminal); Finish
-// materializes straight from the live rewriter and drops it.
-func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, selected []int, recordPlan bool) (*patch.Rewriter, []plan.Injection, error) {
+// holds instruction indices in ascending order.
+func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, selected []int) (*patch.Rewriter, []plan.Injection, error) {
 	lim := cfg.Limits
 
 	// Injection phase: copy the configured injections, give Preparer
@@ -164,16 +163,12 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 	// injections, then validate the lot against the binary's segments.
 	inject := make([]plan.Injection, 0, len(cfg.Inject))
 	for _, inj := range cfg.Inject {
-		d := make(plan.Bytes, len(inj.Data))
-		copy(d, inj.Data)
-		inject = append(inject, plan.Injection{Addr: inj.Addr, Data: d})
+		inject = append(inject, plan.Injection{Addr: inj.Addr, Data: bytes.Clone(inj.Data)})
 	}
 	if prep, ok := cfg.Template.(trampoline.Preparer); ok {
 		alloc := func(data []byte) (uint64, error) {
 			base := injectionTop(inject)
-			d := make(plan.Bytes, len(data))
-			copy(d, data)
-			inject = append(inject, plan.Injection{Addr: base, Data: d})
+			inject = append(inject, plan.Injection{Addr: base, Data: bytes.Clone(data)})
 			return base, nil
 		}
 		if err := prep.Prepare(st.insts, selected, alloc); err != nil {
@@ -223,9 +218,6 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 	pctx, pcancel := phaseDeadline(ctx, lim.PhaseTimeout)
 	popts.Cancel = pctx.Done()
 	rw := patch.New(st.text, st.textAddr+st.bias, st.insts, space, poolHint, popts)
-	if !recordPlan {
-		rw.DiscardPlan()
-	}
 	for _, inj := range inject {
 		rw.Injected(inj.Addr, len(inj.Data))
 	}
@@ -253,10 +245,7 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 // exactly. Unregistered selectors always run sequentially.
 func parallelSelect(sel Selector, insts []x86.Loc, width int, pool *work.Pool) []int {
 	const minShardInsts = 4096
-	nsh := len(insts) / minShardInsts
-	if most := width * 4; nsh > most {
-		nsh = most
-	}
+	nsh := min(len(insts)/minShardInsts, width*4)
 	if width <= 1 || nsh <= 1 || !match.Shardable(sel) {
 		return sel(insts)
 	}
@@ -322,14 +311,8 @@ func diagnoseSelection(sel Selector, insts []x86.Loc, bias uint64) []string {
 // reservations (segments may share page-rounded boundaries; broad
 // exclusion zones may span already-reserved runtime regions).
 func reserveMerged(s *va.Space, lo, hi uint64) error {
-	if lo < s.Min() {
-		lo = s.Min()
-	}
-	if hi > s.Max() {
-		hi = s.Max()
-	}
-	cursor := lo
-	for cursor < hi {
+	hi = min(hi, s.Max())
+	for cursor := max(lo, s.Min()); cursor < hi; {
 		// Skip any occupied interval covering the cursor.
 		if iv, ok := s.Floor(cursor); ok && iv.Hi > cursor {
 			cursor = iv.Hi

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"e9patch/internal/disasm"
@@ -49,6 +50,9 @@ type Stream struct {
 // cap are enforced here too.
 func NewStream(ctx context.Context, input []byte, cfg Config) (_ *Stream, err error) {
 	defer e9err.Recover("stream", &err)
+	// Clipped, Reserve's first append copies instead of writing into the
+	// spare capacity other sessions from the same Config share.
+	cfg.ReserveVA = slices.Clip(cfg.ReserveVA)
 	st, err := openPipeline(ctx, input, &cfg)
 	if err != nil {
 		return nil, err
@@ -189,7 +193,7 @@ func (s *Stream) Reserve(lo, hi uint64) error {
 // decide closes the session and runs everything between selection and
 // emission, for both terminals: the site cap, the empty-selection
 // diagnostics, then finishPlanPhase.
-func (s *Stream) decide(ctx context.Context, recordPlan bool) (*patch.Rewriter, []plan.Injection, []string, error) {
+func (s *Stream) decide(ctx context.Context) (*patch.Rewriter, []plan.Injection, []string, error) {
 	if err := s.guard(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -209,7 +213,7 @@ func (s *Stream) decide(ctx context.Context, recordPlan bool) (*patch.Rewriter, 
 			selected = append(selected, w<<6+bits.TrailingZeros64(word))
 		}
 	}
-	rw, inject, err := finishPlanPhase(ctx, s.st, &s.cfg, selected, recordPlan)
+	rw, inject, err := finishPlanPhase(ctx, s.st, &s.cfg, selected)
 	return rw, inject, warnings, err
 }
 
@@ -219,11 +223,11 @@ func (s *Stream) decide(ctx context.Context, recordPlan bool) (*patch.Rewriter, 
 // allocation of exactly the output's size. The session cannot be used
 // afterwards.
 //
-// Finish materializes straight from the live rewriter: no per-location
-// record is kept, and once patching has decided everything the
-// universe, the selection and the rewriter's decision state are
-// released before the output is written, so the emit-phase peak holds
-// only the patched text, the trampolines and the output image. The
+// Finish materializes straight from the live rewriter, with no plan in
+// between: once patching has decided everything the universe, the
+// selection and the rewriter's decision state are released before the
+// output is written, so the emit-phase peak holds only the patched
+// text, the trampolines and the output image. The
 // universe is a 24-byte record per instruction and an mmap'd input
 // stays off the heap, so on browser-class inputs Output is the largest
 // thing Finish holds; a caller that only wants the bytes somewhere else
@@ -241,30 +245,28 @@ func (s *Stream) Finish(ctx context.Context) (*Result, error) {
 // the output and should be discarded. A nil w is Finish.
 func (s *Stream) FinishTo(ctx context.Context, w io.Writer) (_ *Result, err error) {
 	defer e9err.Recover("stream", &err)
-	rw, inject, warnings, err := s.decide(ctx, false)
+	rw, inject, warnings, err := s.decide(ctx)
 	if err != nil {
 		return nil, err
 	}
 	st := s.st
 	in := emitInput{
 		input: s.input, f: st.f, bias: st.bias, textOff: st.textOff,
-		code: rw.Code(), trs: rw.Trampolines(), sig: rw.SigTab(),
 		gran: s.cfg.Granularity, inject: inject,
-		stats: rw.Stats(), locs: rw.Results(),
 		insts: s.insts, badBytes: s.badBytes, mode: st.mode, recovery: st.sstats,
 		warnings: warnings,
-	}
+	}.of(rw)
 	// Everything the emit tail needs is in hand: drop the universe, the
 	// selection and the rewriter's working copies.
 	s.st, s.sel, s.diag = nil, nil, nil
 	return emit(in, w)
 }
 
-// plan is the other terminal: the same decide step with per-site
-// records on, assembled into a PatchPlan bound to the input.
+// plan is the other terminal: the same decide step, its record read as
+// per-site entries and assembled into a PatchPlan bound to the input.
 func (s *Stream) plan(ctx context.Context) (_ *PatchPlan, err error) {
 	defer e9err.Recover("plan", &err)
-	rw, inject, warnings, err := s.decide(ctx, true)
+	rw, inject, warnings, err := s.decide(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,6 +91,77 @@ func TestStreamInputUntouched(t *testing.T) {
 	}
 	if !bytes.Equal(orig, bin) {
 		t.Fatal("streaming rewrite mutated the input slice")
+	}
+}
+
+// TestStreamReservePerSession opens two sessions from one Config whose
+// ReserveVA has spare capacity: a reservation made on one must not be
+// seen, or overwritten, by the other. Stream A reserves the pages the
+// unreserved rewrite puts its trampolines in, so its output moves, and
+// stream B reserves a range no trampoline goes near.
+func TestStreamReservePerSession(t *testing.T) {
+	ctx := context.Background()
+	bin := planCorpus(t)[0].bin
+	base := workload.ReserveVA()
+	cfg := Config{Select: SelectJumps, ReserveVA: append(make([][2]uint64, 0, len(base)+4), base...)}
+	p, err := Plan(bin, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := ^uint64(0), uint64(0)
+	for _, s := range p.Sites {
+		for _, tr := range s.Trampolines {
+			lo, hi = min(lo, tr.Addr), max(hi, tr.Addr+uint64(len(tr.Code)))
+		}
+	}
+	if hi == 0 {
+		t.Fatal("the plan places no trampoline")
+	}
+	x := [2]uint64{lo &^ 0xFFF, (hi + 0xFFF) &^ 0xFFF}
+	y := [2]uint64{1 << 44, 1<<44 + 0x1000}
+
+	rewriteWith := func(r [2]uint64) []byte {
+		c := cfg
+		c.ReserveVA = append(slices.Clone(base), r)
+		res, err := Rewrite(bin, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Output
+	}
+	wantA, wantB := rewriteWith(x), rewriteWith(y)
+	if bytes.Equal(wantA, wantB) {
+		t.Fatal("reserving the trampolines' pages does not move them")
+	}
+	a, err := NewStream(ctx, bin, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewStream(ctx, bin, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Reserve(x[0], x[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Reserve(y[0], y[1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		name string
+		s    *Stream
+		want []byte
+	}{{"A", a, wantA}, {"B", b, wantB}} {
+		res, err := s.s.Finish(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Output, s.want) {
+			t.Errorf("stream %s's output is not that of a rewrite with its own reservation", s.name)
+		}
+	}
+	if len(cfg.ReserveVA) != len(base) {
+		t.Errorf("the sessions grew the caller's ReserveVA to %d ranges", len(cfg.ReserveVA))
 	}
 }
 
