@@ -180,7 +180,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := elf64.WriteOutputBytes(*out, res.Output); err != nil {
+		if err := elf64.WriteOutput(*out, func(w io.Writer) error {
+			_, err := w.Write(res.Output)
+			return err
+		}); err != nil {
 			fatal(err)
 		}
 		report(res)

@@ -26,14 +26,6 @@ func WriteOutput(path string, write func(w io.Writer) error) error {
 	return e9err.Wrap(e9err.ErrOutput, "emit", writeOutput(path, write))
 }
 
-// WriteOutputBytes is WriteOutput for an output already in memory.
-func WriteOutputBytes(path string, data []byte) error {
-	return WriteOutput(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
 func writeOutput(path string, write func(w io.Writer) error) error {
 	if st, err := os.Stat(path); err == nil && !st.Mode().IsRegular() {
 		f, err := os.OpenFile(path, os.O_WRONLY, 0)
