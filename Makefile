@@ -124,11 +124,16 @@ benchcheck:
 # refuses any, and its outputs are hash-compared with the library
 # path), the usage/abuse paths of the backend binary, the e9tool -backend
 # subprocess pipeline and e9tool's own streamed output (to a new file,
-# over its input, and failing), and the in-library session grammar/abuse
-# suite with its fuzz seed corpus.
+# over its input, and failing) with its peak-RSS gate (rewrite and
+# -apply-plan of a 64 MB input), the output writer that copies the
+# unchanged input bytes from the input file (byte identity over the mmap
+# and heap-read inputs, to a file, /dev/null, a FIFO and /dev/full) and
+# the input's descriptor lifetime, and the in-library session
+# grammar/abuse suite with its fuzz seed corpus.
 rpccheck:
 	$(GO) test -run 'TestRPCGolden|TestUsageOnTerminalStdin|TestBackendReportsStreamErrors|TestNoFrontendFlags' -count 1 ./cmd/e9patch/
-	$(GO) test -run 'TestBackendPipeline|TestStreamedOutput' -count 1 ./cmd/e9tool/
+	$(GO) test -run 'TestBackendPipeline|TestStreamedOutput|TestOutputPeakRSS' -count 1 ./cmd/e9tool/
+	$(GO) test -run 'TestWriteOutput|TestInputCloseReleasesDescriptors' -count 1 ./internal/elf64/
 	$(GO) test ./internal/rpc/
 
 # disasmcheck gates the pluggable recovery frontends: linear

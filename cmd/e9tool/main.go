@@ -157,9 +157,10 @@ func main() {
 
 	// The input is a read-only mapping where the platform has one: the
 	// pipeline only ever reads it, so a browser-class binary is paged in
-	// by the kernel and never copied onto the Go heap. The output is
-	// written from that mapping into a temporary file that is renamed
-	// into place (elf64.WriteOutput), so -o may name the input file.
+	// by the kernel and never copied onto the Go heap. The output goes to
+	// a temporary file that is renamed into place (elf64.WriteOutput), so
+	// -o may name the input file, and its unchanged input bytes are
+	// copied from the input file, not out of the mapping.
 	in, err := elf64.OpenInput(flag.Arg(0))
 	if err != nil {
 		fatal(err)
@@ -176,12 +177,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := e9patch.Apply(input, p)
-		if err != nil {
-			fatal(err)
-		}
-		if err := elf64.WriteOutput(*out, func(w io.Writer) error {
-			_, err := w.Write(res.Output)
+		var res *e9patch.Result
+		if err := elf64.WriteOutput(*out, in, func(w io.Writer) (err error) {
+			res, err = e9patch.ApplyTo(context.Background(), w, input, p)
 			return err
 		}); err != nil {
 			fatal(err)
@@ -269,10 +267,10 @@ func main() {
 		return
 	}
 
-	// The rewrite streams: head and tail of the output come straight from
-	// the mapping, so no image of the output is ever built in this process.
+	// The rewrite streams: head and tail of the output are copied from the
+	// input file, so no image of the output is ever built in this process.
 	var res *e9patch.Result
-	if err := elf64.WriteOutput(*out, func(w io.Writer) (err error) {
+	if err := elf64.WriteOutput(*out, in, func(w io.Writer) (err error) {
 		res, err = e9patch.RewriteTo(context.Background(), w, input, cfg)
 		return err
 	}); err != nil {

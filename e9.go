@@ -370,9 +370,18 @@ func Apply(input []byte, p *PatchPlan) (*Result, error) {
 // emitted under one mode (or against a different binary revision) is
 // rejected instead of silently replaying byte edits into a universe
 // the planner never saw.
-func ApplyContext(ctx context.Context, input []byte, p *PatchPlan) (_ *Result, err error) {
+func ApplyContext(ctx context.Context, input []byte, p *PatchPlan) (*Result, error) {
+	return ApplyTo(ctx, nil, input, p)
+}
+
+// ApplyTo is ApplyContext with the output written to w instead of
+// returned, as RewriteTo is to RewriteContext: Result.Output is nil,
+// Result.OutputSize the bytes written, and the bytes are those Apply
+// would have returned, written from the input slice, the patched text
+// and the blob as they are. w must not be the file input is mapped from.
+func ApplyTo(ctx context.Context, w io.Writer, input []byte, p *PatchPlan) (_ *Result, err error) {
 	defer e9err.Recover("apply", &err)
-	return applyContext(ctx, input, p, true)
+	return applyContext(ctx, w, input, p, true)
 }
 
 // ApplyTrusted is ApplyTrustedContext without cancellation.
@@ -397,13 +406,14 @@ func ApplyTrusted(input []byte, p *PatchPlan) (*Result, error) {
 // recovery mode.
 func ApplyTrustedContext(ctx context.Context, input []byte, p *PatchPlan) (_ *Result, err error) {
 	defer e9err.Recover("apply", &err)
-	return applyContext(ctx, input, p, false)
+	return applyContext(ctx, nil, input, p, false)
 }
 
-// applyContext materializes a plan. verifyUniverse selects whether the
-// recorded disassembly digest is re-derived and checked (Apply) or
-// trusted on the strength of the input binding (ApplyTrusted).
-func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUniverse bool) (*Result, error) {
+// applyContext materializes a plan, into w or, with a nil w, into
+// Result.Output. verifyUniverse selects whether the recorded disassembly
+// digest is re-derived and checked (Apply) or trusted on the strength of
+// the input binding (ApplyTrusted).
+func applyContext(ctx context.Context, w io.Writer, input []byte, p *PatchPlan, verifyUniverse bool) (*Result, error) {
 	if p == nil {
 		return nil, e9err.Malformed("apply", "e9patch: nil plan")
 	}
@@ -503,7 +513,7 @@ func applyContext(ctx context.Context, input []byte, p *PatchPlan, verifyUnivers
 		gran: p.Granularity, inject: p.Injections,
 		insts: p.Insts, badBytes: p.BadBytes, mode: mode, recovery: sstats,
 		warnings: p.Warnings,
-	}.of(rw), nil)
+	}.of(rw), w)
 }
 
 // Load builds an executable image from an original or rewritten binary

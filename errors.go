@@ -17,7 +17,7 @@ import (
 //	case errors.Is(err, e9patch.ErrUnsupportedBinary): // out of scope
 //	case errors.Is(err, e9patch.ErrResourceLimit):     // over a Limits bound
 //	case errors.Is(err, e9patch.ErrInternal):          // our bug (recovered panic)
-//	case errors.Is(err, e9patch.ErrOutput):            // RewriteTo/FinishTo: the writer failed
+//	case errors.Is(err, e9patch.ErrOutput):            // RewriteTo/FinishTo/ApplyTo: the writer failed
 //	}
 var (
 	// ErrMalformedBinary classifies structurally broken inputs:
@@ -43,7 +43,7 @@ var (
 	// offending token; e9served maps this class to HTTP 422.
 	ErrBadSpec = e9err.ErrBadSpec
 	// ErrOutput classifies a rewrite whose output could not be written:
-	// the io.Writer handed to RewriteTo or FinishTo returned an error,
+	// the io.Writer handed to RewriteTo, FinishTo or ApplyTo returned an error,
 	// which the *Error (phase "emit") wraps, so errors.Is reaches it.
 	ErrOutput = e9err.ErrOutput
 )

@@ -19,20 +19,26 @@ import (
 // any failure; failures not already classified are reported as
 // ErrOutput.
 //
+// When from is a mapped Input, a Write of a part of from.Data is copied
+// from from's file at that offset rather than out of the mapping, so the
+// output's unchanged input bytes are not paged into this process. Every
+// other Write, and every Write when from is nil or was read onto the
+// heap, goes to the file as it is.
+//
 // A path that exists and is not a regular file (-o /dev/null) is written
 // through instead of replaced; a symbolic link to a regular file is
 // replaced, not followed.
-func WriteOutput(path string, write func(w io.Writer) error) error {
-	return e9err.Wrap(e9err.ErrOutput, "emit", writeOutput(path, write))
+func WriteOutput(path string, from *Input, write func(w io.Writer) error) error {
+	return e9err.Wrap(e9err.ErrOutput, "emit", writeOutput(path, from, write))
 }
 
-func writeOutput(path string, write func(w io.Writer) error) error {
+func writeOutput(path string, from *Input, write func(w io.Writer) error) error {
 	if st, err := os.Stat(path); err == nil && !st.Mode().IsRegular() {
 		f, err := os.OpenFile(path, os.O_WRONLY, 0)
 		if err != nil {
 			return err
 		}
-		return writeClose(f, write)
+		return writeClose(f, from, write)
 	}
 	var f *os.File
 	for try := 0; ; try++ {
@@ -45,7 +51,7 @@ func writeOutput(path string, write func(w io.Writer) error) error {
 			return err
 		}
 	}
-	err := writeClose(f, write)
+	err := writeClose(f, from, write)
 	if err == nil {
 		err = os.Rename(f.Name(), path)
 	}
@@ -55,9 +61,14 @@ func writeOutput(path string, write func(w io.Writer) error) error {
 	return err
 }
 
-// writeClose runs write on f and closes it, reporting the first failure.
-func writeClose(f *os.File, write func(w io.Writer) error) error {
-	if err := write(f); err != nil {
+// writeClose runs write on f, through a fileCopier when from is mapped,
+// and closes f, reporting the first failure.
+func writeClose(f *os.File, from *Input, write func(w io.Writer) error) error {
+	var w io.Writer = f
+	if from != nil && from.Mapped {
+		w = fileCopier{f, from}
+	}
+	if err := write(w); err != nil {
 		f.Close()
 		return err
 	}

@@ -46,8 +46,8 @@ func (s *Session) Done() bool { return s.state == stateDone }
 // is nil when the emit named an output path, which the output went to.
 func (s *Session) Result() *e9patch.Result { return s.res }
 
-// Close releases the session's input mapping, if any. Safe to call at
-// any point and more than once.
+// Close releases the session's input mapping and its file, if any. Safe
+// to call at any point and more than once.
 func (s *Session) Close() error {
 	in := s.input
 	s.input = nil
@@ -265,8 +265,10 @@ type emitParams struct {
 // handleEmit runs the decision and emit phases over the accumulated
 // selection. With an output path the binary is streamed to disk as
 // e9tool writes it, so the backend never holds an output-sized buffer,
-// and Session.Result().Output is nil; without one the Result carries the
-// output. Either way the Result stays available through Session.Result.
+// and Session.Result().Output is nil; an input opened by filename has its
+// unchanged bytes copied from its file. Without a path the Result carries
+// the output. Either way the Result stays available through
+// Session.Result.
 func (s *Session) handleEmit(ctx context.Context, msg *Message) (any, error) {
 	if s.state != stateOpen {
 		return nil, e9err.Malformed("rpc", "rpc: emit before binary")
@@ -285,7 +287,7 @@ func (s *Session) handleEmit(ctx context.Context, msg *Message) (any, error) {
 	if p.Output == "" {
 		err = finish(nil)
 	} else {
-		err = elf64.WriteOutput(p.Output, finish)
+		err = elf64.WriteOutput(p.Output, s.input, finish)
 	}
 	if s.res != nil {
 		s.state = stateDone

@@ -83,8 +83,8 @@ func planCorpus(t testing.TB) []struct {
 // Every cell is also anchored to testdata/rewrite_golden.json: the
 // SHA-256 of Result.Output must be reproduced by Rewrite, by
 // Apply(Plan) at every width and by a Stream session fed the same
-// locations in address chunks; RewriteTo and the session's FinishTo
-// must have written those same bytes to their writer. Beside each hash
+// locations in address chunks; RewriteTo, ApplyTo and the session's
+// FinishTo must have written those same bytes to their writer. Beside each hash
 // the file pins Result.OutputSize and Group.PhysBlocks, which a change
 // of trampoline code alone (epilogues) leaves as they are. The hashes
 // were first recorded from the pre-split monolithic reference pipeline
@@ -190,6 +190,14 @@ func TestPlanApplyEquivalence(t *testing.T) {
 				if res.Trampolines != p.TrampolineCount() {
 					t.Errorf("%s: plan counts %d trampolines, result %d",
 						label, p.TrampolineCount(), res.Trampolines)
+				}
+				if par == 1 {
+					var buf bytes.Buffer
+					wres, err := ApplyTo(ctx, &buf, be.bin, p)
+					if err != nil {
+						t.Fatalf("%s: apply to: %v", label, err)
+					}
+					assertSameParallelResult(t, ref, written(label+"/applyto", wres, &buf), label+"/applyto")
 				}
 			}
 

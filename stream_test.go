@@ -307,8 +307,8 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 // TestRewriteToWriteFailure is the write-failure contract: a writer that
-// fails inside any of the six output segments ends RewriteTo and
-// FinishTo with an ErrOutput of phase emit that wraps the writer's own
+// fails inside any of the six output segments ends RewriteTo, FinishTo
+// and ApplyTo with an ErrOutput of phase emit that wraps the writer's own
 // error — not ErrInternal, not a recovered panic — having received the
 // output's prefix up to there and nothing else.
 func TestRewriteToWriteFailure(t *testing.T) {
@@ -316,6 +316,10 @@ func TestRewriteToWriteFailure(t *testing.T) {
 	bin := planCorpus(t)[0].bin
 	cfg := Config{Select: SelectJumps, ReserveVA: workload.ReserveVA()}
 	ref, err := Rewrite(bin, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Plan(bin, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,19 +356,22 @@ func TestRewriteToWriteFailure(t *testing.T) {
 		// The segment's first byte and its last: the failure offsets that
 		// border its neighbours.
 		for _, limit := range []int{start, seg.end - 1} {
-			for _, via := range []string{"RewriteTo", "FinishTo"} {
+			for _, via := range []string{"RewriteTo", "FinishTo", "ApplyTo"} {
 				label := fmt.Sprintf("%s in %s at %d", via, seg.name, limit)
 				w := &failingWriter{limit: limit, err: sinkErr}
 				var res *Result
 				var err error
-				if via == "RewriteTo" {
+				switch via {
+				case "RewriteTo":
 					res, err = RewriteTo(ctx, w, bin, cfg)
-				} else {
+				case "FinishTo":
 					s, serr := NewStream(ctx, bin, cfg)
 					if serr != nil {
 						t.Fatal(serr)
 					}
 					res, err = s.FinishTo(ctx, w)
+				default:
+					res, err = ApplyTo(ctx, w, bin, p)
 				}
 				var e *Error
 				if res != nil || !errors.As(err, &e) {
