@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race difftest enginecheck plancheck speccheck rpccheck disasmcheck realcheck bench benchcheck servertest clustercheck fuzzshort fuzzhostile ci
+.PHONY: all build fmt vet test race difftest enginecheck plancheck speccheck rpccheck disasmcheck realcheck papercheck bench benchcheck servertest clustercheck fuzzshort fuzzhostile ci
 
 all: build test
 
@@ -105,8 +105,22 @@ speccheck:
 	$(GO) test -run 'TestSpec|TestBadSpecMaps422|TestBadRequests|TestMatchActionCallPatch|TestHostileMatchRejected|TestBatchValidation' ./internal/server/
 	$(GO) test -run 'TestSessionHostileMatch|TestSessionAbuse' ./internal/rpc/
 
+# bench runs the pipeline micro-benchmarks of the root package
+# (recovery, rewriting, planning, plan application, loading and
+# emulation) once each. The paper's numbers are papercheck's.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
+
+# papercheck regenerates every paper artefact (Table 1, Figures 4 and
+# 5, the four ablations and the motivation table) with e9bench at scale
+# 0.25 and diffs the output against bench_results_full.txt, the one
+# recorded run that EXPERIMENTS.md quotes (TestExperimentsQuoteGolden).
+# It takes about 40 s on two cores, so it is not part of ci. Re-record
+# the file, only for an intentional change and in that change's own
+# first commit, with:
+#   go run ./cmd/e9bench -all -scale 0.25 > bench_results_full.txt
+papercheck:
+	$(GO) run ./cmd/e9bench -all -scale 0.25 | diff -u bench_results_full.txt -
 
 # benchcheck is the regression gate over the repository's benchmark
 # (`go run ./bench`, BENCHMARK.json): PAIRS alternating runs of every

@@ -1,21 +1,11 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, one per artefact, plus micro-benchmarks of the core
-// pipeline stages. The experiment benchmarks run at a reduced binary
-// scale so `go test -bench=.` finishes in minutes; `cmd/e9bench` runs
-// the same drivers at any scale (use -full for the paper's sizes) and
-// prints the complete tables.
-//
-// Custom metrics reported:
-//
-//	cov%      patching coverage (Table 1 Succ%)
-//	base%     baseline (B1+B2) coverage
-//	size%     output/input file size
-//	time%     patched/original cycle ratio
+// Micro-benchmarks of the core pipeline stages: recovery, rewriting,
+// planning, plan application, loading and emulation. The paper's tables and
+// figures are not benchmarks: `cmd/e9bench` prints them, and
+// bench_results_full.txt records its `-all -scale 0.25` run.
 package e9patch_test
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 
@@ -23,212 +13,8 @@ import (
 	"e9patch/internal/disasm"
 	"e9patch/internal/elf64"
 	"e9patch/internal/emu"
-	"e9patch/internal/eval"
-	"e9patch/internal/lowfat"
 	"e9patch/internal/workload"
 )
-
-// benchOpt keeps experiment benchmarks fast; EXPERIMENTS.md records
-// full runs via cmd/e9bench.
-var benchOpt = eval.Options{Scale: 0.02, Iters: 4000}
-
-// benchProfiles is a representative Table 1 slice: integer SPEC,
-// Fortran SPEC with huge .bss, PIE, and a shared object.
-func benchProfiles(b *testing.B) []workload.Profile {
-	b.Helper()
-	var out []workload.Profile
-	for _, n := range []string{"perlbench", "gamess", "vim", "libc.so"} {
-		p, err := workload.ProfileByName(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// BenchmarkTable1A1 regenerates Table 1's jump-instrumentation half
-// over the representative profile slice.
-func BenchmarkTable1A1(b *testing.B) {
-	benchTable1(b, eval.A1)
-}
-
-// BenchmarkTable1A2 regenerates Table 1's heap-write half.
-func BenchmarkTable1A2(b *testing.B) {
-	benchTable1(b, eval.A2)
-}
-
-func benchTable1(b *testing.B, app eval.App) {
-	profiles := benchProfiles(b)
-	var cov, base, size float64
-	for i := 0; i < b.N; i++ {
-		cov, base, size = 0, 0, 0
-		for _, p := range profiles {
-			res, err := eval.RewriteProfile(p, app, benchOpt.Scale, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cov += res.Stats.SuccPercent()
-			base += res.Stats.BasePercent()
-			size += res.SizePercent()
-		}
-	}
-	n := float64(len(profiles))
-	b.ReportMetric(cov/n, "cov%")
-	b.ReportMetric(base/n, "base%")
-	b.ReportMetric(size/n, "size%")
-}
-
-// BenchmarkTable1Time regenerates the Table 1 Time% columns for one
-// SPEC row (perlbench kernel, both applications).
-func BenchmarkTable1Time(b *testing.B) {
-	p, err := workload.ProfileByName("perlbench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	workload.KernelIters = benchOpt.Iters
-	var t1, t2 float64
-	for i := 0; i < b.N; i++ {
-		if t1, err = eval.KernelOverhead(p, eval.A1, e9patch.Config{}, false); err != nil {
-			b.Fatal(err)
-		}
-		if t2, err = eval.KernelOverhead(p, eval.A2, e9patch.Config{}, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(t1, "A1time%")
-	b.ReportMetric(t2, "A2time%")
-}
-
-// BenchmarkFigure4Dromaeo regenerates the Figure 4 browser series.
-func BenchmarkFigure4Dromaeo(b *testing.B) {
-	workload.KernelIters = benchOpt.Iters
-	var chrome, firefox float64
-	for i := 0; i < b.N; i++ {
-		pts, err := eval.Figure4(benchOpt, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var cs, fs []float64
-		for _, p := range pts {
-			cs = append(cs, p.Chrome)
-			fs = append(fs, p.FireFox)
-		}
-		chrome, firefox = eval.GeoMean(cs), eval.GeoMean(fs)
-	}
-	b.ReportMetric(chrome, "chrome%")
-	b.ReportMetric(firefox, "firefox%")
-}
-
-// BenchmarkFigure5LowFat regenerates the Figure 5 hardening series for
-// a SPEC subset (one kernel per archetype).
-func BenchmarkFigure5LowFat(b *testing.B) {
-	workload.KernelIters = benchOpt.Iters
-	names := []string{"perlbench", "bzip2", "gamess", "mcf", "dealII"}
-	var empty, lf float64
-	for i := 0; i < b.N; i++ {
-		empty, lf = 0, 0
-		for _, n := range names {
-			p, err := workload.ProfileByName(n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e, err := eval.KernelOverhead(p, eval.A2, e9patch.Config{}, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			l, err := eval.KernelOverhead(p, eval.A2, e9patch.Config{Template: lowfat.CheckTemplate{}}, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			empty += e
-			lf += l
-		}
-	}
-	n := float64(len(names))
-	b.ReportMetric(empty/n, "empty%")
-	b.ReportMetric(lf/n, "lowfat%")
-}
-
-// BenchmarkAblationGrouping regenerates the §6.1 grouping-vs-naive
-// file-size ablation.
-func BenchmarkAblationGrouping(b *testing.B) {
-	var grouped, naive float64
-	for i := 0; i < b.N; i++ {
-		out, err := eval.AblationGrouping(benchOpt, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		grouped, naive = out[0].GroupedSizePct, out[0].NaiveSizePct
-	}
-	b.ReportMetric(grouped, "grouped-size%")
-	b.ReportMetric(naive, "naive-size%")
-}
-
-// BenchmarkAblationGranularity regenerates the §4 mapping-count sweep.
-func BenchmarkAblationGranularity(b *testing.B) {
-	var m1, m64 float64
-	for i := 0; i < b.N; i++ {
-		pts, err := eval.AblationGranularity(benchOpt, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m1 = float64(pts[0].Mappings)
-		m64 = float64(pts[len(pts)-1].Mappings)
-	}
-	b.ReportMetric(m1, "mapsM1")
-	b.ReportMetric(m64, "mapsM64")
-}
-
-// BenchmarkAblationPIE regenerates the §6.1 PIE-coverage comparison.
-func BenchmarkAblationPIE(b *testing.B) {
-	var native, pie float64
-	for i := 0; i < b.N; i++ {
-		out, err := eval.AblationPIE(benchOpt, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		native, pie = 0, 0
-		for _, c := range out {
-			native += c.NativeBase
-			pie += c.PIEBase
-		}
-		native /= float64(len(out))
-		pie /= float64(len(out))
-	}
-	b.ReportMetric(native, "native-base%")
-	b.ReportMetric(pie, "pie-base%")
-}
-
-// BenchmarkAblationB0 regenerates the §2.1.1 signal-handler baseline.
-func BenchmarkAblationB0(b *testing.B) {
-	workload.KernelIters = benchOpt.Iters
-	var factor float64
-	for i := 0; i < b.N; i++ {
-		c, err := eval.AblationB0(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		factor = c.Factor
-	}
-	b.ReportMetric(factor, "b0/jump-x")
-}
-
-// BenchmarkMotivationAccuracy regenerates the §1 accuracy-decay table.
-func BenchmarkMotivationAccuracy(b *testing.B) {
-	var at1000 float64
-	for i := 0; i < b.N; i++ {
-		pts := eval.MotivationAccuracy()
-		for _, p := range pts {
-			if p.Jumps == 1000 {
-				at1000 = p.Effective
-			}
-		}
-	}
-	b.ReportMetric(at1000, "eff%@1000")
-}
-
-// --- micro-benchmarks of the pipeline stages ---
 
 func buildBenchBinary(b *testing.B) []byte {
 	b.Helper()

@@ -17,6 +17,11 @@
 // (default 0.25); -full is shorthand for -scale 1. -engine selects the
 // execution engine by registry name (ir, the block-lifting engine, by
 // default; interp for the decode-per-step interpreter it is held to).
+// -v adds progress lines on standard error; standard output is the same.
+//
+// The standard output of `e9bench -all -scale 0.25` is recorded in
+// bench_results_full.txt at the repository root, which EXPERIMENTS.md
+// quotes; `make papercheck` regenerates and diffs it.
 //
 // Performance of the rewriter, the service and the engines is not
 // measured here: that is `go run ./bench` (bench/README.md).
@@ -25,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"e9patch/internal/emu"
@@ -60,13 +66,10 @@ func main() {
 	}
 	workload.Engine = *engine
 	opt := eval.Options{Scale: *scale, Iters: *iters}
-	progress := func() *os.File {
-		if *verbose {
-			return os.Stderr
-		}
-		return nil
-	}()
-	var prog *os.File = progress
+	var prog io.Writer
+	if *verbose {
+		prog = os.Stderr
+	}
 
 	ran := false
 	fail := func(err error) {

@@ -352,34 +352,23 @@ func (f *File) IsPIE() bool { return f.Header.Type == TypeDyn }
 // distinction and is exactly what our synthetic .so workloads emit.)
 func (f *File) IsDSO() bool { return f.Header.Type == TypeDyn && f.Header.Entry == 0 }
 
-// VaddrToOff translates a virtual address to a file offset through the
-// PT_LOAD segments.
-func (f *File) VaddrToOff(vaddr uint64) (uint64, bool) {
-	for _, p := range f.Progs {
-		if p.Type != PTLoad {
-			continue
-		}
-		// vaddr-p.Vaddr < p.Filesz is the overflow-safe form of the
-		// half-open range test (Parse validated Off+Filesz already).
-		if vaddr >= p.Vaddr && vaddr-p.Vaddr < p.Filesz {
-			return p.Off + (vaddr - p.Vaddr), true
-		}
-	}
-	return 0, false
-}
-
 // patchBytes overwrites len(b) bytes at the given virtual address,
 // strictly in place. It fails if the address is not file-backed.
 func (f *File) patchBytes(vaddr uint64, b []byte) error {
-	off, ok := f.VaddrToOff(vaddr)
-	if !ok {
-		return e9err.MalformedAt("emit", vaddr, "elf64: vaddr not mapped from file")
+	for _, p := range f.Progs {
+		// vaddr-p.Vaddr < p.Filesz is the overflow-safe form of the
+		// half-open range test (Parse validated Off+Filesz already).
+		if p.Type != PTLoad || vaddr < p.Vaddr || vaddr-p.Vaddr >= p.Filesz {
+			continue
+		}
+		off := p.Off + (vaddr - p.Vaddr)
+		if !spanInside(off, uint64(len(b)), uint64(len(f.Data))) {
+			return e9err.MalformedAt("emit", vaddr, "elf64: patch of %d bytes overruns file", len(b))
+		}
+		copy(f.Data[off:], b)
+		return nil
 	}
-	if !spanInside(off, uint64(len(b)), uint64(len(f.Data))) {
-		return e9err.MalformedAt("emit", vaddr, "elf64: patch of %d bytes overruns file", len(b))
-	}
-	copy(f.Data[off:], b)
-	return nil
+	return e9err.MalformedAt("emit", vaddr, "elf64: vaddr not mapped from file")
 }
 
 // LoadBounds returns the lowest and highest virtual addresses covered

@@ -115,26 +115,14 @@ func TestPatchBytes(t *testing.T) {
 	if text[10] != 0xE9 || text[14] != 4 {
 		t.Error("patch not applied in place")
 	}
-	// Patching .bss (not file-backed) must fail.
+	// .bss is mapped but not file-backed; neither it nor an unmapped
+	// address can be patched.
 	bss, _ := f.SectionByName(".bss")
-	_ = bss
+	if err := f.patchBytes(bss.Addr+0x10, []byte{1}); err == nil {
+		t.Error(".bss patch accepted")
+	}
 	if err := f.patchBytes(0xdeadbeef000, []byte{1}); err == nil {
 		t.Error("unmapped patch accepted")
-	}
-}
-
-func TestVaddrToOff(t *testing.T) {
-	raw := buildSample(t, false, 0x1000)
-	f, _ := Parse(raw)
-	_, addr, _ := f.Text()
-	off, ok := f.VaddrToOff(addr)
-	if !ok || off != PageSize {
-		t.Errorf("text vaddr -> off %#x ok=%v", off, ok)
-	}
-	// .bss addresses are not file-backed.
-	bss, _ := f.SectionByName(".bss")
-	if _, ok := f.VaddrToOff(bss.Addr + 0x10); ok {
-		t.Error("bss vaddr reported file-backed")
 	}
 }
 

@@ -49,7 +49,7 @@ func calibratedMix(p workload.Profile) (workload.Mix, error) {
 	if err != nil {
 		return workload.Mix{}, err
 	}
-	baseOnly := func(app App) (float64, error) {
+	baseOnly := func(app application) (float64, error) {
 		cfg := baseConfig(p, app, pScale)
 		cfg.Patch = patch.Options{DisableT1: true, DisableT2: true, DisableT3: true}
 		res, err := e9patch.Rewrite(prog.ELF, cfg)
@@ -58,11 +58,11 @@ func calibratedMix(p workload.Profile) (workload.Mix, error) {
 		}
 		return res.Stats.BasePercent(), nil
 	}
-	measA1, err := baseOnly(A1)
+	measA1, err := baseOnly(a1)
 	if err != nil {
 		return workload.Mix{}, err
 	}
-	measA2, err := baseOnly(A2)
+	measA2, err := baseOnly(a2)
 	if err != nil {
 		return workload.Mix{}, err
 	}

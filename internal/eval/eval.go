@@ -40,31 +40,31 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// App selects the instrumentation application.
-type App int
+// application selects the instrumentation application.
+type application int
 
 // The paper's two instrumentation applications.
 const (
-	A1 App = iota // all jmp/jcc instructions
-	A2            // all heap-write instructions
+	a1 application = iota // all jmp/jcc instructions
+	a2                    // all heap-write instructions
 )
 
-func (a App) String() string {
-	if a == A1 {
+func (a application) String() string {
+	if a == a1 {
 		return "A1"
 	}
 	return "A2"
 }
 
-func (a App) selector() e9patch.Selector {
-	if a == A1 {
+func (a application) selector() e9patch.Selector {
+	if a == a1 {
 		return e9patch.SelectJumps
 	}
 	return e9patch.SelectHeapWrites
 }
 
 // baseConfig assembles the rewrite configuration for a profile.
-func baseConfig(p workload.Profile, app App, scale float64) e9patch.Config {
+func baseConfig(p workload.Profile, app application, scale float64) e9patch.Config {
 	cfg := e9patch.Config{
 		Select:    app.selector(),
 		ReserveVA: workload.ReserveVA(),
@@ -80,9 +80,9 @@ func baseConfig(p workload.Profile, app App, scale float64) e9patch.Config {
 	return cfg
 }
 
-// RewriteProfile builds a profile's static binary (with pilot-calibrated
+// rewriteProfile builds a profile's static binary (with pilot-calibrated
 // encoding fractions) and rewrites it.
-func RewriteProfile(p workload.Profile, app App, scale float64, mutate func(*e9patch.Config)) (*e9patch.Result, error) {
+func rewriteProfile(p workload.Profile, app application, scale float64, mutate func(*e9patch.Config)) (*e9patch.Result, error) {
 	mix, err := calibratedMix(p)
 	if err != nil {
 		return nil, err
@@ -120,9 +120,9 @@ func loadInto(m *emu.Machine, bin []byte) (uint64, error) {
 	return e9patch.Load(m, bin)
 }
 
-// KernelOverhead measures the Time%% ratio (patched cycles / original
+// kernelOverhead measures the Time%% ratio (patched cycles / original
 // cycles x100) for a profile's kernel under the given instrumentation.
-func KernelOverhead(p workload.Profile, app App, tmpl e9patch.Config, lowfatHeap bool) (float64, error) {
+func kernelOverhead(p workload.Profile, app application, tmpl e9patch.Config, lowfatHeap bool) (float64, error) {
 	prog, err := workload.BuildKernelTuned(p.Kernel, p.Kind == workload.KindPIE, workload.TuningFor(p))
 	if err != nil {
 		return 0, err
@@ -210,20 +210,20 @@ func Table1(opt Options, profiles []workload.Profile, progress io.Writer) ([]Tab
 			fmt.Fprintf(progress, "# table1: %s\n", p.Name)
 		}
 		row := Table1Row{Profile: p}
-		for _, app := range []App{A1, A2} {
-			res, err := RewriteProfile(p, app, opt.Scale, nil)
+		for _, app := range []application{a1, a2} {
+			res, err := rewriteProfile(p, app, opt.Scale, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", p.Name, app, err)
 			}
 			st := appStats(res)
 			if p.IsSPEC() {
-				t, err := KernelOverhead(p, app, e9patch.Config{}, false)
+				t, err := kernelOverhead(p, app, e9patch.Config{}, false)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s time: %w", p.Name, app, err)
 				}
 				st.TimePct = t
 			}
-			if app == A1 {
+			if app == a1 {
 				row.A1 = st
 			} else {
 				row.A2 = st
@@ -296,8 +296,8 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 		a2loc, agg[8]/n, agg[9]/n, agg[10]/n, agg[11]/n, agg[12]/n, t2, agg[14]/n)
 }
 
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(vals []float64) float64 {
+// geoMean returns the geometric mean of positive values.
+func geoMean(vals []float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}

@@ -75,11 +75,11 @@ func TestTable1NonSPECRowsSkipTime(t *testing.T) {
 func TestSharedObjectGeometry(t *testing.T) {
 	// Shared objects cannot use negative offsets; their baseline must
 	// be well below a PIE executable of the same mix.
-	shared, err := RewriteProfile(mustProfile(t, "libc.so"), A1, 0.3, nil)
+	shared, err := rewriteProfile(mustProfile(t, "libc.so"), a1, 0.3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pie, err := RewriteProfile(mustProfile(t, "vim"), A1, 0.3, nil)
+	pie, err := rewriteProfile(mustProfile(t, "vim"), a1, 0.3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSharedObjectGeometry(t *testing.T) {
 // 0.05 all of its sites patch, so no reservation the patcher makes for
 // itself may take a window away from a site.
 func TestGamessA1NoFailedSites(t *testing.T) {
-	res, err := RewriteProfile(mustProfile(t, "gamess"), A1, 0.05, nil)
+	res, err := rewriteProfile(mustProfile(t, "gamess"), a1, 0.05, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func PrintFigure4(w io.Writer, pts []Fig4Point) {
 		cs = append(cs, p.Chrome)
 		fs = append(fs, p.FireFox)
 	}
-	fmt.Fprintf(w, "%-18s %10.1f %10.1f\n", "Geom.Mean", GeoMean(cs), GeoMean(fs))
+	fmt.Fprintf(w, "%-18s %10.1f %10.1f\n", "Geom.Mean", geoMean(cs), geoMean(fs))
 }
 
 // Fig5Row is one Figure 5 bar pair: empty A2 instrumentation vs the
@@ -120,11 +120,11 @@ func Figure5(opt Options, progress io.Writer) ([]Fig5Row, error) {
 		if progress != nil {
 			fmt.Fprintf(progress, "# figure5: %s\n", p.Name)
 		}
-		empty, err := KernelOverhead(p, A2, e9patch.Config{}, false)
+		empty, err := kernelOverhead(p, a2, e9patch.Config{}, false)
 		if err != nil {
 			return nil, err
 		}
-		lf, err := KernelOverhead(p, A2, e9patch.Config{Template: lowfat.CheckTemplate{}}, true)
+		lf, err := kernelOverhead(p, a2, e9patch.Config{Template: lowfat.CheckTemplate{}}, true)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +155,7 @@ func Figure5(opt Options, progress io.Writer) ([]Fig5Row, error) {
 			es = append(es, e)
 			ls = append(ls, l)
 		}
-		rows = append(rows, Fig5Row{Name: b.name, Empty: GeoMean(es), LowFat: GeoMean(ls)})
+		rows = append(rows, Fig5Row{Name: b.name, Empty: geoMean(es), LowFat: geoMean(ls)})
 	}
 	return rows, nil
 }
@@ -182,7 +182,7 @@ func PrintFigure5(w io.Writer, rows []Fig5Row) {
 // GroupingAblation is the §6.1 file-size experiment: average Size% over
 // the SPEC set with physical page grouping on (M=1) versus off.
 type GroupingAblation struct {
-	App            App
+	App            application
 	GroupedSizePct float64
 	NaiveSizePct   float64
 }
@@ -191,17 +191,17 @@ type GroupingAblation struct {
 func AblationGrouping(opt Options, progress io.Writer) ([]GroupingAblation, error) {
 	opt = opt.withDefaults()
 	var out []GroupingAblation
-	for _, app := range []App{A1, A2} {
+	for _, app := range []application{a1, a2} {
 		var g, n []float64
 		for _, p := range workload.SPECProfiles {
 			if progress != nil {
 				fmt.Fprintf(progress, "# grouping: %s/%s\n", p.Name, app)
 			}
-			resG, err := RewriteProfile(p, app, opt.Scale, nil)
+			resG, err := rewriteProfile(p, app, opt.Scale, nil)
 			if err != nil {
 				return nil, err
 			}
-			resN, err := RewriteProfile(p, app, opt.Scale, func(c *e9patch.Config) { c.Granularity = -1 })
+			resN, err := rewriteProfile(p, app, opt.Scale, func(c *e9patch.Config) { c.Granularity = -1 })
 			if err != nil {
 				return nil, err
 			}
@@ -236,7 +236,7 @@ func AblationGranularity(opt Options, progress io.Writer) ([]GranularityPoint, e
 		if progress != nil {
 			fmt.Fprintf(progress, "# granularity: M=%d\n", m)
 		}
-		res, err := RewriteProfile(p, A2, opt.Scale, func(c *e9patch.Config) { c.Granularity = m })
+		res, err := rewriteProfile(p, a2, opt.Scale, func(c *e9patch.Config) { c.Granularity = m })
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +266,7 @@ func AblationGranularity(opt Options, progress io.Writer) ([]GranularityPoint, e
 // profile rewritten at its native kind and forced-PIE.
 type PIEComparison struct {
 	Name                string
-	App                 App
+	App                 application
 	NativeBase, PIEBase float64
 	NativeSucc, PIESucc float64
 }
@@ -281,11 +281,11 @@ func AblationPIE(opt Options, progress io.Writer) ([]PIEComparison, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, app := range []App{A1, A2} {
+		for _, app := range []application{a1, a2} {
 			if progress != nil {
 				fmt.Fprintf(progress, "# pie: %s/%s\n", name, app)
 			}
-			native, err := RewriteProfile(p, app, opt.Scale, nil)
+			native, err := rewriteProfile(p, app, opt.Scale, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -309,7 +309,7 @@ func AblationPIE(opt Options, progress io.Writer) ([]PIEComparison, error) {
 
 // rewriteAs builds a binary with mixP's (calibrated) instruction mix
 // but buildP's ELF kind, then rewrites it.
-func rewriteAs(buildP, mixP workload.Profile, app App, scale float64) (*e9patch.Result, error) {
+func rewriteAs(buildP, mixP workload.Profile, app application, scale float64) (*e9patch.Result, error) {
 	mix, err := calibratedMix(mixP)
 	if err != nil {
 		return nil, err
@@ -339,11 +339,11 @@ func AblationB0(opt Options) (B0Comparison, error) {
 	if err != nil {
 		return B0Comparison{}, err
 	}
-	jump, err := KernelOverhead(p, A1, e9patch.Config{}, false)
+	jump, err := kernelOverhead(p, a1, e9patch.Config{}, false)
 	if err != nil {
 		return B0Comparison{}, err
 	}
-	sig, err := KernelOverhead(p, A1, e9patch.Config{
+	sig, err := kernelOverhead(p, a1, e9patch.Config{
 		Patch: patch.Options{ForceB0: true, B0Fallback: true},
 	}, false)
 	if err != nil {

@@ -1,8 +1,6 @@
 package lang
 
 import (
-	"fmt"
-
 	"e9patch/internal/match"
 	"e9patch/internal/x86"
 )
@@ -16,12 +14,8 @@ import (
 
 // Program is a compiled match expression.
 type Program struct {
-	src  string
 	eval func(*match.View) bool
 }
-
-// Src returns the source text the program was compiled from.
-func (p *Program) Src() string { return p.src }
 
 // evalLoc tests one instruction.
 func (p *Program) evalLoc(l *x86.Loc) bool {
@@ -116,8 +110,8 @@ func lowerRel(n *Rel) func(*match.View) bool {
 }
 
 // compileChecked lowers an already-typechecked AST.
-func compileChecked(n Node, src string) *Program {
-	return &Program{src: src, eval: lower(n)}
+func compileChecked(n Node) *Program {
+	return &Program{eval: lower(n)}
 }
 
 // CompileExpr parses, typechecks and compiles a match expression.
@@ -126,7 +120,7 @@ func CompileExpr(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compileChecked(n, src), nil
+	return compileChecked(n), nil
 }
 
 // compose builds the effective program for a spec: the match
@@ -137,11 +131,9 @@ func compose(m *Program, excludes []*Program) *Program {
 		return m
 	}
 	eval := m.eval
-	src := m.src
 	for _, ex := range excludes {
 		me, xe := eval, ex.eval
 		eval = func(i *match.View) bool { return me(i) && !xe(i) }
-		src = fmt.Sprintf("(%s) & !(%s)", src, ex.src)
 	}
-	return &Program{src: src, eval: eval}
+	return &Program{eval: eval}
 }

@@ -77,7 +77,7 @@ func ParseSpec(text string) (*Spec, error) {
 			}
 			s.Match = n
 			s.MatchSrc = rest
-			matchProg = compileChecked(n, rest)
+			matchProg = compileChecked(n)
 
 		case "exclude":
 			n, err := parseExprString(rest, base, phase)
@@ -86,7 +86,7 @@ func ParseSpec(text string) (*Spec, error) {
 			}
 			s.Excludes = append(s.Excludes, n)
 			s.ExcludeSrcs = append(s.ExcludeSrcs, rest)
-			exProgs = append(exProgs, compileChecked(n, rest))
+			exProgs = append(exProgs, compileChecked(n))
 
 		case "patch":
 			if s.Patch != nil {
@@ -154,7 +154,7 @@ func FromParts(matchExpr, patchSrc string) (*Spec, error) {
 		MatchSrc:   strings.TrimSpace(matchExpr),
 		Patch:      ps,
 		PayloadRef: ps.PayloadRef,
-		prog:       compileChecked(n, strings.TrimSpace(matchExpr)),
+		prog:       compileChecked(n),
 	}
 	return s, nil
 }

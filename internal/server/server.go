@@ -213,9 +213,6 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the registry (e.g. for embedding).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // BeginDrain flips /healthz to 503 so load balancers stop routing new
 // work while in-flight requests complete.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
