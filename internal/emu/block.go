@@ -22,12 +22,13 @@ const termAttrs = x86.AttrJump | x86.AttrCondJump | x86.AttrCall |
 
 // decodeBlock decodes the straight-line run starting at pc: up to
 // maxBlockInsts instructions, ending after the first control transfer
-// (jump, conditional jump, call, ret, hlt, int3). A decode failure at
-// pc itself is returned, formatted exactly as the interpreter's fetch
-// would report it; a failure later in the run just ends the block
-// early, so the error — if execution ever falls through to it — is
-// raised lazily at the address the interpreter would raise it. end is
-// the address one past the final decoded instruction.
+// (jump, conditional jump, call, ret, hlt, int3). A fetch fault (pc on
+// an unmapped page) or decode failure at pc itself is returned,
+// formatted exactly as the interpreter's fetch would report it; one
+// later in the run just ends the block early, so the error — if
+// execution ever falls through to it — is raised lazily at the address
+// the interpreter would raise it. end is the address one past the final
+// decoded instruction.
 //
 // A block also ends before any instruction after the first whose
 // address is special (the exit sentinel or a bound runtime address):
@@ -39,7 +40,13 @@ func decodeBlock(m *Machine, pc uint64) (insts []x86.Inst, end uint64, err error
 		if _, bound := m.Runtime[pc]; len(insts) > 0 && (bound || pc == m.ExitAddr) {
 			break
 		}
-		raw, _ := m.Mem.ReadBytes(pc, 15)
+		raw, ok := m.Mem.ReadBytes(pc, 15)
+		if !ok && !m.Mem.Mapped(pc) {
+			if len(insts) == 0 {
+				return nil, 0, fetchFault(pc)
+			}
+			break
+		}
 		inst, derr := x86.Decode(raw, pc)
 		if derr != nil {
 			if len(insts) == 0 {

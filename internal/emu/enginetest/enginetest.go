@@ -103,6 +103,7 @@ func Run(t *testing.T, engine string) {
 	t.Run("budget-parity", func(t *testing.T) { testBudgetParity(t, engine) })
 	t.Run("flag-stress", func(t *testing.T) { testFlagStress(t, engine) })
 	t.Run("special-mid-block", func(t *testing.T) { testSpecialMidBlock(t, engine) })
+	t.Run("fetch-fault", func(t *testing.T) { testFetchFault(t, engine) })
 }
 
 // testProfiles is the acceptance gate: for every Table 1 profile, the
@@ -284,6 +285,42 @@ func testSpecialMidBlock(t *testing.T, engine string) {
 			return nil
 		}
 	})
+}
+
+// testFetchFault: fetching an instruction whose first byte lies on an
+// unmapped page is one error under every engine, whether control jumps
+// there or straight-line code runs off the end of its page into it. A
+// block engine ends the block before such an instruction, so the same
+// instructions retire. An instruction whose first byte is mapped runs
+// even when the 15-byte fetch window crosses into an unmapped page.
+func testFetchFault(t *testing.T, engine string) {
+	// Each text ends exactly at the end of its page; nothing is mapped
+	// after it.
+	const pageEnd = 0x400000 + emu.PageSize
+	run := func(name string, text []byte, wantErr string) {
+		t.Helper()
+		var ms [2]*emu.Machine
+		for i, eng := range []emu.Engine{nil, newEngine(t, engine)} {
+			m := rawMachine(eng, pageEnd-uint64(len(text)), text)
+			got := ""
+			if err := m.Run(10_000); err != nil {
+				got = err.Error()
+			}
+			if got != wantErr {
+				t.Errorf("%s: %s run ended with %q, want %q", name, []string{"interp", engine}[i], got, wantErr)
+			}
+			ms[i] = m
+		}
+		diffStates(t, name, engine, stateOf(ms[0]), stateOf(ms[1]))
+	}
+
+	// mov rax, 0x70000000; jmp rax
+	run("jump-into-unmapped", []byte{0x48, 0xB8, 0, 0, 0, 0x70, 0, 0, 0, 0, 0xFF, 0xE0},
+		"emu: fetch fault at 0x70000000")
+	// Three nops, then the page ends.
+	run("fall-off-the-page", []byte{0x90, 0x90, 0x90}, "emu: fetch fault at 0x401000")
+	// nop; ret: the ret's fetch window is 14 unmapped bytes.
+	run("window-crosses-the-page", []byte{0x90, 0xC3}, "")
 }
 
 // testMutatingTracer drives the engine with a tracer that corrupts the

@@ -13,13 +13,23 @@ func (m *Machine) Step() error {
 	if handled, err := m.stepSpecial(); handled || err != nil {
 		return err
 	}
-	raw, _ := m.Mem.ReadBytes(m.RIP, 15)
+	raw, ok := m.Mem.ReadBytes(m.RIP, 15)
+	if !ok && !m.Mem.Mapped(m.RIP) {
+		return fetchFault(m.RIP)
+	}
 	inst, err := x86.Decode(raw, m.RIP)
 	if err != nil {
 		return fmt.Errorf("emu: at %#x: %w", m.RIP, err)
 	}
 	return m.execDecoded(&inst)
 }
+
+// fetchFault is the error for fetching an instruction whose first byte
+// lies on an unmapped page. Only that page counts: the 15-byte fetch
+// window of an instruction near the end of a mapped page may cross
+// into an unmapped one, and the bytes past the instruction are never
+// executed.
+func fetchFault(pc uint64) error { return fmt.Errorf("emu: fetch fault at %#x", pc) }
 
 // stepSpecial services the two magic classes of RIP values — the exit
 // sentinel and runtime-call addresses — without touching code bytes.
