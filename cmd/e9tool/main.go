@@ -13,8 +13,7 @@
 // call FN(args)[@PAYLOAD]); -spec a spec file combining match/exclude/
 // patch/payload directives. Payload ELFs for call patches resolve
 // relative to the spec file (or the working directory for -P), or
-// explicitly via -payload. -coverage=full patches every recovered
-// instruction instead.
+// explicitly via -payload. -M true patches every recovered instruction.
 //
 // The two rewrite phases can also be driven separately:
 //
@@ -55,7 +54,6 @@ func main() {
 		b0        = flag.Bool("b0-fallback", false, "int3 fallback for unpatchable locations")
 		skip      = flag.Uint64("skip", 0, "skip first N bytes of .text")
 		disasmF   = flag.String("disasm", "", "instruction recovery mode: linear (default) | superset | superset-cet")
-		coverage  = flag.String("coverage", "", "\"full\" patches every recovered instruction (no match expression; pairs with -disasm superset modes)")
 		dryRun    = flag.Bool("dry-run", false, "plan only: report tactics and footprint, write nothing")
 		emitPlan  = flag.String("emit-plan", "", "plan only: write the serialized patch plan (binary; e9dump -plan prints it) to FILE")
 		applyPlan = flag.String("apply-plan", "", "skip planning: replay the serialized patch plan in FILE (as written by -emit-plan)")
@@ -81,21 +79,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	fullCov := *coverage == "full"
 	switch {
 	case flag.NArg() != 1:
 		usageErr("exactly one input binary expected")
-	case *coverage != "" && *coverage != "full":
-		usageErr("-coverage takes only \"full\"")
-	case fullCov && (*specFile != "" || *exprM != "" || *patchP != ""):
-		usageErr("-coverage=full selects every recovered instruction; it is exclusive with -M/-P/-spec")
 	case *applyPlan != "":
 		if planOnly {
 			usageErr("-apply-plan is exclusive with -dry-run/-emit-plan")
 		}
 		// A plan records its recovery mode, selection, patches and layout;
 		// a flag that would choose them again is a mistake, not a no-op.
-		for _, name := range []string{"M", "P", "spec", "payload", "coverage", "disasm", "skip", "granularity", "b0-fallback"} {
+		for _, name := range []string{"M", "P", "spec", "payload", "disasm", "skip", "granularity", "b0-fallback"} {
 			if given[name] {
 				usageErr("-apply-plan replays what the plan recorded; -" + name + " is not applicable (pass it to -emit-plan)")
 			}
@@ -105,8 +98,8 @@ func main() {
 		}
 	case *specFile != "" && (*exprM != "" || *patchP != ""):
 		usageErr("-spec is exclusive with -M/-P")
-	case *specFile == "" && *exprM == "" && !fullCov:
-		usageErr("-M (or a -spec file, or -coverage=full) is required")
+	case *specFile == "" && *exprM == "":
+		usageErr("-M (or a -spec file) is required")
 	case *out == "" && !planOnly:
 		usageErr("-o is required (or use -dry-run/-emit-plan)")
 	}
@@ -122,8 +115,6 @@ func main() {
 		switch {
 		case *specFile != "":
 			usageErr("-backend takes -M and -P, not -spec")
-		case fullCov:
-			usageErr("-backend selects via -M; -coverage=full is not supported over the wire")
 		case planOnly || *applyPlan != "":
 			usageErr("-backend is exclusive with -dry-run/-emit-plan/-apply-plan")
 		case *maxInputMB != 0 || *maxTextMB != 0 || *maxSites != 0 || *maxTrampMB != 0 || *phaseTimeout != 0:
@@ -201,53 +192,41 @@ func main() {
 			PhaseTimeout:       *phaseTimeout,
 		},
 	}
-	if fullCov {
-		// Full-coverage rewriting: patch every instruction the recovery
-		// frontend produced. With the superset modes this is the
-		// "instrument everything plausible" experiment; overlapping
-		// candidates that contend for the same bytes simply fail to
-		// TacticNone and are reported, never corrupted.
-		cfg.Select = e9patch.SelectAll
-	} else {
-		// Spec-language path: parse (file or -M/-P), resolve the payload
-		// reference, and lower to pipeline configuration.
-		var sp *lang.Spec
-		payloadDir := "."
-		if *specFile != "" {
-			text, err := os.ReadFile(*specFile)
-			if err != nil {
-				fatal(err)
-			}
-			if sp, err = lang.ParseSpec(string(text)); err != nil {
-				fatal(err)
-			}
-			payloadDir = filepath.Dir(*specFile)
-		} else {
-			var err error
-			if sp, err = lang.FromParts(*exprM, *patchP); err != nil {
-				fatal(err)
-			}
-		}
-		var payload []byte
-		ref := *payloadF
-		if ref == "" && sp.PayloadRef != "" {
-			ref = filepath.Join(payloadDir, sp.PayloadRef)
-		}
-		if ref != "" {
-			var err error
-			if payload, err = os.ReadFile(ref); err != nil {
-				fatal(err)
-			}
-		}
-		br, err := sp.Build(payload)
+
+	// Spec-language path: parse (file or -M/-P), resolve the payload
+	// reference, and lower to pipeline configuration.
+	var sp *lang.Spec
+	payloadDir := "."
+	if *specFile != "" {
+		text, err := os.ReadFile(*specFile)
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Select = br.Select
-		cfg.Template = br.Template
-		cfg.Inject = br.Inject
-		cfg.ReserveVA = append(cfg.ReserveVA, br.ReserveVA...)
+		if sp, err = lang.ParseSpec(string(text)); err != nil {
+			fatal(err)
+		}
+		payloadDir = filepath.Dir(*specFile)
+	} else if sp, err = lang.FromParts(*exprM, *patchP); err != nil {
+		fatal(err)
 	}
+	var payload []byte
+	ref := *payloadF
+	if ref == "" && sp.PayloadRef != "" {
+		ref = filepath.Join(payloadDir, sp.PayloadRef)
+	}
+	if ref != "" {
+		if payload, err = os.ReadFile(ref); err != nil {
+			fatal(err)
+		}
+	}
+	br, err := sp.Build(payload)
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Select = br.Select
+	cfg.Template = br.Template
+	cfg.Inject = br.Inject
+	cfg.ReserveVA = append(cfg.ReserveVA, br.ReserveVA...)
 
 	if planOnly {
 		p, err := e9patch.Plan(input, cfg)

@@ -53,6 +53,9 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 		{"M with action", []string{"-M", "jcc", "-action", "counter=0x700000", "-o", out}, 2, "-action"},
 		{"M with unknown action", []string{"-M", "jcc", "-action", "bogus", "-o", out}, 2, "-action"},
 		{"P with action", []string{"-M", "jcc", "-P", "empty", "-action", "lowfat", "-o", out}, 2, "-action"},
+		// -coverage=full is gone: -M true selects every instruction.
+		{"M true", []string{"-M", "true", "-disasm", "superset", "-o", out}, 0, ""},
+		{"coverage is an unknown flag", []string{"-coverage", "full", "-o", out}, 2, "-coverage"},
 		{"backend with P lowfat", []string{"-backend", "e9patch", "-M", "heapwrite", "-P", "lowfat", "-o", out}, 2, "-P"},
 		{"backend with spec", []string{"-backend", "e9patch", "-spec", "x.e9spec", "-o", out}, 2, "-spec"},
 		{"apply-plan with M", []string{"-apply-plan", plan, "-M", "jcc", "-o", out}, 2, "-M "},
@@ -61,7 +64,6 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 		{"apply-plan with match", []string{"-apply-plan", plan, "-match", "jcc", "-o", out}, 2, "-match"},
 		{"apply-plan with action", []string{"-apply-plan", plan, "-action", "lowfat", "-o", out}, 2, "-action"},
 		{"apply-plan with disasm", []string{"-apply-plan", plan, "-disasm", "superset", "-o", out}, 2, "-disasm "},
-		{"apply-plan with coverage", []string{"-apply-plan", plan, "-coverage", "full", "-o", out}, 2, "-coverage "},
 		{"apply-plan with skip", []string{"-apply-plan", plan, "-skip", "64", "-o", out}, 2, "-skip "},
 		{"apply-plan with granularity", []string{"-apply-plan", plan, "-granularity", "2", "-o", out}, 2, "-granularity "},
 		{"apply-plan with b0-fallback", []string{"-apply-plan", plan, "-b0-fallback", "-o", out}, 2, "-b0-fallback "},
