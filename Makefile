@@ -164,8 +164,10 @@ rpccheck:
 # decode failure test through both entry points, linear recovery in
 # the per-offset table against a naive sweep (seam shapes, every profile,
 # widths 1/2/3/8, and 5 s of FuzzLinearParallel), the selectors over the
-# compact universe against a full decode, and the allocation budget of a
-# rewrite. Re-record the
+# compact universe against a full decode, the built-in selectors against
+# their spec-language programs, e9dump's output over a small CET binary
+# in every mode (cmd/e9dump/testdata/dump_golden.txt), and the
+# allocation budget of a rewrite. Re-record the
 # golden file, only for an intentional change of the recovered
 # universe, with (one after the other: both rewrite the one file):
 #   go test ./internal/disasm/ -run TestDisasmGolden -update
@@ -174,7 +176,8 @@ disasmcheck:
 	$(GO) test ./internal/disasm/
 	$(GO) test -run 'TestDisasmGolden|TestSupersetHostileShapesLinear|TestSupersetPhasesPollCancel|TestLinearTableMatchesSequential|TestLinearPhasesPollCancel' -count 1 ./internal/disasm/
 	$(GO) test -run 'TestSelectorsMatchFullDecode' -count 1 ./internal/lang/
-	$(GO) test -run 'TestRewriteMemoryGate|TestSelectorIndexOutOfRange' -count 1 .
+	$(GO) test -run 'TestRewriteMemoryGate|TestSelectorIndexOutOfRange|TestMatchEquivalence' -count 1 .
+	$(GO) test -run 'TestDumpGolden' -count 1 ./cmd/e9dump/
 	$(GO) test -run 'TestKernelMatchesReference|TestShapeTables|TestDecodeFailuresAllocFree' -count 1 ./internal/x86/
 	$(GO) test -run 'TestDisasm|TestHostileSupersetShapes|TestPlanModeBinding|TestSupersetRewriteReportsStats' .
 	$(GO) test -run 'TestLockStep/^(cet|dso)$$' .

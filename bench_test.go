@@ -40,7 +40,7 @@ func BenchmarkLinearDisasm(b *testing.B) {
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := disasm.Linear(text, addr)
+		res, _ := disasm.Recover(disasm.ModeLinear, text, addr)
 		if len(res.Insts) == 0 {
 			b.Fatal("no instructions")
 		}

@@ -295,7 +295,8 @@ func TestCallArgumentMarshalling(t *testing.T) {
 		t.Fatal(err)
 	}
 	byAddr := make(map[uint64]*x86.Inst)
-	insts := disasm.Linear(tx, taddr).Insts
+	rec, _ := disasm.Recover(disasm.ModeLinear, tx, taddr)
+	insts := rec.Insts
 	for i := range insts {
 		in := new(x86.Inst)
 		insts[i].DecodeInto(in)

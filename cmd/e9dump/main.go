@@ -117,51 +117,47 @@ func main() {
 		fatal(fmt.Errorf("-occupancy needs a superset mode (-disasm superset or superset-cet)"))
 	}
 
-	var res disasm.Result
 	fmt.Printf("\ndisasm mode:       %s\n", mode)
-	if mode == disasm.ModeLinear {
-		res = disasm.Linear(text[*skip:], addr+*skip)
-	} else {
-		sup := disasm.Superset(text[*skip:], addr+*skip)
-		decoded, valid := sup.Count()
-		cet := mode == disasm.ModeSupersetCET
-		if cet {
-			anchors, _ := sup.CETPrune(nil)
-			res.Insts, _ = sup.Insts(true, nil)
+	code, codeAddr := text[*skip:], addr+*skip
+	res, stats := disasm.Recover(mode, code, codeAddr)
+	if stats != nil {
+		if mode == disasm.ModeSupersetCET {
 			fmt.Printf("superset:          %d decoded, %d valid, %d kept from %d anchors (%.1f%% pruned)\n",
-				decoded, valid, len(res.Insts), anchors, pct(decoded-len(res.Insts), decoded))
+				stats.Decoded, stats.Valid, stats.Kept, stats.Anchors, pct(stats.Decoded-stats.Kept, stats.Decoded))
 		} else {
-			res.Insts, _ = sup.Insts(false, nil)
 			fmt.Printf("superset:          %d decoded, %d valid (%.1f%% pruned)\n",
-				decoded, valid, pct(decoded-valid, decoded))
-		}
-		res.BadBytes = sup.BadOffsets()
-		if *occup {
-			// Per-byte occupancy: how many kept instructions cover each
-			// text byte. Zero-occupancy bytes are classified data or
-			// padding; depth >1 marks overlapping candidates that the
-			// patcher's locked-byte discipline arbitrates at patch time.
-			occ := sup.Occupancy(cet)
-			var zero, one, multi, depth int
-			for _, c := range occ {
-				switch {
-				case c == 0:
-					zero++
-				case c == 1:
-					one++
-				default:
-					multi++
-				}
-				if c > depth {
-					depth = c
-				}
-			}
-			fmt.Printf("occupancy:         %d bytes unclaimed (%.1f%%), %d singly covered, %d overlapping (max depth %d)\n",
-				zero, pct(zero, len(occ)), one, multi, depth)
+				stats.Decoded, stats.Valid, pct(stats.Decoded-stats.Kept, stats.Decoded))
 		}
 	}
-	jumps := disasm.SelectJumps(res.Insts)
-	writes := disasm.SelectHeapWrites(res.Insts)
+	if *occup {
+		// Per-byte occupancy: how many recovered instructions cover each
+		// text byte. Zero-occupancy bytes are classified data or
+		// padding; depth >1 marks overlapping candidates that the
+		// patcher's locked-byte discipline arbitrates at patch time.
+		occ := make([]int, len(code))
+		for _, in := range res.Insts {
+			off := int(in.Addr - codeAddr)
+			for b := off; b < off+int(in.Len); b++ {
+				occ[b]++
+			}
+		}
+		var zero, one, multi, depth int
+		for _, c := range occ {
+			switch {
+			case c == 0:
+				zero++
+			case c == 1:
+				one++
+			default:
+				multi++
+			}
+			depth = max(depth, c)
+		}
+		fmt.Printf("occupancy:         %d bytes unclaimed (%.1f%%), %d singly covered, %d overlapping (max depth %d)\n",
+			zero, pct(zero, len(occ)), one, multi, depth)
+	}
+	jumps := e9patch.SelectJumps(res.Insts)
+	writes := e9patch.SelectHeapWrites(res.Insts)
 	fmt.Printf("instructions:      %d (%d undecodable bytes)\n", len(res.Insts), res.BadBytes)
 	fmt.Printf("jumps (A1):        %d\n", len(jumps))
 	fmt.Printf("heap writes (A2):  %d\n", len(writes))

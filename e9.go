@@ -92,20 +92,48 @@ func init() {
 	match.RegisterShardable(SelectJumps)
 	match.RegisterShardable(SelectHeapWrites)
 	match.RegisterShardable(SelectAll)
-	match.RegisterShardable(disasm.SelectJumps)
-	match.RegisterShardable(disasm.SelectHeapWrites)
-	match.RegisterShardable(disasm.SelectAll)
 }
 
-// SelectJumps is the paper's application A1: instrument all jmp/jcc.
-func SelectJumps(insts []x86.Loc) []int { return disasm.SelectJumps(insts) }
+// SelectJumps returns the indices of all jmp/jcc instructions: the
+// paper's application A1 (a control-flow-free analogue of basic-block
+// counting).
+func SelectJumps(insts []x86.Loc) []int {
+	var out []int
+	for i := range insts {
+		if in := &insts[i]; in.IsJmp() || in.IsJcc() {
+			out = append(out, i)
+		}
+	}
+	return out
+}
 
-// SelectHeapWrites is the paper's application A2: instrument all
-// instructions that may write through heap pointers.
-func SelectHeapWrites(insts []x86.Loc) []int { return disasm.SelectHeapWrites(insts) }
+// SelectHeapWrites returns the indices of all instructions that may
+// write through a heap pointer (memory-destination operands excluding
+// %rsp-based and %rip-relative): the paper's application A2. Only the
+// instructions whose opcode writes its operand at all are decoded.
+func SelectHeapWrites(insts []x86.Loc) []int {
+	var out []int
+	var inst x86.Inst
+	for i := range insts {
+		if !insts[i].MayWriteMem() {
+			continue
+		}
+		if insts[i].DecodeInto(&inst); inst.IsHeapWrite() {
+			out = append(out, i)
+		}
+	}
+	return out
+}
 
-// SelectAll selects every instruction (stress-tests limitation L3).
-func SelectAll(insts []x86.Loc) []int { return disasm.SelectAll(insts) }
+// SelectAll returns every instruction index (the stress case for the
+// paper's limitation L3).
+func SelectAll(insts []x86.Loc) []int {
+	out := make([]int, len(insts))
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
 
 // SelectAddresses selects the instructions starting at exactly the
 // given virtual addresses (runtime coordinates, i.e. including PIEBase
@@ -289,7 +317,7 @@ func DecodePlan(data []byte) (*PatchPlan, error) { return plan.Decode(data) }
 // between. Callers that want the intermediate artefact (to cache, audit
 // or ship it) use Plan and Apply, which reproduce the same bytes.
 func Rewrite(input []byte, cfg Config) (*Result, error) {
-	return RewriteContext(context.Background(), input, cfg)
+	return RewriteTo(context.Background(), nil, input, cfg)
 }
 
 // oneShot opens the session behind Rewrite and Plan: NewStream, plus
@@ -301,27 +329,25 @@ func oneShot(ctx context.Context, input []byte, cfg Config) (*Stream, error) {
 	return NewStream(ctx, input, cfg)
 }
 
-// RewriteContext is Rewrite with cancellation: the pipeline checks ctx
-// at every phase boundary (parse → disasm → match → patch →
-// trampoline/group → emit) and inside the patching loop, so a rewrite
-// whose caller has gone away stops early instead of emitting an output
-// nobody will read. The returned error wraps ctx.Err() when aborted.
-// Like every session operation it is a recovery boundary: a panic
-// escaping the pipeline — a rewriter bug tripped by unforeseen input —
-// is contained and returned as ErrInternal with the stack attached.
-func RewriteContext(ctx context.Context, input []byte, cfg Config) (*Result, error) {
-	return RewriteTo(ctx, nil, input, cfg)
-}
-
-// RewriteTo is RewriteContext with the output written to w instead of
-// returned: Result.Output is nil, Result.OutputSize the bytes written,
-// and the bytes are those Rewrite would have returned. The output is
-// the input with its text patched in place plus an appendix, so it is
-// written from the input slice, the patched text and the blob as they
-// are and is never assembled in memory; with input a read-only mapping
-// (elf64.OpenInput) most of it never enters this process's heap at all.
-// w must not be the file input is mapped from. See Stream.FinishTo for
-// the error contract.
+// RewriteTo is Rewrite with cancellation, and with the output written
+// to w instead of returned. The pipeline checks ctx at every phase
+// boundary (parse → disasm → match → patch → trampoline/group → emit)
+// and inside the patching loop, so a rewrite whose caller has gone away
+// stops early instead of emitting an output nobody will read; the
+// returned error wraps ctx.Err() when aborted. Like every session
+// operation it is a recovery boundary: a panic escaping the pipeline —
+// a rewriter bug tripped by unforeseen input — is contained and
+// returned as ErrInternal with the stack attached.
+//
+// With w non-nil, Result.Output is nil, Result.OutputSize the bytes
+// written, and the bytes are those Rewrite would have returned. The
+// output is the input with its text patched in place plus an appendix,
+// so it is written from the input slice, the patched text and the blob
+// as they are and is never assembled in memory; with input a read-only
+// mapping (elf64.OpenInput) most of it never enters this process's heap
+// at all. w must not be the file input is mapped from. A nil w returns
+// the output in Result.Output. See Stream.FinishTo for the error
+// contract.
 func RewriteTo(ctx context.Context, w io.Writer, input []byte, cfg Config) (*Result, error) {
 	s, err := oneShot(ctx, input, cfg)
 	if err != nil {
@@ -342,7 +368,7 @@ func Plan(input []byte, cfg Config) (*PatchPlan, error) {
 }
 
 // PlanContext is Plan with cancellation and the same recovery boundary
-// (see RewriteContext).
+// (see RewriteTo).
 func PlanContext(ctx context.Context, input []byte, cfg Config) (*PatchPlan, error) {
 	s, err := oneShot(ctx, input, cfg)
 	if err != nil {
@@ -358,27 +384,25 @@ func PlanContext(ctx context.Context, input []byte, cfg Config) (*PatchPlan, err
 // plan was made for (checked via the bound SHA-256 and the text
 // geometry); the input slice is not modified.
 func Apply(input []byte, p *PatchPlan) (*Result, error) {
-	return ApplyContext(context.Background(), input, p)
+	return ApplyTo(context.Background(), nil, input, p)
 }
 
-// ApplyContext is Apply with cancellation. Like PlanContext it is a
-// recovery boundary: hostile plans are validated up front, and any
-// residual panic is contained and returned as ErrInternal.
+// ApplyTo is Apply with cancellation, and with the output written to w
+// instead of returned. Like PlanContext it is a recovery boundary:
+// hostile plans are validated up front, and any residual panic is
+// contained and returned as ErrInternal.
 //
-// ApplyContext re-runs instruction recovery under the plan's recorded
-// mode and requires the disassembly-universe digests to match: a plan
+// ApplyTo re-runs instruction recovery under the plan's recorded mode
+// and requires the disassembly-universe digests to match: a plan
 // emitted under one mode (or against a different binary revision) is
 // rejected instead of silently replaying byte edits into a universe
 // the planner never saw.
-func ApplyContext(ctx context.Context, input []byte, p *PatchPlan) (*Result, error) {
-	return ApplyTo(ctx, nil, input, p)
-}
-
-// ApplyTo is ApplyContext with the output written to w instead of
-// returned, as RewriteTo is to RewriteContext: Result.Output is nil,
-// Result.OutputSize the bytes written, and the bytes are those Apply
-// would have returned, written from the input slice, the patched text
-// and the blob as they are. w must not be the file input is mapped from.
+//
+// With w non-nil, Result.Output is nil, Result.OutputSize the bytes
+// written, and the bytes are those Apply would have returned, written
+// from the input slice, the patched text and the blob as they are, as
+// RewriteTo writes them. w must not be the file input is mapped from. A
+// nil w returns the output in Result.Output.
 func ApplyTo(ctx context.Context, w io.Writer, input []byte, p *PatchPlan) (_ *Result, err error) {
 	defer e9err.Recover("apply", &err)
 	return applyContext(ctx, w, input, p, true)
@@ -392,7 +416,7 @@ func ApplyTrusted(input []byte, p *PatchPlan) (*Result, error) {
 // ApplyTrustedContext materializes a plan from a trusted producer —
 // this process's own Plan (a plan cache), or a cluster peer running the
 // same build — without re-deriving the disassembly-universe digest that
-// ApplyContext checks.
+// ApplyTo checks.
 //
 // The input binding is still verified against input, and the recorded
 // universe is a deterministic function of the mode and text bytes the
@@ -402,7 +426,7 @@ func ApplyTrusted(input []byte, p *PatchPlan) (*Result, error) {
 // geometry, write bounds, trampoline and injection ranges, tactic
 // names) still runs; what is skipped is purely the redundant recovery
 // pass. Plans from untrusted sources should keep going through
-// ApplyContext, whose digest check rejects a plan that lies about its
+// Apply or ApplyTo, whose digest check rejects a plan that lies about its
 // recovery mode.
 func ApplyTrustedContext(ctx context.Context, input []byte, p *PatchPlan) (_ *Result, err error) {
 	defer e9err.Recover("apply", &err)

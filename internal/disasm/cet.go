@@ -12,8 +12,8 @@ package disasm
 // and direct-branch edges: no control-flow *recovery* is needed, only
 // the local successor relation the superset sweep already knows.
 
-// CETPrune computes the anchor-reachable subset of the refined
-// superset and records it in the table (KeptAt): an instruction is
+// cetPrune computes the anchor-reachable subset of the refined
+// superset and records it in the table (keptAt): an instruction is
 // kept if it is (a) valid under the closure refinement and (b)
 // reachable from an endbr64 anchor or the section start by following
 // fall-through and direct branch/call targets through valid
@@ -23,10 +23,10 @@ package disasm
 // The kept set is a subset of the refined valid set by construction;
 // bytes it never covers (alignment padding, inter-function junk, data)
 // are classified unreachable and excluded from patching.
-func (r *SupersetResult) CETPrune(cancel <-chan struct{}) (anchors int, ok bool) {
+func (r *supersetResult) cetPrune(cancel <-chan struct{}) (anchors int, ok bool) {
 	var work []int
 	keep := func(off int) {
-		if off >= 0 && r.ValidAt(off) && !r.KeptAt(off) {
+		if off >= 0 && r.validAt(off) && !r.keptAt(off) {
 			r.flags[off] |= flagKept
 			work = append(work, off)
 		}

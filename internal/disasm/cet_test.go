@@ -35,25 +35,25 @@ func TestCETPruneClosure(t *testing.T) {
 	a.Ret()
 	code := a.MustFinish()
 
-	sup := Superset(code, 0x401000)
-	anchors, _ := sup.CETPrune(nil)
+	sup := superset(code, 0x401000)
+	anchors, _ := sup.cetPrune(nil)
 	if anchors < 2 {
 		t.Fatalf("anchors = %d, want >= 2", anchors)
 	}
 	// kept ⊆ valid by construction.
 	n := 0
 	for off := range code {
-		if sup.KeptAt(off) {
+		if sup.keptAt(off) {
 			n++
-			if !sup.ValidAt(off) {
+			if !sup.validAt(off) {
 				t.Fatalf("offset %d kept but not valid", off)
 			}
 		}
 	}
-	keptAt := sup.KeptAt
+	keptAt := sup.keptAt
 	// Both function bodies survive: walk the linear decode and check
 	// every genuine instruction is kept (all are anchor-reachable here).
-	lin := Linear(code, 0x401000)
+	lin := linear(code, 0x401000)
 	for _, in := range lin.Insts {
 		off := int(in.Addr - 0x401000)
 		if off == padOff || off == padOff+1 {
@@ -71,7 +71,7 @@ func TestCETPruneClosure(t *testing.T) {
 	}
 
 	// Insts is in address order and matches the table's cardinality.
-	insts, _ := sup.Insts(true, nil)
+	insts, _ := sup.survivors(true, 1, nil, nil)
 	if len(insts) != n {
 		t.Fatalf("Insts returned %d, the table keeps %d", len(insts), n)
 	}
@@ -91,12 +91,12 @@ func TestCETPruneSectionStartSeed(t *testing.T) {
 	a.AddRegImm64(x86.RAX, 2)
 	a.Ret()
 	code := a.MustFinish()
-	sup := Superset(code, 0x401000)
-	anchors, _ := sup.CETPrune(nil)
+	sup := superset(code, 0x401000)
+	anchors, _ := sup.cetPrune(nil)
 	if anchors != 1 {
 		t.Fatalf("anchors = %d, want exactly the section start", anchors)
 	}
-	insts, _ := sup.Insts(true, nil)
+	insts, _ := sup.survivors(true, 1, nil, nil)
 	if len(insts) != 3 {
 		t.Fatalf("kept %d insts, want the 3-instruction spine", len(insts))
 	}
@@ -126,13 +126,13 @@ func TestCETPruneOnCETProfile(t *testing.T) {
 	if pads == 0 {
 		t.Fatal("CET profile has no endbr64 landing pads")
 	}
-	sup := Superset(code, addr)
-	anchors, _ := sup.CETPrune(nil)
+	sup := superset(code, addr)
+	anchors, _ := sup.cetPrune(nil)
 	if anchors < pads {
 		t.Errorf("anchors %d < %d endbr64 pads", anchors, pads)
 	}
 	for off := range code {
-		if sup.KeptAt(off) && !sup.ValidAt(off) {
+		if sup.keptAt(off) && !sup.validAt(off) {
 			t.Fatal("kept instruction not valid")
 		}
 	}
@@ -140,10 +140,10 @@ func TestCETPruneOnCETProfile(t *testing.T) {
 	// 100%: inter-function nop padding and code the generator emits
 	// after an unconditional jmp (dead, targeted by nothing) are
 	// correctly classified unreachable.
-	lin := Linear(code, addr)
+	lin := linear(code, addr)
 	reached := 0
 	for _, in := range lin.Insts {
-		if sup.KeptAt(int(in.Addr - addr)) {
+		if sup.keptAt(int(in.Addr - addr)) {
 			reached++
 		}
 	}

@@ -18,22 +18,15 @@ func TestLinear(t *testing.T) {
 	a.Ret()
 	code := a.MustFinish()
 
-	res := Linear(code, 0x400000)
+	res := linear(code, 0x400000)
 	if res.BadBytes != 0 {
 		t.Fatalf("bad bytes: %d", res.BadBytes)
 	}
 	if len(res.Insts) != 6 {
 		t.Fatalf("got %d instructions", len(res.Insts))
 	}
-	if got := SelectJumps(res.Insts); len(got) != 2 {
-		t.Errorf("jumps = %v", got)
-	}
-	hw := SelectHeapWrites(res.Insts)
-	if len(hw) != 1 || hw[0] != 0 {
-		t.Errorf("heap writes = %v", hw)
-	}
-	if got := SelectAll(res.Insts); len(got) != 6 {
-		t.Errorf("all = %v", got)
+	if !res.Insts[2].IsJcc() || !res.Insts[3].IsJmp() || !res.Insts[0].MayWriteMem() {
+		t.Errorf("instruction classes lost: %+v", res.Insts)
 	}
 }
 
@@ -41,7 +34,7 @@ func TestLinearSkipsData(t *testing.T) {
 	// Interleave valid code with invalid bytes (0x06 is invalid in
 	// 64-bit mode).
 	code := []byte{0x90, 0x06, 0x06, 0x90, 0xC3}
-	res := Linear(code, 0x1000)
+	res := linear(code, 0x1000)
 	if res.BadBytes != 2 {
 		t.Errorf("bad bytes = %d, want 2", res.BadBytes)
 	}
@@ -56,7 +49,7 @@ func TestLinearAddresses(t *testing.T) {
 	a.MovRegReg64(x86.RBP, x86.RSP)
 	a.PopReg(x86.RBP)
 	a.Ret()
-	res := Linear(a.MustFinish(), 0x400000)
+	res := linear(a.MustFinish(), 0x400000)
 	want := []uint64{0x400000, 0x400001, 0x400004, 0x400005}
 	for i, in := range res.Insts {
 		if in.Addr != want[i] {

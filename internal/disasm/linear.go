@@ -23,24 +23,13 @@ import (
 // table holds a length exactly at the offsets the sequential sweep
 // lands on, for every shard count.
 
-// Linear decodes code (loaded at addr) from the start, instruction by
-// instruction, skipping undecodable bytes one at a time.
-func Linear(code []byte, addr uint64) Result {
-	return Parallel(code, addr, 1, nil)
-}
-
-// Parallel is Linear distributed over a worker pool; width <= 1 and
-// small inputs sweep as one shard. The output is identical to
-// Linear(code, addr) for every width and pool state.
-func Parallel(code []byte, addr uint64, width int, pool *work.Pool) Result {
-	res, _ := recoverLinear(code, addr, width, pool, nil)
-	return res
-}
-
-// recoverLinear is Parallel with cooperative cancellation (the
-// per-phase deadline hook): once cancel is closed the sweeps, the
-// stitch and the materialization stop within a few thousand steps and
-// report ok=false with no result. A nil cancel never stops early.
+// recoverLinear decodes code (loaded at addr) from the start,
+// instruction by instruction, skipping undecodable bytes one at a time.
+// The sweep is sharded over width workers (width <= 1 and small inputs
+// sweep as one shard), with the same output at every width and pool
+// state. Once cancel is closed the sweeps, the stitch and the
+// materialization stop within a few thousand steps and report ok=false
+// with no result. A nil cancel never stops early.
 func recoverLinear(code []byte, addr uint64, width int, pool *work.Pool, cancel <-chan struct{}) (Result, bool) {
 	t := table{code: code, addr: addr, lens: make([]uint8, len(code))}
 	sh := shardsFor(len(code), width)

@@ -7,9 +7,19 @@ import (
 	"sort"
 	"testing"
 
+	"e9patch/internal/work"
 	"e9patch/internal/workload"
 	"e9patch/internal/x86"
 )
+
+// linear is the sequential sweep and parallel the sharded one, both
+// recoverLinear with no cancel channel.
+func linear(code []byte, addr uint64) Result { return parallel(code, addr, 1, nil) }
+
+func parallel(code []byte, addr uint64, width int, pool *work.Pool) Result {
+	res, _ := recoverLinear(code, addr, width, pool, nil)
+	return res
+}
 
 // naiveLinear is the linear sweep as the paper states it, one decode at
 // a time with no table and no shards: the reference the table walk must
@@ -113,7 +123,7 @@ func TestLinearTableMatchesSequential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			check(t, code, 0x401000)
 			if name == longInstShape {
-				got := Parallel(code, 0x401000, 2, nil).Insts
+				got := parallel(code, 0x401000, 2, nil).Insts
 				i := sort.Search(len(got), func(i int) bool { return got[i].Addr >= 0x401000+longInstOff })
 				if i == len(got) || got[i].Addr != 0x401000+longInstOff || got[i].Len != 15 {
 					t.Fatal("the shape does not put a 15-byte instruction across the seam")

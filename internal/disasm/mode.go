@@ -92,15 +92,15 @@ func RecoverCancel(mode Mode, code []byte, addr uint64, width int, pool *work.Po
 		res, ok := recoverLinear(code, addr, width, pool, cancel)
 		return res, nil, ok
 	case ModeSuperset, ModeSupersetCET:
-		sup, ok := SupersetCancel(code, addr, width, pool, cancel)
+		sup, ok := supersetCancel(code, addr, width, pool, cancel)
 		if !ok {
 			return Result{}, nil, false
 		}
 		stats := &SupersetStats{}
-		stats.Decoded, stats.Valid = sup.Count()
+		stats.Decoded, stats.Valid = sup.count()
 		cet := mode == ModeSupersetCET
 		if cet {
-			if stats.Anchors, ok = sup.CETPrune(cancel); !ok {
+			if stats.Anchors, ok = sup.cetPrune(cancel); !ok {
 				return Result{}, nil, false
 			}
 		}
@@ -109,7 +109,7 @@ func RecoverCancel(mode Mode, code []byte, addr uint64, width int, pool *work.Po
 			return Result{}, nil, false
 		}
 		stats.Kept = len(insts)
-		return Result{Insts: insts, BadBytes: sup.BadOffsets()}, stats, true
+		return Result{Insts: insts, BadBytes: sup.badOffsets()}, stats, true
 	}
 	// Modes are validated at the configuration boundary (ParseMode);
 	// reaching here with an unknown mode is a programming error the

@@ -48,7 +48,7 @@ func TestRecoverLinearIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	code, addr := textOf(t, prog.ELF)
-	want := Linear(code, addr)
+	want := linear(code, addr)
 	for _, mode := range []Mode{"", ModeLinear} {
 		for _, width := range []int{1, 2, 3, 8} {
 			got, stats, ok := RecoverCancel(mode, code, addr, width, nil, nil)
@@ -190,7 +190,7 @@ func TestSupersetContainsLinearAllProfiles(t *testing.T) {
 			// of data bytes are junk the refinement rightly prunes.
 			skip := workload.DataPrefixBytes(p, scale)
 			code, addr = code[skip:], addr+skip
-			lin := Linear(code, addr)
+			lin := linear(code, addr)
 			sup, _, _ := RecoverCancel(ModeSuperset, code, addr, 4, nil, nil)
 			lenAt := make(map[uint64]uint8, len(sup.Insts))
 			for i := range sup.Insts {

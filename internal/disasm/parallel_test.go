@@ -63,13 +63,13 @@ func TestParallelMatchesLinear(t *testing.T) {
 	const addr = 0x401000
 	for _, size := range []int{0, 100, minShardBytes - 1, 2 * minShardBytes, 5*minShardBytes + 333} {
 		code := genCode(rng, size)
-		want := Linear(code, addr)
+		want := linear(code, addr)
 		for _, width := range []int{1, 2, 3, 8} {
-			got := Parallel(code, addr, width, nil)
+			got := parallel(code, addr, width, nil)
 			sameResult(t, want, got, "")
 		}
 		// And under a shared, partially saturated pool.
-		got := Parallel(code, addr, 8, work.NewPool(2))
+		got := parallel(code, addr, 8, work.NewPool(2))
 		sameResult(t, want, got, "pooled")
 	}
 }
@@ -80,11 +80,11 @@ func TestParallelAllJunk(t *testing.T) {
 	for i := range code {
 		code[i] = 0x06 // invalid in 64-bit mode
 	}
-	want := Linear(code, 0x1000)
+	want := linear(code, 0x1000)
 	if want.BadBytes != len(code) {
 		t.Fatalf("baseline BadBytes = %d", want.BadBytes)
 	}
-	sameResult(t, want, Parallel(code, 0x1000, 4, nil), "junk")
+	sameResult(t, want, parallel(code, 0x1000, 4, nil), "junk")
 }
 
 func TestParallelSeamStraddle(t *testing.T) {
@@ -95,9 +95,9 @@ func TestParallelSeamStraddle(t *testing.T) {
 		a.MovRegImm64(x86.RAX, uint64(i)*0x0101010101)
 	}
 	code := a.MustFinish()
-	want := Linear(code, 0x400000)
+	want := linear(code, 0x400000)
 	for _, width := range []int{2, 4, 16} {
-		sameResult(t, want, Parallel(code, 0x400000, width, nil), "straddle")
+		sameResult(t, want, parallel(code, 0x400000, width, nil), "straddle")
 	}
 }
 
@@ -109,7 +109,7 @@ func FuzzLinearParallel(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		code := genCode(rng, 2*minShardBytes+rng.Intn(minShardBytes))
 		w := int(width%16) + 1
-		got := Parallel(code, 0x401000, w, nil)
+		got := parallel(code, 0x401000, w, nil)
 		sameUniverse(t, naiveLinear(code, 0x401000), got, "fuzz")
 	})
 }

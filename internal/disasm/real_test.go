@@ -124,7 +124,7 @@ func TestObjdumpAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	lengthAt := make(map[uint64]uint8)
-	res := Linear(text, base)
+	res := linear(text, base)
 	for i := range res.Insts {
 		lengthAt[res.Insts[i].Addr] = res.Insts[i].Len
 	}

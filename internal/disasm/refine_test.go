@@ -22,8 +22,8 @@ func TestRefineTruncatedTail(t *testing.T) {
 	// tail offsets decode as truncated, not invalid.
 	code := append(full, 0x48, 0x89)
 
-	lin := Linear(code, 0x401000)
-	sup := Superset(code, 0x401000)
+	lin := linear(code, 0x401000)
+	sup := superset(code, 0x401000)
 
 	if !sup.truncatedAt(len(full)) || !sup.truncatedAt(len(full)+1) {
 		t.Fatal("tail offsets not marked truncated")
@@ -34,17 +34,17 @@ func TestRefineTruncatedTail(t *testing.T) {
 	// Every linear instruction survives — in particular the final nop,
 	// whose only fall-through successor is the truncated tail.
 	for _, in := range lin.Insts {
-		if !sup.ValidAt(int(in.Addr - 0x401000)) {
+		if !sup.validAt(int(in.Addr - 0x401000)) {
 			t.Errorf("linear instruction at %#x invalidated by the truncated tail", in.Addr)
 		}
 	}
-	// Linear counts the tail bytes as bad; superset's BadOffsets agrees
+	// Linear counts the tail bytes as bad; superset's badOffsets agrees
 	// on the undecodable tail.
 	if lin.BadBytes != 2 {
 		t.Fatalf("linear BadBytes = %d, want the 2 truncated tail bytes", lin.BadBytes)
 	}
-	if sup.BadOffsets() < 2 {
-		t.Fatalf("superset BadOffsets = %d", sup.BadOffsets())
+	if sup.badOffsets() < 2 {
+		t.Fatalf("superset badOffsets = %d", sup.badOffsets())
 	}
 }
 
@@ -57,15 +57,15 @@ func TestRefineHardInvalidStillPoisons(t *testing.T) {
 		0x06,       // 1: invalid in 64-bit mode
 		0x90, 0xC3, // 2: nop; ret
 	}
-	sup := Superset(code, 0x401000)
+	sup := superset(code, 0x401000)
 	if sup.lenAt(1) != 0 || sup.truncatedAt(1) {
 		t.Fatal("0x06 should be a hard invalid, not truncated")
 	}
 	// The nop at 0 must be pruned: its fall-through is invalid.
-	if sup.lenAt(0) != 1 || sup.ValidAt(0) {
+	if sup.lenAt(0) != 1 || sup.validAt(0) {
 		t.Fatal("nop falling into a hard-invalid byte survived refinement")
 	}
-	if !sup.ValidAt(2) || !sup.ValidAt(3) {
+	if !sup.validAt(2) || !sup.validAt(3) {
 		t.Fatal("the clean nop; ret past the invalid byte was pruned")
 	}
 }
@@ -73,14 +73,14 @@ func TestRefineHardInvalidStillPoisons(t *testing.T) {
 // TestValidInstsOverlap covers overlapping and boundary-crossing
 // decodes: instructions starting inside another's immediate survive
 // when their own chains are clean, Insts returns them all in
-// address order, and Occupancy reports the overlap depth.
+// address order, and occupancy reports the overlap depth.
 func TestValidInstsOverlap(t *testing.T) {
 	code := []byte{
 		0xB8, 0x90, 0x90, 0x90, 0x90, // 0: mov eax, 0x90909090
 		0xC3, // 5: ret
 	}
-	sup := Superset(code, 0x401000)
-	insts, _ := sup.Insts(false, nil)
+	sup := superset(code, 0x401000)
+	insts, _ := sup.survivors(false, 1, nil, nil)
 	// The misaligned decodes at offsets 1..4 are all nops falling
 	// through to the ret — every offset survives.
 	wantOffsets := []int{0, 1, 2, 3, 4, 5}
@@ -99,7 +99,7 @@ func TestValidInstsOverlap(t *testing.T) {
 	}
 	// The mov covers bytes 0..4; the nop at 1 overlaps it, crossing
 	// nothing; occupancy over the immediate bytes is 2 (mov + nop).
-	occ := sup.Occupancy(false)
+	occ := occupancy(sup, false)
 	if occ[0] != 1 {
 		t.Errorf("occ[0] = %d, want 1 (only the mov)", occ[0])
 	}
@@ -112,10 +112,10 @@ func TestValidInstsOverlap(t *testing.T) {
 		t.Errorf("occ[5] = %d, want 1 (ret)", occ[5])
 	}
 	// Only the mov and the ret are reachable from the section start.
-	if anchors, _ := sup.CETPrune(nil); anchors != 1 {
+	if anchors, _ := sup.cetPrune(nil); anchors != 1 {
 		t.Fatalf("anchors = %d, want the section start alone", anchors)
 	}
-	for b, c := range sup.Occupancy(true) {
+	for b, c := range occupancy(sup, true) {
 		if c != 1 {
 			t.Errorf("kept occ[%d] = %d, want 1 (mov, then ret)", b, c)
 		}
@@ -131,14 +131,14 @@ func TestValidInstsCrossBoundary(t *testing.T) {
 	}
 	// Offset 2 decodes 48 89 03 = mov [rbx], rax (3 bytes), crossing
 	// the mov's boundary at 5 exactly onto the ret.
-	sup := Superset(code, 0x401000)
+	sup := superset(code, 0x401000)
 	if sup.lenAt(2) != 3 {
 		t.Fatalf("decode at offset 2 has length %d, want 3", sup.lenAt(2))
 	}
-	if !sup.ValidAt(2) {
+	if !sup.validAt(2) {
 		t.Fatal("cross-boundary decode chaining onto the ret was pruned")
 	}
-	if !sup.ValidAt(0) {
+	if !sup.validAt(0) {
 		t.Fatal("the genuine mov was pruned")
 	}
 }
@@ -162,12 +162,12 @@ func FuzzSupersetPrune(f *testing.F) {
 			code = code[:4096]
 		}
 		const addr = 0x401000
-		sup, ok := SupersetCancel(code, addr, 1, nil, nil)
+		sup, ok := supersetCancel(code, addr, 1, nil, nil)
 		if !ok {
 			t.Fatal("cancelled without cancel")
 		}
 		// Sharding determinism: a wide sweep is bit-identical.
-		wide, ok := SupersetCancel(code, addr, 8, nil, nil)
+		wide, ok := supersetCancel(code, addr, 8, nil, nil)
 		if !ok {
 			t.Fatal("wide sweep cancelled")
 		}
@@ -175,29 +175,29 @@ func FuzzSupersetPrune(f *testing.F) {
 			t.Fatal("width changed the table")
 		}
 
-		decoded, valid := sup.Count()
+		decoded, valid := sup.count()
 		nDecoded, nValid := 0, 0
 		for off := range code {
 			if sup.lenAt(off) != 0 {
 				nDecoded++
 			}
-			if sup.ValidAt(off) {
+			if sup.validAt(off) {
 				nValid++
 			}
 		}
-		if valid > decoded || decoded != nDecoded || valid != nValid || sup.BadOffsets() != len(code)-decoded {
+		if valid > decoded || decoded != nDecoded || valid != nValid || sup.badOffsets() != len(code)-decoded {
 			t.Fatalf("counts inconsistent: %d valid of %d decoded, table holds %d of %d", valid, decoded, nValid, nDecoded)
 		}
-		if _, ok := sup.CETPrune(nil); !ok {
+		if _, ok := sup.cetPrune(nil); !ok {
 			t.Fatal("closure cancelled without cancel")
 		}
 		nKept, wantTotal := 0, 0
 		for off := range code {
-			if !sup.KeptAt(off) {
+			if !sup.keptAt(off) {
 				continue
 			}
 			nKept++
-			if !sup.ValidAt(off) {
+			if !sup.validAt(off) {
 				t.Fatal("kept ⊄ valid")
 			}
 			n := sup.lenAt(off)
@@ -206,10 +206,10 @@ func FuzzSupersetPrune(f *testing.F) {
 			}
 			wantTotal += n
 		}
-		if insts, _ := sup.Insts(true, nil); len(insts) != nKept {
+		if insts, _ := sup.survivors(true, 1, nil, nil); len(insts) != nKept {
 			t.Fatalf("Insts(kept) %d != table %d", len(insts), nKept)
 		}
-		vi, _ := sup.Insts(false, nil)
+		vi, _ := sup.survivors(false, 1, nil, nil)
 		if len(vi) != valid {
 			t.Fatalf("Insts(valid) %d != valid %d", len(vi), valid)
 		}
@@ -217,13 +217,13 @@ func FuzzSupersetPrune(f *testing.F) {
 			if i > 0 && vi[i].Addr <= vi[i-1].Addr {
 				t.Fatal("Insts out of order")
 			}
-			if off := int(vi[i].Addr - addr); int(vi[i].Len) != sup.lenAt(off) || !sup.ValidAt(off) {
+			if off := int(vi[i].Addr - addr); int(vi[i].Len) != sup.lenAt(off) || !sup.validAt(off) {
 				t.Fatalf("Insts[%d] disagrees with the table at offset %d", i, off)
 			}
 		}
 		// Occupancy never exceeds the per-byte decode count and is zero
 		// exactly where nothing kept covers.
-		occ := sup.Occupancy(true)
+		occ := occupancy(sup, true)
 		if len(occ) != len(code) {
 			t.Fatalf("occupancy length %d != code %d", len(occ), len(code))
 		}
@@ -243,7 +243,7 @@ func FuzzSupersetPrune(f *testing.F) {
 		if !ok || stats != nil {
 			t.Fatal("linear dispatch misbehaved")
 		}
-		lin := Linear(code, addr)
+		lin := linear(code, addr)
 		if len(lres.Insts) != len(lin.Insts) || lres.BadBytes != lin.BadBytes {
 			t.Fatal("linear dispatch != Linear")
 		}

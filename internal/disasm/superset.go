@@ -40,15 +40,15 @@ const (
 	flagKept                        // CET closure: reachable from an anchor
 )
 
-// SupersetResult is the outcome of superset disassembly: the
+// supersetResult is the outcome of superset disassembly: the
 // per-offset table and what the refinement concluded about it.
-type SupersetResult struct {
+type supersetResult struct {
 	// table.lens[off] is the length of the instruction that decodes at
 	// section offset off, 0 when nothing does.
 	table
 	// flags[off] holds the flag* bits of offset off. A span-end
 	// truncated offset (flagTruncated) is treated by the refinement as
-	// unknown-but-acceptable — the same way Linear simply skips the
+	// unknown-but-acceptable — the same way the linear sweep skips the
 	// trailing bytes — so a truncated final instruction never poisons
 	// the genuine chain leading up to it.
 	flags []uint8
@@ -57,22 +57,16 @@ type SupersetResult struct {
 	decoded, valid int
 }
 
-// Superset decodes at every offset of code (loaded at addr).
-func Superset(code []byte, addr uint64) *SupersetResult {
-	res, _ := SupersetCancel(code, addr, 1, nil, nil)
-	return res
-}
-
-// SupersetCancel is Superset with a sharded decode sweep and
-// cooperative cancellation. Decoding at every offset is memoryless —
-// each offset is independent — so shards simply split the offset range
-// and write their own part of the table in place: the result is
-// identical for every width and pool state. Once cancel is closed the
-// sweep or the refinement stops within a few thousand steps and
-// reports ok=false with no result. The refinement runs sequentially
-// after the sweep.
-func SupersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel <-chan struct{}) (*SupersetResult, bool) {
-	res := &SupersetResult{
+// supersetCancel decodes at every offset of code (loaded at addr),
+// with a sharded decode sweep and cooperative cancellation. Decoding at
+// every offset is memoryless — each offset is independent — so shards
+// simply split the offset range and write their own part of the table
+// in place: the result is identical for every width and pool state.
+// Once cancel is closed the sweep or the refinement stops within a few
+// thousand steps and reports ok=false with no result. The refinement
+// runs sequentially after the sweep.
+func supersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel <-chan struct{}) (*supersetResult, bool) {
+	res := &supersetResult{
 		table: table{code: code, addr: addr, lens: make([]uint8, len(code))},
 		flags: make([]uint8, len(code)),
 	}
@@ -136,7 +130,7 @@ const endbr64 = 0xFA1E0FF3
 // the section. Falling off the section end and branching out of it
 // (PLT, other sections) are unknown-but-acceptable, never evidence of
 // invalidity.
-func (r *SupersetResult) at(a uint64) int {
+func (r *supersetResult) at(a uint64) int {
 	if a >= r.addr && a < r.addr+uint64(len(r.lens)) {
 		return int(a - r.addr)
 	}
@@ -145,7 +139,7 @@ func (r *SupersetResult) at(a uint64) int {
 
 // fallsTo returns the section offset the instruction at off falls
 // through to, -1 when it never falls through or runs off the section.
-func (r *SupersetResult) fallsTo(off int) int {
+func (r *supersetResult) fallsTo(off int) int {
 	if r.flags[off]&flagStop != 0 {
 		return -1
 	}
@@ -156,7 +150,7 @@ func (r *SupersetResult) fallsTo(off int) int {
 // instruction at off points to, -1 when it has none or points outside
 // the section. The displacement is always the final field, so it is
 // read from the text and not stored.
-func (r *SupersetResult) jumpsTo(off int) int {
+func (r *supersetResult) jumpsTo(off int) int {
 	end := off + int(r.lens[off])
 	var rel int64
 	switch f := r.flags[off]; {
@@ -172,7 +166,7 @@ func (r *SupersetResult) jumpsTo(off int) int {
 
 // hardInvalid reports a successor offset that does not decode for a
 // reason other than the section ending mid-instruction.
-func (r *SupersetResult) hardInvalid(off int) bool {
+func (r *supersetResult) hardInvalid(off int) bool {
 	return off >= 0 && r.lens[off] == 0 && r.flags[off]&flagTruncated == 0
 }
 
@@ -181,7 +175,8 @@ func (r *SupersetResult) hardInvalid(off int) bool {
 // an offset that does not decode and is inside the section, or on an
 // invalid instruction. Offsets that fail to decode only because the
 // section ends mid-instruction are treated like falling off the
-// section end, matching Linear's skip behavior for a truncated tail.
+// section end, matching the linear sweep's skip behavior for a
+// truncated tail.
 //
 // Invalidity flows against the edges, so the computation is a worklist
 // over reverse edges, O(offsets + edges) whatever direction the edges
@@ -189,7 +184,7 @@ func (r *SupersetResult) hardInvalid(off int) bool {
 // preceding offsets whose length lands on it, and the branch
 // predecessors come from a counting-sort CSR over the targets. It
 // reports false when cancel closed first.
-func (r *SupersetResult) refine(cancel <-chan struct{}) bool {
+func (r *supersetResult) refine(cancel <-chan struct{}) bool {
 	n := len(r.lens)
 	var work []int
 	poison := func(off int) {
@@ -260,48 +255,27 @@ func (r *SupersetResult) refine(cancel <-chan struct{}) bool {
 	return true
 }
 
-// lenAt returns the length of the instruction that decodes at section
-// offset off, 0 when nothing decodes there.
-func (r *SupersetResult) lenAt(off int) int { return int(r.lens[off]) }
-
-// truncatedAt reports whether the decode at the given section offset
-// failed only because the section ended mid-instruction.
-func (r *SupersetResult) truncatedAt(off int) bool { return r.flags[off]&flagTruncated != 0 }
-
-// ValidAt reports whether an instruction decodes at section offset off
+// validAt reports whether an instruction decodes at section offset off
 // and survives the closure refinement.
-func (r *SupersetResult) ValidAt(off int) bool {
+func (r *supersetResult) validAt(off int) bool {
 	return r.lens[off] != 0 && r.flags[off]&flagInvalid == 0
 }
 
-// KeptAt reports whether CETPrune kept the instruction at off.
-func (r *SupersetResult) KeptAt(off int) bool { return r.flags[off]&flagKept != 0 }
+// keptAt reports whether cetPrune kept the instruction at off.
+func (r *supersetResult) keptAt(off int) bool { return r.flags[off]&flagKept != 0 }
 
-// in reports membership of off in the chosen survivor set: CETPrune's
-// kept set, or the refinement's valid set.
-func (r *SupersetResult) in(off int, kept bool) bool {
-	if kept {
-		return r.KeptAt(off)
-	}
-	return r.ValidAt(off)
-}
+// count returns (decoded, surviving) instruction counts.
+func (r *supersetResult) count() (decoded, valid int) { return r.decoded, r.valid }
 
-// Count returns (decoded, surviving) instruction counts.
-func (r *SupersetResult) Count() (decoded, valid int) { return r.decoded, r.valid }
+// badOffsets counts section offsets where no instruction decodes at
+// all (the superset analogue of the linear sweep's BadBytes).
+func (r *supersetResult) badOffsets() int { return len(r.lens) - r.decoded }
 
-// BadOffsets counts section offsets where no instruction decodes at
-// all (the superset analogue of Linear's BadBytes).
-func (r *SupersetResult) BadOffsets() int { return len(r.lens) - r.decoded }
-
-// Insts returns the surviving instructions — CETPrune's kept set, or
-// with kept=false the refinement's valid set — in address order. It
-// reports false when cancel closed first.
-func (r *SupersetResult) Insts(kept bool, cancel <-chan struct{}) ([]x86.Loc, bool) {
-	return r.survivors(kept, 1, nil, cancel)
-}
-
-// survivors is Insts sharded over width workers.
-func (r *SupersetResult) survivors(kept bool, width int, pool *work.Pool, cancel <-chan struct{}) ([]x86.Loc, bool) {
+// survivors returns the surviving instructions — cetPrune's kept set,
+// or with kept=false the refinement's valid set — in address order,
+// sharded over width workers. It reports false when cancel closed
+// first.
+func (r *supersetResult) survivors(kept bool, width int, pool *work.Pool, cancel <-chan struct{}) ([]x86.Loc, bool) {
 	// A kept offset is valid and a valid offset decodes, so one flag
 	// test picks either set.
 	mask, want := flagInvalid, uint8(0)
@@ -310,21 +284,4 @@ func (r *SupersetResult) survivors(kept bool, width int, pool *work.Pool, cancel
 	}
 	locs, _, ok := r.universe(r.flags, mask, want, width, pool, cancel)
 	return locs, ok
-}
-
-// Occupancy returns, for every section byte, how many of the surviving
-// instructions cover it (kept as for Insts) — e9dump uses this to make
-// prune decisions inspectable: bytes at occupancy 0 are classified
-// data/padding, >1 means overlapping candidate instructions survived.
-func (r *SupersetResult) Occupancy(kept bool) []int {
-	occ := make([]int, len(r.lens))
-	for off := range r.lens {
-		if !r.in(off, kept) {
-			continue
-		}
-		for b := off; b < off+int(r.lens[off]) && b < len(occ); b++ {
-			occ[b]++
-		}
-	}
-	return occ
 }

@@ -21,6 +21,36 @@ func textOf(t testing.TB, bin []byte) ([]byte, uint64) {
 	return code, addr
 }
 
+// superset is supersetCancel sequential and with no cancel channel.
+func superset(code []byte, addr uint64) *supersetResult {
+	res, _ := supersetCancel(code, addr, 1, nil, nil)
+	return res
+}
+
+// lenAt returns the length of the instruction that decodes at section
+// offset off, 0 when nothing decodes there.
+func (r *supersetResult) lenAt(off int) int { return int(r.lens[off]) }
+
+// truncatedAt reports whether the decode at the given section offset
+// failed only because the section ended mid-instruction.
+func (r *supersetResult) truncatedAt(off int) bool { return r.flags[off]&flagTruncated != 0 }
+
+// occupancy counts, for every section byte, the survivors (kept as for
+// survivors) that cover it: what e9dump -occupancy summarises. Bytes at
+// 0 are classified data or padding; above 1, overlapping candidates
+// survived.
+func occupancy(sup *supersetResult, kept bool) []int {
+	insts, _ := sup.survivors(kept, 1, nil, nil)
+	occ := make([]int, len(sup.lens))
+	for _, in := range insts {
+		off := int(in.Addr - sup.addr)
+		for b := off; b < off+int(in.Len); b++ {
+			occ[b]++
+		}
+	}
+	return occ
+}
+
 func TestSupersetContainsLinear(t *testing.T) {
 	// Every instruction linear disassembly finds must survive the
 	// superset refinement (superset property).
@@ -35,15 +65,15 @@ func TestSupersetContainsLinear(t *testing.T) {
 	a.Ret()
 	code := a.MustFinish()
 
-	lin := Linear(code, 0x401000)
-	sup := Superset(code, 0x401000)
+	lin := linear(code, 0x401000)
+	sup := superset(code, 0x401000)
 
 	for _, in := range lin.Insts {
-		if off := int(in.Addr - 0x401000); !sup.ValidAt(off) || sup.lenAt(off) != int(in.Len) {
+		if off := int(in.Addr - 0x401000); !sup.validAt(off) || sup.lenAt(off) != int(in.Len) {
 			t.Errorf("linear instruction at %#x pruned by superset refinement", in.Addr)
 		}
 	}
-	decoded, valid := sup.Count()
+	decoded, valid := sup.count()
 	if decoded < len(lin.Insts) || valid < len(lin.Insts) {
 		t.Errorf("superset smaller than linear: %d/%d vs %d", decoded, valid, len(lin.Insts))
 	}
@@ -59,8 +89,8 @@ func TestSupersetPrunesJunk(t *testing.T) {
 		0x06, 0x06, 0x06, 0x06, 0x06, // 6..10: invalid bytes (data)
 		0xC3, // 11: ret
 	}
-	sup := Superset(code, 0x401000)
-	decoded, valid := sup.Count()
+	sup := superset(code, 0x401000)
+	decoded, valid := sup.count()
 	if decoded == 0 {
 		t.Fatal("nothing decoded")
 	}
@@ -69,7 +99,7 @@ func TestSupersetPrunesJunk(t *testing.T) {
 	}
 	// The real instructions survive.
 	for _, off := range []int{0, 1, 4, 11} {
-		if !sup.ValidAt(off) {
+		if !sup.validAt(off) {
 			t.Errorf("true instruction at offset %d did not survive", off)
 		}
 	}
@@ -82,7 +112,7 @@ func TestSupersetPrunesJunk(t *testing.T) {
 	// be pruned when it reaches an invalid decode.
 	prunedSomething := false
 	for off := range code {
-		if sup.lenAt(off) != 0 && !sup.ValidAt(off) {
+		if sup.lenAt(off) != 0 && !sup.validAt(off) {
 			prunedSomething = true
 		}
 	}
@@ -104,16 +134,16 @@ func TestSupersetOnGeneratedProfile(t *testing.T) {
 	}
 	// Extract .text via the linear path used elsewhere.
 	code, addr := textOf(t, prog.ELF)
-	lin := Linear(code, addr)
-	sup := Superset(code, addr)
-	decoded, valid := sup.Count()
+	lin := linear(code, addr)
+	sup := superset(code, addr)
+	decoded, valid := sup.count()
 	if valid <= len(lin.Insts) {
 		t.Errorf("superset (%d valid of %d decoded) not larger than linear (%d)",
 			valid, decoded, len(lin.Insts))
 	}
 	missed := 0
 	for _, in := range lin.Insts {
-		if !sup.ValidAt(int(in.Addr - addr)) {
+		if !sup.validAt(int(in.Addr - addr)) {
 			missed++
 		}
 	}

@@ -33,20 +33,20 @@ func TestSupersetHostileShapesLinear(t *testing.T) {
 		{"poisoned chain", workload.ForwardChain(n, true), n - 2, 0, 0},
 	} {
 		start := time.Now()
-		sup, ok := SupersetCancel(tc.code, 0x401000, 2, nil, nil)
+		sup, ok := supersetCancel(tc.code, 0x401000, 2, nil, nil)
 		if !ok {
 			t.Fatalf("%s: cancelled without cancel", tc.name)
 		}
-		if _, ok := sup.CETPrune(nil); !ok {
+		if _, ok := sup.cetPrune(nil); !ok {
 			t.Fatalf("%s: closure cancelled without cancel", tc.name)
 		}
 		if d := time.Since(start); d > 2*time.Second {
 			t.Errorf("%s: recovery of %d bytes took %v, want < 2s", tc.name, n, d)
 		}
-		decoded, valid := sup.Count()
+		decoded, valid := sup.count()
 		kept := 0
 		for off := range tc.code {
-			if sup.KeptAt(off) {
+			if sup.keptAt(off) {
 				kept++
 			}
 		}
@@ -64,18 +64,18 @@ func TestSupersetPhasesPollCancel(t *testing.T) {
 	closed := make(chan struct{})
 	close(closed)
 	code := workload.ForwardChain(1<<16, false)
-	if sup, ok := SupersetCancel(code, 0x401000, 1, nil, closed); ok || sup != nil {
+	if sup, ok := supersetCancel(code, 0x401000, 1, nil, closed); ok || sup != nil {
 		t.Fatal("sweep ignored a closed cancel")
 	}
-	sup := Superset(code, 0x401000)
-	fresh := &SupersetResult{table: sup.table, flags: append([]uint8(nil), sup.flags...)}
+	sup := superset(code, 0x401000)
+	fresh := &supersetResult{table: sup.table, flags: append([]uint8(nil), sup.flags...)}
 	if fresh.refine(closed) {
 		t.Error("refinement ignored a closed cancel")
 	}
-	if _, ok := sup.CETPrune(closed); ok {
+	if _, ok := sup.cetPrune(closed); ok {
 		t.Error("closure ignored a closed cancel")
 	}
-	if insts, ok := sup.Insts(false, closed); ok || insts != nil {
+	if insts, ok := sup.survivors(false, 1, nil, closed); ok || insts != nil {
 		t.Error("materialization ignored a closed cancel")
 	}
 	for _, mode := range []Mode{ModeSuperset, ModeSupersetCET} {
@@ -104,12 +104,12 @@ func TestSupersetBranchTargetSeams(t *testing.T) {
 		{"last byte, truncated", 0x401000, []byte{0xEB, 0x00, 0x48}, true},
 		{"section end wraps the address space", ^uint64(0) - 2, []byte{0xEB, 0x00, 0x06}, true},
 	} {
-		sup := Superset(tc.code, tc.addr)
+		sup := superset(tc.code, tc.addr)
 		if sup.lenAt(0) == 0 {
 			t.Fatalf("%s: branch did not decode", tc.name)
 		}
-		if sup.ValidAt(0) != tc.valid {
-			t.Errorf("%s: valid = %t, want %t", tc.name, sup.ValidAt(0), tc.valid)
+		if sup.validAt(0) != tc.valid {
+			t.Errorf("%s: valid = %t, want %t", tc.name, sup.validAt(0), tc.valid)
 		}
 	}
 }
@@ -123,20 +123,20 @@ func TestSupersetTruncatedSuccessor(t *testing.T) {
 		0x90, // 2: nop, falling through into it
 		0x48, // 3: a lone REX prefix: truncated
 	}
-	sup := Superset(code, 0x401000)
+	sup := superset(code, 0x401000)
 	if !sup.truncatedAt(3) || sup.lenAt(3) != 0 {
 		t.Fatal("tail not marked truncated")
 	}
-	if !sup.ValidAt(0) || !sup.ValidAt(2) {
+	if !sup.validAt(0) || !sup.validAt(2) {
 		t.Fatal("a truncated successor poisoned its predecessors")
 	}
-	if anchors, _ := sup.CETPrune(nil); anchors != 1 {
+	if anchors, _ := sup.cetPrune(nil); anchors != 1 {
 		t.Fatalf("anchors = %d, want the section start alone", anchors)
 	}
-	if !sup.KeptAt(0) || !sup.KeptAt(2) || sup.KeptAt(3) {
+	if !sup.keptAt(0) || !sup.keptAt(2) || sup.keptAt(3) {
 		t.Fatal("closure chained through (or stopped before) the truncated tail")
 	}
-	if got, want := sup.Occupancy(true), []int{1, 1, 1, 0}; !reflect.DeepEqual(got, want) {
+	if got, want := occupancy(sup, true), []int{1, 1, 1, 0}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("occupancy %v, want %v", got, want)
 	}
 }
@@ -232,15 +232,15 @@ func TestSupersetMatchesReference(t *testing.T) {
 			}
 		}
 		const addr = 0x401000
-		sup := Superset(code, addr)
-		sup.CETPrune(nil)
+		sup := superset(code, addr)
+		sup.cetPrune(nil)
 		valid, kept := referenceSuperset(code, addr)
 		for off := range code {
-			if sup.ValidAt(off) != valid[off] || sup.KeptAt(off) != kept[off] {
+			if sup.validAt(off) != valid[off] || sup.keptAt(off) != kept[off] {
 				t.Fatalf("round %d, code % x: offset %d valid=%t kept=%t, reference valid=%t kept=%t",
-					round, code, off, sup.ValidAt(off), sup.KeptAt(off), valid[off], kept[off])
+					round, code, off, sup.validAt(off), sup.keptAt(off), valid[off], kept[off])
 			}
-			if sup.KeptAt(off) && !sup.ValidAt(off) || sup.ValidAt(off) && sup.lenAt(off) == 0 {
+			if sup.keptAt(off) && !sup.validAt(off) || sup.validAt(off) && sup.lenAt(off) == 0 {
 				t.Fatalf("round %d: kept ⊆ valid ⊆ decoded broken at offset %d", round, off)
 			}
 		}
@@ -252,19 +252,19 @@ func TestSupersetMatchesReference(t *testing.T) {
 func TestSupersetTableWidthDeterminism(t *testing.T) {
 	code := genCode(rand.New(rand.NewSource(5)), 96<<10)
 	const addr = 0x401000
-	want := Superset(code, addr)
-	want.CETPrune(nil)
+	want := superset(code, addr)
+	want.cetPrune(nil)
 	closed := make(chan struct{})
 	close(closed)
 	for _, width := range []int{1, 2, 8} {
-		if _, ok := SupersetCancel(code, addr, width, nil, closed); ok {
+		if _, ok := supersetCancel(code, addr, width, nil, closed); ok {
 			t.Fatalf("width %d: sweep ignored a closed cancel", width)
 		}
-		got, ok := SupersetCancel(code, addr, width, nil, nil)
+		got, ok := supersetCancel(code, addr, width, nil, nil)
 		if !ok {
 			t.Fatalf("width %d: cancelled without cancel", width)
 		}
-		got.CETPrune(nil)
+		got.cetPrune(nil)
 		if !bytes.Equal(got.lens, want.lens) || !bytes.Equal(got.flags, want.flags) ||
 			got.decoded != want.decoded || got.valid != want.valid {
 			t.Fatalf("width %d: table differs from the sequential sweep", width)

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"errors"
-	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -39,7 +38,7 @@ func testInsts(t *testing.T) []x86.Loc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := disasm.Linear(code, 0x1000)
+	res, _ := disasm.Recover(disasm.ModeLinear, code, 0x1000)
 	if res.BadBytes != 0 {
 		t.Fatalf("test program has %d undecodable bytes", res.BadBytes)
 	}
@@ -86,7 +85,7 @@ func legacyInsts(t *testing.T) []x86.Loc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := disasm.Linear(code, 0x401000)
+	res, _ := disasm.Recover(disasm.ModeLinear, code, 0x401000)
 	if res.BadBytes != 0 || len(res.Insts) != 11 {
 		t.Fatalf("legacy program: %d instructions, %d undecodable bytes; want 11, 0", len(res.Insts), res.BadBytes)
 	}
@@ -209,24 +208,6 @@ func TestEvalAgainstHandPredicates(t *testing.T) {
 			if !match.Shardable(p.Selector()) {
 				t.Errorf("%q selector not registered shardable", c.expr)
 			}
-		}
-	}
-}
-
-// TestMatchEquivalence: the built-in A1 and A2 selectors are
-// expressible in the language, index for index.
-func TestMatchEquivalence(t *testing.T) {
-	insts := legacyInsts(t)
-	for expr, builtin := range map[string]func([]x86.Loc) []int{
-		"jump | jcc": disasm.SelectJumps,
-		"heapwrite":  disasm.SelectHeapWrites,
-	} {
-		p, err := CompileExpr(expr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := p.Selector()(insts), builtin(insts); !reflect.DeepEqual(got, want) {
-			t.Errorf("%q selects %v, the built-in %v", expr, got, want)
 		}
 	}
 }

@@ -69,8 +69,10 @@ type selectorCase struct {
 
 // selectorCases lists every atom of this package's tables (each in an
 // expression whose constant comes from the instruction at the middle of
-// the universe, so that it selects something), the comparisons the
-// retired internal/match grammar had, and the three built-in selectors.
+// the universe, so that it selects something) and the comparisons the
+// retired internal/match grammar had. The root package's built-in
+// selectors are held to the "branch", "heapwrite" and "true" programs
+// by its TestMatchEquivalence.
 func selectorCases(t *testing.T, mid *x86.Inst) []selectorCase {
 	t.Helper()
 	for name, have := range map[string]int{"bool": len(refBool) - len(boolTerms), "int": len(refInt) - len(intAttrs),
@@ -79,11 +81,7 @@ func selectorCases(t *testing.T, mid *x86.Inst) []selectorCase {
 			t.Fatalf("the %s atom table and its reference differ in size: give every atom a reference", name)
 		}
 	}
-	cases := []selectorCase{
-		{"SelectJumps", disasm.SelectJumps, refBool["branch"]},
-		{"SelectHeapWrites", disasm.SelectHeapWrites, refBool["heapwrite"]},
-		{"SelectAll", disasm.SelectAll, refBool["true"]},
-	}
+	var cases []selectorCase
 	langCase := func(expr string, ref func(*x86.Inst) bool) {
 		p, err := CompileExpr(expr)
 		if err != nil {

@@ -28,7 +28,8 @@ func program(t *testing.T) []x86.Loc {
 	a.MovMemReg32(x86.MRIP(0x100), x86.RAX) // riprel write
 	a.Ret()                                 // ret, len 1
 	code := a.MustFinish()
-	return disasm.Linear(code, 0x401000).Insts
+	res, _ := disasm.Recover(disasm.ModeLinear, code, 0x401000)
+	return res.Insts
 }
 
 // count compiles expr with internal/lang, the grammar that replaced

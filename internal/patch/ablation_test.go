@@ -29,14 +29,14 @@ func coverageWith(t *testing.T, opts Options) Stats {
 	a := x86.NewAsm(testTextAddr)
 	buildHostile(a)
 	code := a.MustFinish()
-	res := disasm.Linear(code, testTextAddr)
+	res, _ := disasm.Recover(disasm.ModeLinear, code, testTextAddr)
 	space := va.NewDefault()
 	loadEnd := (testTextAddr + uint64(len(code)) + 0xFFF) &^ 0xFFF
 	if err := space.Reserve(0x400000, loadEnd+0x2000); err != nil {
 		t.Fatal(err)
 	}
 	r := New(code, testTextAddr, res.Insts, space, loadEnd+0x2000, opts)
-	sel := append(disasm.SelectJumps(res.Insts), disasm.SelectHeapWrites(res.Insts)...)
+	sel := append(selectExpr(t, "branch", res.Insts), selectExpr(t, "heapwrite", res.Insts)...)
 	return r.PatchAll(sel)
 }
 
@@ -98,14 +98,14 @@ func TestLockStateInvariant(t *testing.T) {
 	buildHostile(a)
 	code := a.MustFinish()
 	orig := append([]byte(nil), code...)
-	res := disasm.Linear(code, testTextAddr)
+	res, _ := disasm.Recover(disasm.ModeLinear, code, testTextAddr)
 	space := va.NewDefault()
 	loadEnd := (testTextAddr + uint64(len(code)) + 0xFFF) &^ 0xFFF
 	if err := space.Reserve(0x400000, loadEnd+0x2000); err != nil {
 		t.Fatal(err)
 	}
 	r := New(code, testTextAddr, res.Insts, space, loadEnd+0x2000, Options{})
-	sel := disasm.SelectJumps(res.Insts)
+	sel := selectExpr(t, "branch", res.Insts)
 	r.PatchAll(sel)
 
 	for _, lr := range r.Results() {

@@ -5,11 +5,24 @@ import (
 	"testing"
 
 	"e9patch/internal/disasm"
+	"e9patch/internal/lang"
 	"e9patch/internal/va"
 	"e9patch/internal/x86"
 )
 
 const testTextAddr = 0x401000
+
+// selectExpr runs a spec-language match expression over insts: "branch"
+// selects the paper's A1 sites (every jmp/jcc), "heapwrite" its A2
+// sites and "true" every instruction.
+func selectExpr(t testing.TB, expr string, insts []x86.Loc) []int {
+	t.Helper()
+	p, err := lang.CompileExpr(expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Selector()(insts)
+}
 
 // newTestRewriter assembles code at testTextAddr, reserves a non-PIE
 // style layout, and returns a rewriter plus the decoded instructions.
@@ -18,7 +31,7 @@ func newTestRewriter(t *testing.T, build func(a *x86.Asm), opts Options) (*Rewri
 	a := x86.NewAsm(testTextAddr)
 	build(a)
 	code := a.MustFinish()
-	res := disasm.Linear(code, testTextAddr)
+	res, _ := disasm.Recover(disasm.ModeLinear, code, testTextAddr)
 	if res.BadBytes != 0 {
 		t.Fatalf("test code does not decode cleanly: %d bad bytes", res.BadBytes)
 	}
@@ -173,7 +186,7 @@ func TestB2PIE(t *testing.T) {
 	a := x86.NewAsm(0x5555_5555_5000)
 	figure1(a)
 	code := a.MustFinish()
-	res := disasm.Linear(code, 0x5555_5555_5000)
+	res, _ := disasm.Recover(disasm.ModeLinear, code, 0x5555_5555_5000)
 	space := va.NewDefault()
 	if err := space.Reserve(0x5555_5555_4000, 0x5555_5555_7000); err != nil {
 		t.Fatal(err)
@@ -352,7 +365,7 @@ func TestFarBranchTargetRejectsPlacement(t *testing.T) {
 	a.JccRel32(x86.CondE, target)
 	a.Ret()
 	code := a.MustFinish()
-	res := disasm.Linear(code, text)
+	res, _ := disasm.Recover(disasm.ModeLinear, code, text)
 	space := va.NewDefault()
 	if err := space.Reserve(text, text+0x1000); err != nil {
 		t.Fatal(err)
@@ -426,7 +439,7 @@ func TestPatchAllJumpsProgram(t *testing.T) {
 		a.Bind(out)
 		a.Ret()
 	}, Options{})
-	sel := disasm.SelectJumps(insts)
+	sel := selectExpr(t, "branch", insts)
 	if len(sel) < 60 {
 		t.Fatalf("selector found %d jumps", len(sel))
 	}

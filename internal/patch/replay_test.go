@@ -28,8 +28,8 @@ func TestReplayInvertsSites(t *testing.T) {
 	a := x86.NewAsm(testTextAddr)
 	buildHostile(a)
 	text := a.MustFinish()
-	res := disasm.Linear(text, testTextAddr)
-	all := disasm.SelectAll(res.Insts)
+	res, _ := disasm.Recover(disasm.ModeLinear, text, testTextAddr)
+	all := selectExpr(t, "true", res.Insts)
 	patchAll := func(opts Options, sel []int) *Rewriter {
 		space := va.NewDefault()
 		loadEnd := (testTextAddr + uint64(len(text)) + 0xFFF) &^ 0xFFF
@@ -52,8 +52,8 @@ func TestReplayInvertsSites(t *testing.T) {
 		{name: "dense", sel: all},
 		{name: "dense B0 fallback", opts: Options{B0Fallback: true, DisableT3: true}, sel: all},
 		{name: "dense ForceB0", opts: Options{ForceB0: true}, sel: all},
-		{name: "jumps", sel: disasm.SelectJumps(res.Insts)},
-		{name: "jumps and heap writes", sel: append(disasm.SelectJumps(res.Insts), disasm.SelectHeapWrites(res.Insts)...)},
+		{name: "jumps", sel: selectExpr(t, "branch", res.Insts)},
+		{name: "jumps and heap writes", sel: append(selectExpr(t, "branch", res.Insts), selectExpr(t, "heapwrite", res.Insts)...)},
 		{name: "unknown tactic", sel: all, err: `unknown tactic "T4"`,
 			mutate: func(s []plan.Site) []plan.Site { s[len(s)/2].Tactic = "T4"; return s }},
 		{name: "write outside the text", sel: all, err: "plan write of 1 bytes outside .text",

@@ -19,14 +19,14 @@ func hostileRewriter(t *testing.T, opts Options) *Rewriter {
 	a := x86.NewAsm(testTextAddr)
 	buildHostile(a)
 	code := a.MustFinish()
-	res := disasm.Linear(code, testTextAddr)
+	res, _ := disasm.Recover(disasm.ModeLinear, code, testTextAddr)
 	space := va.NewDefault()
 	loadEnd := (testTextAddr+uint64(len(code))+0xFFF)&^0xFFF + 0x2000
 	if err := space.Reserve(0x400000, loadEnd); err != nil {
 		t.Fatal(err)
 	}
 	r := New(code, testTextAddr, res.Insts, space, loadEnd, opts)
-	r.PatchAll(append(disasm.SelectJumps(res.Insts), disasm.SelectHeapWrites(res.Insts)...))
+	r.PatchAll(append(selectExpr(t, "branch", res.Insts), selectExpr(t, "heapwrite", res.Insts)...))
 	return r
 }
 

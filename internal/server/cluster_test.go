@@ -327,7 +327,7 @@ func TestPlanDeltaResponse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plan-delta body does not decode: %v", err)
 	}
-	applied, err := e9patch.ApplyContext(context.Background(), bin, p)
+	applied, err := e9patch.ApplyTo(context.Background(), nil, bin, p)
 	if err != nil {
 		t.Fatalf("client-side apply: %v", err)
 	}
@@ -576,7 +576,7 @@ func TestBatchWantPlan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch plan does not decode: %v", err)
 	}
-	applied, err := e9patch.ApplyContext(context.Background(), bin, p)
+	applied, err := e9patch.ApplyTo(context.Background(), nil, bin, p)
 	if err != nil {
 		t.Fatalf("client-side apply: %v", err)
 	}
@@ -613,7 +613,7 @@ func TestBatchWantPlanAfterPlanEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch plan does not decode: %v", err)
 	}
-	applied, err := e9patch.ApplyContext(context.Background(), bin, p)
+	applied, err := e9patch.ApplyTo(context.Background(), nil, bin, p)
 	if err != nil {
 		t.Fatalf("client-side apply: %v", err)
 	}

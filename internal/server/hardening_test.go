@@ -94,7 +94,7 @@ func TestPanickingSelectorContained(t *testing.T) {
 		if calls.Add(1) == 1 {
 			sel = func(insts []x86.Loc) []int { panic("selector boom") }
 		}
-		return e9patch.RewriteContext(ctx, bin, e9patch.Config{Select: sel})
+		return e9patch.RewriteTo(ctx, nil, bin, e9patch.Config{Select: sel})
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -16,7 +16,7 @@ var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.2
 type Metrics struct {
 	mu        sync.Mutex
 	requests  map[string]uint64 // by HTTP status code
-	rewrites  uint64            // underlying RewriteContext invocations
+	rewrites  uint64            // underlying rewrite pipeline executions
 	hits      uint64            // result-cache hits
 	misses    uint64            // result-cache misses
 	planHits  uint64            // plan-cache hits (result rematerialized)

@@ -32,7 +32,7 @@ func TestModernProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := disasm.Linear(text, addr)
+			res, _ := disasm.Recover(disasm.ModeLinear, text, addr)
 			if res.BadBytes > len(text)/1000 {
 				t.Errorf("%d bad bytes in %d", res.BadBytes, len(text))
 			}

@@ -8,6 +8,7 @@ import (
 	"e9patch/internal/disasm"
 	"e9patch/internal/elf64"
 	"e9patch/internal/emu"
+	"e9patch/internal/lang"
 	"e9patch/internal/loader"
 )
 
@@ -31,13 +32,20 @@ func TestBuildStaticDecodesCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := disasm.Linear(text, addr)
+		res, _ := disasm.Recover(disasm.ModeLinear, text, addr)
 		if res.BadBytes > len(text)/1000 {
 			t.Errorf("%s: %d bad bytes in %d", name, res.BadBytes, len(text))
 		}
 		// Densities should be in the ballpark the profile implies.
-		jumps := disasm.SelectJumps(res.Insts)
-		writes := disasm.SelectHeapWrites(res.Insts)
+		var sel [2][]int
+		for i, expr := range []string{"branch", "heapwrite"} {
+			p, err := lang.CompileExpr(expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel[i] = p.Selector()(res.Insts)
+		}
+		jumps, writes := sel[0], sel[1]
 		if len(jumps) == 0 || len(writes) == 0 {
 			t.Errorf("%s: degenerate mix: %d jumps, %d writes", name, len(jumps), len(writes))
 		}

@@ -433,7 +433,7 @@ func TestApplyValidation(t *testing.T) {
 }
 
 // TestRewriteInputImmutable enforces the documented contract that
-// Rewrite and RewriteContext never mutate the caller's input slice,
+// Rewrite and RewriteTo never mutate the caller's input slice,
 // across all six tactic configurations of the differential corpus.
 func TestRewriteInputImmutable(t *testing.T) {
 	bin := hostileELF(t)
@@ -446,11 +446,11 @@ func TestRewriteInputImmutable(t *testing.T) {
 		if !bytes.Equal(bin, pristine) {
 			t.Fatalf("%s: Rewrite mutated the input slice", tc.name)
 		}
-		if _, err := RewriteContext(context.Background(), bin, tc.cfg); err != nil {
+		if _, err := RewriteTo(context.Background(), nil, bin, tc.cfg); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !bytes.Equal(bin, pristine) {
-			t.Fatalf("%s: RewriteContext mutated the input slice", tc.name)
+			t.Fatalf("%s: RewriteTo mutated the input slice", tc.name)
 		}
 	}
 }

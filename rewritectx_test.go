@@ -10,8 +10,8 @@ import (
 	"e9patch/internal/x86"
 )
 
-// TestRewriteContextBackground pins that RewriteContext with a live
-// context is byte-identical to plain Rewrite.
+// TestRewriteContextBackground pins that RewriteTo with a live context
+// and a nil writer is byte-identical to plain Rewrite.
 func TestRewriteContextBackground(t *testing.T) {
 	prog, err := workload.BuildKernel("branchy", true)
 	if err != nil {
@@ -22,12 +22,12 @@ func TestRewriteContextBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := RewriteContext(context.Background(), prog.ELF, cfg)
+	ctxed, err := RewriteTo(context.Background(), nil, prog.ELF, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(plain.Output) != string(ctxed.Output) {
-		t.Fatal("RewriteContext(Background) diverged from Rewrite")
+		t.Fatal("RewriteTo(Background, nil) diverged from Rewrite")
 	}
 }
 
@@ -44,7 +44,7 @@ func TestRewriteContextCancelled(t *testing.T) {
 		cancel() // cancel mid-pipeline, after disasm but before patch
 		return SelectJumps(insts)
 	}
-	res, err := RewriteContext(ctx, prog.ELF, Config{Select: sel})
+	res, err := RewriteTo(ctx, nil, prog.ELF, Config{Select: sel})
 	if err == nil {
 		t.Fatal("expected cancellation error, got success")
 	}
@@ -65,7 +65,7 @@ func TestRewriteContextPreCancelled(t *testing.T) {
 		t.Fatal("selector ran under a pre-cancelled context")
 		return nil
 	}
-	if _, err := RewriteContext(ctx, []byte("not an elf"), Config{Select: sel}); !errors.Is(err, context.Canceled) {
+	if _, err := RewriteTo(ctx, nil, []byte("not an elf"), Config{Select: sel}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
