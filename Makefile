@@ -234,12 +234,14 @@ fuzzshort:
 	$(GO) test -run '^FuzzPlanDecode$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 5s .
 
 # fuzzhostile explores the malformed-ELF input space (seeded from the
-# checked-in testdata/hostile corpus) plus the hostile deterministic
-# suites: truncations, header bit flips, tampered plans, limit bounds.
+# checked-in testdata/hostile corpus), the appended-table decoder, and
+# the hostile deterministic suites: truncations, header bit flips,
+# tampered plans, limit bounds.
 # The property is containment — hostile input may be rejected, but only
 # with a classified error, never a panic or ErrInternal.
 fuzzhostile:
 	$(GO) test -run 'TestHostile|TestLibraryLimits|TestMmapFallbackDifferential' -count 1 .
 	$(GO) test -run '^FuzzRewriteHostileELF$$' -fuzz '^FuzzRewriteHostileELF$$' -fuzztime 10s .
+	$(GO) test -run '^FuzzDecode$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/loader
 
 ci: fmt vet race difftest enginecheck plancheck speccheck rpccheck disasmcheck servertest clustercheck fuzzshort fuzzhostile

@@ -20,6 +20,7 @@ package e9patch
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"runtime"
 
@@ -39,8 +40,18 @@ import (
 )
 
 // PIEBase is the deterministic load bias applied to ET_DYN binaries
-// (loader.PIEBase, which owns the rule).
-const PIEBase = loader.PIEBase
+// (the address the Linux loader picks for PIE executables when ASLR is
+// disabled; the emulated loader is deterministic by design).
+const PIEBase uint64 = 0x5555_5555_4000
+
+// loadBias is the load bias of f: PIEBase for ET_DYN, zero for
+// ET_EXEC. It is added to every file virtual address.
+func loadBias(f *elf64.File) uint64 {
+	if f.IsPIE() {
+		return PIEBase
+	}
+	return 0
+}
 
 // Pool is a bounded worker pool shared across rewrites: when several
 // concurrent rewrites are handed the same pool, the sum of their
@@ -466,7 +477,10 @@ func applyContext(ctx context.Context, w io.Writer, input []byte, p *PatchPlan, 
 	if err != nil {
 		return nil, err
 	}
-	bias := loader.Bias(f)
+	if err := refuseRewritten("apply", input); err != nil {
+		return nil, err
+	}
+	bias := loadBias(f)
 	if bias != p.Bias {
 		return nil, e9err.Malformed("apply", "e9patch: plan load bias %#x does not match binary (%#x)", p.Bias, bias)
 	}
@@ -542,7 +556,55 @@ func applyContext(ctx context.Context, w io.Writer, input []byte, p *PatchPlan, 
 
 // Load builds an executable image from an original or rewritten binary
 // in the given machine, returning the entry point. PIE binaries are
-// loaded at PIEBase.
+// loaded at PIEBase. A rewritten binary's appended table is replayed
+// first: its trampoline blocks are written at their mapped addresses
+// and its B0 dispatch table is installed in m.SigTab, both with the
+// load bias added back (buildBlob stores them link-relative). More
+// than loader.MapCountLimit mappings are refused, as the kernel's
+// vm.max_map_count would refuse them.
 func Load(m *emu.Machine, file []byte) (uint64, error) {
-	return loader.BuildImage(m, file)
+	f, err := elf64.Parse(file)
+	if err != nil {
+		return 0, err
+	}
+	bias := loadBias(f)
+
+	// Blocks are whole granules: any zero-filled portion that overlaps
+	// a loaded segment is shadowed when the segments are copied
+	// afterwards (trampolines themselves are never allocated inside
+	// segment pages, and Apply refuses a plan that puts one there, so
+	// the ordering is equivalent to the real loader's page-granular
+	// MAP_FIXED calls over non-segment pages only).
+	if blob, ok := elf64.AppendedBlob(file); ok {
+		b, err := loader.Decode(blob)
+		if err != nil {
+			return 0, err
+		}
+		if len(b.Mappings) > loader.MapCountLimit {
+			return 0, fmt.Errorf("loader: %d mappings exceed vm.max_map_count=%d (use a coarser granularity)",
+				len(b.Mappings), loader.MapCountLimit)
+		}
+		for _, mp := range b.Mappings {
+			m.Mem.WriteBytes(mp.Vaddr+bias, b.Blocks[mp.Phys])
+		}
+		for addr, tramp := range b.SigTab {
+			m.SigTab[addr+bias] = tramp + bias
+		}
+	}
+
+	// PT_LOAD segments: file bytes, then zero fill to memsz.
+	for _, p := range f.Progs {
+		if p.Type != elf64.PTLoad {
+			continue
+		}
+		if p.Off+p.Filesz > uint64(len(file)) {
+			return 0, fmt.Errorf("loader: segment beyond file end")
+		}
+		vaddr := p.Vaddr + bias
+		m.Mem.WriteBytes(vaddr, file[p.Off:p.Off+p.Filesz])
+		if p.Memsz > p.Filesz {
+			m.Mem.Map(vaddr+p.Filesz, p.Memsz-p.Filesz)
+		}
+	}
+	return f.Header.Entry + bias, nil
 }

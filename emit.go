@@ -13,8 +13,8 @@ import (
 )
 
 // buildBlob groups trampolines and injections into merged physical
-// blocks (addresses stored link-relative so the loader can apply any
-// bias) and encodes the loader blob. entry is the output binary's entry
+// blocks (addresses stored link-relative; Load adds the bias back) and
+// encodes the loader blob. entry is the output binary's entry
 // point.
 func buildBlob(entry, bias uint64, trs []patch.Trampoline, sig map[uint64]uint64, gran int, inject []plan.Injection) ([]byte, *group.Result, error) {
 	chunks := make([]group.Chunk, len(trs), len(trs)+len(inject))

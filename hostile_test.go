@@ -2,7 +2,9 @@ package e9patch
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,7 +93,8 @@ func hostileCorpus(t testing.TB) map[string][]byte {
 // mode: the valid control and the hostile-text variants (well-formed
 // containers whose .text is built to make recovery slow) must succeed
 // and every other variant must come back with a classified error — no
-// panic escapes, no ErrInternal.
+// panic escapes, no ErrInternal. An output of the rewriter must come
+// back as unsupported.
 func TestHostileCorpus(t *testing.T) {
 	for name, data := range hostileCorpus(t) {
 		for _, mode := range []DisasmMode{DisasmLinear, DisasmSuperset, DisasmSupersetCET} {
@@ -99,6 +102,9 @@ func TestHostileCorpus(t *testing.T) {
 			requireContained(t, name+"/"+string(mode), err)
 			if (name == "valid.bin" || strings.HasPrefix(name, "recover-")) && err != nil {
 				t.Errorf("%s/%s: well-formed binary failed to rewrite: %v", name, mode, err)
+			}
+			if name == "already-rewritten.bin" && !errors.Is(err, ErrUnsupportedBinary) {
+				t.Errorf("%s/%s: rewritten input not refused as unsupported: %v", name, mode, err)
 			}
 		}
 	}
@@ -337,6 +343,56 @@ func FuzzRewriteHostileELF(f *testing.F) {
 		_, err := Rewrite(data, Config{Select: SelectJumps, Granularity: gran})
 		requireContained(t, "fuzz", err)
 	})
+}
+
+// TestHostileRewrittenInput: an output of the rewriter is refused as
+// input by every entry point. Rewriting branchy's A1 output again under
+// A2 used to succeed, and the result ran unmapped memory at a
+// first-round trampoline page (0x408010, or 0x55555555c010 for the PIE
+// build) that the second table no longer mapped.
+func TestHostileRewrittenInput(t *testing.T) {
+	ctx := context.Background()
+	a2 := Config{Select: SelectHeapWrites}
+	for _, pie := range []bool{false, true} {
+		t.Run(map[bool]string{false: "nonPIE", true: "PIE"}[pie], func(t *testing.T) {
+			prog, err := workload.BuildKernel("branchy", pie)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := Rewrite(prog.ELF, Config{Select: SelectJumps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := first.Output
+			refused := func(entry string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrUnsupportedBinary) || !strings.Contains(err.Error(), "rewrite the original") {
+					t.Errorf("%s: rewritten input not refused as unsupported: %v", entry, err)
+				}
+			}
+			_, err = Rewrite(out, a2)
+			refused("Rewrite", err)
+			_, err = RewriteTo(ctx, io.Discard, out, a2)
+			refused("RewriteTo", err)
+			_, err = Plan(out, a2)
+			refused("Plan", err)
+			_, err = NewStream(ctx, out, a2)
+			refused("NewStream", err)
+
+			// A plan bound to the output reaches the apply entry points.
+			p, err := Plan(prog.ELF, a2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.BindInput(out)
+			_, err = Apply(out, p)
+			refused("Apply", err)
+			_, err = ApplyTo(ctx, io.Discard, out, p)
+			refused("ApplyTo", err)
+			_, err = ApplyTrusted(out, p)
+			refused("ApplyTrusted", err)
+		})
+	}
 }
 
 // TestHostileLoaderBlob checks the appended-blob trailer parser against

@@ -18,8 +18,8 @@ import (
 	"reflect"
 	"testing"
 
+	"e9patch"
 	"e9patch/internal/emu"
-	"e9patch/internal/loader"
 	"e9patch/internal/workload"
 	"e9patch/internal/x86"
 )
@@ -72,7 +72,7 @@ func runProgram(t *testing.T, elf []byte, eng emu.Engine) *emu.Machine {
 	m := workload.NewMachine(nil)
 	workload.BindJit(m)
 	m.Engine = eng
-	entry, err := loader.BuildImage(m, elf)
+	entry, err := e9patch.Load(m, elf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func testMutatingTracer(t *testing.T, engine string) {
 	run := func(eng emu.Engine) (*emu.Machine, []uint64) {
 		m := workload.NewMachine(nil)
 		m.Engine = eng
-		entry, err := loader.BuildImage(m, prog.ELF)
+		entry, err := e9patch.Load(m, prog.ELF)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func testBudgetParity(t *testing.T, engine string) {
 		run := func(eng emu.Engine) (*emu.Machine, error) {
 			m := workload.NewMachine(nil)
 			m.Engine = eng
-			entry, err := loader.BuildImage(m, prog.ELF)
+			entry, err := e9patch.Load(m, prog.ELF)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"e9patch"
 	"e9patch/internal/emu"
-	"e9patch/internal/loader"
 	"e9patch/internal/workload"
 	"e9patch/internal/x86"
 )
@@ -75,7 +75,7 @@ func goldenPrograms(t *testing.T) []goldenProg {
 		setup: func(eng emu.Engine) *emu.Machine {
 			m := workload.NewMachine(nil)
 			m.Engine = eng
-			entry, err := loader.BuildImage(m, kernel.ELF)
+			entry, err := e9patch.Load(m, kernel.ELF)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 	"e9patch"
 	"e9patch/internal/emu"
 	"e9patch/internal/emu/enginetest"
-	"e9patch/internal/loader"
 	"e9patch/internal/lowfat"
 	"e9patch/internal/workload"
 	"e9patch/internal/x86"
@@ -30,7 +29,7 @@ func runKernel(t *testing.T, kernel string, eng emu.Engine) *emu.Machine {
 	}
 	m := workload.NewMachine(nil)
 	m.Engine = eng
-	entry, err := loader.BuildImage(m, prog.ELF)
+	entry, err := e9patch.Load(m, prog.ELF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +331,7 @@ func TestIRSpeedup(t *testing.T) {
 		for trial := 0; trial < 2; trial++ {
 			m := workload.NewMachine(nil)
 			m.Engine = mk()
-			entry, err := loader.BuildImage(m, prog.ELF)
+			entry, err := e9patch.Load(m, prog.ELF)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -105,7 +105,7 @@ func run(bin []byte, prep func(m *emu.Machine)) (*emu.Machine, error) {
 	if prep != nil {
 		prep(m)
 	}
-	f, err := loadInto(m, bin)
+	f, err := e9patch.Load(m, bin)
 	if err != nil {
 		return nil, err
 	}
@@ -114,10 +114,6 @@ func run(bin []byte, prep func(m *emu.Machine)) (*emu.Machine, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-func loadInto(m *emu.Machine, bin []byte) (uint64, error) {
-	return e9patch.Load(m, bin)
 }
 
 // kernelOverhead measures the Time%% ratio (patched cycles / original

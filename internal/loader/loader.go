@@ -1,12 +1,13 @@
-// Package loader implements the patched binary's load-time machinery.
+// Package loader is the codec of the table a rewritten binary carries.
 //
 // E9Patch appends trampoline pages to the output file and injects a
 // small loader that mmaps them into place before jumping to the real
 // entry point (§5.1). In this reproduction the loader is data-driven:
 // the appended blob serialises the mmap table, the merged physical
-// blocks, and the B0 SIGTRAP dispatch table; BuildImage replays it into
-// an emulated address space, enforcing the same vm.max_map_count limit
-// a real kernel would.
+// blocks, and the B0 SIGTRAP dispatch table. This package encodes and
+// decodes that blob and nothing else; e9patch.Load replays it into an
+// emulated address space, enforcing MapCountLimit as a real kernel
+// enforces vm.max_map_count.
 package loader
 
 import (
@@ -15,13 +16,11 @@ import (
 	"fmt"
 	"slices"
 
-	"e9patch/internal/elf64"
-	"e9patch/internal/emu"
 	"e9patch/internal/group"
 )
 
 // MapCountLimit mirrors the Linux vm.max_map_count default (§4): the
-// most trampoline mappings BuildImage replays.
+// most trampoline mappings e9patch.Load replays.
 const MapCountLimit = 65536
 
 const blobMagic = 0xE9B10B64
@@ -80,87 +79,43 @@ func Encode(res *group.Result, granularity int, sigTab map[uint64]uint64, entry 
 	return buf
 }
 
-// Decode parses blob bytes.
+// Decode parses blob bytes. Every count and length in data is checked
+// against the bytes left before it is used, so a hostile table is
+// refused with an error: it never panics or spins, and allocates in
+// proportion to len(data).
 func Decode(data []byte) (*Blob, error) {
-	le := binary.LittleEndian
-	pos := 0
-	need := func(n int) error {
-		if pos+n > len(data) {
-			return errors.New("loader: truncated blob")
-		}
-		return nil
-	}
-	u32 := func() (uint32, error) {
-		if err := need(4); err != nil {
-			return 0, err
-		}
-		v := le.Uint32(data[pos:])
-		pos += 4
-		return v, nil
-	}
-	u64 := func() (uint64, error) {
-		if err := need(8); err != nil {
-			return 0, err
-		}
-		v := le.Uint64(data[pos:])
-		pos += 8
-		return v, nil
-	}
-
-	magic, err := u32()
-	if err != nil || magic != blobMagic {
+	r := reader{data: data}
+	if r.u32() != blobMagic || r.err != nil {
 		return nil, errors.New("loader: bad blob magic")
 	}
 	b := &Blob{SigTab: make(map[uint64]uint64)}
-	if b.Granularity, err = u32(); err != nil {
-		return nil, err
+	b.Granularity = r.u32()
+	b.BlockSize = r.u64()
+	b.Entry = r.u64()
+	if r.err == nil && b.BlockSize == 0 {
+		return nil, errors.New("loader: zero block size")
 	}
-	if b.BlockSize, err = u64(); err != nil {
-		return nil, err
-	}
-	if b.Entry, err = u64(); err != nil {
-		return nil, err
-	}
-	nMap, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nMap; i++ {
-		v, err := u64()
-		if err != nil {
-			return nil, err
+	if n := r.count(12); n > 0 {
+		b.Mappings = make([]group.Mapping, n)
+		for i := range b.Mappings {
+			b.Mappings[i] = group.Mapping{Vaddr: r.u64(), Phys: int(r.u32())}
 		}
-		p, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		b.Mappings = append(b.Mappings, group.Mapping{Vaddr: v, Phys: int(p)})
 	}
-	nBlocks, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nBlocks; i++ {
-		if err := need(int(b.BlockSize)); err != nil {
-			return nil, err
+	if n := r.count(b.BlockSize); n > 0 {
+		b.Blocks = make([][]byte, n)
+		for i := range b.Blocks {
+			b.Blocks[i] = r.bytes(b.BlockSize)
 		}
-		b.Blocks = append(b.Blocks, data[pos:pos+int(b.BlockSize)])
-		pos += int(b.BlockSize)
 	}
-	nSig, err := u32()
-	if err != nil {
-		return nil, err
+	for n := r.count(16); n > 0; n-- {
+		k := r.u64()
+		b.SigTab[k] = r.u64()
 	}
-	for i := uint32(0); i < nSig; i++ {
-		k, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		v, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		b.SigTab[k] = v
+	if r.err != nil {
+		return nil, r.err
+	}
+	if len(r.data) != 0 {
+		return nil, fmt.Errorf("loader: %d trailing bytes after the dispatch table", len(r.data))
 	}
 	for _, mp := range b.Mappings {
 		if mp.Phys >= len(b.Blocks) {
@@ -170,68 +125,50 @@ func Decode(data []byte) (*Blob, error) {
 	return b, nil
 }
 
-// PIEBase is the deterministic load bias applied to ET_DYN binaries
-// (the address the Linux loader picks for PIE executables when ASLR is
-// disabled; our simulated loader is deterministic by design).
-const PIEBase uint64 = 0x5555_5555_4000
+// reader consumes a blob front to back. The first read past the end
+// sets err, and every read after it returns zero values.
+type reader struct {
+	data []byte
+	err  error
+}
 
-// Bias is the load bias of f: PIEBase for ET_DYN, zero for ET_EXEC.
-// It is added to every file virtual address.
-func Bias(f *elf64.File) uint64 {
-	if f.IsPIE() {
-		return PIEBase
+// bytes consumes the next n bytes.
+func (r *reader) bytes(n uint64) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.data)) {
+		r.err = errors.New("loader: truncated blob")
+		return nil
+	}
+	b := r.data[:n:n]
+	r.data = r.data[n:]
+	return b
+}
+
+func (r *reader) u32() uint32 {
+	if b := r.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
 	return 0
 }
 
-// BuildImage loads a (possibly rewritten) ELF binary plus its appended
-// blob into an emulated address space at its Bias, replaying the mmap
-// table. It returns the entry point and installs the B0 dispatch table.
-func BuildImage(m *emu.Machine, file []byte) (entry uint64, err error) {
-	f, err := elf64.Parse(file)
-	if err != nil {
-		return 0, err
+func (r *reader) u64() uint64 {
+	if b := r.bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	bias := Bias(f)
-	entry = f.Header.Entry + bias
+	return 0
+}
 
-	// Replay the trampoline mmap table first. Blocks are whole
-	// granules: any zero-filled portion that overlaps a loaded segment
-	// is shadowed when the segments are copied afterwards (trampolines
-	// themselves are never allocated inside segment pages, and Apply
-	// refuses a plan that puts one there, so the ordering is equivalent
-	// to the real loader's page-granular MAP_FIXED calls over
-	// non-segment pages only).
-	if blob, ok := elf64.AppendedBlob(file); ok {
-		b, err := Decode(blob)
-		if err != nil {
-			return 0, err
-		}
-		if len(b.Mappings) > MapCountLimit {
-			return 0, fmt.Errorf("loader: %d mappings exceed vm.max_map_count=%d (use a coarser granularity)",
-				len(b.Mappings), MapCountLimit)
-		}
-		for _, mp := range b.Mappings {
-			m.Mem.WriteBytes(mp.Vaddr+bias, b.Blocks[mp.Phys])
-		}
-		for addr, tramp := range b.SigTab {
-			m.SigTab[addr+bias] = tramp + bias
-		}
+// count reads a table's entry count and checks that that many entries
+// of size bytes each fit in the bytes left (size is never zero).
+func (r *reader) count(size uint64) uint32 {
+	n := r.u32()
+	if r.err == nil && uint64(n) > uint64(len(r.data))/size {
+		r.err = errors.New("loader: truncated blob")
 	}
-
-	// Load PT_LOAD segments: file bytes then zero fill to memsz.
-	for _, p := range f.Progs {
-		if p.Type != elf64.PTLoad {
-			continue
-		}
-		if p.Off+p.Filesz > uint64(len(file)) {
-			return 0, fmt.Errorf("loader: segment beyond file end")
-		}
-		vaddr := p.Vaddr + bias
-		m.Mem.WriteBytes(vaddr, file[p.Off:p.Off+p.Filesz])
-		if p.Memsz > p.Filesz {
-			m.Mem.Map(vaddr+p.Filesz, p.Memsz-p.Filesz)
-		}
+	if r.err != nil {
+		return 0
 	}
-	return entry, nil
+	return n
 }

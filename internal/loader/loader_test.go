@@ -7,12 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"e9patch/internal/elf64"
-	"e9patch/internal/emu"
 	"e9patch/internal/group"
 )
 
-func buildGrouped(t *testing.T) *group.Result {
+func buildGrouped(t testing.TB) *group.Result {
 	t.Helper()
 	res, err := group.Build([]group.Chunk{
 		{Addr: 0x700100, Data: []byte{0xDE, 0xAD}},
@@ -53,123 +51,69 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// header is a blob's fixed header followed by an empty mmap table:
+// magic, granularity 1, blockSize, entry 0, no mappings.
+func header(blockSize uint64) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, blobMagic)
+	b = le.AppendUint32(b, 1)
+	b = le.AppendUint64(b, blockSize)
+	b = le.AppendUint64(b, 0)
+	return le.AppendUint32(b, 0)
+}
+
+// hugeBlockBlob claims one block of 2^64-1 bytes in a 48-byte blob: a
+// block size cast to int went negative and passed the bounds check.
+func hugeBlockBlob() []byte {
+	return append(binary.LittleEndian.AppendUint32(header(1<<64-1), 1), make([]byte, 16)...)
+}
+
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Error("nil blob accepted")
-	}
-	if _, err := Decode([]byte{1, 2, 3, 4}); err == nil {
-		t.Error("bad magic accepted")
-	}
-	res := buildGrouped(t)
-	blob := Encode(res, 1, nil, 0)
-	if _, err := Decode(blob[:len(blob)-5]); err == nil {
-		t.Error("truncated blob accepted")
-	}
-}
-
-func TestBuildImage(t *testing.T) {
-	text := bytes.Repeat([]byte{0x90}, 64)
-	text[0] = 0xC3
-	bin, err := elf64.Build(elf64.BuildSpec{Text: text, Data: []byte("datadata"), BSSSize: 0x100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := buildGrouped(t)
-	sig := map[uint64]uint64{0x401001: 0x700100}
-	out := elf64.Compose(bin, 0, nil, Encode(res, 1, sig, 0x401000))
-
-	m := emu.NewMachine()
-	entry, err := BuildImage(m, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entry != elf64.DefaultBase+elf64.TextVaddrOff {
-		t.Errorf("entry = %#x", entry)
-	}
-	// Text present.
-	b, ok := m.Mem.ReadBytes(entry, 1)
-	if !ok || b[0] != 0xC3 {
-		t.Error("text not loaded")
-	}
-	// Trampoline bytes present at their virtual addresses.
-	b, _ = m.Mem.ReadBytes(0x700100, 2)
-	if b[0] != 0xDE || b[1] != 0xAD {
-		t.Errorf("trampoline bytes = % x", b)
-	}
-	b, _ = m.Mem.ReadBytes(0x702800, 3)
-	if b[0] != 0xBE || b[2] != 0x01 {
-		t.Errorf("second trampoline bytes = % x", b)
-	}
-	// SigTab installed with bias applied.
-	if m.SigTab[0x401001] != 0x700100 {
-		t.Errorf("sigtab = %v", m.SigTab)
-	}
-	// .bss mapped and zero.
-	f, _ := elf64.Parse(out)
-	bss, _ := f.SectionByName(".bss")
-	b, ok = m.Mem.ReadBytes(bss.Addr, 4)
-	if !ok || b[0] != 0 {
-		t.Error(".bss not mapped as zeros")
-	}
-}
-
-func TestBuildImageBias(t *testing.T) {
-	text := []byte{0xC3}
-	bin, err := elf64.Build(elf64.BuildSpec{PIE: true, Text: text, Data: []byte("x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := buildGrouped(t)
-	out := elf64.Compose(bin, 0, nil, Encode(res, 1, nil, elf64.TextVaddrOff))
-	m := emu.NewMachine()
-	const bias = PIEBase // ET_DYN loads at PIEBase
-	entry, err := BuildImage(m, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entry != bias+elf64.TextVaddrOff {
-		t.Errorf("entry = %#x", entry)
-	}
-	if b, _ := m.Mem.ReadBytes(bias+0x700100, 1); b[0] != 0xDE {
-		t.Error("biased trampoline missing")
-	}
-}
-
-func TestMapCountLimit(t *testing.T) {
-	// One mapping over vm.max_map_count must be refused; five pass.
-	image := func(n int) []byte {
-		chunks := make([]group.Chunk, n)
-		for i := range chunks {
-			chunks[i] = group.Chunk{Addr: 0x700000 + uint64(i)*0x1000 + uint64(i%0x1000), Data: []byte{1}}
+	le := binary.LittleEndian
+	blob := Encode(buildGrouped(t), 1, map[uint64]uint64{0x401000: 0x700100}, 0)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"nil", nil},
+		{"bad magic", []byte{1, 2, 3, 4}},
+		{"truncated", blob[:len(blob)-5]},
+		{"block size 2^64-1", hugeBlockBlob()},
+		{"block size 2^63", append(le.AppendUint32(header(1<<63), 1), make([]byte, 16)...)},
+		{"block size 2^32", append(le.AppendUint32(header(1<<32), 1), make([]byte, 16)...)},
+		{"zero block size", le.AppendUint32(le.AppendUint32(header(0), 1<<20), 0)},
+		{"zero block size, no blocks", le.AppendUint32(le.AppendUint32(header(0), 0), 0)},
+		{"mappings past the end", le.AppendUint32(header(4096)[:24], 1<<32-1)},
+		{"blocks past the end", le.AppendUint32(header(4096), 1<<32-1)},
+		{"dispatch entries past the end", le.AppendUint32(le.AppendUint32(header(4096), 0), 1<<32-1)},
+		{"trailing byte", append(blob[:len(blob):len(blob)], 0)},
+		{"trailing entry", append(blob[:len(blob):len(blob)], make([]byte, 16)...)},
+	} {
+		if _, err := Decode(tc.data); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
-		res, err := group.Build(chunks, 1)
+	}
+}
+
+// FuzzDecode: Decode never panics, and whatever it accepts encodes to
+// a blob that decodes to the same table.
+func FuzzDecode(f *testing.F) {
+	f.Add(Encode(buildGrouped(f), 1, map[uint64]uint64{0x401000: 0x700100, 0x401005: 0x702800}, 0x401234))
+	f.Add(hugeBlockBlob())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := Decode(data)
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		if len(res.Mappings) != n {
-			t.Fatalf("%d chunks on distinct pages gave %d mappings", n, len(res.Mappings))
+		res := &group.Result{Mappings: b.Mappings, Blocks: b.Blocks, Stats: group.Stats{BlockSize: b.BlockSize}}
+		again, err := Decode(Encode(res, int(b.Granularity), b.SigTab, b.Entry))
+		if err != nil {
+			t.Fatalf("re-encoded table does not decode: %v", err)
 		}
-		bin, _ := elf64.Build(elf64.BuildSpec{Text: []byte{0xC3}, Data: []byte("x")})
-		return elf64.Compose(bin, 0, nil, Encode(res, 1, nil, 0))
-	}
-	m := emu.NewMachine()
-	if _, err := BuildImage(m, image(MapCountLimit+1)); err == nil {
-		t.Fatal("mapping limit not enforced")
-	}
-	if _, err := BuildImage(m, image(5)); err != nil {
-		t.Fatalf("5 mappings should pass: %v", err)
-	}
-}
-
-func TestUnpatchedBinaryLoads(t *testing.T) {
-	bin, _ := elf64.Build(elf64.BuildSpec{Text: []byte{0xC3}, Data: []byte("x")})
-	m := emu.NewMachine()
-	if _, err := BuildImage(m, bin); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.SigTab) != 0 {
-		t.Error("phantom sigtab")
-	}
+		if !reflect.DeepEqual(again, b) {
+			t.Fatalf("round trip changed the table:\n got %+v\nwant %+v", again, b)
+		}
+	})
 }
 
 // TestEncodeLargeSigTab: the B0 dispatch table is ordered with a real

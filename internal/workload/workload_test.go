@@ -5,11 +5,11 @@ import (
 	"runtime"
 	"testing"
 
+	"e9patch"
 	"e9patch/internal/disasm"
 	"e9patch/internal/elf64"
 	"e9patch/internal/emu"
 	"e9patch/internal/lang"
-	"e9patch/internal/loader"
 )
 
 func init() { KernelIters = 2000 }
@@ -120,7 +120,7 @@ func runKernel(t *testing.T, arch string) *emu.Machine {
 		t.Fatal(err)
 	}
 	m := NewMachine(nil)
-	entry, err := loader.BuildImage(m, prog.ELF)
+	entry, err := e9patch.Load(m, prog.ELF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDromaeoSuitesRun(t *testing.T) {
 		}
 		m := NewMachine(nil)
 		BindJit(m)
-		entry, err := loader.BuildImage(m, prog.ELF)
+		entry, err := e9patch.Load(m, prog.ELF)
 		if err != nil {
 			t.Fatal(err)
 		}

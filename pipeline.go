@@ -11,7 +11,6 @@ import (
 	"e9patch/internal/disasm"
 	"e9patch/internal/e9err"
 	"e9patch/internal/elf64"
-	"e9patch/internal/loader"
 	"e9patch/internal/match"
 	"e9patch/internal/patch"
 	"e9patch/internal/plan"
@@ -56,6 +55,18 @@ type pipelineState struct {
 	sstats   *disasm.SupersetStats // nil for linear mode
 }
 
+// refuseRewritten refuses an input that already carries the rewriter's
+// appended table. Its text holds the first rewrite's jumps into
+// trampoline pages that only that table maps, and an output carries one
+// table, so rewriting it again drops them: the result runs unmapped
+// memory at the first patched site.
+func refuseRewritten(phase string, input []byte) error {
+	if _, ok := elf64.AppendedBlob(input); ok {
+		return e9err.Unsupported(phase, "e9patch: input is already the output of a rewrite (it ends with the appended trampoline table); rewrite the original binary instead")
+	}
+	return nil
+}
+
 // openPipeline runs the front half of the decision pipeline: normalize
 // the configuration, enforce the input-side limits, parse the ELF and
 // disassemble .text. cfg is normalized in place (template and
@@ -93,7 +104,10 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineStat
 	if err != nil {
 		return nil, err
 	}
-	bias := loader.Bias(f)
+	if err := refuseRewritten("parse", input); err != nil {
+		return nil, err
+	}
+	bias := loadBias(f)
 
 	textOff, textAddr, textSize, err := f.TextRange()
 	if err != nil {

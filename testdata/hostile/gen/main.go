@@ -10,7 +10,9 @@
 // well-formed ELFs whose .text is hostile to instruction recovery
 // instead (workload.NopSled, workload.BackwardLadder): they must
 // rewrite, in every disassembly mode, in time linear in their size.
-// The corpus is checked in;
+// One is the valid binary rewritten once: a rewritten input is refused
+// as unsupported, since rewriting it again would drop the first
+// round's trampoline pages. The corpus is checked in;
 // rerun this only when the layout of the seed binary changes:
 //
 //	go run ./testdata/hostile/gen
@@ -24,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"e9patch"
 	"e9patch/internal/elf64"
 	"e9patch/internal/workload"
 )
@@ -83,6 +86,11 @@ func main() {
 	strShdr := shOff + 4*shdrSize
 	phdr0 := uint64(ehdrSize) // first PT_LOAD (the RX text segment)
 
+	rewritten, err := e9patch.Rewrite(valid, e9patch.Config{Select: e9patch.SelectJumps})
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Deterministic non-ELF bytes for the garbage variant.
 	garbage := make([]byte, 128)
 	for i := range garbage {
@@ -125,6 +133,9 @@ func main() {
 		{"memsz-lt-filesz.bin", put64(valid, phdr0+pMemsz, 1)},
 		{"segment-off-overflow.bin", put64(valid, phdr0+pOffset, 0xFFFFFFFFFFFFFFF0)},
 		{"text-not-loaded.bin", put32(valid, phdr0+pType, 0)}, // PT_LOAD → PT_NULL
+
+		// A valid output of the rewriter, its appended table included.
+		{"already-rewritten.bin", rewritten.Output},
 
 		// Valid containers, recovery-hostile text.
 		{"recover-nop-sled.bin", withText(workload.NopSled(hostileTextBytes))},
