@@ -127,10 +127,11 @@ papercheck:
 # workload on a build of the parent commit and a build of this tree,
 # judged per workload and end-to-end metric against the declared bounds.
 # It takes minutes, so it is not part of ci; a PR that touches a layer
-# carries its table.
+# carries its table. PR=N also records the run as BENCH_N.json, the file
+# a perf_opt PR commits.
 PAIRS ?= 3
 benchcheck:
-	$(GO) run ./cmd/benchcheck $(PAIRS)
+	$(GO) run ./cmd/benchcheck $(if $(PR),-pr $(PR)) $(PAIRS)
 
 # rpccheck verifies the JSON-RPC backend protocol end to end: the
 # golden transcripts in testdata/rpc replayed against the built

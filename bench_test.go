@@ -139,7 +139,9 @@ func BenchmarkApplyPlan(b *testing.B) {
 // BenchmarkEmulator measures emulated instruction throughput under the
 // default engine over the five kernel archetypes, original and rewritten
 // (the pairing of the emu-kernels workload: A2 heap writes for the two
-// store-heavy kernels, A1 jumps for the rest).
+// store-heavy kernels, A1 jumps for the rest). Under the ir engine it
+// also reports blocks/op, the block dispatches one run pays for, so a
+// throughput change can be told apart from a dispatch-count change.
 func BenchmarkEmulator(b *testing.B) {
 	benchEmulator(b, workload.Engine)
 }
@@ -177,7 +179,7 @@ func benchEmulator(b *testing.B, engine string) {
 			bin  []byte
 		}{{"orig", prog.ELF}, {k.app, res.Output}} {
 			b.Run(k.arch+"/"+img.name, func(b *testing.B) {
-				var instr uint64
+				var instr, blocks uint64
 				for i := 0; i < b.N; i++ {
 					m := workload.NewMachine(nil)
 					entry, err := e9patch.Load(m, img.bin)
@@ -189,8 +191,14 @@ func benchEmulator(b *testing.B, engine string) {
 						b.Fatal(err)
 					}
 					instr += m.Counters.Instructions
+					if e, ok := m.Engine.(interface{ FastBlocks() uint64 }); ok {
+						blocks += e.FastBlocks()
+					}
 				}
 				b.ReportMetric(float64(instr)/1e6/b.Elapsed().Seconds(), "Minst/s")
+				if blocks != 0 {
+					b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
+				}
 			})
 		}
 	}

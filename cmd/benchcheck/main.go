@@ -3,7 +3,13 @@
 // the parent commit and on a build of this tree, in alternating order,
 // and judges every end-to-end metric against its BENCHMARK.json bound.
 //
-//	go run ./cmd/benchcheck [PAIRS]        (make benchcheck PAIRS=3)
+//	go run ./cmd/benchcheck [-pr N] [PAIRS]   (make benchcheck PAIRS=3 [PR=N])
+//
+// With -pr it also records the run as BENCH_<N>.json in the module root
+// (record.go): per workload and end-to-end metric the two medians, the
+// parent's spread, the change's per-pair wins and the verdict; the
+// per-layer metrics of one traced run of each side per workload; both
+// commits, nproc, the Go version and the date.
 //
 // The parent is `git merge-base HEAD main`; on main itself it is HEAD
 // when the tree has uncommitted changes and HEAD~1 otherwise. It is
@@ -15,22 +21,26 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // contract is the part of BENCHMARK.json the gate reads.
 type contract struct {
 	Workloads []struct{ Name string } `json:"workloads"`
 	EndToEnd  []struct {
-		Name, Better string
-		Bound        float64
+		Name, Unit, Better string
+		Bound              float64
 	} `json:"end_to_end"`
+	PerLayer []struct{ Name, Unit, Better string } `json:"per_layer"`
 }
 
 // result is the last line a `bench -workload` run prints.
@@ -91,11 +101,31 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
 }
 
+// runBench runs the bench binary built in tree on one workload and
+// returns the result its last line prints.
+func runBench(tree, workload string, seed int, trace bool) (res result, err error) {
+	traceArg := "0"
+	if trace {
+		traceArg = "1"
+	}
+	out, err := output(tree, filepath.Join(tree, ".bench_build", "bench"),
+		"-workload", workload, "-seed", strconv.Itoa(seed), "-trace", traceArg)
+	if err != nil {
+		return res, err
+	}
+	if err := json.Unmarshal([]byte(out[strings.LastIndexByte(out, '\n')+1:]), &res); err != nil {
+		return res, fmt.Errorf("%s seed %d: last line is not a result: %w", workload, seed, err)
+	}
+	return res, nil
+}
+
 func check() (failed bool, err error) {
+	pr := flag.Int("pr", 0, "record the run as BENCH_<pr>.json")
+	flag.Parse()
 	pairs := 3
-	if len(os.Args) > 1 {
-		if pairs, err = strconv.Atoi(os.Args[1]); err != nil || pairs < 1 || len(os.Args) > 2 {
-			return false, fmt.Errorf("usage: benchcheck [PAIRS]")
+	if flag.NArg() > 0 {
+		if pairs, err = strconv.Atoi(flag.Arg(0)); err != nil || pairs < 1 || flag.NArg() > 1 || *pr < 0 {
+			return false, fmt.Errorf("usage: benchcheck [-pr N] [PAIRS]")
 		}
 	}
 	data, err := os.ReadFile("BENCHMARK.json")
@@ -108,6 +138,11 @@ func check() (failed bool, err error) {
 	}
 	commit, err := parentCommit()
 	if err != nil {
+		return false, err
+	}
+	rec := record{Parent: commit, Nproc: runtime.NumCPU(), Go: runtime.Version(),
+		Date: time.Now().UTC().Format(time.RFC3339), Pairs: pairs}
+	if rec.Change, err = changeCommit(); err != nil {
 		return false, err
 	}
 	root, err := os.Getwd()
@@ -132,14 +167,9 @@ func check() (failed bool, err error) {
 		for _, w := range c.Workloads {
 			for k := 0; k < 2; k++ {
 				side := (k + i + 1) % 2 // parent first on odd pairs, change first on even
-				out, err := output(trees[side], filepath.Join(trees[side], ".bench_build", "bench"),
-					"-workload", w.Name, "-seed", strconv.Itoa(i), "-trace", "0")
+				res, err := runBench(trees[side], w.Name, i, false)
 				if err != nil {
-					return false, err
-				}
-				var res result
-				if err := json.Unmarshal([]byte(out[strings.LastIndexByte(out, '\n')+1:]), &res); err != nil {
-					return false, fmt.Errorf("%s %s seed %d: last line is not a result: %w", names[side], w.Name, i, err)
+					return false, fmt.Errorf("%s: %w", names[side], err)
 				}
 				if !res.Correct {
 					fmt.Printf("%s: the %s run with seed %d is not correct\n", w.Name, names[side], i)
@@ -160,6 +190,7 @@ func check() (failed bool, err error) {
 	fmt.Printf("%-12s %-18s %12s %12s %9s %9s %8s  %s\n", "workload", "metric", "parent", "change", "worse %", "spread %", "bound %", "verdict")
 	for _, w := range c.Workloads {
 		for _, m := range c.EndToEnd {
+			won := wins(values[w.Name+"/"+m.Name], m.Better) // before the sort breaks the pairs
 			parent, change := values[w.Name+"/"+m.Name][0], values[w.Name+"/"+m.Name][1]
 			sort.Float64s(parent)
 			sort.Float64s(change)
@@ -182,7 +213,20 @@ func check() (failed bool, err error) {
 				verdict = "unresolved"
 			}
 			fmt.Printf("%-12s %-18s %12.4f %12.4f %+9.2f %9.2f %8.2f  %s\n", w.Name, m.Name, pm, cm, worse, spread, 100*m.Bound, verdict)
+			rec.Rows = append(rec.Rows, row{Workload: w.Name, Metric: m.Name, Unit: m.Unit, Better: m.Better,
+				Parent: pm, Change: cm, WorsePct: worse, SpreadPct: spread, BoundPct: 100 * m.Bound,
+				Wins: won, Pairs: pairs, Verdict: verdict})
 		}
+	}
+	if *pr > 0 {
+		if rec.Layers, err = layers(c, trees); err != nil {
+			return failed, err
+		}
+		name := fmt.Sprintf("BENCH_%d.json", *pr)
+		if err := rec.write(name); err != nil {
+			return failed, err
+		}
+		fmt.Printf("benchcheck: recorded %s\n", name)
 	}
 	return failed, nil
 }

@@ -16,19 +16,31 @@ import (
 const maxBlockInsts = 64
 
 // termAttrs marks instructions that may not fall through to the next
-// sequential address: they terminate a block.
+// sequential address: they end a straight-line run.
 const termAttrs = x86.AttrJump | x86.AttrCondJump | x86.AttrCall |
 	x86.AttrRet | x86.AttrStop | x86.AttrInt3
 
-// decodeBlock decodes the straight-line run starting at pc: up to
-// maxBlockInsts instructions, ending after the first control transfer
-// (jump, conditional jump, call, ret, hlt, int3). A fetch fault (pc on
-// an unmapped page) or decode failure at pc itself is returned,
-// formatted exactly as the interpreter's fetch would report it; one
-// later in the run just ends the block early, so the error — if
-// execution ever falls through to it — is raised lazily at the address
-// the interpreter would raise it. end is the address one past the final
-// decoded instruction.
+// followed reports whether decodeBlock continues a block at inst's
+// target: a direct jmp (rel8 or rel32) or call rel32. Both always
+// transfer to one address known at decode time, so the block runs on
+// through them as through straight-line code; a trampoline hop costs
+// no block transition.
+func followed(inst *x86.Inst) bool {
+	return !inst.TwoByte && (inst.Opcode == 0xE9 || inst.Opcode == 0xEB || inst.Opcode == 0xE8)
+}
+
+// decodeBlock decodes the superblock starting at pc: up to
+// maxBlockInsts instructions of straight-line runs (segments), ending
+// after the first control transfer (jump, conditional jump, call, ret,
+// hlt, int3) that it does not follow. It follows a direct jmp or call
+// rel32 (followed) whose target is not the address of an instruction
+// already in the block, so a loop never unrolls into itself. A fetch
+// fault (pc on an unmapped page) or decode failure at pc itself is
+// returned, formatted exactly as the interpreter's fetch would report
+// it; one later in the run — after a followed transfer too — just ends
+// the block early, so the error, if execution ever gets there, is
+// raised lazily at the address the interpreter would raise it. end is
+// the fallthrough address of the final instruction.
 //
 // A block also ends before any instruction after the first whose
 // address is special (the exit sentinel or a bound runtime address):
@@ -55,18 +67,35 @@ func decodeBlock(m *Machine, pc uint64) (insts []x86.Inst, end uint64, err error
 			break
 		}
 		insts = append(insts, inst)
-		pc += uint64(inst.Len)
-		if inst.Attrs&termAttrs != 0 || len(insts) >= maxBlockInsts {
+		end = pc + uint64(inst.Len)
+		pc = end
+		if len(insts) >= maxBlockInsts {
 			break
 		}
+		if inst.Attrs&termAttrs != 0 {
+			if !followed(&inst) || inBlock(insts, inst.Target()) {
+				break
+			}
+			pc = inst.Target()
+		}
 	}
-	return insts, pc, nil
+	return insts, end, nil
+}
+
+// inBlock reports whether addr starts one of insts.
+func inBlock(insts []x86.Inst, addr uint64) bool {
+	for i := range insts {
+		if insts[i].Addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // codeTracker records which pages hold translated code and turns the
 // Memory write barrier into a flush signal. The engine registers it as
-// the barrier (invalidate), notes each translated block's byte range
-// (track), and observes stores into translated code via flushed — which
+// the barrier (invalidate), notes the byte range of each segment of a
+// translated block (track), and observes stores into translated code via flushed — which
 // it checks mid-block to abort in-flight execution, exactly where the
 // interpreter's per-step fetch would observe the new bytes.
 type codeTracker struct {
@@ -115,6 +144,12 @@ func (t *codeTracker) invalidate(addr, size uint64) {
 	if last < t.lo || first > t.hi || size == 0 {
 		return
 	}
+	t.probe(first, last)
+}
+
+// probe is invalidate's page-map consultation, kept out of line so
+// the range compare inlines into the engine's stores.
+func (t *codeTracker) probe(first, last uint64) {
 	for p := first; p <= last; p++ {
 		t.probes++
 		if _, ok := t.pages[p]; ok {

@@ -1,6 +1,9 @@
 package emu
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestCodeTrackerRange pins the tracker's range reject: it is exact at
 // both edges of the tracked pages, a store that straddles a tracked and
@@ -94,5 +97,30 @@ func TestDecodeBlockEndsAtSpecial(t *testing.T) {
 		if err != nil || len(insts) != tc.n || end != tc.end {
 			t.Errorf("block at %#x: %d instructions to %#x (%v), want %d to %#x", tc.pc, len(insts), end, err, tc.n, tc.end)
 		}
+	}
+}
+
+// TestDecodeBlockFollowsHops: a block runs on through a direct jmp or
+// call rel32 to an address it does not hold yet — a trampoline hop and
+// the hop back are one block — and stops at a jump into itself, so a
+// loop never unrolls.
+func TestDecodeBlockFollowsHops(t *testing.T) {
+	const site, tramp = 0x400000, 0x480000
+	m := NewMachine()
+	// site: nop; jmp tramp; back: nop; call sub; sub: jmp site
+	m.Mem.WriteBytes(site, []byte{0x90, 0xE9, 0xFA, 0xFF, 0x07, 0x00, 0x90, 0xE8, 0x00, 0x00, 0x00, 0x00, 0xEB, 0xF2})
+	// tramp: nop; jmp back
+	m.Mem.WriteBytes(tramp, []byte{0x90, 0xE9, 0x00, 0x00, 0xF8, 0xFF})
+	insts, end, err := decodeBlock(m, site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []uint64
+	for _, in := range insts {
+		addrs = append(addrs, in.Addr)
+	}
+	want := []uint64{site, site + 1, tramp, tramp + 1, site + 6, site + 7, site + 12}
+	if fmt.Sprint(addrs) != fmt.Sprint(want) || end != site+14 {
+		t.Errorf("block runs %#x to %#x, want %#x to %#x", addrs, end, want, site+14)
 	}
 }

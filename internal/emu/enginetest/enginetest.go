@@ -104,6 +104,8 @@ func Run(t *testing.T, engine string) {
 	t.Run("flag-stress", func(t *testing.T) { testFlagStress(t, engine) })
 	t.Run("special-mid-block", func(t *testing.T) { testSpecialMidBlock(t, engine) })
 	t.Run("fetch-fault", func(t *testing.T) { testFetchFault(t, engine) })
+	t.Run("superblock-hop", func(t *testing.T) { testSuperblockHop(t, engine) })
+	t.Run("fused-jcc", func(t *testing.T) { testFusedJcc(t, engine) })
 }
 
 // testProfiles is the acceptance gate: for every Table 1 profile, the

@@ -7,12 +7,25 @@ import (
 	"e9patch/internal/x86"
 )
 
-// The ir engine is the emulator's fast execution engine: each basic
-// block is lifted once — through decodeBlock, the shared definition
-// of a block — into a linear sequence of micro-ops (Go closures),
-// optimized per block, and then dispatched by threaded code with no
-// per-instruction decode or switch. Blocks are chained across direct
-// branches so hot paths skip the cache lookup entirely.
+// The ir engine is the emulator's fast execution engine: each block is
+// lifted once — through decodeBlock, the shared definition of a block —
+// into a linear sequence of micro-ops (Go closures), optimized per
+// block, and then dispatched by threaded code with no per-instruction
+// decode or switch.
+//
+// Three structural choices make one dispatch retire many instructions:
+//
+//   - Superblocks (block.go): a block runs on through a direct jmp or
+//     call rel32, so a patched site's hop to its trampoline and the hop
+//     back cost no block transition; a followed jump is a micro-op that
+//     charges the branch and falls through.
+//   - A chained inner loop (Run): each block memoizes its successors (a
+//     block ending in ret or an indirect jump, the last one it had), and
+//     a linked successor that fits the budget runs straight after its
+//     predecessor, past the outer loop's probes.
+//   - Compare+branch fusion (compile.go): a block ending in a register
+//     or immediate ALU op, cmp or test and its jcc runs the pair as one
+//     micro-op that reads the condition off the operands.
 //
 // Three block-local optimizations carry the speedup beyond caching the
 // decode:
@@ -41,29 +54,58 @@ import (
 // Rewritten binaries patch .text, so invalidation is
 // correctness-critical, not optional. See DESIGN.md §6.
 
-// uop is one micro-op. It returns the index of the next micro-op in
-// the block, or done to leave the block (control transfer, fault,
-// halt, or SMC abort). Micro-ops update RIP only when leaving.
-type uop func(*state) int
+// uop is one micro-op. It returns true to fall through to the next
+// micro-op in the block, or done to leave the block (control transfer,
+// fault, halt, or SMC abort). Micro-ops update RIP only when leaving.
+type uop func(*state) bool
 
 // done is the uop return value that exits the block dispatch loop.
-const done = -1
+const done = false
 
-// block is one lifted run of straight-line code.
+// block is one lifted superblock (decodeBlock).
 type block struct {
 	start uint64
-	end   uint64 // address one past the final instruction
+	end   uint64 // fallthrough address of the final instruction
 	insts []x86.Inst
 
 	// ops is the threaded code: ops[i] executes insts[i]; a possible
 	// extra trailing epilogue op materializes the fallthrough RIP.
 	ops []uop
+	// full is the index of the op whose done retires the whole block:
+	// the terminator, the epilogue, or a fused pair's first op. Every
+	// other done leaves the block early.
+	full int
 
-	// succAddr are the block's static successor addresses (fallthrough
-	// and, for direct branches, the target); succ memoizes their lifted
-	// blocks so chained transitions skip the cache map.
+	// succAddr are the block's successor addresses (the fallthrough
+	// and, for a direct branch, its target); succ memoizes their lifted
+	// blocks so chained transitions skip the cache map. A block whose
+	// final instruction has no static target (ret, an indirect jump or
+	// call, a fallback) uses slot 1 as a one-entry cache of the last
+	// successor it had.
 	succAddr [2]uint64
 	succ     [2]*block
+	dynamic  bool
+}
+
+// linked returns the memoized successor at pc, or nil.
+func (b *block) linked(pc uint64) *block {
+	if b.succAddr[0] == pc && b.succ[0] != nil {
+		return b.succ[0]
+	}
+	if b.succAddr[1] == pc {
+		return b.succ[1]
+	}
+	return nil
+}
+
+// link memoizes next as b's successor at pc.
+func (b *block) link(pc uint64, next *block) {
+	switch {
+	case b.succAddr[0] == pc:
+		b.succ[0] = next
+	case b.succAddr[1] == pc || b.dynamic:
+		b.succAddr[1], b.succ[1] = pc, next
+	}
 }
 
 // state is the per-engine execution state threaded through micro-ops.
@@ -156,6 +198,12 @@ func newIREngine() *irEngine {
 	return e
 }
 
+// FastBlocks returns the number of block executions on the threaded
+// fast path so far (Stats.FastBlocks): the dispatches the engine paid
+// for, which callers outside the package reach through an interface
+// assertion on Machine.Engine.
+func (e *irEngine) FastBlocks() uint64 { return e.Stats.FastBlocks }
+
 // refreshRuntime re-reads the machine's runtime bindings. Blocks were
 // cut at the addresses bound when they were lifted (decodeBlock),
 // so a changed set drops them.
@@ -235,15 +283,11 @@ func (e *irEngine) Run(m *Machine, maxInst uint64) error {
 		e.Stats.Lookups++
 		var b *block
 		if prev != nil {
-			if prev.succAddr[0] == pc && prev.succ[0] != nil {
-				b = prev.succ[0]
-				e.Stats.Chained++
-			} else if prev.succAddr[1] == pc && prev.succ[1] != nil {
-				b = prev.succ[1]
-				e.Stats.Chained++
-			}
+			b = prev.linked(pc)
 		}
-		if b == nil {
+		if b != nil {
+			e.Stats.Chained++
+		} else {
 			// The budget outranks a decode error, as in the
 			// interpreter's loop; on a chained transition the fast-path
 			// condition below is the budget check.
@@ -259,24 +303,51 @@ func (e *irEngine) Run(m *Machine, maxInst uint64) error {
 				}
 			}
 			if prev != nil {
-				if prev.succAddr[0] == pc {
-					prev.succ[0] = b
-				} else if prev.succAddr[1] == pc {
-					prev.succ[1] = b
-				}
+				prev.link(pc, b)
 			}
 		}
-		prev = b
 
-		if m.Trace == nil && m.Counters.Instructions+uint64(len(b.insts)) <= maxInst {
-			// Fast path: the whole block fits in the remaining budget
-			// and nobody observes per-instruction state. Threaded
-			// dispatch with lazy flags.
+		if m.Trace != nil || m.Counters.Instructions+uint64(len(b.insts)) > maxInst {
+			// Careful path: a tracer is installed or the budget could
+			// expire mid-block (or already has: runCareful checks it
+			// before each instruction). Execute per instruction through
+			// execDecoded, which yields tracer-mutation and budget
+			// parity with interp by construction.
+			prev = b
+			e.Stats.CarefulBlocks++
+			st.materialize()
+			if err := e.runCareful(m, b, maxInst); err != nil {
+				return err
+			}
+			continue
+		}
+		// Fast path: the whole block fits in the remaining budget and
+		// nobody observes per-instruction state. Threaded dispatch with
+		// lazy flags, then straight on into the successor while it is
+		// linked, fits and is not special: nothing between two blocks
+		// can install a tracer, bind an address or flush without the
+		// checks below seeing it, so the outer loop's probes would find
+		// nothing.
+		for {
+			prev = b
 			e.Stats.FastBlocks++
-			ops := b.ops
-			i := 0
-			for i >= 0 {
-				i = ops[i](st)
+			// Each instruction's base cost is charged here, for the
+			// whole block, and refunded for the instructions an early
+			// exit leaves unretired: the op that leaves has retired its
+			// own instruction (a fault or flush counts it, as in the
+			// interpreter).
+			n := uint64(len(b.insts))
+			m.Counters.Instructions += n
+			m.Counters.Cycles += n * m.Cost.ALU
+			for k, op := range b.ops {
+				if op(st) == done {
+					if k < b.full {
+						r := n - uint64(k) - 1
+						m.Counters.Instructions -= r
+						m.Counters.Cycles -= r * m.Cost.ALU
+					}
+					break
+				}
 			}
 			if st.err != nil {
 				st.materialize()
@@ -284,17 +355,15 @@ func (e *irEngine) Run(m *Machine, maxInst uint64) error {
 				st.err = nil
 				return err
 			}
-		} else {
-			// Careful path: a tracer is installed or the budget could
-			// expire mid-block (or already has: runCareful checks it
-			// before each instruction). Execute per instruction through
-			// execDecoded, which yields tracer-mutation and budget
-			// parity with interp by construction.
-			e.Stats.CarefulBlocks++
-			st.materialize()
-			if err := e.runCareful(m, b, maxInst); err != nil {
-				return err
+			pc := m.RIP
+			if m.halted || e.trk.flushed || pc == m.ExitAddr || pc >= e.rtLo && pc <= e.rtHi {
+				break
 			}
+			if b = b.linked(pc); b == nil || m.Counters.Instructions+uint64(len(b.insts)) > maxInst {
+				break
+			}
+			e.Stats.Lookups++
+			e.Stats.Chained++
 		}
 	}
 	st.materialize()
@@ -332,7 +401,7 @@ func (e *irEngine) runCareful(m *Machine, b *block, maxInst uint64) error {
 // fault records a wrapped execution error with machine state
 // positioned exactly as the interpreter leaves it: RIP at the faulting
 // instruction.
-func (s *state) fault(inst *x86.Inst, err error) int {
+func (s *state) fault(inst *x86.Inst, err error) bool {
 	s.m.RIP = inst.Addr
 	s.err = fmt.Errorf("emu: at %#x (% x): %w", inst.Addr, inst.Bytes, err)
 	return done
@@ -376,10 +445,12 @@ func (s *state) store(addr uint64, v uint64, n int) {
 		_ = mem.write(addr, v, n) // fires the barrier itself
 		return
 	}
-	if mem.barrier != nil {
-		mem.barrier(addr, uint64(n))
-	}
 	idx := addr / PageSize
+	// The write barrier Run installed (trk.invalidate), inlined: the
+	// store lies inside page idx, so one range compare rejects it.
+	if t := s.trk; idx >= t.lo && idx <= t.hi {
+		t.probe(idx, idx)
+	}
 	e := &s.st[idx%tlbSize]
 	pg := e.pg
 	if pg == nil || idx != e.idx {

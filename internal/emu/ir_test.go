@@ -161,6 +161,22 @@ func TestSMCFlushStats(t *testing.T) {
 	if s.Translations != 2 {
 		t.Errorf("mid-block abort: %d blocks lifted, want 2 (the block, then its patched tail)", s.Translations)
 	}
+
+	// A store from a trampoline into the site page, which the same
+	// superblock decoded before it hopped, on each of three trips: one
+	// flush per store, and each aborts the block, whose tail is lifted
+	// again — seven blocks: the loop's, the tail's after each abort,
+	// and the final ret.
+	eng := emu.NewIREngine()
+	site, tramp, tail := enginetest.HopSMC()
+	m := enginetest.HopMachine(eng, site, tramp, tail)
+	if err := m.Run(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if m.ExitCode != 11 || eng.Stats.Flushes != 3 || eng.Stats.Translations != 7 {
+		t.Errorf("store into an earlier segment: exit %d, %d flushes, %d blocks lifted; want 11, 3, 7",
+			m.ExitCode, eng.Stats.Flushes, eng.Stats.Translations)
+	}
 }
 
 // TestOptimizationStats checks the lift-time optimizations fire on a
@@ -309,6 +325,61 @@ func TestHotSetHasNoFallbacks(t *testing.T) {
 		run(k.arch+"/lowfat", lf.Output, func(m *emu.Machine) {
 			lowfat.Install(m, workload.RTMalloc, workload.RTFree)
 		})
+	}
+}
+
+// TestTrampolineHopDoesNotEndBlock: a patched site's jump to its
+// trampoline and the trampoline's jump back are followed inside one
+// block, so a rewritten kernel runs in no more block executions than
+// the original. It checks the five emu-kernels classes, with exact
+// counts of the fast path's block executions.
+func TestTrampolineHopDoesNotEndBlock(t *testing.T) {
+	saved := workload.KernelIters
+	workload.KernelIters = 2000
+	defer func() { workload.KernelIters = saved }()
+
+	blocks := func(bin []byte) uint64 {
+		t.Helper()
+		eng := emu.NewIREngine()
+		m := workload.NewMachine(nil)
+		m.Engine = eng
+		entry, err := e9patch.Load(m, bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.RIP = entry
+		if err := m.Run(2_000_000_000); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Stats.FastBlocks
+	}
+	for _, k := range []struct {
+		arch, row string
+		sel       e9patch.Selector
+	}{
+		{"branchy", "gcc", e9patch.SelectJumps},
+		{"memstream", "h264ref", e9patch.SelectHeapWrites},
+		{"matrix", "tonto", e9patch.SelectHeapWrites},
+		{"pointer", "omnetpp", e9patch.SelectJumps},
+		{"callheavy", "xalancbmk", e9patch.SelectJumps},
+	} {
+		row, err := workload.ProfileByName(k.row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := workload.BuildKernelTuned(k.arch, false, workload.TuningFor(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e9patch.Rewrite(prog.ELF, e9patch.Config{Select: k.sel, ReserveVA: workload.ReserveVA()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig, rewritten := blocks(prog.ELF), blocks(res.Output)
+		t.Logf("%s: %d blocks original, %d rewritten", k.arch, orig, rewritten)
+		if rewritten > orig {
+			t.Errorf("%s: the rewritten kernel ran %d blocks, the original %d", k.arch, rewritten, orig)
+		}
 	}
 }
 
