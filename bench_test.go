@@ -50,7 +50,7 @@ func BenchmarkLinearDisasm(b *testing.B) {
 // BenchmarkRewrite measures end-to-end rewriting throughput (A2) at
 // Config.Parallelism 1 and GOMAXPROCS: the two lines are the scaling of
 // the sharded phases on this machine (one sub-benchmark where
-// GOMAXPROCS is 1). TestParallelRewrite holds the bytes identical at
+// GOMAXPROCS is 1). TestParallelRewrite* holds the bytes identical at
 // every width.
 func BenchmarkRewrite(b *testing.B) {
 	bin := buildBenchBinary(b)

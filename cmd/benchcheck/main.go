@@ -212,10 +212,11 @@ func check() (failed bool, err error) {
 			case spread > 100*m.Bound && !allBetter:
 				verdict = "unresolved"
 			}
-			fmt.Printf("%-12s %-18s %12.4f %12.4f %+9.2f %9.2f %8.2f  %s\n", w.Name, m.Name, pm, cm, worse, spread, 100*m.Bound, verdict)
-			rec.Rows = append(rec.Rows, row{Workload: w.Name, Metric: m.Name, Unit: m.Unit, Better: m.Better,
+			r := row{Workload: w.Name, Metric: m.Name, Unit: m.Unit, Better: m.Better,
 				Parent: pm, Change: cm, WorsePct: worse, SpreadPct: spread, BoundPct: 100 * m.Bound,
-				Wins: won, Pairs: pairs, Verdict: verdict})
+				Wins: won, Pairs: pairs, Verdict: verdict}
+			fmt.Println(r)
+			rec.Rows = append(rec.Rows, r)
 		}
 	}
 	if *pr > 0 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 )
 
@@ -55,6 +56,13 @@ type row struct {
 	Wins    int    `json:"wins"`
 	Pairs   int    `json:"pairs"`
 	Verdict string `json:"verdict"`
+}
+
+// String renders the row as benchcheck's table prints it, the form in
+// which a change's notes quote it.
+func (r row) String() string {
+	return fmt.Sprintf("%-12s %-18s %12.4f %12.4f %+9.2f %9.2f %8.2f  %s",
+		r.Workload, r.Metric, r.Parent, r.Change, r.WorsePct, r.SpreadPct, r.BoundPct, r.Verdict)
 }
 
 // wins counts the pairs, parent runs[0][i] against change runs[1][i],

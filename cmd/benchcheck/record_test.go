@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -81,4 +83,56 @@ func TestWinsCountsPairs(t *testing.T) {
 	if got := wins(runs, "higher"); got != 1 {
 		t.Errorf("higher: %d wins, want 1", got)
 	}
+}
+
+// TestChangesQuoteBenchRows keeps CHANGES.md to the recorded runs: every
+// backticked benchcheck table row in a `PR N` entry must be a row of
+// BENCH_<N>.json rendered as the table prints it, so a quoted figure
+// cannot drift from the file it claims to come from.
+func TestChangesQuoteBenchRows(t *testing.T) {
+	doc, err := os.ReadFile("../../CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered := map[string]map[string]bool{} // PR number -> its rows
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r record
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		n := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json")
+		rendered[n] = map[string]bool{}
+		for _, row := range r.Rows {
+			rendered[n][row.String()] = true
+		}
+	}
+	entry := regexp.MustCompile(`^- (?:\*\*)?PR (\d+)\b`)
+	quote := regexp.MustCompile("`([a-z0-9-]+ +[a-z0-9_]+(?: +[-+]?[0-9.]+){5}  [a-z]+)`")
+	pr, quoted := "", 0
+	for n, line := range strings.Split(string(doc), "\n") {
+		if m := entry.FindStringSubmatch(line); m != nil {
+			pr = m[1]
+		}
+		for _, m := range quote.FindAllStringSubmatch(line, -1) {
+			quoted++
+			switch rows, ok := rendered[pr]; {
+			case !ok:
+				t.Errorf("CHANGES.md:%d quotes a benchcheck row in the entry of PR %q, which has no BENCH_%s.json:\n%s", n+1, pr, pr, m[1])
+			case !rows[m[1]]:
+				t.Errorf("CHANGES.md:%d quotes a row that BENCH_%s.json does not render:\n%s", n+1, pr, m[1])
+			}
+		}
+	}
+	if quoted == 0 {
+		t.Fatal("CHANGES.md quotes no benchcheck row")
+	}
+	t.Logf("%d quoted rows", quoted)
 }

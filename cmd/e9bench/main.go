@@ -14,10 +14,10 @@
 //	e9bench -all               # the eight artefacts above
 //
 // -scale shrinks the synthetic binaries relative to the paper's sizes
-// (default 0.25); -full is shorthand for -scale 1. -engine selects the
-// execution engine by registry name (ir, the block-lifting engine, by
-// default; interp for the decode-per-step interpreter it is held to).
-// -v adds progress lines on standard error; standard output is the same.
+// (default 0.25; 1 is paper-sized). Kernels run on the default engine,
+// ir; the cycle model is engine-invariant, so the figures are the same
+// under the interp oracle. -v adds progress lines on standard error;
+// standard output is the same.
 //
 // The standard output of `e9bench -all -scale 0.25` is recorded in
 // bench_results_full.txt at the repository root, which EXPERIMENTS.md
@@ -33,7 +33,6 @@ import (
 	"io"
 	"os"
 
-	"e9patch/internal/emu"
 	"e9patch/internal/eval"
 	"e9patch/internal/workload"
 )
@@ -50,21 +49,11 @@ func main() {
 		motiv   = flag.Bool("motivation", false, "CFG-recovery accuracy decay table")
 		all     = flag.Bool("all", false, "run every paper artefact")
 		scale   = flag.Float64("scale", 0.25, "binary size scale vs the paper")
-		full    = flag.Bool("full", false, "shorthand for -scale 1")
 		iters   = flag.Int("iters", 0, "kernel iterations (0 = default)")
 		spec    = flag.Bool("spec-only", false, "Table 1: SPEC rows only")
-		engine  = flag.String("engine", "ir", "execution engine: ir (block lifting) or interp (the oracle)")
 		verbose = flag.Bool("v", false, "progress output")
 	)
 	flag.Parse()
-	if *full {
-		*scale = 1
-	}
-	if _, err := emu.NewEngineByName(*engine); err != nil {
-		fmt.Fprintf(os.Stderr, "e9bench: %v\n", err)
-		os.Exit(2)
-	}
-	workload.Engine = *engine
 	opt := eval.Options{Scale: *scale, Iters: *iters}
 	var prog io.Writer
 	if *verbose {

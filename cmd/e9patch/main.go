@@ -1,6 +1,6 @@
 // Command e9patch is the E9Patch backend: it reads a line-delimited
 // JSON-RPC message stream from stdin (option* binary (patch|reserve)*
-// emit — see internal/rpc and DESIGN.md §12) and writes one response
+// emit — see internal/rpc and DESIGN.md §11) and writes one response
 // per message to stdout. It takes no arguments: the stream carries every
 // setting, names the files to read and write, and says what to patch,
 // so a frontend such as e9tool drives the whole rewrite over the pipe:
@@ -27,7 +27,7 @@ func main() {
 e9patch is a backend: it takes no arguments and consumes line-delimited
 JSON-RPC messages on stdin,
   option* binary (patch|reserve)* emit
-writing one response per message to stdout. See DESIGN.md §12 for the
+writing one response per message to stdout. See DESIGN.md §11 for the
 message grammar; e9tool -backend PATH is a frontend that drives it.`)
 		os.Exit(2)
 	}

@@ -1,7 +1,7 @@
 // Command e9served serves binary rewrites over HTTP: a concurrent
 // front to the e9patch library with one bounded budget of worker leases,
 // content-addressed result caching, singleflight coalescing and
-// backpressure (see internal/server and DESIGN.md §7).
+// backpressure (see internal/server and DESIGN.md §12).
 //
 // Usage:
 //
@@ -27,7 +27,7 @@
 // static peer list: the front door routes each rewrite to its key's
 // owner, peers fetch PatchPlans from owners over
 // GET /internal/v1/plan/{key} instead of re-planning, and a down peer
-// degrades to local handling (DESIGN.md §15).
+// degrades to local handling (DESIGN.md §12).
 //
 // Examples:
 //

@@ -12,7 +12,7 @@ import (
 
 // backendClient drives an e9patch backend subprocess over its stdin /
 // stdout pipe using the line-delimited JSON-RPC protocol (internal/rpc,
-// DESIGN.md §12). e9tool keeps the analysis side — checking -M and -P,
+// DESIGN.md §11). e9tool keeps the analysis side — checking -M and -P,
 // choosing options — and ships only protocol messages to the backend,
 // mirroring the E9Tool/E9Patch process split.
 type backendClient struct {

@@ -1,7 +1,7 @@
 // Command e9tool is the high-level front-end to the rewriter, in the
 // spirit of the E9Tool companion of E9Patch: patch points are selected
 // with a match expression and patched as a patch directive says, both
-// in the spec language (internal/lang, DESIGN.md §11), E9Tool-style:
+// in the spec language (internal/lang, DESIGN.md §10), E9Tool-style:
 //
 //	e9tool -M 'jcc & short' -P empty -o out.bin input.bin
 //	e9tool -M 'call & indirect' -P 'call trace(addr)@trace_payload.elf' -o traced.bin input.bin

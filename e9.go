@@ -171,7 +171,7 @@ func SelectAddresses(addrs ...uint64) Selector {
 // SelectMatch compiles an E9Tool-style match expression into a
 // selector, e.g. "jcc & short", "heapwrite | call",
 // "mnemonic=mov & !memwrite". The grammar is the spec language's
-// (internal/lang, DESIGN.md §11); a malformed expression is ErrBadSpec
+// (internal/lang, DESIGN.md §10); a malformed expression is ErrBadSpec
 // with its line:column.
 func SelectMatch(expr string) (Selector, error) {
 	p, err := lang.CompileExpr(expr)
@@ -308,7 +308,7 @@ func (r *Result) SizePercent() float64 {
 // tactic, the committed byte edits, the trampoline layout (eviction
 // chains included) and any B0 dispatch bindings. PatchPlan.Encode
 // serializes it in the compact binary form of internal/plan (DESIGN.md
-// §9 has the grammar); PatchPlan.JSON renders it for reading.
+// §8 has the grammar); PatchPlan.JSON renders it for reading.
 type PatchPlan = plan.PatchPlan
 
 // DecodePlan parses a plan serialized with PatchPlan.Encode. Data that

@@ -1,5 +1,5 @@
 // Package cluster turns a set of independent e9served daemons into a
-// consistent-hash cluster (DESIGN.md §15). Membership is static — a
+// consistent-hash cluster (DESIGN.md §12). Membership is static — a
 // peer list every node is started with — and coordination is nil by
 // design: nodes never gossip, never elect, and never replicate. The
 // only shared artifact is the PatchPlan (the serialized decision record

@@ -274,7 +274,8 @@ func TestSupersetTableWidthDeterminism(t *testing.T) {
 
 // BenchmarkRecoverSuperset is the recover-cet op's recovery half: one
 // CET profile at 0.125 MB of text under both superset modes. Run with
-// -benchmem; allocs/op is the number DESIGN.md §14 quotes.
+// -benchmem; allocs/op is its share of recover-cet/e9patch.mallocs_per_op
+// (DESIGN.md §3).
 func BenchmarkRecoverSuperset(b *testing.B) {
 	p, err := workload.ProfileByName("nginx-cet")
 	if err != nil {

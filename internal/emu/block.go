@@ -8,7 +8,7 @@ import (
 
 // Block discovery and invalidation for the ir engine (ir.go): "what
 // is a block" and "when do cached decodes die" are defined here, once,
-// next to the interpreter they must agree with (DESIGN.md §6).
+// next to the interpreter they must agree with (DESIGN.md §13).
 
 // maxBlockInsts caps the instruction count of one translated block. It
 // bounds translation latency for pathological straight-line runs and

@@ -4,7 +4,7 @@
 // interpreter as the reference semantics. An engine is correct iff it
 // is observationally identical to the interpreter — same registers,
 // flags, RIP, exit code, counters, output, memory image, trace stream
-// and errors — on every program here (DESIGN.md §6).
+// and errors — on every program here (DESIGN.md §13).
 //
 // Engine-specific tests (chaining stats, flag-elision stats, speedup
 // gates) live next to the engine in internal/emu; everything that must

@@ -52,7 +52,7 @@ import (
 // semantics via the codeTracker write barrier (a store into
 // translated code flushes the cache and aborts the in-flight block).
 // Rewritten binaries patch .text, so invalidation is
-// correctness-critical, not optional. See DESIGN.md §6.
+// correctness-critical, not optional. See DESIGN.md §13.
 
 // uop is one micro-op. It returns true to fall through to the next
 // micro-op in the block, or done to leave the block (control transfer,

@@ -42,7 +42,7 @@ const (
 
 // CostModel assigns cycle weights to dynamic events. The defaults are
 // calibrated so that the *shape* of the paper's overhead results holds;
-// see DESIGN.md §2 for the substitution rationale.
+// see DESIGN.md §1 for the substitution rationale.
 type CostModel struct {
 	// ALU is the base cost of any instruction.
 	ALU uint64

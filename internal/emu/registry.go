@@ -17,6 +17,6 @@ func NewEngineByName(name string) (Engine, error) {
 }
 
 // EngineNames returns the sorted engine names. Tooling —
-// workload.NewMachine, cmd/e9bench -engine, the enginetest conformance
-// suite — enumerates engines through it.
+// the enginetest conformance suite, FuzzEngines, the benchmark —
+// enumerates engines through it.
 func EngineNames() []string { return []string{"interp", "ir"} }

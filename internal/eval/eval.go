@@ -5,7 +5,7 @@
 //
 // Every experiment is deterministic. Absolute numbers come from the
 // emulator's documented cycle model and the synthetic workload
-// geometry (DESIGN.md §2); the comparisons recorded in EXPERIMENTS.md
+// geometry (DESIGN.md §1); the comparisons recorded in EXPERIMENTS.md
 // are about shape: who wins, by roughly what factor, and where the
 // crossovers fall.
 package eval

@@ -3,7 +3,7 @@
 // into selectors, trampoline templates and payload injections for the
 // rewriting pipeline. It is the data-file counterpart of the hardcoded
 // Go selectors — syscall tracing, coverage instrumentation and CVE
-// recipes become spec files instead of code changes (DESIGN.md §11).
+// recipes become spec files instead of code changes (DESIGN.md §10).
 //
 // The compilation pipeline is conventional:
 //

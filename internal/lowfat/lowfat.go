@@ -5,7 +5,7 @@
 // 16-byte redzone at each object's start turns spatial memory errors
 // into detectable events via the check p − base(p) >= 16.
 //
-// Substitution note (DESIGN.md §2): size classes are restricted to
+// Substitution note (DESIGN.md §1): size classes are restricted to
 // powers of two so base(p) is a mask rather than a magic-number
 // division, and the allocator replaces glibc malloc through the
 // emulator's runtime binding (the paper uses LD_PRELOAD of

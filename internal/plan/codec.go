@@ -10,7 +10,7 @@ import (
 	"e9patch/internal/e9err"
 )
 
-// The serialized plan (DESIGN.md §9 has the grammar as a table). A fixed
+// The serialized plan (DESIGN.md §8 has the grammar as a table). A fixed
 // little-endian header carries the scalars, the two digests raw, and
 // the total element counts, so a decoder sizes everything once:
 //

@@ -146,10 +146,10 @@ func (s *Server) handleBatch(x *exchange, r *http.Request) {
 		if res.Status != http.StatusOK {
 			outcome = "error"
 		}
-		s.metrics.IncBatchItem(outcome)
+		s.metrics.incLabel(s.metrics.batchItems, outcome)
 		emit(res)
 	})
-	s.metrics.IncBatch()
+	s.metrics.inc(batchesTotal)
 }
 
 // batchSpec parses an item's query string through the same parser as

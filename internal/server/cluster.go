@@ -124,18 +124,18 @@ func (s *Server) tryForward(x *exchange, r *http.Request, body []byte, key strin
 	resp, err := s.fwd.Do(req)
 	if err != nil {
 		s.health.MarkDown(owner)
-		s.metrics.IncForwardFallback()
+		s.metrics.inc(forwardFallbackTotal)
 		return false
 	}
 	defer resp.Body.Close()
 	relayed, err := cluster.ReadSized(resp.Body, resp.ContentLength)
 	if err != nil {
 		s.health.MarkDown(owner)
-		s.metrics.IncForwardFallback()
+		s.metrics.inc(forwardFallbackTotal)
 		return false
 	}
 	s.health.MarkUp(owner)
-	s.metrics.IncForwarded()
+	s.metrics.inc(forwardedTotal)
 
 	h := x.w.Header()
 	for _, name := range []string{"Content-Type", "X-E9-Stats", "X-E9-Cache", "X-E9-Disasm", "Retry-After"} {
@@ -164,17 +164,17 @@ func (s *Server) peerPlan(ctx context.Context, key string) ([]byte, *e9patch.Pat
 		return nil, nil, false
 	}
 	if !s.health.Up(owner) {
-		s.metrics.IncPeerPlanMiss()
+		s.metrics.inc(peerPlanMissesTotal)
 		return nil, nil, false
 	}
 	data, err := s.peers.FetchPlan(ctx, owner, key)
 	if err != nil {
-		s.metrics.IncPeerPlanMiss()
+		s.metrics.inc(peerPlanMissesTotal)
 		return nil, nil, false
 	}
 	p, err := e9patch.DecodePlan(data)
 	if err != nil {
-		s.metrics.IncPeerPlanMiss()
+		s.metrics.inc(peerPlanMissesTotal)
 		return nil, nil, false
 	}
 	return data, p, true
@@ -202,7 +202,7 @@ func acceptsPlan(r *http.Request) bool {
 // the JSON gzipped to (TestPlanDeltaGzip records the numbers and holds
 // the result to a tenth of the full response).
 func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, data []byte, cacheStatus string) {
-	s.metrics.IncPlanDelta()
+	s.metrics.inc(planDeltaTotal)
 	h := w.Header()
 	h.Set("Content-Type", cluster.PlanContentType)
 	h.Set("X-E9-Cache", cacheStatus)

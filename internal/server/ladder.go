@@ -41,7 +41,7 @@ func (s *Server) accounted(h func(x *exchange, r *http.Request)) http.HandlerFun
 		x := &exchange{w: w, code: http.StatusOK}
 		defer func() {
 			s.metrics.AddInflight(-1)
-			s.metrics.IncRequest(strconv.Itoa(x.code))
+			s.metrics.incLabel(s.metrics.requests, strconv.Itoa(x.code))
 			s.metrics.Observe(time.Since(start).Seconds())
 		}()
 		h(x, r)
@@ -72,7 +72,7 @@ type answer struct {
 }
 
 // resolve walks the tier ladder for one request, cheapest tier first
-// (DESIGN.md §7 has the table of flows, values and counters):
+// (DESIGN.md §12 has the table of flows, values and counters):
 //
 //	result cache  binary requests only     "hit"
 //	front door    when a.forward is set    relayed
@@ -86,7 +86,7 @@ type answer struct {
 func (s *Server) resolve(ctx context.Context, a ask) (answer, error) {
 	if !a.plan {
 		if e, ok := s.cache.get(a.key); ok {
-			s.metrics.IncHit()
+			s.metrics.inc(cacheHitsTotal)
 			return answer{entry: e, cache: "hit"}, nil
 		}
 	}
@@ -94,30 +94,30 @@ func (s *Server) resolve(ctx context.Context, a ask) (answer, error) {
 		return answer{}, nil
 	}
 	if !a.plan {
-		s.metrics.IncMiss()
+		s.metrics.inc(cacheMissesTotal)
 	}
 	// A banked plan turns a repeat into a decision-free rematerialize.
 	// One that no longer applies (corrupt or stale) is a miss, and the
 	// rewrite below replaces it.
 	if pe, ok := s.plans.get(a.key); ok {
 		if ans, ok := s.fromPlan(ctx, a, pe.data, nil, "plan"); ok {
-			s.metrics.IncPlanHit()
+			s.metrics.inc(planCacheHitsTotal)
 			return ans, nil
 		}
 	}
-	s.metrics.IncPlanMiss()
+	s.metrics.inc(planCacheMissesTotal)
 	// This node is handling a key it does not own (routed here, or the
 	// owner was down at the front door). The owner may still hold the
 	// plan: one small GET beats redoing the whole tactic search.
 	if data, p, ok := s.peerPlan(ctx, a.key); ok {
 		if ans, ok := s.fromPlan(ctx, a, data, p, "peer-plan"); ok {
-			s.metrics.IncPeerPlanHit()
+			s.metrics.inc(peerPlanHitsTotal)
 			s.plans.put(a.key, &planEntry{data: data})
 			return ans, nil
 		}
 		// The owner's plan does not fit this body (a tampered upload or a
 		// peer running different code).
-		s.metrics.IncPeerPlanMiss()
+		s.metrics.inc(peerPlanMissesTotal)
 	}
 
 	e, shared, err := s.flights.do(ctx, a.key, s.cfg.Timeout,
@@ -125,7 +125,7 @@ func (s *Server) resolve(ctx context.Context, a ask) (answer, error) {
 			return s.admit(jobCtx, a, finish)
 		})
 	if shared {
-		s.metrics.IncCoalesced()
+		s.metrics.inc(coalescedTotal)
 	}
 	if err != nil {
 		return answer{}, err
@@ -191,7 +191,7 @@ func (s *Server) admit(ctx context.Context, a ask, finish func(*cacheEntry, erro
 	s.admitMu.Lock()
 	if s.closed || s.waiting >= s.cfg.QueueLen {
 		s.admitMu.Unlock()
-		s.metrics.IncQueueFull()
+		s.metrics.inc(queueFullTotal)
 		return errQueueFull
 	}
 	s.waiting++
@@ -205,7 +205,7 @@ func (s *Server) admit(ctx context.Context, a ask, finish func(*cacheEntry, erro
 		// than hang forever; the per-job boundary keeps this path cold.
 		defer func() {
 			if v := recover(); v != nil {
-				s.metrics.IncPanicRecovered()
+				s.metrics.inc(panicRecoveredTotal)
 				s.cfg.Logf("e9served: recovered job panic: %v", v)
 			}
 		}()
@@ -242,7 +242,7 @@ func (s *Server) runRewrite(ctx context.Context, a ask) (e *cacheEntry, err erro
 	if err := ctx.Err(); err != nil {
 		return nil, err // every waiter left while the job waited
 	}
-	s.metrics.IncRewrite()
+	s.metrics.inc(rewritesTotal)
 	start := time.Now()
 	defer func() {
 		if v := recover(); v != nil {
@@ -251,7 +251,7 @@ func (s *Server) runRewrite(ctx context.Context, a ask) (e *cacheEntry, err erro
 		s.observeRewrite(time.Since(start))
 		var ee *e9patch.Error
 		if errors.As(err, &ee) && ee.Recovered() {
-			s.metrics.IncPanicRecovered()
+			s.metrics.inc(panicRecoveredTotal)
 			s.cfg.Logf("e9served: panic contained during rewrite: %v\n%s", ee, ee.Stack)
 		}
 	}()
@@ -280,7 +280,7 @@ func (s *Server) classify(err error) (int, string) {
 		// The body carries the 1-based line:column; the metric label is
 		// the bare class constant, since the position-bearing reason
 		// would explode cardinality.
-		s.metrics.IncRejected(e9err.ReasonBadSpec)
+		s.metrics.incLabel(s.metrics.rejected, e9err.ReasonBadSpec)
 		return http.StatusUnprocessableEntity, err.Error()
 	case errors.Is(err, e9patch.ErrResourceLimit):
 		reason := "unknown"
@@ -288,7 +288,7 @@ func (s *Server) classify(err error) (int, string) {
 		if errors.As(err, &ee) && ee.Reason != "" {
 			reason = ee.Reason
 		}
-		s.metrics.IncRejected(reason)
+		s.metrics.incLabel(s.metrics.rejected, reason)
 		switch reason {
 		case e9err.ReasonInputTooLarge, e9err.ReasonTextTooLarge, e9err.ReasonMessageTooLarge:
 			return http.StatusRequestEntityTooLarge, err.Error()

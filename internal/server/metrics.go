@@ -10,30 +10,62 @@ import (
 // latencyBuckets are the histogram upper bounds in seconds.
 var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
+// counter names one unlabelled counter of the registry.
+type counter int
+
+// The unlabelled counters, in scrape order. The two eviction counters
+// are owned by the caches and sampled from Gauges at scrape time.
+const (
+	rewritesTotal counter = iota
+	cacheHitsTotal
+	cacheMissesTotal
+	cacheEvictionsTotal
+	planCacheHitsTotal
+	planCacheMissesTotal
+	planCacheEvictionsTotal
+	coalescedTotal
+	queueFullTotal
+	panicRecoveredTotal
+	peerPlanHitsTotal
+	peerPlanMissesTotal
+	forwardedTotal
+	forwardFallbackTotal
+	planDeltaTotal
+	batchesTotal
+	numCounters
+)
+
+// counters declares each unlabelled counter once: its metric name and
+// its help text.
+var counters = [numCounters]struct{ name, help string }{
+	rewritesTotal:           {"e9served_rewrites_total", "Underlying rewrite pipeline executions."},
+	cacheHitsTotal:          {"e9served_cache_hits_total", "Result-cache hits."},
+	cacheMissesTotal:        {"e9served_cache_misses_total", "Result-cache misses."},
+	cacheEvictionsTotal:     {"e9served_cache_evictions_total", "Result-cache evictions."},
+	planCacheHitsTotal:      {"e9served_plan_cache_hits_total", "Plan-cache hits (result rematerialized from a cached plan)."},
+	planCacheMissesTotal:    {"e9served_plan_cache_misses_total", "Plan-cache misses."},
+	planCacheEvictionsTotal: {"e9served_plan_cache_evictions_total", "Plan-cache evictions."},
+	coalescedTotal:          {"e9served_coalesced_total", "Requests coalesced onto another request's rewrite."},
+	queueFullTotal:          {"e9served_queue_full_total", "Requests rejected because the work queue was full."},
+	panicRecoveredTotal:     {"e9served_panic_recovered_total", "Panics contained by a recovery boundary."},
+	peerPlanHitsTotal:       {"e9served_peer_plan_hits_total", "Results rematerialized from a peer-fetched plan."},
+	peerPlanMissesTotal:     {"e9served_peer_plan_misses_total", "Peer plan fetches that found no usable plan."},
+	forwardedTotal:          {"e9served_forwarded_total", "Requests routed to their key's owner node."},
+	forwardFallbackTotal:    {"e9served_forward_fallback_total", "Forwards failed over to local handling (owner down)."},
+	planDeltaTotal:          {"e9served_plan_delta_total", "Plan-delta responses served (client applies locally)."},
+	batchesTotal:            {"e9served_batches_total", "Completed /v1/batch jobs."},
+}
+
 // Metrics is a hand-rolled metrics registry exposed in Prometheus text
 // format (the module has no dependencies, so no client library). All
 // mutators are safe for concurrent use.
 type Metrics struct {
-	mu        sync.Mutex
-	requests  map[string]uint64 // by HTTP status code
-	rewrites  uint64            // underlying rewrite pipeline executions
-	hits      uint64            // result-cache hits
-	misses    uint64            // result-cache misses
-	planHits  uint64            // plan-cache hits (result rematerialized)
-	planMiss  uint64            // plan-cache misses
-	coalesced uint64            // requests that shared another request's flight
-	queueFull uint64            // submissions rejected by backpressure
-	panics    uint64            // panics contained by a recovery boundary
-	rejected  map[string]uint64 // resource-limit rejections by reason
-	inflight  int64             // requests currently being handled
-
-	peerPlanHits uint64            // results rematerialized from a peer-fetched plan
-	peerPlanMiss uint64            // peer plan fetches that found no plan (or no peer)
-	forwarded    uint64            // requests routed to their key's owner node
-	fwdFallback  uint64            // forwards that failed over to local handling
-	planDelta    uint64            // plan-delta (application/x-e9-plan) responses
-	batches      uint64            // completed /v1/batch jobs
-	batchItems   map[string]uint64 // batch items by outcome ("ok"/"error")
+	mu         sync.Mutex
+	counts     [numCounters]uint64
+	requests   map[string]uint64 // by HTTP status code
+	rejected   map[string]uint64 // resource-limit rejections by reason
+	batchItems map[string]uint64 // batch items by outcome ("ok"/"error")
+	inflight   int64             // requests currently being handled
 
 	buckets []uint64 // len(latencyBuckets)+1, last slot is +Inf
 	latSum  float64
@@ -50,69 +82,17 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// IncRequest counts one finished request by status code.
-func (m *Metrics) IncRequest(code string) {
+// inc counts one event of an unlabelled counter.
+func (m *Metrics) inc(c counter) {
 	m.mu.Lock()
-	m.requests[code]++
+	m.counts[c]++
 	m.mu.Unlock()
 }
 
-// IncRewrite counts one underlying rewrite execution.
-func (m *Metrics) IncRewrite() { m.inc(&m.rewrites) }
-
-// IncHit / IncMiss / IncCoalesced / IncQueueFull count cache and
-// coalescing outcomes.
-func (m *Metrics) IncHit()  { m.inc(&m.hits) }
-func (m *Metrics) IncMiss() { m.inc(&m.misses) }
-
-// IncPlanHit / IncPlanMiss count plan-tier outcomes (consulted only
-// after a result-cache miss).
-func (m *Metrics) IncPlanHit()   { m.inc(&m.planHits) }
-func (m *Metrics) IncPlanMiss()  { m.inc(&m.planMiss) }
-func (m *Metrics) IncCoalesced() { m.inc(&m.coalesced) }
-func (m *Metrics) IncQueueFull() { m.inc(&m.queueFull) }
-
-// IncPanicRecovered counts one panic contained by a recovery boundary
-// (rewrite job or library pipeline) instead of killing the process.
-func (m *Metrics) IncPanicRecovered() { m.inc(&m.panics) }
-
-// IncPeerPlanHit / IncPeerPlanMiss count peer plan-fetch outcomes: a
-// hit is a result rematerialized from a plan the key's owner shipped
-// over, a miss means the owner held no plan (or was unreachable) and a
-// full local rewrite followed.
-func (m *Metrics) IncPeerPlanHit()  { m.inc(&m.peerPlanHits) }
-func (m *Metrics) IncPeerPlanMiss() { m.inc(&m.peerPlanMiss) }
-
-// IncForwarded / IncForwardFallback count front-door routing: requests
-// proxied to their key's owner, and forwards that failed over to local
-// handling because the owner was down.
-func (m *Metrics) IncForwarded()       { m.inc(&m.forwarded) }
-func (m *Metrics) IncForwardFallback() { m.inc(&m.fwdFallback) }
-
-// IncPlanDelta counts plan-delta responses (the client applies
-// locally; egress drops from binary-size to plan-size).
-func (m *Metrics) IncPlanDelta() { m.inc(&m.planDelta) }
-
-// IncBatch counts one completed /v1/batch job; IncBatchItem counts
-// each item within one by outcome.
-func (m *Metrics) IncBatch() { m.inc(&m.batches) }
-func (m *Metrics) IncBatchItem(outcome string) {
+// incLabel counts one event of a labelled counter.
+func (m *Metrics) incLabel(byLabel map[string]uint64, label string) {
 	m.mu.Lock()
-	m.batchItems[outcome]++
-	m.mu.Unlock()
-}
-
-// IncRejected counts one request rejected by a resource limit, by
-// machine-readable reason (the e9err.Reason* constants).
-func (m *Metrics) IncRejected(reason string) {
-	m.mu.Lock()
-	m.rejected[reason]++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) inc(p *uint64) {
-	m.mu.Lock()
-	*p++
+	byLabel[label]++
 	m.mu.Unlock()
 }
 
@@ -165,25 +145,11 @@ func (m *Metrics) WriteText(w io.Writer, g Gauges) {
 		fmt.Fprintf(w, "e9served_requests_total{code=%q} %d\n", c, m.requests[c])
 	}
 
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	v := m.counts
+	v[cacheEvictionsTotal], v[planCacheEvictionsTotal] = g.CacheEvictions, g.PlanCacheEvictions
+	for c, d := range counters {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", d.name, d.help, d.name, d.name, v[c])
 	}
-	counter("e9served_rewrites_total", "Underlying rewrite pipeline executions.", m.rewrites)
-	counter("e9served_cache_hits_total", "Result-cache hits.", m.hits)
-	counter("e9served_cache_misses_total", "Result-cache misses.", m.misses)
-	counter("e9served_cache_evictions_total", "Result-cache evictions.", g.CacheEvictions)
-	counter("e9served_plan_cache_hits_total", "Plan-cache hits (result rematerialized from a cached plan).", m.planHits)
-	counter("e9served_plan_cache_misses_total", "Plan-cache misses.", m.planMiss)
-	counter("e9served_plan_cache_evictions_total", "Plan-cache evictions.", g.PlanCacheEvictions)
-	counter("e9served_coalesced_total", "Requests coalesced onto another request's rewrite.", m.coalesced)
-	counter("e9served_queue_full_total", "Requests rejected because the work queue was full.", m.queueFull)
-	counter("e9served_panic_recovered_total", "Panics contained by a recovery boundary.", m.panics)
-	counter("e9served_peer_plan_hits_total", "Results rematerialized from a peer-fetched plan.", m.peerPlanHits)
-	counter("e9served_peer_plan_misses_total", "Peer plan fetches that found no usable plan.", m.peerPlanMiss)
-	counter("e9served_forwarded_total", "Requests routed to their key's owner node.", m.forwarded)
-	counter("e9served_forward_fallback_total", "Forwards failed over to local handling (owner down).", m.fwdFallback)
-	counter("e9served_plan_delta_total", "Plan-delta responses served (client applies locally).", m.planDelta)
-	counter("e9served_batches_total", "Completed /v1/batch jobs.", m.batches)
 
 	fmt.Fprintf(w, "# HELP e9served_batch_items_total Batch items by outcome.\n")
 	fmt.Fprintf(w, "# TYPE e9served_batch_items_total counter\n")

@@ -4,7 +4,7 @@
 //
 // The service is shaped for sustained batch traffic rather than
 // one-shot CLI use (the deployability bar of the broad rewriter
-// evaluations — see DESIGN.md §7):
+// evaluations — see DESIGN.md §12):
 //
 //   - one budget of Workers leases (internal/work) for every rewrite
 //     job and its shard helpers, and at most QueueLen jobs waiting for
@@ -68,7 +68,7 @@ type Config struct {
 	// the upload).
 	Limits e9patch.Limits
 	// Cluster names this node's place in a static consistent-hash
-	// cluster (DESIGN.md §15). The zero value runs single-node. When
+	// cluster (DESIGN.md §12). The zero value runs single-node. When
 	// enabled, requests for keys owned by a peer are forwarded to it
 	// (falling back to local handling when the peer is down), misses on
 	// non-owned keys try a peer plan-fetch before replanning, and

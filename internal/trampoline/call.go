@@ -11,7 +11,7 @@ import (
 // the rewriter injects into the binary's address space, marshalling
 // typed per-instruction arguments.
 //
-// ABI (DESIGN.md §11.3):
+// ABI (DESIGN.md §10.3):
 //
 //   - Every caller-visible general-purpose register and the flags are
 //     saved before the call and restored after it; the patch function

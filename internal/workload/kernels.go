@@ -9,7 +9,7 @@ import (
 // Runnable kernels. Each SPEC row maps to an archetype whose dynamic
 // mix (branch density, heap-write density, call density) matches the
 // row's character; Time% is measured by running the kernel before and
-// after rewriting on identical inputs (DESIGN.md §2).
+// after rewriting on identical inputs (DESIGN.md §1).
 
 // KernelIters scales all kernel iteration counts (tests shrink it).
 var KernelIters = 20000

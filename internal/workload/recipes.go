@@ -37,7 +37,7 @@ func TracePayloadCounterAddr() uint64 { return payloadDataAddr }
 //	trace(addr) — forward the patched call site's address to the
 //	RTOutput runtime binding, then bump the invocation counter.
 //
-// The payload respects the call-trampoline ABI (DESIGN.md §11.3): it
+// The payload respects the call-trampoline ABI (DESIGN.md §10.3): it
 // clobbers only r11/rdi-class registers the trampoline restores, uses
 // no SSE and makes no stack-alignment assumptions.
 func BuildTracePayload() ([]byte, error) {

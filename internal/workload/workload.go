@@ -1,6 +1,6 @@
 // Package workload builds the synthetic binaries that stand in for the
 // paper's evaluation targets (SPEC2006, Ubuntu system binaries, Google
-// Chrome, FireFox/libxul). See DESIGN.md §2: the rewriter consumes only
+// Chrome, FireFox/libxul). See DESIGN.md §1: the rewriter consumes only
 // machine-code bytes and instruction boundaries, so coverage, size and
 // overhead results emerge from the same algorithms the paper runs, on
 // inputs with matched geometry (size, PIE-ness, .bss, instruction mix).

@@ -15,7 +15,7 @@ import (
 // ErrUnsupportedBinary, a plan it accepts encodes back to exactly those
 // bytes, and Apply of an accepted plan is contained.
 
-// Offsets into the fixed header (DESIGN.md §9).
+// Offsets into the fixed header (DESIGN.md §8).
 const (
 	planHeaderSize = 152
 	planCountsOff  = 64 // six u32 counts: warnings … sigtab entries
