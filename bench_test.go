@@ -137,9 +137,10 @@ func BenchmarkApplyPlan(b *testing.B) {
 }
 
 // BenchmarkEmulator measures emulated instruction throughput under the
-// default engine over the five kernel archetypes, original and rewritten
-// (the pairing of the emu-kernels workload: A2 heap writes for the two
-// store-heavy kernels, A1 jumps for the rest). Under the ir engine it
+// default engine over the five emu-kernels classes, original and
+// rewritten: each archetype built with its Table 1 row's tuning
+// (workload.TuningFor) under that row's application, A2 heap writes for
+// the two store-heavy kernels and A1 jumps for the rest. Under the ir engine it
 // also reports blocks/op, the block dispatches one run pays for, so a
 // throughput change can be told apart from a dispatch-count change.
 func BenchmarkEmulator(b *testing.B) {
@@ -157,16 +158,20 @@ func benchEmulator(b *testing.B, engine string) {
 	workload.Engine, workload.KernelIters = engine, 20000
 	defer func() { workload.Engine, workload.KernelIters = savedEngine, savedIters }()
 	for _, k := range []struct {
-		arch, app string
-		sel       e9patch.Selector
+		arch, row, app string
+		sel            e9patch.Selector
 	}{
-		{"branchy", "A1", e9patch.SelectJumps},
-		{"memstream", "A2", e9patch.SelectHeapWrites},
-		{"matrix", "A2", e9patch.SelectHeapWrites},
-		{"pointer", "A1", e9patch.SelectJumps},
-		{"callheavy", "A1", e9patch.SelectJumps},
+		{"branchy", "gcc", "A1", e9patch.SelectJumps},
+		{"memstream", "h264ref", "A2", e9patch.SelectHeapWrites},
+		{"matrix", "tonto", "A2", e9patch.SelectHeapWrites},
+		{"pointer", "omnetpp", "A1", e9patch.SelectJumps},
+		{"callheavy", "xalancbmk", "A1", e9patch.SelectJumps},
 	} {
-		prog, err := workload.BuildKernel(k.arch, false)
+		row, err := workload.ProfileByName(k.row)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := workload.BuildKernelTuned(k.arch, false, workload.TuningFor(row))
 		if err != nil {
 			b.Fatal(err)
 		}
