@@ -7,13 +7,20 @@ import (
 )
 
 // Block compiler: decode (shared seam) → flag-liveness analysis →
-// micro-op emission with constant effective-address folding. Exactly
-// one micro-op is emitted per instruction, so micro-op index i
-// executes insts[i] (a fused pair's first op executes both, and the
-// second is never reached); a trailing epilogue op is added when the
-// block can fall off its end (size cap or a decode failure ahead).
-// Micro-ops charge everything but the base cost of each instruction,
-// which Run charges per block.
+// static costs → micro-op emission with constant effective-address
+// folding. Each micro-op is specialised for its instruction's exact
+// shape at lift time: its operand width is the type parameter of a
+// generic lift (word), a register or immediate source is an address the
+// op reads (a register's slot, or the block's copy of the immediate), a
+// compare-only op writes its result to a sink instead of a register,
+// the flag record is present only when liveness keeps it, and a memory
+// access has one fixed width. Ops and instructions do not align: a
+// followed jmp, and a cmp or test whose flags are dead, lift to no op; a
+// fused pair (with the followed jumps between its halves) is one op;
+// and a trailing epilogue op is added when the block can fall off its
+// end (size cap or a decode failure ahead). Micro-ops charge only what
+// depends on run-time values; staticCost is the rest, which Run
+// charges per block.
 //
 // The lift set is the measured hot set: the opcodes the emu-kernels
 // kernels (original and rewritten) and the Figure 4/5 runs execute.
@@ -167,16 +174,114 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 	return fAll, 0, true // call/push r/m (stores) and anything unlifted: fallback
 }
 
+// staticCost is the part of a lifted instruction's cost that is fixed
+// at lift time: its base cost, its Mem, Mul and CallRet surcharges and,
+// for a direct jmp or call, the taken branch and whether it is far
+// under farDist. unrun is the part of t that the interpreter charges
+// only after the access that can fault, so a fault leaves it
+// uncharged. A conditional branch's direction and a ret's or indirect
+// branch's distance are known only at run time, and the micro-op
+// charges them. It mirrors the interpreter's charges instruction by
+// instruction; an instruction lifted to the fallback costs nothing
+// static (emitFallback).
+func staticCost(inst *x86.Inst, farDist uint64) (t, unrun tally) {
+	t.insts = 1
+	op := inst.Opcode
+	sub := (inst.ModRM >> 3) & 7
+	var mem uint16
+	if inst.Attrs&x86.AttrModRM != 0 && !rmIsReg(inst) {
+		mem = 1
+	}
+	if _, write, dst, _, ok := aluForm(inst); ok {
+		t.mem = mem
+		if write && dst.mem { // load, then store
+			t.mem, unrun.mem = 2, 1
+		}
+		return t, unrun
+	}
+	switch {
+	case inst.TwoByte:
+		if op == 0xAF { // imul r, r/m: the load, then Mul
+			t.mem, t.mul, unrun.mul = mem, 1, 1
+		}
+	case op >= 0x50 && op <= 0x57, op == 0x68, op == 0x9C: // push r, push imm32, pushfq
+		t.mem = 1
+	case op >= 0x58 && op <= 0x5F, op == 0x9D: // pop r, popfq: the load faults before Mem
+		t.mem, unrun.mem = 1, 1
+	case op == 0x69 || op == 0x6B: // imul r, r/m, imm
+		t.mem, t.mul, unrun.mul = mem, 1, 1
+	case op >= 0x88 && op <= 0x8B: // mov
+		t.mem = mem
+	case op == 0xC2 || op == 0xC3: // ret: the pop, then CallRet
+		t.mem, t.callRet = 1, 1
+		unrun.mem, unrun.callRet = 1, 1
+	case op == 0xE8: // call rel32: push, CallRet, the branch
+		t.mem, t.callRet = 1, 1
+		t.taken, t.far = 1, farHop(inst, farDist)
+	case op == 0xE9 || op == 0xEB: // jmp rel
+		t.taken, t.far = 1, farHop(inst, farDist)
+	case op == 0xF7 && sub == 2: // not r/m
+		t.mem, unrun.mem = 2*mem, mem
+	case op == 0xFF && sub == 2: // call r/m: the load, push, CallRet
+		t.mem, t.callRet = mem+1, 1
+		unrun.mem, unrun.callRet = 1, 1
+	case op == 0xFF && sub == 4: // jmp r/m
+		t.mem = mem
+	case op == 0xFF && sub == 6: // push r/m: the load, then the push
+		t.mem, unrun.mem = mem+1, 1
+	}
+	return t, unrun
+}
+
+// farHop is 1 when the direct branch inst, taken, is a far jump under
+// farDist, as Machine.branch judges it from the fallthrough address.
+func farHop(inst *x86.Inst, farDist uint64) uint16 {
+	dist := inst.Target() - (inst.Addr + uint64(inst.Len))
+	if int64(dist) < 0 {
+		dist = -dist
+	}
+	if dist > farDist {
+		return 1
+	}
+	return 0
+}
+
 // comp is the per-block compile context.
 type comp struct {
 	e     *irEngine
 	b     *block
 	elide []bool // flag computation provably dead for insts[i]
 
+	// cost and unrun are staticCost of each instruction (zeroed for a
+	// fallback); opLast[k] is the index of the last instruction op k
+	// retires, and opFault[k] what a fault at op k leaves uncharged.
+	cost, unrun []tally
+	opLast      []int
+	opFault     []tally
+	farDist     uint64 // the FarDistance far jumps are counted under
+
+	// regs are the bound machine's registers, which micro-ops address
+	// directly; sink is the engine's result sink (state.sink).
+	regs *[16]uint64
+	sink *uint64
+
 	// Constant-register tracking for EA folding: known is a bitmask
 	// over the 16 GPRs; kval holds full 64-bit values.
 	known uint16
 	kval  [16]uint64
+}
+
+// newComp returns the compile context of b for machine m: liveness
+// analysed and every instruction's static cost counted.
+func newComp(e *irEngine, m *Machine, b *block) *comp {
+	n := len(b.insts)
+	c := &comp{e: e, b: b, regs: &m.Regs, sink: &e.st.sink, farDist: m.Cost.FarDistance,
+		cost: make([]tally, n), unrun: make([]tally, n)}
+	c.analyzeFlags()
+	for i := range b.insts {
+		c.cost[i], c.unrun[i] = staticCost(&b.insts[i], c.farDist)
+	}
+	return c
 }
 
 // analyzeFlags runs the backward flag-liveness scan. An instruction's
@@ -224,31 +329,46 @@ func (c *comp) set(r x86.Reg, v uint64, w int) {
 	}
 }
 
-// addrCalc is a memory operand's effective address as the lift
-// resolved it: (base & bmask) + (index & imask) << shift + k. A
-// component folded to a lift-time constant, or absent, has a zero
-// mask and its value in k, so computing the address takes no branch
-// and no call.
-type addrCalc struct {
-	base, idx    x86.Reg
-	shift        uint8
-	bmask, imask uint64
-	k            uint64
+// reg is the address of register r, which micro-ops read and write.
+func (c *comp) reg(r x86.Reg) *uint64 { return &c.regs[r] }
+
+// src is the address a micro-op reads a register or immediate source
+// operand through: the register's slot, or a copy of imm made for it.
+func (c *comp) src(o operand, imm uint64) *uint64 {
+	if o.imm {
+		p := new(uint64)
+		*p = imm
+		return p
+	}
+	return c.reg(o.reg)
 }
 
-// at is the address under m's registers.
-func (a *addrCalc) at(m *Machine) uint64 {
-	return m.Regs[a.base]&a.bmask + (m.Regs[a.idx]&a.imask)<<a.shift + a.k
+// zeroWord is what an absent address component reads.
+var zeroWord uint64
+
+// addrCalc is a memory operand's effective address as the lift
+// resolved it: *base + *idx << shift + k. A component folded to a
+// lift-time constant, or absent, reads zeroWord and has its value in
+// k, so computing the address takes no branch and no call.
+type addrCalc struct {
+	base, idx *uint64
+	shift     uint8
+	k         uint64
 }
+
+// at is the address under the current register values.
+func (a *addrCalc) at() uint64 { return *a.base + *a.idx<<a.shift + a.k }
 
 // eaFor resolves a memory operand's effective address, folding the
 // components that are constant at lift time.
 func (c *comp) eaFor(inst *x86.Inst) addrCalc {
+	a := addrCalc{base: &zeroWord, idx: &zeroWord}
 	if inst.RIPRel {
 		c.e.Stats.FoldedEAs++
-		return addrCalc{k: inst.Addr + uint64(inst.Len) + uint64(inst.Disp())}
+		a.k = inst.Addr + uint64(inst.Len) + uint64(inst.Disp())
+		return a
 	}
-	a := addrCalc{k: uint64(inst.Disp())}
+	a.k = uint64(inst.Disp())
 	base, idx := inst.MemBase, inst.MemIndex
 	haveBase := base != x86.NoReg && base != x86.RIP
 	haveIdx := idx != x86.NoReg
@@ -257,7 +377,7 @@ func (c *comp) eaFor(inst *x86.Inst) addrCalc {
 	case c.isKnown(base):
 		a.k += c.kval[base]
 	default:
-		a.base, a.bmask = base, ^uint64(0)
+		a.base = c.reg(base)
 	}
 	shift := uint8(bits.TrailingZeros8(inst.MemScale))
 	switch {
@@ -265,9 +385,9 @@ func (c *comp) eaFor(inst *x86.Inst) addrCalc {
 	case c.isKnown(idx):
 		a.k += c.kval[idx] << shift
 	default:
-		a.idx, a.imask, a.shift = idx, ^uint64(0), shift
+		a.idx, a.shift = c.reg(idx), shift
 	}
-	if (haveBase || haveIdx) && a.bmask == 0 && a.imask == 0 {
+	if (haveBase || haveIdx) && a.base == &zeroWord && a.idx == &zeroWord {
 		c.e.Stats.FoldedEAs++
 	}
 	return a
@@ -276,7 +396,8 @@ func (c *comp) eaFor(inst *x86.Inst) addrCalc {
 // aluExec performs classic ALU op 0-7 (add/or/adc/sbb/and/sub/xor/cmp)
 // on pre-masked operands, recording the deferred flag producer unless
 // the liveness pass elided it, and returns the masked result (0 for
-// cmp, which stores nothing).
+// cmp, which stores nothing). The lifted memory forms and adc/sbb
+// compute through it; the register forms have one op each (aluReg).
 func aluExec(s *state, op byte, a, b uint64, mask uint64, w uint8, rec bool) uint64 {
 	switch op {
 	case 0: // add
@@ -355,6 +476,43 @@ func shiftCalc(sub byte, v, count uint64, w int) (res, cf uint64) {
 	return res & maskFor(w), cf
 }
 
+// byWidth picks the instantiation of a width-generic lift for an
+// operand width of w bytes.
+func byWidth[F any](w int, f1, f2, f4, f8 F) F {
+	switch w {
+	case 1:
+		return f1
+	case 2:
+		return f2
+	case 4:
+		return f4
+	}
+	return f8
+}
+
+// hop reports whether insts[i] is a followed jmp: a direct jmp that is
+// not the block's last instruction, which lifts to no micro-op (its
+// branch is in the block's static charge).
+func (c *comp) hop(i int) bool {
+	inst := &c.b.insts[i]
+	return i < len(c.b.insts)-1 && !inst.TwoByte && (inst.Opcode == 0xE9 || inst.Opcode == 0xEB)
+}
+
+// fusedAt returns the index of the instruction that fuses with the
+// block's final jcc (fusable), reached through any number of followed
+// jmps, or -1.
+func (c *comp) fusedAt() int {
+	n := len(c.b.insts)
+	i := n - 2
+	for i >= 0 && c.hop(i) {
+		i--
+	}
+	if i < 0 || !fusable(&c.b.insts[i], &c.b.insts[n-1]) {
+		return -1
+	}
+	return i
+}
+
 // compile lifts the block at pc into threaded code and caches it.
 func (e *irEngine) compile(m *Machine, pc uint64) (*block, error) {
 	insts, end, err := decodeBlock(m, pc)
@@ -371,27 +529,30 @@ func (e *irEngine) compile(m *Machine, pc uint64) (*block, error) {
 		b.dynamic = true
 	}
 
-	c := &comp{e: e, b: b}
-	c.analyzeFlags()
+	c := newComp(e, m, b)
+	fused := c.fusedAt()
 	b.ops = make([]uop, 0, n+1)
-	b.full = n - 1
-	for i := range insts {
-		if i == n-2 && fusable(&insts[i], last) {
-			b.ops = append(b.ops, c.emitFused(i))
-			b.full = i
-			continue
+	for i := 0; i < n; i++ {
+		switch {
+		case i == fused: // cannot fault
+			c.add(c.emitFused(i), n-1, tally{})
+			i = n
+		case c.hop(i):
+		default:
+			if op := c.emit(i); op != nil {
+				c.add(op, i, c.unrun[i])
+			}
 		}
-		b.ops = append(b.ops, c.emit(i))
 	}
 	if last.Attrs&termAttrs == 0 {
-		b.full = n
 		// The block falls off its end (size cap or decode failure
 		// ahead): an epilogue op materializes the fallthrough RIP.
-		b.ops = append(b.ops, func(s *state) bool {
+		c.add(func(s *state) bool {
 			s.m.RIP = end
 			return done
-		})
+		}, n-1, tally{})
 	}
+	c.account()
 
 	e.blocks[pc] = b
 	seg := pc // each segment's pages, not the span between them
@@ -406,22 +567,45 @@ func (e *irEngine) compile(m *Machine, pc uint64) (*block, error) {
 	return b, nil
 }
 
+// add appends op, which retires the instructions up to insts[last]
+// and leaves fault uncharged when it faults.
+func (c *comp) add(op uop, last int, fault tally) {
+	c.b.ops = append(c.b.ops, op)
+	c.opLast = append(c.opLast, last)
+	c.opFault = append(c.opFault, fault)
+}
+
+// account fills the block's static charge and its exit tables from
+// the instructions' static costs.
+func (c *comp) account() {
+	b := c.b
+	after := make([]tally, len(b.insts)+1) // after[i]: insts[i:]
+	for i := len(b.insts) - 1; i >= 0; i-- {
+		after[i] = after[i+1]
+		after[i].add(c.cost[i])
+	}
+	b.cost = after[0]
+	b.left = make([]tally, len(b.ops))
+	for k, last := range c.opLast {
+		b.left[k] = after[last+1]
+	}
+	b.fault = c.opFault
+}
+
 // emitFallback produces the interpreter-fallback micro-op: it
 // materializes the flags and defers to Machine.execDecodedQuiet, so
 // every instruction outside the lift set (int3, hlt, ud2, div, and
-// whatever no workload runs) keeps exact interpreter behaviour.
+// whatever no workload runs) keeps exact interpreter behaviour,
+// charges included: the instruction has no static cost.
 func (c *comp) emitFallback(i int) uop {
 	c.killAll()
 	c.e.Stats.Fallbacks++
+	c.cost[i], c.unrun[i] = tally{}, tally{}
 	inst := &c.b.insts[i]
 	nextAddr := inst.Addr + uint64(inst.Len)
 	return func(s *state) bool {
 		s.materialize()
 		m := s.m
-		// The block charged this instruction on entry; the interpreter
-		// charges it again.
-		m.Counters.Instructions--
-		m.Counters.Cycles -= m.Cost.ALU
 		if err := m.execDecodedQuiet(inst); err != nil {
 			m.RIP = inst.Addr
 			s.err = err
@@ -441,7 +625,8 @@ type operand struct {
 	imm, mem bool
 }
 
-// emit lifts insts[i] into exactly one micro-op, updating the
+// emit lifts insts[i] into one micro-op, or nil when it has no effect
+// to run (a cmp or test whose flags are dead), updating the
 // constant-register tracking as a side effect.
 func (c *comp) emit(i int) uop {
 	inst := &c.b.insts[i]
@@ -463,7 +648,7 @@ func (c *comp) emit(i int) uop {
 	if inst.TwoByte {
 		switch {
 		case op >= 0x80 && op <= 0x8F: // jcc rel32
-			return c.emitJcc(inst, x86.Cond(op&0xF), nextAddr)
+			return jccOp(x86.Cond(op&0xF), c.target(inst))
 		case op == 0xAF: // imul r, r/m
 			return c.emitImul(inst, reg.reg, 0, false, rec, mem)
 		}
@@ -473,17 +658,12 @@ func (c *comp) emit(i int) uop {
 	switch {
 	case op >= 0x50 && op <= 0x57, op == 0x68: // push r, push imm32 (an
 		// epilogue's copy of a call pushes the return address)
-		r, imm := x86.Reg(op&7|(inst.Rex&1)<<3), uint64(inst.Imm())
+		src := c.src(operand{reg: x86.Reg(op&7 | (inst.Rex&1)<<3), imm: op == 0x68}, uint64(inst.Imm()))
 		c.kill(x86.RSP)
 		return func(s *state) bool {
-			m := s.m
-			if op == 0x68 {
-				s.push(imm)
-			} else {
-				s.push(m.Regs[r])
-			}
+			s.push(*src)
 			if s.trk.flushed {
-				m.RIP = nextAddr
+				s.m.RIP = nextAddr
 				return done
 			}
 			return true
@@ -493,13 +673,13 @@ func (c *comp) emit(i int) uop {
 		r := x86.Reg(op&7 | (inst.Rex&1)<<3)
 		c.kill(x86.RSP)
 		c.kill(r)
+		d := c.reg(r)
 		return func(s *state) bool {
-			m := s.m
 			v, err := s.pop()
 			if err != nil {
 				return s.fault(inst, err)
 			}
-			m.Regs[r] = v
+			*d = v
 			return true
 		}
 
@@ -507,11 +687,10 @@ func (c *comp) emit(i int) uop {
 		return c.emitImul(inst, reg.reg, uint64(inst.Imm()), true, rec, mem)
 
 	case op >= 0x70 && op <= 0x7F: // jcc rel8
-		return c.emitJcc(inst, x86.Cond(op&0xF), nextAddr)
+		return jccOp(x86.Cond(op&0xF), c.target(inst))
 
 	case op >= 0x88 && op <= 0x8B: // mov r/m, r (88/89); mov r, r/m (8A/8B)
 		w := pairWidth(inst)
-		mask := maskFor(w)
 		dst, src := rm.reg, reg.reg
 		if op >= 0x8A {
 			dst, src = src, dst
@@ -522,37 +701,14 @@ func (c *comp) emit(i int) uop {
 			} else {
 				c.kill(dst)
 			}
-			return func(s *state) bool {
-				m := s.m
-				m.regWrite(dst, m.Regs[src]&mask, w)
-				return true
-			}
+			return byWidth(w, movReg[uint8], movReg[uint16], movReg[uint32], movReg[uint64])(c.reg(dst), c.reg(src))
 		}
+		ea := c.eaFor(inst)
 		if op < 0x8A {
-			ea := c.eaFor(inst)
-			return func(s *state) bool {
-				m := s.m
-				m.Counters.Cycles += m.Cost.Mem
-				s.store(ea.at(m), m.Regs[src]&mask, w)
-				if s.trk.flushed {
-					m.RIP = nextAddr
-					return done
-				}
-				return true
-			}
+			return byWidth(w, movStore[uint8], movStore[uint16], movStore[uint32], movStore[uint64])(ea, c.reg(src), nextAddr)
 		}
 		c.kill(dst)
-		ea := c.eaFor(inst)
-		return func(s *state) bool {
-			m := s.m
-			m.Counters.Cycles += m.Cost.Mem
-			v, err := s.load(ea.at(m), w)
-			if err != nil {
-				return s.fault(inst, err)
-			}
-			m.regWrite(dst, v, w)
-			return true
-		}
+		return byWidth(w, movLoad[uint8], movLoad[uint16], movLoad[uint32], movLoad[uint64])(ea, c.reg(dst), inst)
 
 	case op == 0x8D: // lea
 		w := width(inst)
@@ -576,11 +732,7 @@ func (c *comp) emit(i int) uop {
 				c.kill(dst)
 			}
 		}
-		return func(s *state) bool {
-			m := s.m
-			m.regWrite(dst, ea.at(m), w)
-			return true
-		}
+		return byWidth(w, lea[uint8], lea[uint16], lea[uint32], lea[uint64])(ea, c.reg(dst))
 
 	case op == 0x9C: // pushfq
 		c.kill(x86.RSP)
@@ -598,12 +750,11 @@ func (c *comp) emit(i int) uop {
 	case op == 0x9D: // popfq
 		c.kill(x86.RSP)
 		return func(s *state) bool {
-			m := s.m
 			v, err := s.pop()
 			if err != nil {
 				return s.fault(inst, err)
 			}
-			m.Flags = v | flagsAlways
+			s.m.Flags = v | flagsAlways
 			s.fl.kind = kEager
 			return true
 		}
@@ -616,56 +767,24 @@ func (c *comp) emit(i int) uop {
 			v &= maskFor(w)
 		}
 		c.set(r, v, w)
-		if w == 8 {
-			return func(s *state) bool {
-				m := s.m
-				m.Regs[r] = v
-				return true
-			}
-		}
-		return func(s *state) bool {
-			m := s.m
-			m.regWrite(r, v, w)
-			return true
-		}
+		return byWidth(w, movImm[uint8], movImm[uint16], movImm[uint32], movImm[uint64])(c.reg(r), v)
 
 	case liftedShift(inst, mem): // shift r, count
 		w := pairWidth(inst)
-		mask := maskFor(w)
-		w8 := uint8(w)
-		cmask := uint64(31)
-		if w == 8 {
-			cmask = 63
-		}
 		r := rm.reg
 		c.kill(r)
-		byCL := op == 0xD2 || op == 0xD3
-		var count uint64
-		switch op {
-		case 0xC0, 0xC1:
-			count = uint64(inst.Imm()) & cmask
-		case 0xD0, 0xD1:
-			count = 1
+		if (op == 0xC1 || op == 0xC0) && !rec && (sub == 4 || sub == 5 || sub == 6) {
+			// shl/shr by a constant, flags dead: the shift alone.
+			count := uint64(inst.Imm()) & 31
+			if w == 8 {
+				count = uint64(inst.Imm()) & 63
+			}
+			if sub == 5 {
+				return byWidth(w, shrImm[uint8], shrImm[uint16], shrImm[uint32], shrImm[uint64])(c.reg(r), count)
+			}
+			return byWidth(w, shlImm[uint8], shlImm[uint16], shlImm[uint32], shlImm[uint64])(c.reg(r), count)
 		}
-		return func(s *state) bool {
-			m := s.m
-			n := count
-			if byCL {
-				n = m.Regs[x86.RCX] & cmask
-			}
-			v := m.Regs[r] & mask
-			if n == 0 { // flags untouched, value rewritten
-				m.regWrite(r, v, w)
-				return true
-			}
-			res, cf := shiftCalc(sub, v, n, w)
-			if rec {
-				prevAF := s.lazyAF()
-				s.fl = flagRec{kind: kShift, w: w8, res: res, aux: uint8(cf) | uint8(prevAF)<<1}
-			}
-			m.regWrite(r, res, w)
-			return true
-		}
+		return c.emitShift(inst, c.reg(r), sub, w, rec)
 
 	case op == 0xC2 || op == 0xC3: // ret [imm16]
 		var adj uint64
@@ -679,7 +798,6 @@ func (c *comp) emit(i int) uop {
 				return s.fault(inst, err)
 			}
 			m.Regs[x86.RSP] += adj
-			m.Counters.Cycles += m.Cost.CallRet
 			m.RIP = m.branch(nextAddr, ret)
 			return done
 		}
@@ -689,112 +807,228 @@ func (c *comp) emit(i int) uop {
 		c.kill(x86.RSP)
 		if i < len(c.b.insts)-1 { // followed: the callee runs on in this block
 			return func(s *state) bool {
-				m := s.m
 				s.push(nextAddr)
-				m.Counters.Cycles += m.Cost.CallRet
-				m.branch(nextAddr, target)
 				if s.trk.flushed {
-					m.RIP = target
+					s.m.RIP = target
 					return done
 				}
 				return true
 			}
 		}
 		return func(s *state) bool {
-			m := s.m
 			s.push(nextAddr)
-			m.Counters.Cycles += m.Cost.CallRet
-			m.RIP = m.branch(nextAddr, target)
+			s.m.RIP = target
 			return done
 		}
 
-	case op == 0xE9 || op == 0xEB: // jmp rel
+	case op == 0xE9 || op == 0xEB: // jmp rel, not followed (a followed one has no op)
 		target := inst.Target()
-		if i < len(c.b.insts)-1 { // followed: the target runs on in this block
-			return func(s *state) bool {
-				m := s.m
-				m.branch(nextAddr, target)
-				return true
-			}
-		}
 		return func(s *state) bool {
-			m := s.m
-			m.RIP = m.branch(nextAddr, target)
+			s.m.RIP = target
 			return done
 		}
 
 	case op == 0xF7 && sub == 2: // not r/m
 		w := width(inst)
-		mask := maskFor(w)
 		if !mem {
-			r := rm.reg
-			c.kill(r)
-			return func(s *state) bool {
-				m := s.m
-				m.regWrite(r, ^m.Regs[r]&mask, w)
-				return true
-			}
+			c.kill(rm.reg)
+			return byWidth(w, notReg[uint8], notReg[uint16], notReg[uint32], notReg[uint64])(c.reg(rm.reg))
 		}
-		ea := c.eaFor(inst)
-		return func(s *state) bool {
-			m := s.m
-			m.Counters.Cycles += m.Cost.Mem
-			addr := ea.at(m)
-			v, err := s.load(addr, w)
-			if err != nil {
+		return byWidth(w, notMem[uint8], notMem[uint16], notMem[uint32], notMem[uint64])(c.eaFor(inst), inst, nextAddr)
+
+	case op == 0xFF && (sub == 2 || sub == 4 || sub == 6): // group 5: call/jmp/push r/m
+		return c.emitGroup5(inst, sub, mem)
+	}
+
+	return c.emitFallback(i)
+}
+
+// target is the conditional branch inst as the lift resolves it.
+func (c *comp) target(inst *x86.Inst) jccTarget {
+	return jccTarget{next: inst.Addr + uint64(inst.Len), target: inst.Target(), far: farHop(inst, c.farDist) != 0}
+}
+
+// emitGroup5 lifts call, jmp and push r/m: a dynamic branch target or
+// pushed value, read from a register or loaded.
+func (c *comp) emitGroup5(inst *x86.Inst, sub byte, mem bool) uop {
+	nextAddr := inst.Addr + uint64(inst.Len)
+	if sub != 4 {
+		c.kill(x86.RSP)
+	}
+	var ea addrCalc
+	if mem {
+		ea = c.eaFor(inst)
+	}
+	r := c.reg(modrmRM(inst))
+	return func(s *state) bool {
+		m := s.m
+		t := *r
+		if mem {
+			var err error
+			if t, err = load[uint64](s, ea.at()); err != nil {
 				return s.fault(inst, err)
 			}
-			m.Counters.Cycles += m.Cost.Mem
-			s.store(addr, ^v&mask, w)
+		}
+		switch sub {
+		case 2: // call
+			s.push(nextAddr)
+			m.RIP = m.branch(nextAddr, t)
+			return done
+		case 4: // jmp
+			m.RIP = m.branch(nextAddr, t)
+			return done
+		default: // 6: push
+			s.push(t)
 			if s.trk.flushed {
 				m.RIP = nextAddr
 				return done
 			}
 			return true
 		}
-
-	case op == 0xFF && (sub == 2 || sub == 4 || sub == 6): // group 5: call/jmp/push r/m
-		var ea addrCalc
-		if mem {
-			ea = c.eaFor(inst)
-		}
-		if sub != 4 {
-			c.kill(x86.RSP)
-		}
-		return func(s *state) bool {
-			m := s.m
-			var t uint64
-			if mem {
-				m.Counters.Cycles += m.Cost.Mem
-				var err error
-				t, err = s.load(ea.at(m), 8)
-				if err != nil {
-					return s.fault(inst, err)
-				}
-			} else {
-				t = m.Regs[rm.reg]
-			}
-			switch sub {
-			case 2: // call
-				s.push(nextAddr)
-				m.Counters.Cycles += m.Cost.CallRet
-				m.RIP = m.branch(nextAddr, t)
-				return done
-			case 4: // jmp
-				m.RIP = m.branch(nextAddr, t)
-				return done
-			default: // 6: push
-				s.push(t)
-				if s.trk.flushed {
-					m.RIP = nextAddr
-					return done
-				}
-				return true
-			}
-		}
 	}
+}
 
-	return c.emitFallback(i)
+// movReg lifts mov r, r.
+func movReg[T word](d, src *uint64) uop {
+	return func(*state) bool {
+		put(d, T(*src))
+		return true
+	}
+}
+
+// movImm lifts mov r, imm.
+func movImm[T word](d *uint64, v uint64) uop {
+	return func(*state) bool {
+		put(d, T(v))
+		return true
+	}
+}
+
+// movLoad lifts mov r, [m].
+func movLoad[T word](ea addrCalc, d *uint64, inst *x86.Inst) uop {
+	return func(s *state) bool {
+		v, err := load[T](s, ea.at())
+		if err != nil {
+			return s.fault(inst, err)
+		}
+		put(d, v)
+		return true
+	}
+}
+
+// movStore lifts mov [m], r. A store into translated code leaves the
+// block after the instruction.
+func movStore[T word](ea addrCalc, src *uint64, next uint64) uop {
+	return func(s *state) bool {
+		store(s, ea.at(), T(*src))
+		if s.trk.flushed {
+			s.m.RIP = next
+			return done
+		}
+		return true
+	}
+}
+
+// lea lifts lea r, [m].
+func lea[T word](ea addrCalc, d *uint64) uop {
+	return func(*state) bool {
+		put(d, T(ea.at()))
+		return true
+	}
+}
+
+// notReg lifts not r.
+func notReg[T word](d *uint64) uop {
+	return func(*state) bool {
+		put(d, ^T(*d))
+		return true
+	}
+}
+
+// notMem lifts not [m].
+func notMem[T word](ea addrCalc, inst *x86.Inst, next uint64) uop {
+	return func(s *state) bool {
+		addr := ea.at()
+		v, err := load[T](s, addr)
+		if err != nil {
+			return s.fault(inst, err)
+		}
+		store(s, addr, ^v)
+		if s.trk.flushed {
+			s.m.RIP = next
+			return done
+		}
+		return true
+	}
+}
+
+// shlImm and shrImm lift a shift left or right by a nonzero constant
+// whose flags are dead.
+func shlImm[T word](d *uint64, n uint64) uop {
+	return func(*state) bool {
+		put(d, T(*d)<<n)
+		return true
+	}
+}
+
+func shrImm[T word](d *uint64, n uint64) uop {
+	return func(*state) bool {
+		put(d, T(*d)>>n)
+		return true
+	}
+}
+
+// emitShift lifts every other lifted shift: a count from cl or the
+// instruction, through shiftCalc.
+func (c *comp) emitShift(inst *x86.Inst, r *uint64, sub byte, w int, rec bool) uop {
+	op := inst.Opcode
+	mask := maskFor(w)
+	w8 := uint8(w)
+	cmask := uint64(31)
+	if w == 8 {
+		cmask = 63
+	}
+	byCL := op == 0xD2 || op == 0xD3
+	var count uint64
+	switch op {
+	case 0xC0, 0xC1:
+		count = uint64(inst.Imm()) & cmask
+	case 0xD0, 0xD1:
+		count = 1
+	}
+	rcx := c.reg(x86.RCX)
+	return func(s *state) bool {
+		n := count
+		if byCL {
+			n = *rcx & cmask
+		}
+		v := *r & mask
+		if n == 0 { // flags untouched, value rewritten
+			writeReg(r, v, w)
+			return true
+		}
+		res, cf := shiftCalc(sub, v, n, w)
+		if rec {
+			prevAF := s.lazyAF()
+			s.fl = flagRec{kind: kShift, w: w8, res: res, aux: uint8(cf) | uint8(prevAF)<<1}
+		}
+		writeReg(r, res, w)
+		return true
+	}
+}
+
+// writeReg is Machine.regWrite on a register's address, for the ops
+// whose width is a run-time value.
+func writeReg(r *uint64, v uint64, w int) {
+	switch w {
+	case 8:
+		*r = v
+	case 4:
+		*r = v & 0xFFFFFFFF
+	default:
+		mask := maskFor(w)
+		*r = *r&^mask | v&mask
+	}
 }
 
 // aluForm decodes the instructions emitALU lifts — the classic 00–3D
@@ -842,78 +1076,153 @@ func jccCond(inst *x86.Inst) (cc x86.Cond, ok bool) {
 	return x86.Cond(op & 0xF), op >= 0x70 && op <= 0x7F
 }
 
-// fusable reports whether first and the conditional branch jcc after
-// it, which ends the block, lift as one micro-op (emitFused): first is
-// an ALU, cmp or test with register and immediate operands only, so it
-// cannot fault, flush or otherwise leave the block, and the pair
-// retires whole. TestFusedPairsCannotLeaveEarly holds this to
-// flagEffects.
+// fusable reports whether first and the conditional branch jcc that
+// ends the block lift as one micro-op (emitFused): first is an ALU,
+// cmp or test with register and immediate operands only, so it cannot
+// fault, flush or otherwise leave the block, and the pair (with any
+// followed jmps between, which cannot leave it either) retires whole.
+// TestFusedPairsCannotLeaveEarly holds this to flagEffects.
 func fusable(first, jcc *x86.Inst) bool {
 	_, _, dst, src, ok := aluForm(first)
 	_, isJcc := jccCond(jcc)
 	return ok && isJcc && !dst.mem && !src.mem
 }
 
-// emitFused lifts the pair insts[i], insts[i+1] that fusable accepted
-// into the micro-op at index i: the ALU op records its flags as
-// emitALU's would (they are live at the block end), and the branch
-// reads its condition straight off the operands. The jcc keeps its
-// own micro-op at i+1, which the fused op never reaches.
+// emitFused lifts insts[i], which fusedAt accepted, and the block's
+// final jcc into one micro-op: the ALU op records its flags as emitALU's
+// would (they are live at the block end), and for sub, cmp, and and
+// test the branch reads its condition straight off the operands.
 func (c *comp) emitFused(i int) uop {
-	inst, jcc := &c.b.insts[i], &c.b.insts[i+1]
+	inst, jcc := &c.b.insts[i], &c.b.insts[len(c.b.insts)-1]
 	aluOp, write, dst, src, _ := aluForm(inst)
 	cc, _ := jccCond(jcc)
-	target, jnext := jcc.Target(), jcc.Addr+uint64(jcc.Len)
+	j := c.target(jcc)
 	w := pairWidth(inst)
-	mask := maskFor(w)
-	w8 := uint8(w)
-	d, r, useImm := dst.reg, src.reg, src.imm
-	imm := uint64(inst.Imm()) & mask
+	x, y, out := c.reg(dst.reg), c.src(src, uint64(inst.Imm())), c.sink
+	if write {
+		out = x
+	}
 	switch aluOp {
 	case 5, 7: // sub, cmp
-		return func(s *state) bool {
-			m := s.m
-			a, b := m.Regs[d]&mask, imm
-			if !useImm {
-				b = m.Regs[r] & mask
-			}
-			s.fl = flagRec{kind: kSub, w: w8, a: a, b: b}
-			if write {
-				m.regWrite(d, (a-b)&mask, w)
-			}
-			return jccExit(m, subCond(cc, a, b, w8), jnext, target)
-		}
+		return byWidth(w, subJcc[uint8], subJcc[uint16], subJcc[uint32], subJcc[uint64])(x, y, out, cc, j)
 	case 4: // and, test
-		return func(s *state) bool {
-			m := s.m
-			b := imm
-			if !useImm {
-				b = m.Regs[r] & mask
-			}
-			res := m.Regs[d] & mask & b
-			s.fl = flagRec{kind: kLogic, w: w8, res: res}
-			if write {
-				m.regWrite(d, res, w)
-			}
-			return jccExit(m, logicCond(cc, res, w8), jnext, target)
-		}
+		return byWidth(w, andJcc[uint8], andJcc[uint16], andJcc[uint32], andJcc[uint64])(x, y, out, cc, j)
 	}
+	first, branch := c.emitALU(i, aluOp, write, dst, src), jccOp(cc, j)
 	return func(s *state) bool {
-		m := s.m
-		b := imm
-		if !useImm {
-			b = m.Regs[r] & mask
-		}
-		res := aluExec(s, aluOp, m.Regs[d]&mask, b, mask, w8, true)
-		if write {
-			m.regWrite(d, res, w)
-		}
-		return jccExit(m, s.lazyCond(cc), jnext, target)
+		first(s)
+		return branch(s)
 	}
 }
 
-// subCond is lazyCond of the record a - b (no borrow in) on pre-masked
-// w-byte operands, computed from the operands.
+// jccTarget is a conditional branch as the lift resolved it: its
+// fallthrough, its target, and whether taking it is a far jump under
+// the FarDistance the block was lifted for.
+type jccTarget struct {
+	next, target uint64
+	far          bool
+}
+
+// exit leaves the block through the branch: to target, charged as a
+// taken (and perhaps far) branch, or on to next.
+func (j *jccTarget) exit(m *Machine, taken bool) bool {
+	if !taken {
+		m.RIP = j.next
+		return done
+	}
+	m.Counters.TakenBranches++
+	m.Counters.Cycles += m.Cost.BranchTaken
+	if j.far {
+		m.Counters.FarJumps++
+		m.Counters.Cycles += m.Cost.FarJump
+	}
+	m.RIP = j.target
+	return done
+}
+
+// subJcc fuses a sub or cmp of *x and *y (the result goes to out: x,
+// or the sink for cmp) with a jcc on cc. The condition is chosen here:
+// ZF is a == b, CF and the unsigned orders are a < b and a <= b, and
+// the signed orders are the same compares on sign-adjusted operands
+// (a^k against b^k with k the sign bit), each with the negation of an
+// odd condition folded in; OF, SF and PF go through subCond.
+func subJcc[T word](x, y, out *uint64, cc x86.Cond, j jccTarget) uop {
+	w := uint8(size[T]())
+	neg := cc&1 == 1
+	var k T
+	switch cc &^ 1 {
+	case x86.CondE:
+		return func(s *state) bool {
+			a, b := T(*x), T(*y)
+			s.fl = flagRec{kind: kSub, w: w, a: uint64(a), b: uint64(b)}
+			put(out, a-b)
+			return j.exit(s.m, (a == b) != neg)
+		}
+	case x86.CondL:
+		k = signBit[T]()
+		fallthrough
+	case x86.CondB:
+		return func(s *state) bool {
+			a, b := T(*x), T(*y)
+			s.fl = flagRec{kind: kSub, w: w, a: uint64(a), b: uint64(b)}
+			put(out, a-b)
+			return j.exit(s.m, (a^k < b^k) != neg)
+		}
+	case x86.CondLE:
+		k = signBit[T]()
+		fallthrough
+	case x86.CondBE:
+		return func(s *state) bool {
+			a, b := T(*x), T(*y)
+			s.fl = flagRec{kind: kSub, w: w, a: uint64(a), b: uint64(b)}
+			put(out, a-b)
+			return j.exit(s.m, (a^k <= b^k) != neg)
+		}
+	}
+	return func(s *state) bool {
+		a, b := T(*x), T(*y)
+		s.fl = flagRec{kind: kSub, w: w, a: uint64(a), b: uint64(b)}
+		put(out, a-b)
+		return j.exit(s.m, subCond(cc, uint64(a), uint64(b), w))
+	}
+}
+
+// andJcc fuses an and or test of *x and *y (the result goes to out)
+// with a jcc on cc. With CF = OF = 0 every condition but parity is one
+// unsigned compare of the result, res^k <= lim, chosen here: ZF is res
+// <= 0, SF and the signed less-than are res >= the sign bit, the signed
+// less-or-equal is res^sb <= sb, and CF and OF are never set.
+func andJcc[T word](x, y, out *uint64, cc x86.Cond, j jccTarget) uop {
+	w := uint8(size[T]())
+	neg := cc&1 == 1
+	sb := signBit[T]()
+	var k, lim T
+	switch cc &^ 1 {
+	case x86.CondE, x86.CondBE: // res == 0
+	case x86.CondS, x86.CondL: // not res <= sb-1
+		lim, neg = sb-1, !neg
+	case x86.CondLE: // res == 0 or negative
+		k, lim = sb, sb
+	case x86.CondB, x86.CondO: // never
+		lim, neg = ^T(0), !neg
+	default: // parity
+		return func(s *state) bool {
+			res := T(*x) & T(*y)
+			s.fl = flagRec{kind: kLogic, w: w, res: uint64(res)}
+			put(out, res)
+			return j.exit(s.m, logicCond(cc, uint64(res), w))
+		}
+	}
+	return func(s *state) bool {
+		res := T(*x) & T(*y)
+		s.fl = flagRec{kind: kLogic, w: w, res: uint64(res)}
+		put(out, res)
+		return j.exit(s.m, (res^k <= lim) != neg)
+	}
+}
+
+// subCond is the condition cc of the record a - b (no borrow in) on
+// pre-masked w-byte operands, computed from the operands.
 func subCond(cc x86.Cond, a, b uint64, w uint8) bool {
 	sign := 8*uint(w) - 1
 	var v bool
@@ -938,8 +1247,8 @@ func subCond(cc x86.Cond, a, b uint64, w uint8) bool {
 	return v != (cc&1 == 1)
 }
 
-// logicCond is lazyCond of a logic record (CF = OF = 0) with masked
-// result res.
+// logicCond is the condition cc of a logic record (CF = OF = 0) with
+// masked result res.
 func logicCond(cc x86.Cond, res uint64, w uint8) bool {
 	neg := res>>(8*uint(w)-1)&1 != 0
 	var v bool
@@ -956,233 +1265,240 @@ func logicCond(cc x86.Cond, res uint64, w uint8) bool {
 	return v != (cc&1 == 1)
 }
 
+// jccOp lifts a conditional branch on cc that reads the deferred flag
+// record: the flags cc tests are chosen here, and each is derived on
+// demand (lazy.go).
+func jccOp(cc x86.Cond, j jccTarget) uop {
+	neg := cc&1 == 1
+	switch cc &^ 1 {
+	case x86.CondO:
+		return func(s *state) bool { return j.exit(s.m, (s.lazyOF() != 0) != neg) }
+	case x86.CondB:
+		return func(s *state) bool { return j.exit(s.m, (s.lazyCF() != 0) != neg) }
+	case x86.CondE:
+		return func(s *state) bool { return j.exit(s.m, s.lazyZF() != neg) }
+	case x86.CondBE:
+		return func(s *state) bool { return j.exit(s.m, (s.lazyCF() != 0 || s.lazyZF()) != neg) }
+	case x86.CondS:
+		return func(s *state) bool { return j.exit(s.m, (s.lazySF() != 0) != neg) }
+	case x86.CondP:
+		return func(s *state) bool { return j.exit(s.m, s.lazyPF() != neg) }
+	case x86.CondL:
+		return func(s *state) bool { return j.exit(s.m, (s.lazySF() != s.lazyOF()) != neg) }
+	}
+	return func(s *state) bool { // LE
+		return j.exit(s.m, (s.lazyZF() || s.lazySF() != s.lazyOF()) != neg)
+	}
+}
+
 // emitALU lifts every ALU-shaped instruction (aluForm) as dst = dst op
-// src, one closure per operand shape with a memory operand (through
-// aluExec) and regALU's for a register destination with a register or
-// immediate source. write is false for cmp and test.
+// src. A register destination with a register or immediate source is
+// one aluReg op, or none for a cmp or test whose flags are dead; the
+// memory forms load and store one fixed width and compute through
+// aluExec. write is false for cmp and test.
 func (c *comp) emitALU(i int, aluOp byte, write bool, dst, src operand) uop {
 	inst := &c.b.insts[i]
 	nextAddr := inst.Addr + uint64(inst.Len)
 	rec := !c.elide[i]
 	w := pairWidth(inst)
-	mask := maskFor(w)
-	w8 := uint8(w)
-	d, r := dst.reg, src.reg
-	b := uint64(inst.Imm()) & mask
 	if write && !dst.mem {
-		if aluOp == 6 && !src.imm && !src.mem && r == d { // xor r, r: constant zero
-			c.set(d, 0, w)
+		if aluOp == 6 && !src.imm && !src.mem && src.reg == dst.reg { // xor r, r: constant zero
+			c.set(dst.reg, 0, w)
 		} else {
-			c.kill(d)
+			c.kill(dst.reg)
 		}
 	}
-
 	switch {
-	case dst.mem && src.imm:
-		ea := c.eaFor(inst)
-		return func(s *state) bool {
-			m := s.m
-			m.Counters.Cycles += m.Cost.Mem
-			addr := ea.at(m)
-			a, err := s.load(addr, w)
-			if err != nil {
-				return s.fault(inst, err)
-			}
-			res := aluExec(s, aluOp, a, b, mask, w8, rec)
-			if write {
-				m.Counters.Cycles += m.Cost.Mem
-				s.store(addr, res, w)
-				if s.trk.flushed {
-					m.RIP = nextAddr
-					return done
-				}
-			}
-			return true
-		}
 	case dst.mem:
-		ea := c.eaFor(inst)
-		return func(s *state) bool {
-			m := s.m
-			m.Counters.Cycles += m.Cost.Mem
-			addr := ea.at(m)
-			a, err := s.load(addr, w)
-			if err != nil {
-				return s.fault(inst, err)
-			}
-			res := aluExec(s, aluOp, a, m.Regs[r]&mask, mask, w8, rec)
-			if write {
-				m.Counters.Cycles += m.Cost.Mem
-				s.store(addr, res, w)
-				if s.trk.flushed {
-					m.RIP = nextAddr
-					return done
-				}
-			}
-			return true
-		}
+		y := c.src(src, uint64(inst.Imm()))
+		return byWidth(w, aluStore[uint8], aluStore[uint16], aluStore[uint32], aluStore[uint64])(
+			aluOp, write, rec, c.eaFor(inst), y, inst, nextAddr)
 	case src.mem:
-		ea := c.eaFor(inst)
-		return func(s *state) bool {
-			m := s.m
-			m.Counters.Cycles += m.Cost.Mem
-			v, err := s.load(ea.at(m), w)
-			if err != nil {
-				return s.fault(inst, err)
-			}
-			res := aluExec(s, aluOp, m.Regs[d]&mask, v, mask, w8, rec)
-			if write {
-				m.regWrite(d, res, w)
-			}
-			return true
-		}
+		return byWidth(w, aluLoad[uint8], aluLoad[uint16], aluLoad[uint32], aluLoad[uint64])(
+			aluOp, rec, c.eaFor(inst), c.reg(dst.reg), inst)
+	case !write && !rec:
+		return nil // cmp or test with dead flags: nothing to run
 	}
-	return regALU(aluOp, write, rec, d, r, src.imm, b, w)
+	x, y, out := c.reg(dst.reg), c.src(src, uint64(inst.Imm())), c.sink
+	if write {
+		out = x
+	}
+	return byWidth(w, aluReg[uint8], aluReg[uint16], aluReg[uint32], aluReg[uint64])(aluOp, rec, x, y, out)
 }
 
-// regALU lifts an ALU op with a register destination and a register
-// (useImm false) or immediate source, the shape loop bodies and
-// trampolines run most: add, sub, cmp, and, test, or and xor compute
-// in place of aluExec's switch; adc and sbb go through it.
-func regALU(aluOp byte, write, rec bool, d, r x86.Reg, useImm bool, imm uint64, w int) uop {
-	mask := maskFor(w)
-	w8 := uint8(w)
-	switch aluOp {
-	case 0: // add
+// aluReg lifts an ALU op on *x and *y (a register, or the copy of an
+// immediate) into out (x, or the sink for cmp and test), with the flag
+// record (rec) or without it: add, or, and, sub and xor each have an op
+// of their own in both forms; adc and sbb go through aluExec.
+func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
+	w := uint8(size[T]())
+	switch {
+	case aluOp == 0 && rec: // add
 		return func(s *state) bool {
-			m := s.m
-			a, b := m.Regs[d]&mask, imm
-			if !useImm {
-				b = m.Regs[r] & mask
-			}
-			if rec {
-				s.fl = flagRec{kind: kAdd, w: w8, a: a, b: b}
-			}
-			m.regWrite(d, (a+b)&mask, w)
+			a, b := T(*x), T(*y)
+			s.fl = flagRec{kind: kAdd, w: w, a: uint64(a), b: uint64(b)}
+			put(out, a+b)
 			return true
 		}
-	case 5, 7: // sub, cmp
-		return func(s *state) bool {
-			m := s.m
-			a, b := m.Regs[d]&mask, imm
-			if !useImm {
-				b = m.Regs[r] & mask
-			}
-			if rec {
-				s.fl = flagRec{kind: kSub, w: w8, a: a, b: b}
-			}
-			if write {
-				m.regWrite(d, (a-b)&mask, w)
-			}
+	case aluOp == 0:
+		return func(*state) bool {
+			put(out, T(*x)+T(*y))
 			return true
 		}
-	case 2, 3: // adc, sbb
+	case (aluOp == 5 || aluOp == 7) && rec: // sub, cmp
 		return func(s *state) bool {
-			m := s.m
-			b := imm
-			if !useImm {
-				b = m.Regs[r] & mask
-			}
-			m.regWrite(d, aluExec(s, aluOp, m.Regs[d]&mask, b, mask, w8, rec), w)
+			a, b := T(*x), T(*y)
+			s.fl = flagRec{kind: kSub, w: w, a: uint64(a), b: uint64(b)}
+			put(out, a-b)
+			return true
+		}
+	case aluOp == 5 || aluOp == 7:
+		return func(*state) bool {
+			put(out, T(*x)-T(*y))
+			return true
+		}
+	case aluOp == 1 && rec: // or
+		return func(s *state) bool {
+			res := T(*x) | T(*y)
+			s.fl = flagRec{kind: kLogic, w: w, res: uint64(res)}
+			put(out, res)
+			return true
+		}
+	case aluOp == 1:
+		return func(*state) bool {
+			put(out, T(*x)|T(*y))
+			return true
+		}
+	case aluOp == 4 && rec: // and, test
+		return func(s *state) bool {
+			res := T(*x) & T(*y)
+			s.fl = flagRec{kind: kLogic, w: w, res: uint64(res)}
+			put(out, res)
+			return true
+		}
+	case aluOp == 4:
+		return func(*state) bool {
+			put(out, T(*x)&T(*y))
+			return true
+		}
+	case aluOp == 6 && rec: // xor
+		return func(s *state) bool {
+			res := T(*x) ^ T(*y)
+			s.fl = flagRec{kind: kLogic, w: w, res: uint64(res)}
+			put(out, res)
+			return true
+		}
+	case aluOp == 6:
+		return func(*state) bool {
+			put(out, T(*x)^T(*y))
 			return true
 		}
 	}
-	return func(s *state) bool { // or, and/test, xor
-		m := s.m
-		a, b := m.Regs[d]&mask, imm
-		if !useImm {
-			b = m.Regs[r] & mask
+	mask := uint64(^T(0)) // adc, sbb
+	return func(s *state) bool {
+		put(out, T(aluExec(s, aluOp, uint64(T(*x)), uint64(T(*y)), mask, w, rec)))
+		return true
+	}
+}
+
+// aluLoad lifts op r, [m].
+func aluLoad[T word](aluOp byte, rec bool, ea addrCalc, d *uint64, inst *x86.Inst) uop {
+	w, mask := uint8(size[T]()), uint64(^T(0))
+	return func(s *state) bool {
+		v, err := load[T](s, ea.at())
+		if err != nil {
+			return s.fault(inst, err)
 		}
-		var res uint64
-		switch aluOp {
-		case 1:
-			res = a | b
-		case 4:
-			res = a & b
-		default:
-			res = a ^ b
+		put(d, T(aluExec(s, aluOp, uint64(T(*d)), uint64(v), mask, w, rec)))
+		return true
+	}
+}
+
+// aluStore lifts op [m], r and op [m], imm: the load, and for every op
+// but cmp and test the store, which may leave the block.
+func aluStore[T word](aluOp byte, write, rec bool, ea addrCalc, y *uint64, inst *x86.Inst, next uint64) uop {
+	w, mask := uint8(size[T]()), uint64(^T(0))
+	if !write {
+		return func(s *state) bool {
+			a, err := load[T](s, ea.at())
+			if err != nil {
+				return s.fault(inst, err)
+			}
+			aluExec(s, aluOp, uint64(a), uint64(T(*y)), mask, w, rec)
+			return true
 		}
-		if rec {
-			s.fl = flagRec{kind: kLogic, w: w8, res: res}
+	}
+	return func(s *state) bool {
+		addr := ea.at()
+		a, err := load[T](s, addr)
+		if err != nil {
+			return s.fault(inst, err)
 		}
-		if write {
-			m.regWrite(d, res, w)
+		store(s, addr, T(aluExec(s, aluOp, uint64(a), uint64(T(*y)), mask, w, rec)))
+		if s.trk.flushed {
+			s.m.RIP = next
+			return done
 		}
 		return true
 	}
 }
 
-// emitJcc lifts a conditional branch: the condition is answered
-// straight from the deferred flag record.
-func (c *comp) emitJcc(inst *x86.Inst, cc x86.Cond, nextAddr uint64) uop {
-	target := inst.Target()
-	return func(s *state) bool {
-		return jccExit(s.m, s.lazyCond(cc), nextAddr, target)
-	}
-}
-
-// jccExit leaves the block through a conditional branch whose
-// fallthrough is next: to target, charged as a taken branch, or on.
-func jccExit(m *Machine, taken bool, next, target uint64) bool {
-	if taken {
-		m.RIP = m.branch(next, target)
-	} else {
-		m.RIP = next
-	}
-	return done
-}
-
-// emitImul lifts the two-operand (and immediate) imul forms.
+// emitImul lifts the two-operand (and immediate) imul forms: the
+// product of the destination (or, with an immediate, the r/m operand)
+// and the r/m operand (or the immediate), both at the instruction's
+// width.
 func (c *comp) emitImul(inst *x86.Inst, dst x86.Reg, imm uint64, hasImm, rec, mem bool) uop {
 	w := width(inst)
-	mask := maskFor(w)
-	w8 := uint8(w)
-	sw := uint(64 - 8*w)
-	c.kill(dst)
-	mul := func(s *state, a, b uint64) uint64 {
-		sa := int64(a<<sw) >> sw
-		sb := int64(b<<sw) >> sw
-		prod := sa * sb
-		res := uint64(prod) & mask
-		if rec {
-			over := int64(res<<sw)>>sw != prod
-			prevAF := s.lazyAF()
-			var aux uint8
-			if over {
-				aux = 1
-			}
-			s.fl = flagRec{kind: kImul, w: w8, res: res, aux: aux | uint8(prevAF)<<1}
-		}
-		return res
+	d := c.reg(dst)
+	other := d // the factor beside the r/m operand
+	if hasImm {
+		other = c.src(operand{imm: true}, imm)
 	}
-	if !mem {
-		src := modrmRM(inst)
+	c.kill(dst)
+	if mem {
+		return byWidth(w, imulMem[uint8], imulMem[uint16], imulMem[uint32], imulMem[uint64])(c.eaFor(inst), d, other, rec, inst)
+	}
+	return byWidth(w, imulReg[uint8], imulReg[uint16], imulReg[uint32], imulReg[uint64])(d, c.reg(modrmRM(inst)), other, rec)
+}
+
+// imul is the signed product a*b truncated to T, with the flag record
+// when rec is set.
+func imul[T word](s *state, a, b T, rec bool) T {
+	sw := 64 - 8*uint(size[T]())
+	prod := int64(uint64(a)<<sw) >> sw * (int64(uint64(b)<<sw) >> sw)
+	res := T(prod)
+	if rec {
+		var aux uint8
+		if int64(uint64(res)<<sw)>>sw != prod {
+			aux = 1
+		}
+		s.fl = flagRec{kind: kImul, w: uint8(size[T]()), res: uint64(res), aux: aux | uint8(s.lazyAF())<<1}
+	}
+	return res
+}
+
+// imulReg lifts imul with a register r/m operand: d = *x * *y.
+func imulReg[T word](d, x, y *uint64, rec bool) uop {
+	if rec {
 		return func(s *state) bool {
-			m := s.m
-			m.Counters.Cycles += m.Cost.Mul
-			a := m.Regs[src] & mask
-			b := imm
-			if !hasImm {
-				b = a
-				a = m.Regs[dst] & mask
-			}
-			m.regWrite(dst, mul(s, a, b), w)
+			put(d, imul(s, T(*x), T(*y), true))
 			return true
 		}
 	}
-	ea := c.eaFor(inst)
 	return func(s *state) bool {
-		m := s.m
-		m.Counters.Cycles += m.Cost.Mem
-		v, err := s.load(ea.at(m), w)
+		put(d, imul(s, T(*x), T(*y), false))
+		return true
+	}
+}
+
+// imulMem lifts imul with a memory r/m operand: d = [m] * *y.
+func imulMem[T word](ea addrCalc, d, y *uint64, rec bool, inst *x86.Inst) uop {
+	return func(s *state) bool {
+		v, err := load[T](s, ea.at())
 		if err != nil {
 			return s.fault(inst, err)
 		}
-		m.Counters.Cycles += m.Cost.Mul
-		a, b := v, imm
-		if !hasImm {
-			a, b = m.Regs[dst]&mask, v
-		}
-		m.regWrite(dst, mul(s, a, b), w)
+		put(d, imul(s, v, T(*y), rec))
 		return true
 	}
 }

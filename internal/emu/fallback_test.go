@@ -28,8 +28,7 @@ func TestFallbackImpliesUnsafe(t *testing.T) {
 							continue
 						}
 						e := newIREngine()
-						c := &comp{e: e, b: &block{insts: []x86.Inst{inst}}}
-						c.analyzeFlags()
+						c := newComp(e, NewMachine(), &block{insts: []x86.Inst{inst}})
 						c.emit(0)
 						if e.Stats.Fallbacks == 0 {
 							lifted++

@@ -17,15 +17,28 @@ import (
 //
 //   - Superblocks (block.go): a block runs on through a direct jmp or
 //     call rel32, so a patched site's hop to its trampoline and the hop
-//     back cost no block transition; a followed jump is a micro-op that
-//     charges the branch and falls through.
+//     back cost no block transition; a followed jump lifts to no
+//     micro-op at all, its branch charge being part of the block's.
 //   - A chained inner loop (Run): each block memoizes its successors (a
 //     block ending in ret or an indirect jump, the last one it had), and
 //     a linked successor that fits the budget runs straight after its
 //     predecessor, past the outer loop's probes.
 //   - Compare+branch fusion (compile.go): a block ending in a register
-//     or immediate ALU op, cmp or test and its jcc runs the pair as one
-//     micro-op that reads the condition off the operands.
+//     or immediate ALU op, cmp or test and its jcc, with only followed
+//     jumps between them, runs the pair as one micro-op that reads the
+//     condition off the operands.
+//
+// Everything that is constant per instruction is settled at lift time
+// (compile.go): each micro-op is built for its operand width (a Go type
+// parameter), reads its operands through addresses fixed at lift time
+// (a register's slot or a copy of the immediate), and exists in a form
+// with and one without the flag record; a jcc picks its condition test
+// when it is lifted. The static part of each instruction's cost — its
+// base cost, Mem, Mul and CallRet surcharges, and the taken and far
+// events of static branches — is counted per block (tally) and charged
+// on entry; only what depends on run-time values (a conditional
+// branch's direction, a dynamic target's distance) is charged by the
+// micro-ops themselves.
 //
 // Three block-local optimizations carry the speedup beyond caching the
 // decode:
@@ -68,13 +81,22 @@ type block struct {
 	end   uint64 // fallthrough address of the final instruction
 	insts []x86.Inst
 
-	// ops is the threaded code: ops[i] executes insts[i]; a possible
-	// extra trailing epilogue op materializes the fallthrough RIP.
+	// ops is the threaded code, in instruction order. An op executes
+	// one instruction, or a fused pair with the followed jumps between
+	// them; a followed jmp and a cmp or test whose flags are dead have
+	// no op, and a trailing epilogue op materializes the fallthrough
+	// RIP when the block can fall off its end. The last op's done
+	// retires the whole block; any other done leaves it early.
 	ops []uop
-	// full is the index of the op whose done retires the whole block:
-	// the terminator, the epilogue, or a fused pair's first op. Every
-	// other done leaves the block early.
-	full int
+
+	// cost is the static charge of every instruction in the block,
+	// made on entry. left[k] is what an exit at op k refunds: the
+	// static charge of the instructions after op k's. fault[k] is the
+	// part of op k's own charge that the interpreter makes only after
+	// the access that can fault (an RMW's store, a pop's Mem), which a
+	// fault at op k refunds as well.
+	cost        tally
+	left, fault []tally
 
 	// succAddr are the block's successor addresses (the fallthrough
 	// and, for a direct branch, its target); succ memoizes their lifted
@@ -118,6 +140,10 @@ type state struct {
 
 	// err, when set by a micro-op returning done, aborts Run.
 	err error
+
+	// sink is where a compare-only op (cmp, test) writes the result it
+	// computes, so it shares the lifted form of the op that writes.
+	sink uint64
 
 	// Direct-mapped load/store TLBs, indexed by the low bits of the
 	// page index: a kernel's stack, buffers and tables stay resident
@@ -182,6 +208,9 @@ type irEngine struct {
 	// range outside which a RIP cannot be a runtime call.
 	rtN        int
 	rtLo, rtHi uint64
+	// farDist is the cost model's FarDistance the cached blocks counted
+	// their far jumps under.
+	farDist uint64
 
 	// Stats accumulates lift/dispatch events across Run calls.
 	Stats irStats
@@ -204,15 +233,16 @@ func newIREngine() *irEngine {
 // assertion on Machine.Engine.
 func (e *irEngine) FastBlocks() uint64 { return e.Stats.FastBlocks }
 
-// refreshRuntime re-reads the machine's runtime bindings. Blocks were
-// cut at the addresses bound when they were lifted (decodeBlock),
-// so a changed set drops them.
-func (e *irEngine) refreshRuntime(m *Machine) {
+// refresh re-reads what the cached blocks were lifted under and drops
+// them when it changed: the machine's runtime bindings, at which
+// blocks were cut (decodeBlock), and the FarDistance their far jumps
+// were counted under. Every other cost weight is read at run time.
+func (e *irEngine) refresh(m *Machine) {
 	n, lo, hi := m.runtimeBounds()
-	if n == e.rtN && lo == e.rtLo && hi == e.rtHi {
+	if n == e.rtN && lo == e.rtLo && hi == e.rtHi && m.Cost.FarDistance == e.farDist {
 		return
 	}
-	e.rtN, e.rtLo, e.rtHi = n, lo, hi
+	e.rtN, e.rtLo, e.rtHi, e.farDist = n, lo, hi, m.Cost.FarDistance
 	if len(e.blocks) > 0 {
 		e.trk.flush()
 	}
@@ -221,20 +251,21 @@ func (e *irEngine) refreshRuntime(m *Machine) {
 // Run implements Engine: execute until halt or budget exhaustion,
 // observationally identical to the interpreter loop.
 func (e *irEngine) Run(m *Machine, maxInst uint64) error {
-	if e.mem != m.Mem {
-		if e.mem != nil {
+	st := &e.st
+	if st.m != m || e.mem != m.Mem {
+		// Micro-ops address the bound machine's registers, and the
+		// TLBs hold its memory's pages.
+		if st.m != nil {
 			e.trk.flush()
 		}
-		e.mem = m.Mem
+		st.m, e.mem = m, m.Mem
 		m.Mem.SetWriteBarrier(e.trk.invalidate)
-		e.st.ld, e.st.st = [tlbSize]tlbEntry{}, [tlbSize]tlbEntry{}
+		st.ld, st.st = [tlbSize]tlbEntry{}, [tlbSize]tlbEntry{}
 	}
-	e.refreshRuntime(m)
+	e.refresh(m)
 	e.trk.flushed = false
 	defer func() { e.Stats.BarrierProbes = e.trk.probes }()
 
-	st := &e.st
-	st.m = m
 	st.err = nil
 	st.fl.kind = kEager // Machine.Flags is authoritative on entry
 
@@ -266,8 +297,9 @@ func (e *irEngine) Run(m *Machine, maxInst uint64) error {
 			if _, err := m.stepSpecial(); err != nil {
 				return err
 			}
-			// A binding is the one place the bindings can change.
-			e.refreshRuntime(m)
+			// A binding is the one place the bindings (or the cost
+			// model) can change mid-run.
+			e.refresh(m)
 			prev = nil
 			continue
 		}
@@ -319,6 +351,7 @@ func (e *irEngine) Run(m *Machine, maxInst uint64) error {
 			if err := e.runCareful(m, b, maxInst); err != nil {
 				return err
 			}
+			e.refresh(m) // a tracer may have changed the cost model
 			continue
 		}
 		// Fast path: the whole block fits in the remaining budget and
@@ -331,20 +364,16 @@ func (e *irEngine) Run(m *Machine, maxInst uint64) error {
 		for {
 			prev = b
 			e.Stats.FastBlocks++
-			// Each instruction's base cost is charged here, for the
-			// whole block, and refunded for the instructions an early
-			// exit leaves unretired: the op that leaves has retired its
-			// own instruction (a fault or flush counts it, as in the
-			// interpreter).
-			n := uint64(len(b.insts))
-			m.Counters.Instructions += n
-			m.Counters.Cycles += n * m.Cost.ALU
+			// The static cost of every instruction is charged here, for
+			// the whole block, and refunded for what an early exit
+			// leaves unretired: the op that leaves has retired its own
+			// instruction (a fault or flush counts it, as in the
+			// interpreter), less what a fault cut short.
+			m.Counters.charge(&b.cost, &m.Cost)
 			for k, op := range b.ops {
 				if op(st) == done {
-					if k < b.full {
-						r := n - uint64(k) - 1
-						m.Counters.Instructions -= r
-						m.Counters.Cycles -= r * m.Cost.ALU
+					if k < len(b.ops)-1 || st.err != nil {
+						b.refund(m, k, st.err != nil)
 					}
 					break
 				}
@@ -398,6 +427,54 @@ func (e *irEngine) runCareful(m *Machine, b *block, maxInst uint64) error {
 	return nil
 }
 
+// refund takes back what leaving at op k left unretired: the static
+// charge of the instructions after op k's and, when op k faulted, the
+// part of its own that the interpreter would not have charged.
+func (b *block) refund(m *Machine, k int, faulted bool) {
+	t := b.left[k]
+	if faulted {
+		t.add(b.fault[k])
+	}
+	m.Counters.refund(&t, &m.Cost)
+}
+
+// tally counts the cost events of instructions that are fixed at lift
+// time (staticCost): the instructions themselves, their Mem, Mul and
+// CallRet surcharges, and the taken and far events of branches with a
+// static target. It holds counts, not cycles, so a charge reads the
+// machine's CostModel when it is made.
+type tally struct {
+	insts, mem, mul, callRet, taken, far uint16
+}
+
+// add adds u's events to t.
+func (t *tally) add(u tally) {
+	t.insts += u.insts
+	t.mem += u.mem
+	t.mul += u.mul
+	t.callRet += u.callRet
+	t.taken += u.taken
+	t.far += u.far
+}
+
+// charge adds t's events and their cycles under k to c.
+func (c *Counters) charge(t *tally, k *CostModel) {
+	c.Instructions += uint64(t.insts)
+	c.TakenBranches += uint64(t.taken)
+	c.FarJumps += uint64(t.far)
+	c.Cycles += uint64(t.insts)*k.ALU + uint64(t.mem)*k.Mem + uint64(t.mul)*k.Mul +
+		uint64(t.callRet)*k.CallRet + uint64(t.taken)*k.BranchTaken + uint64(t.far)*k.FarJump
+}
+
+// refund takes t's events and their cycles under k back from c.
+func (c *Counters) refund(t *tally, k *CostModel) {
+	c.Instructions -= uint64(t.insts)
+	c.TakenBranches -= uint64(t.taken)
+	c.FarJumps -= uint64(t.far)
+	c.Cycles -= uint64(t.insts)*k.ALU + uint64(t.mem)*k.Mem + uint64(t.mul)*k.Mul +
+		uint64(t.callRet)*k.CallRet + uint64(t.taken)*k.BranchTaken + uint64(t.far)*k.FarJump
+}
+
 // fault records a wrapped execution error with machine state
 // positioned exactly as the interpreter leaves it: RIP at the faulting
 // instruction.
@@ -407,12 +484,49 @@ func (s *state) fault(inst *x86.Inst, err error) bool {
 	return done
 }
 
-// load reads n little-endian bytes through the load TLB. The fault
-// error names the first unmapped byte, matching Memory.read.
-func (s *state) load(addr uint64, n int) (uint64, error) {
+// word is the Go type of one operand width: uint8, uint16, uint32 or
+// uint64. A micro-op generic in word is compiled once per width, so its
+// mask, its register-write rule and its memory access width are
+// constants of its code rather than values it branches on.
+type word interface {
+	~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// size is T's width in bytes.
+func size[T word]() int {
+	switch uint64(^T(0)) {
+	case 0xFF:
+		return 1
+	case 0xFFFF:
+		return 2
+	case 0xFFFFFFFF:
+		return 4
+	}
+	return 8
+}
+
+// signBit is T's sign bit.
+func signBit[T word]() T { return ^T(0) ^ ^T(0)>>1 }
+
+// put writes v to the register at r with x86-64 merge semantics: a 4-
+// or 8-byte write replaces the register (zero-extending), a 1- or
+// 2-byte write merges into its low bytes.
+func put[T word](r *uint64, v T) {
+	if size[T]() >= 4 {
+		*r = uint64(v)
+	} else {
+		*r = *r&^uint64(^T(0)) | uint64(v)
+	}
+}
+
+// load reads a little-endian T through the load TLB. The fault error
+// names the first unmapped byte, matching Memory.read.
+func load[T word](s *state, addr uint64) (T, error) {
+	n := size[T]()
 	off := addr % PageSize
 	if off+uint64(n) > PageSize {
-		return s.m.Mem.read(addr, n)
+		v, err := s.m.Mem.read(addr, n)
+		return T(v), err
 	}
 	idx := addr / PageSize
 	e := &s.ld[idx%tlbSize]
@@ -425,24 +539,24 @@ func (s *state) load(addr uint64, n int) (uint64, error) {
 	}
 	switch n {
 	case 8:
-		return binary.LittleEndian.Uint64(pg[off:]), nil
+		return T(binary.LittleEndian.Uint64(pg[off:])), nil
 	case 4:
-		return uint64(binary.LittleEndian.Uint32(pg[off:])), nil
+		return T(binary.LittleEndian.Uint32(pg[off:])), nil
 	case 2:
-		return uint64(binary.LittleEndian.Uint16(pg[off:])), nil
-	default:
-		return uint64(pg[off]), nil
+		return T(binary.LittleEndian.Uint16(pg[off:])), nil
 	}
+	return T(pg[off]), nil
 }
 
-// store writes n little-endian bytes through the store TLB, firing
-// the write barrier first (stores never fault: pages are created on
+// store writes a little-endian T through the store TLB, firing the
+// write barrier first (stores never fault: pages are created on
 // demand, as in Memory.write).
-func (s *state) store(addr uint64, v uint64, n int) {
+func store[T word](s *state, addr uint64, v T) {
+	n := size[T]()
 	mem := s.m.Mem
 	off := addr % PageSize
 	if off+uint64(n) > PageSize {
-		_ = mem.write(addr, v, n) // fires the barrier itself
+		_ = mem.write(addr, uint64(v), n) // fires the barrier itself
 		return
 	}
 	idx := addr / PageSize
@@ -459,7 +573,7 @@ func (s *state) store(addr uint64, v uint64, n int) {
 	}
 	switch n {
 	case 8:
-		binary.LittleEndian.PutUint64(pg[off:], v)
+		binary.LittleEndian.PutUint64(pg[off:], uint64(v))
 	case 4:
 		binary.LittleEndian.PutUint32(pg[off:], uint32(v))
 	case 2:
@@ -469,25 +583,23 @@ func (s *state) store(addr uint64, v uint64, n int) {
 	}
 }
 
-// push mirrors Machine.push: RSP moves first, then the Mem cycle,
-// then the store (which cannot fault).
+// push mirrors Machine.push but for its Mem cycle, which is static:
+// RSP moves first, then the store (which cannot fault).
 func (s *state) push(v uint64) {
 	m := s.m
 	sp := m.Regs[x86.RSP] - 8
 	m.Regs[x86.RSP] = sp
-	m.Counters.Cycles += m.Cost.Mem
-	s.store(sp, v, 8)
+	store(s, sp, v)
 }
 
-// pop mirrors Machine.pop: the read happens (and may fault) before
-// RSP moves and before the Mem cycle is charged.
+// pop mirrors Machine.pop but for its Mem cycle, which is static: the
+// read happens (and may fault) before RSP moves.
 func (s *state) pop() (uint64, error) {
 	m := s.m
-	v, err := s.load(m.Regs[x86.RSP], 8)
+	v, err := load[uint64](s, m.Regs[x86.RSP])
 	if err != nil {
 		return 0, err
 	}
 	m.Regs[x86.RSP] += 8
-	m.Counters.Cycles += m.Cost.Mem
 	return v, nil
 }

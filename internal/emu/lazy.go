@@ -1,10 +1,6 @@
 package emu
 
-import (
-	"math/bits"
-
-	"e9patch/internal/x86"
-)
+import "math/bits"
 
 // Lazy EFLAGS. Almost every x86 instruction writes the arithmetic
 // flags and almost none of them are ever read: the interpreter pays
@@ -178,37 +174,4 @@ func (s *state) lazyOF() uint64 {
 	default: // kLogic, kShift
 		return 0
 	}
-}
-
-// lazyCond evaluates a condition code against the deferred record,
-// mirroring Machine.cond bit for bit. Only the flags the condition
-// actually reads are derived; parity (the expensive one) is computed
-// solely for CondP/CondNP.
-func (s *state) lazyCond(cc x86.Cond) bool {
-	if s.fl.kind == kEager {
-		return s.m.cond(cc)
-	}
-	var v bool
-	switch cc &^ 1 {
-	case x86.CondO:
-		v = s.lazyOF() != 0
-	case x86.CondB:
-		v = s.lazyCF() != 0
-	case x86.CondE:
-		v = s.lazyZF()
-	case x86.CondBE:
-		v = s.lazyCF() != 0 || s.lazyZF()
-	case x86.CondS:
-		v = s.lazySF() != 0
-	case x86.CondP:
-		v = s.lazyPF()
-	case x86.CondL:
-		v = (s.lazySF() != 0) != (s.lazyOF() != 0)
-	case x86.CondLE:
-		v = s.lazyZF() || (s.lazySF() != 0) != (s.lazyOF() != 0)
-	}
-	if cc&1 == 1 {
-		return !v
-	}
-	return v
 }
