@@ -402,13 +402,13 @@ func aluExec(s *state, op byte, a, b uint64, mask uint64, w uint8, rec bool) uin
 	switch op {
 	case 0: // add
 		if rec {
-			s.fl = flagRec{kind: kAdd, w: w, a: a, b: b}
+			s.fl.arith(kAdd, w, a, b)
 		}
 		return (a + b) & mask
 	case 1: // or
 		res := a | b
 		if rec {
-			s.fl = flagRec{kind: kLogic, w: w, res: res}
+			s.fl.logic(w, res)
 		}
 		return res
 	case 2: // adc
@@ -426,23 +426,23 @@ func aluExec(s *state, op byte, a, b uint64, mask uint64, w uint8, rec bool) uin
 	case 4: // and
 		res := a & b
 		if rec {
-			s.fl = flagRec{kind: kLogic, w: w, res: res}
+			s.fl.logic(w, res)
 		}
 		return res
 	case 5: // sub
 		if rec {
-			s.fl = flagRec{kind: kSub, w: w, a: a, b: b}
+			s.fl.arith(kSub, w, a, b)
 		}
 		return (a - b) & mask
 	case 6: // xor
 		res := a ^ b
 		if rec {
-			s.fl = flagRec{kind: kLogic, w: w, res: res}
+			s.fl.logic(w, res)
 		}
 		return res
 	default: // cmp
 		if rec {
-			s.fl = flagRec{kind: kSub, w: w, a: a, b: b}
+			s.fl.arith(kSub, w, a, b)
 		}
 		return 0
 	}
@@ -1154,7 +1154,7 @@ func subJcc[T word](x, y, out *uint64, cc x86.Cond, j jccTarget) uop {
 	case x86.CondE:
 		return func(s *state) bool {
 			a, b := T(*x), T(*y)
-			s.fl = flagRec{kind: kSub, w: w, a: uint64(a), b: uint64(b)}
+			s.fl.arith(kSub, w, uint64(a), uint64(b))
 			put(out, a-b)
 			return j.exit(s.m, (a == b) != neg)
 		}
@@ -1164,7 +1164,7 @@ func subJcc[T word](x, y, out *uint64, cc x86.Cond, j jccTarget) uop {
 	case x86.CondB:
 		return func(s *state) bool {
 			a, b := T(*x), T(*y)
-			s.fl = flagRec{kind: kSub, w: w, a: uint64(a), b: uint64(b)}
+			s.fl.arith(kSub, w, uint64(a), uint64(b))
 			put(out, a-b)
 			return j.exit(s.m, (a^k < b^k) != neg)
 		}
@@ -1174,14 +1174,14 @@ func subJcc[T word](x, y, out *uint64, cc x86.Cond, j jccTarget) uop {
 	case x86.CondBE:
 		return func(s *state) bool {
 			a, b := T(*x), T(*y)
-			s.fl = flagRec{kind: kSub, w: w, a: uint64(a), b: uint64(b)}
+			s.fl.arith(kSub, w, uint64(a), uint64(b))
 			put(out, a-b)
 			return j.exit(s.m, (a^k <= b^k) != neg)
 		}
 	}
 	return func(s *state) bool {
 		a, b := T(*x), T(*y)
-		s.fl = flagRec{kind: kSub, w: w, a: uint64(a), b: uint64(b)}
+		s.fl.arith(kSub, w, uint64(a), uint64(b))
 		put(out, a-b)
 		return j.exit(s.m, subCond(cc, uint64(a), uint64(b), w))
 	}
@@ -1208,14 +1208,14 @@ func andJcc[T word](x, y, out *uint64, cc x86.Cond, j jccTarget) uop {
 	default: // parity
 		return func(s *state) bool {
 			res := T(*x) & T(*y)
-			s.fl = flagRec{kind: kLogic, w: w, res: uint64(res)}
+			s.fl.logic(w, uint64(res))
 			put(out, res)
 			return j.exit(s.m, logicCond(cc, uint64(res), w))
 		}
 	}
 	return func(s *state) bool {
 		res := T(*x) & T(*y)
-		s.fl = flagRec{kind: kLogic, w: w, res: uint64(res)}
+		s.fl.logic(w, uint64(res))
 		put(out, res)
 		return j.exit(s.m, (res^k <= lim) != neg)
 	}
@@ -1336,7 +1336,7 @@ func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
 	case aluOp == 0 && rec: // add
 		return func(s *state) bool {
 			a, b := T(*x), T(*y)
-			s.fl = flagRec{kind: kAdd, w: w, a: uint64(a), b: uint64(b)}
+			s.fl.arith(kAdd, w, uint64(a), uint64(b))
 			put(out, a+b)
 			return true
 		}
@@ -1348,7 +1348,7 @@ func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
 	case (aluOp == 5 || aluOp == 7) && rec: // sub, cmp
 		return func(s *state) bool {
 			a, b := T(*x), T(*y)
-			s.fl = flagRec{kind: kSub, w: w, a: uint64(a), b: uint64(b)}
+			s.fl.arith(kSub, w, uint64(a), uint64(b))
 			put(out, a-b)
 			return true
 		}
@@ -1360,7 +1360,7 @@ func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
 	case aluOp == 1 && rec: // or
 		return func(s *state) bool {
 			res := T(*x) | T(*y)
-			s.fl = flagRec{kind: kLogic, w: w, res: uint64(res)}
+			s.fl.logic(w, uint64(res))
 			put(out, res)
 			return true
 		}
@@ -1372,7 +1372,7 @@ func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
 	case aluOp == 4 && rec: // and, test
 		return func(s *state) bool {
 			res := T(*x) & T(*y)
-			s.fl = flagRec{kind: kLogic, w: w, res: uint64(res)}
+			s.fl.logic(w, uint64(res))
 			put(out, res)
 			return true
 		}
@@ -1384,7 +1384,7 @@ func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
 	case aluOp == 6 && rec: // xor
 		return func(s *state) bool {
 			res := T(*x) ^ T(*y)
-			s.fl = flagRec{kind: kLogic, w: w, res: uint64(res)}
+			s.fl.logic(w, uint64(res))
 			put(out, res)
 			return true
 		}

@@ -296,3 +296,85 @@ func testFusedJcc(t *testing.T, engine string) {
 		}
 	}
 }
+
+// chunk is the stride of the per-condition code chunks of
+// hopFusedProgram.
+const chunk = 64
+
+// padTo fills a with nops up to addr.
+func padTo(a *x86.Asm, addr uint64) {
+	for a.Addr() < addr {
+		a.Raw(0x90)
+	}
+}
+
+// hopFusedProgram lays out, for each of the 16 conditions, `add r13,
+// r13; mov dst, a; mov src, b; <form>; jmp T` on the site page and `T:
+// [jmp U; U:] jcc taken; add r13, 1; taken: jmp next` on the
+// trampoline page, chunk cc of each at offset chunk*cc; the site's
+// seventeenth chunk is hlt. Each ALU op reaches its jcc through the far
+// hop to T and, when twoHops is set, a near jmp after it, so the three
+// are one block with only followed jumps between the pair.
+func hopFusedProgram(f fusedForm, a, b uint64, twoHops bool) (site, tramp []byte) {
+	s, t := x86.NewAsm(SiteBase), x86.NewAsm(TrampBase)
+	for cc := x86.Cond(0); cc < 16; cc++ {
+		padTo(s, SiteBase+chunk*uint64(cc))
+		s.AddRegReg64(x86.R13, x86.R13)
+		s.MovRegImm64(f.dst, a)
+		if f.modrm && f.immBytes == 0 {
+			s.MovRegImm64(f.src, b)
+		}
+		s.Raw(f.opcode...)
+		if f.modrm {
+			s.Raw(0xC0 | byte(f.src&7)<<3 | byte(f.dst&7))
+		}
+		for i := 0; i < f.immBytes; i++ {
+			s.Raw(byte(b >> (8 * i)))
+		}
+		s.JmpRel32(TrampBase + chunk*uint64(cc))
+
+		padTo(t, TrampBase+chunk*uint64(cc))
+		if twoHops {
+			u := t.NewLabel()
+			t.JmpShort(u)
+			t.Bind(u)
+		}
+		taken := t.NewLabel()
+		t.JccShort(cc, taken)
+		t.AddRegImm64(x86.R13, 1)
+		t.Bind(taken)
+		t.JmpRel32(SiteBase + chunk*uint64(cc+1))
+	}
+	padTo(s, SiteBase+chunk*16)
+	s.Raw(0xF4) // hlt
+	return s.MustFinish(), t.MustFinish()
+}
+
+// testHopFused is testFusedJcc with the pair split by trampoline hops:
+// every ALU op, test and cmp, at every width and in every register and
+// immediate form, reaches each of the 16 conditional branches through
+// one far jmp or a far and a near one. A block engine that fuses the
+// pair across the hops must branch, count (the hops' taken and far
+// jumps included) and leave the flags exactly as the interpreter does.
+func testHopFused(t *testing.T, engine string) {
+	for aluOp := 0; aluOp <= 8; aluOp++ {
+		for _, w := range []int{1, 2, 4, 8} {
+			for _, f := range fusedForms(aluOp, w) {
+				for _, v := range fusedValues(w) {
+					for _, twoHops := range []bool{false, true} {
+						site, tramp := hopFusedProgram(f, v[0], v[1], twoHops)
+						var ms [2]*emu.Machine
+						for i, eng := range []emu.Engine{nil, newEngine(t, engine)} {
+							ms[i] = HopMachine(eng, site, tramp, nil)
+							if err := ms[i].Run(10_000); err != nil {
+								t.Fatalf("op %d w%d %s hops %v: %v", aluOp, w, f.name, twoHops, err)
+							}
+						}
+						diffStates(t, fmt.Sprintf("op %d w%d %s %#x,%#x two hops %v", aluOp, w, f.name, v[0], v[1], twoHops),
+							engine, stateOf(ms[0]), stateOf(ms[1]))
+					}
+				}
+			}
+		}
+	}
+}

@@ -351,7 +351,9 @@ func (e *irEngine) Run(m *Machine, maxInst uint64) error {
 			if err := e.runCareful(m, b, maxInst); err != nil {
 				return err
 			}
-			e.refresh(m) // a tracer may have changed the cost model
+			if m.Cost.FarDistance != e.farDist { // a tracer may change the cost model
+				e.refresh(m)
+			}
 			continue
 		}
 		// Fast path: the whole block fits in the remaining budget and

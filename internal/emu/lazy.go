@@ -44,6 +44,17 @@ type flagRec struct {
 	res       uint64 // result for kinds that don't recompute it
 }
 
+// arith records an add (kAdd) or a sub (kSub) of a and b with no carry
+// in. Like logic, it writes only the fields its kind reads.
+func (f *flagRec) arith(kind, w uint8, a, b uint64) {
+	f.kind, f.w, f.a, f.b, f.cin = kind, w, a, b, 0
+}
+
+// logic records the result res of a logic op.
+func (f *flagRec) logic(w uint8, res uint64) {
+	f.kind, f.w, f.res = kLogic, w, res
+}
+
 // result returns the masked arithmetic result of the recorded op.
 func (f *flagRec) result() uint64 {
 	mask := maskFor(int(f.w))
