@@ -19,6 +19,21 @@ import (
 // a randomized body (ALU soup, masked heap stores/loads, forward
 // branches, leaf calls), then outputs a register checksum.
 func genProgram(rng *rand.Rand, pie bool) ([]byte, error) {
+	return genProgramMix(rng, pie, false)
+}
+
+// genEngineProgram is genProgram with engine material in the body mix
+// (engineOp): ALU ops at every width with their flags live and dead,
+// compare+branch pairs, and pairs split by trampoline-shaped hops.
+// Only FuzzEngines runs it, so genProgram's programs, which the
+// lock-step corpus and its mutation checks pin, stay as they are.
+func genEngineProgram(rng *rand.Rand, pie bool) ([]byte, error) {
+	return genProgramMix(rng, pie, true)
+}
+
+// genProgramMix is genProgram, with engineOp in the body mix when
+// engineMix is set.
+func genProgramMix(rng *rand.Rand, pie, engineMix bool) ([]byte, error) {
 	base := uint64(elf64.DefaultBase + elf64.TextVaddrOff)
 	linkBase := base
 	if pie {
@@ -70,8 +85,17 @@ func genProgram(rng *rand.Rand, pie bool) ([]byte, error) {
 	a.Bind(top)
 
 	nOps := rng.Intn(40) + 20
+	nMix := 16
+	if engineMix {
+		nMix += engineOps
+	}
+	var islands []func()
 	for i := 0; i < nOps; i++ {
-		switch rng.Intn(16) {
+		switch k := rng.Intn(nMix); k {
+		default:
+			if island := engineOp(a, rng, k-16); island != nil {
+				islands = append(islands, island)
+			}
 		case 0:
 			a.AddRegReg64(anyReg(), anyReg())
 		case 1:
@@ -157,6 +181,16 @@ func genProgram(rng *rand.Rand, pie bool) ([]byte, error) {
 	a.CallReg(x86.R10)
 	a.MovRegReg64(x86.RAX, x86.RDI)
 	a.Ret()
+	if len(islands) > 0 {
+		// The islands sit past a gap wider than FarDistance, so the
+		// hop into each is a far jump, as into a trampoline.
+		for i := 0; i < 4200; i++ {
+			a.Raw(0xCC)
+		}
+		for _, island := range islands {
+			island()
+		}
+	}
 
 	text, err := a.Finish()
 	if err != nil {
@@ -167,6 +201,106 @@ func genProgram(rng *rand.Rand, pie bool) ([]byte, error) {
 		Text: text,
 		Data: make([]byte, 128),
 	})
+}
+
+// engineOps is the number of engineOp kinds.
+const engineOps = 3
+
+// engineRegs are the registers engineOp writes at any width: never rbx
+// (the buffer), rsp, rbp, r10 or r12 (the loop counter), and each
+// encodable without a REX prefix, where the emulator reads numbers 6
+// and 7 at byte width as sil and dil.
+var engineRegs = []x86.Reg{x86.RAX, x86.RCX, x86.RDX, x86.RSI, x86.RDI}
+
+// engineOp emits engine material of kind k (0 ≤ k < engineOps):
+//
+//   - 0: a 64-bit ALU op (add, or, adc, sbb, and, sub, xor, cmp, test)
+//     on a register and a register or immediate, with its flags live
+//     (a setcc or adc reads them) or dead (an add redefines them);
+//   - 1: an ALU op, cmp or test at width 1, 2, 4 or 8 straight before a
+//     jcc on any condition;
+//   - 2: the same pair split by one or two followed jumps: a far jmp to
+//     an island, and there perhaps a near one, before the jcc, whose
+//     two ways lead back.
+//
+// For kind 2 it returns the island, which the caller emits past a gap.
+func engineOp(a *x86.Asm, rng *rand.Rand, k int) (island func()) {
+	reg := func() x86.Reg { return engineRegs[rng.Intn(len(engineRegs))] }
+	switch k {
+	case 0:
+		aluRaw(a, rng.Intn(9), 8, reg(), reg(), rng.Intn(2) == 0, uint32(rng.Uint64()))
+		if rng.Intn(2) == 0 {
+			if rng.Intn(2) == 0 {
+				a.Setcc(x86.Cond(rng.Intn(16)), reg())
+			} else {
+				a.AdcRegImm64(reg(), int32(rng.Intn(100)))
+			}
+		} else {
+			a.AddRegReg64(reg(), reg())
+		}
+		return nil
+	}
+	aluRaw(a, rng.Intn(9), []int{1, 2, 4, 8}[rng.Intn(4)], reg(), reg(), rng.Intn(2) == 0, uint32(rng.Uint64()))
+	cc := x86.Cond(rng.Intn(16))
+	skip := a.NewLabel()
+	if k == 1 {
+		a.Jcc(cc, skip)
+		a.AddRegImm64(reg(), int32(rng.Intn(100)))
+		a.Bind(skip)
+		return nil
+	}
+	to, back := a.NewLabel(), a.NewLabel()
+	twoHops := rng.Intn(2) == 0
+	a.Jmp(to)
+	a.Bind(back)
+	a.AddRegImm64(reg(), int32(rng.Intn(100)))
+	a.Bind(skip)
+	return func() {
+		a.Bind(to)
+		if twoHops {
+			hop := a.NewLabel()
+			a.JmpShort(hop)
+			a.Bind(hop)
+		}
+		a.Jcc(cc, skip)
+		a.Jmp(back)
+	}
+}
+
+// aluRaw emits ALU op aluOp (0-7: add, or, adc, sbb, and, sub, xor,
+// cmp; 8: test) on dst and src, or on dst and imm when useImm is set,
+// at width w. engineRegs all encode without REX.B or REX.R; a test
+// with an immediate uses the accumulator form on rax.
+func aluRaw(a *x86.Asm, aluOp, w int, dst, src x86.Reg, useImm bool, imm uint32) {
+	switch w {
+	case 2:
+		a.Raw(0x66)
+	case 8:
+		a.Raw(0x48)
+	}
+	full := byte(0)
+	if w > 1 {
+		full = 1
+	}
+	immBytes := min(w, 4)
+	switch {
+	case aluOp == 8 && useImm: // test al/ax/eax/rax, imm
+		a.Raw(0xA8 + full)
+	case aluOp == 8:
+		a.Raw(0x84+full, 0xC0|byte(src)<<3|byte(dst))
+		return
+	case useImm && w > 1 && imm&1 == 0: // sign-extended imm8
+		a.Raw(0x83, 0xC0|byte(aluOp)<<3|byte(dst))
+		immBytes = 1
+	case useImm:
+		a.Raw(0x80+full, 0xC0|byte(aluOp)<<3|byte(dst))
+	default:
+		a.Raw(byte(aluOp)<<3+full, 0xC0|byte(src)<<3|byte(dst))
+		return
+	}
+	for i := 0; i < immBytes; i++ {
+		a.Raw(byte(imm >> (8 * i)))
+	}
 }
 
 func fuzzRun(t *testing.T, bin []byte) *emu.Machine {
@@ -188,17 +322,20 @@ func fuzzRun(t *testing.T, bin []byte) *emu.Machine {
 // decode-per-step interpreter (the reference) and the block-lifting ir
 // engine — same ExitCode, final registers,
 // flags, output stream, memory image, and byte-identical Counters.
-// The generator includes dedicated flag-stress material (adc/sbb
-// chains, setcc after shifts, cmc/clc/stc, pushfq/popfq) aimed at the
-// IR engine's lazy-flag machinery. Under plain `go test` the seed
-// corpus runs; `go test -fuzz=FuzzEngines` explores further.
+// The generator (genEngineProgram) includes dedicated flag-stress
+// material (adc/sbb chains, setcc after shifts, cmc/clc/stc,
+// pushfq/popfq) aimed at the IR engine's lazy-flag machinery, and
+// material for each of its lift-time specialisations (engineOp): ALU
+// ops with their flags live and dead, compare+branch pairs at every
+// width, and pairs split by followed jumps. Under plain `go test` the
+// seed corpus runs; `go test -fuzz=FuzzEngines` explores further.
 func FuzzEngines(f *testing.F) {
-	for seed := int64(0); seed < 16; seed++ {
+	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed, seed%3 == 0)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, pie bool) {
 		rng := rand.New(rand.NewSource(seed))
-		bin, err := genProgram(rng, pie)
+		bin, err := genEngineProgram(rng, pie)
 		if err != nil {
 			t.Skip() // assembler rejected the combination; not an engine bug
 		}
