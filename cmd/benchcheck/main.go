@@ -140,7 +140,7 @@ func check() (failed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	rec := record{Parent: commit, Nproc: runtime.NumCPU(), Go: runtime.Version(),
+	rec := record{Parent: commit, Nproc: runtime.NumCPU(), CPU: hostCPU(), Go: runtime.Version(),
 		Date: time.Now().UTC().Format(time.RFC3339), Pairs: pairs}
 	if rec.Change, err = changeCommit(); err != nil {
 		return false, err

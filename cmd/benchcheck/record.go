@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // record is a benchcheck run as BENCH_<PR>.json keeps it: the committed
@@ -14,10 +17,13 @@ type record struct {
 	Parent string `json:"parent"`
 	Change string `json:"change"`
 	Nproc  int    `json:"nproc"`
-	Go     string `json:"go"`
-	Date   string `json:"date"` // RFC 3339, UTC
-	Pairs  int    `json:"pairs"`
-	Rows   []row  `json:"rows"`
+	// CPU is the host's processor model (hostCPU), empty when it could
+	// not be read; files written before the field existed lack it.
+	CPU   string `json:"cpu"`
+	Go    string `json:"go"`
+	Date  string `json:"date"` // RFC 3339, UTC
+	Pairs int    `json:"pairs"`
+	Rows  []row  `json:"rows"`
 	// Layers are the per-layer metrics of one traced run of each side
 	// per workload (seed 1), beside the pairs: the attribution of the
 	// end-to-end rows, not a verdict.
@@ -76,6 +82,30 @@ func wins(runs *[2][]float64, better string) int {
 		}
 	}
 	return n
+}
+
+// hostCPU is the processor model of the host, the first `model name`
+// line of /proc/cpuinfo, or "" when that cannot be read: files from
+// hosts of different speeds must not be read as one trajectory.
+func hostCPU() string {
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	return cpuModel(info)
+}
+
+// cpuModel returns the value of the first `model name` line of a
+// /proc/cpuinfo text, or "".
+func cpuModel(cpuinfo []byte) string {
+	sc := bufio.NewScanner(bytes.NewReader(cpuinfo))
+	for sc.Scan() {
+		key, value, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(value)
+		}
+	}
+	return ""
 }
 
 // changeCommit names the tree being measured: HEAD, marked dirty when

@@ -73,6 +73,43 @@ func TestBenchRecordsMatchRegistry(t *testing.T) {
 	t.Logf("%d BENCH files", len(files))
 }
 
+// TestCPUModel reads the host's processor model from a /proc/cpuinfo
+// text: the first `model name` line's value, and "" when there is none.
+func TestCPUModel(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"processor\t: 0\nvendor_id\t: AuthenticAMD\nmodel name\t: AMD EPYC 7B13\nmodel\t\t: 1\n\nprocessor\t: 1\nmodel name\t: other\n", "AMD EPYC 7B13"},
+		{"processor\t: 0\nmodel\t\t: 85\n", ""}, // no model name line (some arm64 kernels)
+		{"", ""},
+	} {
+		if got := cpuModel([]byte(c.in)); got != c.want {
+			t.Errorf("cpuModel(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+// TestRecordsWithoutCPULoad: the files written before records named
+// the host lack the cpu field, and still decode, with it empty.
+func TestRecordsWithoutCPULoad(t *testing.T) {
+	for _, f := range []string{"../../BENCH_48.json", "../../BENCH_49.json"} {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(raw, []byte(`"cpu"`)) {
+			t.Fatalf("%s has a cpu field", f)
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		var r record
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if r.CPU != "" || len(r.Rows) == 0 {
+			t.Errorf("%s: cpu %q, %d rows", f, r.CPU, len(r.Rows))
+		}
+	}
+}
+
 // TestWinsCountsPairs: a win is a pair in which the change beat the
 // parent run of the same seed, strictly, in the metric's direction.
 func TestWinsCountsPairs(t *testing.T) {
