@@ -204,7 +204,7 @@ func genProgramMix(rng *rand.Rand, pie, engineMix bool) ([]byte, error) {
 }
 
 // engineOps is the number of engineOp kinds.
-const engineOps = 3
+const engineOps = 4
 
 // engineRegs are the registers engineOp writes at any width: never rbx
 // (the buffer), rsp, rbp, r10 or r12 (the loop counter), and each
@@ -221,12 +221,34 @@ var engineRegs = []x86.Reg{x86.RAX, x86.RCX, x86.RDX, x86.RSI, x86.RDI}
 //     jcc on any condition;
 //   - 2: the same pair split by one or two followed jumps: a far jmp to
 //     an island, and there perhaps a near one, before the jcc, whose
-//     two ways lead back.
+//     two ways lead back;
+//   - 3: a jcc on any condition that does not fuse, a flag-neutral mov
+//     away from the flags' producer: an ALU op at any width, a shift or
+//     rotate by a constant, an imul, or a popfq (flags already
+//     architectural).
 //
 // For kind 2 it returns the island, which the caller emits past a gap.
 func engineOp(a *x86.Asm, rng *rand.Rand, k int) (island func()) {
 	reg := func() x86.Reg { return engineRegs[rng.Intn(len(engineRegs))] }
 	switch k {
+	case 3:
+		switch rng.Intn(4) {
+		case 0:
+			aluRaw(a, rng.Intn(9), []int{1, 2, 4, 8}[rng.Intn(4)], reg(), reg(), rng.Intn(2) == 0, uint32(rng.Uint64()))
+		case 1: // rol, ror, shl, shr, sar r64, imm8
+			a.Raw(0x48, 0xC1, 0xC0|[]byte{0, 1, 4, 5, 7}[rng.Intn(5)]<<3|byte(reg()), byte(rng.Intn(64)))
+		case 2:
+			a.ImulRegReg64(reg(), reg())
+		case 3:
+			a.PushReg(reg())
+			a.Popfq()
+		}
+		a.MovRegReg64(reg(), reg())
+		skip := a.NewLabel()
+		a.Jcc(x86.Cond(rng.Intn(16)), skip)
+		a.AddRegImm64(reg(), int32(rng.Intn(100)))
+		a.Bind(skip)
+		return nil
 	case 0:
 		aluRaw(a, rng.Intn(9), 8, reg(), reg(), rng.Intn(2) == 0, uint32(rng.Uint64()))
 		if rng.Intn(2) == 0 {

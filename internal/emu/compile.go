@@ -495,7 +495,7 @@ func byWidth[F any](w int, f1, f2, f4, f8 F) F {
 // branch is in the block's static charge).
 func (c *comp) hop(i int) bool {
 	inst := &c.b.insts[i]
-	return i < len(c.b.insts)-1 && !inst.TwoByte && (inst.Opcode == 0xE9 || inst.Opcode == 0xEB)
+	return i < len(c.b.insts)-1 && followed(inst) && inst.Opcode != 0xE8
 }
 
 // fusedAt returns the index of the instruction that fuses with the
@@ -784,7 +784,7 @@ func (c *comp) emit(i int) uop {
 			}
 			return byWidth(w, shlImm[uint8], shlImm[uint16], shlImm[uint32], shlImm[uint64])(c.reg(r), count)
 		}
-		return c.emitShift(inst, c.reg(r), sub, w, rec)
+		return c.emitShift(inst, r, sub, w, rec)
 
 	case op == 0xC2 || op == 0xC3: // ret [imm16]
 		var adj uint64
@@ -980,7 +980,7 @@ func shrImm[T word](d *uint64, n uint64) uop {
 
 // emitShift lifts every other lifted shift: a count from cl or the
 // instruction, through shiftCalc.
-func (c *comp) emitShift(inst *x86.Inst, r *uint64, sub byte, w int, rec bool) uop {
+func (c *comp) emitShift(inst *x86.Inst, r x86.Reg, sub byte, w int, rec bool) uop {
 	op := inst.Opcode
 	mask := maskFor(w)
 	w8 := uint8(w)
@@ -996,15 +996,15 @@ func (c *comp) emitShift(inst *x86.Inst, r *uint64, sub byte, w int, rec bool) u
 	case 0xD0, 0xD1:
 		count = 1
 	}
-	rcx := c.reg(x86.RCX)
 	return func(s *state) bool {
+		m := s.m
 		n := count
 		if byCL {
-			n = *rcx & cmask
+			n = m.Regs[x86.RCX] & cmask
 		}
-		v := *r & mask
+		v := m.Regs[r] & mask
 		if n == 0 { // flags untouched, value rewritten
-			writeReg(r, v, w)
+			m.regWrite(r, v, w)
 			return true
 		}
 		res, cf := shiftCalc(sub, v, n, w)
@@ -1012,22 +1012,8 @@ func (c *comp) emitShift(inst *x86.Inst, r *uint64, sub byte, w int, rec bool) u
 			prevAF := s.lazyAF()
 			s.fl = flagRec{kind: kShift, w: w8, res: res, aux: uint8(cf) | uint8(prevAF)<<1}
 		}
-		writeReg(r, res, w)
+		m.regWrite(r, res, w)
 		return true
-	}
-}
-
-// writeReg is Machine.regWrite on a register's address, for the ops
-// whose width is a run-time value.
-func writeReg(r *uint64, v uint64, w int) {
-	switch w {
-	case 8:
-		*r = v
-	case 4:
-		*r = v & 0xFFFFFFFF
-	default:
-		mask := maskFor(w)
-		*r = *r&^mask | v&mask
 	}
 }
 

@@ -459,13 +459,18 @@ func (t *tally) add(u tally) {
 	t.far += u.far
 }
 
+// cycles prices t's events under k.
+func (t *tally) cycles(k *CostModel) uint64 {
+	return uint64(t.insts)*k.ALU + uint64(t.mem)*k.Mem + uint64(t.mul)*k.Mul +
+		uint64(t.callRet)*k.CallRet + uint64(t.taken)*k.BranchTaken + uint64(t.far)*k.FarJump
+}
+
 // charge adds t's events and their cycles under k to c.
 func (c *Counters) charge(t *tally, k *CostModel) {
 	c.Instructions += uint64(t.insts)
 	c.TakenBranches += uint64(t.taken)
 	c.FarJumps += uint64(t.far)
-	c.Cycles += uint64(t.insts)*k.ALU + uint64(t.mem)*k.Mem + uint64(t.mul)*k.Mul +
-		uint64(t.callRet)*k.CallRet + uint64(t.taken)*k.BranchTaken + uint64(t.far)*k.FarJump
+	c.Cycles += t.cycles(k)
 }
 
 // refund takes t's events and their cycles under k back from c.
@@ -473,8 +478,7 @@ func (c *Counters) refund(t *tally, k *CostModel) {
 	c.Instructions -= uint64(t.insts)
 	c.TakenBranches -= uint64(t.taken)
 	c.FarJumps -= uint64(t.far)
-	c.Cycles -= uint64(t.insts)*k.ALU + uint64(t.mem)*k.Mem + uint64(t.mul)*k.Mul +
-		uint64(t.callRet)*k.CallRet + uint64(t.taken)*k.BranchTaken + uint64(t.far)*k.FarJump
+	c.Cycles -= t.cycles(k)
 }
 
 // fault records a wrapped execution error with machine state
