@@ -21,6 +21,12 @@
 //	e9tool -M 'jcc' -emit-plan plan.e9plan input.bin          # plan only, save the decisions
 //	e9tool -apply-plan plan.e9plan -o out.bin input.bin       # replay a saved plan
 //
+// -verify checks the output it has written against the input with the
+// independent output checker (internal/verify) and exits 1 if a check
+// fails:
+//
+//	e9tool -M 'jcc' -verify -o out.bin input.bin
+//
 // A saved plan is the compact binary serialization (PatchPlan.Encode);
 // `e9dump -plan plan.e9plan` prints it as JSON. -backend PATH hands the
 // rewrite to an e9patch backend over JSON-RPC (-M with -P empty or
@@ -41,6 +47,7 @@ import (
 	"e9patch/internal/elf64"
 	"e9patch/internal/lang"
 	"e9patch/internal/patch"
+	"e9patch/internal/verify"
 )
 
 func main() {
@@ -58,6 +65,7 @@ func main() {
 		emitPlan  = flag.String("emit-plan", "", "plan only: write the serialized patch plan (binary; e9dump -plan prints it) to FILE")
 		applyPlan = flag.String("apply-plan", "", "skip planning: replay the serialized patch plan in FILE (as written by -emit-plan)")
 		backend   = flag.String("backend", "", "drive the e9patch backend at PATH over JSON-RPC instead of rewriting in-process (-M with -P empty or counter=ADDR)")
+		verifyF   = flag.Bool("verify", false, "check the written output against the input with the independent output checker; exit 1 if a check fails")
 
 		// Hostile-input hardening: resource limits for rewriting
 		// untrusted binaries (0 disables a bound).
@@ -102,6 +110,8 @@ func main() {
 		usageErr("-M (or a -spec file) is required")
 	case *out == "" && !planOnly:
 		usageErr("-o is required (or use -dry-run/-emit-plan)")
+	case *verifyF && planOnly:
+		usageErr("-verify checks a written output; -dry-run/-emit-plan write none")
 	}
 	if _, err := e9patch.ParseDisasmMode(*disasmF); err != nil {
 		usageErr(err.Error())
@@ -143,6 +153,13 @@ func main() {
 		}); err != nil {
 			fatal(err)
 		}
+		if *verifyF {
+			input, err := os.ReadFile(flag.Arg(0))
+			if err != nil {
+				fatal(err)
+			}
+			verifyOutput(input, *out, verify.Config{Disasm: e9patch.DisasmMode(*disasmF), SkipPrefix: *skip})
+		}
 		return
 	}
 
@@ -176,6 +193,9 @@ func main() {
 			fatal(err)
 		}
 		report(res)
+		if *verifyF {
+			verifyOutput(input, *out, verifyConfig(e9patch.DisasmMode(p.Disasm), p.SkipPrefix, p.Injections, p.Bias))
+		}
 		return
 	}
 
@@ -256,6 +276,42 @@ func main() {
 		fatal(err)
 	}
 	report(res)
+	if *verifyF {
+		verifyOutput(input, *out, verifyConfig(cfg.Disasm, cfg.SkipPrefix, cfg.Inject, res.Bias))
+	}
+}
+
+// verifyConfig is what the output checker needs of a rewrite: its
+// recovery and the images it injected, moved from runtime to link
+// addresses.
+func verifyConfig(mode e9patch.DisasmMode, skip uint64, inject []e9patch.Injection, bias uint64) verify.Config {
+	cfg := verify.Config{Disasm: mode, SkipPrefix: skip}
+	for _, inj := range inject {
+		cfg.Images = append(cfg.Images, [2]uint64{inj.Addr - bias, inj.Addr - bias + uint64(len(inj.Data))})
+	}
+	return cfg
+}
+
+// verifyOutput checks the output written to path against input and
+// exits 1 with the failures if a check fails.
+func verifyOutput(input []byte, path string, cfg verify.Config) {
+	output, err := os.ReadFile(path)
+	if err != nil {
+		fatal(err)
+	}
+	rep, err := verify.Check(input, output, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		fatal(err)
+	}
+	checks := "a, b, d and e"
+	if rep.Partial {
+		checks = "e and the table's rows (overlapping universe)"
+	}
+	fmt.Printf("verify: ok (checks %s): %d of %d instructions patched, %d table rows, %d trampoline bytes reached\n",
+		checks, rep.Patched, rep.Boundaries, rep.Rows, rep.Reached)
 }
 
 // report prints the post-rewrite summary.

@@ -48,6 +48,13 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 		{"emit-plan", []string{"-M", "jcc", "-granularity", "2", "-emit-plan", plan}, 0, ""},
 		{"apply-plan", []string{"-apply-plan", plan, "-o", out}, 0, ""},
 
+		// -verify checks what was written, and needs something written.
+		{"verify", []string{"-M", "jump", "-skip", "64", "-P", "counter=0x700000", "-verify", "-o", out}, 0, ""},
+		{"verify superset", []string{"-M", "true", "-disasm", "superset", "-b0-fallback", "-verify", "-o", out}, 0, ""},
+		{"verify apply-plan", []string{"-apply-plan", plan, "-verify", "-o", out}, 0, ""},
+		{"verify with dry-run", []string{"-M", "jcc", "-verify", "-dry-run"}, 2, "-verify"},
+		{"verify with emit-plan", []string{"-M", "jcc", "-verify", "-emit-plan", plan}, 2, "-verify"},
+
 		// -match and -action are gone: -M and -P are the one spelling.
 		{"match is an unknown flag", []string{"-match", "jcc", "-o", out}, 2, "-match"},
 		{"M with action", []string{"-M", "jcc", "-action", "counter=0x700000", "-o", out}, 2, "-action"},

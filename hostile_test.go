@@ -330,7 +330,8 @@ func TestLibraryLimits(t *testing.T) {
 // FuzzRewriteHostileELF explores the malformed-ELF input space, seeded
 // with the checked-in corpus. The property under test is containment:
 // Rewrite may reject an input, but only with a classified error — an
-// escaped panic or ErrInternal is a crasher. Plain `go test` runs the
+// escaped panic or ErrInternal is a crasher — and an output it returns
+// must pass the output checker (internal/verify). Plain `go test` runs the
 // seed corpus; `go test -fuzz=FuzzRewriteHostileELF` explores further.
 func FuzzRewriteHostileELF(f *testing.F) {
 	for _, data := range hostileCorpus(f) {
@@ -340,8 +341,12 @@ func FuzzRewriteHostileELF(f *testing.F) {
 		if gran > MaxGranularity {
 			gran = MaxGranularity
 		}
-		_, err := Rewrite(data, Config{Select: SelectJumps, Granularity: gran})
+		cfg := Config{Select: SelectJumps, Granularity: gran}
+		res, err := Rewrite(data, cfg)
 		requireContained(t, "fuzz", err)
+		if err == nil {
+			verifyRewrite(t, "fuzz", data, cfg, res)
+		}
 	})
 }
 

@@ -253,5 +253,14 @@ func FuzzSupersetPrune(f *testing.F) {
 		if UniverseDigest(ModeSupersetCET, cres) != UniverseDigest(ModeSupersetCET, cres2) {
 			t.Fatal("digest not width-deterministic")
 		}
+		if rewriteOracle != nil {
+			rewriteOracle(t, code)
+		}
 	})
 }
+
+// rewriteOracle, when set, rewrites code as the text of a binary under
+// the superset modes and checks the outputs with internal/verify
+// (oracle_test.go; the rewriter imports this package, so only an
+// external test package can reach it).
+var rewriteOracle func(t *testing.T, code []byte)

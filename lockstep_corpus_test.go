@@ -377,6 +377,7 @@ func runCell(t *testing.T, c lockCell) int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifyRewrite(t, c.name, c.input, c.cfg, res)
 	ls, err := runLockStep(c.input, res.Output, c.env)
 	if err != nil {
 		t.Fatal(err)

@@ -245,9 +245,10 @@ func TestDiagnoseSelectionCoordinates(t *testing.T) {
 }
 
 // FuzzParallelRewrite cross-checks random programs under random
-// parallelism against the sequential rewrite. What the sequential
-// rewrite does when it runs is FuzzLockStep's and the genProgram
-// lock-step cells' to check.
+// parallelism against the sequential rewrite, whose output must pass
+// the output checker (internal/verify). What the sequential rewrite
+// does when it runs is FuzzLockStep's and the genProgram lock-step
+// cells' to check.
 func FuzzParallelRewrite(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed, uint8(seed*5+1))
@@ -270,6 +271,7 @@ func FuzzParallelRewrite(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		verifyRewrite(t, fmt.Sprintf("seed=%d", seed), bin, mk(1), seq)
 		par, err := Rewrite(bin, mk(width))
 		if err != nil {
 			t.Fatal(err)

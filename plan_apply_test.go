@@ -140,6 +140,7 @@ func TestPlanApplyEquivalence(t *testing.T) {
 				}
 			}
 			checkGolden(cell+"/rewrite", ref)
+			verifyRewrite(t, cell, be.bin, cfg, ref)
 
 			// written completes a streamed result for comparison: the bytes
 			// its writer received stand in for the Output it did not build.
