@@ -18,17 +18,20 @@ package disasm
 // reachable from an endbr64 anchor or the section start by following
 // fall-through and direct branch/call targets through valid
 // instructions. anchors is the number of seed instructions used; ok is
-// false when cancel closed first.
+// false when cancel closed first. keep counts the kept set per sweep
+// shard (keptIn).
 //
 // The kept set is a subset of the refined valid set by construction;
 // bytes it never covers (alignment padding, inter-function junk, data)
 // are classified unreachable and excluded from patching.
 func (r *supersetResult) cetPrune(cancel <-chan struct{}) (anchors int, ok bool) {
 	var work []int
+	r.keptIn = make([]int, r.sh.count)
 	keep := func(off int) {
 		if off >= 0 && r.validAt(off) && !r.keptAt(off) {
 			r.flags[off] |= flagKept
 			work = append(work, off)
+			r.keptIn[r.sh.of(off)]++
 		}
 	}
 

@@ -48,7 +48,7 @@ func recoverLinear(code []byte, addr uint64, width int, pool *work.Pool, cancel 
 		return Result{}, false
 	}
 
-	locs, covered, ok := t.universe(nil, 0, 0, width, pool, cancel)
+	locs, covered, ok := t.universe(width, pool, cancel)
 	if !ok {
 		return Result{}, false
 	}

@@ -165,7 +165,7 @@ func TestLinearPhasesPollCancel(t *testing.T) {
 	if tab.stitch(sh, []int{0, len(code)}, closed) {
 		t.Error("stitch ignored a closed cancel")
 	}
-	if locs, _, ok := tab.universe(nil, 0, 0, 2, nil, closed); ok || locs != nil {
+	if locs, _, ok := tab.universe(2, nil, closed); ok || locs != nil {
 		t.Error("materialization ignored a closed cancel")
 	}
 	for _, width := range []int{1, 4} {

@@ -191,6 +191,12 @@ func FuzzSupersetPrune(f *testing.F) {
 		if _, ok := sup.cetPrune(nil); !ok {
 			t.Fatal("closure cancelled without cancel")
 		}
+		// The universe's counts and attributes come from the sweep.
+		checkSweepUniverse(t, sup, "width 1")
+		if _, ok := wide.cetPrune(nil); !ok {
+			t.Fatal("wide closure cancelled without cancel")
+		}
+		checkSweepUniverse(t, wide, "width 8")
 		nKept, wantTotal := 0, 0
 		for off := range code {
 			if !sup.keptAt(off) {

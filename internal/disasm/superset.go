@@ -21,10 +21,11 @@ import (
 // prunes most of the byte-misaligned junk while keeping every true
 // instruction (a superset of the real disassembly by construction).
 //
-// The sweep fills the per-offset table (table.go) and one flag byte per
-// section byte beside it: the refinement and the CET closure (cet.go)
-// run over the two arrays, and the offsets that survive become the
-// universe.
+// The sweep fills the per-offset table (table.go), with the attribute
+// word x86.Shape returned at each offset, and one flag byte per section
+// byte beside it: the refinement and the CET closure (cet.go) run over
+// the arrays and count their survivors per sweep shard, and the offsets
+// that survive become the universe with the attributes the sweep kept.
 
 // Per-offset flags. The first six describe the decode and are written
 // by the sweep; the last two are the results of the refinement and of
@@ -46,6 +47,9 @@ type supersetResult struct {
 	// table.lens[off] is the length of the instruction that decodes at
 	// section offset off, 0 when nothing does.
 	table
+	// sh is the sweep's sharding, which the survivor counts and the
+	// universe's walk share.
+	sh shards
 	// flags[off] holds the flag* bits of offset off. A span-end
 	// truncated offset (flagTruncated) is treated by the refinement as
 	// unknown-but-acceptable — the same way the linear sweep skips the
@@ -55,6 +59,11 @@ type supersetResult struct {
 	// decoded and valid count the offsets that decode and those that
 	// also survive the refinement.
 	decoded, valid int
+	// validIn[i] and keptIn[i] count the refinement's and the CET
+	// closure's survivors in shard i of sh, kept by poison and keep as
+	// they go, so that survivors places each shard's records without
+	// counting them first.
+	validIn, keptIn []int
 }
 
 // supersetCancel decodes at every offset of code (loaded at addr),
@@ -66,12 +75,13 @@ type supersetResult struct {
 // thousand steps and reports ok=false with no result. The refinement
 // runs sequentially after the sweep.
 func supersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel <-chan struct{}) (*supersetResult, bool) {
+	sh := shardsFor(len(code), width)
 	res := &supersetResult{
-		table: table{code: code, addr: addr, lens: make([]uint8, len(code))},
+		table: table{code: code, addr: addr, lens: make([]uint8, len(code)), attrs: make([]x86.Attr, len(code))},
+		sh:    sh,
 		flags: make([]uint8, len(code)),
 	}
 
-	sh := shardsFor(len(code), width)
 	var aborted atomic.Bool
 	work.ForEach(pool, width, sh.count, func(i int) {
 		lo, hi := sh.lo(i), sh.lo(i+1)
@@ -89,6 +99,7 @@ func supersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel
 				continue
 			}
 			res.lens[off] = uint8(n)
+			res.attrs[off] = attrs
 			res.flags[off] = shapeFlags(code[off:off+n], attrs)
 		}
 	})
@@ -182,34 +193,38 @@ func (r *supersetResult) hardInvalid(off int) bool {
 // over reverse edges, O(offsets + edges) whatever direction the edges
 // point: the fall-through predecessors of an offset are the at most 15
 // preceding offsets whose length lands on it, and the branch
-// predecessors come from a counting-sort CSR over the targets. It
-// reports false when cancel closed first.
+// predecessors come from a counting-sort CSR over the targets. Every
+// decodable offset is counted valid in its shard and every poisoned one
+// taken back off. It reports false when cancel closed first.
 func (r *supersetResult) refine(cancel <-chan struct{}) bool {
 	n := len(r.lens)
+	r.validIn = make([]int, r.sh.count)
 	var work []int
-	poison := func(off int) {
+	poison := func(off, shard int) {
 		r.flags[off] |= flagInvalid
 		work = append(work, off)
-		r.valid--
+		r.validIn[shard]--
 	}
 
 	// Seed with everything one step from a hard invalid, and count the
 	// branch edges into each decodable target t at start[t+2].
 	start := make([]int, n+2)
-	for off := 0; off < n; off++ {
-		if off&(cancelStride-1) == 0 && stopped(cancel) {
-			return false
-		}
-		if r.lens[off] == 0 {
-			continue
-		}
-		r.decoded++
-		r.valid++
-		jt := r.jumpsTo(off)
-		if r.hardInvalid(r.fallsTo(off)) || r.hardInvalid(jt) {
-			poison(off)
-		} else if jt >= 0 && r.lens[jt] != 0 {
-			start[jt+2]++
+	for i := range r.validIn {
+		for off := r.sh.lo(i); off < r.sh.lo(i+1); off++ {
+			if off&(cancelStride-1) == 0 && stopped(cancel) {
+				return false
+			}
+			if r.lens[off] == 0 {
+				continue
+			}
+			r.decoded++
+			r.validIn[i]++
+			jt := r.jumpsTo(off)
+			if r.hardInvalid(r.fallsTo(off)) || r.hardInvalid(jt) {
+				poison(off, i)
+			} else if jt >= 0 && r.lens[jt] != 0 {
+				start[jt+2]++
+			}
 		}
 	}
 	for t := 1; t < len(start); t++ {
@@ -243,14 +258,17 @@ func (r *supersetResult) refine(cancel <-chan struct{}) bool {
 		work = work[:len(work)-1]
 		for k := 1; k <= 15 && k <= off; k++ {
 			if p := off - k; int(r.lens[p]) == k && r.flags[p]&(flagStop|flagInvalid) == 0 {
-				poison(p)
+				poison(p, r.sh.of(p))
 			}
 		}
 		for _, p := range src[start[off]:start[off+1]] {
 			if r.flags[p]&flagInvalid == 0 {
-				poison(p)
+				poison(p, r.sh.of(p))
 			}
 		}
+	}
+	for _, v := range r.validIn {
+		r.valid += v
 	}
 	return true
 }
@@ -273,15 +291,16 @@ func (r *supersetResult) badOffsets() int { return len(r.lens) - r.decoded }
 
 // survivors returns the surviving instructions — cetPrune's kept set,
 // or with kept=false the refinement's valid set — in address order,
-// sharded over width workers. It reports false when cancel closed
-// first.
+// over the sweep's shards on width workers: the per-shard counts the
+// refinement and the closure kept size the slice, and each record's
+// attributes are the ones the sweep stored. It reports false when
+// cancel closed first.
 func (r *supersetResult) survivors(kept bool, width int, pool *work.Pool, cancel <-chan struct{}) ([]x86.Loc, bool) {
 	// A kept offset is valid and a valid offset decodes, so one flag
 	// test picks either set.
-	mask, want := flagInvalid, uint8(0)
+	mask, want, counts := flagInvalid, uint8(0), r.validIn
 	if kept {
-		mask, want = flagKept, flagKept
+		mask, want, counts = flagKept, flagKept, r.keptIn
 	}
-	locs, _, ok := r.universe(r.flags, mask, want, width, pool, cancel)
-	return locs, ok
+	return r.place(r.sh, counts, r.flags, mask, want, width, pool, cancel)
 }

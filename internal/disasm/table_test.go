@@ -2,6 +2,7 @@ package disasm
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -68,7 +69,7 @@ func TestSupersetPhasesPollCancel(t *testing.T) {
 		t.Fatal("sweep ignored a closed cancel")
 	}
 	sup := superset(code, 0x401000)
-	fresh := &supersetResult{table: sup.table, flags: append([]uint8(nil), sup.flags...)}
+	fresh := &supersetResult{table: sup.table, sh: sup.sh, flags: append([]uint8(nil), sup.flags...)}
 	if fresh.refine(closed) {
 		t.Error("refinement ignored a closed cancel")
 	}
@@ -296,5 +297,94 @@ func BenchmarkRecoverSuperset(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// checkSweepUniverse asserts what a superset universe takes from the
+// sweep instead of a walk of its own: each shard of the sweep holds as
+// many survivors as the counting walk finds there, for the valid set
+// and, after cetPrune, the kept set, and every survivor's attributes
+// are the ones AttrsOf derives from its bytes. The universe digest
+// hashes addresses and lengths only, so the goldens cannot see a wrong
+// attribute.
+func checkSweepUniverse(t testing.TB, sup *supersetResult, ctx string) {
+	t.Helper()
+	for _, kept := range []bool{false, true} {
+		mask, want, counts := flagInvalid, uint8(0), sup.validIn
+		if kept {
+			mask, want, counts = flagKept, flagKept, sup.keptIn
+		}
+		if len(counts) != sup.sh.count {
+			t.Fatalf("%s kept=%v: %d shard counts for %d shards", ctx, kept, len(counts), sup.sh.count)
+		}
+		for i, c := range counts {
+			if n, _, _ := sup.walk(sup.sh.lo(i), sup.sh.lo(i+1), sup.flags, mask, want, nil, nil); n != c {
+				t.Fatalf("%s kept=%v: shard %d of %d counts %d survivors, the walk finds %d", ctx, kept, i, sup.sh.count, c, n)
+			}
+		}
+		insts, ok := sup.survivors(kept, 1, nil, nil)
+		if !ok {
+			t.Fatalf("%s: cancelled without cancel", ctx)
+		}
+		for i := range insts {
+			if got, want := insts[i].Attrs, x86.AttrsOf(insts[i].Bytes()); got != want {
+				t.Fatalf("%s kept=%v: survivor at %#x has attributes %#x, AttrsOf reads %#x", ctx, kept, insts[i].Addr, got, want)
+			}
+		}
+	}
+}
+
+// TestSupersetUniverseFromSweep runs checkSweepUniverse over every
+// profile, under both superset modes (the kept set is recovered by
+// superset-cet, the valid set by superset), at widths 1, 2 and 8.
+func TestSupersetUniverseFromSweep(t *testing.T) {
+	profiles := workload.AllProfiles()
+	if len(profiles) != 44 {
+		t.Fatalf("%d profiles, want 44", len(profiles))
+	}
+	for _, p := range profiles {
+		// 0.1 MB of text is six sweep shards at widths 2 and 8.
+		scale := min(0.1/p.SizeMB, 1)
+		prog, err := workload.BuildStatic(p, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, addr := textOf(t, prog.ELF)
+		for _, width := range []int{1, 2, 8} {
+			sup, ok := supersetCancel(code, addr, width, nil, nil)
+			if !ok {
+				t.Fatal("cancelled without cancel")
+			}
+			if _, ok := sup.cetPrune(nil); !ok {
+				t.Fatal("closure cancelled without cancel")
+			}
+			checkSweepUniverse(t, sup, fmt.Sprintf("%s/width=%d", p.Name, width))
+			for _, mode := range []Mode{ModeSuperset, ModeSupersetCET} {
+				res, stats, _ := RecoverCancel(mode, code, addr, width, nil, nil)
+				for i := range res.Insts {
+					if in := &res.Insts[i]; in.Attrs != x86.AttrsOf(in.Bytes()) {
+						t.Fatalf("%s/%s/width=%d: Recover's record at %#x has attributes %#x, AttrsOf reads %#x",
+							p.Name, mode, width, in.Addr, in.Attrs, x86.AttrsOf(in.Bytes()))
+					}
+				}
+				if stats.Kept != len(res.Insts) {
+					t.Fatalf("%s/%s/width=%d: %d kept, %d recovered", p.Name, mode, width, stats.Kept, len(res.Insts))
+				}
+			}
+		}
+	}
+}
+
+// TestShardOf: of inverts lo at every offset, for counts that divide
+// the length and counts that do not.
+func TestShardOf(t *testing.T) {
+	for _, sh := range []shards{{1, 1}, {7, 1}, {100, 3}, {16 << 10, 8}, {(96 << 10) + 5, 24}} {
+		for i := 0; i < sh.count; i++ {
+			for off := sh.lo(i); off < sh.lo(i+1); off++ {
+				if got := sh.of(off); got != i {
+					t.Fatalf("%+v: offset %d in shard %d, of says %d", sh, off, i, got)
+				}
+			}
+		}
 	}
 }

@@ -30,10 +30,10 @@ func (i *Inst) Loc() Loc {
 }
 
 // LocAt is the universe record of the n-byte instruction at code[0],
-// loaded at addr, for a caller that knows the length already: the
-// attributes come from AttrsOf and nothing is decoded twice.
-func LocAt(code []byte, addr uint64, n uint8) Loc {
-	return Loc{Addr: addr, text: &code[0], Attrs: AttrsOf(code), Len: n}
+// loaded at addr, with attributes attrs, for a caller that knows both
+// already: from a Shape walk that it kept, or from AttrsOf.
+func LocAt(code []byte, addr uint64, n uint8, attrs Attr) Loc {
+	return Loc{Addr: addr, text: &code[0], Attrs: attrs, Len: n}
 }
 
 // Bytes returns the instruction's machine code, aliasing the text it
