@@ -9,7 +9,8 @@
 // (record.go): per workload and end-to-end metric the two medians, the
 // parent's spread, the change's per-pair wins and the verdict; the
 // per-layer metrics of one traced run of each side per workload; both
-// commits, nproc, the Go version and the date.
+// commits, nproc, the host's processor (model name, family, model and
+// stepping), the Go version and the date.
 //
 // The parent is `git merge-base HEAD main`; on main itself it is HEAD
 // when the tree has uncommitted changes and HEAD~1 otherwise. It is
@@ -140,7 +141,9 @@ func check() (failed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	rec := record{Parent: commit, Nproc: runtime.NumCPU(), CPU: hostCPU(), Go: runtime.Version(),
+	cpu := hostCPU()
+	rec := record{Parent: commit, Nproc: runtime.NumCPU(), CPU: cpu.name, CPUFamily: cpu.family,
+		CPUModel: cpu.model, CPUStepping: cpu.stepping, Go: runtime.Version(),
 		Date: time.Now().UTC().Format(time.RFC3339), Pairs: pairs}
 	if rec.Change, err = changeCommit(); err != nil {
 		return false, err

@@ -17,13 +17,19 @@ type record struct {
 	Parent string `json:"parent"`
 	Change string `json:"change"`
 	Nproc  int    `json:"nproc"`
-	// CPU is the host's processor model (hostCPU), empty when it could
-	// not be read; files written before the field existed lack it.
-	CPU   string `json:"cpu"`
-	Go    string `json:"go"`
-	Date  string `json:"date"` // RFC 3339, UTC
-	Pairs int    `json:"pairs"`
-	Rows  []row  `json:"rows"`
+	// CPU is the host's processor model, and CPUFamily, CPUModel and
+	// CPUStepping its family, model and stepping numbers (hostCPU),
+	// each empty when it could not be read. The model name alone does
+	// not tell two generations of one product line apart. Files written
+	// before a field existed lack it.
+	CPU         string `json:"cpu"`
+	CPUFamily   string `json:"cpu_family,omitempty"`
+	CPUModel    string `json:"cpu_model,omitempty"`
+	CPUStepping string `json:"cpu_stepping,omitempty"`
+	Go          string `json:"go"`
+	Date        string `json:"date"` // RFC 3339, UTC
+	Pairs       int    `json:"pairs"`
+	Rows        []row  `json:"rows"`
 	// Layers are the per-layer metrics of one traced run of each side
 	// per workload (seed 1), beside the pairs: the attribution of the
 	// end-to-end rows, not a verdict.
@@ -84,28 +90,48 @@ func wins(runs *[2][]float64, better string) int {
 	return n
 }
 
-// hostCPU is the processor model of the host, the first `model name`
-// line of /proc/cpuinfo, or "" when that cannot be read: files from
-// hosts of different speeds must not be read as one trajectory.
-func hostCPU() string {
+// cpuID is what /proc/cpuinfo says of the host's processor.
+type cpuID struct{ name, family, model, stepping string }
+
+// hostCPU reads the host's processor from /proc/cpuinfo, all fields
+// empty when it cannot be read: files from hosts of different speeds
+// must not be read as one trajectory.
+func hostCPU() cpuID {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
-		return ""
+		return cpuID{}
 	}
-	return cpuModel(info)
+	return parseCPUInfo(info)
 }
 
-// cpuModel returns the value of the first `model name` line of a
-// /proc/cpuinfo text, or "".
-func cpuModel(cpuinfo []byte) string {
+// parseCPUInfo returns the `model name`, `cpu family`, `model` and
+// `stepping` values of the first processor a /proc/cpuinfo text lists,
+// each "" when that processor has no such line.
+func parseCPUInfo(cpuinfo []byte) cpuID {
+	var id cpuID
 	sc := bufio.NewScanner(bytes.NewReader(cpuinfo))
-	for sc.Scan() {
+	for seen := false; sc.Scan(); {
 		key, value, ok := strings.Cut(sc.Text(), ":")
-		if ok && strings.TrimSpace(key) == "model name" {
-			return strings.TrimSpace(value)
+		if !ok {
+			if seen && strings.TrimSpace(sc.Text()) == "" {
+				break // the first processor's block has ended
+			}
+			continue
+		}
+		seen = true
+		value = strings.TrimSpace(value)
+		switch strings.TrimSpace(key) {
+		case "model name":
+			id.name = value
+		case "cpu family":
+			id.family = value
+		case "model":
+			id.model = value
+		case "stepping":
+			id.stepping = value
 		}
 	}
-	return ""
+	return id
 }
 
 // changeCommit names the tree being measured: HEAD, marked dirty when

@@ -73,30 +73,41 @@ func TestBenchRecordsMatchRegistry(t *testing.T) {
 	t.Logf("%d BENCH files", len(files))
 }
 
-// TestCPUModel reads the host's processor model from a /proc/cpuinfo
-// text: the first `model name` line's value, and "" when there is none.
+// TestCPUModel reads the host's processor from a /proc/cpuinfo text:
+// the first processor's `model name`, `cpu family`, `model` and
+// `stepping` values, each "" when that processor has no such line.
 func TestCPUModel(t *testing.T) {
-	for _, c := range []struct{ in, want string }{
-		{"processor\t: 0\nvendor_id\t: AuthenticAMD\nmodel name\t: AMD EPYC 7B13\nmodel\t\t: 1\n\nprocessor\t: 1\nmodel name\t: other\n", "AMD EPYC 7B13"},
-		{"processor\t: 0\nmodel\t\t: 85\n", ""}, // no model name line (some arm64 kernels)
-		{"", ""},
+	for _, c := range []struct {
+		in   string
+		want cpuID
+	}{
+		{"processor\t: 0\nvendor_id\t: AuthenticAMD\ncpu family\t: 26\nmodel\t\t: 2\nmodel name\t: AMD EPYC 7B13\nstepping\t: 1\n\nprocessor\t: 1\ncpu family\t: 25\nmodel\t\t: 9\nmodel name\t: other\nstepping\t: 0\n",
+			cpuID{"AMD EPYC 7B13", "26", "2", "1"}},
+		// The first processor lacks a field the second has.
+		{"processor\t: 0\nmodel\t\t: 85\n\nprocessor\t: 1\nmodel name\t: other\nstepping\t: 4\n", cpuID{model: "85"}},
+		{"processor\t: 0\nmodel\t\t: 85\n", cpuID{model: "85"}}, // no model name line (some arm64 kernels)
+		{"\nprocessor\t: 0\nmodel name\t: leading blank\n", cpuID{name: "leading blank"}},
+		{"", cpuID{}},
 	} {
-		if got := cpuModel([]byte(c.in)); got != c.want {
-			t.Errorf("cpuModel(%q) = %q, want %q", c.in, got, c.want)
+		if got := parseCPUInfo([]byte(c.in)); got != c.want {
+			t.Errorf("parseCPUInfo(%q) = %+v, want %+v", c.in, got, c.want)
 		}
 	}
 }
 
 // TestRecordsWithoutCPULoad: the files written before records named
-// the host lack the cpu field, and still decode, with it empty.
+// the host lack the cpu field, and those written before they gave its
+// family, model and stepping lack those; all of them still decode,
+// with the missing fields empty.
 func TestRecordsWithoutCPULoad(t *testing.T) {
-	for _, f := range []string{"../../BENCH_48.json", "../../BENCH_49.json"} {
+	for _, f := range []string{"../../BENCH_48.json", "../../BENCH_49.json", "../../BENCH_50.json"} {
 		raw, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Contains(raw, []byte(`"cpu"`)) {
-			t.Fatalf("%s has a cpu field", f)
+		named := !strings.HasSuffix(f, "48.json") && !strings.HasSuffix(f, "49.json")
+		if bytes.Contains(raw, []byte(`"cpu"`)) != named || bytes.Contains(raw, []byte(`"cpu_family"`)) {
+			t.Fatalf("%s: unexpected cpu fields", f)
 		}
 		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
@@ -104,8 +115,8 @@ func TestRecordsWithoutCPULoad(t *testing.T) {
 		if err := dec.Decode(&r); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		if r.CPU != "" || len(r.Rows) == 0 {
-			t.Errorf("%s: cpu %q, %d rows", f, r.CPU, len(r.Rows))
+		if (r.CPU != "") != named || r.CPUFamily != "" || r.CPUModel != "" || r.CPUStepping != "" || len(r.Rows) == 0 {
+			t.Errorf("%s: cpu %q family %q model %q stepping %q, %d rows", f, r.CPU, r.CPUFamily, r.CPUModel, r.CPUStepping, len(r.Rows))
 		}
 	}
 }
