@@ -106,6 +106,7 @@ func Run(t *testing.T, engine string) {
 	t.Run("fetch-fault", func(t *testing.T) { testFetchFault(t, engine) })
 	t.Run("superblock-hop", func(t *testing.T) { testSuperblockHop(t, engine) })
 	t.Run("fused-jcc", func(t *testing.T) { testFusedJcc(t, engine) })
+	t.Run("lone-jcc", func(t *testing.T) { testLoneJcc(t, engine) })
 	t.Run("hop-fused", func(t *testing.T) { testHopFused(t, engine) })
 	t.Run("static-costs", func(t *testing.T) { testStaticCosts(t, engine) })
 }

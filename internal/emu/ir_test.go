@@ -384,48 +384,67 @@ func TestTrampolineHopDoesNotEndBlock(t *testing.T) {
 }
 
 // TestIRSpeedup is the performance gate for the lifting engine: at
-// least 4x the interpreter on the memstream kernel. (The design target
-// is 10x; the conservative test bound keeps CI robust on loaded
+// least 4x the interpreter on each emu-kernels class, the tuned kernel
+// of its SPEC row rewritten under its application, as BenchmarkEmulator
+// and `go run ./bench -workload emu-kernels` build them. (The design
+// target is 10x; the conservative bound keeps CI robust on loaded
 // machines. The measured figure is emu-kernels/emu.minst_s.ir over
 // emu.minst_s.interp in `go run ./bench`.)
 func TestIRSpeedup(t *testing.T) {
 	saved := workload.KernelIters
-	workload.KernelIters = 150_000
+	workload.KernelIters = 20_000
 	defer func() { workload.KernelIters = saved }()
-	prog, err := workload.BuildKernel("memstream", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	measure := func(mk func() emu.Engine) float64 {
-		best := 0.0
-		for trial := 0; trial < 2; trial++ {
-			m := workload.NewMachine(nil)
-			m.Engine = mk()
-			entry, err := e9patch.Load(m, prog.ELF)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.RIP = entry
-			start := time.Now()
-			if err := m.Run(2_000_000_000); err != nil {
-				t.Fatal(err)
-			}
-			ips := float64(m.Counters.Instructions) / time.Since(start).Seconds()
-			if ips > best {
-				best = ips
-			}
+	for _, k := range []struct {
+		arch, row string
+		sel       e9patch.Selector
+	}{
+		{"branchy", "gcc", e9patch.SelectJumps},
+		{"memstream", "h264ref", e9patch.SelectHeapWrites},
+		{"matrix", "tonto", e9patch.SelectHeapWrites},
+		{"pointer", "omnetpp", e9patch.SelectJumps},
+		{"callheavy", "xalancbmk", e9patch.SelectJumps},
+	} {
+		row, err := workload.ProfileByName(k.row)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return best
-	}
-
-	interpIPS := measure(func() emu.Engine { return nil })
-	irIPS := measure(func() emu.Engine { return emu.NewIREngine() })
-	ratio := irIPS / interpIPS
-	t.Logf("interp %.1f Minst/s, ir %.1f Minst/s, speedup %.2fx",
-		interpIPS/1e6, irIPS/1e6, ratio)
-	if ratio < 4 {
-		t.Errorf("ir speedup %.2fx < 4x (interp %.0f inst/s, ir %.0f inst/s)",
-			ratio, interpIPS, irIPS)
+		prog, err := workload.BuildKernelTuned(k.arch, false, workload.TuningFor(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e9patch.Rewrite(prog.ELF, e9patch.Config{Select: k.sel, ReserveVA: workload.ReserveVA()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		measure := func(mk func() emu.Engine) float64 {
+			best := 0.0
+			for trial := 0; trial < 2; trial++ {
+				m := workload.NewMachine(nil)
+				m.Engine = mk()
+				entry, err := e9patch.Load(m, res.Output)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.RIP = entry
+				start := time.Now()
+				if err := m.Run(2_000_000_000); err != nil {
+					t.Fatal(err)
+				}
+				ips := float64(m.Counters.Instructions) / time.Since(start).Seconds()
+				if ips > best {
+					best = ips
+				}
+			}
+			return best
+		}
+		interpIPS := measure(func() emu.Engine { return nil })
+		irIPS := measure(func() emu.Engine { return emu.NewIREngine() })
+		ratio := irIPS / interpIPS
+		t.Logf("%s/%s: interp %.1f Minst/s, ir %.1f Minst/s, speedup %.2fx",
+			k.arch, k.row, interpIPS/1e6, irIPS/1e6, ratio)
+		if ratio < 4 {
+			t.Errorf("%s/%s: ir speedup %.2fx < 4x (interp %.0f inst/s, ir %.0f inst/s)",
+				k.arch, k.row, ratio, interpIPS, irIPS)
+		}
 	}
 }
