@@ -25,7 +25,7 @@ race:
 difftest:
 	$(GO) test -count 1 -run 'TestLockStep|FuzzLockStep' . -args -lockstep.full
 	$(GO) test -run 'TestTakenEdgeEpilogue|TestEpilogueLoopTerminates' ./internal/patch/
-	$(GO) test -run 'TestContextCallInstrumentation|TestTrampolineExits' .
+	$(GO) test -run 'TestContextCallInstrumentation|TestTrampolineExits|TestVerifyMutants|TestVerifyB0' .
 	$(GO) test -run FuzzEngines .
 	$(GO) test ./internal/emu/enginetest/ ./internal/emu/
 	$(GO) test -race -run 'TestParallelRewrite|FuzzParallelRewrite' .

@@ -33,7 +33,6 @@ import (
 
 	"e9patch/internal/disasm"
 	"e9patch/internal/elf64"
-	"e9patch/internal/loader"
 	"e9patch/internal/x86"
 )
 
@@ -176,12 +175,11 @@ func Check(input, output []byte, cfg Config) (*Report, error) {
 	}
 	if m == nil {
 		// With no table, no int3 patch has a dispatch entry.
-		m = &image{blob: &loader.Blob{}}
+		v.boundaries(nil)
+		return v.r, nil
 	}
 	v.boundaries(m.blob.SigTab)
-	if m.rows != nil {
-		v.trace(m)
-	}
+	v.trace(m)
 	return v.r, nil
 }
 
