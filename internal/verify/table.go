@@ -94,9 +94,9 @@ func (v *verifier) image(lo, hi uint64) bool {
 
 // trace is the rest of check (d). It decodes the trampoline code from
 // every root, following direct jumps and calls that land in mapped
-// memory, until the code leaves the table or stops falling through
-// (with the int3 padding after it). Every byte it decodes must be
-// mapped, and is claimed for its row in the physical block behind it. Then every dispatch entry must belong
+// memory, until the code leaves the table or stops falling through.
+// Every byte it decodes must be mapped, and is claimed for its row in
+// the physical block behind it. Then every dispatch entry must belong
 // to an int3 patch, and every row must have been reached.
 func (v *verifier) trace(m *image) {
 	v.follow(m)
