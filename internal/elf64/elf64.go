@@ -300,13 +300,22 @@ func (f *File) ExecSpans() ([]ExecSpan, error) {
 		out = append(out, ExecSpan{Name: s.Name, Off: s.Off, Addr: s.Addr, Size: s.Size})
 	}
 	if len(out) == 0 {
+		hdr := f.headersEnd()
 		for i := range f.Progs {
 			p := &f.Progs[i]
 			if p.Type != PTLoad || p.Flags&PFX == 0 || p.Filesz == 0 {
 				continue
 			}
-			// Parse already bounds-checked PT_LOAD file bytes.
-			out = append(out, ExecSpan{Off: p.Off, Addr: p.Vaddr, Size: p.Filesz})
+			// Parse already bounds-checked PT_LOAD file bytes. The
+			// segment that loads the file's headers (usually the first)
+			// holds no code in them.
+			sp := ExecSpan{Off: p.Off, Addr: p.Vaddr, Size: p.Filesz}
+			if skip := min(hdr-min(hdr, sp.Off), sp.Size); skip > 0 {
+				sp.Off, sp.Addr, sp.Size = sp.Off+skip, sp.Addr+skip, sp.Size-skip
+			}
+			if sp.Size > 0 {
+				out = append(out, sp)
+			}
 		}
 	}
 	if len(out) == 0 {
@@ -323,24 +332,65 @@ func (f *File) ExecSpans() ([]ExecSpan, error) {
 // parse errors. Callers that must not mutate f.Data (the zero-copy
 // paths) use the offset to overlay a patched text image while
 // composing the output.
+//
+// The rewriter patches the range's file bytes and branches to its
+// addresses, so a non-empty range must be what a PT_LOAD maps at its
+// address (textMapped), and must not overlap the ELF header or the
+// program header table: a section header that claims either is
+// refused as malformed. A segment-derived span starts past the headers
+// (ExecSpans).
 func (f *File) TextRange() (off, addr, size uint64, err error) {
 	if s, ok := f.SectionByName(".text"); ok {
 		if !spanInside(s.Off, s.Size, uint64(len(f.Data))) {
 			return 0, 0, 0, fmt.Errorf("%w: .text [%#x,+%#x) overruns file", ErrTruncated, s.Off, s.Size)
 		}
-		return s.Off, s.Addr, s.Size, nil
+		off, addr, size = s.Off, s.Addr, s.Size
+	} else {
+		spans, err := f.ExecSpans()
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		best := spans[0]
+		for _, sp := range spans[1:] {
+			if sp.Size > best.Size {
+				best = sp
+			}
+		}
+		off, addr, size = best.Off, best.Addr, best.Size
 	}
-	spans, err := f.ExecSpans()
-	if err != nil {
-		return 0, 0, 0, err
+	switch {
+	case size == 0:
+	case off < ehdrSize || f.Header.PhNum > 0 && off < f.Header.PhOff+uint64(f.Header.PhNum)*phdrSize && f.Header.PhOff < off+size:
+		return 0, 0, 0, e9err.MalformedAt("parse", addr,
+			"elf64: the text at file offset %#x (+%#x) overlaps the ELF or program headers", off, size)
+	case !f.textMapped(off, addr, size):
+		return 0, 0, 0, e9err.MalformedAt("parse", addr,
+			"elf64: no PT_LOAD maps the text [%#x,+%#x) from its file offset %#x", addr, size, off)
 	}
-	best := spans[0]
-	for _, sp := range spans[1:] {
-		if sp.Size > best.Size {
-			best = sp
+	return off, addr, size, nil
+}
+
+// headersEnd is where the headers at the start of the file end: the
+// ELF header, and the program header table when it follows directly.
+func (f *File) headersEnd() uint64 {
+	end := uint64(ehdrSize)
+	if h := &f.Header; h.PhNum > 0 && h.PhOff <= end {
+		end = max(end, h.PhOff+uint64(h.PhNum)*phdrSize)
+	}
+	return end
+}
+
+// textMapped reports whether one PT_LOAD's file bytes hold the size
+// bytes at file offset off and map them at address addr.
+func (f *File) textMapped(off, addr, size uint64) bool {
+	for _, p := range f.Progs {
+		// Parse bounds-checked Off+Filesz and Vaddr+Memsz; each
+		// comparison below is the overflow-safe form.
+		if p.Type == PTLoad && addr >= p.Vaddr && spanInside(addr-p.Vaddr, size, p.Filesz) && off-p.Off == addr-p.Vaddr && off >= p.Off {
+			return true
 		}
 	}
-	return best.Off, best.Addr, best.Size, nil
+	return false
 }
 
 // IsPIE reports whether the file is position independent (ET_DYN).

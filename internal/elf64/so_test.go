@@ -3,7 +3,10 @@ package elf64
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
+
+	"e9patch/internal/e9err"
 )
 
 // TestSharedBuildRoundTrip: Shared builds a plain .so — ET_DYN, zero
@@ -203,5 +206,64 @@ func TestBuildBackCompat(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("zero-valued Shared/Init changed the build output")
+	}
+}
+
+// TestTextRangeMustBeLoaded: the rewriter patches the text's file bytes
+// and branches to its addresses, so a .text whose address no PT_LOAD
+// maps from its file offset, or that overlaps the file's headers, is
+// malformed, and a stripped binary's span starts past the headers its
+// segment loads. (Rewriting a .text at address 0x1000 over the ELF
+// header used to succeed and overwrite the ELF magic with a jump.)
+func TestTextRangeMustBeLoaded(t *testing.T) {
+	raw := buildSample(t, false, 0)
+	f, err := Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, addr, size, err := f.TextRange()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr int // the file offset of .text's section header
+	for i := range f.Sections {
+		if f.Sections[i].Name == ".text" {
+			hdr = int(f.Header.ShOff) + i*shdrSize
+		}
+	}
+	for _, tc := range []struct {
+		name            string
+		addr, off, size uint64
+	}{
+		{"at an address no segment loads", 0x1000, off, size},
+		{"one byte off its segment's mapping", addr + 1, off, size},
+		{"past its segment's file bytes", addr, off, uint64(len(raw)) - off},
+		{"over the ELF header", addr - off, 0, size},
+		{"over the program headers", addr - off + ehdrSize, ehdrSize, size},
+	} {
+		bad := bytes.Clone(raw)
+		binary.LittleEndian.PutUint64(bad[hdr+16:], tc.addr)
+		binary.LittleEndian.PutUint64(bad[hdr+24:], tc.off)
+		binary.LittleEndian.PutUint64(bad[hdr+32:], tc.size)
+		f, err := Parse(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := f.TextRange(); !errors.Is(err, e9err.ErrMalformed) {
+			t.Errorf("%s: TextRange error %v, want malformed", tc.name, err)
+		}
+	}
+
+	// Stripped, the span is the executable segment less the headers
+	// at its start.
+	binary.LittleEndian.PutUint64(raw[0x28:], 0)
+	binary.LittleEndian.PutUint16(raw[0x3C:], 0)
+	binary.LittleEndian.PutUint16(raw[0x3E:], 0)
+	if f, err = Parse(raw); err != nil {
+		t.Fatal(err)
+	}
+	head := uint64(ehdrSize + len(f.Progs)*phdrSize)
+	if off, _, size, err := f.TextRange(); err != nil || off != head || off+size != f.Progs[0].Filesz {
+		t.Errorf("stripped text [%#x,+%#x) (%v), want [%#x,%#x)", off, size, err, head, f.Progs[0].Filesz)
 	}
 }
