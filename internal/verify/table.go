@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"cmp"
 	"encoding/binary"
 	"slices"
 
@@ -124,18 +125,7 @@ func (v *verifier) follow(m *image) {
 	var orig map[uint64]bool
 	origTarget := func(t uint64) bool {
 		if orig == nil {
-			orig = map[uint64]bool{}
-			for i := range v.univ {
-				if l := &v.univ[i]; l.RelSize() != 0 && l.Attrs&(x86.AttrJump|x86.AttrCondJump|x86.AttrCall) != 0 {
-					b := l.Bytes()
-					end := l.Addr + uint64(l.Len)
-					if l.RelSize() == 1 {
-						orig[end+uint64(int64(int8(b[len(b)-1])))] = true
-					} else {
-						orig[end+uint64(int64(int32(binary.LittleEndian.Uint32(b[len(b)-4:]))))] = true
-					}
-				}
-			}
+			orig = v.programTargets()
 		}
 		return orig[t]
 	}
@@ -197,6 +187,69 @@ func (v *verifier) follow(m *image) {
 			}
 		}
 	}
+}
+
+// epilogueWalk is how far past a branch target the patcher's epilogues
+// copy the input's code (internal/patch/epilogue.go), the terminal
+// instruction included.
+const epilogueWalk = 32
+
+// programTargets returns the targets of the input's direct branches:
+// those of the universe's instructions and, closed under the same
+// rule, those of the branches decoded forward from each target that is
+// not a boundary of the universe. An epilogue copies the code at a
+// target T as the processor decodes it from T, up to its first control
+// transfer within epilogueWalk bytes, and displaces that terminal with
+// its target: where T lies inside an instruction of the universe the
+// terminal is none of the universe's branches, yet its target is the
+// program's control flow as much as theirs.
+func (v *verifier) programTargets() map[uint64]bool {
+	orig := map[uint64]bool{}
+	var work []uint64
+	add := func(t uint64) {
+		if !orig[t] {
+			orig[t] = true
+			work = append(work, t)
+		}
+	}
+	for i := range v.univ {
+		if l := &v.univ[i]; l.RelSize() != 0 && l.Attrs&(x86.AttrJump|x86.AttrCondJump|x86.AttrCall) != 0 {
+			b := l.Bytes()
+			end := l.Addr + uint64(l.Len)
+			if l.RelSize() == 1 {
+				add(end + uint64(int64(int8(b[len(b)-1]))))
+			} else {
+				add(end + uint64(int64(int32(binary.LittleEndian.Uint32(b[len(b)-4:])))))
+			}
+		}
+	}
+	var inst x86.Inst
+	for len(work) > 0 {
+		t := work[len(work)-1]
+		work = work[:len(work)-1]
+		if t < v.textAddr || t-v.textAddr >= uint64(len(v.text)) || v.boundary(t) {
+			continue
+		}
+		for a := t; a-t < epilogueWalk && a-v.textAddr < uint64(len(v.text)); a += uint64(inst.Len) {
+			if x86.DecodeInto(&inst, v.text[a-v.textAddr:], a) != nil {
+				break
+			}
+			if inst.IsDirectBranch() {
+				add(inst.Target())
+			}
+			if inst.Attrs&(x86.AttrJump|x86.AttrCondJump|x86.AttrCall|x86.AttrRet|x86.AttrStop) != 0 {
+				break
+			}
+		}
+	}
+	return orig
+}
+
+// boundary reports whether an instruction of the universe starts at
+// addr.
+func (v *verifier) boundary(addr uint64) bool {
+	_, ok := slices.BinarySearchFunc(v.univ, addr, func(l x86.Loc, a uint64) int { return cmp.Compare(l.Addr, a) })
+	return ok
 }
 
 // claim records n reached bytes from addr for the rows that map them:
