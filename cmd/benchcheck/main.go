@@ -3,7 +3,7 @@
 // the parent commit and on a build of this tree, in alternating order,
 // and judges every end-to-end metric against its BENCHMARK.json bound.
 //
-//	go run ./cmd/benchcheck [-pr N] [PAIRS]   (make benchcheck PAIRS=3 [PR=N])
+//	go run ./cmd/benchcheck [-pr N | -aa] [PAIRS]   (make benchcheck PAIRS=3 [PR=N])
 //
 // With -pr it also records the run as BENCH_<N>.json in the module root
 // (record.go): per workload and end-to-end metric the two medians, the
@@ -18,6 +18,12 @@
 // tree as working directory, because the cli-120mb set-up builds e9tool
 // from there. Exit status 1 means a metric regressed, a run was not
 // correct, or a larger share of operations failed.
+//
+// With -aa the parent is HEAD itself, so both sides are the same code
+// built and run from two directories, and the run is recorded as
+// BENCH_AA.json: its spreads and its medians' differences are the noise
+// floor a change's claim must clear on this host. The tree must have no
+// uncommitted changes, or the two sides would differ.
 package main
 
 import (
@@ -62,17 +68,29 @@ func output(dir, name string, args ...string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-func parentCommit() (string, error) {
+// parentCommit picks the commit the tree is compared with; with aa,
+// HEAD of a tree with no uncommitted changes.
+func parentCommit(aa bool) (string, error) {
 	head, err := output("", "git", "rev-parse", "HEAD")
 	if err != nil {
 		return "", err
+	}
+	dirty, err := output("", "git", "status", "--porcelain")
+	if err != nil {
+		return "", err
+	}
+	if aa {
+		if dirty != "" {
+			return "", fmt.Errorf("-aa compares HEAD with the tree, which has uncommitted changes")
+		}
+		return head, nil
 	}
 	base, err := output("", "git", "merge-base", "HEAD", "main")
 	if err != nil || base != head {
 		return base, err
 	}
-	if dirty, err := output("", "git", "status", "--porcelain"); err != nil || dirty != "" {
-		return head, err
+	if dirty != "" {
+		return head, nil
 	}
 	return output("", "git", "rev-parse", "HEAD~1")
 }
@@ -122,12 +140,17 @@ func runBench(tree, workload string, seed int, trace bool) (res result, err erro
 
 func check() (failed bool, err error) {
 	pr := flag.Int("pr", 0, "record the run as BENCH_<pr>.json")
+	aa := flag.Bool("aa", false, "compare HEAD with itself and record the run as BENCH_AA.json")
 	flag.Parse()
 	pairs := 3
+	usage := fmt.Errorf("usage: benchcheck [-pr N | -aa] [PAIRS]")
 	if flag.NArg() > 0 {
-		if pairs, err = strconv.Atoi(flag.Arg(0)); err != nil || pairs < 1 || flag.NArg() > 1 || *pr < 0 {
-			return false, fmt.Errorf("usage: benchcheck [-pr N] [PAIRS]")
+		if pairs, err = strconv.Atoi(flag.Arg(0)); err != nil || pairs < 1 || flag.NArg() > 1 {
+			return false, usage
 		}
+	}
+	if *pr < 0 || *aa && *pr != 0 {
+		return false, usage
 	}
 	data, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -137,7 +160,7 @@ func check() (failed bool, err error) {
 	if err := json.Unmarshal(data, &c); err != nil {
 		return false, fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	commit, err := parentCommit()
+	commit, err := parentCommit(*aa)
 	if err != nil {
 		return false, err
 	}
@@ -222,11 +245,14 @@ func check() (failed bool, err error) {
 			rec.Rows = append(rec.Rows, r)
 		}
 	}
-	if *pr > 0 {
+	if *pr > 0 || *aa {
 		if rec.Layers, err = layers(c, trees); err != nil {
 			return failed, err
 		}
 		name := fmt.Sprintf("BENCH_%d.json", *pr)
+		if *aa {
+			name = "BENCH_AA.json"
+		}
 		if err := rec.write(name); err != nil {
 			return failed, err
 		}

@@ -184,3 +184,22 @@ func TestChangesQuoteBenchRows(t *testing.T) {
 	}
 	t.Logf("%d quoted rows", quoted)
 }
+
+// TestAAFileComparesHeadWithItself: BENCH_AA.json, the noise floor,
+// was recorded by -aa, so both sides are one clean commit.
+func TestAAFileComparesHeadWithItself(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_AA.json")
+	if os.IsNotExist(err) {
+		t.Skip("no A/A file recorded")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r record
+	if err := json.Unmarshal(raw, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Parent != r.Change || strings.HasSuffix(r.Change, "-dirty") {
+		t.Errorf("BENCH_AA.json compares %s with %s, want one clean commit on both sides", r.Parent, r.Change)
+	}
+}
