@@ -2,6 +2,8 @@ package disasm
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"sync/atomic"
 
 	"e9patch/internal/work"
@@ -50,6 +52,10 @@ type supersetResult struct {
 	// sh is the sweep's sharding, which the survivor counts and the
 	// universe's walk share.
 	sh shards
+	// wraps reports a section whose end address passes the top of the
+	// address space, where every successor address computed modulo
+	// 2^64 falls outside [addr, addr+len) (at).
+	wraps bool
 	// flags[off] holds the flag* bits of offset off. A span-end
 	// truncated offset (flagTruncated) is treated by the refinement as
 	// unknown-but-acceptable — the same way the linear sweep skips the
@@ -60,53 +66,113 @@ type supersetResult struct {
 	// also survive the refinement.
 	decoded, valid int
 	// validIn[i] and keptIn[i] count the refinement's and the CET
-	// closure's survivors in shard i of sh, kept by poison and keep as
-	// they go, so that survivors places each shard's records without
-	// counting them first.
+	// closure's survivors in shard i of sh: the sweep counts what its
+	// shard leaves valid, poison and keep adjust the counts as they go,
+	// so that survivors places each shard's records without counting
+	// them first.
 	validIn, keptIn []int
 }
 
-// supersetCancel decodes at every offset of code (loaded at addr),
-// with a sharded decode sweep and cooperative cancellation. Decoding at
-// every offset is memoryless — each offset is independent — so shards
-// simply split the offset range and write their own part of the table
-// in place: the result is identical for every width and pool state.
-// Once cancel is closed the sweep or the refinement stops within a few
-// thousand steps and reports ok=false with no result. The refinement
-// runs sequentially after the sweep.
-func supersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel <-chan struct{}) (*supersetResult, bool) {
-	sh := shardsFor(len(code), width)
-	res := &supersetResult{
-		table: table{code: code, addr: addr, lens: make([]uint8, len(code)), attrs: make([]x86.Attr, len(code))},
-		sh:    sh,
-		flags: make([]uint8, len(code)),
-	}
+// edge is a successor relation the sweep leaves to the refinement: a
+// branch from src into the section, or a fall-through from src that
+// leaves src's shard. Offsets are int32, half the index of an int.
+type edge struct{ src, dst int32 }
 
-	var aborted atomic.Bool
-	work.ForEach(pool, width, sh.count, func(i int) {
-		lo, hi := sh.lo(i), sh.lo(i+1)
-		for off := lo; off < hi; off++ {
-			if (off-lo)&(cancelStride-1) == 0 && stopped(cancel) {
-				aborted.Store(true)
-				return
-			}
-			// Disjoint offset ranges: no write races on the table.
-			n, attrs, err := x86.Shape(code[off:])
-			if err != nil {
-				if err == x86.ErrTruncated {
-					res.flags[off] = flagTruncated
-				}
-				continue
-			}
-			res.lens[off] = uint8(n)
-			res.attrs[off] = attrs
-			res.flags[off] = shapeFlags(code[off:off+n], attrs)
-		}
-	})
-	if aborted.Load() || !res.refine(cancel) {
+// supersetCancel decodes at every offset of code (loaded at addr) and
+// refines the result, with a sharded decode sweep and cooperative
+// cancellation. Decoding at every offset is memoryless — each offset is
+// independent — so shards simply split the offset range and write
+// their own part of the table in place. The refinement is a least
+// fixpoint, which the order of work cannot change, so the result is
+// identical for every width and pool state. Once cancel is closed the
+// sweep or the refinement stops within a few thousand steps and
+// reports ok=false with no result.
+func supersetCancel(code []byte, addr uint64, width int, pool *work.Pool, cancel <-chan struct{}) (*supersetResult, bool) {
+	res, edges, ok := sweepSuperset(code, addr, width, pool, cancel)
+	if !ok || !res.refine(edges, cancel) {
 		return nil, false
 	}
 	return res, true
+}
+
+// sweepSuperset is supersetCancel's sharded half: the table, with
+// everything the refinement can settle inside a shard already settled
+// (sweep), and each shard's edges for the refinement to settle after
+// the barrier. It reports false when cancel closed first.
+func sweepSuperset(code []byte, addr uint64, width int, pool *work.Pool, cancel <-chan struct{}) (*supersetResult, [][]edge, bool) {
+	if len(code) > math.MaxInt32 {
+		panic(fmt.Sprintf("disasm: a %d-byte section exceeds the superset table's int32 offsets", len(code)))
+	}
+	sh := shardsFor(len(code), width)
+	res := &supersetResult{
+		table:   table{code: code, addr: addr, lens: make([]uint8, len(code)), attrs: make([]x86.Attr, len(code))},
+		sh:      sh,
+		wraps:   addr > math.MaxUint64-uint64(len(code)),
+		flags:   make([]uint8, len(code)),
+		validIn: make([]int, sh.count),
+	}
+	edges := make([][]edge, sh.count)
+	decoded := make([]int, sh.count)
+	var aborted atomic.Bool
+	work.ForEach(pool, width, sh.count, func(i int) {
+		var ok bool
+		if edges[i], decoded[i], res.validIn[i], ok = res.sweep(i, cancel); !ok {
+			aborted.Store(true)
+		}
+	})
+	if aborted.Load() {
+		return nil, nil, false
+	}
+	for _, d := range decoded {
+		res.decoded += d
+	}
+	return res, edges, true
+}
+
+// sweep decodes shard i from its last offset down to its first, so
+// that a fall-through that stays in the shard lands on an offset
+// already decoded: an instruction whose in-shard fall-through, or
+// in-shard branch target above it, is a hard invalid or already invalid
+// is poisoned on the spot. What the shard cannot see is returned as
+// edges from the instructions it leaves valid: every branch into the
+// section (the reverse index needs them even when settled) and every
+// fall-through past the shard's end (at most the 15 offsets below it).
+// The shard reads and writes its own offsets only. It counts the
+// offsets that decode and those it leaves valid, and reports false
+// when cancel closed first.
+func (r *supersetResult) sweep(i int, cancel <-chan struct{}) (edges []edge, decoded, valid int, ok bool) {
+	lo, hi := r.sh.lo(i), r.sh.lo(i+1)
+	// On compiled code about one offset in 15 leaves an edge.
+	edges = make([]edge, 0, (hi-lo)/12)
+	for off := hi - 1; off >= lo; off-- {
+		if (hi-1-off)&(cancelStride-1) == 0 && stopped(cancel) {
+			return nil, 0, 0, false
+		}
+		n, attrs, err := x86.Shape(r.code[off:])
+		if err != nil {
+			if err == x86.ErrTruncated {
+				r.flags[off] = flagTruncated
+			}
+			continue
+		}
+		r.lens[off] = uint8(n)
+		r.attrs[off] = attrs
+		r.flags[off] = shapeFlags(r.code[off:off+n], attrs)
+		decoded++
+		ft, jt := r.fallsTo(off), r.jumpsTo(off)
+		if ft >= 0 && ft < hi && r.poisons(ft) || jt > off && jt < hi && r.poisons(jt) {
+			r.flags[off] |= flagInvalid
+			continue
+		}
+		valid++
+		if ft >= hi {
+			edges = append(edges, edge{int32(off), int32(ft)})
+		}
+		if jt >= 0 && jt != off {
+			edges = append(edges, edge{int32(off), int32(jt)})
+		}
+	}
+	return edges, decoded, valid, true
 }
 
 // shapeFlags condenses an instruction's bytes and attributes to the
@@ -137,15 +203,17 @@ func shapeFlags(inst []byte, attrs x86.Attr) uint8 {
 // (x86.Inst.IsEndbr64).
 const endbr64 = 0xFA1E0FF3
 
-// at maps an address to its section offset, -1 when it lies outside
-// the section. Falling off the section end and branching out of it
-// (PLT, other sections) are unknown-but-acceptable, never evidence of
-// invalidity.
-func (r *supersetResult) at(a uint64) int {
-	if a >= r.addr && a < r.addr+uint64(len(r.lens)) {
-		return int(a - r.addr)
+// at maps a successor at section offset t — an instruction's end, plus
+// its displacement for a branch target — to t, and to -1 when t lies
+// outside the section. Falling off the section end and branching out of
+// it (PLT, other sections) are unknown-but-acceptable, never evidence
+// of invalidity. In a section whose addresses run past the top of the
+// address space no successor address lands inside it (wraps).
+func (r *supersetResult) at(t int) int {
+	if t < 0 || t >= len(r.lens) || r.wraps {
+		return -1
 	}
-	return -1
+	return t
 }
 
 // fallsTo returns the section offset the instruction at off falls
@@ -154,7 +222,7 @@ func (r *supersetResult) fallsTo(off int) int {
 	if r.flags[off]&flagStop != 0 {
 		return -1
 	}
-	return r.at(r.addr + uint64(off) + uint64(r.lens[off]))
+	return r.at(off + int(r.lens[off]))
 }
 
 // jumpsTo returns the section offset the branch displacement of the
@@ -163,112 +231,156 @@ func (r *supersetResult) fallsTo(off int) int {
 // read from the text and not stored.
 func (r *supersetResult) jumpsTo(off int) int {
 	end := off + int(r.lens[off])
-	var rel int64
 	switch f := r.flags[off]; {
 	case f&flagRel8 != 0:
-		rel = int64(int8(r.code[end-1]))
+		return r.at(end + int(int8(r.code[end-1])))
 	case f&flagRel32 != 0:
-		rel = int64(int32(binary.LittleEndian.Uint32(r.code[end-4:])))
-	default:
-		return -1
+		return r.at(end + int(int32(binary.LittleEndian.Uint32(r.code[end-4:]))))
 	}
-	return r.at(r.addr + uint64(end) + uint64(rel))
+	return -1
 }
 
-// hardInvalid reports a successor offset that does not decode for a
-// reason other than the section ending mid-instruction.
-func (r *supersetResult) hardInvalid(off int) bool {
-	return off >= 0 && r.lens[off] == 0 && r.flags[off]&flagTruncated == 0
+// poisons reports whether a successor at section offset off makes its
+// predecessors invalid: it does not decode for a reason other than the
+// section ending mid-instruction, or it is an instruction the
+// refinement found invalid.
+func (r *supersetResult) poisons(off int) bool {
+	return r.flags[off]&flagInvalid != 0 || r.lens[off] == 0 && r.flags[off]&flagTruncated == 0
 }
 
-// refine computes the valid set: an instruction is invalid if its
-// fall-through (or a direct branch target inside the section) lands on
-// an offset that does not decode and is inside the section, or on an
-// invalid instruction. Offsets that fail to decode only because the
-// section ends mid-instruction are treated like falling off the
-// section end, matching the linear sweep's skip behavior for a
-// truncated tail.
+// refine completes the valid set the sweep began: an instruction is
+// invalid if its fall-through (or a direct branch target inside the
+// section) lands on an offset that does not decode and is inside the
+// section, or on an invalid instruction. Offsets that fail to decode
+// only because the section ends mid-instruction are treated like
+// falling off the section end, matching the linear sweep's skip
+// behavior for a truncated tail.
 //
-// Invalidity flows against the edges, so the computation is a worklist
-// over reverse edges, O(offsets + edges) whatever direction the edges
-// point: the fall-through predecessors of an offset are the at most 15
-// preceding offsets whose length lands on it, and the branch
-// predecessors come from a counting-sort CSR over the targets. Every
-// decodable offset is counted valid in its shard and every poisoned one
-// taken back off. It reports false when cancel closed first.
-func (r *supersetResult) refine(cancel <-chan struct{}) bool {
-	n := len(r.lens)
-	r.validIn = make([]int, r.sh.count)
-	var work []int
-	poison := func(off, shard int) {
-		r.flags[off] |= flagInvalid
-		work = append(work, off)
-		r.validIn[shard]--
+// The sweep settled every fall-through inside a shard; settle takes
+// the edges it left, once each, after the barrier. Invalidity then
+// flows against the edges (drain), a worklist over reverse edges
+// whatever direction the edges point: the fall-through predecessors of
+// an offset are the at most 15 preceding offsets whose length lands on
+// it, and the branch predecessors come from a counting sort of the
+// edges by target (reverse). Every offset is pushed at most once, so
+// after the sweep the refinement costs O(edges + poisoned offsets)
+// steps and one prefix sum over an int32 per offset. Each poisoned
+// offset is taken back off its shard's valid count. It reports false
+// when cancel closed first.
+func (r *supersetResult) refine(edges [][]edge, cancel <-chan struct{}) bool {
+	work, ok := r.settle(edges, cancel)
+	if !ok {
+		return false
 	}
-
-	// Seed with everything one step from a hard invalid, and count the
-	// branch edges into each decodable target t at start[t+2].
-	start := make([]int, n+2)
-	for i := range r.validIn {
-		for off := r.sh.lo(i); off < r.sh.lo(i+1); off++ {
-			if off&(cancelStride-1) == 0 && stopped(cancel) {
-				return false
-			}
-			if r.lens[off] == 0 {
-				continue
-			}
-			r.decoded++
-			r.validIn[i]++
-			jt := r.jumpsTo(off)
-			if r.hardInvalid(r.fallsTo(off)) || r.hardInvalid(jt) {
-				poison(off, i)
-			} else if jt >= 0 && r.lens[jt] != 0 {
-				start[jt+2]++
-			}
+	if len(work) > 0 {
+		rev, ok := r.reverse(edges, cancel)
+		if !ok || !r.drain(work, rev, cancel) {
+			return false
 		}
 	}
+	for _, v := range r.validIn {
+		r.valid += v
+	}
+	return true
+}
+
+// poison marks the instruction at off invalid and pushes it on work.
+func (r *supersetResult) poison(off int32, work []int32) []int32 {
+	r.flags[off] |= flagInvalid
+	r.validIn[r.sh.of(int(off))]--
+	return append(work, off)
+}
+
+// eachEdge visits the edges in order, polling cancel, and reports
+// false when cancel closed first.
+func eachEdge(edges [][]edge, cancel <-chan struct{}, visit func(e edge)) bool {
+	steps := 0
+	for _, es := range edges {
+		for _, e := range es {
+			if steps&(cancelStride-1) == 0 && stopped(cancel) {
+				return false
+			}
+			steps++
+			visit(e)
+		}
+	}
+	return true
+}
+
+// settle poisons every source the sweep left valid whose edge target
+// poisons it, and returns them as the worklist's seeds. It reports
+// false when cancel closed first.
+func (r *supersetResult) settle(edges [][]edge, cancel <-chan struct{}) (work []int32, ok bool) {
+	ok = eachEdge(edges, cancel, func(e edge) {
+		if r.flags[e.src]&flagInvalid == 0 && r.poisons(int(e.dst)) {
+			work = r.poison(e.src, work)
+		}
+	})
+	return work, ok
+}
+
+// reverseIndex lists the sources of the edges into each offset t:
+// src[start[t]:start[t+1]].
+type reverseIndex struct{ start, src []int32 }
+
+// reverse sorts the edges by target, counting: only a decodable target
+// can be pushed, and only a source still valid can be poisoned, so the
+// index holds just those edges. It reports false when cancel closed
+// first.
+func (r *supersetResult) reverse(edges [][]edge, cancel <-chan struct{}) (reverseIndex, bool) {
+	n := len(r.lens)
+	indexed := func(e edge) bool { return r.flags[e.src]&flagInvalid == 0 && r.lens[e.dst] != 0 }
+	// start[t+2] first counts the edges into t.
+	start := make([]int32, n+2)
+	if !eachEdge(edges, cancel, func(e edge) {
+		if indexed(e) {
+			start[e.dst+2]++
+		}
+	}) {
+		return reverseIndex{}, false
+	}
 	for t := 1; t < len(start); t++ {
+		if t&(cancelStride-1) == 0 && stopped(cancel) {
+			return reverseIndex{}, false
+		}
 		start[t] += start[t-1]
 	}
 	// start[t+1] is now where t's sources begin; filling advances it to
-	// where they end, so that afterwards the offsets that branch to t
-	// are src[start[t]:start[t+1]].
-	src := make([]int, start[n+1])
-	for off := 0; off < n; off++ {
-		if off&(cancelStride-1) == 0 && stopped(cancel) {
-			return false
+	// where they end.
+	src := make([]int32, start[n+1])
+	if !eachEdge(edges, cancel, func(e edge) {
+		if indexed(e) {
+			src[start[e.dst+1]] = e.src
+			start[e.dst+1]++
 		}
-		if r.lens[off] == 0 || r.flags[off]&flagInvalid != 0 {
-			continue
-		}
-		if jt := r.jumpsTo(off); jt >= 0 && r.lens[jt] != 0 {
-			src[start[jt+1]] = off
-			start[jt+1]++
-		}
+	}) {
+		return reverseIndex{}, false
 	}
+	return reverseIndex{start, src}, true
+}
 
-	// A seed exists only if some address mapped into the section, so
-	// from here on the section end does not wrap and a predecessor at
-	// off-k with length k does fall through to off.
+// drain propagates invalidity from the worklist to the predecessors of
+// each offset it pops. A seed exists only if some address mapped into
+// the section, so the section end does not wrap and a predecessor at
+// off-k with length k does fall through to off. It reports false when
+// cancel closed first.
+func (r *supersetResult) drain(work []int32, rev reverseIndex, cancel <-chan struct{}) bool {
 	for steps := 0; len(work) > 0; steps++ {
 		if steps&(cancelStride-1) == 0 && stopped(cancel) {
 			return false
 		}
 		off := work[len(work)-1]
 		work = work[:len(work)-1]
-		for k := 1; k <= 15 && k <= off; k++ {
-			if p := off - k; int(r.lens[p]) == k && r.flags[p]&(flagStop|flagInvalid) == 0 {
-				poison(p, r.sh.of(p))
+		for k := int32(1); k <= 15 && k <= off; k++ {
+			if p := off - k; int32(r.lens[p]) == k && r.flags[p]&(flagStop|flagInvalid) == 0 {
+				work = r.poison(p, work)
 			}
 		}
-		for _, p := range src[start[off]:start[off+1]] {
+		for _, p := range rev.src[rev.start[off]:rev.start[off+1]] {
 			if r.flags[p]&flagInvalid == 0 {
-				poison(p, r.sh.of(p))
+				work = r.poison(p, work)
 			}
 		}
-	}
-	for _, v := range r.validIn {
-		r.valid += v
 	}
 	return true
 }

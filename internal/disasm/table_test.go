@@ -58,9 +58,10 @@ func TestSupersetHostileShapesLinear(t *testing.T) {
 	}
 }
 
-// TestSupersetPhasesPollCancel: the refinement, the closure and the
-// materialization each stop on a closed cancel, so a phase deadline
-// that expires after the sweep still ends the recovery.
+// TestSupersetPhasesPollCancel: the sweep, each of the refinement's
+// passes over the edges it leaves, the closure and the materialization
+// each stop on a closed cancel, so a phase deadline that expires after
+// the sweep still ends the recovery.
 func TestSupersetPhasesPollCancel(t *testing.T) {
 	closed := make(chan struct{})
 	close(closed)
@@ -68,11 +69,34 @@ func TestSupersetPhasesPollCancel(t *testing.T) {
 	if sup, ok := supersetCancel(code, 0x401000, 1, nil, closed); ok || sup != nil {
 		t.Fatal("sweep ignored a closed cancel")
 	}
-	sup := superset(code, 0x401000)
-	fresh := &supersetResult{table: sup.table, sh: sup.sh, flags: append([]uint8(nil), sup.flags...)}
-	if fresh.refine(closed) {
-		t.Error("refinement ignored a closed cancel")
+	for _, width := range []int{1, 8} {
+		sup, edges, ok := sweepSuperset(code, 0x401000, width, nil, nil)
+		if !ok {
+			t.Fatal("sweep cancelled without cancel")
+		}
+		if sup.refine(edges, closed) {
+			t.Errorf("width %d: refinement ignored a closed cancel", width)
+		}
 	}
+	// In a chain whose every branch ends in the poisoned tail, the
+	// edges leave seeds, so each pass after the seeds runs: each one
+	// polls too.
+	sup, edges, _ := sweepSuperset(workload.ForwardChain(1<<16, true), 0x401000, 8, nil, nil)
+	if _, ok := sup.settle(edges, closed); ok {
+		t.Error("the edge pass ignored a closed cancel")
+	}
+	work, _ := sup.settle(edges, nil)
+	if len(work) == 0 {
+		t.Fatal("the poisoned chain left no seeds")
+	}
+	if _, ok := sup.reverse(edges, closed); ok {
+		t.Error("the reverse index ignored a closed cancel")
+	}
+	rev, _ := sup.reverse(edges, nil)
+	if sup.drain(work, rev, closed) {
+		t.Error("the worklist ignored a closed cancel")
+	}
+	sup = superset(code, 0x401000)
 	if _, ok := sup.cetPrune(closed); ok {
 		t.Error("closure ignored a closed cancel")
 	}
@@ -222,31 +246,114 @@ func referenceSuperset(code []byte, addr uint64) (valid, kept []bool) {
 // checks kept ⊆ valid ⊆ decoded along the way.
 func TestSupersetMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	alphabet := []byte{0x90, 0x06, 0xEB, 0x75, 0xE8, 0xE9, 0xC3, 0x48, 0x89, 0xF3, 0x0F, 0x1E, 0xFA, 0x00, 0xFC, 0xFF, 0xE0}
 	for round := 0; round < 300; round++ {
-		code := make([]byte, 1+rng.Intn(200))
-		for i := range code {
-			if rng.Intn(4) == 0 {
-				code[i] = byte(rng.Intn(256))
-			} else {
-				code[i] = alphabet[rng.Intn(len(alphabet))]
-			}
-		}
+		code := branchyText(rng, 1+rng.Intn(200))
 		const addr = 0x401000
 		sup := superset(code, addr)
 		sup.cetPrune(nil)
 		valid, kept := referenceSuperset(code, addr)
-		for off := range code {
-			if sup.validAt(off) != valid[off] || sup.keptAt(off) != kept[off] {
-				t.Fatalf("round %d, code % x: offset %d valid=%t kept=%t, reference valid=%t kept=%t",
-					round, code, off, sup.validAt(off), sup.keptAt(off), valid[off], kept[off])
-			}
-			if sup.keptAt(off) && !sup.validAt(off) || sup.validAt(off) && sup.lenAt(off) == 0 {
-				t.Fatalf("round %d: kept ⊆ valid ⊆ decoded broken at offset %d", round, off)
-			}
+		checkReference(t, sup, valid, kept, fmt.Sprintf("round %d, code % x", round, code))
+	}
+}
+
+// branchyText returns n random bytes dense in short branches and
+// invalid bytes, so that poison chains are many and short.
+func branchyText(rng *rand.Rand, n int) []byte {
+	alphabet := []byte{0x90, 0x06, 0xEB, 0x75, 0xE8, 0xE9, 0xC3, 0x48, 0x89, 0xF3, 0x0F, 0x1E, 0xFA, 0x00, 0xFC, 0xFF, 0xE0}
+	code := make([]byte, n)
+	for i := range code {
+		if rng.Intn(4) == 0 {
+			code[i] = byte(rng.Intn(256))
+		} else {
+			code[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+	}
+	return code
+}
+
+// checkReference compares a refined and closed table with the
+// reference's valid and kept sets, and checks kept ⊆ valid ⊆ decoded
+// along the way.
+func checkReference(t *testing.T, sup *supersetResult, valid, kept []bool, ctx string) {
+	t.Helper()
+	for off := range valid {
+		if sup.validAt(off) != valid[off] || sup.keptAt(off) != kept[off] {
+			t.Fatalf("%s: offset %d valid=%t kept=%t, reference valid=%t kept=%t",
+				ctx, off, sup.validAt(off), sup.keptAt(off), valid[off], kept[off])
+		}
+		if sup.keptAt(off) && !sup.validAt(off) || sup.validAt(off) && sup.lenAt(off) == 0 {
+			t.Fatalf("%s: kept ⊆ valid ⊆ decoded broken at offset %d", ctx, off)
 		}
 	}
 }
+
+// TestSupersetShardSeams holds sharded tables to the reference across
+// shard boundaries. The sweep settles the successors inside a shard
+// and leaves the rest to edges, so a seam is where a sharded table
+// could differ from the sequential one; FuzzSupersetPrune's 4 KB
+// inputs are one shard. The buffers are nine shards' worth of
+// branchyText, recovered at widths 2 and 8, whose shard counts (8 and
+// 9) differ and so do their seams. At every seam of either, seamText
+// plants successors that cross it in both directions: an instruction
+// straddling it into a hard invalid, fall-through chains into that
+// instruction, and branches across it each way onto hard invalids.
+func TestSupersetShardSeams(t *testing.T) {
+	const addr = 0x401000
+	n := 9*minShardBytes + 777
+	geoms := []shards{shardsFor(n, 2), shardsFor(n, 8)}
+	if geoms[0].count != 8 || geoms[1].count != 9 {
+		t.Fatalf("shard counts %d and %d, want 8 and 9", geoms[0].count, geoms[1].count)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for round := 0; round < 2; round++ {
+		code := branchyText(rng, n)
+		for _, sh := range geoms {
+			for i := 1; i < sh.count; i++ {
+				copy(code[sh.lo(i)-seamBelow:], seamText)
+			}
+		}
+		valid, kept := referenceSuperset(code, addr)
+		for _, sh := range geoms {
+			for i := 1; i < sh.count; i++ {
+				if b := sh.lo(i); valid[b-2] || valid[b-8] || valid[b+8] || valid[b-15] {
+					t.Fatalf("round %d: the reference keeps a planted instruction at the seam %d valid", round, b)
+				}
+			}
+		}
+		for _, width := range []int{2, 8} {
+			sup, ok := supersetCancel(code, addr, width, nil, nil)
+			if !ok {
+				t.Fatal("cancelled without cancel")
+			}
+			if _, ok := sup.cetPrune(nil); !ok {
+				t.Fatal("closure cancelled without cancel")
+			}
+			ctx := fmt.Sprintf("round %d, width %d", round, width)
+			checkReference(t, sup, valid, kept, ctx)
+			checkSweepUniverse(t, sup, ctx)
+		}
+	}
+}
+
+// seamText is planted with its byte seamBelow on a shard boundary b.
+// Every instruction it starts with is invalid, each through a
+// successor on the other side of b.
+var seamText = []byte{
+	0x06,                                     // b-16: invalid, the target of b+8
+	0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90, // b-15: nops falling into b-8
+	0xEB, 0x0B, // b-8: jmp b+5
+	0x90, 0x90, 0x90, 0x90, // b-6: nops falling into b-2
+	0x48, 0x89, 0x03, // b-2: mov [rbx], rax, ends at b+1
+	0x06,             // b+1: invalid
+	0x90, 0x90, 0x90, // b+2: nops falling into b+5
+	0x06,       // b+5: invalid, the target of b-8
+	0x90, 0x90, // b+6: nops falling into b+8
+	0xEB, 0xE6, // b+8: jmp b-16
+	0xC3, // b+10: ret
+}
+
+// seamBelow is how many bytes of seamText precede the seam.
+const seamBelow = 16
 
 // TestSupersetTableWidthDeterminism: the table is the same bytes at
 // every width and after a cancelled run is retried.
