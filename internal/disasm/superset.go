@@ -75,7 +75,8 @@ type supersetResult struct {
 
 // edge is a successor relation the sweep leaves to the refinement: a
 // branch from src into the section, or a fall-through from src that
-// leaves src's shard. Offsets are int32, half the index of an int.
+// leaves src's shard. Offsets are int32, which sweepSuperset checks the
+// section length against.
 type edge struct{ src, dst int32 }
 
 // supersetCancel decodes at every offset of code (loaded at addr) and

@@ -306,11 +306,12 @@ func (f *File) ExecSpans() ([]ExecSpan, error) {
 			if p.Type != PTLoad || p.Flags&PFX == 0 || p.Filesz == 0 {
 				continue
 			}
-			// Parse already bounds-checked PT_LOAD file bytes. The
-			// segment that loads the file's headers (usually the first)
-			// holds no code in them.
+			// Parse already bounds-checked PT_LOAD file bytes.
 			sp := ExecSpan{Off: p.Off, Addr: p.Vaddr, Size: p.Filesz}
-			if skip := min(hdr-min(hdr, sp.Off), sp.Size); skip > 0 {
+			if sp.Off < hdr {
+				// The segment loads the file's headers (the first one
+				// usually does), which hold no code.
+				skip := min(hdr-sp.Off, sp.Size)
 				sp.Off, sp.Addr, sp.Size = sp.Off+skip, sp.Addr+skip, sp.Size-skip
 			}
 			if sp.Size > 0 {
@@ -386,7 +387,7 @@ func (f *File) textMapped(off, addr, size uint64) bool {
 	for _, p := range f.Progs {
 		// Parse bounds-checked Off+Filesz and Vaddr+Memsz; each
 		// comparison below is the overflow-safe form.
-		if p.Type == PTLoad && addr >= p.Vaddr && spanInside(addr-p.Vaddr, size, p.Filesz) && off-p.Off == addr-p.Vaddr && off >= p.Off {
+		if p.Type == PTLoad && addr >= p.Vaddr && off >= p.Off && off-p.Off == addr-p.Vaddr && spanInside(addr-p.Vaddr, size, p.Filesz) {
 			return true
 		}
 	}
