@@ -336,8 +336,8 @@ func TestSupersetShardSeams(t *testing.T) {
 }
 
 // seamText is planted with its byte seamBelow on a shard boundary b.
-// Every instruction it starts with is invalid, each through a
-// successor on the other side of b.
+// The instructions it starts below b, and the jmp at b+8, are invalid
+// through a hard invalid on the other side of b.
 var seamText = []byte{
 	0x06,                                     // b-16: invalid, the target of b+8
 	0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90, // b-15: nops falling into b-8
