@@ -35,7 +35,7 @@ difftest:
 #   go test ./internal/emu/enginetest/ -run TestEngineGoldenTraces -update-golden
 enginecheck:
 	$(GO) test ./internal/emu/enginetest/ ./internal/emu/
-	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s .
+	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s -fuzzminimizetime 1s .
 
 # plancheck verifies plan and apply against the golden hashes, plans and Table 1 (DESIGN.md §8). Re-record, only for an intentional change:
 #   go test -run TestPlanApplyEquivalence -update .        (output hashes)
@@ -96,9 +96,9 @@ disasmcheck:
 	$(GO) test -run 'TestModernProfiles|TestPaperSharedRowsUnchanged' ./internal/workload/
 	$(GO) test -run 'TestSpecDisasm' ./internal/server/
 	$(GO) test -run 'TestSessionDisasmOption' ./internal/rpc/
-	$(GO) test -run '^FuzzSupersetPrune$$' -fuzz '^FuzzSupersetPrune$$' -fuzztime 5s ./internal/disasm/
-	$(GO) test -run '^FuzzLinearParallel$$' -fuzz '^FuzzLinearParallel$$' -fuzztime 5s ./internal/disasm/
-	$(GO) test -run '^FuzzShape$$' -fuzz '^FuzzShape$$' -fuzztime 5s ./internal/x86/
+	$(GO) test -run '^FuzzSupersetPrune$$' -fuzz '^FuzzSupersetPrune$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/disasm/
+	$(GO) test -run '^FuzzLinearParallel$$' -fuzz '^FuzzLinearParallel$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/disasm/
+	$(GO) test -run '^FuzzShape$$' -fuzz '^FuzzShape$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/x86/
 
 # realcheck holds linear recovery to go tool objdump's boundaries on a built cmd/e9dump (DESIGN.md §3).
 realcheck:
@@ -114,17 +114,17 @@ clustercheck:
 	$(GO) test -run 'TestApplyTrusted' -count 1 .
 	$(GO) test ./internal/cluster/
 
-# fuzzshort explores the differential fuzzers and the plan decoder for 5 s each (plain go test replays only their seeds).
+# fuzzshort explores the differential fuzzers and the plan decoder for 5 s each (plain go test replays only their seeds). Like every -fuzz line in this file, each minimizes a new input for 1 s at most, not the default 60 s, so a short run explores instead of minimizing (TestMakefileFuzzLinesCapMinimizing).
 fuzzshort:
-	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s .
-	$(GO) test -run '^FuzzLockStep$$' -fuzz '^FuzzLockStep$$' -fuzztime 5s .
-	$(GO) test -run '^FuzzParallelRewrite$$' -fuzz '^FuzzParallelRewrite$$' -fuzztime 5s .
-	$(GO) test -run '^FuzzPlanDecode$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 5s .
+	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s -fuzzminimizetime 1s .
+	$(GO) test -run '^FuzzLockStep$$' -fuzz '^FuzzLockStep$$' -fuzztime 5s -fuzzminimizetime 1s .
+	$(GO) test -run '^FuzzParallelRewrite$$' -fuzz '^FuzzParallelRewrite$$' -fuzztime 5s -fuzzminimizetime 1s .
+	$(GO) test -run '^FuzzPlanDecode$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 5s -fuzzminimizetime 1s .
 
-# fuzzhostile explores hostile ELF inputs and the appended-table decoder: a rejection must be classified, never a panic, and an accepted input must pass the output checker (DESIGN.md §9). The rewrite fuzzer minimizes each new input for 1 s at most, not the default 60 s, so its 10 s explore.
+# fuzzhostile explores hostile ELF inputs and the appended-table decoder: a rejection must be classified, never a panic, and an accepted input must pass the output checker (DESIGN.md §9).
 fuzzhostile:
 	$(GO) test -run 'TestHostile|TestLibraryLimits|TestMmapFallbackDifferential' -count 1 .
 	$(GO) test -run '^FuzzRewriteHostileELF$$' -fuzz '^FuzzRewriteHostileELF$$' -fuzztime 10s -fuzzminimizetime 1s .
-	$(GO) test -run '^FuzzDecode$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/loader
+	$(GO) test -run '^FuzzDecode$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/loader
 
 ci: fmt vet race difftest enginecheck plancheck speccheck rpccheck disasmcheck servertest clustercheck fuzzshort fuzzhostile

@@ -82,6 +82,30 @@ func TestMakefileRunPatternsNameTests(t *testing.T) {
 	}
 }
 
+// TestMakefileFuzzLinesCapMinimizing requires every `-fuzz` line of the
+// Makefile to pass `-fuzzminimizetime`: at the default of 60 s a short
+// run whose fuzzer finds many new inputs spends its time minimizing
+// them instead of exploring.
+func TestMakefileFuzzLinesCapMinimizing(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzed := 0
+	for n, line := range strings.Split(string(mk), "\n") {
+		if !strings.Contains(line, "$(GO) test") || !strings.Contains(line, " -fuzz ") {
+			continue
+		}
+		fuzzed++
+		if !strings.Contains(line, " -fuzzminimizetime ") {
+			t.Errorf("Makefile:%d: -fuzz without -fuzzminimizetime: %s", n+1, strings.TrimSpace(line))
+		}
+	}
+	if fuzzed == 0 {
+		t.Fatal("no -fuzz line found in the Makefile")
+	}
+}
+
 // topLevelAlternatives splits a regular expression at the `|` that lie
 // outside any parenthesised group.
 func topLevelAlternatives(re string) []string {
