@@ -8,7 +8,7 @@
 // With -pr it also records the run as BENCH_<N>.json in the module root
 // (record.go): per workload and end-to-end metric the two medians, the
 // parent's spread, the change's per-pair wins and the verdict; the
-// per-layer metrics of one traced run of each side per workload; both
+// per-layer medians of three traced runs of each side per workload; both
 // commits, nproc, the host's processor (model name, family, model and
 // stepping), the Go version and the date.
 //

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 )
 
@@ -30,9 +31,11 @@ type record struct {
 	Date        string `json:"date"` // RFC 3339, UTC
 	Pairs       int    `json:"pairs"`
 	Rows        []row  `json:"rows"`
-	// Layers are the per-layer metrics of one traced run of each side
-	// per workload (seed 1), beside the pairs: the attribution of the
-	// end-to-end rows, not a verdict.
+	// Layers are the per-layer metrics of each side per workload, the
+	// median of layerRuns traced runs (seed 1) with the sides
+	// alternating, beside the pairs: the attribution of the end-to-end
+	// rows, not a verdict. BENCH_48 to BENCH_52 and BENCH_AA.json hold
+	// one traced run of each side.
 	Layers []layerRow `json:"layers"`
 }
 
@@ -157,21 +160,42 @@ func (r *record) write(name string) error {
 	return os.WriteFile(name, append(data, '\n'), 0o644)
 }
 
-// layers runs each workload traced once on each tree and keeps the
-// per-layer metrics either side measured (bench reports the ones a
-// workload does not measure as the placeholder 1).
+// layerRuns is how many traced runs of each side per workload a layer
+// row takes the median of: a single run's per-layer reading swings too
+// widely to attribute a change to a layer (the A/A file's
+// recover-cet/disasm.recover_ms read 2.00 against 1.44 ms for one
+// commit on both sides).
+const layerRuns = 3
+
+// layers runs each workload traced layerRuns times on each tree and
+// keeps the median of the per-layer metrics either side measured.
 func layers(c contract, trees [2]string) ([]layerRow, error) {
+	return collectLayers(c, func(side int, workload string) (result, error) {
+		return runBench(trees[side], workload, 1, true)
+	})
+}
+
+// collectLayers is layers over run, which runs one side's traced run of
+// a workload. The sides alternate in which runs first, so neither
+// always runs on a machine the other has just warmed or loaded. A
+// metric is kept when either side's median differs from bench's
+// placeholder 1, which it reports for the metrics a workload does not
+// measure.
+func collectLayers(c contract, run func(side int, workload string) (result, error)) ([]layerRow, error) {
 	var rows []layerRow
 	for _, w := range c.Workloads {
-		var res [2]result
-		for side, tree := range trees {
-			var err error
-			if res[side], err = runBench(tree, w.Name, 1, true); err != nil {
-				return nil, err
+		var res [2][]result
+		for i := 0; i < layerRuns; i++ {
+			for _, side := range [2]int{i % 2, 1 - i%2} {
+				r, err := run(side, w.Name)
+				if err != nil {
+					return nil, err
+				}
+				res[side] = append(res[side], r)
 			}
 		}
 		for _, m := range c.PerLayer {
-			p, ch := res[0].Metrics[m.Name].Value, res[1].Metrics[m.Name].Value
+			p, ch := medianOf(res[0], m.Name), medianOf(res[1], m.Name)
 			if p == 1 && ch == 1 {
 				continue
 			}
@@ -179,4 +203,14 @@ func layers(c contract, trees [2]string) ([]layerRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// medianOf is the median of metric over runs.
+func medianOf(runs []result, metric string) float64 {
+	v := make([]float64, len(runs))
+	for i, r := range runs {
+		v[i] = r.Metrics[metric].Value
+	}
+	sort.Float64s(v)
+	return quantile(v, 0.5)
 }

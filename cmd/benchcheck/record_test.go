@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -198,5 +199,44 @@ func TestAAFileComparesHeadWithItself(t *testing.T) {
 	}
 	if r.Parent != r.Change || strings.HasSuffix(r.Change, "-dirty") {
 		t.Errorf("BENCH_AA.json compares %s with %s, want one clean commit on both sides", r.Parent, r.Change)
+	}
+}
+
+// TestLayersTakeMedians checks collectLayers over a fake run: each
+// workload's traced runs alternate which side goes first, each layer row
+// is the median of its side's runs (an outlier run moves nothing), and
+// a metric both sides report as bench's placeholder 1 is dropped.
+func TestLayersTakeMedians(t *testing.T) {
+	var c contract
+	c.Workloads = []struct{ Name string }{{"a"}, {"b"}}
+	c.PerLayer = []struct{ Name, Unit, Better string }{{"x.ms", "ms", "lower"}, {"unmeasured", "1", "lower"}}
+	readings := map[string][2][]float64{
+		"a": {{5, 900, 3}, {2, 2, 40}},
+		"b": {{1, 7, 8}, {6, 6, 6}},
+	}
+	var order []int
+	calls := map[string]*[2]int{"a": {}, "b": {}}
+	rows, err := collectLayers(c, func(side int, workload string) (result, error) {
+		order = append(order, side)
+		n := &calls[workload][side]
+		v := readings[workload][side][*n]
+		*n++
+		return result{Correct: true, Metrics: map[string]struct{ Value float64 }{
+			"x.ms": {v}, "unmeasured": {1},
+		}}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOrder := []int{0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1}
+	if !reflect.DeepEqual(order, wantOrder) {
+		t.Errorf("run order %v, want %v (alternating first side, per workload)", order, wantOrder)
+	}
+	want := []layerRow{
+		{Workload: "a", Metric: "x.ms", Unit: "ms", Better: "lower", Parent: 5, Change: 2},
+		{Workload: "b", Metric: "x.ms", Unit: "ms", Better: "lower", Parent: 7, Change: 6},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("rows %+v, want %+v", rows, want)
 	}
 }
