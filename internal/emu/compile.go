@@ -122,16 +122,13 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 		}
 		return fAll, 0, true // ud2 and anything unlifted: fallback
 	}
-	switch {
-	case op <= 0x3D, op == 0x80, op == 0x81, op == 0x83: // ALU block, group 1
-		aluOp := (op >> 3) & 7
-		if op >= 0x80 {
-			aluOp = sub
-		}
+	if aluOp, _, _, _, ok := aluForm(inst); ok {
 		if aluOp == 2 || aluOp == 3 { // adc/sbb read CF
 			return fCF, fAll, mem
 		}
 		return 0, fAll, mem
+	}
+	switch {
 	case op >= 0x50 && op <= 0x5F, op == 0x68: // push/pop r, push imm32: the
 		// store may raise an SMC flush, the load may fault
 		return 0, 0, true
@@ -139,8 +136,6 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 		return fAF, fAll &^ fAF, mem
 	case op >= 0x70 && op <= 0x7F: // jcc rel8
 		return condFlags(x86.Cond(op & 0xF)), 0, false
-	case op == 0x84 || op == 0x85: // test r/m, r
-		return 0, fAll, mem
 	case op >= 0x88 && op <= 0x8B: // mov
 		return 0, 0, mem
 	case op == 0x8D: // lea: address is computed, never accessed
@@ -149,8 +144,6 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 		return fAll, 0, true
 	case op == 0x9D: // popfq redefines everything, but pops first
 		return 0, fAll, true
-	case op == 0xA8 || op == 0xA9: // test rax, imm
-		return 0, fAll, false
 	case op >= 0xB8 && op <= 0xBF: // mov r, imm
 		return 0, 0, false
 	case liftedShift(inst, mem):
@@ -394,66 +387,70 @@ func (c *comp) eaFor(inst *x86.Inst) addrCalc {
 }
 
 // aluExec performs classic ALU op 0-7 (add/or/adc/sbb/and/sub/xor/cmp)
-// on pre-masked operands, recording the deferred flag producer unless
-// the liveness pass elided it, and returns the masked result (0 for
-// cmp, which stores nothing). The lifted memory forms and adc/sbb
+// on pre-masked operands and returns the masked result (0 for cmp,
+// which stores nothing). f is the record of the flags before it over
+// the architectural flags, from which adc and sbb take their carry in;
+// unless the liveness pass elided it (rec), the op's own record
+// replaces it. The interpreter, the lifted memory forms and adc/sbb
 // compute through it; the register forms have one op each (aluReg).
-func aluExec(s *state, op byte, a, b uint64, mask uint64, w uint8, rec bool) uint64 {
+func aluExec(f *flagRec, flags uint64, op byte, a, b uint64, mask uint64, w uint8, rec bool) uint64 {
 	switch op {
 	case 0: // add
 		if rec {
-			s.fl.arith(kAdd, w, a, b)
+			f.arith(kAdd, w, a, b)
 		}
 		return (a + b) & mask
 	case 1: // or
 		res := a | b
 		if rec {
-			s.fl.logic(w, res)
+			f.logic(w, res)
 		}
 		return res
 	case 2: // adc
-		cin := s.lazyCF()
+		cin := f.cf(flags)
 		if rec {
-			s.fl = flagRec{kind: kAdd, w: w, a: a, b: b, cin: cin}
+			*f = flagRec{kind: kAdd, w: w, a: a, b: b, cin: cin}
 		}
 		return (a + b + cin) & mask
 	case 3: // sbb
-		cin := s.lazyCF()
+		cin := f.cf(flags)
 		if rec {
-			s.fl = flagRec{kind: kSub, w: w, a: a, b: b, cin: cin}
+			*f = flagRec{kind: kSub, w: w, a: a, b: b, cin: cin}
 		}
 		return (a - b - cin) & mask
 	case 4: // and
 		res := a & b
 		if rec {
-			s.fl.logic(w, res)
+			f.logic(w, res)
 		}
 		return res
 	case 5: // sub
 		if rec {
-			s.fl.arith(kSub, w, a, b)
+			f.arith(kSub, w, a, b)
 		}
 		return (a - b) & mask
 	case 6: // xor
 		res := a ^ b
 		if rec {
-			s.fl.logic(w, res)
+			f.logic(w, res)
 		}
 		return res
 	default: // cmp
 		if rec {
-			s.fl.arith(kSub, w, a, b)
+			f.arith(kSub, w, a, b)
 		}
 		return 0
 	}
 }
 
-// shiftCalc is the result and CF of shift group member sub (rol, ror,
-// shl/sal, shr, sar: every one but rcl/rcr) by count >= 1 on a
-// pre-masked w-byte value. Machine.execShift and the lifted shifts
-// both compute through it.
-func shiftCalc(sub byte, v, count uint64, w int) (res, cf uint64) {
+// shift is shift group member sub (rol, ror, shl/sal, shr, sar: every
+// one but rcl/rcr) of the pre-masked w-byte v by count >= 1. When rec
+// is set, its record replaces f, the record of the flags before it over
+// the architectural flags. Machine.execShift and the lifted shifts both
+// compute through it.
+func shift(f *flagRec, flags uint64, sub byte, v, count uint64, w int, rec bool) uint64 {
 	bitsW := uint(8 * w)
+	var res, cf uint64
 	switch sub {
 	case 4, 6: // shl/sal
 		res = v << count
@@ -462,8 +459,8 @@ func shiftCalc(sub byte, v, count uint64, w int) (res, cf uint64) {
 		res = v >> count
 		cf = (v >> (uint(count) - 1)) & 1
 	case 7: // sar
-		shift := uint(64 - bitsW)
-		sv := int64(v<<shift) >> shift
+		sh := uint(64 - bitsW)
+		sv := int64(v<<sh) >> sh
 		res = uint64(sv >> count)
 		cf = uint64(sv>>(count-1)) & 1
 	case 0: // rol
@@ -473,7 +470,12 @@ func shiftCalc(sub byte, v, count uint64, w int) (res, cf uint64) {
 		res = bits.RotateLeft64(v<<(64-bitsW), -int(count)) >> (64 - bitsW)
 		cf = (res >> (bitsW - 1)) & 1
 	}
-	return res & maskFor(w), cf
+	res &= maskFor(w)
+	if rec {
+		af := f.af(flags)
+		*f = flagRec{kind: kShift, w: uint8(w), res: res, aux: uint16(cf | af<<4)}
+	}
+	return res
 }
 
 // byWidth picks the instantiation of a width-generic lift for an
@@ -979,11 +981,10 @@ func shrImm[T word](d *uint64, n uint64) uop {
 }
 
 // emitShift lifts every other lifted shift: a count from cl or the
-// instruction, through shiftCalc.
+// instruction, through shift.
 func (c *comp) emitShift(inst *x86.Inst, r x86.Reg, sub byte, w int, rec bool) uop {
 	op := inst.Opcode
 	mask := maskFor(w)
-	w8 := uint8(w)
 	cmask := uint64(31)
 	if w == 8 {
 		cmask = 63
@@ -1007,12 +1008,7 @@ func (c *comp) emitShift(inst *x86.Inst, r x86.Reg, sub byte, w int, rec bool) u
 			m.regWrite(r, v, w)
 			return true
 		}
-		res, cf := shiftCalc(sub, v, n, w)
-		if rec {
-			prevAF := s.lazyAF()
-			s.fl = flagRec{kind: kShift, w: w8, res: res, aux: uint8(cf) | uint8(prevAF)<<1}
-		}
-		m.regWrite(r, res, w)
+		m.regWrite(r, shift(&s.fl, m.Flags, sub, v, n, w, rec), w)
 		return true
 	}
 }
@@ -1252,29 +1248,11 @@ func logicCond(cc x86.Cond, res uint64, w uint8) bool {
 }
 
 // jccOp lifts a conditional branch on cc that reads the deferred flag
-// record: the flags cc tests are chosen here, and each is derived on
-// demand (lazy.go).
+// record: the condition's test (conds) is chosen here, and it derives
+// each flag it reads on demand (lazy.go).
 func jccOp(cc x86.Cond, j jccTarget) uop {
-	neg := cc&1 == 1
-	switch cc &^ 1 {
-	case x86.CondO:
-		return func(s *state) bool { return j.exit(s.m, (s.lazyOF() != 0) != neg) }
-	case x86.CondB:
-		return func(s *state) bool { return j.exit(s.m, (s.lazyCF() != 0) != neg) }
-	case x86.CondE:
-		return func(s *state) bool { return j.exit(s.m, s.lazyZF() != neg) }
-	case x86.CondBE:
-		return func(s *state) bool { return j.exit(s.m, (s.lazyCF() != 0 || s.lazyZF()) != neg) }
-	case x86.CondS:
-		return func(s *state) bool { return j.exit(s.m, (s.lazySF() != 0) != neg) }
-	case x86.CondP:
-		return func(s *state) bool { return j.exit(s.m, s.lazyPF() != neg) }
-	case x86.CondL:
-		return func(s *state) bool { return j.exit(s.m, (s.lazySF() != s.lazyOF()) != neg) }
-	}
-	return func(s *state) bool { // LE
-		return j.exit(s.m, (s.lazyZF() || s.lazySF() != s.lazyOF()) != neg)
-	}
+	test, neg := conds[cc>>1], cc&1 == 1
+	return func(s *state) bool { return j.exit(s.m, test(&s.fl, s.m.Flags) != neg) }
 }
 
 // emitALU lifts every ALU-shaped instruction (aluForm) as dst = dst op
@@ -1382,7 +1360,7 @@ func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
 	}
 	mask := uint64(^T(0)) // adc, sbb
 	return func(s *state) bool {
-		put(out, T(aluExec(s, aluOp, uint64(T(*x)), uint64(T(*y)), mask, w, rec)))
+		put(out, T(aluExec(&s.fl, s.m.Flags, aluOp, uint64(T(*x)), uint64(T(*y)), mask, w, rec)))
 		return true
 	}
 }
@@ -1395,7 +1373,7 @@ func aluLoad[T word](aluOp byte, rec bool, ea addrCalc, d *uint64, inst *x86.Ins
 		if err != nil {
 			return s.fault(inst, err)
 		}
-		put(d, T(aluExec(s, aluOp, uint64(T(*d)), uint64(v), mask, w, rec)))
+		put(d, T(aluExec(&s.fl, s.m.Flags, aluOp, uint64(T(*d)), uint64(v), mask, w, rec)))
 		return true
 	}
 }
@@ -1410,7 +1388,7 @@ func aluStore[T word](aluOp byte, write, rec bool, ea addrCalc, y *uint64, inst 
 			if err != nil {
 				return s.fault(inst, err)
 			}
-			aluExec(s, aluOp, uint64(a), uint64(T(*y)), mask, w, rec)
+			aluExec(&s.fl, s.m.Flags, aluOp, uint64(a), uint64(T(*y)), mask, w, rec)
 			return true
 		}
 	}
@@ -1420,7 +1398,7 @@ func aluStore[T word](aluOp byte, write, rec bool, ea addrCalc, y *uint64, inst 
 		if err != nil {
 			return s.fault(inst, err)
 		}
-		store(s, addr, T(aluExec(s, aluOp, uint64(a), uint64(T(*y)), mask, w, rec)))
+		store(s, addr, T(aluExec(&s.fl, s.m.Flags, aluOp, uint64(a), uint64(T(*y)), mask, w, rec)))
 		if s.trk.flushed {
 			s.m.RIP = next
 			return done
@@ -1447,18 +1425,21 @@ func (c *comp) emitImul(inst *x86.Inst, dst x86.Reg, imm uint64, hasImm, rec, me
 	return byWidth(w, imulReg[uint8], imulReg[uint16], imulReg[uint32], imulReg[uint64])(d, c.reg(modrmRM(inst)), other, rec)
 }
 
-// imul is the signed product a*b truncated to T, with the flag record
-// when rec is set.
-func imul[T word](s *state, a, b T, rec bool) T {
+// imul is the signed product of the T-wide a and b, truncated to T.
+// When rec is set, its record replaces f, the record of the flags
+// before it over the architectural flags. The interpreter picks its
+// width with byWidth at run time.
+func imul[T word](f *flagRec, flags, a, b uint64, rec bool) uint64 {
 	sw := 64 - 8*uint(size[T]())
-	prod := int64(uint64(a)<<sw) >> sw * (int64(uint64(b)<<sw) >> sw)
-	res := T(prod)
+	prod := int64(a<<sw) >> sw * (int64(b<<sw) >> sw)
+	res := uint64(T(prod))
 	if rec {
-		var aux uint8
-		if int64(uint64(res)<<sw)>>sw != prod {
-			aux = 1
+		var over uint64
+		if int64(res<<sw)>>sw != prod {
+			over = 1
 		}
-		s.fl = flagRec{kind: kImul, w: uint8(size[T]()), res: uint64(res), aux: aux | uint8(s.lazyAF())<<1}
+		af := f.af(flags)
+		*f = flagRec{kind: kImul, w: uint8(size[T]()), res: res, aux: uint16(over | af<<4 | over<<11)}
 	}
 	return res
 }
@@ -1467,12 +1448,12 @@ func imul[T word](s *state, a, b T, rec bool) T {
 func imulReg[T word](d, x, y *uint64, rec bool) uop {
 	if rec {
 		return func(s *state) bool {
-			put(d, imul(s, T(*x), T(*y), true))
+			put(d, T(imul[T](&s.fl, s.m.Flags, uint64(T(*x)), uint64(T(*y)), true)))
 			return true
 		}
 	}
 	return func(s *state) bool {
-		put(d, imul(s, T(*x), T(*y), false))
+		put(d, T(imul[T](&s.fl, s.m.Flags, uint64(T(*x)), uint64(T(*y)), false)))
 		return true
 	}
 }
@@ -1484,7 +1465,7 @@ func imulMem[T word](ea addrCalc, d, y *uint64, rec bool, inst *x86.Inst) uop {
 		if err != nil {
 			return s.fault(inst, err)
 		}
-		put(d, imul(s, v, T(*y), rec))
+		put(d, T(imul[T](&s.fl, s.m.Flags, uint64(v), uint64(T(*y)), rec)))
 		return true
 	}
 }

@@ -203,6 +203,21 @@ func (m *Machine) pop() (uint64, error) {
 	return v, nil
 }
 
+// setFlag sets or clears one RFLAGS bit.
+func (m *Machine) setFlag(bit uint64, on bool) {
+	if on {
+		m.Flags |= bit
+	} else {
+		m.Flags &^= bit
+	}
+}
+
+// cond evaluates a condition code against RFLAGS.
+func (m *Machine) cond(cc x86.Cond) bool {
+	var eager flagRec
+	return eager.cond(cc, m.Flags)
+}
+
 // branch accounts for a taken control transfer and returns the target.
 func (m *Machine) branch(from, target uint64) uint64 {
 	m.Counters.TakenBranches++
@@ -224,13 +239,11 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 	if inst.TwoByte {
 		return m.execTwoByte(inst, next)
 	}
+	if aluOp, write, dst, src, ok := aluForm(inst); ok {
+		return next, m.execALU(inst, aluOp, write, dst, src)
+	}
 
 	switch {
-	// Classic ALU block: 0x00-0x3D (skipping invalid slots, which the
-	// decoder rejects).
-	case op <= 0x3D:
-		return next, m.execALUBlock(inst)
-
 	case op >= 0x50 && op <= 0x57: // push r
 		r := x86.Reg(op&7 | (inst.Rex&1)<<3)
 		return next, m.push(m.Regs[r])
@@ -262,8 +275,7 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 			return 0, err
 		}
 		m.Counters.Cycles += m.Cost.Mul
-		res := m.imulFlags(a, uint64(inst.Imm()), w)
-		m.regWrite(modrmReg(inst), res, w)
+		m.regWrite(modrmReg(inst), m.imul(a, uint64(inst.Imm()), w), w)
 		return next, nil
 
 	case op >= 0x70 && op <= 0x7F: // jcc rel8
@@ -272,31 +284,8 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		}
 		return next, nil
 
-	case op == 0x80 || op == 0x81 || op == 0x83: // group 1
-		w := width(inst)
-		if op == 0x80 {
-			w = 1
-		}
-		return next, m.execGroup1(inst, w)
-
-	case op == 0x84 || op == 0x85: // test r/m, r
-		w := width(inst)
-		if op == 0x84 {
-			w = 1
-		}
-		a, err := m.rmRead(inst, w)
-		if err != nil {
-			return 0, err
-		}
-		b := m.regRead(modrmReg(inst), w)
-		m.setLogicFlags(a&b, w)
-		return next, nil
-
 	case op == 0x86 || op == 0x87: // xchg r/m, r
-		w := width(inst)
-		if op == 0x86 {
-			w = 1
-		}
+		w := pairWidth(inst)
 		a, err := m.rmRead(inst, w)
 		if err != nil {
 			return 0, err
@@ -309,17 +298,10 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		m.regWrite(r, a, w)
 		return next, nil
 
-	case op == 0x88 || op == 0x89: // mov r/m, r
-		w := width(inst)
-		if op == 0x88 {
-			w = 1
-		}
-		return next, m.rmWrite(inst, m.regRead(modrmReg(inst), w), w)
-
-	case op == 0x8A || op == 0x8B: // mov r, r/m
-		w := width(inst)
-		if op == 0x8A {
-			w = 1
+	case op >= 0x88 && op <= 0x8B: // mov r/m, r (88/89); mov r, r/m (8A/8B)
+		w := pairWidth(inst)
+		if op < 0x8A {
+			return next, m.rmWrite(inst, m.regRead(modrmReg(inst), w), w)
 		}
 		v, err := m.rmRead(inst, w)
 		if err != nil {
@@ -377,14 +359,6 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		m.Flags = v | flagsAlways
 		return next, nil
 
-	case op == 0xA8 || op == 0xA9: // test al/eax, imm
-		w := width(inst)
-		if op == 0xA8 {
-			w = 1
-		}
-		m.setLogicFlags(m.regRead(x86.RAX, w)&uint64(inst.Imm())&maskFor(w), w)
-		return next, nil
-
 	case op >= 0xB0 && op <= 0xB7: // mov r8, imm8
 		r := x86.Reg(op&7 | (inst.Rex&1)<<3)
 		m.regWrite(r, uint64(inst.Imm()), 1)
@@ -422,10 +396,7 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		return m.branch(next, ret), nil
 
 	case op == 0xC6 || op == 0xC7: // mov r/m, imm
-		w := width(inst)
-		if op == 0xC6 {
-			w = 1
-		}
+		w := pairWidth(inst)
 		return next, m.rmWrite(inst, uint64(inst.Imm())&maskFor(w), w)
 
 	case op == 0xC9: // leave
@@ -489,13 +460,7 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		var res uint64
-		if (inst.ModRM>>3)&7 == 0 {
-			res = m.incFlags(v, 1)
-		} else {
-			res = m.decFlags(v, 1)
-		}
-		return next, m.rmWrite(inst, res, 1)
+		return next, m.rmWrite(inst, m.incDec(v, 1, (inst.ModRM>>3)&7 != 0), 1)
 
 	case op == 0xFF: // group 5
 		return m.execGroup5(inst, next)
@@ -548,8 +513,7 @@ func (m *Machine) execTwoByte(inst *x86.Inst, next uint64) (uint64, error) {
 		}
 		r := modrmReg(inst)
 		m.Counters.Cycles += m.Cost.Mul
-		res := m.imulFlags(m.regRead(r, w), a, w)
-		m.regWrite(r, res, w)
+		m.regWrite(r, m.imul(m.regRead(r, w), a, w), w)
 		return next, nil
 
 	case op == 0xB6 || op == 0xB7: // movzx
@@ -582,93 +546,66 @@ func (m *Machine) execTwoByte(inst *x86.Inst, next uint64) (uint64, error) {
 	return 0, fmt.Errorf("unimplemented two-byte opcode 0f %#02x", op)
 }
 
-// execALUBlock handles opcodes 0x00-0x3D (add/or/adc/sbb/and/sub/xor/cmp).
-func (m *Machine) execALUBlock(inst *x86.Inst) error {
-	op := inst.Opcode
-	aluOp := (op >> 3) & 7
-	form := op & 7
-	w := width(inst)
-	if form == 0 || form == 2 || form == 4 {
-		w = 1
-	}
-
-	var a, b uint64
-	var err error
-	var writeBack func(uint64) error
-	switch form {
-	case 0, 1: // op r/m, r
-		a, err = m.rmRead(inst, w)
-		b = m.regRead(modrmReg(inst), w)
-		writeBack = func(v uint64) error { return m.rmWrite(inst, v, w) }
-	case 2, 3: // op r, r/m
-		b, err = m.rmRead(inst, w)
-		a = m.regRead(modrmReg(inst), w)
-		r := modrmReg(inst)
-		writeBack = func(v uint64) error { m.regWrite(r, v, w); return nil }
-	case 4, 5: // op al/eax, imm
-		a = m.regRead(x86.RAX, w)
-		b = uint64(inst.Imm()) & maskFor(w)
-		writeBack = func(v uint64) error { m.regWrite(x86.RAX, v, w); return nil }
-	}
+// execALU runs an ALU-shaped instruction (aluForm) as dst = dst op
+// src, through aluExec; write is false for cmp and test.
+func (m *Machine) execALU(inst *x86.Inst, aluOp byte, write bool, dst, src operand) error {
+	w := pairWidth(inst)
+	a, err := m.read(inst, dst, w)
 	if err != nil {
 		return err
 	}
-	res, write := m.aluApply(aluOp, a, b, w)
-	if write {
-		return writeBack(res)
-	}
-	return nil
-}
-
-// aluApply performs ALU op (0=add 1=or 2=adc 3=sbb 4=and 5=sub 6=xor
-// 7=cmp) with flag updates; write reports whether the result is stored.
-func (m *Machine) aluApply(op byte, a, b uint64, w int) (uint64, bool) {
-	switch op {
-	case 0:
-		return m.addFlags(a, b, 0, w), true
-	case 1:
-		res := (a | b) & maskFor(w)
-		m.setLogicFlags(res, w)
-		return res, true
-	case 2:
-		return m.addFlags(a, b, m.flagBit(FlagCF), w), true
-	case 3:
-		return m.subFlags(a, b, m.flagBit(FlagCF), w), true
-	case 4:
-		res := a & b & maskFor(w)
-		m.setLogicFlags(res, w)
-		return res, true
-	case 5:
-		return m.subFlags(a, b, 0, w), true
-	case 6:
-		res := (a ^ b) & maskFor(w)
-		m.setLogicFlags(res, w)
-		return res, true
-	default: // 7 = cmp
-		m.subFlags(a, b, 0, w)
-		return 0, false
-	}
-}
-
-func (m *Machine) execGroup1(inst *x86.Inst, w int) error {
-	a, err := m.rmRead(inst, w)
+	b, err := m.read(inst, src, w)
 	if err != nil {
 		return err
 	}
-	b := uint64(inst.Imm()) & maskFor(w)
-	res, write := m.aluApply((inst.ModRM>>3)&7, a, b, w)
-	if write {
+	var f flagRec
+	res := aluExec(&f, m.Flags, aluOp, a, b, maskFor(w), uint8(w), true)
+	m.Flags = f.pack(m.Flags)
+	switch {
+	case !write:
+		return nil
+	case dst.mem:
 		return m.rmWrite(inst, res, w)
 	}
+	m.regWrite(dst.reg, res, w)
 	return nil
+}
+
+// read returns an aluForm operand's low w bytes: a register, the
+// immediate or the r/m operand.
+func (m *Machine) read(inst *x86.Inst, o operand, w int) (uint64, error) {
+	switch {
+	case o.mem:
+		return m.rmRead(inst, w)
+	case o.imm:
+		return uint64(inst.Imm()) & maskFor(w), nil
+	}
+	return m.regRead(o.reg, w), nil
+}
+
+// imul is the two- and three-operand imul of a and b at width w, whose
+// record becomes the flags.
+func (m *Machine) imul(a, b uint64, w int) uint64 {
+	var f flagRec
+	res := byWidth(w, imul[uint8], imul[uint16], imul[uint32], imul[uint64])(&f, m.Flags, a, b, true)
+	m.Flags = f.pack(m.Flags)
+	return res
+}
+
+// incDec is inc, or dec when dec is set, of the w-byte v: an add or sub
+// of 1 that keeps CF, whose record becomes the flags.
+func (m *Machine) incDec(v uint64, w int, dec bool) uint64 {
+	f := flagRec{kind: kInc, w: uint8(w), a: v, b: 1, aux: uint16(m.Flags & FlagCF)}
+	if dec {
+		f.kind = kDec
+	}
+	m.Flags = f.pack(m.Flags)
+	return f.result()
 }
 
 func (m *Machine) execShift(inst *x86.Inst) error {
 	op := inst.Opcode
-	w := width(inst)
-	if op == 0xC0 || op == 0xD0 || op == 0xD2 {
-		w = 1
-	}
+	w := pairWidth(inst)
 	var count uint64
 	switch op {
 	case 0xC0, 0xC1:
@@ -694,33 +631,31 @@ func (m *Machine) execShift(inst *x86.Inst) error {
 	if sub == 2 || sub == 3 {
 		return fmt.Errorf("unimplemented shift /%d", sub)
 	}
-	res, cf := shiftCalc(sub, v, count, w)
-	m.setResultFlags(res, w)
-	m.setFlag(FlagCF, cf != 0)
-	m.setFlag(FlagOF, false)
+	var f flagRec
+	res := shift(&f, m.Flags, sub, v, count, w, true)
+	m.Flags = f.pack(m.Flags)
 	return m.rmWrite(inst, res, w)
 }
 
 func (m *Machine) execGroup3(inst *x86.Inst) error {
-	w := width(inst)
-	if inst.Opcode == 0xF6 {
-		w = 1
-	}
+	w := pairWidth(inst)
 	reg := (inst.ModRM >> 3) & 7
 	v, err := m.rmRead(inst, w)
 	if err != nil {
 		return err
 	}
+	var f flagRec
 	switch reg {
 	case 0, 1: // test r/m, imm
-		m.setLogicFlags(v&uint64(inst.Imm())&maskFor(w), w)
+		f.logic(uint8(w), v&uint64(inst.Imm())&maskFor(w))
+		m.Flags = f.pack(m.Flags)
 		return nil
 	case 2: // not
 		return m.rmWrite(inst, ^v&maskFor(w), w)
 	case 3: // neg
-		res := m.subFlags(0, v, 0, w)
-		m.setFlag(FlagCF, v != 0)
-		return m.rmWrite(inst, res, w)
+		f.arith(kSub, uint8(w), 0, v)
+		m.Flags = f.pack(m.Flags)
+		return m.rmWrite(inst, f.result(), w)
 	case 4: // mul
 		m.Counters.Cycles += m.Cost.Mul
 		hi, lo := bits.Mul64(m.regRead(x86.RAX, w), v)
@@ -731,8 +666,12 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		}
 		m.regWrite(x86.RAX, lo, w)
 		m.regWrite(x86.RDX, hi, w)
-		m.setFlag(FlagCF, hi != 0)
-		m.setFlag(FlagOF, hi != 0)
+		var c uint64
+		if hi != 0 {
+			c = 1
+		}
+		f.setCO(m.Flags, c, c)
+		m.Flags = f.pack(m.Flags)
 		return nil
 	case 5: // imul (one-operand)
 		m.Counters.Cycles += m.Cost.Mul
@@ -742,9 +681,12 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		prod := sa * sb
 		m.regWrite(x86.RAX, uint64(prod)&maskFor(w), w)
 		m.regWrite(x86.RDX, uint64(prod>>(8*uint(w)))&maskFor(w), w)
-		over := prod != int64(int64(uint64(prod)&maskFor(w))<<sw)>>sw
-		m.setFlag(FlagCF, over)
-		m.setFlag(FlagOF, over)
+		var over uint64
+		if prod != int64(int64(uint64(prod)&maskFor(w))<<sw)>>sw {
+			over = 1
+		}
+		f.setCO(m.Flags, over, over)
+		m.Flags = f.pack(m.Flags)
 		return nil
 	case 6: // div
 		m.Counters.Cycles += m.Cost.Mul
@@ -793,13 +735,7 @@ func (m *Machine) execGroup5(inst *x86.Inst, next uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		var res uint64
-		if reg == 0 {
-			res = m.incFlags(v, w)
-		} else {
-			res = m.decFlags(v, w)
-		}
-		return next, m.rmWrite(inst, res, w)
+		return next, m.rmWrite(inst, m.incDec(v, w, reg != 0), w)
 	case 2: // call r/m
 		t, err := m.rmRead(inst, 8)
 		if err != nil {
