@@ -1434,12 +1434,18 @@ func imul[T word](f *flagRec, flags, a, b uint64, rec bool) uint64 {
 	prod := int64(a<<sw) >> sw * (int64(b<<sw) >> sw)
 	res := uint64(T(prod))
 	if rec {
-		var over uint64
-		if int64(res<<sw)>>sw != prod {
-			over = 1
+		over := int64(res<<sw)>>sw != prod
+		if sw == 0 { // the int64 product itself wraps: compare the 128-bit one
+			hi, lo := bits.Mul64(a, b)
+			hi -= a&uint64(int64(b)>>63) + b&uint64(int64(a)>>63)
+			over = hi != uint64(int64(lo)>>63)
+		}
+		var cf uint64
+		if over {
+			cf = 1
 		}
 		af := f.af(flags)
-		*f = flagRec{kind: kImul, w: uint8(size[T]()), res: res, aux: uint16(over | af<<4 | over<<11)}
+		*f = flagRec{kind: kImul, w: uint8(size[T]()), res: res, aux: uint16(cf | af<<4 | cf<<11)}
 	}
 	return res
 }
