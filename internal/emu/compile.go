@@ -472,8 +472,20 @@ func shift(f *flagRec, flags uint64, sub byte, v, count uint64, w int, rec bool)
 	}
 	res &= maskFor(w)
 	if rec {
+		// OF is defined for a count of 1 only, and 0 for any other.
+		var of uint64
+		if count == 1 {
+			switch sub {
+			case 4, 6, 0: // shl/sal, rol: the top bit changed
+				of = res>>(bitsW-1)&1 ^ cf
+			case 5: // shr: the operand's top bit
+				of = v >> (bitsW - 1) & 1
+			case 1: // ror: the top two bits differ
+				of = (res>>(bitsW-1) ^ res>>(bitsW-2)) & 1
+			}
+		}
 		af := f.af(flags)
-		*f = flagRec{kind: kShift, w: uint8(w), res: res, aux: uint16(cf | af<<4)}
+		*f = flagRec{kind: kShift, w: uint8(w), res: res, aux: uint16(cf | af<<4 | of<<11)}
 	}
 	return res
 }

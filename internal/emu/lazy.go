@@ -38,7 +38,7 @@ const (
 	// kLogic: and/or/xor/test; ZF/SF/PF from res, CF=OF=AF=0.
 	kLogic
 	// kShift: shl/shr/sar/rol/ror with count >= 1; ZF/SF/PF from res,
-	// CF and OF (modelled as 0) in aux, AF kept in aux.
+	// CF and OF (0 unless the count is 1) in aux, AF kept in aux.
 	kShift
 	// kImul: two-operand signed multiply; ZF/SF/PF from res, CF = OF in
 	// aux, AF kept in aux.
