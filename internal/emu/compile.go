@@ -147,14 +147,20 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 	case op >= 0xB8 && op <= 0xBF: // mov r, imm
 		return 0, 0, false
 	case liftedShift(inst, mem):
+		// A shift's record copies the AF before it, a rotate's every
+		// flag but the CF and OF it writes.
+		kept, written := uint8(fAF), uint8(fAll&^fAF)
+		if sub <= 1 {
+			kept, written = fAll&^(fCF|fOF), fCF|fOF
+		}
 		switch {
 		case op == 0xD2 || op == 0xD3: // by cl: the count may be 0 at
 			// runtime, so prior flags stay potentially observable
-			return fAF, 0, false
+			return kept, 0, false
 		case staticShiftZero(inst):
 			return 0, 0, false
 		}
-		return fAF, fAll &^ fAF, false
+		return kept, written, false
 	case op == 0xC2 || op == 0xC3 || op == 0xE8: // ret pops, call pushes
 		return 0, 0, true
 	case op == 0xE9 || op == 0xEB: // jmp
@@ -483,6 +489,10 @@ func shift(f *flagRec, flags uint64, sub byte, v, count uint64, w int, rec bool)
 			case 1: // ror: the top two bits differ
 				of = (res>>(bitsW-1) ^ res>>(bitsW-2)) & 1
 			}
+		}
+		if sub <= 1 { // rol, ror write CF and OF only
+			f.setCO(flags, cf, of)
+			return res
 		}
 		af := f.af(flags)
 		*f = flagRec{kind: kShift, w: uint8(w), res: res, aux: uint16(cf | af<<4 | of<<11)}

@@ -20,7 +20,7 @@ import (
 // careful path, an interpreter fallback). The interpreter builds a
 // record for every flag-writing instruction and packs it at once. A
 // producer that leaves some flags as they were (inc and dec keep CF,
-// shifts and imul keep AF) copies them into its record when it is made,
+// shifts and imul keep AF, rotates all but CF and OF) copies them into its record when it is made,
 // from the record before it: a record reads the architectural flags
 // word only when it is kEager.
 
@@ -37,14 +37,15 @@ const (
 	kDec
 	// kLogic: and/or/xor/test; ZF/SF/PF from res, CF=OF=AF=0.
 	kLogic
-	// kShift: shl/shr/sar/rol/ror with count >= 1; ZF/SF/PF from res,
-	// CF and OF (0 unless the count is 1) in aux, AF kept in aux.
+	// kShift: shl/shr/sar with count >= 1; ZF/SF/PF from res, CF and OF
+	// (0 unless the count is 1) in aux, AF kept in aux.
 	kShift
 	// kImul: two-operand signed multiply; ZF/SF/PF from res, CF = OF in
 	// aux, AF kept in aux.
 	kImul
-	// kFlags: mul and one-operand imul; every status flag in aux, CF and
-	// OF made by the producer and the rest kept.
+	// kFlags: mul, one-operand imul, rol and ror with count >= 1; every
+	// status flag in aux, CF and OF made by the producer and the rest
+	// kept.
 	kFlags
 )
 
