@@ -469,11 +469,13 @@ func shift(f *flagRec, flags uint64, sub byte, v, count uint64, w int, rec bool)
 		sv := int64(v<<sh) >> sh
 		res = uint64(sv >> count)
 		cf = uint64(sv>>(count-1)) & 1
-	case 0: // rol
-		res = bits.RotateLeft64(v<<(64-bitsW), int(count)) >> (64 - bitsW)
+	case 0: // rol, by the count modulo the width
+		n := uint(count) % bitsW
+		res = v<<n | v>>(bitsW-n)
 		cf = res & 1
 	default: // 1: ror
-		res = bits.RotateLeft64(v<<(64-bitsW), -int(count)) >> (64 - bitsW)
+		n := uint(count) % bitsW
+		res = v>>n | v<<(bitsW-n)
 		cf = (res >> (bitsW - 1)) & 1
 	}
 	res &= maskFor(w)
