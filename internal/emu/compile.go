@@ -1296,20 +1296,21 @@ func (c *comp) emitALU(i int, aluOp byte, write bool, dst, src operand) uop {
 			c.kill(dst.reg)
 		}
 	}
-	switch {
-	case dst.mem:
-		y := c.src(src, uint64(inst.Imm()))
+	y := c.src(src, uint64(inst.Imm()))
+	if dst.mem {
 		return byWidth(w, aluStore[uint8], aluStore[uint16], aluStore[uint32], aluStore[uint64])(
 			aluOp, write, rec, c.eaFor(inst), y, inst, nextAddr)
-	case src.mem:
-		return byWidth(w, aluLoad[uint8], aluLoad[uint16], aluLoad[uint32], aluLoad[uint64])(
-			aluOp, rec, c.eaFor(inst), c.reg(dst.reg), inst)
-	case !write && !rec:
-		return nil // cmp or test with dead flags: nothing to run
 	}
-	x, y, out := c.reg(dst.reg), c.src(src, uint64(inst.Imm())), c.sink
+	x, out := c.reg(dst.reg), c.sink
 	if write {
 		out = x
+	}
+	switch {
+	case src.mem:
+		return byWidth(w, aluLoad[uint8], aluLoad[uint16], aluLoad[uint32], aluLoad[uint64])(
+			aluOp, rec, c.eaFor(inst), x, out, inst)
+	case !write && !rec:
+		return nil // cmp or test with dead flags: nothing to run
 	}
 	return byWidth(w, aluReg[uint8], aluReg[uint16], aluReg[uint32], aluReg[uint64])(aluOp, rec, x, y, out)
 }
@@ -1389,15 +1390,16 @@ func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
 	}
 }
 
-// aluLoad lifts op r, [m].
-func aluLoad[T word](aluOp byte, rec bool, ea addrCalc, d *uint64, inst *x86.Inst) uop {
+// aluLoad lifts op r, [m]: *x op [m] into out (x, or the sink for
+// cmp).
+func aluLoad[T word](aluOp byte, rec bool, ea addrCalc, x, out *uint64, inst *x86.Inst) uop {
 	w, mask := uint8(size[T]()), uint64(^T(0))
 	return func(s *state) bool {
 		v, err := load[T](s, ea.at())
 		if err != nil {
 			return s.fault(inst, err)
 		}
-		put(d, T(aluExec(&s.fl, s.m.Flags, aluOp, uint64(T(*d)), uint64(v), mask, w, rec)))
+		put(out, T(aluExec(&s.fl, s.m.Flags, aluOp, uint64(T(*x)), uint64(v), mask, w, rec)))
 		return true
 	}
 }
