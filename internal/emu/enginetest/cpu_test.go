@@ -20,7 +20,7 @@ import (
 // The CPU oracle. Each flag-writing instruction form is assembled into
 // one static executable that runs it over cpuVectors input vectors:
 // per vector it loads rax, rbx, rcx, the memory slot and RFLAGS
-// (popfq), runs the form, and records rax, RFLAGS (pushfq), setcc on
+// (popfq), runs the form, and records rax, rdx, RFLAGS (pushfq), setcc on
 // the vector's condition, and the direction of a jcc on it, once
 // directly after the form (a pair the ir engine fuses) and once with a
 // flag-neutral mov between them. The vectors cover every pair of edge
@@ -34,11 +34,11 @@ const cpuVectors = 1000
 
 // Record layouts: an input vector is a, b, c, RFLAGS and the addresses
 // of its setcc, fused jcc and unfused jcc chunks; an output record is
-// rax, RFLAGS, the setcc byte and the jcc directions (bit 0 fused, bit
-// 1 unfused).
+// rax, rdx, RFLAGS, the setcc byte and the jcc directions (bit 0 fused,
+// bit 1 unfused).
 const (
 	inSize  = 56
-	outSize = 32
+	outSize = 40
 )
 
 // Layout of the executable: the text is padded to one page, so the
@@ -55,7 +55,8 @@ const (
 )
 
 // cpuForm is one instruction form under test. It reads rax (its
-// destination), rbx, rcx and, when mem is set, the slot [r13], which
+// destination), rbx, rcx, rdx (b, which mul and imul by one operand
+// overwrite) and, when mem is set, the slot [r13], which
 // holds b when slotB is set and a otherwise; a form with memDst leaves
 // its result in the slot.
 type cpuForm struct {
@@ -75,7 +76,7 @@ type cpuVector struct {
 
 // cpuRecord is one output record.
 type cpuRecord struct {
-	rax, flags, setcc, jcc uint64
+	rax, rdx, flags, setcc, jcc uint64
 }
 
 // condReads are the status flags each even condition code reads.
@@ -128,8 +129,9 @@ func constant(d uint64) func(uint64) uint64 { return func(uint64) uint64 { retur
 // cpuForms returns every form the table covers: add, or, adc, sbb, and,
 // sub, xor, cmp and test at widths 1, 2, 4 and 8 with register, memory
 // and immediate operands; inc, dec and neg on a register and on memory;
-// the 2- and 3-operand imul; and shl, shr, sar, rol and ror by 1, by an
-// immediate and by cl.
+// mul and imul by one operand, on a register and on memory; the 2- and
+// 3-operand imul; and shl, shr, sar, rol and ror by 1, by an immediate
+// and by cl.
 func cpuForms() []cpuForm {
 	var forms []cpuForm
 	add := func(f cpuForm) { forms = append(forms, f) }
@@ -170,6 +172,16 @@ func cpuForms() []cpuForm {
 			add(cpuForm{w: w, name: fmt.Sprintf("%s%d-r", g.name, 8*w), code: encode(w, op, g.sub, false, 0, 0), defined: constant(statusMask)})
 			add(cpuForm{w: w, name: fmt.Sprintf("%s%d-m", g.name, 8*w), code: encode(w, op, g.sub, true, 0, 0),
 				mem: true, memDst: true, defined: constant(statusMask)})
+		}
+		for _, g := range []struct {
+			sub  byte
+			name string
+		}{{4, "mul"}, {5, "imul"}} {
+			op, d := []byte{0xF6 | full(w)}, constant(emu.FlagCF|emu.FlagOF)
+			r := encode(w, op, g.sub, false, 0, 0)
+			r[len(r)-1] |= 3 // rbx
+			add(cpuForm{w: w, name: fmt.Sprintf("%s%d-1r", g.name, 8*w), code: r, defined: d})
+			add(cpuForm{w: w, name: fmt.Sprintf("%s%d-1m", g.name, 8*w), code: encode(w, op, g.sub, true, 0, 0), mem: true, slotB: true, defined: d})
 		}
 		if w > 1 {
 			d := constant(emu.FlagCF | emu.FlagOF)
@@ -309,17 +321,19 @@ func cpuProgram(f cpuForm, vs []cpuVector, native bool) ([]byte, error) {
 	a.Bind(loop)
 	a.MovRegMem64(x86.RAX, x86.M(x86.R15, 0))
 	a.MovRegMem64(x86.RBX, x86.M(x86.R15, 8))
+	a.MovRegReg64(x86.RDX, x86.RBX)
 	a.MovRegMem64(x86.RCX, x86.M(x86.R15, 16))
 	a.MovRegMem64(x86.R10, x86.M(x86.R15, 24))
 	load(a)
 	a.Pushfq()
-	a.PopReg(x86.RDX)
-	a.MovMemReg64(x86.M(x86.R14, 8), x86.RDX)
+	a.PopReg(x86.R9)
+	a.MovMemReg64(x86.M(x86.R14, 16), x86.R9)
 	if f.memDst {
 		a.MovRegMem64(x86.RAX, x86.M(x86.R13, 0))
 	}
 	a.MovMemReg64(x86.M(x86.R14, 0), x86.RAX)
-	a.MovMemReg64(x86.M(x86.R14, 16), x86.R12) // the setcc field, whose low byte setcc overwrites
+	a.MovMemReg64(x86.M(x86.R14, 8), x86.RDX)
+	a.MovMemReg64(x86.M(x86.R14, 24), x86.R12) // the setcc field, whose low byte setcc overwrites
 	var back [3]uint64
 	for k := range back {
 		a.JmpMem(x86.M(x86.R15, int32(32+8*k)))
@@ -328,7 +342,7 @@ func cpuProgram(f cpuForm, vs []cpuVector, native bool) ([]byte, error) {
 			a.XorRegReg32(x86.R11, x86.R11)
 		}
 	}
-	a.MovMemReg64(x86.M(x86.R14, 24), x86.R11)
+	a.MovMemReg64(x86.M(x86.R14, 32), x86.R11)
 	a.AddRegImm64(x86.R15, inSize)
 	a.AddRegImm64(x86.R14, outSize)
 	a.SubRegImm64(x86.R12, 1)
@@ -355,7 +369,7 @@ func cpuProgram(f cpuForm, vs []cpuVector, native bool) ([]byte, error) {
 	}
 	for cc := x86.Cond(0); cc < 16; cc++ {
 		padTo(a, chunkAt(0, cc))
-		a.Raw(0x41, 0x0F, 0x90|byte(cc), 0x46, 16) // setcc [r14+16]
+		a.Raw(0x41, 0x0F, 0x90|byte(cc), 0x46, 24) // setcc [r14+24]
 		a.JmpRel32(back[0])
 	}
 	for k := 1; k <= 2; k++ {
@@ -405,8 +419,8 @@ func parseRecords(out []byte, n int) ([]cpuRecord, error) {
 	rs := make([]cpuRecord, n)
 	for i := range rs {
 		r := out[i*outSize:]
-		rs[i] = cpuRecord{binary.LittleEndian.Uint64(r), binary.LittleEndian.Uint64(r[8:]),
-			binary.LittleEndian.Uint64(r[16:]), binary.LittleEndian.Uint64(r[24:])}
+		q := func(k int) uint64 { return binary.LittleEndian.Uint64(r[8*k:]) }
+		rs[i] = cpuRecord{q(0), q(1), q(2), q(3), q(4)}
 	}
 	return rs, nil
 }
@@ -449,12 +463,12 @@ func runEmulated(t *testing.T, engine string, elf []byte, n int) ([]cpuRecord, e
 }
 
 // diffRecords returns how many vectors differ between the host and an
-// engine in rax, in the defined status flags, in a setcc and in a jcc
+// engine in rax, in rdx, in the defined status flags, in a setcc and in a jcc
 // whose condition reads only defined flags, with the first differing
 // vector in each.
 func diffRecords(f cpuForm, vs []cpuVector, cpu, got []cpuRecord) []string {
 	var rows []string
-	for _, aspect := range []string{"rax", "flags", "setcc", "jcc"} {
+	for _, aspect := range []string{"rax", "rdx", "flags", "setcc", "jcc"} {
 		n, first := 0, ""
 		for i, v := range vs {
 			c, g, def := cpu[i], got[i], f.defined(v.c)
@@ -463,6 +477,10 @@ func diffRecords(f cpuForm, vs []cpuVector, cpu, got []cpuRecord) []string {
 			case "rax":
 				if c.rax != g.rax {
 					diff = fmt.Sprintf("rax %#x, want %#x", g.rax, c.rax)
+				}
+			case "rdx":
+				if c.rdx != g.rdx {
+					diff = fmt.Sprintf("rdx %#x, want %#x", g.rdx, c.rdx)
 				}
 			case "flags":
 				if (c.flags^g.flags)&def != 0 {
