@@ -664,8 +664,7 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 			lo = full & maskFor(w)
 			hi = (full >> (8 * uint(w))) & maskFor(w)
 		}
-		m.regWrite(x86.RAX, lo, w)
-		m.regWrite(x86.RDX, hi, w)
+		m.writeProduct(lo, hi, w)
 		var c uint64
 		if hi != 0 {
 			c = 1
@@ -679,8 +678,7 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		sa := int64(m.regRead(x86.RAX, w)<<sw) >> sw
 		sb := int64(v<<sw) >> sw
 		prod := sa * sb
-		m.regWrite(x86.RAX, uint64(prod)&maskFor(w), w)
-		m.regWrite(x86.RDX, uint64(prod>>(8*uint(w)))&maskFor(w), w)
+		m.writeProduct(uint64(prod)&maskFor(w), uint64(prod>>(8*uint(w)))&maskFor(w), w)
 		var over uint64
 		if prod != int64(int64(uint64(prod)&maskFor(w))<<sw)>>sw {
 			over = 1
@@ -724,6 +722,17 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		return nil
 	}
 	return fmt.Errorf("unimplemented group-3 /%d", reg)
+}
+
+// writeProduct stores the product of a one-operand mul or imul: in ax
+// for a byte operand, else in rdx:rax.
+func (m *Machine) writeProduct(lo, hi uint64, w int) {
+	if w == 1 {
+		m.regWrite(x86.RAX, hi<<8|lo, 2)
+		return
+	}
+	m.regWrite(x86.RAX, lo, w)
+	m.regWrite(x86.RDX, hi, w)
 }
 
 func (m *Machine) execGroup5(inst *x86.Inst, next uint64) (uint64, error) {
