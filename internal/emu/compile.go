@@ -1462,8 +1462,7 @@ func imul[T word](f *flagRec, flags, a, b uint64, rec bool) uint64 {
 	if rec {
 		over := int64(res<<sw)>>sw != prod
 		if sw == 0 { // the int64 product itself wraps: compare the 128-bit one
-			hi, lo := bits.Mul64(a, b)
-			hi -= a&uint64(int64(b)>>63) + b&uint64(int64(a)>>63)
+			hi, lo := smul128(a, b)
 			over = hi != uint64(int64(lo)>>63)
 		}
 		var cf uint64
@@ -1474,6 +1473,13 @@ func imul[T word](f *flagRec, flags, a, b uint64, rec bool) uint64 {
 		*f = flagRec{kind: kImul, w: uint8(size[T]()), res: res, aux: uint16(cf | af<<4 | cf<<11)}
 	}
 	return res
+}
+
+// smul128 is the signed 128-bit product of a and b, as its high and low
+// words.
+func smul128(a, b uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(a, b)
+	return hi - a&uint64(int64(b)>>63) - b&uint64(int64(a)>>63), lo
 }
 
 // imulReg lifts imul with a register r/m operand: d = *x * *y.

@@ -678,9 +678,13 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		sa := int64(m.regRead(x86.RAX, w)<<sw) >> sw
 		sb := int64(v<<sw) >> sw
 		prod := sa * sb
-		m.writeProduct(uint64(prod)&maskFor(w), uint64(prod>>(8*uint(w)))&maskFor(w), w)
+		lo, hi := uint64(prod)&maskFor(w), uint64(prod>>(8*uint(w)))&maskFor(w)
+		if w == 8 { // the int64 product wraps: take the 128-bit one
+			hi, lo = smul128(uint64(sa), uint64(sb))
+		}
+		m.writeProduct(lo, hi, w)
 		var over uint64
-		if prod != int64(int64(uint64(prod)&maskFor(w))<<sw)>>sw {
+		if hi != uint64(int64(lo<<sw)>>63)&maskFor(w) { // not lo's sign, extended
 			over = 1
 		}
 		f.setCO(m.Flags, over, over)
