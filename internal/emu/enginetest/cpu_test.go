@@ -425,12 +425,9 @@ func parseRecords(out []byte, n int) ([]cpuRecord, error) {
 	return rs, nil
 }
 
-// runNative runs an executable on the host and returns its records.
-func runNative(dir, name string, elf []byte, n int) ([]cpuRecord, error) {
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, elf, 0o755); err != nil {
-		return nil, err
-	}
+// runNative runs the executable at path on the host and returns its n
+// records.
+func runNative(path string, n int) ([]cpuRecord, error) {
 	out, err := exec.Command(path).Output()
 	if err != nil {
 		return nil, err
@@ -518,28 +515,42 @@ func TestEnginesMatchCPU(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skip("the CPU oracle runs only on linux/amd64")
 	}
+	// Every executable is written before any runs: a fork while another
+	// goroutine still has an executable open for writing makes its exec
+	// fail with ETXTBSY.
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(1))
-	for i, f := range cpuForms() {
-		vs := cpuInputs(f.w, rng)
-		var elfs [2][]byte
-		for k, native := range []bool{true, false} {
-			var err error
-			if elfs[k], err = cpuProgram(f, vs, native); err != nil {
-				t.Fatal(err)
-			}
+	forms := cpuForms()
+	vecs := make([][]cpuVector, len(forms))
+	paths := make([]string, len(forms))
+	emulated := make([][]byte, len(forms))
+	for i, f := range forms {
+		vecs[i] = cpuInputs(f.w, rng)
+		native, err := cpuProgram(f, vecs[i], true)
+		if err == nil {
+			emulated[i], err = cpuProgram(f, vecs[i], false)
 		}
-		cpu, err := runNative(dir, fmt.Sprintf("form%d", i), elfs[0], len(vs))
-		if err != nil && i == 0 {
-			t.Skipf("the host does not run the executable: %v", err)
+		if err != nil {
+			t.Fatal(err)
 		}
+		paths[i] = filepath.Join(dir, fmt.Sprintf("form%d", i))
+		if err := os.WriteFile(paths[i], native, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := runNative(paths[0], len(vecs[0])); err != nil {
+		t.Skipf("the host does not run the executable: %v", err)
+	}
+	for i, f := range forms {
+		vs := vecs[i]
 		t.Run(f.name, func(t *testing.T) {
 			t.Parallel()
+			cpu, err := runNative(paths[i], len(vs))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, engine := range emu.EngineNames() {
-				got, err := runEmulated(t, engine, elfs[1], len(vs))
+				got, err := runEmulated(t, engine, emulated[i], len(vs))
 				if err != nil {
 					t.Fatalf("%s: %v", engine, err)
 				}
