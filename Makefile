@@ -31,7 +31,7 @@ difftest:
 	$(GO) test -race -run 'TestParallelRewrite|FuzzParallelRewrite' .
 	$(GO) test -race -run 'TestParallel|TestLockStateInvariant|TestPatchAllOnce|Shardable' ./internal/patch/ ./internal/disasm/ ./internal/match/
 
-# enginecheck is the cross-engine gate, interp against ir (DESIGN.md §13). Re-record goldens with:
+# enginecheck is the engine gate (DESIGN.md §13): the host CPU against both engines (TestEnginesMatchCPU) for the semantics, interp against ir for lifting, fusion, chaining, charges and faults. Re-record goldens with:
 #   go test ./internal/emu/enginetest/ -run TestEngineGoldenTraces -update-golden
 enginecheck:
 	$(GO) test ./internal/emu/enginetest/ ./internal/emu/

@@ -16,7 +16,7 @@
 // -scale shrinks the synthetic binaries relative to the paper's sizes
 // (default 0.25; 1 is paper-sized). Kernels run on the default engine,
 // ir; the cycle model is engine-invariant, so the figures are the same
-// under the interp oracle. -v adds progress lines on standard error;
+// under interp. -v adds progress lines on standard error;
 // standard output is the same.
 //
 // The standard output of `e9bench -all -scale 0.25` is recorded in

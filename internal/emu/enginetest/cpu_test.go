@@ -508,9 +508,10 @@ func diffRecords(f cpuForm, vs []cpuVector, cpu, got []cpuRecord) []string {
 
 // TestEnginesMatchCPU holds every engine to the host processor, the
 // hardware the emulator stands in for (DESIGN.md §13), on every form
-// cpuForms lists: rax, the status flags the SDM defines, setcc under all
-// 16 conditions, and a jcc after the form, fused and unfused. It skips
-// unless it runs on linux/amd64 and the host runs the first executable.
+// cpuForms lists: rax, rdx, the status flags the SDM defines, and setcc
+// and a jcc after the form, fused and unfused, on each vector's
+// condition (all 16 over the vectors). It skips unless it runs on
+// linux/amd64 and the host runs the first executable.
 func TestEnginesMatchCPU(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skip("the CPU oracle runs only on linux/amd64")

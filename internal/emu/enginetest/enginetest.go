@@ -1,10 +1,12 @@
-// Package enginetest is the cross-engine conformance suite: one set of
-// behavioural tests run against every execution engine
-// (emu.EngineNames), always comparing to the decode-per-step
-// interpreter as the reference semantics. An engine is correct iff it
-// is observationally identical to the interpreter — same registers,
-// flags, RIP, exit code, counters, output, memory image, trace stream
-// and errors — on every program here (DESIGN.md §13).
+// Package enginetest is the cross-engine conformance suite, with two
+// oracles (DESIGN.md §13). The host CPU checks the semantics the
+// engines share: TestEnginesMatchCPU runs every flag-writing form
+// natively and under each engine (emu.EngineNames). The decode-per-step
+// interpreter checks what a faster engine adds — lifting, fusion,
+// chaining, cost charges and faults: an engine is correct iff it is
+// observationally identical to the interpreter — same registers, flags,
+// RIP, exit code, counters, output, memory image, trace stream and
+// errors — on every program here.
 //
 // Engine-specific tests (chaining stats, flag-elision stats, speedup
 // gates) live next to the engine in internal/emu; everything that must

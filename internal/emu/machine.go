@@ -5,12 +5,14 @@
 // executing original and patched programs on identical inputs under a
 // documented cycle model.
 //
-// Two engines run a Machine. The decode-per-step interpreter (exec.go)
-// is the reference semantics; the ir engine (ir.go, compile.go,
-// lazy.go) lifts each basic block once into threaded micro-ops and is
-// held to the interpreter by internal/emu/enginetest. The lifted code
-// calls the interpreter's own register-write, branch-accounting, flag
-// and memory helpers rather than copies of them.
+// Two engines run a Machine: the decode-per-step interpreter (exec.go)
+// and the ir engine (ir.go, compile.go, lazy.go), which lifts each
+// basic block once into threaded micro-ops. Both compute through one
+// semantic core, whose flag record (lazy.go) is the only definition of
+// the status flags, and the lifted code calls the interpreter's own
+// register-write, branch-accounting and memory helpers rather than
+// copies of them. internal/emu/enginetest holds both engines to the
+// host CPU, and ir to the interpreter.
 //
 // The emulator also models the B0 baseline: executing int3 dispatches
 // through a SIGTRAP table at a large fixed cost, reproducing the

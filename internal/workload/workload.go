@@ -94,10 +94,9 @@ func BindStandard(m *emu.Machine) {
 
 // Engine selects the execution engine NewMachine installs, by
 // name (emu.EngineNames): "ir" (the block-lifting engine, the default)
-// or "interp" (the decode-per-step interpreter, the oracle ir is held
-// to). The engines are observationally identical — they only differ in
-// speed — so every measurement is engine-invariant; cmd/e9bench's
-// -engine flag sets this.
+// or "interp" (the decode-per-step interpreter, which ir is held to).
+// The engines are observationally identical — they only differ in
+// speed — so every measurement is engine-invariant.
 var Engine = "ir"
 
 // NewMachine prepares a machine with the standard runtime bindings and
