@@ -436,27 +436,28 @@ func runNative(path string, n int) ([]cpuRecord, error) {
 }
 
 // runEmulated runs an executable under an engine and returns its
-// records.
-func runEmulated(t *testing.T, engine string, elf []byte, n int) ([]cpuRecord, error) {
+// records and the machine's Counters.
+func runEmulated(t *testing.T, engine string, elf []byte, n int) ([]cpuRecord, emu.Counters, error) {
 	m := emu.NewMachine()
 	m.Engine = newEngine(t, engine)
 	entry, err := e9patch.Load(m, elf)
 	if err != nil {
-		return nil, err
+		return nil, m.Counters, err
 	}
 	m.SetupStack(workload.StackTop, workload.StackSize)
 	m.RIP = entry
 	if err := m.Run(uint64(n) * 400); err != nil {
-		return nil, err
+		return nil, m.Counters, err
 	}
 	if !m.Halted() {
-		return nil, fmt.Errorf("did not halt")
+		return nil, m.Counters, fmt.Errorf("did not halt")
 	}
 	out, ok := m.Mem.ReadBytes(cpuOut, n*outSize)
 	if !ok {
-		return nil, fmt.Errorf("output records unmapped")
+		return nil, m.Counters, fmt.Errorf("output records unmapped")
 	}
-	return parseRecords(out, n)
+	rs, err := parseRecords(out, n)
+	return rs, m.Counters, err
 }
 
 // diffRecords returns how many vectors differ between the host and an
@@ -550,11 +551,12 @@ func TestEnginesMatchCPU(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, engine := range emu.EngineNames() {
-				got, err := runEmulated(t, engine, emulated[i], len(vs))
+			for side, engine := range emu.EngineNames() {
+				got, c, err := runEmulated(t, engine, emulated[i], len(vs))
 				if err != nil {
 					t.Fatalf("%s: %v", engine, err)
 				}
+				countCounters(t, "cpu/"+f.name, side, c)
 				for _, row := range diffRecords(f, vs, cpu, got) {
 					t.Errorf("%s %-7s %s", f.name, engine, row)
 				}

@@ -17,7 +17,9 @@ package enginetest
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"e9patch"
@@ -47,12 +49,34 @@ func stateOf(m *emu.Machine) finalState {
 	}
 }
 
-func diffStates(t *testing.T, name, engine string, interp, under finalState) {
+// diffStates holds the engine's final state to the interpreter's and
+// reports whether they agree. It also hands both Counters to the
+// Counters golden (countRun) under the program's name.
+func diffStates(t *testing.T, name, engine string, interp, under finalState) bool {
 	t.Helper()
+	if countRun != nil {
+		key := caseOf(t) + "/" + name
+		countRun(t, key, 0, interp.Counters)
+		countRun(t, key, 1, under.Counters)
+	}
 	if !reflect.DeepEqual(interp, under) {
 		t.Errorf("%s: %s diverged from interp:\ninterp: %+v\n%s: %+v",
 			name, engine, interp, engine, under)
+		return false
 	}
+	return true
+}
+
+// countRun, when set (golden_test.go), adds the Counters of one
+// finished run to those the Counters golden holds under key: side 0 is
+// the interpreter's run, side 1 the engine's.
+var countRun func(t *testing.T, key string, side int, c emu.Counters)
+
+// caseOf is the conformance case t runs, its test name without the
+// test and the engine: "profiles" for TestEngineConformance/ir/profiles.
+func caseOf(t *testing.T) string {
+	parts := strings.SplitN(t.Name(), "/", 3)
+	return parts[len(parts)-1]
 }
 
 // newEngine instantiates a fresh engine under test. A fresh instance
@@ -160,7 +184,7 @@ func testDromaeo(t *testing.T, engine string) {
 			}
 			interp := runProgram(t, prog.ELF, nil)
 			under := runProgram(t, prog.ELF, newEngine(t, engine))
-			diffStates(t, s.Name, engine, stateOf(interp), stateOf(under))
+			diffStates(t, fmt.Sprintf("%s-jit%d", s.Name, jit), engine, stateOf(interp), stateOf(under))
 		}
 	}
 }
@@ -415,7 +439,7 @@ func testBudgetParity(t *testing.T, engine string) {
 		if ierr.Error() != uerr.Error() {
 			t.Errorf("budget %d: error mismatch:\ninterp: %v\n%s: %v", budget, ierr, engine, uerr)
 		}
-		diffStates(t, "budget", engine, stateOf(interp), stateOf(under))
+		diffStates(t, fmt.Sprintf("budget-%d", budget), engine, stateOf(interp), stateOf(under))
 	}
 }
 

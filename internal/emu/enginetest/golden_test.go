@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"e9patch"
@@ -16,7 +17,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"re-record testdata/emu_golden from the interpreter")
+	"re-record testdata/emu_golden and testdata/counters.golden from the interpreter")
 
 // maxGoldenSnapshots caps each trace so golden files stay reviewable;
 // execution continues past the cap, only recording stops.
@@ -182,5 +183,152 @@ func TestEngineGoldenTraces(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The Counters golden. Every program the conformance suite runs
+// (diffStates) and every executable of the CPU table ends with the
+// interpreter's Counters recorded in testdata/counters.golden, one line
+// per program name and conformance case: the number of runs under that
+// name and the sum of their Counters. Both engines are held to it, so a
+// cost charge that drifts the same way in both, which comparing one
+// engine with the other cannot see, fails here. -update-golden
+// re-records the entries of the programs that ran, from the
+// interpreter.
+
+// countersPath is the Counters golden.
+var countersPath = filepath.Join("testdata", "counters.golden")
+
+// programCounts is one golden entry: runs programs, and the sum of
+// their Counters.
+type programCounts struct {
+	runs int
+	c    emu.Counters
+}
+
+func (p programCounts) String() string {
+	c := p.c
+	return fmt.Sprintf("%d %d %d %d %d %d %d", p.runs, c.Instructions, c.Cycles, c.TakenBranches, c.FarJumps, c.Signals, c.RuntimeCalls)
+}
+
+// add adds one run's Counters to p.
+func (p *programCounts) add(c emu.Counters) {
+	p.runs++
+	p.c.Instructions += c.Instructions
+	p.c.Cycles += c.Cycles
+	p.c.TakenBranches += c.TakenBranches
+	p.c.FarJumps += c.FarJumps
+	p.c.Signals += c.Signals
+	p.c.RuntimeCalls += c.RuntimeCalls
+}
+
+// counters holds the golden as loaded and the sums of the runs of each
+// test still running, by key and side (countRun).
+var counters struct {
+	sync.Mutex
+	want    map[string]programCounts
+	running map[*testing.T]map[string]*[2]programCounts
+}
+
+func init() { countRun = countCounters }
+
+// countCounters adds c to the sum of key's runs on side in test t, and,
+// at the first run t makes, arranges for t to hold its sums to the
+// golden when it ends.
+func countCounters(t *testing.T, key string, side int, c emu.Counters) {
+	counters.Lock()
+	defer counters.Unlock()
+	if counters.running == nil {
+		counters.running = map[*testing.T]map[string]*[2]programCounts{}
+	}
+	sums := counters.running[t]
+	if sums == nil {
+		sums = map[string]*[2]programCounts{}
+		counters.running[t] = sums
+		t.Cleanup(func() { checkCounters(t) })
+	}
+	if sums[key] == nil {
+		sums[key] = new([2]programCounts)
+	}
+	sums[key][side].add(c)
+}
+
+// checkCounters holds the sums of t's runs to the golden, or with
+// -update-golden writes the interpreter's into it.
+func checkCounters(t *testing.T) {
+	counters.Lock()
+	defer counters.Unlock()
+	sums := counters.running[t]
+	delete(counters.running, t)
+	if counters.want == nil {
+		counters.want = loadCounters(t)
+	}
+	keys := make([]string, 0, len(sums))
+	for key := range sums {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if *updateGolden {
+			counters.want[key] = sums[key][0]
+			continue
+		}
+		want, ok := counters.want[key]
+		if !ok {
+			t.Errorf("%s: no golden Counters (record with -update-golden)", key)
+			continue
+		}
+		for side, got := range sums[key] {
+			if got != want {
+				t.Errorf("%s: %s runs, instructions, cycles, taken, far, signals, runtime calls %v, golden %v",
+					key, []string{"interp", "engine"}[side], got, want)
+			}
+		}
+	}
+	if *updateGolden {
+		writeCounters(t, counters.want)
+	}
+}
+
+// loadCounters reads the golden; a missing file reads as empty.
+func loadCounters(t *testing.T) map[string]programCounts {
+	want := map[string]programCounts{}
+	raw, err := os.ReadFile(countersPath)
+	if os.IsNotExist(err) {
+		return want
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, nums, _ := strings.Cut(line, "\t")
+		var p programCounts
+		c := &p.c
+		if _, err := fmt.Sscan(nums, &p.runs, &c.Instructions, &c.Cycles, &c.TakenBranches, &c.FarJumps, &c.Signals, &c.RuntimeCalls); err != nil {
+			t.Fatalf("%s: %q: %v", countersPath, line, err)
+		}
+		want[key] = p
+	}
+	return want
+}
+
+// writeCounters writes the golden, sorted by key.
+func writeCounters(t *testing.T, want map[string]programCounts) {
+	keys := make([]string, 0, len(want))
+	for key := range want {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteString("# Counters of the interpreter's runs of each enginetest program (golden_test.go)\n")
+	b.WriteString("# format: case/program<TAB>runs instructions cycles taken far signals runtime-calls\n")
+	for _, key := range keys {
+		fmt.Fprintf(&b, "%s\t%v\n", key, want[key])
+	}
+	if err := os.WriteFile(countersPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

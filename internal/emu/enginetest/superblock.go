@@ -289,8 +289,9 @@ func testFusedJcc(t *testing.T, engine string) {
 							t.Fatalf("op %d w%d %s: %v", aluOp, w, f.name, err)
 						}
 					}
-					diffStates(t, fmt.Sprintf("op %d w%d %s %#x,%#x", aluOp, w, f.name, v[0], v[1]),
-						engine, stateOf(ms[0]), stateOf(ms[1]))
+					if !diffStates(t, fmt.Sprintf("op %d w%d %s", aluOp, w, f.name), engine, stateOf(ms[0]), stateOf(ms[1])) {
+						t.Logf("operands %#x, %#x", v[0], v[1])
+					}
 				}
 			}
 		}
@@ -370,8 +371,10 @@ func testHopFused(t *testing.T, engine string) {
 								t.Fatalf("op %d w%d %s hops %v: %v", aluOp, w, f.name, twoHops, err)
 							}
 						}
-						diffStates(t, fmt.Sprintf("op %d w%d %s %#x,%#x two hops %v", aluOp, w, f.name, v[0], v[1], twoHops),
-							engine, stateOf(ms[0]), stateOf(ms[1]))
+						if !diffStates(t, fmt.Sprintf("op %d w%d %s two hops %v", aluOp, w, f.name, twoHops),
+							engine, stateOf(ms[0]), stateOf(ms[1])) {
+							t.Logf("operands %#x, %#x", v[0], v[1])
+						}
 					}
 				}
 			}
