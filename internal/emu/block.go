@@ -1,10 +1,6 @@
 package emu
 
-import (
-	"fmt"
-
-	"e9patch/internal/x86"
-)
+import "e9patch/internal/x86"
 
 // Block discovery and invalidation for the ir engine (ir.go): "what
 // is a block" and "when do cached decodes die" are defined here, once,
@@ -34,13 +30,13 @@ func followed(inst *x86.Inst) bool {
 // after the first control transfer (jump, conditional jump, call, ret,
 // hlt, int3) that it does not follow. It follows a direct jmp or call
 // rel32 (followed) whose target is not the address of an instruction
-// already in the block, so a loop never unrolls into itself. A fetch
-// fault (pc on an unmapped page) or decode failure at pc itself is
-// returned, formatted exactly as the interpreter's fetch would report
-// it; one later in the run — after a followed transfer too — just ends
-// the block early, so the error, if execution ever gets there, is
-// raised lazily at the address the interpreter would raise it. end is
-// the fallthrough address of the final instruction.
+// already in the block, so a loop never unrolls into itself. It
+// fetches as the interpreter does (fetchInto): a fetch fault (pc on an
+// unmapped page) or decode failure at pc itself is returned; one later
+// in the run — after a followed transfer too — just ends the block
+// early, so the error, if execution ever gets there, is raised lazily
+// at the address the interpreter would raise it. end is the
+// fallthrough address of the final instruction.
 //
 // A block also ends before any instruction after the first whose
 // address is special (the exit sentinel or a bound runtime address):
@@ -52,17 +48,10 @@ func decodeBlock(m *Machine, pc uint64) (insts []x86.Inst, end uint64, err error
 		if _, bound := m.Runtime[pc]; len(insts) > 0 && (bound || pc == m.ExitAddr) {
 			break
 		}
-		raw, ok := m.Mem.ReadBytes(pc, 15)
-		if !ok && !m.Mem.Mapped(pc) {
+		var inst x86.Inst
+		if err := m.fetchInto(&inst, make([]byte, 15), pc); err != nil {
 			if len(insts) == 0 {
-				return nil, 0, fetchFault(pc)
-			}
-			break
-		}
-		inst, derr := x86.Decode(raw, pc)
-		if derr != nil {
-			if len(insts) == 0 {
-				return nil, 0, fmt.Errorf("emu: at %#x: %w", pc, derr)
+				return nil, 0, err
 			}
 			break
 		}

@@ -113,11 +113,11 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 	op := inst.Opcode
 	sub := (inst.ModRM >> 3) & 7
 	mem := inst.Attrs&x86.AttrModRM != 0 && !rmIsReg(inst)
+	if cc, ok := jccCond(inst); ok {
+		return condFlags(cc), 0, false
+	}
 	if inst.TwoByte {
-		switch {
-		case op >= 0x80 && op <= 0x8F: // jcc
-			return condFlags(x86.Cond(op & 0xF)), 0, false
-		case op == 0xAF: // imul r, r/m
+		if op == 0xAF { // imul r, r/m
 			return fAF, fAll &^ fAF, mem
 		}
 		return fAll, 0, true // ud2 and anything unlifted: fallback
@@ -134,8 +134,6 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 		return 0, 0, true
 	case op == 0x69 || op == 0x6B: // imul r, r/m, imm
 		return fAF, fAll &^ fAF, mem
-	case op >= 0x70 && op <= 0x7F: // jcc rel8
-		return condFlags(x86.Cond(op & 0xF)), 0, false
 	case op >= 0x88 && op <= 0x8B: // mov
 		return 0, 0, mem
 	case op == 0x8D: // lea: address is computed, never accessed
@@ -173,86 +171,13 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 	return fAll, 0, true // call/push r/m (stores) and anything unlifted: fallback
 }
 
-// staticCost is the part of a lifted instruction's cost that is fixed
-// at lift time: its base cost, its Mem, Mul and CallRet surcharges and,
-// for a direct jmp or call, the taken branch and whether it is far
-// under farDist. unrun is the part of t that the interpreter charges
-// only after the access that can fault, so a fault leaves it
-// uncharged. A conditional branch's direction and a ret's or indirect
-// branch's distance are known only at run time, and the micro-op
-// charges them. It mirrors the interpreter's charges instruction by
-// instruction; an instruction lifted to the fallback costs nothing
-// static (emitFallback).
-func staticCost(inst *x86.Inst, farDist uint64) (t, unrun tally) {
-	t.insts = 1
-	op := inst.Opcode
-	sub := (inst.ModRM >> 3) & 7
-	var mem uint16
-	if inst.Attrs&x86.AttrModRM != 0 && !rmIsReg(inst) {
-		mem = 1
-	}
-	if _, write, dst, _, ok := aluForm(inst); ok {
-		t.mem = mem
-		if write && dst.mem { // load, then store
-			t.mem, unrun.mem = 2, 1
-		}
-		return t, unrun
-	}
-	switch {
-	case inst.TwoByte:
-		if op == 0xAF { // imul r, r/m: the load, then Mul
-			t.mem, t.mul, unrun.mul = mem, 1, 1
-		}
-	case op >= 0x50 && op <= 0x57, op == 0x68, op == 0x9C: // push r, push imm32, pushfq
-		t.mem = 1
-	case op >= 0x58 && op <= 0x5F, op == 0x9D: // pop r, popfq: the load faults before Mem
-		t.mem, unrun.mem = 1, 1
-	case op == 0x69 || op == 0x6B: // imul r, r/m, imm
-		t.mem, t.mul, unrun.mul = mem, 1, 1
-	case op >= 0x88 && op <= 0x8B: // mov
-		t.mem = mem
-	case op == 0xC2 || op == 0xC3: // ret: the pop, then CallRet
-		t.mem, t.callRet = 1, 1
-		unrun.mem, unrun.callRet = 1, 1
-	case op == 0xE8: // call rel32: push, CallRet, the branch
-		t.mem, t.callRet = 1, 1
-		t.taken, t.far = 1, farHop(inst, farDist)
-	case op == 0xE9 || op == 0xEB: // jmp rel
-		t.taken, t.far = 1, farHop(inst, farDist)
-	case op == 0xF7 && sub == 2: // not r/m
-		t.mem, unrun.mem = 2*mem, mem
-	case op == 0xFF && sub == 2: // call r/m: the load, push, CallRet
-		t.mem, t.callRet = mem+1, 1
-		unrun.mem, unrun.callRet = 1, 1
-	case op == 0xFF && sub == 4: // jmp r/m
-		t.mem = mem
-	case op == 0xFF && sub == 6: // push r/m: the load, then the push
-		t.mem, unrun.mem = mem+1, 1
-	}
-	return t, unrun
-}
-
-// farHop is 1 when the direct branch inst, taken, is a far jump under
-// farDist, as Machine.branch judges it from the fallthrough address.
-func farHop(inst *x86.Inst, farDist uint64) uint16 {
-	dist := inst.Target() - (inst.Addr + uint64(inst.Len))
-	if int64(dist) < 0 {
-		dist = -dist
-	}
-	if dist > farDist {
-		return 1
-	}
-	return 0
-}
-
 // comp is the per-block compile context.
 type comp struct {
 	e     *irEngine
 	b     *block
 	elide []bool // flag computation provably dead for insts[i]
 
-	// cost and unrun are staticCost of each instruction (zeroed for a
-	// fallback); opLast[k] is the index of the last instruction op k
+	// cost and unrun are staticCost of each instruction; opLast[k] is the index of the last instruction op k
 	// retires, and opFault[k] what a fault at op k leaves uncharged.
 	cost, unrun []tally
 	opLast      []int
@@ -619,28 +544,24 @@ func (c *comp) account() {
 }
 
 // emitFallback produces the interpreter-fallback micro-op: it
-// materializes the flags and defers to Machine.execDecodedQuiet, so
+// materializes the flags and runs the interpreter's Machine.exec, so
 // every instruction outside the lift set (int3, hlt, ud2, div, and
-// whatever no workload runs) keeps exact interpreter behaviour,
-// charges included: the instruction has no static cost.
+// whatever no workload runs) keeps exact interpreter behaviour. Its
+// staticCost is part of the block's charge, as any instruction's.
 func (c *comp) emitFallback(i int) uop {
 	c.killAll()
 	c.e.Stats.Fallbacks++
-	c.cost[i], c.unrun[i] = tally{}, tally{}
 	inst := &c.b.insts[i]
 	nextAddr := inst.Addr + uint64(inst.Len)
 	return func(s *state) bool {
 		s.materialize()
 		m := s.m
-		if err := m.execDecodedQuiet(inst); err != nil {
-			m.RIP = inst.Addr
-			s.err = err
-			return done
+		rip, err := m.exec(inst, nextAddr)
+		if err != nil {
+			return s.fault(inst, err)
 		}
-		if m.Halted() || s.trk.flushed || m.RIP != nextAddr {
-			return done
-		}
-		return true
+		m.RIP = rip
+		return !m.Halted() && !s.trk.flushed && rip == nextAddr
 	}
 }
 
@@ -671,11 +592,11 @@ func (c *comp) emit(i int) uop {
 	if aluOp, write, dst, src, ok := aluForm(inst); ok {
 		return c.emitALU(i, aluOp, write, dst, src)
 	}
+	if cc, ok := jccCond(inst); ok {
+		return jccOp(cc, c.target(inst))
+	}
 	if inst.TwoByte {
-		switch {
-		case op >= 0x80 && op <= 0x8F: // jcc rel32
-			return jccOp(x86.Cond(op&0xF), c.target(inst))
-		case op == 0xAF: // imul r, r/m
+		if op == 0xAF { // imul r, r/m
 			return c.emitImul(inst, reg.reg, 0, false, rec, mem)
 		}
 		return c.emitFallback(i) // ud2 and anything unlifted
@@ -711,9 +632,6 @@ func (c *comp) emit(i int) uop {
 
 	case op == 0x69 || op == 0x6B: // imul r, r/m, imm
 		return c.emitImul(inst, reg.reg, uint64(inst.Imm()), true, rec, mem)
-
-	case op >= 0x70 && op <= 0x7F: // jcc rel8
-		return jccOp(x86.Cond(op&0xF), c.target(inst))
 
 	case op >= 0x88 && op <= 0x8B: // mov r/m, r (88/89); mov r, r/m (8A/8B)
 		w := pairWidth(inst)
@@ -1136,12 +1054,7 @@ func (j *jccTarget) exit(m *Machine, taken bool) bool {
 		m.RIP = j.next
 		return done
 	}
-	m.Counters.TakenBranches++
-	m.Counters.Cycles += m.Cost.BranchTaken
-	if j.far {
-		m.Counters.FarJumps++
-		m.Counters.Cycles += m.Cost.FarJump
-	}
+	m.Counters.taken(&m.Cost, j.far)
 	m.RIP = j.target
 	return done
 }

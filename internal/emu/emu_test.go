@@ -385,3 +385,41 @@ func TestStringOfALU(t *testing.T) {
 		t.Errorf("output = %#x, want %#x", m.Output[0], want)
 	}
 }
+
+// TestStepAllocatesNothing holds the interpreter's step to no
+// allocation: it fetches into and decodes into buffers the machine
+// owns. The loop runs ALU ops, loads, stores, push and pop, call and
+// ret, a multiply, a divide, setcc and conditional branches.
+func TestStepAllocatesNothing(t *testing.T) {
+	m := newProgram(t, func(a *x86.Asm) {
+		top, leaf, skip := a.NewLabel(), a.NewLabel(), a.NewLabel()
+		a.Bind(top)
+		a.AddRegImm64(x86.RAX, 1)
+		a.MovMemReg64(x86.M(x86.RSP, -16), x86.RAX)
+		a.MovRegMem64(x86.RBX, x86.M(x86.RSP, -16))
+		a.ImulRegReg64(x86.RBX, x86.RAX)
+		a.PushReg(x86.RBX)
+		a.PopReg(x86.RCX)
+		a.XorRegReg32(x86.RDX, x86.RDX)
+		a.Raw(0x48, 0xF7, 0xF1) // div rcx
+		a.Call(leaf)
+		a.CmpRegImm64(x86.RAX, 3)
+		a.Setcc(x86.CondL, x86.RSI)
+		a.JccShort(x86.CondL, skip)
+		a.Bind(skip)
+		a.Jmp(top)
+		a.Bind(leaf)
+		a.Ret()
+	})
+	var err error
+	if n := testing.AllocsPerRun(1000, func() {
+		if e := m.Step(); e != nil {
+			err = e
+		}
+	}); n != 0 {
+		t.Errorf("Step allocates %.2f times", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}

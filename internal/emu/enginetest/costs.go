@@ -12,9 +12,9 @@ import (
 // interpreter's where an engine that charges a block's fixed costs up
 // front must take some back: an instruction that faults after part of
 // its cost (an RMW's load, a pop's or a ret's read of the stack, also
-// right after a followed call), and a machine whose cost model changes
-// between two Runs, FarDistance included. Errors, state and Counters
-// must be the interpreter's.
+// right after a followed call, a divide error), and a machine whose
+// cost model changes between two Runs, FarDistance included. Errors,
+// state and Counters must be the interpreter's.
 func testStaticCosts(t *testing.T, engine string) {
 	// run runs the programs under the interpreter and the engine,
 	// calling between (if set) after a first Run of budget
@@ -105,6 +105,40 @@ func testStaticCosts(t *testing.T, engine string) {
 		wantFault(name, run(name, s.MustFinish(), tr.MustFinish(), 10_000, nil))
 	}
 
+	// (d) A divide error in a hopping block, raised by div and idiv at
+	// each width with a register and a memory divisor: `site: mov rax,
+	// lo; mov rdx, hi; mov rbx, divisor; mov [rsp-16], rbx; jmp T` with
+	// `T: add rcx, 1; <op>; add rcx, 1; jmp site`. A zero divisor, and a
+	// dividend of 1 << (8*w) over 1, whose quotient does not fit. A
+	// memory divisor's load succeeds, and the Mul after it is not
+	// charged.
+	for _, w := range []int{1, 2, 4, 8} {
+		for _, sub := range []byte{6, 7} {
+			for _, mem := range []bool{false, true} {
+				for _, divisor := range []uint64{0, 1} {
+					lo, hi := uint64(0), uint64(1)
+					if w == 1 {
+						lo, hi = 1<<8, 0 // ax
+					}
+					s := x86.NewAsm(SiteBase)
+					s.MovRegImm64(x86.RAX, lo)
+					s.MovRegImm64(x86.RDX, hi)
+					s.MovRegImm64(x86.RBX, divisor)
+					s.MovMemReg64(x86.M(x86.RSP, -16), x86.RBX)
+					s.JmpRel32(TrampBase)
+					tr := x86.NewAsm(TrampBase)
+					tr.AddRegImm64(x86.RCX, 1)
+					tr.Raw(divForm(w, sub, mem)...)
+					tr.AddRegImm64(x86.RCX, 1)
+					tr.JmpRel32(SiteBase)
+					name := fmt.Sprintf("divide-error/%s%d-%s-by-%d", map[byte]string{6: "div", 7: "idiv"}[sub], 8*w,
+						map[bool]string{false: "r", true: "m"}[mem], divisor)
+					wantFault(name, run(name, s.MustFinish(), tr.MustFinish(), 10_000, nil))
+				}
+			}
+		}
+	}
+
 	// (c) The cost model changes between two Runs on one machine: a
 	// 40-trip loop whose body hops far to a trampoline that multiplies,
 	// stores, loads, calls a near leaf and hops back. The first Run
@@ -144,4 +178,24 @@ func testStaticCosts(t *testing.T, engine string) {
 			}
 		}
 	}
+}
+
+// divForm encodes div (sub 6) or idiv (sub 7) at width w of rbx, or of
+// [rsp-16] when mem is set.
+func divForm(w int, sub byte, mem bool) []byte {
+	var b []byte
+	switch w {
+	case 2:
+		b = append(b, 0x66)
+	case 8:
+		b = append(b, 0x48)
+	}
+	op := byte(0xF7)
+	if w == 1 {
+		op = 0xF6
+	}
+	if mem {
+		return append(b, op, 0x44|sub<<3, 0x24, 0xF0) // [rsp-16]
+	}
+	return append(b, op, 0xC3|sub<<3) // rbx
 }

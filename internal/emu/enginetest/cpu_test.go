@@ -3,6 +3,7 @@ package enginetest
 import (
 	"encoding/binary"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -27,7 +28,9 @@ import (
 // operands under each of the 16 conditions. The host runs the
 // executable, which writes its records to stdout; the same code ending
 // in hlt runs under every engine, which must record the same on every
-// flag the SDM defines.
+// flag the SDM defines. div and idiv, which define no flag, are checked
+// on rax and rdx over vectors whose quotient fits: a divide error
+// would kill the executable.
 
 // cpuVectors is the number of input vectors per executable.
 const cpuVectors = 1000
@@ -66,6 +69,9 @@ type cpuForm struct {
 	mem, slotB bool
 	memDst     bool
 	defined    func(c uint64) uint64 // the status flags defined after the form, given rcx
+	// vectors, when set, makes the form's input vectors instead of
+	// cpuInputs.
+	vectors func(rng *rand.Rand) []cpuVector
 }
 
 // cpuVector is one input vector.
@@ -130,8 +136,10 @@ func constant(d uint64) func(uint64) uint64 { return func(uint64) uint64 { retur
 // sub, xor, cmp and test at widths 1, 2, 4 and 8 with register, memory
 // and immediate operands; inc, dec and neg on a register and on memory;
 // mul and imul by one operand, on a register and on memory; the 2- and
-// 3-operand imul; and shl, shr, sar, rol and ror by 1, by an immediate
-// and by cl.
+// 3-operand imul; shl, shr, sar, rol and ror by 1, by an immediate and
+// by cl; and, last so that the vectors of the others stay as they
+// were, div and idiv of rcx:rax (moved to rdx:rax) or ax by rbx and by
+// memory.
 func cpuForms() []cpuForm {
 	var forms []cpuForm
 	add := func(f cpuForm) { forms = append(forms, f) }
@@ -209,7 +217,104 @@ func cpuForms() []cpuForm {
 				defined: func(c uint64) uint64 { return shiftDefined(sub, w, c) }})
 		}
 	}
+	movRDXRCX := []byte{0x48, 0x89, 0xCA}
+	for _, w := range []int{1, 2, 4, 8} {
+		for _, g := range []struct {
+			sub  byte
+			name string
+		}{{6, "div"}, {7, "idiv"}} {
+			op, signed := []byte{0xF6 | full(w)}, g.sub == 7
+			vs := func(rng *rand.Rand) []cpuVector { return divInputs(w, signed, rng) }
+			r := encode(w, op, g.sub, false, 0, 0)
+			r[len(r)-1] |= 3 // rbx
+			add(cpuForm{w: w, name: fmt.Sprintf("%s%d-1r", g.name, 8*w), code: append(movRDXRCX, r...), defined: constant(0), vectors: vs})
+			add(cpuForm{w: w, name: fmt.Sprintf("%s%d-1m", g.name, 8*w), code: append(movRDXRCX, encode(w, op, g.sub, true, 0, 0)...),
+				mem: true, slotB: true, defined: constant(0), vectors: vs})
+		}
+	}
 	return forms
+}
+
+// divInputs returns the vectors for div, or idiv when signed, at width
+// w: every combination of edge dividend halves and divisors whose
+// quotient fits in w bytes, then random ones, with divisors of every
+// magnitude. The dividend is ax at width 1, else the low w bytes of rcx
+// (the form moves rcx to rdx) and of rax; the divisor is b. Bits above
+// the width are set in half of them.
+func divInputs(w int, signed bool, rng *rand.Rand) []cpuVector {
+	bitsW := uint(8 * w)
+	mask := ^uint64(0) >> (64 - bitsW)
+	sign := mask>>1 + 1
+	edges := []uint64{0, 1, 2, sign - 1, sign, sign + 1, mask - 1, mask}
+	junk := func(v, m uint64) uint64 {
+		if rng.Intn(2) == 0 {
+			return v | ^m&rng.Uint64()
+		}
+		return v
+	}
+	var vs []cpuVector
+	try := func(hi, lo, d uint64) {
+		hi, lo, d = hi&mask, lo&mask, d&mask
+		if len(vs) == cpuVectors || !divFits(hi, lo, d, w, signed) {
+			return
+		}
+		a, c := junk(lo, mask), junk(hi, mask)
+		if w == 1 {
+			a, c = junk(hi<<8|lo, 0xFFFF), rng.Uint64()
+		}
+		vs = append(vs, cpuVector{a, junk(d, mask), c, rng.Uint64()&statusMask | 0x202, x86.Cond(rng.Intn(16))})
+	}
+	for _, hi := range edges {
+		for _, lo := range edges {
+			for _, d := range edges {
+				try(hi, lo, d)
+			}
+		}
+	}
+	for len(vs) < cpuVectors {
+		d, lo := rng.Uint64()>>rng.Intn(64), rng.Uint64()
+		var hi uint64 // 0, lo's sign extended, or below the divisor
+		switch rng.Intn(3) {
+		case 0:
+		case 1:
+			hi = uint64(int64(lo<<(64-bitsW)) >> 63)
+		default:
+			hi = rng.Uint64() % max(d&mask, 1)
+		}
+		try(hi, lo, d)
+	}
+	return vs
+}
+
+// divFits reports whether dividing the 2w-byte hi:lo by the w-byte d,
+// signed or not, leaves a quotient that fits in w bytes (d == 0 does
+// not).
+func divFits(hi, lo, d uint64, w int, signed bool) bool {
+	bitsW := uint(8 * w)
+	n := new(big.Int).Lsh(new(big.Int).SetUint64(hi), bitsW)
+	n.Or(n, new(big.Int).SetUint64(lo))
+	v := new(big.Int).SetUint64(d)
+	lim := new(big.Int).Lsh(big.NewInt(1), bitsW) // quotients in [min, lim)
+	minQ := new(big.Int)
+	if signed {
+		toSigned(n, 2*bitsW)
+		toSigned(v, bitsW)
+		lim.Rsh(lim, 1)
+		minQ.Neg(lim)
+	}
+	if v.Sign() == 0 {
+		return false
+	}
+	q := new(big.Int).Quo(n, v)
+	return q.Cmp(minQ) >= 0 && q.Cmp(lim) < 0
+}
+
+// toSigned reinterprets x, a bits-wide two's complement value, as
+// signed.
+func toSigned(x *big.Int, bits uint) {
+	if x.Bit(int(bits-1)) == 1 {
+		x.Sub(x, new(big.Int).Lsh(big.NewInt(1), bits))
+	}
 }
 
 // prefix is the operand-size prefix of width w.
@@ -527,7 +632,11 @@ func TestEnginesMatchCPU(t *testing.T) {
 	paths := make([]string, len(forms))
 	emulated := make([][]byte, len(forms))
 	for i, f := range forms {
-		vecs[i] = cpuInputs(f.w, rng)
+		if f.vectors != nil {
+			vecs[i] = f.vectors(rng)
+		} else {
+			vecs[i] = cpuInputs(f.w, rng)
+		}
 		native, err := cpuProgram(f, vecs[i], true)
 		if err == nil {
 			emulated[i], err = cpuProgram(f, vecs[i], false)

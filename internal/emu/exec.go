@@ -8,28 +8,33 @@ import (
 )
 
 // Step fetches, decodes and executes one instruction (or services a
-// runtime-call / exit-sentinel address).
+// runtime-call / exit-sentinel address). It fetches into and decodes
+// into buffers the machine owns, so a step allocates nothing.
 func (m *Machine) Step() error {
 	if handled, err := m.stepSpecial(); handled || err != nil {
 		return err
 	}
-	raw, ok := m.Mem.ReadBytes(m.RIP, 15)
-	if !ok && !m.Mem.Mapped(m.RIP) {
-		return fetchFault(m.RIP)
+	if err := m.fetchInto(&m.inst, m.fetch[:], m.RIP); err != nil {
+		return err
 	}
-	inst, err := x86.Decode(raw, m.RIP)
-	if err != nil {
-		return fmt.Errorf("emu: at %#x: %w", m.RIP, err)
-	}
-	return m.execDecoded(&inst)
+	return m.execDecoded(&m.inst)
 }
 
-// fetchFault is the error for fetching an instruction whose first byte
-// lies on an unmapped page. Only that page counts: the 15-byte fetch
-// window of an instruction near the end of a mapped page may cross
-// into an unmapped one, and the bytes past the instruction are never
-// executed.
-func fetchFault(pc uint64) error { return fmt.Errorf("emu: fetch fault at %#x", pc) }
+// fetchInto fetches the instruction at pc into buf, a 15-byte window,
+// and decodes it into inst, which aliases buf. Its errors are the
+// fetch fault of an instruction whose first byte lies on an unmapped
+// page, and the decode error. Only that page counts: the window of an
+// instruction near the end of a mapped page may cross into an
+// unmapped one, and the bytes past the instruction are never executed.
+func (m *Machine) fetchInto(inst *x86.Inst, buf []byte, pc uint64) error {
+	if !m.Mem.readInto(buf, pc) && !m.Mem.Mapped(pc) {
+		return fmt.Errorf("emu: fetch fault at %#x", pc)
+	}
+	if err := x86.DecodeInto(inst, buf, pc); err != nil {
+		return fmt.Errorf("emu: at %#x: %w", pc, err)
+	}
+	return nil
+}
 
 // stepSpecial services the two magic classes of RIP values — the exit
 // sentinel and runtime-call addresses — without touching code bytes.
@@ -46,13 +51,14 @@ func (m *Machine) stepSpecial() (bool, error) {
 	}
 	if fn, ok := m.Runtime[m.RIP]; ok {
 		// Native runtime call: consume the return address pushed by
-		// the calling code, run the binding, return.
+		// the calling code, run the binding, return. The call costs
+		// its pop's Mem and Runtime.
 		ret, err := m.pop()
 		if err != nil {
 			return true, err
 		}
 		m.Counters.RuntimeCalls++
-		m.Counters.Cycles += m.Cost.Runtime
+		m.Counters.Cycles += m.Cost.Mem + m.Cost.Runtime
 		if err := fn(m); err != nil {
 			return true, err
 		}
@@ -73,33 +79,30 @@ func (m *Machine) runtimeBounds() (n int, lo, hi uint64) {
 	return len(m.Runtime), lo, hi
 }
 
-// execDecoded executes one already-decoded instruction: trace callback,
-// counters, dispatch and the RIP update, exactly as the fetch-decode
-// path of Step. The caller must guarantee inst.Addr == RIP; the ir
-// engine satisfies this because straight-line execution leaves RIP at
-// the next cached Addr.
+// execDecoded executes one already-decoded instruction exactly as the
+// fetch-decode path of Step: the trace callback, its staticCost,
+// charged before it runs with what a fault leaves unrun taken back,
+// dispatch and the RIP update. The caller must guarantee inst.Addr ==
+// RIP; the ir engine satisfies this because straight-line execution
+// leaves RIP at the next cached Addr.
 func (m *Machine) execDecoded(inst *x86.Inst) error {
 	if m.Trace != nil {
 		m.Trace(inst)
 	}
-	return m.execDecodedQuiet(inst)
+	t, unrun := staticCost(inst, m.Cost.FarDistance)
+	m.Counters.charge(&t, &m.Cost)
+	rip, err := m.exec(inst, inst.Addr+uint64(inst.Len))
+	if err != nil {
+		m.Counters.refund(&unrun, &m.Cost)
+		return faultAt(inst, err)
+	}
+	m.RIP = rip
+	return nil
 }
 
-// execDecodedQuiet is execDecoded without the Trace callback: counters,
-// dispatch, error wrapping and the RIP update. The ir engine, which
-// issues the Trace call itself (or has already established it is nil),
-// uses it as the single-instruction fallback path so the callback never
-// fires twice for one retired instruction.
-func (m *Machine) execDecodedQuiet(inst *x86.Inst) error {
-	m.Counters.Instructions++
-	m.Counters.Cycles += m.Cost.ALU
-	next := inst.Addr + uint64(inst.Len)
-	newRIP, err := m.exec(inst, next)
-	if err != nil {
-		return fmt.Errorf("emu: at %#x (% x): %w", inst.Addr, inst.Bytes, err)
-	}
-	m.RIP = newRIP
-	return nil
+// faultAt is the error of inst failing with err.
+func faultAt(inst *x86.Inst, err error) error {
+	return fmt.Errorf("emu: at %#x (% x): %w", inst.Addr, inst.Bytes, err)
 }
 
 // width returns the operand width in bytes for a non-8-bit opcode.
@@ -171,7 +174,6 @@ func (m *Machine) rmRead(inst *x86.Inst, w int) (uint64, error) {
 	if rmIsReg(inst) {
 		return m.regRead(modrmRM(inst), w), nil
 	}
-	m.Counters.Cycles += m.Cost.Mem
 	return m.Mem.read(m.ea(inst), w)
 }
 
@@ -181,14 +183,12 @@ func (m *Machine) rmWrite(inst *x86.Inst, v uint64, w int) error {
 		m.regWrite(modrmRM(inst), v, w)
 		return nil
 	}
-	m.Counters.Cycles += m.Cost.Mem
 	return m.Mem.write(m.ea(inst), v, w)
 }
 
 func (m *Machine) push(v uint64) error {
 	sp := m.Regs[x86.RSP] - 8
 	m.Regs[x86.RSP] = sp
-	m.Counters.Cycles += m.Cost.Mem
 	return m.Mem.write(sp, v, 8)
 }
 
@@ -199,7 +199,6 @@ func (m *Machine) pop() (uint64, error) {
 		return 0, err
 	}
 	m.Regs[x86.RSP] = sp + 8
-	m.Counters.Cycles += m.Cost.Mem
 	return v, nil
 }
 
@@ -218,24 +217,16 @@ func (m *Machine) cond(cc x86.Cond) bool {
 	return eager.cond(cc, m.Flags)
 }
 
-// branch accounts for a taken control transfer and returns the target.
-func (m *Machine) branch(from, target uint64) uint64 {
-	m.Counters.TakenBranches++
-	m.Counters.Cycles += m.Cost.BranchTaken
-	dist := target - from
-	if int64(dist) < 0 {
-		dist = -dist
-	}
-	if dist > m.Cost.FarDistance {
-		m.Counters.FarJumps++
-		m.Counters.Cycles += m.Cost.FarJump
-	}
-	return target
-}
-
-// exec executes a decoded instruction; next is the fallthrough RIP.
+// exec executes a decoded instruction, charging only its run-time
+// costs (cost.go); next is the fallthrough RIP.
 func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 	op := inst.Opcode
+	if cc, ok := jccCond(inst); ok {
+		if m.cond(cc) {
+			return m.branch(next, inst.Target()), nil
+		}
+		return next, nil
+	}
 	if inst.TwoByte {
 		return m.execTwoByte(inst, next)
 	}
@@ -274,14 +265,7 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.Counters.Cycles += m.Cost.Mul
 		m.regWrite(modrmReg(inst), m.imul(a, uint64(inst.Imm()), w), w)
-		return next, nil
-
-	case op >= 0x70 && op <= 0x7F: // jcc rel8
-		if m.cond(x86.Cond(op & 0xF)) {
-			return m.branch(next, inst.Target()), nil
-		}
 		return next, nil
 
 	case op == 0x86 || op == 0x87: // xchg r/m, r
@@ -359,40 +343,25 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		m.Flags = v | flagsAlways
 		return next, nil
 
-	case op >= 0xB0 && op <= 0xB7: // mov r8, imm8
-		r := x86.Reg(op&7 | (inst.Rex&1)<<3)
-		m.regWrite(r, uint64(inst.Imm()), 1)
-		return next, nil
-
-	case op >= 0xB8 && op <= 0xBF: // mov r, imm
-		w := width(inst)
-		r := x86.Reg(op&7 | (inst.Rex&1)<<3)
-		if w == 8 {
-			// movabs carries a full 64-bit immediate.
-			m.Regs[r] = uint64(inst.Imm())
-		} else {
-			m.regWrite(r, uint64(inst.Imm())&maskFor(w), w)
+	case op >= 0xB0 && op <= 0xBF: // mov r8, imm8 (B0–B7); mov r, imm (movabs at 64 bits)
+		w := 1
+		if op >= 0xB8 {
+			w = width(inst)
 		}
+		m.regWrite(x86.Reg(op&7|(inst.Rex&1)<<3), uint64(inst.Imm()), w)
 		return next, nil
 
 	case op == 0xC0 || op == 0xC1 || op == 0xD0 || op == 0xD1 || op == 0xD2 || op == 0xD3:
 		return next, m.execShift(inst)
 
-	case op == 0xC2: // ret imm16
+	case op == 0xC2 || op == 0xC3: // ret [imm16]
 		ret, err := m.pop()
 		if err != nil {
 			return 0, err
 		}
-		m.Regs[x86.RSP] += uint64(inst.Imm()) & 0xFFFF
-		m.Counters.Cycles += m.Cost.CallRet
-		return m.branch(next, ret), nil
-
-	case op == 0xC3: // ret
-		ret, err := m.pop()
-		if err != nil {
-			return 0, err
+		if op == 0xC2 {
+			m.Regs[x86.RSP] += uint64(inst.Imm()) & 0xFFFF
 		}
-		m.Counters.Cycles += m.Cost.CallRet
 		return m.branch(next, ret), nil
 
 	case op == 0xC6 || op == 0xC7: // mov r/m, imm
@@ -418,14 +387,10 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		return tramp, nil
 
 	case op == 0xE8: // call rel32
-		if err := m.push(next); err != nil {
-			return 0, err
-		}
-		m.Counters.Cycles += m.Cost.CallRet
-		return m.branch(next, inst.Target()), nil
+		return inst.Target(), m.push(next)
 
 	case op == 0xE9 || op == 0xEB: // jmp
-		return m.branch(next, inst.Target()), nil
+		return inst.Target(), nil
 
 	case op == 0xF4: // hlt
 		m.halted = true
@@ -436,31 +401,24 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		m.Flags ^= FlagCF
 		return next, nil
 
-	case op == 0xF8: // clc
-		m.setFlag(FlagCF, false)
+	case op == 0xF8 || op == 0xF9: // clc, stc
+		m.setFlag(FlagCF, op == 0xF9)
 		return next, nil
 
-	case op == 0xF9: // stc
-		m.setFlag(FlagCF, true)
-		return next, nil
-
-	case op == 0xFC: // cld
-		m.setFlag(FlagDF, false)
-		return next, nil
-
-	case op == 0xFD: // std
-		m.setFlag(FlagDF, true)
+	case op == 0xFC || op == 0xFD: // cld, std
+		m.setFlag(FlagDF, op == 0xFD)
 		return next, nil
 
 	case op == 0xF6 || op == 0xF7: // group 3
 		return next, m.execGroup3(inst)
 
-	case op == 0xFE: // group 4: inc/dec r/m8
-		v, err := m.rmRead(inst, 1)
+	case op == 0xFE, op == 0xFF && (inst.ModRM>>3)&7 <= 1: // inc/dec r/m
+		w := pairWidth(inst)
+		v, err := m.rmRead(inst, w)
 		if err != nil {
 			return 0, err
 		}
-		return next, m.rmWrite(inst, m.incDec(v, 1, (inst.ModRM>>3)&7 != 0), 1)
+		return next, m.rmWrite(inst, m.incDec(v, w, (inst.ModRM>>3)&7 != 0), w)
 
 	case op == 0xFF: // group 5
 		return m.execGroup5(inst, next)
@@ -492,12 +450,6 @@ func (m *Machine) execTwoByte(inst *x86.Inst, next uint64) (uint64, error) {
 		}
 		return next, nil
 
-	case op >= 0x80 && op <= 0x8F: // jcc rel32
-		if m.cond(x86.Cond(op & 0xF)) {
-			return m.branch(next, inst.Target()), nil
-		}
-		return next, nil
-
 	case op >= 0x90 && op <= 0x9F: // setcc
 		var v uint64
 		if m.cond(x86.Cond(op & 0xF)) {
@@ -512,7 +464,6 @@ func (m *Machine) execTwoByte(inst *x86.Inst, next uint64) (uint64, error) {
 			return 0, err
 		}
 		r := modrmReg(inst)
-		m.Counters.Cycles += m.Cost.Mul
 		m.regWrite(r, m.imul(m.regRead(r, w), a, w), w)
 		return next, nil
 
@@ -657,12 +608,9 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		m.Flags = f.pack(m.Flags)
 		return m.rmWrite(inst, f.result(), w)
 	case 4: // mul
-		m.Counters.Cycles += m.Cost.Mul
 		hi, lo := bits.Mul64(m.regRead(x86.RAX, w), v)
-		if w != 8 {
-			full := m.regRead(x86.RAX, w) * v
-			lo = full & maskFor(w)
-			hi = (full >> (8 * uint(w))) & maskFor(w)
+		if w != 8 { // the product fits in lo
+			hi, lo = lo>>(8*uint(w)), lo&maskFor(w)
 		}
 		m.writeProduct(lo, hi, w)
 		var c uint64
@@ -673,7 +621,6 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		m.Flags = f.pack(m.Flags)
 		return nil
 	case 5: // imul (one-operand)
-		m.Counters.Cycles += m.Cost.Mul
 		sw := uint(64 - 8*w)
 		sa := int64(m.regRead(x86.RAX, w)<<sw) >> sw
 		sb := int64(v<<sw) >> sw
@@ -690,46 +637,74 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		f.setCO(m.Flags, over, over)
 		m.Flags = f.pack(m.Flags)
 		return nil
-	case 6: // div
-		m.Counters.Cycles += m.Cost.Mul
-		if v == 0 {
-			return fmt.Errorf("divide by zero")
+	default: // 6, 7: div, idiv of the dividend in ax or rdx:rax
+		hi, lo := m.regRead(x86.RDX, w), m.regRead(x86.RAX, w)
+		if w == 1 {
+			hi = m.Regs[x86.RAX] >> 8 & 0xFF
 		}
-		if w == 8 {
-			hi, lo := m.Regs[x86.RDX], m.Regs[x86.RAX]
-			if hi >= v {
-				return fmt.Errorf("divide overflow")
-			}
-			q, r := bits.Div64(hi, lo, v)
-			m.Regs[x86.RAX], m.Regs[x86.RDX] = q, r
-			return nil
+		q, r, err := divide(hi, lo, v, w, reg == 7)
+		if err != nil {
+			return err
 		}
-		num := m.regRead(x86.RDX, w)<<(8*uint(w)) | m.regRead(x86.RAX, w)
-		m.regWrite(x86.RAX, num/v, w)
-		m.regWrite(x86.RDX, num%v, w)
-		return nil
-	case 7: // idiv
-		m.Counters.Cycles += m.Cost.Mul
-		sw := uint(64 - 8*w)
-		sv := int64(v<<sw) >> sw
-		if sv == 0 {
-			return fmt.Errorf("divide by zero")
-		}
-		var num int64
-		if w == 8 {
-			num = int64(m.Regs[x86.RAX]) // approximation: rdx ignored
-		} else {
-			num = int64((m.regRead(x86.RDX, w)<<(8*uint(w))|m.regRead(x86.RAX, w))<<(64-16*uint(w))) >> (64 - 16*uint(w))
-		}
-		m.regWrite(x86.RAX, uint64(num/sv)&maskFor(w), w)
-		m.regWrite(x86.RDX, uint64(num%sv)&maskFor(w), w)
+		m.writeProduct(q, r, w)
 		return nil
 	}
-	return fmt.Errorf("unimplemented group-3 /%d", reg)
 }
 
-// writeProduct stores the product of a one-operand mul or imul: in ax
-// for a byte operand, else in rdx:rax.
+// divide divides the 2w-byte dividend hi:lo by the w-byte v, unsigned
+// or, when signed is set, signed, truncating toward zero: the quotient
+// and the remainder, or the divide error of a zero divisor or of a
+// quotient that does not fit in w bytes.
+func divide(hi, lo, v uint64, w int, signed bool) (q, r uint64, err error) {
+	if v == 0 {
+		return 0, 0, fmt.Errorf("divide by zero")
+	}
+	bitsW := uint(8 * w)
+	n1, n0 := hi, lo // the dividend, 128 bits wide
+	if w < 8 {
+		n1, n0 = 0, hi<<bitsW|lo
+	}
+	var negN, negD bool // divide the magnitudes, then fix the signs
+	if signed {
+		if w < 8 {
+			n0 = uint64(int64(n0<<(64-2*bitsW)) >> (64 - 2*bitsW))
+			n1 = uint64(int64(n0) >> 63)
+			v = uint64(int64(v<<(64-bitsW)) >> (64 - bitsW))
+		}
+		if negN = int64(n1) < 0; negN {
+			var borrow uint64
+			n0, borrow = bits.Sub64(0, n0, 0)
+			n1, _ = bits.Sub64(0, n1, borrow)
+		}
+		if negD = int64(v) < 0; negD {
+			v = -v
+		}
+	}
+	limit := maskFor(w) // the largest quotient magnitude that fits
+	if signed {
+		limit >>= 1
+		if negN != negD {
+			limit++
+		}
+	}
+	if n1 >= v {
+		return 0, 0, fmt.Errorf("divide overflow")
+	}
+	if q, r = bits.Div64(n1, n0, v); q > limit {
+		return 0, 0, fmt.Errorf("divide overflow")
+	}
+	if negN != negD {
+		q = -q
+	}
+	if negN {
+		r = -r
+	}
+	return q & maskFor(w), r & maskFor(w), nil
+}
+
+// writeProduct stores the result of a one-operand mul, imul, div or
+// idiv, lo and hi (a quotient and its remainder): in ax for a byte
+// operand, else in rdx:rax.
 func (m *Machine) writeProduct(lo, hi uint64, w int) {
 	if w == 1 {
 		m.regWrite(x86.RAX, hi<<8|lo, 2)
@@ -741,36 +716,19 @@ func (m *Machine) writeProduct(lo, hi uint64, w int) {
 
 func (m *Machine) execGroup5(inst *x86.Inst, next uint64) (uint64, error) {
 	reg := (inst.ModRM >> 3) & 7
-	switch reg {
-	case 0, 1: // inc/dec r/m
-		w := width(inst)
-		v, err := m.rmRead(inst, w)
-		if err != nil {
-			return 0, err
-		}
-		return next, m.rmWrite(inst, m.incDec(v, w, reg != 0), w)
-	case 2: // call r/m
-		t, err := m.rmRead(inst, 8)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.push(next); err != nil {
-			return 0, err
-		}
-		m.Counters.Cycles += m.Cost.CallRet
-		return m.branch(next, t), nil
-	case 4: // jmp r/m
-		t, err := m.rmRead(inst, 8)
-		if err != nil {
-			return 0, err
-		}
-		return m.branch(next, t), nil
-	case 6: // push r/m
-		v, err := m.rmRead(inst, 8)
-		if err != nil {
-			return 0, err
-		}
-		return next, m.push(v)
+	if reg != 2 && reg != 4 && reg != 6 {
+		return 0, fmt.Errorf("unimplemented group-5 /%d", reg)
 	}
-	return 0, fmt.Errorf("unimplemented group-5 /%d", reg)
+	v, err := m.rmRead(inst, 8)
+	if err != nil {
+		return 0, err
+	}
+	switch reg {
+	case 2: // call r/m
+		err := m.push(next)
+		return m.branch(next, v), err
+	case 4: // jmp r/m
+		return m.branch(next, v), nil
+	}
+	return next, m.push(v) // push r/m
 }

@@ -33,12 +33,12 @@ import (
 // parameter), reads its operands through addresses fixed at lift time
 // (a register's slot or a copy of the immediate), and exists in a form
 // with and one without the flag record; a jcc picks its condition test
-// when it is lifted. The static part of each instruction's cost — its
-// base cost, Mem, Mul and CallRet surcharges, and the taken and far
-// events of static branches — is counted per block (tally) and charged
-// on entry; only what depends on run-time values (a conditional
-// branch's direction, a dynamic target's distance) is charged by the
-// micro-ops themselves.
+// when it is lifted. Each instruction's staticCost (cost.go), which
+// the interpreter charges per instruction, is counted per block
+// (tally) and charged on entry; only what depends on run-time values (a
+// conditional branch's direction, a dynamic target's distance) is
+// charged by the micro-ops themselves, through the interpreter's
+// helper.
 //
 // Three block-local optimizations carry the speedup beyond caching the
 // decode:
@@ -91,10 +91,8 @@ type block struct {
 
 	// cost is the static charge of every instruction in the block,
 	// made on entry. left[k] is what an exit at op k refunds: the
-	// static charge of the instructions after op k's. fault[k] is the
-	// part of op k's own charge that the interpreter makes only after
-	// the access that can fault (an RMW's store, a pop's Mem), which a
-	// fault at op k refunds as well.
+	// static charge of the instructions after op k's. fault[k] is what
+	// a fault at op k refunds as well: its staticCost's unrun.
 	cost        tally
 	left, fault []tally
 
@@ -431,7 +429,7 @@ func (e *irEngine) runCareful(m *Machine, b *block, maxInst uint64) error {
 
 // refund takes back what leaving at op k left unretired: the static
 // charge of the instructions after op k's and, when op k faulted, the
-// part of its own that the interpreter would not have charged.
+// part of its own that a fault leaves unrun.
 func (b *block) refund(m *Machine, k int, faulted bool) {
 	t := b.left[k]
 	if faulted {
@@ -440,53 +438,12 @@ func (b *block) refund(m *Machine, k int, faulted bool) {
 	m.Counters.refund(&t, &m.Cost)
 }
 
-// tally counts the cost events of instructions that are fixed at lift
-// time (staticCost): the instructions themselves, their Mem, Mul and
-// CallRet surcharges, and the taken and far events of branches with a
-// static target. It holds counts, not cycles, so a charge reads the
-// machine's CostModel when it is made.
-type tally struct {
-	insts, mem, mul, callRet, taken, far uint16
-}
-
-// add adds u's events to t.
-func (t *tally) add(u tally) {
-	t.insts += u.insts
-	t.mem += u.mem
-	t.mul += u.mul
-	t.callRet += u.callRet
-	t.taken += u.taken
-	t.far += u.far
-}
-
-// cycles prices t's events under k.
-func (t *tally) cycles(k *CostModel) uint64 {
-	return uint64(t.insts)*k.ALU + uint64(t.mem)*k.Mem + uint64(t.mul)*k.Mul +
-		uint64(t.callRet)*k.CallRet + uint64(t.taken)*k.BranchTaken + uint64(t.far)*k.FarJump
-}
-
-// charge adds t's events and their cycles under k to c.
-func (c *Counters) charge(t *tally, k *CostModel) {
-	c.Instructions += uint64(t.insts)
-	c.TakenBranches += uint64(t.taken)
-	c.FarJumps += uint64(t.far)
-	c.Cycles += t.cycles(k)
-}
-
-// refund takes t's events and their cycles under k back from c.
-func (c *Counters) refund(t *tally, k *CostModel) {
-	c.Instructions -= uint64(t.insts)
-	c.TakenBranches -= uint64(t.taken)
-	c.FarJumps -= uint64(t.far)
-	c.Cycles -= t.cycles(k)
-}
-
 // fault records a wrapped execution error with machine state
 // positioned exactly as the interpreter leaves it: RIP at the faulting
 // instruction.
 func (s *state) fault(inst *x86.Inst, err error) bool {
 	s.m.RIP = inst.Addr
-	s.err = fmt.Errorf("emu: at %#x (% x): %w", inst.Addr, inst.Bytes, err)
+	s.err = faultAt(inst, err)
 	return done
 }
 
@@ -589,8 +546,8 @@ func store[T word](s *state, addr uint64, v T) {
 	}
 }
 
-// push mirrors Machine.push but for its Mem cycle, which is static:
-// RSP moves first, then the store (which cannot fault).
+// push is Machine.push through the store TLB: RSP moves first, then
+// the store (which cannot fault).
 func (s *state) push(v uint64) {
 	m := s.m
 	sp := m.Regs[x86.RSP] - 8
@@ -598,8 +555,8 @@ func (s *state) push(v uint64) {
 	store(s, sp, v)
 }
 
-// pop mirrors Machine.pop but for its Mem cycle, which is static: the
-// read happens (and may fault) before RSP moves.
+// pop is Machine.pop through the load TLB: the read happens (and may
+// fault) before RSP moves.
 func (s *state) pop() (uint64, error) {
 	m := s.m
 	v, err := load[uint64](s, m.Regs[x86.RSP])

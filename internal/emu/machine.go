@@ -42,47 +42,6 @@ const (
 	flagsAlways uint64 = 1<<1 | 1<<9
 )
 
-// CostModel assigns cycle weights to dynamic events. The defaults are
-// calibrated so that the *shape* of the paper's overhead results holds;
-// see DESIGN.md §1 for the substitution rationale.
-type CostModel struct {
-	// ALU is the base cost of any instruction.
-	ALU uint64
-	// Mem is the surcharge for each memory access.
-	Mem uint64
-	// BranchTaken is the surcharge for a taken near branch.
-	BranchTaken uint64
-	// FarJump is the surcharge for a taken branch whose target is more
-	// than FarDistance away (trampoline hops: icache/BTB pressure).
-	FarJump uint64
-	// FarDistance is the near/far threshold in bytes.
-	FarDistance uint64
-	// CallRet is the surcharge for call and ret.
-	CallRet uint64
-	// Mul is the surcharge for multiplies.
-	Mul uint64
-	// Signal is the cost of an int3 → SIGTRAP → handler round trip
-	// (B0 patching).
-	Signal uint64
-	// Runtime is the flat cost of a runtime (libc-analogue) call.
-	Runtime uint64
-}
-
-// DefaultCost returns the calibrated default cost model.
-func DefaultCost() CostModel {
-	return CostModel{
-		ALU:         1,
-		Mem:         1,
-		BranchTaken: 1,
-		FarJump:     5,
-		FarDistance: 1 << 12,
-		CallRet:     1,
-		Mul:         2,
-		Signal:      3000,
-		Runtime:     40,
-	}
-}
-
 // PageSize is the emulated page size.
 const PageSize = 0x1000
 
@@ -171,22 +130,25 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) {
 // ReadBytes reads n bytes; unmapped bytes read as zero and set ok=false.
 func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, bool) {
 	out := make([]byte, n)
-	ok := true
-	for i := 0; i < n; {
-		p := m.pageFor(addr+uint64(i), false)
-		off := (addr + uint64(i)) % PageSize
-		span := PageSize - int(off)
-		if span > n-i {
-			span = n - i
-		}
+	return out, m.readInto(out, addr)
+}
+
+// readInto fills b from addr as ReadBytes does.
+func (m *Memory) readInto(b []byte, addr uint64) (ok bool) {
+	ok = true
+	for i := 0; i < len(b); {
+		a := addr + uint64(i)
+		p := m.pageFor(a, false)
+		span := min(len(b)-i, PageSize-int(a%PageSize))
 		if p == nil {
+			clear(b[i : i+span])
 			ok = false
 		} else {
-			copy(out[i:i+span], p[off:])
+			copy(b[i:i+span], p[a%PageSize:])
 		}
 		i += span
 	}
-	return out, ok
+	return ok
 }
 
 func (m *Memory) read(addr uint64, n int) (uint64, error) {
@@ -306,6 +268,11 @@ type Machine struct {
 	ExitCode uint64
 
 	halted bool
+
+	// fetch and inst are Step's fetch window and decoded instruction,
+	// owned by the machine so that a step allocates nothing.
+	fetch [15]byte
+	inst  x86.Inst
 }
 
 // Common machine errors.
