@@ -177,8 +177,9 @@ type comp struct {
 	b     *block
 	elide []bool // flag computation provably dead for insts[i]
 
-	// cost and unrun are staticCost of each instruction; opLast[k] is the index of the last instruction op k
-	// retires, and opFault[k] what a fault at op k leaves uncharged.
+	// cost and unrun are staticCost of each instruction; opLast[k] is
+	// the index of the last instruction op k retires, and opFault[k]
+	// what a fault at op k leaves uncharged.
 	cost, unrun []tally
 	opLast      []int
 	opFault     []tally

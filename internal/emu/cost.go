@@ -5,9 +5,9 @@ import "e9patch/internal/x86"
 // The cycle model. Every cycle either engine charges is priced here:
 // staticCost is the one definition of what an instruction costs by its
 // encoding, counted as a tally and charged through Counters.charge —
-// per instruction by the interpreter (execDecodedQuiet), per block by
-// the ir engine — and taken back through Counters.refund where a fault
-// or an early block exit leaves it unrun. Only what depends on run-time
+// per instruction by the interpreter (execDecoded), per block by the
+// ir engine — and taken back through Counters.refund where a fault or
+// an early block exit leaves it unrun. Only what depends on run-time
 // values is charged where it happens: a taken conditional or computed
 // branch (Counters.taken), a runtime call (stepSpecial) and an int3's
 // signal round trip (exec).
@@ -179,7 +179,8 @@ func staticCost(inst *x86.Inst, farDist uint64) (t, unrun tally) {
 			t.mem, unrun.mem = 2*mem, mem
 		case 4, 5: // mul, imul: Mul
 			t.mul, unrun.mul = 1, 1
-		case 6, 7: // div, idiv: Mul, which a divide error keeps for a register divisor
+		case 6, 7: // div, idiv: Mul, which a fault takes back after a memory
+			// divisor, whose load may be what faulted
 			t.mul, unrun.mul = 1, mem
 		}
 	case op == 0xC2 || op == 0xC3: // ret: the pop, then CallRet
