@@ -31,8 +31,8 @@ difftest:
 	$(GO) test -race -run 'TestParallelRewrite|FuzzParallelRewrite' .
 	$(GO) test -race -run 'TestParallel|TestLockStateInvariant|TestPatchAllOnce|Shardable' ./internal/patch/ ./internal/disasm/ ./internal/match/
 
-# enginecheck is the engine gate (DESIGN.md §13): the host CPU against both engines (TestEnginesMatchCPU) for the semantics, interp against ir for lifting, fusion, chaining, charges and faults. Re-record goldens with:
-#   go test ./internal/emu/enginetest/ -run TestEngineGoldenTraces -update-golden
+# enginecheck is the engine gate (DESIGN.md §13): the host CPU against both engines (TestEnginesMatchCPU) for the semantics, interp against ir for lifting, fusion, chaining, charges and faults, and both against the recorded traces and Counters. Re-record the goldens (the traces and counters.golden), only for an intentional change, with:
+#   go test ./internal/emu/enginetest/ -update-golden
 enginecheck:
 	$(GO) test ./internal/emu/enginetest/ ./internal/emu/
 	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s -fuzzminimizetime 1s .
@@ -127,4 +127,4 @@ fuzzhostile:
 	$(GO) test -run '^FuzzRewriteHostileELF$$' -fuzz '^FuzzRewriteHostileELF$$' -fuzztime 10s -fuzzminimizetime 1s .
 	$(GO) test -run '^FuzzDecode$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/loader
 
-ci: fmt vet race difftest enginecheck plancheck speccheck rpccheck disasmcheck servertest clustercheck fuzzshort fuzzhostile
+ci: fmt vet race difftest enginecheck papercheck plancheck speccheck rpccheck disasmcheck servertest clustercheck fuzzshort fuzzhostile

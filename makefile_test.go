@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,36 @@ func TestMakefileFuzzLinesCapMinimizing(t *testing.T) {
 	}
 	if fuzzed == 0 {
 		t.Fatal("no -fuzz line found in the Makefile")
+	}
+}
+
+// TestMakefileCIRunsPapercheck requires make ci to run papercheck,
+// whose diff of bench_results_full.txt is the only gate on every paper
+// Time%, and every prerequisite of ci to be a target of the Makefile.
+func TestMakefileCIRunsPapercheck(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	var ci []string
+	for _, line := range strings.Split(string(mk), "\n") {
+		name, deps, ok := strings.Cut(line, ":")
+		if !ok || name == "" || strings.ContainsAny(name, " \t.$") {
+			continue
+		}
+		targets[name] = true
+		if name == "ci" {
+			ci = strings.Fields(deps)
+		}
+	}
+	if !slices.Contains(ci, "papercheck") {
+		t.Errorf("make ci runs %v, not papercheck", ci)
+	}
+	for _, dep := range ci {
+		if !targets[dep] {
+			t.Errorf("make ci names %s, which the Makefile does not define", dep)
+		}
 	}
 }
 
