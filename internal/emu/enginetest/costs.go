@@ -107,11 +107,11 @@ func testStaticCosts(t *testing.T, engine string) {
 
 	// (d) A divide error in a hopping block, raised by div and idiv at
 	// each width with a register and a memory divisor: `site: mov rax,
-	// lo; mov rdx, hi; mov rbx, divisor; mov [rsp-16], rbx; jmp T` with
-	// `T: add rcx, 1; <op>; add rcx, 1; jmp site`. A zero divisor, and a
-	// dividend of 1 << (8*w) over 1, whose quotient does not fit. A
-	// memory divisor's load succeeds, and the Mul after it is not
-	// charged.
+	// lo; mov rdx, hi; mov rbx, divisor; lea r13, [rsp-16]; mov [r13],
+	// rbx; jmp T` with `T: add rcx, 1; <op> rbx or [r13]; add rcx, 1;
+	// jmp site`. A zero divisor, and a dividend of 1 << (8*w) over 1,
+	// whose quotient does not fit. A memory divisor's load succeeds, and
+	// the Mul after it is not charged.
 	for _, w := range []int{1, 2, 4, 8} {
 		for _, sub := range []byte{6, 7} {
 			for _, mem := range []bool{false, true} {
@@ -124,11 +124,16 @@ func testStaticCosts(t *testing.T, engine string) {
 					s.MovRegImm64(x86.RAX, lo)
 					s.MovRegImm64(x86.RDX, hi)
 					s.MovRegImm64(x86.RBX, divisor)
-					s.MovMemReg64(x86.M(x86.RSP, -16), x86.RBX)
+					s.Lea(x86.R13, x86.M(x86.RSP, -16))
+					s.MovMemReg64(x86.M(x86.R13, 0), x86.RBX)
 					s.JmpRel32(TrampBase)
 					tr := x86.NewAsm(TrampBase)
 					tr.AddRegImm64(x86.RCX, 1)
-					tr.Raw(divForm(w, sub, mem)...)
+					div := encode(w, []byte{0xF6 | full(w)}, sub, mem, 0, 0)
+					if !mem {
+						div[len(div)-1] |= 3 // rbx
+					}
+					tr.Raw(div...)
 					tr.AddRegImm64(x86.RCX, 1)
 					tr.JmpRel32(SiteBase)
 					name := fmt.Sprintf("divide-error/%s%d-%s-by-%d", map[byte]string{6: "div", 7: "idiv"}[sub], 8*w,
@@ -180,22 +185,40 @@ func testStaticCosts(t *testing.T, engine string) {
 	}
 }
 
-// divForm encodes div (sub 6) or idiv (sub 7) at width w of rbx, or of
-// [rsp-16] when mem is set.
-func divForm(w int, sub byte, mem bool) []byte {
+// encode assembles opcode op at width w with ModRM reg field reg and
+// r/m rax, or the slot [r13] when mem is set, followed by the low
+// immBytes bytes of imm.
+func encode(w int, op []byte, reg byte, mem bool, imm uint64, immBytes int) []byte {
 	var b []byte
-	switch w {
-	case 2:
+	if w == 2 {
 		b = append(b, 0x66)
-	case 8:
-		b = append(b, 0x48)
 	}
-	op := byte(0xF7)
-	if w == 1 {
-		op = 0xF6
+	var rex byte
+	if w == 8 {
+		rex |= 0x48
 	}
 	if mem {
-		return append(b, op, 0x44|sub<<3, 0x24, 0xF0) // [rsp-16]
+		rex |= 0x41
 	}
-	return append(b, op, 0xC3|sub<<3) // rbx
+	if rex != 0 {
+		b = append(b, rex)
+	}
+	b = append(b, op...)
+	if mem {
+		b = append(b, 0x40|reg<<3|5, 0) // [r13+0]
+	} else {
+		b = append(b, 0xC0|reg<<3) // rax
+	}
+	for i := 0; i < immBytes; i++ {
+		b = append(b, byte(imm>>(8*i)))
+	}
+	return b
+}
+
+// full is the low opcode bit of a full-width (not byte) form.
+func full(w int) byte {
+	if w == 1 {
+		return 0
+	}
+	return 1
 }

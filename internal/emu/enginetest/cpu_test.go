@@ -91,44 +91,6 @@ var condReads = [8]uint64{
 	emu.FlagSF, emu.FlagPF, emu.FlagSF | emu.FlagOF, emu.FlagZF | emu.FlagSF | emu.FlagOF,
 }
 
-// encode assembles opcode op at width w with ModRM reg field reg and
-// r/m rax, or the slot [r13] when mem is set, followed by the low
-// immBytes bytes of imm.
-func encode(w int, op []byte, reg byte, mem bool, imm uint64, immBytes int) []byte {
-	var b []byte
-	if w == 2 {
-		b = append(b, 0x66)
-	}
-	var rex byte
-	if w == 8 {
-		rex |= 0x48
-	}
-	if mem {
-		rex |= 0x41
-	}
-	if rex != 0 {
-		b = append(b, rex)
-	}
-	b = append(b, op...)
-	if mem {
-		b = append(b, 0x40|reg<<3|5, 0) // [r13+0]
-	} else {
-		b = append(b, 0xC0|reg<<3) // rax
-	}
-	for i := 0; i < immBytes; i++ {
-		b = append(b, byte(imm>>(8*i)))
-	}
-	return b
-}
-
-// full is the low opcode bit of a full-width (not byte) form.
-func full(w int) byte {
-	if w == 1 {
-		return 0
-	}
-	return 1
-}
-
 // constant returns a defined-flags function that ignores rcx.
 func constant(d uint64) func(uint64) uint64 { return func(uint64) uint64 { return d } }
 
