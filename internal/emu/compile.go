@@ -7,25 +7,25 @@ import (
 )
 
 // Block compiler: decode (shared seam) → flag-liveness analysis →
-// static costs → micro-op emission with constant effective-address
-// folding. Each micro-op is specialised for its instruction's exact
-// shape at lift time: its operand width is the type parameter of a
-// generic lift (word), a register or immediate source is an address the
-// op reads (a register's slot, or the block's copy of the immediate), a
-// compare-only op writes its result to a sink instead of a register,
-// the flag record is present only when liveness keeps it, and a memory
-// access has one fixed width. Ops and instructions do not align: a
-// followed jmp, and a cmp or test whose flags are dead, lift to no op; a
-// fused pair (with the followed jumps between its halves) is one op;
-// and a trailing epilogue op is added when the block can fall off its
-// end (size cap or a decode failure ahead). Micro-ops charge only what
-// depends on run-time values; staticCost is the rest, which Run
-// charges per block.
+// static costs → micro-op emission. Each micro-op is specialised for
+// its instruction's exact shape at lift time: its operand width is the
+// type parameter of a generic lift (word), a register or immediate
+// source is an address the op reads (a register's slot, or the block's
+// copy of the immediate), a compare-only op writes its result to a
+// sink instead of a register, the flag record is present only when
+// liveness keeps it, and a memory access has one fixed width. Ops and
+// instructions do not align: a followed jmp, and a cmp or test whose
+// flags are dead, lift to no op; a fused pair (with the followed jumps
+// between its halves) is one op; and a trailing epilogue op is added
+// when the block can fall off its end (size cap or a decode failure
+// ahead). Micro-ops charge only what depends on run-time values;
+// staticCost is the rest, which Run charges per block.
 //
-// The lift set is the measured hot set: the opcodes the emu-kernels
-// kernels (original and rewritten) and the Figure 4/5 runs execute.
-// Every other instruction is one interpreter-fallback micro-op
-// (emitFallback), which flagEffects marks unsafe.
+// The lift set is the measured hot set: the forms (opcode, operand
+// kinds, a shift's count source) that the emu-kernels kernels
+// (original and rewritten) and the Figure 4/5 and Table 1 runs
+// execute. Every other instruction is one interpreter-fallback
+// micro-op (emitFallback), which flagEffects marks unsafe.
 
 // Flag-liveness bit positions (one per arithmetic flag), used only by
 // the compile-time analysis — distinct from the RFLAGS bit layout.
@@ -62,32 +62,20 @@ func condFlags(cc x86.Cond) uint8 {
 	return fAll
 }
 
-// staticShiftZero reports whether a shift with a compile-time count
-// (C0/C1 imm, D0/D1 one) has an effective count of zero, in which
-// case x86 leaves all flags untouched.
-func staticShiftZero(inst *x86.Inst) bool {
-	op := inst.Opcode
-	if op == 0xD0 || op == 0xD1 {
-		return false
+// shiftCount is the count of a shift by an immediate (C0/C1), masked
+// as the hardware masks it. A count of zero leaves all flags untouched.
+func shiftCount(inst *x86.Inst) uint64 {
+	if inst.Opcode == 0xC1 && width(inst) == 8 {
+		return uint64(inst.Imm()) & 63
 	}
-	count := uint64(inst.Imm())
-	if op == 0xC1 && width(inst) == 8 {
-		count &= 63
-	} else {
-		count &= 31
-	}
-	return count == 0
+	return uint64(inst.Imm()) & 31
 }
 
-// liftedShift reports whether inst is a shift the engine lifts: a
-// C0/C1/D0–D3 group member other than rcl/rcr, on a register.
+// liftedShift reports whether inst is a shift the engine lifts: shl or
+// shr of a register by an immediate (C0/C1 /4 and /5).
 func liftedShift(inst *x86.Inst, mem bool) bool {
-	switch inst.Opcode {
-	case 0xC0, 0xC1, 0xD0, 0xD1, 0xD2, 0xD3:
-		sub := (inst.ModRM >> 3) & 7
-		return !mem && sub != 2 && sub != 3
-	}
-	return false
+	sub := (inst.ModRM >> 3) & 7
+	return (inst.Opcode == 0xC0 || inst.Opcode == 0xC1) && !mem && (sub == 4 || sub == 5)
 }
 
 // pairWidth is the operand width of an opcode from a byte/full pair
@@ -117,8 +105,8 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 		return condFlags(cc), 0, false
 	}
 	if inst.TwoByte {
-		if op == 0xAF { // imul r, r/m
-			return fAF, fAll &^ fAF, mem
+		if op == 0xAF && !mem { // imul r, r
+			return fAF, fAll &^ fAF, false
 		}
 		return fAll, 0, true // ud2 and anything unlifted: fallback
 	}
@@ -132,8 +120,8 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 	case op >= 0x50 && op <= 0x5F, op == 0x68: // push/pop r, push imm32: the
 		// store may raise an SMC flush, the load may fault
 		return 0, 0, true
-	case op == 0x69 || op == 0x6B: // imul r, r/m, imm
-		return fAF, fAll &^ fAF, mem
+	case (op == 0x69 || op == 0x6B) && !mem: // imul r, r, imm
+		return fAF, fAll &^ fAF, false
 	case op >= 0x88 && op <= 0x8B: // mov
 		return 0, 0, mem
 	case op == 0x8D: // lea: address is computed, never accessed
@@ -144,31 +132,21 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 		return 0, fAll, true
 	case op >= 0xB8 && op <= 0xBF: // mov r, imm
 		return 0, 0, false
-	case liftedShift(inst, mem):
-		// A shift's record copies the AF before it, a rotate's every
-		// flag but the CF and OF it writes.
-		kept, written := uint8(fAF), uint8(fAll&^fAF)
-		if sub <= 1 {
-			kept, written = fAll&^(fCF|fOF), fCF|fOF
-		}
-		switch {
-		case op == 0xD2 || op == 0xD3: // by cl: the count may be 0 at
-			// runtime, so prior flags stay potentially observable
-			return kept, 0, false
-		case staticShiftZero(inst):
+	case liftedShift(inst, mem): // the record copies the AF before it
+		if shiftCount(inst) == 0 {
 			return 0, 0, false
 		}
-		return kept, written, false
+		return fAF, fAll &^ fAF, false
 	case op == 0xC2 || op == 0xC3 || op == 0xE8: // ret pops, call pushes
 		return 0, 0, true
 	case op == 0xE9 || op == 0xEB: // jmp
 		return 0, 0, false
-	case op == 0xF7 && sub == 2: // not: no flags
-		return 0, 0, mem
-	case op == 0xFF && sub == 4: // jmp r/m: a memory target may fault on load
-		return 0, 0, mem
+	case op == 0xF7 && sub == 2 && !mem: // not r: no flags
+		return 0, 0, false
+	case op == 0xFF && sub == 4 && !mem: // jmp r
+		return 0, 0, false
 	}
-	return fAll, 0, true // call/push r/m (stores) and anything unlifted: fallback
+	return fAll, 0, true // call r (a store) and anything unlifted: fallback
 }
 
 // comp is the per-block compile context.
@@ -189,11 +167,6 @@ type comp struct {
 	// directly; sink is the engine's result sink (state.sink).
 	regs *[16]uint64
 	sink *uint64
-
-	// Constant-register tracking for EA folding: known is a bitmask
-	// over the 16 GPRs; kval holds full 64-bit values.
-	known uint16
-	kval  [16]uint64
 }
 
 // newComp returns the compile context of b for machine m: liveness
@@ -230,30 +203,6 @@ func (c *comp) analyzeFlags() {
 	}
 }
 
-// Constant-register tracking helpers.
-
-func (c *comp) kill(r x86.Reg)         { c.known &^= 1 << r }
-func (c *comp) killAll()               { c.known = 0 }
-func (c *comp) isKnown(r x86.Reg) bool { return c.known&(1<<r) != 0 }
-
-// set records a register write with x86 merge semantics applied to
-// the tracked constant.
-func (c *comp) set(r x86.Reg, v uint64, w int) {
-	switch {
-	case w == 8:
-		c.kval[r] = v
-		c.known |= 1 << r
-	case w == 4:
-		c.kval[r] = v & 0xFFFFFFFF
-		c.known |= 1 << r
-	default: // 8/16-bit writes merge: only known if the rest is known
-		if c.isKnown(r) {
-			mask := maskFor(w)
-			c.kval[r] = c.kval[r]&^mask | v&mask
-		}
-	}
-}
-
 // reg is the address of register r, which micro-ops read and write.
 func (c *comp) reg(r x86.Reg) *uint64 { return &c.regs[r] }
 
@@ -272,9 +221,9 @@ func (c *comp) src(o operand, imm uint64) *uint64 {
 var zeroWord uint64
 
 // addrCalc is a memory operand's effective address as the lift
-// resolved it: *base + *idx << shift + k. A component folded to a
-// lift-time constant, or absent, reads zeroWord and has its value in
-// k, so computing the address takes no branch and no call.
+// resolved it: *base + *idx << shift + k. An absent component reads
+// zeroWord, and a RIP-relative address is all k, so computing the
+// address takes no branch and no call.
 type addrCalc struct {
 	base, idx *uint64
 	shift     uint8
@@ -284,36 +233,18 @@ type addrCalc struct {
 // at is the address under the current register values.
 func (a *addrCalc) at() uint64 { return *a.base + *a.idx<<a.shift + a.k }
 
-// eaFor resolves a memory operand's effective address, folding the
-// components that are constant at lift time.
+// eaFor resolves a memory operand's effective address.
 func (c *comp) eaFor(inst *x86.Inst) addrCalc {
-	a := addrCalc{base: &zeroWord, idx: &zeroWord}
+	a := addrCalc{base: &zeroWord, idx: &zeroWord, k: uint64(inst.Disp())}
 	if inst.RIPRel {
-		c.e.Stats.FoldedEAs++
-		a.k = inst.Addr + uint64(inst.Len) + uint64(inst.Disp())
+		a.k += inst.Addr + uint64(inst.Len)
 		return a
 	}
-	a.k = uint64(inst.Disp())
-	base, idx := inst.MemBase, inst.MemIndex
-	haveBase := base != x86.NoReg && base != x86.RIP
-	haveIdx := idx != x86.NoReg
-	switch {
-	case !haveBase:
-	case c.isKnown(base):
-		a.k += c.kval[base]
-	default:
-		a.base = c.reg(base)
+	if inst.MemBase != x86.NoReg && inst.MemBase != x86.RIP {
+		a.base = c.reg(inst.MemBase)
 	}
-	shift := uint8(bits.TrailingZeros8(inst.MemScale))
-	switch {
-	case !haveIdx:
-	case c.isKnown(idx):
-		a.k += c.kval[idx] << shift
-	default:
-		a.idx, a.shift = c.reg(idx), shift
-	}
-	if (haveBase || haveIdx) && a.base == &zeroWord && a.idx == &zeroWord {
-		c.e.Stats.FoldedEAs++
+	if inst.MemIndex != x86.NoReg {
+		a.idx, a.shift = c.reg(inst.MemIndex), uint8(bits.TrailingZeros8(inst.MemScale))
 	}
 	return a
 }
@@ -550,7 +481,6 @@ func (c *comp) account() {
 // whatever no workload runs) keeps exact interpreter behaviour. Its
 // staticCost is part of the block's charge, as any instruction's.
 func (c *comp) emitFallback(i int) uop {
-	c.killAll()
 	c.e.Stats.Fallbacks++
 	inst := &c.b.insts[i]
 	nextAddr := inst.Addr + uint64(inst.Len)
@@ -574,8 +504,7 @@ type operand struct {
 }
 
 // emit lifts insts[i] into one micro-op, or nil when it has no effect
-// to run (a cmp or test whose flags are dead), updating the
-// constant-register tracking as a side effect.
+// to run (a cmp or test whose flags are dead).
 func (c *comp) emit(i int) uop {
 	inst := &c.b.insts[i]
 	op := inst.Opcode
@@ -597,8 +526,8 @@ func (c *comp) emit(i int) uop {
 		return jccOp(cc, c.target(inst))
 	}
 	if inst.TwoByte {
-		if op == 0xAF { // imul r, r/m
-			return c.emitImul(inst, reg.reg, 0, false, rec, mem)
+		if op == 0xAF && !mem { // imul r, r
+			return c.emitImul(inst, 0, false, rec)
 		}
 		return c.emitFallback(i) // ud2 and anything unlifted
 	}
@@ -607,7 +536,6 @@ func (c *comp) emit(i int) uop {
 	case op >= 0x50 && op <= 0x57, op == 0x68: // push r, push imm32 (an
 		// epilogue's copy of a call pushes the return address)
 		src := c.src(operand{reg: x86.Reg(op&7 | (inst.Rex&1)<<3), imm: op == 0x68}, uint64(inst.Imm()))
-		c.kill(x86.RSP)
 		return func(s *state) bool {
 			s.push(*src)
 			if s.trk.flushed {
@@ -618,10 +546,7 @@ func (c *comp) emit(i int) uop {
 		}
 
 	case op >= 0x58 && op <= 0x5F: // pop r
-		r := x86.Reg(op&7 | (inst.Rex&1)<<3)
-		c.kill(x86.RSP)
-		c.kill(r)
-		d := c.reg(r)
+		d := c.reg(x86.Reg(op&7 | (inst.Rex&1)<<3))
 		return func(s *state) bool {
 			v, err := s.pop()
 			if err != nil {
@@ -631,8 +556,8 @@ func (c *comp) emit(i int) uop {
 			return true
 		}
 
-	case op == 0x69 || op == 0x6B: // imul r, r/m, imm
-		return c.emitImul(inst, reg.reg, uint64(inst.Imm()), true, rec, mem)
+	case (op == 0x69 || op == 0x6B) && !mem: // imul r, r, imm
+		return c.emitImul(inst, uint64(inst.Imm()), true, rec)
 
 	case op >= 0x88 && op <= 0x8B: // mov r/m, r (88/89); mov r, r/m (8A/8B)
 		w := pairWidth(inst)
@@ -641,46 +566,18 @@ func (c *comp) emit(i int) uop {
 			dst, src = src, dst
 		}
 		if !mem {
-			if c.isKnown(src) {
-				c.set(dst, c.kval[src], w)
-			} else {
-				c.kill(dst)
-			}
 			return byWidth(w, movReg[uint8], movReg[uint16], movReg[uint32], movReg[uint64])(c.reg(dst), c.reg(src))
 		}
 		ea := c.eaFor(inst)
 		if op < 0x8A {
 			return byWidth(w, movStore[uint8], movStore[uint16], movStore[uint32], movStore[uint64])(ea, c.reg(src), nextAddr)
 		}
-		c.kill(dst)
 		return byWidth(w, movLoad[uint8], movLoad[uint16], movLoad[uint32], movLoad[uint64])(ea, c.reg(dst), inst)
 
 	case op == 0x8D: // lea
-		w := width(inst)
-		dst := reg.reg
-		ea := c.eaFor(inst) // consult known BEFORE killing dst
-		if inst.RIPRel {
-			c.set(dst, inst.Addr+uint64(inst.Len)+uint64(inst.Disp()), w)
-		} else {
-			hasBase := inst.MemBase != x86.NoReg && inst.MemBase != x86.RIP
-			hasIdx := inst.MemIndex != x86.NoReg
-			if (!hasBase || c.isKnown(inst.MemBase)) && (!hasIdx || c.isKnown(inst.MemIndex)) {
-				k := uint64(inst.Disp())
-				if hasBase {
-					k += c.kval[inst.MemBase]
-				}
-				if hasIdx {
-					k += c.kval[inst.MemIndex] * uint64(inst.MemScale)
-				}
-				c.set(dst, k, w)
-			} else {
-				c.kill(dst)
-			}
-		}
-		return byWidth(w, lea[uint8], lea[uint16], lea[uint32], lea[uint64])(ea, c.reg(dst))
+		return byWidth(width(inst), lea[uint8], lea[uint16], lea[uint32], lea[uint64])(c.eaFor(inst), c.reg(reg.reg))
 
 	case op == 0x9C: // pushfq
-		c.kill(x86.RSP)
 		return func(s *state) bool {
 			m := s.m
 			s.materialize()
@@ -693,7 +590,6 @@ func (c *comp) emit(i int) uop {
 		}
 
 	case op == 0x9D: // popfq
-		c.kill(x86.RSP)
 		return func(s *state) bool {
 			v, err := s.pop()
 			if err != nil {
@@ -711,25 +607,17 @@ func (c *comp) emit(i int) uop {
 		if w != 8 {
 			v &= maskFor(w)
 		}
-		c.set(r, v, w)
 		return byWidth(w, movImm[uint8], movImm[uint16], movImm[uint32], movImm[uint64])(c.reg(r), v)
 
-	case liftedShift(inst, mem): // shift r, count
-		w := pairWidth(inst)
-		r := rm.reg
-		c.kill(r)
-		if (op == 0xC1 || op == 0xC0) && !rec && (sub == 4 || sub == 5 || sub == 6) {
-			// shl/shr by a constant, flags dead: the shift alone.
-			count := uint64(inst.Imm()) & 31
-			if w == 8 {
-				count = uint64(inst.Imm()) & 63
-			}
-			if sub == 5 {
-				return byWidth(w, shrImm[uint8], shrImm[uint16], shrImm[uint32], shrImm[uint64])(c.reg(r), count)
-			}
-			return byWidth(w, shlImm[uint8], shlImm[uint16], shlImm[uint32], shlImm[uint64])(c.reg(r), count)
+	case liftedShift(inst, mem): // shl or shr r, imm
+		w, d, count := pairWidth(inst), c.reg(rm.reg), shiftCount(inst)
+		switch {
+		case rec && count != 0:
+			return byWidth(w, shiftRec[uint8], shiftRec[uint16], shiftRec[uint32], shiftRec[uint64])(d, sub, count)
+		case sub == 5:
+			return byWidth(w, shrImm[uint8], shrImm[uint16], shrImm[uint32], shrImm[uint64])(d, count)
 		}
-		return c.emitShift(inst, r, sub, w, rec)
+		return byWidth(w, shlImm[uint8], shlImm[uint16], shlImm[uint32], shlImm[uint64])(d, count)
 
 	case op == 0xC2 || op == 0xC3: // ret [imm16]
 		var adj uint64
@@ -749,7 +637,6 @@ func (c *comp) emit(i int) uop {
 
 	case op == 0xE8: // call rel32
 		target := inst.Target()
-		c.kill(x86.RSP)
 		if i < len(c.b.insts)-1 { // followed: the callee runs on in this block
 			return func(s *state) bool {
 				s.push(nextAddr)
@@ -773,16 +660,24 @@ func (c *comp) emit(i int) uop {
 			return done
 		}
 
-	case op == 0xF7 && sub == 2: // not r/m
-		w := width(inst)
-		if !mem {
-			c.kill(rm.reg)
-			return byWidth(w, notReg[uint8], notReg[uint16], notReg[uint32], notReg[uint64])(c.reg(rm.reg))
-		}
-		return byWidth(w, notMem[uint8], notMem[uint16], notMem[uint32], notMem[uint64])(c.eaFor(inst), inst, nextAddr)
+	case op == 0xF7 && sub == 2 && !mem: // not r
+		return byWidth(width(inst), notReg[uint8], notReg[uint16], notReg[uint32], notReg[uint64])(c.reg(rm.reg))
 
-	case op == 0xFF && (sub == 2 || sub == 4 || sub == 6): // group 5: call/jmp/push r/m
-		return c.emitGroup5(inst, sub, mem)
+	case op == 0xFF && sub == 2 && !mem: // call r
+		r := c.reg(rm.reg)
+		return func(s *state) bool {
+			t := *r
+			s.push(nextAddr)
+			s.m.RIP = s.m.branch(nextAddr, t)
+			return done
+		}
+
+	case op == 0xFF && sub == 4 && !mem: // jmp r
+		r := c.reg(rm.reg)
+		return func(s *state) bool {
+			s.m.RIP = s.m.branch(nextAddr, *r)
+			return done
+		}
 	}
 
 	return c.emitFallback(i)
@@ -791,46 +686,6 @@ func (c *comp) emit(i int) uop {
 // target is the conditional branch inst as the lift resolves it.
 func (c *comp) target(inst *x86.Inst) jccTarget {
 	return jccTarget{next: inst.Addr + uint64(inst.Len), target: inst.Target(), far: farHop(inst, c.farDist) != 0}
-}
-
-// emitGroup5 lifts call, jmp and push r/m: a dynamic branch target or
-// pushed value, read from a register or loaded.
-func (c *comp) emitGroup5(inst *x86.Inst, sub byte, mem bool) uop {
-	nextAddr := inst.Addr + uint64(inst.Len)
-	if sub != 4 {
-		c.kill(x86.RSP)
-	}
-	var ea addrCalc
-	if mem {
-		ea = c.eaFor(inst)
-	}
-	r := c.reg(modrmRM(inst))
-	return func(s *state) bool {
-		m := s.m
-		t := *r
-		if mem {
-			var err error
-			if t, err = load[uint64](s, ea.at()); err != nil {
-				return s.fault(inst, err)
-			}
-		}
-		switch sub {
-		case 2: // call
-			s.push(nextAddr)
-			m.RIP = m.branch(nextAddr, t)
-			return done
-		case 4: // jmp
-			m.RIP = m.branch(nextAddr, t)
-			return done
-		default: // 6: push
-			s.push(t)
-			if s.trk.flushed {
-				m.RIP = nextAddr
-				return done
-			}
-			return true
-		}
-	}
 }
 
 // movReg lifts mov r, r.
@@ -890,25 +745,8 @@ func notReg[T word](d *uint64) uop {
 	}
 }
 
-// notMem lifts not [m].
-func notMem[T word](ea addrCalc, inst *x86.Inst, next uint64) uop {
-	return func(s *state) bool {
-		addr := ea.at()
-		v, err := load[T](s, addr)
-		if err != nil {
-			return s.fault(inst, err)
-		}
-		store(s, addr, ^v)
-		if s.trk.flushed {
-			s.m.RIP = next
-			return done
-		}
-		return true
-	}
-}
-
-// shlImm and shrImm lift a shift left or right by a nonzero constant
-// whose flags are dead.
+// shlImm and shrImm lift a shift left or right by a constant whose
+// flags are dead or, by 0, untouched.
 func shlImm[T word](d *uint64, n uint64) uop {
 	return func(*state) bool {
 		put(d, T(*d)<<n)
@@ -923,35 +761,12 @@ func shrImm[T word](d *uint64, n uint64) uop {
 	}
 }
 
-// emitShift lifts every other lifted shift: a count from cl or the
-// instruction, through shift.
-func (c *comp) emitShift(inst *x86.Inst, r x86.Reg, sub byte, w int, rec bool) uop {
-	op := inst.Opcode
-	mask := maskFor(w)
-	cmask := uint64(31)
-	if w == 8 {
-		cmask = 63
-	}
-	byCL := op == 0xD2 || op == 0xD3
-	var count uint64
-	switch op {
-	case 0xC0, 0xC1:
-		count = uint64(inst.Imm()) & cmask
-	case 0xD0, 0xD1:
-		count = 1
-	}
+// shiftRec lifts shl or shr (sub) by a nonzero constant n whose flags
+// are live, through shift.
+func shiftRec[T word](d *uint64, sub byte, n uint64) uop {
+	w := size[T]()
 	return func(s *state) bool {
-		m := s.m
-		n := count
-		if byCL {
-			n = m.Regs[x86.RCX] & cmask
-		}
-		v := m.Regs[r] & mask
-		if n == 0 { // flags untouched, value rewritten
-			m.regWrite(r, v, w)
-			return true
-		}
-		m.regWrite(r, shift(&s.fl, m.Flags, sub, v, n, w, rec), w)
+		put(d, T(shift(&s.fl, s.m.Flags, sub, uint64(T(*d)), n, w, true)))
 		return true
 	}
 }
@@ -1002,21 +817,21 @@ func jccCond(inst *x86.Inst) (cc x86.Cond, ok bool) {
 }
 
 // fusable reports whether first and the conditional branch jcc that
-// ends the block lift as one micro-op (emitFused): first is an ALU,
-// cmp or test with register and immediate operands only, so it cannot
+// ends the block lift as one micro-op (emitFused): first is a sub, cmp,
+// and or test with register and immediate operands only, so it cannot
 // fault, flush or otherwise leave the block, and the pair (with any
 // followed jmps between, which cannot leave it either) retires whole.
 // TestFusedPairsCannotLeaveEarly holds this to flagEffects.
 func fusable(first, jcc *x86.Inst) bool {
-	_, _, dst, src, ok := aluForm(first)
+	aluOp, _, dst, src, ok := aluForm(first)
 	_, isJcc := jccCond(jcc)
-	return ok && isJcc && !dst.mem && !src.mem
+	return ok && isJcc && (aluOp == 4 || aluOp == 5 || aluOp == 7) && !dst.mem && !src.mem
 }
 
 // emitFused lifts insts[i], which fusedAt accepted, and the block's
 // final jcc into one micro-op: the ALU op records its flags as emitALU's
-// would (they are live at the block end), and for sub, cmp, and and
-// test the branch reads its condition straight off the operands.
+// would (they are live at the block end), and the branch reads its
+// condition straight off the operands.
 func (c *comp) emitFused(i int) uop {
 	inst, jcc := &c.b.insts[i], &c.b.insts[len(c.b.insts)-1]
 	aluOp, write, dst, src, _ := aluForm(inst)
@@ -1027,17 +842,10 @@ func (c *comp) emitFused(i int) uop {
 	if write {
 		out = x
 	}
-	switch aluOp {
-	case 5, 7: // sub, cmp
-		return byWidth(w, subJcc[uint8], subJcc[uint16], subJcc[uint32], subJcc[uint64])(x, y, out, cc, j)
-	case 4: // and, test
+	if aluOp == 4 { // and, test
 		return byWidth(w, andJcc[uint8], andJcc[uint16], andJcc[uint32], andJcc[uint64])(x, y, out, cc, j)
 	}
-	first, branch := c.emitALU(i, aluOp, write, dst, src), jccOp(cc, j)
-	return func(s *state) bool {
-		first(s)
-		return branch(s)
-	}
+	return byWidth(w, subJcc[uint8], subJcc[uint16], subJcc[uint32], subJcc[uint64])(x, y, out, cc, j) // sub, cmp
 }
 
 // jccTarget is a conditional branch as the lift resolved it: its
@@ -1203,13 +1011,6 @@ func (c *comp) emitALU(i int, aluOp byte, write bool, dst, src operand) uop {
 	nextAddr := inst.Addr + uint64(inst.Len)
 	rec := !c.elide[i]
 	w := pairWidth(inst)
-	if write && !dst.mem {
-		if aluOp == 6 && !src.imm && !src.mem && src.reg == dst.reg { // xor r, r: constant zero
-			c.set(dst.reg, 0, w)
-		} else {
-			c.kill(dst.reg)
-		}
-	}
 	y := c.src(src, uint64(inst.Imm()))
 	if dst.mem {
 		return byWidth(w, aluStore[uint8], aluStore[uint16], aluStore[uint32], aluStore[uint64])(
@@ -1231,8 +1032,9 @@ func (c *comp) emitALU(i int, aluOp byte, write bool, dst, src operand) uop {
 
 // aluReg lifts an ALU op on *x and *y (a register, or the copy of an
 // immediate) into out (x, or the sink for cmp and test), with the flag
-// record (rec) or without it: add, or, and, sub and xor each have an op
-// of their own in both forms; adc and sbb go through aluExec.
+// record (rec) or without it: add, and and xor each have an op of their
+// own in both forms, and sub and cmp without the record; the rest go
+// through aluExec.
 func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
 	w := uint8(size[T]())
 	switch {
@@ -1248,28 +1050,9 @@ func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
 			put(out, T(*x)+T(*y))
 			return true
 		}
-	case (aluOp == 5 || aluOp == 7) && rec: // sub, cmp
-		return func(s *state) bool {
-			a, b := T(*x), T(*y)
-			s.fl.arith(kSub, w, uint64(a), uint64(b))
-			put(out, a-b)
-			return true
-		}
-	case aluOp == 5 || aluOp == 7:
+	case (aluOp == 5 || aluOp == 7) && !rec: // sub, cmp
 		return func(*state) bool {
 			put(out, T(*x)-T(*y))
-			return true
-		}
-	case aluOp == 1 && rec: // or
-		return func(s *state) bool {
-			res := T(*x) | T(*y)
-			s.fl.logic(w, uint64(res))
-			put(out, res)
-			return true
-		}
-	case aluOp == 1:
-		return func(*state) bool {
-			put(out, T(*x)|T(*y))
 			return true
 		}
 	case aluOp == 4 && rec: // and, test
@@ -1297,7 +1080,7 @@ func aluReg[T word](aluOp byte, rec bool, x, y, out *uint64) uop {
 			return true
 		}
 	}
-	mask := uint64(^T(0)) // adc, sbb
+	mask := uint64(^T(0))
 	return func(s *state) bool {
 		put(out, T(aluExec(&s.fl, s.m.Flags, aluOp, uint64(T(*x)), uint64(T(*y)), mask, w, rec)))
 		return true
@@ -1322,23 +1105,17 @@ func aluLoad[T word](aluOp byte, rec bool, ea addrCalc, x, out *uint64, inst *x8
 // but cmp and test the store, which may leave the block.
 func aluStore[T word](aluOp byte, write, rec bool, ea addrCalc, y *uint64, inst *x86.Inst, next uint64) uop {
 	w, mask := uint8(size[T]()), uint64(^T(0))
-	if !write {
-		return func(s *state) bool {
-			a, err := load[T](s, ea.at())
-			if err != nil {
-				return s.fault(inst, err)
-			}
-			aluExec(&s.fl, s.m.Flags, aluOp, uint64(a), uint64(T(*y)), mask, w, rec)
-			return true
-		}
-	}
 	return func(s *state) bool {
 		addr := ea.at()
 		a, err := load[T](s, addr)
 		if err != nil {
 			return s.fault(inst, err)
 		}
-		store(s, addr, T(aluExec(&s.fl, s.m.Flags, aluOp, uint64(a), uint64(T(*y)), mask, w, rec)))
+		res := T(aluExec(&s.fl, s.m.Flags, aluOp, uint64(a), uint64(T(*y)), mask, w, rec))
+		if !write {
+			return true
+		}
+		store(s, addr, res)
 		if s.trk.flushed {
 			s.m.RIP = next
 			return done
@@ -1347,22 +1124,17 @@ func aluStore[T word](aluOp byte, write, rec bool, ea addrCalc, y *uint64, inst 
 	}
 }
 
-// emitImul lifts the two-operand (and immediate) imul forms: the
-// product of the destination (or, with an immediate, the r/m operand)
-// and the r/m operand (or the immediate), both at the instruction's
-// width.
-func (c *comp) emitImul(inst *x86.Inst, dst x86.Reg, imm uint64, hasImm, rec, mem bool) uop {
-	w := width(inst)
-	d := c.reg(dst)
+// emitImul lifts the two-operand (and immediate) imul forms with a
+// register r/m operand: the product of the destination (or, with an
+// immediate, the r/m register) and the r/m register (or the
+// immediate), both at the instruction's width.
+func (c *comp) emitImul(inst *x86.Inst, imm uint64, hasImm, rec bool) uop {
+	d := c.reg(modrmReg(inst))
 	other := d // the factor beside the r/m operand
 	if hasImm {
 		other = c.src(operand{imm: true}, imm)
 	}
-	c.kill(dst)
-	if mem {
-		return byWidth(w, imulMem[uint8], imulMem[uint16], imulMem[uint32], imulMem[uint64])(c.eaFor(inst), d, other, rec, inst)
-	}
-	return byWidth(w, imulReg[uint8], imulReg[uint16], imulReg[uint32], imulReg[uint64])(d, c.reg(modrmRM(inst)), other, rec)
+	return byWidth(width(inst), imulReg[uint8], imulReg[uint16], imulReg[uint32], imulReg[uint64])(d, c.reg(modrmRM(inst)), other, rec)
 }
 
 // imul is the signed product of the T-wide a and b, truncated to T.
@@ -1398,26 +1170,8 @@ func smul128(a, b uint64) (hi, lo uint64) {
 
 // imulReg lifts imul with a register r/m operand: d = *x * *y.
 func imulReg[T word](d, x, y *uint64, rec bool) uop {
-	if rec {
-		return func(s *state) bool {
-			put(d, T(imul[T](&s.fl, s.m.Flags, uint64(T(*x)), uint64(T(*y)), true)))
-			return true
-		}
-	}
 	return func(s *state) bool {
-		put(d, T(imul[T](&s.fl, s.m.Flags, uint64(T(*x)), uint64(T(*y)), false)))
-		return true
-	}
-}
-
-// imulMem lifts imul with a memory r/m operand: d = [m] * *y.
-func imulMem[T word](ea addrCalc, d, y *uint64, rec bool, inst *x86.Inst) uop {
-	return func(s *state) bool {
-		v, err := load[T](s, ea.at())
-		if err != nil {
-			return s.fault(inst, err)
-		}
-		put(d, T(imul[T](&s.fl, s.m.Flags, uint64(v), uint64(T(*y)), rec)))
+		put(d, T(imul[T](&s.fl, s.m.Flags, uint64(T(*x)), uint64(T(*y)), rec)))
 		return true
 	}
 }

@@ -39,7 +39,7 @@ import (
 // conditional branch's direction, a dynamic target's distance) is
 // charged by the micro-ops themselves (Counters.taken).
 //
-// Three block-local optimizations carry the speedup beyond caching the
+// Two block-local optimizations carry the speedup beyond caching the
 // decode:
 //
 //   - Lazy EFLAGS (lazy.go): ALU micro-ops record only the operation
@@ -51,10 +51,6 @@ import (
 //     the six arithmetic flags drops even the recording store when a
 //     later instruction in the same block overwrites the flags before
 //     any possible consumer or early block exit.
-//   - Constant effective-address folding (compile.go): registers with
-//     block-entry-known constant values (mov r, imm; xor r, r; lea of
-//     a constant) fold into memory-operand address computations at
-//     compile time; RIP-relative operands always fold.
 //
 // The engine is observationally identical to the interpreter: same
 // Counters and cycle model, same Trace behaviour (tracing falls back
@@ -183,9 +179,6 @@ type irStats struct {
 	// ElidedFlags counts flag-producing instructions whose flag
 	// computation was removed entirely by block-local liveness.
 	ElidedFlags uint64
-	// FoldedEAs counts memory operands whose effective address was
-	// resolved to a constant at lift time.
-	FoldedEAs uint64
 	// Fallbacks counts instructions lifted to the interpreter-fallback
 	// micro-op: those outside the lift set.
 	Fallbacks uint64
