@@ -78,6 +78,34 @@ func liftedShift(inst *x86.Inst, mem bool) bool {
 	return (inst.Opcode == 0xC0 || inst.Opcode == 0xC1) && !mem && (sub == 4 || sub == 5)
 }
 
+// highByte reports whether inst is a byte form the lift would take
+// (ALU, test, mov, shift) that names ah, ch, dh or bh: a register
+// operand 4–7 without a REX prefix, which exec resolves (gpr). A lifted
+// operand addresses a register's slot, so the lift leaves these forms
+// to the interpreter.
+func highByte(inst *x86.Inst) bool {
+	if inst.Rex != 0 || inst.TwoByte || pairWidth(inst) != 1 {
+		return false
+	}
+	rm := operand{reg: modrmRM(inst), mem: !rmIsReg(inst)}
+	_, _, dst, src, ok := aluForm(inst)
+	switch op := inst.Opcode; {
+	case ok:
+	case op == 0x88 || op == 0x8A:
+		dst, src = rm, operand{reg: modrmReg(inst)}
+	case op == 0xC0:
+		dst, src = rm, operand{imm: true}
+	default:
+		return false
+	}
+	for _, o := range []operand{dst, src} {
+		if _, sh := gpr(inst, o.reg, 1); !o.imm && !o.mem && sh != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // pairWidth is the operand width of an opcode from a byte/full pair
 // (the ALU block, 80–8B, A8/A9, the shifts): the even member is the
 // byte form.
@@ -103,6 +131,9 @@ func flagEffects(inst *x86.Inst) (read, written uint8, unsafe bool) {
 	mem := inst.Attrs&x86.AttrModRM != 0 && !rmIsReg(inst)
 	if cc, ok := jccCond(inst); ok {
 		return condFlags(cc), 0, false
+	}
+	if highByte(inst) {
+		return fAll, 0, true // fallback
 	}
 	if inst.TwoByte {
 		if op == 0xAF && !mem { // imul r, r
@@ -519,6 +550,9 @@ func (c *comp) emit(i int) uop {
 	rm := operand{reg: modrmRM(inst), mem: mem}
 	reg := operand{reg: modrmReg(inst)}
 
+	if highByte(inst) {
+		return c.emitFallback(i)
+	}
 	if aluOp, write, dst, src, ok := aluForm(inst); ok {
 		return c.emitALU(i, aluOp, write, dst, src)
 	}
@@ -825,7 +859,7 @@ func jccCond(inst *x86.Inst) (cc x86.Cond, ok bool) {
 func fusable(first, jcc *x86.Inst) bool {
 	aluOp, _, dst, src, ok := aluForm(first)
 	_, isJcc := jccCond(jcc)
-	return ok && isJcc && (aluOp == 4 || aluOp == 5 || aluOp == 7) && !dst.mem && !src.mem
+	return ok && isJcc && (aluOp == 4 || aluOp == 5 || aluOp == 7) && !dst.mem && !src.mem && !highByte(first)
 }
 
 // emitFused lifts insts[i], which fusedAt accepted, and the block's

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -99,9 +100,9 @@ func constant(d uint64) func(uint64) uint64 { return func(uint64) uint64 { retur
 // and immediate operands; inc, dec and neg on a register and on memory;
 // mul and imul by one operand, on a register and on memory; the 2- and
 // 3-operand imul; shl, shr, sar, rol and ror by 1, by an immediate and
-// by cl; and, last so that the vectors of the others stay as they
-// were, div and idiv of rcx:rax (moved to rdx:rax) or ax by rbx and by
-// memory.
+// by cl; then, so that the vectors of the others stay as they were,
+// div and idiv of rcx:rax (moved to rdx:rax) or ax by rbx and by
+// memory, and the byte forms on ah and bh, which need no REX.
 func cpuForms() []cpuForm {
 	var forms []cpuForm
 	add := func(f cpuForm) { forms = append(forms, f) }
@@ -193,6 +194,57 @@ func cpuForms() []cpuForm {
 			add(cpuForm{w: w, name: fmt.Sprintf("%s%d-1m", g.name, 8*w), code: append(movRDXRCX, encode(w, op, g.sub, true, 0, 0)...),
 				mem: true, slotB: true, defined: constant(0), vectors: vs})
 		}
+	}
+	// Byte registers 4–7 without REX are ah, ch, dh and bh: a (rax) and
+	// b (rbx) meet as ah and bh, al and ah, and ah and an immediate,
+	// over cpuInputs' byte vectors rotated into ah and bh.
+	high := func(name string, code []byte, d func(uint64) uint64) {
+		add(cpuForm{w: 1, name: name, code: code, defined: d, vectors: func(rng *rand.Rand) []cpuVector {
+			vs := cpuInputs(1, rng)
+			for i := range vs {
+				vs[i].a, vs[i].b = bits.RotateLeft64(vs[i].a, 8), bits.RotateLeft64(vs[i].b, 8)
+			}
+			return vs
+		}})
+	}
+	for op := byte(0); op <= 8; op++ {
+		name := []string{"add", "or", "adc", "sbb", "and", "sub", "xor", "cmp", "test"}[op]
+		d := constant(statusMask)
+		if op == 1 || op == 4 || op == 6 || op == 8 {
+			d = constant(statusMask &^ emu.FlagAF)
+		}
+		rr, imm := op<<3, []byte{0x80, 0xC4 | op<<3, 0x81}
+		if op == 8 {
+			rr, imm = 0x84, []byte{0xF6, 0xC4, 0x81}
+		}
+		high(name+"8-ah-bh", []byte{rr, 0xFC}, d)
+		if op != 8 {
+			high(name+"8-ah-al", []byte{rr | 2, 0xE0}, d)
+		}
+		high(name+"8-ah-imm", imm, d)
+	}
+	for _, f := range []struct {
+		name    string
+		code    []byte
+		defined func(c uint64) uint64
+	}{
+		{"mov8-ah-bh", []byte{0x88, 0xFC}, constant(statusMask)},
+		{"mov8-al-bh", []byte{0x8A, 0xC7}, constant(statusMask)},
+		{"mov8-ah-imm", []byte{0xB4, 0x81}, constant(statusMask)},
+		{"xchg8-ah-bh", []byte{0x86, 0xFC}, constant(statusMask)},
+		{"movzx32-bh", []byte{0x0F, 0xB6, 0xC7}, constant(statusMask)},
+		{"movsx32-ah", []byte{0x0F, 0xBE, 0xC4}, constant(statusMask)},
+		{"inc8-ah", []byte{0xFE, 0xC4}, constant(statusMask)},
+		{"dec8-ah", []byte{0xFE, 0xCC}, constant(statusMask)},
+		{"not8-ah", []byte{0xF6, 0xD4}, constant(statusMask)},
+		{"neg8-ah", []byte{0xF6, 0xDC}, constant(statusMask)},
+		{"mul8-bh", []byte{0xF6, 0xE7}, constant(emu.FlagCF | emu.FlagOF)},
+		{"imul8-bh", []byte{0xF6, 0xEF}, constant(emu.FlagCF | emu.FlagOF)},
+		{"shl8-ah-imm5", []byte{0xC0, 0xE4, 5}, constant(shiftDefined(4, 1, 5))},
+		{"shr8-ah-imm5", []byte{0xC0, 0xEC, 5}, constant(shiftDefined(5, 1, 5))},
+		{"shl8-ah-cl", []byte{0xD2, 0xE4}, func(c uint64) uint64 { return shiftDefined(4, 1, c) }},
+	} {
+		high(f.name, f.code, f.defined)
 	}
 	return forms
 }

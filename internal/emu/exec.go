@@ -125,20 +125,35 @@ func maskFor(w int) uint64 {
 	return (uint64(1) << (8 * uint(w))) - 1
 }
 
-// regRead returns the low w bytes of a register.
-func (m *Machine) regRead(r x86.Reg, w int) uint64 { return m.Regs[r] & maskFor(w) }
+// gpr resolves register r, as inst names it at width w, to the slot
+// that holds it and the bit offset of its low byte: without a REX
+// prefix the byte registers 4–7 are ah, ch, dh and bh, bits 8–15 of
+// rax, rcx, rdx and rbx.
+func gpr(inst *x86.Inst, r x86.Reg, w int) (x86.Reg, uint) {
+	if w == 1 && inst.Rex == 0 && r&^3 == 4 {
+		return r - 4, 8
+	}
+	return r, 0
+}
 
-// regWrite stores v into a register with x86-64 merge semantics:
-// 32-bit writes zero-extend; 8/16-bit writes merge.
-func (m *Machine) regWrite(r x86.Reg, v uint64, w int) {
+// regRead returns the low w bytes of register r as inst names it.
+func (m *Machine) regRead(inst *x86.Inst, r x86.Reg, w int) uint64 {
+	r, sh := gpr(inst, r, w)
+	return m.Regs[r] >> sh & maskFor(w)
+}
+
+// regWrite stores v into register r as inst names it, with x86-64
+// merge semantics: 32-bit writes zero-extend; 8/16-bit writes merge.
+func (m *Machine) regWrite(inst *x86.Inst, r x86.Reg, v uint64, w int) {
+	r, sh := gpr(inst, r, w)
 	switch w {
 	case 8:
 		m.Regs[r] = v
 	case 4:
 		m.Regs[r] = v & 0xFFFFFFFF
 	default:
-		mask := maskFor(w)
-		m.Regs[r] = m.Regs[r]&^mask | v&mask
+		mask := maskFor(w) << sh
+		m.Regs[r] = m.Regs[r]&^mask | v<<sh&mask
 	}
 }
 
@@ -172,7 +187,7 @@ func rmIsReg(inst *x86.Inst) bool { return inst.ModRM>>6 == 3 }
 // rmRead reads the r/m operand.
 func (m *Machine) rmRead(inst *x86.Inst, w int) (uint64, error) {
 	if rmIsReg(inst) {
-		return m.regRead(modrmRM(inst), w), nil
+		return m.regRead(inst, modrmRM(inst), w), nil
 	}
 	return m.Mem.read(m.ea(inst), w)
 }
@@ -180,7 +195,7 @@ func (m *Machine) rmRead(inst *x86.Inst, w int) (uint64, error) {
 // rmWrite writes the r/m operand.
 func (m *Machine) rmWrite(inst *x86.Inst, v uint64, w int) error {
 	if rmIsReg(inst) {
-		m.regWrite(modrmRM(inst), v, w)
+		m.regWrite(inst, modrmRM(inst), v, w)
 		return nil
 	}
 	return m.Mem.write(m.ea(inst), v, w)
@@ -253,7 +268,7 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.regWrite(modrmReg(inst), uint64(int64(int32(uint32(v)))), 8)
+		m.regWrite(inst, modrmReg(inst), uint64(int64(int32(uint32(v)))), 8)
 		return next, nil
 
 	case op == 0x68 || op == 0x6A: // push imm
@@ -265,7 +280,7 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.regWrite(modrmReg(inst), m.imul(a, uint64(inst.Imm()), w), w)
+		m.regWrite(inst, modrmReg(inst), m.imul(a, uint64(inst.Imm()), w), w)
 		return next, nil
 
 	case op == 0x86 || op == 0x87: // xchg r/m, r
@@ -275,27 +290,27 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 			return 0, err
 		}
 		r := modrmReg(inst)
-		b := m.regRead(r, w)
+		b := m.regRead(inst, r, w)
 		if err := m.rmWrite(inst, b, w); err != nil {
 			return 0, err
 		}
-		m.regWrite(r, a, w)
+		m.regWrite(inst, r, a, w)
 		return next, nil
 
 	case op >= 0x88 && op <= 0x8B: // mov r/m, r (88/89); mov r, r/m (8A/8B)
 		w := pairWidth(inst)
 		if op < 0x8A {
-			return next, m.rmWrite(inst, m.regRead(modrmReg(inst), w), w)
+			return next, m.rmWrite(inst, m.regRead(inst, modrmReg(inst), w), w)
 		}
 		v, err := m.rmRead(inst, w)
 		if err != nil {
 			return 0, err
 		}
-		m.regWrite(modrmReg(inst), v, w)
+		m.regWrite(inst, modrmReg(inst), v, w)
 		return next, nil
 
 	case op == 0x8D: // lea
-		m.regWrite(modrmReg(inst), m.ea(inst), width(inst))
+		m.regWrite(inst, modrmReg(inst), m.ea(inst), width(inst))
 		return next, nil
 
 	case op == 0x8F: // pop r/m
@@ -311,16 +326,16 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 	case op >= 0x91 && op <= 0x97: // xchg rax, r
 		w := width(inst)
 		r := x86.Reg(op&7 | (inst.Rex&1)<<3)
-		a := m.regRead(x86.RAX, w)
-		m.regWrite(x86.RAX, m.regRead(r, w), w)
-		m.regWrite(r, a, w)
+		a := m.regRead(inst, x86.RAX, w)
+		m.regWrite(inst, x86.RAX, m.regRead(inst, r, w), w)
+		m.regWrite(inst, r, a, w)
 		return next, nil
 
 	case op == 0x98: // cdqe / cwde
 		if inst.Rex&8 != 0 {
 			m.Regs[x86.RAX] = uint64(int64(int32(uint32(m.Regs[x86.RAX]))))
 		} else {
-			m.regWrite(x86.RAX, uint64(uint32(int32(int16(uint16(m.Regs[x86.RAX]))))), 4)
+			m.regWrite(inst, x86.RAX, uint64(uint32(int32(int16(uint16(m.Regs[x86.RAX]))))), 4)
 		}
 		return next, nil
 
@@ -328,7 +343,7 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		if inst.Rex&8 != 0 {
 			m.Regs[x86.RDX] = uint64(int64(m.Regs[x86.RAX]) >> 63)
 		} else {
-			m.regWrite(x86.RDX, uint64(uint32(int32(uint32(m.Regs[x86.RAX]))>>31)), 4)
+			m.regWrite(inst, x86.RDX, uint64(uint32(int32(uint32(m.Regs[x86.RAX]))>>31)), 4)
 		}
 		return next, nil
 
@@ -348,7 +363,7 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 		if op >= 0xB8 {
 			w = width(inst)
 		}
-		m.regWrite(x86.Reg(op&7|(inst.Rex&1)<<3), uint64(inst.Imm()), w)
+		m.regWrite(inst, x86.Reg(op&7|(inst.Rex&1)<<3), uint64(inst.Imm()), w)
 		return next, nil
 
 	case op == 0xC0 || op == 0xC1 || op == 0xD0 || op == 0xD1 || op == 0xD2 || op == 0xD3:
@@ -443,10 +458,10 @@ func (m *Machine) execTwoByte(inst *x86.Inst, next uint64) (uint64, error) {
 		}
 		r := modrmReg(inst)
 		if m.cond(x86.Cond(op & 0xF)) {
-			m.regWrite(r, v, w)
+			m.regWrite(inst, r, v, w)
 		} else if w == 4 {
 			// 32-bit cmov zero-extends even when not taken.
-			m.regWrite(r, m.regRead(r, 4), 4)
+			m.regWrite(inst, r, m.regRead(inst, r, 4), 4)
 		}
 		return next, nil
 
@@ -464,7 +479,7 @@ func (m *Machine) execTwoByte(inst *x86.Inst, next uint64) (uint64, error) {
 			return 0, err
 		}
 		r := modrmReg(inst)
-		m.regWrite(r, m.imul(m.regRead(r, w), a, w), w)
+		m.regWrite(inst, r, m.imul(m.regRead(inst, r, w), a, w), w)
 		return next, nil
 
 	case op == 0xB6 || op == 0xB7: // movzx
@@ -476,7 +491,7 @@ func (m *Machine) execTwoByte(inst *x86.Inst, next uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.regWrite(modrmReg(inst), v, width(inst))
+		m.regWrite(inst, modrmReg(inst), v, width(inst))
 		return next, nil
 
 	case op == 0xBE || op == 0xBF: // movsx
@@ -491,7 +506,7 @@ func (m *Machine) execTwoByte(inst *x86.Inst, next uint64) (uint64, error) {
 		shift := uint(64 - 8*sw)
 		sx := uint64(int64(v<<shift) >> shift)
 		w := width(inst)
-		m.regWrite(modrmReg(inst), sx&maskFor(w), w)
+		m.regWrite(inst, modrmReg(inst), sx&maskFor(w), w)
 		return next, nil
 	}
 	return 0, fmt.Errorf("unimplemented two-byte opcode 0f %#02x", op)
@@ -518,7 +533,7 @@ func (m *Machine) execALU(inst *x86.Inst, aluOp byte, write bool, dst, src opera
 	case dst.mem:
 		return m.rmWrite(inst, res, w)
 	}
-	m.regWrite(dst.reg, res, w)
+	m.regWrite(inst, dst.reg, res, w)
 	return nil
 }
 
@@ -531,7 +546,7 @@ func (m *Machine) read(inst *x86.Inst, o operand, w int) (uint64, error) {
 	case o.imm:
 		return uint64(inst.Imm()) & maskFor(w), nil
 	}
-	return m.regRead(o.reg, w), nil
+	return m.regRead(inst, o.reg, w), nil
 }
 
 // imul is the two- and three-operand imul of a and b at width w, whose
@@ -608,11 +623,11 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		m.Flags = f.pack(m.Flags)
 		return m.rmWrite(inst, f.result(), w)
 	case 4: // mul
-		hi, lo := bits.Mul64(m.regRead(x86.RAX, w), v)
+		hi, lo := bits.Mul64(m.regRead(inst, x86.RAX, w), v)
 		if w != 8 { // the product fits in lo
 			hi, lo = lo>>(8*uint(w)), lo&maskFor(w)
 		}
-		m.writeProduct(lo, hi, w)
+		m.writeProduct(inst, lo, hi, w)
 		var c uint64
 		if hi != 0 {
 			c = 1
@@ -622,14 +637,14 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		return nil
 	case 5: // imul (one-operand)
 		sw := uint(64 - 8*w)
-		sa := int64(m.regRead(x86.RAX, w)<<sw) >> sw
+		sa := int64(m.regRead(inst, x86.RAX, w)<<sw) >> sw
 		sb := int64(v<<sw) >> sw
 		prod := sa * sb
 		lo, hi := uint64(prod)&maskFor(w), uint64(prod>>(8*uint(w)))&maskFor(w)
 		if w == 8 { // the int64 product wraps: take the 128-bit one
 			hi, lo = smul128(uint64(sa), uint64(sb))
 		}
-		m.writeProduct(lo, hi, w)
+		m.writeProduct(inst, lo, hi, w)
 		var over uint64
 		if hi != uint64(int64(lo<<sw)>>63)&maskFor(w) { // not lo's sign, extended
 			over = 1
@@ -638,7 +653,7 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		m.Flags = f.pack(m.Flags)
 		return nil
 	default: // 6, 7: div, idiv of the dividend in ax or rdx:rax
-		hi, lo := m.regRead(x86.RDX, w), m.regRead(x86.RAX, w)
+		hi, lo := m.regRead(inst, x86.RDX, w), m.regRead(inst, x86.RAX, w)
 		if w == 1 {
 			hi = m.Regs[x86.RAX] >> 8 & 0xFF
 		}
@@ -646,7 +661,7 @@ func (m *Machine) execGroup3(inst *x86.Inst) error {
 		if err != nil {
 			return err
 		}
-		m.writeProduct(q, r, w)
+		m.writeProduct(inst, q, r, w)
 		return nil
 	}
 }
@@ -705,13 +720,13 @@ func divide(hi, lo, v uint64, w int, signed bool) (q, r uint64, err error) {
 // writeProduct stores the result of a one-operand mul, imul, div or
 // idiv, lo and hi (a quotient and its remainder): in ax for a byte
 // operand, else in rdx:rax.
-func (m *Machine) writeProduct(lo, hi uint64, w int) {
+func (m *Machine) writeProduct(inst *x86.Inst, lo, hi uint64, w int) {
 	if w == 1 {
-		m.regWrite(x86.RAX, hi<<8|lo, 2)
+		m.regWrite(inst, x86.RAX, hi<<8|lo, 2)
 		return
 	}
-	m.regWrite(x86.RAX, lo, w)
-	m.regWrite(x86.RDX, hi, w)
+	m.regWrite(inst, x86.RAX, lo, w)
+	m.regWrite(inst, x86.RDX, hi, w)
 }
 
 func (m *Machine) execGroup5(inst *x86.Inst, next uint64) (uint64, error) {
