@@ -169,7 +169,7 @@ func staticCost(inst *x86.Inst, farDist uint64) (t, unrun tally) {
 		t.mem = mem
 	case op == 0x69 || op == 0x6B: // imul r, r/m, imm
 		t.mem, t.mul, unrun.mul = mem, 1, 1
-	case op == 0x86, op == 0x87, op == 0xFE, op == 0xFF && sub <= 1, // xchg r/m, inc, dec
+	case op == 0x86, op == 0x87, (op == 0xFE || op == 0xFF) && sub <= 1, // xchg r/m, inc, dec
 		op == 0xC0, op == 0xC1, op >= 0xD0 && op <= 0xD3: // and the shifts: the load, then the store
 		t.mem, unrun.mem = 2*mem, mem
 	case op == 0xF6 || op == 0xF7: // group 3: the load, then

@@ -2,6 +2,7 @@ package enginetest
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"e9patch/internal/emu"
@@ -12,9 +13,9 @@ import (
 // interpreter's where an engine that charges a block's fixed costs up
 // front must take some back: an instruction that faults after part of
 // its cost (an RMW's load, a pop's or a ret's read of the stack, also
-// right after a followed call, a divide error), and a machine whose
-// cost model changes between two Runs, FarDistance included. Errors,
-// state and Counters must be the interpreter's.
+// right after a followed call, a divide error, an invalid opcode), and
+// a machine whose cost model changes between two Runs, FarDistance
+// included. Errors, state and Counters must be the interpreter's.
 func testStaticCosts(t *testing.T, engine string) {
 	// run runs the programs under the interpreter and the engine,
 	// calling between (if set) after a first Run of budget
@@ -140,6 +141,27 @@ func testStaticCosts(t *testing.T, engine string) {
 						map[bool]string{false: "r", true: "m"}[mem], divisor)
 					wantFault(name, run(name, s.MustFinish(), tr.MustFinish(), 10_000, nil))
 				}
+			}
+		}
+	}
+
+	// (e) An encoding the hardware rejects in a hopping block: FE /2–/7,
+	// which the decoder accepts, on a register and on the slot `lea r13,
+	// [rsp-16]`, raises #UD at the same RIP under every engine, priced
+	// as an instruction that touches nothing.
+	for sub := byte(2); sub <= 7; sub++ {
+		for _, mem := range []bool{false, true} {
+			s := x86.NewAsm(SiteBase)
+			s.Lea(x86.R13, x86.M(x86.RSP, -16))
+			s.JmpRel32(TrampBase)
+			tr := x86.NewAsm(TrampBase)
+			tr.AddRegImm64(x86.RCX, 1)
+			tr.Raw(encode(1, []byte{0xFE}, sub, mem, 0, 0)...)
+			tr.AddRegImm64(x86.RCX, 1)
+			tr.JmpRel32(SiteBase)
+			name := fmt.Sprintf("invalid-opcode/fe-%d-%s", sub, map[bool]string{false: "r", true: "m"}[mem])
+			if got := run(name, s.MustFinish(), tr.MustFinish(), 10_000, nil); !strings.Contains(got, "#UD") {
+				t.Errorf("%s: interp ended with %q, not #UD", name, got)
 			}
 		}
 	}

@@ -427,13 +427,16 @@ func (m *Machine) exec(inst *x86.Inst, next uint64) (uint64, error) {
 	case op == 0xF6 || op == 0xF7: // group 3
 		return next, m.execGroup3(inst)
 
-	case op == 0xFE, op == 0xFF && (inst.ModRM>>3)&7 <= 1: // inc/dec r/m
+	case (op == 0xFE || op == 0xFF) && (inst.ModRM>>3)&7 <= 1: // inc/dec r/m
 		w := pairWidth(inst)
 		v, err := m.rmRead(inst, w)
 		if err != nil {
 			return 0, err
 		}
 		return next, m.rmWrite(inst, m.incDec(v, w, (inst.ModRM>>3)&7 != 0), w)
+
+	case op == 0xFE: // FE /2–/7, which the hardware rejects
+		return 0, fmt.Errorf("invalid opcode fe /%d (#UD)", (inst.ModRM>>3)&7)
 
 	case op == 0xFF: // group 5
 		return m.execGroup5(inst, next)
