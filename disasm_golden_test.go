@@ -97,3 +97,49 @@ func TestDisasmGoldenRewrite(t *testing.T) {
 		t.Errorf("%s holds %d hashes for %d rewrites (regenerate with -update)", path, len(file.Rewrite), len(got))
 	}
 }
+
+// TestDisasmT3VictimsPastShortJump holds neighbour eviction (T3) off the
+// patch instruction's own bytes: in every recover-cet shape, the
+// victim whose evictee trampoline a T3 site emits starts at or after
+// the site's address + 2, past the short jump and its rel8, which
+// would otherwise overwrite the victim's eviction jump.
+func TestDisasmT3VictimsPastShortJump(t *testing.T) {
+	sel, err := SelectMatch("heapwrite & len>=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t3 := 0
+	for _, c := range disasmGoldenRewrites {
+		p, err := workload.ProfileByName(c.profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := workload.BuildStatic(p, disasmGoldenRewriteText/(p.SizeMB*1e6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Select: sel, Disasm: c.mode, ReserveVA: workload.ReserveVA()}
+		if p.Kind == workload.KindShared {
+			cfg.ReserveVA = append(cfg.ReserveVA, [2]uint64{va.DefaultMin, PIEBase})
+		}
+		key := c.profile + "/" + string(c.mode)
+		pl, err := Plan(prog.ELF, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		for _, s := range pl.Sites {
+			if s.Tactic != "T3" {
+				continue
+			}
+			t3++
+			for _, tr := range s.Trampolines {
+				if tr.Evictee && tr.For < s.Addr+2 {
+					t.Errorf("%s: T3 site %#x evicts the victim at %#x, under its short jump", key, s.Addr, tr.For)
+				}
+			}
+		}
+	}
+	if t3 == 0 {
+		t.Error("no T3 site in any shape")
+	}
+}

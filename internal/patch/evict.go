@@ -186,14 +186,16 @@ func (r *Rewriter) tryNeighbourEviction(inst *x86.Inst) bool {
 	}
 
 	// General case: any byte position (except the first) of any
-	// unlocked victim within +127 of the short jump.
+	// unlocked victim within +127 of the short jump that starts past
+	// it: a superset universe has candidates under the short jump's
+	// rel8, whose write would overwrite the victim's eviction jump.
 	maxAddr := inst.Addr + 2 + 127
 	for i := idx + 1; i < len(r.insts); i++ {
 		v := &r.insts[i]
 		if v.Addr+1 > maxAddr {
 			break
 		}
-		if v.Len < 2 || !r.inText(v.Addr, int(v.Len)) || r.anyLocked(v.Addr, int(v.Len)) {
+		if v.Addr < inst.Addr+2 || v.Len < 2 || !r.inText(v.Addr, int(v.Len)) || r.anyLocked(v.Addr, int(v.Len)) {
 			continue
 		}
 		// The victim is sized once for all its J_patch offsets (the
