@@ -2,6 +2,7 @@ package emu_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"e9patch"
 	"e9patch/internal/emu"
 	"e9patch/internal/emu/enginetest"
+	"e9patch/internal/eval"
 	"e9patch/internal/lowfat"
 	"e9patch/internal/workload"
 	"e9patch/internal/x86"
@@ -17,8 +19,8 @@ import (
 // The cross-engine conformance lattice lives in internal/emu/enginetest
 // and holds ir to interp. This file tests what is specific to the IR
 // engine: that its cache behaves like a cache (chaining, SMC flushes),
-// that its optimizations actually fire (flag elision, constant folding,
-// threaded fast path), that the measured hot set lifts without a
+// that its optimizations actually fire (flag elision, threaded fast
+// path), that the measured hot set lifts without a
 // fallback and that the lifting pays off in speed.
 
 func runKernel(t *testing.T, kernel string, eng emu.Engine) *emu.Machine {
@@ -252,9 +254,11 @@ func TestConstantFolding(t *testing.T) {
 // TestHotSetHasNoFallbacks pins the lift set to the measured hot set:
 // the five emu-kernels classes (archetype, Table 1 row and selector as
 // the benchmark builds them), original and rewritten under the empty
-// template, and memstream rewritten under the LowFat check template,
-// run to completion without lifting one instruction to the interpreter
-// fallback.
+// template, and memstream rewritten under the LowFat check template;
+// and the Figure 4/5 runs, every Dromaeo suite at both browsers' JIT
+// shares, original and rewritten under A2 with the empty and the LowFat
+// check template. Each runs to completion without lifting one
+// instruction to the interpreter fallback.
 func TestHotSetHasNoFallbacks(t *testing.T) {
 	saved := workload.KernelIters
 	workload.KernelIters = 2000
@@ -280,6 +284,20 @@ func TestHotSetHasNoFallbacks(t *testing.T) {
 			t.Errorf("%s: %d instructions lifted to the interpreter fallback", name, eng.Stats.Fallbacks)
 		}
 	}
+	lowfatCfg := func(cfg e9patch.Config) e9patch.Config {
+		cfg.Template = lowfat.CheckTemplate{}
+		cfg.ReserveVA = append(cfg.ReserveVA, lowfat.ReserveVA()...)
+		return cfg
+	}
+	installLowfat := func(m *emu.Machine) { lowfat.Install(m, workload.RTMalloc, workload.RTFree) }
+	rewrite := func(bin []byte, cfg e9patch.Config) []byte {
+		t.Helper()
+		res, err := e9patch.Rewrite(bin, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Output
+	}
 	for _, k := range []struct {
 		arch, row string
 		sel       e9patch.Selector
@@ -298,26 +316,25 @@ func TestHotSetHasNoFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e9patch.Rewrite(prog.ELF, e9patch.Config{Select: k.sel, ReserveVA: workload.ReserveVA()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := e9patch.Config{Select: k.sel, ReserveVA: workload.ReserveVA()}
 		run(k.arch, prog.ELF)
-		run(k.arch+"/empty", res.Output)
-		if k.arch != "memstream" {
-			continue
+		run(k.arch+"/empty", rewrite(prog.ELF, cfg))
+		if k.arch == "memstream" {
+			run(k.arch+"/lowfat", rewrite(prog.ELF, lowfatCfg(cfg)), installLowfat)
 		}
-		lf, err := e9patch.Rewrite(prog.ELF, e9patch.Config{
-			Select:    e9patch.SelectHeapWrites,
-			Template:  lowfat.CheckTemplate{},
-			ReserveVA: append(workload.ReserveVA(), lowfat.ReserveVA()...),
-		})
-		if err != nil {
-			t.Fatal(err)
+	}
+	for _, s := range workload.DromaeoSuites {
+		for _, jit := range []int{eval.ChromeJitPct, eval.FireFoxJitPct} {
+			prog, err := workload.BuildDromaeo(s, true, jit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("dromaeo/%s/jit%d", s.Name, jit)
+			cfg := e9patch.Config{Select: e9patch.SelectHeapWrites, ReserveVA: workload.ReserveVA()}
+			run(name, prog.ELF, workload.BindJit)
+			run(name+"/empty", rewrite(prog.ELF, cfg), workload.BindJit)
+			run(name+"/lowfat", rewrite(prog.ELF, lowfatCfg(cfg)), workload.BindJit, installLowfat)
 		}
-		run(k.arch+"/lowfat", lf.Output, func(m *emu.Machine) {
-			lowfat.Install(m, workload.RTMalloc, workload.RTFree)
-		})
 	}
 }
 
