@@ -208,8 +208,9 @@ const engineOps = 4
 
 // engineRegs are the registers engineOp writes at any width: never rbx
 // (the buffer), rsp, rbp, r10 or r12 (the loop counter), and each
-// encodable without a REX prefix, where the emulator reads numbers 6
-// and 7 at byte width as sil and dil.
+// encodable without REX.B or REX.R. At byte width rsi and rdi are sil
+// and dil only under a REX prefix; without one, numbers 6 and 7 are dh
+// and bh.
 var engineRegs = []x86.Reg{x86.RAX, x86.RCX, x86.RDX, x86.RSI, x86.RDI}
 
 // engineOp emits engine material of kind k (0 ≤ k < engineOps):
@@ -291,14 +292,17 @@ func engineOp(a *x86.Asm, rng *rand.Rand, k int) (island func()) {
 
 // aluRaw emits ALU op aluOp (0-7: add, or, adc, sbb, and, sub, xor,
 // cmp; 8: test) on dst and src, or on dst and imm when useImm is set,
-// at width w. engineRegs all encode without REX.B or REX.R; a test
-// with an immediate uses the accumulator form on rax.
+// at width w. engineRegs all encode without REX.B or REX.R; a byte
+// form on sil or dil takes an empty REX prefix; a test with an
+// immediate uses the accumulator form on rax.
 func aluRaw(a *x86.Asm, aluOp, w int, dst, src x86.Reg, useImm bool, imm uint32) {
-	switch w {
-	case 2:
+	switch {
+	case w == 2:
 		a.Raw(0x66)
-	case 8:
+	case w == 8:
 		a.Raw(0x48)
+	case w == 1 && (dst >= x86.RSP || !useImm && src >= x86.RSP):
+		a.Raw(0x40)
 	}
 	full := byte(0)
 	if w > 1 {
