@@ -114,12 +114,13 @@ clustercheck:
 	$(GO) test -run 'TestApplyTrusted' -count 1 .
 	$(GO) test ./internal/cluster/
 
-# fuzzshort explores the differential fuzzers and the plan decoder for 5 s each (plain go test replays only their seeds). Like every -fuzz line in this file, each minimizes a new input for 1 s at most, not the default 60 s, so a short run explores instead of minimizing (TestMakefileFuzzLinesCapMinimizing).
+# fuzzshort explores the differential fuzzers, the plan decoder and Apply against ApplyTrusted for 5 s each (plain go test replays only their seeds). Like every -fuzz line in this file, each minimizes a new input for 1 s at most, not the default 60 s, so a short run explores instead of minimizing (TestMakefileFuzzLinesCapMinimizing).
 fuzzshort:
 	$(GO) test -run '^FuzzEngines$$' -fuzz '^FuzzEngines$$' -fuzztime 5s -fuzzminimizetime 1s .
 	$(GO) test -run '^FuzzLockStep$$' -fuzz '^FuzzLockStep$$' -fuzztime 5s -fuzzminimizetime 1s .
 	$(GO) test -run '^FuzzParallelRewrite$$' -fuzz '^FuzzParallelRewrite$$' -fuzztime 5s -fuzzminimizetime 1s .
 	$(GO) test -run '^FuzzPlanDecode$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 5s -fuzzminimizetime 1s .
+	$(GO) test -run '^FuzzApplyPlan$$' -fuzz '^FuzzApplyPlan$$' -fuzztime 5s -fuzzminimizetime 1s .
 
 # fuzzhostile explores hostile ELF inputs and the appended-table decoder: a rejection must be classified, never a panic, and an accepted input must pass the output checker (DESIGN.md §9).
 fuzzhostile:

@@ -24,6 +24,10 @@
 // BENCH_AA.json: its spreads and its medians' differences are the noise
 // floor a change's claim must clear on this host. The tree must have no
 // uncommitted changes, or the two sides would differ.
+//
+// Every run first prints one line when this host's processor is not
+// the one BENCH_AA.json was recorded on, naming both; the exit status
+// does not change.
 package main
 
 import (
@@ -165,6 +169,12 @@ func check() (failed bool, err error) {
 		return false, err
 	}
 	cpu := hostCPU()
+	var floor record
+	if raw, err := os.ReadFile("BENCH_AA.json"); err == nil && json.Unmarshal(raw, &floor) == nil {
+		if line := cpuMismatch(cpu, floor); line != "" {
+			fmt.Println(line)
+		}
+	}
 	rec := record{Parent: commit, Nproc: runtime.NumCPU(), CPU: cpu.name, CPUFamily: cpu.family,
 		CPUModel: cpu.model, CPUStepping: cpu.stepping, Go: runtime.Version(),
 		Date: time.Now().UTC().Format(time.RFC3339), Pairs: pairs}

@@ -137,6 +137,18 @@ func parseCPUInfo(cpuinfo []byte) cpuID {
 	return id
 }
 
+// cpuMismatch is the line benchcheck prints when host is not the
+// processor aa, the A/A record, was measured on (by model name, family
+// and model), and "" when it is: aa's spreads are the noise floor of
+// its own host only.
+func cpuMismatch(host cpuID, aa record) string {
+	if host.name == aa.CPU && host.family == aa.CPUFamily && host.model == aa.CPUModel {
+		return ""
+	}
+	return fmt.Sprintf("benchcheck: this host's cpu %q (family %s, model %s) is not BENCH_AA.json's %q (family %s, model %s): its noise floor is another host's",
+		host.name, host.family, host.model, aa.CPU, aa.CPUFamily, aa.CPUModel)
+}
+
 // changeCommit names the tree being measured: HEAD, marked dirty when
 // the tree has uncommitted changes.
 func changeCommit() (string, error) {

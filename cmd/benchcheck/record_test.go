@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -92,6 +93,43 @@ func TestCPUModel(t *testing.T) {
 	} {
 		if got := parseCPUInfo([]byte(c.in)); got != c.want {
 			t.Errorf("parseCPUInfo(%q) = %+v, want %+v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestCPUMismatch: benchcheck names both processors when the host is
+// not the A/A file's by model name, family or model, and says nothing
+// when it is (the stepping does not count). The committed A/A file
+// loads and matches its own processor.
+func TestCPUMismatch(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_AA.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var aa record
+	if err := dec.Decode(&aa); err != nil {
+		t.Fatalf("BENCH_AA.json: %v", err)
+	}
+	same := cpuID{aa.CPU, aa.CPUFamily, aa.CPUModel, aa.CPUStepping}
+	if aa.CPU == "" || cpuMismatch(same, aa) != "" {
+		t.Errorf("BENCH_AA.json (cpu %q) does not match its own processor: %q", aa.CPU, cpuMismatch(same, aa))
+	}
+	same.stepping += "1"
+	if line := cpuMismatch(same, aa); line != "" {
+		t.Errorf("another stepping: %q, want no line", line)
+	}
+	for _, host := range []cpuID{
+		{aa.CPU + " v2", aa.CPUFamily, aa.CPUModel, aa.CPUStepping},
+		{aa.CPU, aa.CPUFamily + "0", aa.CPUModel, aa.CPUStepping},
+		{aa.CPU, aa.CPUFamily, aa.CPUModel + "0", aa.CPUStepping},
+		{},
+	} {
+		line := cpuMismatch(host, aa)
+		if strings.Count(line, "\n") != 0 || !strings.Contains(line, fmt.Sprintf("%q (family %s, model %s)", host.name, host.family, host.model)) ||
+			!strings.Contains(line, fmt.Sprintf("%q (family %s, model %s)", aa.CPU, aa.CPUFamily, aa.CPUModel)) {
+			t.Errorf("host %+v: %q, want one line naming both processors", host, line)
 		}
 	}
 }

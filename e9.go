@@ -22,7 +22,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
+	"slices"
 
 	"e9patch/internal/disasm"
 	"e9patch/internal/e9err"
@@ -149,21 +149,14 @@ func SelectAll(insts []x86.Loc) []int {
 // SelectAddresses selects the instructions starting at exactly the
 // given virtual addresses (runtime coordinates, i.e. including PIEBase
 // for PIE binaries) — the binary-patching use case, where the patch
-// targets a handful of known locations.
+// targets a handful of known locations. It matches as Stream.SelectAddrs
+// does, over a sorted and deduplicated copy of addrs, so the indices
+// come out ascending and once each.
 func SelectAddresses(addrs ...uint64) Selector {
-	want := make(map[uint64]bool, len(addrs))
-	for _, a := range addrs {
-		want[a] = true
-	}
-	sel := func(insts []x86.Loc) []int {
-		var out []int
-		for i := range insts {
-			if want[insts[i].Addr] {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
+	want := slices.Clone(addrs)
+	slices.Sort(want)
+	want = slices.Compact(want)
+	sel := func(insts []x86.Loc) []int { return indicesAt(insts, want) }
 	match.RegisterShardable(sel)
 	return sel
 }
@@ -458,12 +451,6 @@ func applyContext(ctx context.Context, w io.Writer, input []byte, p *PatchPlan, 
 	if p.InputSHA256 == "" || p.Disasm == "" || p.DisasmDigest == "" {
 		return nil, e9err.Malformed("apply", "e9patch: plan is not bound to its input and its instruction universe (inputSha256, disasm and disasmDigest are required)")
 	}
-	if p.Granularity > MaxGranularity {
-		return nil, e9err.Unsupported("apply", "e9patch: plan granularity %d exceeds the maximum %d", p.Granularity, MaxGranularity)
-	}
-	if p.Granularity < -1 {
-		return nil, e9err.Unsupported("apply", "e9patch: plan granularity %d is below -1", p.Granularity)
-	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -471,59 +458,30 @@ func applyContext(ctx context.Context, w io.Writer, input []byte, p *PatchPlan, 
 		return nil, err
 	}
 
-	// Parse the input read-only: the emit tail never writes to the
-	// parsed image — input may be a read-only mmap view.
-	f, err := elf64.Parse(input)
+	// Open the input under the plan's settings as under a Config's.
+	// Only Apply recovers; recovery is deterministic in width, so any
+	// parallelism reproduces the planner's digest.
+	cfg := Config{Granularity: p.Granularity, SkipPrefix: p.SkipPrefix, Disasm: DisasmMode(p.Disasm)}
+	st, err := openPipeline(ctx, "apply", input, &cfg, verifyUniverse)
 	if err != nil {
 		return nil, err
 	}
-	if err := refuseRewritten("apply", input); err != nil {
-		return nil, err
+	if st.bias != p.Bias {
+		return nil, e9err.Malformed("apply", "e9patch: plan load bias %#x does not match binary (%#x)", p.Bias, st.bias)
 	}
-	bias := loadBias(f)
-	if bias != p.Bias {
-		return nil, e9err.Malformed("apply", "e9patch: plan load bias %#x does not match binary (%#x)", p.Bias, bias)
-	}
-	textOff, textAddr, textSize, err := f.TextRange()
-	if err != nil {
-		return nil, err
-	}
-	text := input[textOff : textOff+textSize]
-	if textAddr+bias != p.TextAddr || len(text) != p.TextLen {
+	if st.textAddr+st.bias != p.TextAddr || len(st.text) != p.TextLen {
 		return nil, e9err.Malformed("apply", "e9patch: plan text geometry %#x+%d does not match binary %#x+%d",
-			p.TextAddr, p.TextLen, textAddr+bias, len(text))
+			p.TextAddr, p.TextLen, st.textAddr+st.bias, len(st.text))
 	}
-	mode, err := disasm.ParseMode(p.Disasm)
-	if err != nil {
-		return nil, e9err.Unsupported("apply", "e9patch: plan %v", err)
-	}
-	var sstats *disasm.SupersetStats
-	if verifyUniverse {
-		// Re-derive the instruction universe under the plan's recorded
-		// mode and bind it to the recorded digest: replaying under a
-		// different mode (or a drifted binary) is a mismatch, not a
-		// silent mispatch. Recovery is deterministic in width, so any
-		// parallelism reproduces the planner's digest.
-		if p.SkipPrefix > uint64(len(text)) {
-			return nil, e9err.Malformed("apply", "e9patch: plan skip prefix %d exceeds .text size %d", p.SkipPrefix, len(text))
-		}
-		dres, stats, dok := disasm.RecoverCancel(mode, text[p.SkipPrefix:], textAddr+bias+p.SkipPrefix,
-			runtime.GOMAXPROCS(0), nil, ctx.Done())
-		if !dok {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-			return nil, e9err.Internal("apply", "e9patch: disassembly aborted without a cancellation cause")
-		}
-		if got := disasm.UniverseDigest(mode, dres); got != p.DisasmDigest {
-			return nil, e9err.Malformed("apply",
-				"e9patch: plan's recorded %s-mode instruction universe does not match this binary (digest mismatch): replan, or apply under the mode the plan was emitted with", mode)
-		}
-		sstats = stats
+	// Replaying under a different mode (or a drifted binary) is a
+	// mismatch, not a silent mispatch.
+	if verifyUniverse && st.digest() != p.DisasmDigest {
+		return nil, e9err.Malformed("apply",
+			"e9patch: plan's recorded %s-mode instruction universe does not match this binary (digest mismatch): replan, or apply under the mode the plan was emitted with", st.mode)
 	}
 	// Injections come from the (possibly hostile) plan; revalidate them
 	// against this binary before mapping anything.
-	if err := validateInjections(p.Injections, f, bias, "apply"); err != nil {
+	if err := validateInjections(p.Injections, st.loads, "apply"); err != nil {
 		return nil, err
 	}
 
@@ -531,27 +489,23 @@ func applyContext(ctx context.Context, w io.Writer, input []byte, p *PatchPlan, 
 	// what only the ELF file can tell: a trampoline in a segment's pages
 	// would be shadowed by the segment, or, under a MAP_FIXED loader,
 	// mapped over it.
-	rw, err := patch.Replay(text, p.TextAddr, p.Sites)
+	rw, err := patch.Replay(st.text, p.TextAddr, p.Sites)
 	if err != nil {
 		return nil, err
 	}
 	for _, tr := range rw.Trampolines() {
 		end := tr.Addr + uint64(len(tr.Code))
-		if seg, ok := segmentAt(f, bias, tr.Addr, end); ok {
+		if seg, ok := segmentAt(st.loads, tr.Addr, end); ok {
 			return nil, e9err.MalformedAt("apply", tr.Addr, "e9patch: plan trampoline [%#x,%#x) overlaps loaded segment [%#x,%#x)",
-				tr.Addr, end, seg.Vaddr+bias, seg.Vaddr+bias+seg.Memsz)
+				tr.Addr, end, seg.lo, seg.hi)
 		}
 	}
 
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	return emit(emitInput{
-		input: input, f: f, bias: bias, textOff: textOff,
-		gran: p.Granularity, inject: p.Injections,
-		insts: p.Insts, badBytes: p.BadBytes, mode: mode, recovery: sstats,
-		warnings: p.Warnings,
-	}.of(rw), w)
+	// p.Granularity, not cfg's default: grouping refuses a forged 0.
+	return emit(newEmitInput(st, rw, p.Granularity, p.Injections, p.Insts, p.BadBytes, p.Warnings), w)
 }
 
 // Load builds an executable image from an original or rewritten binary

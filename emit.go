@@ -70,11 +70,16 @@ type emitInput struct {
 	warnings        []string
 }
 
-// of fills in what the emit tail reads of rw, so that in does not hold
-// the rewriter.
-func (in emitInput) of(rw *patch.Rewriter) emitInput {
-	in.code, in.trs, in.sig, in.stats, in.locs = rw.Code(), rw.Trampolines(), rw.SigTab(), rw.Stats(), rw.Results()
-	return in
+// newEmitInput is the emit tail's input for a rewrite decided over st:
+// st's geometry and recovery, what the emit tail reads of rw (so that
+// the result does not hold the rewriter), and the rest as given.
+func newEmitInput(st *pipelineState, rw *patch.Rewriter, gran int, inject []plan.Injection, insts, badBytes int, warnings []string) emitInput {
+	return emitInput{
+		input: st.f.Data, f: st.f, bias: st.bias, textOff: st.textOff,
+		code: rw.Code(), trs: rw.Trampolines(), sig: rw.SigTab(), gran: gran, inject: inject,
+		stats: rw.Stats(), locs: rw.Results(),
+		insts: insts, badBytes: badBytes, mode: st.mode, recovery: st.sstats, warnings: warnings,
+	}
 }
 
 // emit is the one emit tail: encode the loader blob, lay the output out

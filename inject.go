@@ -1,7 +1,6 @@
 package e9patch
 
 import (
-	"e9patch/internal/e9err"
 	"e9patch/internal/elf64"
 	"e9patch/internal/plan"
 )
@@ -28,38 +27,25 @@ func injectionTop(inject []plan.Injection) uint64 {
 
 // validateInjections rejects injection lists that could corrupt the
 // output: empty or address-wrapping images, images overlapping each
-// other, and images overlapping the binary's own loaded segments
-// (page-rounded — the loader maps whole pages, and injected pages are
-// mapped before the input's segments). phase is "plan" (a
-// configuration mistake, ErrUnsupported) or "apply" (a hostile plan,
-// ErrMalformed).
-func validateInjections(inject []plan.Injection, f *elf64.File, bias uint64, phase string) error {
-	if len(inject) == 0 {
-		return nil
-	}
-	fail := func(format string, args ...any) error {
-		if phase == "apply" {
-			return e9err.Malformed(phase, format, args...)
-		}
-		return e9err.Unsupported(phase, format, args...)
-	}
-	type span struct{ lo, hi uint64 }
+// other, and images overlapping the binary's loaded segments' pages
+// (loads; injected pages are mapped before the input's segments).
+// phase is the injections' source, as badSetting classes it.
+func validateInjections(inject []plan.Injection, loads []span, phase string) error {
 	spans := make([]span, 0, len(inject))
 	for _, inj := range inject {
 		if len(inj.Data) == 0 {
-			return fail("e9patch: empty injection at %#x", inj.Addr)
+			return badSetting(phase, "empty injection at %#x", inj.Addr)
 		}
 		end := inj.Addr + uint64(len(inj.Data))
 		if end < inj.Addr {
-			return fail("e9patch: injection at %#x wraps the address space", inj.Addr)
+			return badSetting(phase, "injection at %#x wraps the address space", inj.Addr)
 		}
-		if p, ok := segmentAt(f, bias, inj.Addr, end); ok {
-			return fail("e9patch: injection [%#x,%#x) overlaps loaded segment [%#x,%#x)",
-				inj.Addr, end, p.Vaddr+bias, p.Vaddr+bias+p.Memsz)
+		if s, ok := segmentAt(loads, inj.Addr, end); ok {
+			return badSetting(phase, "injection [%#x,%#x) overlaps loaded segment [%#x,%#x)", inj.Addr, end, s.lo, s.hi)
 		}
 		for _, s := range spans {
 			if inj.Addr < s.hi && s.lo < end {
-				return fail("e9patch: injection [%#x,%#x) overlaps another injection", inj.Addr, end)
+				return badSetting(phase, "injection [%#x,%#x) overlaps another injection", inj.Addr, end)
 			}
 		}
 		spans = append(spans, span{lo: inj.Addr, hi: end})
@@ -67,19 +53,32 @@ func validateInjections(inject []plan.Injection, f *elf64.File, bias uint64, pha
 	return nil
 }
 
-// segmentAt returns the loaded segment whose pages the non-empty range
-// [lo, hi) overlaps, if any. Segments are page-rounded: the loader maps
-// whole pages, so nothing else may share a page with one.
-func segmentAt(f *elf64.File, bias, lo, hi uint64) (elf64.Prog, bool) {
+// span is a [lo, hi) address range.
+type span struct{ lo, hi uint64 }
+
+// loadSpans returns the pages of f's non-empty PT_LOAD segments at the
+// load bias: the loader maps whole pages, so nothing else may share a
+// page with a segment.
+func loadSpans(f *elf64.File, bias uint64) []span {
+	var loads []span
 	for _, p := range f.Progs {
-		if p.Type != elf64.PTLoad || p.Memsz == 0 {
-			continue
-		}
-		slo := (p.Vaddr + bias) &^ (elf64.PageSize - 1)
-		shi := (p.Vaddr + bias + p.Memsz + elf64.PageSize - 1) &^ (elf64.PageSize - 1)
-		if lo < shi && slo < hi {
-			return p, true
+		if p.Type == elf64.PTLoad && p.Memsz != 0 {
+			loads = append(loads, span{
+				lo: (p.Vaddr + bias) &^ (elf64.PageSize - 1),
+				hi: (p.Vaddr + bias + p.Memsz + elf64.PageSize - 1) &^ (elf64.PageSize - 1),
+			})
 		}
 	}
-	return elf64.Prog{}, false
+	return loads
+}
+
+// segmentAt returns the segment pages of loads (loadSpans) that the
+// non-empty range [lo, hi) overlaps, if any.
+func segmentAt(loads []span, lo, hi uint64) (span, bool) {
+	for _, s := range loads {
+		if lo < s.hi && s.lo < hi {
+			return s, true
+		}
+	}
+	return span{}, false
 }

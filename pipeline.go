@@ -41,18 +41,24 @@ func phaseDeadline(ctx context.Context, d time.Duration) (context.Context, conte
 
 // pipelineState is the parse+disassembly outcome a session holds: the
 // decision phases that follow (selection, injections, patching) all run
-// against it.
+// against it, and Apply checks a plan against it.
 type pipelineState struct {
 	f        *elf64.File
 	bias     uint64
 	textOff  uint64 // file offset of .text
 	textAddr uint64 // link-time .text address
 	text     []byte
-	insts    []x86.Loc
+	loads    []span    // the PT_LOAD segments' pages, runtime coordinates
+	insts    []x86.Loc // nil when opened without recovery
 	badBytes int
 	width    int
 	mode     disasm.Mode
 	sstats   *disasm.SupersetStats // nil for linear mode
+}
+
+// digest is the universe digest a plan records of st's recovery.
+func (st *pipelineState) digest() string {
+	return disasm.UniverseDigest(st.mode, disasm.Result{Insts: st.insts, BadBytes: st.badBytes})
 }
 
 // refuseRewritten refuses an input that already carries the rewriter's
@@ -60,34 +66,48 @@ type pipelineState struct {
 // trampoline pages that only that table maps, and an output carries one
 // table, so rewriting it again drops them: the result runs unmapped
 // memory at the first patched site.
-func refuseRewritten(phase string, input []byte) error {
+func refuseRewritten(input []byte) error {
 	if _, ok := elf64.AppendedBlob(input); ok {
-		return e9err.Unsupported(phase, "e9patch: input is already the output of a rewrite (it ends with the appended trampoline table); rewrite the original binary instead")
+		return e9err.Unsupported("parse", "e9patch: input is already the output of a rewrite (it ends with the appended trampoline table); rewrite the original binary instead")
 	}
 	return nil
 }
 
-// openPipeline runs the front half of the decision pipeline: normalize
-// the configuration, enforce the input-side limits, parse the ELF and
-// disassemble .text. cfg is normalized in place (template and
+// badSetting refuses a setting that contradicts the binary or itself (a
+// skip prefix past .text, an injection over a segment), classed by its
+// source: phase "apply" read it from a plan, whose producer recorded
+// something false (ErrMalformedBinary); any other phase from the
+// caller's Config, which asks for what the rewriter cannot do
+// (ErrUnsupportedBinary).
+func badSetting(phase, format string, args ...any) error {
+	if phase == "apply" {
+		return e9err.Malformed(phase, "e9patch: plan "+format, args...)
+	}
+	return e9err.Unsupported(phase, "e9patch: "+format, args...)
+}
+
+// openPipeline is the front half of the pipeline for every entry point:
+// normalize the configuration, enforce the input-side limits, parse the
+// ELF and, with recoverInsts, disassemble .text. phase is where cfg's
+// settings come from: "apply" for a plan's, another phase for a
+// Config's (see badSetting). A granularity or mode this build does not
+// support is ErrUnsupportedBinary from either source, as a plan of
+// another version is. cfg is normalized in place (template and
 // granularity defaults). input is only ever read — it may be an mmap
 // view.
-func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineState, error) {
+func openPipeline(ctx context.Context, phase string, input []byte, cfg *Config, recoverInsts bool) (*pipelineState, error) {
 	if cfg.Template == nil {
 		cfg.Template = trampoline.Empty{}
 	}
 	if cfg.Granularity == 0 {
 		cfg.Granularity = 1
 	}
-	if cfg.Granularity > MaxGranularity {
-		return nil, e9err.Unsupported("plan", "e9patch: granularity %d exceeds the maximum %d", cfg.Granularity, MaxGranularity)
-	}
-	if cfg.Granularity < -1 {
-		return nil, e9err.Unsupported("plan", "e9patch: granularity %d is below -1", cfg.Granularity)
+	if cfg.Granularity > MaxGranularity || cfg.Granularity < -1 {
+		return nil, e9err.Unsupported(phase, "e9patch: granularity %d is outside [-1, %d]", cfg.Granularity, MaxGranularity)
 	}
 	mode, err := disasm.ParseMode(string(cfg.Disasm))
 	if err != nil {
-		return nil, e9err.Unsupported("plan", "e9patch: %v", err)
+		return nil, e9err.Unsupported(phase, "e9patch: %v", err)
 	}
 	cfg.Disasm = mode
 	lim := cfg.Limits
@@ -104,7 +124,7 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineStat
 	if err != nil {
 		return nil, err
 	}
-	if err := refuseRewritten("parse", input); err != nil {
+	if err := refuseRewritten(input); err != nil {
 		return nil, err
 	}
 	bias := loadBias(f)
@@ -119,11 +139,18 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineStat
 			"e9patch: .text is %d bytes, limit is %d", len(text), lim.MaxTextBytes)
 	}
 	if cfg.SkipPrefix > uint64(len(text)) {
-		return nil, e9err.Unsupported("parse", "e9patch: SkipPrefix %d exceeds .text size %d", cfg.SkipPrefix, len(text))
+		return nil, badSetting(phase, "skip prefix %d exceeds .text size %d", cfg.SkipPrefix, len(text))
 	}
 	width := cfg.Parallelism
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
+	}
+	st := &pipelineState{
+		f: f, bias: bias, textOff: textOff, textAddr: textAddr, text: text,
+		loads: loadSpans(f, bias), width: width, mode: mode,
+	}
+	if !recoverInsts {
+		return st, nil
 	}
 
 	// The frontend: sharded instruction recovery under the configured
@@ -135,11 +162,10 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineStat
 		return nil, err
 	}
 	dctx, dcancel := phaseDeadline(ctx, lim.PhaseTimeout)
+	defer dcancel()
 	dres, sstats, dok := disasm.RecoverCancel(mode, text[cfg.SkipPrefix:], textAddr+bias+cfg.SkipPrefix, width, cfg.Pool, dctx.Done())
 	if !dok {
-		deadlined := errors.Is(dctx.Err(), context.DeadlineExceeded)
-		dcancel()
-		if deadlined {
+		if errors.Is(dctx.Err(), context.DeadlineExceeded) {
 			return nil, e9err.Limit("disasm", e9err.ReasonPhaseDeadline,
 				"e9patch: disassembly exceeded the phase deadline %s", lim.PhaseTimeout)
 		}
@@ -148,20 +174,8 @@ func openPipeline(ctx context.Context, input []byte, cfg *Config) (*pipelineStat
 		}
 		return nil, e9err.Internal("disasm", "e9patch: disassembly aborted without a cancellation cause")
 	}
-	dcancel()
-
-	return &pipelineState{
-		f:        f,
-		bias:     bias,
-		textOff:  textOff,
-		textAddr: textAddr,
-		text:     text,
-		insts:    dres.Insts,
-		badBytes: dres.BadBytes,
-		width:    width,
-		mode:     mode,
-		sstats:   sstats,
-	}, nil
+	st.insts, st.badBytes, st.sstats = dres.Insts, dres.BadBytes, sstats
+	return st, nil
 }
 
 // finishPlanPhase runs the decision phases that follow selection:
@@ -189,21 +203,15 @@ func finishPlanPhase(ctx context.Context, st *pipelineState, cfg *Config, select
 			return nil, nil, e9err.Wrap(e9err.ErrUnsupported, "plan", err)
 		}
 	}
-	if err := validateInjections(inject, st.f, st.bias, "plan"); err != nil {
+	if err := validateInjections(inject, st.loads, "plan"); err != nil {
 		return nil, nil, err
 	}
 
-	// Address-space model: all loaded segments are off limits
-	// (page-rounded, since the loader maps whole pages), as are any
-	// caller-reserved ranges.
+	// Address-space model: all loaded segments' pages are off limits, as
+	// are any caller-reserved ranges.
 	space := va.NewDefault()
-	for _, p := range st.f.Progs {
-		if p.Type != elf64.PTLoad || p.Memsz == 0 {
-			continue
-		}
-		lo := (p.Vaddr + st.bias) &^ (elf64.PageSize - 1)
-		hi := (p.Vaddr + st.bias + p.Memsz + elf64.PageSize - 1) &^ (elf64.PageSize - 1)
-		if err := reserveMerged(space, lo, hi); err != nil {
+	for _, s := range st.loads {
+		if err := reserveMerged(space, s.lo, s.hi); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -373,7 +373,9 @@ func TestPlanGoldenJSON(t *testing.T) {
 
 // TestApplyValidation covers Apply's refusal surface: a plan must not
 // silently materialize onto the wrong input, a tampered schema
-// version, or out-of-range writes.
+// version, or out-of-range writes; and each recorded setting or fact
+// that does not fit the input gets one class from Apply and
+// ApplyTrusted alike.
 func TestApplyValidation(t *testing.T) {
 	bin := hostileELF(t)
 	p, err := Plan(bin, Config{Select: SelectHeapWrites})
@@ -398,12 +400,6 @@ func TestApplyValidation(t *testing.T) {
 		t.Errorf("bad version: want version error, got %v", err)
 	}
 
-	bad = *p
-	bad.Granularity = -5
-	if _, err := Apply(bin, &bad); !errors.Is(err, ErrUnsupportedBinary) {
-		t.Errorf("granularity -5: want ErrUnsupportedBinary, got %v", err)
-	}
-
 	// An out-of-text write: caught structurally.
 	oob := &PatchPlan{
 		Version: plan.Version, Bias: p.Bias, TextAddr: p.TextAddr, TextLen: p.TextLen,
@@ -416,19 +412,46 @@ func TestApplyValidation(t *testing.T) {
 		t.Errorf("out-of-range write: want range error, got %v", err)
 	}
 
-	// A trampoline moved into the text segment's pages would be mapped
-	// over the code: both entry points refuse it.
-	moved := *p
-	moved.Sites = slices.Clone(p.Sites)
-	i := slices.IndexFunc(moved.Sites, func(s plan.Site) bool { return len(s.Trampolines) > 0 })
-	if i < 0 {
+	// One plan, one verdict: both entry points open the input the same
+	// way, so each defect below gets the same class from both. Only the
+	// universe digest, which ApplyTrusted does not re-derive, may differ.
+	tramp := slices.IndexFunc(p.Sites, func(s plan.Site) bool { return len(s.Trampolines) > 0 })
+	if tramp < 0 {
 		t.Fatal("the plan places no trampoline")
 	}
-	moved.Sites[i].Trampolines = slices.Clone(moved.Sites[i].Trampolines)
-	moved.Sites[i].Trampolines[0].Addr = p.TextAddr
-	for entry, apply := range map[string]func([]byte, *PatchPlan) (*Result, error){"Apply": Apply, "ApplyTrusted": ApplyTrusted} {
-		if _, err := apply(bin, &moved); !errors.Is(err, ErrMalformedBinary) || !strings.Contains(err.Error(), "overlaps loaded segment") {
-			t.Errorf("%s of a trampoline in the text segment: %v, want ErrMalformedBinary naming the segment", entry, err)
+	rows := []struct {
+		name      string
+		edit      func(q *PatchPlan)
+		want      error
+		msg       string
+		trustedOK bool // ApplyTrusted accepts the plan
+	}{
+		{"granularity -5", func(q *PatchPlan) { q.Granularity = -5 }, ErrUnsupportedBinary, "granularity", false},
+		{"granularity above the maximum", func(q *PatchPlan) { q.Granularity = MaxGranularity + 1 }, ErrUnsupportedBinary, "granularity", false},
+		{"unknown mode", func(q *PatchPlan) { q.Disasm = "no-such-mode" }, ErrUnsupportedBinary, "no-such-mode", false},
+		{"skip prefix past .text", func(q *PatchPlan) { q.SkipPrefix = uint64(q.TextLen) + 1 }, ErrMalformedBinary, "skip prefix", false},
+		{"bias mismatch", func(q *PatchPlan) { q.Bias ^= PIEBase }, ErrMalformedBinary, "load bias", false},
+		{"text geometry mismatch", func(q *PatchPlan) { q.TextLen++ }, ErrMalformedBinary, "text geometry", false},
+		{"trampoline in the text segment", func(q *PatchPlan) {
+			q.Sites = slices.Clone(q.Sites)
+			q.Sites[tramp].Trampolines = slices.Clone(q.Sites[tramp].Trampolines)
+			q.Sites[tramp].Trampolines[0].Addr = q.TextAddr
+		}, ErrMalformedBinary, "overlaps loaded segment", false},
+		{"digest mismatch", func(q *PatchPlan) { q.DisasmDigest = strings.Repeat("0", 64) }, ErrMalformedBinary, "digest mismatch", true},
+	}
+	for _, r := range rows {
+		bad := *p
+		r.edit(&bad)
+		for entry, apply := range map[string]func([]byte, *PatchPlan) (*Result, error){"Apply": Apply, "ApplyTrusted": ApplyTrusted} {
+			_, err := apply(bin, &bad)
+			switch {
+			case entry == "ApplyTrusted" && r.trustedOK:
+				if err != nil {
+					t.Errorf("%s, %s: %v, want success", r.name, entry, err)
+				}
+			case !errors.Is(err, r.want) || !strings.Contains(err.Error(), r.msg):
+				t.Errorf("%s, %s: %v, want %v naming %q", r.name, entry, err, r.want, r.msg)
+			}
 		}
 	}
 }

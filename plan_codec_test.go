@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"e9patch/internal/plan"
@@ -166,5 +167,52 @@ func FuzzPlanDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, which int) {
 		decodeContained(t, "fuzz", data, corpus[uint(which)%uint(len(corpus))].bin)
+	})
+}
+
+// FuzzApplyPlan is differential over hostile plans for hostileELF:
+// Apply and ApplyTrusted open the input through one front half, so on
+// any plan that decodes they agree, except that only Apply re-derives
+// the universe digest. Neither returns ErrInternal; either both
+// materialize the same bytes, or both refuse, or only Apply refuses,
+// for the digest mismatch. Seeded with the plans of the three built-in
+// selectors and one superset-mode plan; plain `go test` replays the
+// seeds and the finds under testdata/fuzz/FuzzApplyPlan.
+func FuzzApplyPlan(f *testing.F) {
+	bin := hostileELF(f)
+	for _, cfg := range []Config{
+		{Select: SelectHeapWrites}, {Select: SelectJumps}, {Select: SelectAll},
+		{Select: SelectAll, Disasm: DisasmSuperset},
+	} {
+		p, err := Plan(bin, cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		enc, err := p.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodePlan(data)
+		if err != nil {
+			return
+		}
+		res, err := Apply(bin, p)
+		trusted, terr := ApplyTrusted(bin, p)
+		if errors.Is(err, ErrInternal) || errors.Is(terr, ErrInternal) {
+			t.Fatalf("internal error: Apply %v, ApplyTrusted %v", err, terr)
+		}
+		switch {
+		case err == nil && terr == nil:
+			if !bytes.Equal(res.Output, trusted.Output) {
+				t.Fatal("Apply and ApplyTrusted materialize different bytes")
+			}
+		case err != nil && terr != nil:
+		case terr == nil && errors.Is(err, ErrMalformedBinary) && strings.Contains(err.Error(), "digest mismatch"):
+		default:
+			t.Fatalf("one plan, two verdicts: Apply %v, ApplyTrusted %v", err, terr)
+		}
 	})
 }

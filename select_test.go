@@ -1,7 +1,9 @@
 package e9patch
 
 import (
+	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"e9patch/internal/disasm"
@@ -87,6 +89,66 @@ func TestMatchEquivalence(t *testing.T) {
 		for _, mode := range disasm.Modes() {
 			res, _ := disasm.Recover(mode, text[skip:], addr+skip)
 			same(p.Name+"/"+string(mode), res.Insts)
+		}
+	}
+}
+
+// TestSelectAddressesMatchesSelectAddrs: the selector and the streaming
+// call are one matcher. For unsorted, duplicate and missing addresses,
+// on a PIE and a non-PIE input, with matching sequential or sharded,
+// SelectAddresses selects exactly the indices Stream.SelectAddrs does.
+func TestSelectAddressesMatchesSelectAddrs(t *testing.T) {
+	p, err := workload.ProfileByName("git")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, kind := range []workload.Kind{workload.KindExec, workload.KindPIE} {
+		prog, err := workload.BuildStaticMix(p, 64e3/(p.SizeMB*1e6), kind, workload.MixFor(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, err := NewStream(ctx, prog.ELF, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts := probe.st.insts
+		if len(insts) < 2*4096 {
+			t.Fatalf("kind %d: %d instructions, too few for matching to shard", kind, len(insts))
+		}
+		var addrs []uint64 // descending, so unsorted for the matcher
+		for i := len(insts) - 1; i >= 0; i -= 97 {
+			addrs = append(addrs, insts[i].Addr)
+		}
+		addrs = append(addrs, addrs[:20]...) // duplicates
+		last := insts[len(insts)-1]
+		addrs = append(addrs, insts[0].Addr-1, last.Addr+uint64(last.Len)+64) // misses, either side
+		for _, in := range insts {
+			if in.Len > 1 {
+				addrs = append(addrs, in.Addr+1) // a miss inside an instruction
+				break
+			}
+		}
+		want := (len(insts) + 96) / 97
+		if got := SelectAddresses(addrs...)(insts); len(got) != want || !slices.IsSorted(got) || len(slices.Compact(got)) != want {
+			t.Errorf("kind %d: SelectAddresses returned %d indices, want %d, ascending and distinct", kind, len(got), want)
+		}
+		for _, width := range []int{1, 8} {
+			bySelector, err := NewStream(ctx, prog.ELF, Config{Select: SelectAddresses(addrs...), Parallelism: width})
+			if err != nil {
+				t.Fatal(err)
+			}
+			byStream, err := NewStream(ctx, prog.ELF, Config{Parallelism: width})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := byStream.SelectAddrs(addrs...); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(bySelector.sel, byStream.sel) || bySelector.nsel != want {
+				t.Errorf("kind %d, Parallelism %d: SelectAddresses selected %d sites, Stream.SelectAddrs %d, want the same %d",
+					kind, width, bySelector.nsel, byStream.nsel, want)
+			}
 		}
 	}
 }

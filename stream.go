@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"e9patch/internal/disasm"
 	"e9patch/internal/e9err"
 	"e9patch/internal/patch"
 	"e9patch/internal/plan"
@@ -15,11 +14,11 @@ import (
 )
 
 // Stream is an incremental rewrite session, and the one owner of the
-// open → select → decide phases: the binary is parsed and disassembled
-// once, patch selections arrive progressively — the JSON-RPC backend
-// feeds one Select or SelectAddrs call per protocol message — and
-// Finish (or FinishTo) runs the decision and emit phases over the
-// accumulated union.
+// select → decide phases: the binary is opened once (openPipeline, the
+// front half Apply shares), patch selections arrive progressively —
+// the JSON-RPC backend feeds one Select or SelectAddrs call per
+// protocol message — and Finish (or FinishTo) runs the decision and
+// emit phases over the accumulated union.
 // Rewrite is NewStream + Finish and Plan is NewStream + plan, so equal
 // selections give byte-identical results by construction.
 //
@@ -30,7 +29,6 @@ import (
 // (the protocol layer is sequential by construction).
 type Stream struct {
 	cfg      Config
-	input    []byte
 	st       *pipelineState
 	insts    int // cached count: st is released during Finish
 	badBytes int
@@ -53,12 +51,12 @@ func NewStream(ctx context.Context, input []byte, cfg Config) (_ *Stream, err er
 	// Clipped, Reserve's first append copies instead of writing into the
 	// spare capacity other sessions from the same Config share.
 	cfg.ReserveVA = slices.Clip(cfg.ReserveVA)
-	st, err := openPipeline(ctx, input, &cfg)
+	st, err := openPipeline(ctx, "plan", input, &cfg, true)
 	if err != nil {
 		return nil, err
 	}
 	s := &Stream{
-		cfg: cfg, input: input, st: st,
+		cfg: cfg, st: st,
 		insts: len(st.insts), badBytes: st.badBytes,
 		sel: make([]uint64, (len(st.insts)+63)/64),
 	}
@@ -249,13 +247,7 @@ func (s *Stream) FinishTo(ctx context.Context, w io.Writer) (_ *Result, err erro
 	if err != nil {
 		return nil, err
 	}
-	st := s.st
-	in := emitInput{
-		input: s.input, f: st.f, bias: st.bias, textOff: st.textOff,
-		gran: s.cfg.Granularity, inject: inject,
-		insts: s.insts, badBytes: s.badBytes, mode: st.mode, recovery: st.sstats,
-		warnings: warnings,
-	}.of(rw)
+	in := newEmitInput(s.st, rw, s.cfg.Granularity, inject, s.insts, s.badBytes, warnings)
 	// Everything the emit tail needs is in hand: drop the universe, the
 	// selection and the rewriter's working copies.
 	s.st, s.sel, s.diag = nil, nil, nil
@@ -279,13 +271,13 @@ func (s *Stream) plan(ctx context.Context) (_ *PatchPlan, err error) {
 		Granularity:  s.cfg.Granularity,
 		SkipPrefix:   s.cfg.SkipPrefix,
 		Disasm:       string(st.mode),
-		DisasmDigest: disasm.UniverseDigest(st.mode, disasm.Result{Insts: st.insts, BadBytes: st.badBytes}),
+		DisasmDigest: st.digest(),
 		Insts:        s.insts,
 		BadBytes:     s.badBytes,
 		Warnings:     warnings,
 		Injections:   inject,
 		Sites:        rw.Sites(),
 	}
-	p.BindInput(s.input)
+	p.BindInput(st.f.Data)
 	return p, nil
 }
