@@ -47,10 +47,11 @@ func startBackend(path string) (*backendClient, error) {
 	return &backendClient{cmd: cmd, in: in, out: bufio.NewReader(out)}, nil
 }
 
-// call sends one request with an id and waits for its response line.
-// A wire-level error object becomes a client-side error carrying the
-// backend's classification code.
-func (c *backendClient) call(method string, params any) (json.RawMessage, error) {
+// call sends one request with an id, waits for its response line and
+// decodes its result into result, unless that is nil. A wire-level error
+// object becomes a client-side error carrying the backend's
+// classification code.
+func (c *backendClient) call(method string, params, result any) error {
 	c.nextID++
 	req := map[string]any{
 		"jsonrpc": "2.0",
@@ -62,24 +63,29 @@ func (c *backendClient) call(method string, params any) (json.RawMessage, error)
 	}
 	line, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	line = append(line, '\n')
 	if _, err := c.in.Write(line); err != nil {
-		return nil, fmt.Errorf("backend %s request: %w", method, err)
+		return fmt.Errorf("backend %s request: %w", method, err)
 	}
 	reply, err := c.out.ReadBytes('\n')
 	if err != nil {
-		return nil, fmt.Errorf("backend %s: no response: %w", method, err)
+		return fmt.Errorf("backend %s: no response: %w", method, err)
 	}
 	var resp backendResponse
 	if err := json.Unmarshal(reply, &resp); err != nil {
-		return nil, fmt.Errorf("backend %s: bad response %q: %w", method, reply, err)
+		return fmt.Errorf("backend %s: bad response %q: %w", method, reply, err)
 	}
 	if resp.Error != nil {
-		return nil, fmt.Errorf("backend %s failed (code %d): %s", method, resp.Error.Code, resp.Error.Message)
+		return fmt.Errorf("backend %s failed (code %d): %s", method, resp.Error.Code, resp.Error.Message)
 	}
-	return resp.Result, nil
+	if result != nil {
+		if err := json.Unmarshal(resp.Result, result); err != nil {
+			return fmt.Errorf("backend %s: bad result: %w", method, err)
+		}
+	}
+	return nil
 }
 
 func (c *backendClient) close() error {
@@ -133,11 +139,7 @@ func runBackend(path, input string, o backendOptions) error {
 	if o.counter != 0 {
 		opt["counter"] = o.counter
 	}
-	if _, err := c.call("option", opt); err != nil {
-		return err
-	}
-	binRes, err := c.call("binary", map[string]any{"filename": absIn})
-	if err != nil {
+	if err := c.call("option", opt, nil); err != nil {
 		return err
 	}
 	var bin struct {
@@ -145,22 +147,14 @@ func runBackend(path, input string, o backendOptions) error {
 		Insts    int   `json:"insts"`
 		BadBytes int   `json:"badBytes"`
 	}
-	if err := json.Unmarshal(binRes, &bin); err != nil {
-		return fmt.Errorf("backend binary: bad result: %w", err)
-	}
-	patchRes, err := c.call("patch", map[string]any{"match": o.match})
-	if err != nil {
+	if err := c.call("binary", map[string]any{"filename": absIn}, &bin); err != nil {
 		return err
 	}
 	var sel struct {
 		Matched  int `json:"matched"`
 		Selected int `json:"selected"`
 	}
-	if err := json.Unmarshal(patchRes, &sel); err != nil {
-		return fmt.Errorf("backend patch: bad result: %w", err)
-	}
-	emitRes, err := c.call("emit", map[string]any{"output": absOut})
-	if err != nil {
+	if err := c.call("patch", map[string]any{"match": o.match}, &sel); err != nil {
 		return err
 	}
 	var emit struct {
@@ -171,8 +165,8 @@ func runBackend(path, input string, o backendOptions) error {
 		Mappings    int      `json:"mappings"`
 		Warnings    []string `json:"warnings"`
 	}
-	if err := json.Unmarshal(emitRes, &emit); err != nil {
-		return fmt.Errorf("backend emit: bad result: %w", err)
+	if err := c.call("emit", map[string]any{"output": absOut}, &emit); err != nil {
+		return err
 	}
 	if err := c.close(); err != nil {
 		return fmt.Errorf("backend exit: %w", err)

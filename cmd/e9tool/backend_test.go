@@ -14,8 +14,9 @@ import (
 	"e9patch/internal/workload"
 )
 
-// TestBackendPipeline builds the real e9tool and e9patch binaries and
-// drives a rewrite through the frontend/backend process split:
+// TestBackendPipeline builds the real e9patch binary and drives a
+// rewrite through the frontend/backend process split, with the e9tool
+// TestMain built:
 //
 //	e9tool -backend e9patch -M EXPR [-P empty|counter=ADDR] -o OUT INPUT
 //
@@ -27,10 +28,6 @@ func TestBackendPipeline(t *testing.T) {
 	e9patchBin := filepath.Join(dir, "e9patch")
 	if out, err := exec.Command("go", "build", "-o", e9patchBin, "../e9patch").CombinedOutput(); err != nil {
 		t.Fatalf("go build e9patch: %v\n%s", err, out)
-	}
-	e9toolBin := filepath.Join(dir, "e9tool")
-	if out, err := exec.Command("go", "build", "-o", e9toolBin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build e9tool: %v\n%s", err, out)
 	}
 
 	saved := workload.KernelIters
@@ -66,7 +63,7 @@ func TestBackendPipeline(t *testing.T) {
 			outPath := filepath.Join(dir, name+".out")
 			args := append([]string{"-backend", e9patchBin, "-o", outPath}, tc.args...)
 			args = append(args, inPath)
-			cmd := exec.Command(e9toolBin, args...)
+			cmd := exec.Command(tool, args...)
 			var stdout, stderr bytes.Buffer
 			cmd.Stdout = &stdout
 			cmd.Stderr = &stderr
@@ -101,7 +98,7 @@ func TestBackendPipeline(t *testing.T) {
 
 	// A patch the protocol cannot carry must be a usage error naming -P,
 	// not a silent in-process fallback.
-	cmd := exec.Command(e9toolBin, "-backend", e9patchBin, "-M", "jcc", "-P", "lowfat", "-o", filepath.Join(dir, "x"), inPath)
+	cmd := exec.Command(tool, "-backend", e9patchBin, "-M", "jcc", "-P", "lowfat", "-o", filepath.Join(dir, "x"), inPath)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err = cmd.Run()

@@ -17,9 +17,10 @@
 //
 // The two rewrite phases can also be driven separately:
 //
-//	e9tool -M 'jcc' -dry-run input.bin                        # plan, report, write nothing
-//	e9tool -M 'jcc' -emit-plan plan.e9plan input.bin          # plan only, save the decisions
-//	e9tool -apply-plan plan.e9plan -o out.bin input.bin       # replay a saved plan
+//	e9tool -M 'jcc' -dry-run input.bin                           # plan, report, write nothing
+//	e9tool -M 'jcc' -emit-plan plan.e9plan input.bin             # plan only, save the decisions
+//	e9tool -M 'jcc' -emit-plan plan.e9plan -o out.bin input.bin  # both, from one decision
+//	e9tool -apply-plan plan.e9plan -o out.bin input.bin          # replay a saved plan
 //
 // -verify checks the output it has written against the input with the
 // independent output checker (internal/verify) and exits 1 if a check
@@ -62,7 +63,7 @@ func main() {
 		skip      = flag.Uint64("skip", 0, "skip first N bytes of .text")
 		disasmF   = flag.String("disasm", "", "instruction recovery mode: linear (default) | superset | superset-cet")
 		dryRun    = flag.Bool("dry-run", false, "plan only: report tactics and footprint, write nothing")
-		emitPlan  = flag.String("emit-plan", "", "plan only: write the serialized patch plan (binary; e9dump -plan prints it) to FILE")
+		emitPlan  = flag.String("emit-plan", "", "write the serialized patch plan (binary; e9dump -plan prints it) to FILE; with -o, also the output of the same decision")
 		applyPlan = flag.String("apply-plan", "", "skip planning: replay the serialized patch plan in FILE (as written by -emit-plan)")
 		backend   = flag.String("backend", "", "drive the e9patch backend at PATH over JSON-RPC instead of rewriting in-process (-M with -P empty or counter=ADDR)")
 		verifyF   = flag.Bool("verify", false, "check the written output against the input with the independent output checker; exit 1 if a check fails")
@@ -78,10 +79,10 @@ func main() {
 	flag.Parse()
 	given := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	planOnly := *dryRun || *emitPlan != ""
+	plans := *dryRun || *emitPlan != ""
 	usageErr := func(msg string) {
 		fmt.Fprintln(os.Stderr, "e9tool: "+msg)
-		fmt.Fprintln(os.Stderr, "usage: e9tool -M EXPR [-P PATCH] [-dry-run] [-emit-plan PLAN] -o OUT INPUT")
+		fmt.Fprintln(os.Stderr, "usage: e9tool -M EXPR [-P PATCH] [-emit-plan PLAN] [-o OUT | -dry-run] INPUT")
 		fmt.Fprintln(os.Stderr, "       e9tool -spec FILE [-payload ELF] -o OUT INPUT")
 		fmt.Fprintln(os.Stderr, "       e9tool -apply-plan PLAN -o OUT INPUT")
 		flag.Usage()
@@ -91,7 +92,7 @@ func main() {
 	case flag.NArg() != 1:
 		usageErr("exactly one input binary expected")
 	case *applyPlan != "":
-		if planOnly {
+		if plans {
 			usageErr("-apply-plan is exclusive with -dry-run/-emit-plan")
 		}
 		// A plan records its recovery mode, selection, patches and layout;
@@ -108,10 +109,12 @@ func main() {
 		usageErr("-spec is exclusive with -M/-P")
 	case *specFile == "" && *exprM == "":
 		usageErr("-M (or a -spec file) is required")
-	case *out == "" && !planOnly:
+	case *out == "" && !plans:
 		usageErr("-o is required (or use -dry-run/-emit-plan)")
-	case *verifyF && planOnly:
-		usageErr("-verify checks a written output; -dry-run/-emit-plan write none")
+	case *dryRun && *out != "":
+		usageErr("-dry-run writes nothing; -o is not applicable (use -emit-plan with -o)")
+	case *verifyF && *out == "":
+		usageErr("-verify checks a written output; -dry-run, and -emit-plan without -o, write none")
 	}
 	if _, err := e9patch.ParseDisasmMode(*disasmF); err != nil {
 		usageErr(err.Error())
@@ -125,7 +128,7 @@ func main() {
 		switch {
 		case *specFile != "":
 			usageErr("-backend takes -M and -P, not -spec")
-		case planOnly || *applyPlan != "":
+		case plans || *applyPlan != "":
 			usageErr("-backend is exclusive with -dry-run/-emit-plan/-apply-plan")
 		case *maxInputMB != 0 || *maxTextMB != 0 || *maxSites != 0 || *maxTrampMB != 0 || *phaseTimeout != 0:
 			usageErr("resource limits apply to the backend process, not the frontend; set them on the backend side")
@@ -248,8 +251,16 @@ func main() {
 	cfg.Inject = br.Inject
 	cfg.ReserveVA = append(cfg.ReserveVA, br.ReserveVA...)
 
-	if planOnly {
-		p, err := e9patch.Plan(input, cfg)
+	// One session decides once: -dry-run and -emit-plan read the decision
+	// as a plan, -o as the output. A plain rewrite never plans, which
+	// would hash the whole input.
+	ctx := context.Background()
+	s, err := e9patch.NewStream(ctx, input, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	if plans {
+		p, err := s.Plan(ctx)
 		if err != nil {
 			fatal(err)
 		}
@@ -263,6 +274,8 @@ func main() {
 			}
 		}
 		planReport(p)
+	}
+	if *out == "" {
 		return
 	}
 
@@ -270,7 +283,7 @@ func main() {
 	// input file, so no image of the output is ever built in this process.
 	var res *e9patch.Result
 	if err := elf64.WriteOutput(*out, in, func(w io.Writer) (err error) {
-		res, err = e9patch.RewriteTo(context.Background(), w, input, cfg)
+		res, err = s.FinishTo(ctx, w)
 		return err
 	}); err != nil {
 		fatal(err)

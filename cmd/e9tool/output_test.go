@@ -12,8 +12,9 @@ import (
 	"e9patch/internal/workload"
 )
 
-// TestStreamedOutput runs the built e9tool on its rewrite and
-// -apply-plan paths, to a fresh output and over the input file itself.
+// TestStreamedOutput runs the built e9tool on its rewrite, -apply-plan
+// and -emit-plan with -o paths, to a fresh output and over the input
+// file itself.
 // The rewrite path writes from the mapped input while it runs, so -o
 // naming the input is the case that would fault if the output were
 // opened in place. Every file must hold exactly the library's
@@ -21,10 +22,6 @@ import (
 // with the files the test put there: no temporary file survives.
 func TestStreamedOutput(t *testing.T) {
 	dir := t.TempDir()
-	tool := filepath.Join(dir, "e9tool")
-	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build e9tool: %v\n%s", err, out)
-	}
 	saved := workload.KernelIters
 	workload.KernelIters = 1500
 	defer func() { workload.KernelIters = saved }()
@@ -77,6 +74,9 @@ func TestStreamedOutput(t *testing.T) {
 		t.Errorf("-apply-plan on a version 1 plan: %v, stderr %q; want a failure saying to re-emit the plan", err, stderr)
 	}
 
+	// -emit-plan with -o writes both from one decision: the plan the
+	// plan-only run wrote, and the output its replay writes.
+	plan2 := filepath.Join(dir, "plan2.e9plan")
 	for _, tc := range []struct {
 		name string
 		args []string // before -o OUT IN
@@ -86,6 +86,8 @@ func TestStreamedOutput(t *testing.T) {
 		{"rewrite over the input", []string{"-M", "jump"}, ""},
 		{"apply-plan", []string{"-apply-plan", plan}, "out2"},
 		{"apply-plan over the input", []string{"-apply-plan", plan}, ""},
+		{"emit-plan with -o", []string{"-M", "jump", "-emit-plan", plan2}, "out3"},
+		{"apply-plan of that plan", []string{"-apply-plan", plan2}, "out4"},
 	} {
 		in := input("in")
 		out := in
@@ -105,6 +107,10 @@ func TestStreamedOutput(t *testing.T) {
 		if st, err := os.Stat(out); err != nil || st.Mode().Perm()&0o100 == 0 {
 			t.Errorf("%s: output mode %v, %v: want executable", tc.name, st.Mode(), err)
 		}
+	}
+
+	if a, b := readFile(t, plan), readFile(t, plan2); !bytes.Equal(a, b) {
+		t.Errorf("-emit-plan with -o wrote a plan (%d bytes) other than the plan-only run's (%d bytes)", len(b), len(a))
 	}
 
 	// A write that fails: e9tool exits 1 and leaves neither a partial
@@ -132,7 +138,16 @@ func TestStreamedOutput(t *testing.T) {
 	for _, e := range ents {
 		names = append(names, e.Name())
 	}
-	if strings.Join(names, " ") != "in out out2" {
-		t.Errorf("the output directory holds %v, want in, out and out2 only", names)
+	if strings.Join(names, " ") != "in out out2 out3 out4" {
+		t.Errorf("the output directory holds %v, want in and out to out4 only", names)
 	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

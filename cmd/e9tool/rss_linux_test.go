@@ -16,9 +16,6 @@ import (
 	"e9patch/internal/workload"
 )
 
-// launcherEnv marks the test binary re-executed as peakRSS's launcher.
-const launcherEnv = "E9TOOL_TEST_RSS_LAUNCHER"
-
 // peakRSS runs tool with args and returns its peak RSS in KiB. Linux
 // folds the starting process's peak RSS into a child's ru_maxrss at
 // exec, so a run started from this test process, which has held the
@@ -70,10 +67,6 @@ func TestOutputPeakRSS(t *testing.T) {
 		launch()
 	}
 	dir := t.TempDir()
-	tool := filepath.Join(dir, "e9tool")
-	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build e9tool: %v\n%s", err, out)
-	}
 	in := filepath.Join(dir, "in.bin")
 	prog, err := workload.BuildStream(64, 1)
 	if err != nil {

@@ -17,10 +17,6 @@ import (
 // benchmark and the README rely on must keep exiting 0.
 func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 	dir := t.TempDir()
-	tool := filepath.Join(dir, "e9tool")
-	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build e9tool: %v\n%s", err, out)
-	}
 	saved := workload.KernelIters
 	workload.KernelIters = 1500
 	defer func() { workload.KernelIters = saved }()
@@ -34,6 +30,7 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 	}
 	out := filepath.Join(dir, "out.bin")
 	plan := filepath.Join(dir, "plan.e9plan")
+	plan2 := filepath.Join(dir, "plan2.e9plan")
 
 	// Order matters: the plan the -apply-plan rows replay is emitted first.
 	for _, tc := range []struct {
@@ -47,6 +44,9 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 		{"M heapwrite with P lowfat", []string{"-M", "heapwrite", "-P", "lowfat", "-o", out}, 0, ""},
 		{"emit-plan", []string{"-M", "jcc", "-granularity", "2", "-emit-plan", plan}, 0, ""},
 		{"apply-plan", []string{"-apply-plan", plan, "-o", out}, 0, ""},
+		// -o acts wherever it is given, or is refused.
+		{"emit-plan with o", []string{"-M", "jcc", "-emit-plan", plan2, "-o", out}, 0, ""},
+		{"dry-run with o", []string{"-M", "jcc", "-dry-run", "-o", out}, 2, "-dry-run"},
 
 		// -verify checks what was written, and needs something written.
 		{"verify", []string{"-M", "jump", "-skip", "64", "-P", "counter=0x700000", "-verify", "-o", out}, 0, ""},
@@ -54,6 +54,7 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 		{"verify apply-plan", []string{"-apply-plan", plan, "-verify", "-o", out}, 0, ""},
 		{"verify with dry-run", []string{"-M", "jcc", "-verify", "-dry-run"}, 2, "-verify"},
 		{"verify with emit-plan", []string{"-M", "jcc", "-verify", "-emit-plan", plan}, 2, "-verify"},
+		{"verify with emit-plan and o", []string{"-M", "jcc", "-verify", "-emit-plan", plan2, "-o", out}, 0, ""},
 
 		// -match and -action are gone: -M and -P are the one spelling.
 		{"match is an unknown flag", []string{"-match", "jcc", "-o", out}, 2, "-match"},

@@ -366,19 +366,15 @@ func RewriteTo(ctx context.Context, w io.Writer, input []byte, cfg Config) (*Res
 // returned plan is deterministic (planning twice yields byte-identical
 // encodings), bound to the input by SHA-256, and Apply(input, plan)
 // reproduces Rewrite(input, cfg) byte-for-byte. The input slice is not
-// modified.
+// modified. Plan is NewStream + Stream.Plan; a caller that also wants
+// the output, or cancellation, drives the session itself.
 func Plan(input []byte, cfg Config) (*PatchPlan, error) {
-	return PlanContext(context.Background(), input, cfg)
-}
-
-// PlanContext is Plan with cancellation and the same recovery boundary
-// (see RewriteTo).
-func PlanContext(ctx context.Context, input []byte, cfg Config) (*PatchPlan, error) {
+	ctx := context.Background()
 	s, err := oneShot(ctx, input, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.plan(ctx)
+	return s.Plan(ctx)
 }
 
 // Apply materializes a plan onto input: replay the recorded byte
@@ -392,7 +388,7 @@ func Apply(input []byte, p *PatchPlan) (*Result, error) {
 }
 
 // ApplyTo is Apply with cancellation, and with the output written to w
-// instead of returned. Like PlanContext it is a recovery boundary:
+// instead of returned. Like RewriteTo it is a recovery boundary:
 // hostile plans are validated up front, and any residual panic is
 // contained and returned as ErrInternal.
 //
@@ -417,21 +413,16 @@ func ApplyTrusted(input []byte, p *PatchPlan) (*Result, error) {
 	return ApplyTrustedContext(context.Background(), input, p)
 }
 
-// ApplyTrustedContext materializes a plan from a trusted producer —
-// this process's own Plan (a plan cache), or a cluster peer running the
-// same build — without re-deriving the disassembly-universe digest that
-// ApplyTo checks.
-//
-// The input binding is still verified against input, and the recorded
-// universe is a deterministic function of the mode and text bytes the
-// hash already pins, so re-derivation can only re-prove what the
-// binding established — at full instruction-recovery cost, which
-// dominates Apply on large binaries. Every structural validation (text
-// geometry, write bounds, trampoline and injection ranges, tactic
-// names) still runs; what is skipped is purely the redundant recovery
-// pass. Plans from untrusted sources should keep going through
-// Apply or ApplyTo, whose digest check rejects a plan that lies about its
-// recovery mode.
+// ApplyTrustedContext materializes a plan from a trusted producer — a
+// plan this process banked earlier (a plan cache), or one from a cluster
+// peer running the same build — without re-deriving the
+// disassembly-universe digest that ApplyTo checks. The input binding is
+// still verified, and the recorded universe is a deterministic function
+// of the mode and text bytes the hash pins, so re-deriving it could only
+// re-prove the binding, at full instruction-recovery cost. Every
+// structural validation still runs. Plans from untrusted sources go
+// through Apply or ApplyTo, whose digest check rejects a plan that lies
+// about its recovery mode.
 func ApplyTrustedContext(ctx context.Context, input []byte, p *PatchPlan) (_ *Result, err error) {
 	defer e9err.Recover("apply", &err)
 	return applyContext(ctx, nil, input, p, false)

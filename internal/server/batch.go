@@ -180,8 +180,10 @@ func (s *Server) runBatchItem(ctx context.Context, tenant, id string, a ask) bat
 		out.Status, out.Error = s.classify(err)
 		return out
 	}
-	out.Status, out.Cache, out.Plan = http.StatusOK, ans.cache, ans.plan
-	if ans.entry != nil {
+	out.Status, out.Cache = http.StatusOK, ans.cache
+	if a.plan {
+		out.Plan = ans.plan
+	} else {
 		out.Stats, out.Output = json.RawMessage(ans.entry.statsJSON), ans.entry.out
 	}
 	return out

@@ -180,14 +180,15 @@ func (s *Server) peerPlan(ctx context.Context, key string) ([]byte, *e9patch.Pat
 	return data, p, true
 }
 
-// acceptsPlan reports whether the client asked for a plan-delta
-// response (Accept: application/x-e9-plan): the serialized PatchPlan
-// instead of the rewritten binary, applied client-side, cutting egress
-// from ~binary-size to ~plan-size.
-func acceptsPlan(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(mt) == cluster.PlanContentType {
+// accepts reports whether the request's header lists value, parameters
+// aside: Accept: application/x-e9-plan asks for a plan-delta response
+// (the serialized PatchPlan instead of the rewritten binary, applied
+// client-side, cutting egress from ~binary-size to ~plan-size), and
+// Accept-Encoding: gzip allows a gzip-coded one.
+func accepts(r *http.Request, header, value string) bool {
+	for _, part := range strings.Split(r.Header.Get(header), ",") {
+		v, _, _ := strings.Cut(part, ";")
+		if strings.TrimSpace(v) == value {
 			return true
 		}
 	}
@@ -206,7 +207,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, data []byte, 
 	h := w.Header()
 	h.Set("Content-Type", cluster.PlanContentType)
 	h.Set("X-E9-Cache", cacheStatus)
-	if acceptsGzip(r) {
+	if accepts(r, "Accept-Encoding", "gzip") {
 		h.Set("Content-Encoding", "gzip")
 		w.WriteHeader(http.StatusOK)
 		zw := gzip.NewWriter(w)
@@ -217,15 +218,4 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, data []byte, 
 	h.Set("Content-Length", fmt.Sprint(len(data)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
-}
-
-// acceptsGzip reports whether the request allows a gzip-coded response.
-func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(enc) == "gzip" {
-			return true
-		}
-	}
-	return false
 }

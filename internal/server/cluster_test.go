@@ -346,6 +346,135 @@ func TestPlanDeltaResponse(t *testing.T) {
 	}
 }
 
+// TestPlanDeltaMissAnswersItsPlan: with a plan tier too small to hold
+// any plan, a cold plan-delta request must still answer 200 with the
+// plan its own rewrite made, read from the flight rather than from the
+// plan cache. So must a plan waiter coalesced onto a binary request's
+// flight and a want=plan batch item. Each plan, applied client-side,
+// reproduces the binary response to the same request, and nothing is
+// logged as an internal failure.
+func TestPlanDeltaMissAnswersItsPlan(t *testing.T) {
+	var logged []string
+	var logMu sync.Mutex
+	srv := New(Config{Workers: 2, QueueLen: 8, PlanCacheBytes: 1, Logf: func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}})
+	real := srv.rewrite
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, []byte, error) {
+		if spec.Match == "jcc" { // the coalescing case holds its flight open
+			started <- struct{}{}
+			<-gate
+		}
+		return real(ctx, bin, spec)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	bin := kernelELF(t)
+
+	type reply struct {
+		status      int
+		cache, body string
+	}
+	post := func(query string, plan bool) reply {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/rewrite?"+query, bytes.NewReader(bin))
+		if plan {
+			req.Header.Set("Accept", cluster.PlanContentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return reply{}
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return reply{resp.StatusCode, resp.Header.Get("X-E9-Cache"), string(body)}
+	}
+	// applies checks that plan, applied to bin, is the binary answer.
+	applies := func(label string, plan []byte, binary []byte) {
+		t.Helper()
+		p, err := e9patch.DecodePlan(plan)
+		if err != nil {
+			t.Fatalf("%s: the plan does not decode: %v", label, err)
+		}
+		res, err := e9patch.Apply(bin, p)
+		if err != nil {
+			t.Fatalf("%s: apply: %v", label, err)
+		}
+		if !bytes.Equal(res.Output, binary) {
+			t.Fatalf("%s: the applied plan differs from the binary response", label)
+		}
+	}
+
+	// A cold plan-delta request, then the binary for the same request.
+	pr := post("match=jump", true)
+	if pr.status != http.StatusOK || pr.cache != "miss" {
+		t.Fatalf("cold plan-delta: %d %q (%s), want 200 miss", pr.status, pr.cache, pr.body)
+	}
+	br := post("match=jump", false)
+	if br.status != http.StatusOK || br.cache != "hit" {
+		t.Fatalf("binary after the plan-delta: %d %q, want 200 hit", br.status, br.cache)
+	}
+	applies("cold", []byte(pr.body), []byte(br.body))
+
+	// A plan waiter coalesced onto a binary request's flight.
+	replies := make(chan reply, 2)
+	go func() { replies <- post("match=jcc", false) }()
+	<-started
+	go func() { replies <- post("match=jcc", true) }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.flights.mu.Lock()
+		waiters := 0
+		for _, f := range srv.flights.m {
+			waiters += f.waiters
+		}
+		srv.flights.mu.Unlock()
+		if waiters == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 requests joined the flight", waiters)
+		}
+	}
+	close(gate)
+	got := map[string]reply{}
+	for range 2 {
+		r := <-replies
+		if r.status != http.StatusOK {
+			t.Fatalf("coalescing pair: %d %q (%s), want 200", r.status, r.cache, r.body)
+		}
+		got[r.cache] = r
+	}
+	if _, ok := got["miss"]; !ok || got["coalesced"].status == 0 {
+		t.Fatalf("coalescing pair answered from %v, want miss and coalesced", got)
+	}
+	applies("coalesced", []byte(got["coalesced"].body), []byte(got["miss"].body))
+
+	// A want=plan batch item, then a binary one for the same request.
+	_, results := batchLines(t, ts.URL, []batchItem{{ID: "plan", Query: "match=call", Binary: bin, Want: "plan"}}, "")
+	if len(results) != 1 || results[0].Status != http.StatusOK || results[0].Cache != "miss" {
+		t.Fatalf("want=plan batch item: %+v, want 200 miss", results)
+	}
+	_, binResults := batchLines(t, ts.URL, []batchItem{{ID: "bin", Query: "match=call", Binary: bin}}, "")
+	if len(binResults) != 1 || binResults[0].Status != http.StatusOK {
+		t.Fatalf("binary batch item: %+v", binResults)
+	}
+	applies("batch", results[0].Plan, binResults[0].Output)
+
+	if entries, _, _ := srv.plans.stats(); entries != 0 {
+		t.Fatalf("the one-byte plan tier holds %d plans", entries)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if len(logged) != 0 {
+		t.Fatalf("internal failures logged: %q", logged)
+	}
+}
+
 // TestPlanDeltaGzip pins the wire compression of plan-delta responses:
 // a client that negotiates gzip gets a Content-Encoding: gzip body
 // that is smaller than the identity encoding and gunzips to the same
@@ -694,7 +823,7 @@ func TestBatchTenantQuota(t *testing.T) {
 		peak    = map[string]int{}
 		release = make(chan struct{})
 	)
-	srv.rewrite = func(ctx context.Context, key string, binary []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, binary []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		tenant := string(binary[:1]) // first byte names the tenant in this stub
 		mu.Lock()
 		cur[tenant]++
@@ -706,7 +835,7 @@ func TestBatchTenantQuota(t *testing.T) {
 		mu.Lock()
 		cur[tenant]--
 		mu.Unlock()
-		return &e9patch.Result{Output: []byte("out")}, nil
+		return &e9patch.Result{Output: []byte("out")}, nil, nil
 	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

@@ -46,11 +46,11 @@ func TestWorkerSurvivesPanickingRewrite(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 8, Logf: t.Logf})
 	defer srv.Close()
 	var calls atomic.Int32
-	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		if calls.Add(1)%2 == 1 {
 			panic("deliberate test panic: " + spec.Match)
 		}
-		return &e9patch.Result{Output: []byte("patched")}, nil
+		return &e9patch.Result{Output: []byte("patched")}, nil, nil
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -89,12 +89,13 @@ func TestPanickingSelectorContained(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 8, Logf: t.Logf})
 	defer srv.Close()
 	var calls atomic.Int32
-	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		sel := e9patch.SelectJumps
 		if calls.Add(1) == 1 {
 			sel = func(insts []x86.Loc) []int { panic("selector boom") }
 		}
-		return e9patch.RewriteTo(ctx, nil, bin, e9patch.Config{Select: sel})
+		res, err := e9patch.RewriteTo(ctx, nil, bin, e9patch.Config{Select: sel})
+		return res, nil, err
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -292,11 +293,11 @@ func TestServerNoGoroutineLeak(t *testing.T) {
 	// abandoned batch below is still running when its client hangs up.
 	gate := make(chan struct{})
 	rewrite := srv.rewrite
-	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		if spec.Granularity > 1 {
 			<-gate
 		}
-		return rewrite(ctx, key, bin, spec)
+		return rewrite(ctx, bin, spec)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	ndjson := func(items ...batchItem) []byte {

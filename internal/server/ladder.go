@@ -62,9 +62,10 @@ type ask struct {
 }
 
 // answer is what the ladder resolved a request to: the rewritten binary
-// or the encoded plan, and the X-E9-Cache value naming the tier that
-// answered. An empty cache means the front door relayed the owner's
-// response and nothing is left to write.
+// or the encoded plan (a rewrite's flight answers both, and the caller
+// serves the one it asked for), and the X-E9-Cache value naming the tier
+// that answered. An empty cache means the front door relayed the
+// owner's response and nothing is left to write.
 type answer struct {
 	entry *cacheEntry
 	plan  []byte
@@ -120,30 +121,16 @@ func (s *Server) resolve(ctx context.Context, a ask) (answer, error) {
 		s.metrics.inc(peerPlanMissesTotal)
 	}
 
-	e, shared, err := s.flights.do(ctx, a.key, s.cfg.Timeout,
-		func(jobCtx context.Context, finish func(*cacheEntry, error)) error {
+	ans, shared, err := s.flights.do(ctx, a.key, s.cfg.Timeout,
+		func(jobCtx context.Context, finish func(answer, error)) error {
 			return s.admit(jobCtx, a, finish)
 		})
+	ans.cache = "miss"
 	if shared {
 		s.metrics.inc(coalescedTotal)
-	}
-	if err != nil {
-		return answer{}, err
-	}
-	ans := answer{entry: e, cache: "miss"}
-	if shared {
 		ans.cache = "coalesced"
 	}
-	if a.plan {
-		pe, ok := s.plans.get(a.key)
-		if !ok {
-			// An encode failure (effectively unreachable) or a RewriteFunc
-			// that banks no plan.
-			return answer{}, e9err.Internal("server", "plan unavailable for this rewrite")
-		}
-		ans.entry, ans.plan = nil, pe.data
-	}
-	return ans, nil
+	return ans, err
 }
 
 // fromPlan answers a from an encoded plan, given decoded as p or nil to
@@ -151,11 +138,11 @@ func (s *Server) resolve(ctx context.Context, a ask) (answer, error) {
 // result cache for a binary one. False means the plan does not apply to
 // a.body.
 //
-// Every plan reaching here is self-produced (banked by s.rewrite) or
-// peer-produced and decode-validated; both are input-bound, which
-// ApplyTrusted verifies, so skipping the disassembly-universe
-// re-derivation costs no safety and most of the rematerialization time
-// on large binaries.
+// Every plan reaching here is self-produced (banked by an earlier
+// rewrite job) or peer-produced and decode-validated; both are
+// input-bound, which ApplyTrusted verifies, so skipping the
+// disassembly-universe re-derivation costs no safety and most of the
+// rematerialization time on large binaries.
 func (s *Server) fromPlan(ctx context.Context, a ask, data []byte, p *e9patch.PatchPlan, cache string) (answer, bool) {
 	if a.plan {
 		return answer{plan: data, cache: cache}, true
@@ -187,7 +174,7 @@ var errQueueFull = errors.New("server: work queue full")
 // their shard helpers share one budget of Workers. A job whose context
 // ends before a lease frees still finishes its flight, with the
 // context's error.
-func (s *Server) admit(ctx context.Context, a ask, finish func(*cacheEntry, error)) error {
+func (s *Server) admit(ctx context.Context, a ask, finish func(answer, error)) error {
 	s.admitMu.Lock()
 	if s.closed || s.waiting >= s.cfg.QueueLen {
 		s.admitMu.Unlock()
@@ -214,7 +201,7 @@ func (s *Server) admit(ctx context.Context, a ask, finish func(*cacheEntry, erro
 		s.waiting--
 		s.admitMu.Unlock()
 		if err != nil {
-			finish(nil, err)
+			finish(answer{}, err)
 			return
 		}
 		defer s.shards.Release()
@@ -230,17 +217,18 @@ func (s *Server) queueDepth() int {
 	return s.waiting
 }
 
-// runRewrite is a flight's job: the full rewrite of a.body, banked in
-// the result cache (s.rewrite banks the plan), behind the per-job
-// recovery boundary. A panic in the rewrite path (including test
-// RewriteFuncs that bypass the library's own boundaries) becomes an
-// ErrInternal result like any other failure, so coalesced waiters are
-// released instead of timing out. Panics already contained by the
+// runRewrite is a flight's job: the full rewrite of a.body, its result
+// banked in the result cache and its plan in the plan cache, behind the
+// per-job recovery boundary. The answer carries both, so every waiter
+// reads its own from the flight. A panic in the rewrite path (including
+// test RewriteFuncs that bypass the library's own boundaries) becomes
+// an ErrInternal result like any other failure, so coalesced waiters
+// are released instead of timing out. Panics already contained by the
 // library surface as classified errors with a recorded stack; both
 // shapes count toward panic_recovered_total.
-func (s *Server) runRewrite(ctx context.Context, a ask) (e *cacheEntry, err error) {
+func (s *Server) runRewrite(ctx context.Context, a ask) (_ answer, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err // every waiter left while the job waited
+		return answer{}, err // every waiter left while the job waited
 	}
 	s.metrics.inc(rewritesTotal)
 	start := time.Now()
@@ -255,13 +243,14 @@ func (s *Server) runRewrite(ctx context.Context, a ask) (e *cacheEntry, err erro
 			s.cfg.Logf("e9served: panic contained during rewrite: %v\n%s", ee, ee.Stack)
 		}
 	}()
-	res, err := s.rewrite(ctx, a.key, a.body, a.spec)
+	res, plan, err := s.rewrite(ctx, a.body, a.spec)
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
-	e = entryFromResult(res)
+	e := entryFromResult(res)
 	s.cache.put(a.key, e)
-	return e, nil
+	s.plans.put(a.key, &planEntry{data: plan})
+	return answer{entry: e, plan: plan}, nil
 }
 
 // classify maps a failure onto the status a client sees and the message

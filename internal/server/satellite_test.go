@@ -200,14 +200,14 @@ func TestLastWaiterCancelDuringPeerFetch(t *testing.T) {
 	var calls atomic.Int64
 	firstEntered := make(chan struct{})
 	firstCancelled := make(chan error, 1)
-	srv.rewrite = func(ctx context.Context, key string, binary []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, binary []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		if calls.Add(1) == 1 {
 			close(firstEntered)
 			<-ctx.Done() // must fire when the last waiter leaves
 			firstCancelled <- ctx.Err()
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
-		return real(ctx, key, binary, spec)
+		return real(ctx, binary, spec)
 	}
 
 	// Pick a query whose key the stub owns, so peer fetches really fire

@@ -15,7 +15,7 @@
 //   - singleflight coalescing: N concurrent identical requests trigger
 //     exactly one rewrite;
 //   - per-request timeouts and real cancellation, threaded through the
-//     rewrite pipeline (e9patch.PlanContext + ApplyTrustedContext);
+//     rewrite pipeline (one e9patch.Stream, read as plan and output);
 //   - hand-rolled Prometheus text metrics (the module stays
 //     dependency-free).
 package server
@@ -37,6 +37,7 @@ import (
 
 	"e9patch"
 	"e9patch/internal/cluster"
+	"e9patch/internal/e9err"
 	"e9patch/internal/patch"
 )
 
@@ -106,11 +107,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// RewriteFunc executes one rewrite; tests substitute it to gate and
-// count executions. key is the request's cache key, which the handler
-// has already derived from binary and spec: the default implementation
-// banks the plan under it.
-type RewriteFunc func(ctx context.Context, key string, binary []byte, spec *Spec) (*e9patch.Result, error)
+// RewriteFunc executes one rewrite and returns its result and its
+// encoded plan, which the job banks; tests substitute it to gate and
+// count executions.
+type RewriteFunc func(ctx context.Context, binary []byte, spec *Spec) (*e9patch.Result, []byte, error)
 
 // Server is the rewrite service. Create with New, mount Handler, and
 // Close after the HTTP server has drained.
@@ -179,27 +179,34 @@ func New(cfg Config) *Server {
 		s.peers = cluster.NewClient(cfg.Cluster, s.health, cfg.PlanCacheBytes)
 		s.fwd = &http.Client{}
 	}
-	s.rewrite = func(ctx context.Context, key string, binary []byte, spec *Spec) (*e9patch.Result, error) {
+	s.rewrite = func(ctx context.Context, binary []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		rcfg := spec.Config()
 		rcfg.Parallelism = s.cfg.Workers
 		rcfg.Pool = s.shards
 		rcfg.Limits = s.cfg.Limits
-		// Plan, bank the plan in the second cache tier, then apply. The
-		// plan costs a few dozen bytes per site where the result costs the
-		// whole output binary, so it survives long after the result entry
-		// is evicted and turns a future repeat into a decision-free
-		// rematerialize.
-		p, err := e9patch.PlanContext(ctx, binary, rcfg)
+		// One session decides once and is read twice: as the plan, which
+		// costs a few dozen bytes per site where the result costs the whole
+		// output binary, so it outlives the result entry and turns a future
+		// repeat into a decision-free rematerialize; then as the output.
+		st, err := e9patch.NewStream(ctx, binary, rcfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if enc, err := p.Encode(); err == nil {
-			s.plans.put(key, &planEntry{data: enc})
+		p, err := st.Plan(ctx)
+		if err != nil {
+			return nil, nil, err
 		}
-		// The plan was produced by this very call against these very
-		// bytes, so the trusted apply path (no universe re-derivation)
-		// is exact, not a shortcut.
-		return e9patch.ApplyTrustedContext(ctx, binary, p)
+		// p is dead once encoded. A plan this process has just made that
+		// does not encode can only be a bug.
+		enc, err := p.Encode()
+		if err != nil {
+			return nil, nil, &e9err.Error{Class: e9err.ErrInternal, Phase: "server", Err: err}
+		}
+		res, err := st.Finish(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		return res, enc, nil
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/rewrite", s.accounted(s.handleRewrite))
@@ -324,7 +331,7 @@ func (s *Server) handleRewrite(x *exchange, r *http.Request) {
 		return
 	}
 
-	a := ask{key: cacheKey(body, spec), body: body, spec: spec, plan: acceptsPlan(r)}
+	a := ask{key: cacheKey(body, spec), body: body, spec: spec, plan: accepts(r, "Accept", cluster.PlanContentType)}
 	a.forward = func() bool { return s.tryForward(x, r, body, a.key) }
 	ans, err := s.resolve(r.Context(), a)
 	switch {

@@ -202,10 +202,10 @@ func TestSingleflightCollapse(t *testing.T) {
 	real := srv.rewrite
 	started := make(chan struct{}, 64)
 	release := make(chan struct{})
-	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		started <- struct{}{}
 		<-release
-		return real(ctx, key, bin, spec)
+		return real(ctx, bin, spec)
 	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -297,14 +297,14 @@ func TestQueueOverflow(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 1})
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
-		return &e9patch.Result{Output: append([]byte("out:"), bin...)}, nil
+		return &e9patch.Result{Output: append([]byte("out:"), bin...)}, nil, nil
 	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -367,11 +367,11 @@ func TestClientCancelAbortsJob(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 4})
 	started := make(chan struct{})
 	jobErr := make(chan error, 1)
-	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		close(started)
 		<-ctx.Done() // simulate a long rewrite interrupted mid-pipeline
 		jobErr <- ctx.Err()
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -412,9 +412,9 @@ func TestClientCancelAbortsJob(t *testing.T) {
 // TestRequestTimeout verifies the per-request budget maps to 504.
 func TestRequestTimeout(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 4, Timeout: 30 * time.Millisecond})
-	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -443,7 +443,7 @@ func TestBatchAndRewriteShareWorkers(t *testing.T) {
 		cur, peak int
 		release   = make(chan struct{})
 	)
-	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		mu.Lock()
 		cur++
 		peak = max(peak, cur)
@@ -452,7 +452,7 @@ func TestBatchAndRewriteShareWorkers(t *testing.T) {
 		mu.Lock()
 		cur--
 		mu.Unlock()
-		return &e9patch.Result{Output: []byte("out")}, nil
+		return &e9patch.Result{Output: []byte("out")}, nil, nil
 	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -518,14 +518,14 @@ func TestBatchItemQueueFull(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueLen: 1})
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	srv.rewrite = func(ctx context.Context, key string, bin []byte, spec *Spec) (*e9patch.Result, error) {
+	srv.rewrite = func(ctx context.Context, bin []byte, spec *Spec) (*e9patch.Result, []byte, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
-		return &e9patch.Result{Output: []byte("out")}, nil
+		return &e9patch.Result{Output: []byte("out")}, nil, nil
 	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

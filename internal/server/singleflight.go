@@ -9,7 +9,8 @@ import (
 // flightGroup collapses concurrent identical requests: the first
 // request for a key (the leader) launches the rewrite, every later
 // request arriving before it finishes (a follower) waits on the same
-// result. The job runs under its own context — detached from any one
+// answer, which carries both the result and the encoded plan, so a
+// follower reads whichever it asked for. The job runs under its own context — detached from any one
 // request, bounded by the per-request timeout — and is cancelled once
 // every waiter has given up, so a rewrite whose entire audience has
 // disconnected stops burning a worker instead of completing into the
@@ -21,7 +22,7 @@ type flightGroup struct {
 
 type flight struct {
 	done    chan struct{}
-	entry   *cacheEntry
+	ans     answer
 	err     error
 	waiters int
 	cancel  context.CancelFunc
@@ -35,7 +36,7 @@ func newFlightGroup() *flightGroup { return &flightGroup{m: make(map[string]*fli
 // the outcome. The second return reports whether this caller shared
 // another request's flight rather than leading its own.
 func (g *flightGroup) do(ctx context.Context, key string, timeout time.Duration,
-	launch func(jobCtx context.Context, finish func(*cacheEntry, error)) error) (*cacheEntry, bool, error) {
+	launch func(jobCtx context.Context, finish func(answer, error)) error) (answer, bool, error) {
 
 	g.mu.Lock()
 	if f, ok := g.m[key]; ok {
@@ -44,37 +45,28 @@ func (g *flightGroup) do(ctx context.Context, key string, timeout time.Duration,
 		return g.wait(ctx, key, f, true)
 	}
 
-	f := &flight{done: make(chan struct{}), waiters: 1}
-	jobCtx := context.WithoutCancel(ctx)
-	var cancels []context.CancelFunc
+	// Cancelling the job's context releases its timer too; the detached
+	// parent holds no resources.
+	jobCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	if timeout > 0 {
-		var tc context.CancelFunc
-		jobCtx, tc = context.WithTimeout(jobCtx, timeout)
-		cancels = append(cancels, tc)
+		jobCtx, cancel = context.WithTimeout(jobCtx, timeout)
 	}
-	var cc context.CancelFunc
-	jobCtx, cc = context.WithCancel(jobCtx)
-	cancels = append(cancels, cc)
-	f.cancel = func() {
-		for _, c := range cancels {
-			c()
-		}
-	}
+	f := &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
 	g.m[key] = f
 	g.mu.Unlock()
 
-	finish := func(e *cacheEntry, err error) {
+	finish := func(ans answer, err error) {
 		g.mu.Lock()
 		if g.m[key] == f {
 			delete(g.m, key)
 		}
-		f.entry, f.err = e, err
+		f.ans, f.err = ans, err
 		close(f.done)
 		g.mu.Unlock()
 		f.cancel() // release the timeout timer
 	}
 	if err := launch(jobCtx, finish); err != nil {
-		finish(nil, err)
+		finish(answer{}, err)
 	}
 	return g.wait(ctx, key, f, false)
 }
@@ -82,10 +74,10 @@ func (g *flightGroup) do(ctx context.Context, key string, timeout time.Duration,
 // wait blocks until the flight finishes or the caller's own context
 // gives up. The last waiter to leave cancels the job and detaches the
 // flight from the map so new arrivals start a fresh one.
-func (g *flightGroup) wait(ctx context.Context, key string, f *flight, shared bool) (*cacheEntry, bool, error) {
+func (g *flightGroup) wait(ctx context.Context, key string, f *flight, shared bool) (answer, bool, error) {
 	select {
 	case <-f.done:
-		return f.entry, shared, f.err
+		return f.ans, shared, f.err
 	case <-ctx.Done():
 		g.mu.Lock()
 		f.waiters--
@@ -97,6 +89,6 @@ func (g *flightGroup) wait(ctx context.Context, key string, f *flight, shared bo
 		if orphaned {
 			f.cancel()
 		}
-		return nil, shared, ctx.Err()
+		return answer{}, shared, ctx.Err()
 	}
 }

@@ -82,9 +82,10 @@ func planCorpus(t testing.TB) []struct {
 //
 // Every cell is also anchored to testdata/rewrite_golden.json: the
 // SHA-256 of Result.Output must be reproduced by Rewrite, by
-// Apply(Plan) at every width and by a Stream session fed the same
-// locations in address chunks; RewriteTo, ApplyTo and the session's
-// FinishTo must have written those same bytes to their writer. Beside each hash
+// Apply(Plan) at every width, by a session read first as a plan and
+// then finished, and by a Stream session fed the same locations in
+// address chunks; RewriteTo, ApplyTo and the sessions' FinishTo must
+// have written those same bytes to their writer. Beside each hash
 // the file pins Result.OutputSize and Group.PhysBlocks, which a change
 // of trampoline code alone (epilogues) leaves as they are. The hashes
 // were first recorded from the pre-split monolithic reference pipeline
@@ -200,6 +201,29 @@ func TestPlanApplyEquivalence(t *testing.T) {
 					}
 					assertSameParallelResult(t, ref, written(label+"/applyto", wres, &buf), label+"/applyto")
 				}
+			}
+
+			// One session read twice: its plan, then its output to a
+			// writer. The output is the golden; the plan, encoded after the
+			// session has emitted, is the one-shot Plan's.
+			label := cell + "/planfinish"
+			ps, err := NewStream(ctx, be.bin, cfg)
+			if err != nil {
+				t.Fatalf("%s: stream: %v", label, err)
+			}
+			sp, err := ps.Plan(ctx)
+			if err != nil {
+				t.Fatalf("%s: plan: %v", label, err)
+			}
+			buf.Reset()
+			pres, err := ps.FinishTo(ctx, &buf)
+			if err != nil {
+				t.Fatalf("%s: finish to: %v", label, err)
+			}
+			assertSameParallelResult(t, ref, written(label, pres, &buf), label)
+			checkGolden(label, pres)
+			if enc, err := sp.Encode(); err != nil || !bytes.Equal(enc, firstEnc) {
+				t.Errorf("%s: the session's plan encodes differently from Plan's (err %v)", label, err)
 			}
 
 			// Chunked session: no selector, the reference's locations

@@ -17,9 +17,11 @@ import (
 // select → decide phases: the binary is opened once (openPipeline, the
 // front half Apply shares), patch selections arrive progressively —
 // the JSON-RPC backend feeds one Select or SelectAddrs call per
-// protocol message — and Finish (or FinishTo) runs the decision and
-// emit phases over the accumulated union.
-// Rewrite is NewStream + Finish and Plan is NewStream + plan, so equal
+// protocol message — and the first of Plan, Finish or FinishTo decides
+// over the accumulated union, once. The decision has two readings: Plan
+// reads it as a PatchPlan and leaves the session open for one Finish or
+// FinishTo, which emits that same decision as the rewritten binary.
+// Rewrite is NewStream + Finish and Plan is NewStream + Plan, so equal
 // selections give byte-identical results by construction.
 //
 // The input slice is never written: callers may hand a Stream the
@@ -35,10 +37,15 @@ type Stream struct {
 	// sel is the selection, a bitset over instruction indices (nsel its
 	// population count): dedup is one bit test per index even when
 	// SelectAll adds every instruction, and a scan yields sorted sites.
-	sel    []uint64
-	nsel   int
-	diag   []Selector // replayed for coordinate diagnostics when nothing matched
-	closed bool
+	sel  []uint64
+	nsel int
+	diag []Selector // replayed for coordinate diagnostics when nothing matched
+	// rw, inject and warnings are the decision both readings share, set
+	// by decide; closed says that Finish ran or that deciding failed.
+	rw       *patch.Rewriter
+	inject   []plan.Injection
+	warnings []string
+	closed   bool
 }
 
 // NewStream opens an incremental session over input. Unlike Rewrite,
@@ -83,10 +90,14 @@ func (s *Stream) BadBytes() int { return s.badBytes }
 // so far.
 func (s *Stream) Selected() int { return s.nsel }
 
-// guard rejects use after Finish.
+// guard rejects a selection or reservation once the session has
+// decided: after Plan, and after Finish.
 func (s *Stream) guard() error {
 	if s.closed {
 		return e9err.Malformed("stream", "e9patch: stream session already finished")
+	}
+	if s.rw != nil {
+		return e9err.Malformed("stream", "e9patch: stream session already planned; its selection is closed")
 	}
 	return nil
 }
@@ -175,8 +186,8 @@ func indicesAt(insts []x86.Loc, addrs []uint64) []int {
 }
 
 // Reserve adds [lo, hi) to the virtual-address ranges trampolines must
-// avoid, like Config.ReserveVA. Reservations take effect at Finish, so
-// they may arrive any time before it.
+// avoid, like Config.ReserveVA. Reservations take effect when the
+// session decides, so they may arrive any time before Plan or Finish.
 func (s *Stream) Reserve(lo, hi uint64) error {
 	if err := s.guard(); err != nil {
 		return err
@@ -188,16 +199,19 @@ func (s *Stream) Reserve(lo, hi uint64) error {
 	return nil
 }
 
-// decide closes the session and runs everything between selection and
-// emission, for both terminals: the site cap, the empty-selection
-// diagnostics, then finishPlanPhase.
-func (s *Stream) decide(ctx context.Context) (*patch.Rewriter, []plan.Injection, []string, error) {
+// decide runs everything between selection and emission once, for both
+// readings: the site cap, the empty-selection diagnostics, then
+// finishPlanPhase. A later call finds the decision on the session.
+func (s *Stream) decide(ctx context.Context) error {
+	if s.rw != nil {
+		return nil
+	}
 	if err := s.guard(); err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	s.closed = true
 	if err := s.siteLimit(); err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	var warnings []string
 	if s.nsel == 0 {
@@ -212,14 +226,18 @@ func (s *Stream) decide(ctx context.Context) (*patch.Rewriter, []plan.Injection,
 		}
 	}
 	rw, inject, err := finishPlanPhase(ctx, s.st, &s.cfg, selected)
-	return rw, inject, warnings, err
+	if err != nil {
+		return err
+	}
+	s.rw, s.inject, s.warnings, s.closed = rw, inject, warnings, false
+	return nil
 }
 
 // Finish runs the remaining decision phases (injection preparation,
 // address-space reservation, S1 patching) over the accumulated
-// selection and emits the rewritten binary into Result.Output, a single
-// allocation of exactly the output's size. The session cannot be used
-// afterwards.
+// selection, unless Plan already has, and emits the rewritten binary
+// into Result.Output, a single allocation of exactly the output's size.
+// The session cannot be used afterwards.
 //
 // Finish materializes straight from the live rewriter, with no plan in
 // between: once patching has decided everything the universe, the
@@ -243,23 +261,24 @@ func (s *Stream) Finish(ctx context.Context) (*Result, error) {
 // the output and should be discarded. A nil w is Finish.
 func (s *Stream) FinishTo(ctx context.Context, w io.Writer) (_ *Result, err error) {
 	defer e9err.Recover("stream", &err)
-	rw, inject, warnings, err := s.decide(ctx)
-	if err != nil {
+	if err := s.decide(ctx); err != nil {
 		return nil, err
 	}
-	in := newEmitInput(s.st, rw, s.cfg.Granularity, inject, s.insts, s.badBytes, warnings)
+	s.closed = true
+	in := newEmitInput(s.st, s.rw, s.cfg.Granularity, s.inject, s.insts, s.badBytes, s.warnings)
 	// Everything the emit tail needs is in hand: drop the universe, the
 	// selection and the rewriter's working copies.
-	s.st, s.sel, s.diag = nil, nil, nil
+	s.st, s.sel, s.diag, s.rw, s.inject, s.warnings = nil, nil, nil, nil, nil, nil
 	return emit(in, w)
 }
 
-// plan is the other terminal: the same decide step, its record read as
-// per-site entries and assembled into a PatchPlan bound to the input.
-func (s *Stream) plan(ctx context.Context) (_ *PatchPlan, err error) {
+// Plan decides, unless the session already has, and reads the decision
+// as a PatchPlan bound to the input, which hashes the whole input.
+// Selection is closed afterwards; one Finish or FinishTo may follow, and
+// emits the bytes Apply would materialize from the plan.
+func (s *Stream) Plan(ctx context.Context) (_ *PatchPlan, err error) {
 	defer e9err.Recover("plan", &err)
-	rw, inject, warnings, err := s.decide(ctx)
-	if err != nil {
+	if err := s.decide(ctx); err != nil {
 		return nil, err
 	}
 	st := s.st
@@ -274,9 +293,9 @@ func (s *Stream) plan(ctx context.Context) (_ *PatchPlan, err error) {
 		DisasmDigest: st.digest(),
 		Insts:        s.insts,
 		BadBytes:     s.badBytes,
-		Warnings:     warnings,
-		Injections:   inject,
-		Sites:        rw.Sites(),
+		Warnings:     s.warnings,
+		Injections:   s.inject,
+		Sites:        s.rw.Sites(),
 	}
 	p.BindInput(st.f.Data)
 	return p, nil

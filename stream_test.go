@@ -186,6 +186,28 @@ func TestStreamSessionGuards(t *testing.T) {
 	if _, err := s.Finish(ctx); err == nil {
 		t.Fatal("double finish: want error")
 	}
+
+	// Plan decides: selection is closed, one Finish follows, and after it
+	// neither a second Finish nor a Plan. Each refusal is classified.
+	s, err = NewStream(ctx, bin, Config{Select: SelectJumps, ReserveVA: workload.ReserveVA()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Plan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Select(SelectAll); !errors.Is(err, ErrMalformedBinary) {
+		t.Fatalf("select after plan: want ErrMalformedBinary, got %v", err)
+	}
+	if _, err := s.Finish(ctx); err != nil {
+		t.Fatalf("finish after plan: %v", err)
+	}
+	if _, err := s.Plan(ctx); !errors.Is(err, ErrMalformedBinary) {
+		t.Fatalf("plan after finish: want ErrMalformedBinary, got %v", err)
+	}
+	if _, err := s.Finish(ctx); !errors.Is(err, ErrMalformedBinary) {
+		t.Fatalf("finish after finish: want ErrMalformedBinary, got %v", err)
+	}
 }
 
 // TestStreamSiteLimit checks the patch-site cap: the message that
