@@ -225,6 +225,7 @@ func (s *Stream) decide(ctx context.Context) error {
 			selected = append(selected, w<<6+bits.TrailingZeros64(word))
 		}
 	}
+	s.sel, s.diag = nil, nil // selection is closed from here on
 	rw, inject, err := finishPlanPhase(ctx, s.st, &s.cfg, selected)
 	if err != nil {
 		return err
@@ -266,9 +267,9 @@ func (s *Stream) FinishTo(ctx context.Context, w io.Writer) (_ *Result, err erro
 	}
 	s.closed = true
 	in := newEmitInput(s.st, s.rw, s.cfg.Granularity, s.inject, s.insts, s.badBytes, s.warnings)
-	// Everything the emit tail needs is in hand: drop the universe, the
-	// selection and the rewriter's working copies.
-	s.st, s.sel, s.diag, s.rw, s.inject, s.warnings = nil, nil, nil, nil, nil, nil
+	// Everything the emit tail needs is in hand: drop the universe and
+	// the rewriter's working copies.
+	s.st, s.rw, s.inject, s.warnings = nil, nil, nil, nil
 	return emit(in, w)
 }
 
