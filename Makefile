@@ -110,7 +110,7 @@ servertest:
 
 # clustercheck gates the service and cluster surfaces on an in-process three-node cluster, under -race (DESIGN.md §12).
 clustercheck:
-	$(GO) test -race -run 'TestCluster|TestBatch|TestPlanFetch|TestPlanDelta|TestLastWaiterCancelDuringPeerFetch|TestServerNoGoroutineLeak' -count 1 ./internal/server/
+	$(GO) test -race -run 'TestCluster|TestBatch|TestPlanDelta|TestLastWaiterCancelDuringOwnerHop|TestClientLeavesDuringOwnerHop|TestServerNoGoroutineLeak' -count 1 ./internal/server/
 	$(GO) test -run 'TestApplyTrusted' -count 1 .
 	$(GO) test ./internal/cluster/
 

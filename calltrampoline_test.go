@@ -3,6 +3,7 @@ package e9patch
 import (
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"e9patch/internal/disasm"
@@ -90,7 +91,7 @@ func TestSyscallTraceRecipe(t *testing.T) {
 			if res.Stats.Total == 0 {
 				t.Fatal("no indirect calls selected")
 			}
-			if res.InjectedBytes == 0 {
+			if len(res.Injections) == 0 {
 				t.Fatal("no payload injected")
 			}
 			patched := patchedAddrs(res)
@@ -261,12 +262,13 @@ func TestCallArgumentMarshalling(t *testing.T) {
 	if br.FnName != "probe" || br.FnAddr != payloadBase+elf64.TextVaddrOff {
 		t.Fatalf("resolved %s@%#x", br.FnName, br.FnAddr)
 	}
-	res, err := Rewrite(prog.ELF, Config{
+	cfg := Config{
 		Select:    br.Select,
 		Template:  br.Template,
 		Inject:    br.Inject,
 		ReserveVA: append(br.ReserveVA, workload.ReserveVA()...),
-	})
+	}
+	res, err := Rewrite(prog.ELF, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,15 +276,27 @@ func TestCallArgumentMarshalling(t *testing.T) {
 	if len(patched) == 0 {
 		t.Fatal("no short jcc patched")
 	}
+	// A rewrite reports the images it mapped as its plan records them,
+	// the asm string table Prepare added included.
+	p, err := Plan(prog.ELF, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Injections, p.Injections) {
+		t.Errorf("Rewrite maps %d images, Plan records %d, or they differ", len(res.Injections), len(p.Injections))
+	}
 	// The asm string table is a second injection next to the payload's
 	// loadable segments.
-	segBytes := 0
+	segBytes, injected := 0, 0
 	for _, inj := range br.Inject {
 		segBytes += len(inj.Data)
 	}
-	if res.InjectedBytes <= segBytes {
+	for _, inj := range res.Injections {
+		injected += len(inj.Data)
+	}
+	if injected <= segBytes {
 		t.Errorf("injected %d bytes; expected payload segments (%d) plus an asm string table",
-			res.InjectedBytes, segBytes)
+			injected, segBytes)
 	}
 
 	// Disassemble the original text to know each site's ground truth.

@@ -8,9 +8,9 @@
 // the typed AST of each match/exclude expression and the patch
 // directive.
 //
-// With -plan it prints a serialized patch plan (e9tool -emit-plan, a
-// plan-delta response, a peer's plan endpoint) as indented JSON: the
-// one way to read what the binary form holds.
+// With -plan it prints a serialized patch plan (e9tool -emit-plan or a
+// plan-delta response) as indented JSON: the one way to read what the
+// binary form holds.
 package main
 
 import (

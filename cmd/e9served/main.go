@@ -24,10 +24,9 @@
 //	GET  /metrics                                   Prometheus text
 //
 // Clustering (-self/-peers) consistent-hashes cache keys across a
-// static peer list: the front door routes each rewrite to its key's
-// owner, peers fetch PatchPlans from owners over
-// GET /internal/v1/plan/{key} instead of re-planning, and a down peer
-// degrades to local handling (DESIGN.md §12).
+// static peer list: a rewrite or batch item whose key another node owns
+// is asked of that owner, and a down owner degrades to local handling
+// (DESIGN.md §12).
 //
 // Examples:
 //
@@ -85,7 +84,6 @@ func main() {
 		// by consistent hash. Both flags empty = single-node (default).
 		self         = flag.String("self", "", "this node's advertised base URL, e.g. http://10.0.0.1:8233 (must appear in -peers; empty: single-node)")
 		peersList    = flag.String("peers", "", "comma-separated base URLs of every cluster node, including -self")
-		fetchTimeout = flag.Duration("peer-fetch-timeout", 2*time.Second, "peer plan-fetch timeout (a slow peer is a down peer)")
 		peerCooldown = flag.Duration("peer-cooldown", time.Second, "how long a failed peer is skipped before being retried")
 	)
 	flag.Parse()
@@ -97,10 +95,9 @@ func main() {
 		}
 	}
 	ccfg := cluster.Config{
-		Self:         strings.TrimRight(*self, "/"),
-		Peers:        peers,
-		FetchTimeout: *fetchTimeout,
-		Cooldown:     *peerCooldown,
+		Self:     strings.TrimRight(*self, "/"),
+		Peers:    peers,
+		Cooldown: *peerCooldown,
 	}
 	if err := ccfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "e9served: %v\n", err)

@@ -197,7 +197,7 @@ func main() {
 		}
 		report(res)
 		if *verifyF {
-			verifyOutput(input, *out, verifyConfig(e9patch.DisasmMode(p.Disasm), p.SkipPrefix, p.Injections, p.Bias))
+			verifyOutput(input, *out, verifyConfig(res, p.SkipPrefix))
 		}
 		return
 	}
@@ -290,17 +290,17 @@ func main() {
 	}
 	report(res)
 	if *verifyF {
-		verifyOutput(input, *out, verifyConfig(cfg.Disasm, cfg.SkipPrefix, cfg.Inject, res.Bias))
+		verifyOutput(input, *out, verifyConfig(res, cfg.SkipPrefix))
 	}
 }
 
-// verifyConfig is what the output checker needs of a rewrite: its
-// recovery and the images it injected, moved from runtime to link
-// addresses.
-func verifyConfig(mode e9patch.DisasmMode, skip uint64, inject []e9patch.Injection, bias uint64) verify.Config {
-	cfg := verify.Config{Disasm: mode, SkipPrefix: skip}
-	for _, inj := range inject {
-		cfg.Images = append(cfg.Images, [2]uint64{inj.Addr - bias, inj.Addr - bias + uint64(len(inj.Data))})
+// verifyConfig is what the output checker needs of a rewrite or an
+// applied plan that skipped skip bytes of .text: its recovery and the
+// images it mapped, moved from runtime to link addresses.
+func verifyConfig(res *e9patch.Result, skip uint64) verify.Config {
+	cfg := verify.Config{Disasm: e9patch.DisasmMode(res.Disasm), SkipPrefix: skip}
+	for _, inj := range res.Injections {
+		cfg.Images = append(cfg.Images, [2]uint64{inj.Addr - res.Bias, inj.Addr - res.Bias + uint64(len(inj.Data))})
 	}
 	return cfg
 }

@@ -28,6 +28,24 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 	if err := os.WriteFile(in, prog.ELF, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	// A call patch's template injects an asm string table beside the
+	// payload the spec names (trace.elf, resolved from the run's
+	// directory); -verify must know both images.
+	calls, err := workload.BuildKernel("callheavy", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callIn := filepath.Join(dir, "callheavy.bin")
+	if err := os.WriteFile(callIn, calls.ELF, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := workload.BuildTracePayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "trace.elf"), trace, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	out := filepath.Join(dir, "out.bin")
 	plan := filepath.Join(dir, "plan.e9plan")
 	plan2 := filepath.Join(dir, "plan2.e9plan")
@@ -52,6 +70,7 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 		{"verify", []string{"-M", "jump", "-skip", "64", "-P", "counter=0x700000", "-verify", "-o", out}, 0, ""},
 		{"verify superset", []string{"-M", "true", "-disasm", "superset", "-b0-fallback", "-verify", "-o", out}, 0, ""},
 		{"verify apply-plan", []string{"-apply-plan", plan, "-verify", "-o", out}, 0, ""},
+		{"verify call patch", []string{"-M", "call & indirect", "-P", "call trace(asm)@trace.elf", "-verify", "-o", out}, 0, ""},
 		{"verify with dry-run", []string{"-M", "jcc", "-verify", "-dry-run"}, 2, "-verify"},
 		{"verify with emit-plan", []string{"-M", "jcc", "-verify", "-emit-plan", plan}, 2, "-verify"},
 		{"verify with emit-plan and o", []string{"-M", "jcc", "-verify", "-emit-plan", plan2, "-o", out}, 0, ""},
@@ -77,7 +96,12 @@ func TestDroppedFlagsAreUsageErrors(t *testing.T) {
 		{"apply-plan with b0-fallback", []string{"-apply-plan", plan, "-b0-fallback", "-o", out}, 2, "-b0-fallback "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(tool, append(tc.args, in)...)
+			input := in
+			if tc.name == "verify call patch" {
+				input = callIn
+			}
+			cmd := exec.Command(tool, append(tc.args, input)...)
+			cmd.Dir = dir
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			exit := 0

@@ -275,9 +275,10 @@ type Result struct {
 	Bias uint64
 	// Trampolines is the number of trampolines emitted.
 	Trampolines int
-	// InjectedBytes is the total size of injected memory images
-	// (payload segments and argument tables; 0 without injections).
-	InjectedBytes int
+	// Injections are the memory images the output maps (payload
+	// segments and argument tables), in runtime coordinates and in the
+	// plan's order.
+	Injections []Injection
 	// Locations records the per-location outcome (address in runtime
 	// coordinates and the tactic that succeeded), in patch order.
 	Locations []patch.LocResult
@@ -413,16 +414,15 @@ func ApplyTrusted(input []byte, p *PatchPlan) (*Result, error) {
 	return ApplyTrustedContext(context.Background(), input, p)
 }
 
-// ApplyTrustedContext materializes a plan from a trusted producer — a
-// plan this process banked earlier (a plan cache), or one from a cluster
-// peer running the same build — without re-deriving the
-// disassembly-universe digest that ApplyTo checks. The input binding is
-// still verified, and the recorded universe is a deterministic function
-// of the mode and text bytes the hash pins, so re-deriving it could only
-// re-prove the binding, at full instruction-recovery cost. Every
-// structural validation still runs. Plans from untrusted sources go
-// through Apply or ApplyTo, whose digest check rejects a plan that lies
-// about its recovery mode.
+// ApplyTrustedContext materializes a plan this process made and banked
+// earlier (a plan cache) without re-deriving the disassembly-universe
+// digest that ApplyTo checks. The input binding is still verified, and
+// the recorded universe is a deterministic function of the mode and
+// text bytes the hash pins, so re-deriving it could only re-prove the
+// binding, at full instruction-recovery cost. Every structural
+// validation still runs. A plan from anywhere else (a file, a client,
+// another process) goes through Apply or ApplyTo, whose digest check
+// rejects a plan that lies about its recovery mode.
 func ApplyTrustedContext(ctx context.Context, input []byte, p *PatchPlan) (_ *Result, err error) {
 	defer e9err.Recover("apply", &err)
 	return applyContext(ctx, nil, input, p, false)

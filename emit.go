@@ -108,26 +108,22 @@ func emit(in emitInput, w io.Writer) (*Result, error) {
 		}
 		size = int(n)
 	}
-	injected := 0
-	for _, inj := range in.inject {
-		injected += len(inj.Data)
-	}
 	return &Result{
-		Output:        out,
-		Stats:         in.stats,
-		Group:         gres.Stats,
-		Mappings:      gres.Stats.Mappings,
-		InputSize:     len(in.input),
-		OutputSize:    size,
-		Insts:         in.insts,
-		BadBytes:      in.badBytes,
-		Disasm:        string(in.mode),
-		Recovery:      in.recovery,
-		Bias:          in.bias,
-		Trampolines:   len(in.trs),
-		InjectedBytes: injected,
-		Locations:     in.locs,
-		Warnings:      in.warnings,
+		Output:      out,
+		Stats:       in.stats,
+		Group:       gres.Stats,
+		Mappings:    gres.Stats.Mappings,
+		InputSize:   len(in.input),
+		OutputSize:  size,
+		Insts:       in.insts,
+		BadBytes:    in.badBytes,
+		Disasm:      string(in.mode),
+		Recovery:    in.recovery,
+		Bias:        in.bias,
+		Trampolines: len(in.trs),
+		Injections:  in.inject,
+		Locations:   in.locs,
+		Warnings:    in.warnings,
 	}, nil
 }
 

@@ -1,31 +1,15 @@
 package cluster
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"sync"
 	"time"
 )
 
-// PlanPath is the internal endpoint serving encoded PatchPlans by
-// cache key. It is rooted under /internal/ so operators can fence it
-// from the public surface at the load balancer; the payload is a plan
-// (decisions, not code), so leaking one reveals nothing an ordinary
-// rewrite response would not.
-const PlanPath = "/internal/v1/plan/"
-
 // PlanContentType is the media type of serialized PatchPlans on the
-// wire — both the internal peer-fetch payload and the public
-// plan-delta response body.
+// wire: the plan-delta response body.
 const PlanContentType = "application/x-e9-plan"
-
-// ErrNoPlan reports that the peer answered authoritatively (it is up)
-// but does not hold a plan for the key. Callers fall through to a full
-// local rewrite without marking the peer down.
-var ErrNoPlan = errors.New("cluster: peer holds no plan for key")
 
 // Config describes this node's place in a static cluster.
 type Config struct {
@@ -35,10 +19,6 @@ type Config struct {
 	// Peers lists every node's advertised base URL, including Self.
 	// A list of one (or none) disables clustering.
 	Peers []string
-	// FetchTimeout bounds one peer plan fetch or forwarded request
-	// probe (0: 2s). Peer fetches sit on the client's latency path, so
-	// the bound is short: a slow peer is treated as a down peer.
-	FetchTimeout time.Duration
 	// Cooldown is how long a peer stays marked down after a transport
 	// failure before it is retried (0: 1s).
 	Cooldown time.Duration
@@ -48,9 +28,6 @@ type Config struct {
 func (c Config) Enabled() bool { return c.Self != "" && len(c.Peers) > 1 }
 
 func (c Config) WithDefaults() Config {
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 2 * time.Second
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = time.Second
 	}
@@ -96,8 +73,8 @@ func (h *Health) MarkDown(peer string) {
 	h.mu.Unlock()
 }
 
-// MarkUp clears a peer's down mark (called after any successful
-// response, including 404s — those prove the peer is alive).
+// MarkUp clears a peer's down mark (called after any response, an
+// error status included: it proves the peer is alive).
 func (h *Health) MarkUp(peer string) {
 	h.mu.Lock()
 	delete(h.down, peer)
@@ -117,31 +94,6 @@ func (h *Health) Up(peer string) bool {
 		return true
 	}
 	return false
-}
-
-// Client fetches plans from peers and feeds the shared health tracker.
-// The zero value is not usable; construct with NewClient.
-type Client struct {
-	http    *http.Client
-	health  *Health
-	timeout time.Duration
-	maxPlan int64
-}
-
-// NewClient builds a peer client. maxPlanBytes caps one fetched plan
-// (0: 64 MiB) — a hostile or confused peer must not be able to balloon
-// this node's memory through the internal channel.
-func NewClient(cfg Config, health *Health, maxPlanBytes int64) *Client {
-	cfg = cfg.WithDefaults()
-	if maxPlanBytes <= 0 {
-		maxPlanBytes = 64 << 20
-	}
-	return &Client{
-		http:    &http.Client{Timeout: cfg.FetchTimeout},
-		health:  health,
-		timeout: cfg.FetchTimeout,
-		maxPlan: maxPlanBytes,
-	}
 }
 
 // ReadReserve is the most ReadSized reserves before any byte has
@@ -176,45 +128,5 @@ func ReadSized(r io.Reader, hint int64) ([]byte, error) {
 			}
 			buf = append(make([]byte, 0, next), buf...)
 		}
-	}
-}
-
-// FetchPlan asks peer for the encoded plan of key. It returns the plan
-// bytes on 200, ErrNoPlan on 404 (peer alive, plan absent), and a
-// transport error otherwise — after marking the peer down so the next
-// requests skip it until the cooldown elapses.
-func (c *Client) FetchPlan(ctx context.Context, peer, key string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+PlanPath+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		c.health.MarkDown(peer)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		data, err := ReadSized(io.LimitReader(resp.Body, c.maxPlan+1), min(resp.ContentLength, c.maxPlan+1))
-		if err != nil {
-			c.health.MarkDown(peer)
-			return nil, err
-		}
-		if int64(len(data)) > c.maxPlan {
-			return nil, fmt.Errorf("cluster: plan from %s exceeds the %d-byte cap", peer, c.maxPlan)
-		}
-		c.health.MarkUp(peer)
-		return data, nil
-	case http.StatusNotFound:
-		c.health.MarkUp(peer)
-		return nil, ErrNoPlan
-	default:
-		// An unexpected status (a draining 503, a proxy 502) is treated
-		// like a transport failure: skip the peer for a cooldown.
-		c.health.MarkDown(peer)
-		return nil, fmt.Errorf("cluster: peer %s answered %d for plan fetch", peer, resp.StatusCode)
 	}
 }

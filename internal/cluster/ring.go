@@ -1,18 +1,15 @@
 // Package cluster turns a set of independent e9served daemons into a
 // consistent-hash cluster (DESIGN.md §12). Membership is static — a
 // peer list every node is started with — and coordination is nil by
-// design: nodes never gossip, never elect, and never replicate. The
-// only shared artifact is the PatchPlan (the serialized decision record
-// from the plan/apply split), fetched over a single internal GET when a
-// node handles a key it does not own. Plans are kilobytes where results
-// are whole binaries and ~20x cheaper to apply than to recompute, which
-// is exactly what makes this shape work: losing a peer costs one plan
-// fetch or, at worst, one local replan — never correctness.
+// design: nodes never gossip, never elect, and never replicate. A node
+// asked for a key it does not own asks the key's owner, over the
+// owner's public /v1/rewrite, so each key is rewritten and cached on
+// one node; losing a peer costs at worst one local rewrite of its keys,
+// never correctness.
 //
 // The package is deliberately server-agnostic: Ring maps cache keys to
-// owner URLs, Health tracks peer reachability with a cooldown, and
-// Client speaks the one-endpoint internal protocol. The HTTP routing
-// policy built on top of them lives in internal/server.
+// owner URLs and Health tracks peer reachability with a cooldown. The
+// HTTP routing policy built on top of them lives in internal/server.
 package cluster
 
 import (

@@ -62,10 +62,11 @@ type batchResult struct {
 //
 // Per-item failures are per-item result lines, never a failed batch: a
 // hostile binary in position 3 must not cost the other N-1 rewrites.
-// Cluster note: items are never forwarded whole — a non-owned item
-// tries a peer plan-fetch first, so only kilobytes cross the wire, and
-// a dead owner degrades to a local rewrite (the chaos gate in
-// clustercheck asserts a mid-batch node kill completes with zero 5xx).
+// Cluster note: the batch is never forwarded whole, but each item whose
+// key a peer owns is asked of that owner like a /v1/rewrite, so its
+// binary crosses the wire and the owner's answer comes back; a dead
+// owner degrades to a local rewrite (the chaos gate in clustercheck
+// asserts a mid-batch node kill completes with zero 5xx).
 func (s *Server) handleBatch(x *exchange, r *http.Request) {
 	tenant := r.Header.Get("X-E9-Tenant")
 
@@ -117,7 +118,7 @@ func (s *Server) handleBatch(x *exchange, r *http.Request) {
 		}
 		ids = append(ids, it.ID)
 		items = append(items, ask{key: cacheKey(it.Binary, spec), body: it.Binary, spec: spec,
-			plan: it.Want == "plan"})
+			plan: it.Want == "plan", query: it.Query})
 	}
 	if len(items) == 0 {
 		x.fail(http.StatusBadRequest, "empty batch: POST NDJSON items {id, query, binary}")

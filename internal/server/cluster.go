@@ -7,16 +7,16 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
-	"e9patch"
 	"e9patch/internal/cluster"
 )
 
-// routedHeader marks a request that has already been forwarded once by
-// a peer's front-door router. A node receiving it always handles the
-// request itself — even if its ring disagrees about ownership (peer
-// lists can drift for a moment during a rolling restart) — so a
-// misconfigured cluster degrades to one extra hop, never a loop.
+// routedHeader marks a request a peer has already sent on to its key's
+// owner (fromOwner). A node receiving it always handles the request
+// itself — even if its ring disagrees about ownership (peer lists can
+// drift for a moment during a rolling restart) — so a misconfigured
+// cluster degrades to one extra hop, never a loop.
 const routedHeader = "X-E9-Routed"
 
 // clustered reports whether this node is part of a multi-node cluster.
@@ -32,46 +32,6 @@ func (s *Server) owner(key string) (string, bool) {
 	return o, o == s.cfg.Cluster.Self
 }
 
-// handlePlanFetch serves GET /internal/v1/plan/{key}: the encoded
-// PatchPlan from the local plan cache, or 404 when this node holds
-// none. It deliberately never computes a plan on demand — the endpoint
-// sits on peers' latency paths, and a miss here is answered by the
-// caller's own (pool-bounded) rewrite, not by unbounded work on ours.
-func (s *Server) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !validCacheKey(key) {
-		http.Error(w, "malformed cache key", http.StatusBadRequest)
-		return
-	}
-	pe, ok := s.plans.get(key)
-	if !ok {
-		http.Error(w, "no plan for key", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", cluster.PlanContentType)
-	w.Header().Set("Content-Length", fmt.Sprint(len(pe.data)))
-	w.Write(pe.data)
-}
-
-// validCacheKey checks the canonical key shape (sha256hex "-"
-// sha256hex) so the internal endpoint cannot be probed with arbitrary
-// strings.
-func validCacheKey(key string) bool {
-	a, b, ok := strings.Cut(key, "-")
-	if !ok || len(a) != 64 || len(b) != 64 {
-		return false
-	}
-	for _, part := range []string{a, b} {
-		for i := 0; i < len(part); i++ {
-			c := part[i]
-			if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // KeyOwner reports which cluster node owns the cache key of a
 // /v1/rewrite request with the given body and raw query string — the
 // routing probe used by benchmarks and operational tooling. On a
@@ -85,99 +45,91 @@ func (s *Server) KeyOwner(body []byte, query string) (string, error) {
 	return owner, nil
 }
 
-// tryForward routes a request for a key owned by another node to that
-// node, relaying its response verbatim and its status into x. False
-// means the caller must serve the request locally — either this node
-// owns the key, the request was already routed once, or the owner is
-// down (the local fallback that keeps a dead peer from taking its key
-// range's availability with it).
-//
-// The owner's response is buffered before anything is written to our
-// client, so an owner dying mid-response still falls back to a clean
-// local rewrite instead of a truncated body.
-func (s *Server) tryForward(x *exchange, r *http.Request, body []byte, key string) bool {
-	if !s.clustered() || r.Header.Get(routedHeader) != "" {
-		return false
-	}
-	owner, local := s.owner(key)
-	if local || !s.health.Up(owner) {
-		return false
-	}
+// ownerSlack is what the owner hop may take beyond the rewrite budget
+// the owner spends: the binary crosses the wire both ways.
+const ownerSlack = 10 * time.Second
 
-	ctx := r.Context()
+// ownerError is an owner's answer other than 200, passed on to the
+// client with the owner's status, message and Retry-After.
+type ownerError struct {
+	status     int
+	msg        string
+	retryAfter string
+}
+
+func (e *ownerError) Error() string { return e.msg }
+
+// fromOwner is the owner tier: it asks the node that owns a.key for the
+// answer, over the owner's own /v1/rewrite, so the owner's tiers and
+// cache shard serve it, and returns it without banking anything here. A
+// failure the owner answered is an ownerError. False means the caller
+// must serve the request locally: this node owns the key, the request
+// was already routed once, or the owner is down (the local fallback
+// that keeps a dead peer from taking its key range's availability with
+// it).
+//
+// The owner's response is read whole before anything is answered, so an
+// owner dying mid-response still falls back to a clean local rewrite
+// instead of a truncated body.
+func (s *Server) fromOwner(ctx context.Context, a ask) (answer, bool, error) {
+	if !s.clustered() || a.header.Get(routedHeader) != "" {
+		return answer{}, false, nil
+	}
+	owner, local := s.owner(a.key)
+	if local || !s.health.Up(owner) {
+		return answer{}, false, nil
+	}
+	hopCtx := ctx
 	if s.cfg.Timeout > 0 {
-		// The owner runs the full rewrite; give the hop the rewrite budget
-		// plus slack rather than the short peer-fetch timeout.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout+5*s.cfg.Cluster.FetchTimeout)
+		hopCtx, cancel = context.WithTimeout(ctx, s.cfg.Timeout+ownerSlack)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		owner+r.URL.Path+"?"+r.URL.RawQuery, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(hopCtx, http.MethodPost,
+		owner+"/v1/rewrite?"+a.query, bytes.NewReader(a.body))
 	if err != nil {
-		return false
+		return answer{}, false, nil
 	}
-	req.Header = r.Header.Clone()
+	for name, v := range a.header {
+		req.Header[name] = v
+	}
+	// The owner answers the artifact this request asks for, unencoded:
+	// this node negotiates its own client's encoding when it serves it.
+	req.Header.Del("Accept")
+	if a.plan {
+		req.Header.Set("Accept", cluster.PlanContentType)
+	}
+	req.Header.Set("Accept-Encoding", "identity")
 	req.Header.Set(routedHeader, "1")
-	req.ContentLength = int64(len(body))
 
 	resp, err := s.fwd.Do(req)
-	if err != nil {
-		s.health.MarkDown(owner)
-		s.metrics.inc(forwardFallbackTotal)
-		return false
+	var data []byte
+	if err == nil {
+		data, err = cluster.ReadSized(resp.Body, resp.ContentLength)
+		resp.Body.Close()
 	}
-	defer resp.Body.Close()
-	relayed, err := cluster.ReadSized(resp.Body, resp.ContentLength)
 	if err != nil {
+		if ctx.Err() != nil {
+			return answer{}, true, ctx.Err() // this request's client left
+		}
 		s.health.MarkDown(owner)
 		s.metrics.inc(forwardFallbackTotal)
-		return false
+		return answer{}, false, nil
 	}
 	s.health.MarkUp(owner)
 	s.metrics.inc(forwardedTotal)
 
-	h := x.w.Header()
-	for _, name := range []string{"Content-Type", "X-E9-Stats", "X-E9-Cache", "X-E9-Disasm", "Retry-After"} {
-		if v := resp.Header.Get(name); v != "" {
-			h.Set(name, v)
-		}
+	ans := answer{cache: resp.Header.Get("X-E9-Cache"), node: owner}
+	switch {
+	case resp.StatusCode != http.StatusOK:
+		return ans, true, &ownerError{status: resp.StatusCode,
+			msg: strings.TrimSuffix(string(data), "\n"), retryAfter: resp.Header.Get("Retry-After")}
+	case a.plan:
+		ans.plan = data
+	default:
+		ans.entry = &cacheEntry{out: data, statsJSON: []byte(resp.Header.Get("X-E9-Stats"))}
 	}
-	h.Set("X-E9-Node", owner)
-	h.Set("Content-Length", fmt.Sprint(len(relayed)))
-	x.code = resp.StatusCode
-	x.w.WriteHeader(resp.StatusCode)
-	x.w.Write(relayed)
-	return true
-}
-
-// peerPlan fetches the encoded plan for key from its owner, when that
-// is a reachable peer other than this node, returning both the wire
-// bytes (for re-banking) and the decoded, validated plan (so callers
-// never pay a second decode of a multi-megabyte plan).
-func (s *Server) peerPlan(ctx context.Context, key string) ([]byte, *e9patch.PatchPlan, bool) {
-	if !s.clustered() {
-		return nil, nil, false
-	}
-	owner, local := s.owner(key)
-	if local {
-		return nil, nil, false
-	}
-	if !s.health.Up(owner) {
-		s.metrics.inc(peerPlanMissesTotal)
-		return nil, nil, false
-	}
-	data, err := s.peers.FetchPlan(ctx, owner, key)
-	if err != nil {
-		s.metrics.inc(peerPlanMissesTotal)
-		return nil, nil, false
-	}
-	p, err := e9patch.DecodePlan(data)
-	if err != nil {
-		s.metrics.inc(peerPlanMissesTotal)
-		return nil, nil, false
-	}
-	return data, p, true
+	return ans, true, nil
 }
 
 // accepts reports whether the request's header lists value, parameters

@@ -71,10 +71,9 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) *testC
 			Workers:  2,
 			QueueLen: 16,
 			Cluster: cluster.Config{
-				Self:         tc.urls[i],
-				Peers:        tc.urls,
-				FetchTimeout: 2 * time.Second,
-				Cooldown:     50 * time.Millisecond,
+				Self:     tc.urls[i],
+				Peers:    tc.urls,
+				Cooldown: 50 * time.Millisecond,
 			},
 		}
 		if mutate != nil {
@@ -141,43 +140,6 @@ func (tc *testCluster) post(t *testing.T, i int, query string, bin []byte, route
 
 const clusterQuery = "match=jcc+%26+short&action=empty"
 
-// TestClusterPeerPlanFetch is the core distributed property: a node
-// handling a key it does not own fetches the owner's PatchPlan and
-// rematerializes locally, producing bytes identical to the owner's full
-// rewrite — one rewrite fleet-wide, kilobytes on the wire.
-func TestClusterPeerPlanFetch(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
-	bin := kernelELF(t)
-	owner := tc.ownerOf(t, bin, clusterQuery)
-
-	resp, ownerOut := tc.post(t, owner, clusterQuery, bin, true, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owner rewrite: %d %s", resp.StatusCode, ownerOut)
-	}
-	if got := resp.Header.Get("X-E9-Cache"); got != "miss" {
-		t.Fatalf("owner cache status %q, want miss", got)
-	}
-
-	other := (owner + 1) % 3
-	resp2, peerOut := tc.post(t, other, clusterQuery, bin, true, nil)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("peer rewrite: %d %s", resp2.StatusCode, peerOut)
-	}
-	if got := resp2.Header.Get("X-E9-Cache"); got != "peer-plan" {
-		t.Fatalf("peer cache status %q, want peer-plan", got)
-	}
-	if !bytes.Equal(peerOut, ownerOut) {
-		t.Fatal("peer plan-fetch output differs from the owner's rewrite")
-	}
-	if got := metricValue(t, tc.nodes[other].Handler(), "e9served_peer_plan_hits_total"); got != 1 {
-		t.Fatalf("peer_plan_hits_total on fetching node = %g, want 1", got)
-	}
-	// One rewrite fleet-wide: the fetching node applied, never planned.
-	if got := metricValue(t, tc.nodes[other].Handler(), "e9served_rewrites_total"); got != 0 {
-		t.Fatalf("rewrites_total on fetching node = %g, want 0", got)
-	}
-}
-
 // TestClusterForwarding verifies the front-door router: a request
 // landing on a non-owner is proxied to the owner, whose response (and
 // cache shard) serves it; the relay is marked with X-E9-Node.
@@ -242,58 +204,99 @@ func TestClusterOwnerDownFallback(t *testing.T) {
 	}
 }
 
-// TestPlanFetchEndpoint exercises GET /internal/v1/plan/{key} directly:
-// key validation, the 404 contract (never compute on demand), and the
-// 200 payload being a decodable plan.
-func TestPlanFetchEndpoint(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueLen: 8})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+// TestClusterForwardedPlanGzip: a plan-delta request that lands on a
+// non-owner and negotiates gzip gets a body that decodes as a plan,
+// after a gunzip exactly when Content-Encoding says so. The owner's
+// answer is served by this node, which negotiates the encoding with its
+// own client; relaying the owner's wire bytes lost Content-Encoding.
+func TestClusterForwardedPlanGzip(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	bin := kernelELF(t)
+	owner := tc.ownerOf(t, bin, clusterQuery)
+	other := (owner + 1) % 3
 
-	get := func(key string) *http.Response {
-		resp, err := http.Get(ts.URL + cluster.PlanPath + key)
+	resp, body := tc.post(t, other, clusterQuery, bin, false, map[string]string{
+		"Accept": cluster.PlanContentType, "Accept-Encoding": "gzip"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("forwarded plan-delta: %d %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-E9-Node"); got != tc.urls[owner] {
+		t.Fatalf("X-E9-Node %q, want owner %q", got, tc.urls[owner])
+	}
+	if resp.Header.Get("Content-Encoding") == "gzip" {
+		zr, err := gzip.NewReader(bytes.NewReader(body))
 		if err != nil {
+			t.Fatalf("Content-Encoding gzip, but the body is not: %v", err)
+		}
+		if body, err = io.ReadAll(zr); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp
 	}
+	p, err := e9patch.DecodePlan(body)
+	if err != nil {
+		t.Fatalf("forwarded plan-delta does not decode: %v", err)
+	}
+	applied, err := e9patch.Apply(bin, p)
+	if err != nil {
+		t.Fatalf("client-side apply: %v", err)
+	}
+	if !bytes.Equal(applied.Output, directRewrite(t, bin, "jcc & short")) {
+		t.Fatal("the forwarded plan, applied, differs from a direct rewrite")
+	}
+}
 
-	if resp := get("not-a-key"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed key: %d, want 400", resp.StatusCode)
-	}
-	absent := strings.Repeat("0", 64) + "-" + strings.Repeat("a", 64)
-	if resp := get(absent); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("absent key: %d, want 404 (must not compute on demand)", resp.StatusCode)
-	}
-
+// TestClusterBatchItemAskedOfOwner: a cold batch item that lands on a
+// node not owning its key is rewritten, and banked, by the owner, and
+// the batch node banks nothing: the owner then answers a /v1/rewrite of
+// the same key from its result tier, and a want=plan item from its plan
+// tier.
+func TestClusterBatchItemAskedOfOwner(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
 	bin := kernelELF(t)
-	resp, err := http.Post(ts.URL+"/v1/rewrite?"+clusterQuery, "application/octet-stream", bytes.NewReader(bin))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	owner := tc.ownerOf(t, bin, clusterQuery)
+	other := (owner + 1) % 3
 
-	spec, err := batchSpec(clusterQuery)
+	_, results := batchLines(t, tc.urls[other], []batchItem{{ID: "bin", Query: clusterQuery, Binary: bin}}, "")
+	if len(results) != 1 || results[0].Status != http.StatusOK || results[0].Cache != "miss" {
+		t.Fatalf("cold batch item: %+v, want 200 miss", results)
+	}
+	if !bytes.Equal(results[0].Output, directRewrite(t, bin, "jcc & short")) {
+		t.Fatal("batch item output differs from a direct rewrite")
+	}
+	for i, want := range map[int]float64{owner: 1, other: 0} {
+		if got := metricValue(t, tc.nodes[i].Handler(), "e9served_rewrites_total"); got != want {
+			t.Fatalf("rewrites_total on node %d = %g, want %g (owner %d, batch node %d)", i, got, want, owner, other)
+		}
+	}
+	if entries, _, _ := tc.nodes[other].cache.stats(); entries != 0 {
+		t.Fatalf("the batch node banked %d results", entries)
+	}
+
+	resp, out := tc.post(t, owner, clusterQuery, bin, false, nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-E9-Cache") != "hit" {
+		t.Fatalf("owner after the batch: %d %q, want 200 hit", resp.StatusCode, resp.Header.Get("X-E9-Cache"))
+	}
+	if !bytes.Equal(out, results[0].Output) {
+		t.Fatal("the owner's result differs from the batch item's")
+	}
+
+	_, results = batchLines(t, tc.urls[other], []batchItem{{ID: "plan", Query: clusterQuery, Binary: bin, Want: "plan"}}, "")
+	if len(results) != 1 || results[0].Status != http.StatusOK || results[0].Cache != "plan" {
+		t.Fatalf("want=plan batch item: %+v, want 200 plan", results)
+	}
+	p, err := e9patch.DecodePlan(results[0].Plan)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("batch plan does not decode: %v", err)
 	}
-	pr, err := http.Get(ts.URL + cluster.PlanPath + cacheKey(bin, spec))
+	applied, err := e9patch.Apply(bin, p)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("client-side apply: %v", err)
 	}
-	data, _ := io.ReadAll(pr.Body)
-	pr.Body.Close()
-	if pr.StatusCode != http.StatusOK {
-		t.Fatalf("banked key: %d, want 200", pr.StatusCode)
+	if !bytes.Equal(applied.Output, out) {
+		t.Fatal("the applied batch plan differs from the owner's result")
 	}
-	if ct := pr.Header.Get("Content-Type"); ct != cluster.PlanContentType {
-		t.Fatalf("content type %q, want %q", ct, cluster.PlanContentType)
-	}
-	if _, err := e9patch.DecodePlan(data); err != nil {
-		t.Fatalf("served plan does not decode: %v", err)
+	if got := metricValue(t, tc.nodes[owner].Handler(), "e9served_rewrites_total"); got != 1 {
+		t.Fatalf("rewrites_total on the owner = %g after the plan item, want 1", got)
 	}
 }
 
@@ -911,8 +914,8 @@ func TestClusterChaosBatch(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	bin := kernelELF(t)
 
-	// Warm the cluster so plans exist on their owners: peer plan-fetches
-	// during the batch then actually exercise the fetch path, and the
+	// Warm the cluster so results exist on their owners: items asked of
+	// their owners during the batch then meet warm tiers there, and the
 	// killed node takes real shard state down with it.
 	for i := range tc.nodes {
 		resp, out := tc.post(t, i, clusterQuery, bin, false, nil)
@@ -986,27 +989,5 @@ func TestClusterChaosBatch(t *testing.T) {
 		if valid[r.ID] && r.Status != http.StatusOK {
 			t.Errorf("valid item %s: status %d (%s)", r.ID, r.Status, r.Error)
 		}
-	}
-}
-
-// TestClusterKeyValidation double-checks validCacheKey against shapes
-// an attacker could aim at the internal endpoint.
-func TestClusterKeyValidation(t *testing.T) {
-	good := strings.Repeat("ab12", 16) + "-" + strings.Repeat("cd34", 16)
-	cases := map[string]bool{
-		good:                     true,
-		strings.ToUpper(good):    false, // keys are lowercase hex
-		strings.Repeat("0", 64):  false, // no separator
-		"..%2f..%2fetc%2fpasswd": false,
-		strings.Repeat("0", 64) + "-" + strings.Repeat("g", 64): false,
-		"": false,
-	}
-	for key, want := range cases {
-		if got := validCacheKey(key); got != want {
-			t.Errorf("validCacheKey(%q) = %v, want %v", key, got, want)
-		}
-	}
-	if _, err := url.Parse(cluster.PlanPath + good); err != nil {
-		t.Fatalf("canonical key does not round-trip a URL: %v", err)
 	}
 }

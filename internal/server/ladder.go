@@ -56,34 +56,35 @@ type ask struct {
 	// plan asks for the encoded PatchPlan (a plan-delta) instead of the
 	// rewritten binary.
 	plan bool
-	// forward, when non-nil, is the front door: it relays the request to
-	// the key's owner and reports whether the owner's answer was relayed.
-	forward func() bool
+	// query is the raw /v1 query and header the /v1/rewrite request's
+	// headers (nil for a batch item): what the owner hop sends on.
+	query  string
+	header http.Header
 }
 
 // answer is what the ladder resolved a request to: the rewritten binary
 // or the encoded plan (a rewrite's flight answers both, and the caller
-// serves the one it asked for), and the X-E9-Cache value naming the tier
-// that answered. An empty cache means the front door relayed the
-// owner's response and nothing is left to write.
+// serves the one it asked for), the X-E9-Cache value naming the tier
+// that answered, and the owner node that answered it, or "" for this
+// node.
 type answer struct {
 	entry *cacheEntry
 	plan  []byte
 	cache string
+	node  string
 }
 
 // resolve walks the tier ladder for one request, cheapest tier first
 // (DESIGN.md §12 has the table of flows, values and counters):
 //
 //	result cache  binary requests only     "hit"
-//	front door    when a.forward is set    relayed
+//	owner         clustered, non-owned key the owner's value
 //	local plan                             "plan"
-//	peer plan     clustered, non-owned key "peer-plan"
 //	rewrite       singleflight, admitted   "miss" or "coalesced"
 //
 // A local result hit beats the network hop, so the result tier comes
-// before the front door; a plan request wants bytes that live in the
-// plan tier and skips the result tier.
+// before the owner; a plan request wants bytes that live in the plan
+// tier and skips the result tier.
 func (s *Server) resolve(ctx context.Context, a ask) (answer, error) {
 	if !a.plan {
 		if e, ok := s.cache.get(a.key); ok {
@@ -91,8 +92,8 @@ func (s *Server) resolve(ctx context.Context, a ask) (answer, error) {
 			return answer{entry: e, cache: "hit"}, nil
 		}
 	}
-	if a.forward != nil && a.forward() {
-		return answer{}, nil
+	if ans, ok, err := s.fromOwner(ctx, a); ok {
+		return ans, err
 	}
 	if !a.plan {
 		s.metrics.inc(cacheMissesTotal)
@@ -101,25 +102,12 @@ func (s *Server) resolve(ctx context.Context, a ask) (answer, error) {
 	// One that no longer applies (corrupt or stale) is a miss, and the
 	// rewrite below replaces it.
 	if pe, ok := s.plans.get(a.key); ok {
-		if ans, ok := s.fromPlan(ctx, a, pe.data, nil, "plan"); ok {
+		if ans, ok := s.fromPlan(ctx, a, pe.data); ok {
 			s.metrics.inc(planCacheHitsTotal)
 			return ans, nil
 		}
 	}
 	s.metrics.inc(planCacheMissesTotal)
-	// This node is handling a key it does not own (routed here, or the
-	// owner was down at the front door). The owner may still hold the
-	// plan: one small GET beats redoing the whole tactic search.
-	if data, p, ok := s.peerPlan(ctx, a.key); ok {
-		if ans, ok := s.fromPlan(ctx, a, data, p, "peer-plan"); ok {
-			s.metrics.inc(peerPlanHitsTotal)
-			s.plans.put(a.key, &planEntry{data: data})
-			return ans, nil
-		}
-		// The owner's plan does not fit this body (a tampered upload or a
-		// peer running different code).
-		s.metrics.inc(peerPlanMissesTotal)
-	}
 
 	ans, shared, err := s.flights.do(ctx, a.key, s.cfg.Timeout,
 		func(jobCtx context.Context, finish func(answer, error)) error {
@@ -133,25 +121,21 @@ func (s *Server) resolve(ctx context.Context, a ask) (answer, error) {
 	return ans, err
 }
 
-// fromPlan answers a from an encoded plan, given decoded as p or nil to
-// decode here: as it is for a plan request, rematerialized into the
-// result cache for a binary one. False means the plan does not apply to
-// a.body.
+// fromPlan answers a from an encoded plan: as it is for a plan request,
+// rematerialized into the result cache for a binary one. False means
+// the plan does not apply to a.body.
 //
-// Every plan reaching here is self-produced (banked by an earlier
-// rewrite job) or peer-produced and decode-validated; both are
-// input-bound, which ApplyTrusted verifies, so skipping the
-// disassembly-universe re-derivation costs no safety and most of the
-// rematerialization time on large binaries.
-func (s *Server) fromPlan(ctx context.Context, a ask, data []byte, p *e9patch.PatchPlan, cache string) (answer, bool) {
+// Every plan reaching here was banked by an earlier rewrite job of this
+// process and is input-bound, which ApplyTrusted verifies, so skipping
+// the disassembly-universe re-derivation costs no safety and most of
+// the rematerialization time on large binaries.
+func (s *Server) fromPlan(ctx context.Context, a ask, data []byte) (answer, bool) {
 	if a.plan {
-		return answer{plan: data, cache: cache}, true
+		return answer{plan: data, cache: "plan"}, true
 	}
-	var err error
-	if p == nil {
-		if p, err = e9patch.DecodePlan(data); err != nil {
-			return answer{}, false
-		}
+	p, err := e9patch.DecodePlan(data)
+	if err != nil {
+		return answer{}, false
 	}
 	res, err := e9patch.ApplyTrustedContext(ctx, a.body, p)
 	if err != nil {
@@ -159,7 +143,7 @@ func (s *Server) fromPlan(ctx context.Context, a ask, data []byte, p *e9patch.Pa
 	}
 	e := entryFromResult(res)
 	s.cache.put(a.key, e)
-	return answer{entry: e, cache: cache}, true
+	return answer{entry: e, cache: "plan"}, true
 }
 
 // errQueueFull fails a flight that admit turned away; classify maps it
@@ -254,11 +238,15 @@ func (s *Server) runRewrite(ctx context.Context, a ask) (_ answer, err error) {
 }
 
 // classify maps a failure onto the status a client sees and the message
-// it may read, for every endpoint and batch item alike. It counts limit
+// it may read, for every endpoint and batch item alike; an owner's
+// failure is passed on as the owner classified it. It counts limit
 // and spec rejections in rejected_total and logs internal failures,
 // whose detail stays out of the message.
 func (s *Server) classify(err error) (int, string) {
+	var oe *ownerError
 	switch {
+	case errors.As(err, &oe):
+		return oe.status, oe.msg
 	case errors.Is(err, errQueueFull):
 		return http.StatusTooManyRequests, "work queue full; retry later"
 	case errors.Is(err, context.DeadlineExceeded):

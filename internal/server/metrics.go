@@ -26,8 +26,6 @@ const (
 	coalescedTotal
 	queueFullTotal
 	panicRecoveredTotal
-	peerPlanHitsTotal
-	peerPlanMissesTotal
 	forwardedTotal
 	forwardFallbackTotal
 	planDeltaTotal
@@ -48,8 +46,6 @@ var counters = [numCounters]struct{ name, help string }{
 	coalescedTotal:          {"e9served_coalesced_total", "Requests coalesced onto another request's rewrite."},
 	queueFullTotal:          {"e9served_queue_full_total", "Requests rejected because the work queue was full."},
 	panicRecoveredTotal:     {"e9served_panic_recovered_total", "Panics contained by a recovery boundary."},
-	peerPlanHitsTotal:       {"e9served_peer_plan_hits_total", "Results rematerialized from a peer-fetched plan."},
-	peerPlanMissesTotal:     {"e9served_peer_plan_misses_total", "Peer plan fetches that found no usable plan."},
 	forwardedTotal:          {"e9served_forwarded_total", "Requests routed to their key's owner node."},
 	forwardFallbackTotal:    {"e9served_forward_fallback_total", "Forwards failed over to local handling (owner down)."},
 	planDeltaTotal:          {"e9served_plan_delta_total", "Plan-delta responses served (client applies locally)."},

@@ -19,9 +19,8 @@ func TestMetricsScrape(t *testing.T) {
 	for c, n := range map[counter]int{
 		rewritesTotal: 3, cacheHitsTotal: 1, cacheMissesTotal: 2,
 		planCacheHitsTotal: 1, planCacheMissesTotal: 3, coalescedTotal: 1,
-		queueFullTotal: 2, panicRecoveredTotal: 1, peerPlanHitsTotal: 1,
-		peerPlanMissesTotal: 2, forwardedTotal: 2, forwardFallbackTotal: 1,
-		planDeltaTotal: 1, batchesTotal: 1,
+		queueFullTotal: 2, panicRecoveredTotal: 1, forwardedTotal: 2,
+		forwardFallbackTotal: 1, planDeltaTotal: 1, batchesTotal: 1,
 	} {
 		for range n {
 			m.inc(c)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -153,45 +154,65 @@ func TestCrossEndpointCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestLastWaiterCancelDuringPeerFetch (hardening sweep) interleaves the
+// ownedQuery picks a /v1/rewrite query of bin whose key owner owns on
+// srv's ring (skip only perturbs the key, not this corpus binary's
+// matches).
+func ownedQuery(t *testing.T, srv *Server, bin []byte, owner string) string {
+	t.Helper()
+	for i := 0; i < 256; i++ {
+		q := fmt.Sprintf("match=jcc+%%26+short&action=empty&skip=%d", i)
+		spec, err := batchSpec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv.ring.Owner(cacheKey(bin, spec)) == owner {
+			return q
+		}
+	}
+	t.Fatal("no skip value in 0..255 hashes to the owner") // p ~ 2^-256
+	return ""
+}
+
+// TestLastWaiterCancelDuringOwnerHop (hardening sweep) interleaves the
 // two cancellation machines: request B leads a singleflight rewrite for
 // key K and disconnects mid-rewrite (the refcount must cancel the job),
-// while request A for the same K is parked inside a peer plan-fetch to
-// K's owner. A's fetch failing must fall through to a *fresh* flight —
-// not the cancelled one — and complete normally.
-func TestLastWaiterCancelDuringPeerFetch(t *testing.T) {
+// while request A for the same K is parked inside the hop to K's owner.
+// The owner then drops A's connection, and A must fall through to a
+// *fresh* local flight — not the cancelled one — and complete normally,
+// leaving no goroutine and no lease behind.
+func TestLastWaiterCancelDuringOwnerHop(t *testing.T) {
 	elf := kernelELF(t)
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	base := runtime.NumGoroutine()
 
-	// A stub owner whose plan endpoint answers the first probe 404
-	// (alive, no plan) and parks every later fetch until released.
-	var fetches atomic.Int64
-	releaseFetch := make(chan struct{})
+	// A stub owner that parks every hop until released, then drops the
+	// connection without answering.
+	hopped := make(chan struct{}, 1)
+	releaseHop := make(chan struct{})
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if fetches.Add(1) > 1 {
-			select {
-			case <-releaseFetch:
-			case <-r.Context().Done():
-			}
+		io.Copy(io.Discard, r.Body)
+		hopped <- struct{}{}
+		<-releaseHop
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		http.Error(w, "no plan for key", http.StatusNotFound)
+		conn.Close()
 	}))
-	defer stub.Close()
 
 	swap := &swapHandler{}
 	self := httptest.NewServer(swap)
-	defer self.Close()
-
 	srv := New(Config{
 		Workers:  2,
 		QueueLen: 8,
 		Cluster: cluster.Config{
-			Self:         self.URL,
-			Peers:        []string{self.URL, stub.URL},
-			FetchTimeout: 30 * time.Second, // the test releases fetches itself
-			Cooldown:     time.Millisecond,
+			Self:     self.URL,
+			Peers:    []string{self.URL, stub.URL},
+			Cooldown: time.Minute, // the dropped owner stays down
 		},
 	})
-	defer srv.Close()
 	swap.set(srv.Handler())
 
 	// Gate the first rewrite so B's flight is provably mid-rewrite when
@@ -210,39 +231,25 @@ func TestLastWaiterCancelDuringPeerFetch(t *testing.T) {
 		return real(ctx, binary, spec)
 	}
 
-	// Pick a query whose key the stub owns, so peer fetches really fire
-	// (skip only perturbs the key, not this corpus binary's matches).
-	query := ""
-	for i := 0; i < 256; i++ {
-		q := fmt.Sprintf("match=jcc+%%26+short&action=empty&skip=%d", i)
-		spec, err := batchSpec(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if srv.ring.Owner(cacheKey(elf, spec)) == stub.URL {
-			query = q
-			break
-		}
-	}
-	if query == "" {
-		t.Fatal("no skip value in 0..255 hashes to the stub peer") // p ~ 2^-256
-	}
+	query := ownedQuery(t, srv, elf, stub.URL)
 
-	doPost := func(ctx context.Context) (*http.Response, error) {
+	doPost := func(ctx context.Context, routed bool) (*http.Response, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			self.URL+"/v1/rewrite?"+query, bytes.NewReader(elf))
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set(routedHeader, "1") // force local handling
-		return http.DefaultClient.Do(req)
+		if routed {
+			req.Header.Set(routedHeader, "1") // force local handling
+		}
+		return client.Do(req)
 	}
 
-	// Request B: sails past the 404 probe into the gated flight.
+	// Request B: routed, so it skips the hop and leads the gated flight.
 	bCtx, bCancel := context.WithCancel(context.Background())
 	bDone := make(chan error, 1)
 	go func() {
-		resp, err := doPost(bCtx)
+		resp, err := doPost(bCtx, true)
 		if err == nil {
 			resp.Body.Close()
 		}
@@ -250,35 +257,30 @@ func TestLastWaiterCancelDuringPeerFetch(t *testing.T) {
 	}()
 	<-firstEntered
 
-	// Request A: parks in the peer plan-fetch for the same key.
-	aDone := make(chan struct {
+	// Request A: parks in the hop to the stub owner for the same key.
+	type reply struct {
 		resp *http.Response
 		body []byte
 		err  error
-	}, 1)
+	}
+	aDone := make(chan reply, 1)
 	go func() {
-		resp, err := doPost(context.Background())
+		resp, err := doPost(context.Background(), false)
 		var body []byte
 		if err == nil {
 			body, _ = io.ReadAll(resp.Body)
 			resp.Body.Close()
 		}
-		aDone <- struct {
-			resp *http.Response
-			body []byte
-			err  error
-		}{resp, body, err}
+		aDone <- reply{resp, body, err}
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for fetches.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if fetches.Load() < 2 {
-		t.Fatal("request A never reached the peer plan-fetch")
+	select {
+	case <-hopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request A never reached the owner hop")
 	}
 
 	// B disconnects: it is the flight's only waiter (A is still inside
-	// the fetch), so the refcount must cancel the rewrite context.
+	// the hop), so the refcount must cancel the rewrite context.
 	bCancel()
 	if err := <-bDone; err == nil {
 		t.Fatal("request B completed despite its context being cancelled")
@@ -292,9 +294,9 @@ func TestLastWaiterCancelDuringPeerFetch(t *testing.T) {
 		t.Fatal("last-waiter disconnect did not cancel the in-flight rewrite")
 	}
 
-	// Release A's fetch: it comes back 404, falls through to a fresh
-	// flight (the cancelled one must be off the map) and succeeds.
-	close(releaseFetch)
+	// The owner drops A's hop: A falls back to a fresh local flight (the
+	// cancelled one must be off the map) and succeeds.
+	close(releaseHop)
 	a := <-aDone
 	if a.err != nil {
 		t.Fatalf("request A: %v", a.err)
@@ -305,7 +307,86 @@ func TestLastWaiterCancelDuringPeerFetch(t *testing.T) {
 	if got := a.resp.Header.Get("X-E9-Cache"); got != "miss" {
 		t.Fatalf("request A cache status %q, want miss (fresh flight)", got)
 	}
+	if node := a.resp.Header.Get("X-E9-Node"); node != "" {
+		t.Fatalf("request A carries X-E9-Node %q, want none (served locally)", node)
+	}
 	if calls.Load() != 2 {
 		t.Fatalf("rewrite entered %d times, want 2 (cancelled + fresh)", calls.Load())
+	}
+	if got := metricValue(t, srv.Handler(), "e9served_forward_fallback_total"); got != 1 {
+		t.Fatalf("forward_fallback_total = %g, want 1", got)
+	}
+
+	self.Close()
+	stub.Close()
+	srv.Close()
+	tr.CloseIdleConnections()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 2 s after shutdown, baseline %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	leaseCtx, leaseCancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer leaseCancel()
+	for i := 0; i < srv.cfg.Workers; i++ {
+		if err := srv.shards.Acquire(leaseCtx); err != nil {
+			t.Fatalf("lease %d of %d not returned after shutdown: %v", i+1, srv.cfg.Workers, err)
+		}
+	}
+}
+
+// TestClientLeavesDuringOwnerHop: a client that hangs up while its
+// request waits on the owner costs only the hop. It is answered 499,
+// the owner is not marked down, no fallback is counted and no local
+// rewrite starts.
+func TestClientLeavesDuringOwnerHop(t *testing.T) {
+	elf := kernelELF(t)
+	hopped := make(chan struct{}, 1)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // a hang-up is seen once the body is read
+		hopped <- struct{}{}
+		<-r.Context().Done()
+	}))
+	defer stub.Close()
+	swap := &swapHandler{}
+	self := httptest.NewServer(swap)
+	defer self.Close()
+	srv := New(Config{Workers: 1, QueueLen: 4, Cluster: cluster.Config{
+		Self: self.URL, Peers: []string{self.URL, stub.URL}, Cooldown: time.Minute}})
+	defer srv.Close()
+	swap.set(srv.Handler())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+			self.URL+"/v1/rewrite?"+ownedQuery(t, srv, elf, stub.URL), bytes.NewReader(elf))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Error("the request completed despite its client hanging up")
+		}
+	}()
+	select {
+	case <-hopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request never reached the owner hop")
+	}
+	cancel()
+	<-done
+	waitMetric(t, srv.Handler(), `e9served_requests_total{code="499"}`, 1)
+	for name, want := range map[string]float64{"e9served_forward_fallback_total": 0, "e9served_rewrites_total": 0} {
+		if got := metricValue(t, srv.Handler(), name); got != want {
+			t.Errorf("%s = %g, want %g", name, got, want)
+		}
+	}
+	if !srv.health.Up(stub.URL) {
+		t.Error("the client's hang-up marked the owner down")
 	}
 }

@@ -70,10 +70,8 @@ type Config struct {
 	Limits e9patch.Limits
 	// Cluster names this node's place in a static consistent-hash
 	// cluster (DESIGN.md §12). The zero value runs single-node. When
-	// enabled, requests for keys owned by a peer are forwarded to it
-	// (falling back to local handling when the peer is down), misses on
-	// non-owned keys try a peer plan-fetch before replanning, and
-	// GET /internal/v1/plan/{key} serves this node's plan shard.
+	// enabled, a /v1/rewrite or batch item whose key a peer owns is asked
+	// of that peer, and handled locally when the peer is down.
 	Cluster cluster.Config
 	// Logf, when non-nil, receives internal-failure details that are
 	// deliberately kept out of 500 response bodies (default: the
@@ -144,11 +142,9 @@ type Server struct {
 	jobs    sync.WaitGroup
 
 	// Cluster state (nil/unused when Config.Cluster is zero): the
-	// consistent-hash ring mapping cache keys to owner nodes, the peer
-	// plan-fetch client, the shared peer-health tracker, and the
-	// HTTP client used to forward whole requests to their owners.
+	// consistent-hash ring mapping cache keys to owner nodes, the
+	// peer-health tracker, and the HTTP client that asks owners.
 	ring   *cluster.Ring
-	peers  *cluster.Client
 	health *cluster.Health
 	fwd    *http.Client
 
@@ -176,7 +172,6 @@ func New(cfg Config) *Server {
 	if cfg.Cluster.Enabled() {
 		s.ring = cluster.NewRing(cfg.Cluster.Peers, cluster.DefaultReplicas)
 		s.health = cluster.NewHealth(cfg.Cluster.Cooldown)
-		s.peers = cluster.NewClient(cfg.Cluster, s.health, cfg.PlanCacheBytes)
 		s.fwd = &http.Client{}
 	}
 	s.rewrite = func(ctx context.Context, binary []byte, spec *Spec) (*e9patch.Result, []byte, error) {
@@ -213,7 +208,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/batch", s.accounted(s.handleBatch))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET "+cluster.PlanPath+"{key}", s.handlePlanFetch)
 	return s
 }
 
@@ -307,7 +301,8 @@ func entryFromResult(res *e9patch.Result) *cacheEntry {
 // handleRewrite serves POST /v1/rewrite: the rewritten binary, or with
 // Accept: application/x-e9-plan the serialized PatchPlan (a plan-delta,
 // applied client-side, so the response is ~plan-size instead of
-// ~binary-size). A cold rewrite waits for a lease (admit).
+// ~binary-size). A key another node owns is asked of that node
+// (fromOwner); a cold rewrite waits for a lease (admit).
 func (s *Server) handleRewrite(x *exchange, r *http.Request) {
 	body, err := cluster.ReadSized(http.MaxBytesReader(x.w, r.Body, s.cfg.MaxBodyBytes),
 		min(r.ContentLength, s.cfg.MaxBodyBytes))
@@ -331,16 +326,21 @@ func (s *Server) handleRewrite(x *exchange, r *http.Request) {
 		return
 	}
 
-	a := ask{key: cacheKey(body, spec), body: body, spec: spec, plan: accepts(r, "Accept", cluster.PlanContentType)}
-	a.forward = func() bool { return s.tryForward(x, r, body, a.key) }
+	a := ask{key: cacheKey(body, spec), body: body, spec: spec, plan: accepts(r, "Accept", cluster.PlanContentType),
+		query: r.URL.RawQuery, header: r.Header}
 	ans, err := s.resolve(r.Context(), a)
+	if ans.node != "" {
+		x.w.Header().Set("X-E9-Node", ans.node)
+	}
 	switch {
 	case err != nil:
-		if errors.Is(err, errQueueFull) {
+		var oe *ownerError
+		if errors.As(err, &oe) && oe.retryAfter != "" {
+			x.w.Header().Set("Retry-After", oe.retryAfter)
+		} else if errors.Is(err, errQueueFull) {
 			x.w.Header().Set("Retry-After", s.retryAfter())
 		}
 		x.fail(s.classify(err))
-	case ans.cache == "": // the owner's answer was relayed
 	case a.plan:
 		s.servePlan(x.w, r, ans.plan, ans.cache)
 	default:

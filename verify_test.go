@@ -18,7 +18,7 @@ import (
 // over a rewrite of input under cfg: every check must pass.
 func verifyRewrite(t testing.TB, label string, input []byte, cfg Config, res *Result) {
 	t.Helper()
-	rep, err := verify.Check(input, res.Output, verifyConfig(cfg, res.Bias))
+	rep, err := verify.Check(input, res.Output, verifyConfig(res, cfg.SkipPrefix))
 	if err != nil {
 		t.Fatalf("%s: verify: %v", label, err)
 	}
@@ -27,13 +27,13 @@ func verifyRewrite(t testing.TB, label string, input []byte, cfg Config, res *Re
 	}
 }
 
-// verifyConfig is what the checker needs to know of a rewrite's
-// configuration: how it recovered its universe and which images it
-// injected, in link addresses.
-func verifyConfig(cfg Config, bias uint64) verify.Config {
-	vc := verify.Config{Disasm: cfg.Disasm, SkipPrefix: cfg.SkipPrefix}
-	for _, inj := range cfg.Inject {
-		vc.Images = append(vc.Images, [2]uint64{inj.Addr - bias, inj.Addr - bias + uint64(len(inj.Data))})
+// verifyConfig is what the checker needs to know of a rewrite that
+// skipped skip bytes of .text: how it recovered its universe and which
+// images it mapped, in link addresses.
+func verifyConfig(res *Result, skip uint64) verify.Config {
+	vc := verify.Config{Disasm: DisasmMode(res.Disasm), SkipPrefix: skip}
+	for _, inj := range res.Injections {
+		vc.Images = append(vc.Images, [2]uint64{inj.Addr - res.Bias, inj.Addr - res.Bias + uint64(len(inj.Data))})
 	}
 	return vc
 }
